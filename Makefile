@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test race vet fmt-check bench-smoke bench-full fuzz-smoke docs-check check clean
+.PHONY: all build test race vet fmt-check bench bench-smoke bench-full fuzz-smoke docs-check check clean
 
 all: check
 
@@ -40,6 +40,19 @@ bench-smoke:
 bench-full:
 	$(GO) run ./cmd/grubbench -all -scale 1.0 -json BENCH_full.json
 
+# The repo's benchmark (BENCHMARK.json; spec in benchmark/README.md): the
+# four workloads, untraced, 15 s windows, seed 1. Each run's last line is its
+# result object ({"correct","attempted","failed","metrics"}); those four
+# lines are collected in BENCH_e2e.jsonl. A run whose oracle fails, or that
+# cannot vouch for its numbers, fails the target.
+BENCH_WORKLOADS = write_http_durable verified_read_http paper_replay restart_catchup
+bench:
+	@rm -f BENCH_e2e.jsonl
+	@set -e; for w in $(BENCH_WORKLOADS); do \
+		out=$$($(GO) run ./benchmark -workload $$w -seed 1 -seconds 15 -trace 0) || { echo "$$out"; exit 1; }; \
+		echo "$$out"; echo "$$out" | tail -n 1 >> BENCH_e2e.jsonl; \
+	done
+
 # Bounded fuzz pass over the durable formats, short enough for CI (run with
 # a bigger FUZZTIME locally to dig):
 #   - persistent ADS: random op streams against a map model with proof
@@ -67,4 +80,4 @@ check: build vet fmt-check race bench-smoke docs-check
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_smoke.json BENCH_full.json
+	rm -f BENCH_smoke.json BENCH_full.json BENCH_e2e.jsonl

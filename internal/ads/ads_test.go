@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"grub/internal/kvstore"
 	"grub/internal/merkle"
 	"grub/internal/sim"
 )
@@ -298,8 +297,9 @@ func TestCloneIsStableSnapshot(t *testing.T) {
 }
 
 func TestDOSPRootAgreement(t *testing.T) {
-	// The DO and SP maintain independent Set instances; identical
-	// operation sequences must produce identical roots.
+	// Independent Set instances (a leader's and a follower's, or a feed's
+	// and its restored copy's) fed identical operation sequences must
+	// produce identical roots.
 	f := func(seed uint64) bool {
 		do, sp := NewSet(), NewSet()
 		r := sim.NewRand(seed)
@@ -364,64 +364,6 @@ func TestSetProofProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSPPersistence(t *testing.T) {
-	dir := t.TempDir()
-	sp, err := OpenSP(dir, kvstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		st := NR
-		if i%5 == 0 {
-			st = R
-		}
-		if err := sp.Put(rec(fmt.Sprintf("k%02d", i), st, fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sp.SetState("k01", R); err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Delete("k02"); err != nil {
-		t.Fatal(err)
-	}
-	root := sp.Set().Root()
-	if err := sp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sp2, err := OpenSP(dir, kvstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sp2.Close()
-	if sp2.Set().Root() != root {
-		t.Fatal("root changed across SP restart")
-	}
-	got, ok := sp2.Set().Get("k01")
-	if !ok || got.State != R {
-		t.Fatalf("k01 after restart: %+v ok=%v", got, ok)
-	}
-	if _, ok := sp2.Set().Get("k02"); ok {
-		t.Fatal("deleted key resurrected after restart")
-	}
-}
-
-func TestMemSPBasics(t *testing.T) {
-	sp := NewMemSP()
-	if err := sp.Put(rec("a", NR, "1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.SetState("missing", R); err == nil {
-		t.Fatal("SetState on missing key succeeded")
-	}
-	if err := sp.Delete("missing"); err != nil {
-		t.Fatalf("Delete on missing key: %v", err)
-	}
-	if err := sp.Close(); err != nil {
-		t.Fatalf("Close mem SP: %v", err)
 	}
 }
 

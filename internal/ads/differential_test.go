@@ -118,8 +118,9 @@ func sameRecords(t *testing.T, step int, want []Record, got []Record) {
 
 // TestDifferentialAgainstLegacy drives the persistent tree and the legacy
 // sorted-array semantics with identical randomized op streams: the record
-// sequences must stay identical, every op result (prev state, existed) must
-// agree, and the tree's proofs must verify against its root throughout.
+// sequences must stay identical, every op result (prev state, existed) and
+// the per-state record counts must agree at every step, and the tree's
+// proofs must verify against its root throughout.
 func TestDifferentialAgainstLegacy(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		seed := seed
@@ -148,6 +149,17 @@ func TestDifferentialAgainstLegacy(t *testing.T) {
 				}
 				if s.Len() != len(oracle.recs) {
 					t.Fatalf("step %d: Len %d, legacy %d", step, s.Len(), len(oracle.recs))
+				}
+				for _, st := range []State{NR, R} {
+					want := 0
+					for _, rec := range oracle.recs {
+						if rec.State == st {
+							want++
+						}
+					}
+					if got := s.CountState(st); got != want {
+						t.Fatalf("step %d: CountState(%v) = %d, legacy oracle has %d", step, st, got, want)
+					}
 				}
 				if step%97 == 0 {
 					sameRecords(t, step, oracle.recs, s.Records())

@@ -25,11 +25,11 @@ import (
 // The tree is a treap over the (state, key) order with priorities derived
 // from a hash of (state, key). Priorities are a deterministic function of the
 // key set, so the shape — and therefore the digest — is history-independent:
-// any insertion order, including snapshot-restore replay and the SP's
-// kvstore reload, reproduces the identical root. (The usual treap caveat
-// applies: because the digest must be reproducible by DO and SP alike, the
-// priorities cannot be secret, and a workload crafting keys against the hash
-// could unbalance the tree. Expected depth for benign keys is O(log n).)
+// any insertion order, including snapshot-restore replay, reproduces the
+// identical root. (The usual treap caveat applies: because the digest must
+// be reproducible by every replica and verifier, the priorities cannot be
+// secret, and a workload crafting keys against the hash could unbalance the
+// tree. Expected depth for benign keys is O(log n).)
 //
 // Each node hashes as
 //
@@ -43,9 +43,9 @@ import (
 // its gas metering are unchanged from the complete-tree era. Absence and
 // range completeness use pruned-subtree proofs instead (see prooftree.go).
 //
-// Set is used by the SP (with values) to serve proofs and by the DO to
-// maintain the digest it signs on-chain. Both sides compute identical roots
-// by construction.
+// One Set per feed serves both parties: the DO mutates it and signs its
+// digest on-chain, the SP reads it to serve proofs (see package core for
+// why sharing it is sound).
 type Set struct {
 	root *node
 }
@@ -204,6 +204,25 @@ func (s *Set) Get(key string) (Record, bool) {
 		return Record{}, false
 	}
 	return n.rec, true
+}
+
+// CountState returns the number of records in state st in O(log n). Records
+// order by (state, key), so the NR group is a prefix of the in-order walk and
+// its length is the rank of the first R record, read off subtree sizes.
+func (s *Set) CountState(st State) int {
+	nr := 0
+	for n := s.root; n != nil; {
+		if n.rec.State == NR {
+			nr += size(n.left) + 1
+			n = n.right
+		} else {
+			n = n.left
+		}
+	}
+	if st == NR {
+		return nr
+	}
+	return s.Len() - nr
 }
 
 // Records returns all records in (state, key) order.

@@ -87,14 +87,6 @@ type Tx struct {
 // Executed reports whether the transaction has been included in a block.
 func (t *Tx) Executed() bool { return t.executed }
 
-// Receipt summarizes an executed transaction.
-type Receipt struct {
-	Block   uint64
-	GasUsed gas.Gas
-	Err     error
-	Ret     any
-}
-
 // Chain is the simulated blockchain. It is not safe for concurrent use: the
 // simulation is single-threaded for determinism.
 type Chain struct {
@@ -254,19 +246,13 @@ func (c *Chain) FinalizedHeight() uint64 {
 	return c.height - uint64(c.params.FinalityDepth)
 }
 
-// Events returns all events emitted so far. The slice is shared; callers
-// must not modify it.
-func (c *Chain) Events() []Event { return c.events }
-
-// EventsFrom returns events emitted at or after the given block height.
-func (c *Chain) EventsFrom(block uint64) []Event {
-	var out []Event
-	for _, e := range c.events {
-		if e.Block >= block {
-			out = append(out, e)
-		}
-	}
-	return out
+// TakeEvents hands the event stream's single consumer (the SP watchdog)
+// every event emitted since the previous take, and keeps nothing: the chain
+// is a transport for monitoring streams, not their archive.
+func (c *Chain) TakeEvents() []Event {
+	evs := c.events
+	c.events = nil
+	return evs
 }
 
 // Ctx is the execution context handed to contract handlers. All storage,
@@ -400,14 +386,12 @@ func (x *Ctx) dispatch(to Address, method string, args any) (any, error) {
 	return h(x, args)
 }
 
-// CallsFrom returns the execution trace starting at the given cursor (an
-// index into the full trace). Callers advance their cursor by the returned
-// length.
-func (c *Chain) CallsFrom(cursor int) []CallRecord {
-	if cursor < 0 || cursor >= len(c.calls) {
-		return nil
-	}
-	return c.calls[cursor:]
+// TakeCalls hands the execution trace's single consumer (the DO's read
+// monitor) every call recorded since the previous take, and keeps nothing.
+func (c *Chain) TakeCalls() []CallRecord {
+	calls := c.calls
+	c.calls = nil
+	return calls
 }
 
 // View executes a read-only internal call outside any transaction, with gas

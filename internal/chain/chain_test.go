@@ -162,9 +162,9 @@ func TestEvents(t *testing.T) {
 	c.MineBlock()
 	c.Submit(&Tx{To: "ctr", Method: "emit", Args: "k2"})
 	c.MineBlock()
-	evs := c.Events()
+	evs := c.TakeEvents()
 	if len(evs) != 2 {
-		t.Fatalf("len(Events) = %d, want 2", len(evs))
+		t.Fatalf("len(TakeEvents) = %d, want 2", len(evs))
 	}
 	if evs[0].Data != "k1" || evs[1].Data != "k2" {
 		t.Fatalf("event data = %v, %v", evs[0].Data, evs[1].Data)
@@ -172,8 +172,55 @@ func TestEvents(t *testing.T) {
 	if evs[0].Block != 1 || evs[1].Block != 2 {
 		t.Fatalf("event blocks = %d, %d", evs[0].Block, evs[1].Block)
 	}
-	if got := c.EventsFrom(2); len(got) != 1 || got[0].Data != "k2" {
-		t.Fatalf("EventsFrom(2) = %v", got)
+}
+
+// TestStreamsAreConsumed pins the monitoring-stream contract: a take hands
+// over everything since the previous take and the chain keeps nothing, so a
+// second take is empty, and a snapshot/restore round trip leaves the
+// consumer nothing to fix up — it holds no cursor into either stream.
+func TestStreamsAreConsumed(t *testing.T) {
+	emitter := func(c *Chain) {
+		c.Register("ctr", "emit", func(ctx *Ctx, args any) (any, error) {
+			ctx.Emit("request", args, 40)
+			return nil, nil
+		})
+	}
+	emit := func(c *Chain, data string) {
+		c.Submit(&Tx{To: "ctr", Method: "emit", Args: data})
+		c.MineUntilEmpty()
+	}
+	c := newTestChain()
+	emitter(c)
+	emit(c, "k1")
+	emit(c, "k2")
+	if evs, calls := c.TakeEvents(), c.TakeCalls(); len(evs) != 2 || len(calls) != 2 {
+		t.Fatalf("first take: %d events, %d calls, want 2 and 2", len(evs), len(calls))
+	}
+	if evs, calls := c.TakeEvents(), c.TakeCalls(); len(evs) != 0 || len(calls) != 0 {
+		t.Fatalf("second take: %d events, %d calls, want none", len(evs), len(calls))
+	}
+
+	// Snapshot with an untaken event in the stream: streams are not state.
+	emit(c, "k3")
+	st, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newTestChain()
+	emitter(r)
+	if err := r.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if evs, calls := r.TakeEvents(), r.TakeCalls(); len(evs) != 0 || len(calls) != 0 {
+		t.Fatalf("restored chain starts with %d events, %d calls", len(evs), len(calls))
+	}
+	emit(r, "k4")
+	evs, calls := r.TakeEvents(), r.TakeCalls()
+	if len(evs) != 1 || evs[0].Data != "k4" || evs[0].Block != r.Height() {
+		t.Fatalf("restored chain events = %+v", evs)
+	}
+	if len(calls) != 1 || calls[0].Method != "emit" {
+		t.Fatalf("restored chain calls = %+v", calls)
 	}
 }
 

@@ -15,10 +15,12 @@ import (
 // fresh one does.
 //
 // The event log and the internal-call trace are deliberately NOT part of the
-// state: they are monitoring streams, consumed through cursors. A restored
-// chain starts both streams empty, and every consumer resets its cursor to
-// zero, so the (stream, cursor) pairs stay consistent. Nothing in gas
-// accounting reads them.
+// state: they are monitoring streams, handed to their single consumer by
+// TakeEvents / TakeCalls and not retained. Consumers hold no position into
+// them, so a restored chain simply starts both empty and there is nothing
+// to fix up; core.Feed takes both after every read and every epoch flush,
+// so at the quiescent points it snapshots at they are already consumed.
+// Nothing in gas accounting reads them.
 type State struct {
 	Now      sim.Time `json:"now"`
 	Height   uint64   `json:"height"`

@@ -46,10 +46,7 @@ func TestTheorem32FreshnessBound(t *testing.T) {
 	f.DO.StageWrite(KV{Key: "k", Value: []byte("fresh")})
 	// The DO batches for up to E time units before sending the update.
 	c.Clock().Advance(tE)
-	tx, err := f.DO.FlushEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tx := f.DO.FlushEpoch()
 	if tx == nil {
 		t.Fatal("no update transaction")
 	}
@@ -80,10 +77,7 @@ func TestTheorem31ConcurrentWindow(t *testing.T) {
 
 	// Install v1 and finalize it.
 	f.DO.StageWrite(KV{Key: "k", Value: []byte("v1")})
-	tx, err := f.DO.FlushEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tx := f.DO.FlushEpoch()
 	mineFinal(c, tx)
 
 	// Concurrent update: stage v2 but do not flush yet (inside epoch E).
@@ -99,10 +93,7 @@ func TestTheorem31ConcurrentWindow(t *testing.T) {
 	}
 
 	// After the epoch closes and finalizes, all reads agree on v2.
-	tx2, err := f.DO.FlushEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tx2 := f.DO.FlushEpoch()
 	mineFinal(c, tx2)
 	if err := f.Read("k"); err != nil {
 		t.Fatal(err)
@@ -118,7 +109,7 @@ func TestTheorem31ConcurrentWindow(t *testing.T) {
 func TestConcurrentWindowIntegrity(t *testing.T) {
 	f := timedFeed()
 	f.DO.StageWrite(KV{Key: "k", Value: []byte("v1")})
-	tx, _ := f.DO.FlushEpoch()
+	tx := f.DO.FlushEpoch()
 	mineFinal(f.Chain, tx)
 
 	f.DO.StageWrite(KV{Key: "k", Value: []byte("v2")})
@@ -135,7 +126,7 @@ func TestConcurrentWindowIntegrity(t *testing.T) {
 func TestAbsenceDuringConcurrentUpdates(t *testing.T) {
 	f := timedFeed()
 	f.DO.StageWrite(KV{Key: "a", Value: []byte("v")})
-	tx, _ := f.DO.FlushEpoch()
+	tx := f.DO.FlushEpoch()
 	mineFinal(f.Chain, tx)
 	f.DO.StageWrite(KV{Key: "b", Value: []byte("w")}) // in flight
 	if err := f.Read("zzz"); err != nil {

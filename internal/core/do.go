@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"grub/internal/ads"
 	"grub/internal/chain"
 	"grub/internal/merkle"
@@ -16,13 +14,12 @@ type DO struct {
 	addr    chain.Address
 	manager chain.Address
 	chain   *chain.Chain
-	sp      *SPNode
 	policy  policy.Policy
 
-	// set is the DO-side authenticated mirror from which the signed
-	// digest is computed. The DO produces every record, so holding the
-	// record set locally is natural; the security-relevant artifact is
-	// the root hash it signs on-chain.
+	// set is the feed's one authenticated record set. The DO produces
+	// every record and is its only writer; the digest it signs on-chain
+	// is this set's root, and the SP serves proofs from the same set
+	// (see the package doc for why that is sound).
 	set *ads.Set
 
 	staged []KV
@@ -44,13 +41,12 @@ type DO struct {
 	lastDigest *merkle.Hash
 }
 
-// NewDO builds the data-owner node.
-func NewDO(c *chain.Chain, sp *SPNode, manager chain.Address, addr chain.Address, p policy.Policy, maxReplicas int, noADS bool) *DO {
+// NewDO builds the data-owner node, which owns the feed's record set.
+func NewDO(c *chain.Chain, manager chain.Address, addr chain.Address, p policy.Policy, maxReplicas int, noADS bool) *DO {
 	return &DO{
 		addr:         addr,
 		manager:      manager,
 		chain:        c,
-		sp:           sp,
 		policy:       p,
 		set:          ads.NewSet(),
 		pendingState: make(map[string]ads.State),
@@ -59,12 +55,9 @@ func NewDO(c *chain.Chain, sp *SPNode, manager chain.Address, addr chain.Address
 	}
 }
 
-// Set exposes the DO's authenticated mirror (used by tests and the scan
-// expansion in Feed).
+// Set exposes the feed's authenticated record set (scan expansion, read
+// views, replication anchors and tests read it; only the DO writes it).
 func (d *DO) Set() *ads.Set { return d.set }
-
-// Policy returns the decision maker in use.
-func (d *DO) Policy() policy.Policy { return d.policy }
 
 // StageWrite buffers one data update for the current epoch and feeds it to
 // the workload monitor.
@@ -73,9 +66,8 @@ func (d *DO) StageWrite(kv KV) {
 	d.observe(policy.Write(kv.Key))
 }
 
-// ObserveRead feeds one read into the workload monitor. The Feed driver
-// calls this as reads appear; SyncFromLog offers the equivalent
-// batch-from-chain-history path.
+// ObserveRead feeds one read into the workload monitor. Feed.monitorReads
+// calls it for every gGet it finds in the chain's call trace.
 func (d *DO) ObserveRead(key string) {
 	d.observe(policy.Read(key))
 }
@@ -106,28 +98,37 @@ func (d *DO) PendingPromotion(key string) bool {
 }
 
 // FlushPromotion eagerly actuates a single key's NR->R transition without
-// waiting for the epoch boundary: the record is relocated in both record
-// sets and an update transaction carrying the fresh digest plus the new
-// replica is submitted. This is what lets GRuB serve the rest of a read
-// burst from contract storage (the within-burst replication visible in the
-// paper's Figures 5 and 9). It returns nil if there is nothing to do.
-func (d *DO) FlushPromotion(key string) (*chain.Tx, error) {
+// waiting for the epoch boundary: the record is relocated in the record set
+// and an update transaction carrying the fresh digest plus the new replica
+// is submitted. This is what lets GRuB serve the rest of a read burst from
+// contract storage (the within-burst replication visible in the paper's
+// Figures 5 and 9). It returns nil if there is nothing to do.
+func (d *DO) FlushPromotion(key string) *chain.Tx {
 	if !d.PendingPromotion(key) {
-		return nil, nil
+		return nil
 	}
-	rec, _ := d.set.Get(key)
 	d.set.SetState(key, ads.R)
-	if err := d.sp.ApplySetState(key, ads.R); err != nil {
-		return nil, fmt.Errorf("core: state sync to SP: %w", err)
-	}
 	delete(d.pendingState, key)
-	rec.State = ads.R
-	up := UpdateArgs{Replicas: []ads.Record{rec}}
+	rec, _ := d.set.Get(key)
+	return d.submitUpdate(UpdateArgs{Replicas: []ads.Record{rec}})
+}
+
+// submitUpdate signs the record set's current digest into up (unless the
+// feed maintains no ADS) and submits the update transaction. An update that
+// would change nothing on-chain — digest unchanged since the last one sent,
+// no replica traffic — is skipped, and nil returned.
+func (d *DO) submitUpdate(up UpdateArgs) *chain.Tx {
+	quiet := len(up.Replicas) == 0 && len(up.Evictions) == 0
 	if !d.noADS {
 		root := d.set.Root()
+		if quiet && d.lastDigest != nil && root == *d.lastDigest {
+			return nil
+		}
 		up.Digest = root
 		up.HasDigest = true
 		d.lastDigest = &root
+	} else if quiet {
+		return nil
 	}
 	tx := &chain.Tx{
 		From:         d.addr,
@@ -137,42 +138,21 @@ func (d *DO) FlushPromotion(key string) (*chain.Tx, error) {
 		PayloadBytes: up.PayloadSize(),
 	}
 	d.chain.Submit(tx)
-	return tx, nil
+	return tx
 }
 
-// SyncFromLog replays the manager's gGet call history from the chain's call
-// trace starting at cursor, feeding reads to the monitor. It returns the new
-// cursor. This is the paper's §3.2 monitoring path (the DO federates reads
-// from the natively logged contract-call history); the driver uses eager
-// observation for exact interleaving, and tests assert both paths agree.
-func (d *DO) SyncFromLog(cursor int) int {
-	calls := d.chain.CallsFrom(cursor)
-	for _, cr := range calls {
-		if cr.To != d.manager || cr.Method != "gGet" {
-			continue
-		}
-		if a, ok := cr.Args.(GetArgs); ok {
-			d.ObserveRead(a.Key)
-		}
-	}
-	return cursor + len(calls)
-}
-
-// FlushEpoch ends the current epoch: it applies staged writes to the DO and
-// SP record sets, materializes pending replication-state transitions,
-// signs the new digest and submits the update transaction (gPuts). It
-// returns the transaction, or nil if the epoch carried nothing.
-func (d *DO) FlushEpoch() (*chain.Tx, error) {
+// FlushEpoch ends the current epoch: it applies staged writes to the record
+// set, materializes pending replication-state transitions, signs the new
+// digest and submits the update transaction (gPuts). It returns the
+// transaction, or nil if the epoch carried nothing.
+func (d *DO) FlushEpoch() *chain.Tx {
 	var up UpdateArgs
 
-	// Data updates: apply to both sets under each key's target state.
+	// Data updates: apply under each key's target state.
 	for _, kv := range d.staged {
 		st := d.policy.Target(kv.Key)
 		rec := ads.Record{Key: kv.Key, State: st, Value: kv.Value}
 		prev, existed := d.set.Put(rec)
-		if err := d.sp.ApplyPut(rec); err != nil {
-			return nil, fmt.Errorf("core: gPuts to SP: %w", err)
-		}
 		delete(d.pendingState, kv.Key) // the write carries the state
 		if st == ads.R {
 			up.Replicas = append(up.Replicas, rec)
@@ -193,9 +173,6 @@ func (d *DO) FlushEpoch() (*chain.Tx, error) {
 			continue
 		}
 		d.set.SetState(key, st)
-		if err := d.sp.ApplySetState(key, st); err != nil {
-			return nil, fmt.Errorf("core: state sync to SP: %w", err)
-		}
 		if st == ads.R {
 			rec.State = ads.R
 			up.Replicas = append(up.Replicas, rec)
@@ -211,41 +188,22 @@ func (d *DO) FlushEpoch() (*chain.Tx, error) {
 	if d.maxReplicas > 0 {
 		d.enforceReplicaBudget(&up)
 	}
-
-	if !d.noADS {
-		root := d.set.Root()
-		if d.lastDigest != nil && root == *d.lastDigest &&
-			len(up.Replicas) == 0 && len(up.Evictions) == 0 {
-			return nil, nil // nothing changed this epoch
-		}
-		up.Digest = root
-		up.HasDigest = true
-		d.lastDigest = &root
-	}
-	if !up.HasDigest && len(up.Replicas) == 0 && len(up.Evictions) == 0 {
-		return nil, nil
-	}
-	tx := &chain.Tx{
-		From:         d.addr,
-		To:           d.manager,
-		Method:       "update",
-		Args:         up,
-		PayloadBytes: up.PayloadSize(),
-	}
-	d.chain.Submit(tx)
-	return tx, nil
+	return d.submitUpdate(up)
 }
 
 // enforceReplicaBudget demotes the least-recently-touched R records until
 // the replica count fits the budget.
 func (d *DO) enforceReplicaBudget(up *UpdateArgs) {
+	excess := d.set.CountState(ads.R) - d.maxReplicas
+	if excess <= 0 {
+		return
+	}
 	var replicated []string
 	for _, rec := range d.set.Records() {
 		if rec.State == ads.R {
 			replicated = append(replicated, rec.Key)
 		}
 	}
-	excess := len(replicated) - d.maxReplicas
 	for ; excess > 0; excess-- {
 		victim := ""
 		var oldest uint64 = ^uint64(0)
@@ -258,9 +216,6 @@ func (d *DO) enforceReplicaBudget(up *UpdateArgs) {
 			return
 		}
 		d.set.SetState(victim, ads.NR)
-		if err := d.sp.ApplySetState(victim, ads.NR); err != nil {
-			return
-		}
 		up.Evictions = append(up.Evictions, victim)
 		for i, k := range replicated {
 			if k == victim {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"grub/internal/ads"
 	"grub/internal/chain"
 	"grub/internal/gas"
 	"grub/internal/policy"
@@ -35,9 +34,6 @@ type Options struct {
 	// burst reads from contract storage; with DeferPromotions the
 	// transition waits for the epoch boundary.
 	DeferPromotions bool
-	// SPStore optionally supplies a persistent SP store; by default an
-	// in-memory store is used (Gas results are identical).
-	SPStore *ads.SP
 }
 
 func (o Options) withDefaults() Options {
@@ -52,9 +48,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.EpochOps <= 0 {
 		o.EpochOps = 32
-	}
-	if o.SPStore == nil {
-		o.SPStore = ads.NewMemSP()
 	}
 	return o
 }
@@ -72,10 +65,9 @@ type Feed struct {
 
 	opts Options
 
-	opsInEpoch  int
-	promoCursor int
-	delivered   int
-	notFound    int
+	opsInEpoch int
+	delivered  int
+	notFound   int
 	// LastValue records the most recent callback payload per key
 	// (DU-side application state, held in memory).
 	LastValue map[string][]byte
@@ -83,32 +75,38 @@ type Feed struct {
 
 // NewFeed wires a feed with the given decision policy onto c.
 func NewFeed(c *chain.Chain, p policy.Policy, opts Options) *Feed {
-	opts = opts.withDefaults()
-	mgr := NewStorageManager(c, opts.Manager, opts.DOAddr, opts.Trace)
-	sp := NewSPNode(c, opts.SPStore, opts.Manager, opts.SPAddr)
-	do := NewDO(c, sp, opts.Manager, opts.DOAddr, p, opts.MaxReplicas, opts.NoADS)
-	f := &Feed{
-		Chain:     c,
-		Manager:   mgr,
-		DO:        do,
-		SP:        sp,
-		opts:      opts,
-		LastValue: make(map[string][]byte),
-	}
-	registerReader(c, f, opts.Manager)
+	f := wireFeed(c, p, opts)
 	// Genesis: put the (empty-set) digest on-chain so the very first
 	// deliver can verify against something. A pure-BL2 feed maintains no
 	// digest and skips this.
-	if !opts.NoADS {
+	if !f.opts.NoADS {
 		f.mustFlush()
 	}
 	return f
 }
 
+// wireFeed registers the contracts on c and assembles the three parties
+// around one record set: the DO owns it, the SP serves proofs from it.
+// NewFeed then runs genesis; RestoreFeed installs a snapshot instead.
+func wireFeed(c *chain.Chain, p policy.Policy, opts Options) *Feed {
+	opts = opts.withDefaults()
+	do := NewDO(c, opts.Manager, opts.DOAddr, p, opts.MaxReplicas, opts.NoADS)
+	f := &Feed{
+		Chain:     c,
+		Manager:   NewStorageManager(c, opts.Manager, opts.DOAddr, opts.Trace),
+		DO:        do,
+		SP:        NewSPNode(c, do.Set(), opts.Manager, opts.SPAddr),
+		opts:      opts,
+		LastValue: make(map[string][]byte),
+	}
+	registerReader(f)
+	return f
+}
+
 // registerReader installs the generic data-user contract the driver reads
-// through (shared by NewFeed and RestoreFeed: contract code is re-registered,
-// never serialized).
-func registerReader(c *chain.Chain, f *Feed, manager chain.Address) {
+// through (contract code is re-registered on restore, never serialized).
+func registerReader(f *Feed) {
+	c, manager := f.Chain, f.opts.Manager
 	c.Register(readerAddr, "read", func(ctx *chain.Ctx, args any) (any, error) {
 		key, ok := args.(string)
 		if !ok {
@@ -176,31 +174,18 @@ func (f *Feed) ReadFrom(du chain.Address, method string, args any, payload int) 
 	return nil
 }
 
-// monitorReads is the DO's workload monitor: it tails the chain's call
-// trace for gGet invocations (whoever the calling DU was), feeds them to the
-// decision policy in execution order, and — unless promotions are deferred —
-// eagerly materializes any NR->R decision so the rest of a read burst is
-// served from contract storage.
+// monitorReads is the DO's workload monitor: it consumes the chain's call
+// trace, feeds the gGet invocations in it (whoever the calling DU was) to
+// the decision policy in execution order, and — unless promotions are
+// deferred — eagerly materializes any NR->R decision so the rest of a read
+// burst is served from contract storage.
 func (f *Feed) monitorReads() error {
-	calls := f.Chain.CallsFrom(f.promoCursor)
-	f.promoCursor += len(calls)
-	for _, cr := range calls {
-		if cr.To != f.opts.Manager || cr.Method != "gGet" {
+	for _, key := range f.takeReads() {
+		f.DO.ObserveRead(key)
+		if f.opts.DeferPromotions {
 			continue
 		}
-		a, ok := cr.Args.(GetArgs)
-		if !ok {
-			continue
-		}
-		f.DO.ObserveRead(a.Key)
-		if f.opts.DeferPromotions || !f.DO.PendingPromotion(a.Key) {
-			continue
-		}
-		tx, err := f.DO.FlushPromotion(a.Key)
-		if err != nil {
-			return err
-		}
-		if tx != nil {
+		if tx := f.DO.FlushPromotion(key); tx != nil {
 			f.Chain.MineUntilEmpty()
 			if tx.Err != nil {
 				return fmt.Errorf("core: promotion tx: %w", tx.Err)
@@ -208,6 +193,22 @@ func (f *Feed) monitorReads() error {
 		}
 	}
 	return nil
+}
+
+// takeReads consumes the chain's call trace and returns the keys of the
+// gGet invocations in it, in execution order. It runs after every read and
+// every epoch flush, so the trace never outlives the epoch that produced it.
+func (f *Feed) takeReads() []string {
+	var keys []string
+	for _, cr := range f.Chain.TakeCalls() {
+		if cr.To != f.opts.Manager || cr.Method != "gGet" {
+			continue
+		}
+		if a, ok := cr.Args.(GetArgs); ok {
+			keys = append(keys, a.Key)
+		}
+	}
+	return keys
 }
 
 // serveRequests lets the watchdog answer pending requests and mines the
@@ -241,39 +242,48 @@ func (f *Feed) FlushEpoch() { f.mustFlush() }
 
 func (f *Feed) mustFlush() {
 	f.opsInEpoch = 0
-	tx, err := f.DO.FlushEpoch()
-	if err != nil {
-		// An epoch flush failing means the simulation itself is broken
-		// (SP unreachable in-process): fail loudly.
-		panic(fmt.Sprintf("core: epoch flush: %v", err))
+	if tx := f.DO.FlushEpoch(); tx != nil {
+		f.Chain.MineUntilEmpty()
+		if tx.Err != nil {
+			panic(fmt.Sprintf("core: update tx rejected: %v", tx.Err))
+		}
 	}
-	if tx == nil {
-		return
-	}
-	f.Chain.MineUntilEmpty()
-	if tx.Err != nil {
-		panic(fmt.Sprintf("core: update tx rejected: %v", tx.Err))
+	// Consume the flush's own call records. A gGet the monitor has not seen
+	// yet (its read failed, or it ran through Chain.View) is observed here
+	// and its decision left to the next flush: an epoch boundary submits no
+	// promotion of its own, so it cannot fail on one.
+	for _, key := range f.takeReads() {
+		f.DO.ObserveRead(key)
 	}
 }
 
-// Process drives a whole workload trace through the feed, flushing epochs
-// every EpochOps operations. Scans expand to point reads over the next
-// ScanLen keys known to the DO's mirror.
-func (f *Feed) Process(trace []workload.Op) error {
-	for _, op := range trace {
-		switch {
-		case op.Write:
-			f.Write(KV{Key: op.Key, Value: op.Value})
-		case op.ScanLen > 0:
-			for _, k := range f.scanKeys(op.Key, op.ScanLen) {
-				if err := f.Read(k); err != nil {
-					return err
-				}
-			}
-		default:
-			if err := f.Read(op.Key); err != nil {
+// step executes one workload operation: a write is staged, a read is driven
+// through the chain, and a scan expands to point reads over the next
+// ScanLen keys the record set holds from the start key on (scans expand at
+// the feed layer; see DESIGN.md). Every way of driving a feed — Process,
+// ProcessSeries, ApplyOps — goes through here.
+func (f *Feed) step(op workload.Op) error {
+	switch {
+	case op.Write:
+		f.Write(KV{Key: op.Key, Value: op.Value})
+	case op.ScanLen > 0:
+		for _, k := range f.DO.Set().NextKeys(op.Key, op.ScanLen) {
+			if err := f.Read(k); err != nil {
 				return err
 			}
+		}
+	default:
+		return f.Read(op.Key)
+	}
+	return nil
+}
+
+// Process drives a whole workload trace through the feed, flushing epochs
+// every EpochOps operations.
+func (f *Feed) Process(trace []workload.Op) error {
+	for _, op := range trace {
+		if err := f.step(op); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -310,34 +320,14 @@ func (f *Feed) ProcessSeries(trace []workload.Op) ([]EpochStat, error) {
 		epochOps = 0
 	}
 	for _, op := range trace {
-		switch {
-		case op.Write:
-			f.Write(KV{Key: op.Key, Value: op.Value})
-			epochOps++
-		case op.ScanLen > 0:
-			for _, k := range f.scanKeys(op.Key, op.ScanLen) {
-				if err := f.Read(k); err != nil {
-					return nil, err
-				}
-			}
-			epochOps++
-		default:
-			if err := f.Read(op.Key); err != nil {
-				return nil, err
-			}
-			epochOps++
+		if err := f.step(op); err != nil {
+			return nil, err
 		}
+		epochOps++
 		if epochOps >= f.opts.EpochOps {
 			flushStat()
 		}
 	}
 	flushStat()
 	return series, nil
-}
-
-// scanKeys resolves a scan into up to n existing keys starting at start,
-// using the DO's mirror for key ordering (scans expand to point reads at the
-// feed layer; see DESIGN.md).
-func (f *Feed) scanKeys(start string, n int) []string {
-	return f.DO.Set().NextKeys(start, n)
 }

@@ -168,13 +168,14 @@ func TestDigestTracksDORoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.FlushEpoch()
-	// On-chain digest equals the DO's root equals the SP's root.
-	raw, _ := f.Chain.View("grub-manager", "gGet", GetArgs{Key: "definitely-missing"})
-	_ = raw
-	doRoot := f.DO.Set().Root()
-	spRoot := f.SP.Store().Set().Root()
-	if doRoot != spRoot {
-		t.Fatal("DO and SP roots diverged")
+	// The digest in contract storage is the record set's root.
+	st, err := f.Chain.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := f.DO.Set().Root()
+	if got := st.Storage["grub-manager"][slotRoot]; !bytes.Equal(got, root[:]) {
+		t.Fatalf("on-chain digest %x, record set root %x", got, root[:])
 	}
 }
 
@@ -218,6 +219,44 @@ func TestReplayedStaleValueRejected(t *testing.T) {
 	}
 }
 
+func TestStaleCloneDeliverRejected(t *testing.T) {
+	// DO and SP share one record set, so what keeps an SP from serving an
+	// old version is not a private copy falling behind — it is the
+	// contract: a deliver built from a version of the set frozen before an
+	// epoch's writes fails against the digest that epoch put on-chain.
+	f := newTestFeed(policy.Never{}, Options{EpochOps: 2})
+	f.Write(KV{Key: "k", Value: []byte("old")})
+	f.Write(KV{Key: "other", Value: []byte("x")}) // epoch boundary: digest D1
+	stale := f.DO.Set().Clone()
+	f.Write(KV{Key: "k", Value: []byte("new")})
+	f.Write(KV{Key: "other", Value: []byte("y")}) // epoch boundary: digest D2
+
+	f.SP.Tamper = func(d *DeliverArgs) {
+		rec, proof, err := stale.ProveKey(d.Record.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A perfectly good proof — of the superseded version.
+		if err := ads.VerifyRecord(stale.Root(), rec, proof); err != nil {
+			t.Fatal(err)
+		}
+		d.Record, d.Proof = rec, proof
+	}
+	if err := f.Read("k"); !errors.Is(err, ErrBadProof) {
+		t.Fatalf("deliver from a stale clone: err = %v, want ErrBadProof", err)
+	}
+	if f.Delivered() != 0 {
+		t.Fatal("callback fired on stale data")
+	}
+	f.SP.Tamper = nil
+	if err := f.Read("k"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(f.LastValue["k"], []byte("new")) {
+		t.Fatalf("honest read after the stale attempt = %q, want new", f.LastValue["k"])
+	}
+}
+
 func TestForgedStateBitRejected(t *testing.T) {
 	// A malicious SP flipping the NR state bit to R (to trick the manager
 	// into wasting replication Gas) must be caught: the state is part of
@@ -227,6 +266,41 @@ func TestForgedStateBitRejected(t *testing.T) {
 	f.SP.Tamper = func(d *DeliverArgs) { d.Record.State = ads.R }
 	if err := f.Read("k"); !errors.Is(err, ErrBadProof) {
 		t.Fatalf("state-forging deliver: err = %v, want ErrBadProof", err)
+	}
+}
+
+func TestFailedReadThenEpochBoundary(t *testing.T) {
+	// A read whose deliver is rejected returns before the monitor runs, so
+	// its gGet is still in the call trace when the next epoch boundary
+	// comes. The flush observes it but submits no promotion of its own (it
+	// has no error to return one through): the decision rides the next
+	// update, as a deferred one does.
+	f := newTestFeed(policy.NewMemoryless(1), Options{EpochOps: 2})
+	f.Write(KV{Key: "k", Value: []byte("v")})
+	f.Write(KV{Key: "a", Value: []byte("x")}) // epoch boundary
+	f.SP.Tamper = func(d *DeliverArgs) { d.Record.Value = []byte("forged!") }
+	if err := f.Read("k"); !errors.Is(err, ErrBadProof) {
+		t.Fatalf("forged deliver: err = %v, want ErrBadProof", err)
+	}
+	f.SP.Tamper = nil
+	if f.DO.PendingPromotion("k") {
+		t.Fatal("setup: the failed read was already observed")
+	}
+
+	f.Write(KV{Key: "a", Value: []byte("y")})
+	f.Write(KV{Key: "b", Value: []byte("z")}) // epoch boundary
+	if rec, _ := f.DO.Set().Get("k"); rec.State != ads.NR {
+		t.Fatalf("state after the boundary = %v: the flush promoted eagerly", rec.State)
+	}
+	if !f.DO.PendingPromotion("k") {
+		t.Fatal("the flush did not observe the failed read's gGet (K=1 decides R)")
+	}
+	if calls := f.Chain.TakeCalls(); len(calls) != 0 {
+		t.Fatalf("%d call records outlived the epoch boundary", len(calls))
+	}
+	f.FlushEpoch()
+	if rec, _ := f.DO.Set().Get("k"); rec.State != ads.R {
+		t.Fatalf("state after the next flush = %v, want R", rec.State)
 	}
 }
 
@@ -352,53 +426,47 @@ func TestReplicaBudgetLRUEviction(t *testing.T) {
 	}
 }
 
-func TestSyncFromLogMatchesEagerObservation(t *testing.T) {
-	// Run the same workload through two feeds: one with eager read
-	// observation (the driver default), one observing only via the call
-	// log. The resulting replication states must agree.
-	trace := workload.Ratio("k", 1, 3, 10, 32, 5)
+func TestMonitorObservesReadsFromAnyDU(t *testing.T) {
+	// The DO learns of reads from the chain's call trace alone: gGets
+	// issued by a DU contract the feed never heard of, driven through
+	// ReadFrom, reach the policy and trigger the promotion.
+	f := newTestFeed(policy.NewMemoryless(2), Options{EpochOps: 1 << 30}) // never auto-flush
+	f.Write(KV{Key: "k", Value: []byte("v")})
+	f.FlushEpoch()
 
-	eager := newTestFeed(policy.NewMemoryless(2), Options{EpochOps: 4})
-	if err := eager.Process(trace); err != nil {
-		t.Fatal(err)
-	}
-	eager.FlushEpoch()
-
-	lagged := newTestFeed(policy.NewMemoryless(2), Options{EpochOps: 1 << 30}) // never auto-flush
-	cursor := 0
-	ops := 0
-	for _, op := range trace {
-		if op.Write {
-			lagged.DO.StageWrite(KV{Key: op.Key, Value: op.Value})
-		} else {
-			// Read without eager observation: submit the DU tx
-			// directly.
-			tx := &chain.Tx{From: "user", To: readerAddr, Method: "read", Args: op.Key, PayloadBytes: 8}
-			lagged.Chain.Submit(tx)
-			lagged.Chain.MineUntilEmpty()
-			if err := lagged.serveRequests(); err != nil {
-				t.Fatal(err)
-			}
+	const du chain.Address = "du-app"
+	got := 0
+	f.Chain.Register(du, "peek", func(ctx *chain.Ctx, args any) (any, error) {
+		return ctx.Call("grub-manager", "gGet", GetArgs{
+			Key:      args.(string),
+			Callback: Callback{Contract: du, Method: "got"},
+		})
+	})
+	f.Chain.Register(du, "got", func(ctx *chain.Ctx, args any) (any, error) {
+		got++
+		return nil, nil
+	})
+	for i := 0; i < 2; i++ {
+		if rec, _ := f.DO.Set().Get("k"); rec.State != ads.NR {
+			t.Fatalf("promoted after %d reads, K=2", i)
 		}
-		ops++
-		if ops%4 == 0 {
-			cursor = lagged.DO.SyncFromLog(cursor)
-			if _, err := lagged.DO.FlushEpoch(); err != nil {
-				t.Fatal(err)
-			}
-			lagged.Chain.MineUntilEmpty()
+		if err := f.ReadFrom(du, "peek", "k", 5); err != nil {
+			t.Fatal(err)
 		}
 	}
-	cursor = lagged.DO.SyncFromLog(cursor)
-	if _, err := lagged.DO.FlushEpoch(); err != nil {
+	if got != 2 {
+		t.Fatalf("DU callback fired %d times, want 2", got)
+	}
+	if rec, _ := f.DO.Set().Get("k"); rec.State != ads.R {
+		t.Fatalf("state after K reads through %s = %v, want R (monitor missed them)", du, rec.State)
+	}
+	// The promotion was actuated eagerly: the next read is an on-chain one.
+	before := f.FeedGas()
+	if err := f.ReadFrom(du, "peek", "k", 5); err != nil {
 		t.Fatal(err)
 	}
-	lagged.Chain.MineUntilEmpty()
-
-	a, _ := eager.DO.Set().Get("k")
-	b, _ := lagged.DO.Set().Get("k")
-	if a.State != b.State {
-		t.Fatalf("eager state %v != log-based state %v", a.State, b.State)
+	if g := f.FeedGas() - before; g >= 21000 {
+		t.Fatalf("read after promotion cost %d, want on-chain read", g)
 	}
 }
 

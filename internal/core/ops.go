@@ -42,34 +42,33 @@ func ApplyOps(f *Feed, ops []Op) []OpResult {
 	return out
 }
 
+// applyOp decodes one wire op into the workload vocabulary (the inverse of
+// FromWorkload), runs it through Feed.step, and reads the outcome off the
+// feed's DU-side state.
 func applyOp(f *Feed, op Op) OpResult {
 	res := OpResult{Key: op.Key}
+	var w workload.Op
 	switch op.Type {
 	case "write":
-		f.Write(KV{Key: op.Key, Value: op.Value})
-		res.Found = true
+		w = workload.Write(op.Key, op.Value)
 	case "read":
-		before := f.Delivered()
-		if err := f.Read(op.Key); err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		if f.Delivered() > before {
-			res.Found = true
-			res.Value = append([]byte(nil), f.LastValue[op.Key]...)
-		}
+		w = workload.Read(op.Key)
 	case "scan":
-		n := op.ScanLen
-		if n < 1 {
-			n = 1
-		}
-		if err := f.Process([]workload.Op{workload.Scan(op.Key, n)}); err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		res.Found = true
+		w = workload.Scan(op.Key, max(op.ScanLen, 1))
 	default:
 		res.Err = fmt.Sprintf("unknown op type %q", op.Type)
+		return res
+	}
+	before := f.delivered
+	if err := f.step(w); err != nil {
+		res.Err = err.Error()
+		return res
+	}
+	if op.Type != "read" {
+		res.Found = true
+	} else if f.delivered > before {
+		res.Found = true
+		res.Value = append([]byte(nil), f.LastValue[op.Key]...)
 	}
 	return res
 }

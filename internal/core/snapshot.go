@@ -22,14 +22,12 @@ var ErrFeedBusy = errors.New("core: feed not quiescent")
 // digest, same replication decisions going forward, same cumulative Gas,
 // chain height and delivered counters.
 //
-// The chain's event log and call trace are not captured (see chain.State);
-// the feed's monitoring cursors restart at zero against the restored chain's
-// empty streams.
+// The chain's event log and call trace are not captured (see chain.State):
+// the feed consumes both as it goes and holds no position into either.
 type FeedSnapshot struct {
 	Chain chain.State `json:"chain"`
 
-	// Records is the DO's authenticated mirror; the SP store is rebuilt
-	// from the same records (the two sides are identical by protocol).
+	// Records is the feed's authenticated record set (DO and SP share it).
 	Records []ads.Record `json:"records,omitempty"`
 	// Policy is the decision maker's serialized state (policy.Snapshotter);
 	// nil for stateless policies.
@@ -130,32 +128,16 @@ func (f *Feed) Snapshot() (*FeedSnapshot, error) {
 // must be a policy constructed with the same parameters; snap supplies all
 // accumulated state.
 func RestoreFeed(c *chain.Chain, p policy.Policy, opts Options, snap *FeedSnapshot) (*Feed, error) {
-	opts = opts.withDefaults()
 	if err := c.Restore(snap.Chain); err != nil {
 		return nil, fmt.Errorf("core: restore chain: %w", err)
 	}
-	mgr := NewStorageManager(c, opts.Manager, opts.DOAddr, opts.Trace)
-	sp := NewSPNode(c, opts.SPStore, opts.Manager, opts.SPAddr)
-	do := NewDO(c, sp, opts.Manager, opts.DOAddr, p, opts.MaxReplicas, opts.NoADS)
-	f := &Feed{
-		Chain:     c,
-		Manager:   mgr,
-		DO:        do,
-		SP:        sp,
-		opts:      opts,
-		LastValue: make(map[string][]byte),
-	}
-	registerReader(c, f, opts.Manager)
+	f := wireFeed(c, p, opts)
+	do := f.DO
 
-	// Record sets: the DO's authenticated mirror and the SP's identical
-	// store are both rebuilt from the snapshot's records. Insertion order is
-	// irrelevant — the set orders by (state, key) — so the digest matches
-	// the original's bit for bit.
+	// Insertion order is irrelevant — the set orders by (state, key) — so
+	// the digest matches the original's bit for bit.
 	for _, rec := range snap.Records {
 		do.set.Put(rec)
-		if err := sp.ApplyPut(rec); err != nil {
-			return nil, fmt.Errorf("core: restore SP record %q: %w", rec.Key, err)
-		}
 	}
 	if snap.Policy != nil {
 		sn, ok := p.(policy.Snapshotter)
@@ -193,8 +175,5 @@ func RestoreFeed(c *chain.Chain, p policy.Policy, opts Options, snap *FeedSnapsh
 	for k, v := range snap.LastValue {
 		f.LastValue[k] = append([]byte(nil), v...)
 	}
-	// The restored chain's call trace is empty; the promotion monitor's
-	// cursor restarts with it.
-	f.promoCursor = 0
 	return f, nil
 }

@@ -7,11 +7,10 @@ import (
 	"grub/internal/chain"
 )
 
-// SPNode is the storage provider: the authenticated record store plus the
-// watchdog daemon of the read path (paper §3.3). The watchdog spins on the
-// chain's event log; every request event it finds is answered with a deliver
-// transaction carrying the record and its Merkle proof (or an absence
-// proof).
+// SPNode is the storage provider: the watchdog daemon of the read path
+// (paper §3.3). It consumes the chain's event stream; every request event it
+// finds is answered with a deliver transaction carrying the record and its
+// Merkle proof (or an absence proof).
 //
 // The SP is untrusted in the protocol — the manager contract verifies every
 // deliver — but the simulation drives an honest SP by default. Adversarial
@@ -20,57 +19,40 @@ type SPNode struct {
 	addr    chain.Address
 	manager chain.Address
 	chain   *chain.Chain
-	store   *ads.SP
+	set     *ads.Set
 
-	// eventCursor indexes into the chain's event log.
-	eventCursor int
-	served      map[uint64]bool
 	// pending holds requests seen but not yet answered (e.g. suppressed
 	// by Drop); they are retried on every Watch.
 	pending []RequestEvent
 
 	// Tamper, when non-nil, may rewrite a deliver before submission
-	// (security tests model a forging/replaying SP with it).
+	// (security tests model a forging/replaying SP with it). It replaces
+	// fields rather than writing through them: the record's value bytes
+	// are the shared set's own.
 	Tamper func(*DeliverArgs)
 	// Drop, when non-nil, suppresses responses for chosen request IDs
 	// (models an omitting SP).
 	Drop func(RequestEvent) bool
 }
 
-// NewSPNode builds a storage provider node answering for the given manager.
-func NewSPNode(c *chain.Chain, store *ads.SP, manager, addr chain.Address) *SPNode {
-	return &SPNode{
-		addr:    addr,
-		manager: manager,
-		chain:   c,
-		store:   store,
-		served:  make(map[uint64]bool),
-	}
+// NewSPNode builds a storage provider node answering for the given manager
+// out of set — the DO's own record set, which the SP only ever reads (Get,
+// ProveKey, ProveAbsent). The package doc says why sharing it is sound: what
+// the SP reads is never trusted, only what the contract verifies.
+func NewSPNode(c *chain.Chain, set *ads.Set, manager, addr chain.Address) *SPNode {
+	return &SPNode{addr: addr, manager: manager, chain: c, set: set}
 }
 
-// Store exposes the underlying authenticated store.
-func (s *SPNode) Store() *ads.SP { return s.store }
-
-// ApplyPut applies a DO-sent record write (the off-chain half of gPuts).
-func (s *SPNode) ApplyPut(rec ads.Record) error { return s.store.Put(rec) }
-
-// ApplySetState applies a DO-sent replication-state transition.
-func (s *SPNode) ApplySetState(key string, st ads.State) error {
-	return s.store.SetState(key, st)
-}
-
-// Watch scans new chain events for requests and submits deliver
-// transactions. Requests suppressed by Drop stay pending and are retried on
-// the next Watch. It returns the number of delivers submitted; the caller
-// mines afterwards.
+// Watch takes the chain events emitted since the last Watch, queues the
+// requests among them and submits deliver transactions. Requests suppressed
+// by Drop stay pending and are retried on the next Watch. It returns the
+// number of delivers submitted; the caller mines afterwards.
 func (s *SPNode) Watch() (int, error) {
-	evs := s.chain.Events()
-	for ; s.eventCursor < len(evs); s.eventCursor++ {
-		ev := evs[s.eventCursor]
+	for _, ev := range s.chain.TakeEvents() {
 		if ev.Contract != s.manager || ev.Name != "request" {
 			continue
 		}
-		if req, ok := ev.Data.(RequestEvent); ok && !s.served[req.ID] {
+		if req, ok := ev.Data.(RequestEvent); ok {
 			s.pending = append(s.pending, req)
 		}
 	}
@@ -87,7 +69,6 @@ func (s *SPNode) Watch() (int, error) {
 			still = append(still, req)
 			continue
 		}
-		s.served[req.ID] = true
 		submitted++
 	}
 	s.pending = still
@@ -95,9 +76,8 @@ func (s *SPNode) Watch() (int, error) {
 }
 
 func (s *SPNode) answer(req RequestEvent) error {
-	set := s.store.Set()
-	if _, ok := set.Get(req.Key); !ok {
-		proof, err := set.ProveAbsent(req.Key)
+	if _, ok := s.set.Get(req.Key); !ok {
+		proof, err := s.set.ProveAbsent(req.Key)
 		if err != nil {
 			return fmt.Errorf("core: absence proof for %q: %w", req.Key, err)
 		}
@@ -111,7 +91,7 @@ func (s *SPNode) answer(req RequestEvent) error {
 		})
 		return nil
 	}
-	rec, proof, err := set.ProveKey(req.Key)
+	rec, proof, err := s.set.ProveKey(req.Key)
 	if err != nil {
 		return fmt.Errorf("core: proof for %q: %w", req.Key, err)
 	}

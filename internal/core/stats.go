@@ -22,7 +22,7 @@ type FeedStats struct {
 	// Height and TxCount locate the chain.
 	Height  uint64 `json:"height"`
 	TxCount int    `json:"txCount"`
-	// Records is the size of the DO's authenticated set; Replicated counts
+	// Records is the size of the feed's authenticated set; Replicated counts
 	// the records currently in state R (materialized in contract storage).
 	Records    int `json:"records"`
 	Replicated int `json:"replicated"`
@@ -31,12 +31,7 @@ type FeedStats struct {
 // Stats snapshots the feed. It must be called from whatever context owns the
 // feed (feeds are single-writer); the returned value is safe to share.
 func (f *Feed) Stats() FeedStats {
-	replicated := 0
-	for _, rec := range f.DO.Set().Records() {
-		if rec.State == ads.R {
-			replicated++
-		}
-	}
+	set := f.DO.Set()
 	return FeedStats{
 		Delivered:  f.delivered,
 		NotFound:   f.notFound,
@@ -44,7 +39,7 @@ func (f *Feed) Stats() FeedStats {
 		TotalGas:   f.Chain.TotalGas(),
 		Height:     f.Chain.Height(),
 		TxCount:    f.Chain.TxCount(),
-		Records:    f.DO.Set().Len(),
-		Replicated: replicated,
+		Records:    set.Len(),
+		Replicated: set.CountState(ads.R),
 	}
 }

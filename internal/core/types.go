@@ -10,13 +10,28 @@
 //     (local writes plus the chain's gGet call log), runs an
 //     internal/policy decision maker, and actuates replication-state
 //     transitions; its data plane batches writes per epoch into update
-//     transactions (gPuts).
-//   - SPNode: the untrusted storage provider. It stores the authenticated
-//     record set (internal/ads over internal/kvstore), watches the chain's
-//     event log for request events and answers them with deliver
-//     transactions carrying Merkle proofs.
+//     transactions (gPuts). It owns the feed's authenticated record set
+//     (internal/ads) and signs its digest on-chain.
+//   - SPNode: the untrusted storage provider. It watches the chain's event
+//     log for request events and answers them with deliver transactions
+//     carrying Merkle proofs.
 //   - Feed: the top-level assembly plus the workload driver used by every
 //     experiment.
+//
+// DO and SP share one persistent record set per feed: the DO is its only
+// writer, the SP only reads it to build proofs. In the protocol an honest
+// SP's copy equals the DO's by construction (the DO ships it every gPuts
+// batch), so a second in-process copy would re-hash every write to protect
+// nothing. The security argument lives at one boundary — the manager
+// contract verifies every deliver against the digest the DO signed — and a
+// dishonest SP is modelled where it acts: on the deliver it submits or
+// withholds (SPNode.Tamper / Drop). Durability is the shard WAL's job
+// (internal/shard), not the SP's.
+//
+// The chain's event log and call trace are monitoring streams with one
+// consumer each (SP watchdog; DO read monitor). They are consumed, not
+// retained: the feed takes both after every read and every epoch flush, so
+// a long-running feed's memory is its record set, not its history.
 //
 // All Gas spent by the feed (update and deliver transactions, storage and
 // verification inside the manager) is attributed to the manager's address,

@@ -1,6 +1,6 @@
 // Package merkle implements the authenticated data structure used by GRuB's
 // data plane: a Merkle hash tree built over a sorted sequence of leaves, with
-// membership proofs for single leaves and contiguous ranges.
+// membership proofs for single leaves.
 //
 // GRuB (paper §3.3, Appendix B.1) builds this tree over KV records that are
 // first grouped by replication state (NR before R) and then sorted by key
@@ -10,7 +10,6 @@
 package merkle
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -96,9 +95,10 @@ func EmptyRoot() Hash {
 // is the canonical "largest power of two on the left" split (RFC 6962 style),
 // which keeps proofs logarithmic for any leaf count, not just powers of two.
 //
-// Tree recomputes interior nodes on demand; for the data sizes in the GRuB
-// experiments (up to 2^20 records) this is fast enough and keeps the
-// implementation obviously correct.
+// Tree is immutable and recomputes interior nodes on demand: its one caller
+// is the per-block transaction tree of internal/btc (the record set has its
+// own incrementally hashed tree in package ads), and at block sizes that is
+// fast enough and keeps the implementation obviously correct.
 type Tree struct {
 	leaves []Hash
 }
@@ -108,33 +108,6 @@ func New(leaves []Hash) *Tree {
 	t := &Tree{leaves: make([]Hash, len(leaves))}
 	copy(t.leaves, leaves)
 	return t
-}
-
-// Len returns the number of leaves.
-func (t *Tree) Len() int { return len(t.leaves) }
-
-// Leaf returns the i-th leaf hash.
-func (t *Tree) Leaf(i int) Hash { return t.leaves[i] }
-
-// SetLeaf replaces the i-th leaf hash.
-func (t *Tree) SetLeaf(i int, h Hash) { t.leaves[i] = h }
-
-// Insert inserts a leaf hash at position i, shifting subsequent leaves right.
-func (t *Tree) Insert(i int, h Hash) {
-	if i < 0 || i > len(t.leaves) {
-		panic(fmt.Sprintf("merkle: Insert index %d out of range [0,%d]", i, len(t.leaves)))
-	}
-	t.leaves = append(t.leaves, Hash{})
-	copy(t.leaves[i+1:], t.leaves[i:])
-	t.leaves[i] = h
-}
-
-// Delete removes the leaf at position i.
-func (t *Tree) Delete(i int) {
-	if i < 0 || i >= len(t.leaves) {
-		panic(fmt.Sprintf("merkle: Delete index %d out of range [0,%d)", i, len(t.leaves)))
-	}
-	t.leaves = append(t.leaves[:i], t.leaves[i+1:]...)
 }
 
 // Root computes the root hash of the tree.
@@ -240,137 +213,3 @@ func Verify(root Hash, leaf Hash, p *Proof) error {
 	}
 	return nil
 }
-
-// RangeProof authenticates a contiguous run of leaves [Start, End). It
-// contains the sibling subtree hashes needed to recompute the root together
-// with the leaves themselves. Range proofs let the SP answer "all NR records
-// in [a,b]" queries with completeness: the verifier recomputes the root from
-// exactly the claimed leaves, so omitting or injecting a leaf changes the
-// root.
-type RangeProof struct {
-	// Start and End delimit the leaf span [Start, End).
-	Start     int `json:"start"`
-	End       int `json:"end"`
-	LeafCount int `json:"leafCount"`
-	// Left and Right are the hashes of the maximal subtrees entirely to
-	// the left/right of the range, outermost first.
-	Left  []Hash `json:"left,omitempty"`
-	Right []Hash `json:"right,omitempty"`
-}
-
-// Size returns the serialized size in bytes for Gas accounting.
-func (p *RangeProof) Size() int {
-	return 24 + (len(p.Left)+len(p.Right))*HashSize
-}
-
-// ProveRange builds a proof for leaves [start, end).
-func (t *Tree) ProveRange(start, end int) (*RangeProof, error) {
-	if start < 0 || end > len(t.leaves) || start > end {
-		return nil, fmt.Errorf("merkle: range [%d,%d) out of bounds [0,%d]", start, end, len(t.leaves))
-	}
-	p := &RangeProof{Start: start, End: end, LeafCount: len(t.leaves)}
-	collectRange(t.leaves, 0, start, end, p)
-	return p, nil
-}
-
-// collectRange walks the canonical tree shape over leaves (whose absolute
-// offset is off) and records subtree hashes disjoint from [start, end).
-func collectRange(leaves []Hash, off, start, end int, p *RangeProof) {
-	if len(leaves) == 0 {
-		return
-	}
-	lo, hi := off, off+len(leaves)
-	if hi <= start {
-		p.Left = append(p.Left, rootOf(leaves))
-		return
-	}
-	if lo >= end {
-		p.Right = append(p.Right, rootOf(leaves))
-		return
-	}
-	if start <= lo && hi <= end {
-		return // fully inside the range: the verifier recomputes it from leaves
-	}
-	if len(leaves) == 1 {
-		return
-	}
-	k := largestPowerOfTwoBelow(len(leaves))
-	collectRange(leaves[:k], off, start, end, p)
-	collectRange(leaves[k:], off+k, start, end, p)
-}
-
-// VerifyRange checks that leaves occupy positions [p.Start, p.End) of the
-// tree committed to by root. The caller supplies the leaf hashes in order.
-func VerifyRange(root Hash, leaves []Hash, p *RangeProof) error {
-	if p == nil {
-		return fmt.Errorf("%w: nil range proof", ErrInvalidProof)
-	}
-	if p.Start < 0 || p.End > p.LeafCount || p.Start > p.End {
-		return fmt.Errorf("%w: bad range [%d,%d) of %d", ErrInvalidProof, p.Start, p.End, p.LeafCount)
-	}
-	if len(leaves) != p.End-p.Start {
-		return fmt.Errorf("%w: %d leaves for range of %d", ErrInvalidProof, len(leaves), p.End-p.Start)
-	}
-	left, right := p.Left, p.Right
-	got, err := rebuildRange(p.LeafCount, 0, p.Start, p.End, leaves, &left, &right)
-	if err != nil {
-		return err
-	}
-	if len(left) != 0 || len(right) != 0 {
-		return fmt.Errorf("%w: %d unused proof hashes", ErrInvalidProof, len(left)+len(right))
-	}
-	if got != root {
-		return fmt.Errorf("%w: root mismatch (got %v, want %v)", ErrInvalidProof, got, root)
-	}
-	return nil
-}
-
-// rebuildRange mirrors collectRange: it recomputes the subtree root over a
-// span of size n starting at absolute offset off, consuming proof hashes for
-// subtrees outside [start, end) and leaf hashes inside.
-func rebuildRange(n, off, start, end int, leaves []Hash, left, right *[]Hash) (Hash, error) {
-	if n == 0 {
-		return EmptyRoot(), nil
-	}
-	lo, hi := off, off+n
-	if hi <= start {
-		return takeHash(left)
-	}
-	if lo >= end {
-		return takeHash(right)
-	}
-	if start <= lo && hi <= end {
-		return rootOf(leaves[lo-start : hi-start]), nil
-	}
-	if n == 1 {
-		// A single leaf that straddles the boundary can only happen for
-		// an empty range aligned on this leaf; treat as outside.
-		if lo >= start {
-			return takeHash(right)
-		}
-		return takeHash(left)
-	}
-	k := largestPowerOfTwoBelow(n)
-	l, err := rebuildRange(k, off, start, end, leaves, left, right)
-	if err != nil {
-		return Hash{}, err
-	}
-	r, err := rebuildRange(n-k, off+k, start, end, leaves, left, right)
-	if err != nil {
-		return Hash{}, err
-	}
-	return HashInner(l, r), nil
-}
-
-func takeHash(hs *[]Hash) (Hash, error) {
-	if len(*hs) == 0 {
-		return Hash{}, fmt.Errorf("%w: proof exhausted", ErrInvalidProof)
-	}
-	h := (*hs)[0]
-	*hs = (*hs)[1:]
-	return h, nil
-}
-
-// Equal reports whether two hashes are equal; exported as a helper so callers
-// avoid accidentally comparing slices.
-func Equal(a, b Hash) bool { return bytes.Equal(a[:], b[:]) }

@@ -10,7 +10,6 @@ import (
 	"grub/internal/core"
 	"grub/internal/gas"
 	"grub/internal/kvstore"
-	"grub/internal/repl"
 )
 
 // Persistence: each shard owns a kvstore.DB under the feed's data
@@ -278,6 +277,7 @@ func recoverShard(p *persister, idx int, opts Options, build func(int) (*core.Fe
 		st = shardState{base: feed.FeedGas()}
 	}
 	st.feed = feed
+	st.record = opts.RecordTrace
 	if opts.Repl {
 		// The replication log restarts at the snapshot's sequence; every
 		// replayed batch below re-anchors into it, so a follower that was
@@ -307,20 +307,10 @@ func recoverShard(p *persister, idx int, opts Options, build func(int) (*core.Fe
 		if err := json.Unmarshal(payload, &ops); err != nil {
 			return nil, fmt.Errorf("shard: decode log record %q: %w", key, err)
 		}
-		results := core.ApplyOps(feed, ops)
-		st.ops += len(ops)
-		st.batches++
+		_, entry := st.applyBatch(ops)
 		p.loggedBatches++
-		if opts.RecordTrace {
-			st.trace = append(st.trace, ops...)
-			st.traceRes = append(st.traceRes, results...)
-		}
 		if st.repl != nil {
-			set := feed.DO.Set()
-			st.repl.append(repl.Entry{
-				Seq: seq, Ops: ops,
-				Root: set.Root(), Count: set.Len(), Height: feed.Chain.Height(),
-			})
+			st.repl.append(entry)
 		}
 		if seq > maxSeq {
 			maxSeq = seq

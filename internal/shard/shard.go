@@ -72,8 +72,6 @@ type Options struct {
 	// Repl keeps a bounded in-memory replication log per shard (every
 	// applied batch with its post-apply anchor) and enables the
 	// Apply/Reset/ReplSnapshot replication entry points (see repl.go).
-	// Costs one root computation per batch — shared with the view clone
-	// when Views is also set, as on every gateway feed.
 	Repl bool
 	// ReplRetain caps the replication log length per shard (entries); 0
 	// means DefaultReplRetain. Followers further behind bootstrap from a
@@ -199,8 +197,11 @@ type shardState struct {
 	base gas.Gas
 	// ops and batches count executed work across the shard's whole
 	// lifetime, including batches replayed during recovery.
-	ops      int
-	batches  int
+	ops     int
+	batches int
+	// record mirrors Options.RecordTrace: keep every executed op and its
+	// result in trace / traceRes.
+	record   bool
 	trace    []core.Op
 	traceRes []core.OpResult
 	persist  *persister // nil without persistence
@@ -221,14 +222,27 @@ type shardState struct {
 	load *obs.RateMeter
 }
 
-// meterBatch records an applied batch's work on the feed's load meter:
-// the op count and the gas the batch charged (post-apply minus
-// pre-apply feed gas).
-func (st *shardState) meterBatch(ops int, gasBefore gas.Gas) {
-	if st.load == nil {
-		return
+// applyBatch is the one way a batch executes on a shard, whoever sent it — a
+// client, a replication leader or the shard's own durable log on recovery:
+// run the ops, meter the work (op count and the gas the batch charged),
+// advance the lifetime counters, keep the trace when recording, and anchor
+// the post-apply state. It returns the per-op results and the batch's
+// replication entry; what surrounds the apply (WAL append, anchor check,
+// replication-log append, view publication, stage timing) is the caller's.
+func (st *shardState) applyBatch(ops []core.Op) ([]core.OpResult, repl.Entry) {
+	gasBefore := st.feed.FeedGas()
+	results := core.ApplyOps(st.feed, ops)
+	if st.load != nil {
+		st.load.Add(len(ops), float64(st.feed.FeedGas()-gasBefore), 0, 0)
 	}
-	st.load.Add(ops, float64(st.feed.FeedGas()-gasBefore), 0, 0)
+	st.ops += len(ops)
+	st.batches++
+	if st.record {
+		st.trace = append(st.trace, ops...)
+		st.traceRes = append(st.traceRes, results...)
+	}
+	root, count, height := st.anchor()
+	return results, repl.Entry{Seq: uint64(st.batches), Ops: ops, Root: root, Count: count, Height: height}
 }
 
 // stageClock stamps successive pipeline stages of one batch onto the
@@ -310,8 +324,8 @@ type worker struct {
 }
 
 // publishView snapshots the shard's current state into an immutable read
-// view and installs it: the current version of the DO's authenticated
-// mirror, its root, the shard chain's height, and the batch count as the
+// view and installs it: the current version of the feed's authenticated
+// record set, its root, the shard chain's height, and the batch count as the
 // monotone publication sequence. The set is a persistent tree, so Clone is
 // an O(1) root-pointer capture — publication cost is independent of the
 // record count, and any number of live views share structure.
@@ -330,24 +344,11 @@ func (st *shardState) anchor() (root merkle.Hash, count int, height uint64) {
 	return set.Root(), set.Len(), st.feed.Chain.Height()
 }
 
-// commitBatch records an applied batch in the replication log (when
-// replicating) and publishes the shard's new read view. ops is the batch as
-// executed; seq is the shard's post-apply batch count.
-func (w *worker) commitBatch(st *shardState, ops []core.Op, clk *stageClock) {
-	if st.repl != nil {
-		root, count, height := st.anchor()
-		st.repl.append(repl.Entry{Seq: uint64(st.batches), Ops: ops, Root: root, Count: count, Height: height})
-		clk.mark(obs.StageReplAppend, clk.stages.GetReplAppend())
-	}
-	w.publishView(st)
-	clk.mark(obs.StagePublish, clk.stages.GetPublish())
-}
-
 // mailboxDepth buffers sub-batch sends so a scatter never stalls on one busy
 // shard while the others sit idle.
 const mailboxDepth = 64
 
-func (w *worker) loop(st *shardState, record bool) {
+func (w *worker) loop(st *shardState) {
 	defer close(w.done)
 	for req := range w.mail {
 		switch req.kind {
@@ -399,7 +400,7 @@ func (w *worker) loop(st *shardState, record bool) {
 			req.resp <- response{stat: stat}
 		case reqRepl:
 			clk := newStageClock(st, req, w.idx)
-			req.resp <- response{err: w.applyReplicated(st, req.entry, record, &clk)}
+			req.resp <- response{err: w.applyReplicated(st, req.entry, &clk)}
 		case reqReplSnap:
 			snap, err := w.replSnapshot(st)
 			req.resp <- response{snap: snap, err: err}
@@ -451,25 +452,22 @@ func (w *worker) loop(st *shardState, record bool) {
 				}
 				clk.mark(obs.StagePersist, clk.stages.GetPersist())
 			}
-			gasBefore := st.feed.FeedGas()
-			results := core.ApplyOps(st.feed, req.ops)
+			results, entry := st.applyBatch(req.ops)
 			clk.mark(obs.StageApply, clk.stages.GetApply())
-			st.meterBatch(len(req.ops), gasBefore)
-			st.ops += len(req.ops)
-			st.batches++
-			if record {
-				st.trace = append(st.trace, req.ops...)
-				st.traceRes = append(st.traceRes, results...)
-			}
 			if st.persist != nil {
 				if serr := st.persist.maybeSnapshot(st); serr != nil {
 					st.persistErr = serr
 				}
 				clk.skip() // compaction has no stage of its own
 			}
+			if st.repl != nil {
+				st.repl.append(entry)
+				clk.mark(obs.StageReplAppend, clk.stages.GetReplAppend())
+			}
 			// Publish before acking so a client that saw its batch
 			// complete reads its own writes from the next view.
-			w.commitBatch(st, req.ops, &clk)
+			w.publishView(st)
+			clk.mark(obs.StagePublish, clk.stages.GetPublish())
 			req.resp <- response{results: results}
 		}
 	}
@@ -483,7 +481,7 @@ func (w *worker) loop(st *shardState, record bool) {
 // refuses to fork rather than serving unverified state. (A crash between
 // the log append and the rollback can leave the refused batch durable; the
 // next replicated apply after recovery re-detects the divergence.)
-func (w *worker) applyReplicated(st *shardState, e *repl.Entry, record bool, clk *stageClock) error {
+func (w *worker) applyReplicated(st *shardState, e *repl.Entry, clk *stageClock) error {
 	if st.repl == nil {
 		return ErrNotReplicating
 	}
@@ -499,22 +497,13 @@ func (w *worker) applyReplicated(st *shardState, e *repl.Entry, record bool, clk
 		}
 		clk.mark(obs.StagePersist, clk.stages.GetPersist())
 	}
-	gasBefore := st.feed.FeedGas()
-	results := core.ApplyOps(st.feed, e.Ops)
+	_, got := st.applyBatch(e.Ops)
 	clk.mark(obs.StageApply, clk.stages.GetApply())
-	st.meterBatch(len(e.Ops), gasBefore)
-	st.ops += len(e.Ops)
-	st.batches++
-	if record {
-		st.trace = append(st.trace, e.Ops...)
-		st.traceRes = append(st.traceRes, results...)
-	}
-	root, count, _ := st.anchor()
-	if root != e.Root || count != e.Count {
+	if got.Root != e.Root || got.Count != e.Count {
 		div := &repl.DivergenceError{
 			Shard: w.idx, Seq: e.Seq,
-			WantRoot: e.Root, GotRoot: root,
-			WantCount: e.Count, GotCount: count,
+			WantRoot: e.Root, GotRoot: got.Root,
+			WantCount: e.Count, GotCount: got.Count,
 		}
 		st.diverged = div
 		if st.persist != nil {
@@ -658,7 +647,7 @@ func New(opts Options, build func(shard int) (*core.Feed, error)) (*ShardedFeed,
 		// set, and recovered state after a restart) work before the
 		// first batch lands.
 		w.publishView(st)
-		go w.loop(st, opts.RecordTrace)
+		go w.loop(st)
 	}
 	return s, nil
 }
@@ -673,7 +662,7 @@ func newShardState(opts Options, idx int, build func(int) (*core.Feed, error)) (
 		if err != nil {
 			return nil, err
 		}
-		st := &shardState{feed: f, base: f.FeedGas(), stages: opts.Stages, load: opts.Load}
+		st := &shardState{feed: f, base: f.FeedGas(), record: opts.RecordTrace, stages: opts.Stages, load: opts.Load}
 		if opts.Repl {
 			st.repl = newReplLog(opts.ReplRetain)
 		}
