@@ -78,7 +78,7 @@ func BenchmarkPersistExperiment(b *testing.B) { runExperiment(b, "persist") }
 func BenchmarkReplExperiment(b *testing.B) { runExperiment(b, "repl") }
 
 // BenchmarkPublishExperiment runs the view-publication scaling microbench:
-// per-batch publish cost at 1k vs 100k records must stay within 2x.
+// per-batch publish cost at 1k vs 100k records and their ratio.
 func BenchmarkPublishExperiment(b *testing.B) { runExperiment(b, "publish") }
 
 // BenchmarkKVStoreExperiment runs the storage-engine microbench: bloom-filter

@@ -359,12 +359,22 @@ func TestClusterMode(t *testing.T) {
 	}
 	c1 := server.NewClient(urls[1])
 	c1.Retry = server.DefaultRetry
-	if _, err := c1.Do("cf", []server.Op{{Type: "write", Key: "k", Value: []byte("v")}}); err != nil {
-		t.Fatalf("write via second node: %v", err)
+	// Node 1 learns where "cf" lives from node 0's next placement
+	// heartbeat; until it arrives the write is refused as "unknown feed"
+	// (nothing applied), so it is polled like the reads below.
+	deadline = time.Now().Add(30 * time.Second)
+	for {
+		_, err := c1.Do("cf", []server.Op{{Type: "write", Key: "k", Value: []byte("v")}})
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("write via second node: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 
 	// Both nodes eventually serve the verified read locally.
-	deadline = time.Now().Add(30 * time.Second)
 	for _, u := range urls {
 		for {
 			res, err := server.NewVerifyingClient(u).Get("cf", "k")

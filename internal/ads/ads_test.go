@@ -271,8 +271,8 @@ func TestRootChangesAsSetGrows(t *testing.T) {
 }
 
 // TestCloneIsStableSnapshot pins the copy-on-write contract publishView
-// relies on: a clone is O(1), keeps its root and contents while the original
-// mutates, and many clones coexist.
+// relies on: a clone keeps its root and contents while the original mutates,
+// and many clones coexist.
 func TestCloneIsStableSnapshot(t *testing.T) {
 	s := NewSet()
 	for i := 0; i < 50; i++ {

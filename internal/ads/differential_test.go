@@ -119,17 +119,25 @@ func sameRecords(t *testing.T, step int, want []Record, got []Record) {
 // TestDifferentialAgainstLegacy drives the persistent tree and the legacy
 // sorted-array semantics with identical randomized op streams: the record
 // sequences must stay identical, every op result (prev state, existed) and
-// the per-state record counts must agree at every step, and the tree's
-// proofs must verify against its root throughout.
+// the per-state record counts must agree at every step, the tree's proofs
+// must verify against its root throughout, and clones taken along the way
+// must come out of the stream unchanged.
 func TestDifferentialAgainstLegacy(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			r := sim.NewRand(seed)
 			s, oracle := NewSet(), &legacySet{}
+			var clones []capture
 			for step := 0; step < 600; step++ {
 				k := fmt.Sprintf("key-%03d", r.Intn(120))
-				switch r.Intn(6) {
+				switch r.Intn(7) {
+				case 6:
+					// Clone here and remember what it held; checked once
+					// the stream has run on over it.
+					c := captureOf(s)
+					sameRecords(t, step, oracle.recs, c.recs)
+					clones = append(clones, c)
 				case 0:
 					if s.Delete(k) != oracle.Delete(k) {
 						t.Fatalf("step %d: Delete(%q) disagrees", step, k)
@@ -166,6 +174,11 @@ func TestDifferentialAgainstLegacy(t *testing.T) {
 				}
 			}
 			sameRecords(t, 600, oracle.recs, s.Records())
+			for i, c := range clones {
+				if err := c.check(); err != nil {
+					t.Fatalf("clone %d of %d: %v", i, len(clones), err)
+				}
+			}
 
 			// Every surviving record proves and verifies; absent keys prove
 			// absence; random range windows match the oracle and verify.

@@ -9,9 +9,10 @@ import (
 
 // FuzzSetOps drives the persistent tree with an arbitrary byte-encoded op
 // stream (Put / Delete / SetState / point proofs / absence proofs / range
-// proofs) against a plain map model. Every intermediate state must agree
-// with the model, every proof must verify against the current root, and the
-// final state must be reproducible — identical root — by replaying the
+// proofs / clones) against a plain map model. Every intermediate state must
+// agree with the model, every proof must verify against the current root,
+// every clone must still be what it was when taken once the stream ends, and
+// the final state must be reproducible — identical root — by replaying the
 // surviving records in sorted order (the snapshot-restore path).
 //
 // Wired into `make fuzz-smoke` so the corpus grows with the repo.
@@ -19,9 +20,11 @@ func FuzzSetOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x42, 0x10, 0x02, 0x20, 0x03})
 	f.Add([]byte{0x10, 0x11, 0x12, 0x13, 0x00, 0x01, 0x30, 0x31})
 	f.Add(bytes.Repeat([]byte{0x00, 0x05, 0x25, 0x45}, 16))
+	f.Add([]byte{0x01, 0x12, 0xf0, 0x01, 0x41, 0x72, 0xf0, 0x23, 0x80, 0xf0, 0x52})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewSet()
 		model := map[string]Record{}
+		var clones []capture
 		// Each byte is one op: the high nibble selects the action, the low
 		// nibble the key (a 16-key space keeps collisions frequent).
 		for step, b := range data {
@@ -68,6 +71,8 @@ func FuzzSetOps(f *testing.F) {
 						t.Fatalf("step %d: absence proof for %s failed: %v", step, key, err)
 					}
 				}
+			case 15: // clone here, check it after the rest of the stream
+				clones = append(clones, captureOf(s))
 			default: // range proof over a window derived from the byte
 				lo := fmt.Sprintf("k%x", b&0x07)
 				hi := fmt.Sprintf("k%x", (b&0x07)+(b>>5))
@@ -96,6 +101,11 @@ func FuzzSetOps(f *testing.F) {
 			}
 			if s.Len() != len(model) {
 				t.Fatalf("step %d: Len %d, model %d", step, s.Len(), len(model))
+			}
+		}
+		for i, c := range clones {
+			if err := c.check(); err != nil {
+				t.Fatalf("clone %d of %d: %v", i, len(clones), err)
 			}
 		}
 		// Snapshot-replay determinism: sorted re-insertion of the final

@@ -105,7 +105,7 @@ func cloneRec(r Record) *Record {
 	return &r
 }
 
-// stub elides a subtree to its hash.
+// stub elides a sealed subtree to its hash.
 func stub(n *node) *ProofTree {
 	if n == nil {
 		return nil
@@ -170,6 +170,7 @@ func (s *Set) ProveAbsent(key string) (*AbsenceProof, error) {
 	if _, _, ok := s.find(key); ok {
 		return nil, fmt.Errorf("ads: key %q is present", key)
 	}
+	seal(s.root)
 	return &AbsenceProof{
 		Count: s.Len(),
 		Paths: pruneSearch(s.root, []target{{NR, key}, {R, key}}),
@@ -283,6 +284,7 @@ func pruneWindow(n *node, lo, hi string) *ProofTree {
 // Only the NR group is served: R records live on-chain and are read there
 // (paper Appendix B.2.2). The returned records are detached copies.
 func (s *Set) ProveRangeNR(lo, hi string) (*NRRange, error) {
+	seal(s.root)
 	out := &NRRange{Count: s.Len(), Proof: pruneWindow(s.root, lo, hi)}
 	var walk func(pt *ProofTree)
 	walk = func(pt *ProofTree) {

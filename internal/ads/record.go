@@ -56,7 +56,10 @@ func (r Record) Size() int { return len(r.Key) + len(r.Value) + 6 }
 //
 //	state (1B) | varint(len key) | key | value
 func (r Record) Encode() []byte {
-	buf := make([]byte, 0, r.Size())
+	return r.appendEncoding(make([]byte, 0, r.Size()))
+}
+
+func (r Record) appendEncoding(buf []byte) []byte {
 	buf = append(buf, byte(r.State))
 	buf = binary.AppendUvarint(buf, uint64(len(r.Key)))
 	buf = append(buf, r.Key...)
@@ -64,8 +67,12 @@ func (r Record) Encode() []byte {
 	return buf
 }
 
-// Leaf returns the record's Merkle leaf hash.
-func (r Record) Leaf() merkle.Hash { return merkle.HashLeaf(r.Encode()) }
+// Leaf returns the record's Merkle leaf hash: merkle.HashLeaf(r.Encode()).
+// A typical record's encoding is assembled on the stack.
+func (r Record) Leaf() merkle.Hash {
+	var stack [128]byte
+	return merkle.HashLeaf(r.appendEncoding(stack[:0]))
+}
 
 // DecodeRecord parses an encoded record.
 func DecodeRecord(buf []byte) (Record, error) {

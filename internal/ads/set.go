@@ -9,18 +9,28 @@ import (
 )
 
 // Set is an authenticated, (state,key)-ordered set of records backed by a
-// copy-on-write persistent Merkle search tree: every mutation path-copies the
-// O(log n) nodes from the changed position to the root and leaves all other
-// nodes shared with previous versions. Consequences the rest of the system
-// builds on:
+// copy-on-write persistent Merkle search tree whose hashing is deferred to
+// the points where a digest is needed. Two rules carry the design:
 //
-//   - Root maintenance is O(log n) per op; there is no deferred rebuild, so
-//     Root() is always just a cached-hash read.
-//   - Clone() is O(1): it captures the current root pointer. The frozen
-//     copy the query views are built from costs nothing regardless of the
-//     record count, and any number of historical views share structure.
-//   - Reads never mutate (no lazy caches), so a frozen Set is trivially safe
-//     for concurrent readers.
+//   - The seal rule. A mutation hashes nothing: it marks every node it
+//     creates or edits dirty (hash stale). Root, Clone and the Prove methods
+//     first seal the tree — children before parents, each dirty node hashed
+//     exactly once — so hashing costs one pass over the distinct nodes
+//     touched since the last seal, however many mutations touched them. GRuB
+//     signs one digest per gPuts epoch; an epoch of puts pays for its root
+//     paths once.
+//   - The ownership rule. Clone seals before it captures the root, so a
+//     dirty node is reachable only from the Set that created it. Mutations
+//     therefore edit dirty nodes in place and copy only sealed ones, and a
+//     sealed node is never written again: a frozen clone (one nobody
+//     mutates) does no writes in any method and is safe for any number of
+//     concurrent readers, and later mutations of the set it came from never
+//     show through it.
+//
+// A Set that is being mutated has a single owner: sealing writes node
+// hashes, so Root, Clone and the Prove methods are not reads on it. Clone
+// is O(1) beyond that seal — one allocation capturing the root pointer —
+// and any number of historical views share structure.
 //
 // The tree is a treap over the (state, key) order with priorities derived
 // from a hash of (state, key). Priorities are a deterministic function of the
@@ -50,23 +60,33 @@ type Set struct {
 	root *node
 }
 
-// node is one immutable tree node. Nodes are shared freely across Set
-// versions and must never be mutated after construction.
+// node is one tree node. While dirty it belongs to the one Set that created
+// it and is edited in place; once sealed it is immutable and shared freely
+// across Set versions. The fields fill the 144-byte allocation size class
+// exactly; one more word moves every record to the 160-byte class.
 type node struct {
 	rec         Record
 	prio        uint64
 	left, right *node
-	size        int
-	hash        merkle.Hash
+	size        int32
+	// dirty: created or edited since the last seal, so hash (and, if
+	// staleLeaf, leaf) is out of date. Every ancestor of a dirty node is
+	// dirty, which lets seal stop at the first sealed node.
+	dirty, staleLeaf bool
+	// leaf caches rec.Leaf(); it changes only when rec does, so copying a
+	// sealed node on another key's root path re-hashes no record.
+	leaf merkle.Hash
+	hash merkle.Hash
 }
 
 func size(n *node) int {
 	if n == nil {
 		return 0
 	}
-	return n.size
+	return int(n.size)
 }
 
+// hashOf reads a sealed subtree's hash.
 func hashOf(n *node) merkle.Hash {
 	if n == nil {
 		return merkle.EmptyRoot()
@@ -74,25 +94,44 @@ func hashOf(n *node) merkle.Hash {
 	return n.hash
 }
 
-// mk builds a fresh immutable node over already-immutable children.
-func mk(rec Record, prio uint64, left, right *node) *node {
-	return &node{
-		rec:  rec,
-		prio: prio,
-		left: left, right: right,
-		size: size(left) + 1 + size(right),
-		hash: merkle.HashInner(merkle.HashInner(hashOf(left), rec.Leaf()), hashOf(right)),
+// own returns the node a mutation may edit in n's place: n itself when it is
+// dirty (no other Set can reach it), a dirty copy when it is sealed.
+func own(n *node) *node {
+	if n.dirty {
+		return n
 	}
+	c := *n
+	c.dirty = true
+	return &c
+}
+
+// resize recomputes an owned node's subtree size after a child changed.
+func (n *node) resize() {
+	n.size = int32(size(n.left) + 1 + size(n.right))
+}
+
+// seal hashes the dirty region under n bottom-up, leaving every node sealed.
+func seal(n *node) {
+	if n == nil || !n.dirty {
+		return
+	}
+	seal(n.left)
+	seal(n.right)
+	if n.staleLeaf {
+		n.leaf = n.rec.Leaf()
+		n.staleLeaf = false
+	}
+	n.hash = merkle.HashInner(merkle.HashInner(hashOf(n.left), n.leaf), hashOf(n.right))
+	n.dirty = false
 }
 
 // prioOf derives a node's treap priority from its (state, key) identity —
 // never from the value, so value updates keep the shape.
 func prioOf(st State, key string) uint64 {
-	h := sha256.New()
-	h.Write([]byte{0xf0, byte(st)})
-	h.Write([]byte(key))
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
+	var stack [128]byte
+	buf := append(stack[:0], 0xf0, byte(st))
+	buf = append(buf, key...)
+	sum := sha256.Sum256(buf)
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
@@ -106,45 +145,62 @@ func higher(a, b *node) bool {
 	return less(a.rec.State, a.rec.Key, b.rec.State, b.rec.Key)
 }
 
-// insert path-copies rec into the subtree, replacing the value if (state,
-// key) already exists. rec.Value must already be owned by the set.
+// insert puts rec into the subtree, replacing the value if (state, key)
+// already exists, and returns the subtree's new root — always an owned
+// (dirty) node. rec.Value must already be owned by the set.
 func insert(n *node, rec Record) *node {
 	if n == nil {
-		return mk(rec, prioOf(rec.State, rec.Key), nil, nil)
+		return &node{rec: rec, prio: prioOf(rec.State, rec.Key), size: 1, dirty: true, staleLeaf: true}
 	}
 	switch {
 	case less(rec.State, rec.Key, n.rec.State, n.rec.Key):
 		l := insert(n.left, rec)
+		n = own(n)
 		if higher(l, n) {
 			// Rotate right: the inserted node bubbles up.
-			return mk(l.rec, l.prio, l.left, mk(n.rec, n.prio, l.right, n.right))
+			n.left, l.right = l.right, n
+			n.resize()
+			l.resize()
+			return l
 		}
-		return mk(n.rec, n.prio, l, n.right)
+		n.left = l
 	case less(n.rec.State, n.rec.Key, rec.State, rec.Key):
 		r := insert(n.right, rec)
+		n = own(n)
 		if higher(r, n) {
-			return mk(r.rec, r.prio, mk(n.rec, n.prio, n.left, r.left), r.right)
+			n.right, r.left = r.left, n
+			n.resize()
+			r.resize()
+			return r
 		}
-		return mk(n.rec, n.prio, n.left, r)
+		n.right = r
 	default:
-		return mk(rec, n.prio, n.left, n.right)
+		n = own(n)
+		n.rec, n.staleLeaf = rec, true
+		return n
 	}
+	n.resize()
+	return n
 }
 
-// del path-copies the subtree with (st, key) removed; the removed node's
-// subtrees are merged by priority, keeping the canonical shape.
+// del removes (st, key) from the subtree; the removed node's subtrees are
+// merged by priority, keeping the canonical shape.
 func del(n *node, st State, key string) *node {
 	if n == nil {
 		return nil
 	}
 	switch {
 	case less(st, key, n.rec.State, n.rec.Key):
-		return mk(n.rec, n.prio, del(n.left, st, key), n.right)
+		n = own(n)
+		n.left = del(n.left, st, key)
 	case less(n.rec.State, n.rec.Key, st, key):
-		return mk(n.rec, n.prio, n.left, del(n.right, st, key))
+		n = own(n)
+		n.right = del(n.right, st, key)
 	default:
 		return merge(n.left, n.right)
 	}
+	n.resize()
+	return n
 }
 
 // merge joins two treaps where every record in a orders before every record
@@ -157,9 +213,15 @@ func merge(a, b *node) *node {
 		return a
 	}
 	if higher(a, b) {
-		return mk(a.rec, a.prio, a.left, merge(a.right, b))
+		a = own(a)
+		a.right = merge(a.right, b)
+		a.resize()
+		return a
 	}
-	return mk(b.rec, b.prio, merge(a, b.left), b.right)
+	b = own(b)
+	b.left = merge(a, b.left)
+	b.resize()
+	return b
 }
 
 // lookup descends to (st, key), also computing the record's in-order rank.
@@ -291,26 +353,30 @@ func (s *Set) SetState(key string, state State) bool {
 // the count leaf can never be presented as a record or vice versa. Verifiers
 // that know the record count recompute it to bind the count to the root.
 func CountLeaf(n int) merkle.Hash {
-	buf := make([]byte, 0, 14)
-	buf = append(buf, 0xff, 'c', 'n', 't')
+	var stack [4 + binary.MaxVarintLen64]byte
+	buf := append(stack[:0], 0xff, 'c', 'n', 't')
 	buf = binary.AppendUvarint(buf, uint64(n))
 	return merkle.HashLeaf(buf)
 }
 
 // Root returns the authenticated digest of the set: the tree hash with the
-// record count committed on top. Reading it is O(1) — node hashes are
-// maintained incrementally on every mutation.
+// record count committed on top. It seals the tree first, so its cost is the
+// hashing the mutations since the last seal deferred; on a sealed tree it is
+// two hashes.
 func (s *Set) Root() merkle.Hash {
+	seal(s.root)
 	return merkle.HashInner(CountLeaf(s.Len()), hashOf(s.root))
 }
 
-// Clone captures the current version of the set as a frozen copy in O(1):
-// the returned Set shares every node with the receiver, and since nodes are
-// immutable and later mutations of the receiver path-copy, the clone is a
-// stable snapshot safe for concurrent use from many goroutines. This is what
-// the snapshot-isolated query views are built from — publication cost no
-// longer depends on the record count.
+// Clone seals the set and captures its current version as a frozen copy: the
+// returned Set shares every node with the receiver, and since sealed nodes
+// are immutable and later mutations of the receiver copy them, the clone is
+// a stable snapshot safe for concurrent use from many goroutines. This is
+// what the snapshot-isolated query views are built from. On a sealed set
+// (the shard worker anchors every batch with Root before it publishes)
+// Clone is one allocation, whatever the record count.
 func (s *Set) Clone() *Set {
+	seal(s.root)
 	return &Set{root: s.root}
 }
 
@@ -322,6 +388,7 @@ func (s *Set) ProveIndex(i int) (*merkle.Proof, error) {
 	if i < 0 || i >= s.Len() {
 		return nil, fmt.Errorf("ads: prove index %d out of range [0,%d)", i, s.Len())
 	}
+	seal(s.root)
 	p := &merkle.Proof{Index: i, LeafCount: s.Len()}
 	provePath(s.root, i, p)
 	p.Path = append(p.Path, merkle.ProofNode{Left: true, Hash: CountLeaf(s.Len())})
@@ -329,8 +396,8 @@ func (s *Set) ProveIndex(i int) (*merkle.Proof, error) {
 }
 
 // provePath appends the fold steps authenticating the record at in-order
-// index i of subtree n, leaf-to-root. The fold invariant: after the steps
-// for a subtree, the running hash equals that subtree's node hash.
+// index i of the sealed subtree n, leaf-to-root. The fold invariant: after
+// the steps for a subtree, the running hash equals that subtree's node hash.
 func provePath(n *node, i int, p *merkle.Proof) {
 	ls := size(n.left)
 	switch {
@@ -339,7 +406,7 @@ func provePath(n *node, i int, p *merkle.Proof) {
 		// Running hash is H(n.left); fold in this node's record leaf and
 		// right subtree.
 		p.Path = append(p.Path,
-			merkle.ProofNode{Left: false, Hash: n.rec.Leaf()},
+			merkle.ProofNode{Left: false, Hash: n.leaf},
 			merkle.ProofNode{Left: false, Hash: hashOf(n.right)})
 	case i == ls:
 		// The record itself: running hash starts as its leaf.
@@ -351,7 +418,7 @@ func provePath(n *node, i int, p *merkle.Proof) {
 		// Running hash is H(n.right); the left-and-record half folds in as
 		// one sibling.
 		p.Path = append(p.Path,
-			merkle.ProofNode{Left: true, Hash: merkle.HashInner(hashOf(n.left), n.rec.Leaf())})
+			merkle.ProofNode{Left: true, Hash: merkle.HashInner(hashOf(n.left), n.leaf)})
 	}
 }
 

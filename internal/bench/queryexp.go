@@ -23,8 +23,11 @@ import (
 // event, deliver transaction, verification) per op; query-path reads are
 // served from the immutable per-shard views with a fresh Merkle proof
 // assembled — and client-side verified — per op, never touching the
-// workers. It reports ops/sec for both paths, the resulting speedup, and
-// the proof bytes each verified read carried.
+// workers. A view's record set is sealed (every node hashed) by the worker
+// before it is published, so a reader's proof is assembled from cached
+// hashes and hashes nothing but its own verification. It reports ops/sec
+// for both paths, the resulting speedup, and the proof bytes each verified
+// read carried; a verified read that fails verification fails the run.
 func RunQuery(cfg Config) error {
 	cfg = cfg.withDefaults()
 	const shards = 4

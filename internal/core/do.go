@@ -29,7 +29,9 @@ type DO struct {
 
 	// lruTick and lastTouch implement the replica-reuse mode used for the
 	// BtcRelay feed (§4.2): a bounded number of on-chain replicas with
-	// least-recently-accessed eviction.
+	// least-recently-accessed eviction. Their one reader is
+	// enforceReplicaBudget, so they are kept only when maxReplicas > 0; a
+	// feed without a budget carries no per-key touch state.
 	maxReplicas int
 	lruTick     uint64
 	lastTouch   map[string]uint64
@@ -83,8 +85,10 @@ func (d *DO) observe(op policy.Op) {
 	} else {
 		delete(d.pendingState, op.Key)
 	}
-	d.lruTick++
-	d.lastTouch[op.Key] = d.lruTick
+	if d.maxReplicas > 0 {
+		d.lruTick++
+		d.lastTouch[op.Key] = d.lruTick
+	}
 }
 
 // PendingPromotion reports whether key has an un-actuated NR->R decision.

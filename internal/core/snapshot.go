@@ -36,8 +36,11 @@ type FeedSnapshot struct {
 	// DO epoch-in-progress state.
 	Staged       []KV                 `json:"staged,omitempty"`
 	PendingState map[string]ads.State `json:"pendingState,omitempty"`
-	LRUTick      uint64               `json:"lruTick,omitempty"`
-	LastTouch    map[string]uint64    `json:"lastTouch,omitempty"`
+	// LRUTick and LastTouch are the replica-budget LRU clock; empty for a
+	// feed without a budget (Options.MaxReplicas == 0), which ignores them
+	// when a snapshot written before that rule carries them.
+	LRUTick   uint64            `json:"lruTick,omitempty"`
+	LastTouch map[string]uint64 `json:"lastTouch,omitempty"`
 	// LastDigest is the digest most recently sent on-chain (nil before the
 	// first update or for NoADS feeds).
 	LastDigest []byte `json:"lastDigest,omitempty"`
@@ -157,9 +160,11 @@ func RestoreFeed(c *chain.Chain, p policy.Policy, opts Options, snap *FeedSnapsh
 	for k, st := range snap.PendingState {
 		do.pendingState[k] = st
 	}
-	do.lruTick = snap.LRUTick
-	for k, t := range snap.LastTouch {
-		do.lastTouch[k] = t
+	if do.maxReplicas > 0 {
+		do.lruTick = snap.LRUTick
+		for k, t := range snap.LastTouch {
+			do.lastTouch[k] = t
+		}
 	}
 	if snap.LastDigest != nil {
 		if len(snap.LastDigest) != merkle.HashSize {

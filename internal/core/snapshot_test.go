@@ -49,13 +49,16 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 			return policy.Never{}, Options{EpochOps: 8}
 		case "bl2":
 			return policy.Always{}, Options{EpochOps: 8, NoADS: true}
+		case "budget":
+			// Replica budget: the LRU clock is part of the state.
+			return policy.NewMemoryless(1), Options{EpochOps: 4, MaxReplicas: 2}
 		}
 		t.Fatalf("unknown policy %q", name)
 		return nil, Options{}
 	}
 
 	trace := snapTrace(60)
-	for _, pol := range []string{"memoryless", "memorizing", "bl1", "bl2"} {
+	for _, pol := range []string{"memoryless", "memorizing", "bl1", "bl2", "budget"} {
 		// Cut points chosen to land mid-epoch (staged writes pending) and
 		// on epoch boundaries.
 		for _, cut := range []int{5, 16, 33} {
@@ -95,6 +98,56 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 				}
 				requireFeedsEqual(t, "after tail", orig, restored)
 			})
+		}
+	}
+}
+
+// TestLastTouchOnlyUnderReplicaBudget: the LRU clock has one reader, the
+// replica budget, so a feed without a budget neither keeps nor snapshots it
+// — and still restores a snapshot written when every feed carried it.
+func TestLastTouchOnlyUnderReplicaBudget(t *testing.T) {
+	trace := snapTrace(60)
+	for _, budget := range []int{0, 2} {
+		opts := Options{EpochOps: 4, MaxReplicas: budget}
+		orig := NewFeed(newSnapChain(), policy.NewMemoryless(1), opts)
+		ApplyOps(orig, trace[:33])
+		snap, err := orig.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kept := len(snap.LastTouch) > 0 && snap.LRUTick > 0; kept != (budget > 0) {
+			t.Fatalf("budget %d: snapshot has lruTick %d and %d lastTouch entries", budget, snap.LRUTick, len(snap.LastTouch))
+		}
+		if budget > 0 {
+			continue
+		}
+		// The same snapshot as a feed that kept the clock for every key
+		// would have written it.
+		snap.LRUTick = 33
+		snap.LastTouch = map[string]uint64{"k00": 31, "k01": 32, "k02": 33}
+		data, err := snap.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := DecodeFeedSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreFeed(newSnapChain(), policy.NewMemoryless(1), opts, decoded)
+		if err != nil {
+			t.Fatalf("RestoreFeed with lastTouch: %v", err)
+		}
+		requireFeedsEqual(t, "at cut", orig, restored)
+		if r1, r2 := ApplyOps(orig, trace[33:]), ApplyOps(restored, trace[33:]); !reflect.DeepEqual(r1, r2) {
+			t.Fatalf("post-restore results diverge:\n orig %v\n rest %v", r1, r2)
+		}
+		requireFeedsEqual(t, "after tail", orig, restored)
+		again, err := restored.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.LRUTick != 0 || len(again.LastTouch) != 0 {
+			t.Fatalf("restored feed snapshots lruTick %d and %d lastTouch entries", again.LRUTick, len(again.LastTouch))
 		}
 	}
 }

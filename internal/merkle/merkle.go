@@ -12,7 +12,6 @@ package merkle
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 )
@@ -32,24 +31,25 @@ func (h Hash) Hex() string { return hex.EncodeToString(h[:]) }
 // IsZero reports whether h is the all-zero hash.
 func (h Hash) IsZero() bool { return h == Hash{} }
 
-// MarshalJSON encodes the hash as a 64-character hex string — the wire
-// representation used by the gateway's authenticated read API.
-func (h Hash) MarshalJSON() ([]byte, error) { return json.Marshal(h.Hex()) }
+// MarshalText encodes the hash as 64 lowercase hex characters; under
+// encoding/json that is the quoted hex string the gateway's authenticated
+// read API carries on the wire.
+func (h Hash) MarshalText() ([]byte, error) {
+	out := make([]byte, 2*HashSize)
+	hex.Encode(out, h[:])
+	return out, nil
+}
 
-// UnmarshalJSON decodes the hex wire representation.
-func (h *Hash) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("merkle: hash: %w", err)
+// UnmarshalText decodes the hex wire representation straight into the array.
+func (h *Hash) UnmarshalText(text []byte) error {
+	if len(text) != 2*HashSize {
+		return fmt.Errorf("merkle: hash is %d hex characters, want %d", len(text), 2*HashSize)
 	}
-	raw, err := hex.DecodeString(s)
-	if err != nil {
+	var out Hash
+	if _, err := hex.Decode(out[:], text); err != nil {
 		return fmt.Errorf("merkle: hash hex: %w", err)
 	}
-	if len(raw) != HashSize {
-		return fmt.Errorf("merkle: hash is %d bytes, want %d", len(raw), HashSize)
-	}
-	copy(h[:], raw)
+	*h = out
 	return nil
 }
 
@@ -62,34 +62,32 @@ const (
 	emptyPrefix = 0x02
 )
 
-// HashLeaf hashes leaf payload data into the leaf domain.
+// leafBufSize is the largest preimage (prefix byte included) HashLeaf hashes
+// without allocating; a typical record encoding (key + value <= 100 B) fits.
+const leafBufSize = 128
+
+// HashLeaf hashes leaf payload data into the leaf domain. A preimage that
+// fits leafBufSize is assembled on the stack; a longer one makes append
+// allocate.
 func HashLeaf(data []byte) Hash {
-	h := sha256.New()
-	h.Write([]byte{leafPrefix})
-	h.Write(data)
-	var out Hash
-	copy(out[:], h.Sum(nil))
-	return out
+	var stack [leafBufSize]byte
+	buf := append(stack[:0], leafPrefix)
+	return sha256.Sum256(append(buf, data...))
 }
 
 // HashInner hashes two child hashes into the interior-node domain.
 func HashInner(left, right Hash) Hash {
-	h := sha256.New()
-	h.Write([]byte{innerPrefix})
-	h.Write(left[:])
-	h.Write(right[:])
-	var out Hash
-	copy(out[:], h.Sum(nil))
-	return out
+	var buf [1 + 2*HashSize]byte
+	buf[0] = innerPrefix
+	copy(buf[1:], left[:])
+	copy(buf[1+HashSize:], right[:])
+	return sha256.Sum256(buf[:])
 }
 
+var emptyRoot = Hash(sha256.Sum256([]byte{emptyPrefix}))
+
 // EmptyRoot is the root hash of a tree with no leaves.
-func EmptyRoot() Hash {
-	var out Hash
-	s := sha256.Sum256([]byte{emptyPrefix})
-	copy(out[:], s[:])
-	return out
-}
+func EmptyRoot() Hash { return emptyRoot }
 
 // Tree is a Merkle tree over an ordered list of leaf hashes. The tree shape
 // is the canonical "largest power of two on the left" split (RFC 6962 style),
@@ -97,8 +95,8 @@ func EmptyRoot() Hash {
 //
 // Tree is immutable and recomputes interior nodes on demand: its one caller
 // is the per-block transaction tree of internal/btc (the record set has its
-// own incrementally hashed tree in package ads), and at block sizes that is
-// fast enough and keeps the implementation obviously correct.
+// own lazily hashed persistent tree in package ads), and at block sizes that
+// is fast enough and keeps the implementation obviously correct.
 type Tree struct {
 	leaves []Hash
 }

@@ -1,9 +1,11 @@
 package merkle
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -176,26 +178,143 @@ func BenchmarkProve1024(b *testing.B) {
 	}
 }
 
-// TestHashJSONRoundTrip pins the hex wire representation of hashes.
+// BenchmarkHashInner is the record set's unit of hashing: two per sealed
+// node.
+func BenchmarkHashInner(b *testing.B) {
+	l, r := HashLeaf([]byte("l")), HashLeaf([]byte("r"))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l = HashInner(l, r)
+	}
+	benchSink = l
+}
+
+// BenchmarkHashJSON encodes and decodes one membership proof's worth of
+// hashes (the ~36 path nodes of a 50k-record set) the way the gateway's
+// verified-read responses carry them.
+func BenchmarkHashJSON(b *testing.B) {
+	p := Proof{Index: 1, LeafCount: 50_000, Path: make([]ProofNode, 36)}
+	for i := range p.Path {
+		p.Path[i] = ProofNode{Left: i%3 == 0, Hash: HashLeaf(leafData(i))}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		data, err := json.Marshal(&p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var back Proof
+		if err := json.Unmarshal(data, &back); err != nil {
+			b.Fatal(err)
+		}
+		benchSink = back.Path[35].Hash
+	}
+}
+
+var benchSink Hash
+
+// TestHashJSONRoundTrip pins the hex wire representation of hashes: a quoted
+// 64-character lowercase hex string, the bytes json.Marshal(h.Hex()) gives.
 func TestHashJSONRoundTrip(t *testing.T) {
-	h := HashLeaf([]byte("payload"))
-	data, err := json.Marshal(h)
+	var fixed Hash
+	for i := range fixed {
+		fixed[i] = byte(i * 9)
+	}
+	const fixedWire = `"0009121b242d363f48515a636c757e879099a2abb4bdc6cfd8e1eaf3fc050e17"`
+	for _, h := range []Hash{fixed, HashLeaf([]byte("payload")), {}} {
+		data, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := json.Marshal(h.Hex()); string(data) != string(want) {
+			t.Errorf("marshaled %s, want %s", data, want)
+		}
+		if h == fixed && string(data) != fixedWire {
+			t.Errorf("fixed hash marshaled %s, want %s", data, fixedWire)
+		}
+		back := HashLeaf([]byte("overwritten"))
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back != h {
+			t.Errorf("round trip changed hash: %v != %v", back, h)
+		}
+	}
+	// A proof's hashes sit in struct fields and behind pointers.
+	type wire struct {
+		Node ProofNode `json:"node"`
+		Stub *Hash     `json:"stub,omitempty"`
+	}
+	in := wire{Node: ProofNode{Left: true, Hash: fixed}, Stub: &fixed}
+	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `"` + h.Hex() + `"`; string(data) != want {
+	if want := `{"node":{"left":true,"hash":` + fixedWire + `},"stub":` + fixedWire + `}`; string(data) != want {
 		t.Errorf("marshaled %s, want %s", data, want)
 	}
-	var back Hash
-	if err := json.Unmarshal(data, &back); err != nil {
+	var out wire
+	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if back != h {
-		t.Errorf("round trip changed hash: %v != %v", back, h)
+	if out.Node != in.Node || out.Stub == nil || *out.Stub != fixed {
+		t.Errorf("struct round trip: got %+v", out)
 	}
-	for _, bad := range []string{`"zz"`, `"abcd"`, `123`, `""`} {
+
+	// encoding/json never hands null to a TextUnmarshaler: like an absent
+	// field it leaves the hash as it was (zero in a fresh struct, which no
+	// root matches).
+	back := fixed
+	if err := json.Unmarshal([]byte(`null`), &back); err != nil || back != fixed {
+		t.Errorf("null: hash %v, err %v", back, err)
+	}
+	long := fixedWire[:65] + `00"`
+	nonHex := `"g` + fixedWire[2:]
+	upper := strings.ToUpper(fixedWire)
+	if err := json.Unmarshal([]byte(upper), &back); err != nil || back != fixed {
+		t.Errorf("uppercase hex: hash %v, err %v (the old decoder accepted it)", back, err)
+	}
+	for _, bad := range []string{`"zz"`, `"abcd"`, `""`, fixedWire[:63] + `"`, long, nonHex, `123`, `true`, `[0]`, `{}`} {
+		back = fixed
 		if err := json.Unmarshal([]byte(bad), &back); err == nil {
 			t.Errorf("bad hash JSON %s accepted", bad)
+		}
+		if back != fixed {
+			t.Errorf("bad hash JSON %s changed the target to %v", bad, back)
+		}
+	}
+}
+
+// TestHashKernelsDoNotAllocate pins the stack-buffer kernels: the record
+// set calls them once per node per epoch, so an allocation here is one per
+// node.
+func TestHashKernelsDoNotAllocate(t *testing.T) {
+	a, b := HashLeaf([]byte("a")), HashLeaf([]byte("b"))
+	payload := make([]byte, leafBufSize-1)
+	var sink Hash
+	for name, f := range map[string]func(){
+		"HashInner": func() { sink = HashInner(a, b) },
+		"HashLeaf":  func() { sink = HashLeaf(payload) },
+		"EmptyRoot": func() { sink = EmptyRoot() },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, n)
+		}
+	}
+	_ = sink
+}
+
+// TestHashLeafPreimage pins HashLeaf's output to the 0x00-prefixed SHA-256
+// on both sides of the stack-buffer limit.
+func TestHashLeafPreimage(t *testing.T) {
+	for _, n := range []int{0, 1, leafBufSize - 2, leafBufSize - 1, leafBufSize, leafBufSize + 1, 4096} {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i)
+		}
+		want := Hash(sha256.Sum256(append([]byte{leafPrefix}, data...)))
+		if got := HashLeaf(data); got != want {
+			t.Errorf("HashLeaf(%d bytes) = %v, want %v", n, got, want)
 		}
 	}
 }

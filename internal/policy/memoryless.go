@@ -18,8 +18,10 @@ type Memoryless struct {
 	// K is the consecutive-read threshold.
 	K int
 
-	count  map[string]int
-	states map[string]ads.State
+	// count holds, for each key read since its last write, the consecutive
+	// reads capped at K. The key's target is R exactly when the count has
+	// reached K, so the count is the only per-key state.
+	count map[string]int
 }
 
 // NewMemoryless returns a memoryless policy with threshold k (k >= 1).
@@ -27,11 +29,7 @@ func NewMemoryless(k int) *Memoryless {
 	if k < 1 {
 		k = 1
 	}
-	return &Memoryless{
-		K:      k,
-		count:  make(map[string]int),
-		states: make(map[string]ads.State),
-	}
+	return &Memoryless{K: k, count: make(map[string]int)}
 }
 
 // NewMemorylessFromSchedule configures K by Equation 1 for the given gas
@@ -46,23 +44,26 @@ func (m *Memoryless) Name() string { return fmt.Sprintf("memoryless(K=%d)", m.K)
 // Observe implements Policy (Algorithm 1).
 func (m *Memoryless) Observe(op Op) ads.State {
 	if op.Write {
-		m.count[op.Key] = 0
-		m.states[op.Key] = ads.NR
+		delete(m.count, op.Key)
 		return ads.NR
 	}
-	if m.count[op.Key] < m.K {
-		m.count[op.Key]++
+	c := m.count[op.Key]
+	if c < m.K {
+		c++
+		m.count[op.Key] = c
 	}
-	if m.count[op.Key] >= m.K {
-		m.states[op.Key] = ads.R
-	} else {
-		m.states[op.Key] = ads.NR
-	}
-	return m.states[op.Key]
+	return m.stateAt(c)
 }
 
 // Target implements Policy.
-func (m *Memoryless) Target(key string) ads.State { return m.states[key] }
+func (m *Memoryless) Target(key string) ads.State { return m.stateAt(m.count[key]) }
+
+func (m *Memoryless) stateAt(count int) ads.State {
+	if count >= m.K {
+		return ads.R
+	}
+	return ads.NR
+}
 
 // CompetitiveBound returns the worst-case competitiveness of this policy
 // under the given schedule. Theorem A.1 derives 1 + K*Cread_off/Cupdate,

@@ -20,15 +20,17 @@ type Snapshotter interface {
 	RestoreState(data []byte) error
 }
 
-// memorylessState is the serialized form of a Memoryless policy.
+// memorylessState is the serialized form of a Memoryless policy. Blobs
+// written when the policy also stored each key's state carry a "states"
+// object (and zero counts for written keys); both restore to the same
+// decisions, since a state is a function of its count.
 type memorylessState struct {
-	Count  map[string]int       `json:"count,omitempty"`
-	States map[string]ads.State `json:"states,omitempty"`
+	Count map[string]int `json:"count,omitempty"`
 }
 
 // SnapshotState implements Snapshotter.
 func (m *Memoryless) SnapshotState() ([]byte, error) {
-	return json.Marshal(memorylessState{Count: m.count, States: m.states})
+	return json.Marshal(memorylessState{Count: m.count})
 }
 
 // RestoreState implements Snapshotter.
@@ -40,10 +42,6 @@ func (m *Memoryless) RestoreState(data []byte) error {
 	m.count = st.Count
 	if m.count == nil {
 		m.count = make(map[string]int)
-	}
-	m.states = st.States
-	if m.states == nil {
-		m.states = make(map[string]ads.State)
 	}
 	return nil
 }

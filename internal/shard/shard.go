@@ -62,8 +62,9 @@ type Options struct {
 	// Views publishes an immutable read view (frozen record set + ads
 	// root + chain height) per shard after every applied batch, served by
 	// Engine() — the authenticated read path (internal/query). Reads on
-	// that path never touch the shard workers. Publication is an O(1)
-	// root-pointer capture of the persistent record set.
+	// that path never touch the shard workers. Publication is a
+	// root-pointer capture of the persistent record set, which the batch
+	// anchor has already sealed.
 	Views bool
 	// Persist, when non-nil, backs every shard with a durable op log and
 	// snapshot store (see persist.go); New recovers whatever state the
@@ -326,9 +327,12 @@ type worker struct {
 // publishView snapshots the shard's current state into an immutable read
 // view and installs it: the current version of the feed's authenticated
 // record set, its root, the shard chain's height, and the batch count as the
-// monotone publication sequence. The set is a persistent tree, so Clone is
-// an O(1) root-pointer capture — publication cost is independent of the
-// record count, and any number of live views share structure.
+// monotone publication sequence. Every batch ends with anchor(), which seals
+// the set, so Clone here has nothing left to hash (the first view after a
+// restore is the exception; Clone seals it, still on this goroutine): it is
+// a root-pointer capture whose cost is independent of the record count, any
+// number of live views share structure, and readers of the view find every
+// node hashed.
 func (w *worker) publishView(st *shardState) {
 	if w.views == nil {
 		return
@@ -337,8 +341,9 @@ func (w *worker) publishView(st *shardState) {
 	w.views.Publish(w.idx, query.NewView(w.idx, uint64(st.batches), st.feed.Chain.Height(), frozen))
 }
 
-// anchor reads the shard's current post-apply anchor. Root is maintained
-// incrementally on the live set, so this is an O(1) read.
+// anchor reads the shard's current post-apply anchor. Root seals the set:
+// the hashing the batch's mutations deferred — each node on the union of
+// their root paths, once — runs here, on the worker, in the apply stage.
 func (st *shardState) anchor() (root merkle.Hash, count int, height uint64) {
 	set := st.feed.DO.Set()
 	return set.Root(), set.Len(), st.feed.Chain.Height()
