@@ -33,10 +33,9 @@ fmt-check:
 bench-smoke:
 	$(GO) run ./cmd/grubbench -all -scale 0.05 -json BENCH_smoke.json
 
-# The full-scale pass: every experiment at scale 1.0 — 20x the smoke sizes
-# (the storage-engine experiment, for one, runs its point-miss phases over
-# 200k keys instead of 10k). Results land in BENCH_full.json; the nightly
-# scheduled CI job runs this and uploads the file as an artifact.
+# The full-scale pass: every experiment at scale 1.0 — 20x the smoke sizes.
+# Results land in BENCH_full.json; the nightly scheduled CI job runs this
+# and uploads the file as an artifact.
 bench-full:
 	$(GO) run ./cmd/grubbench -all -scale 1.0 -json BENCH_full.json
 
@@ -58,14 +57,11 @@ bench:
 #   - persistent ADS: random op streams against a map model with proof
 #     verification at every step;
 #   - kvstore SSTables: corrupted/truncated table bytes must error at open,
-#     never panic or serve wrong values;
-#   - kvstore bloom filters: malformed encodings must decode-error or answer
-#     membership safely.
+#     never panic or serve wrong values.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzSetOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz FuzzSSTableOpen -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/kvstore -run '^$$' -fuzz FuzzBloomDecode -fuzztime $(FUZZTIME)
 
 # Docs gate: relative markdown links in README.md and docs/ must resolve,
 # docs/API.md must document every route registered on the gateway mux, and

@@ -81,11 +81,6 @@ func BenchmarkReplExperiment(b *testing.B) { runExperiment(b, "repl") }
 // per-batch publish cost at 1k vs 100k records and their ratio.
 func BenchmarkPublishExperiment(b *testing.B) { runExperiment(b, "publish") }
 
-// BenchmarkKVStoreExperiment runs the storage-engine microbench: bloom-filter
-// miss speedup, record-cache hit throughput, and write-batch latency with
-// background vs inline compaction.
-func BenchmarkKVStoreExperiment(b *testing.B) { runExperiment(b, "kvstore") }
-
 // BenchmarkLoadReportExperiment runs the load-accounting microbench: per-batch
 // metering tax, heartbeat digest build cost and wire size, and /cluster/load
 // latency with ~1k metered feeds.

@@ -105,7 +105,6 @@ var Registry = []Experiment{
 	{ID: "repl", Title: "Replicated gateway: follower catch-up MB/s, verified reads at 1/2/4 followers", Run: RunRepl},
 	{ID: "cluster", Title: "Self-routing cluster: write ops/sec at 1/2/4 nodes, owner-local vs forwarded write latency", Run: RunCluster},
 	{ID: "publish", Title: "View-publication cost scaling: per-batch publish at 1k vs 100k records", Run: RunPublish},
-	{ID: "kvstore", Title: "Storage engine: bloom miss speedup, record-cache hits, background-compaction write stalls", Run: RunKV},
 	{ID: "loadreport", Title: "Load accounting plane: metering tax, heartbeat digest cost, /cluster/load latency at 1k feeds", Run: RunLoadReport},
 }
 

@@ -1,18 +1,23 @@
-// Package kvstore is a from-scratch LSM-tree key-value storage engine in the
-// spirit of Google LevelDB, which the GRuB paper uses as the storage provider
-// (SP) backend. It provides durable ordered key-value storage with:
+// Package kvstore is the shard op-log store: a small log-structured
+// key-value engine in the spirit of Google LevelDB, which the GRuB paper's
+// prototype keeps the storage provider's records in. Here the record set is
+// an in-memory treap and the engine's one production caller is the shard
+// persister, which appends one log record per applied batch, scans the log
+// range, and keeps a single snapshot key. The package provides what that
+// takes:
 //
 //   - a write-ahead log for crash safety,
 //   - an in-memory skiplist memtable,
-//   - immutable sorted-string-table (SSTable) files on disk,
-//   - background-free, explicit leveled compaction,
-//   - ordered iterators with tombstone suppression, and
-//   - snapshot reads via sequence numbers.
+//   - immutable, CRC-validated sorted-string-table (SSTable) files on disk,
+//   - leveled compaction on a background worker, and
+//   - ordered iterators with tombstone suppression, each a stable view of
+//     the store as of its creation.
 //
-// The engine is deliberately single-process and synchronous: the GRuB
-// simulation drives it deterministically, and recovery correctness matters
-// more than concurrency here. All public methods are safe for concurrent use
-// by multiple goroutines.
+// It carries no per-table filters, no record cache and no point-in-time
+// read API: the caller never looks up an absent key in a table, never
+// re-reads a key, and never reads the past (docs/ARCHITECTURE.md, "Storage
+// engine", has the measured traffic). All public methods are safe for
+// concurrent use by multiple goroutines.
 package kvstore
 
 import (

@@ -11,9 +11,9 @@ import (
 // Level 0 holds raw flush outputs, which overlap freely; every deeper level
 // is a sorted run of non-overlapping tables. Two triggers exist:
 //
-//   - L0 reaches Options.L0Compact tables: all of L0 plus the overlapping
+//   - L0 reaches l0Compact tables: all of L0 plus the overlapping
 //     slice of L1 merge into L1.
-//   - A deeper level exceeds its byte budget (LevelBaseBytes * 8^(level-1)):
+//   - A deeper level exceeds its byte budget (levelBaseBytes * 8^(level-1)):
 //     its oldest table plus the overlapping slice of the next level merge
 //     one level down.
 //
@@ -24,19 +24,17 @@ import (
 // the atomic manifest swap. Writers therefore never stall on compaction; the
 // only write-path pause is the memtable flush itself.
 //
-// Version retention: the merge keeps every version newer than keepSeq (the
-// oldest pinned snapshot) plus the newest version at-or-below it, which is
-// the visible one for every snapshot the floor protects. Tombstones are
-// dropped only when the output level has no data beneath it, where nothing
-// deeper could resurface the deleted key.
+// Version retention: the merge keeps the newest version of each key — the
+// only one a read can reach. A tombstone is dropped only when the output
+// level has no data beneath it, where nothing deeper could resurface the
+// deleted key.
 
 // compactionJob is an immutable description of one compaction, picked under
 // db.mu and executed without it.
 type compactionJob struct {
 	dstLevel int
 	inputs   []*sstable // source tables first (L0 newest-first), then dst overlaps
-	keepSeq  uint64
-	bottom   bool // no table below dstLevel overlaps the job's key range
+	bottom   bool       // no table below dstLevel overlaps the job's key range
 }
 
 // hook runs the crash-point test hook, if any. The hook lives on Options and
@@ -130,10 +128,10 @@ func (db *DB) levelBytesLocked(lvl int) int {
 	return n
 }
 
-// maxLevelBytes is the byte budget of a level: LevelBaseBytes for L1, 8x
+// maxLevelBytes is the byte budget of a level: levelBaseBytes for L1, 8x
 // more per level below.
 func (db *DB) maxLevelBytes(lvl int) int {
-	budget := db.opts.LevelBaseBytes
+	budget := db.opts.levelBaseBytes
 	for i := 1; i < lvl; i++ {
 		budget *= 8
 	}
@@ -160,7 +158,7 @@ func (db *DB) pickCompactionLocked() *compactionJob {
 	if db.closed || len(db.levels) == 0 {
 		return nil
 	}
-	if len(db.levels[0]) >= db.opts.L0Compact {
+	if len(db.levels[0]) >= db.opts.l0Compact {
 		inputs := append([]*sstable(nil), db.levels[0]...)
 		lo, hi := keyRange(inputs)
 		if len(db.levels) > 1 {
@@ -170,7 +168,6 @@ func (db *DB) pickCompactionLocked() *compactionJob {
 		return &compactionJob{
 			dstLevel: 1,
 			inputs:   inputs,
-			keepSeq:  db.keepSeqLocked(),
 			bottom:   db.noDataBelowLocked(1, lo, hi),
 		}
 	}
@@ -194,7 +191,6 @@ func (db *DB) pickCompactionLocked() *compactionJob {
 		return &compactionJob{
 			dstLevel: lvl + 1,
 			inputs:   inputs,
-			keepSeq:  db.keepSeqLocked(),
 			bottom:   db.noDataBelowLocked(lvl+1, lo, hi),
 		}
 	}
@@ -206,7 +202,7 @@ func (db *DB) pickCompactionLocked() *compactionJob {
 // The caller holds compactMu.
 func (db *DB) runCompaction(job *compactionJob) error {
 	db.hook("picked")
-	outs, outBytes, err := db.buildOutputs(job.inputs, job.dstLevel, job.keepSeq, job.bottom)
+	outs, outBytes, err := db.buildOutputs(job.inputs, job.dstLevel, job.bottom)
 	if err != nil {
 		return err
 	}
@@ -259,11 +255,11 @@ func (db *DB) swapTablesLocked(inputs, outs []*sstable, dstLevel int) {
 }
 
 // buildOutputs merges the inputs into new tables at dstLevel, applying the
-// retention policy and splitting outputs at TableTargetBytes — only ever
+// retention policy and splitting outputs at tableTargetBytes — only ever
 // between distinct user keys, so deeper levels stay non-overlapping. It
 // touches no DB state except the file-number allocator and may run without
 // db.mu: every input is immutable.
-func (db *DB) buildOutputs(inputs []*sstable, dstLevel int, keepSeq uint64, bottom bool) ([]*sstable, int, error) {
+func (db *DB) buildOutputs(inputs []*sstable, dstLevel int, bottom bool) ([]*sstable, int, error) {
 	var h mergeHeap
 	for rank, t := range inputs {
 		src := &mergeSource{it: t.iterator(), rank: rank}
@@ -289,10 +285,10 @@ func (db *DB) buildOutputs(inputs []*sstable, dstLevel int, keepSeq uint64, bott
 		}
 		num := db.nextNum.Add(1) - 1
 		path := sstFileName(db.dir, num)
-		if err := writeSSTable(path, cur, db.opts.BloomBitsPerKey, db.opts.DisableBloom); err != nil {
+		if err := writeSSTable(path, cur); err != nil {
 			return err
 		}
-		t, err := db.openTable(path, num, dstLevel)
+		t, err := openSSTable(path, num, dstLevel)
 		if err != nil {
 			return err
 		}
@@ -303,11 +299,8 @@ func (db *DB) buildOutputs(inputs []*sstable, dstLevel int, keepSeq uint64, bott
 		return nil
 	}
 
-	var lastIK internalKey
-	first := true
 	var curUser []byte
 	haveUser := false
-	keptBelow := false
 	for len(h) > 0 {
 		top := h[0]
 		ik, v := top.it.Entry()
@@ -317,36 +310,22 @@ func (db *DB) buildOutputs(inputs []*sstable, dstLevel int, keepSeq uint64, bott
 		} else {
 			heap.Pop(&h)
 		}
-		// Identical (user, seq) pairs can appear in two tables when a crash
-		// between flush and WAL rotation replayed already-flushed entries;
-		// keep only the first.
-		if !first && compareInternal(lastIK, ik) == 0 {
+		// The merge yields a key's versions newest first. Everything after
+		// the first is shadowed — or is the same (user, seq) entry again,
+		// which two tables can hold when a crash between flush and WAL
+		// rotation replayed already-flushed entries.
+		if haveUser && compareBytes(curUser, ik.user) == 0 {
 			continue
 		}
-		first = false
-		lastIK = ik
-		if !haveUser || compareBytes(curUser, ik.user) != 0 {
-			if curBytes >= db.opts.TableTargetBytes {
-				if err := flushOut(); err != nil {
-					return fail(err)
-				}
+		if curBytes >= db.opts.tableTargetBytes {
+			if err := flushOut(); err != nil {
+				return fail(err)
 			}
-			curUser = ik.user
-			haveUser = true
-			keptBelow = false
 		}
-		keep := false
-		if ik.seq > keepSeq {
-			keep = true // a pinned snapshot (or live reads) can still see it
-		} else if !keptBelow {
-			keptBelow = true
-			// Newest version at or below the floor: visible to every snapshot
-			// the floor protects. Its tombstone form is droppable only at the
-			// bottom of the tree.
-			keep = !(ik.kind == kindDelete && bottom)
-		}
-		if !keep {
-			continue
+		curUser = ik.user
+		haveUser = true
+		if ik.kind == kindDelete && bottom {
+			continue // nothing deeper for the tombstone to hide
 		}
 		cur = append(cur, sstEntry{key: ik, val: v})
 		curBytes += len(ik.user) + len(v) + 16
@@ -358,8 +337,7 @@ func (db *DB) buildOutputs(inputs []*sstable, dstLevel int, keepSeq uint64, bott
 }
 
 // Compact synchronously merges every level into a single sorted run at
-// level 1, dropping shadowed versions and tombstones that no pinned snapshot
-// needs. Checkpoint uses it to bound recovery and scan cost; tests use it
+// level 1, dropping shadowed versions and tombstones. Checkpoint uses it to bound recovery and scan cost; tests use it
 // for determinism.
 func (db *DB) Compact() error {
 	db.compactMu.Lock()
@@ -390,7 +368,7 @@ func (db *DB) compactAllLocked() error {
 		return nil
 	}
 	db.hook("picked")
-	outs, outBytes, err := db.buildOutputs(inputs, 1, db.keepSeqLocked(), true)
+	outs, outBytes, err := db.buildOutputs(inputs, 1, true)
 	if err != nil {
 		return err
 	}

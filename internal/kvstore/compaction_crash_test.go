@@ -43,7 +43,7 @@ func copyStoreDir(t *testing.T, src string) string {
 // expectExactState opens dir and verifies its live contents equal want.
 func expectExactState(t *testing.T, dir string, want map[string]string, deleted []string) {
 	t.Helper()
-	db, err := Open(dir, Options{DisableBackgroundCompaction: true})
+	db, err := Open(dir, Options{disableBackgroundCompaction: true})
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -111,11 +111,11 @@ func TestCompactionCrashPoints(t *testing.T) {
 			dir := t.TempDir()
 			var crashDir string
 			opts := Options{
-				DisableBackgroundCompaction: true,
+				disableBackgroundCompaction: true,
 				// High threshold: no flush-triggered compaction, so the hook
 				// fires only from the explicit Compact below, after the whole
 				// fixture (including the tombstones) is durable.
-				L0Compact: 100,
+				l0Compact: 100,
 				compactionHook: func(s string) {
 					if s == stage && crashDir == "" {
 						crashDir = copyStoreDir(t, dir)
@@ -157,8 +157,8 @@ func TestBackgroundCompactionCrashPoints(t *testing.T) {
 				armCh    = make(chan struct{})
 			)
 			opts := Options{
-				MemtableBytes: 2 << 10,
-				L0Compact:     3,
+				memtableBytes: 2 << 10,
+				l0Compact:     3,
 				compactionHook: func(s string) {
 					if s == "picked" {
 						// Park the worker until the fixture is fully durable;
@@ -229,13 +229,87 @@ func TestBackgroundCompactionCrashPoints(t *testing.T) {
 	}
 }
 
+// TestBackgroundCompactionErrorReported makes one background compaction fail
+// (a directory squats on its output's temp path) and checks the contract of
+// CompactionError: the failure is recorded, nothing committed is lost, the
+// store keeps taking writes, and the worker picks up the next job.
+func TestBackgroundCompactionErrorReported(t *testing.T) {
+	dir := t.TempDir()
+	arm := make(chan *DB)        // test -> worker: fixture durable, go fail
+	again := make(chan struct{}) // worker -> test: picked a job after the failed one
+	picks := 0                   // worker goroutine only
+	opts := Options{
+		memtableBytes: 2 << 10,
+		l0Compact:     3,
+		compactionHook: func(s string) {
+			if s != "picked" {
+				return
+			}
+			picks++
+			switch picks {
+			case 1:
+				// Parked until the test stops writing, so the job's first
+				// output is certain to take the next file number.
+				if db := <-arm; db != nil {
+					if err := os.Mkdir(sstFileName(dir, db.nextNum.Load())+".tmp", 0o755); err != nil {
+						t.Errorf("plant obstacle: %v", err)
+					}
+				}
+			case 2:
+				close(again)
+			}
+		},
+	}
+	release := sync.OnceFunc(func() { close(arm) })
+	db, err := Open(dir, opts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer db.Close()
+	defer release() // unpark the worker even on failure, or Close hangs
+	want, deleted := buildCrashFixture(t, db)
+	arm <- db
+
+	// No write may run until the job has failed, or a flush could take the
+	// obstructed file number first. Nothing signals a failed compaction but
+	// CompactionError itself, so poll it.
+	for deadline := time.Now().Add(10 * time.Second); db.CompactionError() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("background compaction never failed")
+		}
+	}
+	if err := db.CompactionError(); !strings.Contains(err.Error(), "write sstable") {
+		t.Fatalf("CompactionError = %v, want the failed table write", err)
+	}
+
+	// The failed job left L0 over its threshold; the store still takes
+	// writes, and one more flush wakes the worker for the next job.
+	mustPut(t, db, "after", "failure")
+	want["after"] = "failure"
+	if err := db.Flush(); err != nil {
+		t.Fatalf("flush after a failed compaction: %v", err)
+	}
+	select {
+	case <-again:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never picked a job after the failed one")
+	}
+	if db.CompactionError() == nil {
+		t.Fatal("a later job cleared the recorded failure")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	expectExactState(t, dir, want, deleted)
+}
+
 // TestCrashBetweenFlushStages covers the flush ordering fix: after a crash
 // where the SSTable and manifest landed but the WAL did not rotate, recovery
 // replays WAL entries that already live in the table. The duplicates must
 // collapse silently.
 func TestCrashBetweenFlushStages(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{DisableBackgroundCompaction: true})
+	db, err := Open(dir, Options{disableBackgroundCompaction: true})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -276,7 +350,7 @@ func TestCrashBetweenFlushStages(t *testing.T) {
 // is deleted at open, and the data still recovers from the WAL.
 func TestOrphanTablesRemovedAtOpen(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{DisableBackgroundCompaction: true})
+	db, err := Open(dir, Options{disableBackgroundCompaction: true})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -293,7 +367,7 @@ func TestOrphanTablesRemovedAtOpen(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "000042.sst.tmp"), []byte("tmp"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(dir, Options{DisableBackgroundCompaction: true})
+	db2, err := Open(dir, Options{disableBackgroundCompaction: true})
 	if err != nil {
 		t.Fatalf("reopen with orphans: %v", err)
 	}

@@ -14,7 +14,7 @@ import (
 // writers under the race detector's eye (the suite is run with GOMAXPROCS=1
 // in CI but the locking must still be correct).
 func TestConcurrentReadersWriters(t *testing.T) {
-	db := openTemp(t, Options{MemtableBytes: 4 << 10})
+	db := openTemp(t, Options{memtableBytes: 4 << 10})
 	const writers, readers, perG = 4, 4, 200
 	var wg sync.WaitGroup
 	errs := make(chan error, writers+readers)
@@ -97,7 +97,7 @@ func TestSSTableCorruptionDetected(t *testing.T) {
 }
 
 func TestLargeValues(t *testing.T) {
-	db := openTemp(t, Options{MemtableBytes: 1 << 16})
+	db := openTemp(t, Options{memtableBytes: 1 << 16})
 	big := bytes.Repeat([]byte("payload-"), 8192) // 64 KiB
 	if err := db.Put([]byte("big"), big); err != nil {
 		t.Fatal(err)

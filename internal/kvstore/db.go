@@ -17,40 +17,34 @@ var ErrNotFound = errors.New("kvstore: not found")
 // ErrClosed is returned by operations on a closed DB.
 var ErrClosed = errors.New("kvstore: database closed")
 
-// Options configures a DB.
+// Options configures a DB. The two exported fields are the ones a caller
+// sets; the sizing and scheduling knobs below them have one production value
+// each (their defaults) and exist so in-package tests can force flushes and
+// compactions on small data and at deterministic points.
 type Options struct {
-	// MemtableBytes is the approximate size at which the memtable is
-	// flushed to an SSTable. Defaults to 1 MiB.
-	MemtableBytes int
-	// L0Compact is the number of level-0 tables that triggers a
-	// compaction into level 1. Defaults to 4.
-	L0Compact int
 	// SyncWrites forces an fsync per write batch. Defaults to false
 	// (the simulation workloads issue millions of writes).
 	SyncWrites bool
-	// BloomBitsPerKey sizes each table's bloom filter (<= 0 uses the
-	// default of 10 bits/key, ~1% false positives).
-	BloomBitsPerKey int
-	// DisableBloom skips building and consulting bloom filters (benchmarks
-	// use it to measure what the filters buy).
-	DisableBloom bool
-	// CacheBytes bounds the shared record cache (0 uses the 4 MiB default).
-	CacheBytes int
-	// DisableCache turns the record cache off entirely.
-	DisableCache bool
-	// TableTargetBytes is the size at which compaction splits its output
-	// into a new table. Defaults to 2 MiB.
-	TableTargetBytes int
-	// LevelBaseBytes caps level 1; each deeper level holds 8x more before
-	// it triggers a compaction into the next. Defaults to 8 MiB.
-	LevelBaseBytes int
-	// DisableBackgroundCompaction keeps all compaction explicit (Compact /
-	// Checkpoint calls). Deterministic tests use it; production stores
-	// leave it off so compaction never blocks the write path.
-	DisableBackgroundCompaction bool
 	// Metrics receives the engine's telemetry (see NewMetrics); nil means
 	// no-op counters.
 	Metrics *Metrics
+
+	// memtableBytes is the approximate size at which the memtable is
+	// flushed to an SSTable. Defaults to 1 MiB.
+	memtableBytes int
+	// l0Compact is the number of level-0 tables that triggers a
+	// compaction into level 1. Defaults to 4.
+	l0Compact int
+	// tableTargetBytes is the size at which compaction splits its output
+	// into a new table. Defaults to 2 MiB.
+	tableTargetBytes int
+	// levelBaseBytes caps level 1; each deeper level holds 8x more before
+	// it triggers a compaction into the next. Defaults to 8 MiB.
+	levelBaseBytes int
+	// disableBackgroundCompaction keeps all compaction explicit (Compact /
+	// Checkpoint calls) for deterministic tests; production stores compact
+	// in the background so compaction never blocks the write path.
+	disableBackgroundCompaction bool
 	// compactionHook, when set (crash-point tests), runs at the named
 	// compaction stages: "picked" (inputs chosen, nothing written), "built"
 	// (output tables durable, manifest still old) and "swapped" (manifest
@@ -60,23 +54,17 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MemtableBytes <= 0 {
-		o.MemtableBytes = 1 << 20
+	if o.memtableBytes <= 0 {
+		o.memtableBytes = 1 << 20
 	}
-	if o.L0Compact <= 0 {
-		o.L0Compact = 4
+	if o.l0Compact <= 0 {
+		o.l0Compact = 4
 	}
-	if o.BloomBitsPerKey <= 0 {
-		o.BloomBitsPerKey = defaultBloomBitsPerKey
+	if o.tableTargetBytes <= 0 {
+		o.tableTargetBytes = 2 << 20
 	}
-	if o.CacheBytes <= 0 {
-		o.CacheBytes = 4 << 20
-	}
-	if o.TableTargetBytes <= 0 {
-		o.TableTargetBytes = 2 << 20
-	}
-	if o.LevelBaseBytes <= 0 {
-		o.LevelBaseBytes = 8 << 20
+	if o.levelBaseBytes <= 0 {
+		o.levelBaseBytes = 8 << 20
 	}
 	if o.Metrics == nil {
 		o.Metrics = &Metrics{}
@@ -95,9 +83,7 @@ type DB struct {
 	// levels[0] holds overlapping flush outputs, newest first; every deeper
 	// level is sorted by smallest key and non-overlapping within itself.
 	levels  [][]*sstable
-	pins    map[uint64]int // pinned snapshot seq -> refcount
 	nextNum atomic.Uint64
-	cache   *recordCache
 	met     *Metrics
 	closed  bool
 
@@ -122,11 +108,8 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("kvstore: mkdir: %w", err)
 	}
-	db := &DB{dir: dir, opts: opts, mem: newMemtable(), met: opts.Metrics, pins: make(map[uint64]int)}
+	db := &DB{dir: dir, opts: opts, mem: newMemtable(), met: opts.Metrics}
 	db.nextNum.Store(1)
-	if !opts.DisableCache {
-		db.cache = newRecordCache(opts.CacheBytes)
-	}
 	if err := db.loadTables(); err != nil {
 		return nil, err
 	}
@@ -156,7 +139,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.wal = w
-	if !opts.DisableBackgroundCompaction {
+	if !opts.disableBackgroundCompaction {
 		db.compactCh = make(chan struct{}, 1)
 		db.stop = make(chan struct{})
 		db.bgStarted = true
@@ -168,18 +151,6 @@ func Open(dir string, opts Options) (*DB, error) {
 }
 
 func (db *DB) walPath() string { return filepath.Join(db.dir, "wal.log") }
-
-// openTable opens a table file and attaches the DB's shared cache and
-// metrics.
-func (db *DB) openTable(path string, num uint64, level int) (*sstable, error) {
-	t, err := openSSTable(path, num, level)
-	if err != nil {
-		return nil, err
-	}
-	t.cache = db.cache
-	t.met = db.met
-	return t, nil
-}
 
 // loadTables scans the directory for SSTables and a CURRENT manifest
 // describing their levels.
@@ -205,7 +176,7 @@ func (db *DB) loadTables() error {
 		if level < 0 {
 			return fmt.Errorf("kvstore: manifest line %q: negative level", line)
 		}
-		t, err := db.openTable(sstFileName(db.dir, num), num, level)
+		t, err := openSSTable(sstFileName(db.dir, num), num, level)
 		if err != nil {
 			return err
 		}
@@ -321,7 +292,7 @@ func (db *DB) Write(b *Batch) error {
 		db.mem.add(op.key, seq, op.kind, op.val)
 		seq++
 	}
-	if db.mem.size >= db.opts.MemtableBytes {
+	if db.mem.size >= db.opts.memtableBytes {
 		if err := db.flushLocked(); err != nil {
 			return err
 		}
@@ -336,37 +307,26 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	if db.closed {
 		return nil, ErrClosed
 	}
-	return db.getLocked(key, db.seq)
-}
-
-// GetAt returns the value of key as of the given snapshot. Snapshots that
-// must stay readable across compactions should come from AcquireSnapshot.
-func (db *DB) GetAt(key []byte, snap Snapshot) ([]byte, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return nil, ErrClosed
+	v, deleted, ok := db.findLocked(key)
+	if !ok || deleted {
+		return nil, ErrNotFound
 	}
-	return db.getLocked(key, uint64(snap))
+	return append([]byte(nil), v...), nil
 }
 
-func (db *DB) getLocked(key []byte, maxSeq uint64) ([]byte, error) {
-	if v, deleted, ok := db.mem.get(key, maxSeq); ok {
-		if deleted {
-			return nil, ErrNotFound
-		}
-		return append([]byte(nil), v...), nil
+// findLocked returns the newest version of key: the memtable first, then
+// level 0 newest table first, then the one candidate table per deeper level.
+func (db *DB) findLocked(key []byte) (val []byte, deleted, ok bool) {
+	if val, deleted, ok = db.mem.get(key); ok {
+		return val, deleted, true
 	}
 	if len(db.levels) > 0 {
 		for _, t := range db.levels[0] {
 			if !t.overlaps(key, key) {
 				continue
 			}
-			if v, deleted, ok := t.get(key, maxSeq); ok {
-				if deleted {
-					return nil, ErrNotFound
-				}
-				return append([]byte(nil), v...), nil
+			if val, deleted, ok = t.get(key); ok {
+				return val, deleted, true
 			}
 		}
 	}
@@ -377,113 +337,38 @@ func (db *DB) getLocked(key []byte, maxSeq uint64) ([]byte, error) {
 			return compareBytes(tables[i].largest, key) >= 0
 		})
 		if i < len(tables) && tables[i].overlaps(key, key) {
-			if v, deleted, ok := tables[i].get(key, maxSeq); ok {
-				if deleted {
-					return nil, ErrNotFound
-				}
-				return append([]byte(nil), v...), nil
+			if val, deleted, ok = tables[i].get(key); ok {
+				return val, deleted, true
 			}
 		}
 	}
-	return nil, ErrNotFound
+	return nil, false, false
 }
 
-// Has reports whether key is present.
-func (db *DB) Has(key []byte) (bool, error) {
-	_, err := db.Get(key)
-	if errors.Is(err, ErrNotFound) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// Snapshot is a read view at a fixed sequence number.
-type Snapshot uint64
-
-// GetSnapshot captures the current sequence point. The view stays exact
-// until the next compaction folds older versions away; use AcquireSnapshot
-// for a view that compaction must preserve.
-func (db *DB) GetSnapshot() Snapshot {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return Snapshot(db.seq)
-}
-
-// AcquireSnapshot captures and pins the current sequence point: compaction
-// retains whatever versions the snapshot needs until ReleaseSnapshot drops
-// the pin. Acquire/Release pairs may nest and interleave freely.
-func (db *DB) AcquireSnapshot() Snapshot {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.pins[db.seq]++
-	return Snapshot(db.seq)
-}
-
-// ReleaseSnapshot unpins a snapshot returned by AcquireSnapshot. Releasing
-// a snapshot that is not pinned is a no-op.
-func (db *DB) ReleaseSnapshot(s Snapshot) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	switch n := db.pins[uint64(s)]; {
-	case n > 1:
-		db.pins[uint64(s)] = n - 1
-	case n == 1:
-		delete(db.pins, uint64(s))
-	}
-}
-
-// keepSeqLocked returns the sequence floor compaction must preserve exact
-// reads at: the oldest pinned snapshot, or the current sequence when
-// nothing is pinned.
-func (db *DB) keepSeqLocked() uint64 {
-	min := db.seq
-	for s := range db.pins {
-		if s < min {
-			min = s
-		}
-	}
-	return min
-}
-
-// NewIterator returns an iterator over all live keys at the current snapshot.
+// NewIterator returns an iterator over all live keys as of the call: writes
+// that land while it is being walked stay invisible to it.
 func (db *DB) NewIterator() *Iterator {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.iteratorLocked(db.seq)
-}
-
-// NewIteratorAt returns an iterator pinned at snap.
-func (db *DB) NewIteratorAt(snap Snapshot) *Iterator {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.iteratorLocked(uint64(snap))
+	// Rank encodes recency: the memtable, then level 0 newest first, then
+	// the deeper levels.
+	sources := []*mergeSource{{it: db.mem.iterator()}}
+	for _, level := range db.levels {
+		for _, t := range level {
+			sources = append(sources, &mergeSource{it: t.iterator(), rank: len(sources)})
+		}
+	}
+	return newIterator(sources, db.seq)
 }
 
 // NewIteratorFrom returns an iterator positioned at the first live key >=
-// start at the current snapshot. Durability layers that keep sequenced logs
+// start, as of the call. Durability layers that keep sequenced logs
 // under ordered keys (the shard op log, replication catch-up) use it to tail
 // from a cursor without scanning the keyspace below it.
 func (db *DB) NewIteratorFrom(start []byte) *Iterator {
 	it := db.NewIterator()
 	it.Seek(start)
 	return it
-}
-
-func (db *DB) iteratorLocked(maxSeq uint64) *Iterator {
-	var sources []*mergeSource
-	rank := 0
-	sources = append(sources, &mergeSource{it: db.mem.iterator(), rank: rank})
-	rank++
-	for _, level := range db.levels {
-		for _, t := range level {
-			sources = append(sources, &mergeSource{it: t.iterator(), rank: rank})
-			rank++
-		}
-	}
-	return newIterator(sources, maxSeq)
 }
 
 // Flush forces the memtable to disk as a level-0 SSTable.
@@ -513,10 +398,10 @@ func (db *DB) flushLocked() error {
 	}
 	num := db.nextNum.Add(1) - 1
 	path := sstFileName(db.dir, num)
-	if err := writeSSTable(path, entries, db.opts.BloomBitsPerKey, db.opts.DisableBloom); err != nil {
+	if err := writeSSTable(path, entries); err != nil {
 		return err
 	}
-	t, err := db.openTable(path, num, 0)
+	t, err := openSSTable(path, num, 0)
 	if err != nil {
 		return err
 	}
@@ -542,12 +427,12 @@ func (db *DB) flushLocked() error {
 	db.wal = w
 	db.met.Flushes.Inc()
 	if db.bgStarted {
-		if len(db.levels[0]) >= db.opts.L0Compact {
+		if len(db.levels[0]) >= db.opts.l0Compact {
 			db.signalCompaction()
 		}
 		return nil
 	}
-	if len(db.levels[0]) >= db.opts.L0Compact {
+	if len(db.levels[0]) >= db.opts.l0Compact {
 		return db.compactAllLocked()
 	}
 	return nil

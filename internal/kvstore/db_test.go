@@ -165,7 +165,7 @@ func TestDeleteAcrossFlush(t *testing.T) {
 }
 
 func TestCompaction(t *testing.T) {
-	db := openTemp(t, Options{MemtableBytes: 256, L0Compact: 2})
+	db := openTemp(t, Options{memtableBytes: 256, l0Compact: 2})
 	const n = 500
 	for i := 0; i < n; i++ {
 		key := []byte(fmt.Sprintf("key-%05d", i%100)) // heavy overwrites
@@ -215,7 +215,7 @@ func TestCompactionDropsTombstones(t *testing.T) {
 }
 
 func TestIteratorOrderAndCompleteness(t *testing.T) {
-	db := openTemp(t, Options{MemtableBytes: 512})
+	db := openTemp(t, Options{memtableBytes: 512})
 	want := map[string]string{}
 	r := sim.NewRand(5)
 	for i := 0; i < 300; i++ {
@@ -271,35 +271,32 @@ func TestIteratorSeek(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsolation: an iterator is a view of the store as of its
+// creation — the op-log scans walk one while the shard keeps appending.
 func TestSnapshotIsolation(t *testing.T) {
 	db := openTemp(t, Options{})
 	if err := db.Put([]byte("k"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	snap := db.GetSnapshot()
+	it := db.NewIterator()
 	if err := db.Put([]byte("k"), []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Put([]byte("new"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	v, err := db.GetAt([]byte("k"), snap)
-	if err != nil || string(v) != "v1" {
-		t.Fatalf("GetAt snapshot = %q, %v; want v1", v, err)
-	}
-	if _, err := db.GetAt([]byte("new"), snap); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("GetAt new key at old snapshot = %v, want ErrNotFound", err)
-	}
-	it := db.NewIteratorAt(snap)
 	n := 0
 	for ; it.Valid(); it.Next() {
 		n++
 		if string(it.Key()) == "k" && string(it.Value()) != "v1" {
-			t.Fatalf("snapshot iterator k = %q, want v1", it.Value())
+			t.Fatalf("iterator k = %q, want v1", it.Value())
 		}
 	}
 	if n != 1 {
-		t.Fatalf("snapshot iterator saw %d keys, want 1", n)
+		t.Fatalf("iterator saw %d keys, want 1", n)
+	}
+	if v, err := db.Get([]byte("k")); err != nil || string(v) != "v2" {
+		t.Fatalf("Get after the walk = %q, %v; want v2", v, err)
 	}
 }
 
@@ -365,7 +362,7 @@ func TestWALTornTailIgnored(t *testing.T) {
 
 func TestReopenAfterFlushAndCompact(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{MemtableBytes: 128})
+	db, err := Open(dir, Options{memtableBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,19 +415,6 @@ func TestClosedOperations(t *testing.T) {
 	}
 }
 
-func TestHas(t *testing.T) {
-	db := openTemp(t, Options{})
-	if ok, err := db.Has([]byte("k")); err != nil || ok {
-		t.Fatalf("Has missing = %v, %v", ok, err)
-	}
-	if err := db.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := db.Has([]byte("k")); err != nil || !ok {
-		t.Fatalf("Has present = %v, %v", ok, err)
-	}
-}
-
 func TestEmptyAndBinaryKeys(t *testing.T) {
 	db := openTemp(t, Options{})
 	if err := db.Put([]byte{}, []byte("empty")); err != nil {
@@ -458,7 +442,7 @@ func TestEmptyAndBinaryKeys(t *testing.T) {
 func TestModelEquivalence(t *testing.T) {
 	f := func(seed uint64) bool {
 		dir := t.TempDir()
-		db, err := Open(dir, Options{MemtableBytes: 512, L0Compact: 3})
+		db, err := Open(dir, Options{memtableBytes: 512, l0Compact: 3})
 		if err != nil {
 			return false
 		}

@@ -13,11 +13,9 @@ import (
 // open — never a panic, and never a table that later serves wrong values.
 // parseSSTable front-loads all validation precisely so these hold.
 
-// fuzzTableBytes builds a small valid table and returns its raw bytes —
-// the seed the fuzzer mutates from.
-func fuzzTableBytes(tb testing.TB, bloom bool) []byte {
-	tb.Helper()
-	dir := tb.TempDir()
+// fuzzEntries is the fixture both seed tables hold: 40 keys, tombstones on
+// every seventh, a second (older) version of every third.
+func fuzzEntries() []sstEntry {
 	var entries []sstEntry
 	seq := uint64(100)
 	for i := 0; i < 40; i++ {
@@ -38,8 +36,15 @@ func fuzzTableBytes(tb testing.TB, bloom bool) []byte {
 		}
 		seq++
 	}
-	path := filepath.Join(dir, "seed.sst")
-	if err := writeSSTable(path, entries, defaultBloomBitsPerKey, !bloom); err != nil {
+	return entries
+}
+
+// fuzzTableBytes builds a small valid table with the package's writer and
+// returns its raw bytes — the seed the fuzzer mutates from.
+func fuzzTableBytes(tb testing.TB) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "seed.sst")
+	if err := writeSSTable(path, fuzzEntries()); err != nil {
 		tb.Fatalf("write seed table: %v", err)
 	}
 	raw, err := os.ReadFile(path)
@@ -50,19 +55,18 @@ func fuzzTableBytes(tb testing.TB, bloom bool) []byte {
 }
 
 func FuzzSSTableOpen(f *testing.F) {
-	seedV2 := fuzzTableBytes(f, true)
-	seedV1NoBloom := fuzzTableBytes(f, false)
-	f.Add(seedV2)
-	f.Add(seedV1NoBloom)
+	// The legacy table has all three body regions, so the boundary cuts and
+	// per-region flips are taken from it.
+	legacy, _, _ := legacyTableBytes()
+	f.Add(legacy)
+	f.Add(fuzzTableBytes(f))
 	// Truncations at interesting boundaries.
-	for _, n := range []int{0, 1, 7, len(seedV2) / 2, len(seedV2) - 1, len(seedV2) - footerV2Size, len(seedV2) - footerV2Size + 4} {
-		if n >= 0 && n <= len(seedV2) {
-			f.Add(seedV2[:n])
-		}
+	for _, n := range []int{0, 1, 7, len(legacy) / 2, len(legacy) - 1, len(legacy) - footerV2Size, len(legacy) - footerV2Size + 4} {
+		f.Add(legacy[:n])
 	}
-	// Single-byte corruptions in each region: entries, index, bloom, footer.
-	for _, off := range []int{3, len(seedV2) / 2, len(seedV2) - footerV2Size + 1, len(seedV2) - 9} {
-		mut := append([]byte(nil), seedV2...)
+	// Single-byte corruptions in each region: entries, index, filter, footer.
+	for _, off := range []int{3, len(legacy) / 2, len(legacy) - footerV2Size - 1, len(legacy) - footerV2Size + 1, len(legacy) - 9} {
+		mut := append([]byte(nil), legacy...)
 		mut[off] ^= 0xff
 		f.Add(mut)
 	}
@@ -82,7 +86,7 @@ func FuzzSSTableOpen(f *testing.F) {
 				t.Fatalf("accepted table iterates out of order")
 			}
 			prev = internalKey{user: append([]byte(nil), ik.user...), seq: ik.seq, kind: ik.kind}
-			if _, _, ok := tab.get(ik.user, ^uint64(0)); !ok {
+			if _, _, ok := tab.get(ik.user); !ok {
 				t.Fatalf("accepted table misses its own key %q", ik.user)
 			}
 			it2 := tab.iterator()
@@ -101,37 +105,15 @@ func FuzzSSTableOpen(f *testing.F) {
 	})
 }
 
-func FuzzBloomDecode(f *testing.F) {
-	keys := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma-longer-key")}
-	f.Add(buildBloom(keys, 10))
-	f.Add(buildBloom(nil, 10))
-	f.Add([]byte{})
-	f.Add([]byte{0x00})
-	f.Add([]byte{0xff, 0xff, 0x00})
-	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 31})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		filter, err := decodeBloom(data)
-		if err != nil {
-			return
-		}
-		// A decoded filter must answer membership queries without panicking,
-		// for any probe key including empty and binary ones.
-		for _, probe := range [][]byte{nil, {}, []byte("alpha"), {0x00, 0xff, 0x7f}, bytes.Repeat([]byte("x"), 100)} {
-			bloomMayContain(filter, probe)
-		}
-	})
-}
-
 // TestFuzzSeedsParse keeps the fuzz seeds honest in a plain `go test` run:
 // the valid seeds must parse, the corrupt ones must be rejected.
 func TestFuzzSeedsParse(t *testing.T) {
-	seed := fuzzTableBytes(t, true)
+	seed, _, _ := legacyTableBytes()
 	if _, err := parseSSTable(seed, 1, 0); err != nil {
-		t.Fatalf("valid v2 seed rejected: %v", err)
+		t.Fatalf("valid legacy seed rejected: %v", err)
 	}
-	noBloom := fuzzTableBytes(t, false)
-	if _, err := parseSSTable(noBloom, 1, 0); err != nil {
-		t.Fatalf("valid bloomless seed rejected: %v", err)
+	if _, err := parseSSTable(fuzzTableBytes(t), 1, 0); err != nil {
+		t.Fatalf("valid seed from the writer rejected: %v", err)
 	}
 	for cut := 0; cut < len(seed); cut += 13 {
 		if _, err := parseSSTable(seed[:cut], 1, 0); err == nil {

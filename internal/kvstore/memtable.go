@@ -77,11 +77,10 @@ func (m *memtable) add(key []byte, seq uint64, kind entryKind, val []byte) {
 	m.count++
 }
 
-// get returns the newest version of key with seq <= maxSeq. ok reports
-// whether any version exists; deleted reports whether that version is a
-// tombstone.
-func (m *memtable) get(key []byte, maxSeq uint64) (val []byte, deleted, ok bool) {
-	n := m.seek(internalKey{user: key, seq: maxSeq, kind: kindValue})
+// get returns the newest version of key. ok reports whether any version
+// exists; deleted reports whether that version is a tombstone.
+func (m *memtable) get(key []byte) (val []byte, deleted, ok bool) {
+	n := m.seek(internalKey{user: key, seq: ^uint64(0), kind: kindValue})
 	if n == nil || compareBytes(n.key.user, key) != 0 {
 		return nil, false, false
 	}

@@ -8,14 +8,6 @@ import "grub/internal/obs"
 // on its Prometheus registry and shares it across every per-shard store, so
 // the exported series aggregate the whole process's storage work.
 type Metrics struct {
-	// CacheHits / CacheMisses count record-cache lookups on table reads.
-	CacheHits   *obs.Counter
-	CacheMisses *obs.Counter
-	// BloomFiltered counts point lookups a table's bloom filter rejected
-	// without touching data; BloomFalsePositives counts lookups the filter
-	// let through that then found nothing in the table.
-	BloomFiltered       *obs.Counter
-	BloomFalsePositives *obs.Counter
 	// Flushes counts memtable flushes; Compactions counts finished
 	// compactions; CompactionBytes totals the bytes written by them.
 	Flushes         *obs.Counter
@@ -28,12 +20,8 @@ type Metrics struct {
 // yields handles onto the same underlying series.
 func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
-		CacheHits:           r.NewCounter("grub_kv_cache_hits_total", "Storage record-cache hits."),
-		CacheMisses:         r.NewCounter("grub_kv_cache_misses_total", "Storage record-cache misses."),
-		BloomFiltered:       r.NewCounter("grub_kv_bloom_filtered_total", "Point lookups rejected by a table bloom filter without touching data."),
-		BloomFalsePositives: r.NewCounter("grub_kv_bloom_false_positives_total", "Bloom filter passes that found nothing in the table."),
-		Flushes:             r.NewCounter("grub_kv_flushes_total", "Memtable flushes to level-0 tables."),
-		Compactions:         r.NewCounter("grub_kv_compactions_total", "Finished table compactions."),
-		CompactionBytes:     r.NewCounter("grub_kv_compaction_bytes_total", "Bytes written by table compactions."),
+		Flushes:         r.NewCounter("grub_kv_flushes_total", "Memtable flushes to level-0 tables."),
+		Compactions:     r.NewCounter("grub_kv_compactions_total", "Finished table compactions."),
+		CompactionBytes: r.NewCounter("grub_kv_compaction_bytes_total", "Bytes written by table compactions."),
 	}
 }

@@ -15,14 +15,6 @@ import (
 // background compactor live, which is exactly the configuration `-race`
 // needs to see.
 
-// modelSnap pairs a pinned DB snapshot with a copy of the model at capture
-// time. Pinned snapshots must stay exactly readable across any number of
-// compactions.
-type modelSnap struct {
-	snap  Snapshot
-	state map[string]string
-}
-
 func runModelCheck(t *testing.T, seed int64, opts Options) {
 	t.Helper()
 	db, err := Open(t.TempDir(), opts)
@@ -33,7 +25,6 @@ func runModelCheck(t *testing.T, seed int64, opts Options) {
 
 	rng := rand.New(rand.NewSource(seed))
 	model := make(map[string]string)
-	var snaps []*modelSnap
 
 	// A small keyspace forces heavy overwriting and tombstone traffic.
 	randKey := func() []byte { return []byte(fmt.Sprintf("key-%03d", rng.Intn(150))) }
@@ -71,36 +62,6 @@ func runModelCheck(t *testing.T, seed int64, opts Options) {
 		for k, v := range model {
 			if got[k] != v {
 				t.Fatalf("step %d: iterator %q = %q, model %q", step, k, got[k], v)
-			}
-		}
-	}
-	checkSnap := func(step int, s *modelSnap) {
-		t.Helper()
-		// Point reads at the pinned snapshot.
-		for i := 0; i < 10; i++ {
-			key := randKey()
-			got, err := db.GetAt(key, s.snap)
-			want, ok := s.state[string(key)]
-			switch {
-			case !ok && err != ErrNotFound:
-				t.Fatalf("step %d: GetAt(%q, %d) = %q, %v; snapshot model says absent", step, key, s.snap, got, err)
-			case ok && err != nil:
-				t.Fatalf("step %d: GetAt(%q, %d) error %v; snapshot model says %q", step, key, s.snap, err, want)
-			case ok && string(got) != want:
-				t.Fatalf("step %d: GetAt(%q, %d) = %q; snapshot model says %q", step, key, s.snap, got, want)
-			}
-		}
-		// Full scan at the pinned snapshot.
-		got := make(map[string]string)
-		for it := db.NewIteratorAt(s.snap); it.Valid(); it.Next() {
-			got[string(it.Key())] = string(it.Value())
-		}
-		if len(got) != len(s.state) {
-			t.Fatalf("step %d: snapshot scan yields %d keys, want %d", step, len(got), len(s.state))
-		}
-		for k, v := range s.state {
-			if got[k] != v {
-				t.Fatalf("step %d: snapshot scan %q = %q, want %q", step, k, got[k], v)
 			}
 		}
 	}
@@ -161,20 +122,6 @@ func runModelCheck(t *testing.T, seed int64, opts Options) {
 				t.Fatalf("step %d: compact: %v", step, err)
 			}
 			checkKey(step, randKey())
-		case r < 74: // capture a pinned snapshot
-			state := make(map[string]string, len(model))
-			for k, v := range model {
-				state[k] = v
-			}
-			snaps = append(snaps, &modelSnap{snap: db.AcquireSnapshot(), state: state})
-			if len(snaps) > 4 {
-				db.ReleaseSnapshot(snaps[0].snap)
-				snaps = snaps[1:]
-			}
-		case r < 80: // verify a random pinned snapshot
-			if len(snaps) > 0 {
-				checkSnap(step, snaps[rng.Intn(len(snaps))])
-			}
 		case r < 90: // point-read spot checks
 			checkKey(step, randKey())
 		case r < 95: // full iterator scan
@@ -207,10 +154,6 @@ func runModelCheck(t *testing.T, seed int64, opts Options) {
 		}
 	}
 
-	for _, s := range snaps {
-		checkSnap(steps, s)
-		db.ReleaseSnapshot(s.snap)
-	}
 	fullScan(steps)
 	if err := db.CompactionError(); err != nil {
 		t.Fatalf("background compaction failed: %v", err)
@@ -244,15 +187,15 @@ func runModelCheck(t *testing.T, seed int64, opts Options) {
 // the model with the background compactor enabled and level budgets small
 // enough that data reaches level 2 and beyond.
 func TestModelCheckBackgroundCompaction(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42, 20260808} {
+	for _, seed := range []int64{1, 5, 7, 42, 20260808} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			runModelCheck(t, seed, Options{
-				MemtableBytes:    4 << 10,
-				L0Compact:        3,
-				TableTargetBytes: 8 << 10,
-				LevelBaseBytes:   16 << 10,
+				memtableBytes:    4 << 10,
+				l0Compact:        3,
+				tableTargetBytes: 8 << 10,
+				levelBaseBytes:   16 << 10,
 			})
 		})
 	}
@@ -267,23 +210,10 @@ func TestModelCheckExplicitCompaction(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			runModelCheck(t, seed, Options{
-				MemtableBytes:               4 << 10,
-				L0Compact:                   3,
-				DisableBackgroundCompaction: true,
+				memtableBytes:               4 << 10,
+				l0Compact:                   3,
+				disableBackgroundCompaction: true,
 			})
 		})
 	}
-}
-
-// TestModelCheckNoBloomNoCache disables the bloom filters and record cache:
-// the read path must be equivalent with every acceleration stripped away.
-func TestModelCheckNoBloomNoCache(t *testing.T) {
-	runModelCheck(t, 5, Options{
-		MemtableBytes:    4 << 10,
-		L0Compact:        3,
-		TableTargetBytes: 8 << 10,
-		LevelBaseBytes:   16 << 10,
-		DisableBloom:     true,
-		DisableCache:     true,
-	})
 }

@@ -8,20 +8,22 @@ import (
 	"sort"
 )
 
-// SSTable layout, version 2 (data + sparse index + bloom filter + footer):
+// SSTable layout, version 2 (data + sparse index + filter region + footer):
 //
 //	entries...                 (serialized with appendEntry, internal-key order)
 //	index:                     repeated { varint(len key) | key | offset (8B) }
-//	bloom:                     encoded filter over the distinct user keys
-//	footer:                    indexOffset (8B) | bloomOffset (8B) |
+//	filter region:             empty in every table this package writes
+//	footer:                    indexOffset (8B) | filterOffset (8B) |
 //	                           indexCount (4B) | entryCount (4B) |
-//	                           crc32(data+index+bloom) (4B) | magic (8B)
+//	                           crc32(data+index+filter) (4B) | magic (8B)
 //
 // The sparse index holds the first user key of every indexInterval-th entry,
 // so point lookups binary-search the index and then scan at most
-// indexInterval entries — and only after the bloom filter said the key may
-// be present at all. Version-1 tables (no bloom, 28-byte footer) are still
-// readable; they simply have no filter.
+// indexInterval entries. The filter region is where earlier builds kept a
+// per-table bloom filter; the store's one caller never asks a table for a
+// key it does not hold, so nothing is written there now, and a table from an
+// older build opens with its region covered by the CRC and otherwise
+// skipped. Version-1 tables (28-byte footer, no region) are still readable.
 
 const (
 	sstMagic      = 0x4752754253535431 // "GRuBSST1"
@@ -40,44 +42,32 @@ type sstEntry struct {
 // sstable is an open, immutable table file fully resident in memory.
 // Tables in the GRuB experiments are small (at most a few MiB); holding them
 // resident keeps reads deterministic and simple. The on-disk format is still
-// honored so that reopening a store works. cache and met are shared DB-wide
-// state attached after open; both are nil-safe, so standalone tables (tests,
-// fuzzing) work unwired.
+// honored so that reopening a store works.
 type sstable struct {
 	num      uint64 // file number
 	level    int
 	data     []byte   // raw entry region
 	offsets  []int    // index: entry offsets into data (sparse)
 	firstKey [][]byte // index: user key at each offset
-	filter   []byte   // encoded bloom filter ("" for v1 tables)
 	count    int      // number of entries
 	bytes    int      // on-disk size
 	smallest []byte   // first user key in the table
 	largest  []byte   // last user key in the table
-	cache    *recordCache
-	met      *Metrics
 }
 
 func sstFileName(dir string, num uint64) string {
 	return fmt.Sprintf("%s/%06d.sst", dir, num)
 }
 
-// writeSSTable serializes entries (already in internal-key order) to path,
-// building a bloom filter over the distinct user keys. bloomBits is the
-// filter's bits-per-key (<= 0 uses the default; see Options.DisableBloom for
-// turning filters off).
-func writeSSTable(path string, entries []sstEntry, bloomBits int, noBloom bool) error {
+// writeSSTable serializes entries (already in internal-key order) to path.
+func writeSSTable(path string, entries []sstEntry) error {
 	var data []byte
 	var idxOffsets []int
 	var idxKeys [][]byte
-	var distinct [][]byte
 	for i, e := range entries {
 		if i%indexInterval == 0 {
 			idxOffsets = append(idxOffsets, len(data))
 			idxKeys = append(idxKeys, e.key.user)
-		}
-		if i == 0 || compareBytes(entries[i-1].key.user, e.key.user) != 0 {
-			distinct = append(distinct, e.key.user)
 		}
 		data = appendEntry(data, e.key.user, e.key.seq, e.key.kind, e.val)
 	}
@@ -89,14 +79,11 @@ func writeSSTable(path string, entries []sstEntry, bloomBits int, noBloom bool) 
 		binary.LittleEndian.PutUint64(off[:], uint64(idxOffsets[i]))
 		data = append(data, off[:]...)
 	}
-	bloomOffset := len(data)
-	if !noBloom {
-		data = append(data, buildBloom(distinct, bloomBits)...)
-	}
+	filterOffset := len(data) // empty filter region
 	sum := crc32.ChecksumIEEE(data)
 	var footer [footerV2Size]byte
 	binary.LittleEndian.PutUint64(footer[0:8], uint64(indexOffset))
-	binary.LittleEndian.PutUint64(footer[8:16], uint64(bloomOffset))
+	binary.LittleEndian.PutUint64(footer[8:16], uint64(filterOffset))
 	binary.LittleEndian.PutUint32(footer[16:20], uint32(len(idxKeys)))
 	binary.LittleEndian.PutUint32(footer[20:24], uint32(len(entries)))
 	binary.LittleEndian.PutUint32(footer[24:28], sum)
@@ -114,9 +101,9 @@ func writeSSTable(path string, entries []sstEntry, bloomBits int, noBloom bool) 
 }
 
 // openSSTable reads and validates the table at path: footer magic, a CRC
-// over the whole body, index sanity (in-bounds, monotonic offsets), bloom
-// decoding, and a full decode pass that must yield exactly the footer's
-// entry count in strict internal-key order. A table that passes cannot
+// over the whole body, index sanity (in-bounds, monotonic offsets), and a
+// full decode pass that must yield exactly the footer's entry count in
+// strict internal-key order. A table that passes cannot
 // panic or serve wrong bytes later: every read path walks structures this
 // validation covered.
 func openSSTable(path string, num uint64, level int) (*sstable, error) {
@@ -137,10 +124,10 @@ func parseSSTable(raw []byte, num uint64, level int) (*sstable, error) {
 		return nil, fmt.Errorf("too short (%d bytes)", len(raw))
 	}
 	var (
-		indexOffset, bloomOffset int
-		idxCount, entryCount     int
-		wantSum                  uint32
-		body                     []byte
+		indexOffset, filterOffset int
+		idxCount, entryCount      int
+		wantSum                   uint32
+		body                      []byte
 	)
 	switch binary.LittleEndian.Uint64(raw[len(raw)-8:]) {
 	case sstMagic2:
@@ -149,7 +136,7 @@ func parseSSTable(raw []byte, num uint64, level int) (*sstable, error) {
 		}
 		footer := raw[len(raw)-footerV2Size:]
 		indexOffset = int(binary.LittleEndian.Uint64(footer[0:8]))
-		bloomOffset = int(binary.LittleEndian.Uint64(footer[8:16]))
+		filterOffset = int(binary.LittleEndian.Uint64(footer[8:16]))
 		idxCount = int(binary.LittleEndian.Uint32(footer[16:20]))
 		entryCount = int(binary.LittleEndian.Uint32(footer[20:24]))
 		wantSum = binary.LittleEndian.Uint32(footer[24:28])
@@ -161,28 +148,22 @@ func parseSSTable(raw []byte, num uint64, level int) (*sstable, error) {
 		entryCount = int(binary.LittleEndian.Uint32(footer[12:16]))
 		wantSum = binary.LittleEndian.Uint32(footer[16:20])
 		body = raw[:len(raw)-footerV1Size]
-		bloomOffset = len(body) // v1: no bloom region
+		filterOffset = len(body) // v1: no filter region
 	default:
 		return nil, fmt.Errorf("bad magic")
 	}
 	if crc32.ChecksumIEEE(body) != wantSum {
 		return nil, fmt.Errorf("checksum mismatch")
 	}
-	if indexOffset < 0 || bloomOffset < indexOffset || bloomOffset > len(body) {
-		return nil, fmt.Errorf("corrupt region offsets (index %d, bloom %d, body %d)", indexOffset, bloomOffset, len(body))
+	if indexOffset < 0 || filterOffset < indexOffset || filterOffset > len(body) {
+		return nil, fmt.Errorf("corrupt region offsets (index %d, filter %d, body %d)", indexOffset, filterOffset, len(body))
 	}
 	if entryCount < 0 || idxCount < 0 {
 		return nil, fmt.Errorf("negative counts")
 	}
 	t := &sstable{num: num, level: level, data: body[:indexOffset], count: entryCount, bytes: len(raw)}
-	if bloom := body[bloomOffset:]; len(bloom) > 0 {
-		f, err := decodeBloom(bloom)
-		if err != nil {
-			return nil, err
-		}
-		t.filter = f
-	}
-	idx := body[indexOffset:bloomOffset]
+	// body[filterOffset:] is a legacy filter region: checksummed above, unread.
+	idx := body[indexOffset:filterOffset]
 	off := 0
 	for i := 0; i < idxCount; i++ {
 		klen, m := binary.Uvarint(idx[off:])
@@ -248,53 +229,22 @@ func parseSSTable(raw []byte, num uint64, level int) (*sstable, error) {
 	return t, nil
 }
 
-// get returns the newest version of key with seq <= maxSeq stored in this
-// table. The bloom filter short-circuits definite misses; the shared record
-// cache serves repeated reads of a table's newest version without re-seeking.
-func (t *sstable) get(key []byte, maxSeq uint64) (val []byte, deleted, ok bool) {
-	if t.filter != nil && !bloomMayContain(t.filter, key) {
-		t.met.BloomFiltered.Inc()
-		return nil, false, false
-	}
-	if t.cache != nil {
-		if rec, hit := t.cache.get(t.num, key); hit {
-			t.met.CacheHits.Inc()
-			if rec.seq <= maxSeq {
-				// The cached record is the newest version in this table, so
-				// it is the visible one for any snapshot at or above it.
-				return rec.val, rec.kind == kindDelete, true
-			}
-			// Snapshot below the newest version: fall through and scan.
-		} else {
-			t.met.CacheMisses.Inc()
-		}
-	}
+// get returns the newest version of key stored in this table.
+func (t *sstable) get(key []byte) (val []byte, deleted, ok bool) {
 	it := t.iterator()
 	it.Seek(key)
-	matched := false
-	for ; it.Valid(); it.Next() {
-		ik, v := it.Entry()
-		if compareBytes(ik.user, key) != 0 {
-			break
-		}
-		if !matched {
-			matched = true
-			// First hit in internal-key order = newest version in this
-			// table: cacheable independent of the caller's snapshot.
-			t.cache.put(t.num, key, ik.seq, ik.kind, v)
-		}
-		if ik.seq > maxSeq {
-			continue
-		}
-		if ik.kind == kindDelete {
-			return nil, true, true
-		}
-		return v, false, true
+	if !it.Valid() {
+		return nil, false, false
 	}
-	if !matched && t.filter != nil {
-		t.met.BloomFalsePositives.Inc()
+	// First entry in internal-key order = newest version in this table.
+	ik, v := it.Entry()
+	if compareBytes(ik.user, key) != 0 {
+		return nil, false, false
 	}
-	return nil, false, false
+	if ik.kind == kindDelete {
+		return nil, true, true
+	}
+	return v, false, true
 }
 
 // overlaps reports whether the table's key range intersects [lo, hi]

@@ -6,9 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"grub/internal/kvstore"
 	"grub/internal/workload/ycsb"
 )
 
@@ -236,6 +239,67 @@ func TestGatewaySnapshotEndpoint(t *testing.T) {
 	}
 	if memInfo.Persistent || memInfo.DataDir != "" {
 		t.Errorf("in-memory info = %+v", memInfo)
+	}
+}
+
+// TestGatewayReportsFailedCompaction: a shard store whose background
+// compaction fails keeps serving, and says so on GET /feeds/{id}/shards and
+// in the feed's aggregate stats. The failure is staged from outside the
+// engine: a fresh store's first compaction writes table 000005 (the four
+// memtable flushes that trigger it took 1-4), so a directory squatting on
+// that table's temp path fails the write.
+func TestGatewayReportsFailedCompaction(t *testing.T) {
+	dir := t.TempDir()
+	g, c, stop := startPersistentGateway(t, dir, 0)
+	defer stop()
+	defer g.Close()
+	if err := c.CreateFeed(FeedConfig{ID: "f", Shards: 1, EpochOps: 4}); err != nil {
+		t.Fatal(err)
+	}
+	obstacle := filepath.Join(dir, "feeds", feedDirName("f"), "shard-000", "000005.sst.tmp")
+	if err := os.Mkdir(obstacle, 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	// Flushes happen on the write path, so the counter is exact once Do
+	// returns; a ~170 KiB batch against a 1 MiB memtable cannot cross two.
+	flushes := kvstore.NewMetrics(g.Metrics()).Flushes
+	value := make([]byte, 16<<10)
+	for n := 0; flushes.Value() < 4; n++ {
+		if n == 100 {
+			t.Fatalf("%v flushes after %d batches, want 4", flushes.Value(), n)
+		}
+		var ops []Op
+		for i := 0; i < 8; i++ {
+			ops = append(ops, Op{Type: "write", Key: fmt.Sprintf("k%d", i), Value: value})
+		}
+		if _, err := c.Do("f", ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const want = "background compaction"
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		shards, err := c.ShardStats("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := shards[0].Persist; p != nil && strings.Contains(p.LastError, want) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shard persist stat = %+v, want lastError naming the %s", shards[0].Persist, want)
+		}
+	}
+	st, err := c.Stats("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Persist == nil || !strings.Contains(st.Persist.LastError, want) {
+		t.Errorf("feed persist stats = %+v, want lastError naming the %s", st.Persist, want)
+	}
+	if res, err := c.Do("f", []Op{{Type: "read", Key: "k0"}}); err != nil || len(res) != 1 || res[0].Err != "" {
+		t.Errorf("read after the failed compaction = %+v, %v", res, err)
 	}
 }
 

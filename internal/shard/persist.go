@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -42,10 +43,10 @@ type PersistOptions struct {
 	// Dir holds state from a previous process; the gateway supplies it from
 	// the feed's config.
 	Restore func(shard int, snap *core.FeedSnapshot) (*core.Feed, error)
-	// Metrics receives the storage engine's telemetry (cache hits, bloom
-	// rejections, flush/compaction counts). The gateway shares one bundle
-	// across every shard store so the exported grub_kv_* series aggregate
-	// the whole process. Nil means unmetered.
+	// Metrics receives the storage engine's telemetry (flush and compaction
+	// counts, compaction bytes). The gateway shares one bundle across every
+	// shard store so the exported grub_kv_* series aggregate the whole
+	// process. Nil means unmetered.
 	Metrics *kvstore.Metrics
 }
 
@@ -58,10 +59,10 @@ type PersistStat struct {
 	LoggedBatches int `json:"loggedBatches"`
 	// LastSeq is the sequence number of the last logged batch.
 	LastSeq uint64 `json:"lastSeq"`
-	// LastError reports the most recent automatic-snapshot failure, empty
-	// when compaction is healthy. The log keeps growing (and stays
-	// replayable) while snapshots fail, so this is a health signal, not
-	// data loss.
+	// LastError reports the most recent automatic-snapshot failure or,
+	// failing that, the store's first failed background compaction; empty
+	// when both are healthy. The log keeps growing (and stays replayable)
+	// while either fails, so this is a health signal, not data loss.
 	LastError string `json:"lastError,omitempty"`
 }
 
@@ -70,7 +71,7 @@ type PersistStats struct {
 	Snapshots     int    `json:"snapshots"`
 	LoggedBatches int    `json:"loggedBatches"`
 	LastSeq       uint64 `json:"lastSeq"`
-	// LastError is the first shard's reported snapshot failure, if any.
+	// LastError is the first shard's reported failure, if any.
 	LastError string `json:"lastError,omitempty"`
 }
 
@@ -153,13 +154,12 @@ func (p *persister) snapshot(st *shardState) error {
 		return fmt.Errorf("shard: encode snapshot: %w", err)
 	}
 	lastSeq := p.nextSeq - 1
-	if err := p.db.Put([]byte(snapKey), kvstore.EncodeRecord(kvstore.RecordSnapshot, lastSeq, payload)); err != nil {
-		return fmt.Errorf("shard: write snapshot: %w", err)
-	}
-	// Drop the superseded log records, then checkpoint: the memtable
-	// flushes to an SSTable, compaction folds the tombstones away and the
-	// engine's WAL restarts empty.
+	// One batch — one WAL record — installs the snapshot and drops the log
+	// records it supersedes, so no crash leaves one without the other. The
+	// checkpoint after it flushes the memtable to an SSTable, folds the
+	// tombstones away and restarts the engine's WAL empty.
 	b := kvstore.NewBatch()
+	b.Put([]byte(snapKey), kvstore.EncodeRecord(kvstore.RecordSnapshot, lastSeq, payload))
 	for it := p.db.NewIteratorFrom([]byte(logKeyPrefix)); it.Valid(); it.Next() {
 		key := string(it.Key())
 		if !strings.HasPrefix(key, logKeyPrefix) {
@@ -174,7 +174,7 @@ func (p *persister) snapshot(st *shardState) error {
 		}
 	}
 	if err := p.db.Write(b); err != nil {
-		return fmt.Errorf("shard: prune log: %w", err)
+		return fmt.Errorf("shard: write snapshot: %w", err)
 	}
 	if err := p.db.Checkpoint(); err != nil {
 		return fmt.Errorf("shard: checkpoint: %w", err)
@@ -232,7 +232,11 @@ func (p *persister) resetTo(st *shardState, seq uint64) error {
 }
 
 func (p *persister) stat() PersistStat {
-	return PersistStat{Snapshots: p.snapshots, LoggedBatches: p.loggedBatches, LastSeq: p.nextSeq - 1}
+	ps := PersistStat{Snapshots: p.snapshots, LoggedBatches: p.loggedBatches, LastSeq: p.nextSeq - 1}
+	if err := p.db.CompactionError(); err != nil {
+		ps.LastError = fmt.Sprintf("shard: background compaction: %v", err)
+	}
+	return ps
 }
 
 // recover loads the shard's durable state: the newest snapshot (if any)
@@ -267,7 +271,7 @@ func recoverShard(p *persister, idx int, opts Options, build func(int) (*core.Fe
 		st = shardState{ops: meta.Ops, batches: meta.Batches, base: meta.BaseGas}
 		p.snapshots = meta.Snapshots
 		lastSeq = seq
-	} else if err != kvstore.ErrNotFound {
+	} else if !errors.Is(err, kvstore.ErrNotFound) {
 		return nil, fmt.Errorf("shard: read snapshot: %w", err)
 	} else {
 		feed, err = build(idx)
