@@ -52,16 +52,19 @@ bench:
 		echo "$$out"; echo "$$out" | tail -n 1 >> BENCH_e2e.jsonl; \
 	done
 
-# Bounded fuzz pass over the durable formats, short enough for CI (run with
-# a bigger FUZZTIME locally to dig):
+# Bounded fuzz pass over the durable and wire formats, short enough for CI
+# (run with a bigger FUZZTIME locally to dig):
 #   - persistent ADS: random op streams against a map model with proof
 #     verification at every step;
 #   - kvstore SSTables: corrupted/truncated table bytes must error at open,
-#     never panic or serve wrong values.
+#     never panic or serve wrong values;
+#   - binary read encoding: arbitrary get/range bodies must decode or error
+#     without panicking, deep recursion or outsized allocation.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzSetOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz FuzzSSTableOpen -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/query -run '^$$' -fuzz FuzzReadWireDecode -fuzztime $(FUZZTIME)
 
 # Docs gate: relative markdown links in README.md and docs/ must resolve,
 # docs/API.md must document every route registered on the gateway mux, and

@@ -167,7 +167,7 @@ func (p *AbsenceProof) Size() int {
 // ProveAbsent builds an absence proof for key. The proof's records are
 // detached copies, safe to hand to arbitrary consumers.
 func (s *Set) ProveAbsent(key string) (*AbsenceProof, error) {
-	if _, _, ok := s.find(key); ok {
+	if s.find(key) != nil {
 		return nil, fmt.Errorf("ads: key %q is present", key)
 	}
 	seal(s.root)

@@ -224,21 +224,19 @@ func merge(a, b *node) *node {
 	return b
 }
 
-// lookup descends to (st, key), also computing the record's in-order rank.
-func lookup(n *node, st State, key string) (*node, int, bool) {
-	rank := 0
+// lookup descends to (st, key).
+func lookup(n *node, st State, key string) *node {
 	for n != nil {
 		switch {
 		case less(st, key, n.rec.State, n.rec.Key):
 			n = n.left
 		case less(n.rec.State, n.rec.Key, st, key):
-			rank += size(n.left) + 1
 			n = n.right
 		default:
-			return n, rank + size(n.left), true
+			return n
 		}
 	}
-	return nil, 0, false
+	return nil
 }
 
 // NewSet returns an empty set.
@@ -247,22 +245,18 @@ func NewSet() *Set { return &Set{} }
 // Len returns the number of records.
 func (s *Set) Len() int { return size(s.root) }
 
-// find locates key regardless of state, returning its node and in-order
-// rank.
-func (s *Set) find(key string) (*node, int, bool) {
-	if n, rank, ok := lookup(s.root, NR, key); ok {
-		return n, rank, true
+// find locates key regardless of state, returning its node or nil.
+func (s *Set) find(key string) *node {
+	if n := lookup(s.root, NR, key); n != nil {
+		return n
 	}
-	if n, rank, ok := lookup(s.root, R, key); ok {
-		return n, rank, true
-	}
-	return nil, 0, false
+	return lookup(s.root, R, key)
 }
 
 // Get returns the record stored under key.
 func (s *Set) Get(key string) (Record, bool) {
-	n, _, ok := s.find(key)
-	if !ok {
+	n := s.find(key)
+	if n == nil {
 		return Record{}, false
 	}
 	return n.rec, true
@@ -308,7 +302,7 @@ func (s *Set) Records() []Record {
 // the previous state and whether the key already existed.
 func (s *Set) Put(rec Record) (prev State, existed bool) {
 	rec.Value = append([]byte(nil), rec.Value...)
-	if n, _, ok := s.find(rec.Key); ok {
+	if n := s.find(rec.Key); n != nil {
 		prev = n.rec.State
 		if prev != rec.State {
 			s.root = del(s.root, prev, rec.Key)
@@ -322,8 +316,8 @@ func (s *Set) Put(rec Record) (prev State, existed bool) {
 
 // Delete removes key from the set, reporting whether it existed.
 func (s *Set) Delete(key string) bool {
-	n, _, ok := s.find(key)
-	if !ok {
+	n := s.find(key)
+	if n == nil {
 		return false
 	}
 	s.root = del(s.root, n.rec.State, key)
@@ -333,8 +327,8 @@ func (s *Set) Delete(key string) bool {
 // SetState changes the replication state of key, relocating the record. It
 // reports whether the key existed (and needed a change).
 func (s *Set) SetState(key string, state State) bool {
-	n, _, ok := s.find(key)
-	if !ok {
+	n := s.find(key)
+	if n == nil {
 		return false
 	}
 	if n.rec.State == state {
@@ -423,17 +417,68 @@ func provePath(n *node, i int, p *merkle.Proof) {
 }
 
 // ProveKey returns the record stored under key together with its membership
-// proof.
+// proof: the proof ProveIndex builds for the record's rank.
 func (s *Set) ProveKey(key string) (Record, *merkle.Proof, error) {
-	n, rank, ok := s.find(key)
+	rec, p, ok := s.ProveKeyAt(key, CountLeaf(s.Len()))
 	if !ok {
 		return Record{}, nil, fmt.Errorf("ads: key %q not present", key)
 	}
-	p, err := s.ProveIndex(rank)
-	if err != nil {
-		return Record{}, nil, err
+	return rec, p, nil
+}
+
+// ProveKeyAt is ProveKey for a caller that already holds the set's count
+// leaf (a frozen view computes CountLeaf(Len()) once, not per proof). It
+// finds the record, its rank and its path in one descent per state group and
+// reports false when key is in neither.
+func (s *Set) ProveKeyAt(key string, countLeaf merkle.Hash) (Record, *merkle.Proof, bool) {
+	seal(s.root)
+	n, p := proveKeyPath(s.root, NR, key, 0, 1)
+	if n == nil {
+		n, p = proveKeyPath(s.root, R, key, 0, 1)
 	}
-	return n.rec, p, nil
+	if n == nil {
+		return Record{}, nil, false
+	}
+	p.LeafCount = s.Len()
+	p.Path = append(p.Path, merkle.ProofNode{Left: true, Hash: countLeaf})
+	return n.rec, p, true
+}
+
+// proveKeyPath is provePath steered by (st, key) instead of by index. It
+// returns the record's node and a proof holding the same fold steps,
+// leaf-to-root, with Index set to the record's in-order rank (rank counts
+// the records left of the subtree n) — or nil, nil, having allocated nothing,
+// when (st, key) is not under n. steps counts the path nodes the ancestors
+// and the caller will append, so the hit allocates the path once at its
+// final length.
+func proveKeyPath(n *node, st State, key string, rank, steps int) (*node, *merkle.Proof) {
+	if n == nil {
+		return nil, nil
+	}
+	switch {
+	case less(st, key, n.rec.State, n.rec.Key):
+		hit, p := proveKeyPath(n.left, st, key, rank, steps+2)
+		if hit != nil {
+			p.Path = append(p.Path,
+				merkle.ProofNode{Left: false, Hash: n.leaf},
+				merkle.ProofNode{Left: false, Hash: hashOf(n.right)})
+		}
+		return hit, p
+	case less(n.rec.State, n.rec.Key, st, key):
+		hit, p := proveKeyPath(n.right, st, key, rank+size(n.left)+1, steps+1)
+		if hit != nil {
+			p.Path = append(p.Path,
+				merkle.ProofNode{Left: true, Hash: merkle.HashInner(hashOf(n.left), n.leaf)})
+		}
+		return hit, p
+	default:
+		return n, &merkle.Proof{
+			Index: rank + size(n.left),
+			Path: append(make([]merkle.ProofNode, 0, steps+2),
+				merkle.ProofNode{Left: true, Hash: hashOf(n.left)},
+				merkle.ProofNode{Left: false, Hash: hashOf(n.right)}),
+		}
+	}
 }
 
 // collectKeys appends to out up to limit keys of group st with key >= start,

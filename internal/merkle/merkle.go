@@ -14,6 +14,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+
+	"grub/internal/wire"
 )
 
 // HashSize is the size of a node hash in bytes (SHA-256).
@@ -210,4 +212,57 @@ func Verify(root Hash, leaf Hash, p *Proof) error {
 		return fmt.Errorf("%w: root mismatch (got %v, want %v)", ErrInvalidProof, got, root)
 	}
 	return nil
+}
+
+// AppendBinary appends the proof's binary read encoding (docs/API.md, "Binary
+// read encoding"):
+//
+//	uvarint index | uvarint leafCount | uvarint n | ceil(n/8) direction bytes | n × 32-byte hash
+//
+// Bit i%8 (least significant first) of direction byte i/8 is path node i's
+// Left flag.
+func (p *Proof) AppendBinary(b []byte) ([]byte, error) {
+	b = wire.AppendInt(b, p.Index)
+	b = wire.AppendInt(b, p.LeafCount)
+	b = wire.AppendInt(b, len(p.Path))
+	at := len(b)
+	b = append(b, make([]byte, (len(p.Path)+7)/8)...)
+	for i, n := range p.Path {
+		if n.Left {
+			b[at+i/8] |= 1 << (i % 8)
+		}
+	}
+	for _, n := range p.Path {
+		b = append(b, n.Hash[:]...)
+	}
+	return b, nil
+}
+
+// DecodeProof reads a proof written by AppendBinary; failures are recorded on
+// r. Padding bits past the last path node must be zero, so a proof has one
+// encoding.
+func DecodeProof(r *wire.Reader) *Proof {
+	p := &Proof{Index: r.Int(), LeafCount: r.Int()}
+	n := r.Int()
+	if n > r.Len()/HashSize {
+		r.Fail("path of %d nodes in %d bytes", n, r.Len())
+		return nil
+	}
+	dirs := r.Bytes((n + 7) / 8)
+	hashes := r.Bytes(n * HashSize)
+	if r.Err() != nil {
+		return nil
+	}
+	if n%8 != 0 && dirs[n/8]>>(n%8) != 0 {
+		r.Fail("direction padding bits set")
+		return nil
+	}
+	if n > 0 {
+		p.Path = make([]ProofNode, n)
+	}
+	for i := range p.Path {
+		p.Path[i].Left = dirs[i/8]>>(i%8)&1 == 1
+		copy(p.Path[i].Hash[:], hashes[i*HashSize:])
+	}
+	return p
 }

@@ -59,12 +59,18 @@ type View struct {
 	height uint64
 	set    *ads.Set
 	root   merkle.Hash
+	// countLeaf is the digest's count commitment, the last step of every
+	// membership proof off this view.
+	countLeaf merkle.Hash
 }
 
 // NewView wraps a frozen record set (ads.Set.Clone) into a view. The set
 // must not be mutated afterwards.
 func NewView(shard int, seq, height uint64, frozen *ads.Set) *View {
-	return &View{shard: shard, seq: seq, height: height, set: frozen, root: frozen.Root()}
+	return &View{
+		shard: shard, seq: seq, height: height, set: frozen,
+		root: frozen.Root(), countLeaf: ads.CountLeaf(frozen.Len()),
+	}
 }
 
 // Root returns the view's authenticated digest.
@@ -161,13 +167,9 @@ func (v *View) Get(key string, shards int) (*GetResult, error) {
 		Key: key, Shard: v.shard, Shards: shards,
 		Seq: v.seq, Height: v.height, Root: v.root, Count: v.set.Len(),
 	}
-	if _, ok := v.set.Get(key); ok {
-		rec, p, err := v.set.ProveKey(key)
-		if err != nil {
-			return nil, err
-		}
-		rec = copyRecord(rec)
-		res.Found, res.Record, res.Proof = true, &rec, p
+	if rec, p, ok := v.set.ProveKeyAt(key, v.countLeaf); ok {
+		own := copyRecord(rec) // declared here so that a miss allocates no record
+		res.Found, res.Record, res.Proof = true, &own, p
 		return res, nil
 	}
 	ap, err := v.set.ProveAbsent(key)

@@ -36,9 +36,15 @@ func (c *Client) get(path string, out any) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
+	// Read to EOF before closing: json.Decoder stops at the end of the
+	// value, ahead of a chunked body's terminating chunk, and net/http
+	// discards a keep-alive connection whose body was closed short of EOF —
+	// every multi-kilobyte log page would dial again.
+	defer func() {
 		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
+	if resp.StatusCode == http.StatusNotFound {
 		return fmt.Errorf("%w: GET %s", ErrFeedGone, path)
 	}
 	if resp.StatusCode != http.StatusOK {

@@ -59,12 +59,8 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// call performs one JSON round-trip, with bounded retry per c.Retry. out
-// may be nil. A 403 (read-only follower refusing a write) or 421 (cluster
-// node disclaiming ownership) carrying a Leader header is transparently
-// retried once against the named leader, so a client pointed at any node
-// still lands its writes; transport errors and 502/503 responses back off
-// and retry when c.Retry allows.
+// call performs one JSON round-trip; out may be nil. Retry and leader
+// redirects are do's.
 func (c *Client) call(method, path string, in, out any) error {
 	var payload []byte
 	if in != nil {
@@ -74,17 +70,79 @@ func (c *Client) call(method, path string, in, out any) error {
 		}
 		payload = b
 	}
-	do := func(base string) (*http.Response, error) {
+	resp, err := c.do(method, path, "", payload)
+	if err != nil {
+		return err
+	}
+	defer drainClose(resp.Body)
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// drainClose reads a response body to EOF before closing it. A body closed
+// short of EOF — json.Decoder stops at the end of the value, ahead of a
+// chunked body's terminating chunk — makes net/http discard the keep-alive
+// connection, and the next request dials again.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, body)
+	body.Close()
+}
+
+// read performs one authenticated-read GET, asking for the binary read
+// encoding. It returns the whole body in a pooled buffer (the caller decodes
+// it, then putBuf) and whether the body is binary: a gateway that predates
+// the encoding ignores the Accept header and answers JSON, and says so in
+// its Content-Type.
+func (c *Client) read(path string) (body *[]byte, binary bool, err error) {
+	resp, err := c.do(http.MethodGet, path, ReadMediaType, nil)
+	if err != nil {
+		return nil, false, err
+	}
+	defer resp.Body.Close()
+	buf := bufPool.Get().(*[]byte)
+	b := *buf
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := resp.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			*buf = b
+			if err != io.EOF {
+				putBuf(buf)
+				return nil, false, fmt.Errorf("client: GET %s: read body: %w", path, err)
+			}
+			return buf, resp.Header.Get("Content-Type") == ReadMediaType, nil
+		}
+	}
+}
+
+// do sends one request with bounded retry per c.Retry and returns the 2xx
+// response, body unread; every other outcome is an error. payload, when
+// non-nil, is a JSON body; accept, when non-empty, the Accept header. A 403
+// (read-only follower refusing a write) or 421 (cluster node disclaiming
+// ownership) carrying a Leader header is transparently retried once against
+// the named leader, so a client pointed at any node still lands its writes;
+// transport errors and 502/503 responses back off and retry when c.Retry
+// allows.
+func (c *Client) do(method, path, accept string, payload []byte) (*http.Response, error) {
+	send := func(base string) (*http.Response, error) {
 		var body io.Reader
-		if in != nil {
+		if payload != nil {
 			body = bytes.NewReader(payload)
 		}
 		req, err := http.NewRequest(method, base+path, body)
 		if err != nil {
 			return nil, err
 		}
-		if in != nil {
+		if payload != nil {
 			req.Header.Set("Content-Type", "application/json")
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
 		}
 		return c.httpClient().Do(req)
 	}
@@ -110,48 +168,36 @@ func (c *Client) call(method, path string, in, out any) error {
 			// Full jitter: sleep a uniformly random slice of the delay.
 			time.Sleep(time.Duration(rand.Int64N(int64(d) + 1)))
 		}
-		resp, err := do(c.BaseURL)
+		resp, err := send(c.BaseURL)
 		if err == nil && (resp.StatusCode == http.StatusForbidden || resp.StatusCode == http.StatusMisdirectedRequest) {
 			// One hop only: if the named "leader" disagrees too, its own
 			// rejection comes back to the caller rather than chasing a
 			// redirect chain.
 			if leader := resp.Header.Get("Leader"); leader != "" && leader != c.BaseURL {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				resp, err = do(leader)
+				drainClose(resp.Body)
+				resp, err = send(leader)
 			}
 		}
 		if err != nil {
 			lastErr = err // transport error: transient, retry
 			continue
 		}
-		if resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusServiceUnavailable {
-			var e errorBody
-			if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-				lastErr = fmt.Errorf("client: %s %s: %s", method, path, e.Error)
-			} else {
-				lastErr = fmt.Errorf("client: %s %s: HTTP %d", method, path, resp.StatusCode)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			continue
+		if resp.StatusCode < 300 {
+			return resp, nil
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode >= 300 {
-			var e errorBody
-			if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-				return fmt.Errorf("client: %s %s: %s", method, path, e.Error)
-			}
-			return fmt.Errorf("client: %s %s: HTTP %d", method, path, resp.StatusCode)
+		var e errorBody
+		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
+			err = fmt.Errorf("client: %s %s: %s", method, path, e.Error)
+		} else {
+			err = fmt.Errorf("client: %s %s: HTTP %d", method, path, resp.StatusCode)
 		}
-		if out == nil {
-			// Drain so the transport can reuse the connection.
-			io.Copy(io.Discard, resp.Body)
-			return nil
+		drainClose(resp.Body)
+		if resp.StatusCode != http.StatusBadGateway && resp.StatusCode != http.StatusServiceUnavailable {
+			return nil, err
 		}
-		return json.NewDecoder(resp.Body).Decode(out)
+		lastErr = err
 	}
-	return lastErr
+	return nil, lastErr
 }
 
 // CreateFeed creates a feed on the gateway.
@@ -217,13 +263,21 @@ func (c *Client) Snapshot(id string) (shard.PersistStats, error) {
 }
 
 // Get performs an authenticated point read: the record (or proven absence)
-// for key, with the Merkle evidence and shard anchor. The proof is NOT
+// for key, with the Merkle evidence and shard anchor, fetched in the binary
+// read encoding (JSON from a gateway that predates it). The proof is NOT
 // checked here — use VerifyingClient for reads that must not trust the
 // gateway, or query.VerifyGet directly.
 func (c *Client) Get(id, key string) (*query.GetResult, error) {
+	body, binary, err := c.read("/feeds/" + id + "/get?key=" + url.QueryEscape(key))
+	if err != nil {
+		return nil, err
+	}
+	defer putBuf(body)
+	if binary {
+		return query.DecodeGetResult(*body)
+	}
 	var out GetResponse
-	path := "/feeds/" + id + "/get?key=" + url.QueryEscape(key)
-	if err := c.call(http.MethodGet, path, nil, &out); err != nil {
+	if err := json.Unmarshal(*body, &out); err != nil {
 		return nil, err
 	}
 	return out.Result, nil
@@ -233,9 +287,16 @@ func (c *Client) Get(id, key string) (*query.GetResult, error) {
 // slice of NR records per shard. Proofs are not checked here (see
 // VerifyingClient).
 func (c *Client) Range(id, lo, hi string) ([]query.RangeResult, error) {
+	body, binary, err := c.read("/feeds/" + id + "/range?lo=" + url.QueryEscape(lo) + "&hi=" + url.QueryEscape(hi))
+	if err != nil {
+		return nil, err
+	}
+	defer putBuf(body)
+	if binary {
+		return query.DecodeRangeResults(*body)
+	}
 	var out RangeResponse
-	path := "/feeds/" + id + "/range?lo=" + url.QueryEscape(lo) + "&hi=" + url.QueryEscape(hi)
-	if err := c.call(http.MethodGet, path, nil, &out); err != nil {
+	if err := json.Unmarshal(*body, &out); err != nil {
 		return nil, err
 	}
 	return out.Results, nil
@@ -261,10 +322,9 @@ func (c *Client) Health() (HealthResponse, error) {
 	if err != nil {
 		return HealthResponse{}, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	var out HealthResponse
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		io.Copy(io.Discard, resp.Body)
 		return HealthResponse{}, fmt.Errorf("client: GET /healthz: HTTP %d", resp.StatusCode)
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {

@@ -648,13 +648,14 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 	})
 
 	// tamper lets the rejection tests model a compromised gateway; it is
-	// the identity in production.
-	tamper := func(resp any) any {
+	// the identity in production. It runs on the response struct, before
+	// either encoder sees it.
+	tamper := func(resp any) {
 		if hc.TamperQuery != nil {
 			hc.TamperQuery(resp)
 		}
-		return resp
 	}
+	getRoute, rangeRoute := newReadRoute(g.Metrics(), "get"), newReadRoute(g.Metrics(), "range")
 
 	mux.HandleFunc("GET /feeds/{id}/get", func(w http.ResponseWriter, r *http.Request) {
 		key := r.URL.Query().Get("key")
@@ -672,7 +673,9 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, tamper(&GetResponse{ID: r.PathValue("id"), Result: res}))
+		resp := &GetResponse{ID: r.PathValue("id"), Result: res}
+		tamper(resp)
+		getRoute.write(w, r, resp)
 	})
 
 	mux.HandleFunc("GET /feeds/{id}/range", func(w http.ResponseWriter, r *http.Request) {
@@ -692,7 +695,9 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, tamper(&RangeResponse{ID: r.PathValue("id"), Lo: lo, Hi: hi, Results: results}))
+		resp := &RangeResponse{ID: r.PathValue("id"), Lo: lo, Hi: hi, Results: results}
+		tamper(resp)
+		rangeRoute.write(w, r, resp)
 	})
 
 	mux.HandleFunc("GET /feeds/{id}/roots", func(w http.ResponseWriter, r *http.Request) {
@@ -706,7 +711,9 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, tamper(&RootsResponse{ID: r.PathValue("id"), Shards: roots}))
+		resp := &RootsResponse{ID: r.PathValue("id"), Shards: roots}
+		tamper(resp)
+		writeJSON(w, http.StatusOK, resp)
 	})
 
 	mux.HandleFunc("GET /feeds/{id}/trace", func(w http.ResponseWriter, r *http.Request) {

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,36 @@ import (
 	"grub/internal/query"
 )
 
+// stripAccept is the transport of a client whose gateway predates the binary
+// read encoding: the Accept header never arrives, the gateway answers JSON,
+// and the Client falls back on the Content-Type.
+type stripAccept struct{ http.RoundTripper }
+
+func (s stripAccept) RoundTrip(req *http.Request) (*http.Response, error) {
+	req = req.Clone(req.Context())
+	req.Header.Del("Accept")
+	return s.RoundTripper.RoundTrip(req)
+}
+
+// readEncodings are the two forms an authenticated read crosses the wire in.
+// Every test of what a light client accepts and rejects runs once per form.
+var readEncodings = []string{"binary", "json"}
+
+// verifyingClient returns a light client whose reads arrive in encoding.
+func verifyingClient(url, encoding string) *VerifyingClient {
+	vc := NewVerifyingClient(url)
+	if encoding == "json" {
+		vc.Client.HTTP = &http.Client{Transport: stripAccept{http.DefaultTransport}}
+	}
+	return vc
+}
+
+// readResponses reads grub_read_responses_total{route,encoding} off the
+// gateway's registry.
+func readResponses(g *Gateway, route, encoding string) float64 {
+	return g.Metrics().NewCounterVec("grub_read_responses_total", "", "route", "encoding").With(route, encoding).Value()
+}
+
 // TestVerifiedReadsUnderWriteLoad is the authenticated read path's
 // acceptance test: 32 concurrent VerifyingClient light clients issue point
 // reads, absence queries and range scans against a sharded feed while a
@@ -19,6 +50,12 @@ import (
 // advertised, pinned roots. Run with -race this also pins the snapshot
 // isolation of the published views against the shard workers.
 func TestVerifiedReadsUnderWriteLoad(t *testing.T) {
+	for _, enc := range readEncodings {
+		t.Run(enc, func(t *testing.T) { testVerifiedReadsUnderWriteLoad(t, enc) })
+	}
+}
+
+func testVerifiedReadsUnderWriteLoad(t *testing.T, enc string) {
 	g := NewGateway()
 	defer g.Close()
 	srv := httptest.NewServer(NewHandler(g))
@@ -80,7 +117,7 @@ func TestVerifiedReadsUnderWriteLoad(t *testing.T) {
 		rwg.Add(1)
 		go func(ri int) {
 			defer rwg.Done()
-			vc := NewVerifyingClient(srv.URL)
+			vc := verifyingClient(srv.URL, enc)
 			for i := 0; i < reads; i++ {
 				key := keys[(ri*reads+i*7)%len(keys)]
 				if i%5 == 4 {
@@ -118,6 +155,9 @@ func TestVerifiedReadsUnderWriteLoad(t *testing.T) {
 	if err, _ := writerErr.Load().(error); err != nil {
 		t.Fatalf("writer: %v", err)
 	}
+	if got := readResponses(g, "get", enc); got != readers*reads {
+		t.Errorf("%v get responses counted as %s, want %d", got, enc, readers*reads)
+	}
 }
 
 // TestTamperedGatewayRejected models a compromised gateway through the
@@ -125,6 +165,12 @@ func TestVerifiedReadsUnderWriteLoad(t *testing.T) {
 // omitted range record and a replayed stale root must each be rejected by
 // the VerifyingClient with ErrVerification.
 func TestTamperedGatewayRejected(t *testing.T) {
+	for _, enc := range readEncodings {
+		t.Run(enc, func(t *testing.T) { testTamperedGatewayRejected(t, enc) })
+	}
+}
+
+func testTamperedGatewayRejected(t *testing.T, enc string) {
 	g := NewGateway()
 	defer g.Close()
 
@@ -148,7 +194,7 @@ func TestTamperedGatewayRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	vc := NewVerifyingClient(srv.URL)
+	vc := verifyingClient(srv.URL, enc)
 	// Honest baseline: everything verifies.
 	if _, err := vc.Get(feedID, "k03"); err != nil {
 		t.Fatalf("honest get rejected: %v", err)
@@ -245,6 +291,15 @@ func TestTamperedGatewayRejected(t *testing.T) {
 		}
 	})
 	mustReject("lied record count", func() error { _, err := vc.Get(feedID, "k05"); return err })
+
+	other := readEncodings[0]
+	if other == enc {
+		other = readEncodings[1]
+	}
+	if readResponses(g, "get", enc) == 0 || readResponses(g, "range", enc) == 0 ||
+		readResponses(g, "get", other) != 0 || readResponses(g, "range", other) != 0 {
+		t.Errorf("reads did not all cross the wire as %s", enc)
+	}
 }
 
 // TestAnchorPinsCount pins the anchor arithmetic directly: at one pinned
