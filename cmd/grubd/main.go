@@ -108,6 +108,24 @@ func main() {
 // drainTimeout bounds how long shutdown waits for in-flight requests.
 const drainTimeout = 10 * time.Second
 
+// Connection hygiene for both listeners: a client that trickles its request
+// headers, or parks an idle keep-alive connection, is disconnected instead
+// of holding a server goroutine and a descriptor forever. Bodies are not
+// time-bounded (a large batch on a slow link is legitimate; -max-body caps
+// its size).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// headerTimeout is the ReadHeaderTimeout newHTTPServer applies; tests
+// shorten it.
+var headerTimeout = readHeaderTimeout
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
+}
+
 // run parses flags and serves until the listener fails, stop is closed, or
 // SIGINT/SIGTERM arrives (graceful shutdown, nil error). onReady (optional)
 // receives the bound address after the listener is up; tests use it to find
@@ -172,15 +190,17 @@ func debugServer(addr string) (*http.Server, net.Listener, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return &http.Server{Handler: mux}, ln, nil
+	return newHTTPServer(mux), ln, nil
 }
 
 func serve(sc serveConfig, gopts server.GatewayOptions, w io.Writer, onReady func(net.Addr), stop <-chan struct{}) error {
 	w = &syncWriter{w: w}
+	start := time.Now()
 	g, err := server.NewGatewayWithOptions(gopts)
 	if err != nil {
 		return err
 	}
+	recovery := time.Since(start)
 	ln, err := net.Listen("tcp", sc.addr)
 	if err != nil {
 		g.Close()
@@ -232,7 +252,7 @@ func serve(sc serveConfig, gopts server.GatewayOptions, w io.Writer, onReady fun
 			return err
 		}
 	}
-	srv := &http.Server{Handler: server.NewHandlerConfig(g, hc)}
+	srv := newHTTPServer(server.NewHandlerConfig(g, hc))
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -270,7 +290,8 @@ func serve(sc serveConfig, gopts server.GatewayOptions, w io.Writer, onReady fun
 	}()
 
 	if gopts.DataDir != "" {
-		fmt.Fprintf(w, "grubd: persisting feeds under %s (%d recovered)\n", gopts.DataDir, len(g.Feeds()))
+		fmt.Fprintf(w, "grubd: persisting feeds under %s (%d recovered in %.1f ms)\n",
+			gopts.DataDir, len(g.Feeds()), float64(recovery.Microseconds())/1000)
 	}
 	if follower != nil {
 		follower.Start()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"net/http"
 	"regexp"
@@ -159,8 +160,50 @@ func TestDataDirSurvivesRestart(t *testing.T) {
 	if after.Ops != before.Ops+1 || after.Feed.Delivered != before.Feed.Delivered+1 {
 		t.Errorf("stats did not carry over: before %+v after %+v", before, after)
 	}
-	if !bytes.Contains(buf2.Bytes(), []byte("persisting feeds under")) {
-		t.Errorf("persistence banner missing: %q", buf2.String())
+	if !regexp.MustCompile(`persisting feeds under \S+ \(1 recovered in \d+\.\d ms\)`).Match(buf2.Bytes()) {
+		t.Errorf("persistence banner missing or without recovery time: %q", buf2.String())
+	}
+}
+
+// TestSlowHeadersDisconnected: a client that sends half a request line and
+// stalls is disconnected once the header timeout passes, on the API
+// listener and on the pprof listener alike.
+func TestSlowHeadersDisconnected(t *testing.T) {
+	headerTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { headerTimeout = readHeaderTimeout })
+	var buf bytes.Buffer
+	ready := make(chan net.Addr, 1)
+	stop := make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run([]string{"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0"},
+			&buf, func(a net.Addr) { ready <- a }, stop)
+	}()
+	addr := (<-ready).String()
+	m := regexp.MustCompile(`pprof listening on http://([^/\s]+)/`).FindStringSubmatch(buf.String())
+	if m == nil {
+		t.Fatalf("pprof banner missing: %q", buf.String())
+	}
+	for _, a := range []string{addr, m[1]} {
+		conn, err := net.Dial("tcp", a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte("GET /healthz HT")); err != nil {
+			t.Fatal(err)
+		}
+		// Well past the header timeout but far short of the default: only
+		// the server closing the connection ends this read in time.
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err = io.ReadAll(conn)
+		conn.Close()
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Errorf("%s: connection with a stalled request line still open after 5s", a)
+		}
+	}
+	close(stop)
+	if err := <-errc; err != nil {
+		t.Fatalf("serve returned: %v", err)
 	}
 }
 

@@ -176,6 +176,40 @@ func TestPipelineObservabilityE2E(t *testing.T) {
 	if err := f.WaitConverged(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	// The follower may have caught up by snapshot bootstrap alone, which
+	// skips the verify/apply stages. Once converged it tails the log, so
+	// one more batch ships as an entry through Apply; wait until the
+	// follower's cursor (advanced after the stages are observed) reaches
+	// the leader's sequence on every shard.
+	if _, err := c.Do("obs", []Op{{Type: "write", Key: "k00", Value: []byte("w")}, {Type: "write", Key: "k01", Value: []byte("w")}}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := leader.Query("obs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaderRoots, err := e.Roots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	caughtUp := func() bool {
+		feeds, err := f.Status()
+		if err != nil || len(feeds) != 1 || len(feeds[0].Shards) != len(leaderRoots) {
+			return false
+		}
+		for _, ss := range feeds[0].Shards {
+			if ss.Seq < leaderRoots[ss.Shard].Seq {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(30 * time.Second); !caughtUp(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			st, err := f.Status()
+			t.Fatalf("follower never reached leader anchors %+v: %+v (%v)", leaderRoots, st, err)
+		}
+	}
 
 	// Union the stage histogram counts across the pair: the leader owns
 	// the write/read stages, the follower the replication stages.

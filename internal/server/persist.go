@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"grub/internal/kvstore"
@@ -49,7 +51,11 @@ type manifest struct {
 const manifestName = "feeds.json"
 
 // NewGatewayWithOptions returns a gateway, recovering every manifest-listed
-// feed from opts.DataDir when persistence is enabled.
+// feed from opts.DataDir when persistence is enabled. Feeds share no state
+// but the gateway's mutex-guarded obs registries, so they recover
+// concurrently, at most GOMAXPROCS at a time (recovery is CPU-bound replay).
+// If any feed fails, every feed that did recover is closed and the error
+// names the first failing feed in manifest order.
 func NewGatewayWithOptions(opts GatewayOptions) (*Gateway, error) {
 	g := &Gateway{opts: opts, feeds: make(map[string]*feedEntry), start: time.Now()}
 	g.reg = obs.NewRegistry()
@@ -65,15 +71,38 @@ func NewGatewayWithOptions(opts GatewayOptions) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, cfg := range m.Feeds {
-		entry := &feedEntry{cfg: cfg, dir: g.feedDir(cfg.ID)}
-		sf, err := newShardedFeed(cfg, g.persistOptions(entry.dir), opts.ReplRetain, g.pipeline.Feed(cfg.ID), g.load.Meter(cfg.ID))
-		if err != nil {
-			g.Close()
-			return nil, fmt.Errorf("server: recover feed %q: %w", cfg.ID, err)
+	errs := make([]error, len(m.Feeds))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, cfg := range m.Feeds {
+		if _, dup := g.feeds[cfg.ID]; dup {
+			// Two recoveries must never open one store directory.
+			errs[i] = fmt.Errorf("%w: listed twice in the manifest", ErrBadConfig)
+			break
 		}
-		entry.sf = sf
-		g.feeds[cfg.ID] = entry
+		e := &feedEntry{cfg: cfg, dir: g.feedDir(cfg.ID)}
+		g.feeds[cfg.ID] = e
+		// The feed's metric series are registered here, in manifest
+		// order, so the /metrics exposition order does not depend on
+		// which recovery finishes first.
+		persist, stages, load := g.persistOptions(e.dir), g.pipeline.Feed(cfg.ID), g.load.Meter(cfg.ID)
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			e.sf, errs[i] = newShardedFeed(cfg, persist, opts.ReplRetain, stages, load)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			for _, e := range g.feeds {
+				if e.sf != nil {
+					e.sf.Close()
+				}
+			}
+			return nil, fmt.Errorf("server: recover feed %q: %w", m.Feeds[i].ID, err)
+		}
 	}
 	return g, nil
 }

@@ -317,3 +317,29 @@ func readAll(t *testing.T, resp *http.Response) string {
 		}
 	}
 }
+
+// TestWriteLogPageMatchesJSON pins writeLogPage, which encodes a page entry
+// by entry, to the bytes writeJSON would send for the whole page.
+func TestWriteLogPageMatchesJSON(t *testing.T) {
+	entries := []repl.Entry{
+		{Seq: 7, Ops: []Op{{Type: "write", Key: "<k>&", Value: []byte{0, 1, 2}}, {Type: "read", Key: "k2"}}, Count: 3, Height: 9},
+		{Seq: 8, Ops: []Op{{Type: "write", Key: "k3", Value: []byte("v")}}, Count: 4, Height: 10},
+	}
+	entries[1].Root[0] = 0xab
+	for _, page := range []repl.LogPage{
+		{Entries: entries, FloorSeq: 3, LeaderSeq: 8},
+		{Entries: entries[:1], FloorSeq: 1, LeaderSeq: 12, SnapshotRequired: true},
+		{FloorSeq: 5, LeaderSeq: 5},
+	} {
+		want := httptest.NewRecorder()
+		writeJSON(want, http.StatusOK, page)
+		got := httptest.NewRecorder()
+		writeLogPage(got, page)
+		if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
+			t.Fatalf("status/type %d %q, want %d %q", got.Code, got.Header().Get("Content-Type"), want.Code, want.Header().Get("Content-Type"))
+		}
+		if got.Body.String() != want.Body.String() {
+			t.Fatalf("body\n%s\nwant\n%s", got.Body, want.Body)
+		}
+	}
+}

@@ -189,8 +189,9 @@ type response struct {
 
 // shardState is everything one shard worker owns: the feed, its gas/op
 // accounting, the optional in-memory trace and the optional durable store.
-// New assembles it (running recovery when the store holds prior state);
-// after the worker starts, only the worker goroutine touches it.
+// New assembles it on a goroutine of its own (running recovery when the
+// store holds prior state); after the worker starts, only the worker
+// goroutine touches it.
 type shardState struct {
 	feed *core.Feed
 	// base is the genesis digest cost, excluded from gas/op. It survives
@@ -329,10 +330,10 @@ type worker struct {
 // record set, its root, the shard chain's height, and the batch count as the
 // monotone publication sequence. Every batch ends with anchor(), which seals
 // the set, so Clone here has nothing left to hash (the first view after a
-// restore is the exception; Clone seals it, still on this goroutine): it is
-// a root-pointer capture whose cost is independent of the record count, any
-// number of live views share structure, and readers of the view find every
-// node hashed.
+// restore is the exception; Clone seals it, on the shard's own recovery
+// goroutine in New): it is a root-pointer capture whose cost is independent
+// of the record count, any number of live views share structure, and readers
+// of the view find every node hashed.
 func (w *worker) publishView(st *shardState) {
 	if w.views == nil {
 		return
@@ -623,6 +624,13 @@ func (s *ShardedFeed) Engine() *query.Engine { return s.engine }
 // recovers whatever its store directory holds — newest snapshot, then log
 // replay — before accepting traffic, so New after a crash resumes exactly
 // where the durable log stops.
+//
+// Shards share no protocol state, so every shard is prepared at once, one
+// goroutine each (build, Persist.Restore and the shared obs handles must
+// therefore be safe for concurrent use); replay within a shard stays
+// sequential, so the recovered state is the same as one-at-a-time recovery.
+// If any shard fails, New closes every store that did open and returns the
+// error of the lowest-indexed failing shard, prefixed with its index.
 func New(opts Options, build func(shard int) (*core.Feed, error)) (*ShardedFeed, error) {
 	n := opts.Shards
 	if n < 1 {
@@ -637,22 +645,42 @@ func New(opts Options, build func(shard int) (*core.Feed, error)) (*ShardedFeed,
 	if restore == nil && opts.Persist != nil {
 		restore = opts.Persist.Restore
 	}
-	for i := 0; i < n; i++ {
-		st, err := newShardState(opts, i, build)
+	states := make([]*shardState, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range states {
+		w := &worker{idx: i, mail: make(chan request, mailboxDepth), done: make(chan struct{}), views: s.engine, restore: restore}
+		s.workers[i] = w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, err := newShardState(opts, i, build)
+			if err != nil {
+				errs[i] = fmt.Errorf("shard %d: %w", i, err)
+				return
+			}
+			// Initial view: reads (including absence proofs over the empty
+			// set, and recovered state after a restart) work before the
+			// first batch lands. Sealing a restored set happens here, in
+			// parallel with the other shards.
+			w.publishView(st)
+			states[i] = st
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			for j := 0; j < i; j++ {
-				s.stopWorker(s.workers[j])
+			for _, st := range states {
+				if st != nil && st.persist != nil {
+					st.persist.db.Close()
+				}
 			}
 			return nil, err
 		}
+	}
+	for i, st := range states {
 		s.replLogs[i] = st.repl
-		w := &worker{idx: i, mail: make(chan request, mailboxDepth), done: make(chan struct{}), views: s.engine, restore: restore}
-		s.workers[i] = w
-		// Initial view: reads (including absence proofs over the empty
-		// set, and recovered state after a restart) work before the
-		// first batch lands.
-		w.publishView(st)
-		go w.loop(st)
+		go s.workers[i].loop(st)
 	}
 	return s, nil
 }
