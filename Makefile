@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test race vet fmt-check bench bench-smoke bench-full fuzz-smoke docs-check check clean
+.PHONY: all build test race vet fmt-check bench fuzz-smoke docs-check check clean
 
 all: check
 
@@ -24,20 +24,6 @@ fmt-check:
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
-
-# One fast pass over every registered experiment (including the gateway,
-# shard, persistence and authenticated-read serving benchmarks) at reduced
-# scale, writing the machine-readable per-experiment metrics to
-# BENCH_smoke.json (uploaded as a CI artifact). Registry sanity is already
-# covered by TestRegistryGolden under `make race`.
-bench-smoke:
-	$(GO) run ./cmd/grubbench -all -scale 0.05 -json BENCH_smoke.json
-
-# The full-scale pass: every experiment at scale 1.0 — 20x the smoke sizes.
-# Results land in BENCH_full.json; the nightly scheduled CI job runs this
-# and uploads the file as an artifact.
-bench-full:
-	$(GO) run ./cmd/grubbench -all -scale 1.0 -json BENCH_full.json
 
 # The repo's benchmark (BENCHMARK.json; spec in benchmark/README.md): the
 # four workloads, untraced, 15 s windows, seed 1. Each run's last line is its
@@ -75,8 +61,8 @@ fuzz-smoke:
 docs-check:
 	$(GO) run ./tools/docscheck
 
-check: build vet fmt-check race bench-smoke docs-check
+check: build vet fmt-check race docs-check
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_smoke.json BENCH_full.json BENCH_e2e.jsonl
+	rm -f BENCH_e2e.jsonl

@@ -1,35 +1,19 @@
 // Command grubbench runs the paper-reproduction experiments: one per table
-// and figure of the GRuB evaluation, plus the serving-layer benchmarks
-// (gateway, shard).
-//
-// With -json the per-experiment metrics (elapsed seconds and, where the
-// experiment measures them, ops/sec and gas/op) are also written to a JSON
-// file; `make bench-smoke` uses this to produce BENCH_smoke.json and the CI
-// uploads it as an artifact, so the perf trajectory is tracked per PR.
-//
-// Timing discipline: each experiment runs -warmup discarded warmup
-// iterations (JIT-warm caches, page-faulted working set), then is measured
-// repeatedly until the cumulative measured time reaches -min-time or -max-runs
-// is hit. The JSON carries per-metric mean, standard deviation, variance and
-// interpolated p50/p95/p99 across the measured runs, so a regression — mean
-// shift or tail-only — is distinguishable from noise.
+// and figure of the GRuB evaluation. Each experiment is a deterministic Gas
+// computation on the simulated chain, so it runs once and prints its report.
+// Serving performance is measured by the repo's benchmark (go run ./benchmark).
 //
 // Usage:
 //
 //	grubbench -list
 //	grubbench -run fig7 [-scale 0.25] [-seed 42]
-//	grubbench -all [-scale 0.1] [-json BENCH_smoke.json]
+//	grubbench -all [-scale 0.1]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"math"
 	"os"
-	"sort"
-	"time"
 
 	"grub/internal/bench"
 )
@@ -41,131 +25,6 @@ func main() {
 	}
 }
 
-// metricStat summarizes one metric across the measured runs: mean/spread
-// plus interpolated percentiles over the run samples, so a tail regression
-// is visible even when the mean holds.
-type metricStat struct {
-	Mean     float64 `json:"mean"`
-	StdDev   float64 `json:"stddev"`
-	Variance float64 `json:"variance"`
-	P50      float64 `json:"p50"`
-	P95      float64 `json:"p95"`
-	P99      float64 `json:"p99"`
-}
-
-// expReport is one experiment's entry in the -json output. Metrics holds the
-// per-metric means (the shape older tooling reads); MetricStats adds the
-// spread.
-type expReport struct {
-	ID            string                `json:"id"`
-	Title         string                `json:"title"`
-	Runs          int                   `json:"runs"`
-	ElapsedSec    float64               `json:"elapsedSec"` // mean per run
-	ElapsedStdDev float64               `json:"elapsedStdDevSec"`
-	Metrics       map[string]float64    `json:"metrics,omitempty"`
-	MetricStats   map[string]metricStat `json:"metricStats,omitempty"`
-}
-
-// benchReport is the -json file shape.
-type benchReport struct {
-	Scale       float64     `json:"scale"`
-	Seed        uint64      `json:"seed"`
-	Warmup      int         `json:"warmup"`
-	Experiments []expReport `json:"experiments"`
-}
-
-// stats folds a sample set into (mean, stddev, variance, percentiles). The
-// variance is the population variance of the observed runs.
-func stats(xs []float64) metricStat {
-	if len(xs) == 0 {
-		return metricStat{}
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	mean := sum / float64(len(xs))
-	var sq float64
-	for _, x := range xs {
-		d := x - mean
-		sq += d * d
-	}
-	variance := sq / float64(len(xs))
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return metricStat{
-		Mean: mean, StdDev: math.Sqrt(variance), Variance: variance,
-		P50: quantile(sorted, 0.50), P95: quantile(sorted, 0.95), P99: quantile(sorted, 0.99),
-	}
-}
-
-// quantile interpolates the q-quantile over an ascending-sorted sample set.
-func quantile(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[n-1]
-	}
-	rank := q * float64(n-1)
-	lo := int(rank)
-	if lo+1 >= n {
-		return sorted[n-1]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo] + (sorted[lo+1]-sorted[lo])*frac
-}
-
-// measure runs one experiment with warmup iterations and a minimum
-// cumulative measurement duration, collecting per-run metric samples. Only
-// the first measured run writes the report to w (the runs are identical
-// modulo timing).
-func measure(e bench.Experiment, w io.Writer, scale float64, seed uint64, warmup int, minTime time.Duration, maxRuns int) (expReport, error) {
-	rep := expReport{ID: e.ID, Title: e.Title}
-	for i := 0; i < warmup; i++ {
-		if err := e.Run(bench.Config{W: io.Discard, Scale: scale, Seed: seed}); err != nil {
-			return rep, err
-		}
-	}
-	samples := map[string][]float64{}
-	var elapsed []float64
-	var total time.Duration
-	for run := 0; run < maxRuns && (run == 0 || total < minTime); run++ {
-		out := io.Discard
-		if run == 0 {
-			out = w
-		}
-		cfg := bench.Config{
-			W: out, Scale: scale, Seed: seed,
-			Metric: func(name string, v float64) { samples[name] = append(samples[name], v) },
-		}
-		start := time.Now()
-		if err := e.Run(cfg); err != nil {
-			return rep, err
-		}
-		d := time.Since(start)
-		total += d
-		elapsed = append(elapsed, d.Seconds())
-	}
-	rep.Runs = len(elapsed)
-	es := stats(elapsed)
-	rep.ElapsedSec, rep.ElapsedStdDev = es.Mean, es.StdDev
-	if len(samples) > 0 {
-		rep.Metrics = map[string]float64{}
-		rep.MetricStats = map[string]metricStat{}
-		for name, xs := range samples {
-			s := stats(xs)
-			rep.Metrics[name] = s.Mean
-			rep.MetricStats[name] = s
-		}
-	}
-	return rep, nil
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("grubbench", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list experiments and exit")
@@ -173,10 +32,6 @@ func run(args []string) error {
 	all := fs.Bool("all", false, "run every experiment")
 	scale := fs.Float64("scale", 1.0, "workload scale (1.0 = paper scale)")
 	seed := fs.Uint64("seed", 42, "trace seed")
-	warmup := fs.Int("warmup", 1, "discarded warmup iterations per experiment")
-	minTime := fs.Duration("min-time", 200*time.Millisecond, "minimum cumulative measured time per experiment")
-	maxRuns := fs.Int("max-runs", 5, "maximum measured runs per experiment")
-	jsonPath := fs.String("json", "", "also write per-experiment metrics JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -186,11 +41,8 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	if *warmup < 0 {
-		*warmup = 0
-	}
-	if *maxRuns < 1 {
-		*maxRuns = 1
+	if *scale <= 0 {
+		return fmt.Errorf("-scale must be positive, got %v", *scale)
 	}
 
 	var exps []bench.Experiment
@@ -207,26 +59,12 @@ func run(args []string) error {
 		return fmt.Errorf("nothing to do: pass -list, -run <id> or -all")
 	}
 
-	report := benchReport{Scale: *scale, Seed: *seed, Warmup: *warmup}
 	for _, e := range exps {
 		fmt.Printf("==== %s: %s ====\n", e.ID, e.Title)
-		rep, err := measure(e, os.Stdout, *scale, *seed, *warmup, *minTime, *maxRuns)
-		if err != nil {
+		if err := e.Run(bench.Config{W: os.Stdout, Scale: *scale, Seed: *seed}); err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		report.Experiments = append(report.Experiments, rep)
-		fmt.Printf("(%s: %d runs, %.3fs ± %.3fs per run)\n\n", e.ID, rep.Runs, rep.ElapsedSec, rep.ElapsedStdDev)
-	}
-
-	if *jsonPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d experiments)\n", *jsonPath, len(report.Experiments))
+		fmt.Println()
 	}
 	return nil
 }

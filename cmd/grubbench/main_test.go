@@ -1,11 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestList(t *testing.T) {
 	if err := run([]string{"-list"}); err != nil {
@@ -19,36 +14,19 @@ func TestRunSingleExperiment(t *testing.T) {
 	}
 }
 
-// TestJSONReport runs the serving benchmarks with -json and checks the
-// report carries the throughput metrics the CI artifact tracks.
-func TestJSONReport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := run([]string{"-run", "shard", "-scale", "0.02", "-json", path}); err != nil {
-		t.Fatalf("-run shard -json: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v\n%s", err, data)
-	}
-	if len(rep.Experiments) != 1 || rep.Experiments[0].ID != "shard" {
-		t.Fatalf("report experiments = %+v, want [shard]", rep.Experiments)
-	}
-	e := rep.Experiments[0]
-	if e.ElapsedSec <= 0 {
-		t.Errorf("elapsedSec = %v, want > 0", e.ElapsedSec)
-	}
-	if e.Metrics["shards4.opsPerSec"] <= 0 || e.Metrics["shards4.gasPerOp"] <= 0 {
-		t.Errorf("shard metrics missing: %+v", e.Metrics)
-	}
-}
-
 func TestUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-run", "fig99"}); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+}
+
+// TestNonPositiveScale: a zero or negative -scale is an error, not a
+// silent run at full paper scale.
+func TestNonPositiveScale(t *testing.T) {
+	for _, s := range []string{"0", "-0.5"} {
+		if err := run([]string{"-run", "table1", "-scale", s}); err == nil {
+			t.Errorf("-scale %s accepted", s)
+		}
 	}
 }
 

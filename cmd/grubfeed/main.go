@@ -166,8 +166,7 @@ type loadConfig struct {
 }
 
 // runLoad replays YCSB batches against a gateway from N concurrent clients
-// (the fan-out itself lives in server.RunLoad, shared with the bench
-// experiment).
+// (the fan-out itself lives in server.RunLoad).
 func runLoad(w io.Writer, cfg loadConfig) error {
 	spec, err := ycsb.SpecByName(cfg.workload)
 	if err != nil {

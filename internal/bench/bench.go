@@ -1,10 +1,11 @@
-// Package bench implements the experiment harness: one runner per table and
-// figure of the paper's evaluation. Each runner regenerates the workload,
-// drives it through GRuB and the baselines on the simulated chain, and
-// prints the same rows or series the paper reports.
+// Package bench implements the paper's evaluation: one runner per table and
+// figure. Each runner regenerates the workload, drives it through GRuB and
+// the baselines on the simulated chain, and prints the same rows or series
+// the paper reports. The runners are deterministic Gas computations; serving
+// performance is measured by the repo's benchmark (go run ./benchmark).
 //
 // cmd/grubbench exposes the registry on the command line; the root-level
-// bench_test.go exposes each experiment as a testing.B benchmark.
+// bench_test.go runs every experiment as a testing.B sub-benchmark.
 package bench
 
 import (
@@ -30,17 +31,6 @@ type Config struct {
 	Scale float64
 	// Seed makes every synthetic trace deterministic.
 	Seed uint64
-	// Metric, when set, receives named scalar results (ops/sec, gas/op)
-	// from experiments that measure them; cmd/grubbench uses it to write
-	// the machine-readable BENCH_smoke.json the CI tracks per PR.
-	Metric func(name string, value float64)
-}
-
-// metric reports a named scalar result if a collector is configured.
-func (c Config) metric(name string, value float64) {
-	if c.Metric != nil {
-		c.Metric(name, value)
-	}
 }
 
 func (c Config) withDefaults() Config {
@@ -98,14 +88,6 @@ var Registry = []Experiment{
 	{ID: "fig14", Title: "Gas under YCSB with varying K", Run: RunFig14},
 	{ID: "fig15", Title: "Adaptive-K policies under ethPriceOracle (time series)", Run: RunFig15},
 	{ID: "table5", Title: "Aggregated Gas under ethPriceOracle (static vs adaptive K)", Run: RunTable5},
-	{ID: "gateway", Title: "Concurrent multi-feed gateway throughput (ops/sec, gas/op)", Run: RunGateway},
-	{ID: "shard", Title: "Sharded feed scatter-gather scaling at 1/2/4/8 shards (ops/sec, gas/op)", Run: RunShard},
-	{ID: "persist", Title: "Durable gateway: WAL on/off throughput and recovery time vs log length", Run: RunPersist},
-	{ID: "query", Title: "Authenticated read path: verified-read vs worker-path throughput, proof bytes/op", Run: RunQuery},
-	{ID: "repl", Title: "Replicated gateway: follower catch-up MB/s, verified reads at 1/2/4 followers", Run: RunRepl},
-	{ID: "cluster", Title: "Self-routing cluster: write ops/sec at 1/2/4 nodes, owner-local vs forwarded write latency", Run: RunCluster},
-	{ID: "publish", Title: "View-publication cost scaling: per-batch publish at 1k vs 100k records", Run: RunPublish},
-	{ID: "loadreport", Title: "Load accounting plane: metering tax, heartbeat digest cost, /cluster/load latency at 1k feeds", Run: RunLoadReport},
 }
 
 // ByID resolves an experiment.

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -93,4 +95,64 @@ func TestMergeLoads(t *testing.T) {
 	if got[1].Feed != "f2" || got[1].OpsPerSec != 90 {
 		t.Errorf("f2 merge = %+v", got[1])
 	}
+}
+
+// benchFeeds is the node size the load plane is designed for: one
+// LoadTracker metering about a thousand feeds.
+const benchFeeds = 1000
+
+func benchTracker() (*LoadTracker, []*RateMeter) {
+	lt := NewLoadTracker()
+	meters := make([]*RateMeter, benchFeeds)
+	for i := range meters {
+		meters[i] = lt.Meter(fmt.Sprintf("lf%04d", i))
+	}
+	return lt, meters
+}
+
+// BenchmarkRateMeterAdd times the metering tax on the write path: the
+// shard worker calls RateMeter.Add once per applied batch. One op is one
+// Add, spread across every feed's meter.
+func BenchmarkRateMeterAdd(b *testing.B) {
+	_, meters := benchTracker()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % benchFeeds
+		meters[k].Add(1+k%7, float64(3*(1+k%7)), 64, 0)
+	}
+}
+
+// BenchmarkLoadTrackerSnapshot times what every cluster heartbeat pays to
+// build its load digest at 1k feeds: rank every feed's rate and keep the
+// hottest 64 (the cluster's per-heartbeat cap). It reports the digest's
+// JSON size as digest_bytes.
+func BenchmarkLoadTrackerSnapshot(b *testing.B) {
+	const digestCap = 64
+	lt, meters := benchTracker()
+	now := int64(1000)
+	for k, m := range meters {
+		m.addAt(now-1, float64(1+k%7), float64(3*(1+k%7)), 64, 0)
+	}
+	if n := len(lt.snapshotAt(now)); n != benchFeeds {
+		b.Fatalf("snapshot has %d feeds, want %d", n, benchFeeds)
+	}
+	var digest []FeedLoad
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		digest = lt.snapshotAt(now)
+		if len(digest) > digestCap {
+			digest = digest[:digestCap]
+		}
+	}
+	b.StopTimer()
+	if len(digest) != digestCap {
+		b.Fatalf("digest has %d feeds, want %d", len(digest), digestCap)
+	}
+	wire, err := json.Marshal(digest)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(len(wire)), "digest_bytes")
 }

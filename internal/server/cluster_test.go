@@ -47,7 +47,7 @@ func (tn *testClusterNode) alive() bool {
 
 // startTestCluster brings up n cluster nodes on ephemeral ports with fast
 // test cadences. Every node knows every other as a static peer.
-func startTestCluster(t *testing.T, n int) []*testClusterNode {
+func startTestCluster(t testing.TB, n int) []*testClusterNode {
 	t.Helper()
 	return startTestClusterCfg(t, n, nil)
 }
@@ -56,7 +56,7 @@ func startTestCluster(t *testing.T, n int) []*testClusterNode {
 // hook: mod runs on each node's config (Cluster pre-filled) before the
 // handler is built, so tests can enable slow-op logging or tracing knobs
 // on individual members.
-func startTestClusterCfg(t *testing.T, n int, mod func(i int, hc *HandlerConfig)) []*testClusterNode {
+func startTestClusterCfg(t testing.TB, n int, mod func(i int, hc *HandlerConfig)) []*testClusterNode {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -104,7 +104,7 @@ func startTestClusterCfg(t *testing.T, n int, mod func(i int, hc *HandlerConfig)
 // owner for feed and returns that owner's index in nodes. Requiring full
 // agreement (not just one node's view) means callers can immediately route
 // through any node without racing placement-map propagation.
-func ownerIndex(t *testing.T, nodes []*testClusterNode, feed string, timeout time.Duration) int {
+func ownerIndex(t testing.TB, nodes []*testClusterNode, feed string, timeout time.Duration) int {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
@@ -571,5 +571,34 @@ func TestClusterMigration(t *testing.T) {
 	}
 	if got, lo, hi := st.Feed.Records, len(acked), len(acked)+len(unknown)+len(pads); got < lo || got > hi {
 		t.Fatalf("records = %d, want within [%d, %d] (no lost or duplicated ops)", got, lo, hi)
+	}
+}
+
+// BenchmarkClusterWrite times one single-op write on a 2-node cluster,
+// sent to the feed's owner (applied locally) and to the other node
+// (proxied one hop to the owner): the difference is the forward tax.
+func BenchmarkClusterWrite(b *testing.B) {
+	nodes := startTestCluster(b, 2)
+	const feed = "bench"
+	if err := NewClient(nodes[0].url).CreateFeed(FeedConfig{ID: feed, EpochOps: 8}); err != nil {
+		b.Fatal(err)
+	}
+	oi := ownerIndex(b, nodes, feed, 5*time.Second)
+	for _, path := range []struct {
+		name string
+		node int
+	}{{"owner", oi}, {"forwarded", 1 - oi}} {
+		b.Run(path.name, func(b *testing.B) {
+			c := NewClient(nodes[path.node].url)
+			op := []Op{{Type: "write", Value: []byte("benchvalue")}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op[0].Key = fmt.Sprintf("%s-%d", path.name, i%256)
+				if _, err := c.Do(feed, op); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // StartLocal brings up a gateway HTTP server on a loopback ephemeral port.
-// It returns the base URL and a shutdown func. The load driver and the
-// bench experiment use it to run standalone.
+// It returns the base URL and a shutdown func. The load driver uses it to
+// run standalone.
 func StartLocal() (url string, shutdown func(), err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
