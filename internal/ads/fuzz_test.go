@@ -9,9 +9,10 @@ import (
 
 // FuzzSetOps drives the persistent tree with an arbitrary byte-encoded op
 // stream (Put / Delete / SetState / point proofs / absence proofs / range
-// proofs / clones) against a plain map model. Every intermediate state must
-// agree with the model, every proof must verify against the current root,
-// every clone must still be what it was when taken once the stream ends, and
+// proofs / Root anchors / clones) against a plain map model. Every
+// intermediate state must agree with the model, every proof must verify
+// against the current root, every clone must still be what it was when taken
+// at every later anchor and clone and once the stream ends, and
 // the final state must be reproducible — identical root — by replaying the
 // surviving records in sorted order (the snapshot-restore path).
 //
@@ -21,6 +22,7 @@ func FuzzSetOps(f *testing.F) {
 	f.Add([]byte{0x10, 0x11, 0x12, 0x13, 0x00, 0x01, 0x30, 0x31})
 	f.Add(bytes.Repeat([]byte{0x00, 0x05, 0x25, 0x45}, 16))
 	f.Add([]byte{0x01, 0x12, 0xf0, 0x01, 0x41, 0x72, 0xf0, 0x23, 0x80, 0xf0, 0x52})
+	f.Add([]byte{0x01, 0x02, 0x03, 0xe0, 0x21, 0x12, 0xe0, 0xf0, 0x01, 0x51, 0xe0, 0x61, 0x02, 0xf0, 0x33, 0xe0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewSet()
 		model := map[string]Record{}
@@ -71,8 +73,17 @@ func FuzzSetOps(f *testing.F) {
 						t.Fatalf("step %d: absence proof for %s failed: %v", step, key, err)
 					}
 				}
-			case 15: // clone here, check it after the rest of the stream
-				clones = append(clones, captureOf(s))
+			case 14, 15: // an epoch anchor, or a clone; later ops edit in place
+				if b>>4 == 14 {
+					s.Root()
+				} else {
+					clones = append(clones, captureOf(s))
+				}
+				for i, c := range clones {
+					if err := c.check(); err != nil {
+						t.Fatalf("step %d: clone %d of %d: %v", step, i, len(clones), err)
+					}
+				}
 			default: // range proof over a window derived from the byte
 				lo := fmt.Sprintf("k%x", b&0x07)
 				hi := fmt.Sprintf("k%x", (b&0x07)+(b>>5))

@@ -126,13 +126,13 @@ func pruneSearch(n *node, ts []target) *ProofTree {
 	if n == nil {
 		return nil
 	}
-	pt := &ProofTree{Rec: cloneRec(n.rec)}
+	pt := &ProofTree{Rec: cloneRec(n.record())}
 	var lts, rts []target
 	for _, t := range ts {
 		switch {
-		case less(t.st, t.key, n.rec.State, n.rec.Key):
+		case less(t.st, t.key, n.state, n.key):
 			lts = append(lts, t)
-		case less(n.rec.State, n.rec.Key, t.st, t.key):
+		case less(n.state, n.key, t.st, t.key):
 			rts = append(rts, t)
 		}
 		// An exact hit terminates that target's path here.
@@ -266,12 +266,12 @@ func pruneWindow(n *node, lo, hi string) *ProofTree {
 	if n == nil {
 		return nil
 	}
-	pt := &ProofTree{Rec: cloneRec(n.rec)}
+	pt := &ProofTree{Rec: cloneRec(n.record())}
 	switch {
-	case less(n.rec.State, n.rec.Key, NR, lo):
+	case less(n.state, n.key, NR, lo):
 		// Node below the window: its left subtree is entirely below too.
 		pt.Left, pt.Right = stub(n.left), pruneWindow(n.right, lo, hi)
-	case less(NR, hi, n.rec.State, n.rec.Key):
+	case less(NR, hi, n.state, n.key):
 		pt.Left, pt.Right = pruneWindow(n.left, lo, hi), stub(n.right)
 	default:
 		pt.Left, pt.Right = pruneWindow(n.left, lo, hi), pruneWindow(n.right, lo, hi)

@@ -19,7 +19,7 @@ import (
 func referenceRoot(recs []Record) merkle.Hash {
 	probes := make([]*node, len(recs))
 	for i, r := range recs {
-		probes[i] = &node{rec: r, prio: prioOf(r.State, r.Key)}
+		probes[i] = &node{key: r.Key, state: r.State, value: r.Value, prio: prioOf(r.State, r.Key)}
 	}
 	var hash func(span []*node) merkle.Hash
 	hash = func(span []*node) merkle.Hash {
@@ -32,7 +32,7 @@ func referenceRoot(recs []Record) merkle.Hash {
 				top = i
 			}
 		}
-		leaf := merkle.HashLeaf(span[top].rec.Encode())
+		leaf := merkle.HashLeaf(span[top].record().Encode())
 		return merkle.HashInner(merkle.HashInner(hash(span[:top]), leaf), hash(span[top+1:]))
 	}
 	return merkle.HashInner(CountLeaf(len(recs)), hash(probes))
@@ -94,32 +94,32 @@ func checkTree(n *node, sealed bool) error {
 	}
 	for _, c := range []*node{n.left, n.right} {
 		if c != nil && c.dirty && !n.dirty {
-			return fmt.Errorf("sealed node %q has dirty child %q: seal would never reach it", n.rec.Key, c.rec.Key)
+			return fmt.Errorf("sealed node %q has dirty child %q: seal would never reach it", n.key, c.key)
 		}
 		if c != nil && higher(c, n) {
-			return fmt.Errorf("heap order broken at %q / %q", n.rec.Key, c.rec.Key)
+			return fmt.Errorf("heap order broken at %q / %q", n.key, c.key)
 		}
 		if err := checkTree(c, sealed); err != nil {
 			return err
 		}
 	}
 	if want := size(n.left) + 1 + size(n.right); size(n) != want {
-		return fmt.Errorf("node %q has size %d, want %d", n.rec.Key, n.size, want)
+		return fmt.Errorf("node %q has size %d, want %d", n.key, n.size, want)
 	}
 	if n.staleLeaf && !n.dirty {
-		return fmt.Errorf("sealed node %q has a stale leaf", n.rec.Key)
+		return fmt.Errorf("sealed node %q has a stale leaf", n.key)
 	}
 	if !sealed {
 		return nil
 	}
 	if n.dirty {
-		return fmt.Errorf("node %q is dirty after a seal", n.rec.Key)
+		return fmt.Errorf("node %q is dirty after a seal", n.key)
 	}
-	if n.leaf != n.rec.Leaf() {
-		return fmt.Errorf("node %q caches a leaf that is not its record's", n.rec.Key)
+	if n.leaf != n.record().Leaf() {
+		return fmt.Errorf("node %q caches a leaf that is not its record's", n.key)
 	}
 	if want := merkle.HashInner(merkle.HashInner(hashOf(n.left), n.leaf), hashOf(n.right)); n.hash != want {
-		return fmt.Errorf("node %q has hash %v, want %v", n.rec.Key, n.hash, want)
+		return fmt.Errorf("node %q has hash %v, want %v", n.key, n.hash, want)
 	}
 	return nil
 }
@@ -188,6 +188,60 @@ func TestCloneIsOneAllocation(t *testing.T) {
 	}
 }
 
+// TestUnpublishedUpdateIsOneAllocation pins the ownership rule's payoff: with
+// no Clone outstanding, a value update plus the Root that anchors it edits
+// the sealed root path in place, so the value copy is the only allocation.
+// The first update after a Clone copies its path instead — the clone must
+// not see it — and the same key's next update is back to one allocation.
+func TestUnpublishedUpdateIsOneAllocation(t *testing.T) {
+	const n = 10_000
+	s := NewSet()
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%05d", i)
+		s.Put(rec(keys[i], State(i&1), "value"))
+	}
+	s.Root()
+	value := []byte("a 32-byte value, as in the paper")
+	i := 0
+	update := func() {
+		s.Put(Record{Key: keys[i*7919%n], State: State(i * 7919 % n & 1), Value: value})
+		s.Root()
+		i++
+	}
+	if allocs := testing.AllocsPerRun(100, update); allocs != 1 {
+		t.Fatalf("update + Root with no clone outstanding: %v allocations, want 1", allocs)
+	}
+
+	c := captureOf(s)
+	again := func() {
+		s.Put(Record{Key: keys[0], Value: value})
+		s.Root()
+	}
+	var frozen *Set
+	if allocs := testing.AllocsPerRun(10, func() { frozen = s.Clone(); again() }); allocs < 10 {
+		t.Fatalf("Clone then update: %v allocations, want the update's root path copied", allocs)
+	}
+	if frozen.Len() != n {
+		t.Fatalf("clone has %d records", frozen.Len())
+	}
+	if err := c.check(); err != nil {
+		t.Fatalf("after updates that follow clones: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(100, again); allocs != 1 {
+		t.Fatalf("the same key's later updates: %v allocations, want 1", allocs)
+	}
+	if err := c.check(); err != nil {
+		t.Fatalf("after in-place updates: %v", err)
+	}
+	if err := checkTree(s.root, true); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Root(), referenceRoot(s.Records()); got != want {
+		t.Fatalf("root %v, reference %v", got, want)
+	}
+}
+
 // TestNodeFitsItsSizeClass: the cached leaf hash was paid for by packing
 // the flags beside size; one more word per node is 16 more bytes per record.
 func TestNodeFitsItsSizeClass(t *testing.T) {
@@ -222,8 +276,9 @@ func TestLeafHashesDoNotAllocate(t *testing.T) {
 }
 
 // TestCloneIsolationUnderMutation is the ownership rule under -race: the
-// owner keeps mutating (and sealing, and cloning) while readers use clones
-// taken at random points. A reader must never observe — or, by the race
+// owner keeps mutating (and sealing, and cloning, and editing its sealed
+// nodes in place between epoch anchors) while readers use clones taken at
+// random points. A reader must never observe — or, by the race
 // detector, touch — memory the owner writes, every clone must remain what
 // it was at capture, and every proof from a clone must verify against its
 // captured root.
@@ -263,21 +318,34 @@ func TestCloneIsolationUnderMutation(t *testing.T) {
 	r := sim.NewRand(3)
 	s := NewSet()
 	var all []capture
+	// anchored is the sealed root of the last epoch anchor, until the next
+	// mutation; inPlace counts mutations that kept it as the root, that is,
+	// edited a sealed node of the owner's generation in place.
+	var anchored *node
+	inPlace := 0
 	for i := 0; i < ops; i++ {
 		mutate(s, r, keys)
-		switch r.Intn(50) {
-		case 0:
+		if anchored != nil && s.root == anchored {
+			inPlace++
+		}
+		anchored = nil
+		switch n := r.Intn(50); {
+		case n == 0:
 			c := captureOf(s)
 			all = append(all, c)
 			handoff <- c
-		case 1:
+		case n < 10:
 			s.Root() // an epoch anchor with no publication
+			anchored = s.root
 		}
 	}
 	close(handoff)
 	wg.Wait()
 	if len(all) < ops/100 {
 		t.Fatalf("only %d clones taken", len(all))
+	}
+	if inPlace < ops/100 {
+		t.Fatalf("only %d mutations edited a sealed root in place", inPlace)
 	}
 	// After every later mutation of the owner: still what they were.
 	for i, c := range all {

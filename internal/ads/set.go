@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"iter"
+	"sync/atomic"
 
 	"grub/internal/merkle"
 )
@@ -19,13 +21,18 @@ import (
 //     touched since the last seal, however many mutations touched them. GRuB
 //     signs one digest per gPuts epoch; an epoch of puts pays for its root
 //     paths once.
-//   - The ownership rule. Clone seals before it captures the root, so a
-//     dirty node is reachable only from the Set that created it. Mutations
-//     therefore edit dirty nodes in place and copy only sealed ones, and a
-//     sealed node is never written again: a frozen clone (one nobody
-//     mutates) does no writes in any method and is safe for any number of
-//     concurrent readers, and later mutations of the set it came from never
-//     show through it.
+//   - The ownership rule. Every node carries the generation of the Set that
+//     created it, and a Set edits in place exactly the nodes of its current
+//     generation, sealed or not; any other node is copied before it is
+//     written. Clone is what ends a generation: the set gives up its stamp
+//     (a fresh one is drawn at its next mutation), so every node a clone can
+//     reach is copied before the set writes it again. A clone owns no node
+//     until it is itself mutated, so a frozen clone (one nobody mutates)
+//     does no writes in any method and is safe for any number of concurrent
+//     readers, and later mutations of the set it came from never show
+//     through it. Between clones — the epochs of puts a feed anchors with
+//     Root and publishes nowhere — a mutation allocates nothing but the
+//     value copy and, for a new key, its node.
 //
 // A Set that is being mutated has a single owner: sealing writes node
 // hashes, so Root, Clone and the Prove methods are not reads on it. Clone
@@ -58,26 +65,44 @@ import (
 // why sharing it is sound).
 type Set struct {
 	root *node
+	// gen is the generation whose nodes this set may edit in place; 0 (a
+	// new set, a clone, a set just cloned) owns none.
+	gen uint64
 }
 
-// node is one tree node. While dirty it belongs to the one Set that created
-// it and is edited in place; once sealed it is immutable and shared freely
-// across Set versions. The fields fill the 144-byte allocation size class
-// exactly; one more word moves every record to the 160-byte class.
+// generations hands out node generations. 64 bits never wrap, so a
+// generation is never reused: a node stamped by one Set can never look owned
+// to another, or to the same Set after a Clone.
+var generations atomic.Uint64
+
+// node is one tree node. The record's fields sit flat in the node so that
+// they, the generation stamp, the flags and the two cached hashes fill the
+// 144-byte allocation size class exactly; one more word moves every record
+// to the 160-byte class.
 type node struct {
-	rec         Record
+	key         string
+	value       []byte
 	prio        uint64
 	left, right *node
-	size        int32
+	// gen is the generation of the Set that created this node (or this
+	// copy of it); only a Set of that generation writes it.
+	gen   uint64
+	size  int32
+	state State
 	// dirty: created or edited since the last seal, so hash (and, if
 	// staleLeaf, leaf) is out of date. Every ancestor of a dirty node is
 	// dirty, which lets seal stop at the first sealed node.
 	dirty, staleLeaf bool
-	// leaf caches rec.Leaf(); it changes only when rec does, so copying a
-	// sealed node on another key's root path re-hashes no record.
+	// leaf caches the record's leaf hash; it changes only when the record
+	// does, so copying a node on another key's root path re-hashes no
+	// record.
 	leaf merkle.Hash
 	hash merkle.Hash
 }
+
+// record returns the node's record. Its value bytes are the set's own, never
+// written after they are stored: an update installs a fresh copy.
+func (n *node) record() Record { return Record{Key: n.key, State: n.state, Value: n.value} }
 
 func size(n *node) int {
 	if n == nil {
@@ -94,15 +119,25 @@ func hashOf(n *node) merkle.Hash {
 	return n.hash
 }
 
-// own returns the node a mutation may edit in n's place: n itself when it is
-// dirty (no other Set can reach it), a dirty copy when it is sealed.
-func own(n *node) *node {
-	if n.dirty {
-		return n
+// claim gives the set a generation of its own before a mutation, if it has
+// none.
+func (s *Set) claim() {
+	if s.gen == 0 {
+		s.gen = generations.Add(1)
 	}
-	c := *n
-	c.dirty = true
-	return &c
+}
+
+// own returns the node a mutation may edit in n's place, marked dirty: n
+// itself when it is of the set's generation (no clone can reach it), a copy
+// stamped with that generation otherwise.
+func (s *Set) own(n *node) *node {
+	if n.gen != s.gen {
+		c := *n
+		c.gen = s.gen
+		n = &c
+	}
+	n.dirty = true
+	return n
 }
 
 // resize recomputes an owned node's subtree size after a child changed.
@@ -118,7 +153,7 @@ func seal(n *node) {
 	seal(n.left)
 	seal(n.right)
 	if n.staleLeaf {
-		n.leaf = n.rec.Leaf()
+		n.leaf = n.record().Leaf()
 		n.staleLeaf = false
 	}
 	n.hash = merkle.HashInner(merkle.HashInner(hashOf(n.left), n.leaf), hashOf(n.right))
@@ -142,20 +177,21 @@ func higher(a, b *node) bool {
 	if a.prio != b.prio {
 		return a.prio > b.prio
 	}
-	return less(a.rec.State, a.rec.Key, b.rec.State, b.rec.Key)
+	return less(a.state, a.key, b.state, b.key)
 }
 
 // insert puts rec into the subtree, replacing the value if (state, key)
 // already exists, and returns the subtree's new root — always an owned
 // (dirty) node. rec.Value must already be owned by the set.
-func insert(n *node, rec Record) *node {
+func (s *Set) insert(n *node, rec Record) *node {
 	if n == nil {
-		return &node{rec: rec, prio: prioOf(rec.State, rec.Key), size: 1, dirty: true, staleLeaf: true}
+		return &node{key: rec.Key, value: rec.Value, state: rec.State, prio: prioOf(rec.State, rec.Key),
+			gen: s.gen, size: 1, dirty: true, staleLeaf: true}
 	}
 	switch {
-	case less(rec.State, rec.Key, n.rec.State, n.rec.Key):
-		l := insert(n.left, rec)
-		n = own(n)
+	case less(rec.State, rec.Key, n.state, n.key):
+		l := s.insert(n.left, rec)
+		n = s.own(n)
 		if higher(l, n) {
 			// Rotate right: the inserted node bubbles up.
 			n.left, l.right = l.right, n
@@ -164,9 +200,9 @@ func insert(n *node, rec Record) *node {
 			return l
 		}
 		n.left = l
-	case less(n.rec.State, n.rec.Key, rec.State, rec.Key):
-		r := insert(n.right, rec)
-		n = own(n)
+	case less(n.state, n.key, rec.State, rec.Key):
+		r := s.insert(n.right, rec)
+		n = s.own(n)
 		if higher(r, n) {
 			n.right, r.left = r.left, n
 			n.resize()
@@ -175,8 +211,8 @@ func insert(n *node, rec Record) *node {
 		}
 		n.right = r
 	default:
-		n = own(n)
-		n.rec, n.staleLeaf = rec, true
+		n = s.own(n)
+		n.value, n.staleLeaf = rec.Value, true
 		return n
 	}
 	n.resize()
@@ -185,19 +221,19 @@ func insert(n *node, rec Record) *node {
 
 // del removes (st, key) from the subtree; the removed node's subtrees are
 // merged by priority, keeping the canonical shape.
-func del(n *node, st State, key string) *node {
+func (s *Set) del(n *node, st State, key string) *node {
 	if n == nil {
 		return nil
 	}
 	switch {
-	case less(st, key, n.rec.State, n.rec.Key):
-		n = own(n)
-		n.left = del(n.left, st, key)
-	case less(n.rec.State, n.rec.Key, st, key):
-		n = own(n)
-		n.right = del(n.right, st, key)
+	case less(st, key, n.state, n.key):
+		n = s.own(n)
+		n.left = s.del(n.left, st, key)
+	case less(n.state, n.key, st, key):
+		n = s.own(n)
+		n.right = s.del(n.right, st, key)
 	default:
-		return merge(n.left, n.right)
+		return s.merge(n.left, n.right)
 	}
 	n.resize()
 	return n
@@ -205,7 +241,7 @@ func del(n *node, st State, key string) *node {
 
 // merge joins two treaps where every record in a orders before every record
 // in b.
-func merge(a, b *node) *node {
+func (s *Set) merge(a, b *node) *node {
 	if a == nil {
 		return b
 	}
@@ -213,13 +249,13 @@ func merge(a, b *node) *node {
 		return a
 	}
 	if higher(a, b) {
-		a = own(a)
-		a.right = merge(a.right, b)
+		a = s.own(a)
+		a.right = s.merge(a.right, b)
 		a.resize()
 		return a
 	}
-	b = own(b)
-	b.left = merge(a, b.left)
+	b = s.own(b)
+	b.left = s.merge(a, b.left)
 	b.resize()
 	return b
 }
@@ -228,9 +264,9 @@ func merge(a, b *node) *node {
 func lookup(n *node, st State, key string) *node {
 	for n != nil {
 		switch {
-		case less(st, key, n.rec.State, n.rec.Key):
+		case less(st, key, n.state, n.key):
 			n = n.left
-		case less(n.rec.State, n.rec.Key, st, key):
+		case less(n.state, n.key, st, key):
 			n = n.right
 		default:
 			return n
@@ -259,7 +295,7 @@ func (s *Set) Get(key string) (Record, bool) {
 	if n == nil {
 		return Record{}, false
 	}
-	return n.rec, true
+	return n.record(), true
 }
 
 // CountState returns the number of records in state st in O(log n). Records
@@ -268,7 +304,7 @@ func (s *Set) Get(key string) (Record, bool) {
 func (s *Set) CountState(st State) int {
 	nr := 0
 	for n := s.root; n != nil; {
-		if n.rec.State == NR {
+		if n.state == NR {
 			nr += size(n.left) + 1
 			n = n.right
 		} else {
@@ -290,11 +326,32 @@ func (s *Set) Records() []Record {
 			return
 		}
 		walk(n.left)
-		out = append(out, n.rec)
+		out = append(out, n.record())
 		walk(n.right)
 	}
 	walk(s.root)
 	return out
+}
+
+// Group yields the records in state st in key order. It visits only the
+// group's nodes and the search paths bounding it: the NR group is the
+// in-order prefix of the tree, the R group the suffix.
+func (s *Set) Group(st State) iter.Seq[Record] {
+	return func(yield func(Record) bool) {
+		var walk func(n *node) bool
+		walk = func(n *node) bool {
+			switch {
+			case n == nil:
+				return true
+			case n.state < st: // n and its left subtree precede the group
+				return walk(n.right)
+			case n.state > st: // n and its right subtree follow it
+				return walk(n.left)
+			}
+			return walk(n.left) && yield(n.record()) && walk(n.right)
+		}
+		walk(s.root)
+	}
 }
 
 // Put inserts or updates key with the given value and state. If the record
@@ -302,15 +359,16 @@ func (s *Set) Records() []Record {
 // the previous state and whether the key already existed.
 func (s *Set) Put(rec Record) (prev State, existed bool) {
 	rec.Value = append([]byte(nil), rec.Value...)
+	s.claim()
 	if n := s.find(rec.Key); n != nil {
-		prev = n.rec.State
+		prev = n.state
 		if prev != rec.State {
-			s.root = del(s.root, prev, rec.Key)
+			s.root = s.del(s.root, prev, rec.Key)
 		}
-		s.root = insert(s.root, rec)
+		s.root = s.insert(s.root, rec)
 		return prev, true
 	}
-	s.root = insert(s.root, rec)
+	s.root = s.insert(s.root, rec)
 	return 0, false
 }
 
@@ -320,7 +378,8 @@ func (s *Set) Delete(key string) bool {
 	if n == nil {
 		return false
 	}
-	s.root = del(s.root, n.rec.State, key)
+	s.claim()
+	s.root = s.del(s.root, n.state, key)
 	return true
 }
 
@@ -331,13 +390,14 @@ func (s *Set) SetState(key string, state State) bool {
 	if n == nil {
 		return false
 	}
-	if n.rec.State == state {
+	if n.state == state {
 		return true
 	}
-	rec := n.rec
+	rec := n.record()
 	rec.State = state
-	s.root = del(s.root, n.rec.State, key)
-	s.root = insert(s.root, rec)
+	s.claim()
+	s.root = s.del(s.root, n.state, key)
+	s.root = s.insert(s.root, rec)
 	return true
 }
 
@@ -363,14 +423,18 @@ func (s *Set) Root() merkle.Hash {
 }
 
 // Clone seals the set and captures its current version as a frozen copy: the
-// returned Set shares every node with the receiver, and since sealed nodes
-// are immutable and later mutations of the receiver copy them, the clone is
-// a stable snapshot safe for concurrent use from many goroutines. This is
-// what the snapshot-isolated query views are built from. On a sealed set
-// (the shard worker anchors every batch with Root before it publishes)
-// Clone is one allocation, whatever the record count.
+// returned Set shares every node with the receiver, and since the receiver
+// gives up its generation here, its later mutations copy every shared node
+// before writing it, so the clone is a stable snapshot safe for concurrent
+// use from many goroutines. This is what the snapshot-isolated query views
+// are built from. On a sealed set (the shard worker anchors every batch with
+// Root before it publishes) Clone is one allocation, whatever the record
+// count, and on a frozen clone it writes nothing.
 func (s *Set) Clone() *Set {
 	seal(s.root)
+	if s.gen != 0 { // readers may clone a frozen clone concurrently
+		s.gen = 0
+	}
 	return &Set{root: s.root}
 }
 
@@ -441,7 +505,7 @@ func (s *Set) ProveKeyAt(key string, countLeaf merkle.Hash) (Record, *merkle.Pro
 	}
 	p.LeafCount = s.Len()
 	p.Path = append(p.Path, merkle.ProofNode{Left: true, Hash: countLeaf})
-	return n.rec, p, true
+	return n.record(), p, true
 }
 
 // proveKeyPath is provePath steered by (st, key) instead of by index. It
@@ -456,7 +520,7 @@ func proveKeyPath(n *node, st State, key string, rank, steps int) (*node, *merkl
 		return nil, nil
 	}
 	switch {
-	case less(st, key, n.rec.State, n.rec.Key):
+	case less(st, key, n.state, n.key):
 		hit, p := proveKeyPath(n.left, st, key, rank, steps+2)
 		if hit != nil {
 			p.Path = append(p.Path,
@@ -464,7 +528,7 @@ func proveKeyPath(n *node, st State, key string, rank, steps int) (*node, *merkl
 				merkle.ProofNode{Left: false, Hash: hashOf(n.right)})
 		}
 		return hit, p
-	case less(n.rec.State, n.rec.Key, st, key):
+	case less(n.state, n.key, st, key):
 		hit, p := proveKeyPath(n.right, st, key, rank+size(n.left)+1, steps+1)
 		if hit != nil {
 			p.Path = append(p.Path,
@@ -487,17 +551,17 @@ func collectKeys(n *node, st State, start string, limit int, out []string) []str
 	if n == nil || len(out) >= limit {
 		return out
 	}
-	if less(n.rec.State, n.rec.Key, st, start) {
+	if less(n.state, n.key, st, start) {
 		// Node (and its whole left subtree) sorts below (st, start).
 		return collectKeys(n.right, st, start, limit, out)
 	}
-	if n.rec.State != st {
+	if n.state != st {
 		// Node sorts past the end of the st group.
 		return collectKeys(n.left, st, start, limit, out)
 	}
 	out = collectKeys(n.left, st, start, limit, out)
 	if len(out) < limit {
-		out = append(out, n.rec.Key)
+		out = append(out, n.key)
 		out = collectKeys(n.right, st, start, limit, out)
 	}
 	return out

@@ -22,6 +22,7 @@ package chain
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"grub/internal/gas"
 	"grub/internal/sim"
@@ -50,7 +51,8 @@ func DefaultParams() Params {
 }
 
 // Handler executes a contract method. args is method-specific; the return
-// value is passed back to internal callers.
+// value is passed back to internal callers. ctx is valid until the handler
+// returns: the chain reuses it for the next call at the same depth.
 type Handler func(ctx *Ctx, args any) (any, error)
 
 // Event is an EVM-log-style event emitted during execution.
@@ -95,15 +97,28 @@ type Chain struct {
 	schedule gas.Schedule
 
 	handlers map[Address]map[string]Handler
-	storage  map[Address]map[string][]byte
+	// storage holds each contract's slots. A slot's bytes are never handed
+	// out (Load and Snapshot copy), so Store overwrites them in place.
+	storage map[Address]map[string][]byte
 
 	mempool []*Tx
 	height  uint64
-	events  []Event
-	calls   []CallRecord
+	// events, calls, block and drained back the slices TakeEvents,
+	// TakeCalls, MineBlock and MineUntilEmpty return; each is reused, so a
+	// returned slice is valid until the next take, mine or View.
+	events         []Event
+	calls          []CallRecord
+	block, drained []*Tx
 
-	totalGas      gas.Gas
-	gasByContract map[Address]gas.Gas
+	// meter and frames are the executing transaction's: its Gas meter and
+	// one execution context per call depth, reused by every transaction.
+	meter  gas.Meter
+	frames []*Ctx
+
+	totalGas gas.Gas
+	// gasByContract is the per-contract attribution ledger; a context
+	// charges its contract's entry through a pointer it looks up once.
+	gasByContract map[Address]*gas.Gas
 	txCount       int
 }
 
@@ -128,7 +143,7 @@ func New(clock *sim.Clock, params Params, schedule gas.Schedule) *Chain {
 		schedule:      schedule,
 		handlers:      make(map[Address]map[string]Handler),
 		storage:       make(map[Address]map[string][]byte),
-		gasByContract: make(map[Address]gas.Gas),
+		gasByContract: make(map[Address]*gas.Gas),
 	}
 }
 
@@ -156,7 +171,22 @@ func (c *Chain) TotalGas() gas.Gas { return c.totalGas }
 // GasOf returns the cumulative gas attributed to a contract (storage, hash,
 // log and call costs incurred while executing in its context, plus the base
 // cost of transactions addressed to it).
-func (c *Chain) GasOf(addr Address) gas.Gas { return c.gasByContract[addr] }
+func (c *Chain) GasOf(addr Address) gas.Gas {
+	if g := c.gasByContract[addr]; g != nil {
+		return *g
+	}
+	return 0
+}
+
+// ledger returns addr's entry in the attribution ledger, creating it.
+func (c *Chain) ledger(addr Address) *gas.Gas {
+	g := c.gasByContract[addr]
+	if g == nil {
+		g = new(gas.Gas)
+		c.gasByContract[addr] = g
+	}
+	return g
+}
 
 // TxCount returns the number of executed transactions.
 func (c *Chain) TxCount() int { return c.txCount }
@@ -186,38 +216,40 @@ func (c *Chain) Submit(tx *Tx) {
 
 // MineBlock advances time by one block interval and executes every mempool
 // transaction that has finished propagating. It returns the executed
-// transactions.
+// transactions in a slice that is valid until the next mine.
 func (c *Chain) MineBlock() []*Tx {
 	c.clock.Advance(c.params.BlockInterval)
 	c.height++
 	now := c.clock.Now()
-	var included, rest []*Tx
+	c.block = c.block[:0]
+	rest := c.mempool[:0]
 	for _, tx := range c.mempool {
 		if tx.Submitted+c.params.PropagationDelay <= now {
-			included = append(included, tx)
+			c.block = append(c.block, tx)
 		} else {
 			rest = append(rest, tx)
 		}
 	}
+	clear(c.mempool[len(rest):])
 	c.mempool = rest
-	for _, tx := range included {
+	for _, tx := range c.block {
 		c.execute(tx)
 	}
-	return included
+	return c.block
 }
 
 // MineUntilEmpty mines blocks until the mempool drains, returning all
-// executed transactions. It protects against livelock with a generous block
-// cap.
+// executed transactions in a slice that is valid until the next mine. It
+// protects against livelock with a generous block cap.
 func (c *Chain) MineUntilEmpty() []*Tx {
-	var all []*Tx
+	c.drained = c.drained[:0]
 	for i := 0; len(c.mempool) > 0; i++ {
 		if i > 1_000_000 {
 			panic("chain: MineUntilEmpty did not drain the mempool")
 		}
-		all = append(all, c.MineBlock()...)
+		c.drained = append(c.drained, c.MineBlock()...)
 	}
-	return all
+	return c.drained
 }
 
 // execute runs one transaction, metering gas.
@@ -225,17 +257,26 @@ func (c *Chain) execute(tx *Tx) {
 	tx.Included = c.clock.Now()
 	tx.Block = c.height
 	tx.executed = true
-	meter := &gas.Meter{}
-	base := c.schedule.Tx(tx.PayloadBytes)
-	meter.Charge(base)
-	c.gasByContract[tx.To] += base
-	ctx := &Ctx{chain: c, contract: tx.To, meter: meter, origin: tx.From, caller: tx.From}
+	c.meter = gas.Meter{}
+	ctx := c.frame(0, tx.To, tx.From, tx.From, &c.meter)
+	ctx.charge(c.schedule.Tx(tx.PayloadBytes))
 	ret, err := ctx.dispatch(tx.To, tx.Method, tx.Args)
 	tx.Ret = ret
 	tx.Err = err
-	tx.GasUsed = meter.Used()
+	tx.GasUsed = c.meter.Used()
 	c.totalGas += tx.GasUsed
 	c.txCount++
+}
+
+// frame returns the execution context of a call at the given depth of the
+// current call stack, reset for contract to.
+func (c *Chain) frame(depth int, to, origin, caller Address, meter *gas.Meter) *Ctx {
+	for len(c.frames) <= depth {
+		c.frames = append(c.frames, new(Ctx))
+	}
+	x := c.frames[depth]
+	*x = Ctx{chain: c, contract: to, origin: origin, caller: caller, meter: meter, depth: depth}
+	return x
 }
 
 // FinalizedHeight returns the highest block height considered final.
@@ -248,10 +289,12 @@ func (c *Chain) FinalizedHeight() uint64 {
 
 // TakeEvents hands the event stream's single consumer (the SP watchdog)
 // every event emitted since the previous take, and keeps nothing: the chain
-// is a transport for monitoring streams, not their archive.
+// is a transport for monitoring streams, not their archive. The returned
+// slice is the chain's reused buffer, valid until the next take, mine or
+// View.
 func (c *Chain) TakeEvents() []Event {
 	evs := c.events
-	c.events = nil
+	c.events = c.events[:0]
 	return evs
 }
 
@@ -264,6 +307,10 @@ type Ctx struct {
 	origin   Address
 	caller   Address
 	meter    *gas.Meter
+	// ledger is the contract's attribution entry, looked up at the first
+	// charge; depth is the call-stack depth the context occupies.
+	ledger *gas.Gas
+	depth  int
 }
 
 // Contract returns the currently executing contract's address.
@@ -288,23 +335,32 @@ func (x *Ctx) GasUsed() gas.Gas { return x.meter.Used() }
 
 func (x *Ctx) charge(g gas.Gas) {
 	x.meter.Charge(g)
-	x.chain.gasByContract[x.contract] += g
+	if x.ledger == nil {
+		x.ledger = x.chain.ledger(x.contract)
+	}
+	*x.ledger += g
 }
 
 // Store writes value into the contract's storage slot, charging the insert
-// price for fresh slots and the update price for overwrites.
+// price for fresh slots and the update price for overwrites. Neither slot
+// nor value is retained: a fresh slot stores copies, and an overwrite of
+// the same length reuses the slot's bytes.
 func (x *Ctx) Store(slot string, value []byte) {
 	st := x.chain.storage[x.contract]
 	if st == nil {
 		st = make(map[string][]byte)
 		x.chain.storage[x.contract] = st
 	}
-	if _, exists := st[slot]; exists {
+	if old, exists := st[slot]; exists {
 		x.charge(x.chain.schedule.StoreUpdate(len(value)))
+		if len(old) == len(value) {
+			copy(old, value)
+			return
+		}
 	} else {
 		x.charge(x.chain.schedule.StoreInsert(len(value)))
 	}
-	st[slot] = append([]byte(nil), value...)
+	st[strings.Clone(slot)] = append([]byte(nil), value...)
 }
 
 // Load reads a storage slot, charging the per-word read price. ok reports
@@ -363,7 +419,7 @@ func (x *Ctx) Emit(name string, data any, sizeBytes int) {
 // the call overhead and attributing gas spent inside to the callee.
 func (x *Ctx) Call(to Address, method string, args any) (any, error) {
 	x.charge(x.chain.schedule.CallBase)
-	sub := &Ctx{chain: x.chain, contract: to, origin: x.origin, caller: x.contract, meter: x.meter}
+	sub := x.chain.frame(x.depth+1, to, x.origin, x.contract, x.meter)
 	return sub.dispatch(to, method, args)
 }
 
@@ -388,9 +444,11 @@ func (x *Ctx) dispatch(to Address, method string, args any) (any, error) {
 
 // TakeCalls hands the execution trace's single consumer (the DO's read
 // monitor) every call recorded since the previous take, and keeps nothing.
+// Like TakeEvents, it returns the chain's reused buffer, valid until the
+// next take, mine or View.
 func (c *Chain) TakeCalls() []CallRecord {
 	calls := c.calls
-	c.calls = nil
+	c.calls = c.calls[:0]
 	return calls
 }
 

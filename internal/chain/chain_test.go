@@ -338,3 +338,67 @@ func TestLoadEmptySlotCharges(t *testing.T) {
 		t.Fatalf("empty-slot read gas = %d, want %d", g, c.Schedule().Load(gas.WordSize))
 	}
 }
+
+// newCounterChain registers a contract whose "bump" method does what a GRuB
+// manager call does to contract storage: it loads a slot, stores it back,
+// emits an event and calls into a second contract, which loads a slot too.
+func newCounterChain() *Chain {
+	c := newTestChain()
+	c.Register("ctr", "bump", func(ctx *Ctx, args any) (any, error) {
+		v, ok := ctx.Load("n")
+		if !ok {
+			v = make([]byte, 8)
+		}
+		ctx.Store("n", v)
+		ctx.Emit("Bumped", nil, 32)
+		return ctx.Call("lib", "peek", nil)
+	})
+	c.Register("lib", "peek", func(ctx *Ctx, args any) (any, error) {
+		ctx.HasSlot("x")
+		return nil, nil
+	})
+	return c
+}
+
+// TestTransactionReusesItsBuffers: once the chain has executed one
+// transaction, the next one's contexts, meter, mempool, block, event and
+// call buffers are all reused; what remains is the Load copy the handler
+// receives.
+func TestTransactionReusesItsBuffers(t *testing.T) {
+	c := newCounterChain()
+	tx := &Tx{From: "alice", To: "ctr", Method: "bump"}
+	c.Submit(&Tx{From: "alice", To: "ctr", Method: "bump"})
+	c.MineBlock()
+	c.TakeEvents()
+	c.TakeCalls()
+	before := c.GasOf("lib")
+	allocs := testing.AllocsPerRun(100, func() {
+		*tx = Tx{From: "alice", To: "ctr", Method: "bump"}
+		c.Submit(tx)
+		c.MineBlock()
+		if evs, calls := c.TakeEvents(), c.TakeCalls(); len(evs) != 1 || len(calls) != 2 {
+			t.Fatalf("took %d events and %d calls, want 1 and 2", len(evs), len(calls))
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("%v allocations per transaction, want 1 (the Load copy)", allocs)
+	}
+	if tx.Err != nil || c.GasOf("lib") == before {
+		t.Fatalf("err %v, callee gas %d: the internal call was not attributed", tx.Err, c.GasOf("lib"))
+	}
+}
+
+// BenchmarkTransaction times one submit, mine and take of the "bump"
+// transaction, with its internal call.
+func BenchmarkTransaction(b *testing.B) {
+	c := newCounterChain()
+	tx := &Tx{}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		*tx = Tx{From: "alice", To: "ctr", Method: "bump"}
+		c.Submit(tx)
+		c.MineBlock()
+		c.TakeEvents()
+		c.TakeCalls()
+	}
+}

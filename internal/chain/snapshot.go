@@ -16,7 +16,8 @@ import (
 //
 // The event log and the internal-call trace are deliberately NOT part of the
 // state: they are monitoring streams, handed to their single consumer by
-// TakeEvents / TakeCalls and not retained. Consumers hold no position into
+// TakeEvents / TakeCalls and not retained (the buffers behind them are
+// reused, never grown by history). Consumers hold no position into
 // them, so a restored chain simply starts both empty and there is nothing
 // to fix up; core.Feed takes both after every read and every epoch flush,
 // so at the quiescent points it snapshots at they are already consumed.
@@ -61,7 +62,7 @@ func (c *Chain) Snapshot() (State, error) {
 		Storage:       make(map[Address]map[string][]byte, len(c.storage)),
 	}
 	for addr, g := range c.gasByContract {
-		st.GasByContract[addr] = g
+		st.GasByContract[addr] = *g
 	}
 	for addr, slots := range c.storage {
 		cp := make(map[string][]byte, len(slots))
@@ -85,9 +86,9 @@ func (c *Chain) Restore(st State) error {
 	c.height = st.Height
 	c.totalGas = st.TotalGas
 	c.txCount = st.TxCount
-	c.gasByContract = make(map[Address]gas.Gas, len(st.GasByContract))
+	c.gasByContract = make(map[Address]*gas.Gas, len(st.GasByContract))
 	for addr, g := range st.GasByContract {
-		c.gasByContract[addr] = g
+		*c.ledger(addr) = g
 	}
 	c.storage = make(map[Address]map[string][]byte, len(st.Storage))
 	for addr, slots := range st.Storage {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -9,7 +10,9 @@ import (
 	"grub/internal/merkle"
 )
 
-// Storage slot names inside the manager contract.
+// Storage slot names inside the manager contract. A slot is named by
+// concatenating a prefix and a key where it is used: the chain retains no
+// slot argument, so a name of up to 32 bytes is built on the stack.
 const (
 	slotRoot = "root"
 	kvPrefix = "kv:"
@@ -196,15 +199,9 @@ func (m *StorageManager) loadRoot(ctx *chain.Ctx) (merkle.Hash, error) {
 func (m *StorageManager) bumpCounter(ctx *chain.Ctx, slot string) {
 	var n uint64
 	if raw, ok := ctx.Load(slot); ok && len(raw) == 8 {
-		for i := 0; i < 8; i++ {
-			n = n<<8 | uint64(raw[i])
-		}
+		n = binary.BigEndian.Uint64(raw)
 	}
-	n++
-	buf := make([]byte, 8)
-	for i := 7; i >= 0; i-- {
-		buf[i] = byte(n)
-		n >>= 8
-	}
-	ctx.Store(slot, buf)
+	var buf [8]byte
+	binary.BigEndian.PutUint64(buf[:], n+1)
+	ctx.Store(slot, buf[:])
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"grub/internal/ads"
 	"grub/internal/chain"
 	"grub/internal/merkle"
@@ -37,10 +40,11 @@ type DO struct {
 	lastTouch   map[string]uint64
 
 	noADS bool
-	// lastDigest is the digest most recently sent on-chain; epochs whose
-	// root is unchanged and that carry no replica traffic are skipped
-	// (nothing to update).
-	lastDigest *merkle.Hash
+	// lastDigest is the digest most recently sent on-chain (signed: one
+	// has been); epochs whose root is unchanged and that carry no replica
+	// traffic are skipped (nothing to update).
+	lastDigest merkle.Hash
+	signed     bool
 }
 
 // NewDO builds the data-owner node, which owns the feed's record set.
@@ -125,12 +129,12 @@ func (d *DO) submitUpdate(up UpdateArgs) *chain.Tx {
 	quiet := len(up.Replicas) == 0 && len(up.Evictions) == 0
 	if !d.noADS {
 		root := d.set.Root()
-		if quiet && d.lastDigest != nil && root == *d.lastDigest {
+		if quiet && d.signed && root == d.lastDigest {
 			return nil
 		}
 		up.Digest = root
 		up.HasDigest = true
-		d.lastDigest = &root
+		d.lastDigest, d.signed = root, true
 	} else if quiet {
 		return nil
 	}
@@ -185,7 +189,7 @@ func (d *DO) FlushEpoch() *chain.Tx {
 		}
 	}
 	d.staged = d.staged[:0]
-	d.pendingState = make(map[string]ads.State)
+	clear(d.pendingState)
 
 	// Replica-reuse mode: enforce the on-chain replica budget by evicting
 	// the least recently accessed replicas (BtcRelay configuration).
@@ -196,36 +200,26 @@ func (d *DO) FlushEpoch() *chain.Tx {
 }
 
 // enforceReplicaBudget demotes the least-recently-touched R records until
-// the replica count fits the budget.
+// the replica count fits the budget, ties going to the lower key, and lists
+// them in up.Evictions in that order.
 func (d *DO) enforceReplicaBudget(up *UpdateArgs) {
 	excess := d.set.CountState(ads.R) - d.maxReplicas
 	if excess <= 0 {
 		return
 	}
-	var replicated []string
-	for _, rec := range d.set.Records() {
-		if rec.State == ads.R {
-			replicated = append(replicated, rec.Key)
-		}
+	type replica struct {
+		key   string
+		touch uint64
 	}
-	for ; excess > 0; excess-- {
-		victim := ""
-		var oldest uint64 = ^uint64(0)
-		for _, k := range replicated {
-			if t := d.lastTouch[k]; t < oldest {
-				oldest, victim = t, k
-			}
-		}
-		if victim == "" {
-			return
-		}
-		d.set.SetState(victim, ads.NR)
-		up.Evictions = append(up.Evictions, victim)
-		for i, k := range replicated {
-			if k == victim {
-				replicated = append(replicated[:i], replicated[i+1:]...)
-				break
-			}
-		}
+	// The R group arrives in key order, so a stable sort by touch breaks
+	// ties by key.
+	var replicas []replica
+	for rec := range d.set.Group(ads.R) {
+		replicas = append(replicas, replica{rec.Key, d.lastTouch[rec.Key]})
+	}
+	slices.SortStableFunc(replicas, func(a, b replica) int { return cmp.Compare(a.touch, b.touch) })
+	for _, v := range replicas[:excess] {
+		d.set.SetState(v.key, ads.NR)
+		up.Evictions = append(up.Evictions, v.key)
 	}
 }

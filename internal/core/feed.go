@@ -68,6 +68,8 @@ type Feed struct {
 	opsInEpoch int
 	delivered  int
 	notFound   int
+	// reads backs the slice takeReads returns.
+	reads []string
 	// LastValue records the most recent callback payload per key
 	// (DU-side application state, held in memory).
 	LastValue map[string][]byte
@@ -198,17 +200,19 @@ func (f *Feed) monitorReads() error {
 // takeReads consumes the chain's call trace and returns the keys of the
 // gGet invocations in it, in execution order. It runs after every read and
 // every epoch flush, so the trace never outlives the epoch that produced it.
+// The keys are copied out of the trace, whose buffer the next mine reuses;
+// the returned slice is valid until the next takeReads.
 func (f *Feed) takeReads() []string {
-	var keys []string
+	f.reads = f.reads[:0]
 	for _, cr := range f.Chain.TakeCalls() {
 		if cr.To != f.opts.Manager || cr.Method != "gGet" {
 			continue
 		}
 		if a, ok := cr.Args.(GetArgs); ok {
-			keys = append(keys, a.Key)
+			f.reads = append(f.reads, a.Key)
 		}
 	}
-	return keys
+	return f.reads
 }
 
 // serveRequests lets the watchdog answer pending requests and mines the
@@ -260,8 +264,8 @@ func (f *Feed) mustFlush() {
 // step executes one workload operation: a write is staged, a read is driven
 // through the chain, and a scan expands to point reads over the next
 // ScanLen keys the record set holds from the start key on (scans expand at
-// the feed layer; see DESIGN.md). Every way of driving a feed — Process,
-// ProcessSeries, ApplyOps — goes through here.
+// the feed layer; see "Scans" in docs/ARCHITECTURE.md). Every way of
+// driving a feed — Process, ProcessSeries, ApplyOps — goes through here.
 func (f *Feed) step(op workload.Op) error {
 	switch {
 	case op.Write:

@@ -426,6 +426,57 @@ func TestReplicaBudgetLRUEviction(t *testing.T) {
 	}
 }
 
+// rescanVictims is the replica-budget selection written the slow way: build
+// the whole record list, then rescan the replicated keys once per eviction
+// for the least recently touched, the first in key order winning ties.
+func rescanVictims(recs []ads.Record, lastTouch map[string]uint64, excess int) []string {
+	var replicated, victims []string
+	for _, rec := range recs {
+		if rec.State == ads.R {
+			replicated = append(replicated, rec.Key)
+		}
+	}
+	for ; excess > 0 && len(replicated) > 0; excess-- {
+		at := 0
+		for i, k := range replicated {
+			if lastTouch[k] < lastTouch[replicated[at]] {
+				at = i
+			}
+		}
+		victims = append(victims, replicated[at])
+		replicated = append(replicated[:at], replicated[at+1:]...)
+	}
+	return victims
+}
+
+// TestReplicaBudgetMatchesRescan checks the one-pass victim selection
+// against rescanVictims on random sets, budgets and touch times, with ties
+// and untouched replicas common.
+func TestReplicaBudgetMatchesRescan(t *testing.T) {
+	r := sim.NewRand(5)
+	for trial := 0; trial < 500; trial++ {
+		d := NewDO(fastChain(), "grub-manager", "do", policy.Never{}, 1+r.Intn(30), false)
+		for i, n := 0, r.Intn(100); i < n; i++ {
+			k := fmt.Sprintf("k%03d", r.Intn(150))
+			d.set.Put(ads.Record{Key: k, State: ads.State(r.Intn(2)), Value: []byte("v")})
+			if r.Intn(4) > 0 {
+				d.lastTouch[k] = uint64(r.Intn(12))
+			}
+		}
+		replicas := d.set.CountState(ads.R)
+		want := rescanVictims(d.set.Records(), d.lastTouch, replicas-d.maxReplicas)
+		var up UpdateArgs
+		d.enforceReplicaBudget(&up)
+		if fmt.Sprint(up.Evictions) != fmt.Sprint(want) {
+			t.Fatalf("trial %d (%d replicas, budget %d): evicted %v, rescan selects %v",
+				trial, replicas, d.maxReplicas, up.Evictions, want)
+		}
+		if got := d.set.CountState(ads.R); got != min(replicas, d.maxReplicas) {
+			t.Fatalf("trial %d: %d replicas after enforcing budget %d", trial, got, d.maxReplicas)
+		}
+	}
+}
+
 func TestMonitorObservesReadsFromAnyDU(t *testing.T) {
 	// The DO learns of reads from the chain's call trace alone: gGets
 	// issued by a DU contract the feed never heard of, driven through

@@ -112,7 +112,7 @@ func (f *Feed) Snapshot() (*FeedSnapshot, error) {
 			snap.LastTouch[k] = t
 		}
 	}
-	if f.DO.lastDigest != nil {
+	if f.DO.signed {
 		snap.LastDigest = append([]byte(nil), f.DO.lastDigest[:]...)
 	}
 	if len(f.LastValue) > 0 {
@@ -170,9 +170,8 @@ func RestoreFeed(c *chain.Chain, p policy.Policy, opts Options, snap *FeedSnapsh
 		if len(snap.LastDigest) != merkle.HashSize {
 			return nil, fmt.Errorf("core: restore: bad digest length %d", len(snap.LastDigest))
 		}
-		var h merkle.Hash
-		copy(h[:], snap.LastDigest)
-		do.lastDigest = &h
+		copy(do.lastDigest[:], snap.LastDigest)
+		do.signed = true
 	}
 	f.delivered = snap.Delivered
 	f.notFound = snap.NotFound

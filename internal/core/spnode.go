@@ -57,7 +57,7 @@ func (s *SPNode) Watch() (int, error) {
 		}
 	}
 	submitted := 0
-	var still []RequestEvent
+	still := s.pending[:0]
 	var firstErr error
 	for _, req := range s.pending {
 		if firstErr != nil || (s.Drop != nil && s.Drop(req)) {
@@ -71,6 +71,7 @@ func (s *SPNode) Watch() (int, error) {
 		}
 		submitted++
 	}
+	clear(s.pending[len(still):])
 	s.pending = still
 	return submitted, firstErr
 }
@@ -97,7 +98,7 @@ func (s *SPNode) answer(req RequestEvent) error {
 	}
 	args := DeliverArgs{ID: req.ID, Record: rec, Proof: proof, Callback: req.Callback}
 	if s.Tamper != nil {
-		s.Tamper(&args)
+		args = s.tamper(args)
 	}
 	s.chain.Submit(&chain.Tx{
 		From:         s.addr,
@@ -107,4 +108,12 @@ func (s *SPNode) answer(req RequestEvent) error {
 		PayloadBytes: DeliverPayloadSize(args.Record, args.Proof),
 	})
 	return nil
+}
+
+// tamper applies the Tamper hook to a copy of args, so that only a tampered
+// deliver's arguments escape to the heap before they are boxed into the
+// transaction.
+func (s *SPNode) tamper(args DeliverArgs) DeliverArgs {
+	s.Tamper(&args)
+	return args
 }
