@@ -108,8 +108,7 @@ type Options struct {
 	// FailAfter is how long a member may go unheard-from before it is
 	// declared dead (default 4x Heartbeat).
 	FailAfter time.Duration
-	// TailPoll is the per-feed replication tailer poll floor (default
-	// 20ms).
+	// TailPoll is the replication tailers' poll floor (default 20ms).
 	TailPoll time.Duration
 	// MoveTimeout bounds one live migration (default 30s).
 	MoveTimeout time.Duration
@@ -144,11 +143,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// tailState tracks one feed's replication tail and the placement epoch it
-// was created under.
+// tailState records which peer a non-owned feed is tailed from and the
+// newest epoch its local replica was re-based at.
 type tailState struct {
-	tail  *repl.FeedTail
-	owner string // leader URL the tail points at (may be a catch-up peer)
+	leader string // the feed's owner, or the catch-up peer tryPromote picked
 	// resetEpoch is the newest epoch a halted tail was auto-reset at; one
 	// verified snapshot reset is allowed per epoch, so an ownership change
 	// clears stale local history but a genuinely divergent leader cannot
@@ -157,9 +155,10 @@ type tailState struct {
 }
 
 // Node is one cluster member: it heartbeats the static member set, merges
-// placement maps, tails every feed it does not own from that feed's owner,
-// and runs the failover and migration state machines for the feeds it is
-// responsible for.
+// placement maps, tails every feed it does not own from that feed's owner
+// (through one repl.Follower per peer, following exactly the feeds tailed
+// from that peer), and runs the failover and migration state machines for
+// the feeds it is responsible for.
 type Node struct {
 	opts    Options
 	members []string // sorted, includes Self
@@ -176,9 +175,11 @@ type Node struct {
 	forwards  atomic.Int64 // proxied writes (counted by the HTTP layer)
 	failovers atomic.Int64 // successful self-promotions
 
+	followers map[string]*repl.Follower // peer -> its Follower; built in NewNode
+
 	mu         sync.Mutex
 	lastSeen   map[string]time.Time
-	tails      map[string]*tailState
+	tails      map[string]tailState
 	conflicted map[string]string        // feed -> reason promotion is refused
 	peerLoads  map[string]nodeLoadState // peer -> last piggybacked load digest
 }
@@ -206,6 +207,14 @@ func NewNode(opts Options) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	followers := make(map[string]*repl.Follower, len(members)-1)
+	for _, p := range members {
+		if p != opts.Self {
+			f := repl.NewFollower(repl.Options{Leader: p, HTTP: opts.HTTP, Poll: opts.TailPoll}, opts.Local)
+			f.Follow() // none until ensureTail names them
+			followers[p] = f
+		}
+	}
 	return &Node{
 		opts:       opts,
 		members:    members,
@@ -215,7 +224,8 @@ func NewNode(opts Options) (*Node, error) {
 		client:     &Client{HTTP: opts.HTTP},
 		stop:       make(chan struct{}),
 		lastSeen:   make(map[string]time.Time),
-		tails:      make(map[string]*tailState),
+		followers:  followers,
+		tails:      make(map[string]tailState),
 		conflicted: make(map[string]string),
 		peerLoads:  make(map[string]nodeLoadState),
 	}, nil
@@ -244,9 +254,13 @@ func (n *Node) CountForward() { n.forwards.Add(1) }
 // for forwarded writes).
 func (n *Node) HTTPClient() *http.Client { return n.opts.HTTP }
 
-// Start launches the heartbeat/reconcile loop. Idempotent.
+// Start launches the heartbeat/reconcile loop and the peer followers.
+// Idempotent.
 func (n *Node) Start() {
 	n.startOnce.Do(func() {
+		for _, f := range n.followers {
+			f.Start()
+		}
 		n.wg.Add(1)
 		go n.run()
 	})
@@ -257,14 +271,10 @@ func (n *Node) Close() {
 	n.closeOnce.Do(func() { close(n.stop) })
 	n.wg.Wait()
 	n.mu.Lock()
-	tails := make([]*tailState, 0, len(n.tails))
-	for id, ts := range n.tails {
-		tails = append(tails, ts)
-		delete(n.tails, id)
-	}
+	clear(n.tails)
 	n.mu.Unlock()
-	for _, ts := range tails {
-		ts.tail.Close()
+	for _, f := range n.followers {
+		f.Close()
 	}
 }
 
@@ -475,44 +485,38 @@ func (n *Node) tryPromote(e Entry) bool {
 	return true
 }
 
-// ensureTail makes sure the feed is being tailed from leader, (re)creating
-// the tail on ownership changes and auto-resetting stale local state once
-// per epoch.
+// ensureTail makes sure the feed is being tailed from leader, moving it
+// between peer followers on ownership changes and auto-resetting stale local
+// state once per epoch.
 func (n *Node) ensureTail(feed, leader string, epoch uint64) {
-	n.mu.Lock()
-	ts := n.tails[feed]
-	n.mu.Unlock()
-	if ts != nil && ts.owner == leader {
-		if halted, _ := ts.tail.Halted(); halted && ts.resetEpoch < epoch {
-			// The tail refused to fork — under a NEW epoch that means our
-			// local history predates an ownership change (e.g. we are a
-			// deposed owner whose unreplicated tail writes lost). One
-			// verified snapshot reset per epoch re-bases us on the
-			// authoritative history; a divergence under the same epoch
-			// stays halted.
-			ts.tail.Close()
-			n.resetDivergedShards(feed, leader)
-			n.startTail(feed, leader, epoch, epoch)
-		}
-		return
+	f := n.followers[leader]
+	if f == nil {
+		return // not a member: there is no follower to tail it with
 	}
-	if ts != nil {
-		ts.tail.Close()
+	n.mu.Lock()
+	ts, ok := n.tails[feed]
+	n.mu.Unlock()
+	var resetEpoch uint64
+	if ok && ts.leader == leader {
+		if f.FeedStatus(feed).State != repl.StateHalted || ts.resetEpoch >= epoch {
+			return
+		}
+		// The tail refused to fork — under a NEW epoch that means our
+		// local history predates an ownership change (e.g. we are a
+		// deposed owner whose unreplicated tail writes lost). One
+		// verified snapshot reset per epoch re-bases us on the
+		// authoritative history; a divergence under the same epoch
+		// stays halted.
+		resetEpoch = epoch
+	}
+	if ok {
+		n.followers[ts.leader].Unfollow(feed)
 	}
 	n.resetDivergedShards(feed, leader)
-	n.startTail(feed, leader, epoch, 0)
-}
-
-func (n *Node) startTail(feed, leader string, epoch, resetEpoch uint64) {
-	ft := repl.NewFeedTail(repl.Options{
-		Leader: leader,
-		HTTP:   n.opts.HTTP,
-		Poll:   n.opts.TailPoll,
-	}, n.local, feed)
-	ft.Start()
 	n.mu.Lock()
-	n.tails[feed] = &tailState{tail: ft, owner: leader, resetEpoch: resetEpoch}
+	n.tails[feed] = tailState{leader: leader, resetEpoch: resetEpoch}
 	n.mu.Unlock()
+	f.Follow(feed) // wakes the follower: no wait for its next refresh
 }
 
 // resetDivergedShards re-bases any local shard that is ahead of — or
@@ -544,14 +548,14 @@ func (n *Node) resetDivergedShards(feed, leader string) {
 	}
 }
 
-// stopTail closes a feed's tail if one is running (we own the feed now).
+// stopTail stops tailing a feed if it is tailed (we own the feed now).
 func (n *Node) stopTail(feed string) {
 	n.mu.Lock()
-	ts := n.tails[feed]
+	ts, ok := n.tails[feed]
 	delete(n.tails, feed)
 	n.mu.Unlock()
-	if ts != nil {
-		ts.tail.Close()
+	if ok {
+		n.followers[ts.leader].Unfollow(feed)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"maps"
 	"time"
 
 	"grub/internal/query"
@@ -77,10 +78,7 @@ func (n *Node) Status() Status {
 			st.Conflicted[k] = v
 		}
 	}
-	tails := make(map[string]*tailState, len(n.tails))
-	for id, ts := range n.tails {
-		tails[id] = ts
-	}
+	tails := maps.Clone(n.tails)
 	n.mu.Unlock()
 	for _, e := range n.pm.Entries() {
 		fp := FeedPlacement{Entry: e}
@@ -93,8 +91,8 @@ func (n *Node) Status() Status {
 			fp.Role = "owner"
 		default:
 			fp.Role = "follower"
-			if ts := tails[e.Feed]; ts != nil {
-				fs := ts.tail.Status()
+			if ts, ok := tails[e.Feed]; ok {
+				fs := n.followers[ts.leader].FeedStatus(e.Feed)
 				fp.Tail = &fs
 			}
 		}

@@ -91,21 +91,25 @@ type FeedStatus struct {
 	Shards []ShardStatus `json:"shards,omitempty"`
 }
 
-// Follower replicates every leader feed into a local Target. Start launches
-// the manager (feed discovery) and one tailer goroutine per feed shard;
-// Close stops them all and waits. Close the Follower before closing the
-// gateway it replicates into.
+// Follower replicates a leader's feeds into a local Target: every feed the
+// leader hosts, or, once Follow has been called, only the followed set (a
+// cluster node runs one Follower per peer, following the feeds it tails from
+// that peer). Start launches the manager (feed discovery) and one tailer
+// goroutine per feed shard; Close stops them all and waits. Close the
+// Follower before closing the gateway it replicates into.
 type Follower struct {
 	opts   Options
 	client *Client
 	target Target
 
 	stop      chan struct{}
+	wake      chan struct{} // Follow asks the manager to re-list now
 	wg        sync.WaitGroup
 	startOnce sync.Once
 	closeOnce sync.Once
 
 	mu      sync.Mutex
+	only    map[string]bool // nil: every leader feed
 	feeds   map[string]*feedRepl
 	listErr error // last feed-list fetch failure
 	listed  bool  // at least one successful feed-list fetch
@@ -116,6 +120,7 @@ type feedRepl struct {
 	id     string
 	stop   chan struct{}   // closed when the feed leaves the leader
 	stages *obs.FeedStages // nil without Options.Pipeline
+	wg     sync.WaitGroup  // the feed's shard tailers
 
 	mu     sync.Mutex
 	state  string
@@ -129,10 +134,11 @@ func (fr *feedRepl) fail(err error) {
 	fr.mu.Unlock()
 }
 
-// markGone records that the feed left the leader and stops its tailers.
-// Both the manager (feed missing from a refresh) and any tailer (404 on a
-// log fetch) can observe the departure first; whoever does flips the state,
-// which also re-arms the retry should the leader recreate the feed.
+// markGone records that the feed left the leader (or was unfollowed) and
+// stops its tailers. The manager (feed missing from a refresh), any tailer
+// (404 on a log fetch) and Unfollow can observe the departure first; whoever
+// does flips the state, which also re-arms the retry should the leader
+// recreate the feed.
 func (fr *feedRepl) markGone() {
 	fr.mu.Lock()
 	if fr.state != StateGone {
@@ -177,7 +183,41 @@ func NewFollower(opts Options, target Target) *Follower {
 		client: &Client{Base: opts.Leader, HTTP: opts.HTTP},
 		target: target,
 		stop:   make(chan struct{}),
+		wake:   make(chan struct{}, 1),
 		feeds:  make(map[string]*feedRepl),
+	}
+}
+
+// Follow restricts f to an explicit feed set and adds ids to it, then wakes
+// the manager so they start replicating now rather than at the next Refresh.
+// Until the first call f replicates every leader feed; Follow() with no ids
+// restricts it to none.
+func (f *Follower) Follow(ids ...string) {
+	f.mu.Lock()
+	if f.only == nil {
+		f.only = make(map[string]bool)
+	}
+	for _, id := range ids {
+		f.only[id] = true
+	}
+	f.mu.Unlock()
+	select {
+	case f.wake <- struct{}{}:
+	default:
+	}
+}
+
+// Unfollow removes id from a restricted f's feed set, stops replicating it
+// and waits for its tailers to exit. The local replica is kept.
+func (f *Follower) Unfollow(id string) {
+	f.mu.Lock()
+	delete(f.only, id)
+	fr := f.feeds[id]
+	delete(f.feeds, id)
+	f.mu.Unlock()
+	if fr != nil {
+		fr.markGone()
+		fr.wg.Wait()
 	}
 }
 
@@ -198,8 +238,9 @@ func (f *Follower) Close() {
 	f.wg.Wait()
 }
 
-// sleep waits d, returning false if the follower (or the feed) stopped.
-func (f *Follower) sleep(d time.Duration, feedStop <-chan struct{}) bool {
+// sleep waits d or until wake fires, returning false if the follower (or
+// the feed) stopped.
+func (f *Follower) sleep(d time.Duration, feedStop, wake <-chan struct{}) bool {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
@@ -207,9 +248,10 @@ func (f *Follower) sleep(d time.Duration, feedStop <-chan struct{}) bool {
 		return false
 	case <-feedStop:
 		return false
+	case <-wake:
 	case <-timer.C:
-		return true
 	}
+	return true
 }
 
 func (f *Follower) grow(b time.Duration) time.Duration {
@@ -221,32 +263,18 @@ func (f *Follower) grow(b time.Duration) time.Duration {
 }
 
 // run is the manager loop: it discovers the leader's feeds, ensures each
-// exists locally and keeps the tracked set in sync with the leader's.
-func (f *Follower) run() { f.runFiltered("") }
-
-// runFiltered is run restricted to one feed ID when only != "" — the
-// whole-leader Follower passes "", a FeedTail passes its feed. Everything
-// else (discovery cadence, gone/retry semantics, tailer lifecycle) is
-// shared.
-func (f *Follower) runFiltered(only string) {
+// (followed) feed exists locally and keeps the tracked set in sync with the
+// leader's.
+func (f *Follower) run() {
 	defer f.wg.Done()
 	backoff := f.opts.Poll
 	for {
 		infos, err := f.client.Feeds()
-		if err == nil && only != "" {
-			kept := infos[:0]
-			for _, info := range infos {
-				if info.ID == only {
-					kept = append(kept, info)
-				}
-			}
-			infos = kept
-		}
 		if err != nil {
 			f.mu.Lock()
 			f.listErr = err
 			f.mu.Unlock()
-			if !f.sleep(backoff, nil) {
+			if !f.sleep(backoff, nil, f.wake) {
 				return
 			}
 			backoff = f.grow(backoff)
@@ -263,15 +291,15 @@ func (f *Follower) runFiltered(only string) {
 		f.mu.Lock()
 		f.listed = true
 		f.mu.Unlock()
-		if !f.sleep(f.opts.Refresh, nil) {
+		if !f.sleep(f.opts.Refresh, nil, f.wake) {
 			return
 		}
 	}
 }
 
 // syncFeeds reconciles the tracked feed set against the leader's list:
-// unseen feeds start replicating, vanished feeds stop (their local state is
-// retained).
+// unseen (followed) feeds start replicating, vanished feeds stop (their
+// local state is retained).
 func (f *Follower) syncFeeds(infos []FeedInfo) {
 	present := make(map[string]bool, len(infos))
 	var fresh []struct {
@@ -280,6 +308,9 @@ func (f *Follower) syncFeeds(infos []FeedInfo) {
 	}
 	f.mu.Lock()
 	for _, info := range infos {
+		if f.only != nil && !f.only[info.ID] {
+			continue
+		}
 		present[info.ID] = true
 		if existing, ok := f.feeds[info.ID]; ok {
 			// A feed that previously left the leader (gone: its tailers
@@ -337,10 +368,14 @@ func (f *Follower) startFeed(fr *feedRepl, cfg json.RawMessage) {
 		tails[i] = &shardTail{shard: i, state: StateSyncing}
 	}
 	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	if fr.state == StateGone {
+		return // unfollowed while the feed was being ensured
+	}
 	fr.state, fr.shards = StateTailing, tails
-	fr.mu.Unlock()
+	f.wg.Add(len(tails))
+	fr.wg.Add(len(tails))
 	for _, t := range tails {
-		f.wg.Add(1)
 		go f.tail(fr, lf, t)
 	}
 }
@@ -351,6 +386,7 @@ func (f *Follower) startFeed(fr *feedRepl, cfg json.RawMessage) {
 // halting permanently on divergence.
 func (f *Follower) tail(fr *feedRepl, lf Feed, t *shardTail) {
 	defer f.wg.Done()
+	defer fr.wg.Done()
 	cursor, err := lf.Seq(t.shard)
 	if err != nil {
 		t.set(StateHalted, err)
@@ -358,6 +394,14 @@ func (f *Follower) tail(fr *feedRepl, lf Feed, t *shardTail) {
 	}
 	t.observe(cursor, 0)
 	backoff := f.opts.Poll
+	// wait records state and backs off before the next fetch; false means
+	// the tailer must stop.
+	wait := func(state string, err error) bool {
+		t.set(state, err)
+		ok := f.sleep(backoff, fr.stop, nil)
+		backoff = f.grow(backoff)
+		return ok
+	}
 	for {
 		select {
 		case <-f.stop:
@@ -375,11 +419,9 @@ func (f *Follower) tail(fr *feedRepl, lf Feed, t *shardTail) {
 				fr.markGone()
 				return
 			}
-			t.set(StateSyncing, err)
-			if !f.sleep(backoff, fr.stop) {
+			if !wait(StateSyncing, err) {
 				return
 			}
-			backoff = f.grow(backoff)
 			continue
 		}
 		fr.stages.GetFollowerFetch().ObserveSince(fetchStart)
@@ -408,22 +450,18 @@ func (f *Follower) tail(fr *feedRepl, lf Feed, t *shardTail) {
 					return
 				}
 			}
-			t.set(StateSyncing, err)
-			if !f.sleep(backoff, fr.stop) {
+			if !wait(StateSyncing, err) {
 				return
 			}
-			backoff = f.grow(backoff)
 			continue
 		}
 		if len(page.Entries) == 0 {
-			t.set(StateTailing, nil)
-			if !f.sleep(backoff, fr.stop) {
+			if !wait(StateTailing, nil) {
 				return
 			}
-			backoff = f.grow(backoff)
 			continue
 		}
-		pageErr := false
+		var applyErr error
 		for _, e := range page.Entries {
 			verifyStart := time.Now()
 			if err := lf.Apply(t.shard, e); err != nil {
@@ -437,23 +475,21 @@ func (f *Follower) tail(fr *feedRepl, lf Feed, t *shardTail) {
 				if seq, serr := lf.Seq(t.shard); serr == nil {
 					cursor = seq
 				}
-				t.set(StateSyncing, err)
-				pageErr = true
+				applyErr = err
 				break
 			}
 			fr.stages.GetFollowerVerify().ObserveSince(verifyStart)
 			cursor = e.Seq
 		}
 		t.observe(cursor, page.LeaderSeq)
-		if !pageErr {
+		if applyErr == nil {
 			t.set(StateTailing, nil)
 			backoff = f.opts.Poll // progress: drain the next page immediately
 			continue
 		}
-		if !f.sleep(backoff, fr.stop) {
+		if !wait(StateSyncing, applyErr) {
 			return
 		}
-		backoff = f.grow(backoff)
 	}
 }
 
@@ -469,38 +505,61 @@ func (f *Follower) Status() (feeds []FeedStatus, err error) {
 	f.mu.Unlock()
 
 	for _, fr := range tracked {
-		fr.mu.Lock()
-		fs := FeedStatus{ID: fr.id, State: fr.state}
-		if fr.err != nil {
-			fs.Error = fr.err.Error()
-		}
-		shards := fr.shards
-		fr.mu.Unlock()
-		for _, t := range shards {
-			t.mu.Lock()
-			ss := ShardStatus{Shard: t.shard, Seq: t.cursor, LeaderSeq: t.leaderSeq, State: t.state}
-			if t.leaderSeq > t.cursor {
-				ss.Lag = t.leaderSeq - t.cursor
-			}
-			if t.err != nil {
-				ss.Error = t.err.Error()
-			}
-			t.mu.Unlock()
-			fs.Shards = append(fs.Shards, ss)
-			if worse(ss.State, fs.State) {
-				fs.State = ss.State
-			}
-		}
-		feeds = append(feeds, fs)
+		feeds = append(feeds, fr.status())
 	}
 	sort.Slice(feeds, func(i, j int) bool { return feeds[i].ID < feeds[j].ID })
 	return feeds, err
 }
 
-// stateRank orders shard states by severity for the feed-level rollup.
-var stateRank = map[string]int{StateTailing: 0, StateSyncing: 1, StateGone: 2, StateFailed: 3, StateHalted: 4}
+// FeedStatus reports one feed's replication health. A feed f does not track
+// (not followed, or not yet discovered) reports StateSyncing with no shards
+// and the last feed-list fetch failure, if any.
+func (f *Follower) FeedStatus(id string) FeedStatus {
+	f.mu.Lock()
+	fr, err := f.feeds[id], f.listErr
+	f.mu.Unlock()
+	if fr != nil {
+		return fr.status()
+	}
+	fs := FeedStatus{ID: id, State: StateSyncing}
+	if err != nil {
+		fs.Error = err.Error()
+	}
+	return fs
+}
 
-func worse(a, b string) bool { return stateRank[a] > stateRank[b] }
+func (fr *feedRepl) status() FeedStatus {
+	fr.mu.Lock()
+	fs := FeedStatus{ID: fr.id, State: fr.state}
+	if fr.err != nil {
+		fs.Error = fr.err.Error()
+	}
+	shards := fr.shards
+	fr.mu.Unlock()
+	for _, t := range shards {
+		t.mu.Lock()
+		ss := ShardStatus{Shard: t.shard, Seq: t.cursor, LeaderSeq: t.leaderSeq, State: t.state}
+		if t.leaderSeq > t.cursor {
+			ss.Lag = t.leaderSeq - t.cursor
+		}
+		if t.err != nil {
+			ss.Error = t.err.Error()
+		}
+		t.mu.Unlock()
+		fs.Shards = append(fs.Shards, ss)
+		if Severity(ss.State) > Severity(fs.State) {
+			fs.State = ss.State
+		}
+	}
+	return fs
+}
+
+// Severity orders replication states from healthy to worst: 0 tailing,
+// 1 syncing, 2 gone, 3 failed, 4 halted. A feed reports its worst shard's
+// state, and the grub_repl_state gauge exports the number.
+func Severity(state string) int { return severity[state] }
+
+var severity = map[string]int{StateTailing: 0, StateSyncing: 1, StateGone: 2, StateFailed: 3, StateHalted: 4}
 
 // Converged reports whether the follower has fetched the leader's feed list
 // and every replicated shard is tailing with zero lag.
@@ -543,7 +602,7 @@ func (f *Follower) WaitConverged(timeout time.Duration) error {
 			feeds, err := f.Status()
 			return fmt.Errorf("repl: not converged after %v (feeds %+v, list err %v)", timeout, feeds, err)
 		}
-		if !f.sleep(2*time.Millisecond, nil) {
+		if !f.sleep(2*time.Millisecond, nil, nil) {
 			return fmt.Errorf("repl: follower closed before convergence")
 		}
 	}

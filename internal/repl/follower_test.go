@@ -481,3 +481,97 @@ func TestFollowerAheadOfLeaderHalts(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// TestFollowerFollowSet: a follower restricted with Follow replicates only
+// the followed feeds, picks up a newly followed one at once rather than at
+// its next refresh, and Unfollow stops a feed and forgets it while keeping
+// the local replica.
+func TestFollowerFollowSet(t *testing.T) {
+	leader, leaderURL := startGateway(t, server.GatewayOptions{})
+	for _, id := range []string{"a", "b", "c"} {
+		if err := leader.CreateFeed(server.FeedConfig{ID: id, Shards: 2, EpochOps: 8}); err != nil {
+			t.Fatal(err)
+		}
+		writeBatches(t, leader, id, 3, 0)
+	}
+
+	fg, _ := startGateway(t, server.GatewayOptions{})
+	opts := fastOpts(leaderURL)
+	opts.Refresh = time.Hour // only Follow's wake-up can start a feed
+	f := repl.NewFollower(opts, fg.ReplTarget())
+	f.Follow()
+	f.Start()
+	t.Cleanup(f.Close)
+	if err := f.WaitConverged(waitTimeout); err != nil {
+		t.Fatal(err)
+	}
+	if ids := fg.Feeds(); len(ids) != 0 {
+		t.Fatalf("follower restricted to nothing replicated %v", ids)
+	}
+
+	f.Follow("a", "b")
+	waitSameRoots(t, "a", leader, fg)
+	waitSameRoots(t, "b", leader, fg)
+
+	f.Unfollow("a")
+	if fs := f.FeedStatus("a"); fs.State != repl.StateSyncing || len(fs.Shards) != 0 {
+		t.Fatalf("unfollowed feed status = %+v", fs)
+	}
+	stale := rootsOf(t, fg, "a")
+	writeBatches(t, leader, "a", 2, 3)
+	writeBatches(t, leader, "b", 2, 3)
+	waitSameRoots(t, "b", leader, fg)
+	if got := rootsOf(t, fg, "a"); got[0] != stale[0] || got[1] != stale[1] {
+		t.Fatalf("unfollowed feed kept replicating: %+v -> %+v", stale, got)
+	}
+	feeds, _ := f.Status()
+	if len(feeds) != 1 || feeds[0].ID != "b" {
+		t.Fatalf("tracked feeds = %+v, want only b", feeds)
+	}
+	if _, err := fg.Query("c"); err == nil {
+		t.Fatal("feed c was never followed but exists locally")
+	}
+}
+
+// TestFollowerFollowChurn races Follow and Unfollow from several goroutines
+// against the running manager and tailers (run it under -race): no tailer
+// may outlive its Unfollow, and once every feed is followed for good the
+// follower converges on all of them.
+func TestFollowerFollowChurn(t *testing.T) {
+	leader, leaderURL := startGateway(t, server.GatewayOptions{})
+	ids := []string{"a", "b", "c"}
+	for _, id := range ids {
+		if err := leader.CreateFeed(server.FeedConfig{ID: id, Shards: 2, EpochOps: 8}); err != nil {
+			t.Fatal(err)
+		}
+		writeBatches(t, leader, id, 3, 0)
+	}
+	fg, _ := startGateway(t, server.GatewayOptions{})
+	f := repl.NewFollower(fastOpts(leaderURL), fg.ReplTarget())
+	f.Follow()
+	f.Start()
+	t.Cleanup(f.Close)
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				id := ids[(w+i)%len(ids)]
+				f.Follow(id)
+				time.Sleep(time.Millisecond)
+				f.Unfollow(id)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if feeds, _ := f.Status(); len(feeds) != 0 {
+		t.Fatalf("feeds still tracked after every Unfollow: %+v", feeds)
+	}
+	f.Follow(ids...)
+	for _, id := range ids {
+		writeBatches(t, leader, id, 2, 3)
+		waitSameRoots(t, id, leader, fg)
+	}
+}

@@ -58,6 +58,14 @@ func startTestCluster(t testing.TB, n int) []*testClusterNode {
 // on individual members.
 func startTestClusterCfg(t testing.TB, n int, mod func(i int, hc *HandlerConfig)) []*testClusterNode {
 	t.Helper()
+	return startTestClusterOpts(t, n, nil, mod)
+}
+
+// startTestClusterOpts is startTestClusterCfg with a second hook, modOpts,
+// that runs on each node's cluster.Options (test cadences and Local
+// pre-filled) before the node is built.
+func startTestClusterOpts(t testing.TB, n int, modOpts func(i int, o *cluster.Options), mod func(i int, hc *HandlerConfig)) []*testClusterNode {
+	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
 	for i := range lns {
@@ -77,12 +85,16 @@ func startTestClusterCfg(t testing.TB, n int, mod func(i int, hc *HandlerConfig)
 				peers = append(peers, u)
 			}
 		}
-		node, err := cluster.NewNode(cluster.Options{
+		opts := cluster.Options{
 			Self: urls[i], Peers: peers, Local: g.ClusterLocal(),
 			Heartbeat: 15 * time.Millisecond, FailAfter: 120 * time.Millisecond,
 			TailPoll: 3 * time.Millisecond, MoveTimeout: 30 * time.Second,
 			LoadDigest: g.Load().Snapshot,
-		})
+		}
+		if modOpts != nil {
+			modOpts(i, &opts)
+		}
+		node, err := cluster.NewNode(opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -194,9 +194,11 @@ type RootsResponse struct {
 	Shards []query.RootInfo `json:"shards"`
 }
 
-// errorBody is the JSON shape of every non-2xx response. Leader is set only
-// on follower-mode write rejections: it names the node that accepts writes
-// (also sent as the Leader response header, which Client auto-follows).
+// errorBody is the JSON shape of every non-2xx response. Leader names the
+// node that accepts the feed's writes. It is set on follower-mode write
+// rejections (403) and on the cluster's redirects (421), fenced or
+// unavailable answers (503) and failed forwards (502). The 403, 421 and 502
+// also send it as the Leader response header, which Client auto-follows.
 type errorBody struct {
 	Error  string `json:"error"`
 	Leader string `json:"leader,omitempty"`
@@ -559,28 +561,29 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 		// refused) and, in follower mode, tailer-side halts both degrade
 		// the probe: a halted shard serves a frozen view forever.
 		resp.Degraded = g.Halted()
-		seen := make(map[string]map[int]bool, len(resp.Degraded))
-		mark := func(feed string, s int) bool {
-			if seen[feed] == nil {
-				seen[feed] = make(map[int]bool)
-			}
-			was := seen[feed][s]
-			seen[feed][s] = true
-			return was
+		type shardKey struct {
+			feed  string
+			shard int
 		}
+		seen := make(map[shardKey]bool, len(resp.Degraded))
 		for _, d := range resp.Degraded {
-			mark(d.Feed, d.Shard)
+			seen[shardKey{d.Feed, d.Shard}] = true
+		}
+		// foldHalted adds a tail's halted shards the engine scan missed.
+		foldHalted := func(fs repl.FeedStatus) {
+			for _, ss := range fs.Shards {
+				if k := (shardKey{fs.ID, ss.Shard}); ss.State == repl.StateHalted && !seen[k] {
+					seen[k] = true
+					resp.Degraded = append(resp.Degraded,
+						ShardHealth{Feed: fs.ID, Shard: ss.Shard, State: repl.StateHalted, Error: ss.Error})
+				}
+			}
 		}
 		if hc.Follower != nil {
 			resp.Follower = hc.Follower.Leader()
 			feeds, _ := hc.Follower.Status()
 			for _, fs := range feeds {
-				for _, ss := range fs.Shards {
-					if ss.State == repl.StateHalted && !mark(fs.ID, ss.Shard) {
-						resp.Degraded = append(resp.Degraded,
-							ShardHealth{Feed: fs.ID, Shard: ss.Shard, State: repl.StateHalted, Error: ss.Error})
-					}
-				}
+				foldHalted(fs)
 			}
 		}
 		if hc.Cluster != nil {
@@ -589,14 +592,8 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 			cs := hc.Cluster.Status()
 			resp.Cluster = &cs
 			for _, fp := range cs.Feeds {
-				if fp.Tail == nil {
-					continue
-				}
-				for _, ss := range fp.Tail.Shards {
-					if ss.State == repl.StateHalted && !mark(fp.Feed, ss.Shard) {
-						resp.Degraded = append(resp.Degraded,
-							ShardHealth{Feed: fp.Feed, Shard: ss.Shard, State: repl.StateHalted, Error: ss.Error})
-					}
+				if fp.Tail != nil {
+					foldHalted(*fp.Tail)
 				}
 			}
 		}

@@ -131,13 +131,6 @@ func loadSeries(g *Gateway) []obs.Series {
 	return out
 }
 
-// replStateCode maps tailer states to a numeric gauge (0 healthy ... 4
-// halted), so alerts can threshold on it.
-var replStateCode = map[string]int{
-	repl.StateTailing: 0, repl.StateSyncing: 1, repl.StateGone: 2,
-	repl.StateFailed: 3, repl.StateHalted: 4,
-}
-
 // clusterRoleCode maps this node's role in a feed to a numeric gauge so
 // dashboards can plot ownership moves (0 follower, 1 owner, 2 owner mid-
 // migration fence, 3 deleted).
@@ -192,7 +185,6 @@ func clusterSeries(node *cluster.Node) []obs.Series {
 
 func followerSeries(follower *repl.Follower) []obs.Series {
 	feeds, _ := follower.Status()
-	sort.Slice(feeds, func(i, j int) bool { return feeds[i].ID < feeds[j].ID })
 	out := []obs.Series{
 		{Name: "grub_repl_seq", Help: "Follower's applied batch sequence per feed shard.", Type: "gauge"},
 		{Name: "grub_repl_leader_seq", Help: "Leader's batch sequence as last observed, per feed shard.", Type: "gauge"},
@@ -205,7 +197,7 @@ func followerSeries(follower *repl.Follower) []obs.Series {
 			out[0].Samples = append(out[0].Samples, obs.Sample{Labels: label, Value: float64(ss.Seq)})
 			out[1].Samples = append(out[1].Samples, obs.Sample{Labels: label, Value: float64(ss.LeaderSeq)})
 			out[2].Samples = append(out[2].Samples, obs.Sample{Labels: label, Value: float64(ss.Lag)})
-			out[3].Samples = append(out[3].Samples, obs.Sample{Labels: label, Value: float64(replStateCode[ss.State])})
+			out[3].Samples = append(out[3].Samples, obs.Sample{Labels: label, Value: float64(repl.Severity(ss.State))})
 		}
 	}
 	return out
