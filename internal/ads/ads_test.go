@@ -270,8 +270,8 @@ func TestRootChangesAsSetGrows(t *testing.T) {
 	}
 }
 
-// TestCloneIsStableSnapshot pins the copy-on-write contract publishView
-// relies on: a clone keeps its root and contents while the original mutates,
+// TestCloneIsStableSnapshot pins the copy-on-write contract a pinned read
+// view relies on: a clone keeps its root and contents while the original mutates,
 // and many clones coexist.
 func TestCloneIsStableSnapshot(t *testing.T) {
 	s := NewSet()

@@ -191,6 +191,7 @@ func TestCloneIsOneAllocation(t *testing.T) {
 // TestUnpublishedUpdateIsOneAllocation pins the ownership rule's payoff: with
 // no Clone outstanding, a value update plus the Root that anchors it edits
 // the sealed root path in place, so the value copy is the only allocation.
+// A Capture without EndGeneration does not change that.
 // The first update after a Clone copies its path instead — the clone must
 // not see it — and the same key's next update is back to one allocation.
 func TestUnpublishedUpdateIsOneAllocation(t *testing.T) {
@@ -211,6 +212,16 @@ func TestUnpublishedUpdateIsOneAllocation(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, update); allocs != 1 {
 		t.Fatalf("update + Root with no clone outstanding: %v allocations, want 1", allocs)
+	}
+	// A capture whose generation is never ended — a view the shard worker
+	// retracted because nobody pinned it — costs the update nothing: the set
+	// edits the captured path in place, and the capture is abandoned.
+	var retracted *Set
+	if allocs := testing.AllocsPerRun(100, func() { retracted = s.Capture(); update() }); allocs != 2 {
+		t.Fatalf("Capture then update: %v allocations, want 2 (the capture's header, the value copy)", allocs)
+	}
+	if retracted.root != s.root {
+		t.Fatal("the update after a retracted capture copied the root it could edit in place")
 	}
 
 	c := captureOf(s)

@@ -15,7 +15,7 @@ import (
 // the points where a digest is needed. Two rules carry the design:
 //
 //   - The seal rule. A mutation hashes nothing: it marks every node it
-//     creates or edits dirty (hash stale). Root, Clone and the Prove methods
+//     creates or edits dirty (hash stale). Root, Capture and the Prove methods
 //     first seal the tree — children before parents, each dirty node hashed
 //     exactly once — so hashing costs one pass over the distinct nodes
 //     touched since the last seal, however many mutations touched them. GRuB
@@ -24,20 +24,24 @@ import (
 //   - The ownership rule. Every node carries the generation of the Set that
 //     created it, and a Set edits in place exactly the nodes of its current
 //     generation, sealed or not; any other node is copied before it is
-//     written. Clone is what ends a generation: the set gives up its stamp
-//     (a fresh one is drawn at its next mutation), so every node a clone can
-//     reach is copied before the set writes it again. A clone owns no node
-//     until it is itself mutated, so a frozen clone (one nobody mutates)
-//     does no writes in any method and is safe for any number of concurrent
-//     readers, and later mutations of the set it came from never show
-//     through it. Between clones — the epochs of puts a feed anchors with
-//     Root and publishes nowhere — a mutation allocates nothing but the
-//     value copy and, for a new key, its node.
+//     written. Capture takes a version without touching the generation;
+//     EndGeneration gives the stamp up (a fresh one is drawn at the next
+//     mutation), so every node a capture taken before it can reach is copied
+//     before the set writes it again. Copying therefore follows the versions
+//     someone reads, not the versions taken: the shard worker captures a view
+//     after every batch, but ends the generation only when a reader pinned
+//     the view (see package query); a view nobody pinned is retracted, and
+//     the next batch edits its nodes in place. Clone is Capture and
+//     EndGeneration together. A capture owns no node until it is itself
+//     mutated, so a frozen one (nobody mutates it, and its set ended the
+//     generation) does no writes in any method and is safe for any number of
+//     concurrent readers. Between ended generations a mutation allocates
+//     nothing but the value copy and, for a new key, its node.
 //
 // A Set that is being mutated has a single owner: sealing writes node
-// hashes, so Root, Clone and the Prove methods are not reads on it. Clone
-// is O(1) beyond that seal — one allocation capturing the root pointer —
-// and any number of historical views share structure.
+// hashes, so Root, Capture, Clone and the Prove methods are not reads on it.
+// Capture and Clone are O(1) beyond that seal — one allocation holding the
+// root pointer — and any number of historical views share structure.
 //
 // The tree is a treap over the (state, key) order with priorities derived
 // from a hash of (state, key). Priorities are a deterministic function of the
@@ -66,13 +70,13 @@ import (
 type Set struct {
 	root *node
 	// gen is the generation whose nodes this set may edit in place; 0 (a
-	// new set, a clone, a set just cloned) owns none.
+	// new set, a capture, a set whose generation just ended) owns none.
 	gen uint64
 }
 
 // generations hands out node generations. 64 bits never wrap, so a
 // generation is never reused: a node stamped by one Set can never look owned
-// to another, or to the same Set after a Clone.
+// to another, or to the same Set after EndGeneration.
 var generations atomic.Uint64
 
 // node is one tree node. The record's fields sit flat in the node so that
@@ -128,7 +132,8 @@ func (s *Set) claim() {
 }
 
 // own returns the node a mutation may edit in n's place, marked dirty: n
-// itself when it is of the set's generation (no clone can reach it), a copy
+// itself when it is of the set's generation (no clone can reach it; a
+// capture can, which is the capturer's to rule out), a copy
 // stamped with that generation otherwise.
 func (s *Set) own(n *node) *node {
 	if n.gen != s.gen {
@@ -422,20 +427,39 @@ func (s *Set) Root() merkle.Hash {
 	return merkle.HashInner(CountLeaf(s.Len()), hashOf(s.root))
 }
 
-// Clone seals the set and captures its current version as a frozen copy: the
-// returned Set shares every node with the receiver, and since the receiver
-// gives up its generation here, its later mutations copy every shared node
+// Clone seals the set and captures its current version as a frozen copy:
+// Capture followed by EndGeneration. The returned Set shares every node with
+// the receiver, and the receiver's later mutations copy every shared node
 // before writing it, so the clone is a stable snapshot safe for concurrent
-// use from many goroutines. This is what the snapshot-isolated query views
-// are built from. On a sealed set (the shard worker anchors every batch with
-// Root before it publishes) Clone is one allocation, whatever the record
-// count, and on a frozen clone it writes nothing.
+// use from many goroutines. On a sealed set Clone is one allocation, whatever
+// the record count, and on a frozen clone it writes nothing.
 func (s *Set) Clone() *Set {
+	c := s.Capture()
+	s.EndGeneration()
+	return c
+}
+
+// Capture seals the set and returns its current version, sharing every node
+// with the receiver, without giving up the receiver's generation. The
+// receiver's next mutation therefore edits in place nodes the capture
+// reaches, and the capture stays what it was only if EndGeneration runs
+// before that mutation. The shard worker publishes its read views this way
+// and ends the generation only for a view a reader has pinned. On a sealed
+// set (the worker anchors every batch with Root before it publishes) Capture
+// is one allocation, whatever the record count.
+func (s *Set) Capture() *Set {
 	seal(s.root)
-	if s.gen != 0 { // readers may clone a frozen clone concurrently
+	return &Set{root: s.root}
+}
+
+// EndGeneration gives up the set's generation, so that its next mutation
+// copies every node an earlier Capture can reach before writing it. On a set
+// that owns no generation (a frozen clone) it writes nothing, so readers may
+// clone a frozen clone concurrently.
+func (s *Set) EndGeneration() {
+	if s.gen != 0 {
 		s.gen = 0
 	}
-	return &Set{root: s.root}
 }
 
 // ProveIndex builds a membership proof for the record at in-order index i.

@@ -2,16 +2,28 @@
 // query engine that serves point reads, absence queries and key-range scans
 // with Merkle proofs, entirely off the write hot path.
 //
-// Each shard worker publishes an immutable View — a frozen copy of its
+// Each shard worker publishes an immutable View — a version of its
 // authenticated record set plus the set's root, the shard chain's height and
 // a monotone sequence number — after every applied batch. The Engine holds
 // one atomically-swapped View per shard; readers load the current views and
-// assemble proofs against them concurrently, without ever touching the
-// single-writer shard workers. Reads therefore scale with cores while writes
-// keep their per-shard determinism, and every answer carries the evidence a
-// light client needs to verify it against the advertised (root, count)
-// anchors — the gateway itself is untrusted on this path, in the spirit of
-// the verified-middlebox designs (LightBox, Slick) the ROADMAP points at.
+// assemble proofs against them concurrently, without ever sending the
+// single-writer shard workers a message. Reads therefore scale with cores
+// while writes keep their per-shard determinism.
+//
+// Copy-on-write is paid only for the views someone reads. A reader pins a
+// view (one CompareAndSwap, and only a load once it is pinned) before it
+// reads any node, and the shard worker, before its next batch, retracts the
+// view if nobody did. A retracted view is never read, so the batch edits its
+// nodes in place; a pinned one makes the worker end the set's generation,
+// so the batch copies every node the view reaches before writing it. A
+// reader that finds a view retracted waits for the successor, which the
+// worker publishes when that one batch is applied. Roots reads only the
+// anchor each view captured at publish, so it neither pins nor waits.
+//
+// Every answer carries the evidence a light client needs to verify it
+// against the advertised (root, count) anchors — the gateway itself is
+// untrusted on this path, in the spirit of the verified-middlebox designs
+// (LightBox, Slick) the ROADMAP points at.
 //
 // Verification contract: a response is trustworthy relative to the per-shard
 // (Root, Count) pairs. In a full deployment those pairs are exactly what the
@@ -50,27 +62,58 @@ func ShardOf(key string, n int) int {
 	return int(h.Sum32() % uint32(n))
 }
 
-// View is one shard's immutable read snapshot: a frozen record set with its
-// Merkle tree built, pinned to the shard chain's height and a monotone
-// per-shard sequence number. All methods are safe for concurrent use.
+// View is one shard's immutable read snapshot: a version of its record set
+// with the Merkle tree built, tied to the shard chain's height and a
+// monotone per-shard sequence number. All methods are safe for concurrent
+// use.
+//
+// A view is published, then either pinned by its first reader or retracted
+// by its shard worker, never both (see Engine.ViewOf). Its tree nodes may be
+// read only once it is pinned; its anchor (seq, height, root, count) was
+// captured at publish and may be read at any time.
 type View struct {
 	shard  int
 	seq    uint64
 	height uint64
 	set    *ads.Set
 	root   merkle.Hash
+	count  int
+	state  atomic.Uint32
 	// countLeaf is the digest's count commitment, the last step of every
 	// membership proof off this view.
 	countLeaf merkle.Hash
 }
 
-// NewView wraps a frozen record set (ads.Set.Clone) into a view. The set
-// must not be mutated afterwards.
+// View states. A view leaves viewPublished once, by one CompareAndSwap.
+const (
+	viewPublished uint32 = iota
+	// viewPinned: a reader may read the tree, so the shard worker ends the
+	// set's generation before its next batch and copies what it writes.
+	viewPinned
+	// viewRetracted: no reader ever will, so the next batch edits the
+	// view's nodes in place.
+	viewRetracted
+)
+
+// NewView wraps a record set version into a view. The set must not be
+// mutated afterwards unless Engine.Retract retracted the view first.
 func NewView(shard int, seq, height uint64, frozen *ads.Set) *View {
+	n := frozen.Len()
 	return &View{
 		shard: shard, seq: seq, height: height, set: frozen,
-		root: frozen.Root(), countLeaf: ads.CountLeaf(frozen.Len()),
+		root: frozen.Root(), count: n, countLeaf: ads.CountLeaf(n),
 	}
+}
+
+// pin claims the view for reading, reporting false if it was retracted.
+func (v *View) pin() bool {
+	switch v.state.Load() {
+	case viewPinned:
+		return true // the common case under reads costs no write
+	case viewRetracted:
+		return false
+	}
+	return v.state.CompareAndSwap(viewPublished, viewPinned) || v.state.Load() == viewPinned
 }
 
 // Root returns the view's authenticated digest.
@@ -83,7 +126,7 @@ func (v *View) Seq() uint64 { return v.seq }
 func (v *View) Height() uint64 { return v.height }
 
 // Len returns the number of records in the view.
-func (v *View) Len() int { return v.set.Len() }
+func (v *View) Len() int { return v.count }
 
 // RootInfo advertises one shard's trust anchor: the digest, the record
 // count it covers, and the (seq, height) the view was published at.
@@ -161,11 +204,12 @@ func copyRecord(r ads.Record) ads.Record {
 	return r
 }
 
-// Get answers a point read from this view.
+// Get answers a point read from this view, which must be frozen or pinned
+// (Engine.ViewOf returns it pinned).
 func (v *View) Get(key string, shards int) (*GetResult, error) {
 	res := &GetResult{
 		Key: key, Shard: v.shard, Shards: shards,
-		Seq: v.seq, Height: v.height, Root: v.root, Count: v.set.Len(),
+		Seq: v.seq, Height: v.height, Root: v.root, Count: v.count,
 	}
 	if rec, p, ok := v.set.ProveKeyAt(key, v.countLeaf); ok {
 		own := copyRecord(rec) // declared here so that a miss allocates no record
@@ -180,7 +224,8 @@ func (v *View) Get(key string, shards int) (*GetResult, error) {
 	return res, nil
 }
 
-// RangeNR answers this view's slice of a key-range scan.
+// RangeNR answers this view's slice of a key-range scan. Like Get, it reads
+// the tree, so the view must be frozen or pinned.
 func (v *View) RangeNR(lo, hi string, shards int) (*RangeResult, error) {
 	nr, err := v.set.ProveRangeNR(lo, hi)
 	if err != nil {
@@ -188,20 +233,29 @@ func (v *View) RangeNR(lo, hi string, shards int) (*RangeResult, error) {
 	}
 	return &RangeResult{
 		Shard: v.shard, Shards: shards,
-		Seq: v.seq, Height: v.height, Root: v.root, Count: v.set.Len(),
+		Seq: v.seq, Height: v.height, Root: v.root, Count: v.count,
 		Range: nr,
 	}, nil
 }
 
-// Engine fans authenticated reads across per-shard views. Publish and the
-// read methods are all safe for concurrent use; readers always see some
-// complete published view per shard (snapshot isolation at batch
+// Engine fans authenticated reads across per-shard views. Publish, Retract
+// and the read methods are all safe for concurrent use; readers always see
+// some complete published view per shard (snapshot isolation at batch
 // granularity).
 type Engine struct {
-	views []atomic.Pointer[View]
+	shards []shardViews
 	// proofHist, when non-nil, times proof construction (the proof_build
 	// pipeline stage): one observation per Get, one per Range fan-out.
 	proofHist *obs.Histogram
+}
+
+// shardViews is one shard's current view and the wake-up for readers that
+// found it retracted. Publish stores under mu and broadcasts next; a
+// waiting reader re-checks the pointer under mu, so no publish is missed.
+type shardViews struct {
+	view atomic.Pointer[View]
+	mu   sync.Mutex
+	next sync.Cond
 }
 
 // SetProofHistogram wires the engine's proof-construction latency into a
@@ -213,40 +267,80 @@ func NewEngine(shards int) *Engine {
 	if shards < 1 {
 		shards = 1
 	}
-	return &Engine{views: make([]atomic.Pointer[View], shards)}
+	e := &Engine{shards: make([]shardViews, shards)}
+	for i := range e.shards {
+		e.shards[i].next.L = &e.shards[i].mu
+	}
+	return e
 }
 
 // Shards returns the partition count.
-func (e *Engine) Shards() int { return len(e.views) }
+func (e *Engine) Shards() int { return len(e.shards) }
 
-// Publish atomically installs a shard's new read view.
+// Publish atomically installs a shard's new read view and wakes the readers
+// waiting on the view it replaces.
 func (e *Engine) Publish(shard int, v *View) {
-	e.views[shard].Store(v)
+	sv := &e.shards[shard]
+	sv.mu.Lock()
+	sv.view.Store(v)
+	sv.mu.Unlock()
+	sv.next.Broadcast()
 }
 
-// ViewOf returns a shard's current view.
-func (e *Engine) ViewOf(shard int) (*View, error) {
-	if shard < 0 || shard >= len(e.views) {
-		return nil, fmt.Errorf("query: shard %d out of range [0,%d)", shard, len(e.views))
+// Retract withdraws a shard's current view from readers if none has pinned
+// it, reporting whether it did. A true result means no reader has read, or
+// ever will read, the view's tree, so its set may be mutated in place; the
+// caller must then Publish the shard's next view, which is what the readers
+// that find the retracted view wait for. False (a reader pinned the view, or
+// there is none) leaves everything as it was.
+func (e *Engine) Retract(shard int) bool {
+	v := e.shards[shard].view.Load()
+	return v != nil && v.state.CompareAndSwap(viewPublished, viewRetracted)
+}
+
+// current returns a shard's current view without pinning it: its anchor is
+// readable, its tree is not.
+func (e *Engine) current(shard int) (*View, error) {
+	if shard < 0 || shard >= len(e.shards) {
+		return nil, fmt.Errorf("query: shard %d out of range [0,%d)", shard, len(e.shards))
 	}
-	v := e.views[shard].Load()
+	v := e.shards[shard].view.Load()
 	if v == nil {
 		return nil, fmt.Errorf("%w: shard %d", ErrNoView, shard)
 	}
 	return v, nil
 }
 
+// ViewOf returns a shard's current view, pinned: its shard worker will copy,
+// never edit in place, every node of it. A reader that finds the current view
+// retracted waits for the shard's next Publish — one in-flight batch — and
+// pins that one instead.
+func (e *Engine) ViewOf(shard int) (*View, error) {
+	for {
+		v, err := e.current(shard)
+		if err != nil || v.pin() {
+			return v, err
+		}
+		sv := &e.shards[shard]
+		sv.mu.Lock()
+		for sv.view.Load() == v {
+			sv.next.Wait()
+		}
+		sv.mu.Unlock()
+	}
+}
+
 // Get answers a point read (membership or proven absence) from the key's
 // home shard.
 func (e *Engine) Get(key string) (*GetResult, error) {
-	v, err := e.ViewOf(ShardOf(key, len(e.views)))
+	v, err := e.ViewOf(ShardOf(key, len(e.shards)))
 	if err != nil {
 		return nil, err
 	}
 	if e.proofHist != nil {
 		defer e.proofHist.ObserveSince(time.Now())
 	}
-	return v.Get(key, len(e.views))
+	return v.Get(key, len(e.shards))
 }
 
 // Range fans a key-range scan across every shard concurrently and gathers
@@ -255,10 +349,10 @@ func (e *Engine) Range(lo, hi string) ([]RangeResult, error) {
 	if e.proofHist != nil {
 		defer e.proofHist.ObserveSince(time.Now())
 	}
-	out := make([]RangeResult, len(e.views))
-	errs := make([]error, len(e.views))
+	out := make([]RangeResult, len(e.shards))
+	errs := make([]error, len(e.shards))
 	var wg sync.WaitGroup
-	for i := range e.views {
+	for i := range e.shards {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -267,7 +361,7 @@ func (e *Engine) Range(lo, hi string) ([]RangeResult, error) {
 				errs[i] = err
 				return
 			}
-			r, err := v.RangeNR(lo, hi, len(e.views))
+			r, err := v.RangeNR(lo, hi, len(e.shards))
 			if err != nil {
 				errs[i] = err
 				return
@@ -284,15 +378,16 @@ func (e *Engine) Range(lo, hi string) ([]RangeResult, error) {
 	return out, nil
 }
 
-// Roots gathers every shard's current trust anchor.
+// Roots gathers every shard's current trust anchor. It reads only what each
+// view captured at publish, so it pins nothing and never waits.
 func (e *Engine) Roots() ([]RootInfo, error) {
-	out := make([]RootInfo, len(e.views))
-	for i := range e.views {
-		v, err := e.ViewOf(i)
+	out := make([]RootInfo, len(e.shards))
+	for i := range e.shards {
+		v, err := e.current(i)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = RootInfo{Shard: i, Seq: v.seq, Height: v.height, Root: v.root, Count: v.set.Len()}
+		out[i] = RootInfo{Shard: i, Seq: v.seq, Height: v.height, Root: v.root, Count: v.count}
 	}
 	return out, nil
 }

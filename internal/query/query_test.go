@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"grub/internal/ads"
 	"grub/internal/merkle"
@@ -182,6 +183,62 @@ func TestVerifyRangeRejectsOmission(t *testing.T) {
 	}
 	if err := VerifyRange("k2", "k5", narrow); err == nil {
 		t.Fatal("narrowed answer accepted for wider window")
+	}
+}
+
+// TestRetractedViewWaitsForSuccessor: a reader that finds its shard's view
+// retracted blocks, reading none of it while the writer edits the retracted
+// version in place, until the successor is published, and then answers from
+// the successor with the writes that publication covers. A pinned view
+// cannot be retracted.
+func TestRetractedViewWaitsForSuccessor(t *testing.T) {
+	s := ads.NewSet()
+	for i := 0; i < 64; i++ {
+		s.Put(ads.Record{Key: fmt.Sprintf("k%03d", i), State: ads.NR, Value: []byte("v")})
+	}
+	e := NewEngine(1)
+	e.Publish(0, NewView(0, 1, 1, s.Capture()))
+	if !e.Retract(0) {
+		t.Fatal("an unread view was not retracted")
+	}
+	if e.Retract(0) {
+		t.Fatal("a view was retracted twice")
+	}
+
+	type answer struct {
+		res *GetResult
+		err error
+	}
+	got := make(chan answer, 1)
+	go func() {
+		res, err := e.Get("k007")
+		got <- answer{res, err}
+	}()
+	// The writer owns the retracted version's nodes now (run with -race).
+	s.Put(ads.Record{Key: "k007", State: ads.NR, Value: []byte("acked")})
+	s.Root()
+	select {
+	case a := <-got:
+		t.Fatalf("read answered from a retracted view before its successor was published: %+v, %v", a.res, a.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	e.Publish(0, NewView(0, 2, 2, s.Capture()))
+	a := <-got
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if a.res.Seq != 2 || !a.res.Found || string(a.res.Record.Value) != "acked" {
+		t.Fatalf("read after publish = seq %d found %v record %+v, want seq 2 value \"acked\"", a.res.Seq, a.res.Found, a.res.Record)
+	}
+	if err := VerifyGet("k007", a.res); err != nil {
+		t.Fatal(err)
+	}
+	if a.res.Root != s.Root() {
+		t.Fatal("answer does not verify against the successor's root")
+	}
+	// The reader pinned the successor, so the writer may not retract it.
+	if e.Retract(0) {
+		t.Fatal("a pinned view was retracted")
 	}
 }
 

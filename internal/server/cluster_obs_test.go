@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,8 +16,11 @@ import (
 )
 
 // waitSlowRecord polls a node's slow-op log until it carries a record for
-// traceID that includes a span for stage.
-func waitSlowRecord(t *testing.T, log *syncBuffer, traceID, stage string, timeout time.Duration) SlowOpRecord {
+// traceID that includes a span for every one of stages. One trace ID can
+// head several records: a forward the owner rejected is logged too, with
+// the forward span alone, so the caller names every stage the record it
+// wants must hold.
+func waitSlowRecord(t *testing.T, log *syncBuffer, traceID string, timeout time.Duration, stages ...string) SlowOpRecord {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
@@ -28,21 +32,26 @@ func waitSlowRecord(t *testing.T, log *syncBuffer, traceID, stage string, timeou
 			if err := json.Unmarshal([]byte(line), &rec); err != nil {
 				t.Fatalf("malformed slow-op line %q: %v", line, err)
 			}
-			if rec.Trace != traceID {
-				continue
-			}
-			for _, sp := range rec.Spans {
-				if sp.Stage == stage {
-					return rec
-				}
+			if rec.Trace == traceID && hasStages(rec, stages) {
+				return rec
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no slow-op record for trace %q with stage %q within %v; log:\n%s",
-				traceID, stage, timeout, log.String())
+			t.Fatalf("no slow-op record for trace %q with stages %q within %v; log:\n%s",
+				traceID, stages, timeout, log.String())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// hasStages reports whether rec holds a span for every one of stages.
+func hasStages(rec SlowOpRecord, stages []string) bool {
+	for _, stage := range stages {
+		if !slices.ContainsFunc(rec.Spans, func(sp obs.SpanRecord) bool { return sp.Stage == stage }) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestClusterTraceStitching: a write through a non-owner node must yield
@@ -94,8 +103,10 @@ func TestClusterTraceStitching(t *testing.T) {
 		t.Fatalf("response trace ID = %q, want %q (one trace end to end)", got, traceID)
 	}
 
-	// The ingress node's slow-op log holds the stitched breakdown.
-	rec := waitSlowRecord(t, logs[wi], traceID, obs.StageForward, 3*time.Second)
+	// The ingress node's slow-op log holds the stitched breakdown: the
+	// record of the forward the owner applied, not that of one it rejected
+	// before the retry that succeeded.
+	rec := waitSlowRecord(t, logs[wi], traceID, 3*time.Second, obs.StageForward, obs.StageRemoteApply)
 	byStage := make(map[string]obs.SpanRecord)
 	for _, sp := range rec.Spans {
 		if _, ok := byStage[sp.Stage]; !ok {
@@ -126,7 +137,7 @@ func TestClusterTraceStitching(t *testing.T) {
 	}
 
 	// The owner logged the same trace ID from its side of the hop.
-	waitSlowRecord(t, logs[oi], traceID, obs.StageRemoteApply, 3*time.Second)
+	waitSlowRecord(t, logs[oi], traceID, 3*time.Second, obs.StageRemoteApply)
 }
 
 // getJSONDoc fetches and decodes one JSON document.

@@ -412,7 +412,8 @@ func (g *Gateway) Stats(id string) (Stats, error) {
 
 // Query returns one feed's snapshot-isolated query engine — the
 // authenticated read path. Reads served from it carry Merkle proofs and
-// never touch the feed's shard workers.
+// never send the feed's shard workers a message (a read may wait for the
+// one batch in flight on its shard; see package query).
 func (g *Gateway) Query(id string) (*query.Engine, error) {
 	sf, err := g.lookup(id)
 	if err != nil {

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"grub/internal/chain"
 	"grub/internal/core"
 	"grub/internal/gas"
 	"grub/internal/policy"
+	"grub/internal/query"
 	"grub/internal/repl"
 	"grub/internal/sim"
 )
@@ -128,13 +130,16 @@ func TestReplicatedApplyDivergenceHalts(t *testing.T) {
 	driveLeader(t, leader, 4)
 	ship(t, leader, follower)
 
-	viewBefore, err := follower.Engine().ViewOf(0)
+	// Roots pins nothing: the refused batch must leave the view intact even
+	// though no reader ever pinned it.
+	roots, err := follower.Engine().Roots()
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := roots[0]
 
 	driveLeader(t, leader, 1)
-	page, err := leader.ReplPage(0, viewBefore.Seq(), 10)
+	page, err := leader.ReplPage(0, before.Seq, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +173,29 @@ func TestReplicatedApplyDivergenceHalts(t *testing.T) {
 	}
 
 	// The forked state was never published: the view still serves the
-	// last verified root.
-	viewAfter, err := follower.Engine().ViewOf(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viewAfter.Root() != viewBefore.Root() || viewAfter.Seq() != viewBefore.Seq() {
-		t.Errorf("view advanced past divergence: seq %d root %s", viewAfter.Seq(), viewAfter.Root())
+	// last verified root, and its nodes were copied, not edited, so a read
+	// of the key the refused batch wrote still verifies against it. (A view
+	// the refused batch retracted would never be succeeded: bound the wait.)
+	key := tampered.Ops[0].Key
+	answer := make(chan error, 1)
+	go func() {
+		res, err := follower.Engine().Get(key)
+		switch {
+		case err != nil:
+		case res.Seq != before.Seq || res.Root != before.Root:
+			err = fmt.Errorf("view advanced past divergence: seq %d root %s", res.Seq, res.Root)
+		default:
+			err = query.VerifyGet(key, res)
+		}
+		answer <- err
+	}()
+	select {
+	case err := <-answer:
+		if err != nil {
+			t.Errorf("read of the last verified view: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("read of the last verified view blocked: it was retracted and never succeeded")
 	}
 }
 

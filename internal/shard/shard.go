@@ -59,12 +59,16 @@ type Options struct {
 	// a recovered feed's trace restarts at the newest snapshot (earlier
 	// ops were compacted away).
 	RecordTrace bool
-	// Views publishes an immutable read view (frozen record set + ads
+	// Views publishes an immutable read view (record set version + ads
 	// root + chain height) per shard after every applied batch, served by
-	// Engine() — the authenticated read path (internal/query). Reads on
-	// that path never touch the shard workers. Publication is a
-	// root-pointer capture of the persistent record set, which the batch
-	// anchor has already sealed.
+	// Engine() — the authenticated read path (internal/query). Readers
+	// never send the shard workers a message, but a read that finds its
+	// view retracted waits for the one batch in flight on that shard.
+	// Publication is a root-pointer capture of the persistent record set,
+	// which the batch anchor has already sealed. A client batch copies the
+	// nodes it writes only if a reader pinned the view before it; a view
+	// nobody read is retracted and edited in place. Replicated applies
+	// always copy, so a refused batch leaves the last verified view intact.
 	Views bool
 	// Persist, when non-nil, backs every shard with a durable op log and
 	// snapshot store (see persist.go); New recovers whatever state the
@@ -325,21 +329,34 @@ type worker struct {
 	restore func(shard int, snap *core.FeedSnapshot) (*core.Feed, error)
 }
 
-// publishView snapshots the shard's current state into an immutable read
-// view and installs it: the current version of the feed's authenticated
-// record set, its root, the shard chain's height, and the batch count as the
-// monotone publication sequence. Every batch ends with anchor(), which seals
-// the set, so Clone here has nothing left to hash (the first view after a
-// restore is the exception; Clone seals it, on the shard's own recovery
-// goroutine in New): it is a root-pointer capture whose cost is independent
-// of the record count, any number of live views share structure, and readers
-// of the view find every node hashed.
+// publishView snapshots the shard's current state into a read view and
+// installs it: the current version of the feed's authenticated record set,
+// its root, the shard chain's height, and the batch count as the monotone
+// publication sequence. Every batch ends with anchor(), which seals the set,
+// so Capture here has nothing left to hash (the first view after a restore
+// is the exception; Capture seals it, on the shard's own recovery goroutine
+// in New): it is a root-pointer capture whose cost is independent of the
+// record count, and readers of the view find every node hashed. The set
+// keeps its generation; releaseView decides, at the next batch, whether the
+// view's nodes must be copied.
 func (w *worker) publishView(st *shardState) {
 	if w.views == nil {
 		return
 	}
-	frozen := st.feed.DO.Set().Clone()
-	w.views.Publish(w.idx, query.NewView(w.idx, uint64(st.batches), st.feed.Chain.Height(), frozen))
+	version := st.feed.DO.Set().Capture()
+	w.views.Publish(w.idx, query.NewView(w.idx, uint64(st.batches), st.feed.Chain.Height(), version))
+}
+
+// releaseView makes the set safe to mutate under the current view. If no
+// reader pinned the view, retracting it means none ever will, and the batch
+// edits the view's nodes in place; otherwise the set ends its generation,
+// and the batch copies every node the view reaches before writing it. After
+// a retraction publishView must run before the worker waits for its next
+// request: readers that found the view retracted wait for its successor.
+func (w *worker) releaseView(st *shardState) {
+	if w.views != nil && !w.views.Retract(w.idx) {
+		st.feed.DO.Set().EndGeneration()
+	}
 }
 
 // anchor reads the shard's current post-apply anchor. Root seals the set:
@@ -458,6 +475,8 @@ func (w *worker) loop(st *shardState) {
 				}
 				clk.mark(obs.StagePersist, clk.stages.GetPersist())
 			}
+			// From here to publishView nothing returns early.
+			w.releaseView(st)
 			results, entry := st.applyBatch(req.ops)
 			clk.mark(obs.StageApply, clk.stages.GetApply())
 			if st.persist != nil {
@@ -502,6 +521,11 @@ func (w *worker) applyReplicated(st *shardState, e *repl.Entry, clk *stageClock)
 			return err
 		}
 		clk.mark(obs.StagePersist, clk.stages.GetPersist())
+	}
+	// A diverged batch must leave the current view serving, so its nodes
+	// are copied, never edited, whether or not a reader pinned it.
+	if w.views != nil {
+		st.feed.DO.Set().EndGeneration()
 	}
 	_, got := st.applyBatch(e.Ops)
 	clk.mark(obs.StageApply, clk.stages.GetApply())
