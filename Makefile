@@ -45,12 +45,15 @@ bench:
 #   - kvstore SSTables: corrupted/truncated table bytes must error at open,
 #     never panic or serve wrong values;
 #   - binary read encoding: arbitrary get/range bodies must decode or error
-#     without panicking, deep recursion or outsized allocation.
+#     without panicking, deep recursion or outsized allocation;
+#   - binary ops encoding: arbitrary batch and result bodies likewise, with
+#     no allocation sized from a count the body claims.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzSetOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz FuzzSSTableOpen -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzReadWireDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzOpsWireDecode -fuzztime $(FUZZTIME)
 
 # Docs gate: relative markdown links in README.md and docs/ must resolve,
 # docs/API.md must document every route registered on the gateway mux, and

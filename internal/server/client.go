@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/url"
+	"sync/atomic"
 	"time"
 
 	"grub/internal/query"
@@ -37,14 +39,22 @@ type Retry struct {
 // failover window (~4 tries over roughly half a second worst case).
 var DefaultRetry = Retry{Attempts: 4, Base: 25 * time.Millisecond, Max: 400 * time.Millisecond}
 
-// Client talks to a gateway over its HTTP/JSON API. The zero HTTP client is
-// usable; BaseURL is required ("http://host:port", no trailing slash).
+// Client talks to a gateway over its HTTP API: JSON, except that reads and
+// op batches use the binary encodings where the gateway speaks them. The zero
+// HTTP client is usable; BaseURL is required ("http://host:port", no
+// trailing slash).
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
 	// Retry bounds automatic retry of transient failures (zero = one
 	// attempt, no retry).
 	Retry Retry
+
+	// binaryOps is set by a batch answered in the binary ops encoding: a
+	// gateway that writes it also reads it, so from then on Do sends batches
+	// in it. Until then they go as JSON, which every gateway reads. A binary
+	// batch refused as unreadable clears it (see Do).
+	binaryOps atomic.Bool
 }
 
 // NewClient returns a client for a gateway at baseURL.
@@ -70,7 +80,7 @@ func (c *Client) call(method, path string, in, out any) error {
 		}
 		payload = b
 	}
-	resp, err := c.do(method, path, "", payload)
+	resp, err := c.do(method, path, payload, "application/json", "")
 	if err != nil {
 		return err
 	}
@@ -90,45 +100,32 @@ func drainClose(body io.ReadCloser) {
 	body.Close()
 }
 
-// read performs one authenticated-read GET, asking for the binary read
-// encoding. It returns the whole body in a pooled buffer (the caller decodes
-// it, then putBuf) and whether the body is binary: a gateway that predates
-// the encoding ignores the Accept header and answers JSON, and says so in
-// its Content-Type.
-func (c *Client) read(path string) (body *[]byte, binary bool, err error) {
-	resp, err := c.do(http.MethodGet, path, ReadMediaType, nil)
+// pooled performs one round trip and returns the whole response body in a
+// pooled buffer (the caller putBufs it) with the response's Content-Type,
+// which says whether a gateway that was asked for a binary answer gave one:
+// one that predates the encoding ignores the Accept header and answers JSON.
+func (c *Client) pooled(method, path string, payload []byte, contentType, accept string) (*[]byte, string, error) {
+	resp, err := c.do(method, path, payload, contentType, accept)
 	if err != nil {
-		return nil, false, err
+		return nil, "", err
 	}
 	defer resp.Body.Close()
-	buf := bufPool.Get().(*[]byte)
-	b := *buf
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := resp.Body.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err != nil {
-			*buf = b
-			if err != io.EOF {
-				putBuf(buf)
-				return nil, false, fmt.Errorf("client: GET %s: read body: %w", path, err)
-			}
-			return buf, resp.Header.Get("Content-Type") == ReadMediaType, nil
-		}
+	body, err := readPooled(resp.Body)
+	if err != nil {
+		return nil, "", fmt.Errorf("client: %s %s: read body: %w", method, path, err)
 	}
+	return body, resp.Header.Get("Content-Type"), nil
 }
 
 // do sends one request with bounded retry per c.Retry and returns the 2xx
 // response, body unread; every other outcome is an error. payload, when
-// non-nil, is a JSON body; accept, when non-empty, the Accept header. A 403
-// (read-only follower refusing a write) or 421 (cluster node disclaiming
-// ownership) carrying a Leader header is transparently retried once against
-// the named leader, so a client pointed at any node still lands its writes;
-// transport errors and 502/503 responses back off and retry when c.Retry
-// allows.
-func (c *Client) do(method, path, accept string, payload []byte) (*http.Response, error) {
+// non-nil, is the body, in contentType; accept, when non-empty, the Accept
+// header. A 403 (read-only follower refusing a write) or 421 (cluster node
+// disclaiming ownership) carrying a Leader header is transparently retried
+// once against the named leader, so a client pointed at any node still lands
+// its writes; transport errors and 502/503 responses back off and retry when
+// c.Retry allows.
+func (c *Client) do(method, path string, payload []byte, contentType, accept string) (*http.Response, error) {
 	send := func(base string) (*http.Response, error) {
 		var body io.Reader
 		if payload != nil {
@@ -139,7 +136,7 @@ func (c *Client) do(method, path, accept string, payload []byte) (*http.Response
 			return nil, err
 		}
 		if payload != nil {
-			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Content-Type", contentType)
 		}
 		if accept != "" {
 			req.Header.Set("Accept", accept)
@@ -185,12 +182,14 @@ func (c *Client) do(method, path, accept string, payload []byte) (*http.Response
 		if resp.StatusCode < 300 {
 			return resp, nil
 		}
+		se := &statusError{status: resp.StatusCode}
 		var e errorBody
 		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			err = fmt.Errorf("client: %s %s: %s", method, path, e.Error)
+			se.msg = fmt.Sprintf("client: %s %s: %s", method, path, e.Error)
 		} else {
-			err = fmt.Errorf("client: %s %s: HTTP %d", method, path, resp.StatusCode)
+			se.msg = fmt.Sprintf("client: %s %s: HTTP %d", method, path, resp.StatusCode)
 		}
+		err = se
 		drainClose(resp.Body)
 		if resp.StatusCode != http.StatusBadGateway && resp.StatusCode != http.StatusServiceUnavailable {
 			return nil, err
@@ -199,6 +198,14 @@ func (c *Client) do(method, path, accept string, payload []byte) (*http.Response
 	}
 	return nil, lastErr
 }
+
+// statusError is a non-2xx answer, as do reports it.
+type statusError struct {
+	status int
+	msg    string
+}
+
+func (e *statusError) Error() string { return e.msg }
 
 // CreateFeed creates a feed on the gateway.
 func (c *Client) CreateFeed(cfg FeedConfig) error {
@@ -216,13 +223,62 @@ func (c *Client) Feeds() ([]string, error) {
 	return out.Feeds, nil
 }
 
-// Do executes a batch of ops against one feed.
+// Do executes a batch of ops against one feed. It always asks for the
+// results in the binary ops encoding and decodes the answer by its
+// Content-Type; it sends the batch itself in that encoding once this client
+// has had one binary answer, and in JSON before (docs/API.md, "Binary ops
+// encoding").
+//
+// One client may reach more than one gateway: do follows a Leader header,
+// and a cluster node forwards a batch to the feed's owner as it came. So a
+// binary batch can land on a gateway that predates the encoding, which
+// refuses it with 400 before running any of it. Do then sends the batch
+// again as JSON and goes back to JSON until the next binary answer.
 func (c *Client) Do(id string, ops []Op) ([]OpResult, error) {
-	var out BatchResponse
-	if err := c.call(http.MethodPost, "/feeds/"+id+"/ops", BatchRequest{Ops: ops}, &out); err != nil {
+	path := "/feeds/" + id + "/ops"
+	binary := c.binaryOps.Load()
+	body, ct, err := c.postOps(path, ops, binary)
+	var se *statusError
+	if binary && errors.As(err, &se) && (se.status == http.StatusBadRequest || se.status == http.StatusUnsupportedMediaType) {
+		c.binaryOps.Store(false)
+		body, ct, err = c.postOps(path, ops, false)
+	}
+	if err != nil {
 		return nil, err
 	}
+	defer putBuf(body)
+	if ct == OpsMediaType {
+		c.binaryOps.Store(true)
+		results, err := decodeResults(*body, ops)
+		if err != nil {
+			return nil, fmt.Errorf("client: POST %s: %w", path, err)
+		}
+		return results, nil
+	}
+	var out BatchResponse
+	if err := json.Unmarshal(*body, &out); err != nil {
+		return nil, fmt.Errorf("client: POST %s: %w", path, err)
+	}
 	return out.Results, nil
+}
+
+// postOps posts a batch, in the binary ops encoding or in JSON, asking for
+// binary results, and returns the answer as pooled returns it.
+func (c *Client) postOps(path string, ops []Op, binary bool) (*[]byte, string, error) {
+	if !binary {
+		payload, err := json.Marshal(BatchRequest{Ops: ops})
+		if err != nil {
+			return nil, "", fmt.Errorf("client: encode POST %s: %w", path, err)
+		}
+		return c.pooled(http.MethodPost, path, payload, "application/json", OpsMediaType)
+	}
+	buf := bufPool.Get().(*[]byte)
+	*buf = appendOps(*buf, ops)
+	// The transport may still read a request body after the response is
+	// in, so the body is a copy the pool never sees again.
+	payload := bytes.Clone(*buf)
+	putBuf(buf)
+	return c.pooled(http.MethodPost, path, payload, OpsMediaType, OpsMediaType)
 }
 
 // Stats fetches one feed's counters.
@@ -268,12 +324,12 @@ func (c *Client) Snapshot(id string) (shard.PersistStats, error) {
 // checked here — use VerifyingClient for reads that must not trust the
 // gateway, or query.VerifyGet directly.
 func (c *Client) Get(id, key string) (*query.GetResult, error) {
-	body, binary, err := c.read("/feeds/" + id + "/get?key=" + url.QueryEscape(key))
+	body, ct, err := c.pooled(http.MethodGet, "/feeds/"+id+"/get?key="+url.QueryEscape(key), nil, "", ReadMediaType)
 	if err != nil {
 		return nil, err
 	}
 	defer putBuf(body)
-	if binary {
+	if ct == ReadMediaType {
 		return query.DecodeGetResult(*body)
 	}
 	var out GetResponse
@@ -287,12 +343,12 @@ func (c *Client) Get(id, key string) (*query.GetResult, error) {
 // slice of NR records per shard. Proofs are not checked here (see
 // VerifyingClient).
 func (c *Client) Range(id, lo, hi string) ([]query.RangeResult, error) {
-	body, binary, err := c.read("/feeds/" + id + "/range?lo=" + url.QueryEscape(lo) + "&hi=" + url.QueryEscape(hi))
+	body, ct, err := c.pooled(http.MethodGet, "/feeds/"+id+"/range?lo="+url.QueryEscape(lo)+"&hi="+url.QueryEscape(hi), nil, "", ReadMediaType)
 	if err != nil {
 		return nil, err
 	}
 	defer putBuf(body)
-	if binary {
+	if ct == ReadMediaType {
 		return query.DecodeRangeResults(*body)
 	}
 	var out RangeResponse

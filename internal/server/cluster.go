@@ -45,7 +45,9 @@ func (l clusterLocal) CloseFeed(feed string) error { return l.g.CloseFeed(feed) 
 // forwardToOwner proxies a write-path request to the feed's owner, stamping
 // the sender's placement epoch and the hop marker (so a second routing
 // disagreement surfaces as 421 + Leader, never a proxy loop), and relays
-// the owner's response verbatim. body is the request body to resend (the
+// the owner's response verbatim. The request's Content-Type and Accept go
+// along, so a batch crosses the hop in the form the client chose and its
+// answer comes back in the form the client asked for. body is the request body to resend (the
 // original may already be consumed). It returns the owner's status code
 // (0 when the owner was unreachable).
 //
@@ -59,7 +61,7 @@ func forwardToOwner(w http.ResponseWriter, r *http.Request, body []byte, owner s
 		writeJSON(w, http.StatusBadGateway, errorBody{Error: fmt.Sprintf("cluster: build forward request: %v", err), Leader: owner})
 		return 0
 	}
-	for _, h := range []string{"Content-Type", obs.TraceHeader} {
+	for _, h := range []string{"Content-Type", "Accept", obs.TraceHeader} {
 		if v := r.Header.Get(h); v != "" {
 			req.Header.Set(h, v)
 		}

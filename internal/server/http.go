@@ -283,12 +283,12 @@ func decodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) b
 	return true
 }
 
-// NewHandler exposes a gateway over HTTP/JSON with default limits.
+// NewHandler exposes a gateway over HTTP with default limits.
 func NewHandler(g *Gateway) http.Handler {
 	return NewHandlerConfig(g, HandlerConfig{})
 }
 
-// NewHandlerConfig exposes a gateway over HTTP/JSON.
+// NewHandlerConfig exposes a gateway over HTTP.
 func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 	maxBody := hc.MaxBodyBytes
 	if maxBody <= 0 {
@@ -333,9 +333,7 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 		g.Pipeline().Feed(feed).GetForward().Observe(dur.Seconds())
 		tr.AddSpan(obs.StageForward, -1, start, dur)
 		if slow != nil && tr != nil {
-			var req BatchRequest
-			json.Unmarshal(body, &req)
-			slow.maybeLog(tr, feed, len(req.Ops), dur)
+			slow.maybeLog(tr, feed, batchLen(r, body), dur)
 		}
 	}
 
@@ -441,8 +439,8 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 		if clusterRoute(w, r, id, true) {
 			return
 		}
-		var req BatchRequest
-		if !decodeBody(w, r, maxBody, &req) {
+		ops, ok := decodeBatch(w, r, maxBody)
+		if !ok {
 			return
 		}
 		// Trace the batch when the client asked for it (X-Grub-Trace)
@@ -464,7 +462,7 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 		}
 		ctx := obs.WithTrace(r.Context(), tr)
 		start := time.Now()
-		results, err := g.DoCtx(ctx, id, req.Ops)
+		results, err := g.DoCtx(ctx, id, ops)
 		if err != nil {
 			writeErr(w, err)
 			return
@@ -487,8 +485,8 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 				w.Header().Set(obs.SpanHeader, enc)
 			}
 		}
-		slow.maybeLog(tr, id, len(req.Ops), dur)
-		writeJSON(w, http.StatusOK, BatchResponse{Results: results})
+		slow.maybeLog(tr, id, len(ops), dur)
+		writeResults(w, r, results)
 	})
 
 	mux.HandleFunc("GET /feeds/{id}/stats/latency", func(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -29,8 +30,8 @@ func (rr *RangeResponse) appendRead(b []byte) ([]byte, error) {
 	return query.AppendRangeResults(b, rr.Results)
 }
 
-// bufPool recycles the buffers binary read bodies are encoded into (handler)
-// and read into (Client). A buffer that grew past maxPooledBuf is dropped
+// bufPool recycles the buffers binary bodies are encoded into and read into,
+// on both sides of the wire. A buffer that grew past maxPooledBuf is dropped
 // rather than pinned by the pool.
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
 
@@ -41,6 +42,35 @@ func putBuf(b *[]byte) {
 		*b = (*b)[:0]
 		bufPool.Put(b)
 	}
+}
+
+// readPooled reads r to EOF into a pooled buffer, which the caller putBufs.
+func readPooled(r io.Reader) (*[]byte, error) {
+	buf := bufPool.Get().(*[]byte)
+	b := *buf
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			*buf = b
+			if err != io.EOF {
+				putBuf(buf)
+				return nil, err
+			}
+			return buf, nil
+		}
+	}
+}
+
+// writeBinary answers 200 with body in mediaType and an exact Content-Length.
+func writeBinary(w http.ResponseWriter, mediaType string, body []byte) {
+	w.Header().Set("Content-Type", mediaType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // readRoute counts one read route's responses and body bytes per encoding.
@@ -89,10 +119,7 @@ func (rt *readRoute) write(w http.ResponseWriter, r *http.Request, resp readResp
 			return
 		}
 		*buf = b
-		w.Header().Set("Content-Type", ReadMediaType)
-		w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-		w.WriteHeader(http.StatusOK)
-		w.Write(b)
+		writeBinary(w, ReadMediaType, b)
 		enc, n = encBinary, len(b)
 	} else {
 		cw := &countingWriter{ResponseWriter: w}

@@ -15,8 +15,9 @@
 // policy decisions going forward, same cumulative Gas (see internal/shard's
 // persistence layer and the docs/ARCHITECTURE.md recovery walkthrough).
 //
-// The package exposes both a Go API (Gateway, for embedding) and an
-// HTTP/JSON API (NewHandler + Client, served by cmd/grubd):
+// The package exposes both a Go API (Gateway, for embedding) and an HTTP
+// API (NewHandler + Client, served by cmd/grubd), JSON by default with
+// binary encodings for authenticated reads and op batches (docs/API.md):
 //
 //	POST   /feeds               create a feed from a FeedConfig
 //	GET    /feeds               list feed IDs

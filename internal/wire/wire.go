@@ -1,7 +1,9 @@
-// Package wire holds the byte-level primitives of the binary read encoding
-// (media type application/x-grub-read; layout in docs/API.md): uvarint
-// lengths and integers, length-prefixed strings, raw fixed-size fields. The
-// proof types in merkle, ads and query append themselves with the Append
+// Package wire holds the byte-level primitives of the gateway's two binary
+// encodings (layouts in docs/API.md): the read encoding, media type
+// application/x-grub-read, and the ops encoding, application/x-grub-ops.
+// Primitives are uvarint lengths and integers, length-prefixed strings and
+// raw fixed-size fields. The proof types in merkle, ads and query, and the
+// op batches and results in server, append themselves with the Append
 // functions and decode themselves from a Reader.
 package wire
 
@@ -36,11 +38,12 @@ func AppendString(b []byte, s string) []byte {
 // failure, so decoders read field after field and check once — but a loop
 // bounded by a decoded count must bound that count with Len first.
 //
-// NewReader copies the body twice, once as the bytes Bytes results alias and
-// once as the string Str results alias. Decoding a proof tree therefore
-// allocates once per node, never per key or value, and the caller may reuse
-// the body's buffer as soon as NewReader returns. The price is that any one
-// decoded key or value keeps the whole copy reachable.
+// NewReader copies the body, as the bytes Bytes results alias; the first Str
+// copies it once more, as the string Str results alias. Decoding a proof tree
+// therefore allocates once per node, never per key or value, and the caller
+// may reuse the body's buffer as soon as NewReader returns. The price is that
+// any one decoded key or value keeps the whole copy reachable. OwnStr is the
+// way out for a string that will outlive the rest of the body.
 type Reader struct {
 	buf []byte
 	str string
@@ -50,7 +53,7 @@ type Reader struct {
 
 // NewReader returns a reader over a private copy of body.
 func NewReader(body []byte) *Reader {
-	return &Reader{buf: append([]byte(nil), body...), str: string(body)}
+	return &Reader{buf: append([]byte(nil), body...)}
 }
 
 // Len returns the number of unread bytes (0 after a failure).
@@ -135,7 +138,20 @@ func (r *Reader) Str() string {
 	if !ok {
 		return ""
 	}
+	if len(r.str) != len(r.buf) {
+		r.str = string(r.buf)
+	}
 	return r.str[at:r.off]
+}
+
+// OwnStr reads a string as Str does, but into an allocation of its own, so
+// holding it keeps nothing else of the body reachable.
+func (r *Reader) OwnStr() string {
+	at, ok := r.take(r.Uint())
+	if !ok {
+		return ""
+	}
+	return string(r.buf[at:r.off])
 }
 
 // Bytes reads n bytes as a slice aliasing the reader's copy, capacity clipped

@@ -79,3 +79,30 @@ func TestReaderRejects(t *testing.T) {
 		t.Error("negative int accepted")
 	}
 }
+
+// Sinks keep the allocation tests' results alive.
+var (
+	sinkStr   string
+	sinkBytes []byte
+)
+
+// TestReaderCopies: a reader copies the body once, and once more on the first
+// Str, for every Str; an OwnStr result is a copy of its own and pins nothing.
+func TestReaderCopies(t *testing.T) {
+	body := AppendString(AppendString(AppendString(nil, "key"), "other"), "value")
+	allocs := map[string]float64{
+		"bytes only":  testing.AllocsPerRun(100, func() { r := NewReader(body); r.Int(); sinkBytes = r.Bytes(3) }),
+		"two Strs":    testing.AllocsPerRun(100, func() { r := NewReader(body); sinkStr = r.Str(); sinkStr = r.Str() }),
+		"two OwnStrs": testing.AllocsPerRun(100, func() { r := NewReader(body); sinkStr = r.OwnStr(); sinkStr = r.OwnStr() }),
+	}
+	for name, want := range map[string]float64{"bytes only": 1, "two Strs": 2, "two OwnStrs": 3} {
+		if allocs[name] != want {
+			t.Errorf("%s: %v allocations, want %v", name, allocs[name], want)
+		}
+	}
+	r := NewReader(body)
+	own, shared := r.OwnStr(), r.Str()
+	if own != "key" || shared != "other" || r.Str() != "value" || r.Finish() != nil {
+		t.Fatalf("decoded %q %q", own, shared)
+	}
+}
