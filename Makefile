@@ -61,6 +61,8 @@ fuzz-smoke:
 # must be documented in docs/API.md. A live half then boots a gateway,
 # scrapes /metrics, and requires the exposition to parse strictly with
 # every served grub_* family documented — catching names built at runtime.
+# Every `go run ./<path>` in those docs and the verify skill must name a
+# main package in this repo.
 docs-check:
 	$(GO) run ./tools/docscheck
 

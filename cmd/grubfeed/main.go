@@ -3,27 +3,23 @@
 // read/write mix, and reports the replication decisions and Gas as they
 // happen.
 //
-// With -load it instead becomes a gateway load driver: it replays YCSB
-// workloads against a grubd gateway over HTTP from many concurrent clients
-// and reports ops/sec and per-feed gas/op. Pointed at nothing (-gateway ""),
-// it starts an in-process gateway first, so `grubfeed -load` works
-// standalone.
-//
 // With -verify it drives the authenticated read path instead: concurrent
 // VerifyingClient light clients issue point reads, absence queries and
 // range scans against a feed and re-verify every Merkle proof against the
 // gateway's advertised roots, reporting verified ops/sec and proof bytes
 // per op. A single rejected proof fails the run — the gateway is untrusted
-// on this path. With -replicas the verified readers spread round-robin
+// on this path. Pointed at nothing (-gateway ""), it starts an in-process
+// gateway first. With -replicas the verified readers spread round-robin
 // across follower gateways (grubd -follow) instead of the leader, after
 // waiting for each replica to catch up — the replicated read scale-out
 // path; writes still go to -gateway.
 //
+// Gateway write load is measured by `go run ./benchmark` (the
+// write_http_durable workload), not here.
+//
 // Usage:
 //
 //	grubfeed [-ops 256] [-policy memoryless|memorizing|bl1|bl2] [-k 2]
-//	grubfeed -load [-gateway http://host:8080] [-feeds 8] [-clients 32]
-//	         [-batches 8] [-batch 16] [-workload A] [-records 64] [-shards 4]
 //	grubfeed -verify [-gateway http://host:8080] [-clients 32] [-reads 64]
 //	         [-records 64] [-shards 4]
 //	         [-replicas http://f1:8081,http://f2:8082]
@@ -33,6 +29,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"os"
 	"strings"
 	"sync"
@@ -45,7 +43,6 @@ import (
 	"grub/internal/policy"
 	"grub/internal/server"
 	"grub/internal/sim"
-	"grub/internal/workload/ycsb"
 )
 
 func main() {
@@ -61,30 +58,17 @@ func run(args []string, w io.Writer) error {
 	polName := fs.String("policy", "memoryless", "replication policy: memoryless|memorizing|bl1|bl2")
 	k := fs.Int("k", 2, "policy parameter K")
 	epoch := fs.Int("epoch", 16, "operations per epoch")
-	load := fs.Bool("load", false, "replay YCSB against a gateway instead of the demo")
 	verify := fs.Bool("verify", false, "drive verified reads through the authenticated read path instead of the demo")
-	gateway := fs.String("gateway", "", "gateway URL for -load/-verify; empty starts an in-process gateway")
-	feeds := fs.Int("feeds", 8, "feeds to create (-load)")
-	clients := fs.Int("clients", 32, "concurrent clients (-load/-verify)")
-	batches := fs.Int("batches", 8, "batches per client (-load)")
-	batch := fs.Int("batch", 16, "ops per batch (-load)")
-	workloadName := fs.String("workload", "A", "YCSB workload letter (-load)")
-	records := fs.Int("records", 64, "preloaded records per feed (-load/-verify)")
-	shards := fs.Int("shards", 1, "shards per feed: hash-partition each feed's keyspace (-load/-verify)")
+	gateway := fs.String("gateway", "", "gateway URL for -verify; empty starts an in-process gateway")
+	clients := fs.Int("clients", 32, "concurrent clients (-verify)")
+	records := fs.Int("records", 64, "preloaded records (-verify)")
+	shards := fs.Int("shards", 1, "shards: hash-partition the feed's keyspace (-verify)")
 	reads := fs.Int("reads", 64, "verified reads per client (-verify)")
 	replicas := fs.String("replicas", "", "comma-separated follower URLs to spread verified readers across (-verify)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch {
-	case *load:
-		return runLoad(w, loadConfig{
-			gateway: *gateway, feeds: *feeds, clients: *clients,
-			batches: *batches, batch: *batch, workload: *workloadName,
-			records: *records, policy: *polName, k: *k, epoch: *epoch,
-			shards: *shards,
-		})
-	case *verify:
+	if *verify {
 		var replicaURLs []string
 		for _, u := range strings.Split(*replicas, ",") {
 			if u = strings.TrimSpace(u); u != "" {
@@ -154,75 +138,20 @@ func runDemo(w io.Writer, ops int, polName string, k, epoch int) error {
 	return nil
 }
 
-type loadConfig struct {
-	gateway        string
-	feeds, clients int
-	batches, batch int
-	workload       string
-	records        int
-	policy         string
-	k, epoch       int
-	shards         int
-}
-
-// runLoad replays YCSB batches against a gateway from N concurrent clients
-// (the fan-out itself lives in server.RunLoad).
-func runLoad(w io.Writer, cfg loadConfig) error {
-	spec, err := ycsb.SpecByName(cfg.workload)
+// startLocal brings up an in-memory gateway HTTP server on a loopback
+// ephemeral port. It returns the base URL and a shutdown func.
+func startLocal() (url string, shutdown func(), err error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return err
+		return "", nil, err
 	}
-	url := cfg.gateway
-	if url == "" {
-		// Standalone mode: bring up an in-process gateway on loopback.
-		var shutdown func()
-		url, shutdown, err = server.StartLocal()
-		if err != nil {
-			return err
-		}
-		defer shutdown()
-		fmt.Fprintf(w, "started in-process gateway on %s\n", url)
-	}
-	fmt.Fprintf(w, "load: %d feeds x YCSB-%s (%d shards each), %d clients x %d batches x %d ops\n",
-		cfg.feeds, spec.Name, max(cfg.shards, 1), cfg.clients, cfg.batches, cfg.batch)
-	client := server.NewClient(url)
-	info, err := client.Info()
-	if err != nil {
-		return fmt.Errorf("gateway info: %w", err)
-	}
-	res, err := server.RunLoad(client, server.LoadSpec{
-		Prefix: "load", Feeds: cfg.feeds, Clients: cfg.clients,
-		Batches: cfg.batches, BatchOps: cfg.batch, Records: cfg.records,
-		Workload: spec, Policy: cfg.policy, K: cfg.k, Shards: cfg.shards,
-		EpochOps: cfg.epoch,
-	})
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(w, "\n%-8s %10s %10s %12s %10s\n", "feed", "ops", "batches", "gas/op", "replicas")
-	for _, st := range res.Stats {
-		fmt.Fprintf(w, "%-8s %10d %10d %12.0f %10d\n",
-			st.ID, st.Ops, st.Batches, st.GasPerOp, st.Feed.Replicated)
-	}
-	fmt.Fprintf(w, "\nload results: %d ops in %v -> %.0f ops/sec, avg gas/op %.0f\n",
-		res.LoadOps, res.Elapsed.Round(time.Millisecond), res.OpsPerSec(), res.AvgGasPerOp())
-	fmt.Fprintf(w, "batch latency: p50 %v, p95 %v, p99 %v\n",
-		res.LatencyQuantile(0.50).Round(time.Microsecond),
-		res.LatencyQuantile(0.95).Round(time.Microsecond),
-		res.LatencyQuantile(0.99).Round(time.Microsecond))
-	if info.Persistent {
-		snapshots, logged := 0, 0
-		for _, st := range res.Stats {
-			if st.Persist != nil {
-				snapshots += st.Persist.Snapshots
-				logged += st.Persist.LoggedBatches
-			}
-		}
-		fmt.Fprintf(w, "persistence: data-dir %s, %d snapshots taken, %d batches in the durable log\n",
-			info.DataDir, snapshots, logged)
-	}
-	return nil
+	g := server.NewGateway()
+	srv := &http.Server{Handler: server.NewHandler(g)}
+	go srv.Serve(ln)
+	return "http://" + ln.Addr().String(), func() {
+		srv.Close()
+		g.Close()
+	}, nil
 }
 
 type verifyConfig struct {
@@ -291,7 +220,7 @@ func runVerify(w io.Writer, cfg verifyConfig) error {
 	if url == "" {
 		var shutdown func()
 		var err error
-		url, shutdown, err = server.StartLocal()
+		url, shutdown, err = startLocal()
 		if err != nil {
 			return err
 		}

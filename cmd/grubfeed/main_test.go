@@ -30,83 +30,17 @@ func TestUnknownPolicy(t *testing.T) {
 	}
 }
 
-// TestLoadStandalone runs the gateway load driver end to end against an
-// in-process gateway (run with -race this covers the whole HTTP stack).
-func TestLoadStandalone(t *testing.T) {
-	var buf bytes.Buffer
-	args := []string{"-load", "-feeds", "3", "-clients", "6", "-batches", "2",
-		"-batch", "4", "-records", "8", "-workload", "B"}
-	if err := run(args, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "ops/sec") {
-		t.Errorf("throughput line missing:\n%s", out)
-	}
-	if !strings.Contains(out, "load0") || !strings.Contains(out, "load2") {
-		t.Errorf("per-feed rows missing:\n%s", out)
-	}
-}
-
-// TestLoadSharded drives the load path with sharded feeds.
-func TestLoadSharded(t *testing.T) {
-	var buf bytes.Buffer
-	args := []string{"-load", "-feeds", "2", "-clients", "4", "-batches", "2",
-		"-batch", "4", "-records", "8", "-workload", "B", "-shards", "4"}
-	if err := run(args, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "4 shards each") {
-		t.Errorf("shard banner missing:\n%s", out)
-	}
-	if !strings.Contains(out, "ops/sec") {
-		t.Errorf("throughput line missing:\n%s", out)
-	}
-}
-
-// TestLoadPersistentGateway points the load driver at a gateway running
-// with a data directory: the summary must report the data-dir and the
-// snapshot count.
-func TestLoadPersistentGateway(t *testing.T) {
-	dir := t.TempDir()
-	g, err := server.NewGatewayWithOptions(server.GatewayOptions{DataDir: dir, SnapshotEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	srv := httptest.NewServer(server.NewHandler(g))
-	defer srv.Close()
-
-	var buf bytes.Buffer
-	args := []string{"-load", "-gateway", srv.URL, "-feeds", "2", "-clients", "4",
-		"-batches", "3", "-batch", "4", "-records", "8", "-workload", "B"}
-	if err := run(args, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "persistence: data-dir "+dir) {
-		t.Errorf("data-dir line missing:\n%s", out)
-	}
-	if !strings.Contains(out, "snapshots taken") {
-		t.Errorf("snapshot count missing:\n%s", out)
-	}
-	// The in-memory standalone path must NOT claim persistence.
-	var memBuf bytes.Buffer
-	memArgs := []string{"-load", "-feeds", "1", "-clients", "2", "-batches", "1",
-		"-batch", "4", "-records", "8", "-workload", "B"}
-	if err := run(memArgs, &memBuf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(memBuf.String(), "persistence:") {
-		t.Errorf("in-memory load claims persistence:\n%s", memBuf.String())
-	}
-}
-
+// TestLoadUnknownWorkload and TestLoadRejectsBadCounts pin that the old
+// load driver is gone (gateway write load is measured by ./benchmark):
+// -load and its flags are undefined, so every such invocation is refused.
 func TestLoadUnknownWorkload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-load", "-workload", "Z"}, &buf); err == nil {
+	err := run([]string{"-load", "-workload", "Z"}, &buf)
+	if err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+	if !strings.Contains(err.Error(), "flag provided but not defined: -load") {
+		t.Errorf("err = %v, want -load undefined", err)
 	}
 }
 
@@ -117,8 +51,11 @@ func TestLoadRejectsBadCounts(t *testing.T) {
 		{"-load", "-batches", "-1"},
 	} {
 		var buf bytes.Buffer
-		if err := run(args, &buf); err == nil {
+		err := run(args, &buf)
+		if err == nil {
 			t.Errorf("args %v accepted", args)
+		} else if !strings.Contains(err.Error(), "flag provided but not defined: -load") {
+			t.Errorf("args %v: err = %v, want -load undefined", args, err)
 		}
 	}
 }

@@ -62,6 +62,11 @@ func TestConcurrentReadersWriters(t *testing.T) {
 }
 
 func TestSSTableCorruptionDetected(t *testing.T) {
+	// A well-formed table under the retired version-1 footer is refused.
+	if _, err := parseSSTable(v1FooterTable(fuzzTableBytes(t)), 1, 0); err == nil {
+		t.Error("table with a GRuBSST1 footer opened without error")
+	}
+
 	dir := t.TempDir()
 	db, err := Open(dir, Options{})
 	if err != nil {

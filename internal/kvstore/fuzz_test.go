@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -54,6 +55,17 @@ func fuzzTableBytes(tb testing.TB) []byte {
 	return raw
 }
 
+// v1FooterTable rewrites a valid table in the retired version-1 layout:
+// the same body under a 28-byte footer (no filter offset) ending in the
+// "GRuBSST1" magic. The reader no longer accepts it.
+func v1FooterTable(v2 []byte) []byte {
+	footer := v2[len(v2)-footerV2Size:]
+	out := append([]byte(nil), v2[:len(v2)-footerV2Size]...)
+	out = append(out, footer[0:8]...)   // index offset
+	out = append(out, footer[16:28]...) // index count, entry count, crc
+	return binary.LittleEndian.AppendUint64(out, 0x4752754253535431)
+}
+
 func FuzzSSTableOpen(f *testing.F) {
 	// The legacy table has all three body regions, so the boundary cuts and
 	// per-region flips are taken from it.
@@ -70,6 +82,7 @@ func FuzzSSTableOpen(f *testing.F) {
 		mut[off] ^= 0xff
 		f.Add(mut)
 	}
+	f.Add(v1FooterTable(fuzzTableBytes(f)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab, err := parseSSTable(data, 1, 0)
 		if err != nil {

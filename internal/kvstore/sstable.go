@@ -23,13 +23,11 @@ import (
 // per-table bloom filter; the store's one caller never asks a table for a
 // key it does not hold, so nothing is written there now, and a table from an
 // older build opens with its region covered by the CRC and otherwise
-// skipped. Version-1 tables (28-byte footer, no region) are still readable.
+// skipped. Tables with the version-1 footer ("GRuBSST1") are refused.
 
 const (
-	sstMagic      = 0x4752754253535431 // "GRuBSST1"
 	sstMagic2     = 0x4752754253535432 // "GRuBSST2"
 	indexInterval = 16
-	footerV1Size  = 8 + 4 + 4 + 4 + 8
 	footerV2Size  = 8 + 8 + 4 + 4 + 4 + 8
 )
 
@@ -120,38 +118,19 @@ func openSSTable(path string, num uint64, level int) (*sstable, error) {
 
 // parseSSTable validates raw table bytes (the fuzz entry point).
 func parseSSTable(raw []byte, num uint64, level int) (*sstable, error) {
-	if len(raw) < footerV1Size {
+	if len(raw) < footerV2Size {
 		return nil, fmt.Errorf("too short (%d bytes)", len(raw))
 	}
-	var (
-		indexOffset, filterOffset int
-		idxCount, entryCount      int
-		wantSum                   uint32
-		body                      []byte
-	)
-	switch binary.LittleEndian.Uint64(raw[len(raw)-8:]) {
-	case sstMagic2:
-		if len(raw) < footerV2Size {
-			return nil, fmt.Errorf("truncated v2 footer")
-		}
-		footer := raw[len(raw)-footerV2Size:]
-		indexOffset = int(binary.LittleEndian.Uint64(footer[0:8]))
-		filterOffset = int(binary.LittleEndian.Uint64(footer[8:16]))
-		idxCount = int(binary.LittleEndian.Uint32(footer[16:20]))
-		entryCount = int(binary.LittleEndian.Uint32(footer[20:24]))
-		wantSum = binary.LittleEndian.Uint32(footer[24:28])
-		body = raw[:len(raw)-footerV2Size]
-	case sstMagic:
-		footer := raw[len(raw)-footerV1Size:]
-		indexOffset = int(binary.LittleEndian.Uint64(footer[0:8]))
-		idxCount = int(binary.LittleEndian.Uint32(footer[8:12]))
-		entryCount = int(binary.LittleEndian.Uint32(footer[12:16]))
-		wantSum = binary.LittleEndian.Uint32(footer[16:20])
-		body = raw[:len(raw)-footerV1Size]
-		filterOffset = len(body) // v1: no filter region
-	default:
+	footer := raw[len(raw)-footerV2Size:]
+	if binary.LittleEndian.Uint64(footer[28:36]) != sstMagic2 {
 		return nil, fmt.Errorf("bad magic")
 	}
+	indexOffset := int(binary.LittleEndian.Uint64(footer[0:8]))
+	filterOffset := int(binary.LittleEndian.Uint64(footer[8:16]))
+	idxCount := int(binary.LittleEndian.Uint32(footer[16:20]))
+	entryCount := int(binary.LittleEndian.Uint32(footer[20:24]))
+	wantSum := binary.LittleEndian.Uint32(footer[24:28])
+	body := raw[:len(raw)-footerV2Size]
 	if crc32.ChecksumIEEE(body) != wantSum {
 		return nil, fmt.Errorf("checksum mismatch")
 	}

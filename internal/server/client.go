@@ -290,16 +290,10 @@ func (c *Client) Stats(id string) (Stats, error) {
 	return out, nil
 }
 
-// Trace fetches the serialized op order (feeds created with RecordTrace).
-// For a sharded feed the order is per shard: shard 0's sub-trace, then
-// shard 1's, and so on.
-func (c *Client) Trace(id string) ([]Op, error) {
-	ops, _, err := c.TraceResults(id)
-	return ops, err
-}
-
-// TraceResults fetches the recorded trace together with the per-op results
-// each op produced when it executed (index-aligned with the ops).
+// TraceResults fetches the serialized op order (feeds created with
+// RecordTrace) together with the per-op results each op produced when it
+// executed (index-aligned with the ops). For a sharded feed the order is
+// per shard: shard 0's sub-trace, then shard 1's, and so on.
 func (c *Client) TraceResults(id string) ([]Op, []OpResult, error) {
 	var out TraceResponse
 	if err := c.call(http.MethodGet, "/feeds/"+id+"/trace", nil, &out); err != nil {

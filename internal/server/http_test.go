@@ -108,7 +108,7 @@ func TestGatewayConcurrentEquivalence(t *testing.T) {
 	c := NewClient(srv.URL)
 
 	// Create and preload every feed with the shared YCSB key space.
-	preload := FromWorkload(ycsb.NewDriver(ycsb.WorkloadA, records, 32, 1).Preload())
+	preload := core.FromWorkload(ycsb.NewDriver(ycsb.WorkloadA, records, 32, 1).Preload())
 	for i := 0; i < feeds; i++ {
 		if err := c.CreateFeed(cfg(i)); err != nil {
 			t.Fatal(err)
@@ -132,7 +132,7 @@ func TestGatewayConcurrentEquivalence(t *testing.T) {
 			id := cfg(ci % feeds).ID
 			d := ycsb.NewDriver(ycsb.WorkloadA, records, 32, uint64(1000+ci))
 			for b := 0; b < batchesPerClnt; b++ {
-				batch := FromWorkload(d.Generate(opsPerBatch))
+				batch := core.FromWorkload(d.Generate(opsPerBatch))
 				results, err := cl.Do(id, batch)
 				if err != nil {
 					errs <- err
@@ -161,7 +161,7 @@ func TestGatewayConcurrentEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace, err := c.Trace(id)
+		trace, _, err := c.TraceResults(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestGatewayConcurrentEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := ref.FeedGas()
-		ApplyOps(ref, trace)
+		core.ApplyOps(ref, trace)
 		want := ref.Stats()
 		if got.Feed != want {
 			t.Errorf("%s: gateway stats diverge from single-threaded replay:\n got %+v\nwant %+v", id, got.Feed, want)
@@ -288,6 +288,28 @@ func TestHTTPShardEndpoints(t *testing.T) {
 	}
 }
 
+// TestErrStatusNotFooledByFeedID: status mapping must classify by sentinel,
+// not by matching phrases that a feed ID can smuggle into the message.
+func TestErrStatusNotFooledByFeedID(t *testing.T) {
+	g := NewGateway()
+	defer g.Close()
+	srv := httptest.NewServer(NewHandler(g))
+	defer srv.Close()
+	id := `unknown feed x`
+	if err := NewClient(srv.URL).CreateFeed(FeedConfig{ID: id}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/feeds", "application/json",
+		strings.NewReader(`{"id":"unknown feed x"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Errorf("duplicate create of %q returned %d, want 409", id, resp.StatusCode)
+	}
+}
+
 // TestShardedGatewayEquivalence is the acceptance test for the sharded
 // engine end to end: a gateway-hosted sharded feed (N in {2,4,8}) driven by
 // 32 concurrent HTTP clients must match N independent single feeds each
@@ -319,7 +341,7 @@ func TestShardedGatewayEquivalence(t *testing.T) {
 			if err := c.CreateFeed(cfg); err != nil {
 				t.Fatal(err)
 			}
-			preload := FromWorkload(ycsb.NewDriver(ycsb.WorkloadA, records, 32, 1).Preload())
+			preload := core.FromWorkload(ycsb.NewDriver(ycsb.WorkloadA, records, 32, 1).Preload())
 			if _, err := c.Do(cfg.ID, preload); err != nil {
 				t.Fatal(err)
 			}
@@ -333,7 +355,7 @@ func TestShardedGatewayEquivalence(t *testing.T) {
 					cl := NewClient(srv.URL)
 					d := ycsb.NewDriver(ycsb.WorkloadA, records, 32, uint64(2000+ci))
 					for b := 0; b < batchesPerClnt; b++ {
-						results, err := cl.Do(cfg.ID, FromWorkload(d.Generate(opsPerBatch)))
+						results, err := cl.Do(cfg.ID, core.FromWorkload(d.Generate(opsPerBatch)))
 						if err != nil {
 							errs <- err
 							return
@@ -385,7 +407,7 @@ func TestShardedGatewayEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				replayed := ApplyOps(ref, subTrace[sh])
+				replayed := core.ApplyOps(ref, subTrace[sh])
 				for j, res := range replayed {
 					rec := subRes[sh][j]
 					if res.Key != rec.Key || res.Found != rec.Found ||
@@ -441,7 +463,7 @@ func BenchmarkGateway(b *testing.B) {
 		if err := c.CreateFeed(FeedConfig{ID: id, EpochOps: 8}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.Do(id, FromWorkload(ycsb.NewDriver(ycsb.WorkloadA, records, 32, 1).Preload())); err != nil {
+		if _, err := c.Do(id, core.FromWorkload(ycsb.NewDriver(ycsb.WorkloadA, records, 32, 1).Preload())); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -458,7 +480,7 @@ func BenchmarkGateway(b *testing.B) {
 		id := fmt.Sprintf("feed%d", ci%feeds)
 		d := ycsb.NewDriver(ycsb.WorkloadA, records, 32, uint64(100+ci))
 		for pb.Next() {
-			if _, err := cl.Do(id, FromWorkload(d.Generate(opsPerBatch))); err != nil {
+			if _, err := cl.Do(id, core.FromWorkload(d.Generate(opsPerBatch))); err != nil {
 				b.Error(err)
 				return
 			}

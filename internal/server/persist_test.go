@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"grub/internal/core"
 	"grub/internal/kvstore"
 	"grub/internal/query"
 	"grub/internal/workload/ycsb"
@@ -48,7 +49,7 @@ func feedBatches(n, opsPer int) map[string][][]Op {
 		d := ycsb.NewDriver(ycsb.WorkloadA, 24, 32, uint64(100+fi))
 		var batches [][]Op
 		for i := 0; i < n; i++ {
-			batches = append(batches, FromWorkload(d.Generate(opsPer)))
+			batches = append(batches, core.FromWorkload(d.Generate(opsPer)))
 		}
 		out[cfg.ID] = batches
 	}
@@ -314,7 +315,7 @@ func BenchmarkGatewayRecover(b *testing.B) {
 		}
 		d := ycsb.NewDriver(ycsb.WorkloadA, 1024, 32, uint64(f+1))
 		for i := 0; i < batches; i++ {
-			if _, err := g.Do(id, FromWorkload(d.Generate(opsPer))); err != nil {
+			if _, err := g.Do(id, core.FromWorkload(d.Generate(opsPer))); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -354,7 +355,7 @@ func TestGatewaySnapshotEndpoint(t *testing.T) {
 	}
 	d := ycsb.NewDriver(ycsb.WorkloadA, 16, 32, 5)
 	for i := 0; i < 3; i++ {
-		if _, err := c.Do("f", FromWorkload(d.Generate(8))); err != nil {
+		if _, err := c.Do("f", core.FromWorkload(d.Generate(8))); err != nil {
 			t.Fatal(err)
 		}
 	}

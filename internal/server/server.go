@@ -55,7 +55,6 @@ import (
 	"grub/internal/query"
 	"grub/internal/shard"
 	"grub/internal/sim"
-	"grub/internal/workload"
 )
 
 // Sentinel errors. The HTTP layer maps them to status codes with errors.Is,
@@ -79,16 +78,6 @@ type (
 	// OpResult reports one executed operation.
 	OpResult = core.OpResult
 )
-
-// ApplyOps executes a batch against a feed, in order, and returns per-op
-// results. It is the single execution path shared by the shard workers and
-// by sequential replays, so a concurrent gateway run and a single-threaded
-// replay of the same serialized op order produce identical state and Gas.
-func ApplyOps(f *core.Feed, ops []Op) []OpResult { return core.ApplyOps(f, ops) }
-
-// FromWorkload converts a workload trace into gateway ops (the load driver
-// and the gateway benchmark replay YCSB traces through this).
-func FromWorkload(ops []workload.Op) []Op { return core.FromWorkload(ops) }
 
 // FeedConfig describes a feed to create.
 type FeedConfig struct {
@@ -484,18 +473,12 @@ func (g *Gateway) Halted() []ShardHealth {
 	return out
 }
 
-// Trace returns the serialized op order executed so far: shard 0's
+// TraceResults returns the serialized op order executed so far — shard 0's
 // sub-trace, then shard 1's, and so on (splitting by shard.ShardOf recovers
-// each shard's exact order). It is empty unless the feed was created with
-// RecordTrace.
-func (g *Gateway) Trace(id string) ([]Op, error) {
-	ops, _, err := g.TraceResults(id)
-	return ops, err
-}
-
-// TraceResults returns the recorded trace together with the per-op results
-// each op produced when it executed (index-aligned). The sharded
-// equivalence test replays the trace per shard and compares against these.
+// each shard's exact order) — together with the per-op results each op
+// produced when it executed (index-aligned). It is empty unless the feed
+// was created with RecordTrace. The sharded equivalence test replays the
+// trace per shard and compares against these.
 func (g *Gateway) TraceResults(id string) ([]Op, []OpResult, error) {
 	sf, err := g.lookup(id)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"grub/internal/core"
 	"grub/internal/workload"
 )
 
@@ -113,14 +114,14 @@ func TestTraceRecording(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr, err := g.Trace("on")
+	tr, _, err := g.TraceResults("on")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tr) != 2 || tr[0].Key != "k" {
 		t.Errorf("trace = %v, want the 2-op batch", tr)
 	}
-	tr, err = g.Trace("off")
+	tr, _, err = g.TraceResults("off")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestFromWorkload(t *testing.T) {
 		workload.Read("b"),
 		workload.Scan("c", 3),
 	}
-	ops := FromWorkload(trace)
+	ops := core.FromWorkload(trace)
 	want := []Op{
 		{Type: "write", Key: "a", Value: []byte("v")},
 		{Type: "read", Key: "b"},

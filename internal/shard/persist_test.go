@@ -293,7 +293,7 @@ func TestPersistTornTailRecovery(t *testing.T) {
 
 	recovered := newPersistent(t, dir, 1, 0, true)
 	defer recovered.Close()
-	trace, err := recovered.Trace()
+	trace, _, err := recovered.TraceResults()
 	if err != nil {
 		t.Fatal(err)
 	}

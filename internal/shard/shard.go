@@ -921,17 +921,12 @@ func (s *ShardedFeed) Snapshot() (PersistStats, error) {
 	return out, nil
 }
 
-// Trace returns the merged serialized op order: shard 0's sub-trace, then
-// shard 1's, and so on. Splitting it back with ShardOf recovers each shard's
-// exact serialized order. Empty unless the feed records traces.
-func (s *ShardedFeed) Trace() ([]core.Op, error) {
-	ops, _, err := s.TraceResults()
-	return ops, err
-}
-
-// TraceResults returns the merged trace together with the per-op results
-// each op produced when it executed (index-aligned with the ops). The
-// equivalence tests replay the trace and compare against these.
+// TraceResults returns the merged serialized op order — shard 0's
+// sub-trace, then shard 1's, and so on; splitting it back with ShardOf
+// recovers each shard's exact serialized order — together with the per-op
+// results each op produced when it executed (index-aligned with the ops).
+// Empty unless the feed records traces. The equivalence tests replay the
+// trace and compare against these.
 func (s *ShardedFeed) TraceResults() ([]core.Op, []core.OpResult, error) {
 	rs, err := s.broadcast(reqTrace)
 	if err != nil {

@@ -91,7 +91,7 @@ func TestSingleShardMatchesPlainFeed(t *testing.T) {
 	if st.Feed != ref.Stats() {
 		t.Errorf("aggregate stats diverge from plain feed:\n got %+v\nwant %+v", st.Feed, ref.Stats())
 	}
-	trace, err := sf.Trace()
+	trace, _, err := sf.TraceResults()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestClosed(t *testing.T) {
 	if _, err := sf.Stats(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Stats after Close = %v, want ErrClosed", err)
 	}
-	if _, err := sf.Trace(); !errors.Is(err, ErrClosed) {
+	if _, _, err := sf.TraceResults(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Trace after Close = %v, want ErrClosed", err)
 	}
 }

@@ -46,25 +46,6 @@ var (
 	WorkloadF = Spec{Name: "F", Mix: OpMix{Read: 0.5, RMW: 0.5}, Distribution: "zipfian"}
 )
 
-// SpecByName resolves a workload letter.
-func SpecByName(name string) (Spec, error) {
-	switch name {
-	case "A", "a":
-		return WorkloadA, nil
-	case "B", "b":
-		return WorkloadB, nil
-	case "C", "c":
-		return WorkloadC, nil
-	case "D", "d":
-		return WorkloadD, nil
-	case "E", "e":
-		return WorkloadE, nil
-	case "F", "f":
-		return WorkloadF, nil
-	}
-	return Spec{}, fmt.Errorf("ycsb: unknown workload %q", name)
-}
-
 // Driver generates operation traces for a Spec against a growing key space.
 type Driver struct {
 	spec    Spec

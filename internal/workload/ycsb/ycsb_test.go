@@ -102,17 +102,6 @@ func TestLatestPrefersRecent(t *testing.T) {
 	}
 }
 
-func TestSpecByName(t *testing.T) {
-	for _, n := range []string{"A", "B", "C", "D", "E", "F", "a", "f"} {
-		if _, err := SpecByName(n); err != nil {
-			t.Errorf("SpecByName(%s): %v", n, err)
-		}
-	}
-	if _, err := SpecByName("Z"); err == nil {
-		t.Error("SpecByName(Z) succeeded")
-	}
-}
-
 func TestWorkloadMixes(t *testing.T) {
 	tests := []struct {
 		spec       Spec

@@ -1,4 +1,4 @@
-// Command docscheck is the CI docs gate. It makes four guarantees:
+// Command docscheck is the CI docs gate. It makes five guarantees:
 //
 //  1. Link check: every relative markdown link in README.md and docs/*.md
 //     points at a file that exists (and, for #fragment links, at a heading
@@ -14,6 +14,10 @@
 //     series, histogram suffixes resolving) and every grub_* family that
 //     actually renders must be documented in docs/API.md — names built at
 //     runtime can't slip past the string-literal scan.
+//  5. Command check: every `go run ./<path>` quoted in README.md, docs/*.md
+//     or .claude/skills/verify/SKILL.md names a directory of this repo that
+//     holds a main package (a `<a|b>` placeholder checks each alternative),
+//     so a deleted command cannot linger in the docs.
 //
 // It prints each problem and exits non-zero if any were found. Run it from
 // the repository root (CI does), or pass the root as the only argument.
@@ -59,7 +63,7 @@ func main() {
 	fmt.Println("docscheck: docs are consistent")
 }
 
-// run performs both checks and returns the list of problems.
+// run performs the static checks and returns the list of problems.
 func run(root string) ([]string, error) {
 	docs, err := docFiles(root)
 	if err != nil {
@@ -73,7 +77,12 @@ func run(root string) ([]string, error) {
 		}
 		problems = append(problems, ps...)
 	}
-	ps, err := checkRoutes(root)
+	ps, err := checkGoRun(root, docs)
+	if err != nil {
+		return nil, err
+	}
+	problems = append(problems, ps...)
+	ps, err = checkRoutes(root)
 	if err != nil {
 		return nil, err
 	}
@@ -175,6 +184,73 @@ func slugify(heading string) string {
 		}
 	}
 	return b.String()
+}
+
+// goRunRe matches a quoted command, e.g. "go run ./cmd/grubd" or
+// "go run ./examples/<quickstart|btcrelay>"; group 1 is the path.
+var goRunRe = regexp.MustCompile(`go run \./([\w./-]*(?:<[^>\s]+>)?)`)
+
+// mainPkgRe matches a main package clause.
+var mainPkgRe = regexp.MustCompile(`(?m)^package main\b`)
+
+// checkGoRun asserts every `go run ./<path>` in the docs and in the verify
+// skill names a directory holding a main package.
+func checkGoRun(root string, docs []string) ([]string, error) {
+	skill := filepath.Join(root, ".claude", "skills", "verify", "SKILL.md")
+	if _, err := os.Stat(skill); err == nil {
+		docs = append(docs, skill)
+	}
+	var problems []string
+	for _, doc := range docs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			return nil, err
+		}
+		rel, _ := filepath.Rel(root, doc)
+		for _, m := range goRunRe.FindAllStringSubmatch(string(data), -1) {
+			paths := []string{m[1]}
+			if prefix, alts, ok := strings.Cut(m[1], "<"); ok {
+				paths = paths[:0]
+				for _, alt := range strings.Split(strings.TrimSuffix(alts, ">"), "|") {
+					paths = append(paths, prefix+alt)
+				}
+			}
+			for _, p := range paths {
+				p = strings.TrimRight(p, "./")
+				ok, err := isMainDir(filepath.Join(root, p))
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					problems = append(problems, fmt.Sprintf("%s: %q: ./%s is not a main package in this repo", rel, m[0], p))
+				}
+			}
+		}
+	}
+	return problems, nil
+}
+
+// isMainDir reports whether dir exists and holds a non-test Go file of
+// package main.
+func isMainDir(dir string) (bool, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return false, nil // missing or not a directory
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			return false, err
+		}
+		if mainPkgRe.Match(src) {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 // checkLiveExposition is the live half of the metrics lint (run() holds

@@ -125,6 +125,51 @@ func TestCatchesUndocumentedMetric(t *testing.T) {
 	}
 }
 
+// TestCatchesStaleGoRun pins that the command check flags a `go run` of a
+// directory that is gone or holds no main package, accepts a real command,
+// and checks every alternative of a <a|b> placeholder.
+func TestCatchesStaleGoRun(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("README.md", "```sh\ngo run ./cmd/grubd -addr :8080\ngo run ./cmd/tracegen -trace ycsb\n```\n")
+	write("docs/API.md", "# API\n\n`GET /feeds`; run `go run ./internal/lib`.\n")
+	write(".claude/skills/verify/SKILL.md", "`go run ./examples/<quickstart|gone>`\n")
+	write("internal/server/http.go",
+		"package server\nfunc x() {\n\tmux.HandleFunc(\"GET /feeds\", nil)\n}\n")
+	write("cmd/grubd/main.go", "// Command grubd.\npackage main\n\nfunc main() {}\n")
+	write("internal/lib/lib.go", "package lib\n")
+	write("internal/lib/lib_test.go", "package main\n")
+	write("examples/quickstart/main.go", "package main\n\nfunc main() {}\n")
+
+	problems, err := run(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.Join(problems, "\n")
+	for _, want := range []string{"./cmd/tracegen", "./internal/lib", "./examples/gone"} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("problems missing %q:\n%s", want, joined)
+		}
+	}
+	for _, ok := range []string{"./cmd/grubd", "./examples/quickstart"} {
+		if strings.Contains(joined, ok+" ") {
+			t.Errorf("false positive for %s:\n%s", ok, joined)
+		}
+	}
+	if len(problems) != 3 {
+		t.Errorf("got %d problems, want 3:\n%s", len(problems), joined)
+	}
+}
+
 // TestSlugify pins the GitHub anchor rules the link check relies on.
 func TestSlugify(t *testing.T) {
 	for in, want := range map[string]string{
