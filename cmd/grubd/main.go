@@ -11,14 +11,6 @@
 // a restart with the same -data-dir recovers every feed — same keys, same
 // replication decisions going forward, same cumulative Gas.
 //
-// With -follow the daemon runs as a read-only replica of another grubd: it
-// mirrors the leader's feeds, ships their per-shard replication logs
-// (bootstrapping from verified snapshots when behind), and serves the same
-// Merkle-proven reads from the replicated state. Writes answer 403 with a
-// Leader header pointing at the leader (the Go client auto-follows it).
-// Combine with -data-dir for a follower that resumes tailing from its own
-// WAL and cursor after a restart.
-//
 // With -join the daemon runs as one node of a self-routing gateway cluster
 // (internal/cluster): the flag lists the other members' URLs, feeds are
 // placed across nodes by consistent hashing, every node accepts every
@@ -29,9 +21,17 @@
 // URL the other members reach this node at (defaults to the bound listen
 // address, which only works when that address is routable), and -node-id
 // sets a display name. Combine with -data-dir to persist the node's
-// placement map alongside its feeds. -join and -follow are mutually
-// exclusive: a cluster node is already a replica of every feed it does not
-// own.
+// placement map alongside its feeds. A one-member cluster is -join and
+// -advertise both naming the node's own URL.
+//
+// With -follow the daemon joins the cluster whose members the flag lists
+// (same comma-separated form as -join) as an observer: a member that never
+// owns. It tails every feed from its owner through the anchor-verified
+// replication log, serves the same Merkle-proven reads, forwards writes to
+// the owner like any non-owner, and retargets its tails when a feed fails
+// over or moves. It is never on the ring, never promoted and never counted
+// for quorum, so adding or losing one leaves the members' availability
+// unchanged. -join and -follow are mutually exclusive.
 //
 // On SIGINT or SIGTERM the daemon shuts down gracefully: it stops accepting
 // connections, finishes in-flight requests, drains every feed worker —
@@ -48,9 +48,10 @@
 // Usage:
 //
 //	grubd [-addr :8080] [-max-body 8388608] [-data-dir /var/lib/grubd]
-//	      [-snapshot-every 256] [-sync-writes] [-follow http://leader:8080]
-//	      [-join http://b:8080,http://c:8080] [-advertise http://a:8080]
-//	      [-node-id a] [-repl-retain 256] [-slow-ms 0] [-debug-addr addr]
+//	      [-snapshot-every 256] [-sync-writes]
+//	      [-join http://b:8080,http://c:8080 | -follow http://a:8080,http://b:8080]
+//	      [-advertise http://a:8080] [-node-id a] [-repl-retain 256]
+//	      [-slow-ms 0] [-debug-addr addr]
 //	      [-version]
 //
 // Then, for example:
@@ -80,7 +81,6 @@ import (
 	"time"
 
 	"grub/internal/cluster"
-	"grub/internal/repl"
 	"grub/internal/server"
 )
 
@@ -137,7 +137,7 @@ func run(args []string, w io.Writer, onReady func(net.Addr), stop <-chan struct{
 	dataDir := fs.String("data-dir", "", "persist feeds under this directory and recover them on start (empty = in-memory)")
 	snapshotEvery := fs.Int("snapshot-every", 256, "per-shard batches between automatic snapshots (0 = shutdown/explicit only)")
 	syncWrites := fs.Bool("sync-writes", false, "fsync every durable log append")
-	follow := fs.String("follow", "", "replicate from this leader gateway URL and serve read-only (follower mode)")
+	follow := fs.String("follow", "", "comma-separated cluster member URLs to observe: replicate every feed and serve verified reads, never own one (observer mode)")
 	join := fs.String("join", "", "comma-separated peer gateway URLs to form a self-routing cluster with (cluster mode)")
 	advertise := fs.String("advertise", "", "URL the other cluster members reach this node at (default: the bound listen address)")
 	nodeID := fs.String("node-id", "", "cluster display name for this node (default: the advertised URL)")
@@ -153,7 +153,7 @@ func run(args []string, w io.Writer, onReady func(net.Addr), stop <-chan struct{
 		return nil
 	}
 	if *follow != "" && *join != "" {
-		return fmt.Errorf("-follow and -join are mutually exclusive: a cluster node already replicates every feed it does not own")
+		return fmt.Errorf("-follow and -join are mutually exclusive: -follow already joins the members it names, as an observer")
 	}
 	gopts := server.GatewayOptions{DataDir: *dataDir, SnapshotEvery: *snapshotEvery, SyncWrites: *syncWrites, ReplRetain: *replRetain}
 	sc := serveConfig{
@@ -207,13 +207,9 @@ func serve(sc serveConfig, gopts server.GatewayOptions, w io.Writer, onReady fun
 		return err
 	}
 	hc := server.HandlerConfig{MaxBodyBytes: sc.maxBody, SlowOp: sc.slowOp}
-	var follower *repl.Follower
-	if sc.follow != "" {
-		follower = repl.NewFollower(repl.Options{Leader: sc.follow, Pipeline: g.Pipeline()}, g.ReplTarget())
-		hc.Follower = follower
-	}
 	var node *cluster.Node
-	if sc.join != "" {
+	// -join and -follow are exclusive, so at most one names the members.
+	if members := sc.join + sc.follow; members != "" {
 		// The cluster node needs the bound listener first: with -addr :0
 		// the advertised URL defaults to the ephemeral address.
 		self := sc.advertise
@@ -221,7 +217,7 @@ func serve(sc serveConfig, gopts server.GatewayOptions, w io.Writer, onReady fun
 			self = "http://" + ln.Addr().String()
 		}
 		var peers []string
-		for _, p := range strings.Split(sc.join, ",") {
+		for _, p := range strings.Split(members, ",") {
 			if p = strings.TrimSpace(p); p != "" {
 				peers = append(peers, p)
 			}
@@ -231,7 +227,7 @@ func serve(sc serveConfig, gopts server.GatewayOptions, w io.Writer, onReady fun
 			statePath = filepath.Join(gopts.DataDir, "cluster.json")
 		}
 		node, err = cluster.NewNode(cluster.Options{
-			Self: self, NodeID: sc.nodeID, Peers: peers,
+			Self: self, NodeID: sc.nodeID, Peers: peers, Observer: sc.follow != "",
 			Local: g.ClusterLocal(), StatePath: statePath,
 			LoadDigest: g.Load().Snapshot,
 		})
@@ -280,9 +276,6 @@ func serve(sc serveConfig, gopts server.GatewayOptions, w io.Writer, onReady fun
 			dbg.Shutdown(ctx)
 		}
 		// Stop the replication tailers before their target drains.
-		if follower != nil {
-			follower.Close()
-		}
 		if node != nil {
 			node.Close()
 		}
@@ -293,13 +286,13 @@ func serve(sc serveConfig, gopts server.GatewayOptions, w io.Writer, onReady fun
 		fmt.Fprintf(w, "grubd: persisting feeds under %s (%d recovered in %.1f ms)\n",
 			gopts.DataDir, len(g.Feeds()), float64(recovery.Microseconds())/1000)
 	}
-	if follower != nil {
-		follower.Start()
-		fmt.Fprintf(w, "grubd: following leader %s (read-only replica)\n", follower.Leader())
-	}
 	if node != nil {
 		node.Start()
-		fmt.Fprintf(w, "grubd: cluster node %s (%d members)\n", node.Self(), len(node.Members()))
+		if sc.follow != "" {
+			fmt.Fprintf(w, "grubd: observer node %s following %d members (never owns a feed)\n", node.Self(), len(node.Members()))
+		} else {
+			fmt.Fprintf(w, "grubd: cluster node %s (%d members)\n", node.Self(), len(node.Members()))
+		}
 	}
 	if sc.slowOp > 0 {
 		fmt.Fprintf(w, "grubd: logging batches slower than %v\n", sc.slowOp)

@@ -281,20 +281,29 @@ func TestObservabilityFlags(t *testing.T) {
 	}
 }
 
-// TestFollowerMode runs a leader and a follower daemon end to end: the
-// follower mirrors the leader's feed, serves it read-only (403 + Leader
-// header on writes, which the client auto-follows), and reports its
-// replication health on /repl/status.
+// TestFollowerMode runs a one-member cluster (-join and -advertise naming
+// itself) and an observer of it (-follow) end to end: the observer mirrors
+// the leader's feed, serves it verified, forwards writes sent to it to the
+// leader, reports itself as an observer and exports the feed's
+// replication lag.
 func TestFollowerMode(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaderAddr := ln.Addr().String()
+	ln.Close()
+	leaderURL := "http://" + leaderAddr
+
 	leaderReady := make(chan net.Addr, 1)
 	leaderStop := make(chan struct{})
 	leaderErr := make(chan error, 1)
 	var leaderBuf, followerBuf bytes.Buffer
 	go func() {
-		leaderErr <- run([]string{"-addr", "127.0.0.1:0"}, &leaderBuf,
+		leaderErr <- run([]string{"-addr", leaderAddr, "-join", leaderURL, "-advertise", leaderURL}, &leaderBuf,
 			func(a net.Addr) { leaderReady <- a }, leaderStop)
 	}()
-	leaderURL := "http://" + (<-leaderReady).String()
+	<-leaderReady
 
 	followerReady := make(chan net.Addr, 1)
 	followerStop := make(chan struct{})
@@ -313,23 +322,48 @@ func TestFollowerMode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The follower replicates the feed and serves a verified read.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		res, err := server.NewVerifyingClient(followerURL).Get("f", "k")
-		if err == nil && res.Found && string(res.Record.Value) == "v" {
-			break
+	// verified polls until url serves key = want under a verified proof.
+	verified := func(url, key, want string) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			res, err := server.NewVerifyingClient(url).Get("f", key)
+			if err == nil && res.Found && string(res.Record.Value) == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never served %s = %q (last err %v)", url, key, want, err)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("follower never served the replicated write (last err %v)", err)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
+	verified(followerURL, "k", "v")
 
-	// A write pointed at the follower lands on the leader via the Leader
-	// redirect.
-	if _, err := server.NewClient(followerURL).Do("f", []server.Op{{Type: "write", Key: "k2", Value: []byte("v2")}}); err != nil {
-		t.Fatalf("auto-followed write failed: %v", err)
+	// A write sent to the observer is forwarded to the leader and comes
+	// back through the tail.
+	followerC := server.NewClient(followerURL)
+	followerC.Retry = server.DefaultRetry
+	if _, err := followerC.Do("f", []server.Op{{Type: "write", Key: "k2", Value: []byte("v2")}}); err != nil {
+		t.Fatalf("write via observer: %v", err)
+	}
+	verified(leaderURL, "k2", "v2")
+	verified(followerURL, "k2", "v2")
+
+	st, err := (&cluster.Client{}).Status(followerURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Observer || len(st.Members) != 1 || st.Members[0].URL != leaderURL {
+		t.Fatalf("observer cluster status = %+v", st)
+	}
+	resp, err := http.Get(followerURL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !bytes.Contains(metrics, []byte(`grub_repl_lag{feed="f",shard="0"}`)) {
+		t.Errorf("observer metrics lack the feed's replication lag:\n%s", metrics)
 	}
 
 	close(followerStop)
@@ -340,8 +374,8 @@ func TestFollowerMode(t *testing.T) {
 	if err := <-leaderErr; err != nil {
 		t.Fatalf("leader returned: %v", err)
 	}
-	if !bytes.Contains(followerBuf.Bytes(), []byte("following leader")) {
-		t.Errorf("follower banner missing: %q", followerBuf.String())
+	if !bytes.Contains(followerBuf.Bytes(), []byte("observer node")) {
+		t.Errorf("observer banner missing: %q", followerBuf.String())
 	}
 }
 

@@ -10,9 +10,9 @@
 // per op. A single rejected proof fails the run — the gateway is untrusted
 // on this path. Pointed at nothing (-gateway ""), it starts an in-process
 // gateway first. With -replicas the verified readers spread round-robin
-// across follower gateways (grubd -follow) instead of the leader, after
-// waiting for each replica to catch up — the replicated read scale-out
-// path; writes still go to -gateway.
+// across replica gateways (other cluster members, or grubd -follow
+// observers) instead of -gateway, after waiting for each replica to catch
+// up — the replicated read scale-out path; writes still go to -gateway.
 //
 // Gateway write load is measured by `go run ./benchmark` (the
 // write_http_durable workload), not here.
@@ -64,7 +64,7 @@ func run(args []string, w io.Writer) error {
 	records := fs.Int("records", 64, "preloaded records (-verify)")
 	shards := fs.Int("shards", 1, "shards: hash-partition the feed's keyspace (-verify)")
 	reads := fs.Int("reads", 64, "verified reads per client (-verify)")
-	replicas := fs.String("replicas", "", "comma-separated follower URLs to spread verified readers across (-verify)")
+	replicas := fs.String("replicas", "", "comma-separated replica URLs (cluster members or -follow observers) to spread verified readers across (-verify)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -163,7 +163,7 @@ type verifyConfig struct {
 	policy   string
 	k, epoch int
 	// replicas spreads the verified readers round-robin across these
-	// follower URLs (writes still go to the gateway). Empty = read from
+	// replica URLs (writes still go to the gateway). Empty = read from
 	// the gateway itself.
 	replicas []string
 }

@@ -79,9 +79,10 @@ func TestVerifyStandalone(t *testing.T) {
 	}
 }
 
-// TestVerifyAgainstReplicas spreads the verified readers across follower
-// gateways: an in-process leader takes the writes, two followers replicate
-// them, and every proof verifies against the replicas' advertised roots.
+// TestVerifyAgainstReplicas spreads the verified readers across replica
+// gateways: an in-process leader takes the writes, two replicas tail its
+// replication log, and every proof verifies against the replicas'
+// advertised roots.
 func TestVerifyAgainstReplicas(t *testing.T) {
 	leader := server.NewGateway()
 	defer leader.Close()
@@ -96,7 +97,7 @@ func TestVerifyAgainstReplicas(t *testing.T) {
 			Leader: leaderSrv.URL,
 			Poll:   2 * time.Millisecond, Refresh: 10 * time.Millisecond,
 		}, fg.ReplTarget())
-		fsrv := httptest.NewServer(server.NewHandlerConfig(fg, server.HandlerConfig{Follower: f}))
+		fsrv := httptest.NewServer(server.NewHandler(fg))
 		defer fsrv.Close()
 		f.Start()
 		defer f.Close()

@@ -31,6 +31,13 @@
 // The ring (consistent hashing over the static member URLs) supplies only
 // defaults and the failover order — which node a new feed lands on, and who
 // is next in line when an owner dies. The placement map is authoritative.
+//
+// An observer (Options.Observer, grubd -follow) is a node that never owns:
+// it heartbeats the members and tails every feed like any non-owner, but
+// its own URL is not a member, so it is never on the ring, never a
+// failover successor and never counted for quorum. Since every read it
+// serves is checked against the owner's anchors, it needs no more trust
+// than a member does.
 package cluster
 
 import (
@@ -84,6 +91,9 @@ type Local interface {
 	Anchors(feed string) ([]query.RootInfo, error)
 	// CloseFeed drops a local feed (tombstoned placement entries).
 	CloseFeed(feed string) error
+	// Pipeline receives the peer followers' follower_fetch and
+	// follower_verify latencies (nil: not observed).
+	Pipeline() *obs.Pipeline
 }
 
 // Options configures a Node.
@@ -98,6 +108,12 @@ type Options struct {
 	// full list — membership is static, which is what makes the quorum
 	// rule and the failover order deterministic.
 	Peers []string
+	// Observer makes this node one that never owns (grubd -follow):
+	// Self is left out of the member set, so the node is never on the
+	// ring, never a failover successor and never counted for quorum. It
+	// tails every feed from its owner and forwards every write. Peers
+	// names the members it observes; members need not list it.
+	Observer bool
 	// Local is the co-located gateway.
 	Local Local
 	// StatePath persists the placement map ("" = memory only); a restart
@@ -161,7 +177,7 @@ type tailState struct {
 // the feeds it is responsible for.
 type Node struct {
 	opts    Options
-	members []string // sorted, includes Self
+	members []string // sorted; includes Self unless Observer
 	ring    *Ring
 	pm      *Map
 	local   Local
@@ -194,7 +210,10 @@ func NewNode(opts Options) (*Node, error) {
 		return nil, errors.New("cluster: Options.Local (gateway adapter) required")
 	}
 	seen := map[string]bool{opts.Self: true}
-	members := []string{opts.Self}
+	var members []string
+	if !opts.Observer {
+		members = append(members, opts.Self)
+	}
 	for _, p := range opts.Peers {
 		if p == "" || seen[p] {
 			continue
@@ -202,15 +221,20 @@ func NewNode(opts Options) (*Node, error) {
 		seen[p] = true
 		members = append(members, p)
 	}
+	if len(members) == 0 {
+		return nil, errors.New("cluster: an observer needs at least one member in Options.Peers")
+	}
 	sort.Strings(members)
 	pm, err := NewMap(opts.StatePath)
 	if err != nil {
 		return nil, err
 	}
-	followers := make(map[string]*repl.Follower, len(members)-1)
+	followers := make(map[string]*repl.Follower, len(members))
 	for _, p := range members {
 		if p != opts.Self {
-			f := repl.NewFollower(repl.Options{Leader: p, HTTP: opts.HTTP, Poll: opts.TailPoll}, opts.Local)
+			f := repl.NewFollower(repl.Options{
+				Leader: p, HTTP: opts.HTTP, Poll: opts.TailPoll, Pipeline: opts.Local.Pipeline(),
+			}, opts.Local)
 			f.Follow() // none until ensureTail names them
 			followers[p] = f
 		}
@@ -237,7 +261,8 @@ func (n *Node) Self() string { return n.opts.Self }
 // ID returns this node's display name.
 func (n *Node) ID() string { return n.opts.NodeID }
 
-// Members returns the static member URLs, sorted (includes Self).
+// Members returns the static member URLs, sorted (includes Self unless
+// this node is an observer).
 func (n *Node) Members() []string { return append([]string(nil), n.members...) }
 
 // Epoch returns the highest placement epoch this node knows (the "ring
@@ -295,7 +320,7 @@ func (n *Node) run() {
 
 // peers returns the member URLs other than Self.
 func (n *Node) peers() []string {
-	out := make([]string, 0, len(n.members)-1)
+	out := make([]string, 0, len(n.members))
 	for _, m := range n.members {
 		if m != n.opts.Self {
 			out = append(out, m)
@@ -389,7 +414,7 @@ func (n *Node) reconcile() {
 		known[e.Feed] = true
 	}
 	// Recovered-but-unplaced feeds (all nodes restarted, empty maps): the
-	// ring-default owner — one deterministic node — claims each.
+	// ring-default owner — one deterministic member — claims each.
 	for _, id := range n.local.Feeds() {
 		if !known[id] && n.ring.Owner(id, nil) == n.opts.Self {
 			n.pm.Merge(Entry{Feed: id, Owner: n.opts.Self, Epoch: 1})
@@ -596,10 +621,16 @@ func (n *Node) ClaimFeed(feed string) {
 // forwarded a successful create to it, so immediate follow-up writes route
 // correctly instead of missing locally until the next heartbeat. The epoch
 // chosen matches what ClaimFeed picked on the owner for the same prior
-// state, so the entries converge identically.
+// state, so the entries converge identically. An entry that already names
+// the owner (a heartbeat carried the claim first) is left alone: bumping it
+// would put this node's epoch ahead of the owner's, and the owner refuses
+// forwarded writes stamped with an epoch it has not seen.
 func (n *Node) NoteOwner(feed, owner string) {
 	var epoch uint64 = 1
 	if e, ok := n.pm.Get(feed); ok {
+		if e.Owner == owner && !e.Deleted {
+			return
+		}
 		epoch = e.Epoch + 1
 	}
 	n.pm.Merge(Entry{Feed: feed, Owner: owner, Epoch: epoch})

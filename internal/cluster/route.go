@@ -37,6 +37,12 @@ type Route struct {
 func (n *Node) RouteWrite(feed string, reqEpoch uint64, forwarded bool) Route {
 	e, ok := n.pm.Get(feed)
 	if !ok || e.Deleted {
+		if n.opts.Observer {
+			// An observer never applies a write: until a heartbeat tells
+			// it the owner, the client has to come back.
+			return Route{Kind: RouteUnavailable, Epoch: e.Epoch,
+				Reason: "observer: feed not in the placement map yet"}
+		}
 		// Unknown to the map (or tombstoned): let the local gateway answer
 		// — it 404s feeds it does not host, and the create path places new
 		// feeds explicitly via PlaceFeed/ClaimFeed.

@@ -3,9 +3,11 @@ package cluster
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"grub/internal/obs"
 	"grub/internal/query"
 	"grub/internal/repl"
 )
@@ -18,6 +20,7 @@ func (stubLocal) Feed(string) (repl.Feed, error)           { return nil, errors.
 func (stubLocal) Feeds() []string                          { return nil }
 func (stubLocal) Anchors(string) ([]query.RootInfo, error) { return nil, errors.New("stub") }
 func (stubLocal) CloseFeed(string) error                   { return nil }
+func (stubLocal) Pipeline() *obs.Pipeline                  { return nil }
 
 func routeTestNode(t *testing.T, self string, peers ...string) *Node {
 	t.Helper()
@@ -87,6 +90,82 @@ func TestRouteWriteSelfFencing(t *testing.T) {
 	solo.pm.Merge(Entry{Feed: "f", Owner: "http://solo", Epoch: 1})
 	if rt := solo.RouteWrite("f", 0, false); rt.Kind != RouteLocal {
 		t.Fatalf("solo node refused write: %+v", rt)
+	}
+}
+
+// TestObserverNeverOwns: an observer is left out of the member set, so no
+// routing decision applies a write on it and no ring walk names it, while
+// its own view of the members still forwards writes to their owners.
+func TestObserverNeverOwns(t *testing.T) {
+	members := []string{"http://a", "http://b", "http://c"}
+	obsv, err := NewNode(Options{Self: "http://o", Peers: members, Local: stubLocal{}, Observer: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := obsv.Members(); len(got) != 3 || got[0] != "http://a" || got[2] != "http://c" {
+		t.Fatalf("observer members = %v, want the three members only", got)
+	}
+	for _, m := range members {
+		obsv.markAlive(m)
+	}
+	if !obsv.hasQuorum() || !obsv.Status().Observer {
+		t.Fatalf("observer status = %+v", obsv.Status())
+	}
+
+	// Unknown and tombstoned feeds: come back later, never apply here.
+	if rt := obsv.RouteWrite("nope", 0, false); rt.Kind != RouteUnavailable {
+		t.Fatalf("unknown feed on observer: %+v", rt)
+	}
+	obsv.pm.Merge(Entry{Feed: "gone", Owner: "http://a", Epoch: 2, Deleted: true})
+	if rt := obsv.RouteWrite("gone", 0, false); rt.Kind != RouteUnavailable {
+		t.Fatalf("tombstoned feed on observer: %+v", rt)
+	}
+	obsv.pm.Merge(Entry{Feed: "f", Owner: "http://b", Epoch: 1})
+	if rt := obsv.RouteWrite("f", 0, false); rt.Kind != RouteForward || rt.Owner != "http://b" {
+		t.Fatalf("owned feed on observer: %+v", rt)
+	}
+	if rt := obsv.RouteWrite("f", 1, true); rt.Kind != RouteMisdirected {
+		t.Fatalf("forwarded write on observer: %+v", rt)
+	}
+
+	// Neither the observer's ring nor a member's ever names it: a dead
+	// owner's successor is always a member, and new feeds place on members.
+	alive := func(string) bool { return true }
+	member := routeTestNode(t, "http://a", "http://b", "http://c")
+	for _, ring := range []*Ring{obsv.ring, member.ring} {
+		for _, dead := range append(members, "http://o") {
+			if succ := ring.Successor(dead, alive); succ == "http://o" || succ == "" {
+				t.Fatalf("successor of %s = %q", dead, succ)
+			}
+		}
+	}
+	for i := 0; i < 64; i++ {
+		feed := fmt.Sprintf("feed-%d", i)
+		if owner := obsv.PlaceFeed(feed); owner == "http://o" || owner == "" {
+			t.Fatalf("observer placed %s on %q", feed, owner)
+		}
+	}
+
+	// An observer alone cannot stand up: it needs members to observe.
+	if _, err := NewNode(Options{Self: "http://o", Local: stubLocal{}, Observer: true}); err == nil {
+		t.Fatal("observer without members accepted")
+	}
+}
+
+// TestNoteOwnerKeepsHeardClaim: when a heartbeat delivers the owner's claim
+// before the forwarded create returns, NoteOwner must not bump the epoch
+// past the owner's, or the owner would refuse this node's forwarded writes
+// as coming from a newer placement map.
+func TestNoteOwnerKeepsHeardClaim(t *testing.T) {
+	n := routeTestNode(t, "http://b", "http://a")
+	n.pm.Merge(Entry{Feed: "f", Owner: "http://a", Epoch: 1}) // the claim, by heartbeat
+	n.NoteOwner("f", "http://a")
+	if rt := n.RouteWrite("f", 0, false); rt.Kind != RouteForward || rt.Epoch != 1 {
+		t.Fatalf("route after NoteOwner = %+v, want a forward at the owner's epoch 1", rt)
+	}
+	n.NoteOwner("g", "http://a") // nothing heard yet
+	if e, ok := n.pm.Get("g"); !ok || e.Owner != "http://a" || e.Epoch != 1 {
+		t.Fatalf("noted entry = %+v ok=%v", e, ok)
 	}
 }
 

@@ -32,6 +32,7 @@ type FeedPlacement struct {
 // /metrics by the HTTP layer).
 type Status struct {
 	Enabled        bool            `json:"enabled"`
+	Observer       bool            `json:"observer,omitempty"` // never owns (grubd -follow); Members omits Self
 	NodeID         string          `json:"nodeId,omitempty"`
 	Self           string          `json:"self,omitempty"`
 	Epoch          uint64          `json:"epoch,omitempty"`
@@ -49,6 +50,7 @@ type Status struct {
 func (n *Node) Status() Status {
 	st := Status{
 		Enabled:        true,
+		Observer:       n.opts.Observer,
 		NodeID:         n.opts.NodeID,
 		Self:           n.opts.Self,
 		Epoch:          n.pm.Epoch(),
@@ -104,7 +106,7 @@ func (n *Node) Status() Status {
 // HeartbeatLag returns seconds since each peer was last heard from (-1 =
 // never) — the /metrics heartbeat-lag gauge.
 func (n *Node) HeartbeatLag() map[string]float64 {
-	out := make(map[string]float64, len(n.members)-1)
+	out := make(map[string]float64, len(n.members))
 	now := time.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()

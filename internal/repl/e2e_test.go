@@ -73,7 +73,7 @@ func TestReplicatedGatewayEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Two followers, each serving the authenticated read path read-only.
+	// Two followers, each serving the authenticated read path.
 	type fnode struct {
 		gw  *server.Gateway
 		f   *repl.Follower
@@ -82,7 +82,7 @@ func TestReplicatedGatewayEndToEnd(t *testing.T) {
 	startFollower := func() fnode {
 		fg, _ := startGateway(t, server.GatewayOptions{})
 		f := repl.NewFollower(fastOpts(leaderURL), fg.ReplTarget())
-		fsrv := httptest.NewServer(server.NewHandlerConfig(fg, server.HandlerConfig{Follower: f}))
+		fsrv := httptest.NewServer(server.NewHandler(fg))
 		t.Cleanup(fsrv.Close)
 		f.Start()
 		t.Cleanup(f.Close)

@@ -221,9 +221,6 @@ func (f *Follower) Unfollow(id string) {
 	}
 }
 
-// Leader returns the leader base URL this follower replicates from.
-func (f *Follower) Leader() string { return f.opts.Leader }
-
 // Start launches replication. It is idempotent.
 func (f *Follower) Start() {
 	f.startOnce.Do(func() {

@@ -26,9 +26,10 @@
 // the ordinary shard engine, it publishes the same immutable read views and
 // serves the same Merkle-proven reads — server.VerifyingClient works
 // unchanged against a follower, which is what buys horizontal verified-read
-// scale-out plus a warm standby. A Follower mirrors every leader feed
-// (grubd -follow) or, after Follow, just a named set: a cluster node runs one
-// per peer, following the feeds it does not own that the peer serves.
+// scale-out plus a warm standby. A Follower mirrors every leader feed or,
+// after Follow, just a named set: a cluster node (a member, or a grubd
+// -follow observer) runs one per peer, following the feeds it does not own
+// that the peer serves.
 package repl
 
 import (

@@ -120,11 +120,10 @@ func (c *Client) pooled(method, path string, payload []byte, contentType, accept
 // do sends one request with bounded retry per c.Retry and returns the 2xx
 // response, body unread; every other outcome is an error. payload, when
 // non-nil, is the body, in contentType; accept, when non-empty, the Accept
-// header. A 403 (read-only follower refusing a write) or 421 (cluster node
-// disclaiming ownership) carrying a Leader header is transparently retried
-// once against the named leader, so a client pointed at any node still lands
-// its writes; transport errors and 502/503 responses back off and retry when
-// c.Retry allows.
+// header. A 421 (cluster node disclaiming ownership) carrying a Leader
+// header is transparently retried once against the named owner, so a client
+// pointed at any node still lands its writes; transport errors and 502/503
+// responses back off and retry when c.Retry allows.
 func (c *Client) do(method, path string, payload []byte, contentType, accept string) (*http.Response, error) {
 	send := func(base string) (*http.Response, error) {
 		var body io.Reader
@@ -166,7 +165,7 @@ func (c *Client) do(method, path string, payload []byte, contentType, accept str
 			time.Sleep(time.Duration(rand.Int64N(int64(d) + 1)))
 		}
 		resp, err := send(c.BaseURL)
-		if err == nil && (resp.StatusCode == http.StatusForbidden || resp.StatusCode == http.StatusMisdirectedRequest) {
+		if err == nil && resp.StatusCode == http.StatusMisdirectedRequest {
 			// One hop only: if the named "leader" disagrees too, its own
 			// rejection comes back to the caller rather than chasing a
 			// redirect chain.

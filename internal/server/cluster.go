@@ -22,7 +22,8 @@ import (
 
 // ClusterLocal adapts the gateway into the cluster.Local a cluster.Node
 // drives: the repl.Target cluster tails replicate into, plus the read-only
-// hooks feed placement and anchor-verified promotion need.
+// hooks feed placement and anchor-verified promotion need and the stage
+// histograms the tails observe into.
 func (g *Gateway) ClusterLocal() cluster.Local { return clusterLocal{replTarget{g}} }
 
 type clusterLocal struct{ replTarget }
@@ -41,6 +42,10 @@ func (l clusterLocal) Anchors(feed string) ([]query.RootInfo, error) {
 }
 
 func (l clusterLocal) CloseFeed(feed string) error { return l.g.CloseFeed(feed) }
+
+// Pipeline hands the node's peer followers the gateway's stage histograms,
+// so their fetch/verify latencies land in this node's /metrics.
+func (l clusterLocal) Pipeline() *obs.Pipeline { return l.g.Pipeline() }
 
 // forwardToOwner proxies a write-path request to the feed's owner, stamping
 // the sender's placement epoch and the hop marker (so a second routing

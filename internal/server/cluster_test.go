@@ -53,9 +53,8 @@ func startTestCluster(t testing.TB, n int) []*testClusterNode {
 }
 
 // startTestClusterCfg is startTestCluster with a per-node HandlerConfig
-// hook: mod runs on each node's config (Cluster pre-filled) before the
-// handler is built, so tests can enable slow-op logging or tracing knobs
-// on individual members.
+// hook: mod runs on each node's config before the handler is built, so
+// tests can enable slow-op logging or tracing knobs on individual members.
 func startTestClusterCfg(t testing.TB, n int, mod func(i int, hc *HandlerConfig)) []*testClusterNode {
 	t.Helper()
 	return startTestClusterOpts(t, n, nil, mod)
@@ -69,47 +68,81 @@ func startTestClusterOpts(t testing.TB, n int, modOpts func(i int, o *cluster.Op
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
 	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
+		lns[i] = listenLocal(t)
+		urls[i] = "http://" + lns[i].Addr().String()
 	}
 	nodes := make([]*testClusterNode, n)
 	for i := range lns {
 		g := NewGateway()
-		peers := make([]string, 0, n-1)
-		for j, u := range urls {
-			if j != i {
-				peers = append(peers, u)
-			}
-		}
-		opts := cluster.Options{
-			Self: urls[i], Peers: peers, Local: g.ClusterLocal(),
-			Heartbeat: 15 * time.Millisecond, FailAfter: 120 * time.Millisecond,
-			TailPoll: 3 * time.Millisecond, MoveTimeout: 30 * time.Second,
-			LoadDigest: g.Load().Snapshot,
-		}
+		opts := testNodeOptions(urls[i], urls, g)
 		if modOpts != nil {
 			modOpts(i, &opts)
 		}
-		node, err := cluster.NewNode(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hc := HandlerConfig{Cluster: node}
+		var hc HandlerConfig
 		if mod != nil {
 			mod(i, &hc)
 		}
-		srv := &http.Server{Handler: NewHandlerConfig(g, hc)}
-		go srv.Serve(lns[i])
-		node.Start()
-		tn := &testClusterNode{g: g, node: node, srv: srv, url: urls[i]}
-		nodes[i] = tn
-		t.Cleanup(tn.kill)
+		nodes[i] = serveTestNode(t, lns[i], g, opts, hc)
 	}
 	return nodes
+}
+
+// startTestObserver adds an observer (grubd -follow) of members: a node
+// that tails every feed and forwards every write but never owns a feed.
+// The members do not list it; it finds them through its own heartbeats.
+func startTestObserver(t testing.TB, members []*testClusterNode) *testClusterNode {
+	t.Helper()
+	ln := listenLocal(t)
+	urls := make([]string, len(members))
+	for i, m := range members {
+		urls[i] = m.url
+	}
+	g := NewGateway()
+	opts := testNodeOptions("http://"+ln.Addr().String(), urls, g)
+	opts.Observer = true
+	return serveTestNode(t, ln, g, opts, HandlerConfig{})
+}
+
+func listenLocal(t testing.TB) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
+}
+
+// testFailAfter is how long a test node may go unheard-from before its
+// peers declare it dead.
+const testFailAfter = 120 * time.Millisecond
+
+// testNodeOptions is the cluster.Options every test node starts from:
+// fast test cadences and g's adapters. Self is filtered out of peers.
+func testNodeOptions(self string, peers []string, g *Gateway) cluster.Options {
+	return cluster.Options{
+		Self: self, Peers: peers, Local: g.ClusterLocal(),
+		Heartbeat: 15 * time.Millisecond, FailAfter: testFailAfter,
+		TailPoll: 3 * time.Millisecond, MoveTimeout: 30 * time.Second,
+		LoadDigest: g.Load().Snapshot,
+	}
+}
+
+// serveTestNode builds the cluster node opts describes over g, serves it on
+// ln under hc (Cluster filled in) and starts it. The node dies with the
+// test.
+func serveTestNode(t testing.TB, ln net.Listener, g *Gateway, opts cluster.Options, hc HandlerConfig) *testClusterNode {
+	t.Helper()
+	node, err := cluster.NewNode(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc.Cluster = node
+	srv := &http.Server{Handler: NewHandlerConfig(g, hc)}
+	go srv.Serve(ln)
+	node.Start()
+	tn := &testClusterNode{g: g, node: node, srv: srv, url: opts.Self}
+	t.Cleanup(tn.kill)
+	return tn
 }
 
 // ownerIndex polls until every alive node agrees on the same un-fenced

@@ -11,7 +11,6 @@ import (
 
 	"grub/internal/cluster"
 	"grub/internal/obs"
-	"grub/internal/repl"
 )
 
 // Metrics federation: GET /cluster/metrics on any node answers one
@@ -43,11 +42,10 @@ type memberScrape struct {
 
 // clusterMetricsHandler serves GET /cluster/metrics. Without a cluster
 // node it answers 503, like the rest of the /cluster/* surface.
-func clusterMetricsHandler(g *Gateway, follower *repl.Follower, node *cluster.Node, slow *slowLogger) http.HandlerFunc {
+func clusterMetricsHandler(g *Gateway, node *cluster.Node, slow *slowLogger) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if node == nil {
-			writeJSON(w, http.StatusServiceUnavailable,
-				errorBody{Error: "cluster: clustering disabled (start grubd with -join)"})
+			clusterDisabled(w)
 			return
 		}
 		st := node.Status()
@@ -58,7 +56,7 @@ func clusterMetricsHandler(g *Gateway, follower *repl.Follower, node *cluster.No
 			if m.Self {
 				// Self renders in-process: same text /metrics serves,
 				// no loopback HTTP round trip to get it.
-				fams, err := obs.ParseExposition(renderMetrics(g, follower, node, slow))
+				fams, err := obs.ParseExposition(renderMetrics(g, node, slow))
 				scrapes[i] = memberScrape{member: m.URL, fams: fams, ok: err == nil}
 				continue
 			}

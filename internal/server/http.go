@@ -37,18 +37,12 @@ type HandlerConfig struct {
 	// VerifyingClient rejection tests have something to reject;
 	// production configs leave it nil.
 	TamperQuery func(any)
-	// Follower, when non-nil, puts the handler in read-only follower mode:
-	// mutating routes (create feed, ops, delete) answer 403 with a Leader
-	// header, a Retry-After hint and a structured JSON error naming the
-	// leader, and GET /repl/status and /metrics report the follower's
-	// replication health. Reads — including the authenticated read path —
-	// serve locally from the replicated state.
-	Follower *repl.Follower
 	// Cluster, when non-nil, puts the handler in cluster mode (grubd
-	// -join): write-path requests are routed by the node's placement map —
-	// applied locally when this node owns the feed, transparently proxied
-	// to the owner otherwise — the /cluster/* surface activates, and
-	// /healthz and /metrics grow cluster fields. Reads always serve
+	// -join, or -follow for an observer that never owns): write-path
+	// requests are routed by the node's placement map — applied locally
+	// when this node owns the feed, transparently proxied to the owner
+	// otherwise — the /cluster/* surface activates, and /healthz and
+	// /metrics grow cluster and replication fields. Reads always serve
 	// locally from the node's verified replica.
 	Cluster *cluster.Node
 	// SlowOp enables structured slow-batch logging (grubd's -slow-ms):
@@ -104,17 +98,14 @@ type InfoResponse struct {
 }
 
 // HealthResponse is the body of GET /healthz, the load-balancer liveness
-// probe. A gateway with any halted shard — a leader-side divergence halt,
-// or (in follower mode) a tailer that refused to fork — reports OK=false
-// with the shards listed in Degraded, and the probe answers 503 so the
-// balancer stops routing to a node serving frozen state.
+// probe. A gateway with any halted shard — an engine-side divergence halt,
+// or (in cluster mode) a tail that refused to fork — reports OK=false with
+// the shards listed in Degraded, and the probe answers 503 so the balancer
+// stops routing to a node serving frozen state.
 type HealthResponse struct {
 	OK      bool   `json:"ok"`
 	Feeds   int    `json:"feeds"`
 	Version string `json:"version"`
-	// Follower is the leader URL when this gateway is a read-only replica
-	// ("" on a leader/standalone gateway).
-	Follower string `json:"follower,omitempty"`
 	// Degraded lists halted shards, sorted by feed then shard.
 	Degraded []ShardHealth `json:"degraded,omitempty"`
 	// Cluster is this node's cluster view (role per feed, members, quorum)
@@ -157,18 +148,6 @@ type ReplFeedsResponse struct {
 	Feeds []FeedConfig `json:"feeds"`
 }
 
-// ReplStatusResponse is the body of GET /repl/status. On a leader it only
-// reports Follower=false; on a follower it carries per-feed, per-shard
-// replication health (cursor, leader seq, lag, tailer state).
-type ReplStatusResponse struct {
-	Follower bool              `json:"follower"`
-	Leader   string            `json:"leader,omitempty"`
-	Feeds    []repl.FeedStatus `json:"feeds,omitempty"`
-	// Error is the last feed-list fetch failure against the leader, if
-	// any (transient while the leader restarts).
-	Error string `json:"error,omitempty"`
-}
-
 // GetResponse is the body of GET /feeds/{id}/get?key=K: an authenticated
 // point read. Result carries the record + membership proof (or absence
 // proof) and the shard anchor it verifies against.
@@ -195,10 +174,10 @@ type RootsResponse struct {
 }
 
 // errorBody is the JSON shape of every non-2xx response. Leader names the
-// node that accepts the feed's writes. It is set on follower-mode write
-// rejections (403) and on the cluster's redirects (421), fenced or
-// unavailable answers (503) and failed forwards (502). The 403, 421 and 502
-// also send it as the Leader response header, which Client auto-follows.
+// node that accepts the feed's writes. It is set on the cluster's
+// redirects (421), fenced or unavailable answers (503) and failed forwards
+// (502). The 421 and 502 also send it as the Leader response header, which
+// Client follows once on a 421.
 type errorBody struct {
 	Error  string `json:"error"`
 	Leader string `json:"leader,omitempty"`
@@ -208,6 +187,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
+}
+
+// misdirected answers a request that was already forwarded once and still
+// reached a node that is not the feed's owner: 421 with the owner in the
+// Leader header and body, never a second proxy hop.
+func misdirected(w http.ResponseWriter, msg, owner string) {
+	w.Header().Set("Leader", owner)
+	writeJSON(w, http.StatusMisdirectedRequest, errorBody{Error: msg, Leader: owner})
+}
+
+// clusterDisabled answers a /cluster/* route on a gateway without a
+// cluster node.
+func clusterDisabled(w http.ResponseWriter) {
+	writeJSON(w, http.StatusServiceUnavailable,
+		errorBody{Error: "cluster: clustering disabled (start grubd with -join)"})
 }
 
 // writeLogPage writes page exactly as writeJSON would, but hands encoding/json
@@ -297,24 +291,6 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 	slow := newSlowLogger(hc.SlowOp, hc.SlowOpWriter)
 	mux := http.NewServeMux()
 
-	// rejectWrite answers mutating requests on a read-only follower: 403
-	// with the leader's URL in both the Leader header (Client auto-follows
-	// it once) and the structured JSON body, plus a Retry-After hint for
-	// clients that would rather wait out a promotion.
-	rejectWrite := func(w http.ResponseWriter) bool {
-		if hc.Follower == nil {
-			return false
-		}
-		leader := hc.Follower.Leader()
-		w.Header().Set("Leader", leader)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusForbidden, errorBody{
-			Error:  fmt.Sprintf("read-only follower: writes go to the leader at %s", leader),
-			Leader: leader,
-		})
-		return true
-	}
-
 	// forwardOps proxies a batch to the feed's owner with trace stitching:
 	// the proxy round trip becomes a `forward` span (and feeds the feed's
 	// forward-stage histogram), the owner's spans merge in from the
@@ -369,20 +345,13 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "cluster: " + rt.Reason, Leader: rt.Owner})
 			return true
 		case cluster.RouteMisdirected:
-			w.Header().Set("Leader", rt.Owner)
-			writeJSON(w, http.StatusMisdirectedRequest, errorBody{
-				Error:  fmt.Sprintf("cluster: feed %q is owned by %s", feed, rt.Owner),
-				Leader: rt.Owner,
-			})
+			misdirected(w, fmt.Sprintf("cluster: feed %q is owned by %s", feed, rt.Owner), rt.Owner)
 			return true
 		}
 		return false
 	}
 
 	mux.HandleFunc("POST /feeds", func(w http.ResponseWriter, r *http.Request) {
-		if rejectWrite(w) {
-			return
-		}
 		var cfg FeedConfig
 		if !decodeBody(w, r, maxBody, &cfg) {
 			return
@@ -399,11 +368,7 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 					errorBody{Error: "cluster: no alive member to place feed on"})
 				return
 			case owner != hc.Cluster.Self() && r.Header.Get(cluster.ForwardedHeader) != "":
-				w.Header().Set("Leader", owner)
-				writeJSON(w, http.StatusMisdirectedRequest, errorBody{
-					Error:  fmt.Sprintf("cluster: feed %q places on %s", cfg.ID, owner),
-					Leader: owner,
-				})
+				misdirected(w, fmt.Sprintf("cluster: feed %q places on %s", cfg.ID, owner), owner)
 				return
 			case owner != hc.Cluster.Self():
 				body, _ := json.Marshal(cfg)
@@ -432,9 +397,6 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 	})
 
 	mux.HandleFunc("POST /feeds/{id}/ops", func(w http.ResponseWriter, r *http.Request) {
-		if rejectWrite(w) {
-			return
-		}
 		id := r.PathValue("id")
 		if clusterRoute(w, r, id, true) {
 			return
@@ -556,42 +518,31 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 			Version: Version,
 		}
 		// Engine-side divergence halts (a replicated apply this gateway
-		// refused) and, in follower mode, tailer-side halts both degrade
-		// the probe: a halted shard serves a frozen view forever.
+		// refused) and, in cluster mode, tail-side halts both degrade the
+		// probe: a halted shard serves a frozen view forever.
 		resp.Degraded = g.Halted()
-		type shardKey struct {
-			feed  string
-			shard int
-		}
-		seen := make(map[shardKey]bool, len(resp.Degraded))
-		for _, d := range resp.Degraded {
-			seen[shardKey{d.Feed, d.Shard}] = true
-		}
-		// foldHalted adds a tail's halted shards the engine scan missed.
-		foldHalted := func(fs repl.FeedStatus) {
-			for _, ss := range fs.Shards {
-				if k := (shardKey{fs.ID, ss.Shard}); ss.State == repl.StateHalted && !seen[k] {
-					seen[k] = true
-					resp.Degraded = append(resp.Degraded,
-						ShardHealth{Feed: fs.ID, Shard: ss.Shard, State: repl.StateHalted, Error: ss.Error})
-				}
-			}
-		}
-		if hc.Follower != nil {
-			resp.Follower = hc.Follower.Leader()
-			feeds, _ := hc.Follower.Status()
-			for _, fs := range feeds {
-				foldHalted(fs)
-			}
-		}
 		if hc.Cluster != nil {
-			// Cluster tails that refused to fork degrade the probe the
-			// same way follower tailers do.
+			type shardKey struct {
+				feed  string
+				shard int
+			}
+			seen := make(map[shardKey]bool, len(resp.Degraded))
+			for _, d := range resp.Degraded {
+				seen[shardKey{d.Feed, d.Shard}] = true
+			}
 			cs := hc.Cluster.Status()
 			resp.Cluster = &cs
+			// Add each tail's halted shards the engine scan missed.
 			for _, fp := range cs.Feeds {
-				if fp.Tail != nil {
-					foldHalted(*fp.Tail)
+				if fp.Tail == nil {
+					continue
+				}
+				for _, ss := range fp.Tail.Shards {
+					if k := (shardKey{fp.Feed, ss.Shard}); ss.State == repl.StateHalted && !seen[k] {
+						seen[k] = true
+						resp.Degraded = append(resp.Degraded,
+							ShardHealth{Feed: fp.Feed, Shard: ss.Shard, State: repl.StateHalted, Error: ss.Error})
+					}
 				}
 			}
 		}
@@ -603,11 +554,10 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 		writeJSON(w, status, resp)
 	})
 
-	mux.HandleFunc("GET /metrics", metricsHandler(g, hc.Follower, hc.Cluster, slow))
+	mux.HandleFunc("GET /metrics", metricsHandler(g, hc.Cluster, slow))
 
 	// Replication surface: every gateway ships its per-shard log (leader
-	// role needs no configuration); /repl/status reports the follower
-	// role's tailer health.
+	// role needs no configuration). Tail health is in /cluster/status.
 	mux.HandleFunc("GET /repl/feeds", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, ReplFeedsResponse{Feeds: g.ReplConfigs()})
 	})
@@ -662,20 +612,6 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, snap)
-	})
-
-	mux.HandleFunc("GET /repl/status", func(w http.ResponseWriter, r *http.Request) {
-		resp := ReplStatusResponse{}
-		if hc.Follower != nil {
-			resp.Follower = true
-			resp.Leader = hc.Follower.Leader()
-			feeds, err := hc.Follower.Status()
-			resp.Feeds = feeds
-			if err != nil {
-				resp.Error = err.Error()
-			}
-		}
-		writeJSON(w, http.StatusOK, resp)
 	})
 
 	// tamper lets the rejection tests model a compromised gateway; it is
@@ -757,9 +693,6 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 	})
 
 	mux.HandleFunc("DELETE /feeds/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if rejectWrite(w) {
-			return
-		}
 		id := r.PathValue("id")
 		if clusterRoute(w, r, id, false) {
 			return
@@ -780,8 +713,7 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 	// view, and live feed migration.
 	mux.HandleFunc("POST /cluster/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		if hc.Cluster == nil {
-			writeJSON(w, http.StatusServiceUnavailable,
-				errorBody{Error: "cluster: clustering disabled (start grubd with -join)"})
+			clusterDisabled(w)
 			return
 		}
 		var hb cluster.Heartbeat
@@ -818,12 +750,11 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 		writeJSON(w, http.StatusOK, resp)
 	})
 
-	mux.HandleFunc("GET /cluster/metrics", clusterMetricsHandler(g, hc.Follower, hc.Cluster, slow))
+	mux.HandleFunc("GET /cluster/metrics", clusterMetricsHandler(g, hc.Cluster, slow))
 
 	mux.HandleFunc("POST /cluster/feeds/{id}/move", func(w http.ResponseWriter, r *http.Request) {
 		if hc.Cluster == nil {
-			writeJSON(w, http.StatusServiceUnavailable,
-				errorBody{Error: "cluster: clustering disabled (start grubd with -join)"})
+			clusterDisabled(w)
 			return
 		}
 		var req cluster.MoveRequest
@@ -834,11 +765,7 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 		// Migration runs on the owner; any other node proxies one hop.
 		if e, ok := hc.Cluster.Placement(feed); ok && !e.Deleted && e.Owner != hc.Cluster.Self() {
 			if r.Header.Get(cluster.ForwardedHeader) != "" {
-				w.Header().Set("Leader", e.Owner)
-				writeJSON(w, http.StatusMisdirectedRequest, errorBody{
-					Error:  fmt.Sprintf("cluster: feed %q is owned by %s", feed, e.Owner),
-					Leader: e.Owner,
-				})
+				misdirected(w, fmt.Sprintf("cluster: feed %q is owned by %s", feed, e.Owner), e.Owner)
 				return
 			}
 			body, _ := json.Marshal(req)

@@ -5,30 +5,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"grub/internal/repl"
 )
-
-// startFollowerNode brings up a follower gateway + HTTP server replicating
-// from leaderURL, with fast test cadences.
-func startFollowerNode(t *testing.T, leaderURL string) (*Gateway, *repl.Follower, string) {
-	t.Helper()
-	fg := NewGateway()
-	f := repl.NewFollower(repl.Options{
-		Leader: leaderURL,
-		Poll:   2 * time.Millisecond, Refresh: 10 * time.Millisecond,
-		Pipeline: fg.Pipeline(),
-	}, fg.ReplTarget())
-	srv := httptest.NewServer(NewHandlerConfig(fg, HandlerConfig{Follower: f}))
-	f.Start()
-	t.Cleanup(srv.Close)
-	t.Cleanup(fg.Close)
-	t.Cleanup(f.Close)
-	return fg, f, srv.URL
-}
 
 // TestReplEndpoints exercises the leader's log-shipping surface over HTTP:
 // feed configs, log paging from a cursor, the retained-window floor and the
@@ -121,129 +104,17 @@ func TestReplEndpoints(t *testing.T) {
 	}
 }
 
-// TestFollowerModeWritesRejected pins the follower write contract: 403 with
-// a Leader header, a Retry-After hint and a structured JSON body; reads and
-// the authenticated read path keep serving.
-func TestFollowerModeWritesRejected(t *testing.T) {
-	leader := NewGateway()
-	defer leader.Close()
-	leaderSrv := httptest.NewServer(NewHandler(leader))
-	defer leaderSrv.Close()
-	if err := leader.CreateFeed(FeedConfig{ID: "w", Shards: 2, EpochOps: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := leader.Do("w", []Op{{Type: "write", Key: "a", Value: []byte("1")}}); err != nil {
-		t.Fatal(err)
-	}
-
-	_, f, followerURL := startFollowerNode(t, leaderSrv.URL)
-	if err := f.WaitConverged(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range []struct {
-		method, path, body string
-	}{
-		{http.MethodPost, "/feeds", `{"id":"new"}`},
-		{http.MethodPost, "/feeds/w/ops", `{"ops":[{"type":"write","key":"a","value":"Mg=="}]}`},
-		{http.MethodDelete, "/feeds/w", ""},
-	} {
-		req, err := http.NewRequest(tc.method, followerURL+tc.path, strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var body struct {
-			Error  string `json:"error"`
-			Leader string `json:"leader"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusForbidden {
-			t.Errorf("%s %s = HTTP %d, want 403", tc.method, tc.path, resp.StatusCode)
-		}
-		if got := resp.Header.Get("Leader"); got != leaderSrv.URL {
-			t.Errorf("%s %s Leader header = %q, want %q", tc.method, tc.path, got, leaderSrv.URL)
-		}
-		if resp.Header.Get("Retry-After") == "" {
-			t.Errorf("%s %s missing Retry-After", tc.method, tc.path)
-		}
-		if err != nil || body.Leader != leaderSrv.URL || !strings.Contains(body.Error, "read-only follower") {
-			t.Errorf("%s %s body = %+v (err %v)", tc.method, tc.path, body, err)
-		}
-	}
-
-	// Reads serve locally, proofs verify: the follower is a real replica,
-	// not a proxy.
-	vc := NewVerifyingClient(followerURL)
-	res, err := vc.Get("w", "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found || string(res.Record.Value) != "1" {
-		t.Errorf("follower read = %+v", res)
-	}
-	health, err := NewClient(followerURL).Health()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if health.Follower != leaderSrv.URL {
-		t.Errorf("healthz follower = %q", health.Follower)
-	}
-}
-
-// TestClientAutoFollowsLeader: a Client pointed at a follower must land its
-// writes on the leader by following the Leader header exactly once.
-func TestClientAutoFollowsLeader(t *testing.T) {
-	leader := NewGateway()
-	defer leader.Close()
-	leaderSrv := httptest.NewServer(NewHandler(leader))
-	defer leaderSrv.Close()
-
-	_, f, followerURL := startFollowerNode(t, leaderSrv.URL)
-
-	c := NewClient(followerURL)
-	if err := c.CreateFeed(FeedConfig{ID: "auto", Shards: 2, EpochOps: 1}); err != nil {
-		t.Fatalf("create via follower: %v", err)
-	}
-	results, err := c.Do("auto", []Op{{Type: "write", Key: "k", Value: []byte("v")}})
-	if err != nil || len(results) != 1 {
-		t.Fatalf("ops via follower: %v (%d results)", err, len(results))
-	}
-	// The write landed on the leader, and replication brings it back to
-	// the follower.
-	if _, err := leader.Do("auto", []Op{{Type: "read", Key: "k"}}); err != nil {
-		t.Fatalf("write did not land on leader: %v", err)
-	}
-	if err := f.WaitConverged(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		res, err := NewVerifyingClient(followerURL).Get("auto", "k")
-		if err == nil && res.Found && string(res.Record.Value) == "v" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("auto-followed write never replicated back (err %v)", err)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestMetricsEndpoint scrapes /metrics on a leader and a follower.
+// TestMetricsEndpoint scrapes /metrics on a one-member cluster and on an
+// observer of it: the owner exports the per-feed series and tails nothing,
+// the observer exports the replication gauges and stage histograms of the
+// feed it tails.
 func TestMetricsEndpoint(t *testing.T) {
-	leader := NewGateway()
-	defer leader.Close()
-	leaderSrv := httptest.NewServer(NewHandler(leader))
-	defer leaderSrv.Close()
-	if err := leader.CreateFeed(FeedConfig{ID: "m", Shards: 2, EpochOps: 1}); err != nil {
+	member := startTestCluster(t, 1)[0]
+	c := NewClient(member.url)
+	if err := c.CreateFeed(FeedConfig{ID: "m", Shards: 2, EpochOps: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leader.Do("m", []Op{{Type: "write", Key: "a", Value: []byte("1")}, {Type: "read", Key: "a"}}); err != nil {
+	if _, err := c.Do("m", []Op{{Type: "write", Key: "a", Value: []byte("1")}, {Type: "read", Key: "a"}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -262,46 +133,54 @@ func TestMetricsEndpoint(t *testing.T) {
 		return readAll(t, resp)
 	}
 
-	out := scrape(leaderSrv.URL)
+	out := scrape(member.url)
 	for _, want := range []string{
 		"grub_gateway_feeds 1",
-		"grub_repl_follower 0",
 		`grub_feed_ops_total{feed="m"} 2`,
 		`grub_feed_gas_total{feed="m"}`,
 		`grub_feed_delivered_total{feed="m"} 1`,
+		`grub_cluster_role{feed="m"} 1`,
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("leader metrics missing %q:\n%s", want, out)
+			t.Errorf("owner metrics missing %q:\n%s", want, out)
 		}
 	}
-
-	_, f, followerURL := startFollowerNode(t, leaderSrv.URL)
-	if err := f.WaitConverged(30 * time.Second); err != nil {
-		t.Fatal(err)
+	if strings.Contains(out, "grub_repl_") {
+		t.Errorf("owner exports replication gauges for a feed it does not tail:\n%s", out)
 	}
-	out = scrape(followerURL)
-	for _, want := range []string{
-		"grub_repl_follower 1",
+
+	observer := startTestObserver(t, []*testClusterNode{member})
+	wants := []string{
+		`grub_cluster_role{feed="m"} 0`,
 		`grub_repl_lag{feed="m",shard="0"} 0`,
 		`grub_repl_lag{feed="m",shard="1"} 0`,
 		`grub_repl_state{feed="m",shard="0"} 0`,
 		`grub_repl_seq{feed="m",shard=`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("follower metrics missing %q:\n%s", want, out)
+		`grub_repl_leader_seq{feed="m",shard=`,
+	}
+	// The observer's peer followers time their fetches into its stage
+	// histograms, which exist (at count 0) for every hosted feed.
+	fetched := regexp.MustCompile(`grub_stage_seconds_count\{feed="m",stage="follower_fetch"\} [1-9]`)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		out = scrape(observer.url)
+		missing := ""
+		for _, want := range wants {
+			if !strings.Contains(out, want) {
+				missing = want
+				break
+			}
 		}
-	}
-
-	// /repl/status mirrors the same health as JSON.
-	resp, err := http.Get(followerURL + "/repl/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var status ReplStatusResponse
-	err = json.NewDecoder(resp.Body).Decode(&status)
-	resp.Body.Close()
-	if err != nil || !status.Follower || status.Leader != leaderSrv.URL || len(status.Feeds) != 1 {
-		t.Errorf("repl status = %+v (err %v)", status, err)
+		if missing == "" && !fetched.MatchString(out) {
+			missing = fetched.String()
+		}
+		if missing == "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("observer metrics missing %q:\n%s", missing, out)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 
 // Replication: every gateway serves the log-shipping surface (it can lead
 // followers without any configuration), and any gateway can replicate into
-// itself as a follower via ReplTarget + repl.Follower (grubd -follow). The
+// itself via ReplTarget + repl.Follower (a cluster node's peer followers
+// drive it through ClusterLocal, which embeds the same adapter). The
 // per-shard mechanics — the anchored in-memory log, the verified apply and
 // the bootstrap reset — live in internal/shard; the protocol and the tailer
 // live in internal/repl. This file adapts the gateway between them.

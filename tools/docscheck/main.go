@@ -3,11 +3,16 @@
 //  1. Link check: every relative markdown link in README.md and docs/*.md
 //     points at a file that exists (and, for #fragment links, at a heading
 //     that exists, using GitHub's anchor slugging).
-//  2. Route guard: every HTTP route registered in internal/server/http.go
-//     is documented — docs/API.md must mention each route string verbatim.
-//  3. Metrics lint: every metric name (a "grub_..." string literal in
-//     non-test Go source under internal/ and cmd/) is documented — a newly
-//     registered metric must land in docs/API.md before it ships.
+//  2. Route guard, both ways: every HTTP route registered in
+//     internal/server/http.go is documented — docs/API.md must mention each
+//     route string verbatim — and every API.md heading of the form
+//     ### `METHOD /path` names a route http.go still registers.
+//  3. Metrics lint, both ways: every metric name (a "grub_..." string
+//     literal in non-test Go source under internal/ and cmd/) is
+//     documented — a newly registered metric must land in docs/API.md
+//     before it ships — and every `grub_*` first-column cell of an API.md
+//     table names a metric that a source literal or the live scrape (4)
+//     produces.
 //  4. Live exposition lint: an in-process gateway is booted, driven, and
 //     scraped; its /metrics output must parse cleanly under the strict
 //     obs exposition parser (well-formed HELP/TYPE headers, no duplicate
@@ -42,17 +47,17 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	problems, err := run(root)
+	live, problems, err := checkLiveExposition(root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "docscheck:", err)
 		os.Exit(2)
 	}
-	live, err := checkLiveExposition(root)
+	static, err := run(root, live)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "docscheck:", err)
 		os.Exit(2)
 	}
-	problems = append(problems, live...)
+	problems = append(static, problems...)
 	for _, p := range problems {
 		fmt.Fprintln(os.Stderr, "docscheck:", p)
 	}
@@ -63,8 +68,10 @@ func main() {
 	fmt.Println("docscheck: docs are consistent")
 }
 
-// run performs the static checks and returns the list of problems.
-func run(root string) ([]string, error) {
+// run performs the static checks and returns the list of problems. live
+// lists the metric families the live scrape served (nil when it did not
+// run); a documented metric only they produce is not stale.
+func run(root string, live []string) ([]string, error) {
 	docs, err := docFiles(root)
 	if err != nil {
 		return nil, err
@@ -87,7 +94,7 @@ func run(root string) ([]string, error) {
 		return nil, err
 	}
 	problems = append(problems, ps...)
-	ps, err = checkMetrics(root)
+	ps, err = checkMetrics(root, live)
 	if err != nil {
 		return nil, err
 	}
@@ -259,12 +266,13 @@ func isMainDir(dir string) (bool, error) {
 // It starts an in-process gateway, drives traced batches through a
 // sharded feed, scrapes GET /metrics, and validates the result: the
 // exposition must parse under the strict obs parser, and every grub_*
-// family it serves must be documented in docs/API.md.
-func checkLiveExposition(root string) ([]string, error) {
+// family it serves must be documented in docs/API.md. It returns the
+// grub_* families served, for run's stale-row check.
+func checkLiveExposition(root string) (live, problems []string, err error) {
 	g := server.NewGateway()
 	defer g.Close()
 	if err := g.CreateFeed(server.FeedConfig{ID: "docscheck", Shards: 2}); err != nil {
-		return nil, fmt.Errorf("live exposition: create feed: %w", err)
+		return nil, nil, fmt.Errorf("live exposition: create feed: %w", err)
 	}
 	// SlowOp at 1ns traces every batch and exercises the slow-op logger
 	// (and its drop counter) alongside the pipeline histograms.
@@ -277,31 +285,34 @@ func checkLiveExposition(root string) ([]string, error) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("POST", "/feeds/docscheck/ops", body))
 		if rec.Code != 200 {
-			return nil, fmt.Errorf("live exposition: drive batch: status %d: %s", rec.Code, rec.Body.String())
+			return nil, nil, fmt.Errorf("live exposition: drive batch: status %d: %s", rec.Code, rec.Body.String())
 		}
 	}
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 {
-		return nil, fmt.Errorf("live exposition: scrape: status %d", rec.Code)
+		return nil, nil, fmt.Errorf("live exposition: scrape: status %d", rec.Code)
 	}
 	fams, err := obs.ParseExposition(rec.Body.String())
 	if err != nil {
-		return []string{fmt.Sprintf("live /metrics exposition is malformed: %v", err)}, nil
+		return nil, []string{fmt.Sprintf("live /metrics exposition is malformed: %v", err)}, nil
 	}
 	api, err := os.ReadFile(filepath.Join(root, "docs", "API.md"))
 	if err != nil {
-		return nil, fmt.Errorf("read docs/API.md: %w", err)
+		return nil, nil, fmt.Errorf("read docs/API.md: %w", err)
 	}
 	apiText := string(api)
-	var problems []string
 	for _, f := range fams {
-		if strings.HasPrefix(f.Name, "grub_") && !strings.Contains(apiText, f.Name) {
+		if !strings.HasPrefix(f.Name, "grub_") {
+			continue
+		}
+		live = append(live, f.Name)
+		if !strings.Contains(apiText, f.Name) {
 			problems = append(problems,
 				fmt.Sprintf("docs/API.md: live metric family %q is served but not documented", f.Name))
 		}
 	}
-	return problems, nil
+	return live, problems, nil
 }
 
 // discard swallows the slow-op lines the live lint provokes.
@@ -313,8 +324,13 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 // mux.HandleFunc("POST /feeds/{id}/ops", ...).
 var routeRe = regexp.MustCompile(`mux\.HandleFunc\("([A-Z]+ [^"]+)"`)
 
+// routeHeadingRe matches an API.md route heading, e.g.
+// ### `POST /feeds/{id}/ops` — execute a batch.
+var routeHeadingRe = regexp.MustCompile("(?m)^### `([A-Z]+ /[^`]*)`")
+
 // checkRoutes asserts docs/API.md mentions every route registered in
-// internal/server/http.go.
+// internal/server/http.go, and that every route heading in it names a
+// registered route.
 func checkRoutes(root string) ([]string, error) {
 	src, err := os.ReadFile(filepath.Join(root, "internal", "server", "http.go"))
 	if err != nil {
@@ -330,10 +346,17 @@ func checkRoutes(root string) ([]string, error) {
 	}
 	apiText := string(api)
 	var problems []string
+	registered := make(map[string]bool, len(matches))
 	for _, m := range matches {
 		route := m[1]
+		registered[route] = true
 		if !strings.Contains(apiText, route) {
 			problems = append(problems, fmt.Sprintf("docs/API.md: route %q is registered but not documented", route))
+		}
+	}
+	for _, m := range routeHeadingRe.FindAllStringSubmatch(apiText, -1) {
+		if !registered[m[1]] {
+			problems = append(problems, fmt.Sprintf("docs/API.md: heading documents route %q, which internal/server/http.go does not register", m[1]))
 		}
 	}
 	return problems, nil
@@ -342,11 +365,17 @@ func checkRoutes(root string) ([]string, error) {
 // metricRe matches metric-name string literals, e.g. "grub_feed_ops_total".
 var metricRe = regexp.MustCompile(`"(grub_[a-z][a-z0-9_]*)"`)
 
+// metricRowRe matches the first cell of an API.md metrics table row, e.g.
+// | `grub_cluster_role{feed="..."}` | ..., capturing the bare name.
+var metricRowRe = regexp.MustCompile("(?m)^\\| `(grub_[a-z0-9_]*)")
+
 // checkMetrics asserts docs/API.md mentions every metric name that appears
-// as a string literal in non-test Go source under internal/ and cmd/.
-// Histogram families expand to _bucket/_sum/_count series at exposition
-// time; documenting the family name satisfies the check.
-func checkMetrics(root string) ([]string, error) {
+// as a string literal in non-test Go source under internal/ and cmd/, and
+// that every metric named in the first column of an API.md table is one
+// such literal or one of the live families. Histogram families expand to
+// _bucket/_sum/_count series at exposition time; documenting the family
+// name satisfies the check.
+func checkMetrics(root string, live []string) ([]string, error) {
 	names := map[string]bool{}
 	for _, dir := range []string{"internal", "cmd"} {
 		base := filepath.Join(root, dir)
@@ -387,6 +416,14 @@ func checkMetrics(root string) ([]string, error) {
 	for _, name := range sorted {
 		if !strings.Contains(apiText, name) {
 			problems = append(problems, fmt.Sprintf("docs/API.md: metric %q is registered but not documented", name))
+		}
+	}
+	for _, name := range live {
+		names[name] = true
+	}
+	for _, m := range metricRowRe.FindAllStringSubmatch(apiText, -1) {
+		if !names[m[1]] {
+			problems = append(problems, fmt.Sprintf("docs/API.md: table row documents metric %q, which nothing produces", m[1]))
 		}
 	}
 	return problems, nil

@@ -27,10 +27,14 @@ func repoRoot(t *testing.T) string {
 }
 
 // TestRepoDocsAreConsistent runs the real gate against the real repo: this
-// is the test CI's docs job executes, so a broken link or an undocumented
-// route fails the build.
+// is the test CI's docs job executes, so a broken link, an undocumented
+// route or a documented route or metric that is gone fails the build.
 func TestRepoDocsAreConsistent(t *testing.T) {
-	problems, err := run(repoRoot(t))
+	live, _, err := checkLiveExposition(repoRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems, err := run(repoRoot(t), live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +47,7 @@ func TestRepoDocsAreConsistent(t *testing.T) {
 // against the real gateway: the scrape must parse and every served
 // grub_* family must be documented.
 func TestLiveExpositionConsistent(t *testing.T) {
-	problems, err := checkLiveExposition(repoRoot(t))
+	_, problems, err := checkLiveExposition(repoRoot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +74,7 @@ func TestCatchesBrokenLink(t *testing.T) {
 	write("internal/server/http.go",
 		"package server\nfunc x() {\n\tmux.HandleFunc(\"GET /feeds\", nil)\n\tmux.HandleFunc(\"POST /feeds/{id}/ops\", nil)\n}\n")
 
-	problems, err := run(root)
+	problems, err := run(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +113,7 @@ func TestCatchesUndocumentedMetric(t *testing.T) {
 	write("internal/server/metrics_test.go",
 		"package server\nconst c = \"grub_testonly_total\"\n")
 
-	problems, err := run(root)
+	problems, err := run(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +154,7 @@ func TestCatchesStaleGoRun(t *testing.T) {
 	write("internal/lib/lib_test.go", "package main\n")
 	write("examples/quickstart/main.go", "package main\n\nfunc main() {}\n")
 
-	problems, err := run(root)
+	problems, err := run(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,6 +171,68 @@ func TestCatchesStaleGoRun(t *testing.T) {
 	}
 	if len(problems) != 3 {
 		t.Errorf("got %d problems, want 3:\n%s", len(problems), joined)
+	}
+}
+
+// TestCatchesStaleRouteHeading pins the route guard's second direction: an
+// API.md heading for a route http.go no longer registers is flagged, while
+// headings of registered routes and headings that name no route are not.
+func TestCatchesStaleRouteHeading(t *testing.T) {
+	root := t.TempDir()
+	writeTree(t, root, map[string]string{
+		"README.md": "",
+		"docs/API.md": "# API\n\n### `GET /feeds` — list\n\n### `GET /feeds/{id}/legacy` — gone\n\n" +
+			"### `grubtop` — a tool, not a route\n",
+		"internal/server/http.go": "package server\nfunc x() {\n\tmux.HandleFunc(\"GET /feeds\", nil)\n}\n",
+	})
+	problems, err := run(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.Join(problems, "\n")
+	if len(problems) != 1 || !strings.Contains(joined, `route "GET /feeds/{id}/legacy", which internal/server/http.go does not register`) {
+		t.Errorf("got %d problems, want the stale GET /feeds/{id}/legacy heading only:\n%s", len(problems), joined)
+	}
+}
+
+// TestCatchesStaleMetricRow pins the metrics lint's second direction: a
+// first-column `grub_*` table cell that no source literal and no live
+// family produces is flagged; a label suffix is ignored, a live-only
+// family and a mention outside a table's first column are accepted.
+func TestCatchesStaleMetricRow(t *testing.T) {
+	root := t.TempDir()
+	writeTree(t, root, map[string]string{
+		"README.md": "",
+		"docs/API.md": "# API\n\n`GET /feeds`\n\n| Name | Meaning |\n|---|---|\n" +
+			"| `grub_kept_total{feed=\"...\"}` | a literal |\n" +
+			"| `grub_runtime_total` | built at run time |\n" +
+			"| `grub_gone_total` | removed |\n" +
+			"| meaning | `grub_prose_only` |\n",
+		"internal/server/http.go":     "package server\nfunc x() {\n\tmux.HandleFunc(\"GET /feeds\", nil)\n}\n",
+		"internal/server/metrics.go":  "package server\nconst a = \"grub_kept_total\"\n",
+		"internal/server/old_test.go": "package server\nconst b = \"grub_gone_total\"\n",
+	})
+	problems, err := run(root, []string{"grub_runtime_total"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.Join(problems, "\n")
+	if len(problems) != 1 || !strings.Contains(joined, `metric "grub_gone_total", which nothing produces`) {
+		t.Errorf("got %d problems, want the stale grub_gone_total row only:\n%s", len(problems), joined)
+	}
+}
+
+// writeTree writes files (path relative to root -> content) under root.
+func writeTree(t *testing.T, root string, files map[string]string) {
+	t.Helper()
+	for rel, content := range files {
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
