@@ -42,6 +42,8 @@ bench:
 # (run with a bigger FUZZTIME locally to dig):
 #   - persistent ADS: random op streams against a map model with proof
 #     verification at every step;
+#   - pruned-tree proofs: arbitrary bytes as a proof tree must be refused
+#     by the in-place verifiers unless the pointer-tree oracle accepts them;
 #   - kvstore SSTables: corrupted/truncated table bytes must error at open,
 #     never panic or serve wrong values;
 #   - binary read encoding: arbitrary get/range bodies must decode or error
@@ -51,6 +53,7 @@ bench:
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzSetOps -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzProofTreeVerify -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz FuzzSSTableOpen -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzReadWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzOpsWireDecode -fuzztime $(FUZZTIME)

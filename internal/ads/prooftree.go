@@ -2,7 +2,10 @@ package ads
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"sync"
 
 	"grub/internal/merkle"
 )
@@ -10,24 +13,26 @@ import (
 // ProofTree is a pruned copy of the persistent Merkle search tree: the nodes
 // a verifier must see are expanded (their full record present, so the leaf
 // hash is recomputed from the claimed content), every other subtree is
-// elided to its stub hash, and a nil ProofTree is the empty subtree. The
-// verifier recomputes the root from the pruned shape, so — given a root the
-// verifier trusts (the on-chain digest, or a pinned (root, count) anchor) —
-// any ProofTree that hashes to it is a truthful partial view of the real
-// tree: the expanded records, their positions, and the search-tree order
-// around them are exactly those the data owner committed. Absence and
+// elided to its stub hash, and an empty subtree stays empty. The verifier
+// recomputes the root from the pruned shape, so — given a root the verifier
+// trusts (the on-chain digest, or a pinned (root, count) anchor) — any
+// ProofTree that hashes to it is a truthful partial view of the real tree:
+// the expanded records, their positions, and the search-tree order around
+// them are exactly those the data owner committed. Absence and
 // range-completeness verification then reduce to navigating the pruned
 // shape; a stub standing where the navigation needs to look is a refusal to
 // show evidence and is rejected.
+//
+// A ProofTree holds nothing but its own preorder encoding, the bytes its
+// binary form carries (docs/API.md): one shape tag per node — tagNil for an
+// empty subtree; tagStub and the elided subtree's 32-byte hash; tagNode, the
+// record's uvarint length, the record's leaf preimage (Record.Encode), then
+// the left and the right subtree. The prover appends it in the same descent
+// that picks the nodes, and the verifier walks it with a cursor, hashing
+// each leaf where its preimage lies, so neither side makes an object per
+// node. A nil *ProofTree is the empty tree; a non-nil one never is.
 type ProofTree struct {
-	// Stub is the hash of an elided subtree; a stub node carries nothing
-	// else.
-	Stub *merkle.Hash `json:"stub,omitempty"`
-	// Rec is an expanded node's record; Left and Right are its children
-	// (nil = empty subtree).
-	Rec   *Record    `json:"rec,omitempty"`
-	Left  *ProofTree `json:"left,omitempty"`
-	Right *ProofTree `json:"right,omitempty"`
+	enc []byte
 }
 
 // maxProofDepth bounds recursion over untrusted ProofTrees. The canonical
@@ -35,61 +40,150 @@ type ProofTree struct {
 // while keeping a hostile wire payload from exhausting the stack.
 const maxProofDepth = 512
 
-// rootHash recomputes the subtree hash committed by the pruned tree,
-// validating its structure.
-func (p *ProofTree) rootHash(depth int) (merkle.Hash, error) {
+// nilTree is the encoding of the empty tree.
+var nilTree = []byte{tagNil}
+
+// treeOf makes p hold enc, or returns nil when enc is the empty tree.
+func treeOf(p *ProofTree, enc []byte) *ProofTree {
+	if len(enc) == 1 && enc[0] == tagNil {
+		return nil
+	}
+	p.enc = enc
+	return p
+}
+
+func (p *ProofTree) cursor() cursor {
 	if p == nil {
-		return merkle.EmptyRoot(), nil
+		return cursor{b: nilTree}
 	}
-	if depth > maxProofDepth {
-		return merkle.Hash{}, fmt.Errorf("%w: proof tree too deep", merkle.ErrInvalidProof)
+	return cursor{b: p.enc}
+}
+
+// cursor reads an encoded tree in preorder. Every read is checked against
+// the bytes that remain: the encoding may come from anyone.
+type cursor struct {
+	b   []byte
+	off int
+}
+
+// pnode is one node as read off the encoding. For tagStub, stub is the
+// elided subtree's hash; for tagNode, rec is the record's leaf preimage and
+// key and value slice it.
+type pnode struct {
+	tag        byte
+	state      State
+	stub       []byte
+	rec        []byte
+	key, value []byte
+}
+
+// read reads the next node's shape and content, not its children. depth is
+// the node's depth; only an empty subtree may lie deeper than maxProofDepth.
+func (c *cursor) read(depth int) (pnode, error) {
+	if c.off >= len(c.b) {
+		return pnode{}, errors.New("proof tree truncated")
 	}
-	if p.Stub != nil {
-		if p.Rec != nil || p.Left != nil || p.Right != nil {
-			return merkle.Hash{}, fmt.Errorf("%w: stub node with structure", merkle.ErrInvalidProof)
+	n := pnode{tag: c.b[c.off]}
+	c.off++
+	switch n.tag {
+	case tagNil:
+		return n, nil
+	case tagStub, tagNode:
+		if depth > maxProofDepth {
+			return n, fmt.Errorf("proof tree deeper than %d", maxProofDepth)
 		}
-		return *p.Stub, nil
+	default:
+		return n, fmt.Errorf("proof tree tag %d", n.tag)
 	}
-	if p.Rec == nil {
-		return merkle.Hash{}, fmt.Errorf("%w: proof node with neither stub nor record", merkle.ErrInvalidProof)
+	rest := c.b[c.off:]
+	if n.tag == tagStub {
+		if len(rest) < merkle.HashSize {
+			return n, errors.New("proof tree stub truncated")
+		}
+		n.stub = rest[:merkle.HashSize]
+		c.off += merkle.HashSize
+		return n, nil
 	}
-	l, err := p.Left.rootHash(depth + 1)
-	if err != nil {
-		return merkle.Hash{}, err
+	l, k := binary.Uvarint(rest)
+	if k <= 0 {
+		return n, errors.New("bad record length")
 	}
-	r, err := p.Right.rootHash(depth + 1)
-	if err != nil {
-		return merkle.Hash{}, err
+	if l > uint64(len(rest)-k) {
+		return n, fmt.Errorf("record of %d bytes, %d remain", l, len(rest)-k)
 	}
-	return merkle.HashInner(merkle.HashInner(l, p.Rec.Leaf()), r), nil
+	n.rec = rest[k : k+int(l)]
+	c.off += k + int(l)
+	if len(n.rec) < 2 || n.rec[0] > byte(R) {
+		return n, errors.New("record without a valid state byte and key")
+	}
+	n.state = State(n.rec[0])
+	klen, kk := binary.Uvarint(n.rec[1:])
+	if kk <= 0 || klen > uint64(len(n.rec)-1-kk) {
+		return n, errors.New("record key overruns its record")
+	}
+	n.key = n.rec[1+kk : 1+kk+int(klen)]
+	n.value = n.rec[1+kk+int(klen):]
+	return n, nil
 }
 
-// Size returns the byte size for proof-transfer and Gas accounting: one hash
-// per stub, the encoded record per expanded node, a byte of shape tagging
-// each.
-func (p *ProofTree) Size() int {
-	if p == nil {
+// skip reads past an empty subtree, if one is next, and reports whether it
+// did.
+func (c *cursor) skip() bool {
+	if c.off < len(c.b) && c.b[c.off] == tagNil {
+		c.off++
+		return true
+	}
+	return false
+}
+
+// skim checks the structure of the subtree at the cursor and moves past it,
+// returning the subtree's Size.
+func (c *cursor) skim(depth int) (int, error) {
+	n, err := c.read(depth)
+	switch {
+	case err != nil:
+		return 0, err
+	case n.tag == tagNil:
+		return 1, nil
+	case n.tag == tagStub:
+		return 1 + merkle.HashSize, nil
+	}
+	l, err := c.skim(depth + 1)
+	if err != nil {
+		return 0, err
+	}
+	r, err := c.skim(depth + 1)
+	return 1 + len(n.key) + len(n.value) + 6 + l + r, err
+}
+
+// compare orders (st, key) against an encoded record's (state, key), as
+// less does: -1 below it, 1 above it, 0 the same. It does not allocate.
+func compare(st State, key string, rst State, rkey []byte) int {
+	switch {
+	case st != rst:
+		if st < rst {
+			return -1
+		}
 		return 1
+	case key < string(rkey):
+		return -1
+	case key == string(rkey):
+		return 0
 	}
-	if p.Stub != nil {
-		return 1 + merkle.HashSize
-	}
-	n := 1
-	if p.Rec != nil {
-		n += p.Rec.Size()
-	}
-	return n + p.Left.Size() + p.Right.Size()
+	return 1
 }
 
-// digestOf recombines a pruned tree's hash with the count commitment and
-// checks it against root.
-func digestOf(root merkle.Hash, count int, p *ProofTree) error {
-	if count < 0 {
-		return fmt.Errorf("%w: negative record count", merkle.ErrInvalidProof)
-	}
-	h, err := p.rootHash(0)
-	if err != nil {
-		return err
+// invalid reports a defect of an encoded tree as an invalid proof.
+func invalid(err error) error {
+	return fmt.Errorf("%w: %v", merkle.ErrInvalidProof, err)
+}
+
+// checkDigest checks, after a walk of the whole tree returned its hash h,
+// that the walk consumed the whole encoding and that h, with the count
+// commitment, is root.
+func (c *cursor) checkDigest(root merkle.Hash, count int, h merkle.Hash) error {
+	if c.off != len(c.b) {
+		return fmt.Errorf("%w: %d bytes after the proof tree", merkle.ErrInvalidProof, len(c.b)-c.off)
 	}
 	if got := merkle.HashInner(CountLeaf(count), h); got != root {
 		return fmt.Errorf("%w: root mismatch (got %v, want %v)", merkle.ErrInvalidProof, got, root)
@@ -97,57 +191,88 @@ func digestOf(root merkle.Hash, count int, p *ProofTree) error {
 	return nil
 }
 
-// cloneRec detaches a record from the set's backing memory: proofs cross the
-// engine boundary into arbitrary consumers (and the JSON wire), and the
-// tree's nodes are shared by every live view.
-func cloneRec(r Record) *Record {
-	r.Value = append([]byte(nil), r.Value...)
-	return &r
+// Size returns the byte size for proof-transfer and Gas accounting: one hash
+// per stub, the encoded record per expanded node, a byte of shape tagging
+// each.
+func (p *ProofTree) Size() int {
+	c := p.cursor()
+	n, _ := c.skim(0)
+	return n
 }
 
-// stub elides a sealed subtree to its hash.
-func stub(n *node) *ProofTree {
-	if n == nil {
-		return nil
+// proofScratch is a prover's working space: the descent appends the tree to
+// b (and notes in-window records in hits), then the proof keeps one exact
+// copy of b, so a proof costs one allocation however many times b grew.
+type proofScratch struct {
+	b    []byte
+	hits []hit
+}
+
+// hit is an in-window record of a range descent: its key, and where its
+// value lies in the encoding.
+type hit struct {
+	key        string
+	start, end int
+}
+
+// maxPooledScratch caps the buffer a scratch keeps between proofs, so one
+// wide range does not pin its size for good.
+const maxPooledScratch = 64 << 10
+
+var scratchPool = sync.Pool{New: func() any { return new(proofScratch) }}
+
+func putScratch(sc *proofScratch) {
+	if cap(sc.b) > maxPooledScratch || cap(sc.hits) > maxPooledScratch/32 {
+		return
 	}
-	h := n.hash
-	return &ProofTree{Stub: &h}
+	clear(sc.hits) // the keys are the set's
+	sc.b, sc.hits = sc.b[:0], sc.hits[:0]
+	scratchPool.Put(sc)
 }
 
-// target is one (state, key) search destination for path pruning.
-type target struct {
-	st  State
-	key string
-}
-
-// pruneSearch expands the nodes on the search paths to every target and
-// stubs everything else.
-func pruneSearch(n *node, ts []target) *ProofTree {
+// appendStub elides a sealed subtree to its hash.
+func appendStub(b []byte, n *node) []byte {
 	if n == nil {
-		return nil
+		return append(b, tagNil)
 	}
-	pt := &ProofTree{Rec: cloneRec(n.record())}
-	var lts, rts []target
-	for _, t := range ts {
-		switch {
-		case less(t.st, t.key, n.state, n.key):
-			lts = append(lts, t)
-		case less(n.state, n.key, t.st, t.key):
-			rts = append(rts, t)
+	return append(append(b, tagStub), n.hash[:]...)
+}
+
+// appendExpanded appends n's shape tag and record; its children follow.
+// The record is copied, so the proof shares no memory with the set.
+func appendExpanded(b []byte, n *node) []byte {
+	return n.record().appendWire(append(b, tagNode))
+}
+
+// groups is a set of state groups, one bit per State: the groups whose
+// absence search path runs through a subtree.
+type groups uint8
+
+const bothGroups groups = 1<<NR | 1<<R
+
+// pruneSearch appends the subtree under n in preorder, expanded along the
+// (st, key) search path of every group st in paths and elided everywhere
+// else.
+func pruneSearch(b []byte, n *node, key string, paths groups) []byte {
+	if n == nil || paths == 0 {
+		return appendStub(b, n)
+	}
+	b = appendExpanded(b, n)
+	var left, right groups
+	for st := NR; st <= R; st++ {
+		if paths&(1<<st) == 0 {
+			continue
 		}
-		// An exact hit terminates that target's path here.
+		// An exact hit terminates that group's path here.
+		switch {
+		case less(st, key, n.state, n.key):
+			left |= 1 << st
+		case less(n.state, n.key, st, key):
+			right |= 1 << st
+		}
 	}
-	if len(lts) > 0 {
-		pt.Left = pruneSearch(n.left, lts)
-	} else {
-		pt.Left = stub(n.left)
-	}
-	if len(rts) > 0 {
-		pt.Right = pruneSearch(n.right, rts)
-	} else {
-		pt.Right = stub(n.right)
-	}
-	return pt
+	b = pruneSearch(b, n.left, key, left)
+	return pruneSearch(b, n.right, key, right)
 }
 
 // AbsenceProof proves that key is not in the set (in either state group): a
@@ -164,61 +289,92 @@ func (p *AbsenceProof) Size() int {
 	return 8 + p.Paths.Size()
 }
 
-// ProveAbsent builds an absence proof for key. The proof's records are
-// detached copies, safe to hand to arbitrary consumers.
+// ProveAbsent builds an absence proof for key in one descent. The proof
+// shares no memory with the set and is safe to hand to arbitrary consumers.
 func (s *Set) ProveAbsent(key string) (*AbsenceProof, error) {
 	if s.find(key) != nil {
 		return nil, fmt.Errorf("ads: key %q is present", key)
 	}
 	seal(s.root)
-	return &AbsenceProof{
-		Count: s.Len(),
-		Paths: pruneSearch(s.root, []target{{NR, key}, {R, key}}),
-	}, nil
+	sc := scratchPool.Get().(*proofScratch)
+	sc.b = pruneSearch(sc.b, s.root, key, bothGroups)
+	out := &struct {
+		ap AbsenceProof
+		pt ProofTree
+	}{ap: AbsenceProof{Count: s.Len()}}
+	out.ap.Paths = treeOf(&out.pt, bytes.Clone(sc.b))
+	putScratch(sc)
+	return &out.ap, nil
 }
 
-// searchAbsent walks the pruned tree along the (st, key) search path: a stub
-// on the path hides the answer (reject), an exact hit contradicts absence
-// (reject), an empty subtree at the end is absence.
-func searchAbsent(pt *ProofTree, st State, key string, depth int) error {
-	if pt == nil {
-		return nil
-	}
-	if depth > maxProofDepth {
-		return fmt.Errorf("%w: proof tree too deep", merkle.ErrInvalidProof)
-	}
-	if pt.Stub != nil {
-		return fmt.Errorf("%w: absence search path elided", merkle.ErrInvalidProof)
-	}
-	r := pt.Rec
+// absent hashes the subtree at the cursor and, for every group st in paths,
+// follows the (st, key) search path through it: a stub on a path hides the
+// answer (reject), an exact hit contradicts absence (reject), an empty
+// subtree at the end is absence. With no paths it only hashes.
+func (c *cursor) absent(key string, paths groups, depth int) (merkle.Hash, error) {
+	n, err := c.read(depth)
 	switch {
-	case less(st, key, r.State, r.Key):
-		return searchAbsent(pt.Left, st, key, depth+1)
-	case less(r.State, r.Key, st, key):
-		return searchAbsent(pt.Right, st, key, depth+1)
-	default:
-		return fmt.Errorf("%w: key present in absence proof", merkle.ErrInvalidProof)
+	case err != nil:
+		return merkle.Hash{}, invalid(err)
+	case n.tag == tagNil:
+		return merkle.EmptyRoot(), nil
+	case n.tag == tagStub && paths != 0:
+		return merkle.Hash{}, groupError(paths, "absence search path elided")
+	case n.tag == tagStub:
+		return merkle.Hash(n.stub), nil
 	}
+	var left, right groups
+	for st := NR; st <= R; st++ {
+		if paths&(1<<st) == 0 {
+			continue
+		}
+		switch compare(st, key, n.state, n.key) {
+		case -1:
+			left |= 1 << st
+		case 1:
+			right |= 1 << st
+		default:
+			return merkle.Hash{}, groupError(1<<st, "key present in absence proof")
+		}
+	}
+	l, err := c.absent(key, left, depth+1)
+	if err != nil {
+		return merkle.Hash{}, err
+	}
+	r, err := c.absent(key, right, depth+1)
+	if err != nil {
+		return merkle.Hash{}, err
+	}
+	return merkle.HashInner(merkle.HashInner(l, merkle.HashLeaf(n.rec)), r), nil
 }
 
-// VerifyAbsent checks an absence proof against root: the pruned tree must
-// hash (with the proof's count commitment) to root, and the search for key
-// must run to an empty subtree in both state groups. The count is bound into
-// the digest, so a proof cannot claim a different count than the tree root
-// commits.
+// groupError names the first group in g as the one whose search failed.
+func groupError(g groups, msg string) error {
+	st := NR
+	if g&(1<<NR) == 0 {
+		st = R
+	}
+	return fmt.Errorf("%s group: %w: %s", st, merkle.ErrInvalidProof, msg)
+}
+
+// VerifyAbsent checks an absence proof against root in one walk: the pruned
+// tree must hash (with the proof's count commitment) to root, and the search
+// for key must run to an empty subtree in both state groups. The count is
+// bound into the digest, so a proof cannot claim a different count than the
+// tree root commits.
 func VerifyAbsent(root merkle.Hash, key string, p *AbsenceProof) error {
 	if p == nil {
 		return fmt.Errorf("%w: nil absence proof", merkle.ErrInvalidProof)
 	}
-	if err := digestOf(root, p.Count, p.Paths); err != nil {
+	if p.Count < 0 {
+		return fmt.Errorf("%w: negative record count", merkle.ErrInvalidProof)
+	}
+	c := p.Paths.cursor()
+	h, err := c.absent(key, bothGroups, 0)
+	if err != nil {
 		return err
 	}
-	for _, st := range []State{NR, R} {
-		if err := searchAbsent(p.Paths, st, key, 0); err != nil {
-			return fmt.Errorf("%s group: %w", st, err)
-		}
-	}
-	return nil
+	return c.checkDigest(root, p.Count, h)
 }
 
 // VerifyAbsentAt is VerifyAbsent anchored to an externally known record
@@ -259,98 +415,135 @@ func (r *NRRange) Size() int {
 	return n
 }
 
-// pruneWindow expands every node whose subtree may intersect the (state,
-// key) window [(NR, lo), (NR, hi)] — the in-window region plus the search
-// paths bounding it — and stubs the rest.
-func pruneWindow(n *node, lo, hi string) *ProofTree {
+// pruneWindow appends the subtree under n in preorder, expanding every node
+// whose subtree may intersect the (state, key) window [(NR, lo), (NR, hi)] —
+// the in-window region plus the search paths bounding it — and eliding the
+// rest. It notes the in-window records in hits, in key order.
+func pruneWindow(b []byte, n *node, lo, hi string, hits *[]hit) []byte {
 	if n == nil {
-		return nil
+		return append(b, tagNil)
 	}
-	pt := &ProofTree{Rec: cloneRec(n.record())}
+	b = appendExpanded(b, n)
 	switch {
 	case less(n.state, n.key, NR, lo):
 		// Node below the window: its left subtree is entirely below too.
-		pt.Left, pt.Right = stub(n.left), pruneWindow(n.right, lo, hi)
+		return pruneWindow(appendStub(b, n.left), n.right, lo, hi, hits)
 	case less(NR, hi, n.state, n.key):
-		pt.Left, pt.Right = pruneWindow(n.left, lo, hi), stub(n.right)
-	default:
-		pt.Left, pt.Right = pruneWindow(n.left, lo, hi), pruneWindow(n.right, lo, hi)
+		return appendStub(pruneWindow(b, n.left, lo, hi, hits), n.right)
 	}
-	return pt
+	end := len(b) // the record's encoding ends with its value
+	b = pruneWindow(b, n.left, lo, hi, hits)
+	*hits = append(*hits, hit{n.key, end - len(n.value), end})
+	return pruneWindow(b, n.right, lo, hi, hits)
 }
 
 // ProveRangeNR builds a completeness proof for the NR records with
-// lo <= key <= hi. An inverted window (hi < lo) proves the empty result.
-// Only the NR group is served: R records live on-chain and are read there
-// (paper Appendix B.2.2). The returned records are detached copies.
+// lo <= key <= hi in one descent. An inverted window (hi < lo) proves the
+// empty result. Only the NR group is served: R records live on-chain and are
+// read there (paper Appendix B.2.2). The returned records' values are the
+// proof's own copies.
 func (s *Set) ProveRangeNR(lo, hi string) (*NRRange, error) {
 	seal(s.root)
-	out := &NRRange{Count: s.Len(), Proof: pruneWindow(s.root, lo, hi)}
-	var walk func(pt *ProofTree)
-	walk = func(pt *ProofTree) {
-		if pt == nil || pt.Stub != nil {
-			return
+	sc := scratchPool.Get().(*proofScratch)
+	sc.b = pruneWindow(sc.b, s.root, lo, hi, &sc.hits)
+	out := &struct {
+		nr NRRange
+		pt ProofTree
+	}{nr: NRRange{Count: s.Len()}}
+	out.nr.Proof = treeOf(&out.pt, bytes.Clone(sc.b))
+	if len(sc.hits) > 0 {
+		out.nr.Records = make([]Record, len(sc.hits))
+		for i, h := range sc.hits {
+			out.nr.Records[i] = Record{Key: h.key, State: NR, Value: valueAt(out.pt.enc, h.start, h.end)}
 		}
-		walk(pt.Left)
-		r := pt.Rec
-		if !less(r.State, r.Key, NR, lo) && !less(NR, hi, r.State, r.Key) {
-			out.Records = append(out.Records, *r)
-		}
-		walk(pt.Right)
 	}
-	walk(out.Proof)
-	return out, nil
+	putScratch(sc)
+	return &out.nr, nil
 }
 
-// bound is an exclusive search-tree bound inherited from expanded ancestors.
+// valueAt slices a record value out of an encoding, capacity clipped; an
+// empty value is nil, as a decoded one is.
+func valueAt(enc []byte, start, end int) []byte {
+	if start == end {
+		return nil
+	}
+	return enc[start:end:end]
+}
+
+// bound is an exclusive search-tree bound inherited from an expanded
+// ancestor; the zero bound is unbounded.
 type bound struct {
+	ok  bool
 	st  State
-	key string
+	key []byte
 }
 
-// walkWindow verifies the pruned tree covers the window completely,
-// collecting the expanded in-window records in order. mn and mx are the
-// exclusive (state, key) bounds every record under pt must respect (nil =
-// unbounded); a stub is acceptable only when its bounds prove it disjoint
-// from [(NR, lo), (NR, hi)].
-func walkWindow(pt *ProofTree, lo, hi string, mn, mx *bound, out *[]Record, depth int) error {
-	if pt == nil {
-		return nil
+// below reports whether b < (st, key), as encoded records.
+func (b bound) below(st State, key []byte) bool {
+	if b.st != st {
+		return b.st < st
 	}
-	if depth > maxProofDepth {
-		return fmt.Errorf("%w: proof tree too deep", merkle.ErrInvalidProof)
-	}
-	if pt.Stub != nil {
-		belowWindow := mx != nil && !less(NR, lo, mx.st, mx.key) // mx <= (NR, lo)
-		aboveWindow := mn != nil && !less(mn.st, mn.key, NR, hi) // mn >= (NR, hi)
+	return bytes.Compare(b.key, key) < 0
+}
+
+// window is one range verification: the window and the answer whose records
+// the walk matches against the tree's in-window records, counted in proven.
+type window struct {
+	lo, hi string
+	answer []Record
+	proven int
+}
+
+// walk hashes the subtree at the cursor and checks that it covers the window
+// completely. mn and mx are the exclusive (state, key) bounds every record
+// in the subtree must respect; a stub is acceptable only when its bounds
+// prove it disjoint from [(NR, lo), (NR, hi)]. Each in-window record, in
+// key order, must be the next record of the answer.
+func (w *window) walk(c *cursor, mn, mx bound, depth int) (merkle.Hash, error) {
+	n, err := c.read(depth)
+	switch {
+	case err != nil:
+		return merkle.Hash{}, invalid(err)
+	case n.tag == tagNil:
+		return merkle.EmptyRoot(), nil
+	case n.tag == tagStub:
+		belowWindow := mx.ok && compare(NR, w.lo, mx.st, mx.key) >= 0 // mx <= (NR, lo)
+		aboveWindow := mn.ok && compare(NR, w.hi, mn.st, mn.key) <= 0 // mn >= (NR, hi)
 		if !belowWindow && !aboveWindow {
-			return fmt.Errorf("%w: range answer elides a subtree that may intersect the window", merkle.ErrInvalidProof)
+			return merkle.Hash{}, fmt.Errorf("%w: range answer elides a subtree that may intersect the window", merkle.ErrInvalidProof)
 		}
-		return nil
+		return merkle.Hash(n.stub), nil
 	}
-	r := pt.Rec
 	// Defense in depth: the expanded region must itself be a search tree
 	// within the inherited bounds. (An honestly rooted proof already is.)
-	if mn != nil && !less(mn.st, mn.key, r.State, r.Key) {
-		return fmt.Errorf("%w: range proof is not a search tree", merkle.ErrInvalidProof)
+	self := bound{true, n.state, n.key}
+	if mn.ok && !mn.below(n.state, n.key) || mx.ok && !self.below(mx.st, mx.key) {
+		return merkle.Hash{}, fmt.Errorf("%w: range proof is not a search tree", merkle.ErrInvalidProof)
 	}
-	if mx != nil && !less(r.State, r.Key, mx.st, mx.key) {
-		return fmt.Errorf("%w: range proof is not a search tree", merkle.ErrInvalidProof)
+	l, err := w.walk(c, mn, self, depth+1)
+	if err != nil {
+		return merkle.Hash{}, err
 	}
-	self := &bound{r.State, r.Key}
-	if err := walkWindow(pt.Left, lo, hi, mn, self, out, depth+1); err != nil {
-		return err
+	if compare(NR, w.lo, n.state, n.key) <= 0 && compare(NR, w.hi, n.state, n.key) >= 0 {
+		if i := w.proven; i < len(w.answer) {
+			if a := w.answer[i]; a.Key != string(n.key) || a.State != n.state || !bytes.Equal(a.Value, n.value) {
+				return merkle.Hash{}, fmt.Errorf("%w: answer record %q does not match proven record %q", merkle.ErrInvalidProof, a.Key, n.key)
+			}
+		}
+		w.proven++
 	}
-	if !less(r.State, r.Key, NR, lo) && !less(NR, hi, r.State, r.Key) {
-		*out = append(*out, *r)
+	r, err := w.walk(c, self, mx, depth+1)
+	if err != nil {
+		return merkle.Hash{}, err
 	}
-	return walkWindow(pt.Right, lo, hi, self, mx, out, depth+1)
+	return merkle.HashInner(merkle.HashInner(l, merkle.HashLeaf(n.rec)), r), nil
 }
 
 // VerifyRangeNRAt checks a range answer against the (root, count) trust
-// anchor: the pruned tree hashes (with the count commitment) to root, every
-// elided subtree is provably outside the window, and the expanded in-window
-// records — the provably complete answer — are exactly r.Records.
+// anchor in one walk: the pruned tree hashes (with the count commitment) to
+// root, every elided subtree is provably outside the window, and the
+// expanded in-window records — the provably complete answer — are exactly
+// r.Records.
 func VerifyRangeNRAt(root merkle.Hash, count int, lo, hi string, r *NRRange) error {
 	if r == nil {
 		return fmt.Errorf("%w: nil range answer", merkle.ErrInvalidProof)
@@ -361,21 +554,17 @@ func VerifyRangeNRAt(root merkle.Hash, count int, lo, hi string, r *NRRange) err
 	if r.Count != count {
 		return fmt.Errorf("%w: answer claims %d records, anchor says %d", merkle.ErrInvalidProof, r.Count, count)
 	}
-	if err := digestOf(root, count, r.Proof); err != nil {
+	c := r.Proof.cursor()
+	w := window{lo: lo, hi: hi, answer: r.Records}
+	h, err := w.walk(&c, bound{}, bound{}, 0)
+	if err != nil {
 		return err
 	}
-	var want []Record
-	if err := walkWindow(r.Proof, lo, hi, nil, nil, &want, 0); err != nil {
+	if err := c.checkDigest(root, count, h); err != nil {
 		return err
 	}
-	if len(want) != len(r.Records) {
-		return fmt.Errorf("%w: answer has %d records, tree proves %d", merkle.ErrInvalidProof, len(r.Records), len(want))
-	}
-	for i, rec := range r.Records {
-		w := want[i]
-		if rec.Key != w.Key || rec.State != w.State || !bytes.Equal(rec.Value, w.Value) {
-			return fmt.Errorf("%w: answer record %q does not match proven record %q", merkle.ErrInvalidProof, rec.Key, w.Key)
-		}
+	if w.proven != len(r.Records) {
+		return fmt.Errorf("%w: answer has %d records, tree proves %d", merkle.ErrInvalidProof, len(r.Records), w.proven)
 	}
 	return nil
 }

@@ -2,7 +2,9 @@ package ads
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 
 	"grub/internal/merkle"
 	"grub/internal/wire"
@@ -12,7 +14,8 @@ import (
 // encoding"). Each type appends itself into the caller's buffer and decodes
 // itself from a wire.Reader, which records failures; the decoded structs are
 // the same structs the JSON form decodes to and go through the same
-// verification.
+// verification. A ProofTree's binary form is the encoding it holds, so
+// encoding it is a copy and decoding it a scan.
 
 // One-byte shape tags of a ProofTree node, written in preorder.
 const (
@@ -65,58 +68,22 @@ func decodeRecordWire(r *wire.Reader, rec *Record) {
 	*rec = Record{Key: key, State: State(st), Value: r.Bytes(r.Len() - end)}
 }
 
-// AppendBinary appends the pruned tree in preorder, one shape tag per node.
+// AppendBinary appends the tree's preorder encoding, which is all a
+// ProofTree holds. It never fails.
 func (p *ProofTree) AppendBinary(b []byte) ([]byte, error) {
-	switch {
-	case p == nil:
-		return append(b, tagNil), nil
-	case p.Stub != nil && p.Rec == nil && p.Left == nil && p.Right == nil:
-		return append(append(b, tagStub), p.Stub[:]...), nil
-	case p.Stub != nil || p.Rec == nil:
-		return nil, errMalformedTree
-	}
-	b, err := p.Left.AppendBinary(p.Rec.appendWire(append(b, tagNode)))
-	if err != nil {
-		return nil, err
-	}
-	return p.Right.AppendBinary(b)
+	return append(b, p.cursor().b...), nil
 }
 
-// decodeProofTree reads one subtree. An expanded node and its record are one
-// allocation, as are a stub and its hash.
-func decodeProofTree(r *wire.Reader, depth int) *ProofTree {
-	switch tag := r.Byte(); tag {
-	case tagNil:
-		return nil
-	case tagStub:
-		n := &struct {
-			pt   ProofTree
-			hash merkle.Hash
-		}{}
-		copy(n.hash[:], r.Bytes(merkle.HashSize))
-		n.pt.Stub = &n.hash
-		return &n.pt
-	case tagNode:
-		if depth > maxProofDepth {
-			r.Fail("proof tree deeper than %d", maxProofDepth)
-			return nil
-		}
-		n := &struct {
-			pt  ProofTree
-			rec Record
-		}{}
-		decodeRecordWire(r, &n.rec)
-		if r.Err() != nil {
-			return nil
-		}
-		n.pt.Rec = &n.rec
-		n.pt.Left = decodeProofTree(r, depth+1)
-		n.pt.Right = decodeProofTree(r, depth+1)
-		return &n.pt
-	default:
-		r.Fail("proof tree tag %d", tag)
+// decodeProofTree scans one tree at r's position — tags, record lengths and
+// state bytes, depth — and makes p hold it, nil for the empty tree. The bytes
+// stay where they are, in the reader's private copy of the body.
+func decodeProofTree(r *wire.Reader, p *ProofTree) *ProofTree {
+	c := cursor{b: r.Rest()}
+	if _, err := c.skim(0); err != nil {
+		r.Fail("%v", err)
 		return nil
 	}
+	return treeOf(p, r.Bytes(c.off))
 }
 
 // AppendBinary appends uvarint count | tree.
@@ -124,9 +91,15 @@ func (p *AbsenceProof) AppendBinary(b []byte) ([]byte, error) {
 	return p.Paths.AppendBinary(wire.AppendInt(b, p.Count))
 }
 
-// DecodeAbsenceProof reads an absence proof written by AppendBinary.
+// DecodeAbsenceProof reads an absence proof written by AppendBinary: one
+// allocation, the proof and its tree together.
 func DecodeAbsenceProof(r *wire.Reader) *AbsenceProof {
-	return &AbsenceProof{Count: r.Int(), Paths: decodeProofTree(r, 0)}
+	out := &struct {
+		ap AbsenceProof
+		pt ProofTree
+	}{ap: AbsenceProof{Count: r.Int()}}
+	out.ap.Paths = decodeProofTree(r, &out.pt)
+	return &out.ap
 }
 
 // AppendBinary appends uvarint count | uvarint n | n × record | tree.
@@ -141,7 +114,11 @@ func (nr *NRRange) AppendBinary(b []byte) ([]byte, error) {
 
 // DecodeNRRange reads a range answer written by AppendBinary.
 func DecodeNRRange(r *wire.Reader) *NRRange {
-	nr := &NRRange{Count: r.Int()}
+	out := &struct {
+		nr NRRange
+		pt ProofTree
+	}{nr: NRRange{Count: r.Int()}}
+	nr := &out.nr
 	n := r.Int()
 	if n > r.Len()/minRecordWire {
 		r.Fail("%d records in %d bytes", n, r.Len())
@@ -153,6 +130,87 @@ func DecodeNRRange(r *wire.Reader) *NRRange {
 	for i := range nr.Records {
 		decodeRecordWire(r, &nr.Records[i])
 	}
-	nr.Proof = decodeProofTree(r, 0)
+	nr.Proof = decodeProofTree(r, &out.pt)
 	return nr
+}
+
+// jsonTree is one node of a ProofTree's JSON form, the nested debug form
+// docs/API.md shows: {"stub": hash} for an elided subtree, or {"rec": record,
+// "left": ..., "right": ...} with an empty child left out.
+type jsonTree struct {
+	Stub  *merkle.Hash `json:"stub,omitempty"`
+	Rec   *Record      `json:"rec,omitempty"`
+	Left  *jsonTree    `json:"left,omitempty"`
+	Right *jsonTree    `json:"right,omitempty"`
+}
+
+// MarshalJSON renders the tree in its nested JSON form, straight from the
+// encoding.
+func (p *ProofTree) MarshalJSON() ([]byte, error) {
+	c := p.cursor()
+	return c.appendJSON(nil, 0)
+}
+
+func (c *cursor) appendJSON(b []byte, depth int) ([]byte, error) {
+	n, err := c.read(depth)
+	switch {
+	case err != nil:
+		return nil, err
+	case n.tag == tagNil:
+		return append(b, "null"...), nil
+	case n.tag == tagStub:
+		h, err := merkle.Hash(n.stub).MarshalText()
+		return append(append(append(b, `{"stub":"`...), h...), `"}`...), err
+	}
+	rec, err := json.Marshal(Record{Key: string(n.key), State: n.state, Value: n.value})
+	if err != nil {
+		return nil, err
+	}
+	b = append(append(b, `{"rec":`...), rec...)
+	for _, field := range []string{`,"left":`, `,"right":`} {
+		if c.skip() {
+			continue
+		}
+		if b, err = c.appendJSON(append(b, field...), depth+1); err != nil {
+			return nil, err
+		}
+	}
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSON reads the nested JSON form into the preorder encoding. A node
+// the encoding cannot express — neither a bare stub nor an expanded record
+// — is an error, as are a state byte other than NR or R and a tree deeper
+// than maxProofDepth.
+func (p *ProofTree) UnmarshalJSON(data []byte) error {
+	var t jsonTree
+	if err := json.Unmarshal(data, &t); err != nil {
+		return err
+	}
+	enc, err := t.appendBinary(nil, 0)
+	if err != nil {
+		return err
+	}
+	p.enc = enc
+	return nil
+}
+
+func (t *jsonTree) appendBinary(b []byte, depth int) ([]byte, error) {
+	switch {
+	case t == nil:
+		return append(b, tagNil), nil
+	case depth > maxProofDepth:
+		return nil, fmt.Errorf("ads: proof tree deeper than %d", maxProofDepth)
+	case t.Stub != nil && t.Rec == nil && t.Left == nil && t.Right == nil:
+		return append(append(b, tagStub), t.Stub[:]...), nil
+	case t.Stub != nil || t.Rec == nil:
+		return nil, errMalformedTree
+	case t.Rec.State != NR && t.Rec.State != R:
+		return nil, fmt.Errorf("ads: proof tree record with state %d", t.Rec.State)
+	}
+	b, err := t.Left.appendBinary(t.Rec.appendWire(append(b, tagNode)), depth+1)
+	if err != nil {
+		return nil, err
+	}
+	return t.Right.appendBinary(b, depth+1)
 }

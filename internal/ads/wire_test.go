@@ -2,6 +2,7 @@ package ads
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -87,17 +88,21 @@ func TestProofTreeBinaryRoundTrip(t *testing.T) {
 }
 
 // TestProofTreeEncoderRejectsMalformedNodes: a node the tag byte cannot
-// express is an encode error, not a silently repaired proof.
+// express is an error when the JSON form is encoded into the preorder form,
+// not a silently repaired proof.
 func TestProofTreeEncoderRejectsMalformedNodes(t *testing.T) {
-	h := merkle.HashLeaf([]byte("x"))
-	rec := &Record{Key: "k"}
-	for name, pt := range map[string]*ProofTree{
-		"neither stub nor record": {},
-		"stub with a record":      {Stub: &h, Rec: rec},
-		"stub with a child":       {Stub: &h, Left: &ProofTree{Stub: &h}},
-		"malformed below the top": {Rec: rec, Right: &ProofTree{}},
+	h := `"` + merkle.HashLeaf([]byte("x")).Hex() + `"`
+	rec := `{"key":"k","state":0}`
+	for name, js := range map[string]string{
+		"neither stub nor record": `{}`,
+		"stub with a record":      `{"stub":` + h + `,"rec":` + rec + `}`,
+		"stub with a child":       `{"stub":` + h + `,"left":{"stub":` + h + `}}`,
+		"malformed below the top": `{"rec":` + rec + `,"right":{}}`,
+		"state byte 2":            `{"rec":{"key":"k","state":2}}`,
+		"past the depth cap":      strings.Repeat(`{"rec":`+rec+`,"left":`, maxProofDepth+2) + "null" + strings.Repeat("}", maxProofDepth+2),
 	} {
-		if _, err := pt.AppendBinary(nil); err == nil {
+		var pt ProofTree
+		if err := json.Unmarshal([]byte(js), &pt); err == nil {
 			t.Errorf("%s: encoded", name)
 		}
 	}
@@ -122,7 +127,7 @@ func TestDecodeProofTreeRejects(t *testing.T) {
 		"children missing":         {node(1), false},
 	} {
 		r := wire.NewReader(c.body)
-		decodeProofTree(r, 0)
+		decodeProofTree(r, new(ProofTree))
 		err := r.Finish()
 		if c.ok && err != nil {
 			t.Errorf("%s: %v", name, err)

@@ -108,7 +108,7 @@ func (c *Client) Status(peer string) (Status, error) {
 // owner if it is not the owner itself).
 func (c *Client) Move(node, feed, target string) (MoveResult, error) {
 	var res MoveResult
-	err := c.do(http.MethodPost, node+"/cluster/feeds/"+feed+"/move", MoveRequest{Target: target}, &res)
+	err := c.do(http.MethodPost, node+"/cluster"+query.FeedPath(feed, "/move"), MoveRequest{Target: target}, &res)
 	return res, err
 }
 
@@ -118,7 +118,7 @@ func (c *Client) Anchors(peer, feed string) ([]query.RootInfo, error) {
 	var doc struct {
 		Shards []query.RootInfo `json:"shards"`
 	}
-	if err := c.do(http.MethodGet, peer+"/feeds/"+feed+"/roots", nil, &doc); err != nil {
+	if err := c.do(http.MethodGet, peer+query.FeedPath(feed, "/roots"), nil, &doc); err != nil {
 		return nil, err
 	}
 	return doc.Shards, nil

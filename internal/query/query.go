@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,6 +128,14 @@ func (v *View) Height() uint64 { return v.height }
 
 // Len returns the number of records in the view.
 func (v *View) Len() int { return v.count }
+
+// FeedPath returns the gateway path of one feed's route: "/feeds/", the
+// feed ID escaped as a single path segment, then rest, the route's suffix
+// and query as given. A feed ID may hold any character; joined raw, a "/",
+// "?", "#" or "%" in it would reach another route or fail to parse.
+func FeedPath(id, rest string) string {
+	return "/feeds/" + url.PathEscape(id) + rest
+}
 
 // RootInfo advertises one shard's trust anchor: the digest, the record
 // count it covers, and the (seq, height) the view was published at.

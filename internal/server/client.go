@@ -234,7 +234,7 @@ func (c *Client) Feeds() ([]string, error) {
 // refuses it with 400 before running any of it. Do then sends the batch
 // again as JSON and goes back to JSON until the next binary answer.
 func (c *Client) Do(id string, ops []Op) ([]OpResult, error) {
-	path := "/feeds/" + id + "/ops"
+	path := query.FeedPath(id, "/ops")
 	binary := c.binaryOps.Load()
 	body, ct, err := c.postOps(path, ops, binary)
 	var se *statusError
@@ -283,7 +283,7 @@ func (c *Client) postOps(path string, ops []Op, binary bool) (*[]byte, string, e
 // Stats fetches one feed's counters.
 func (c *Client) Stats(id string) (Stats, error) {
 	var out Stats
-	if err := c.call(http.MethodGet, "/feeds/"+id+"/stats", nil, &out); err != nil {
+	if err := c.call(http.MethodGet, query.FeedPath(id, "/stats"), nil, &out); err != nil {
 		return Stats{}, err
 	}
 	return out, nil
@@ -295,7 +295,7 @@ func (c *Client) Stats(id string) (Stats, error) {
 // per shard: shard 0's sub-trace, then shard 1's, and so on.
 func (c *Client) TraceResults(id string) ([]Op, []OpResult, error) {
 	var out TraceResponse
-	if err := c.call(http.MethodGet, "/feeds/"+id+"/trace", nil, &out); err != nil {
+	if err := c.call(http.MethodGet, query.FeedPath(id, "/trace"), nil, &out); err != nil {
 		return nil, nil, err
 	}
 	return out.Ops, out.Results, nil
@@ -305,7 +305,7 @@ func (c *Client) TraceResults(id string) ([]Op, []OpResult, error) {
 // durability counters (gateways started with a data directory only).
 func (c *Client) Snapshot(id string) (shard.PersistStats, error) {
 	var out SnapshotResponse
-	if err := c.call(http.MethodPost, "/feeds/"+id+"/snapshot", nil, &out); err != nil {
+	if err := c.call(http.MethodPost, query.FeedPath(id, "/snapshot"), nil, &out); err != nil {
 		return shard.PersistStats{}, err
 	}
 	return out.Persist, nil
@@ -317,7 +317,7 @@ func (c *Client) Snapshot(id string) (shard.PersistStats, error) {
 // checked here — use VerifyingClient for reads that must not trust the
 // gateway, or query.VerifyGet directly.
 func (c *Client) Get(id, key string) (*query.GetResult, error) {
-	body, ct, err := c.pooled(http.MethodGet, "/feeds/"+id+"/get?key="+url.QueryEscape(key), nil, "", ReadMediaType)
+	body, ct, err := c.pooled(http.MethodGet, query.FeedPath(id, "/get?key=")+url.QueryEscape(key), nil, "", ReadMediaType)
 	if err != nil {
 		return nil, err
 	}
@@ -336,7 +336,7 @@ func (c *Client) Get(id, key string) (*query.GetResult, error) {
 // slice of NR records per shard. Proofs are not checked here (see
 // VerifyingClient).
 func (c *Client) Range(id, lo, hi string) ([]query.RangeResult, error) {
-	body, ct, err := c.pooled(http.MethodGet, "/feeds/"+id+"/range?lo="+url.QueryEscape(lo)+"&hi="+url.QueryEscape(hi), nil, "", ReadMediaType)
+	body, ct, err := c.pooled(http.MethodGet, query.FeedPath(id, "/range?lo=")+url.QueryEscape(lo)+"&hi="+url.QueryEscape(hi), nil, "", ReadMediaType)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +355,7 @@ func (c *Client) Range(id, lo, hi string) ([]query.RangeResult, error) {
 // chain height, publication seq).
 func (c *Client) Roots(id string) ([]query.RootInfo, error) {
 	var out RootsResponse
-	if err := c.call(http.MethodGet, "/feeds/"+id+"/roots", nil, &out); err != nil {
+	if err := c.call(http.MethodGet, query.FeedPath(id, "/roots"), nil, &out); err != nil {
 		return nil, err
 	}
 	return out.Shards, nil
@@ -386,7 +386,7 @@ func (c *Client) Health() (HealthResponse, error) {
 // histograms /metrics exposes, summarized in milliseconds).
 func (c *Client) Latency(id string) (LatencyResponse, error) {
 	var out LatencyResponse
-	if err := c.call(http.MethodGet, "/feeds/"+id+"/stats/latency", nil, &out); err != nil {
+	if err := c.call(http.MethodGet, query.FeedPath(id, "/stats/latency"), nil, &out); err != nil {
 		return LatencyResponse{}, err
 	}
 	return out, nil
@@ -405,7 +405,7 @@ func (c *Client) Info() (InfoResponse, error) {
 // ShardStats fetches the per-shard breakdown of one feed's counters.
 func (c *Client) ShardStats(id string) ([]shard.ShardStat, error) {
 	var out ShardsResponse
-	if err := c.call(http.MethodGet, "/feeds/"+id+"/shards", nil, &out); err != nil {
+	if err := c.call(http.MethodGet, query.FeedPath(id, "/shards"), nil, &out); err != nil {
 		return nil, err
 	}
 	return out.Shards, nil
@@ -413,5 +413,5 @@ func (c *Client) ShardStats(id string) ([]shard.ShardStat, error) {
 
 // CloseFeed closes a feed.
 func (c *Client) CloseFeed(id string) error {
-	return c.call(http.MethodDelete, "/feeds/"+id, nil, nil)
+	return c.call(http.MethodDelete, query.FeedPath(id, ""), nil, nil)
 }

@@ -310,6 +310,51 @@ func TestErrStatusNotFooledByFeedID(t *testing.T) {
 	}
 }
 
+// TestClientEscapesFeedIDs round-trips feed IDs holding the characters a
+// URL path gives meaning to through every client call that names a feed:
+// each must reach that feed's route, not another route or a parse error.
+func TestClientEscapesFeedIDs(t *testing.T) {
+	g := NewGateway()
+	defer g.Close()
+	srv := httptest.NewServer(NewHandler(g))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	for _, id := range []string{"a/b", "a?b", "a#b", "a%b", "a%2Fb", "a b"} {
+		if err := c.CreateFeed(FeedConfig{ID: id, Shards: 2, EpochOps: 1}); err != nil {
+			t.Fatalf("CreateFeed(%q): %v", id, err)
+		}
+		if _, err := c.Do(id, []Op{{Type: "write", Key: "k1", Value: []byte("v1")}, {Type: "write", Key: "k2", Value: []byte("v2")}}); err != nil {
+			t.Fatalf("Do(%q): %v", id, err)
+		}
+		if res, err := c.Get(id, "k1"); err != nil || !res.Found || string(res.Record.Value) != "v1" {
+			t.Fatalf("Get(%q): %+v, %v", id, res, err)
+		}
+		slices, err := c.Range(id, "k", "l")
+		if err != nil {
+			t.Fatalf("Range(%q): %v", id, err)
+		}
+		n := 0
+		for _, s := range slices {
+			n += len(s.Range.Records)
+		}
+		if n != 2 {
+			t.Fatalf("Range(%q): %d records, want 2", id, n)
+		}
+		if roots, err := c.Roots(id); err != nil || len(roots) != 2 {
+			t.Fatalf("Roots(%q): %d shards, %v", id, len(roots), err)
+		}
+		if st, err := c.Stats(id); err != nil || st.Ops != 2 {
+			t.Fatalf("Stats(%q): %d ops, %v", id, st.Ops, err)
+		}
+		if err := c.CloseFeed(id); err != nil {
+			t.Fatalf("CloseFeed(%q): %v", id, err)
+		}
+		if _, err := c.Stats(id); err == nil {
+			t.Fatalf("Stats(%q) after CloseFeed succeeded", id)
+		}
+	}
+}
+
 // TestShardedGatewayEquivalence is the acceptance test for the sharded
 // engine end to end: a gateway-hosted sharded feed (N in {2,4,8}) driven by
 // 32 concurrent HTTP clients must match N independent single feeds each

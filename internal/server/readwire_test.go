@@ -400,3 +400,45 @@ func BenchmarkReadWire(b *testing.B) {
 func decodeGetBinary(body []byte) error { _, err := query.DecodeGetResult(body); return err }
 
 func decodeJSON[T any](body []byte) error { var out T; return json.Unmarshal(body, &out) }
+
+// TestVerifiedReadAllocations pins what one verified read allocates, client
+// and gateway together, over loopback HTTP on a 4-shard feed of 10k records:
+// a get of an absent key and a range of 8 keys. Their proofs are pruned
+// trees, built, sent, decoded and verified as one preorder buffer each: 91
+// and 126 allocations, where a graph of tree nodes cost 252 and 545.
+func TestVerifiedReadAllocations(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("preloads a 10k-record feed; allocation counts do not hold under the race detector")
+	}
+	const getBound, rangeBound = 100, 140
+	_, srv := readFeed(t, 4, 10000, HandlerConfig{})
+	vc := NewVerifyingClient(srv.URL)
+	vc.HTTP = &http.Client{Transport: &http.Transport{}}
+	t.Cleanup(vc.HTTP.CloseIdleConnections)
+	get := func(i int) {
+		res, err := vc.Get("f", fmt.Sprintf("user%07dx", i*37%10000))
+		if err != nil || res.Found {
+			t.Fatalf("absent get %d: found %v, %v", i, res != nil && res.Found, err)
+		}
+	}
+	scan := func(i int) {
+		lo := i * 37 % 9990
+		if _, err := vc.Range("f", fmt.Sprintf("user%07d", lo), fmt.Sprintf("user%07d", lo+7)); err != nil {
+			t.Fatalf("range %d: %v", i, err)
+		}
+	}
+	for i := range 50 { // warm the pools, the connection, the anchors
+		get(i)
+		scan(i)
+	}
+	i := 50
+	getAllocs := testing.AllocsPerRun(200, func() { get(i); i++ })
+	rangeAllocs := testing.AllocsPerRun(200, func() { scan(i); i++ })
+	t.Logf("%.1f allocations per absent get, %.1f per 8-key range", getAllocs, rangeAllocs)
+	if getAllocs > getBound {
+		t.Errorf("%.1f allocations per absent get, want at most %d", getAllocs, getBound)
+	}
+	if rangeAllocs > rangeBound {
+		t.Errorf("%.1f allocations per 8-key range, want at most %d", rangeAllocs, rangeBound)
+	}
+}

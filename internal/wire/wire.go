@@ -40,7 +40,7 @@ func AppendString(b []byte, s string) []byte {
 //
 // NewReader copies the body, as the bytes Bytes results alias; the first Str
 // copies it once more, as the string Str results alias. Decoding a proof tree
-// therefore allocates once per node, never per key or value, and the caller
+// therefore allocates nothing per node, key or value, and the caller
 // may reuse the body's buffer as soon as NewReader returns. The price is that
 // any one decoded key or value keeps the whole copy reachable. OwnStr is the
 // way out for a string that will outlive the rest of the body.
@@ -152,6 +152,17 @@ func (r *Reader) OwnStr() string {
 		return ""
 	}
 	return string(r.buf[at:r.off])
+}
+
+// Rest returns the unread bytes without consuming them (nil after a
+// failure), for a decoder that must scan a field to learn its extent before
+// it reads it with Bytes. They alias the reader's copy: read them, never
+// write them.
+func (r *Reader) Rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	return r.buf[r.off:len(r.buf):len(r.buf)]
 }
 
 // Bytes reads n bytes as a slice aliasing the reader's copy, capacity clipped
