@@ -69,7 +69,8 @@ fuzz-smoke:
 docs-check:
 	$(GO) run ./tools/docscheck
 
-check: build vet fmt-check race docs-check
+# test runs the allocation pins, which skip under the race detector.
+check: build vet fmt-check test race docs-check
 
 clean:
 	$(GO) clean ./...

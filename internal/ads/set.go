@@ -507,65 +507,69 @@ func provePath(n *node, i int, p *merkle.Proof) {
 // ProveKey returns the record stored under key together with its membership
 // proof: the proof ProveIndex builds for the record's rank.
 func (s *Set) ProveKey(key string) (Record, *merkle.Proof, error) {
-	rec, p, ok := s.ProveKeyAt(key, CountLeaf(s.Len()))
+	p := new(merkle.Proof)
+	rec, ok := s.ProveKeyAt(key, CountLeaf(s.Len()), p)
 	if !ok {
 		return Record{}, nil, fmt.Errorf("ads: key %q not present", key)
 	}
 	return rec, p, nil
 }
 
-// ProveKeyAt is ProveKey for a caller that already holds the set's count
-// leaf (a frozen view computes CountLeaf(Len()) once, not per proof). It
-// finds the record, its rank and its path in one descent per state group and
-// reports false when key is in neither.
-func (s *Set) ProveKeyAt(key string, countLeaf merkle.Hash) (Record, *merkle.Proof, bool) {
+// ProveKeyAt is ProveKey into caller storage, for a caller that already
+// holds the set's count leaf (a frozen view computes CountLeaf(Len()) once,
+// not per proof). It finds the record, its rank and its path in one descent
+// per state group and fills *p, reusing the capacity of p.Path. It reports
+// false, leaving *p as it was, when key is in neither group.
+func (s *Set) ProveKeyAt(key string, countLeaf merkle.Hash, p *merkle.Proof) (Record, bool) {
 	seal(s.root)
-	n, p := proveKeyPath(s.root, NR, key, 0, 1)
+	n := proveKeyPath(s.root, NR, key, 0, 1, p)
 	if n == nil {
-		n, p = proveKeyPath(s.root, R, key, 0, 1)
+		n = proveKeyPath(s.root, R, key, 0, 1, p)
 	}
 	if n == nil {
-		return Record{}, nil, false
+		return Record{}, false
 	}
 	p.LeafCount = s.Len()
 	p.Path = append(p.Path, merkle.ProofNode{Left: true, Hash: countLeaf})
-	return n.record(), p, true
+	return n.record(), true
 }
 
 // proveKeyPath is provePath steered by (st, key) instead of by index. It
-// returns the record's node and a proof holding the same fold steps,
-// leaf-to-root, with Index set to the record's in-order rank (rank counts
-// the records left of the subtree n) — or nil, nil, having allocated nothing,
+// returns the record's node and fills *p with the same fold steps,
+// leaf-to-root, Index set to the record's in-order rank (rank counts the
+// records left of the subtree n) — or returns nil, having written nothing,
 // when (st, key) is not under n. steps counts the path nodes the ancestors
-// and the caller will append, so the hit allocates the path once at its
-// final length.
-func proveKeyPath(n *node, st State, key string, rank, steps int) (*node, *merkle.Proof) {
+// and the caller will append, so a path without the room is allocated once
+// at its final length.
+func proveKeyPath(n *node, st State, key string, rank, steps int, p *merkle.Proof) *node {
 	if n == nil {
-		return nil, nil
+		return nil
 	}
 	switch {
 	case less(st, key, n.state, n.key):
-		hit, p := proveKeyPath(n.left, st, key, rank, steps+2)
+		hit := proveKeyPath(n.left, st, key, rank, steps+2, p)
 		if hit != nil {
 			p.Path = append(p.Path,
 				merkle.ProofNode{Left: false, Hash: n.leaf},
 				merkle.ProofNode{Left: false, Hash: hashOf(n.right)})
 		}
-		return hit, p
+		return hit
 	case less(n.state, n.key, st, key):
-		hit, p := proveKeyPath(n.right, st, key, rank+size(n.left)+1, steps+1)
+		hit := proveKeyPath(n.right, st, key, rank+size(n.left)+1, steps+1, p)
 		if hit != nil {
 			p.Path = append(p.Path,
 				merkle.ProofNode{Left: true, Hash: merkle.HashInner(hashOf(n.left), n.leaf)})
 		}
-		return hit, p
+		return hit
 	default:
-		return n, &merkle.Proof{
-			Index: rank + size(n.left),
-			Path: append(make([]merkle.ProofNode, 0, steps+2),
-				merkle.ProofNode{Left: true, Hash: hashOf(n.left)},
-				merkle.ProofNode{Left: false, Hash: hashOf(n.right)}),
+		p.Index = rank + size(n.left)
+		if cap(p.Path) < steps+2 {
+			p.Path = make([]merkle.ProofNode, 0, steps+2)
 		}
+		p.Path = append(p.Path[:0],
+			merkle.ProofNode{Left: true, Hash: hashOf(n.left)},
+			merkle.ProofNode{Left: false, Hash: hashOf(n.right)})
+		return n
 	}
 }
 

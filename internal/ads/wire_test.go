@@ -156,7 +156,8 @@ func TestProveKeyMatchesProveIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, p, ok := s.ProveKeyAt(want.Key, count)
+		p := new(merkle.Proof)
+		rec, ok := s.ProveKeyAt(want.Key, count, p)
 		if !ok {
 			t.Fatalf("ProveKeyAt(%q) found nothing", want.Key)
 		}
@@ -170,7 +171,38 @@ func TestProveKeyMatchesProveIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, p, ok := s.ProveKeyAt("key-0001", count); ok || p != nil {
+	p := &merkle.Proof{Index: -1}
+	if _, ok := s.ProveKeyAt("key-0001", count, p); ok || p.Index != -1 || p.Path != nil {
 		t.Fatal("ProveKeyAt proved a key that is absent (key-0001 carries a long suffix)")
+	}
+}
+
+// TestProveKeyAtReusedProofAllocations proves every key of a mixed-state set
+// into one reused proof: each proof equals the by-rank one, and once the path
+// has room for the deepest record, proving allocates nothing.
+func TestProveKeyAtReusedProofAllocations(t *testing.T) {
+	s := wireSet(2000)
+	count := CountLeaf(s.Len())
+	recs := s.Records()
+	reused := new(merkle.Proof)
+	for rank, want := range recs {
+		old, err := s.ProveIndex(rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, ok := s.ProveKeyAt(want.Key, count, reused)
+		if !ok || !reflect.DeepEqual(rec, want) || !reflect.DeepEqual(reused, old) {
+			t.Fatalf("ProveKeyAt(%q) into a reused proof differs from ProveIndex(%d)", want.Key, rank)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, ok := s.ProveKeyAt(recs[i*7919%len(recs)].Key, count, reused); !ok {
+			t.Fatal("a present key was not proved")
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("%.2f allocations per proof into a reused proof, want 0", allocs)
 	}
 }

@@ -137,7 +137,7 @@ func (p *PeggedToken) verify(ctx *chain.Ctx, proof *btc.SPVProof, mint bool) (an
 	for h := proof.Height; h < proof.Height+Confirmations; h++ {
 		key := HeaderKey(h)
 		p.pending[key] = append(p.pending[key], pv)
-		if _, err := ctx.Call(p.manager, "gGet", core.GetArgs{
+		if _, err := ctx.Call(p.manager, "gGet", &core.GetArgs{
 			Key:      key,
 			Callback: core.Callback{Contract: p.addr, Method: "onHeader"},
 		}); err != nil {
@@ -150,8 +150,8 @@ func (p *PeggedToken) verify(ctx *chain.Ctx, proof *btc.SPVProof, mint bool) (an
 // onHeader receives one header from the feed and completes any verification
 // that now has all its headers.
 func (p *PeggedToken) onHeader(ctx *chain.Ctx, args any) (any, error) {
-	a, ok := args.(core.CallbackArgs)
-	if !ok {
+	a, ok := args.(*core.CallbackArgs)
+	if !ok || a == nil {
 		return nil, fmt.Errorf("btcrelay: onHeader args %T", args)
 	}
 	waiters := p.pending[a.Key]

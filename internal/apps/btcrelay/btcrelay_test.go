@@ -163,3 +163,69 @@ func TestHeaderKeyRoundTrip(t *testing.T) {
 		t.Fatal("bogus key parsed")
 	}
 }
+
+// TestRecycledMatchesOwnedVerify runs the same deposits, mints and burns —
+// each verify six gGets, NR ones answered by delivers — through two
+// harnesses, one whose SP answers on recycled buffers and one whose no-op
+// Tamper hook forces owned copies, and requires identical Gas, digests and
+// token state after every step.
+func TestRecycledMatchesOwnedVerify(t *testing.T) {
+	for _, p := range []func() policy.Policy{
+		func() policy.Policy { return policy.Never{} },
+		func() policy.Policy { return policy.NewMemoryless(2) },
+	} {
+		rec, own := newHarness(t, p()), newHarness(t, p())
+		own.feed.SP.Tamper = func(*core.DeliverArgs) {}
+		step := func(what string, run func(h *harness) error) {
+			t.Helper()
+			errRec, errOwn := run(rec), run(own)
+			if fmt.Sprint(errRec) != fmt.Sprint(errOwn) {
+				t.Fatalf("%s: recycled err %v, owned err %v", what, errRec, errOwn)
+			}
+			if rec.feed.FeedGas() != own.feed.FeedGas() || rec.feed.Chain.TotalGas() != own.feed.Chain.TotalGas() {
+				t.Fatalf("%s: Gas %d/%d recycled, %d/%d owned", what,
+					rec.feed.FeedGas(), rec.feed.Chain.TotalGas(), own.feed.FeedGas(), own.feed.Chain.TotalGas())
+			}
+			if rec.feed.DO.Set().Root() != own.feed.DO.Set().Root() {
+				t.Fatalf("%s: digests diverge", what)
+			}
+			a, b := rec.token, own.token
+			if a.Minted != b.Minted || a.Burned != b.Burned || a.Failed != b.Failed ||
+				rec.balance(t, "alice") != own.balance(t, "alice") {
+				t.Fatalf("%s: token state diverges", what)
+			}
+		}
+		for round := 0; round < 4; round++ {
+			// Both Bitcoin chains are deterministic, so a block mined on
+			// one has its height on the other.
+			var dep, red btc.Block
+			step("deposit", func(h *harness) error {
+				dep = h.feedBlock(DepositTx("alice", 1000))
+				h.confirm(Confirmations)
+				return nil
+			})
+			step("mint", func(h *harness) error {
+				p, err := h.bit.Prove(dep.Height, 0)
+				if err != nil {
+					return err
+				}
+				return h.feed.ReadFrom("pegged", "mint", MintArgs{Proof: p}, p.Size())
+			})
+			step("redeem", func(h *harness) error {
+				red = h.feedBlock(RedeemTx("alice", 300))
+				h.confirm(Confirmations)
+				return nil
+			})
+			step("burn", func(h *harness) error {
+				p, err := h.bit.Prove(red.Height, 0)
+				if err != nil {
+					return err
+				}
+				return h.feed.ReadFrom("pegged", "burn", BurnArgs{Proof: p}, p.Size())
+			})
+		}
+		if rec.token.Minted != 4000 || rec.token.Burned != 1200 {
+			t.Fatalf("minted %d, burned %d; want 4000, 1200", rec.token.Minted, rec.token.Burned)
+		}
+	}
+}

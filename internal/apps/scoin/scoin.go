@@ -132,7 +132,7 @@ func (i *Issuer) requestPrice(ctx *chain.Ctx, op pendingOp) (any, error) {
 	buf := make([]byte, 8)
 	binary.BigEndian.PutUint64(buf, uint64(len(i.pending)))
 	ctx.Store("pending", buf)
-	return ctx.Call(i.manager, "gGet", core.GetArgs{
+	return ctx.Call(i.manager, "gGet", &core.GetArgs{
 		Key:      i.assetKey,
 		Callback: core.Callback{Contract: i.addr, Method: "onPrice"},
 	})
@@ -140,8 +140,8 @@ func (i *Issuer) requestPrice(ctx *chain.Ctx, op pendingOp) (any, error) {
 
 // onPrice completes the oldest pending operation with the delivered price.
 func (i *Issuer) onPrice(ctx *chain.Ctx, args any) (any, error) {
-	a, ok := args.(core.CallbackArgs)
-	if !ok {
+	a, ok := args.(*core.CallbackArgs)
+	if !ok || a == nil {
 		return nil, fmt.Errorf("scoin: onPrice args %T", args)
 	}
 	if len(i.pending) == 0 {

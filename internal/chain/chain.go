@@ -129,9 +129,12 @@ type Chain struct {
 type CallRecord struct {
 	To     Address
 	Method string
-	Args   any
-	Block  uint64
-	Time   sim.Time
+	// Args is the call's argument as the caller passed it. It may point
+	// into storage the caller owns and reuses: a consumer that needs it
+	// past the caller's next transaction copies what it reads.
+	Args  any
+	Block uint64
+	Time  sim.Time
 }
 
 // New creates a chain using clock for time and the given params and gas
@@ -364,19 +367,33 @@ func (x *Ctx) Store(slot string, value []byte) {
 }
 
 // Load reads a storage slot, charging the per-word read price. ok reports
-// whether the slot exists.
+// whether the slot exists. The value is a copy the caller owns.
 func (x *Ctx) Load(slot string) (value []byte, ok bool) {
-	st := x.chain.storage[x.contract]
-	v, ok := st[slot]
+	v, ok := x.load(slot)
+	if !ok {
+		return nil, false
+	}
+	return append([]byte(nil), v...), true
+}
+
+// LoadInto is Load into caller storage, at the same price: it copies the
+// slot's bytes into dst (as many as fit) and returns the slot's length, so
+// a fixed-size slot is read without an allocation.
+func (x *Ctx) LoadInto(slot string, dst []byte) (n int, ok bool) {
+	v, ok := x.load(slot)
+	copy(dst, v)
+	return len(v), ok
+}
+
+// load charges a slot read and returns the slot's own bytes.
+func (x *Ctx) load(slot string) ([]byte, bool) {
+	v, ok := x.chain.storage[x.contract][slot]
 	n := len(v)
 	if n == 0 {
 		n = gas.WordSize // reading an empty slot still touches one word
 	}
 	x.charge(x.chain.schedule.Load(n))
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), v...), true
+	return v, ok
 }
 
 // DeleteSlot removes a storage slot, charging the clear price.

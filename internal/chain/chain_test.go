@@ -388,6 +388,52 @@ func TestTransactionReusesItsBuffers(t *testing.T) {
 	}
 }
 
+// TestLoadIntoAllocations: LoadInto charges exactly what Load charges,
+// present slot or absent, and reads into caller storage, so a transaction
+// that loads its slot that way allocates nothing at all.
+func TestLoadIntoAllocations(t *testing.T) {
+	run := func(into bool) (*Chain, *Tx) {
+		c := newTestChain()
+		c.Register("ctr", "bump", func(ctx *Ctx, args any) (any, error) {
+			var buf [8]byte
+			if into {
+				ctx.LoadInto("n", buf[:])
+				ctx.LoadInto("missing", buf[:])
+			} else {
+				if v, ok := ctx.Load("n"); ok {
+					copy(buf[:], v)
+				}
+				ctx.Load("missing")
+			}
+			buf[0]++
+			ctx.Store("n", buf[:])
+			return nil, nil
+		})
+		tx := &Tx{From: "alice", To: "ctr", Method: "bump"}
+		for i := 0; i < 3; i++ {
+			*tx = Tx{From: "alice", To: "ctr", Method: "bump"}
+			c.Submit(tx)
+			c.MineBlock()
+			c.TakeCalls()
+		}
+		return c, tx
+	}
+	load, _ := run(false)
+	into, tx := run(true)
+	if load.GasOf("ctr") != into.GasOf("ctr") {
+		t.Fatalf("LoadInto charged %d, Load %d", into.GasOf("ctr"), load.GasOf("ctr"))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		*tx = Tx{From: "alice", To: "ctr", Method: "bump"}
+		into.Submit(tx)
+		into.MineBlock()
+		into.TakeCalls()
+	})
+	if allocs != 0 || tx.Err != nil {
+		t.Fatalf("%v allocations per transaction (err %v), want 0", allocs, tx.Err)
+	}
+}
+
 // BenchmarkTransaction times one submit, mine and take of the "bump"
 // transaction, with its internal call.
 func BenchmarkTransaction(b *testing.B) {

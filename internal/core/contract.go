@@ -55,7 +55,20 @@ type StorageManager struct {
 	// are identified by position, not by stored counters, so this costs
 	// no Gas.
 	nextID uint64
+
+	// requests is the chunk request events are emitted from, by pointer.
+	// An event stays on the chain until the watchdog takes it, so one is
+	// never rewritten: a full chunk is left to the events still holding
+	// it and a fresh one started.
+	requests []RequestEvent
+	// callbacks holds the arguments of the callbacks in progress, one per
+	// nesting level (a callback may issue a gGet of its own). A callback's
+	// *CallbackArgs is valid only while it runs.
+	callbacks []CallbackArgs
 }
+
+// requestChunk is how many request events share one allocation.
+const requestChunk = 64
 
 // NewStorageManager registers the manager contract at addr, owned (for
 // update authorization) by owner.
@@ -74,9 +87,10 @@ func (m *StorageManager) Address() chain.Address { return m.addr }
 // gGet serves a read: a replicated record is returned (and the callback
 // invoked) synchronously from contract storage; otherwise a request event is
 // emitted for the SP watchdog and the callback fires later from deliver.
+// It returns nothing: the value reaches the DU through its callback.
 func (m *StorageManager) gGet(ctx *chain.Ctx, args any) (any, error) {
-	a, ok := args.(GetArgs)
-	if !ok {
+	a, ok := args.(*GetArgs)
+	if !ok || a == nil {
 		return nil, fmt.Errorf("core: gGet args %T", args)
 	}
 	if m.trace == TraceReads || m.trace == TraceReadsWrites {
@@ -84,24 +98,39 @@ func (m *StorageManager) gGet(ctx *chain.Ctx, args any) (any, error) {
 	}
 	if v, ok := ctx.Load(kvPrefix + a.Key); ok {
 		if !a.Callback.Zero() {
-			if _, err := ctx.Call(a.Callback.Contract, a.Callback.Method, CallbackArgs{Key: a.Key, Value: v, Found: true}); err != nil {
-				return nil, fmt.Errorf("core: callback: %w", err)
+			if err := m.callback(ctx, a.Callback, CallbackArgs{Key: a.Key, Value: v, Found: true}); err != nil {
+				return nil, err
 			}
 		}
-		return v, nil
+		return nil, nil
 	}
-	ev := RequestEvent{ID: m.nextID, Key: a.Key, Callback: a.Callback}
+	if len(m.requests) == cap(m.requests) {
+		m.requests = make([]RequestEvent, 0, requestChunk)
+	}
+	m.requests = append(m.requests, RequestEvent{ID: m.nextID, Key: a.Key, Callback: a.Callback})
 	m.nextID++
-	ctx.Emit("request", ev, len(a.Key)+16)
+	ctx.Emit("request", &m.requests[len(m.requests)-1], len(a.Key)+16)
 	return nil, nil
+}
+
+// callback invokes a DU callback with manager-owned arguments.
+func (m *StorageManager) callback(ctx *chain.Ctx, cb Callback, a CallbackArgs) error {
+	m.callbacks = append(m.callbacks, a)
+	_, err := ctx.Call(cb.Contract, cb.Method, &m.callbacks[len(m.callbacks)-1])
+	m.callbacks[len(m.callbacks)-1] = CallbackArgs{} // hold no value bytes
+	m.callbacks = m.callbacks[:len(m.callbacks)-1]
+	if err != nil {
+		return fmt.Errorf("core: callback: %w", err)
+	}
+	return nil
 }
 
 // deliver verifies an off-chain record against the stored digest, optionally
 // persists a replica (when the record's authenticated state is R), and
 // invokes the pending callback (Listing 2's deliver).
 func (m *StorageManager) deliver(ctx *chain.Ctx, args any) (any, error) {
-	a, ok := args.(DeliverArgs)
-	if !ok {
+	a, ok := args.(*DeliverArgs)
+	if !ok || a == nil {
 		return nil, fmt.Errorf("core: deliver args %T", args)
 	}
 	root, err := m.loadRoot(ctx)
@@ -125,18 +154,18 @@ func (m *StorageManager) deliver(ctx *chain.Ctx, args any) (any, error) {
 		ctx.Store(kvPrefix+a.Record.Key, a.Record.Value)
 	}
 	if !a.Callback.Zero() {
-		if _, err := ctx.Call(a.Callback.Contract, a.Callback.Method, CallbackArgs{Key: a.Record.Key, Value: a.Record.Value, Found: true}); err != nil {
-			return nil, fmt.Errorf("core: callback: %w", err)
+		if err := m.callback(ctx, a.Callback, CallbackArgs{Key: a.Record.Key, Value: a.Record.Value, Found: true}); err != nil {
+			return nil, err
 		}
 	}
-	return a.Record.Value, nil
+	return nil, nil
 }
 
 // deliverAbsent proves a requested key absent and completes the callback
 // with Found=false.
 func (m *StorageManager) deliverAbsent(ctx *chain.Ctx, args any) (any, error) {
-	a, ok := args.(DeliverAbsentArgs)
-	if !ok {
+	a, ok := args.(*DeliverAbsentArgs)
+	if !ok || a == nil {
 		return nil, fmt.Errorf("core: deliverAbsent args %T", args)
 	}
 	root, err := m.loadRoot(ctx)
@@ -148,8 +177,8 @@ func (m *StorageManager) deliverAbsent(ctx *chain.Ctx, args any) (any, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadProof, err)
 	}
 	if !a.Callback.Zero() {
-		if _, err := ctx.Call(a.Callback.Contract, a.Callback.Method, CallbackArgs{Key: a.Key, Found: false}); err != nil {
-			return nil, fmt.Errorf("core: callback: %w", err)
+		if err := m.callback(ctx, a.Callback, CallbackArgs{Key: a.Key, Found: false}); err != nil {
+			return nil, err
 		}
 	}
 	return nil, nil
@@ -158,8 +187,8 @@ func (m *StorageManager) deliverAbsent(ctx *chain.Ctx, args any) (any, error) {
 // update applies one epoch's batch: new digest, replica writes, evictions
 // (Listing 2's update plus the §3.3 state-transition handling).
 func (m *StorageManager) update(ctx *chain.Ctx, args any) (any, error) {
-	a, ok := args.(UpdateArgs)
-	if !ok {
+	a, ok := args.(*UpdateArgs)
+	if !ok || a == nil {
 		return nil, fmt.Errorf("core: update args %T", args)
 	}
 	if ctx.Origin() != m.owner {
@@ -184,12 +213,10 @@ func (m *StorageManager) update(ctx *chain.Ctx, args any) (any, error) {
 }
 
 func (m *StorageManager) loadRoot(ctx *chain.Ctx) (merkle.Hash, error) {
-	raw, ok := ctx.Load(slotRoot)
-	if !ok || len(raw) != merkle.HashSize {
+	var h merkle.Hash
+	if n, ok := ctx.LoadInto(slotRoot, h[:]); !ok || n != merkle.HashSize {
 		return merkle.Hash{}, fmt.Errorf("%w: no digest on chain", ErrBadProof)
 	}
-	var h merkle.Hash
-	copy(h[:], raw)
 	return h, nil
 }
 

@@ -20,4 +20,12 @@
 // Everything in core is single-writer by design: a Feed must be driven from
 // one goroutine (the simulation is deterministic, which is what makes both
 // the Gas accounting and crash recovery exactly reproducible).
+//
+// A protocol transaction and its arguments are feed-owned and recycled once
+// executed (recycle.go): the DU read, the SP's deliver and the DO's update
+// and promotion each come from a slot that is handed out again only after
+// the chain has executed its transaction, and their arguments are passed by
+// pointer into that slot. The gGet arguments the call trace records stay
+// valid until the DO's monitor takes the trace. A round trip therefore
+// allocates only the values and proofs it hands out.
 package core

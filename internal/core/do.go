@@ -45,6 +45,26 @@ type DO struct {
 	// traffic are skipped (nothing to update).
 	lastDigest merkle.Hash
 	signed     bool
+
+	// updates recycles the update transactions and their arguments: a slot
+	// is reused once its update has executed.
+	updates recycler[updateSlot, *updateSlot]
+}
+
+// updateSlot is one update in DO-owned storage: the transaction and its
+// arguments, whose slices keep their capacity from one update to the next.
+type updateSlot struct {
+	txSlot
+	args UpdateArgs
+}
+
+// nextUpdate returns a free update slot with empty arguments.
+func (d *DO) nextUpdate() *updateSlot {
+	s := d.updates.get()
+	up := &s.args
+	clear(up.Replicas) // hold no value bytes
+	*up = UpdateArgs{Replicas: up.Replicas[:0], Evictions: up.Evictions[:0]}
+	return s
 }
 
 // NewDO builds the data-owner node, which owns the feed's record set.
@@ -118,14 +138,18 @@ func (d *DO) FlushPromotion(key string) *chain.Tx {
 	d.set.SetState(key, ads.R)
 	delete(d.pendingState, key)
 	rec, _ := d.set.Get(key)
-	return d.submitUpdate(UpdateArgs{Replicas: []ads.Record{rec}})
+	s := d.nextUpdate()
+	s.args.Replicas = append(s.args.Replicas, rec)
+	return d.submitUpdate(s)
 }
 
-// submitUpdate signs the record set's current digest into up (unless the
-// feed maintains no ADS) and submits the update transaction. An update that
-// would change nothing on-chain — digest unchanged since the last one sent,
-// no replica traffic — is skipped, and nil returned.
-func (d *DO) submitUpdate(up UpdateArgs) *chain.Tx {
+// submitUpdate signs the record set's current digest into the slot's
+// arguments (unless the feed maintains no ADS) and submits the update
+// transaction. An update that would change nothing on-chain — digest
+// unchanged since the last one sent, no replica traffic — is skipped, and
+// nil returned.
+func (d *DO) submitUpdate(s *updateSlot) *chain.Tx {
+	up := &s.args
 	quiet := len(up.Replicas) == 0 && len(up.Evictions) == 0
 	if !d.noADS {
 		root := d.set.Root()
@@ -138,23 +162,23 @@ func (d *DO) submitUpdate(up UpdateArgs) *chain.Tx {
 	} else if quiet {
 		return nil
 	}
-	tx := &chain.Tx{
+	return s.submit(d.chain, chain.Tx{
 		From:         d.addr,
 		To:           d.manager,
 		Method:       "update",
 		Args:         up,
 		PayloadBytes: up.PayloadSize(),
-	}
-	d.chain.Submit(tx)
-	return tx
+	})
 }
 
 // FlushEpoch ends the current epoch: it applies staged writes to the record
 // set, materializes pending replication-state transitions, signs the new
 // digest and submits the update transaction (gPuts). It returns the
-// transaction, or nil if the epoch carried nothing.
+// transaction, or nil if the epoch carried nothing. The transaction is
+// valid until the DO next reuses it, which is not before it has executed.
 func (d *DO) FlushEpoch() *chain.Tx {
-	var up UpdateArgs
+	s := d.nextUpdate()
+	up := &s.args
 
 	// Data updates: apply under each key's target state.
 	for _, kv := range d.staged {
@@ -194,9 +218,9 @@ func (d *DO) FlushEpoch() *chain.Tx {
 	// Replica-reuse mode: enforce the on-chain replica budget by evicting
 	// the least recently accessed replicas (BtcRelay configuration).
 	if d.maxReplicas > 0 {
-		d.enforceReplicaBudget(&up)
+		d.enforceReplicaBudget(up)
 	}
-	return d.submitUpdate(up)
+	return d.submitUpdate(s)
 }
 
 // enforceReplicaBudget demotes the least-recently-touched R records until

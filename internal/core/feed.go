@@ -70,6 +70,14 @@ type Feed struct {
 	notFound   int
 	// reads backs the slice takeReads returns.
 	reads []string
+	// readTxs recycles the DU read transactions; a slot also holds the key
+	// a Read passes its DU by pointer.
+	readTxs recycler[readSlot, *readSlot]
+	// getArgs is the arena the reader's gGet arguments are taken from. The
+	// call trace points into it until takeReads consumes the trace, which
+	// is when the arena is reset: a gGet the monitor has not yet seen (its
+	// read failed) keeps its arguments until the next take.
+	getArgs []GetArgs
 	// LastValue records the most recent callback payload per key
 	// (DU-side application state, held in memory).
 	LastValue map[string][]byte
@@ -105,23 +113,33 @@ func wireFeed(c *chain.Chain, p policy.Policy, opts Options) *Feed {
 	return f
 }
 
+// readSlot is one DU read transaction in feed-owned storage, with the key
+// its arguments point to.
+type readSlot struct {
+	txSlot
+	key string
+}
+
 // registerReader installs the generic data-user contract the driver reads
-// through (contract code is re-registered on restore, never serialized).
+// through (contract code is re-registered on restore, never serialized). Its
+// read method takes the key by pointer.
 func registerReader(f *Feed) {
 	c, manager := f.Chain, f.opts.Manager
 	c.Register(readerAddr, "read", func(ctx *chain.Ctx, args any) (any, error) {
-		key, ok := args.(string)
-		if !ok {
+		key, ok := args.(*string)
+		if !ok || key == nil {
 			return nil, fmt.Errorf("core: reader args %T", args)
 		}
-		return ctx.Call(manager, "gGet", GetArgs{
-			Key:      key,
+		f.getArgs = append(f.getArgs, GetArgs{
+			Key:      *key,
 			Callback: Callback{Contract: readerAddr, Method: "onData"},
 		})
+		_, err := ctx.Call(manager, "gGet", &f.getArgs[len(f.getArgs)-1])
+		return nil, err
 	})
 	c.Register(readerAddr, "onData", func(ctx *chain.Ctx, args any) (any, error) {
-		a, ok := args.(CallbackArgs)
-		if !ok {
+		a, ok := args.(*CallbackArgs)
+		if !ok || a == nil {
 			return nil, fmt.Errorf("core: onData args %T", args)
 		}
 		if a.Found {
@@ -154,14 +172,20 @@ func (f *Feed) Write(kv KV) {
 // Read drives one read through a DU transaction, mines it, lets the SP
 // watchdog answer any request event, and mines the deliver.
 func (f *Feed) Read(key string) error {
-	return f.ReadFrom(readerAddr, "read", key, len(key)+4)
+	s := f.readTxs.get()
+	s.key = key
+	return f.read(s, readerAddr, "read", &s.key, len(key)+4)
 }
 
 // ReadFrom drives a read through an arbitrary DU contract entry point (used
 // by the case-study applications).
 func (f *Feed) ReadFrom(du chain.Address, method string, args any, payload int) error {
-	tx := &chain.Tx{From: "user", To: du, Method: method, Args: args, PayloadBytes: payload}
-	f.Chain.Submit(tx)
+	return f.read(f.readTxs.get(), du, method, args, payload)
+}
+
+// read submits the read transaction from slot s and runs the round trip.
+func (f *Feed) read(s *readSlot, du chain.Address, method string, args any, payload int) error {
+	tx := s.submit(f.Chain, chain.Tx{From: "user", To: du, Method: method, Args: args, PayloadBytes: payload})
 	f.Chain.MineUntilEmpty()
 	if tx.Err != nil {
 		return fmt.Errorf("core: read tx: %w", tx.Err)
@@ -200,18 +224,21 @@ func (f *Feed) monitorReads() error {
 // takeReads consumes the chain's call trace and returns the keys of the
 // gGet invocations in it, in execution order. It runs after every read and
 // every epoch flush, so the trace never outlives the epoch that produced it.
-// The keys are copied out of the trace, whose buffer the next mine reuses;
-// the returned slice is valid until the next takeReads.
+// The keys are copied out of the trace, whose buffer the next mine reuses,
+// and then the reader's gGet arena is reset: no record left on the chain
+// points into it. The returned slice is valid until the next takeReads.
 func (f *Feed) takeReads() []string {
 	f.reads = f.reads[:0]
 	for _, cr := range f.Chain.TakeCalls() {
 		if cr.To != f.opts.Manager || cr.Method != "gGet" {
 			continue
 		}
-		if a, ok := cr.Args.(GetArgs); ok {
+		if a, ok := cr.Args.(*GetArgs); ok {
 			f.reads = append(f.reads, a.Key)
 		}
 	}
+	clear(f.getArgs)
+	f.getArgs = f.getArgs[:0]
 	return f.reads
 }
 

@@ -333,7 +333,7 @@ func TestUpdateFromNonOwnerRejected(t *testing.T) {
 		From:   "mallory",
 		To:     "grub-manager",
 		Method: "update",
-		Args:   UpdateArgs{HasDigest: true},
+		Args:   &UpdateArgs{HasDigest: true},
 	}
 	f.Chain.Submit(tx)
 	f.Chain.MineUntilEmpty()
@@ -488,7 +488,7 @@ func TestMonitorObservesReadsFromAnyDU(t *testing.T) {
 	const du chain.Address = "du-app"
 	got := 0
 	f.Chain.Register(du, "peek", func(ctx *chain.Ctx, args any) (any, error) {
-		return ctx.Call("grub-manager", "gGet", GetArgs{
+		return ctx.Call("grub-manager", "gGet", &GetArgs{
 			Key:      args.(string),
 			Callback: Callback{Contract: du, Method: "got"},
 		})

@@ -176,8 +176,16 @@ func requireFeedsEqual(t *testing.T, when string, a, b *Feed) {
 // sitting in the mempool must fail the snapshot, not be silently dropped.
 func TestSnapshotRefusesPendingTx(t *testing.T) {
 	f := NewFeed(newSnapChain(), policy.NewMemoryless(2), Options{EpochOps: 4})
-	f.Chain.Submit(&chain.Tx{From: "user", To: "du-reader", Method: "read", Args: "k", PayloadBytes: 5})
+	key := "k"
+	tx := &chain.Tx{From: "user", To: "du-reader", Method: "read", Args: &key, PayloadBytes: 5}
+	f.Chain.Submit(tx)
 	if _, err := f.Snapshot(); err == nil {
 		t.Fatal("Snapshot succeeded with a pending transaction")
+	}
+	// The refusal is about the mempool, not the transaction: mined, the
+	// same read is one the reader accepts.
+	f.Chain.MineUntilEmpty()
+	if tx.Err != nil {
+		t.Fatalf("the pending read was malformed: %v", tx.Err)
 	}
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"grub/internal/ads"
 	"grub/internal/chain"
+	"grub/internal/merkle"
 )
 
 // SPNode is the storage provider: the watchdog daemon of the read path
@@ -24,6 +26,9 @@ type SPNode struct {
 	// pending holds requests seen but not yet answered (e.g. suppressed
 	// by Drop); they are retried on every Watch.
 	pending []RequestEvent
+	// slots recycles the delivers: a slot is reused once its deliver has
+	// executed.
+	slots recycler[deliverSlot, *deliverSlot]
 
 	// Tamper, when non-nil, may rewrite a deliver before submission
 	// (security tests model a forging/replaying SP with it). It replaces
@@ -35,10 +40,19 @@ type SPNode struct {
 	Drop func(RequestEvent) bool
 }
 
+// deliverSlot is one deliver in SP-owned storage: the transaction, either
+// kind of arguments and the membership proof the arguments point to.
+type deliverSlot struct {
+	txSlot
+	deliver DeliverArgs
+	absent  DeliverAbsentArgs
+	proof   merkle.Proof
+}
+
 // NewSPNode builds a storage provider node answering for the given manager
-// out of set — the DO's own record set, which the SP only ever reads (Get,
-// ProveKey, ProveAbsent). The package doc says why sharing it is sound: what
-// the SP reads is never trusted, only what the contract verifies.
+// out of set — the DO's own record set, which the SP only ever reads
+// (ProveKeyAt, ProveAbsent). The package doc says why sharing it is sound:
+// what the SP reads is never trusted, only what the contract verifies.
 func NewSPNode(c *chain.Chain, set *ads.Set, manager, addr chain.Address) *SPNode {
 	return &SPNode{addr: addr, manager: manager, chain: c, set: set}
 }
@@ -52,8 +66,8 @@ func (s *SPNode) Watch() (int, error) {
 		if ev.Contract != s.manager || ev.Name != "request" {
 			continue
 		}
-		if req, ok := ev.Data.(RequestEvent); ok {
-			s.pending = append(s.pending, req)
+		if req, ok := ev.Data.(*RequestEvent); ok {
+			s.pending = append(s.pending, *req)
 		}
 	}
 	submitted := 0
@@ -76,31 +90,33 @@ func (s *SPNode) Watch() (int, error) {
 	return submitted, firstErr
 }
 
+// answer proves req's key present — one descent per state group, into the
+// slot's proof buffer — or, on a miss, absent, and submits the deliver from a
+// recycled slot.
 func (s *SPNode) answer(req RequestEvent) error {
-	if _, ok := s.set.Get(req.Key); !ok {
+	sl := s.slots.get()
+	rec, ok := s.set.ProveKeyAt(req.Key, ads.CountLeaf(s.set.Len()), &sl.proof)
+	if !ok {
 		proof, err := s.set.ProveAbsent(req.Key)
 		if err != nil {
 			return fmt.Errorf("core: absence proof for %q: %w", req.Key, err)
 		}
-		args := DeliverAbsentArgs{ID: req.ID, Key: req.Key, Proof: proof, Callback: req.Callback}
-		s.chain.Submit(&chain.Tx{
+		sl.absent = DeliverAbsentArgs{ID: req.ID, Key: req.Key, Proof: proof, Callback: req.Callback}
+		sl.submit(s.chain, chain.Tx{
 			From:         s.addr,
 			To:           s.manager,
 			Method:       "deliverAbsent",
-			Args:         args,
+			Args:         &sl.absent,
 			PayloadBytes: 8 + len(req.Key) + proof.Size(),
 		})
 		return nil
 	}
-	rec, proof, err := s.set.ProveKey(req.Key)
-	if err != nil {
-		return fmt.Errorf("core: proof for %q: %w", req.Key, err)
-	}
-	args := DeliverArgs{ID: req.ID, Record: rec, Proof: proof, Callback: req.Callback}
+	args := &sl.deliver
+	*args = DeliverArgs{ID: req.ID, Record: rec, Proof: &sl.proof, Callback: req.Callback}
 	if s.Tamper != nil {
 		args = s.tamper(args)
 	}
-	s.chain.Submit(&chain.Tx{
+	sl.submit(s.chain, chain.Tx{
 		From:         s.addr,
 		To:           s.manager,
 		Method:       "deliver",
@@ -110,10 +126,13 @@ func (s *SPNode) answer(req RequestEvent) error {
 	return nil
 }
 
-// tamper applies the Tamper hook to a copy of args, so that only a tampered
-// deliver's arguments escape to the heap before they are boxed into the
-// transaction.
-func (s *SPNode) tamper(args DeliverArgs) DeliverArgs {
-	s.Tamper(&args)
-	return args
+// tamper applies the Tamper hook to an owned copy of args, proof included:
+// a hook may keep what it is handed (a replaying SP does), and the slot's
+// arguments and proof buffer are rewritten by a later answer.
+func (s *SPNode) tamper(args *DeliverArgs) *DeliverArgs {
+	own, proof := *args, *args.Proof
+	proof.Path = slices.Clone(proof.Path)
+	own.Proof = &proof
+	s.Tamper(&own)
+	return &own
 }

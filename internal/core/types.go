@@ -61,13 +61,18 @@ type Callback struct {
 // Zero reports whether no callback was requested.
 func (c Callback) Zero() bool { return c.Contract == "" }
 
-// GetArgs is the argument of the manager's gGet method.
+// GetArgs is the argument of the manager's gGet method, passed by pointer.
+// The call trace keeps that pointer until the DO's read monitor takes it, so
+// the caller must not rewrite a GetArgs before then (the feed's reader keeps
+// them in an arena the monitor resets).
 type GetArgs struct {
 	Key      string
 	Callback Callback
 }
 
-// CallbackArgs is what a DU callback receives.
+// CallbackArgs is what a DU callback receives, by pointer into storage the
+// manager reuses: it is valid only while the callback runs, so a DU keeps
+// what it needs by copying fields out (Value is the DU's to keep).
 type CallbackArgs struct {
 	Key   string
 	Value []byte
@@ -76,16 +81,19 @@ type CallbackArgs struct {
 }
 
 // RequestEvent is the EVM-log event emitted when a gGet misses on-chain
-// (the watchdog on the SP spins on these).
+// (the watchdog on the SP spins on these). The event's data is a
+// *RequestEvent the manager never rewrites.
 type RequestEvent struct {
 	ID       uint64
 	Key      string
 	Callback Callback
 }
 
-// DeliverArgs is the argument of the manager's deliver method: the record,
-// its membership proof against the on-chain digest, and whether the record's
-// authenticated state instructs the manager to persist a replica.
+// DeliverArgs is the argument of the manager's deliver method, passed by
+// pointer: the record, its membership proof against the on-chain digest, and
+// whether the record's authenticated state instructs the manager to persist
+// a replica. An honest SP builds it, proof and all, in storage it reuses once
+// the deliver has executed.
 type DeliverArgs struct {
 	ID       uint64
 	Record   ads.Record
@@ -93,7 +101,8 @@ type DeliverArgs struct {
 	Callback Callback
 }
 
-// DeliverAbsentArgs answers a request for a key the SP can prove absent.
+// DeliverAbsentArgs answers a request for a key the SP can prove absent. It
+// is passed by pointer, like DeliverArgs.
 type DeliverAbsentArgs struct {
 	ID       uint64
 	Key      string
@@ -101,9 +110,10 @@ type DeliverAbsentArgs struct {
 	Callback Callback
 }
 
-// UpdateArgs is the argument of the manager's update method: the new digest
-// plus the replica writes and evictions of this epoch (paper §3.3, write
-// path).
+// UpdateArgs is the argument of the manager's update method, passed by
+// pointer: the new digest plus the replica writes and evictions of this
+// epoch (paper §3.3, write path). The DO reuses it, slices and all, once the
+// update has executed.
 type UpdateArgs struct {
 	Digest merkle.Hash
 	// Replicas are records to (re)write into contract storage: R-state

@@ -220,9 +220,11 @@ func (v *View) Get(key string, shards int) (*GetResult, error) {
 		Key: key, Shard: v.shard, Shards: shards,
 		Seq: v.seq, Height: v.height, Root: v.root, Count: v.count,
 	}
-	if rec, p, ok := v.set.ProveKeyAt(key, v.countLeaf); ok {
-		own := copyRecord(rec) // declared here so that a miss allocates no record
-		res.Found, res.Record, res.Proof = true, &own, p
+	var p merkle.Proof // on the stack: only a hit's copy escapes
+	if rec, ok := v.set.ProveKeyAt(key, v.countLeaf, &p); ok {
+		// Declared here so that a miss allocates no record and no proof.
+		own, proof := copyRecord(rec), p
+		res.Found, res.Record, res.Proof = true, &own, &proof
 		return res, nil
 	}
 	ap, err := v.set.ProveAbsent(key)
