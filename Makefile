@@ -49,7 +49,9 @@ bench:
 #   - binary read encoding: arbitrary get/range bodies must decode or error
 #     without panicking, deep recursion or outsized allocation;
 #   - binary ops encoding: arbitrary batch and result bodies likewise, with
-#     no allocation sized from a count the body claims.
+#     no allocation sized from a count the body claims;
+#   - binary replication log encoding: arbitrary log pages likewise, and an
+#     accepted page re-encodes to the bytes it came from.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzSetOps -fuzztime $(FUZZTIME)
@@ -57,6 +59,7 @@ fuzz-smoke:
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz FuzzSSTableOpen -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzReadWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzOpsWireDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/repl -run '^$$' -fuzz FuzzLogPageDecode -fuzztime $(FUZZTIME)
 
 # Docs gate: relative markdown links in README.md and docs/ must resolve,
 # docs/API.md must document every route registered on the gateway mux, and

@@ -19,12 +19,16 @@ import (
 type RecordKind uint8
 
 const (
-	// RecordOps is an applied op batch in a feed's durable log.
+	// RecordOps is an applied op batch in a feed's durable log, as JSON.
+	// Stores written before RecordOpsWire hold it; nothing writes it now.
 	RecordOps RecordKind = 1
 	// RecordSnapshot is a serialized feed-state snapshot plus its
 	// persistence metadata; it supersedes every log record with seq at or
 	// below its own.
 	RecordSnapshot RecordKind = 2
+	// RecordOpsWire is an applied op batch in a feed's durable log, in the
+	// binary ops encoding (core.AppendOps).
+	RecordOpsWire RecordKind = 3
 	// RecordReserved is the first kind value available to other callers.
 	RecordReserved RecordKind = 16
 )
@@ -34,11 +38,13 @@ const recordHeaderLen = 9
 
 // EncodeRecord frames payload as a typed record value.
 func EncodeRecord(kind RecordKind, seq uint64, payload []byte) []byte {
-	buf := make([]byte, recordHeaderLen+len(payload))
-	buf[0] = byte(kind)
-	binary.BigEndian.PutUint64(buf[1:recordHeaderLen], seq)
-	copy(buf[recordHeaderLen:], payload)
-	return buf
+	return append(AppendRecordHeader(make([]byte, 0, recordHeaderLen+len(payload)), kind, seq), payload...)
+}
+
+// AppendRecordHeader appends a typed record's kind tag and sequence number,
+// for a caller that appends the payload behind them in a buffer of its own.
+func AppendRecordHeader(b []byte, kind RecordKind, seq uint64) []byte {
+	return binary.BigEndian.AppendUint64(append(b, byte(kind)), seq)
 }
 
 // DecodeTypedRecord splits a typed record value into its parts. The payload

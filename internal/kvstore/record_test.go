@@ -13,6 +13,7 @@ func TestTypedRecordRoundtrip(t *testing.T) {
 	}{
 		{RecordOps, 1, []byte(`[{"type":"read","key":"k"}]`)},
 		{RecordSnapshot, 1 << 40, []byte("state")},
+		{RecordOpsWire, 7, []byte{1, 0, 1, 'k', 0, 0}},
 		{RecordReserved + 3, 0, nil},
 	} {
 		enc := EncodeRecord(tc.kind, tc.seq, tc.payload)

@@ -29,33 +29,54 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// get performs one JSON GET against the leader. A 404 maps to ErrFeedGone so
-// tailers can distinguish "feed deleted on leader" from transport trouble.
+// fetch performs one GET against the leader, asking for accept when it is
+// not empty, and returns the response when it is a 200. A 404 maps to
+// ErrFeedGone so tailers can distinguish "feed deleted on leader" from
+// transport trouble. The caller closes the body with drainClose.
+func (c *Client) fetch(path, accept string) (*http.Response, error) {
+	req, err := http.NewRequest(http.MethodGet, c.Base+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode == http.StatusOK {
+		return resp, nil
+	}
+	defer drainClose(resp.Body)
+	if resp.StatusCode == http.StatusNotFound {
+		return nil, fmt.Errorf("%w: GET %s", ErrFeedGone, path)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
+		return nil, fmt.Errorf("repl: GET %s: %s", path, e.Error)
+	}
+	return nil, fmt.Errorf("repl: GET %s: HTTP %d", path, resp.StatusCode)
+}
+
+// drainClose reads a body to EOF before closing it: json.Decoder stops at the
+// end of the value, ahead of a chunked body's terminating chunk, and net/http
+// discards a keep-alive connection whose body was closed short of EOF —
+// every multi-kilobyte log page would dial again.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, body)
+	body.Close()
+}
+
+// get performs one JSON GET against the leader.
 func (c *Client) get(path string, out any) error {
-	resp, err := c.httpClient().Get(c.Base + path)
+	resp, err := c.fetch(path, "")
 	if err != nil {
 		return err
 	}
-	// Read to EOF before closing: json.Decoder stops at the end of the
-	// value, ahead of a chunked body's terminating chunk, and net/http
-	// discards a keep-alive connection whose body was closed short of EOF —
-	// every multi-kilobyte log page would dial again.
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode == http.StatusNotFound {
-		return fmt.Errorf("%w: GET %s", ErrFeedGone, path)
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			return fmt.Errorf("repl: GET %s: %s", path, e.Error)
-		}
-		return fmt.Errorf("repl: GET %s: HTTP %d", path, resp.StatusCode)
-	}
+	defer drainClose(resp.Body)
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
@@ -94,14 +115,42 @@ func shardPath(id string, shard int, kind string) string {
 	return fmt.Sprintf("/repl/feeds/%s/shards/%d/%s", url.PathEscape(id), shard, kind)
 }
 
-// Log fetches one page of a shard's replication log above the cursor.
+// maxPresizedPage caps the body buffer Log allocates up front from a
+// page's Content-Length; a longer claim is read as it arrives.
+const maxPresizedPage = 16 << 20
+
+// Log fetches one page of a shard's replication log above the cursor. It
+// asks for the binary log encoding and decodes the answer by its
+// Content-Type, so a leader that answers JSON is followed too.
 func (c *Client) Log(id string, shard int, from uint64, max int) (*LogPage, error) {
 	path := fmt.Sprintf("%s?from=%d&max=%d", shardPath(id, shard, "log"), from, max)
-	var out LogPage
-	if err := c.get(path, &out); err != nil {
+	resp, err := c.fetch(path, LogMediaType)
+	if err != nil {
 		return nil, err
 	}
-	return &out, nil
+	defer drainClose(resp.Body)
+	if resp.Header.Get("Content-Type") != LogMediaType {
+		var out LogPage
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			return nil, err
+		}
+		return &out, nil
+	}
+	var body []byte
+	if n := resp.ContentLength; n > 0 && n <= maxPresizedPage {
+		body = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, body)
+	} else {
+		body, err = io.ReadAll(resp.Body)
+	}
+	if err != nil {
+		return nil, err
+	}
+	page, err := DecodeLogPage(body)
+	if err != nil {
+		return nil, fmt.Errorf("repl: GET %s: %w", path, err)
+	}
+	return page, nil
 }
 
 // Snapshot fetches a consistent bootstrap snapshot of one shard.

@@ -269,7 +269,10 @@ func TestFollowerConfigMismatchFails(t *testing.T) {
 
 // tamperOnce wraps a leader handler and flips one byte inside the first
 // write op of the first log entry it serves after arming — a compromised
-// leader (or path) shipping a corrupted batch.
+// leader (or path) shipping a corrupted batch. It tampers with a page in
+// either encoding and re-encodes it in the one it came in. It reads the arm
+// after the page is built, so a page that holds a batch written after arm
+// is always a candidate, even when its request arrived before arm.
 type tamperOnce struct {
 	next  http.Handler
 	mu    sync.Mutex
@@ -278,17 +281,18 @@ type tamperOnce struct {
 }
 
 func (tp *tamperOnce) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	tp.mu.Lock()
-	active := tp.armed && !tp.done
-	tp.mu.Unlock()
-	if !active || !strings.HasSuffix(r.URL.Path, "/log") {
+	if !strings.HasSuffix(r.URL.Path, "/log") {
 		tp.next.ServeHTTP(w, r)
 		return
 	}
 	rec := httptest.NewRecorder()
 	tp.next.ServeHTTP(rec, r)
-	var page repl.LogPage
-	if rec.Code == http.StatusOK && json.Unmarshal(rec.Body.Bytes(), &page) == nil && len(page.Entries) > 0 {
+	tp.mu.Lock()
+	active := tp.armed && !tp.done
+	tp.mu.Unlock()
+	ct := rec.Header().Get("Content-Type")
+	page, err := decodePage(ct, rec.Body.Bytes())
+	if active && rec.Code == http.StatusOK && err == nil && len(page.Entries) > 0 {
 	flip:
 		for ei := range page.Entries {
 			for oi := range page.Entries[ei].Ops {
@@ -302,7 +306,10 @@ func (tp *tamperOnce) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		body, _ := json.Marshal(page)
-		w.Header().Set("Content-Type", "application/json")
+		if ct == repl.LogMediaType {
+			body = repl.AppendLogPage(nil, page)
+		}
+		w.Header().Set("Content-Type", ct)
 		w.WriteHeader(http.StatusOK)
 		w.Write(body)
 		return
@@ -314,6 +321,15 @@ func (tp *tamperOnce) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(rec.Code)
 	w.Write(rec.Body.Bytes())
+}
+
+// decodePage decodes a log page in the encoding its Content-Type names.
+func decodePage(contentType string, body []byte) (*repl.LogPage, error) {
+	if contentType == repl.LogMediaType {
+		return repl.DecodeLogPage(body)
+	}
+	var page repl.LogPage
+	return &page, json.Unmarshal(body, &page)
 }
 
 func (tp *tamperOnce) arm() {

@@ -19,6 +19,10 @@
 //	GET /repl/feeds/{id}/shards/{shard}/log?from=N   applied batches above N
 //	GET /repl/feeds/{id}/shards/{shard}/snapshot     consistent state snapshot
 //
+// The log route answers in the binary log encoding (LogMediaType,
+// AppendLogPage, DecodeLogPage) when asked to, and in JSON otherwise; the
+// other two speak JSON.
+//
 // A Follower drives those endpoints against one leader URL and replicates
 // into a Target (implemented by server.Gateway): bootstrap from the newest
 // snapshot when the cursor has fallen below the leader's retained log floor,

@@ -1,0 +1,295 @@
+package repl_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"grub/internal/core"
+	"grub/internal/repl"
+	"grub/internal/server"
+	"grub/internal/wire"
+	"grub/internal/workload/ycsb"
+)
+
+// realPage drives n YCSB-A batches of 16 ops (reads and 32-byte writes) into
+// a one-shard gateway feed and returns its replication log page.
+func realPage(tb testing.TB, n int) *repl.LogPage {
+	tb.Helper()
+	g, err := server.NewGatewayWithOptions(server.GatewayOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer g.Close()
+	if err := g.CreateFeed(server.FeedConfig{ID: "f", EpochOps: 8}); err != nil {
+		tb.Fatal(err)
+	}
+	d := ycsb.NewDriver(ycsb.WorkloadA, 1000, 32, 1)
+	for i := 0; i < n; i++ {
+		if _, err := g.Do("f", core.FromWorkload(d.Generate(16))); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	page, err := g.ReplLog("f", 0, 0, n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(page.Entries) != n {
+		tb.Fatalf("page holds %d entries, want %d", len(page.Entries), n)
+	}
+	return &page
+}
+
+// TestLogPageEncodingsAgree: a page decodes to equal LogPages from its JSON
+// and its binary form, entries or none, snapshot flag set or not.
+func TestLogPageEncodingsAgree(t *testing.T) {
+	full := realPage(t, 12)
+	for name, page := range map[string]*repl.LogPage{
+		"entries":           full,
+		"one entry":         {Entries: full.Entries[3:4], FloorSeq: 3, LeaderSeq: 12},
+		"empty":             {FloorSeq: 12, LeaderSeq: 12},
+		"snapshot required": {FloorSeq: 9, LeaderSeq: 40, SnapshotRequired: true},
+	} {
+		js, err := json.Marshal(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fromJSON repl.LogPage
+		if err := json.Unmarshal(js, &fromJSON); err != nil {
+			t.Fatal(err)
+		}
+		fromBinary, err := repl.DecodeLogPage(repl.AppendLogPage(nil, page))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(*fromBinary, fromJSON) {
+			t.Errorf("%s: binary decodes to\n%+v\nJSON to\n%+v", name, *fromBinary, fromJSON)
+		}
+	}
+}
+
+// acceptStripper serves a leader that ignores Accept on log fetches, as one
+// that predates the binary log encoding does, and records the Content-Type
+// of every log page it serves.
+type acceptStripper struct {
+	next  http.Handler
+	mu    sync.Mutex
+	types []string
+}
+
+func (s *acceptStripper) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if !strings.HasSuffix(r.URL.Path, "/log") {
+		s.next.ServeHTTP(w, r)
+		return
+	}
+	r.Header.Del("Accept")
+	s.next.ServeHTTP(w, r)
+	s.mu.Lock()
+	s.types = append(s.types, w.Header().Get("Content-Type"))
+	s.mu.Unlock()
+}
+
+// TestClientLogFallsBackToJSON: a leader that answers every log fetch in
+// JSON, whatever the Accept header asks for, is still followed to
+// convergence; against a current leader the same fetch comes back binary.
+func TestClientLogFallsBackToJSON(t *testing.T) {
+	leader, err := server.NewGatewayWithOptions(server.GatewayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(leader.Close)
+	strip := &acceptStripper{next: server.NewHandler(leader)}
+	old := httptest.NewServer(strip)
+	t.Cleanup(old.Close)
+	current := httptest.NewServer(server.NewHandler(leader))
+	t.Cleanup(current.Close)
+	if err := leader.CreateFeed(server.FeedConfig{ID: "f", Shards: 2, EpochOps: 8}); err != nil {
+		t.Fatal(err)
+	}
+	writeBatches(t, leader, "f", 20, 0)
+
+	fg, _ := startGateway(t, server.GatewayOptions{})
+	f := repl.NewFollower(fastOpts(old.URL), fg.ReplTarget())
+	f.Start()
+	t.Cleanup(f.Close)
+	if err := f.WaitConverged(waitTimeout); err != nil {
+		t.Fatal(err)
+	}
+	assertSameRoots(t, "f", leader, fg)
+	strip.mu.Lock()
+	types := slices.Clone(strip.types)
+	strip.mu.Unlock()
+	if len(types) == 0 || slices.ContainsFunc(types, func(ct string) bool { return ct != "application/json" }) {
+		t.Fatalf("old leader served log pages as %q, want JSON only", types)
+	}
+
+	req, err := http.NewRequest(http.MethodGet, current.URL+"/repl/feeds/f/shards/1/log", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", repl.LogMediaType)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != repl.LogMediaType {
+		t.Fatalf("current leader answered a binary Accept with %q", ct)
+	}
+
+	want, err := leader.ReplLog("f", 1, 0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range []string{old.URL, current.URL} {
+		got, err := repl.NewClient(base).Log("f", 1, 0, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Entries) == 0 || !reflect.DeepEqual(*got, want) {
+			t.Errorf("%s: Log = %+v, want %+v", base, *got, want)
+		}
+	}
+}
+
+// pageAllocLimit bounds what decoding a body may allocate: the LogPage, an
+// 80-byte Entry per 36 body bytes and a 64-byte Op per 4 at worst, and the
+// keys and values; the constant absorbs the runtime's own allocations
+// between the two readings.
+func pageAllocLimit(body []byte) uint64 { return uint64(64*len(body) + 64<<10) }
+
+// decodeAllocs reports the bytes decode allocated.
+func decodeAllocs(decode func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	decode()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLogPageHostileInput: a malformed page is refused with ErrMalformed,
+// and decoding it allocates nothing sized from a count it claims.
+func TestLogPageHostileInput(t *testing.T) {
+	entry := repl.Entry{Seq: 5, Ops: []core.Op{{Type: "write", Key: "a-key-of-twenty-bytes", Value: []byte("v")}}, Count: 1, Height: 2}
+	good := repl.AppendLogPage(nil, &repl.LogPage{Entries: []repl.Entry{entry}, FloorSeq: 4, LeaderSeq: 5})
+	rootAt := len(core.AppendOps(wire.AppendUint(wire.AppendInt(nil, 1), entry.Seq), entry.Ops))
+	snapFlag := slices.Clone(good)
+	snapFlag[len(snapFlag)-1] = 2
+	for name, body := range map[string][]byte{
+		"entry count larger than the body": append(wire.AppendInt(nil, 1<<40), make([]byte, 40)...),
+		"truncated root":                   good[:rootAt+20],
+		"snapshot byte 2":                  snapFlag,
+		"trailing bytes":                   append(slices.Clone(good), 0),
+		"no snapshot byte":                 good[:len(good)-1],
+		"non-minimal seq":                  append([]byte{1, 0x85, 0x00}, good[2:]...),
+	} {
+		var err error
+		if got := decodeAllocs(func() { _, err = repl.DecodeLogPage(body) }); got > pageAllocLimit(body) {
+			t.Errorf("%s: decoding %d bytes allocated %d", name, len(body), got)
+		}
+		if !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("%s: DecodeLogPage = %v, want ErrMalformed", name, err)
+		}
+	}
+	if _, err := repl.DecodeLogPage(good); err != nil {
+		t.Fatalf("well-formed page: %v", err)
+	}
+}
+
+// TestLogPageDecodeAllocations: decoding a 128-entry page allocates the
+// LogPage, its entry slice, each entry's op slice, one string per key and
+// one slice per non-empty value — and no copy of the body.
+func TestLogPageDecodeAllocations(t *testing.T) {
+	page := realPage(t, 128)
+	body := repl.AppendLogPage(nil, page)
+	want := 2
+	for _, e := range page.Entries {
+		want += 1 + len(e.Ops)
+		for _, op := range e.Ops {
+			if len(op.Value) > 0 {
+				want++
+			}
+		}
+	}
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := repl.DecodeLogPage(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != float64(want) {
+		t.Errorf("decoding a %d-entry page made %v allocations, want %d", len(page.Entries), got, want)
+	}
+}
+
+// FuzzLogPageDecode: arbitrary bytes decoded as a log page never panic,
+// never allocate past pageAllocLimit, and whatever decodes re-encodes to the
+// bytes it came from.
+//
+// Wired into `make fuzz-smoke`.
+func FuzzLogPageDecode(f *testing.F) {
+	page := realPage(f, 6)
+	for _, p := range []*repl.LogPage{
+		page,
+		{Entries: page.Entries[:1], FloorSeq: 1, LeaderSeq: 9},
+		{FloorSeq: 2, LeaderSeq: 7, SnapshotRequired: true},
+	} {
+		body := repl.AppendLogPage(nil, p)
+		f.Add(body)
+		f.Add(body[:len(body)/2])
+		f.Add(body[:len(body)-1])
+	}
+	f.Add(append(wire.AppendInt(nil, 1<<40), make([]byte, 40)...))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var p *repl.LogPage
+		var err error
+		if got := decodeAllocs(func() { p, err = repl.DecodeLogPage(body) }); got > pageAllocLimit(body) {
+			t.Fatalf("decoding %d bytes allocated %d", len(body), got)
+		}
+		if err == nil {
+			if again := repl.AppendLogPage(nil, p); !bytes.Equal(again, body) {
+				t.Fatalf("accepted page re-encodes to other bytes:\n%x\nwant\n%x", again, body)
+			}
+		}
+	})
+}
+
+// BenchmarkDecodeLogPage decodes a 128-entry page of 16-op batches, the
+// page a follower fetches at MaxBatches 128, from each of its encodings.
+func BenchmarkDecodeLogPage(b *testing.B) {
+	page := realPage(b, 128)
+	ops := 0
+	for _, e := range page.Entries {
+		ops += len(e.Ops)
+	}
+	js, err := json.Marshal(page)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, enc := range []struct {
+		name   string
+		body   []byte
+		decode func([]byte) error
+	}{
+		{"json", js, func(body []byte) error { var p repl.LogPage; return json.Unmarshal(body, &p) }},
+		{"binary", repl.AppendLogPage(nil, page), func(body []byte) error { _, err := repl.DecodeLogPage(body); return err }},
+	} {
+		b.Run(enc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(enc.body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := enc.decode(enc.body); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ops), "ns/op_decoded")
+		})
+	}
+}

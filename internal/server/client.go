@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"grub/internal/core"
 	"grub/internal/query"
 	"grub/internal/shard"
 )
@@ -272,7 +273,7 @@ func (c *Client) postOps(path string, ops []Op, binary bool) (*[]byte, string, e
 		return c.pooled(http.MethodPost, path, payload, "application/json", OpsMediaType)
 	}
 	buf := bufPool.Get().(*[]byte)
-	*buf = appendOps(*buf, ops)
+	*buf = core.AppendOps(*buf, ops)
 	// The transport may still read a request body after the response is
 	// in, so the body is a copy the pool never sees again.
 	payload := bytes.Clone(*buf)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"grub/internal/cluster"
@@ -238,6 +239,18 @@ func writeLogPage(w http.ResponseWriter, page repl.LogPage) {
 	io.WriteString(w, "],")
 	w.Write(tail[1:])
 	io.WriteString(w, "\n")
+}
+
+// writeLogPageBinary answers a log fetch in the binary log encoding
+// (repl.LogMediaType). The buffer is sized from the entries' WireBytes, which
+// bound their encoding, and is left to the collector once written: a pooled
+// buffer would keep a page's worth of bytes live per P.
+func writeLogPageBinary(w http.ResponseWriter, page repl.LogPage) {
+	n := 32
+	for i := range page.Entries {
+		n += page.Entries[i].WireBytes()
+	}
+	writeBinary(w, repl.LogMediaType, repl.AppendLogPage(make([]byte, 0, n), &page))
 }
 
 func writeErr(w http.ResponseWriter, err error) {
@@ -596,6 +609,10 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 		page, err := g.ReplLog(r.PathValue("id"), s, from, max)
 		if err != nil {
 			writeErr(w, err)
+			return
+		}
+		if strings.Contains(r.Header.Get("Accept"), repl.LogMediaType) {
+			writeLogPageBinary(w, page)
 			return
 		}
 		writeLogPage(w, page)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -9,94 +8,22 @@ import (
 	"net/http"
 	"strings"
 
+	"grub/internal/core"
 	"grub/internal/wire"
 )
 
 // OpsMediaType names the binary ops encoding (docs/API.md, "Binary ops
-// encoding"). POST /feeds/{id}/ops decodes a request body in it when the
-// Content-Type names it, and answers in it when the Accept header names it;
-// otherwise it speaks JSON, the default and the debug form.
+// encoding"), whose batch half is core.AppendOps and core.DecodeOps. POST
+// /feeds/{id}/ops decodes a request body in it when the Content-Type names
+// it, and answers in it when the Accept header names it; otherwise it speaks
+// JSON, the default and the debug form.
 const OpsMediaType = "application/x-grub-ops"
-
-// The code byte that opens an op. An op whose type is none of the three
-// known ones crosses as opOther followed by the type, so the gateway reports
-// it as a per-op "unknown op type" result, as it does for JSON.
-const (
-	opRead byte = iota
-	opWrite
-	opScan
-	opOther
-)
-
-var opTypes = [...]string{opRead: "read", opWrite: "write", opScan: "scan"}
 
 // Flag bits of a result.
 const (
 	resultFound byte = 1 << iota
 	resultErr
 )
-
-// minOpWire is an op's smallest encoding, which bounds a decoded count by the
-// bytes left: a code byte, an empty key, an empty value and scanLen 0.
-const minOpWire = 4
-
-// appendOps appends a batch: int n, then n ops. A negative ScanLen crosses
-// as 0, which the feed treats the same.
-func appendOps(b []byte, ops []Op) []byte {
-	b = wire.AppendInt(b, len(ops))
-	for i := range ops {
-		op := &ops[i]
-		switch op.Type {
-		case "read":
-			b = append(b, opRead)
-		case "write":
-			b = append(b, opWrite)
-		case "scan":
-			b = append(b, opScan)
-		default:
-			b = wire.AppendString(append(b, opOther), op.Type)
-		}
-		b = wire.AppendString(b, op.Key)
-		b = append(wire.AppendInt(b, len(op.Value)), op.Value...)
-		b = wire.AppendInt(b, max(op.ScanLen, 0))
-	}
-	return b
-}
-
-// decodeOps decodes a batch from an untrusted body. Every key and every value
-// is an allocation of its own, as encoding/json makes them, because the feed
-// keeps ops past the batch: its per-key maps hold keys for as long as they
-// are live, and each shard's replication log (and, when recording, its trace)
-// holds its sub-batch's ops. Those bound what they keep by the ops' own keys
-// and values, so an op aliasing the body would keep the whole body with it,
-// other shards' ops included.
-func decodeOps(body []byte) ([]Op, error) {
-	r := wire.NewReader(body)
-	n := r.Int()
-	if n > r.Len()/minOpWire {
-		r.Fail("%d ops in %d bytes", n, r.Len())
-		return nil, r.Err()
-	}
-	ops := make([]Op, n)
-	for i := range ops {
-		op := &ops[i]
-		switch code := r.Byte(); code {
-		case opRead, opWrite, opScan:
-			op.Type = opTypes[code]
-		case opOther:
-			op.Type = r.OwnStr()
-		default:
-			r.Fail("op code %d", code)
-		}
-		op.Key = r.OwnStr()
-		op.Value = bytes.Clone(r.Bytes(r.Int()))
-		op.ScanLen = r.Int()
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return ops, nil
-}
 
 // appendResults appends a batch's results: int n, then per result a flags
 // byte, the value (int length, bytes) and, when the err flag is set, the
@@ -170,7 +97,7 @@ func decodeBatch(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]Op, 
 		return nil, false
 	}
 	defer putBuf(body)
-	ops, err := decodeOps(*body)
+	ops, err := core.DecodeOps(*body)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decode: %v", err)})
 		return nil, false
@@ -188,7 +115,7 @@ func batchLen(r *http.Request, body []byte) int {
 		if k <= 0 {
 			return 0
 		}
-		return int(min(n, uint64(len(body)/minOpWire)))
+		return int(min(n, uint64(len(body)/core.MinOpWire)))
 	}
 	var req BatchRequest
 	json.Unmarshal(body, &req)

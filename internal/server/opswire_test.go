@@ -299,19 +299,20 @@ func TestClientFallsBackToJSON(t *testing.T) {
 	}
 }
 
-// TestDecodeOpsOwnsKeysAndValues: decoding a batch allocates the body's copy,
-// the op slice, one string per key and one slice per non-empty value. A key
-// or value aliasing the body instead would keep the whole body reachable for
-// as long as the feed keeps that op.
+// TestDecodeOpsOwnsKeysAndValues: decoding a batch allocates the op slice,
+// one string per key and one slice per non-empty value, and no copy of the
+// body, which nothing decoded aliases. A key or value aliasing the body
+// instead would keep the whole body reachable for as long as the feed keeps
+// that op.
 func TestDecodeOpsOwnsKeysAndValues(t *testing.T) {
 	ops := randomBatch(rand.New(rand.NewPCG(2, 2)), 16)
-	body := appendOps(nil, ops)
+	body := core.AppendOps(nil, ops)
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := decodeOps(body); err != nil {
+		if _, err := core.DecodeOps(body); err != nil {
 			t.Fatal(err)
 		}
 	})
-	want := 2 + len(ops)
+	want := 1 + len(ops)
 	for _, op := range ops {
 		if op.Type != "read" && op.Type != "write" && op.Type != "scan" && op.Type != "" {
 			want++ // an unknown type is a string of its own too
@@ -362,7 +363,7 @@ func TestBinaryBatchesDoNotPinBodies(t *testing.T) {
 		}
 	}
 	grew := live() - before
-	t.Logf("live heap grew %.1f MiB over %d batches of %d KiB", float64(grew)/(1<<20), batches, len(appendOps(nil, batch))>>10)
+	t.Logf("live heap grew %.1f MiB over %d batches of %d KiB", float64(grew)/(1<<20), batches, len(core.AppendOps(nil, batch))>>10)
 	if limit := int64(shard.DefaultReplRetainBytes + 4<<20); grew > limit {
 		t.Errorf("live heap grew %d bytes, past the replication log's cap plus slack (%d)", grew, limit)
 	}
@@ -380,8 +381,9 @@ func decodeAllocs(decode func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// opsAllocLimit bounds what decoding a body may allocate: the private copy, a
-// 64-byte Op or OpResult per 2 body bytes at worst, and the keys; the
+// opsAllocLimit bounds what decoding a body may allocate: a private copy of
+// the body (results), a 64-byte Op or OpResult per 2 body bytes at worst, and
+// the keys; the
 // constant absorbs the runtime's own allocations between the two readings.
 func opsAllocLimit(body []byte) uint64 { return uint64(64*len(body) + 64<<10) }
 
@@ -389,7 +391,7 @@ func opsAllocLimit(body []byte) uint64 { return uint64(64*len(body) + 64<<10) }
 // nothing, and decoding it allocates nothing sized from a count it claims; a
 // binary body past the size cap gets a 413.
 func TestOpsWireHostileInput(t *testing.T) {
-	good := appendOps(nil, []Op{{Type: "write", Key: "k1", Value: []byte("v")}, {Type: "read", Key: "k1"}})
+	good := core.AppendOps(nil, []Op{{Type: "write", Key: "k1", Value: []byte("v")}, {Type: "read", Key: "k1"}})
 	hostile := map[string][]byte{
 		"count larger than the body": append(wire.AppendInt(nil, 1<<40), 0, 0, 0, 0),
 		"truncated op":               good[:len(good)-2],
@@ -399,10 +401,10 @@ func TestOpsWireHostileInput(t *testing.T) {
 		"negative int":               append([]byte{1, 0, 0, 0}, wire.AppendInt(nil, -1)...),
 	}
 	for name, body := range hostile {
-		if _, err := decodeOps(body); !errors.Is(err, wire.ErrMalformed) {
-			t.Errorf("%s: decodeOps = %v, want ErrMalformed", name, err)
+		if _, err := core.DecodeOps(body); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("%s: core.DecodeOps = %v, want ErrMalformed", name, err)
 		}
-		if got := decodeAllocs(func() { decodeOps(body) }); got > opsAllocLimit(body) {
+		if got := decodeAllocs(func() { core.DecodeOps(body) }); got > opsAllocLimit(body) {
 			t.Errorf("%s: decoding %d bytes allocated %d", name, len(body), got)
 		}
 	}
@@ -434,7 +436,7 @@ func TestOpsWireHostileInput(t *testing.T) {
 			t.Errorf("%s: HTTP %d %s, want 400", name, status, msg)
 		}
 	}
-	big := appendOps(nil, []Op{{Type: "write", Key: "k", Value: make([]byte, 2048)}})
+	big := core.AppendOps(nil, []Op{{Type: "write", Key: "k", Value: make([]byte, 2048)}})
 	if status, msg := post(big); status != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "exceeds 1024 bytes") {
 		t.Errorf("oversized body: HTTP %d %s, want 413", status, msg)
 	}
@@ -453,7 +455,7 @@ func FuzzOpsWireDecode(f *testing.F) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	for _, n := range []int{0, 1, 5, 16} {
 		ops := randomBatch(rng, n)
-		body := appendOps(nil, ops)
+		body := core.AppendOps(nil, ops)
 		f.Add(body)
 		f.Add(body[:len(body)/2])
 		results := make([]OpResult, n)
@@ -469,11 +471,11 @@ func FuzzOpsWireDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var ops []Op
 		var err error
-		if got := decodeAllocs(func() { ops, err = decodeOps(body) }); got > opsAllocLimit(body) {
+		if got := decodeAllocs(func() { ops, err = core.DecodeOps(body) }); got > opsAllocLimit(body) {
 			t.Fatalf("decoding %d bytes as ops allocated %d", len(body), got)
 		}
 		if err == nil {
-			if again, err := decodeOps(appendOps(nil, ops)); err != nil || !reflect.DeepEqual(ops, again) {
+			if again, err := core.DecodeOps(core.AppendOps(nil, ops)); err != nil || !reflect.DeepEqual(ops, again) {
 				t.Fatalf("accepted batch changes across a re-encoding (%v)", err)
 			}
 		}
@@ -591,7 +593,7 @@ func TestClusterForwardsBinaryBatch(t *testing.T) {
 	batch := randomBatch(rand.New(rand.NewPCG(8, 8)), 7)
 	const traceID = "fwdbinary0123456"
 	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequest(http.MethodPost, nodes[wi].url+"/feeds/fwd/ops", bytes.NewReader(appendOps(nil, batch)))
+		req, err := http.NewRequest(http.MethodPost, nodes[wi].url+"/feeds/fwd/ops", bytes.NewReader(core.AppendOps(nil, batch)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,10 +16,16 @@ import (
 
 // Persistence: each shard owns a kvstore.DB under the feed's data
 // directory. Applied op batches are appended to a durable log (one typed
-// RecordOps value per batch, keyed by sequence number, riding the engine's
-// write-ahead log), and snapshots compact the log: a RecordSnapshot value
-// carrying the shard's complete feed state (core.FeedSnapshot) plus its
+// RecordOpsWire value per batch, keyed by sequence number, riding the
+// engine's write-ahead log), and snapshots compact the log: a RecordSnapshot
+// value carrying the shard's complete feed state (core.FeedSnapshot) plus its
 // counter metadata supersedes every log record at or below its sequence.
+//
+// A log record's payload is the batch in the binary ops encoding
+// (core.AppendOps), the same bytes a binary POST /feeds/{id}/ops body and a
+// binary replication log page carry. Stores written before that encoding
+// hold JSON RecordOps values; recovery still replays them, and the next
+// snapshot drops them with the rest of the log below it.
 //
 // The discipline is log-then-apply: a batch is durable before it executes,
 // so after a crash the recovered state is exactly "a fresh feed replaying
@@ -80,9 +87,21 @@ const (
 	snapKey      = "snap"
 )
 
-func logKey(seq uint64) []byte {
-	return []byte(fmt.Sprintf("%s%016x", logKeyPrefix, seq))
+func logKey(seq uint64) []byte { return appendLogKey(nil, seq) }
+
+// appendLogKey appends seq's log key: the prefix, then seq as 16 hex digits,
+// so keys sort in sequence order.
+func appendLogKey(b []byte, seq uint64) []byte {
+	b = append(b, logKeyPrefix...)
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[seq>>shift&0xf])
+	}
+	return b
 }
+
+// maxRecordBuf caps the record buffer a persister keeps between batches: a
+// larger batch's buffer is dropped after its append rather than pinned.
+const maxRecordBuf = 1 << 20
 
 // shardMeta is the metadata half of a snapshot record: the worker counters
 // that must survive alongside the feed state for stats continuity.
@@ -100,6 +119,7 @@ type persister struct {
 	db            *kvstore.DB
 	snapshotEvery int
 
+	key, rec      []byte // the last appended batch's log key and record, reused
 	nextSeq       uint64 // sequence the next logged batch gets
 	loggedBatches int    // log records since the last snapshot
 	snapshots     int
@@ -121,12 +141,14 @@ func openPersister(opts PersistOptions, idx int) (*persister, error) {
 
 // appendBatch logs one op batch before it is applied.
 func (p *persister) appendBatch(ops []core.Op) error {
-	payload, err := json.Marshal(ops)
-	if err != nil {
-		return fmt.Errorf("shard: encode batch: %w", err)
-	}
 	seq := p.nextSeq
-	if err := p.db.Put(logKey(seq), kvstore.EncodeRecord(kvstore.RecordOps, seq, payload)); err != nil {
+	p.key = appendLogKey(p.key[:0], seq)
+	p.rec = core.AppendOps(kvstore.AppendRecordHeader(p.rec[:0], kvstore.RecordOpsWire, seq), ops)
+	err := p.db.Put(p.key, p.rec) // Put copies both
+	if cap(p.rec) > maxRecordBuf {
+		p.rec = nil
+	}
+	if err != nil {
 		return fmt.Errorf("shard: log batch %d: %w", seq, err)
 	}
 	p.nextSeq++
@@ -296,20 +318,27 @@ func recoverShard(p *persister, idx int, opts Options, build func(int) (*core.Fe
 	// snapshot (the fixed-width hex key preserves numeric order).
 	maxSeq := lastSeq
 	for it := p.db.NewIteratorFrom(logKey(lastSeq + 1)); it.Valid(); it.Next() {
-		key := string(it.Key())
-		if !strings.HasPrefix(key, logKeyPrefix) {
+		if !bytes.HasPrefix(it.Key(), []byte(logKeyPrefix)) {
 			break // past the log keyspace
 		}
 		kind, seq, payload, err := kvstore.DecodeTypedRecord(it.Value())
 		if err != nil {
-			return nil, fmt.Errorf("shard: corrupt log record %q: %w", key, err)
+			return nil, fmt.Errorf("shard: corrupt log record %q: %w", it.Key(), err)
 		}
-		if kind != kvstore.RecordOps || seq <= lastSeq {
+		if seq <= lastSeq {
 			continue
 		}
 		var ops []core.Op
-		if err := json.Unmarshal(payload, &ops); err != nil {
-			return nil, fmt.Errorf("shard: decode log record %q: %w", key, err)
+		switch kind {
+		case kvstore.RecordOpsWire:
+			ops, err = core.DecodeOps(payload)
+		case kvstore.RecordOps: // written before RecordOpsWire
+			err = json.Unmarshal(payload, &ops)
+		default:
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("shard: decode log record %q: %w", it.Key(), err)
 		}
 		_, entry := st.applyBatch(ops)
 		p.loggedBatches++

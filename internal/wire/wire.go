@@ -1,10 +1,11 @@
-// Package wire holds the byte-level primitives of the gateway's two binary
+// Package wire holds the byte-level primitives of the gateway's binary
 // encodings (layouts in docs/API.md): the read encoding, media type
-// application/x-grub-read, and the ops encoding, application/x-grub-ops.
-// Primitives are uvarint lengths and integers, length-prefixed strings and
-// raw fixed-size fields. The proof types in merkle, ads and query, and the
-// op batches and results in server, append themselves with the Append
-// functions and decode themselves from a Reader.
+// application/x-grub-read, the ops encoding, application/x-grub-ops, and the
+// replication log encoding, application/x-grub-repl. Primitives are uvarint
+// lengths and integers, length-prefixed strings and raw fixed-size fields.
+// The proof types in merkle, ads and query, the op batches in core, the
+// results in server and the log pages in repl append themselves with the
+// Append functions and decode themselves from a Reader.
 package wire
 
 import (
@@ -44,6 +45,13 @@ func AppendString(b []byte, s string) []byte {
 // may reuse the body's buffer as soon as NewReader returns. The price is that
 // any one decoded key or value keeps the whole copy reachable. OwnStr is the
 // way out for a string that will outlive the rest of the body.
+//
+// A decoder that keeps nothing aliasing the body — every string read with
+// OwnStr, every Bytes result copied — has no use for the copy: Borrow reads
+// the body in place instead.
+//
+// A uvarint must be minimal, as AppendUint writes it, so a body that decodes
+// has one encoding only.
 type Reader struct {
 	buf []byte
 	str string
@@ -55,6 +63,11 @@ type Reader struct {
 func NewReader(body []byte) *Reader {
 	return &Reader{buf: append([]byte(nil), body...)}
 }
+
+// Borrow returns a reader over body itself, for a decoder that copies out
+// every field it keeps. Bytes, Str and Rest results alias body, and body
+// must not change while the reader is in use.
+func Borrow(body []byte) *Reader { return &Reader{buf: body} }
 
 // Len returns the number of unread bytes (0 after a failure).
 func (r *Reader) Len() int {
@@ -115,6 +128,10 @@ func (r *Reader) Uint() uint64 {
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {
 		r.Fail("bad uvarint")
+		return 0
+	}
+	if n > 1 && r.buf[r.off+n-1] == 0 {
+		r.Fail("non-minimal uvarint")
 		return 0
 	}
 	r.off += n

@@ -45,22 +45,24 @@ func TestReaderRoundTrip(t *testing.T) {
 
 func TestReaderRejects(t *testing.T) {
 	cases := map[string]func(r *Reader){
-		"truncated uvarint":  func(r *Reader) { r.Uint() },
-		"string past end":    func(r *Reader) { r.Str() },
-		"raw past end":       func(r *Reader) { r.Bytes(9) },
-		"int overflow":       func(r *Reader) { r.Int() },
-		"trailing bytes":     func(r *Reader) { r.Byte() },
-		"explicit":           func(r *Reader) { r.Fail("nope") },
-		"byte on empty body": func(r *Reader) { r.Bytes(8); r.Byte() },
+		"truncated uvarint":   func(r *Reader) { r.Uint() },
+		"non-minimal uvarint": func(r *Reader) { r.Uint() },
+		"string past end":     func(r *Reader) { r.Str() },
+		"raw past end":        func(r *Reader) { r.Bytes(9) },
+		"int overflow":        func(r *Reader) { r.Int() },
+		"trailing bytes":      func(r *Reader) { r.Byte() },
+		"explicit":            func(r *Reader) { r.Fail("nope") },
+		"byte on empty body":  func(r *Reader) { r.Bytes(8); r.Byte() },
 	}
 	bodies := map[string][]byte{
-		"truncated uvarint":  {0x80, 0x80},
-		"string past end":    {0x05, 'a', 'b'},
-		"raw past end":       {1, 2, 3},
-		"int overflow":       AppendUint(nil, math.MaxInt+1),
-		"trailing bytes":     {1, 2},
-		"explicit":           nil,
-		"byte on empty body": {1, 2, 3, 4, 5, 6, 7, 8},
+		"truncated uvarint":   {0x80, 0x80},
+		"non-minimal uvarint": {0x81, 0x00},
+		"string past end":     {0x05, 'a', 'b'},
+		"raw past end":        {1, 2, 3},
+		"int overflow":        AppendUint(nil, math.MaxInt+1),
+		"trailing bytes":      {1, 2},
+		"explicit":            nil,
+		"byte on empty body":  {1, 2, 3, 4, 5, 6, 7, 8},
 	}
 	for name, read := range cases {
 		r := NewReader(bodies[name])
@@ -88,6 +90,7 @@ var (
 
 // TestReaderCopies: a reader copies the body once, and once more on the first
 // Str, for every Str; an OwnStr result is a copy of its own and pins nothing.
+// A Borrow reader makes no copy of the body.
 func TestReaderCopies(t *testing.T) {
 	body := AppendString(AppendString(AppendString(nil, "key"), "other"), "value")
 	allocs := map[string]float64{
@@ -95,7 +98,8 @@ func TestReaderCopies(t *testing.T) {
 		"two Strs":    testing.AllocsPerRun(100, func() { r := NewReader(body); sinkStr = r.Str(); sinkStr = r.Str() }),
 		"two OwnStrs": testing.AllocsPerRun(100, func() { r := NewReader(body); sinkStr = r.OwnStr(); sinkStr = r.OwnStr() }),
 	}
-	for name, want := range map[string]float64{"bytes only": 1, "two Strs": 2, "two OwnStrs": 3} {
+	allocs["borrowed OwnStrs"] = testing.AllocsPerRun(100, func() { r := Borrow(body); sinkStr = r.OwnStr(); sinkStr = r.OwnStr() })
+	for name, want := range map[string]float64{"bytes only": 1, "two Strs": 2, "two OwnStrs": 3, "borrowed OwnStrs": 2} {
 		if allocs[name] != want {
 			t.Errorf("%s: %v allocations, want %v", name, allocs[name], want)
 		}
