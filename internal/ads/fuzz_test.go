@@ -12,8 +12,9 @@ import (
 // proofs / Root anchors / clones) against a plain map model. Every
 // intermediate state must agree with the model, every proof must verify
 // against the current root, every clone must still be what it was when taken
-// at every later anchor and clone and once the stream ends, and
-// the final state must be reproducible — identical root — by replaying the
+// at every later anchor and clone and once the stream ends, every anchor and
+// clone must leave a sealed tree (checkTree: each cached leaf, half and hash
+// current), and the final state must be reproducible — identical root — by replaying the
 // surviving records in sorted order (the snapshot-restore path).
 //
 // Wired into `make fuzz-smoke` so the corpus grows with the repo.
@@ -78,6 +79,9 @@ func FuzzSetOps(f *testing.F) {
 					s.Root()
 				} else {
 					clones = append(clones, captureOf(s))
+				}
+				if err := checkTree(s.root, true); err != nil {
+					t.Fatalf("step %d: after the anchor: %v", step, err)
 				}
 				for i, c := range clones {
 					if err := c.check(); err != nil {

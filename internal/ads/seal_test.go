@@ -87,7 +87,7 @@ func mutate(s *Set, r *sim.Rand, keys int) {
 
 // checkTree walks the whole tree and reports the first violated structural
 // invariant. sealed additionally requires what Root/Clone/Prove* leave
-// behind: no dirty node, every cached leaf and hash current.
+// behind: no dirty node, every cached leaf, half and hash current.
 func checkTree(n *node, sealed bool) error {
 	if n == nil {
 		return nil
@@ -109,6 +109,9 @@ func checkTree(n *node, sealed bool) error {
 	if n.staleLeaf && !n.dirty {
 		return fmt.Errorf("sealed node %q has a stale leaf", n.key)
 	}
+	if n.staleHalf && !n.dirty {
+		return fmt.Errorf("sealed node %q has a stale half", n.key)
+	}
 	if !sealed {
 		return nil
 	}
@@ -117,6 +120,12 @@ func checkTree(n *node, sealed bool) error {
 	}
 	if n.leaf != n.record().Leaf() {
 		return fmt.Errorf("node %q caches a leaf that is not its record's", n.key)
+	}
+	if n.staleHalf {
+		return fmt.Errorf("node %q has a stale half after a seal", n.key)
+	}
+	if want := merkle.HashInner(hashOf(n.left), n.leaf); n.half != want {
+		return fmt.Errorf("node %q caches half %v, want %v", n.key, n.half, want)
 	}
 	if want := merkle.HashInner(merkle.HashInner(hashOf(n.left), n.leaf), hashOf(n.right)); n.hash != want {
 		return fmt.Errorf("node %q has hash %v, want %v", n.key, n.hash, want)
@@ -160,6 +169,164 @@ func TestSealRule(t *testing.T) {
 			}
 		})
 	}
+}
+
+// freshHashes hashes every subtree of a possibly unsealed tree from its
+// records alone, ignoring every cached hash.
+func freshHashes(n *node, into map[*node]merkle.Hash) merkle.Hash {
+	if n == nil {
+		return merkle.EmptyRoot()
+	}
+	l, r := freshHashes(n.left, into), freshHashes(n.right, into)
+	h := merkle.HashInner(merkle.HashInner(l, n.record().Leaf()), r)
+	into[n] = h
+	return h
+}
+
+// TestSealRehashesOnlyChangedHalves pins when seal recomputes a node's
+// cached half: exactly where a mutation assigned the node's left child or
+// edited its record. On a sealed set it mutates one record and, before
+// Root, reads the half-stale flags along the root path, checks that every
+// dirty node left unflagged still caches a current half (so seal may keep
+// it), and after Root checks the tree and the reference digest.
+func TestSealRehashesOnlyChangedHalves(t *testing.T) {
+	const records = 4096
+	newSet := func() *Set {
+		s := NewSet()
+		for i := 0; i < records; i++ {
+			s.Put(rec(fmt.Sprintf("key-%04d", i), State(i&1), "value"))
+		}
+		s.Root()
+		return s
+	}
+	// Records order by (state, key): the largest R key is the in-order
+	// last (every ancestor descends right), the smallest NR key the first
+	// (every ancestor descends left).
+	lastR, firstNR := fmt.Sprintf("key-%04d", records-1), "key-0000"
+	value := []byte("a 32-byte value, as in the paper")
+
+	// spine walks from the root toward (st, key), returning the nodes
+	// above it.
+	spine := func(s *Set, st State, key string) []*node {
+		var path []*node
+		for n := s.root; n != nil && (n.state != st || n.key != key); {
+			path = append(path, n)
+			if less(st, key, n.state, n.key) {
+				n = n.left
+			} else {
+				n = n.right
+			}
+		}
+		return path
+	}
+	// unflaggedHalvesCurrent fails on a dirty node seal would not re-half
+	// whose cached half is not what its left subtree and record hash to,
+	// and returns how many dirty nodes there are and how many are flagged.
+	unflaggedHalvesCurrent := func(t *testing.T, s *Set) (dirty, flagged int) {
+		t.Helper()
+		fresh := map[*node]merkle.Hash{}
+		freshHashes(s.root, fresh)
+		var walk func(n *node)
+		walk = func(n *node) {
+			if n == nil || !n.dirty {
+				return
+			}
+			dirty++
+			if n.staleHalf || n.staleLeaf {
+				flagged++
+			} else {
+				l := merkle.EmptyRoot()
+				if n.left != nil {
+					l = fresh[n.left]
+				}
+				if want := merkle.HashInner(l, n.record().Leaf()); n.half != want {
+					t.Errorf("node %q is not half-stale but caches a half its left subtree or record changed", n.key)
+				}
+			}
+			walk(n.left)
+			walk(n.right)
+		}
+		walk(s.root)
+		return dirty, flagged
+	}
+	sealed := func(t *testing.T, s *Set) {
+		t.Helper()
+		got := s.Root()
+		if err := checkTree(s.root, true); err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceRoot(s.Records()); got != want {
+			t.Fatalf("root %v, reference %v", got, want)
+		}
+	}
+
+	t.Run("right spine update", func(t *testing.T) {
+		s := newSet()
+		s.Put(Record{Key: lastR, State: R, Value: value})
+		path := spine(s, R, lastR)
+		if len(path) == 0 {
+			t.Fatal("the last record is the root")
+		}
+		for _, n := range path {
+			if !n.dirty || n.staleHalf {
+				t.Fatalf("ancestor %q: dirty %v, staleHalf %v; want dirty with its half kept", n.key, n.dirty, n.staleHalf)
+			}
+		}
+		if dirty, flagged := unflaggedHalvesCurrent(t, s); dirty != len(path)+1 || flagged != 1 {
+			t.Fatalf("%d dirty nodes, %d with a stale half or leaf; want %d and only the record's own", dirty, flagged, len(path)+1)
+		}
+		sealed(t, s)
+	})
+	t.Run("left spine update", func(t *testing.T) {
+		s := newSet()
+		s.Put(Record{Key: firstNR, State: NR, Value: value})
+		path := spine(s, NR, firstNR)
+		if len(path) == 0 {
+			t.Fatal("the first record is the root")
+		}
+		for _, n := range path {
+			if !n.dirty || !n.staleHalf {
+				t.Fatalf("ancestor %q: dirty %v, staleHalf %v; want both", n.key, n.dirty, n.staleHalf)
+			}
+		}
+		unflaggedHalvesCurrent(t, s)
+		sealed(t, s)
+	})
+	t.Run("delete the last record", func(t *testing.T) {
+		s := newSet()
+		path := spine(s, R, lastR)
+		s.Delete(lastR)
+		// Its left subtree takes its place under its parent's right
+		// pointer: no half anywhere changes.
+		if dirty, flagged := unflaggedHalvesCurrent(t, s); dirty != len(path) || flagged != 0 {
+			t.Fatalf("%d dirty nodes, %d half-stale; want the %d ancestors, none half-stale", dirty, flagged, len(path))
+		}
+		sealed(t, s)
+	})
+	t.Run("delete the first record", func(t *testing.T) {
+		s := newSet()
+		path := spine(s, NR, firstNR)
+		s.Delete(firstNR)
+		for _, n := range path {
+			if !n.staleHalf {
+				t.Fatalf("ancestor %q of the deleted first record keeps its half", n.key)
+			}
+		}
+		unflaggedHalvesCurrent(t, s)
+		sealed(t, s)
+	})
+	t.Run("relocation", func(t *testing.T) {
+		// The last record moves to the end of the NR group: deleted off
+		// the right spine, inserted where the walk turns left at the first
+		// R node.
+		s := newSet()
+		s.SetState(lastR, NR)
+		dirty, flagged := unflaggedHalvesCurrent(t, s)
+		if flagged == 0 || flagged >= dirty {
+			t.Fatalf("%d dirty nodes, %d half-stale; want some of each", dirty, flagged)
+		}
+		sealed(t, s)
+	})
 }
 
 // TestCloneIsOneAllocation is the deterministic form of "publication is
@@ -253,11 +420,20 @@ func TestUnpublishedUpdateIsOneAllocation(t *testing.T) {
 	}
 }
 
-// TestNodeFitsItsSizeClass: the cached leaf hash was paid for by packing
-// the flags beside size; one more word per node is 16 more bytes per record.
+// TestNodeFitsItsSizeClass: the node's three cached hashes (leaf, half,
+// hash) and its 80 bytes of record, links, generation, size and flags fill
+// the 176-byte allocation size class exactly. The cached half is 32 bytes
+// per record bought for hashing — one HashInner instead of two at every
+// dirty node whose left subtree and record are unchanged, none at a
+// membership proof's right step — so the non-hash fields must not grow with
+// it: one more word among them is 16 more bytes per record.
 func TestNodeFitsItsSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(node{}); got > 144 {
-		t.Fatalf("node is %d bytes, past the 144-byte allocation size class", got)
+	size := unsafe.Sizeof(node{})
+	if size > 176 {
+		t.Fatalf("node is %d bytes, past the 176-byte allocation size class", size)
+	}
+	if rest := size - 3*merkle.HashSize; rest > 80 {
+		t.Fatalf("node's non-hash fields are %d bytes, past 80: only the cached half may have grown it", rest)
 	}
 }
 
@@ -390,6 +566,37 @@ func BenchmarkSetPutEpoch(b *testing.B) {
 					k := r.Intn(records)
 					s.Put(Record{Key: keys[k], State: State(k & 1), Value: value})
 				}
+				sink = s.Root()
+			}
+			_ = sink
+		})
+	}
+}
+
+// BenchmarkSealSpine isolates the cached half: one value update and the
+// Root that anchors it, on a 64k-record set, at the in-order last record
+// (every ancestor descends right: one HashInner each) and the first (every
+// ancestor descends left: two each).
+func BenchmarkSealSpine(b *testing.B) {
+	const records = 1 << 16
+	s := NewSet()
+	for i := 0; i < records; i++ {
+		s.Put(rec(fmt.Sprintf("key-%05d", i), State(i&1), "value"))
+	}
+	s.Root()
+	value := []byte("a 32-byte value, as in the paper")
+	for _, c := range []struct {
+		name string
+		rec  Record
+	}{
+		{"right", Record{Key: fmt.Sprintf("key-%05d", records-1), State: R, Value: value}},
+		{"left", Record{Key: "key-00000", State: NR, Value: value}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var sink merkle.Hash
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.Put(c.rec)
 				sink = s.Root()
 			}
 			_ = sink

@@ -15,12 +15,14 @@ import (
 // the points where a digest is needed. Two rules carry the design:
 //
 //   - The seal rule. A mutation hashes nothing: it marks every node it
-//     creates or edits dirty (hash stale). Root, Capture and the Prove methods
-//     first seal the tree — children before parents, each dirty node hashed
-//     exactly once — so hashing costs one pass over the distinct nodes
-//     touched since the last seal, however many mutations touched them. GRuB
-//     signs one digest per gPuts epoch; an epoch of puts pays for its root
-//     paths once.
+//     creates or edits dirty (hash stale), and half-stale when it assigns
+//     the node's left child or edits its record. Root, Capture and the Prove
+//     methods first seal the tree — children before parents, each dirty
+//     node hashed exactly once — so hashing costs one pass over the distinct
+//     nodes touched since the last seal, however many mutations touched
+//     them: one HashInner at a node whose left subtree and record are
+//     unchanged, two at one where either changed. GRuB signs one digest per
+//     gPuts epoch; an epoch of puts pays for its root paths once.
 //   - The ownership rule. Every node carries the generation of the Set that
 //     created it, and a Set edits in place exactly the nodes of its current
 //     generation, sealed or not; any other node is copied before it is
@@ -57,11 +59,14 @@ import (
 //	H(n) = HashInner(HashInner(H(left), leaf(rec)), H(right))
 //
 // with H(nil) = merkle.EmptyRoot(), and the set digest commits the record
-// count on top: Root = HashInner(CountLeaf(n), H(root node)). The nested
-// HashInner layout makes a membership proof a plain merkle.Proof hash fold
-// (2 path nodes where the walk descends left, 1 where it descends right,
-// plus the final count step), so the contract's deliver verification and
-// its gas metering are unchanged from the complete-tree era. Absence and
+// count on top: Root = HashInner(CountLeaf(n), H(root node)). Every sealed
+// node caches both its leaf and its half, HashInner(H(left), leaf(rec)),
+// which depends on neither the right subtree nor anything above it. The
+// nested HashInner layout makes a membership proof a plain merkle.Proof
+// hash fold (2 path nodes where the walk descends left, 1 — the cached half
+// — where it descends right, plus the final count step), so the contract's
+// deliver verification and its gas metering are unchanged from the
+// complete-tree era, and building the proof hashes nothing. Absence and
 // range completeness use pruned-subtree proofs instead (see prooftree.go).
 //
 // One Set per feed serves both parties: the DO mutates it and signs its
@@ -80,9 +85,12 @@ type Set struct {
 var generations atomic.Uint64
 
 // node is one tree node. The record's fields sit flat in the node so that
-// they, the generation stamp, the flags and the two cached hashes fill the
-// 144-byte allocation size class exactly; one more word moves every record
-// to the 160-byte class.
+// they, the generation stamp and the flags take 80 bytes; with the three
+// cached hashes the node fills the 176-byte allocation size class exactly.
+// The third hash, half, is 32 bytes per record bought for hashing: a seal
+// re-hashes one HashInner, not two, at a dirty node whose left subtree and
+// record did not change (every ancestor whose walk went right), and a
+// membership proof's right steps read it instead of hashing.
 type node struct {
 	key         string
 	value       []byte
@@ -94,13 +102,18 @@ type node struct {
 	size  int32
 	state State
 	// dirty: created or edited since the last seal, so hash (and, if
-	// staleLeaf, leaf) is out of date. Every ancestor of a dirty node is
-	// dirty, which lets seal stop at the first sealed node.
-	dirty, staleLeaf bool
+	// staleLeaf, leaf; if staleHalf, half) is out of date. Every ancestor of
+	// a dirty node is dirty, which lets seal stop at the first sealed node.
+	// staleHalf is set wherever the left pointer is assigned; seal sets it
+	// for a stale leaf.
+	dirty, staleLeaf, staleHalf bool
 	// leaf caches the record's leaf hash; it changes only when the record
 	// does, so copying a node on another key's root path re-hashes no
 	// record.
 	leaf merkle.Hash
+	// half caches HashInner(H(left), leaf): the node's hash less its right
+	// subtree, and the sibling a membership proof's right step folds in.
+	half merkle.Hash
 	hash merkle.Hash
 }
 
@@ -151,6 +164,7 @@ func (n *node) resize() {
 }
 
 // seal hashes the dirty region under n bottom-up, leaving every node sealed.
+// A node's half is re-hashed only when its left subtree or record changed.
 func seal(n *node) {
 	if n == nil || !n.dirty {
 		return
@@ -159,9 +173,13 @@ func seal(n *node) {
 	seal(n.right)
 	if n.staleLeaf {
 		n.leaf = n.record().Leaf()
-		n.staleLeaf = false
+		n.staleLeaf, n.staleHalf = false, true
 	}
-	n.hash = merkle.HashInner(merkle.HashInner(hashOf(n.left), n.leaf), hashOf(n.right))
+	if n.staleHalf {
+		n.half = merkle.HashInner(hashOf(n.left), n.leaf)
+		n.staleHalf = false
+	}
+	n.hash = merkle.HashInner(n.half, hashOf(n.right))
 	n.dirty = false
 }
 
@@ -197,6 +215,7 @@ func (s *Set) insert(n *node, rec Record) *node {
 	case less(rec.State, rec.Key, n.state, n.key):
 		l := s.insert(n.left, rec)
 		n = s.own(n)
+		n.staleHalf = true
 		if higher(l, n) {
 			// Rotate right: the inserted node bubbles up.
 			n.left, l.right = l.right, n
@@ -210,6 +229,7 @@ func (s *Set) insert(n *node, rec Record) *node {
 		n = s.own(n)
 		if higher(r, n) {
 			n.right, r.left = r.left, n
+			r.staleHalf = true
 			n.resize()
 			r.resize()
 			return r
@@ -233,7 +253,7 @@ func (s *Set) del(n *node, st State, key string) *node {
 	switch {
 	case less(st, key, n.state, n.key):
 		n = s.own(n)
-		n.left = s.del(n.left, st, key)
+		n.left, n.staleHalf = s.del(n.left, st, key), true
 	case less(n.state, n.key, st, key):
 		n = s.own(n)
 		n.right = s.del(n.right, st, key)
@@ -260,7 +280,7 @@ func (s *Set) merge(a, b *node) *node {
 		return a
 	}
 	b = s.own(b)
-	b.left = s.merge(a, b.left)
+	b.left, b.staleHalf = s.merge(a, b.left), true
 	b.resize()
 	return b
 }
@@ -480,6 +500,8 @@ func (s *Set) ProveIndex(i int) (*merkle.Proof, error) {
 // provePath appends the fold steps authenticating the record at in-order
 // index i of the sealed subtree n, leaf-to-root. The fold invariant: after
 // the steps for a subtree, the running hash equals that subtree's node hash.
+// Every step is a hash the seal cached (leaf, half or node hash), so
+// building the path hashes nothing.
 func provePath(n *node, i int, p *merkle.Proof) {
 	ls := size(n.left)
 	switch {
@@ -497,10 +519,9 @@ func provePath(n *node, i int, p *merkle.Proof) {
 			merkle.ProofNode{Left: false, Hash: hashOf(n.right)})
 	default:
 		provePath(n.right, i-ls-1, p)
-		// Running hash is H(n.right); the left-and-record half folds in as
-		// one sibling.
-		p.Path = append(p.Path,
-			merkle.ProofNode{Left: true, Hash: merkle.HashInner(hashOf(n.left), n.leaf)})
+		// Running hash is H(n.right); the cached left-and-record half folds
+		// in as one sibling.
+		p.Path = append(p.Path, merkle.ProofNode{Left: true, Hash: n.half})
 	}
 }
 
@@ -538,9 +559,9 @@ func (s *Set) ProveKeyAt(key string, countLeaf merkle.Hash, p *merkle.Proof) (Re
 // returns the record's node and fills *p with the same fold steps,
 // leaf-to-root, Index set to the record's in-order rank (rank counts the
 // records left of the subtree n) — or returns nil, having written nothing,
-// when (st, key) is not under n. steps counts the path nodes the ancestors
-// and the caller will append, so a path without the room is allocated once
-// at its final length.
+// when (st, key) is not under n. Like provePath it only copies cached
+// hashes. steps counts the path nodes the ancestors and the caller will
+// append, so a path without the room is allocated once at its final length.
 func proveKeyPath(n *node, st State, key string, rank, steps int, p *merkle.Proof) *node {
 	if n == nil {
 		return nil
@@ -557,8 +578,7 @@ func proveKeyPath(n *node, st State, key string, rank, steps int, p *merkle.Proo
 	case less(n.state, n.key, st, key):
 		hit := proveKeyPath(n.right, st, key, rank+size(n.left)+1, steps+1, p)
 		if hit != nil {
-			p.Path = append(p.Path,
-				merkle.ProofNode{Left: true, Hash: merkle.HashInner(hashOf(n.left), n.leaf)})
+			p.Path = append(p.Path, merkle.ProofNode{Left: true, Hash: n.half})
 		}
 		return hit
 	default:

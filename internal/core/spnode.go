@@ -22,6 +22,10 @@ type SPNode struct {
 	manager chain.Address
 	chain   *chain.Chain
 	set     *ads.Set
+	// count and countLeaf are the set's last seen record count and its
+	// ads.CountLeaf, rehashed only when the count moves.
+	count     int
+	countLeaf merkle.Hash
 
 	// pending holds requests seen but not yet answered (e.g. suppressed
 	// by Drop); they are retried on every Watch.
@@ -54,7 +58,8 @@ type deliverSlot struct {
 // (ProveKeyAt, ProveAbsent). The package doc says why sharing it is sound:
 // what the SP reads is never trusted, only what the contract verifies.
 func NewSPNode(c *chain.Chain, set *ads.Set, manager, addr chain.Address) *SPNode {
-	return &SPNode{addr: addr, manager: manager, chain: c, set: set}
+	n := set.Len()
+	return &SPNode{addr: addr, manager: manager, chain: c, set: set, count: n, countLeaf: ads.CountLeaf(n)}
 }
 
 // Watch takes the chain events emitted since the last Watch, queues the
@@ -95,7 +100,10 @@ func (s *SPNode) Watch() (int, error) {
 // recycled slot.
 func (s *SPNode) answer(req RequestEvent) error {
 	sl := s.slots.get()
-	rec, ok := s.set.ProveKeyAt(req.Key, ads.CountLeaf(s.set.Len()), &sl.proof)
+	if n := s.set.Len(); n != s.count {
+		s.count, s.countLeaf = n, ads.CountLeaf(n)
+	}
+	rec, ok := s.set.ProveKeyAt(req.Key, s.countLeaf, &sl.proof)
 	if !ok {
 		proof, err := s.set.ProveAbsent(req.Key)
 		if err != nil {
