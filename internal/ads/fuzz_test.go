@@ -3,19 +3,26 @@ package ads
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"sort"
 	"testing"
+
+	"grub/internal/merkle"
 )
 
 // FuzzSetOps drives the persistent tree with an arbitrary byte-encoded op
 // stream (Put / Delete / SetState / point proofs / absence proofs / range
-// proofs / Root anchors / clones) against a plain map model. Every
-// intermediate state must agree with the model, every proof must verify
-// against the current root, every clone must still be what it was when taken
-// at every later anchor and clone and once the stream ends, every anchor and
-// clone must leave a sealed tree (checkTree: each cached leaf, half and hash
-// current), and the final state must be reproducible — identical root — by replaying the
-// surviving records in sorted order (the snapshot-restore path).
+// proofs / Root anchors / clones / journal open, commit and rollback) against
+// a plain map model. Every intermediate state must agree with the model,
+// every proof must verify against the current root, every clone must still
+// be what it was when taken at every later anchor, clone and journal close
+// and once the stream ends, every anchor and clone must leave a sealed tree
+// (checkTree: each cached leaf, half and hash current), a rollback must
+// restore the sealed tree, root, count and records of the journal's open
+// (and the model goes back to its snapshot), a clone under an open journal
+// must panic, and the final state must be reproducible — identical root — by
+// replaying the surviving records in sorted order (the snapshot-restore
+// path).
 //
 // Wired into `make fuzz-smoke` so the corpus grows with the repo.
 func FuzzSetOps(f *testing.F) {
@@ -24,10 +31,26 @@ func FuzzSetOps(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x00, 0x05, 0x25, 0x45}, 16))
 	f.Add([]byte{0x01, 0x12, 0xf0, 0x01, 0x41, 0x72, 0xf0, 0x23, 0x80, 0xf0, 0x52})
 	f.Add([]byte{0x01, 0x02, 0x03, 0xe0, 0x21, 0x12, 0xe0, 0xf0, 0x01, 0x51, 0xe0, 0x61, 0x02, 0xf0, 0x33, 0xe0})
+	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0xe0, 0xe8, 0x02, 0xe0, 0x12, 0x43, 0xef, 0x82, 0x83, 0xe9, 0x21, 0xeb})
+	f.Add([]byte{0x01, 0x02, 0x13, 0xf0, 0xe8, 0x21, 0x42, 0xe0, 0x01, 0x73, 0xf0, 0xef, 0xe8, 0x05, 0xe0, 0x25, 0xea, 0xe9, 0x51, 0xee})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewSet()
 		model := map[string]Record{}
 		var clones []capture
+		// open is what the set held when the open journal, if any, opened.
+		type opened struct {
+			root  merkle.Hash
+			recs  []Record
+			model map[string]Record
+		}
+		var open *opened
+		checkClones := func(step int) {
+			for i, c := range clones {
+				if err := c.check(); err != nil {
+					t.Fatalf("step %d: clone %d of %d: %v", step, i, len(clones), err)
+				}
+			}
+		}
 		// Each byte is one op: the high nibble selects the action, the low
 		// nibble the key (a 16-key space keeps collisions frequent).
 		for step, b := range data {
@@ -74,7 +97,42 @@ func FuzzSetOps(f *testing.F) {
 						t.Fatalf("step %d: absence proof for %s failed: %v", step, key, err)
 					}
 				}
-			case 14, 15: // an epoch anchor, or a clone; later ops edit in place
+			case 14, 15: // an epoch anchor, a journal action or a clone; later ops edit in place
+				if b>>4 == 14 && b&0x0f >= 8 {
+					// A journal action: open (8, 9), commit (10-12) or
+					// roll back (13-15).
+					switch low := b & 0x0f; {
+					case low < 10:
+						if open == nil {
+							s.Journal()
+							open = &opened{root: s.Root(), recs: s.Records(), model: maps.Clone(model)}
+						}
+					case open == nil:
+					case low < 13:
+						s.Commit()
+						open = nil
+					default:
+						s.Rollback()
+						if err := checkTree(s.root, true); err != nil {
+							t.Fatalf("step %d: after the rollback: %v", step, err)
+						}
+						if got := s.Root(); got != open.root {
+							t.Fatalf("step %d: rolled back to root %v, was %v at the journal's open", step, got, open.root)
+						}
+						if err := sameRecs(s.Records(), open.recs); err != nil {
+							t.Fatalf("step %d: after the rollback: %v", step, err)
+						}
+						model, open = open.model, nil
+					}
+					checkClones(step)
+					break
+				}
+				if b>>4 == 15 && open != nil {
+					if !panics(func() { s.Clone() }) {
+						t.Fatalf("step %d: Clone under an open journal did not panic", step)
+					}
+					break
+				}
 				if b>>4 == 14 {
 					s.Root()
 				} else {
@@ -83,11 +141,7 @@ func FuzzSetOps(f *testing.F) {
 				if err := checkTree(s.root, true); err != nil {
 					t.Fatalf("step %d: after the anchor: %v", step, err)
 				}
-				for i, c := range clones {
-					if err := c.check(); err != nil {
-						t.Fatalf("step %d: clone %d of %d: %v", step, i, len(clones), err)
-					}
-				}
+				checkClones(step)
 			default: // range proof over a window derived from the byte
 				lo := fmt.Sprintf("k%x", b&0x07)
 				hi := fmt.Sprintf("k%x", (b&0x07)+(b>>5))
@@ -118,11 +172,7 @@ func FuzzSetOps(f *testing.F) {
 				t.Fatalf("step %d: Len %d, model %d", step, s.Len(), len(model))
 			}
 		}
-		for i, c := range clones {
-			if err := c.check(); err != nil {
-				t.Fatalf("clone %d of %d: %v", i, len(clones), err)
-			}
-		}
+		checkClones(len(data))
 		// Snapshot-replay determinism: sorted re-insertion of the final
 		// records must reproduce the root bit for bit.
 		recs := s.Records()

@@ -12,7 +12,7 @@ import (
 
 // Set is an authenticated, (state,key)-ordered set of records backed by a
 // copy-on-write persistent Merkle search tree whose hashing is deferred to
-// the points where a digest is needed. Two rules carry the design:
+// the points where a digest is needed. Three rules carry the design:
 //
 //   - The seal rule. A mutation hashes nothing: it marks every node it
 //     creates or edits dirty (hash stale), and half-stale when it assigns
@@ -39,6 +39,18 @@ import (
 //     generation) does no writes in any method and is safe for any number of
 //     concurrent readers. Between ended generations a mutation allocates
 //     nothing but the value copy and, for a new key, its node.
+//   - The journal rule. Journal opens an undo log for mutations that may yet
+//     be refused: while it is open, the first in-place edit of a node since
+//     the last seal saves the node's prior contents, and Rollback writes them
+//     back in reverse order and restores the root, leaving the set exactly
+//     as it was at Journal, hashes and all; Commit keeps the mutations. A
+//     node edited since the last seal is dirty, so one test (not dirty yet)
+//     saves each node once per seal, and copies and new nodes, which no
+//     earlier version reaches, are never saved. Capture and Clone panic
+//     while a journal is open, because a rollback would rewrite nodes the
+//     capture reaches. The shard worker journals a replicated batch applied
+//     under a retracted view and rolls it back if the leader's anchor
+//     disagrees.
 //
 // A Set that is being mutated has a single owner: sealing writes node
 // hashes, so Root, Capture, Clone and the Prove methods are not reads on it.
@@ -77,6 +89,22 @@ type Set struct {
 	// gen is the generation whose nodes this set may edit in place; 0 (a
 	// new set, a capture, a set whose generation just ended) owns none.
 	gen uint64
+	// j is the undo log, allocated at the first Journal and kept, capacity
+	// and all, for the next; nil on a capture.
+	j *journal
+}
+
+// journal is the undo log of an open Journal: the root at the open, and the
+// prior contents of each node edited in place since, in edit order.
+type journal struct {
+	open  bool
+	root  *node
+	saved []savedNode
+}
+
+type savedNode struct {
+	n     *node
+	prior node
 }
 
 // generations hands out node generations. 64 bits never wrap, so a
@@ -147,12 +175,15 @@ func (s *Set) claim() {
 // own returns the node a mutation may edit in n's place, marked dirty: n
 // itself when it is of the set's generation (no clone can reach it; a
 // capture can, which is the capturer's to rule out), a copy
-// stamped with that generation otherwise.
+// stamped with that generation otherwise. Under an open journal, n's
+// contents are saved before its first in-place edit since the last seal.
 func (s *Set) own(n *node) *node {
 	if n.gen != s.gen {
 		c := *n
 		c.gen = s.gen
 		n = &c
+	} else if s.j != nil && s.j.open && !n.dirty {
+		s.j.saved = append(s.j.saved, savedNode{n: n, prior: *n})
 	}
 	n.dirty = true
 	return n
@@ -466,8 +497,12 @@ func (s *Set) Clone() *Set {
 // before that mutation. The shard worker publishes its read views this way
 // and ends the generation only for a view a reader has pinned. On a sealed
 // set (the worker anchors every batch with Root before it publishes) Capture
-// is one allocation, whatever the record count.
+// is one allocation, whatever the record count. It panics while a journal
+// is open.
 func (s *Set) Capture() *Set {
+	if s.j != nil && s.j.open {
+		panic("ads: Capture while a journal is open")
+	}
 	seal(s.root)
 	return &Set{root: s.root}
 }
@@ -480,6 +515,49 @@ func (s *Set) EndGeneration() {
 	if s.gen != 0 {
 		s.gen = 0
 	}
+}
+
+// Journal seals the set and opens an undo log: the mutations that follow
+// can be undone, all together, by Rollback, or kept by Commit. It panics if
+// a journal is already open.
+func (s *Set) Journal() {
+	if s.j == nil {
+		s.j = new(journal)
+	}
+	if s.j.open {
+		panic("ads: Journal while a journal is open")
+	}
+	seal(s.root)
+	s.j.open, s.j.root = true, s.root
+}
+
+// Commit closes the open journal, keeping the mutations made under it.
+func (s *Set) Commit() { s.openJournal().close() }
+
+// Rollback undoes every mutation since Journal and closes the journal: the
+// set's root, records and cached hashes are what they were at Journal.
+func (s *Set) Rollback() {
+	j := s.openJournal()
+	for i := len(j.saved) - 1; i >= 0; i-- {
+		*j.saved[i].n = j.saved[i].prior
+	}
+	s.root = j.root
+	j.close()
+}
+
+// openJournal returns the open journal, panicking if there is none.
+func (s *Set) openJournal() *journal {
+	if s.j == nil || !s.j.open {
+		panic("ads: no journal is open")
+	}
+	return s.j
+}
+
+// close drops the journal's references, keeping its capacity for the next
+// Journal.
+func (j *journal) close() {
+	clear(j.saved)
+	j.saved, j.root, j.open = j.saved[:0], nil, false
 }
 
 // ProveIndex builds a membership proof for the record at in-order index i.

@@ -15,8 +15,10 @@ import (
 //   - Apply: replay one batch shipped from a leader through the normal
 //     log-then-apply path, then verify the post-apply state against the
 //     leader's anchor. A mismatch is a divergence: the shard refuses the
-//     batch (rolling it back out of its durable log), halts replication for
-//     itself, and keeps serving its last verified view.
+//     batch (rolling it back out of its durable log, and out of its record
+//     set when the batch edited an unread view in place under the set's
+//     undo journal), halts replication for itself, and keeps serving its
+//     last verified view.
 //   - Reset: replace the shard's state wholesale with a bootstrap snapshot,
 //     after verifying the restored state hashes to the snapshot's anchor.
 //   - ReplSnapshot: produce such a snapshot at the shard's current seq.
@@ -181,7 +183,8 @@ func (s *ShardedFeed) replRequest(shard int, req request) (response, error) {
 // log-then-apply path and verifies the post-apply anchor. On divergence the
 // batch is rolled back out of the durable log, the shard's replication
 // halts (every later Apply returns the same DivergenceError), and the
-// last verified read view stays published.
+// last verified read view stays published (or, when the batch retracted it,
+// is published again).
 func (s *ShardedFeed) Apply(shard int, e repl.Entry) error {
 	r, err := s.replRequest(shard, request{kind: reqRepl, entry: &e})
 	if err != nil {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -122,21 +123,43 @@ func TestReplicatedApplyMirrorsLeader(t *testing.T) {
 }
 
 // TestReplicatedApplyDivergenceHalts flips one byte in a shipped batch: the
-// anchor check must reject it with a DivergenceError, halt that shard
-// permanently, and keep the previously published view serving.
+// anchor check must reject it with a DivergenceError and halt that shard
+// permanently, and the pre-batch view must serve on: its (seq, height, root,
+// count) anchor unchanged, and every key the refused batch wrote reading
+// back its pre-batch value with a proof that verifies. It runs on both
+// paths a batch can take past the view: unread (the view is retracted, the
+// batch edits it in place under the set's journal and rolls back) and
+// pinned (the view stays published, the batch copies its nodes).
 func TestReplicatedApplyDivergenceHalts(t *testing.T) {
+	for _, pinned := range []bool{false, true} {
+		name := "unread"
+		if pinned {
+			name = "pinned"
+		}
+		t.Run(name, func(t *testing.T) { testDivergenceHalts(t, pinned) })
+	}
+}
+
+func testDivergenceHalts(t *testing.T, pinned bool) {
 	leader := newReplicating(t, 1, 8)
 	follower := newReplicating(t, 1, 8)
 	driveLeader(t, leader, 4)
 	ship(t, leader, follower)
 
-	// Roots pins nothing: the refused batch must leave the view intact even
-	// though no reader ever pinned it.
+	// Roots pins nothing, and the pre-batch values come from the leader's
+	// views, so on the unread path no reader ever pins the follower's view.
 	roots, err := follower.Engine().Roots()
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := roots[0]
+	preBatch := make(map[string]*query.GetResult)
+	for i := 0; i < 64; i++ {
+		k := fmt.Sprintf("key%03d", i)
+		if preBatch[k], err = leader.Engine().Get(k); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	driveLeader(t, leader, 1)
 	page, err := leader.ReplPage(0, before.Seq, 10)
@@ -151,6 +174,11 @@ func TestReplicatedApplyDivergenceHalts(t *testing.T) {
 	tampered.Ops[0].Value = append([]byte(nil), tampered.Ops[0].Value...)
 	tampered.Ops[0].Value[0] ^= 0x01 // the flipped byte
 
+	if pinned {
+		if _, err := follower.Engine().ViewOf(0); err != nil {
+			t.Fatal(err)
+		}
+	}
 	err = follower.Apply(0, tampered)
 	if !errors.Is(err, repl.ErrDivergence) {
 		t.Fatalf("tampered batch: err = %v, want ErrDivergence", err)
@@ -172,30 +200,47 @@ func TestReplicatedApplyDivergenceHalts(t *testing.T) {
 		t.Error("divergence not surfaced in shard stats")
 	}
 
-	// The forked state was never published: the view still serves the
-	// last verified root, and its nodes were copied, not edited, so a read
-	// of the key the refused batch wrote still verifies against it. (A view
-	// the refused batch retracted would never be succeeded: bound the wait.)
-	key := tampered.Ops[0].Key
+	// The forked state was never published: the view serving is the
+	// pre-batch one. (A view the refused batch retracted and never
+	// succeeded would block its readers: bound the wait.)
+	if roots, err = follower.Engine().Roots(); err != nil {
+		t.Fatal(err)
+	}
+	if roots[0] != before {
+		t.Errorf("view after the refusal %+v, want the pre-batch anchor %+v", roots[0], before)
+	}
 	answer := make(chan error, 1)
 	go func() {
-		res, err := follower.Engine().Get(key)
-		switch {
-		case err != nil:
-		case res.Seq != before.Seq || res.Root != before.Root:
-			err = fmt.Errorf("view advanced past divergence: seq %d root %s", res.Seq, res.Root)
-		default:
-			err = query.VerifyGet(key, res)
+		for _, op := range tampered.Ops {
+			if op.Type != "write" {
+				continue
+			}
+			res, err := follower.Engine().Get(op.Key)
+			if err == nil {
+				err = query.VerifyGet(op.Key, res)
+			}
+			want := preBatch[op.Key]
+			switch {
+			case err != nil:
+			case res.Seq != before.Seq || res.Root != before.Root:
+				err = fmt.Errorf("view advanced past divergence: seq %d root %s", res.Seq, res.Root)
+			case res.Found != want.Found || res.Record.State != want.Record.State || !bytes.Equal(res.Record.Value, want.Record.Value):
+				err = fmt.Errorf("%q reads back found=%v %+v, pre-batch found=%v %+v", op.Key, res.Found, res.Record, want.Found, want.Record)
+			}
+			if err != nil {
+				answer <- err
+				return
+			}
 		}
-		answer <- err
+		answer <- nil
 	}()
 	select {
 	case err := <-answer:
 		if err != nil {
-			t.Errorf("read of the last verified view: %v", err)
+			t.Errorf("read of the pre-batch view: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("read of the last verified view blocked: it was retracted and never succeeded")
+		t.Fatal("read of the pre-batch view blocked: it was retracted and never succeeded")
 	}
 }
 

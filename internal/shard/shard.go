@@ -65,10 +65,12 @@ type Options struct {
 	// never send the shard workers a message, but a read that finds its
 	// view retracted waits for the one batch in flight on that shard.
 	// Publication is a root-pointer capture of the persistent record set,
-	// which the batch anchor has already sealed. A client batch copies the
-	// nodes it writes only if a reader pinned the view before it; a view
-	// nobody read is retracted and edited in place. Replicated applies
-	// always copy, so a refused batch leaves the last verified view intact.
+	// which the batch anchor has already sealed. A batch, client or
+	// replicated, copies the nodes it writes only if a reader pinned the
+	// view before it; a view nobody read is retracted and edited in place.
+	// A replicated batch edits a retracted view's nodes under an undo
+	// journal, so a batch refused for its anchor rolls back and the last
+	// verified view is published again.
 	Views bool
 	// Persist, when non-nil, backs every shard with a durable op log and
 	// snapshot store (see persist.go); New recovers whatever state the
@@ -351,12 +353,18 @@ func (w *worker) publishView(st *shardState) {
 // reader pinned the view, retracting it means none ever will, and the batch
 // edits the view's nodes in place; otherwise the set ends its generation,
 // and the batch copies every node the view reaches before writing it. After
-// a retraction publishView must run before the worker waits for its next
-// request: readers that found the view retracted wait for its successor.
-func (w *worker) releaseView(st *shardState) {
-	if w.views != nil && !w.views.Retract(w.idx) {
-		st.feed.DO.Set().EndGeneration()
+// a retraction a view must be published before the worker waits for its
+// next request: readers that found the view retracted wait for its
+// successor. It reports whether it retracted the view.
+func (w *worker) releaseView(st *shardState) (retracted bool) {
+	if w.views == nil {
+		return false
 	}
+	if w.views.Retract(w.idx) {
+		return true
+	}
+	st.feed.DO.Set().EndGeneration()
+	return false
 }
 
 // anchor reads the shard's current post-apply anchor. Root seals the set:
@@ -502,10 +510,16 @@ func (w *worker) loop(st *shardState) {
 // path client batches take, then verifies the post-apply state against the
 // leader's anchor. On a mismatch the batch is rolled back out of the durable
 // log (it must not replay into recovered state), the shard halts replication
-// permanently, and the previously published view keeps serving — the shard
-// refuses to fork rather than serving unverified state. (A crash between
-// the log append and the rollback can leave the refused batch durable; the
-// next replicated apply after recovery re-detects the divergence.)
+// permanently, and the pre-batch view keeps serving — the shard refuses to
+// fork rather than serving unverified state. (A crash between the log
+// append and the rollback can leave the refused batch durable; the next
+// replicated apply after recovery re-detects the divergence.)
+//
+// The view is released as for a client batch. A pinned view stays
+// published, and the batch copies its nodes. A retracted one is edited in
+// place under the set's undo journal: a refused batch rolls the set back and
+// publishes it again at the pre-batch seq, height, root and count, which
+// the readers waiting on the retracted view then pin.
 func (w *worker) applyReplicated(st *shardState, e *repl.Entry, clk *stageClock) error {
 	if st.repl == nil {
 		return ErrNotReplicating
@@ -522,11 +536,13 @@ func (w *worker) applyReplicated(st *shardState, e *repl.Entry, clk *stageClock)
 		}
 		clk.mark(obs.StagePersist, clk.stages.GetPersist())
 	}
-	// A diverged batch must leave the current view serving, so its nodes
-	// are copied, never edited, whether or not a reader pinned it.
-	if w.views != nil {
-		st.feed.DO.Set().EndGeneration()
+	// From here to publication nothing returns early.
+	set := st.feed.DO.Set()
+	journaled := w.releaseView(st)
+	if journaled {
+		set.Journal()
 	}
+	seq, height := uint64(st.batches), st.feed.Chain.Height()
 	_, got := st.applyBatch(e.Ops)
 	clk.mark(obs.StageApply, clk.stages.GetApply())
 	if got.Root != e.Root || got.Count != e.Count {
@@ -541,7 +557,14 @@ func (w *worker) applyReplicated(st *shardState, e *repl.Entry, clk *stageClock)
 				st.persistErr = rerr
 			}
 		}
+		if journaled {
+			set.Rollback()
+			w.views.Publish(w.idx, query.NewView(w.idx, seq, height, set.Capture()))
+		}
 		return div
+	}
+	if journaled {
+		set.Commit()
 	}
 	st.repl.append(*e)
 	clk.mark(obs.StageReplAppend, clk.stages.GetReplAppend())

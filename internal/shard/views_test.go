@@ -2,12 +2,15 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"grub/internal/core"
 	"grub/internal/query"
+	"grub/internal/repl"
 )
 
 // newViewFeed builds a one-shard feed holding records keys key-00000...,
@@ -74,13 +77,8 @@ func TestUnreadViewsAreEditedInPlace(t *testing.T) {
 }
 
 // TestViewRetractionUnderReaders is the retraction protocol under -race: one
-// writer applies batches while readers pin views and read them across
-// several batches, readers call Get back to back (and so race the worker's
-// retraction of the view they load), and others poll Roots. Every answer
-// must verify against its own view's anchor, a pinned view must keep
-// answering exactly as it first did, each reader must see every shard's seq
-// rise monotonically, two observations of one (shard, seq) must carry one
-// root, and the writer must read its acked writes.
+// writer applies batches while readReaders (see there) read the views, and
+// the writer must read its acked writes.
 func TestViewRetractionUnderReaders(t *testing.T) {
 	const shards, keys, batches, batchLen = 2, 64, 300, 4
 	sf, err := New(Options{Shards: shards, Views: true},
@@ -91,7 +89,49 @@ func TestViewRetractionUnderReaders(t *testing.T) {
 	t.Cleanup(sf.Close)
 	e := sf.Engine()
 	key := func(i int) string { return fmt.Sprintf("key-%03d", i%keys) }
+	stop := startReaders(e, shards, keys, key)
 
+	for b := 0; b < batches; b++ {
+		ops := make([]core.Op, batchLen)
+		for j := range ops {
+			ops[j] = core.Op{Type: "write", Key: key(b*batchLen + j), Value: []byte(fmt.Sprintf("v%d", b))}
+		}
+		if _, err := sf.Do(ops); err != nil {
+			t.Fatal(err)
+		}
+		if b%10 != 0 {
+			continue // leave most views to the readers, or to nobody
+		}
+		// Acked, so published: the writes read back (EpochOps 1 flushes
+		// every write).
+		for _, op := range ops {
+			res, err := e.Get(op.Key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := query.VerifyGet(op.Key, res); err != nil {
+				t.Fatal(err)
+			}
+			if !res.Found || !bytes.Equal(res.Record.Value, op.Value) {
+				t.Fatalf("batch %d: acked write %q=%q reads back as found=%v %+v", b, op.Key, op.Value, res.Found, res.Record)
+			}
+		}
+	}
+	for _, err := range stop() {
+		t.Error(err)
+	}
+}
+
+// startReaders runs the readers of the view-retraction tests against e until
+// the returned stop is called: two call Get back to back (and so race the
+// worker's retraction of the view they load), two pin views and read them
+// across several batches, one polls Roots. Every answer must verify against
+// its own view's anchor, a pinned view must keep answering exactly as it
+// first did, each reader must see every shard's seq rise monotonically, and
+// two observations of one (shard, seq) must carry one root. stop returns the
+// readers' errors; it reports a reader still blocked 10 s after the call as
+// one too, since a retracted view was then never succeeded.
+func startReaders(e *query.Engine, shards, keys int, key func(int) string) (stop func() []error) {
 	var mu sync.Mutex
 	rootAt := make(map[[2]uint64]query.RootInfo) // (shard, seq) -> anchor
 	sameAnchor := func(shard int, seq uint64, a query.RootInfo) error {
@@ -204,36 +244,183 @@ func TestViewRetractionUnderReaders(t *testing.T) {
 		return nil
 	})
 
+	return func() []error {
+		close(done)
+		stopped := make(chan struct{})
+		go func() { wg.Wait(); close(stopped) }()
+		select {
+		case <-stopped:
+		case <-time.After(10 * time.Second):
+			return []error{fmt.Errorf("a reader is still blocked 10 s after stop: a retracted view was never succeeded")}
+		}
+		close(errs)
+		var out []error
+		for err := range errs {
+			out = append(out, err)
+		}
+		return out
+	}
+}
+
+// newFollower builds a one-shard replicating follower, with or without read
+// views.
+func newFollower(t *testing.T, views bool, epochOps int) *ShardedFeed {
+	t.Helper()
+	sf, err := New(Options{Shards: 1, Views: views, Repl: true},
+		func(int) (*core.Feed, error) { return newTestFeed(epochOps) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sf.Close)
+	return sf
+}
+
+// TestReplicatedApplyAllocs is TestUnreadViewsAreEditedInPlace for the
+// follower: with Views on and nobody reading, a shipped entry edits the
+// retracted view's nodes in place under the set's undo journal, so it
+// allocates what the same entry does with Views off plus the view itself.
+// Once a reader pins each view, the entry copies the root paths it writes.
+func TestReplicatedApplyAllocs(t *testing.T) {
+	const records, writes, runs = 10_000, 8, 50
+	leader, err := New(Options{Shards: 1, Repl: true},
+		func(int) (*core.Feed, error) { return newTestFeed(writes) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(leader.Close)
+	preload := make([]core.Op, records)
+	for i := range preload {
+		preload[i] = core.Op{Type: "write", Key: fmt.Sprintf("key-%05d", i), Value: []byte("preloaded value")}
+	}
+	if _, err := leader.Do(preload); err != nil {
+		t.Fatal(err)
+	}
+	value := []byte("a 32-byte value, as in the paper")
+	for b := 0; b <= runs; b++ { // AllocsPerRun makes one warm-up run
+		batch := make([]core.Op, writes)
+		for j := range batch {
+			batch[j] = core.Op{Type: "write", Key: fmt.Sprintf("key-%05d", (b*writes+j)*7919%records), Value: value}
+		}
+		if _, err := leader.Do(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	page, err := leader.ReplPage(0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Entries) != runs+2 {
+		t.Fatalf("leader log holds %d entries, want %d", len(page.Entries), runs+2)
+	}
+
+	entryAllocs := func(views, pin bool) float64 {
+		f := newFollower(t, views, writes)
+		if err := f.Apply(0, page.Entries[0]); err != nil {
+			t.Fatal(err)
+		}
+		next := 1
+		return testing.AllocsPerRun(runs, func() {
+			if pin {
+				if _, err := f.Engine().ViewOf(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := f.Apply(0, page.Entries[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+	}
+	off := entryAllocs(false, false)
+	unread := entryAllocs(true, false)
+	pinned := entryAllocs(true, true)
+	t.Logf("allocs per shipped %d-write entry: views off %v, unread views %v, pinned views %v", writes, off, unread, pinned)
+	if unread > off+3 {
+		t.Errorf("unread views cost %v allocations per entry over views off (%v), want at most 3: the entry copied nodes of a view nobody read", unread-off, off)
+	}
+	if pinned < off+5*writes {
+		t.Errorf("pinned views cost only %v allocations per entry over views off, want the written root paths copied", pinned-off)
+	}
+}
+
+// TestReplicatedViewRetractionUnderReaders is the retraction protocol on a
+// follower under -race: shipped entries apply while startReaders' readers
+// read the views, and one tampered entry is refused mid-run, on whichever
+// path (journal and rollback, or copy) the readers left it. The refused
+// shard must keep serving its pre-batch anchor, and no read may block on it.
+func TestReplicatedViewRetractionUnderReaders(t *testing.T) {
+	const shards, keys, batches, batchLen, tamperAt = 2, 64, 300, 4, 150
+	leader, err := New(Options{Shards: shards, Repl: true},
+		func(int) (*core.Feed, error) { return newTestFeed(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(leader.Close)
+	follower, err := New(Options{Shards: shards, Views: true, Repl: true},
+		func(int) (*core.Feed, error) { return newTestFeed(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(follower.Close)
+	e := follower.Engine()
+	key := func(i int) string { return fmt.Sprintf("key-%03d", i%keys) }
+	stop := startReaders(e, shards, keys, key)
+
+	cursor := make([]uint64, shards)
+	var refused query.RootInfo // shard 0's anchor when the tampered entry came
+	halted := false
 	for b := 0; b < batches; b++ {
 		ops := make([]core.Op, batchLen)
 		for j := range ops {
 			ops[j] = core.Op{Type: "write", Key: key(b*batchLen + j), Value: []byte(fmt.Sprintf("v%d", b))}
 		}
-		if _, err := sf.Do(ops); err != nil {
+		if _, err := leader.Do(ops); err != nil {
 			t.Fatal(err)
 		}
-		if b%10 != 0 {
-			continue // leave most views to the readers, or to nobody
-		}
-		// Acked, so published: the writes read back (EpochOps 1 flushes
-		// every write).
-		for _, op := range ops {
-			res, err := e.Get(op.Key)
+		for sh := range cursor {
+			if sh == 0 && halted {
+				continue
+			}
+			page, err := leader.ReplPage(sh, cursor[sh], 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := query.VerifyGet(op.Key, res); err != nil {
-				t.Fatal(err)
-			}
-			if !res.Found || !bytes.Equal(res.Record.Value, op.Value) {
-				t.Fatalf("batch %d: acked write %q=%q reads back as found=%v %+v", b, op.Key, op.Value, res.Found, res.Record)
+			for _, ent := range page.Entries {
+				if sh == 0 && b >= tamperAt {
+					roots, err := e.Roots()
+					if err != nil {
+						t.Fatal(err)
+					}
+					refused = roots[0]
+					ent.Ops = append([]core.Op(nil), ent.Ops...)
+					ent.Ops[0].Value = append([]byte("x"), ent.Ops[0].Value...)
+					if err := follower.Apply(sh, ent); !errors.Is(err, repl.ErrDivergence) {
+						t.Fatalf("tampered entry seq %d: err = %v, want ErrDivergence", ent.Seq, err)
+					}
+					halted = true
+					break
+				}
+				if err := follower.Apply(sh, ent); err != nil {
+					t.Fatalf("shard %d apply seq %d: %v", sh, ent.Seq, err)
+				}
+				cursor[sh] = ent.Seq
 			}
 		}
 	}
-	close(done)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	for _, err := range stop() {
 		t.Error(err)
+	}
+	if !halted {
+		t.Fatal("no entry for shard 0 was tampered")
+	}
+	roots, err := e.Roots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if roots[0] != refused {
+		t.Errorf("refused shard serves %+v, want its pre-batch anchor %+v", roots[0], refused)
+	}
+	if roots[1].Seq != cursor[1] {
+		t.Errorf("shard 1 serves seq %d, applied %d", roots[1].Seq, cursor[1])
 	}
 }
