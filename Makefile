@@ -51,7 +51,9 @@ bench:
 #   - binary ops encoding: arbitrary batch and result bodies likewise, with
 #     no allocation sized from a count the body claims;
 #   - binary replication log encoding: arbitrary log pages likewise, and an
-#     accepted page re-encodes to the bytes it came from.
+#     accepted page re-encodes to the bytes it came from;
+#   - SHA-256 kernel: merkle.Sum256 must equal crypto/sha256 on arbitrary
+#     messages, on the SHA-NI kernel and on the fallback.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzSetOps -fuzztime $(FUZZTIME)
@@ -60,6 +62,7 @@ fuzz-smoke:
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzReadWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzOpsWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/repl -run '^$$' -fuzz FuzzLogPageDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/merkle -run '^$$' -fuzz FuzzSum256 -fuzztime $(FUZZTIME)
 
 # Docs gate: relative markdown links in README.md and docs/ must resolve,
 # docs/API.md must document every route registered on the gateway mux, and

@@ -1,7 +1,6 @@
 package ads
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"iter"
@@ -220,7 +219,7 @@ func prioOf(st State, key string) uint64 {
 	var stack [128]byte
 	buf := append(stack[:0], 0xf0, byte(st))
 	buf = append(buf, key...)
-	sum := sha256.Sum256(buf)
+	sum := merkle.Sum256(buf)
 	return binary.BigEndian.Uint64(sum[:8])
 }
 

@@ -178,8 +178,8 @@ func BenchmarkProve1024(b *testing.B) {
 	}
 }
 
-// BenchmarkHashInner is the record set's unit of hashing: two per sealed
-// node.
+// BenchmarkHashInner is the record set's unit of hashing: a sealed node
+// costs one where only its right subtree changed and two otherwise.
 func BenchmarkHashInner(b *testing.B) {
 	l, r := HashLeaf([]byte("l")), HashLeaf([]byte("r"))
 	b.ReportAllocs()
@@ -291,11 +291,14 @@ func TestHashJSONRoundTrip(t *testing.T) {
 func TestHashKernelsDoNotAllocate(t *testing.T) {
 	a, b := HashLeaf([]byte("a")), HashLeaf([]byte("b"))
 	payload := make([]byte, leafBufSize-1)
+	twoBlocks := make([]byte, maxSumLen-1)
 	var sink Hash
 	for name, f := range map[string]func(){
-		"HashInner": func() { sink = HashInner(a, b) },
-		"HashLeaf":  func() { sink = HashLeaf(payload) },
-		"EmptyRoot": func() { sink = EmptyRoot() },
+		"HashInner":           func() { sink = HashInner(a, b) },
+		"HashLeaf":            func() { sink = HashLeaf(payload) },
+		"HashLeaf/two-blocks": func() { sink = HashLeaf(twoBlocks) },
+		"Sum256":              func() { sink = Sum256(twoBlocks) },
+		"EmptyRoot":           func() { sink = EmptyRoot() },
 	} {
 		if n := testing.AllocsPerRun(100, f); n != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", name, n)
@@ -305,9 +308,10 @@ func TestHashKernelsDoNotAllocate(t *testing.T) {
 }
 
 // TestHashLeafPreimage pins HashLeaf's output to the 0x00-prefixed SHA-256
-// on both sides of the stack-buffer limit.
+// on both sides of the one-block (55-byte preimage) and two-block (119-byte)
+// padding limits and of the stack-buffer limit.
 func TestHashLeafPreimage(t *testing.T) {
-	for _, n := range []int{0, 1, leafBufSize - 2, leafBufSize - 1, leafBufSize, leafBufSize + 1, 4096} {
+	for _, n := range []int{0, 1, 54, 55, 118, 119, leafBufSize - 2, leafBufSize - 1, leafBufSize, leafBufSize + 1, 4096} {
 		data := make([]byte, n)
 		for i := range data {
 			data[i] = byte(i)
