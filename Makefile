@@ -44,8 +44,9 @@ bench:
 #     verification at every step;
 #   - pruned-tree proofs: arbitrary bytes as a proof tree must be refused
 #     by the in-place verifiers unless the pointer-tree oracle accepts them;
-#   - kvstore SSTables: corrupted/truncated table bytes must error at open,
-#     never panic or serve wrong values;
+#   - kvstore checkpoint image and WAL: arbitrary bytes as base must fail
+#     Open or open to exactly what they encode, and as wal.log must open to
+#     their intact prefix; neither may panic;
 #   - binary read encoding: arbitrary get/range bodies must decode or error
 #     without panicking, deep recursion or outsized allocation;
 #   - binary ops encoding: arbitrary batch and result bodies likewise, with
@@ -58,7 +59,7 @@ FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzSetOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzProofTreeVerify -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/kvstore -run '^$$' -fuzz FuzzSSTableOpen -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/kvstore -run '^$$' -fuzz FuzzStoreOpen -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzReadWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzOpsWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/repl -run '^$$' -fuzz FuzzLogPageDecode -fuzztime $(FUZZTIME)

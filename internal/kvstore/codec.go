@@ -1,28 +1,29 @@
-// Package kvstore is the shard op-log store: a small log-structured
-// key-value engine in the spirit of Google LevelDB, which the GRuB paper's
-// prototype keeps the storage provider's records in. Here the record set is
-// an in-memory treap and the engine's one production caller is the shard
-// persister, which appends one log record per applied batch, scans the log
-// range, and keeps a single snapshot key. The package provides what that
-// takes:
+// Package kvstore is the shard op-log store: a small durable key-value
+// store with a LevelDB-style write path, where the GRuB paper's prototype
+// keeps the storage provider's records in Google LevelDB. Here the record
+// set is an in-memory treap and the store's one production caller is the
+// shard persister, which appends one log record per applied batch, scans
+// the log range, and keeps a single snapshot key. The package provides what
+// that takes, in two files:
 //
-//   - a write-ahead log for crash safety,
-//   - an in-memory skiplist memtable,
-//   - immutable, CRC-validated sorted-string-table (SSTable) files on disk,
-//   - leveled compaction on a background worker, and
-//   - ordered iterators with tombstone suppression, each a stable view of
-//     the store as of its creation.
+//   - wal.log, a CRC-framed write-ahead log in front of an in-memory
+//     skiplist memtable that holds the whole store, and
+//   - base, the checkpoint image: the live set in the same framing,
+//     written by Checkpoint, which then restarts wal.log empty.
 //
-// It carries no per-table filters, no record cache and no point-in-time
-// read API: the caller never looks up an absent key in a table, never
-// re-reads a key, and never reads the past (docs/ARCHITECTURE.md, "Storage
-// engine", has the measured traffic). All public methods are safe for
-// concurrent use by multiple goroutines.
+// Iterators walk keys in order with tombstone suppression, each a stable
+// view of the store as of its creation. There are no table files, levels
+// or background work: the caller's live set is one snapshot record plus the
+// log since it (docs/ARCHITECTURE.md, "Storage engine", has the measured
+// traffic). All public methods are safe for concurrent use by multiple
+// goroutines.
 package kvstore
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
-	"fmt"
+	"errors"
 )
 
 // entryKind discriminates live values from deletion tombstones.
@@ -44,43 +45,15 @@ type internalKey struct {
 // compareInternal orders internal keys: user key ascending, then seq
 // descending (newer first).
 func compareInternal(a, b internalKey) int {
-	if c := compareBytes(a.user, b.user); c != 0 {
+	if c := bytes.Compare(a.user, b.user); c != 0 {
 		return c
 	}
-	switch {
-	case a.seq > b.seq:
-		return -1
-	case a.seq < b.seq:
-		return 1
-	}
-	return 0
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
+	return cmp.Compare(b.seq, a.seq)
 }
 
 // appendEntry serializes one entry as:
 //
-//	varint(len key) | key | seq (8B) | kind (1B) | varint(len val) | val
+//	varint(len key) | key | varint(seq) | kind (1B) | varint(len val) | val
 func appendEntry(dst []byte, key []byte, seq uint64, kind entryKind, val []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
@@ -91,44 +64,43 @@ func appendEntry(dst []byte, key []byte, seq uint64, kind entryKind, val []byte)
 	return dst
 }
 
+// errCorruptEntry reports an entry that does not decode.
+var errCorruptEntry = errors.New("kvstore: corrupt entry")
+
 // decodeEntry parses one entry from buf, returning the parsed fields and the
 // number of bytes consumed. The returned slices alias buf.
 func decodeEntry(buf []byte) (key []byte, seq uint64, kind entryKind, val []byte, n int, err error) {
-	off := 0
-	klen, m := binary.Uvarint(buf[off:])
-	if m <= 0 {
-		return nil, 0, 0, nil, 0, fmt.Errorf("kvstore: corrupt entry: key length")
+	uvarint := func() uint64 {
+		v, m := binary.Uvarint(buf[n:])
+		if m <= 0 {
+			err = errCorruptEntry
+			return 0
+		}
+		n += m
+		return v
 	}
-	off += m
-	// Compare lengths in uint64 space: a huge klen must not wrap negative
-	// when truncated to int.
-	if klen > uint64(len(buf)-off) {
-		return nil, 0, 0, nil, 0, fmt.Errorf("kvstore: corrupt entry: key bytes")
+	// take compares lengths in uint64 space: a huge length must not wrap
+	// negative when truncated to int.
+	take := func(l uint64) []byte {
+		if err != nil || l > uint64(len(buf)-n) {
+			err = errCorruptEntry
+			return nil
+		}
+		n += int(l)
+		return buf[n-int(l) : n]
 	}
-	key = buf[off : off+int(klen)]
-	off += int(klen)
-	seq, m = binary.Uvarint(buf[off:])
-	if m <= 0 {
-		return nil, 0, 0, nil, 0, fmt.Errorf("kvstore: corrupt entry: seq")
+	key = take(uvarint())
+	seq = uvarint()
+	if err == nil && n < len(buf) {
+		kind = entryKind(buf[n])
+		n++
 	}
-	off += m
-	if off >= len(buf) {
-		return nil, 0, 0, nil, 0, fmt.Errorf("kvstore: corrupt entry: kind")
-	}
-	kind = entryKind(buf[off])
 	if kind != kindValue && kind != kindDelete {
-		return nil, 0, 0, nil, 0, fmt.Errorf("kvstore: corrupt entry: bad kind %d", kind)
+		err = errCorruptEntry
 	}
-	off++
-	vlen, m := binary.Uvarint(buf[off:])
-	if m <= 0 {
-		return nil, 0, 0, nil, 0, fmt.Errorf("kvstore: corrupt entry: value length")
+	val = take(uvarint())
+	if err != nil {
+		return nil, 0, 0, nil, 0, err
 	}
-	off += m
-	if vlen > uint64(len(buf)-off) {
-		return nil, 0, 0, nil, 0, fmt.Errorf("kvstore: corrupt entry: value bytes")
-	}
-	val = buf[off : off+int(vlen)]
-	off += int(vlen)
-	return key, seq, kind, val, off, nil
+	return key, seq, kind, val, n, nil
 }

@@ -23,6 +23,15 @@ func openTemp(t *testing.T, opts Options) *DB {
 	return db
 }
 
+// Len returns the number of live keys (a full scan).
+func (db *DB) Len() int {
+	n := 0
+	for it := db.NewIterator(); it.Valid(); it.Next() {
+		n++
+	}
+	return n
+}
+
 func TestPutGet(t *testing.T) {
 	db := openTemp(t, Options{})
 	if err := db.Put([]byte("k1"), []byte("v1")); err != nil {
@@ -98,6 +107,8 @@ func TestBatchAtomicVisibility(t *testing.T) {
 	}
 }
 
+// TestFlushAndRead reads every key back after a Checkpoint has written the
+// memtable to the checkpoint image.
 func TestFlushAndRead(t *testing.T) {
 	db := openTemp(t, Options{})
 	for i := 0; i < 100; i++ {
@@ -106,14 +117,14 @@ func TestFlushAndRead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
 	for i := 0; i < 100; i++ {
 		key := []byte(fmt.Sprintf("key-%03d", i))
 		v, err := db.Get(key)
 		if err != nil {
-			t.Fatalf("Get %s after flush: %v", key, err)
+			t.Fatalf("Get %s after checkpoint: %v", key, err)
 		}
 		if string(v) != fmt.Sprintf("val-%d", i) {
 			t.Fatalf("Get %s = %q", key, v)
@@ -126,7 +137,7 @@ func TestFlushedOverwriteWins(t *testing.T) {
 	if err := db.Put([]byte("k"), []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Flush(); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Put([]byte("k"), []byte("new")); err != nil {
@@ -136,12 +147,12 @@ func TestFlushedOverwriteWins(t *testing.T) {
 	if err != nil || string(v) != "new" {
 		t.Fatalf("Get = %q, %v; want new", v, err)
 	}
-	if err := db.Flush(); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	v, err = db.Get([]byte("k"))
 	if err != nil || string(v) != "new" {
-		t.Fatalf("Get after second flush = %q, %v; want new", v, err)
+		t.Fatalf("Get after second checkpoint = %q, %v; want new", v, err)
 	}
 }
 
@@ -150,22 +161,24 @@ func TestDeleteAcrossFlush(t *testing.T) {
 	if err := db.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Flush(); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Delete([]byte("k")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Flush(); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Get([]byte("k")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get = %v, want ErrNotFound (tombstone must shadow older table)", err)
+		t.Fatalf("Get = %v, want ErrNotFound (a checkpoint must not resurrect a deleted key)", err)
 	}
 }
 
+// TestCompaction: Checkpoint compacts the log, keeping the newest version of
+// each key and dropping the overwritten ones.
 func TestCompaction(t *testing.T) {
-	db := openTemp(t, Options{memtableBytes: 256, l0Compact: 2})
+	db := openTemp(t, Options{})
 	const n = 500
 	for i := 0; i < n; i++ {
 		key := []byte(fmt.Sprintf("key-%05d", i%100)) // heavy overwrites
@@ -173,11 +186,11 @@ func TestCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
 	if got := db.Len(); got != 100 {
-		t.Fatalf("Len after compaction = %d, want 100", got)
+		t.Fatalf("Len after checkpoint = %d, want 100", got)
 	}
 	for i := 0; i < 100; i++ {
 		key := []byte(fmt.Sprintf("key-%05d", i))
@@ -189,13 +202,14 @@ func TestCompaction(t *testing.T) {
 	}
 }
 
+// TestCompactionDropsTombstones: the checkpoint image holds no tombstones,
+// and the deleted keys stay deleted across a reopen.
 func TestCompactionDropsTombstones(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
 	for i := 0; i < 50; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -206,16 +220,30 @@ func TestCompactionDropsTombstones(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Compact(); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.Len(); got != 25 {
 		t.Fatalf("Len = %d, want 25", got)
 	}
+	if got := db.mem.count; got != 25 {
+		t.Fatalf("memtable holds %d versions after the checkpoint, want the 25 live", got)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if got := db2.Len(); got != 25 {
+		t.Fatalf("Len after reopen = %d, want 25", got)
+	}
 }
 
 func TestIteratorOrderAndCompleteness(t *testing.T) {
-	db := openTemp(t, Options{memtableBytes: 512})
+	db := openTemp(t, Options{})
 	want := map[string]string{}
 	r := sim.NewRand(5)
 	for i := 0; i < 300; i++ {
@@ -311,8 +339,7 @@ func TestWALRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Simulate a crash: close without flushing (Close does not flush the
-	// memtable; durability comes from the WAL).
+	// Close writes no checkpoint: durability comes from the WAL.
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -360,9 +387,11 @@ func TestWALTornTailIgnored(t *testing.T) {
 	}
 }
 
+// TestReopenAfterFlushAndCompact reopens a store whose state is split
+// between the checkpoint image and the WAL written after it.
 func TestReopenAfterFlushAndCompact(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{memtableBytes: 128})
+	db, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,10 +400,10 @@ func TestReopenAfterFlushAndCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Compact(); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// More writes after compaction, left in WAL.
+	// More writes after the checkpoint, left in the WAL.
 	for i := 200; i < 250; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("tail")); err != nil {
 			t.Fatal(err)
@@ -438,15 +467,15 @@ func TestEmptyAndBinaryKeys(t *testing.T) {
 }
 
 // Model-based property test: the DB must agree with a plain map under a
-// random operation sequence interleaved with flushes and compactions.
+// random operation sequence interleaved with checkpoints and reopens.
 func TestModelEquivalence(t *testing.T) {
 	f := func(seed uint64) bool {
 		dir := t.TempDir()
-		db, err := Open(dir, Options{memtableBytes: 512, l0Compact: 3})
+		db, err := Open(dir, Options{})
 		if err != nil {
 			return false
 		}
-		defer db.Close()
+		defer func() { db.Close() }()
 		model := map[string]string{}
 		r := sim.NewRand(seed)
 		for i := 0; i < 400; i++ {
@@ -458,12 +487,15 @@ func TestModelEquivalence(t *testing.T) {
 					return false
 				}
 			case 1:
-				if err := db.Flush(); err != nil {
+				if err := db.Checkpoint(); err != nil {
 					return false
 				}
 			case 2:
-				if i%97 == 0 {
-					if err := db.Compact(); err != nil {
+				if i%7 == 0 {
+					if db.Close() != nil {
+						return false
+					}
+					if db, err = Open(dir, Options{}); err != nil {
 						return false
 					}
 				}
@@ -529,7 +561,7 @@ func BenchmarkGet(b *testing.B) {
 	for i := 0; i < 10000; i++ {
 		_ = db.Put([]byte(fmt.Sprintf("key-%09d", i)), val)
 	}
-	_ = db.Flush()
+	_ = db.Checkpoint()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

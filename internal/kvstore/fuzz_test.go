@@ -4,147 +4,267 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// Fuzz targets for the storage engine's durable formats. The contract under
-// test: arbitrarily corrupted or truncated bytes must produce an error at
-// open — never a panic, and never a table that later serves wrong values.
-// parseSSTable front-loads all validation precisely so these hold.
+// Fuzz target for the store's two durable files. Arbitrary bytes as base
+// must fail Open or open to exactly the entries they encode; arbitrary
+// bytes as wal.log must open to their intact prefix, unless an intact frame
+// holds an entry that cannot be replayed. Neither may panic.
 
-// fuzzEntries is the fixture both seed tables hold: 40 keys, tombstones on
-// every seventh, a second (older) version of every third.
-func fuzzEntries() []sstEntry {
-	var entries []sstEntry
-	seq := uint64(100)
-	for i := 0; i < 40; i++ {
-		user := []byte(fmt.Sprintf("key-%03d", i))
-		kind := kindValue
-		if i%7 == 0 {
-			kind = kindDelete
-		}
-		entries = append(entries, sstEntry{
-			key: internalKey{user: user, seq: seq, kind: kind},
-			val: []byte(fmt.Sprintf("value-%d", i)),
-		})
-		if i%3 == 0 { // second, older version of some keys
-			entries = append(entries, sstEntry{
-				key: internalKey{user: user, seq: seq - 50, kind: kindValue},
-				val: []byte("old"),
-			})
-		}
-		seq++
-	}
-	return entries
-}
-
-// fuzzTableBytes builds a small valid table with the package's writer and
-// returns its raw bytes — the seed the fuzzer mutates from.
-func fuzzTableBytes(tb testing.TB) []byte {
+// seedFiles builds a small store with the package's own writers and returns
+// its checkpoint image and, from writes after it, its WAL: the seeds the
+// fuzzer mutates from.
+func seedFiles(tb testing.TB) (base, walLog []byte) {
 	tb.Helper()
-	path := filepath.Join(tb.TempDir(), "seed.sst")
-	if err := writeSSTable(path, fuzzEntries()); err != nil {
-		tb.Fatalf("write seed table: %v", err)
-	}
-	raw, err := os.ReadFile(path)
+	dir := tb.TempDir()
+	db, err := Open(dir, Options{})
 	if err != nil {
-		tb.Fatalf("read seed table: %v", err)
+		tb.Fatal(err)
 	}
-	return raw
+	for i := 0; i < 40; i++ {
+		db.Put([]byte(fmt.Sprintf("key-%03d", i)), []byte(fmt.Sprintf("value-%d", i)))
+	}
+	if err := db.Checkpoint(); err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 40; i += 7 {
+		b := NewBatch()
+		b.Put([]byte(fmt.Sprintf("key-%03d", i)), []byte("new"))
+		b.Delete([]byte(fmt.Sprintf("key-%03d", i+1)))
+		db.Write(b)
+	}
+	db.Close()
+	if base, err = os.ReadFile(filepath.Join(dir, baseName)); err != nil {
+		tb.Fatal(err)
+	}
+	if walLog, err = os.ReadFile(filepath.Join(dir, walName)); err != nil {
+		tb.Fatal(err)
+	}
+	return base, walLog
 }
 
-// v1FooterTable rewrites a valid table in the retired version-1 layout:
-// the same body under a 28-byte footer (no filter offset) ending in the
-// "GRuBSST1" magic. The reader no longer accepts it.
-func v1FooterTable(v2 []byte) []byte {
-	footer := v2[len(v2)-footerV2Size:]
-	out := append([]byte(nil), v2[:len(v2)-footerV2Size]...)
-	out = append(out, footer[0:8]...)   // index offset
-	out = append(out, footer[16:28]...) // index count, entry count, crc
-	return binary.LittleEndian.AppendUint64(out, 0x4752754253535431)
+// refFrames splits data into intact frames the way the format describes
+// them, returning the payloads and the length of the intact prefix.
+func refFrames(data []byte) (payloads [][]byte, prefix int) {
+	for prefix+8 <= len(data) {
+		n := int(binary.LittleEndian.Uint32(data[prefix+4:]))
+		if n > len(data)-prefix-8 {
+			break
+		}
+		p := data[prefix+8 : prefix+8+n]
+		if crc32.ChecksumIEEE(p) != binary.LittleEndian.Uint32(data[prefix:]) {
+			break
+		}
+		payloads = append(payloads, p)
+		prefix += 8 + n
+	}
+	return payloads, prefix
 }
 
-func FuzzSSTableOpen(f *testing.F) {
-	// The legacy table has all three body regions, so the boundary cuts and
-	// per-region flips are taken from it.
-	legacy, _, _ := legacyTableBytes()
-	f.Add(legacy)
-	f.Add(fuzzTableBytes(f))
-	// Truncations at interesting boundaries.
-	for _, n := range []int{0, 1, 7, len(legacy) / 2, len(legacy) - 1, len(legacy) - footerV2Size, len(legacy) - footerV2Size + 4} {
-		f.Add(legacy[:n])
+type refEntry struct {
+	key, val []byte
+	seq      uint64
+	kind     entryKind
+}
+
+func refEntries(payload []byte) ([]refEntry, bool) {
+	var out []refEntry
+	for len(payload) > 0 {
+		key, seq, kind, val, n, err := decodeEntry(payload)
+		if err != nil {
+			return nil, false
+		}
+		out = append(out, refEntry{key, val, seq, kind})
+		payload = payload[n:]
 	}
-	// Single-byte corruptions in each region: entries, index, filter, footer.
-	for _, off := range []int{3, len(legacy) / 2, len(legacy) - footerV2Size - 1, len(legacy) - footerV2Size + 1, len(legacy) - 9} {
-		mut := append([]byte(nil), legacy...)
+	return out, true
+}
+
+// refBase is the model reading of a checkpoint image: the contents it
+// encodes, or ok=false when it is not a valid image.
+func refBase(data []byte) (map[string]string, bool) {
+	frames, prefix := refFrames(data)
+	if prefix != len(data) || len(frames) == 0 || len(frames[0]) != 24 || string(frames[0][:8]) != "GRuBBASE" {
+		return nil, false
+	}
+	seq, count := binary.LittleEndian.Uint64(frames[0][8:]), binary.LittleEndian.Uint64(frames[0][16:])
+	model := map[string]string{}
+	var prev []byte
+	for _, p := range frames[1:] {
+		entries, ok := refEntries(p)
+		if !ok {
+			return nil, false
+		}
+		for _, e := range entries {
+			if e.kind != kindValue || e.seq > seq || (len(model) > 0 && bytes.Compare(prev, e.key) >= 0) {
+				return nil, false
+			}
+			model[string(e.key)], prev = string(e.val), e.key
+		}
+	}
+	return model, uint64(len(model)) == count
+}
+
+// refWAL is the model replay of a WAL over no image: the contents of its
+// intact prefix and that prefix's length, or ok=false when an intact frame
+// holds an undecodable entry or a sequence number out of order.
+func refWAL(data []byte) (model map[string]string, prefix int, ok bool) {
+	frames, prefix := refFrames(data)
+	model = map[string]string{}
+	var last uint64
+	for _, p := range frames {
+		entries, ok := refEntries(p)
+		if !ok {
+			return nil, 0, false
+		}
+		for _, e := range entries {
+			switch {
+			case e.seq == 0: // at or below the (absent) image's seq 0
+				continue
+			case e.seq <= last:
+				return nil, 0, false
+			case e.kind == kindValue:
+				model[string(e.key)] = string(e.val)
+			default:
+				delete(model, string(e.key))
+			}
+			last = e.seq
+		}
+	}
+	return model, prefix, true
+}
+
+// openAs writes data as the named file of a fresh store directory and opens
+// it.
+func openAs(t *testing.T, name string, data []byte) (string, *DB, error) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(dir, Options{})
+	return dir, db, err
+}
+
+func contents(db *DB) map[string]string {
+	out := map[string]string{}
+	for it := db.NewIterator(); it.Valid(); it.Next() {
+		out[string(it.Key())] = string(it.Value())
+	}
+	return out
+}
+
+func sameContents(t *testing.T, what string, db *DB, want map[string]string) {
+	t.Helper()
+	got := contents(db)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d keys, want %d", what, len(got), len(want))
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("%s: %q = %q, want %q", what, k, got[k], v)
+		}
+		if g, err := db.Get([]byte(k)); err != nil || string(g) != v {
+			t.Fatalf("%s: Get(%q) = %q, %v; want %q", what, k, g, err, v)
+		}
+	}
+}
+
+func checkBaseBytes(t *testing.T, data []byte) {
+	dir, db, err := openAs(t, baseName, data)
+	want, ok := refBase(data)
+	if err != nil {
+		if ok {
+			t.Fatalf("valid image refused: %v", err)
+		}
+		return
+	}
+	defer db.Close()
+	if !ok {
+		t.Fatalf("invalid image opened, to %d keys", len(contents(db)))
+	}
+	sameContents(t, "base", db, want)
+	if got, _ := os.ReadFile(filepath.Join(dir, baseName)); !bytes.Equal(got, data) {
+		t.Fatal("Open rewrote base")
+	}
+}
+
+func checkWALBytes(t *testing.T, data []byte) {
+	dir, db, err := openAs(t, walName, data)
+	want, prefix, ok := refWAL(data)
+	if err != nil {
+		if ok {
+			t.Fatalf("WAL with an intact prefix of %d bytes refused: %v", prefix, err)
+		}
+		return
+	}
+	defer db.Close()
+	if !ok {
+		t.Fatal("WAL with a corrupt intact frame opened")
+	}
+	sameContents(t, "wal", db, want)
+	if got, _ := os.ReadFile(filepath.Join(dir, walName)); !bytes.Equal(got, data[:prefix]) {
+		t.Fatalf("WAL left at %d bytes, want its intact prefix of %d", len(got), prefix)
+	}
+}
+
+func FuzzStoreOpen(f *testing.F) {
+	base, walLog := seedFiles(f)
+	f.Add(base)
+	f.Add(walLog)
+	f.Add([]byte{})
+	// Truncations at interesting boundaries: inside the first header, at the
+	// end of the image's header frame, mid-file, one byte short.
+	for _, n := range []int{1, 7, 8 + baseHeaderLen, len(base) / 2, len(base) - 1} {
+		f.Add(base[:n])
+	}
+	for _, n := range []int{len(walLog) / 2, len(walLog) - 3} {
+		f.Add(walLog[:n])
+	}
+	// Single-byte corruptions: a CRC, a length, the magic, an entry, the
+	// last byte.
+	for _, off := range []int{0, 5, 10, len(base) / 2, len(base) - 1} {
+		mut := append([]byte(nil), base...)
 		mut[off] ^= 0xff
 		f.Add(mut)
 	}
-	f.Add(v1FooterTable(fuzzTableBytes(f)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tab, err := parseSSTable(data, 1, 0)
-		if err != nil {
-			return // rejected: the only acceptable failure mode
-		}
-		// Accepted tables must be fully servable: iterate everything in
-		// strict order and point-read every key without panicking.
-		it := tab.iterator()
-		n := 0
-		var prev internalKey
-		for it.SeekToFirst(); it.Valid(); it.Next() {
-			ik, _ := it.Entry()
-			if n > 0 && compareInternal(prev, ik) >= 0 {
-				t.Fatalf("accepted table iterates out of order")
-			}
-			prev = internalKey{user: append([]byte(nil), ik.user...), seq: ik.seq, kind: ik.kind}
-			if _, _, ok := tab.get(ik.user); !ok {
-				t.Fatalf("accepted table misses its own key %q", ik.user)
-			}
-			it2 := tab.iterator()
-			it2.Seek(ik.user)
-			if !it2.Valid() {
-				t.Fatalf("Seek(%q) exhausted on accepted table", ik.user)
-			}
-			if got, _ := it2.Entry(); !bytes.Equal(got.user, ik.user) {
-				t.Fatalf("Seek(%q) landed on %q", ik.user, got.user)
-			}
-			n++
-		}
-		if n != tab.count {
-			t.Fatalf("iterated %d entries, footer claims %d", n, tab.count)
-		}
+		checkBaseBytes(t, data)
+		checkWALBytes(t, data)
 	})
 }
 
 // TestFuzzSeedsParse keeps the fuzz seeds honest in a plain `go test` run:
-// the valid seeds must parse, the corrupt ones must be rejected.
+// the valid files open to their full contents, every cut or flipped image
+// is refused, and every cut WAL opens to its intact prefix.
 func TestFuzzSeedsParse(t *testing.T) {
-	seed, _, _ := legacyTableBytes()
-	if _, err := parseSSTable(seed, 1, 0); err != nil {
-		t.Fatalf("valid legacy seed rejected: %v", err)
+	base, walLog := seedFiles(t)
+	if m, ok := refBase(base); !ok || len(m) != 40 {
+		t.Fatalf("seed image reads as %d keys, ok=%v", len(m), ok)
 	}
-	if _, err := parseSSTable(fuzzTableBytes(t), 1, 0); err != nil {
-		t.Fatalf("valid seed from the writer rejected: %v", err)
+	if m, prefix, ok := refWAL(walLog); !ok || prefix != len(walLog) || len(m) != 6 {
+		t.Fatalf("seed WAL reads as %d keys over %d/%d bytes, ok=%v", len(m), prefix, len(walLog), ok)
 	}
-	for cut := 0; cut < len(seed); cut += 13 {
-		if _, err := parseSSTable(seed[:cut], 1, 0); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+	checkBaseBytes(t, base)
+	checkWALBytes(t, walLog)
+	for cut := 0; cut < len(base); cut += 13 {
+		if _, ok := refBase(base[:cut]); ok {
+			t.Fatalf("image cut at %d reads as valid", cut)
 		}
+		checkBaseBytes(t, base[:cut])
 	}
-	for off := 0; off < len(seed); off += 11 {
-		mut := append([]byte(nil), seed...)
+	for off := 0; off < len(base); off += 11 {
+		mut := append([]byte(nil), base...)
 		mut[off] ^= 0x55
-		tab, err := parseSSTable(mut, 1, 0)
-		if err != nil {
-			continue
+		if _, ok := refBase(mut); ok {
+			t.Fatalf("image flipped at %d reads as valid", off)
 		}
-		// A flip the CRC cannot see (e.g. inside the footer's own CRC field
-		// region is covered; nothing here should be accepted silently except
-		// a flip that produces another fully-consistent table, which a
-		// single XOR cannot).
-		_ = tab
-		t.Fatalf("corruption at offset %d accepted", off)
+		checkBaseBytes(t, mut)
+	}
+	for cut := 0; cut < len(walLog); cut += 5 {
+		checkWALBytes(t, walLog[:cut])
 	}
 }

@@ -1,132 +1,68 @@
 package kvstore
 
-import "container/heap"
-
-// internalIterator is the common shape of memtable and SSTable iterators.
-type internalIterator interface {
-	SeekToFirst()
-	Seek(user []byte)
-	Valid() bool
-	Next()
-	Entry() (internalKey, []byte)
-}
-
-// mergeSource wraps one internal iterator with a tie-break rank: lower rank
-// wins on equal internal keys (rank encodes recency: memtable first, then
-// newer tables).
-type mergeSource struct {
-	it   internalIterator
-	rank int
-}
-
-// mergeHeap is a min-heap of non-exhausted sources ordered by their current
-// internal key, breaking ties by rank.
-type mergeHeap []*mergeSource
-
-func (h mergeHeap) Len() int { return len(h) }
-
-func (h mergeHeap) Less(i, j int) bool {
-	ki, _ := h[i].it.Entry()
-	kj, _ := h[j].it.Entry()
-	if c := compareInternal(ki, kj); c != 0 {
-		return c < 0
-	}
-	return h[i].rank < h[j].rank
-}
-
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *mergeHeap) Push(x any) { *h = append(*h, x.(*mergeSource)) }
-
-func (h *mergeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// Iterator walks live user keys in ascending order at a fixed snapshot.
-// Tombstoned and shadowed versions are suppressed. The Key and Value slices
-// are valid until the next call to Next or Seek.
+// Iterator walks live user keys in ascending order as of its creation:
+// versions written after it was made, and tombstones, are skipped. It reads
+// the memtable under the DB's read lock one step at a time, so writers may
+// run between steps; a Checkpoint swaps in a new memtable but leaves the
+// iterator's own, which is never changed again, in place. Key and Value
+// must not be modified; they stay valid after the iterator moves on.
 type Iterator struct {
-	// sources is the full merge set. The heap only holds non-exhausted
-	// sources, and positioning pops the ones it drains — Seek must rebuild
-	// from every source, or a source consumed early (say a memtable whose
-	// only entry was yielded first) would silently vanish from the
-	// reseeked view.
-	sources []*mergeSource
-	h       mergeHeap
-	maxSeq  uint64
-	key     []byte
-	val     []byte
-	valid   bool
+	db       *DB
+	mem      *memtable
+	seq      uint64    // snapshot: the newest version visible
+	n        *skipNode // first node of the next user key to consider
+	key, val []byte
+	valid    bool
 }
 
-func newIterator(sources []*mergeSource, maxSeq uint64) *Iterator {
-	it := &Iterator{maxSeq: maxSeq, sources: sources}
-	for _, s := range sources {
-		s.it.SeekToFirst()
-		if s.it.Valid() {
-			it.h = append(it.h, s)
+// NewIterator returns an iterator over all live keys as of the call: writes
+// that land while it is being walked stay invisible to it.
+func (db *DB) NewIterator() *Iterator { return db.NewIteratorFrom(nil) }
+
+// NewIteratorFrom returns an iterator positioned at the first live key >=
+// start, as of the call. Durability layers that keep sequenced logs
+// under ordered keys (the shard op log, replication catch-up) use it to tail
+// from a cursor without scanning the keyspace below it.
+func (db *DB) NewIteratorFrom(start []byte) *Iterator {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	it := &Iterator{db: db, mem: db.mem, seq: db.seq}
+	it.n = it.mem.seek(start)
+	it.advance()
+	return it
+}
+
+// advance moves to the first live key at or after it.n. The caller holds
+// the read lock.
+func (it *Iterator) advance() {
+	for it.n != nil {
+		var v *skipNode
+		v, it.n = visible(it.n, it.seq)
+		if v != nil && v.key.kind == kindValue {
+			it.key, it.val, it.valid = v.key.user, v.val, true
+			return
 		}
 	}
-	heap.Init(&it.h)
-	it.findNext(nil)
-	return it
+	it.key, it.val, it.valid = nil, nil, false
 }
 
 // Seek repositions the iterator at the first live key >= user.
 func (it *Iterator) Seek(user []byte) {
-	it.h = it.h[:0]
-	for _, s := range it.sources {
-		s.it.Seek(user)
-		if s.it.Valid() {
-			it.h = append(it.h, s)
-		}
-	}
-	heap.Init(&it.h)
-	it.findNext(nil)
+	it.db.mu.RLock()
+	defer it.db.mu.RUnlock()
+	it.n = it.mem.seek(user)
+	it.advance()
 }
 
-// findNext advances the merged stream to the next live user key strictly
-// greater than prev (or any key if prev is nil).
-func (it *Iterator) findNext(prev []byte) {
-	for len(it.h) > 0 {
-		top := it.h[0]
-		ik, v := top.it.Entry()
-		// Advance the source.
-		top.it.Next()
-		if top.it.Valid() {
-			heap.Fix(&it.h, 0)
-		} else {
-			heap.Pop(&it.h)
-		}
-		if ik.seq > it.maxSeq {
-			continue // newer than our snapshot
-		}
-		if prev != nil && compareBytes(ik.user, prev) == 0 {
-			continue // shadowed older version of a key we already emitted/skipped
-		}
-		// ik is the newest visible version of ik.user.
-		prev = append([]byte(nil), ik.user...)
-		if ik.kind == kindDelete {
-			continue // tombstone: skip this user key entirely
-		}
-		it.key = prev
-		it.val = append([]byte(nil), v...)
-		it.valid = true
-		return
-	}
-	it.valid = false
-	it.key, it.val = nil, nil
+// Next advances to the next live user key.
+func (it *Iterator) Next() {
+	it.db.mu.RLock()
+	defer it.db.mu.RUnlock()
+	it.advance()
 }
 
 // Valid reports whether the iterator is positioned at a live entry.
 func (it *Iterator) Valid() bool { return it.valid }
-
-// Next advances to the next live user key.
-func (it *Iterator) Next() { it.findNext(it.key) }
 
 // Key returns the current user key.
 func (it *Iterator) Key() []byte { return it.key }

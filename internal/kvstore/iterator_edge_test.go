@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// Regression tests for merge-iterator edges the log tailers lean on: a
-// cursor positioned past every source, an empty memtable over populated
-// tables, and duplicate key versions straddling the seek point. Each shape
-// once had to be reasoned about by hand during the replication work; now
-// they are pinned.
+// Regression tests for iterator edges the log tailers lean on: a cursor
+// positioned past every key, a store reopened from its checkpoint image,
+// and duplicate key versions straddling the seek point. Each shape once had
+// to be reasoned about by hand during the replication work; now they are
+// pinned.
 
 // collect drains an iterator into key -> value.
 func collect(it *Iterator) map[string]string {
@@ -20,10 +20,10 @@ func collect(it *Iterator) map[string]string {
 	return out
 }
 
-// TestIteratorFromPastEverySource seeks beyond the last key of every layer
-// combination: memtable only, tables only, and mixed. The iterator must be
-// exhausted — and a later Seek back into range must recover every source,
-// because positioning pops drained sources off the merge heap.
+// TestIteratorFromPastEverySource seeks beyond the last key of every
+// shape a store takes: memtable only, loaded from an image, and an image
+// with a WAL over it. The iterator must be exhausted, and a later Seek back
+// into range must find every key again.
 func TestIteratorFromPastEverySource(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -34,25 +34,25 @@ func TestIteratorFromPastEverySource(t *testing.T) {
 				mustPut(t, db, fmt.Sprintf("k%02d", i), "m")
 			}
 		}},
-		{"single sstable, empty memtable", func(t *testing.T, db *DB) {
+		{"base only", func(t *testing.T, db *DB) {
 			for i := 0; i < 8; i++ {
 				mustPut(t, db, fmt.Sprintf("k%02d", i), "t")
 			}
-			if err := db.Flush(); err != nil {
+			if err := db.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"two sstables and a memtable", func(t *testing.T, db *DB) {
+		{"base and wal", func(t *testing.T, db *DB) {
 			for i := 0; i < 4; i++ {
 				mustPut(t, db, fmt.Sprintf("k%02d", i), "t1")
 			}
-			if err := db.Flush(); err != nil {
+			if err := db.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 			for i := 4; i < 8; i++ {
 				mustPut(t, db, fmt.Sprintf("k%02d", i), "t2")
 			}
-			if err := db.Flush(); err != nil {
+			if err := db.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 			mustPut(t, db, "k08", "m")
@@ -60,18 +60,27 @@ func TestIteratorFromPastEverySource(t *testing.T) {
 	}
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
-			db := openTemp(t, Options{})
+			dir := t.TempDir()
+			db, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			shape.build(t, db)
+			db.Close()
+			if db, err = Open(dir, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
 
 			it := db.NewIteratorFrom([]byte("zzz"))
 			if it.Valid() {
-				t.Fatalf("iterator past every source is valid, at %q", it.Key())
+				t.Fatalf("iterator past every key is valid, at %q", it.Key())
 			}
 			it.Next() // Next on an exhausted iterator stays exhausted
 			if it.Valid() {
 				t.Fatalf("Next on exhausted iterator revived it, at %q", it.Key())
 			}
-			// Seeking back into range must see every source again.
+			// Seeking back into range must see every key again.
 			it.Seek([]byte("k00"))
 			got := collect(it)
 			if len(got) < 8 {
@@ -81,30 +90,37 @@ func TestIteratorFromPastEverySource(t *testing.T) {
 	}
 }
 
-// TestIteratorEmptyMemtableOverTables pins iteration when the mutable layer
-// is empty (the state right after Flush, and after reopening a checkpointed
-// store): all keys live in SSTables, plus the variant where the memtable
-// holds only tombstones for flushed keys.
-func TestIteratorEmptyMemtableOverTables(t *testing.T) {
-	db := openTemp(t, Options{})
+// TestIteratorOverReopenedBase pins iteration over a store reopened from
+// its checkpoint image with an empty WAL, then with a WAL holding only
+// tombstones for the image's keys, then with every key deleted.
+func TestIteratorOverReopenedBase(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 10; i++ {
 		mustPut(t, db, fmt.Sprintf("k%02d", i), fmt.Sprintf("v%d", i))
 	}
-	if err := db.Flush(); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	db.Close()
+	if db, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
 
 	got := collect(db.NewIterator())
 	if len(got) != 10 || got["k00"] != "v0" || got["k09"] != "v9" {
-		t.Fatalf("full scan over empty memtable: %v", got)
+		t.Fatalf("full scan of the reopened image: %v", got)
 	}
 	it := db.NewIteratorFrom([]byte("k05"))
 	if !it.Valid() || string(it.Key()) != "k05" {
-		t.Fatalf("NewIteratorFrom(k05) over empty memtable at %q", it.Key())
+		t.Fatalf("NewIteratorFrom(k05) over the reopened image at %q", it.Key())
 	}
 
-	// Tombstone-only memtable: deletes over flushed keys must suppress them
-	// and nothing else.
+	// Deletes over the image's keys must suppress them and nothing else.
 	for i := 0; i < 10; i += 2 {
 		if err := db.Delete([]byte(fmt.Sprintf("k%02d", i))); err != nil {
 			t.Fatal(err)
@@ -112,7 +128,7 @@ func TestIteratorEmptyMemtableOverTables(t *testing.T) {
 	}
 	got = collect(db.NewIteratorFrom([]byte("k00")))
 	if len(got) != 5 {
-		t.Fatalf("tombstone-only memtable scan: %v", got)
+		t.Fatalf("scan under tombstones: %v", got)
 	}
 	for k := range got {
 		if k[2]%2 == 0 {
@@ -120,8 +136,7 @@ func TestIteratorEmptyMemtableOverTables(t *testing.T) {
 		}
 	}
 
-	// Delete everything: the store still has two populated sources but zero
-	// live keys.
+	// Delete everything: the store holds versions but zero live keys.
 	for i := 1; i < 10; i += 2 {
 		if err := db.Delete([]byte(fmt.Sprintf("k%02d", i))); err != nil {
 			t.Fatal(err)
@@ -133,19 +148,19 @@ func TestIteratorEmptyMemtableOverTables(t *testing.T) {
 }
 
 // TestIteratorSeekDuplicateVersions pins the seek behavior when the seek key
-// itself has versions in several sources: exactly one entry comes out, with
+// itself has several versions, across checkpoints: exactly one entry comes out, with
 // the newest value; a newest-version tombstone hides every older version;
 // and shadowed versions just below the seek point don't leak in.
 func TestIteratorSeekDuplicateVersions(t *testing.T) {
 	db := openTemp(t, Options{})
-	// "dup" gets a version in an old table, a newer table, and the memtable.
+	// "dup" gets a version before each of two checkpoints and one after.
 	mustPut(t, db, "below", "old")
 	mustPut(t, db, "dup", "v1")
-	if err := db.Flush(); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	mustPut(t, db, "dup", "v2")
-	if err := db.Flush(); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	mustPut(t, db, "below", "new") // shadowed pair strictly below the seek point

@@ -6,8 +6,8 @@ import (
 )
 
 // TestNewIteratorFrom pins the cursor-positioned iterator the durable-log
-// tailers use: it must start at the first live key >= start, across the
-// memtable, flushed tables and tombstones.
+// tailers use: it must start at the first live key >= start, across
+// checkpointed keys, later overwrites and tombstones.
 func TestNewIteratorFrom(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -23,9 +23,8 @@ func TestNewIteratorFrom(t *testing.T) {
 	if err := db.Put([]byte("snap"), []byte("s")); err != nil {
 		t.Fatal(err)
 	}
-	// Mix storage layers: flush half the history to an SSTable, then
-	// overwrite and delete above it from the fresh memtable.
-	if err := db.Flush(); err != nil {
+	// Checkpoint the history, then overwrite and delete above it.
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Delete([]byte("log/0007")); err != nil {
@@ -61,12 +60,10 @@ func TestNewIteratorFrom(t *testing.T) {
 	}
 }
 
-// TestSeekAfterSourceExhaustion pins a merge-iterator bug the replication
-// catch-up path exposed: positioning an iterator consumes its sources, and
-// a source drained during construction (here, a memtable holding exactly
-// one live key after a checkpoint + WAL replay) was dropped from the merge
-// heap — Seek then silently lost that source's keys. Seek must rebuild
-// from every source.
+// TestSeekAfterSourceExhaustion pins a bug the replication catch-up path
+// exposed in an earlier merging iterator: after a checkpoint and a WAL
+// replay of exactly one live key, Seek to that key silently lost it. Seek
+// must find every key the store holds.
 func TestSeekAfterSourceExhaustion(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{})
@@ -74,8 +71,8 @@ func TestSeekAfterSourceExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Shape the store like a persister after snapshot + one logged batch:
-	// superseded log records pruned, checkpoint folds everything into one
-	// table, then a single fresh log record lands in the WAL.
+	// superseded log records pruned, the checkpoint writes the image, then
+	// a single fresh log record lands in the WAL.
 	for i := 1; i <= 12; i++ {
 		db.Put([]byte(fmt.Sprintf("log/%016x", i)), []byte("old"))
 	}
@@ -94,7 +91,7 @@ func TestSeekAfterSourceExhaustion(t *testing.T) {
 	db.Put([]byte(fresh), []byte("v13"))
 	db.Close()
 
-	// Reopen: the fresh record replays into the memtable as its only key.
+	// Reopen: the image loads and the fresh record replays over it.
 	db2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +99,7 @@ func TestSeekAfterSourceExhaustion(t *testing.T) {
 	defer db2.Close()
 	it := db2.NewIteratorFrom([]byte(fresh))
 	if !it.Valid() || string(it.Key()) != fresh || string(it.Value()) != "v13" {
-		t.Fatalf("seek to %q lost the memtable's only key (at %q)", fresh, it.Key())
+		t.Fatalf("seek to %q lost the WAL's only key (at %q)", fresh, it.Key())
 	}
 	it.Next()
 	if !it.Valid() || string(it.Key()) != "snap" {

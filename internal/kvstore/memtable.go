@@ -1,8 +1,13 @@
 package kvstore
 
-// memtable is an in-memory skiplist over internal keys. It is the mutable
-// write buffer of the LSM tree; once it reaches the configured size it is
-// frozen and flushed to an SSTable.
+// memtable is an in-memory skiplist over internal keys. It holds the whole
+// store: the checkpoint image's live set plus every version written since,
+// until the next Checkpoint rebuilds it from the live versions alone.
+//
+// Nodes are only ever linked in, under the DB's write lock: none is
+// unlinked and no key or value changes, so a reader holding the read lock
+// sees a consistent list, and a node keeps its place for as long as anyone
+// holds it.
 //
 // The skiplist uses a deterministic per-table PRNG for level assignment so
 // the engine behaves identically across runs.
@@ -21,7 +26,6 @@ type skipNode struct {
 type memtable struct {
 	head   *skipNode
 	height int
-	size   int // approximate bytes of keys+values stored
 	count  int
 	rnd    uint64
 }
@@ -45,14 +49,11 @@ func (m *memtable) randomHeight() int {
 	return h
 }
 
-// add inserts an entry. Internal keys are unique (the DB assigns a fresh
+// add links in an entry. It keeps key and val, which the caller must never
+// change afterwards. Internal keys are unique (the DB assigns a fresh
 // sequence number per write) so no update-in-place is needed.
 func (m *memtable) add(key []byte, seq uint64, kind entryKind, val []byte) {
-	ik := internalKey{user: append([]byte(nil), key...), seq: seq, kind: kind}
-	var v []byte
-	if kind == kindValue {
-		v = append([]byte(nil), val...)
-	}
+	ik := internalKey{user: key, seq: seq, kind: kind}
 	var prev [maxHeight]*skipNode
 	x := m.head
 	for lvl := m.height - 1; lvl >= 0; lvl-- {
@@ -68,30 +69,21 @@ func (m *memtable) add(key []byte, seq uint64, kind entryKind, val []byte) {
 		}
 		m.height = h
 	}
-	n := &skipNode{key: ik, val: v}
+	n := &skipNode{key: ik}
+	if kind == kindValue {
+		n.val = val
+	}
 	for lvl := 0; lvl < h; lvl++ {
 		n.next[lvl] = prev[lvl].next[lvl]
 		prev[lvl].next[lvl] = n
 	}
-	m.size += len(key) + len(val) + 24
 	m.count++
 }
 
-// get returns the newest version of key. ok reports whether any version
-// exists; deleted reports whether that version is a tombstone.
-func (m *memtable) get(key []byte) (val []byte, deleted, ok bool) {
-	n := m.seek(internalKey{user: key, seq: ^uint64(0), kind: kindValue})
-	if n == nil || compareBytes(n.key.user, key) != 0 {
-		return nil, false, false
-	}
-	if n.key.kind == kindDelete {
-		return nil, true, true
-	}
-	return n.val, false, true
-}
-
-// seek returns the first node whose internal key is >= ik.
-func (m *memtable) seek(ik internalKey) *skipNode {
+// seek returns the first node of the first user key >= user: its newest
+// version.
+func (m *memtable) seek(user []byte) *skipNode {
+	ik := internalKey{user: user, seq: ^uint64(0)}
 	x := m.head
 	for lvl := m.height - 1; lvl >= 0; lvl-- {
 		for x.next[lvl] != nil && compareInternal(x.next[lvl].key, ik) < 0 {
@@ -104,22 +96,14 @@ func (m *memtable) seek(ik internalKey) *skipNode {
 // first returns the first node, or nil if empty.
 func (m *memtable) first() *skipNode { return m.head.next[0] }
 
-// memIterator walks a memtable in internal-key order.
-type memIterator struct {
-	m *memtable
-	n *skipNode
+// visible returns the newest version of n's user key at or below seq,
+// starting at n, and the first node of the next user key. v is nil when
+// every version from n on is newer than seq.
+func visible(n *skipNode, seq uint64) (v, next *skipNode) {
+	for next = n; next != nil && string(next.key.user) == string(n.key.user); next = next.next[0] {
+		if v == nil && next.key.seq <= seq {
+			v = next
+		}
+	}
+	return v, next
 }
-
-func (m *memtable) iterator() *memIterator { return &memIterator{m: m} }
-
-func (it *memIterator) SeekToFirst() { it.n = it.m.first() }
-
-func (it *memIterator) Seek(user []byte) {
-	it.n = it.m.seek(internalKey{user: user, seq: ^uint64(0), kind: kindValue})
-}
-
-func (it *memIterator) Valid() bool { return it.n != nil }
-
-func (it *memIterator) Next() { it.n = it.n.next[0] }
-
-func (it *memIterator) Entry() (internalKey, []byte) { return it.n.key, it.n.val }

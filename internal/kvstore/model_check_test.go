@@ -1,27 +1,72 @@
 package kvstore
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 )
 
 // Model checking: the DB is driven through thousands of seeded-random
 // interleaved operations next to a trivially-correct in-memory model, with
-// exact-equivalence checks after every step. The store runs with tiny
-// memtable and level budgets so a few thousand operations push data through
-// flushes, L0->L1 compactions and deeper-level compactions — with the
-// background compactor live, which is exactly the configuration `-race`
-// needs to see.
+// exact-equivalence checks after every step. Checkpoints — the store's
+// compaction, which folds the WAL into the checkpoint image — and reopens
+// are steps too, so data moves between the WAL and the image all the way
+// through, and a reader goroutine walks iterators the whole time, which
+// `-race` needs to see. With background set, that goroutine also
+// checkpoints after every pass, racing the foreground writes.
 
-func runModelCheck(t *testing.T, seed int64, opts Options) {
+func runModelCheck(t *testing.T, seed int64, background bool) {
 	t.Helper()
-	db, err := Open(t.TempDir(), opts)
+	dir := t.TempDir()
+	db, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	defer db.Close()
+	// The reader walks whichever store is open; reopen swaps it under mu,
+	// and a background checkpoint holds mu so it never meets a closed store.
+	var (
+		mu      sync.Mutex
+		stop    = make(chan struct{})
+		stopped = make(chan struct{})
+	)
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			mu.Lock()
+			cur := db
+			mu.Unlock()
+			var prev []byte
+			for it := cur.NewIterator(); it.Valid(); it.Next() {
+				if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
+					t.Errorf("reader: iterator order violation: %q then %q", prev, it.Key())
+					return
+				}
+				prev = it.Key()
+			}
+			if background {
+				mu.Lock()
+				err := db.Checkpoint()
+				mu.Unlock()
+				if err != nil {
+					t.Errorf("background checkpoint: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-stopped
+		db.Close()
+	}()
 
 	rng := rand.New(rand.NewSource(seed))
 	model := make(map[string]string)
@@ -50,7 +95,7 @@ func runModelCheck(t *testing.T, seed int64, opts Options) {
 		got := make(map[string]string)
 		var prev []byte
 		for it := db.NewIterator(); it.Valid(); it.Next() {
-			if prev != nil && compareBytes(prev, it.Key()) >= 0 {
+			if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
 				t.Fatalf("step %d: iterator order violation: %q then %q", step, prev, it.Key())
 			}
 			prev = append([]byte(nil), it.Key()...)
@@ -112,16 +157,22 @@ func runModelCheck(t *testing.T, seed int64, opts Options) {
 				}
 			}
 			checkKey(step, []byte(ops[len(ops)-1].key))
-		case r < 65: // Flush
-			if err := db.Flush(); err != nil {
-				t.Fatalf("step %d: flush: %v", step, err)
+		case r < 65: // Checkpoint
+			if err := db.Checkpoint(); err != nil {
+				t.Fatalf("step %d: checkpoint: %v", step, err)
 			}
 			checkKey(step, randKey())
-		case r < 68: // explicit Compact (races with the background worker)
-			if err := db.Compact(); err != nil {
-				t.Fatalf("step %d: compact: %v", step, err)
+		case r < 68: // reopen: everything committed survives a restart
+			mu.Lock()
+			next, err := reopen(db, dir)
+			if err == nil {
+				db = next
 			}
-			checkKey(step, randKey())
+			mu.Unlock()
+			if err != nil {
+				t.Fatalf("step %d: reopen: %v", step, err)
+			}
+			fullScan(step)
 		case r < 90: // point-read spot checks
 			checkKey(step, randKey())
 		case r < 95: // full iterator scan
@@ -155,65 +206,37 @@ func runModelCheck(t *testing.T, seed int64, opts Options) {
 	}
 
 	fullScan(steps)
-	if err := db.CompactionError(); err != nil {
-		t.Fatalf("background compaction failed: %v", err)
-	}
+}
 
-	// Restart equivalence: everything committed must survive a clean
-	// close/reopen cycle through the WAL and manifest.
+// reopen closes db and opens its directory again.
+func reopen(db *DB, dir string) (*DB, error) {
 	if err := db.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+		return nil, err
 	}
-	db2, err := Open(db.dir, opts)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer db2.Close()
-	got := make(map[string]string)
-	for it := db2.NewIterator(); it.Valid(); it.Next() {
-		got[string(it.Key())] = string(it.Value())
-	}
-	if len(got) != len(model) {
-		t.Fatalf("after reopen: %d keys, model has %d", len(got), len(model))
-	}
-	for k, v := range model {
-		if got[k] != v {
-			t.Fatalf("after reopen: %q = %q, model %q", k, got[k], v)
-		}
-	}
+	return Open(dir, Options{})
 }
 
 // TestModelCheckBackgroundCompaction drives the full interleaving against
-// the model with the background compactor enabled and level budgets small
-// enough that data reaches level 2 and beyond.
+// the model while a second goroutine checkpoints the store concurrently.
 func TestModelCheckBackgroundCompaction(t *testing.T) {
 	for _, seed := range []int64{1, 5, 7, 42, 20260808} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runModelCheck(t, seed, Options{
-				memtableBytes:    4 << 10,
-				l0Compact:        3,
-				tableTargetBytes: 8 << 10,
-				levelBaseBytes:   16 << 10,
-			})
+			runModelCheck(t, seed, true)
 		})
 	}
 }
 
 // TestModelCheckExplicitCompaction runs the same interleavings with
-// background compaction off (every compaction is the synchronous full
-// merge), covering the deterministic configuration shards use today.
+// checkpoints only where the step sequence asks for them, so every run is
+// deterministic.
 func TestModelCheckExplicitCompaction(t *testing.T) {
 	for _, seed := range []int64{3, 99} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runModelCheck(t, seed, Options{
-				memtableBytes:               4 << 10,
-				l0Compact:                   3,
-				disableBackgroundCompaction: true,
-			})
+			runModelCheck(t, seed, false)
 		})
 	}
 }

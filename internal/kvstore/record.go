@@ -58,15 +58,3 @@ func DecodeTypedRecord(data []byte) (kind RecordKind, seq uint64, payload []byte
 	}
 	return RecordKind(data[0]), binary.BigEndian.Uint64(data[1:recordHeaderLen]), data[recordHeaderLen:], nil
 }
-
-// Checkpoint is the snapshot API callers use after installing a new durable
-// snapshot: it forces the memtable to disk and compacts every level into
-// one, so the store's on-disk footprint collapses to (roughly) the live
-// state and the WAL restarts empty. Reopening after Checkpoint replays no
-// log.
-func (db *DB) Checkpoint() error {
-	if err := db.Flush(); err != nil {
-		return err
-	}
-	return db.Compact()
-}

@@ -1,104 +1,204 @@
 package kvstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
+	"path/filepath"
 )
 
-// Write-ahead log. Each record is a batch of entries:
+// Both files on disk are sequences of CRC-checked frames:
 //
 //	crc32(payload) (4B) | payload length (4B) | payload
 //
-// where payload is a concatenation of serialized entries (see codec.go).
-// A torn final record (crash mid-write) is detected by the CRC and dropped;
-// anything before it replays cleanly.
+// A wal.log frame is one write batch, its payload the batch's serialized
+// entries (see codec.go). A torn final frame (crash mid-write) is detected
+// by its length or CRC and dropped; everything before it replays cleanly.
+//
+// base is the checkpoint image: a header frame, then one frame per live
+// entry in ascending key order.
+//
+//	header payload: "GRuBBASE" | seq (8B) | entry count (8B)
+//
+// seq is the store's sequence number when the image was taken; every
+// wal.log entry at or below it is already in the image. base is written to
+// base.tmp and renamed into place, so it is never torn: any damage to it
+// fails Open.
 
-type wal struct {
-	f   *os.File
-	buf []byte
+const (
+	walName, baseName, baseTmpName = "wal.log", "base", "base.tmp"
+
+	frameHeaderLen = 8
+	baseMagic      = "GRuBBASE"
+	baseHeaderLen  = len(baseMagic) + 8 + 8
+)
+
+// openFrame appends a frame header to dst, to be filled in by sealFrame once
+// the payload has been appended after it.
+func openFrame(dst []byte) []byte { return append(dst, 0, 0, 0, 0, 0, 0, 0, 0) }
+
+// sealFrame fills in the header of frame, whose payload is everything after
+// the header.
+func sealFrame(frame []byte) {
+	p := frame[frameHeaderLen:]
+	binary.LittleEndian.PutUint32(frame, crc32.ChecksumIEEE(p))
+	binary.LittleEndian.PutUint32(frame[4:], uint32(len(p)))
 }
 
-func openWAL(path string) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("kvstore: open wal: %w", err)
+// nextFrame splits the first frame off data. ok is false when data does not
+// start with an intact frame: a short header, a short payload or a CRC
+// mismatch.
+func nextFrame(data []byte) (payload, rest []byte, ok bool) {
+	if len(data) < frameHeaderLen {
+		return nil, data, false
 	}
-	return &wal{f: f}, nil
+	n := binary.LittleEndian.Uint32(data[4:frameHeaderLen])
+	if uint64(n) > uint64(len(data)-frameHeaderLen) {
+		return nil, data, false
+	}
+	payload = data[frameHeaderLen : frameHeaderLen+int(n)]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[:4]) {
+		return nil, data, false
+	}
+	return payload, data[frameHeaderLen+int(n):], true
 }
 
-// append writes one batch payload as a single WAL record and syncs if
-// requested.
-func (w *wal) append(payload []byte, syncWrites bool) error {
-	w.buf = w.buf[:0]
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	w.buf = append(w.buf, hdr[:]...)
-	w.buf = append(w.buf, payload...)
-	if _, err := w.f.Write(w.buf); err != nil {
-		return fmt.Errorf("kvstore: wal write: %w", err)
-	}
-	if syncWrites {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("kvstore: wal sync: %w", err)
+// entryFunc receives one decoded entry; its slices alias the file's bytes.
+type entryFunc func(key []byte, seq uint64, kind entryKind, val []byte) error
+
+// decodeEntries calls fn for every entry in a frame payload.
+func decodeEntries(payload []byte, fn entryFunc) error {
+	for len(payload) > 0 {
+		key, seq, kind, val, n, err := decodeEntry(payload)
+		if err != nil {
+			return err
 		}
+		if err := fn(key, seq, kind, val); err != nil {
+			return err
+		}
+		payload = payload[n:]
 	}
 	return nil
 }
 
-func (w *wal) close() error {
-	if w.f == nil {
+// replayWAL calls apply for every entry of every intact frame of the log at
+// path, in order, and returns the byte length of the intact prefix and of
+// the file. Past the prefix lies a torn or corrupt tail, which the caller
+// must truncate away before appending, or new frames would land after the
+// damaged bytes and be unreachable on the next replay. An intact frame
+// whose entries do not decode, or an error from apply, is corruption rather
+// than a tear, and fails the replay.
+func replayWAL(path string, apply entryFunc) (validLen, size int64, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return 0, 0, fmt.Errorf("kvstore: read wal: %w", err)
+	}
+	rest := data
+	for len(rest) > 0 {
+		payload, next, ok := nextFrame(rest)
+		if !ok {
+			break
+		}
+		if err := decodeEntries(payload, apply); err != nil {
+			return 0, 0, fmt.Errorf("kvstore: wal: %w", err)
+		}
+		rest = next
+	}
+	return int64(len(data) - len(rest)), int64(len(data)), nil
+}
+
+// writeBase installs m's entries, which must all be live values, as the
+// checkpoint image at seq: written to base.tmp, then renamed over base.
+// With syncFile set, the file is synced before the rename and the directory
+// after it, so the image is durable before the caller resets the WAL.
+func writeBase(dir string, seq uint64, m *memtable, syncFile bool) error {
+	buf := append(openFrame(nil), baseMagic...)
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.count))
+	sealFrame(buf)
+	for n := m.first(); n != nil; n = n.next[0] {
+		start := len(buf)
+		buf = appendEntry(openFrame(buf), n.key.user, n.key.seq, n.key.kind, n.val)
+		sealFrame(buf[start:])
+	}
+	tmp := filepath.Join(dir, baseTmpName)
+	f, err := os.Create(tmp)
+	if err == nil {
+		_, err = f.Write(buf)
+		if err == nil && syncFile {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, baseName))
+	}
+	if err == nil && syncFile {
+		if f, err = os.Open(dir); err == nil {
+			err = f.Sync()
+			f.Close()
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("kvstore: write base: %w", err)
+	}
+	return nil
+}
+
+// errCorruptBase wraps every way a checkpoint image can fail validation.
+var errCorruptBase = errors.New("kvstore: corrupt base")
+
+// loadBase validates the checkpoint image at path and loads copies of its
+// entries into m, returning the image's seq (0 when there is none).
+// Validation is strict: every frame intact, the header's magic and entry
+// count right, keys strictly ascending, only live values, and no entry
+// newer than the image. On an error the caller discards m.
+func loadBase(path string, m *memtable) (uint64, error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("kvstore: read base: %w", err)
+	}
+	hdr, rest, ok := nextFrame(data)
+	if !ok || len(hdr) != baseHeaderLen || string(hdr[:len(baseMagic)]) != baseMagic {
+		return 0, fmt.Errorf("%w: bad header", errCorruptBase)
+	}
+	seq := binary.LittleEndian.Uint64(hdr[len(baseMagic):])
+	count := binary.LittleEndian.Uint64(hdr[len(baseMagic)+8:])
+	var n uint64
+	var prev []byte
+	check := func(key []byte, s uint64, kind entryKind, val []byte) error {
+		switch {
+		case kind != kindValue:
+			return fmt.Errorf("tombstone for %q", key)
+		case s > seq:
+			return fmt.Errorf("entry seq %d above image seq %d", s, seq)
+		case n > 0 && bytes.Compare(prev, key) >= 0:
+			return fmt.Errorf("key %q out of order", key)
+		}
+		m.add(clone(key), s, kindValue, clone(val))
+		prev = key
+		n++
 		return nil
 	}
-	err := w.f.Close()
-	w.f = nil
-	return err
-}
-
-// replayWAL reads every intact record from the log at path and invokes apply
-// for each entry, in order. A torn or corrupt tail (crash mid-write) stops
-// the replay; truncated reports that case and validLen is the byte length
-// of the intact prefix, which the caller must truncate the file to before
-// appending — otherwise new records land after the damaged bytes and are
-// unreachable on the next replay.
-func replayWAL(path string, apply func(key []byte, seq uint64, kind entryKind, val []byte)) (truncated bool, validLen int64, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return false, 0, nil
+	for len(rest) > 0 {
+		var payload []byte
+		if payload, rest, ok = nextFrame(rest); !ok {
+			return 0, fmt.Errorf("%w: damaged frame at byte %d", errCorruptBase, len(data)-len(rest))
 		}
-		return false, 0, fmt.Errorf("kvstore: read wal: %w", err)
+		if err := decodeEntries(payload, check); err != nil {
+			return 0, fmt.Errorf("%w: %v", errCorruptBase, err)
+		}
 	}
-	off := 0
-	for off < len(data) {
-		if off+8 > len(data) {
-			return true, int64(off), nil // torn header
-		}
-		sum := binary.LittleEndian.Uint32(data[off : off+4])
-		n := int(binary.LittleEndian.Uint32(data[off+4 : off+8]))
-		if off+8+n > len(data) {
-			return true, int64(off), nil // torn payload
-		}
-		payload := data[off+8 : off+8+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return true, int64(off), nil // corrupt record: stop replay here
-		}
-		p := 0
-		for p < len(payload) {
-			key, seq, kind, val, m, derr := decodeEntry(payload[p:])
-			if derr != nil {
-				return false, 0, fmt.Errorf("kvstore: wal entry: %w", derr)
-			}
-			apply(key, seq, kind, val)
-			p += m
-		}
-		off += 8 + n
+	if n != count {
+		return 0, fmt.Errorf("%w: %d entries, header says %d", errCorruptBase, n, count)
 	}
-	return false, int64(off), nil
+	return seq, nil
 }
-
-var _ io.Closer = (*os.File)(nil) // compile-time assertion documenting the resource we manage

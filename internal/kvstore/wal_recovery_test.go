@@ -155,24 +155,24 @@ func truncateTo(t *testing.T, path string, size int) {
 	}
 }
 
-// TestSnapshotWALMergedView covers the snapshot/WAL seam: a flush in the
-// middle of an append stream moves the prefix into an SSTable and restarts
+// TestSnapshotWALMergedView covers the image/WAL seam: a checkpoint in the
+// middle of an append stream moves the prefix into the image and restarts
 // the WAL, so after reopening, reads and iterators must serve the MERGED
-// view — flushed base data, overwrites and deletes that only ever reached
-// the new WAL, and fresh inserts — with WAL entries shadowing the SSTable.
+// view — checkpointed data, overwrites and deletes that only ever reached
+// the new WAL, and fresh inserts — with WAL entries shadowing the image.
 func TestSnapshotWALMergedView(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Base data, flushed to an SSTable (the "snapshot" half).
+	// Base data, checkpointed into the image.
 	for i := 0; i < 8; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("base-%d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Flush(); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// Mid-append mutations that live only in the restarted WAL: an
@@ -188,7 +188,7 @@ func TestSnapshotWALMergedView(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Close without flushing: the second wave exists ONLY in the WAL.
+	// Close without a checkpoint: the second wave exists ONLY in the WAL.
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +227,8 @@ func TestSnapshotWALMergedView(t *testing.T) {
 }
 
 // TestSnapshotWALTornTailMergedView layers the two recovery mechanisms: a
-// flushed SSTable plus a WAL whose final record is torn. The merged view
-// must hold the SSTable data and the intact WAL prefix; the torn batch
+// checkpoint image plus a WAL whose final record is torn. The merged view
+// must hold the image's data and the intact WAL prefix; the torn batch
 // vanishes whole.
 func TestSnapshotWALTornTailMergedView(t *testing.T) {
 	dir := t.TempDir()
@@ -239,7 +239,7 @@ func TestSnapshotWALTornTailMergedView(t *testing.T) {
 	if err := db.Put([]byte("flushed"), []byte("f")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Flush(); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Put([]byte("intact"), []byte("i")); err != nil {
@@ -277,11 +277,12 @@ func TestSnapshotWALTornTailMergedView(t *testing.T) {
 }
 
 // TestCheckpointReplaysNothing pins the snapshot API: after Checkpoint the
-// store's live state is entirely in SSTables, the WAL is empty, and a
-// reopen replays no log records.
+// store's live state is entirely in the image, the WAL is empty, and a
+// reopen replays no log records. The store syncs, so the checkpoint takes
+// its durable path (file and directory synced before the WAL reset).
 func TestCheckpointReplaysNothing(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{})
+	db, err := Open(dir, Options{SyncWrites: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"grub/internal/kvstore"
 	"grub/internal/obs"
 	"grub/internal/shard"
 )
@@ -114,16 +113,12 @@ func (g *Gateway) persistent() bool { return g.opts.DataDir != "" }
 func (g *Gateway) DataDir() string { return g.opts.DataDir }
 
 // persistOptions builds one feed's shard-level persistence config (without
-// the Restore callback, which newShardedFeed attaches per config). Every
-// feed's stores share the gateway registry's grub_kv_* series —
-// kvstore.NewMetrics registration is idempotent, so repeated calls hand back
-// the same counters.
+// the Restore callback, which newShardedFeed attaches per config).
 func (g *Gateway) persistOptions(dir string) *shard.PersistOptions {
 	return &shard.PersistOptions{
 		Dir:           dir,
 		SnapshotEvery: g.opts.SnapshotEvery,
 		SyncWrites:    g.opts.SyncWrites,
-		Metrics:       kvstore.NewMetrics(g.reg),
 	}
 }
 

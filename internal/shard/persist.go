@@ -50,11 +50,6 @@ type PersistOptions struct {
 	// Dir holds state from a previous process; the gateway supplies it from
 	// the feed's config.
 	Restore func(shard int, snap *core.FeedSnapshot) (*core.Feed, error)
-	// Metrics receives the storage engine's telemetry (flush and compaction
-	// counts, compaction bytes). The gateway shares one bundle across every
-	// shard store so the exported grub_kv_* series aggregate the whole
-	// process. Nil means unmetered.
-	Metrics *kvstore.Metrics
 }
 
 // PersistStat reports one shard's durability counters.
@@ -66,10 +61,10 @@ type PersistStat struct {
 	LoggedBatches int `json:"loggedBatches"`
 	// LastSeq is the sequence number of the last logged batch.
 	LastSeq uint64 `json:"lastSeq"`
-	// LastError reports the most recent automatic-snapshot failure or,
-	// failing that, the store's first failed background compaction; empty
-	// when both are healthy. The log keeps growing (and stays replayable)
-	// while either fails, so this is a health signal, not data loss.
+	// LastError reports the most recent automatic-snapshot failure, a
+	// failed store checkpoint included; empty when healthy. The log keeps
+	// growing (and stays replayable) while snapshots fail, so this is a
+	// health signal, not data loss.
 	LastError string `json:"lastError,omitempty"`
 }
 
@@ -128,7 +123,7 @@ type persister struct {
 
 func openPersister(opts PersistOptions, idx int) (*persister, error) {
 	dir := filepath.Join(opts.Dir, fmt.Sprintf("shard-%03d", idx))
-	db, err := kvstore.Open(dir, kvstore.Options{SyncWrites: opts.SyncWrites, Metrics: opts.Metrics})
+	db, err := kvstore.Open(dir, kvstore.Options{SyncWrites: opts.SyncWrites})
 	if err != nil {
 		return nil, fmt.Errorf("shard: open store: %w", err)
 	}
@@ -178,8 +173,9 @@ func (p *persister) snapshot(st *shardState) error {
 	lastSeq := p.nextSeq - 1
 	// One batch — one WAL record — installs the snapshot and drops the log
 	// records it supersedes, so no crash leaves one without the other. The
-	// checkpoint after it flushes the memtable to an SSTable, folds the
-	// tombstones away and restarts the engine's WAL empty.
+	// checkpoint after it writes the store's live set (the snapshot record)
+	// as its checkpoint image, drops the tombstones and restarts its WAL
+	// empty.
 	b := kvstore.NewBatch()
 	b.Put([]byte(snapKey), kvstore.EncodeRecord(kvstore.RecordSnapshot, lastSeq, payload))
 	for it := p.db.NewIteratorFrom([]byte(logKeyPrefix)); it.Valid(); it.Next() {
@@ -254,11 +250,7 @@ func (p *persister) resetTo(st *shardState, seq uint64) error {
 }
 
 func (p *persister) stat() PersistStat {
-	ps := PersistStat{Snapshots: p.snapshots, LoggedBatches: p.loggedBatches, LastSeq: p.nextSeq - 1}
-	if err := p.db.CompactionError(); err != nil {
-		ps.LastError = fmt.Sprintf("shard: background compaction: %v", err)
-	}
-	return ps
+	return PersistStat{Snapshots: p.snapshots, LoggedBatches: p.loggedBatches, LastSeq: p.nextSeq - 1}
 }
 
 // recover loads the shard's durable state: the newest snapshot (if any)
