@@ -81,6 +81,62 @@ func TestPutUpdateAndRelocate(t *testing.T) {
 	}
 }
 
+// TestPutOutcomes covers each way Put can land — a new key, a same-state
+// update in either group, and a relocation each way — among neighbours in
+// both groups: Put's (prev, existed), and a set that matches, record for
+// record and root for root, one built from the final records alone.
+func TestPutOutcomes(t *testing.T) {
+	var base []Record
+	for i := 0; i < 40; i++ {
+		base = append(base, rec(fmt.Sprintf("k%02d", i), State(i%2), fmt.Sprint("v", i)))
+	}
+	for _, tc := range []struct {
+		name        string
+		put         Record
+		prev        State
+		existed     bool
+		nr, r, size int
+	}{
+		{"new key", rec("k40", R, "new"), 0, false, 20, 21, 41},
+		{"new key between", rec("k07x", NR, "new"), 0, false, 21, 20, 41},
+		{"update NR", rec("k10", NR, "u"), NR, true, 20, 20, 40},
+		{"update R", rec("k11", R, "u"), R, true, 20, 20, 40},
+		{"NR to R", rec("k12", R, "u"), NR, true, 19, 21, 40},
+		{"R to NR", rec("k13", NR, "u"), R, true, 21, 19, 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSet()
+			final := map[string]Record{}
+			for _, r := range base {
+				s.Put(r)
+				final[r.Key] = r
+			}
+			s.Root() // Put edits a sealed tree, as between epochs
+			prev, existed := s.Put(tc.put)
+			if prev != tc.prev || existed != tc.existed {
+				t.Fatalf("Put = (%v, %v), want (%v, %v)", prev, existed, tc.prev, tc.existed)
+			}
+			final[tc.put.Key] = tc.put
+			want := NewSet()
+			for _, r := range final {
+				want.Put(r)
+			}
+			if s.Len() != tc.size || s.CountState(NR) != tc.nr || s.CountState(R) != tc.r {
+				t.Fatalf("Len %d, NR %d, R %d; want %d, %d, %d", s.Len(), s.CountState(NR), s.CountState(R), tc.size, tc.nr, tc.r)
+			}
+			if got, w := fmt.Sprint(s.Records()), fmt.Sprint(want.Records()); got != w {
+				t.Fatalf("records %s, want %s", got, w)
+			}
+			if s.Root() != want.Root() {
+				t.Fatal("root differs from the set built from the final records")
+			}
+			if err := checkTree(s.root, true); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestSetStateRelocates(t *testing.T) {
 	s := NewSet()
 	s.Put(rec("a", NR, "1"))

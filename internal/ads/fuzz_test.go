@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"testing"
 
@@ -182,6 +183,86 @@ func FuzzSetOps(f *testing.F) {
 		}
 		if rebuilt.Root() != s.Root() {
 			t.Fatalf("replayed root %v, want %v", rebuilt.Root(), s.Root())
+		}
+	})
+}
+
+// FuzzMemoVerify checks the contract's memo fold against merkle.Verify on
+// forged proofs. It builds a set from the input's first byte, warms the
+// set's memo as a feed does — a genuine deliver's fold allocates the table
+// and records its path, then a seal after a neighbour's edit records what it
+// hashes — and then forges the target key's genuine proof, one input byte
+// pair per edit: a flipped sibling bit, a flipped side, a dropped or a
+// repeated step, a forged record, a moved index. After every edit the memo
+// fold and merkle.Verify must agree on accept or reject, and at the end the
+// genuine proof must still verify through the memo.
+//
+// Wired into `make fuzz-smoke`.
+func FuzzMemoVerify(f *testing.F) {
+	f.Add([]byte{8, 3, 0x00, 0x10})
+	f.Add([]byte{40, 17, 0x08, 0x21, 0x01, 0x00, 0x01, 0x00})
+	f.Add([]byte{47, 46, 0x02, 0x00, 0x13, 0x05, 0x04, 0x00, 0x05, 0x01})
+	f.Add([]byte{1, 0, 0x03, 0x00, 0x00, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 1 + int(data[0]%48)
+		key := func(i int) string { return fmt.Sprintf("k%02d", i%n) }
+		s := NewSet()
+		for i := 0; i < n; i++ {
+			s.Put(Record{Key: key(i), State: State(i % 3 % 2), Value: []byte{byte(i)}})
+		}
+		memo, target := s.Memo(), key(int(data[1]))
+		genuine := func() (merkle.Hash, Record, *merkle.Proof) {
+			root := s.Root()
+			r, p, err := s.ProveKey(target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := memo.Verify(root, r.Leaf(), p); err != nil {
+				t.Fatalf("genuine proof of %s refused: %v", target, err)
+			}
+			return root, r, p
+		}
+		genuine()
+		s.Put(Record{Key: key(int(data[1]) + 1), State: R, Value: []byte("edit")})
+		root, r, p := genuine()
+
+		forged, q := r, *p
+		q.Path = slices.Clone(p.Path)
+		for i := 2; i+1 < len(data); i += 2 {
+			op, arg := data[i], int(data[i+1])
+			step := int(op>>3) % len(q.Path)
+			switch op % 6 {
+			case 0:
+				q.Path[step].Hash[arg%merkle.HashSize] ^= 1 << (arg % 8)
+			case 1:
+				q.Path[step].Left = !q.Path[step].Left
+			case 2:
+				q.Path = slices.Delete(q.Path, step, step+1)
+			case 3:
+				q.Path = slices.Insert(q.Path, step, q.Path[arg%len(q.Path)])
+			case 4:
+				if arg%2 == 0 {
+					forged.State ^= 1
+				} else {
+					forged.Value = append(slices.Clone(forged.Value), byte(arg))
+				}
+			case 5:
+				q.Index += arg%3 - 1
+			}
+			leaf := forged.Leaf()
+			got, want := memo.Verify(root, leaf, &q), merkle.Verify(root, leaf, &q)
+			if (got == nil) != (want == nil) {
+				t.Fatalf("edit %d: memo fold says %v, merkle.Verify says %v", i/2, got, want)
+			}
+			if len(q.Path) == 0 {
+				break
+			}
+		}
+		if err := memo.Verify(root, r.Leaf(), p); err != nil {
+			t.Fatalf("genuine proof after the forgeries: %v", err)
 		}
 	})
 }

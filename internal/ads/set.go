@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"iter"
+	"strings"
 	"sync/atomic"
 
 	"grub/internal/merkle"
@@ -83,6 +84,12 @@ import (
 // One Set per feed serves both parties: the DO mutates it and signs its
 // digest on-chain, the SP reads it to serve proofs (see package core for
 // why sharing it is sound).
+//
+// A set made by NewSet owns a merkle.Memo, and every seal of it, and Root,
+// record the inner hashes they compute there. A verifier that folds the
+// set's membership proofs through Memo() finds most of its steps already
+// hashed: the contract's deliver does. Captures and clones carry no memo, so
+// a view read on another goroutine never touches it.
 type Set struct {
 	root *node
 	// gen is the generation whose nodes this set may edit in place; 0 (a
@@ -91,6 +98,9 @@ type Set struct {
 	// j is the undo log, allocated at the first Journal and kept, capacity
 	// and all, for the next; nil on a capture.
 	j *journal
+	// memo records the inner hashes the set's seals compute, for the
+	// contract's deliver fold (see Memo); nil on a capture.
+	memo *merkle.Memo
 }
 
 // journal is the undo log of an open Journal: the root at the open, and the
@@ -193,23 +203,24 @@ func (n *node) resize() {
 	n.size = int32(size(n.left) + 1 + size(n.right))
 }
 
-// seal hashes the dirty region under n bottom-up, leaving every node sealed.
-// A node's half is re-hashed only when its left subtree or record changed.
-func seal(n *node) {
+// seal hashes the dirty region under n bottom-up, leaving every node sealed,
+// and records every inner hash it computes in m (nil on a capture). A node's
+// half is re-hashed only when its left subtree or record changed.
+func seal(n *node, m *merkle.Memo) {
 	if n == nil || !n.dirty {
 		return
 	}
-	seal(n.left)
-	seal(n.right)
+	seal(n.left, m)
+	seal(n.right, m)
 	if n.staleLeaf {
 		n.leaf = n.record().Leaf()
 		n.staleLeaf, n.staleHalf = false, true
 	}
 	if n.staleHalf {
-		n.half = merkle.HashInner(hashOf(n.left), n.leaf)
+		n.half = m.HashInner(hashOf(n.left), n.leaf)
 		n.staleHalf = false
 	}
-	n.hash = merkle.HashInner(n.half, hashOf(n.right))
+	n.hash = m.HashInner(n.half, hashOf(n.right))
 	n.dirty = false
 }
 
@@ -241,8 +252,8 @@ func (s *Set) insert(n *node, rec Record) *node {
 		return &node{key: rec.Key, value: rec.Value, state: rec.State, prio: prioOf(rec.State, rec.Key),
 			gen: s.gen, size: 1, dirty: true, staleLeaf: true}
 	}
-	switch {
-	case less(rec.State, rec.Key, n.state, n.key):
+	switch c := order(rec.State, rec.Key, n); {
+	case c < 0:
 		l := s.insert(n.left, rec)
 		n = s.own(n)
 		n.staleHalf = true
@@ -254,7 +265,7 @@ func (s *Set) insert(n *node, rec Record) *node {
 			return l
 		}
 		n.left = l
-	case less(n.state, n.key, rec.State, rec.Key):
+	case c > 0:
 		r := s.insert(n.right, rec)
 		n = s.own(n)
 		if higher(r, n) {
@@ -280,11 +291,11 @@ func (s *Set) del(n *node, st State, key string) *node {
 	if n == nil {
 		return nil
 	}
-	switch {
-	case less(st, key, n.state, n.key):
+	switch c := order(st, key, n); {
+	case c < 0:
 		n = s.own(n)
 		n.left, n.staleHalf = s.del(n.left, st, key), true
-	case less(n.state, n.key, st, key):
+	case c > 0:
 		n = s.own(n)
 		n.right = s.del(n.right, st, key)
 	default:
@@ -315,13 +326,23 @@ func (s *Set) merge(a, b *node) *node {
 	return b
 }
 
+// order compares (st, key) with n's record in the (state, key) order:
+// negative if it sorts before n, zero at n, positive after. A descent makes
+// one such comparison per level, since keys often share long prefixes.
+func order(st State, key string, n *node) int {
+	if st != n.state {
+		return int(st) - int(n.state)
+	}
+	return strings.Compare(key, n.key)
+}
+
 // lookup descends to (st, key).
 func lookup(n *node, st State, key string) *node {
 	for n != nil {
-		switch {
-		case less(st, key, n.state, n.key):
+		switch c := order(st, key, n); {
+		case c < 0:
 			n = n.left
-		case less(n.state, n.key, st, key):
+		case c > 0:
 			n = n.right
 		default:
 			return n
@@ -331,7 +352,11 @@ func lookup(n *node, st State, key string) *node {
 }
 
 // NewSet returns an empty set.
-func NewSet() *Set { return &Set{} }
+func NewSet() *Set { return &Set{memo: new(merkle.Memo)} }
+
+// Memo returns the memo the set's seals record their inner hashes in; nil
+// on a capture or clone. The memo is the set owner's, like the set.
+func (s *Set) Memo() *merkle.Memo { return s.memo }
 
 // Len returns the number of records.
 func (s *Set) Len() int { return size(s.root) }
@@ -412,19 +437,28 @@ func (s *Set) Group(st State) iter.Seq[Record] {
 // Put inserts or updates key with the given value and state. If the record
 // exists with a different state it is relocated to its new group. It returns
 // the previous state and whether the key already existed.
+//
+// It inserts into the record's target group first: an update of a record
+// already in that group is then done in one descent. Only an insert that
+// created a node looks the key up in the other group, and deletes it there
+// if found (a relocation). The shape is canonical whatever the order.
 func (s *Set) Put(rec Record) (prev State, existed bool) {
 	rec.Value = append([]byte(nil), rec.Value...)
 	s.claim()
-	if n := s.find(rec.Key); n != nil {
-		prev = n.state
-		if prev != rec.State {
-			s.root = s.del(s.root, prev, rec.Key)
-		}
-		s.root = s.insert(s.root, rec)
-		return prev, true
-	}
+	n := s.Len()
 	s.root = s.insert(s.root, rec)
-	return 0, false
+	if s.Len() == n {
+		return rec.State, true
+	}
+	other := R
+	if rec.State == R {
+		other = NR
+	}
+	if lookup(s.root, other, rec.Key) == nil {
+		return 0, false
+	}
+	s.root = s.del(s.root, other, rec.Key)
+	return other, true
 }
 
 // Delete removes key from the set, reporting whether it existed.
@@ -473,8 +507,8 @@ func CountLeaf(n int) merkle.Hash {
 // hashing the mutations since the last seal deferred; on a sealed tree it is
 // two hashes.
 func (s *Set) Root() merkle.Hash {
-	seal(s.root)
-	return merkle.HashInner(CountLeaf(s.Len()), hashOf(s.root))
+	seal(s.root, s.memo)
+	return s.memo.HashInner(CountLeaf(s.Len()), hashOf(s.root))
 }
 
 // Clone seals the set and captures its current version as a frozen copy:
@@ -502,7 +536,7 @@ func (s *Set) Capture() *Set {
 	if s.j != nil && s.j.open {
 		panic("ads: Capture while a journal is open")
 	}
-	seal(s.root)
+	seal(s.root, s.memo)
 	return &Set{root: s.root}
 }
 
@@ -526,7 +560,7 @@ func (s *Set) Journal() {
 	if s.j.open {
 		panic("ads: Journal while a journal is open")
 	}
-	seal(s.root)
+	seal(s.root, s.memo)
 	s.j.open, s.j.root = true, s.root
 }
 
@@ -567,7 +601,7 @@ func (s *Set) ProveIndex(i int) (*merkle.Proof, error) {
 	if i < 0 || i >= s.Len() {
 		return nil, fmt.Errorf("ads: prove index %d out of range [0,%d)", i, s.Len())
 	}
-	seal(s.root)
+	seal(s.root, s.memo)
 	p := &merkle.Proof{Index: i, LeafCount: s.Len()}
 	provePath(s.root, i, p)
 	p.Path = append(p.Path, merkle.ProofNode{Left: true, Hash: CountLeaf(s.Len())})
@@ -619,7 +653,7 @@ func (s *Set) ProveKey(key string) (Record, *merkle.Proof, error) {
 // per state group and fills *p, reusing the capacity of p.Path. It reports
 // false, leaving *p as it was, when key is in neither group.
 func (s *Set) ProveKeyAt(key string, countLeaf merkle.Hash, p *merkle.Proof) (Record, bool) {
-	seal(s.root)
+	seal(s.root, s.memo)
 	n := proveKeyPath(s.root, NR, key, 0, 1, p)
 	if n == nil {
 		n = proveKeyPath(s.root, R, key, 0, 1, p)
@@ -643,8 +677,8 @@ func proveKeyPath(n *node, st State, key string, rank, steps int, p *merkle.Proo
 	if n == nil {
 		return nil
 	}
-	switch {
-	case less(st, key, n.state, n.key):
+	switch c := order(st, key, n); {
+	case c < 0:
 		hit := proveKeyPath(n.left, st, key, rank, steps+2, p)
 		if hit != nil {
 			p.Path = append(p.Path,
@@ -652,7 +686,7 @@ func proveKeyPath(n *node, st State, key string, rank, steps int, p *merkle.Proo
 				merkle.ProofNode{Left: false, Hash: hashOf(n.right)})
 		}
 		return hit
-	case less(n.state, n.key, st, key):
+	case c > 0:
 		hit := proveKeyPath(n.right, st, key, rank+size(n.left)+1, steps+1, p)
 		if hit != nil {
 			p.Path = append(p.Path, merkle.ProofNode{Left: true, Hash: n.half})

@@ -49,6 +49,10 @@ type StorageManager struct {
 	addr  chain.Address
 	owner chain.Address
 	trace TraceMode
+	// memo is the DO record set's inner-hash memo, through which deliver
+	// folds its membership proofs (see the package doc for why that is
+	// sound).
+	memo *merkle.Memo
 
 	// nextID numbers request events so the SP watchdog can answer each
 	// exactly once. Kept in contract memory, not storage: Ethereum logs
@@ -71,9 +75,11 @@ type StorageManager struct {
 const requestChunk = 64
 
 // NewStorageManager registers the manager contract at addr, owned (for
-// update authorization) by owner.
-func NewStorageManager(c *chain.Chain, addr, owner chain.Address, trace TraceMode) *StorageManager {
-	m := &StorageManager{addr: addr, owner: owner, trace: trace}
+// update authorization) by owner. deliver folds membership proofs through
+// memo, the owner's record-set memo (ads.Set.Memo), and accepts exactly the
+// proofs merkle.Verify accepts.
+func NewStorageManager(c *chain.Chain, addr, owner chain.Address, trace TraceMode, memo *merkle.Memo) *StorageManager {
+	m := &StorageManager{addr: addr, owner: owner, trace: trace, memo: memo}
 	c.Register(addr, "gGet", m.gGet)
 	c.Register(addr, "deliver", m.deliver)
 	c.Register(addr, "deliverAbsent", m.deliverAbsent)
@@ -145,7 +151,10 @@ func (m *StorageManager) deliver(ctx *chain.Ctx, args any) (any, error) {
 			ctx.ChargeHash(2 * merkle.HashSize)
 		}
 	}
-	if err := ads.VerifyRecord(root, a.Record, a.Proof); err != nil {
+	// The fold reads the inner hashes the DO's seal just computed from the
+	// memo; a step that differs in any bit from what was hashed misses and
+	// is hashed here.
+	if err := m.memo.Verify(root, a.Record.Leaf(), a.Proof); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadProof, err)
 	}
 	// The record's state bit is authenticated by the proof: the SP cannot

@@ -1,10 +1,23 @@
-// Package core assembles a complete GRuB deployment on a simulated chain:
-// the storage-manager contract (contract.go), the trusted data owner with
-// its workload monitor, decision policy and epoch-batched write path
-// (do.go), and the storage-provider watchdog answering request events with
-// authenticated delivers (spnode.go). Feed ties the three parties together
-// and drives workload traces through them; it is the object every
-// experiment, shard worker and gateway manipulates.
+// Package core implements GRuB itself: the hybrid on-chain/off-chain KV
+// store of the paper, wired out of the substrate packages.
+//
+// The moving parts mirror Figure 4a:
+//
+//   - StorageManager: the on-chain storage-manager smart contract
+//     (Listing 2) holding the ADS digest and the replicated records, serving
+//     gGet, verifying deliver proofs and applying epoch update batches
+//     (contract.go).
+//   - DO: the trusted data owner. Its control plane monitors the workload
+//     (local writes plus the chain's gGet call log), runs an
+//     internal/policy decision maker, and actuates replication-state
+//     transitions; its data plane batches writes per epoch into update
+//     transactions (gPuts). It owns the feed's authenticated record set
+//     (internal/ads) and signs its digest on-chain (do.go).
+//   - SPNode: the untrusted storage provider. It watches the chain's event
+//     log for request events and answers them with deliver transactions
+//     carrying Merkle proofs (spnode.go).
+//   - Feed: the top-level assembly plus the workload driver. It is the
+//     object every experiment, shard worker and gateway manipulates.
 //
 // The package also hosts two cross-layer vocabularies:
 //
@@ -16,6 +29,53 @@
 //     behaviorally identical feed from it, which is what makes the gateway's
 //     durability path (internal/shard persistence) exact rather than
 //     approximate.
+//
+// # Why the DO and the SP may share one record set
+//
+// DO and SP share one persistent record set per feed: the DO is its only
+// writer, the SP only reads it to build proofs. In the protocol an honest
+// SP's copy equals the DO's by construction (the DO ships it every gPuts
+// batch), so a second in-process copy would re-hash every write to protect
+// nothing. Sharing gives the SP no power a real one lacks: it reads what
+// the DO would have sent it, and it has no path to write the set. What the
+// SP reads is never trusted either. The security argument lives at one
+// boundary: the manager contract verifies every deliver against the digest
+// the DO signed, and a dishonest SP is modelled where it acts, on the
+// deliver it submits or withholds (SPNode.Tamper / Drop). Durability is the
+// shard WAL's job (internal/shard), not the SP's.
+//
+// The contract's check reads one more piece of DO state: deliver folds the
+// delivered membership proof through the record set's merkle.Memo, which
+// remembers the inner hashes the DO's seal computed moments before. The
+// fold stays the check merkle.Verify makes, for three reasons:
+//
+//   - Who writes entries: only the memo itself, each with an output it has
+//     just computed over exactly that entry's preimage. The DO's seal
+//     records the hashes it computes; the contract's fold records its
+//     misses.
+//   - What a key is: the full 64-byte preimage. A lookup hits only on the
+//     exact (left, right) pair and then returns HashInner(left, right) bit
+//     for bit. A forged proof's altered step, or any step after it, misses
+//     and is hashed, so the fold ends where merkle.Verify's would: at a root
+//     other than the digest.
+//   - What the SP holds: a DeliverArgs, never the memo. The steps it submits
+//     decide which preimages the fold hashes, so it can evict entries, but
+//     it can never choose the output an entry holds.
+//
+// Gas is metered per proof step whether or not it hits, so Gas, roots,
+// proofs and wire bytes are what plain hashing gives: the memo saves the
+// simulator's CPU and models nothing. Captures and clones of the set carry
+// no memo, so read views on other goroutines never touch it.
+//
+// The chain's event log and call trace are monitoring streams with one
+// consumer each (SP watchdog; DO read monitor). They are consumed, not
+// retained: the feed takes both after every read and every epoch flush, so
+// a long-running feed's memory is its record set, not its history.
+//
+// All Gas spent by the feed (update and deliver transactions, storage and
+// verification inside the manager) is attributed to the manager's address,
+// which is how experiments separate feed-layer Gas from application Gas
+// (Table 3).
 //
 // Everything in core is single-writer by design: a Feed must be driven from
 // one goroutine (the simulation is deterministic, which is what makes both

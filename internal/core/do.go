@@ -98,16 +98,31 @@ func (d *DO) ObserveRead(key string) {
 	d.observe(policy.Read(key))
 }
 
+// observe feeds op to the policy and records its decision as a pending state
+// transition when it differs from the key's state in the set.
+//
+// A write whose target is NR skips the set lookup. The write is staged, and
+// the flush that applies it stores the record in its policy.Target state
+// and deletes the key's pending entry before it actuates any pending
+// transition: the flush never acts on a written key's entry. Before the
+// flush only PendingPromotion reads an entry, and only an R one. So an NR
+// write decision has one thing to do: drop a pending promotion. An R
+// decision keeps the lookup, since it is pending only where the set holds
+// the key NR.
 func (d *DO) observe(op policy.Op) {
 	target := d.policy.Observe(op)
-	cur := ads.NR
-	if rec, ok := d.set.Get(op.Key); ok {
-		cur = rec.State
-	}
-	if target != cur {
-		d.pendingState[op.Key] = target
-	} else {
+	if op.Write && target == ads.NR {
 		delete(d.pendingState, op.Key)
+	} else {
+		cur := ads.NR
+		if rec, ok := d.set.Get(op.Key); ok {
+			cur = rec.State
+		}
+		if target != cur {
+			d.pendingState[op.Key] = target
+		} else {
+			delete(d.pendingState, op.Key)
+		}
 	}
 	if d.maxReplicas > 0 {
 		d.lruTick++

@@ -96,14 +96,15 @@ func NewFeed(c *chain.Chain, p policy.Policy, opts Options) *Feed {
 }
 
 // wireFeed registers the contracts on c and assembles the three parties
-// around one record set: the DO owns it, the SP serves proofs from it.
+// around one record set: the DO owns it, the SP serves proofs from it, and
+// the manager verifies delivers through its memo.
 // NewFeed then runs genesis; RestoreFeed installs a snapshot instead.
 func wireFeed(c *chain.Chain, p policy.Policy, opts Options) *Feed {
 	opts = opts.withDefaults()
 	do := NewDO(c, opts.Manager, opts.DOAddr, p, opts.MaxReplicas, opts.NoADS)
 	f := &Feed{
 		Chain:     c,
-		Manager:   NewStorageManager(c, opts.Manager, opts.DOAddr, opts.Trace),
+		Manager:   NewStorageManager(c, opts.Manager, opts.DOAddr, opts.Trace, do.Set().Memo()),
 		DO:        do,
 		SP:        NewSPNode(c, do.Set(), opts.Manager, opts.SPAddr),
 		opts:      opts,

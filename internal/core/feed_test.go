@@ -269,6 +269,47 @@ func TestForgedStateBitRejected(t *testing.T) {
 	}
 }
 
+// TestForgeriesRejectedOnWarmMemo repeats the forgeries above after a
+// genuine deliver of the same key has folded its path through the manager's
+// memo, next to the inner hashes the DO's seal recorded: a forged value, a
+// forged state bit and each path sibling flipped in turn must still fail with
+// ErrBadProof, fire no callback, and leave the honest read working.
+func TestForgeriesRejectedOnWarmMemo(t *testing.T) {
+	f := newTestFeed(policy.Never{}, Options{EpochOps: 1})
+	for i := 0; i < 24; i++ {
+		f.Write(KV{Key: fmt.Sprintf("k%02d", i), Value: []byte{byte(i)}})
+	}
+	const key = "k13"
+	var steps int
+	f.SP.Tamper = func(d *DeliverArgs) { steps = len(d.Proof.Path) }
+	if err := f.Read(key); err != nil {
+		t.Fatalf("genuine deliver: %v", err)
+	}
+	forgeries := map[string]func(*DeliverArgs){
+		"value":     func(d *DeliverArgs) { d.Record.Value = []byte("forged!") },
+		"state bit": func(d *DeliverArgs) { d.Record.State = ads.R },
+	}
+	for i := 0; i < steps; i++ {
+		forgeries[fmt.Sprintf("sibling %d of %d", i, steps)] = func(d *DeliverArgs) { d.Proof.Path[i].Hash[31] ^= 1 }
+	}
+	for name, forge := range forgeries {
+		f.SP.Tamper = forge
+		if err := f.Read(key); !errors.Is(err, ErrBadProof) {
+			t.Fatalf("%s forged on a warm memo: err = %v, want ErrBadProof", name, err)
+		}
+	}
+	if f.Delivered() != 1 {
+		t.Fatalf("Delivered = %d, want the one genuine deliver", f.Delivered())
+	}
+	f.SP.Tamper = nil
+	if err := f.Read(key); err != nil {
+		t.Fatalf("honest read after the forgeries: %v", err)
+	}
+	if f.Delivered() != 2 || !bytes.Equal(f.LastValue[key], []byte{13}) {
+		t.Fatalf("Delivered = %d, LastValue = %x", f.Delivered(), f.LastValue[key])
+	}
+}
+
 func TestFailedReadThenEpochBoundary(t *testing.T) {
 	// A read whose deliver is rejected returns before the monitor runs, so
 	// its gGet is still in the call trace when the next epoch boundary

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"grub/internal/ads"
 	"grub/internal/chain"
 	"grub/internal/gas"
 	"grub/internal/policy"
@@ -187,5 +189,82 @@ func TestSnapshotRefusesPendingTx(t *testing.T) {
 	f.Chain.MineUntilEmpty()
 	if tx.Err != nil {
 		t.Fatalf("the pending read was malformed: %v", tx.Err)
+	}
+}
+
+// TestWriteDemotionAcrossSnapshot drives a replicated key through the path
+// where the DO skips the set lookup: a write whose policy target is NR. The
+// key is written, read twice (served by its replica; K = 3 keeps it NR in
+// the policy) and the feed snapshotted and restored mid-epoch; the flush
+// must then demote it with exactly one eviction, with the Gas and root of
+// the original and of an identical feed that never snapshotted.
+func TestWriteDemotionAcrossSnapshot(t *testing.T) {
+	const key = "k"
+	opts := Options{EpochOps: 64}
+	drive := func() *Feed {
+		f := NewFeed(newSnapChain(), policy.NewMemoryless(3), opts)
+		f.Write(KV{Key: key, Value: []byte("v1")})
+		f.FlushEpoch()
+		for i := 0; i < 3; i++ {
+			if err := f.Read(key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rec, _ := f.DO.Set().Get(key); rec.State != ads.R {
+			t.Fatalf("after three reads %s is %v, want R", key, rec.State)
+		}
+		f.Write(KV{Key: key, Value: []byte("v2")})
+		for i := 0; i < 2; i++ {
+			if err := f.Read(key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
+	}
+	// flush ends the epoch and returns the update's evictions.
+	flush := func(f *Feed) []string {
+		tx := f.DO.FlushEpoch()
+		if tx == nil {
+			t.Fatal("the flush submitted no update")
+		}
+		evicted := slices.Clone(tx.Args.(*UpdateArgs).Evictions)
+		f.Chain.MineUntilEmpty()
+		if tx.Err != nil {
+			t.Fatal(tx.Err)
+		}
+		return evicted
+	}
+
+	ref, orig := drive(), drive()
+	snap, err := orig.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreFeed(newSnapChain(), policy.NewMemoryless(3), opts, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		f    *Feed
+	}{{"never snapshotted", ref}, {"snapshotted", orig}, {"restored", restored}} {
+		name, f := c.name, c.f
+		if ev := flush(f); !slices.Equal(ev, []string{key}) {
+			t.Fatalf("%s: the flush evicted %q, want [%s]", name, ev, key)
+		}
+		if rec, _ := f.DO.Set().Get(key); rec.State != ads.NR || string(rec.Value) != "v2" {
+			t.Fatalf("%s: %s ends as %+v, want NR v2", name, key, rec)
+		}
+		st, err := f.Chain.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := st.Storage["grub-manager"][kvPrefix+key]; ok {
+			t.Fatalf("%s: the manager still holds a replica of %s", name, key)
+		}
+		if f.FeedGas() != ref.FeedGas() {
+			t.Fatalf("%s: feed Gas %d, the never-snapshotted feed's %d", name, f.FeedGas(), ref.FeedGas())
+		}
+		requireFeedsEqual(t, name, ref, f)
 	}
 }
