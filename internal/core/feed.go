@@ -9,13 +9,15 @@ import (
 	"grub/internal/workload"
 )
 
+// The three parties' addresses on a feed's chain.
+const (
+	managerAddr chain.Address = "grub-manager"
+	doAddr      chain.Address = "do"
+	spAddr      chain.Address = "sp"
+)
+
 // Options configures a Feed.
 type Options struct {
-	// Manager, DOAddr, SPAddr name the three parties on the chain.
-	// Defaults: "grub-manager", "do", "sp".
-	Manager chain.Address
-	DOAddr  chain.Address
-	SPAddr  chain.Address
 	// EpochOps is the number of workload operations per epoch: the DO
 	// batches writes and actuates decisions at epoch boundaries. Figure 5
 	// uses 32, Figure 6 uses 4. Default 32.
@@ -37,15 +39,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Manager == "" {
-		o.Manager = "grub-manager"
-	}
-	if o.DOAddr == "" {
-		o.DOAddr = "do"
-	}
-	if o.SPAddr == "" {
-		o.SPAddr = "sp"
-	}
 	if o.EpochOps <= 0 {
 		o.EpochOps = 32
 	}
@@ -101,12 +94,12 @@ func NewFeed(c *chain.Chain, p policy.Policy, opts Options) *Feed {
 // NewFeed then runs genesis; RestoreFeed installs a snapshot instead.
 func wireFeed(c *chain.Chain, p policy.Policy, opts Options) *Feed {
 	opts = opts.withDefaults()
-	do := NewDO(c, opts.Manager, opts.DOAddr, p, opts.MaxReplicas, opts.NoADS)
+	do := NewDO(c, managerAddr, doAddr, p, opts.MaxReplicas, opts.NoADS)
 	f := &Feed{
 		Chain:     c,
-		Manager:   NewStorageManager(c, opts.Manager, opts.DOAddr, opts.Trace, do.Set().Memo()),
+		Manager:   NewStorageManager(c, managerAddr, doAddr, opts.Trace, do.Set().Memo()),
 		DO:        do,
-		SP:        NewSPNode(c, do.Set(), opts.Manager, opts.SPAddr),
+		SP:        NewSPNode(c, do.Set(), managerAddr, spAddr),
 		opts:      opts,
 		LastValue: make(map[string][]byte),
 	}
@@ -125,7 +118,7 @@ type readSlot struct {
 // through (contract code is re-registered on restore, never serialized). Its
 // read method takes the key by pointer.
 func registerReader(f *Feed) {
-	c, manager := f.Chain, f.opts.Manager
+	c := f.Chain
 	c.Register(readerAddr, "read", func(ctx *chain.Ctx, args any) (any, error) {
 		key, ok := args.(*string)
 		if !ok || key == nil {
@@ -135,7 +128,7 @@ func registerReader(f *Feed) {
 			Key:      *key,
 			Callback: Callback{Contract: readerAddr, Method: "onData"},
 		})
-		_, err := ctx.Call(manager, "gGet", &f.getArgs[len(f.getArgs)-1])
+		_, err := ctx.Call(managerAddr, "gGet", &f.getArgs[len(f.getArgs)-1])
 		return nil, err
 	})
 	c.Register(readerAddr, "onData", func(ctx *chain.Ctx, args any) (any, error) {
@@ -162,7 +155,7 @@ func (f *Feed) NotFound() int { return f.notFound }
 // FeedGas returns the cumulative feed-layer Gas: everything attributed to
 // the storage-manager contract (update and deliver transactions, storage,
 // verification, events). Application-layer Gas lives on the DU contracts.
-func (f *Feed) FeedGas() gas.Gas { return f.Chain.GasOf(f.opts.Manager) }
+func (f *Feed) FeedGas() gas.Gas { return f.Chain.GasOf(managerAddr) }
 
 // Write stages one data update (part of the next gPuts batch).
 func (f *Feed) Write(kv KV) {
@@ -231,7 +224,7 @@ func (f *Feed) monitorReads() error {
 func (f *Feed) takeReads() []string {
 	f.reads = f.reads[:0]
 	for _, cr := range f.Chain.TakeCalls() {
-		if cr.To != f.opts.Manager || cr.Method != "gGet" {
+		if cr.To != managerAddr || cr.Method != "gGet" {
 			continue
 		}
 		if a, ok := cr.Args.(*GetArgs); ok {

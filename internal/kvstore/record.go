@@ -12,16 +12,14 @@ import (
 //
 //	kind (1B) | seq (8B, big-endian) | payload
 //
-// The codec is deliberately independent of what the payload means; callers
-// define their own kinds above RecordReserved.
+// The codec is deliberately independent of what the payload means.
 
-// RecordKind tags a typed record value.
+// RecordKind tags a typed record value. Kind 1 stays unassigned: stores
+// written by earlier builds may hold it (an op batch as JSON), and shard
+// recovery refuses such a record rather than read it as something else.
 type RecordKind uint8
 
 const (
-	// RecordOps is an applied op batch in a feed's durable log, as JSON.
-	// Stores written before RecordOpsWire hold it; nothing writes it now.
-	RecordOps RecordKind = 1
 	// RecordSnapshot is a serialized feed-state snapshot plus its
 	// persistence metadata; it supersedes every log record with seq at or
 	// below its own.
@@ -29,8 +27,6 @@ const (
 	// RecordOpsWire is an applied op batch in a feed's durable log, in the
 	// binary ops encoding (core.AppendOps).
 	RecordOpsWire RecordKind = 3
-	// RecordReserved is the first kind value available to other callers.
-	RecordReserved RecordKind = 16
 )
 
 // recordHeaderLen is the encoded size of the kind tag and sequence number.

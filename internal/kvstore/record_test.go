@@ -11,10 +11,10 @@ func TestTypedRecordRoundtrip(t *testing.T) {
 		seq     uint64
 		payload []byte
 	}{
-		{RecordOps, 1, []byte(`[{"type":"read","key":"k"}]`)},
+		{1, 1, []byte(`[{"type":"read","key":"k"}]`)},
 		{RecordSnapshot, 1 << 40, []byte("state")},
 		{RecordOpsWire, 7, []byte{1, 0, 1, 'k', 0, 0}},
-		{RecordReserved + 3, 0, nil},
+		{19, 0, nil},
 	} {
 		enc := EncodeRecord(tc.kind, tc.seq, tc.payload)
 		kind, seq, payload, err := DecodeTypedRecord(enc)

@@ -63,8 +63,8 @@ func (c *Client) fetch(path, accept string) (*http.Response, error) {
 
 // drainClose reads a body to EOF before closing it: json.Decoder stops at the
 // end of the value, ahead of a chunked body's terminating chunk, and net/http
-// discards a keep-alive connection whose body was closed short of EOF —
-// every multi-kilobyte log page would dial again.
+// discards a keep-alive connection whose body was closed short of EOF — the
+// next fetch would dial again.
 func drainClose(body io.ReadCloser) {
 	io.Copy(io.Discard, body)
 	body.Close()
@@ -119,9 +119,9 @@ func shardPath(id string, shard int, kind string) string {
 // page's Content-Length; a longer claim is read as it arrives.
 const maxPresizedPage = 16 << 20
 
-// Log fetches one page of a shard's replication log above the cursor. It
-// asks for the binary log encoding and decodes the answer by its
-// Content-Type, so a leader that answers JSON is followed too.
+// Log fetches one page of a shard's replication log above the cursor, in
+// the binary log encoding; an answer in any other type is an error that
+// names both.
 func (c *Client) Log(id string, shard int, from uint64, max int) (*LogPage, error) {
 	path := fmt.Sprintf("%s?from=%d&max=%d", shardPath(id, shard, "log"), from, max)
 	resp, err := c.fetch(path, LogMediaType)
@@ -129,12 +129,8 @@ func (c *Client) Log(id string, shard int, from uint64, max int) (*LogPage, erro
 		return nil, err
 	}
 	defer drainClose(resp.Body)
-	if resp.Header.Get("Content-Type") != LogMediaType {
-		var out LogPage
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return nil, err
-		}
-		return &out, nil
+	if ct := resp.Header.Get("Content-Type"); ct != LogMediaType {
+		return nil, fmt.Errorf("repl: GET %s: answer is %q, want %q", path, ct, LogMediaType)
 	}
 	var body []byte
 	if n := resp.ContentLength; n > 0 && n <= maxPresizedPage {

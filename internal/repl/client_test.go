@@ -11,11 +11,11 @@ import (
 	"grub/internal/server"
 )
 
-// TestClientKeepsOneConnection: a tailer's page fetches all ride one
-// keep-alive connection. Log pages are multi-kilobyte, hence chunked, JSON;
-// closing the body right after json.Decoder returned — ahead of the
-// terminating chunk — made the transport drop the connection and dial again
-// for the next page.
+// TestClientKeepsOneConnection: a tailer's page fetches, and the JSON
+// snapshot fetch after them, all ride one keep-alive connection. Closing a
+// chunked body short of EOF — right after json.Decoder returned, ahead of
+// the terminating chunk — made the transport drop the connection and dial
+// again for the next fetch.
 func TestClientKeepsOneConnection(t *testing.T) {
 	g, err := server.NewGatewayWithOptions(server.GatewayOptions{})
 	if err != nil {

@@ -24,9 +24,6 @@ type Options struct {
 	// Poll is the idle poll floor for log tailing (default 20ms). Pages
 	// with entries are drained back-to-back regardless.
 	Poll time.Duration
-	// MaxBackoff caps the exponential backoff on empty polls and transient
-	// errors (default 1s).
-	MaxBackoff time.Duration
 	// Refresh is the feed-list refresh cadence: new feeds on the leader
 	// start replicating within one refresh (default 500ms).
 	Refresh time.Duration
@@ -44,9 +41,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Poll <= 0 {
 		o.Poll = 20 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = time.Second
 	}
 	if o.Refresh <= 0 {
 		o.Refresh = 500 * time.Millisecond
@@ -251,12 +245,12 @@ func (f *Follower) sleep(d time.Duration, feedStop, wake <-chan struct{}) bool {
 	return true
 }
 
-func (f *Follower) grow(b time.Duration) time.Duration {
-	b *= 2
-	if b > f.opts.MaxBackoff {
-		b = f.opts.MaxBackoff
-	}
-	return b
+// maxBackoff caps the exponential backoff on empty polls and transient
+// errors.
+const maxBackoff = time.Second
+
+func grow(b time.Duration) time.Duration {
+	return min(2*b, maxBackoff)
 }
 
 // run is the manager loop: it discovers the leader's feeds, ensures each
@@ -274,7 +268,7 @@ func (f *Follower) run() {
 			if !f.sleep(backoff, nil, f.wake) {
 				return
 			}
-			backoff = f.grow(backoff)
+			backoff = grow(backoff)
 			continue
 		}
 		backoff = f.opts.Poll
@@ -396,7 +390,7 @@ func (f *Follower) tail(fr *feedRepl, lf Feed, t *shardTail) {
 	wait := func(state string, err error) bool {
 		t.set(state, err)
 		ok := f.sleep(backoff, fr.stop, nil)
-		backoff = f.grow(backoff)
+		backoff = grow(backoff)
 		return ok
 	}
 	for {

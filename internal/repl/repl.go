@@ -20,8 +20,8 @@
 //	GET /repl/feeds/{id}/shards/{shard}/snapshot     consistent state snapshot
 //
 // The log route answers in the binary log encoding (LogMediaType,
-// AppendLogPage, DecodeLogPage) when asked to, and in JSON otherwise; the
-// other two speak JSON.
+// AppendLogPage, DecodeLogPage) and only in it; the other two, and every
+// error answer, speak JSON.
 //
 // A Follower drives those endpoints against one leader URL and replicates
 // into a Target (implemented by server.Gateway): bootstrap from the newest

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"grub/internal/core"
@@ -48,115 +49,58 @@ func realPage(tb testing.TB, n int) *repl.LogPage {
 	return &page
 }
 
-// TestLogPageEncodingsAgree: a page decodes to equal LogPages from its JSON
-// and its binary form, entries or none, snapshot flag set or not.
-func TestLogPageEncodingsAgree(t *testing.T) {
-	full := realPage(t, 12)
-	for name, page := range map[string]*repl.LogPage{
-		"entries":           full,
-		"one entry":         {Entries: full.Entries[3:4], FloorSeq: 3, LeaderSeq: 12},
-		"empty":             {FloorSeq: 12, LeaderSeq: 12},
-		"snapshot required": {FloorSeq: 9, LeaderSeq: 40, SnapshotRequired: true},
-	} {
-		js, err := json.Marshal(page)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fromJSON repl.LogPage
-		if err := json.Unmarshal(js, &fromJSON); err != nil {
-			t.Fatal(err)
-		}
-		fromBinary, err := repl.DecodeLogPage(repl.AppendLogPage(nil, page))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(*fromBinary, fromJSON) {
-			t.Errorf("%s: binary decodes to\n%+v\nJSON to\n%+v", name, *fromBinary, fromJSON)
-		}
-	}
-}
-
-// acceptStripper serves a leader that ignores Accept on log fetches, as one
-// that predates the binary log encoding does, and records the Content-Type
-// of every log page it serves.
-type acceptStripper struct {
-	next  http.Handler
-	mu    sync.Mutex
-	types []string
-}
-
-func (s *acceptStripper) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if !strings.HasSuffix(r.URL.Path, "/log") {
-		s.next.ServeHTTP(w, r)
-		return
-	}
-	r.Header.Del("Accept")
-	s.next.ServeHTTP(w, r)
-	s.mu.Lock()
-	s.types = append(s.types, w.Header().Get("Content-Type"))
-	s.mu.Unlock()
-}
-
-// TestClientLogFallsBackToJSON: a leader that answers every log fetch in
-// JSON, whatever the Accept header asks for, is still followed to
-// convergence; against a current leader the same fetch comes back binary.
-func TestClientLogFallsBackToJSON(t *testing.T) {
+// TestLogRouteSpeaksBinaryOnly: the log route answers in the binary log
+// encoding whether or not the request names it, and Client.Log refuses an
+// answer in any other type, naming both, without asking again.
+func TestLogRouteSpeaksBinaryOnly(t *testing.T) {
 	leader, err := server.NewGatewayWithOptions(server.GatewayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(leader.Close)
-	strip := &acceptStripper{next: server.NewHandler(leader)}
-	old := httptest.NewServer(strip)
-	t.Cleanup(old.Close)
-	current := httptest.NewServer(server.NewHandler(leader))
-	t.Cleanup(current.Close)
+	srv := httptest.NewServer(server.NewHandler(leader))
+	t.Cleanup(srv.Close)
 	if err := leader.CreateFeed(server.FeedConfig{ID: "f", Shards: 2, EpochOps: 8}); err != nil {
 		t.Fatal(err)
 	}
 	writeBatches(t, leader, "f", 20, 0)
-
-	fg, _ := startGateway(t, server.GatewayOptions{})
-	f := repl.NewFollower(fastOpts(old.URL), fg.ReplTarget())
-	f.Start()
-	t.Cleanup(f.Close)
-	if err := f.WaitConverged(waitTimeout); err != nil {
-		t.Fatal(err)
-	}
-	assertSameRoots(t, "f", leader, fg)
-	strip.mu.Lock()
-	types := slices.Clone(strip.types)
-	strip.mu.Unlock()
-	if len(types) == 0 || slices.ContainsFunc(types, func(ct string) bool { return ct != "application/json" }) {
-		t.Fatalf("old leader served log pages as %q, want JSON only", types)
-	}
-
-	req, err := http.NewRequest(http.MethodGet, current.URL+"/repl/feeds/f/shards/1/log", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", repl.LogMediaType)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != repl.LogMediaType {
-		t.Fatalf("current leader answered a binary Accept with %q", ct)
-	}
-
 	want, err := leader.ReplLog("f", 1, 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, base := range []string{old.URL, current.URL} {
-		got, err := repl.NewClient(base).Log("f", 1, 0, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Entries) == 0 || !reflect.DeepEqual(*got, want) {
-			t.Errorf("%s: Log = %+v, want %+v", base, *got, want)
-		}
+
+	resp, err := http.Get(srv.URL + "/repl/feeds/f/shards/1/log?max=64") // no Accept, as curl sends
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != repl.LogMediaType {
+		t.Fatalf("log fetch without Accept answered %q, want %q", ct, repl.LogMediaType)
+	}
+	if got, err := repl.DecodeLogPage(body); err != nil || len(got.Entries) == 0 || !reflect.DeepEqual(*got, want) {
+		t.Errorf("log page decodes to %+v (%v), want %+v", got, err, want)
+	}
+	if got, err := repl.NewClient(srv.URL).Log("f", 1, 0, 64); err != nil || !reflect.DeepEqual(*got, want) {
+		t.Errorf("Log = %+v (%v), want %+v", got, err, want)
+	}
+
+	var fetches atomic.Int64
+	jsonLeader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fetches.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"entries":[],"floorSeq":0,"leaderSeq":0}`)
+	}))
+	t.Cleanup(jsonLeader.Close)
+	_, err = repl.NewClient(jsonLeader.URL).Log("f", 1, 0, 64)
+	if err == nil || !strings.Contains(err.Error(), `"application/json"`) || !strings.Contains(err.Error(), repl.LogMediaType) {
+		t.Errorf("Log of a JSON answer = %v, want an error naming both types", err)
+	}
+	if n := fetches.Load(); n != 1 {
+		t.Errorf("Log fetched %d times, want 1", n)
 	}
 }
 

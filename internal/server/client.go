@@ -3,13 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/url"
-	"sync/atomic"
 	"time"
 
 	"grub/internal/core"
@@ -40,22 +38,16 @@ type Retry struct {
 // failover window (~4 tries over roughly half a second worst case).
 var DefaultRetry = Retry{Attempts: 4, Base: 25 * time.Millisecond, Max: 400 * time.Millisecond}
 
-// Client talks to a gateway over its HTTP API: JSON, except that reads and
-// op batches use the binary encodings where the gateway speaks them. The zero
-// HTTP client is usable; BaseURL is required ("http://host:port", no
-// trailing slash).
+// Client talks to a gateway over its HTTP API: op batches and authenticated
+// reads in the binary encodings (OpsMediaType, ReadMediaType), everything
+// else in JSON. The zero HTTP client is usable; BaseURL is required
+// ("http://host:port", no trailing slash).
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
 	// Retry bounds automatic retry of transient failures (zero = one
 	// attempt, no retry).
 	Retry Retry
-
-	// binaryOps is set by a batch answered in the binary ops encoding: a
-	// gateway that writes it also reads it, so from then on Do sends batches
-	// in it. Until then they go as JSON, which every gateway reads. A binary
-	// batch refused as unreadable clears it (see Do).
-	binaryOps atomic.Bool
 }
 
 // NewClient returns a client for a gateway at baseURL.
@@ -101,21 +93,24 @@ func drainClose(body io.ReadCloser) {
 	body.Close()
 }
 
-// pooled performs one round trip and returns the whole response body in a
-// pooled buffer (the caller putBufs it) with the response's Content-Type,
-// which says whether a gateway that was asked for a binary answer gave one:
-// one that predates the encoding ignores the Accept header and answers JSON.
-func (c *Client) pooled(method, path string, payload []byte, contentType, accept string) (*[]byte, string, error) {
-	resp, err := c.do(method, path, payload, contentType, accept)
+// pooled performs one round trip whose answer must be in mediaType, the
+// type payload (when non-nil) is sent in too, and returns the whole answer
+// in a pooled buffer (the caller putBufs it). An answer in any other type is
+// an error that names both.
+func (c *Client) pooled(method, path string, payload []byte, mediaType string) (*[]byte, error) {
+	resp, err := c.do(method, path, payload, mediaType, mediaType)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
+	if ct := resp.Header.Get("Content-Type"); ct != mediaType {
+		return nil, fmt.Errorf("client: %s %s: answer is %q, want %q", method, path, ct, mediaType)
+	}
 	body, err := readPooled(resp.Body)
 	if err != nil {
-		return nil, "", fmt.Errorf("client: %s %s: read body: %w", method, path, err)
+		return nil, fmt.Errorf("client: %s %s: read body: %w", method, path, err)
 	}
-	return body, resp.Header.Get("Content-Type"), nil
+	return body, nil
 }
 
 // do sends one request with bounded retry per c.Retry and returns the 2xx
@@ -182,14 +177,12 @@ func (c *Client) do(method, path string, payload []byte, contentType, accept str
 		if resp.StatusCode < 300 {
 			return resp, nil
 		}
-		se := &statusError{status: resp.StatusCode}
 		var e errorBody
 		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			se.msg = fmt.Sprintf("client: %s %s: %s", method, path, e.Error)
+			err = fmt.Errorf("client: %s %s: %s", method, path, e.Error)
 		} else {
-			se.msg = fmt.Sprintf("client: %s %s: HTTP %d", method, path, resp.StatusCode)
+			err = fmt.Errorf("client: %s %s: HTTP %d", method, path, resp.StatusCode)
 		}
-		err = se
 		drainClose(resp.Body)
 		if resp.StatusCode != http.StatusBadGateway && resp.StatusCode != http.StatusServiceUnavailable {
 			return nil, err
@@ -198,14 +191,6 @@ func (c *Client) do(method, path string, payload []byte, contentType, accept str
 	}
 	return nil, lastErr
 }
-
-// statusError is a non-2xx answer, as do reports it.
-type statusError struct {
-	status int
-	msg    string
-}
-
-func (e *statusError) Error() string { return e.msg }
 
 // CreateFeed creates a feed on the gateway.
 func (c *Client) CreateFeed(cfg FeedConfig) error {
@@ -223,62 +208,26 @@ func (c *Client) Feeds() ([]string, error) {
 	return out.Feeds, nil
 }
 
-// Do executes a batch of ops against one feed. It always asks for the
-// results in the binary ops encoding and decodes the answer by its
-// Content-Type; it sends the batch itself in that encoding once this client
-// has had one binary answer, and in JSON before (docs/API.md, "Binary ops
-// encoding").
-//
-// One client may reach more than one gateway: do follows a Leader header,
-// and a cluster node forwards a batch to the feed's owner as it came. So a
-// binary batch can land on a gateway that predates the encoding, which
-// refuses it with 400 before running any of it. Do then sends the batch
-// again as JSON and goes back to JSON until the next binary answer.
+// Do executes a batch of ops against one feed, sent and answered in the
+// binary ops encoding (docs/API.md, "Binary ops encoding").
 func (c *Client) Do(id string, ops []Op) ([]OpResult, error) {
 	path := query.FeedPath(id, "/ops")
-	binary := c.binaryOps.Load()
-	body, ct, err := c.postOps(path, ops, binary)
-	var se *statusError
-	if binary && errors.As(err, &se) && (se.status == http.StatusBadRequest || se.status == http.StatusUnsupportedMediaType) {
-		c.binaryOps.Store(false)
-		body, ct, err = c.postOps(path, ops, false)
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer putBuf(body)
-	if ct == OpsMediaType {
-		c.binaryOps.Store(true)
-		results, err := decodeResults(*body, ops)
-		if err != nil {
-			return nil, fmt.Errorf("client: POST %s: %w", path, err)
-		}
-		return results, nil
-	}
-	var out BatchResponse
-	if err := json.Unmarshal(*body, &out); err != nil {
-		return nil, fmt.Errorf("client: POST %s: %w", path, err)
-	}
-	return out.Results, nil
-}
-
-// postOps posts a batch, in the binary ops encoding or in JSON, asking for
-// binary results, and returns the answer as pooled returns it.
-func (c *Client) postOps(path string, ops []Op, binary bool) (*[]byte, string, error) {
-	if !binary {
-		payload, err := json.Marshal(BatchRequest{Ops: ops})
-		if err != nil {
-			return nil, "", fmt.Errorf("client: encode POST %s: %w", path, err)
-		}
-		return c.pooled(http.MethodPost, path, payload, "application/json", OpsMediaType)
-	}
 	buf := bufPool.Get().(*[]byte)
 	*buf = core.AppendOps(*buf, ops)
 	// The transport may still read a request body after the response is
 	// in, so the body is a copy the pool never sees again.
 	payload := bytes.Clone(*buf)
 	putBuf(buf)
-	return c.pooled(http.MethodPost, path, payload, OpsMediaType, OpsMediaType)
+	body, err := c.pooled(http.MethodPost, path, payload, OpsMediaType)
+	if err != nil {
+		return nil, err
+	}
+	defer putBuf(body)
+	results, err := decodeResults(*body, ops)
+	if err != nil {
+		return nil, fmt.Errorf("client: POST %s: %w", path, err)
+	}
+	return results, nil
 }
 
 // Stats fetches one feed's counters.
@@ -314,42 +263,27 @@ func (c *Client) Snapshot(id string) (shard.PersistStats, error) {
 
 // Get performs an authenticated point read: the record (or proven absence)
 // for key, with the Merkle evidence and shard anchor, fetched in the binary
-// read encoding (JSON from a gateway that predates it). The proof is NOT
-// checked here — use VerifyingClient for reads that must not trust the
-// gateway, or query.VerifyGet directly.
+// read encoding. The proof is NOT checked here — use VerifyingClient for
+// reads that must not trust the gateway, or query.VerifyGet directly.
 func (c *Client) Get(id, key string) (*query.GetResult, error) {
-	body, ct, err := c.pooled(http.MethodGet, query.FeedPath(id, "/get?key=")+url.QueryEscape(key), nil, "", ReadMediaType)
+	body, err := c.pooled(http.MethodGet, query.FeedPath(id, "/get?key=")+url.QueryEscape(key), nil, ReadMediaType)
 	if err != nil {
 		return nil, err
 	}
 	defer putBuf(body)
-	if ct == ReadMediaType {
-		return query.DecodeGetResult(*body)
-	}
-	var out GetResponse
-	if err := json.Unmarshal(*body, &out); err != nil {
-		return nil, err
-	}
-	return out.Result, nil
+	return query.DecodeGetResult(*body)
 }
 
 // Range performs an authenticated key-range scan: one completeness-proven
-// slice of NR records per shard. Proofs are not checked here (see
-// VerifyingClient).
+// slice of NR records per shard, fetched in the binary read encoding.
+// Proofs are not checked here (see VerifyingClient).
 func (c *Client) Range(id, lo, hi string) ([]query.RangeResult, error) {
-	body, ct, err := c.pooled(http.MethodGet, query.FeedPath(id, "/range?lo=")+url.QueryEscape(lo)+"&hi="+url.QueryEscape(hi), nil, "", ReadMediaType)
+	body, err := c.pooled(http.MethodGet, query.FeedPath(id, "/range?lo=")+url.QueryEscape(lo)+"&hi="+url.QueryEscape(hi), nil, ReadMediaType)
 	if err != nil {
 		return nil, err
 	}
 	defer putBuf(body)
-	if ct == ReadMediaType {
-		return query.DecodeRangeResults(*body)
-	}
-	var out RangeResponse
-	if err := json.Unmarshal(*body, &out); err != nil {
-		return nil, err
-	}
-	return out.Results, nil
+	return query.DecodeRangeResults(*body)
 }
 
 // Roots fetches the feed's per-shard trust anchors (root, record count,

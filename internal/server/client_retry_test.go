@@ -126,7 +126,7 @@ func TestClientRetryTransportError(t *testing.T) {
 // second 421 surfaces as the caller's error instead of a redirect chase.
 func TestClientFollows421Leader(t *testing.T) {
 	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(BatchResponse{Results: []OpResult{{Key: "k"}}})
+		writeBinary(w, OpsMediaType, appendResults(nil, []OpResult{{Found: true}}))
 	}))
 	defer owner.Close()
 	stale := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -140,7 +140,7 @@ func TestClientFollows421Leader(t *testing.T) {
 	if err != nil {
 		t.Fatalf("client did not follow Leader: %v", err)
 	}
-	if len(res) != 1 || res[0].Key != "k" {
+	if len(res) != 1 || res[0].Key != "k" || !res[0].Found {
 		t.Fatalf("results = %+v", res)
 	}
 

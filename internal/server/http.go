@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"grub/internal/cluster"
@@ -203,42 +202,6 @@ func misdirected(w http.ResponseWriter, msg, owner string) {
 func clusterDisabled(w http.ResponseWriter) {
 	writeJSON(w, http.StatusServiceUnavailable,
 		errorBody{Error: "cluster: clustering disabled (start grubd with -join)"})
-}
-
-// writeLogPage writes page exactly as writeJSON would, but hands encoding/json
-// one entry at a time. Encoded whole, a page (up to maxLogBatches batches, a
-// megabyte or more) grows one of encoding/json's pooled buffers to its size,
-// and how many such buffers sit parked in that pool (one per P at most) is a
-// matter of scheduling: the process's live heap would wander by a page per P
-// from one run to the next. It relies on entries being LogPage's first field.
-func writeLogPage(w http.ResponseWriter, page repl.LogPage) {
-	if len(page.Entries) == 0 {
-		writeJSON(w, http.StatusOK, page)
-		return
-	}
-	rest := page
-	rest.Entries = nil
-	tail, err := json.Marshal(rest)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	io.WriteString(w, `{"entries":[`)
-	for i := range page.Entries {
-		if i > 0 {
-			io.WriteString(w, ",")
-		}
-		b, err := json.Marshal(&page.Entries[i])
-		if err != nil {
-			return // headers are out: a truncated body fails the follower's decode
-		}
-		w.Write(b)
-	}
-	io.WriteString(w, "],")
-	w.Write(tail[1:])
-	io.WriteString(w, "\n")
 }
 
 // writeLogPageBinary answers a log fetch in the binary log encoding
@@ -611,11 +574,7 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		if strings.Contains(r.Header.Get("Accept"), repl.LogMediaType) {
-			writeLogPageBinary(w, page)
-			return
-		}
-		writeLogPage(w, page)
+		writeLogPageBinary(w, page)
 	})
 
 	mux.HandleFunc("GET /repl/feeds/{id}/shards/{shard}/snapshot", func(w http.ResponseWriter, r *http.Request) {

@@ -73,14 +73,14 @@ func decodeResults(body []byte, ops []Op) ([]OpResult, error) {
 	return out, nil
 }
 
-// binaryOpsBody reports whether a request's body is a binary batch.
-func binaryOpsBody(r *http.Request) bool { return r.Header.Get("Content-Type") == OpsMediaType }
+// binaryBatch reports whether a request's body is a binary batch.
+func binaryBatch(r *http.Request) bool { return r.Header.Get("Content-Type") == OpsMediaType }
 
 // decodeBatch decodes a POST /feeds/{id}/ops body in the form its
 // Content-Type names, under the size cap (413 past it). Like decodeBody it
 // reports whether decoding succeeded; the error answer is written when not.
 func decodeBatch(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]Op, bool) {
-	if !binaryOpsBody(r) {
+	if !binaryBatch(r) {
 		var req BatchRequest
 		ok := decodeBody(w, r, maxBytes, &req)
 		return req.Ops, ok
@@ -110,7 +110,7 @@ func decodeBatch(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]Op, 
 // count is taken as it stands, capped at what the body could hold, since the
 // owner that executes the batch checks the rest.
 func batchLen(r *http.Request, body []byte) int {
-	if binaryOpsBody(r) {
+	if binaryBatch(r) {
 		n, k := binary.Uvarint(body)
 		if k <= 0 {
 			return 0

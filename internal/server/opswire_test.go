@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,12 +29,9 @@ import (
 )
 
 // opsWire serves a gateway and logs the media types of every ops request and
-// of its answer, as "request>answer". With old set it stands in for a gateway
-// that predates the binary ops encoding: it drops the Accept and Content-Type
-// headers, so every answer is JSON and every body is decoded as JSON.
+// of its answer, as "request>answer".
 type opsWire struct {
-	h   http.Handler
-	old bool
+	h http.Handler
 
 	mu  sync.Mutex
 	log []string
@@ -40,10 +39,6 @@ type opsWire struct {
 
 func (o *opsWire) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	sent := r.Header.Get("Content-Type")
-	if o.old {
-		r.Header.Del("Accept")
-		r.Header.Del("Content-Type")
-	}
 	o.h.ServeHTTP(w, r)
 	if strings.HasSuffix(r.URL.Path, "/ops") {
 		o.mu.Lock()
@@ -60,11 +55,11 @@ func (o *opsWire) types() []string {
 
 // opsGateway creates feed cfg on a fresh in-memory gateway served through an
 // opsWire, and returns a client with its own connection pool.
-func opsGateway(tb testing.TB, cfg FeedConfig, old bool) (*Gateway, *Client, *opsWire) {
+func opsGateway(tb testing.TB, cfg FeedConfig) (*Gateway, *Client, *opsWire) {
 	tb.Helper()
 	g := NewGateway()
 	tb.Cleanup(g.Close)
-	ow := &opsWire{h: NewHandler(g), old: old}
+	ow := &opsWire{h: NewHandler(g)}
 	srv := httptest.NewServer(ow)
 	tb.Cleanup(srv.Close)
 	if err := g.CreateFeed(cfg); err != nil {
@@ -73,6 +68,22 @@ func opsGateway(tb testing.TB, cfg FeedConfig, old bool) (*Gateway, *Client, *op
 	c := NewClient(srv.URL)
 	c.HTTP = &http.Client{Transport: &http.Transport{}}
 	return g, c, ow
+}
+
+// postJSON posts a batch as curl does, JSON with no Accept header, and
+// returns the gateway's JSON answer.
+func postJSON(tb testing.TB, url string, body []byte) []byte {
+	tb.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	answer, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+		tb.Fatalf("POST %s: HTTP %d, Content-Type %q, %v", url, resp.StatusCode, resp.Header.Get("Content-Type"), err)
+	}
+	return answer
 }
 
 // randomBatch draws a batch over every corner of the op encoding: the three
@@ -96,28 +107,31 @@ func randomBatch(rng *rand.Rand, n int) []Op {
 	return ops
 }
 
-// TestOpsEncodingsEquivalent sends the same seeded random batches through
-// JSON to one gateway and through the binary ops encoding to another: every
-// result, every shard root and the feeds' Gas must come out equal.
+// TestOpsEncodingsEquivalent sends the same seeded random batches as JSON,
+// the way curl posts them, to one gateway and through Client in the binary
+// ops encoding to another: every result, every shard root and the feeds' Gas
+// must come out equal.
 func TestOpsEncodingsEquivalent(t *testing.T) {
 	cfg := FeedConfig{ID: "f", Shards: 2, EpochOps: 4}
-	gj, cj, wj := opsGateway(t, cfg, false)
-	gb, cb, wb := opsGateway(t, cfg, false)
-	cj.HTTP.Transport = stripAccept{cj.HTTP.Transport}
-	cb.binaryOps.Store(true)
+	gj, cj, wj := opsGateway(t, cfg)
+	gb, cb, wb := opsGateway(t, cfg)
 	rng := rand.New(rand.NewPCG(31, 7))
 	for i := 0; i < 300; i++ {
 		batch := randomBatch(rng, rng.IntN(24))
-		rj, err := cj.Do("f", batch)
+		body, err := json.Marshal(BatchRequest{Ops: batch})
 		if err != nil {
+			t.Fatal(err)
+		}
+		var rj BatchResponse
+		if err := json.Unmarshal(postJSON(t, cj.BaseURL+"/feeds/f/ops", body), &rj); err != nil {
 			t.Fatal(err)
 		}
 		rb, err := cb.Do("f", batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(rj, rb) {
-			t.Fatalf("batch %d: results differ\n json %+v\n bin  %+v", i, rj, rb)
+		if !reflect.DeepEqual(rj.Results, rb) {
+			t.Fatalf("batch %d: results differ\n json %+v\n bin  %+v", i, rj.Results, rb)
 		}
 	}
 	for _, side := range []struct {
@@ -168,40 +182,23 @@ var goldenBatch = []Op{
 	{Type: "delete", Key: "ETH-USD"},
 }
 
-// TestOpsJSONGolden: the JSON a new Client sends for a batch, and the JSON a
-// gateway answers to a request that names no binary type (as curl sends),
-// are the bytes the gateway exchanged before the binary ops encoding existed.
-// The golden files were written by this test on the commit before.
+// TestOpsJSONGolden: a batch in JSON, and the JSON a gateway answers to a
+// request that names no binary type (as curl sends), are the bytes the
+// gateway exchanged before the binary ops encoding existed. The golden files
+// were written by this test on the commit before it.
 func TestOpsJSONGolden(t *testing.T) {
-	var sent []byte
 	g := NewGateway()
 	defer g.Close()
-	h := NewHandler(g)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/ops") {
-			sent, _ = io.ReadAll(r.Body)
-			r.Body = io.NopCloser(bytes.NewReader(sent))
-		}
-		h.ServeHTTP(w, r)
-	}))
+	srv := httptest.NewServer(NewHandler(g))
 	defer srv.Close()
-	for _, id := range []string{"a", "b"} {
-		if err := g.CreateFeed(FeedConfig{ID: id, EpochOps: 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := NewClient(srv.URL).Do("a", goldenBatch); err != nil {
+	if err := g.CreateFeed(FeedConfig{ID: "f", EpochOps: 2}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(srv.URL+"/feeds/b/ops", "application/json", bytes.NewReader(sent))
+	sent, err := json.Marshal(BatchRequest{Ops: goldenBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	answer, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
-		t.Fatalf("HTTP %d, Content-Type %q, %v", resp.StatusCode, resp.Header.Get("Content-Type"), err)
-	}
+	answer := postJSON(t, srv.URL+"/feeds/f/ops", sent)
 	for name, got := range map[string][]byte{"ops_request.json": sent, "ops_response.json": answer} {
 		file := filepath.Join("testdata", name)
 		if *update {
@@ -220,82 +217,49 @@ func TestOpsJSONGolden(t *testing.T) {
 	}
 }
 
-// TestClientSendsJSONUntilBinary: a Client asks for binary results from its
-// first batch but sends JSON until a binary answer shows the gateway reads the
-// encoding; against a gateway that never answers binary it keeps to JSON
-// throughout, and the results are the same either way.
-func TestClientSendsJSONUntilBinary(t *testing.T) {
-	cfg := FeedConfig{ID: "f", EpochOps: 2}
-	_, current, wc := opsGateway(t, cfg, false)
-	_, old, wo := opsGateway(t, cfg, true)
+// TestClientSpeaksBinaryOps: a fresh Client sends its first batch, and every
+// one after it, in the binary ops encoding and asks for binary results.
+func TestClientSpeaksBinaryOps(t *testing.T) {
+	_, c, w := opsGateway(t, FeedConfig{ID: "f", EpochOps: 2})
 	rng := rand.New(rand.NewPCG(5, 5))
 	for i := 0; i < 3; i++ {
-		batch := randomBatch(rng, 8)
-		a, err := current.Do("f", batch)
-		if err != nil {
+		if _, err := c.Do("f", randomBatch(rng, 8)); err != nil {
 			t.Fatal(err)
-		}
-		b, err := old.Do("f", batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("batch %d: results differ between the gateways", i)
 		}
 	}
 	bin := OpsMediaType + ">" + OpsMediaType
-	if got, want := wc.types(), []string{"application/json>" + OpsMediaType, bin, bin}; !slices.Equal(got, want) {
-		t.Errorf("current gateway saw %q, want %q", got, want)
-	}
-	js := "application/json>application/json"
-	if got, want := wo.types(), []string{js, js, js}; !slices.Equal(got, want) {
-		t.Errorf("old gateway saw %q, want %q", got, want)
+	if got, want := w.types(), []string{bin, bin, bin}; !slices.Equal(got, want) {
+		t.Errorf("batches crossed as %q, want %q", got, want)
 	}
 }
 
-// TestClientFallsBackToJSON: a Client that has gone binary can still reach a
-// gateway that predates the encoding, here through a front that hands feed
-// "o" to one, as a cluster node forwards a batch to the feed's owner. That
-// gateway refuses the binary batch with 400 and runs none of it; Do sends it
-// again as JSON, and keeps to JSON until the next binary answer.
-func TestClientFallsBackToJSON(t *testing.T) {
-	cfg := FeedConfig{ID: "n", EpochOps: 2}
-	_, _, wn := opsGateway(t, cfg, false)
-	cfg.ID = "o"
-	old, _, wo := opsGateway(t, cfg, true)
-	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/feeds/o/") {
-			wo.ServeHTTP(w, r)
-			return
-		}
-		wn.ServeHTTP(w, r)
+// TestClientRefusesOtherAnswerTypes: Do, Get and Range take an answer only
+// in their binary type. One in JSON is an error naming the type received and
+// the type expected, and the request is not sent again in another form.
+func TestClientRefusesOtherAnswerTypes(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		writeJSON(w, http.StatusOK, BatchResponse{})
 	}))
-	defer front.Close()
-	c := NewClient(front.URL)
-	rng := rand.New(rand.NewPCG(6, 6))
-	ran := 0
-	for i, id := range []string{"n", "n", "o", "o", "n", "n"} {
-		batch := randomBatch(rng, 8)
-		results, err := c.Do(id, batch)
-		if err != nil {
-			t.Fatalf("batch %d to feed %s: %v", i, id, err)
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	for _, tc := range []struct {
+		name, want string
+		call       func() error
+	}{
+		{"Do", OpsMediaType, func() error { _, err := c.Do("f", []Op{{Type: "read", Key: "k"}}); return err }},
+		{"Get", ReadMediaType, func() error { _, err := c.Get("f", "k"); return err }},
+		{"Range", ReadMediaType, func() error { _, err := c.Range("f", "a", "b"); return err }},
+	} {
+		calls.Store(0)
+		err := tc.call()
+		if err == nil || !strings.Contains(err.Error(), `"application/json"`) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s of a JSON answer = %v, want an error naming application/json and %s", tc.name, err, tc.want)
 		}
-		if len(results) != len(batch) {
-			t.Fatalf("batch %d: %d results for %d ops", i, len(results), len(batch))
+		if n := calls.Load(); n != 1 {
+			t.Errorf("%s sent %d requests, want 1", tc.name, n)
 		}
-		if id == "o" {
-			ran += len(batch)
-		}
-	}
-	bin, js := OpsMediaType+">"+OpsMediaType, "application/json>application/json"
-	if got, want := wn.types(), []string{"application/json>" + OpsMediaType, bin, "application/json>" + OpsMediaType, bin}; !slices.Equal(got, want) {
-		t.Errorf("current gateway saw %q, want %q", got, want)
-	}
-	if got, want := wo.types(), []string{OpsMediaType + ">application/json", js, js}; !slices.Equal(got, want) {
-		t.Errorf("old gateway saw %q, want %q", got, want)
-	}
-	if st, err := old.Stats("o"); err != nil || st.Ops != ran {
-		t.Errorf("old gateway ran %d ops (%v), want each of its %d once", st.Ops, err, ran)
 	}
 }
 
@@ -337,8 +301,7 @@ func TestBinaryBatchesDoNotPinBodies(t *testing.T) {
 		t.Skip("posts 40 MiB of batches")
 	}
 	const batches = 80
-	_, c, w := opsGateway(t, FeedConfig{ID: "f", Shards: 2}, false)
-	c.binaryOps.Store(true)
+	_, c, w := opsGateway(t, FeedConfig{ID: "f", Shards: 2})
 	batch := []Op{{Type: "write", Value: []byte{1}}}
 	for i := 0; batch[0].Key == "" || len(batch) < 9; i++ {
 		k := fmt.Sprintf("k%d", i)

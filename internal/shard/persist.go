@@ -23,9 +23,9 @@ import (
 //
 // A log record's payload is the batch in the binary ops encoding
 // (core.AppendOps), the same bytes a binary POST /feeds/{id}/ops body and a
-// binary replication log page carry. Stores written before that encoding
-// hold JSON RecordOps values; recovery still replays them, and the next
-// snapshot drops them with the rest of the log below it.
+// replication log page carry. It is the only kind of log record: recovery
+// refuses a store whose log holds any other, naming the record and its kind,
+// rather than skip a batch the shard's sequence counts.
 //
 // The discipline is log-then-apply: a batch is durable before it executes,
 // so after a crash the recovered state is exactly "a fresh feed replaying
@@ -46,9 +46,10 @@ type PersistOptions struct {
 	// of the tests is process death, not host death.
 	SyncWrites bool
 	// Restore rebuilds one shard's feed from a snapshot (same configuration
-	// the build callback uses, plus the snapshot's state). Required when
-	// Dir holds state from a previous process; the gateway supplies it from
-	// the feed's config.
+	// the build callback uses, plus the snapshot's state). Options.Restore,
+	// when set, takes its place. One of the two is required when Dir holds
+	// state from a previous process; the gateway supplies it from the
+	// feed's config.
 	Restore func(shard int, snap *core.FeedSnapshot) (*core.Feed, error)
 }
 
@@ -254,10 +255,11 @@ func (p *persister) stat() PersistStat {
 }
 
 // recover loads the shard's durable state: the newest snapshot (if any)
-// restores the feed, and every log record above it replays through the
-// normal execution path. It returns the recovered shard state, with ops,
-// batches and base gas continuing from where the previous process stopped.
-func recoverShard(p *persister, idx int, opts Options, build func(int) (*core.Feed, error)) (*shardState, error) {
+// restores the feed through restore, and every log record above it replays
+// through the normal execution path. It returns the recovered shard state,
+// with ops, batches and base gas continuing from where the previous process
+// stopped.
+func recoverShard(p *persister, idx int, opts Options, build func(int) (*core.Feed, error), restore func(int, *core.FeedSnapshot) (*core.Feed, error)) (*shardState, error) {
 	var (
 		feed    *core.Feed
 		st      shardState
@@ -275,10 +277,10 @@ func recoverShard(p *persister, idx int, opts Options, build func(int) (*core.Fe
 		if err := json.Unmarshal(payload, &meta); err != nil {
 			return nil, fmt.Errorf("shard: decode snapshot: %w", err)
 		}
-		if opts.Persist.Restore == nil {
+		if restore == nil {
 			return nil, fmt.Errorf("shard: store has a snapshot but no Restore callback is configured")
 		}
-		feed, err = opts.Persist.Restore(idx, meta.Feed)
+		feed, err = restore(idx, meta.Feed)
 		if err != nil {
 			return nil, fmt.Errorf("shard: restore feed: %w", err)
 		}
@@ -320,15 +322,10 @@ func recoverShard(p *persister, idx int, opts Options, build func(int) (*core.Fe
 		if seq <= lastSeq {
 			continue
 		}
-		var ops []core.Op
-		switch kind {
-		case kvstore.RecordOpsWire:
-			ops, err = core.DecodeOps(payload)
-		case kvstore.RecordOps: // written before RecordOpsWire
-			err = json.Unmarshal(payload, &ops)
-		default:
-			continue
+		if kind != kvstore.RecordOpsWire {
+			return nil, fmt.Errorf("shard: log record %q has kind %d, not a batch (kind %d)", it.Key(), kind, kvstore.RecordOpsWire)
 		}
+		ops, err := core.DecodeOps(payload)
 		if err != nil {
 			return nil, fmt.Errorf("shard: decode log record %q: %w", it.Key(), err)
 		}

@@ -2,12 +2,12 @@ package shard
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -373,97 +373,58 @@ func TestPersistSnapshotCompaction(t *testing.T) {
 
 var _ = gas.Gas(0) // keep the import: shard stats reason in gas units
 
-// logKinds lists the kinds of a killed shard store's log records, in
-// sequence order.
-func logKinds(t *testing.T, dir string) []kvstore.RecordKind {
-	t.Helper()
-	db, err := kvstore.Open(shardDir(dir, 0), kvstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	var kinds []kvstore.RecordKind
-	for it := db.NewIteratorFrom([]byte(logKeyPrefix)); it.Valid() && bytes.HasPrefix(it.Key(), []byte(logKeyPrefix)); it.Next() {
-		kind, _, _, err := kvstore.DecodeTypedRecord(it.Value())
-		if err != nil {
-			t.Fatal(err)
-		}
-		kinds = append(kinds, kind)
-	}
-	return kinds
-}
-
-// TestRecoverLegacyJSONLog: a store whose log begins with JSON RecordOps
-// values, as stores written before the binary log record hold, and ends with
-// RecordOpsWire ones recovers to the state of a fresh feed replaying the same
-// batches: anchors, Gas and counters. A snapshot then drops both kinds.
-func TestRecoverLegacyJSONLog(t *testing.T) {
-	const legacy = 5
-	batches := persistBatches(12, 8, 7)
+// TestRecoverRefusesUnknownRecordKind: a log record of a kind recovery does
+// not replay fails New with an error naming the record's key and kind. Were
+// it skipped, the shard would recover one batch short while its sequence
+// still counted the batch, and its replication seq would trail its durable
+// one.
+func TestRecoverRefusesUnknownRecordKind(t *testing.T) {
 	dir := t.TempDir()
+	sf := newPersistent(t, dir, 1, 0, false)
+	drive(t, sf, persistBatches(10, 8, 7))
+	sf.Kill()
 	db, err := kvstore.Open(shardDir(dir, 0), kvstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, b := range batches[:legacy] {
-		payload, err := json.Marshal(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq := uint64(i + 1)
-		if err := db.Put(logKey(seq), kvstore.EncodeRecord(kvstore.RecordOps, seq, payload)); err != nil {
-			t.Fatal(err)
-		}
+	if err := db.Put(logKey(3), kvstore.EncodeRecord(7, 3, []byte("not a batch"))); err != nil {
+		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+	_, err = New(persistOptions(dir, 1, 0, false), buildTestFeed)
+	if err == nil {
+		t.Fatal("New replayed a log holding a kind-7 record")
+	}
+	if msg := err.Error(); !strings.Contains(msg, string(logKey(3))) || !strings.Contains(msg, "kind 7") {
+		t.Errorf("New = %q, want an error naming key %q and kind 7", msg, logKey(3))
+	}
+}
 
-	sf, err := New(viewOptions(dir, 1), buildTestFeed)
+// TestRecoverWithOptionsRestore: a snapshotted store reopens with only
+// Options.Restore set, as it bootstraps with only that set, and comes back
+// to the anchors it closed at.
+func TestRecoverWithOptionsRestore(t *testing.T) {
+	dir := t.TempDir()
+	sf, err := New(viewOptions(dir, 2), buildTestFeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drive(t, sf, batches[legacy:])
-	sf.Kill()
-	kinds := logKinds(t, dir)
-	if len(kinds) != len(batches) || kinds[0] != kvstore.RecordOps || kinds[legacy-1] != kvstore.RecordOps ||
-		kinds[legacy] != kvstore.RecordOpsWire || kinds[len(kinds)-1] != kvstore.RecordOpsWire {
-		t.Fatalf("log kinds %v, want %d JSON records then binary ones", kinds, legacy)
-	}
+	drive(t, sf, persistBatches(10, 8, 3))
+	want := roots(t, sf)
+	sf.Close() // final snapshot on every shard: the reopen restores
 
-	ref, err := New(Options{Shards: 1, Views: true}, buildTestFeed)
+	opts := viewOptions(dir, 2)
+	opts.Restore, opts.Persist.Restore = opts.Persist.Restore, nil
+	reopened, err := New(opts, func(i int) (*core.Feed, error) {
+		return nil, fmt.Errorf("shard %d built fresh, want restored from its snapshot", i)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
-	drive(t, ref, batches)
-	recovered, err := New(viewOptions(dir, 1), buildTestFeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recovered.Close()
-	if got, want := roots(t, recovered), roots(t, ref); !reflect.DeepEqual(got, want) {
-		t.Errorf("recovered anchors diverge:\n got %+v\nwant %+v", got, want)
-	}
-	got, err := recovered.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, w := got.PerShard[0], want.PerShard[0]
-	if g.Feed != w.Feed || g.Ops != w.Ops || g.Batches != w.Batches {
-		t.Errorf("recovered shard diverges:\n got %+v ops=%d batches=%d\nwant %+v ops=%d batches=%d",
-			g.Feed, g.Ops, g.Batches, w.Feed, w.Ops, w.Batches)
-	}
-
-	if _, err := recovered.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	recovered.Kill()
-	if kinds := logKinds(t, dir); len(kinds) != 0 {
-		t.Errorf("snapshot left log records of kinds %v", kinds)
+	defer reopened.Close()
+	if got := roots(t, reopened); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored anchors diverge:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -116,15 +116,15 @@ func TestRecoverShardsConcurrently(t *testing.T) {
 }
 
 // corruptFirstLogRecord overwrites a shard's first logged batch with a
-// well-framed record whose payload is not an op batch, so replay fails on
-// decode.
+// well-framed batch record whose payload is not an op batch, so replay fails
+// on decode.
 func corruptFirstLogRecord(t *testing.T, dir string, shard int) {
 	t.Helper()
 	db, err := kvstore.Open(shardDir(dir, shard), kvstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put(logKey(1), kvstore.EncodeRecord(kvstore.RecordOps, 1, []byte("{not ops"))); err != nil {
+	if err := db.Put(logKey(1), kvstore.EncodeRecord(kvstore.RecordOpsWire, 1, []byte("{not ops"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {

@@ -186,7 +186,7 @@ func (s *ShardedFeed) replRequest(shard int, req request) (response, error) {
 // last verified read view stays published (or, when the batch retracted it,
 // is published again).
 func (s *ShardedFeed) Apply(shard int, e repl.Entry) error {
-	r, err := s.replRequest(shard, request{kind: reqRepl, entry: &e})
+	r, err := s.replRequest(shard, request{kind: reqOps, ops: e.Ops, entry: &e})
 	if err != nil {
 		return err
 	}

@@ -84,10 +84,11 @@ type Options struct {
 	// means DefaultReplRetain. Followers further behind bootstrap from a
 	// snapshot.
 	ReplRetain int
-	// Restore rebuilds one shard's feed from a snapshot for the
-	// replication bootstrap path (Reset); it must wire the feed exactly as
-	// the build callback would, then install the snapshot state. Falls
-	// back to Persist.Restore when nil.
+	// Restore rebuilds one shard's feed from a snapshot, for the
+	// replication bootstrap path (Reset) and for recovery of a store that
+	// holds one; it must wire the feed exactly as the build callback
+	// would, then install the snapshot state. Falls back to
+	// Persist.Restore when nil.
 	Restore func(shard int, snap *core.FeedSnapshot) (*core.Feed, error)
 	// Stages, when non-nil, receives per-stage batch latency
 	// observations (mailbox wait, WAL persist, apply, repl append, view
@@ -160,11 +161,10 @@ func addFeedStats(a, b core.FeedStats) core.FeedStats {
 type reqKind int
 
 const (
-	reqOps reqKind = iota
+	reqOps reqKind = iota // a batch: a client's, or a leader's with entry set
 	reqStats
 	reqTrace
 	reqSnapshot
-	reqRepl      // replicated apply: log-then-apply + anchor check
 	reqReplSnap  // consistent bootstrap snapshot at the current seq
 	reqReplReset // install a bootstrap snapshot wholesale
 	reqStop      // graceful: final snapshot (if persistent), close store
@@ -174,7 +174,7 @@ const (
 type request struct {
 	kind  reqKind
 	ops   []core.Op
-	entry *repl.Entry    // reqRepl
+	entry *repl.Entry    // reqOps from a replication leader
 	snap  *repl.Snapshot // reqReplReset
 	resp  chan response
 	// tr carries the batch's trace (nil for untraced requests); enq is
@@ -429,9 +429,6 @@ func (w *worker) loop(st *shardState) {
 				stat.Diverged = st.diverged.Error()
 			}
 			req.resp <- response{stat: stat}
-		case reqRepl:
-			clk := newStageClock(st, req, w.idx)
-			req.resp <- response{err: w.applyReplicated(st, req.entry, &clk)}
 		case reqReplSnap:
 			snap, err := w.replSnapshot(st)
 			req.resp <- response{snap: snap, err: err}
@@ -465,119 +462,99 @@ func (w *worker) loop(st *shardState) {
 			copy(rs, st.traceRes)
 			req.resp <- response{trace: tr, traceRes: rs}
 		default:
-			if st.diverged != nil {
-				// The shard is halted on a refused fork: accepting new
-				// writes (or letting an auto-snapshot run) would build
-				// on — and eventually persist — unverified state.
-				req.resp <- response{err: st.diverged}
-				continue
-			}
 			clk := newStageClock(st, req, w.idx)
-			if st.persist != nil {
-				// Log-then-apply: the batch is durable before it
-				// executes, so recovery replays exactly the logged
-				// prefix.
-				if err := st.persist.appendBatch(req.ops); err != nil {
-					req.resp <- response{err: err}
-					continue
-				}
-				clk.mark(obs.StagePersist, clk.stages.GetPersist())
-			}
-			// From here to publishView nothing returns early.
-			w.releaseView(st)
-			results, entry := st.applyBatch(req.ops)
-			clk.mark(obs.StageApply, clk.stages.GetApply())
-			if st.persist != nil {
-				if serr := st.persist.maybeSnapshot(st); serr != nil {
-					st.persistErr = serr
-				}
-				clk.skip() // compaction has no stage of its own
-			}
-			if st.repl != nil {
-				st.repl.append(entry)
-				clk.mark(obs.StageReplAppend, clk.stages.GetReplAppend())
-			}
-			// Publish before acking so a client that saw its batch
-			// complete reads its own writes from the next view.
-			w.publishView(st)
-			clk.mark(obs.StagePublish, clk.stages.GetPublish())
-			req.resp <- response{results: results}
+			results, err := w.commit(st, req.ops, req.entry, &clk)
+			req.resp <- response{results: results, err: err}
 		}
 	}
 }
 
-// applyReplicated replays one shipped batch through the same log-then-apply
-// path client batches take, then verifies the post-apply state against the
-// leader's anchor. On a mismatch the batch is rolled back out of the durable
-// log (it must not replay into recovered state), the shard halts replication
-// permanently, and the pre-batch view keeps serving — the shard refuses to
-// fork rather than serving unverified state. (A crash between the log
-// append and the rollback can leave the refused batch durable; the next
-// replicated apply after recovery re-detects the divergence.)
+// commit is the one write step of a shard, for a client batch (want nil)
+// and for a batch a replication leader shipped (want its entry): log the
+// batch, apply it, snapshot if due, append it to the replication log and
+// publish the view. The log comes first, so recovery replays exactly the
+// logged prefix; the view is published before the caller hears back, so a
+// client that saw its batch complete reads its own writes from the next view.
 //
-// The view is released as for a client batch. A pinned view stays
-// published, and the batch copies its nodes. A retracted one is edited in
-// place under the set's undo journal: a refused batch rolls the set back and
-// publishes it again at the pre-batch seq, height, root and count, which
-// the readers waiting on the retracted view then pin.
-func (w *worker) applyReplicated(st *shardState, e *repl.Entry, clk *stageClock) error {
-	if st.repl == nil {
-		return ErrNotReplicating
+// A shipped batch must carry the shard's next seq, and its post-apply state
+// must match the leader's anchor. On a mismatch the batch is rolled back out
+// of the durable log (it must not replay into recovered state), the shard
+// halts permanently, and the pre-batch view keeps serving: the shard refuses
+// to fork rather than serve unverified state. (A crash between the log
+// append and the rollback can leave the refused batch durable; the next
+// shipped batch after recovery re-detects the divergence.) A view nobody
+// pinned is retracted and edited in place for either kind of batch; for a
+// shipped one the edit runs under the set's undo journal, so a refused batch
+// rolls the set back and publishes it again at the pre-batch seq, height,
+// root and count, which the readers waiting on the retracted view then pin.
+func (w *worker) commit(st *shardState, ops []core.Op, want *repl.Entry, clk *stageClock) ([]core.OpResult, error) {
+	if want != nil && st.repl == nil {
+		return nil, ErrNotReplicating
 	}
 	if st.diverged != nil {
-		return st.diverged
+		// The shard is halted on a refused fork: accepting new writes (or
+		// letting an auto-snapshot run) would build on — and eventually
+		// persist — unverified state.
+		return nil, st.diverged
 	}
-	if want := uint64(st.batches) + 1; e.Seq != want {
-		return fmt.Errorf("%w: shard %d expects seq %d, got %d", repl.ErrSeqGap, w.idx, want, e.Seq)
+	if want != nil && want.Seq != uint64(st.batches)+1 {
+		return nil, fmt.Errorf("%w: shard %d expects seq %d, got %d", repl.ErrSeqGap, w.idx, st.batches+1, want.Seq)
 	}
 	if st.persist != nil {
-		if err := st.persist.appendBatch(e.Ops); err != nil {
-			return err
+		if err := st.persist.appendBatch(ops); err != nil {
+			return nil, err
 		}
 		clk.mark(obs.StagePersist, clk.stages.GetPersist())
 	}
-	// From here to publication nothing returns early.
+	// From here to publishView nothing returns early.
 	set := st.feed.DO.Set()
-	journaled := w.releaseView(st)
+	journaled := w.releaseView(st) && want != nil
 	if journaled {
 		set.Journal()
 	}
 	seq, height := uint64(st.batches), st.feed.Chain.Height()
-	_, got := st.applyBatch(e.Ops)
+	results, entry := st.applyBatch(ops)
 	clk.mark(obs.StageApply, clk.stages.GetApply())
-	if got.Root != e.Root || got.Count != e.Count {
-		div := &repl.DivergenceError{
-			Shard: w.idx, Seq: e.Seq,
-			WantRoot: e.Root, GotRoot: got.Root,
-			WantCount: e.Count, GotCount: got.Count,
-		}
-		st.diverged = div
-		if st.persist != nil {
-			if rerr := st.persist.rollbackBatch(e.Seq); rerr != nil {
-				st.persistErr = rerr
+	if want != nil {
+		if entry.Root != want.Root || entry.Count != want.Count {
+			div := &repl.DivergenceError{
+				Shard: w.idx, Seq: want.Seq,
+				WantRoot: want.Root, GotRoot: entry.Root,
+				WantCount: want.Count, GotCount: entry.Count,
 			}
+			st.diverged = div
+			if st.persist != nil {
+				if rerr := st.persist.rollbackBatch(want.Seq); rerr != nil {
+					st.persistErr = rerr
+				}
+			}
+			if journaled {
+				set.Rollback()
+				w.views.Publish(w.idx, query.NewView(w.idx, seq, height, set.Capture()))
+			}
+			return nil, div
 		}
 		if journaled {
-			set.Rollback()
-			w.views.Publish(w.idx, query.NewView(w.idx, seq, height, set.Capture()))
+			set.Commit()
 		}
-		return div
+		entry = *want
 	}
-	if journaled {
-		set.Commit()
-	}
-	st.repl.append(*e)
-	clk.mark(obs.StageReplAppend, clk.stages.GetReplAppend())
 	if st.persist != nil {
 		if serr := st.persist.maybeSnapshot(st); serr != nil {
 			st.persistErr = serr
 		}
-		clk.skip()
+		clk.skip() // compaction has no stage of its own
+	}
+	if st.repl != nil {
+		st.repl.append(entry)
+		clk.mark(obs.StageReplAppend, clk.stages.GetReplAppend())
 	}
 	w.publishView(st)
 	clk.mark(obs.StagePublish, clk.stages.GetPublish())
-	clk.total(obs.StageFollowerApply, clk.stages.GetFollowerApply())
-	return nil
+	if want != nil {
+		clk.total(obs.StageFollowerApply, clk.stages.GetFollowerApply())
+	}
+	return results, nil
 }
 
 // replSnapshot captures a consistent bootstrap snapshot of the shard at its
@@ -701,7 +678,7 @@ func New(opts Options, build func(shard int) (*core.Feed, error)) (*ShardedFeed,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st, err := newShardState(opts, i, build)
+			st, err := newShardState(opts, i, build, restore)
 			if err != nil {
 				errs[i] = fmt.Errorf("shard %d: %w", i, err)
 				return
@@ -735,8 +712,10 @@ func New(opts Options, build func(shard int) (*core.Feed, error)) (*ShardedFeed,
 // newShardState prepares one shard before its worker starts: fresh build in
 // the in-memory case, open-store-and-recover in the persistent case. With
 // replication enabled the shard's replication log starts at the recovered
-// sequence (recovery re-anchors every replayed batch into it).
-func newShardState(opts Options, idx int, build func(int) (*core.Feed, error)) (*shardState, error) {
+// sequence (recovery re-anchors every replayed batch into it). restore is
+// the callback New resolved for the replication bootstrap; recovery restores
+// a snapshotted store through the same one.
+func newShardState(opts Options, idx int, build func(int) (*core.Feed, error), restore func(int, *core.FeedSnapshot) (*core.Feed, error)) (*shardState, error) {
 	if opts.Persist == nil {
 		f, err := build(idx)
 		if err != nil {
@@ -752,7 +731,7 @@ func newShardState(opts Options, idx int, build func(int) (*core.Feed, error)) (
 	if err != nil {
 		return nil, err
 	}
-	st, err := recoverShard(p, idx, opts, build)
+	st, err := recoverShard(p, idx, opts, build, restore)
 	if err != nil {
 		p.db.Close()
 		return nil, err
