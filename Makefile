@@ -44,8 +44,9 @@ bench:
 #     verification at every step;
 #   - pruned-tree proofs: arbitrary bytes as a proof tree must be refused
 #     by the in-place verifiers unless the pointer-tree oracle accepts them;
-#   - memo fold: forged membership proofs folded through a record set's
-#     warm HashInner memo must be accepted or refused as merkle.Verify does;
+#   - sealed-set fold: forged membership proofs, and genuine ones on a set
+#     mutated, resealed or rolled back since, must be accepted or refused by
+#     the set's VerifyMember as merkle.Verify does;
 #   - kvstore checkpoint image and WAL: arbitrary bytes as base must fail
 #     Open or open to exactly what they encode, and as wal.log must open to
 #     their intact prefix; neither may panic;
@@ -61,7 +62,7 @@ FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzSetOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzProofTreeVerify -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzMemoVerify -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzVerifyMember -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz FuzzStoreOpen -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzReadWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzOpsWireDecode -fuzztime $(FUZZTIME)

@@ -187,22 +187,26 @@ func FuzzSetOps(f *testing.F) {
 	})
 }
 
-// FuzzMemoVerify checks the contract's memo fold against merkle.Verify on
-// forged proofs. It builds a set from the input's first byte, warms the
-// set's memo as a feed does — a genuine deliver's fold allocates the table
-// and records its path, then a seal after a neighbour's edit records what it
-// hashes — and then forges the target key's genuine proof, one input byte
-// pair per edit: a flipped sibling bit, a flipped side, a dropped or a
-// repeated step, a forged record, a moved index. After every edit the memo
-// fold and merkle.Verify must agree on accept or reject, and at the end the
-// genuine proof must still verify through the memo.
+// FuzzVerifyMember checks the contract's sealed-set fold against
+// merkle.Verify on forged proofs. It builds a set from the input's first
+// byte, seals it, proves the target key and then edits the proof or the set,
+// one input byte pair per edit: a flipped sibling bit, a flipped side, a
+// dropped or a repeated step, a forged record, a moved index, a changed
+// leaf count, or a set mutated after the proof (another record or the
+// proven one, whose rewrite is then presented) — left dirty, resealed, or
+// journaled, sealed and rolled back. After every edit VerifyMember and
+// merkle.Verify must agree on accept or reject, and at the end the genuine
+// proof must still pass.
 //
 // Wired into `make fuzz-smoke`.
-func FuzzMemoVerify(f *testing.F) {
+func FuzzVerifyMember(f *testing.F) {
 	f.Add([]byte{8, 3, 0x00, 0x10})
 	f.Add([]byte{40, 17, 0x08, 0x21, 0x01, 0x00, 0x01, 0x00})
 	f.Add([]byte{47, 46, 0x02, 0x00, 0x13, 0x05, 0x04, 0x00, 0x05, 0x01})
 	f.Add([]byte{1, 0, 0x03, 0x00, 0x00, 0xff})
+	f.Add([]byte{30, 9, 0x07, 0x00, 0x0e, 0x04, 0x17, 0x02, 0x06, 0x01})
+	f.Add([]byte{33, 20, 0x0f, 0x05, 0x07, 0x02, 0x00, 0x31, 0x07, 0x01})
+	f.Add([]byte{30, 9, 0x07, 0x0c})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -213,28 +217,29 @@ func FuzzMemoVerify(f *testing.F) {
 		for i := 0; i < n; i++ {
 			s.Put(Record{Key: key(i), State: State(i % 3 % 2), Value: []byte{byte(i)}})
 		}
-		memo, target := s.Memo(), key(int(data[1]))
-		genuine := func() (merkle.Hash, Record, *merkle.Proof) {
-			root := s.Root()
-			r, p, err := s.ProveKey(target)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := memo.Verify(root, r.Leaf(), p); err != nil {
-				t.Fatalf("genuine proof of %s refused: %v", target, err)
-			}
-			return root, r, p
+		root := s.Root()
+		r, p, err := s.ProveKey(key(int(data[1])))
+		if err != nil {
+			t.Fatal(err)
 		}
-		genuine()
-		s.Put(Record{Key: key(int(data[1]) + 1), State: R, Value: []byte("edit")})
-		root, r, p := genuine()
+		if err := s.VerifyMember(root, r, p); err != nil {
+			t.Fatalf("genuine proof of %s refused: %v", r.Key, err)
+		}
 
 		forged, q := r, *p
 		q.Path = slices.Clone(p.Path)
+		agree := func(edit int) {
+			t.Helper()
+			leaf := forged.Leaf()
+			got, want := s.VerifyMember(root, forged, &q), merkle.Verify(root, leaf, &q)
+			if (got == nil) != (want == nil) {
+				t.Fatalf("edit %d: VerifyMember says %v, merkle.Verify says %v", edit, got, want)
+			}
+		}
 		for i := 2; i+1 < len(data); i += 2 {
 			op, arg := data[i], int(data[i+1])
 			step := int(op>>3) % len(q.Path)
-			switch op % 6 {
+			switch op % 8 {
 			case 0:
 				q.Path[step].Hash[arg%merkle.HashSize] ^= 1 << (arg % 8)
 			case 1:
@@ -251,18 +256,35 @@ func FuzzMemoVerify(f *testing.F) {
 				}
 			case 5:
 				q.Index += arg%3 - 1
+			case 6:
+				q.LeafCount += arg%3 - 1
+			case 7:
+				edit := Record{Key: key(arg), State: State(arg >> 7), Value: []byte{byte(op), byte(arg)}}
+				if arg&4 != 0 { // rewrite the proven record and present the rewrite
+					edit.Key = r.Key
+					forged = edit
+				}
+				switch arg % 3 {
+				case 0: // dirty: the edit's path is not resealed
+					s.Put(edit)
+				case 1:
+					s.Put(edit)
+					s.Root()
+				case 2:
+					s.Journal()
+					s.Put(edit)
+					s.Root()
+					agree(i / 2)
+					s.Rollback()
+				}
 			}
-			leaf := forged.Leaf()
-			got, want := memo.Verify(root, leaf, &q), merkle.Verify(root, leaf, &q)
-			if (got == nil) != (want == nil) {
-				t.Fatalf("edit %d: memo fold says %v, merkle.Verify says %v", i/2, got, want)
-			}
+			agree(i / 2)
 			if len(q.Path) == 0 {
 				break
 			}
 		}
-		if err := memo.Verify(root, r.Leaf(), p); err != nil {
-			t.Fatalf("genuine proof after the forgeries: %v", err)
+		if err := s.VerifyMember(root, r, p); err != nil {
+			t.Fatalf("genuine proof after the edits: %v", err)
 		}
 	})
 }

@@ -295,7 +295,7 @@ func (s *Set) ProveAbsent(key string) (*AbsenceProof, error) {
 	if s.find(key) != nil {
 		return nil, fmt.Errorf("ads: key %q is present", key)
 	}
-	seal(s.root, s.memo)
+	seal(s.root)
 	sc := scratchPool.Get().(*proofScratch)
 	sc.b = pruneSearch(sc.b, s.root, key, bothGroups)
 	out := &struct {
@@ -443,7 +443,7 @@ func pruneWindow(b []byte, n *node, lo, hi string, hits *[]hit) []byte {
 // read there (paper Appendix B.2.2). The returned records' values are the
 // proof's own copies.
 func (s *Set) ProveRangeNR(lo, hi string) (*NRRange, error) {
-	seal(s.root, s.memo)
+	seal(s.root)
 	sc := scratchPool.Get().(*proofScratch)
 	sc.b = pruneWindow(sc.b, s.root, lo, hi, &sc.hits)
 	out := &struct {

@@ -144,7 +144,7 @@ func oraclePruneSearch(n *node, ts []oracleTarget) *oracleTree {
 }
 
 func oracleProveAbsent(s *Set, key string) *oracleAbsence {
-	seal(s.root, s.memo)
+	seal(s.root)
 	return &oracleAbsence{Count: s.Len(), Paths: oraclePruneSearch(s.root, []oracleTarget{{NR, key}, {R, key}})}
 }
 
@@ -201,7 +201,7 @@ func oraclePruneWindow(n *node, lo, hi string) *oracleTree {
 }
 
 func oracleProveRangeNR(s *Set, lo, hi string) *oracleRange {
-	seal(s.root, s.memo)
+	seal(s.root)
 	out := &oracleRange{Count: s.Len(), Proof: oraclePruneWindow(s.root, lo, hi)}
 	var walk func(pt *oracleTree)
 	walk = func(pt *oracleTree) {

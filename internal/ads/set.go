@@ -1,6 +1,7 @@
 package ads
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"iter"
@@ -85,11 +86,10 @@ import (
 // digest on-chain, the SP reads it to serve proofs (see package core for
 // why sharing it is sound).
 //
-// A set made by NewSet owns a merkle.Memo, and every seal of it, and Root,
-// record the inner hashes they compute there. A verifier that folds the
-// set's membership proofs through Memo() finds most of its steps already
-// hashed: the contract's deliver does. Captures and clones carry no memo, so
-// a view read on another goroutine never touches it.
+// VerifyMember checks a membership proof against the set's own sealed nodes,
+// so on a sealed set an honest proof hashes nothing: the contract's deliver
+// verifies this way. A set made by NewSet caches Root's count step; captures
+// and clones do not, so a view read on another goroutine never writes one.
 type Set struct {
 	root *node
 	// gen is the generation whose nodes this set may edit in place; 0 (a
@@ -98,9 +98,16 @@ type Set struct {
 	// j is the undo log, allocated at the first Journal and kept, capacity
 	// and all, for the next; nil on a capture.
 	j *journal
-	// memo records the inner hashes the set's seals compute, for the
-	// contract's deliver fold (see Memo); nil on a capture.
-	memo *merkle.Memo
+	// top caches Root's count step; nil on a capture.
+	top *rootStep
+}
+
+// rootStep is Root's last count step, out = HashInner(count, tree) with
+// count = CountLeaf(n); full once written.
+type rootStep struct {
+	n                int
+	count, tree, out merkle.Hash
+	full             bool
 }
 
 // journal is the undo log of an open Journal: the root at the open, and the
@@ -203,24 +210,23 @@ func (n *node) resize() {
 	n.size = int32(size(n.left) + 1 + size(n.right))
 }
 
-// seal hashes the dirty region under n bottom-up, leaving every node sealed,
-// and records every inner hash it computes in m (nil on a capture). A node's
-// half is re-hashed only when its left subtree or record changed.
-func seal(n *node, m *merkle.Memo) {
+// seal hashes the dirty region under n bottom-up, leaving every node sealed.
+// A node's half is re-hashed only when its left subtree or record changed.
+func seal(n *node) {
 	if n == nil || !n.dirty {
 		return
 	}
-	seal(n.left, m)
-	seal(n.right, m)
+	seal(n.left)
+	seal(n.right)
 	if n.staleLeaf {
 		n.leaf = n.record().Leaf()
 		n.staleLeaf, n.staleHalf = false, true
 	}
 	if n.staleHalf {
-		n.half = m.HashInner(hashOf(n.left), n.leaf)
+		n.half = merkle.HashInner(hashOf(n.left), n.leaf)
 		n.staleHalf = false
 	}
-	n.hash = m.HashInner(n.half, hashOf(n.right))
+	n.hash = merkle.HashInner(n.half, hashOf(n.right))
 	n.dirty = false
 }
 
@@ -352,11 +358,7 @@ func lookup(n *node, st State, key string) *node {
 }
 
 // NewSet returns an empty set.
-func NewSet() *Set { return &Set{memo: new(merkle.Memo)} }
-
-// Memo returns the memo the set's seals record their inner hashes in; nil
-// on a capture or clone. The memo is the set owner's, like the set.
-func (s *Set) Memo() *merkle.Memo { return s.memo }
+func NewSet() *Set { return &Set{top: new(rootStep)} }
 
 // Len returns the number of records.
 func (s *Set) Len() int { return size(s.root) }
@@ -504,11 +506,19 @@ func CountLeaf(n int) merkle.Hash {
 
 // Root returns the authenticated digest of the set: the tree hash with the
 // record count committed on top. It seals the tree first, so its cost is the
-// hashing the mutations since the last seal deferred; on a sealed tree it is
-// two hashes.
+// hashing the mutations since the last seal deferred. A set made by NewSet
+// caches the count step, so on a sealed, unchanged set Root hashes nothing.
 func (s *Set) Root() merkle.Hash {
-	seal(s.root, s.memo)
-	return s.memo.HashInner(CountLeaf(s.Len()), hashOf(s.root))
+	seal(s.root)
+	t := s.top
+	if t == nil {
+		t = new(rootStep) // a capture caches nothing
+	}
+	if n, tree := s.Len(), hashOf(s.root); !t.full || t.n != n || t.tree != tree {
+		*t = rootStep{n: n, count: CountLeaf(n), tree: tree, full: true}
+		t.out = merkle.HashInner(t.count, tree)
+	}
+	return t.out
 }
 
 // Clone seals the set and captures its current version as a frozen copy:
@@ -536,7 +546,7 @@ func (s *Set) Capture() *Set {
 	if s.j != nil && s.j.open {
 		panic("ads: Capture while a journal is open")
 	}
-	seal(s.root, s.memo)
+	seal(s.root)
 	return &Set{root: s.root}
 }
 
@@ -560,7 +570,7 @@ func (s *Set) Journal() {
 	if s.j.open {
 		panic("ads: Journal while a journal is open")
 	}
-	seal(s.root, s.memo)
+	seal(s.root)
 	s.j.open, s.j.root = true, s.root
 }
 
@@ -601,7 +611,7 @@ func (s *Set) ProveIndex(i int) (*merkle.Proof, error) {
 	if i < 0 || i >= s.Len() {
 		return nil, fmt.Errorf("ads: prove index %d out of range [0,%d)", i, s.Len())
 	}
-	seal(s.root, s.memo)
+	seal(s.root)
 	p := &merkle.Proof{Index: i, LeafCount: s.Len()}
 	provePath(s.root, i, p)
 	p.Path = append(p.Path, merkle.ProofNode{Left: true, Hash: CountLeaf(s.Len())})
@@ -653,7 +663,7 @@ func (s *Set) ProveKey(key string) (Record, *merkle.Proof, error) {
 // per state group and fills *p, reusing the capacity of p.Path. It reports
 // false, leaving *p as it was, when key is in neither group.
 func (s *Set) ProveKeyAt(key string, countLeaf merkle.Hash, p *merkle.Proof) (Record, bool) {
-	seal(s.root, s.memo)
+	seal(s.root)
 	n := proveKeyPath(s.root, NR, key, 0, 1, p)
 	if n == nil {
 		n = proveKeyPath(s.root, R, key, 0, 1, p)
@@ -759,4 +769,91 @@ func (s *Set) NextKeys(start string, n int) []string {
 // VerifyRecord checks a single-record membership proof against root.
 func VerifyRecord(root merkle.Hash, rec Record, p *merkle.Proof) error {
 	return merkle.Verify(root, rec.Leaf(), p)
+}
+
+// VerifyMember accepts exactly what merkle.Verify(root, rec.Leaf(), p)
+// accepts, reading back the hashes the set's seals computed. It pairs the
+// fold's steps, leaf to root, with those provePath builds on the path to
+// p.Index (found by subtree sizes), then with Root's cached count step. A
+// step takes its partner's output only when the partner is sealed and the
+// step's inputs equal, bit for bit, the ones that output was hashed from;
+// otherwise it hashes. Which node answers never matters (package core says
+// why). On a sealed set an honest proof hashes nothing. It writes nothing.
+func (s *Set) VerifyMember(root merkle.Hash, rec Record, p *merkle.Proof) error {
+	_, err := s.verifyMember(root, rec, p)
+	return err
+}
+
+// verifyMember is VerifyMember, also returning how many hashes it computed.
+func (s *Set) verifyMember(root merkle.Hash, rec Record, p *merkle.Proof) (int, error) {
+	if err := merkle.CheckIndex(p); err != nil {
+		return 0, err
+	}
+	f := memberFold{path: p.Path}
+	f.descend(s.root, p.Index, &rec)
+	if t := s.top; t != nil {
+		f.step(t.full, t.count, t.tree, t.out)
+	}
+	for len(f.path) > 0 {
+		f.step(false, merkle.Hash{}, merkle.Hash{}, merkle.Hash{})
+	}
+	if f.got != root {
+		return f.hashed, fmt.Errorf("%w: root mismatch (got %v, want %v)", merkle.ErrInvalidProof, f.got, root)
+	}
+	return f.hashed, nil
+}
+
+// memberFold is one VerifyMember fold: the proof steps not yet folded, the
+// running hash and the number of hashes computed.
+type memberFold struct {
+	path   []merkle.ProofNode
+	got    merkle.Hash
+	hashed int
+}
+
+// descend folds the steps of the path to in-order index i of subtree n: the
+// leaf at the node i names, then, on the way up, each node's half (unless
+// the path left it rightwards) and hash. An index past n pairs with nothing.
+func (f *memberFold) descend(n *node, i int, rec *Record) {
+	if n == nil {
+		f.got = rec.Leaf()
+		f.hashed++
+		return
+	}
+	sealed, ls := !n.dirty, size(n.left)
+	switch {
+	case i > ls:
+		f.descend(n.right, i-ls-1, rec)
+		f.step(sealed, n.half, hashOf(n.right), n.hash)
+		return
+	case i < ls:
+		f.descend(n.left, i, rec)
+	case sealed && rec.State == n.state && rec.Key == n.key && bytes.Equal(rec.Value, n.value):
+		f.got = n.leaf
+	default:
+		f.got = rec.Leaf()
+		f.hashed++
+	}
+	f.step(sealed, hashOf(n.left), n.leaf, n.half)
+	f.step(sealed, n.half, hashOf(n.right), n.hash)
+}
+
+// step folds the next proof step, if any: out, which the caller vouches is
+// HashInner(left, right), when ok and the step's preimage is (left, right).
+func (f *memberFold) step(ok bool, left, right, out merkle.Hash) {
+	if len(f.path) == 0 {
+		return
+	}
+	st := &f.path[0]
+	f.path = f.path[1:]
+	l, r := f.got, st.Hash
+	if st.Left {
+		l, r = st.Hash, f.got
+	}
+	if ok && l == left && r == right {
+		f.got = out
+		return
+	}
+	f.got = merkle.HashInner(l, r)
+	f.hashed++
 }

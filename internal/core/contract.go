@@ -49,10 +49,9 @@ type StorageManager struct {
 	addr  chain.Address
 	owner chain.Address
 	trace TraceMode
-	// memo is the DO record set's inner-hash memo, through which deliver
-	// folds its membership proofs (see the package doc for why that is
-	// sound).
-	memo *merkle.Memo
+	// set is the DO's record set, whose sealed nodes deliver verifies
+	// against (the package doc says why that is sound).
+	set *ads.Set
 
 	// nextID numbers request events so the SP watchdog can answer each
 	// exactly once. Kept in contract memory, not storage: Ethereum logs
@@ -75,11 +74,11 @@ type StorageManager struct {
 const requestChunk = 64
 
 // NewStorageManager registers the manager contract at addr, owned (for
-// update authorization) by owner. deliver folds membership proofs through
-// memo, the owner's record-set memo (ads.Set.Memo), and accepts exactly the
+// update authorization) by owner. deliver verifies membership proofs with
+// set.VerifyMember, set being the owner's record set, and accepts exactly the
 // proofs merkle.Verify accepts.
-func NewStorageManager(c *chain.Chain, addr, owner chain.Address, trace TraceMode, memo *merkle.Memo) *StorageManager {
-	m := &StorageManager{addr: addr, owner: owner, trace: trace, memo: memo}
+func NewStorageManager(c *chain.Chain, addr, owner chain.Address, trace TraceMode, set *ads.Set) *StorageManager {
+	m := &StorageManager{addr: addr, owner: owner, trace: trace, set: set}
 	c.Register(addr, "gGet", m.gGet)
 	c.Register(addr, "deliver", m.deliver)
 	c.Register(addr, "deliverAbsent", m.deliverAbsent)
@@ -151,10 +150,8 @@ func (m *StorageManager) deliver(ctx *chain.Ctx, args any) (any, error) {
 			ctx.ChargeHash(2 * merkle.HashSize)
 		}
 	}
-	// The fold reads the inner hashes the DO's seal just computed from the
-	// memo; a step that differs in any bit from what was hashed misses and
-	// is hashed here.
-	if err := m.memo.Verify(root, a.Record.Leaf(), a.Proof); err != nil {
+	// The fold reads back what the DO's seal hashed; any other step hashes.
+	if err := m.set.VerifyMember(root, a.Record, a.Proof); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadProof, err)
 	}
 	// The record's state bit is authenticated by the proof: the SP cannot
@@ -181,7 +178,9 @@ func (m *StorageManager) deliverAbsent(ctx *chain.Ctx, args any) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx.ChargeHash(a.Proof.Size())
+	if a.Proof != nil { // VerifyAbsent refuses a nil proof
+		ctx.ChargeHash(a.Proof.Size())
+	}
 	if err := ads.VerifyAbsent(root, a.Key, a.Proof); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadProof, err)
 	}

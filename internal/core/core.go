@@ -44,28 +44,26 @@
 // deliver it submits or withholds (SPNode.Tamper / Drop). Durability is the
 // shard WAL's job (internal/shard), not the SP's.
 //
-// The contract's check reads one more piece of DO state: deliver folds the
-// delivered membership proof through the record set's merkle.Memo, which
-// remembers the inner hashes the DO's seal computed moments before. The
-// fold stays the check merkle.Verify makes, for three reasons:
+// The contract's check reads one more piece of DO state: deliver verifies
+// the delivered membership proof with the record set's VerifyMember, which
+// reads back from the set's own nodes the hashes the DO's seal computed. The
+// check stays the one merkle.Verify makes, for three reasons:
 //
-//   - Who writes entries: only the memo itself, each with an output it has
-//     just computed over exactly that entry's preimage. The DO's seal
-//     records the hashes it computes; the contract's fold records its
-//     misses.
-//   - What a key is: the full 64-byte preimage. A lookup hits only on the
-//     exact (left, right) pair and then returns HashInner(left, right) bit
-//     for bit. A forged proof's altered step, or any step after it, misses
-//     and is hashed, so the fold ends where merkle.Verify's would: at a root
-//     other than the digest.
-//   - What the SP holds: a DeliverArgs, never the memo. The steps it submits
-//     decide which preimages the fold hashes, so it can evict entries, but
-//     it can never choose the output an entry holds.
+//   - Only sealed nodes are consulted. A sealed node's cached leaf, half and
+//     hash are the hashes of its record and children as they stand, and
+//     Root's cached count step is the hash of its inputs. No step of a dirty
+//     node, whose cache may be stale, is read.
+//   - An output is used only when its preimage equals the step's, bit for
+//     bit (for the leaf, when the record equals the node's), and is then what
+//     HashInner would return. A forged step, and every step after it, is
+//     hashed, so the fold ends where merkle.Verify's would.
+//   - Which node answers never matters. The SP chooses the proof, and so
+//     which nodes its steps are paired with, but never what a node holds.
 //
-// Gas is metered per proof step whether or not it hits, so Gas, roots,
-// proofs and wire bytes are what plain hashing gives: the memo saves the
-// simulator's CPU and models nothing. Captures and clones of the set carry
-// no memo, so read views on other goroutines never touch it.
+// Gas is metered per proof step whether or not it is hashed, so Gas, roots,
+// proofs and wire bytes are what plain hashing gives: the check saves the
+// simulator's CPU and models nothing. VerifyMember writes nothing, and
+// captures carry no cached count step, so read views are untouched by it.
 //
 // The chain's event log and call trace are monitoring streams with one
 // consumer each (SP watchdog; DO read monitor). They are consumed, not

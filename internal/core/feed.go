@@ -90,14 +90,14 @@ func NewFeed(c *chain.Chain, p policy.Policy, opts Options) *Feed {
 
 // wireFeed registers the contracts on c and assembles the three parties
 // around one record set: the DO owns it, the SP serves proofs from it, and
-// the manager verifies delivers through its memo.
+// the manager verifies delivers against its sealed nodes.
 // NewFeed then runs genesis; RestoreFeed installs a snapshot instead.
 func wireFeed(c *chain.Chain, p policy.Policy, opts Options) *Feed {
 	opts = opts.withDefaults()
 	do := NewDO(c, managerAddr, doAddr, p, opts.MaxReplicas, opts.NoADS)
 	f := &Feed{
 		Chain:     c,
-		Manager:   NewStorageManager(c, managerAddr, doAddr, opts.Trace, do.Set().Memo()),
+		Manager:   NewStorageManager(c, managerAddr, doAddr, opts.Trace, do.Set()),
 		DO:        do,
 		SP:        NewSPNode(c, do.Set(), managerAddr, spAddr),
 		opts:      opts,

@@ -269,12 +269,13 @@ func TestForgedStateBitRejected(t *testing.T) {
 	}
 }
 
-// TestForgeriesRejectedOnWarmMemo repeats the forgeries above after a
-// genuine deliver of the same key has folded its path through the manager's
-// memo, next to the inner hashes the DO's seal recorded: a forged value, a
-// forged state bit and each path sibling flipped in turn must still fail with
-// ErrBadProof, fire no callback, and leave the honest read working.
-func TestForgeriesRejectedOnWarmMemo(t *testing.T) {
+// TestForgeriesRejectedOnSealedSet repeats the forgeries above on the path
+// where the manager's fold reads the DO's sealed nodes: after a genuine
+// deliver of the same key, a forged value, a forged state bit and each path
+// sibling flipped in turn must still fail with ErrBadProof, fire no
+// callback, and leave the honest read working; so must a forged value folded
+// through a dirty path.
+func TestForgeriesRejectedOnSealedSet(t *testing.T) {
 	f := newTestFeed(policy.Never{}, Options{EpochOps: 1})
 	for i := 0; i < 24; i++ {
 		f.Write(KV{Key: fmt.Sprintf("k%02d", i), Value: []byte{byte(i)}})
@@ -295,18 +296,51 @@ func TestForgeriesRejectedOnWarmMemo(t *testing.T) {
 	for name, forge := range forgeries {
 		f.SP.Tamper = forge
 		if err := f.Read(key); !errors.Is(err, ErrBadProof) {
-			t.Fatalf("%s forged on a warm memo: err = %v, want ErrBadProof", name, err)
+			t.Fatalf("%s forged on the sealed set: err = %v, want ErrBadProof", name, err)
 		}
 	}
 	if f.Delivered() != 1 {
 		t.Fatalf("Delivered = %d, want the one genuine deliver", f.Delivered())
 	}
+	// Rewriting the record with its own value dirties its path and changes
+	// no hash: the fold hashes those steps, and still tells the forged
+	// deliver from the genuine one.
+	redirty := func() { f.DO.Set().Put(ads.Record{Key: key, State: ads.NR, Value: []byte{13}}) }
+	f.SP.Tamper = func(d *DeliverArgs) { redirty(); d.Record.Value = []byte("forged!") }
+	if err := f.Read(key); !errors.Is(err, ErrBadProof) {
+		t.Fatalf("value forged through a dirty path: err = %v, want ErrBadProof", err)
+	}
+	f.SP.Tamper = func(*DeliverArgs) { redirty() }
+	if err := f.Read(key); err != nil {
+		t.Fatalf("genuine deliver through a dirty path: %v", err)
+	}
 	f.SP.Tamper = nil
 	if err := f.Read(key); err != nil {
 		t.Fatalf("honest read after the forgeries: %v", err)
 	}
-	if f.Delivered() != 2 || !bytes.Equal(f.LastValue[key], []byte{13}) {
+	if f.Delivered() != 3 || !bytes.Equal(f.LastValue[key], []byte{13}) {
 		t.Fatalf("Delivered = %d, LastValue = %x", f.Delivered(), f.LastValue[key])
+	}
+}
+
+// TestNilAbsenceProofRejected sends a deliverAbsent with no proof: the
+// manager must refuse it with ErrBadProof, as deliver refuses a nil
+// membership proof, rather than fault while metering it.
+func TestNilAbsenceProofRejected(t *testing.T) {
+	f := newTestFeed(policy.Never{}, Options{EpochOps: 1})
+	for _, c := range []struct {
+		method string
+		args   any
+	}{
+		{"deliverAbsent", &DeliverAbsentArgs{Key: "k"}},
+		{"deliver", &DeliverArgs{Record: ads.Record{Key: "k"}}},
+	} {
+		tx := &chain.Tx{From: "mallory", To: "grub-manager", Method: c.method, Args: c.args}
+		f.Chain.Submit(tx)
+		f.Chain.MineUntilEmpty()
+		if !errors.Is(tx.Err, ErrBadProof) {
+			t.Errorf("%s with a nil proof: err = %v, want ErrBadProof", c.method, tx.Err)
+		}
 	}
 }
 

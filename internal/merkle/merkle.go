@@ -17,10 +17,6 @@
 // The choice is made once at init from CPUID and never changes a digest:
 // other architectures, CPUs without SHA-NI, preimages over 119 bytes and
 // builds with -tags purego use crypto/sha256.
-//
-// A Memo (memo.go) remembers recent HashInner outputs keyed by their full
-// preimage, so that a proof fold can read back the inner hashes its writer
-// computed moments before instead of hashing them again.
 package merkle
 
 import (
@@ -215,7 +211,7 @@ var ErrInvalidProof = errors.New("merkle: invalid proof")
 // Verify checks that leaf, at the position recorded in the proof, is
 // committed to by root.
 func Verify(root Hash, leaf Hash, p *Proof) error {
-	if err := checkIndex(p); err != nil {
+	if err := CheckIndex(p); err != nil {
 		return err
 	}
 	got := leaf
@@ -226,7 +222,21 @@ func Verify(root Hash, leaf Hash, p *Proof) error {
 			got = HashInner(got, n.Hash)
 		}
 	}
-	return checkRoot(got, root)
+	if got != root {
+		return fmt.Errorf("%w: root mismatch (got %v, want %v)", ErrInvalidProof, got, root)
+	}
+	return nil
+}
+
+// CheckIndex refuses a proof that names no leaf, as Verify does first.
+func CheckIndex(p *Proof) error {
+	if p == nil {
+		return fmt.Errorf("%w: nil proof", ErrInvalidProof)
+	}
+	if p.Index < 0 || p.Index >= p.LeafCount {
+		return fmt.Errorf("%w: index %d out of range", ErrInvalidProof, p.Index)
+	}
+	return nil
 }
 
 // AppendBinary appends the proof's binary read encoding (docs/API.md, "Binary
