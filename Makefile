@@ -56,6 +56,9 @@ bench:
 #     no allocation sized from a count the body claims;
 #   - binary replication log encoding: arbitrary log pages likewise, and an
 #     accepted page re-encodes to the bytes it came from;
+#   - shard image install: arbitrary bytes as a leader's bootstrap image
+#     must be refused, leaving the shard as it was, or install to exactly
+#     the seq, root, count and height they claim; never panic;
 #   - SHA-256 kernel: merkle.Sum256 must equal crypto/sha256 on arbitrary
 #     messages, on the SHA-NI kernel and on the fallback.
 FUZZTIME ?= 20s
@@ -67,6 +70,7 @@ fuzz-smoke:
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzReadWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzOpsWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/repl -run '^$$' -fuzz FuzzLogPageDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzImageInstall -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/merkle -run '^$$' -fuzz FuzzSum256 -fuzztime $(FUZZTIME)
 
 # Docs gate: relative markdown links in README.md and docs/ must resolve,

@@ -101,8 +101,17 @@ func TestVerifyMemberHashesOnlyWhatTheSealDidNot(t *testing.T) {
 		t.Fatalf("old proof on the journaled tree: hashed %d, err %v; want > 0, nil", hashed, err)
 	}
 	s.Rollback()
+	// Root right after the rollback hashes nothing: the restored nodes are
+	// sealed and the count step is the one Journal saved, for this tree.
+	step := *s.top
+	if step.tree != hashOf(s.root) || step.n != s.Len() {
+		t.Fatal("rollback left Root's count step on the journaled tree")
+	}
 	if got := s.Root(); got == newRoot || got != root {
 		t.Fatal("rollback did not restore the root")
+	}
+	if *s.top != step {
+		t.Fatal("Root after Rollback rehashed its count step")
 	}
 	for i := range keys {
 		if hashed, err := s.verifyMember(root, recs[i], proofs[i]); err != nil || hashed != 0 {

@@ -110,11 +110,13 @@ type rootStep struct {
 	full             bool
 }
 
-// journal is the undo log of an open Journal: the root at the open, and the
-// prior contents of each node edited in place since, in edit order.
+// journal is the undo log of an open Journal: the root and Root's count step
+// at the open, and the prior contents of each node edited in place since, in
+// edit order.
 type journal struct {
 	open  bool
 	root  *node
+	top   rootStep
 	saved []savedNode
 }
 
@@ -521,6 +523,17 @@ func (s *Set) Root() merkle.Hash {
 	return t.out
 }
 
+// CountLeaf returns CountLeaf(s.Len()), the count commitment a membership
+// proof ends with, from Root's cached count step when that step is for the
+// current count: after Root, it hashes nothing.
+func (s *Set) CountLeaf() merkle.Hash {
+	n := s.Len()
+	if t := s.top; t != nil && t.full && t.n == n {
+		return t.count
+	}
+	return CountLeaf(n)
+}
+
 // Clone seals the set and captures its current version as a frozen copy:
 // Capture followed by EndGeneration. The returned Set shares every node with
 // the receiver, and the receiver's later mutations copy every shared node
@@ -572,19 +585,26 @@ func (s *Set) Journal() {
 	}
 	seal(s.root)
 	s.j.open, s.j.root = true, s.root
+	if s.top != nil {
+		s.j.top = *s.top
+	}
 }
 
 // Commit closes the open journal, keeping the mutations made under it.
 func (s *Set) Commit() { s.openJournal().close() }
 
 // Rollback undoes every mutation since Journal and closes the journal: the
-// set's root, records and cached hashes are what they were at Journal.
+// set's root, records and cached hashes, Root's count step included, are
+// what they were at Journal.
 func (s *Set) Rollback() {
 	j := s.openJournal()
 	for i := len(j.saved) - 1; i >= 0; i-- {
 		*j.saved[i].n = j.saved[i].prior
 	}
 	s.root = j.root
+	if s.top != nil {
+		*s.top = j.top
+	}
 	j.close()
 }
 

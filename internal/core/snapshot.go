@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -50,18 +49,6 @@ type FeedSnapshot struct {
 	NotFound   int               `json:"notFound"`
 	OpsInEpoch int               `json:"opsInEpoch,omitempty"`
 	LastValue  map[string][]byte `json:"lastValue,omitempty"`
-}
-
-// Encode serializes the snapshot for storage.
-func (s *FeedSnapshot) Encode() ([]byte, error) { return json.Marshal(s) }
-
-// DecodeFeedSnapshot parses an encoded snapshot.
-func DecodeFeedSnapshot(data []byte) (*FeedSnapshot, error) {
-	var s FeedSnapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("core: decode feed snapshot: %w", err)
-	}
-	return &s, nil
 }
 
 // PendingRequests returns the number of request events the watchdog has seen

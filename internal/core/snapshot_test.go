@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"slices"
@@ -73,14 +74,7 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Snapshot: %v", err)
 				}
-				data, err := snap.Encode()
-				if err != nil {
-					t.Fatalf("Encode: %v", err)
-				}
-				decoded, err := DecodeFeedSnapshot(data)
-				if err != nil {
-					t.Fatalf("Decode: %v", err)
-				}
+				decoded := imageRoundTrip(t, snap)
 				p2, opts2 := mk(pol)
 				restored, err := RestoreFeed(newSnapChain(), p2, opts2, decoded)
 				if err != nil {
@@ -127,15 +121,7 @@ func TestLastTouchOnlyUnderReplicaBudget(t *testing.T) {
 		// would have written it.
 		snap.LRUTick = 33
 		snap.LastTouch = map[string]uint64{"k00": 31, "k01": 32, "k02": 33}
-		data, err := snap.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		decoded, err := DecodeFeedSnapshot(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored, err := RestoreFeed(newSnapChain(), policy.NewMemoryless(1), opts, decoded)
+		restored, err := RestoreFeed(newSnapChain(), policy.NewMemoryless(1), opts, imageRoundTrip(t, snap))
 		if err != nil {
 			t.Fatalf("RestoreFeed with lastTouch: %v", err)
 		}
@@ -152,6 +138,21 @@ func TestLastTouchOnlyUnderReplicaBudget(t *testing.T) {
 			t.Fatalf("restored feed snapshots lruTick %d and %d lastTouch entries", again.LRUTick, len(again.LastTouch))
 		}
 	}
+}
+
+// imageRoundTrip passes a snapshot through the JSON encoding a shard image
+// (repl.Snapshot) carries it in, the form it is stored and shipped in.
+func imageRoundTrip(t *testing.T, snap *FeedSnapshot) *FeedSnapshot {
+	t.Helper()
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	var decoded FeedSnapshot
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return &decoded
 }
 
 func requireFeedsEqual(t *testing.T, when string, a, b *Feed) {

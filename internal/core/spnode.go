@@ -22,10 +22,6 @@ type SPNode struct {
 	manager chain.Address
 	chain   *chain.Chain
 	set     *ads.Set
-	// count and countLeaf are the set's last seen record count and its
-	// ads.CountLeaf, rehashed only when the count moves.
-	count     int
-	countLeaf merkle.Hash
 
 	// pending holds requests seen but not yet answered (e.g. suppressed
 	// by Drop); they are retried on every Watch.
@@ -58,8 +54,7 @@ type deliverSlot struct {
 // (ProveKeyAt, ProveAbsent). The package doc says why sharing it is sound:
 // what the SP reads is never trusted, only what the contract verifies.
 func NewSPNode(c *chain.Chain, set *ads.Set, manager, addr chain.Address) *SPNode {
-	n := set.Len()
-	return &SPNode{addr: addr, manager: manager, chain: c, set: set, count: n, countLeaf: ads.CountLeaf(n)}
+	return &SPNode{addr: addr, manager: manager, chain: c, set: set}
 }
 
 // Watch takes the chain events emitted since the last Watch, queues the
@@ -100,10 +95,7 @@ func (s *SPNode) Watch() (int, error) {
 // recycled slot.
 func (s *SPNode) answer(req RequestEvent) error {
 	sl := s.slots.get()
-	if n := s.set.Len(); n != s.count {
-		s.count, s.countLeaf = n, ads.CountLeaf(n)
-	}
-	rec, ok := s.set.ProveKeyAt(req.Key, s.countLeaf, &sl.proof)
+	rec, ok := s.set.ProveKeyAt(req.Key, s.set.CountLeaf(), &sl.proof)
 	if !ok {
 		proof, err := s.set.ProveAbsent(req.Key)
 		if err != nil {

@@ -14,19 +14,20 @@ import (
 //
 // The codec is deliberately independent of what the payload means.
 
-// RecordKind tags a typed record value. Kind 1 stays unassigned: stores
-// written by earlier builds may hold it (an op batch as JSON), and shard
-// recovery refuses such a record rather than read it as something else.
+// RecordKind tags a typed record value. Kinds 1 and 2 stay unassigned:
+// stores written by earlier builds may hold them (an op batch as JSON, and a
+// feed snapshot without an anchor), and shard recovery refuses such a record,
+// naming its kind, rather than read it as something else.
 type RecordKind uint8
 
 const (
-	// RecordSnapshot is a serialized feed-state snapshot plus its
-	// persistence metadata; it supersedes every log record with seq at or
-	// below its own.
-	RecordSnapshot RecordKind = 2
 	// RecordOpsWire is an applied op batch in a feed's durable log, in the
 	// binary ops encoding (core.AppendOps).
 	RecordOpsWire RecordKind = 3
+	// RecordImage is a shard image (repl.Snapshot, JSON): the feed state,
+	// its counters and the anchor it must hash to. It supersedes every log
+	// record with seq at or below its own.
+	RecordImage RecordKind = 4
 )
 
 // recordHeaderLen is the encoded size of the kind tag and sequence number.

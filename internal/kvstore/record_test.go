@@ -12,7 +12,7 @@ func TestTypedRecordRoundtrip(t *testing.T) {
 		payload []byte
 	}{
 		{1, 1, []byte(`[{"type":"read","key":"k"}]`)},
-		{RecordSnapshot, 1 << 40, []byte("state")},
+		{RecordImage, 1 << 40, []byte("state")},
 		{RecordOpsWire, 7, []byte{1, 0, 1, 'k', 0, 0}},
 		{19, 0, nil},
 	} {

@@ -2,10 +2,8 @@ package policy
 
 import (
 	"fmt"
-	"math"
 
 	"grub/internal/ads"
-	"grub/internal/gas"
 )
 
 // Memorizing implements Algorithm 2 of the paper: it keeps cumulative read
@@ -48,11 +46,6 @@ func NewMemorizing(k, d int) *Memorizing {
 		wCount: make(map[string]float64),
 		states: make(map[string]ads.State),
 	}
-}
-
-// NewMemorizingFromSchedule configures K' by Equation 1 and uses the given D.
-func NewMemorizingFromSchedule(s gas.Schedule, d int) *Memorizing {
-	return NewMemorizing(int(math.Round(s.ReplicationK())), d)
 }
 
 // Name implements Policy.

@@ -2,7 +2,6 @@ package repl
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -149,14 +148,22 @@ func (c *Client) Log(id string, shard int, from uint64, max int) (*LogPage, erro
 	return page, nil
 }
 
-// Snapshot fetches a consistent bootstrap snapshot of one shard.
+// Snapshot fetches a consistent bootstrap image of one shard. The image is
+// only decoded here; the shard checks its anchor when it installs it.
 func (c *Client) Snapshot(id string, shard int) (*Snapshot, error) {
-	var out Snapshot
-	if err := c.get(shardPath(id, shard, "snapshot"), &out); err != nil {
+	path := shardPath(id, shard, "snapshot")
+	resp, err := c.fetch(path, "")
+	if err != nil {
 		return nil, err
 	}
-	if out.Feed == nil {
-		return nil, errors.New("repl: leader served a snapshot without feed state")
+	defer drainClose(resp.Body)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
 	}
-	return &out, nil
+	snap, err := DecodeSnapshot(body)
+	if err != nil {
+		return nil, fmt.Errorf("repl: GET %s: %w", path, err)
+	}
+	return snap, nil
 }

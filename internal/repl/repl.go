@@ -97,11 +97,14 @@ type LogPage struct {
 	SnapshotRequired bool    `json:"snapshotRequired,omitempty"`
 }
 
-// Snapshot is a consistent bootstrap image of one shard at Seq: the complete
-// feed state plus the anchor it must hash to and the counter metadata that
-// keeps the follower's stats continuous. A follower verifies the restored
-// state against (Root, Count) before installing it — catch-up is verified,
-// not trusted.
+// Snapshot is a shard image: the complete feed state of one shard at Seq,
+// the (Root, Count, Height) anchor it must hash to, and the counters that
+// keep stats continuous. It is the one form a shard's state takes outside the
+// shard: a leader serves it to bootstrap a follower, and a persistent shard
+// stores it as its durable snapshot. Whoever installs one — a follower after
+// a fetch, a shard recovering its own store — restores the state and checks
+// it against the anchor first: catch-up and recovery are verified, not
+// trusted.
 type Snapshot struct {
 	Shard   int                `json:"shard"`
 	Seq     uint64             `json:"seq"`
@@ -111,23 +114,48 @@ type Snapshot struct {
 	Feed    *core.FeedSnapshot `json:"feed"`
 	Ops     int                `json:"ops"`
 	BaseGas gas.Gas            `json:"baseGas"`
+	// Snapshots counts the durable snapshots the shard's store has taken,
+	// this one included: set only on the image a store keeps, so its count
+	// survives a restart; zero, and absent, on the wire.
+	Snapshots int `json:"snapshots,omitempty"`
+}
+
+// DecodeSnapshot parses a shard image in its JSON encoding, the body of the
+// snapshot route and the payload of a shard store's snapshot record. It
+// checks the form only; the anchor is checked where the image is installed.
+func DecodeSnapshot(data []byte) (*Snapshot, error) {
+	var s Snapshot
+	if err := json.Unmarshal(data, &s); err != nil {
+		return nil, fmt.Errorf("repl: decode snapshot: %w", err)
+	}
+	if s.Feed == nil {
+		return nil, errors.New("repl: snapshot without feed state")
+	}
+	return &s, nil
 }
 
 // DivergenceError reports an anchor check failure: the batch at Seq (or a
-// bootstrap snapshot) produced GotRoot/GotCount where the leader advertised
-// WantRoot/WantCount. It unwraps to ErrDivergence.
+// shard image) produced GotRoot/GotCount/GotHeight where the anchor says
+// WantRoot/WantCount/WantHeight. A replicated batch's anchor is checked on
+// root and count only, so its heights are zero. It unwraps to ErrDivergence.
 type DivergenceError struct {
-	Shard     int
-	Seq       uint64
-	WantRoot  merkle.Hash
-	GotRoot   merkle.Hash
-	WantCount int
-	GotCount  int
+	Shard      int
+	Seq        uint64
+	WantRoot   merkle.Hash
+	GotRoot    merkle.Hash
+	WantCount  int
+	GotCount   int
+	WantHeight uint64
+	GotHeight  uint64
 }
 
 func (e *DivergenceError) Error() string {
-	return fmt.Sprintf("repl: shard %d diverged at seq %d: applied root %s (%d records), leader anchor %s (%d records)",
+	msg := fmt.Sprintf("repl: shard %d diverged at seq %d: applied root %s (%d records), leader anchor %s (%d records)",
 		e.Shard, e.Seq, e.GotRoot, e.GotCount, e.WantRoot, e.WantCount)
+	if e.GotHeight != e.WantHeight {
+		msg += fmt.Sprintf(", applied height %d, anchor height %d", e.GotHeight, e.WantHeight)
+	}
+	return msg
 }
 
 func (e *DivergenceError) Unwrap() error { return ErrDivergence }

@@ -7,32 +7,35 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"grub/internal/core"
-	"grub/internal/gas"
 	"grub/internal/kvstore"
+	"grub/internal/repl"
 )
 
 // Persistence: each shard owns a kvstore.DB under the feed's data
 // directory. Applied op batches are appended to a durable log (one typed
 // RecordOpsWire value per batch, keyed by sequence number, riding the
-// engine's write-ahead log), and snapshots compact the log: a RecordSnapshot
-// value carrying the shard's complete feed state (core.FeedSnapshot) plus its
-// counter metadata supersedes every log record at or below its sequence.
+// engine's write-ahead log), and snapshots compact the log: a RecordImage
+// value holding the shard's image — the same repl.Snapshot, anchor and all,
+// that the replication snapshot route serves — supersedes every log record.
 //
 // A log record's payload is the batch in the binary ops encoding
 // (core.AppendOps), the same bytes a binary POST /feeds/{id}/ops body and a
 // replication log page carry. It is the only kind of log record: recovery
 // refuses a store whose log holds any other, naming the record and its kind,
-// rather than skip a batch the shard's sequence counts.
+// rather than skip a batch the shard's sequence counts. The snapshot record
+// is refused the same way unless it is an image: kind 2, the unanchored
+// snapshot of earlier builds, included.
 //
 // The discipline is log-then-apply: a batch is durable before it executes,
 // so after a crash the recovered state is exactly "a fresh feed replaying
 // the logged prefix" — the same equivalence the sharded engine's race tests
-// pin down, extended across a process boundary. Recovery loads the newest
-// snapshot (if any), restores the feed from it, and replays the log records
-// above it in sequence order.
+// pin down, extended across a process boundary. Recovery installs the stored
+// image (if any) through the step a follower installs a leader's image with,
+// which checks the restored state against the image's anchor, so a store
+// whose image does not hash to its own anchor fails to open; it then replays
+// the log records above the image in sequence order.
 
 // PersistOptions configures per-shard durability.
 type PersistOptions struct {
@@ -99,16 +102,6 @@ func appendLogKey(b []byte, seq uint64) []byte {
 // larger batch's buffer is dropped after its append rather than pinned.
 const maxRecordBuf = 1 << 20
 
-// shardMeta is the metadata half of a snapshot record: the worker counters
-// that must survive alongside the feed state for stats continuity.
-type shardMeta struct {
-	Feed      *core.FeedSnapshot `json:"feed"`
-	Ops       int                `json:"ops"`
-	Batches   int                `json:"batches"`
-	BaseGas   gas.Gas            `json:"baseGas"`
-	Snapshots int                `json:"snapshots"`
-}
-
 // persister owns one shard's durable store. It is touched only by the
 // shard's worker goroutine (and by New before the worker starts).
 type persister struct {
@@ -153,44 +146,26 @@ func (p *persister) appendBatch(ops []core.Op) error {
 	return nil
 }
 
-// snapshot persists the shard's complete state and compacts the log below
-// it. st is the worker's live accounting.
-func (p *persister) snapshot(st *shardState) error {
-	fs, err := st.feed.Snapshot()
+// snapshot stores img as the shard's durable snapshot and drops every log
+// record, then checkpoints the store. The log holds exactly the batches
+// applied since the last image, so every record in it is at or below
+// img.Seq, or, when img is a leader's image Reset just installed, belongs to
+// the local history the image supersedes.
+func (p *persister) snapshot(img *repl.Snapshot) error {
+	stored := *img
+	stored.Snapshots = p.snapshots + 1
+	payload, err := json.Marshal(&stored)
 	if err != nil {
-		return err
+		return fmt.Errorf("shard: encode image: %w", err)
 	}
-	meta := shardMeta{
-		Feed:      fs,
-		Ops:       st.ops,
-		Batches:   st.batches,
-		BaseGas:   st.base,
-		Snapshots: p.snapshots + 1,
-	}
-	payload, err := json.Marshal(meta)
-	if err != nil {
-		return fmt.Errorf("shard: encode snapshot: %w", err)
-	}
-	lastSeq := p.nextSeq - 1
-	// One batch — one WAL record — installs the snapshot and drops the log
+	// One batch — one WAL record — installs the image and drops the log
 	// records it supersedes, so no crash leaves one without the other. The
-	// checkpoint after it writes the store's live set (the snapshot record)
-	// as its checkpoint image, drops the tombstones and restarts its WAL
-	// empty.
+	// checkpoint after it writes the store's live set (the image record) as
+	// its checkpoint image, drops the tombstones and restarts its WAL empty.
 	b := kvstore.NewBatch()
-	b.Put([]byte(snapKey), kvstore.EncodeRecord(kvstore.RecordSnapshot, lastSeq, payload))
-	for it := p.db.NewIteratorFrom([]byte(logKeyPrefix)); it.Valid(); it.Next() {
-		key := string(it.Key())
-		if !strings.HasPrefix(key, logKeyPrefix) {
-			break // past the log keyspace (keys iterate sorted)
-		}
-		_, seq, _, err := kvstore.DecodeTypedRecord(it.Value())
-		if err != nil {
-			return fmt.Errorf("shard: corrupt log record %q: %w", key, err)
-		}
-		if seq <= lastSeq {
-			b.Delete([]byte(key))
-		}
+	b.Put([]byte(snapKey), kvstore.EncodeRecord(kvstore.RecordImage, img.Seq, payload))
+	for it := p.db.NewIteratorFrom([]byte(logKeyPrefix)); it.Valid() && bytes.HasPrefix(it.Key(), []byte(logKeyPrefix)); it.Next() {
+		b.Delete(it.Key())
 	}
 	if err := p.db.Write(b); err != nil {
 		return fmt.Errorf("shard: write snapshot: %w", err)
@@ -198,19 +173,16 @@ func (p *persister) snapshot(st *shardState) error {
 	if err := p.db.Checkpoint(); err != nil {
 		return fmt.Errorf("shard: checkpoint: %w", err)
 	}
-	p.snapshots++
+	p.snapshots = stored.Snapshots
+	p.nextSeq = img.Seq + 1
 	p.loggedBatches = 0
 	p.sinceSnapshot = 0
 	return nil
 }
 
-// maybeSnapshot takes an automatic snapshot when the configured cadence is
-// due.
-func (p *persister) maybeSnapshot(st *shardState) error {
-	if p.snapshotEvery <= 0 || p.sinceSnapshot < p.snapshotEvery {
-		return nil
-	}
-	return p.snapshot(st)
+// snapshotDue reports whether the automatic snapshot cadence has come round.
+func (p *persister) snapshotDue() bool {
+	return p.snapshotEvery > 0 && p.sinceSnapshot >= p.snapshotEvery
 }
 
 // rollbackBatch removes the most recently logged batch — one the replication
@@ -229,118 +201,75 @@ func (p *persister) rollbackBatch(seq uint64) error {
 	return nil
 }
 
-// resetTo reinstalls the store around a replication bootstrap: every local
-// log record is dropped (the local history — possibly stale or diverged —
-// is superseded wholesale by the leader snapshot) and the freshly installed
-// state is snapshotted at seq as the new durable base.
-func (p *persister) resetTo(st *shardState, seq uint64) error {
-	b := kvstore.NewBatch()
-	for it := p.db.NewIteratorFrom([]byte(logKeyPrefix)); it.Valid(); it.Next() {
-		if !strings.HasPrefix(string(it.Key()), logKeyPrefix) {
-			break
-		}
-		b.Delete(it.Key())
-	}
-	if err := p.db.Write(b); err != nil {
-		return fmt.Errorf("shard: drop superseded log: %w", err)
-	}
-	p.nextSeq = seq + 1
-	p.loggedBatches = 0
-	p.sinceSnapshot = 0
-	return p.snapshot(st)
-}
-
 func (p *persister) stat() PersistStat {
 	return PersistStat{Snapshots: p.snapshots, LoggedBatches: p.loggedBatches, LastSeq: p.nextSeq - 1}
 }
 
-// recover loads the shard's durable state: the newest snapshot (if any)
-// restores the feed through restore, and every log record above it replays
-// through the normal execution path. It returns the recovered shard state,
-// with ops, batches and base gas continuing from where the previous process
-// stopped.
-func recoverShard(p *persister, idx int, opts Options, build func(int) (*core.Feed, error), restore func(int, *core.FeedSnapshot) (*core.Feed, error)) (*shardState, error) {
-	var (
-		feed    *core.Feed
-		st      shardState
-		lastSeq uint64
-	)
-	if raw, err := p.db.Get([]byte(snapKey)); err == nil {
-		kind, seq, payload, derr := kvstore.DecodeTypedRecord(raw)
-		if derr != nil {
-			return nil, fmt.Errorf("shard: corrupt snapshot record: %w", derr)
+// recover loads the shard's durable state into st: the stored image, when
+// there is one, through install — refused, and the store with it, unless it
+// hashes to its own anchor — or else a fresh feed from build; then every log
+// record above it replays through the normal apply path. Ops, batches and
+// base gas continue from where the previous process stopped.
+func (p *persister) recover(st *shardState, build func(int) (*core.Feed, error)) error {
+	raw, err := p.db.Get([]byte(snapKey))
+	switch {
+	case errors.Is(err, kvstore.ErrNotFound):
+		if err := st.fresh(build); err != nil {
+			return err
 		}
-		if kind != kvstore.RecordSnapshot {
-			return nil, fmt.Errorf("shard: snapshot key holds kind %d", kind)
-		}
-		var meta shardMeta
-		if err := json.Unmarshal(payload, &meta); err != nil {
-			return nil, fmt.Errorf("shard: decode snapshot: %w", err)
-		}
-		if restore == nil {
-			return nil, fmt.Errorf("shard: store has a snapshot but no Restore callback is configured")
-		}
-		feed, err = restore(idx, meta.Feed)
+	case err != nil:
+		return fmt.Errorf("shard: read snapshot: %w", err)
+	default:
+		kind, _, payload, err := kvstore.DecodeTypedRecord(raw)
 		if err != nil {
-			return nil, fmt.Errorf("shard: restore feed: %w", err)
+			return fmt.Errorf("shard: corrupt snapshot record: %w", err)
 		}
-		st = shardState{ops: meta.Ops, batches: meta.Batches, base: meta.BaseGas}
-		p.snapshots = meta.Snapshots
-		lastSeq = seq
-	} else if !errors.Is(err, kvstore.ErrNotFound) {
-		return nil, fmt.Errorf("shard: read snapshot: %w", err)
-	} else {
-		feed, err = build(idx)
+		if kind != kvstore.RecordImage {
+			return fmt.Errorf("shard: snapshot record %q has kind %d, not an image (kind %d)", snapKey, kind, kvstore.RecordImage)
+		}
+		img, err := repl.DecodeSnapshot(payload)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("shard: snapshot record: %w", err)
 		}
-		st = shardState{base: feed.FeedGas()}
-	}
-	st.feed = feed
-	st.record = opts.RecordTrace
-	if opts.Repl {
-		// The replication log restarts at the snapshot's sequence; every
-		// replayed batch below re-anchors into it, so a follower that was
-		// tailing this shard before the crash resumes without a snapshot
-		// bootstrap as long as its cursor is above the durable snapshot.
-		st.repl = newReplLog(opts.ReplRetain)
-		st.repl.reset(lastSeq)
+		if err := st.install(img); err != nil {
+			return fmt.Errorf("shard: recover snapshot: %w", err)
+		}
+		p.snapshots, p.nextSeq = img.Snapshots, img.Seq+1
 	}
 
-	// Replay the log above the snapshot, in sequence order: the cursor-
-	// positioned iterator starts at the first retained record past the
-	// snapshot (the fixed-width hex key preserves numeric order).
-	maxSeq := lastSeq
-	for it := p.db.NewIteratorFrom(logKey(lastSeq + 1)); it.Valid(); it.Next() {
+	// Replay the log above the image, in sequence order: the cursor-
+	// positioned iterator starts at the first retained record past it (the
+	// fixed-width hex key preserves numeric order). Every replayed batch
+	// re-anchors into the replication log, so a follower that was tailing
+	// this shard before the crash resumes without a bootstrap as long as
+	// its cursor is above the image.
+	from := p.nextSeq
+	for it := p.db.NewIteratorFrom(logKey(from)); it.Valid(); it.Next() {
 		if !bytes.HasPrefix(it.Key(), []byte(logKeyPrefix)) {
 			break // past the log keyspace
 		}
 		kind, seq, payload, err := kvstore.DecodeTypedRecord(it.Value())
 		if err != nil {
-			return nil, fmt.Errorf("shard: corrupt log record %q: %w", it.Key(), err)
+			return fmt.Errorf("shard: corrupt log record %q: %w", it.Key(), err)
 		}
-		if seq <= lastSeq {
+		if seq < from {
 			continue
 		}
 		if kind != kvstore.RecordOpsWire {
-			return nil, fmt.Errorf("shard: log record %q has kind %d, not a batch (kind %d)", it.Key(), kind, kvstore.RecordOpsWire)
+			return fmt.Errorf("shard: log record %q has kind %d, not a batch (kind %d)", it.Key(), kind, kvstore.RecordOpsWire)
 		}
 		ops, err := core.DecodeOps(payload)
 		if err != nil {
-			return nil, fmt.Errorf("shard: decode log record %q: %w", it.Key(), err)
+			return fmt.Errorf("shard: decode log record %q: %w", it.Key(), err)
 		}
 		_, entry := st.applyBatch(ops)
 		p.loggedBatches++
 		if st.repl != nil {
 			st.repl.append(entry)
 		}
-		if seq > maxSeq {
-			maxSeq = seq
-		}
+		p.nextSeq = max(p.nextSeq, seq+1)
 	}
-	p.nextSeq = maxSeq + 1
-	st.persist = p
-	return &st, nil
+	return nil
 }
 
 // RemoveStore deletes a feed's on-disk persistence directory. The gateway

@@ -225,14 +225,11 @@ func TestPersistConcurrentCrashRecovery(t *testing.T) {
 	// The recovered feed's trace is the full serialized order: the log
 	// replayed at recovery plus everything applied since. Replaying it per
 	// shard through fresh feeds must reproduce results and stats exactly.
-	traces, err := recovered.ShardTraces()
+	merged, recorded, err := recovered.TraceResults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, recorded, err := recovered.TraceResults()
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := splitTrace(t, merged, shards)
 	got, err := recovered.Stats()
 	if err != nil {
 		t.Fatal(err)

@@ -19,9 +19,11 @@ import (
 //     set when the batch edited an unread view in place under the set's
 //     undo journal), halts replication for itself, and keeps serving its
 //     last verified view.
-//   - Reset: replace the shard's state wholesale with a bootstrap snapshot,
-//     after verifying the restored state hashes to the snapshot's anchor.
-//   - ReplSnapshot: produce such a snapshot at the shard's current seq.
+//   - Reset: replace the shard's state wholesale with a leader's image
+//     (repl.Snapshot), after verifying the restored state hashes to the
+//     image's anchor — the step recovery installs a stored image with.
+//   - ReplSnapshot: capture the shard's image at its current seq — the
+//     capture a durable snapshot stores.
 //
 // The log is the leader-side serving surface (ShardedFeed.ReplPage); the
 // other three are the follower side. Any replicating feed can serve both
@@ -193,8 +195,8 @@ func (s *ShardedFeed) Apply(shard int, e repl.Entry) error {
 	return r.err
 }
 
-// ReplSnapshot produces a consistent bootstrap snapshot of one shard at its
-// current sequence, anchored by the shard's root and count.
+// ReplSnapshot captures one shard's image at its current sequence, anchored
+// by the shard's root, count and chain height.
 func (s *ShardedFeed) ReplSnapshot(shard int) (*repl.Snapshot, error) {
 	r, err := s.replRequest(shard, request{kind: reqReplSnap})
 	if err != nil {
@@ -203,15 +205,12 @@ func (s *ShardedFeed) ReplSnapshot(shard int) (*repl.Snapshot, error) {
 	return r.snap, r.err
 }
 
-// Reset replaces a shard's state wholesale with a bootstrap snapshot after
-// verifying the restored state hashes to the snapshot's anchor. On a
-// persistent shard the local log (superseded wholesale, possibly from a
-// stale or diverged history) is dropped and the snapshot becomes the new
-// durable base. It returns the shard's new cursor.
+// Reset replaces a shard's state wholesale with a leader's image after
+// verifying the restored state hashes to the image's anchor. On a
+// persistent shard the image becomes the durable snapshot, and the local log
+// (superseded wholesale, possibly from a stale or diverged history) is
+// dropped. It returns the shard's new cursor.
 func (s *ShardedFeed) Reset(shard int, snap *repl.Snapshot) (uint64, error) {
-	if snap == nil || snap.Feed == nil {
-		return 0, fmt.Errorf("shard: nil bootstrap snapshot")
-	}
 	r, err := s.replRequest(shard, request{kind: reqReplReset, snap: snap})
 	if err != nil {
 		return 0, err

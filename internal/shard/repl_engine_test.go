@@ -373,17 +373,22 @@ func TestReplResetBootstrap(t *testing.T) {
 	ship(t, leader, follower)
 	assertSameRoots(t, leader, follower)
 
-	// A lying snapshot (anchor does not match its state) is refused and
-	// the shard keeps its current state.
-	snap, err := leader.ReplSnapshot(0)
-	if err != nil {
-		t.Fatal(err)
+	// A lying snapshot (anchor does not match its state: its count, or its
+	// chain height) is refused and the shard keeps its current state.
+	for _, lie := range []func(*repl.Snapshot){
+		func(s *repl.Snapshot) { s.Count++ },
+		func(s *repl.Snapshot) { s.Height++ },
+	} {
+		snap, err := leader.ReplSnapshot(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lie(snap)
+		if _, err := follower.Reset(0, snap); !errors.Is(err, repl.ErrDivergence) {
+			t.Fatalf("lying snapshot: err = %v, want ErrDivergence", err)
+		}
+		assertSameRoots(t, leader, follower)
 	}
-	snap.Count++ // lie
-	if _, err := follower.Reset(0, snap); !errors.Is(err, repl.ErrDivergence) {
-		t.Fatalf("lying snapshot: err = %v, want ErrDivergence", err)
-	}
-	assertSameRoots(t, leader, follower)
 }
 
 // TestReplRetainFloor forces the retained window to slide: a cursor below

@@ -84,10 +84,10 @@ type Options struct {
 	// means DefaultReplRetain. Followers further behind bootstrap from a
 	// snapshot.
 	ReplRetain int
-	// Restore rebuilds one shard's feed from a snapshot, for the
-	// replication bootstrap path (Reset) and for recovery of a store that
-	// holds one; it must wire the feed exactly as the build callback
-	// would, then install the snapshot state. Falls back to
+	// Restore rebuilds one shard's feed from an image's feed state, for
+	// the replication bootstrap path (Reset) and for recovery of a store
+	// that holds an image; it must wire the feed exactly as the build
+	// callback would, then install the state. Falls back to
 	// Persist.Restore when nil.
 	Restore func(shard int, snap *core.FeedSnapshot) (*core.Feed, error)
 	// Stages, when non-nil, receives per-stage batch latency
@@ -165,8 +165,8 @@ const (
 	reqStats
 	reqTrace
 	reqSnapshot
-	reqReplSnap  // consistent bootstrap snapshot at the current seq
-	reqReplReset // install a bootstrap snapshot wholesale
+	reqReplSnap  // the shard's image at the current seq
+	reqReplReset // install a leader's image wholesale
 	reqStop      // graceful: final snapshot (if persistent), close store
 	reqKill      // crash simulation: abandon the store as-is
 )
@@ -199,9 +199,13 @@ type response struct {
 // store holds prior state); after the worker starts, only the worker
 // goroutine touches it.
 type shardState struct {
+	idx  int
 	feed *core.Feed
+	// restore rebuilds the feed from an image's feed state (the resolved
+	// Options.Restore); nil refuses every image.
+	restore func(shard int, snap *core.FeedSnapshot) (*core.Feed, error)
 	// base is the genesis digest cost, excluded from gas/op. It survives
-	// restarts via the snapshot metadata.
+	// restarts in the shard's image.
 	base gas.Gas
 	// ops and batches count executed work across the shard's whole
 	// lifetime, including batches replayed during recovery.
@@ -326,18 +330,14 @@ type worker struct {
 	// views, when non-nil, receives this shard's read view after every
 	// applied batch (Options.Views).
 	views *query.Engine
-	// restore rebuilds the shard's feed from a snapshot (replication
-	// bootstrap); nil disables Reset.
-	restore func(shard int, snap *core.FeedSnapshot) (*core.Feed, error)
 }
 
 // publishView snapshots the shard's current state into a read view and
 // installs it: the current version of the feed's authenticated record set,
 // its root, the shard chain's height, and the batch count as the monotone
-// publication sequence. Every batch ends with anchor(), which seals the set,
-// so Capture here has nothing left to hash (the first view after a restore
-// is the exception; Capture seals it, on the shard's own recovery goroutine
-// in New): it is a root-pointer capture whose cost is independent of the
+// publication sequence. Every batch ends with anchor(), and install checks an
+// image's anchor, both of which seal the set, so Capture here has nothing
+// left to hash: it is a root-pointer capture whose cost is independent of the
 // record count, and readers of the view find every node hashed. The set
 // keeps its generation; releaseView decides, at the next batch, whether the
 // view's nodes must be copied.
@@ -394,7 +394,7 @@ func (w *worker) loop(st *shardState) {
 				// rolled back to the verified prefix — recovery from
 				// the log is exactly the state we want back.
 				if st.diverged == nil {
-					if serr := st.persist.snapshot(st); err == nil {
+					if serr := st.snapshot(); err == nil {
 						err = serr
 					}
 				}
@@ -430,10 +430,10 @@ func (w *worker) loop(st *shardState) {
 			}
 			req.resp <- response{stat: stat}
 		case reqReplSnap:
-			snap, err := w.replSnapshot(st)
-			req.resp <- response{snap: snap, err: err}
+			img, err := st.image()
+			req.resp <- response{snap: img, err: err}
 		case reqReplReset:
-			req.resp <- response{err: w.resetReplicated(st, req.snap)}
+			req.resp <- response{err: w.reset(st, req.snap)}
 		case reqSnapshot:
 			if st.persist == nil {
 				req.resp <- response{err: ErrNotPersistent}
@@ -446,7 +446,7 @@ func (w *worker) loop(st *shardState) {
 			}
 			err := st.persistErr
 			st.persistErr = nil
-			if serr := st.persist.snapshot(st); err == nil {
+			if serr := st.snapshot(); err == nil {
 				err = serr
 			}
 			var stat ShardStat
@@ -539,8 +539,8 @@ func (w *worker) commit(st *shardState, ops []core.Op, want *repl.Entry, clk *st
 		}
 		entry = *want
 	}
-	if st.persist != nil {
-		if serr := st.persist.maybeSnapshot(st); serr != nil {
+	if st.persist != nil && st.persist.snapshotDue() {
+		if serr := st.snapshot(); serr != nil {
 			st.persistErr = serr
 		}
 		clk.skip() // compaction has no stage of its own
@@ -557,13 +557,12 @@ func (w *worker) commit(st *shardState, ops []core.Op, want *repl.Entry, clk *st
 	return results, nil
 }
 
-// replSnapshot captures a consistent bootstrap snapshot of the shard at its
-// current sequence. A diverged shard refuses: exporting its in-memory state
-// would hand the refused fork to chained followers.
-func (w *worker) replSnapshot(st *shardState) (*repl.Snapshot, error) {
-	if st.repl == nil {
-		return nil, ErrNotReplicating
-	}
+// image captures the shard at Seq = batches: its feed state, the anchor the
+// state hashes to and its counters. It is the one capture of a shard's
+// state, for the snapshot route and for the durable snapshot alike. A
+// diverged shard refuses: its in-memory state holds the refused fork, which
+// must neither reach a chained follower nor become durable.
+func (st *shardState) image() (*repl.Snapshot, error) {
 	if st.diverged != nil {
 		return nil, st.diverged
 	}
@@ -573,45 +572,78 @@ func (w *worker) replSnapshot(st *shardState) (*repl.Snapshot, error) {
 	}
 	root, count, height := st.anchor()
 	return &repl.Snapshot{
-		Shard: w.idx, Seq: uint64(st.batches),
+		Shard: st.idx, Seq: uint64(st.batches),
 		Root: root, Count: count, Height: height,
 		Feed: fs, Ops: st.ops, BaseGas: st.base,
 	}, nil
 }
 
-// resetReplicated installs a bootstrap snapshot wholesale: the restored feed
-// must hash to the snapshot's advertised anchor before it replaces the
-// shard's state (verified catch-up — a corrupt or lying snapshot is refused
-// and the current state stays). On success the shard's counters, replication
-// log and durable store all restart from the snapshot's sequence.
-func (w *worker) resetReplicated(st *shardState, snap *repl.Snapshot) error {
-	if st.repl == nil {
-		return ErrNotReplicating
+// install makes img the shard's state, a leader's image on Reset and the
+// store's own on recovery alike. The feed it restores must hash to the
+// image's anchor (root, count and chain height) first: an image that does
+// not is refused with a *repl.DivergenceError, and one that does not restore
+// at all with the restore error; either way the shard stays as it was. On
+// success the counters continue from the image, the trace restarts (the
+// history before it is superseded) and the replication log restarts at
+// img.Seq.
+func (st *shardState) install(img *repl.Snapshot) error {
+	if img == nil || img.Feed == nil {
+		return fmt.Errorf("shard: shard %d: image without feed state", st.idx)
 	}
-	if w.restore == nil {
-		return fmt.Errorf("shard: shard %d has no Restore callback for replication bootstrap", w.idx)
+	if st.restore == nil {
+		return fmt.Errorf("shard: shard %d has no Restore callback to install an image", st.idx)
 	}
-	feed, err := w.restore(w.idx, snap.Feed)
+	feed, err := st.restore(st.idx, img.Feed)
 	if err != nil {
-		return fmt.Errorf("shard: restore bootstrap snapshot: %w", err)
+		return fmt.Errorf("shard: restore image at seq %d: %w", img.Seq, err)
 	}
 	set := feed.DO.Set()
-	if root, count := set.Root(), set.Len(); root != snap.Root || count != snap.Count {
+	if root, count, height := set.Root(), set.Len(), feed.Chain.Height(); root != img.Root || count != img.Count || height != img.Height {
 		return &repl.DivergenceError{
-			Shard: w.idx, Seq: snap.Seq,
-			WantRoot: snap.Root, GotRoot: root,
-			WantCount: snap.Count, GotCount: count,
+			Shard: st.idx, Seq: img.Seq,
+			WantRoot: img.Root, GotRoot: root,
+			WantCount: img.Count, GotCount: count,
+			WantHeight: img.Height, GotHeight: height,
 		}
 	}
-	st.feed = feed
-	st.ops = snap.Ops
-	st.batches = int(snap.Seq)
-	st.base = snap.BaseGas
-	st.trace, st.traceRes = nil, nil // earlier history was superseded wholesale
+	st.feed, st.ops, st.batches, st.base = feed, img.Ops, int(img.Seq), img.BaseGas
+	st.trace, st.traceRes = nil, nil
 	st.diverged = nil
-	st.repl.reset(snap.Seq)
+	if st.repl != nil {
+		st.repl.reset(img.Seq)
+	}
+	return nil
+}
+
+// fresh gives a shard with no image a new feed from build.
+func (st *shardState) fresh(build func(int) (*core.Feed, error)) error {
+	f, err := build(st.idx)
+	if err != nil {
+		return err
+	}
+	st.feed, st.base = f, f.FeedGas()
+	return nil
+}
+
+// snapshot stores the shard's image as its durable snapshot.
+func (st *shardState) snapshot() error {
+	img, err := st.image()
+	if err != nil {
+		return err
+	}
+	return st.persist.snapshot(img)
+}
+
+// reset installs a leader's image wholesale, then, on a persistent shard,
+// stores it as the durable snapshot, which drops the local log (a history
+// the image supersedes, possibly stale or diverged), and publishes it. A
+// refused image leaves the shard as it was.
+func (w *worker) reset(st *shardState, img *repl.Snapshot) error {
+	if err := st.install(img); err != nil {
+		return err
+	}
 	if st.persist != nil {
-		if err := st.persist.resetTo(st, snap.Seq); err != nil {
+		if err := st.persist.snapshot(img); err != nil {
 			st.persistErr = err
 		}
 	}
@@ -673,7 +705,7 @@ func New(opts Options, build func(shard int) (*core.Feed, error)) (*ShardedFeed,
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := range states {
-		w := &worker{idx: i, mail: make(chan request, mailboxDepth), done: make(chan struct{}), views: s.engine, restore: restore}
+		w := &worker{idx: i, mail: make(chan request, mailboxDepth), done: make(chan struct{}), views: s.engine}
 		s.workers[i] = w
 		wg.Add(1)
 		go func() {
@@ -685,8 +717,7 @@ func New(opts Options, build func(shard int) (*core.Feed, error)) (*ShardedFeed,
 			}
 			// Initial view: reads (including absence proofs over the empty
 			// set, and recovered state after a restart) work before the
-			// first batch lands. Sealing a restored set happens here, in
-			// parallel with the other shards.
+			// first batch lands.
 			w.publishView(st)
 			states[i] = st
 		}()
@@ -713,31 +744,29 @@ func New(opts Options, build func(shard int) (*core.Feed, error)) (*ShardedFeed,
 // the in-memory case, open-store-and-recover in the persistent case. With
 // replication enabled the shard's replication log starts at the recovered
 // sequence (recovery re-anchors every replayed batch into it). restore is
-// the callback New resolved for the replication bootstrap; recovery restores
-// a snapshotted store through the same one.
+// the callback New resolved; Reset and recovery install images through it.
 func newShardState(opts Options, idx int, build func(int) (*core.Feed, error), restore func(int, *core.FeedSnapshot) (*core.Feed, error)) (*shardState, error) {
+	st := &shardState{idx: idx, restore: restore, record: opts.RecordTrace}
+	if opts.Repl {
+		st.repl = newReplLog(opts.ReplRetain)
+	}
 	if opts.Persist == nil {
-		f, err := build(idx)
+		if err := st.fresh(build); err != nil {
+			return nil, err
+		}
+	} else {
+		p, err := openPersister(*opts.Persist, idx)
 		if err != nil {
 			return nil, err
 		}
-		st := &shardState{feed: f, base: f.FeedGas(), record: opts.RecordTrace, stages: opts.Stages, load: opts.Load}
-		if opts.Repl {
-			st.repl = newReplLog(opts.ReplRetain)
+		if err := p.recover(st, build); err != nil {
+			p.db.Close()
+			return nil, err
 		}
-		return st, nil
+		st.persist = p
 	}
-	p, err := openPersister(*opts.Persist, idx)
-	if err != nil {
-		return nil, err
-	}
-	st, err := recoverShard(p, idx, opts, build, restore)
-	if err != nil {
-		p.db.Close()
-		return nil, err
-	}
-	st.stages = opts.Stages
-	st.load = opts.Load
+	// The meters see the batches from here on, not recovery's replay.
+	st.stages, st.load = opts.Stages, opts.Load
 	return st, nil
 }
 
@@ -941,19 +970,6 @@ func (s *ShardedFeed) TraceResults() ([]core.Op, []core.OpResult, error) {
 		results = append(results, r.traceRes...)
 	}
 	return ops, results, nil
-}
-
-// ShardTraces returns each shard's serialized op order separately.
-func (s *ShardedFeed) ShardTraces() ([][]core.Op, error) {
-	rs, err := s.broadcast(reqTrace)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]core.Op, len(rs))
-	for i, r := range rs {
-		out[i] = r.trace
-	}
-	return out, nil
 }
 
 func (s *ShardedFeed) stopWorker(w *worker) {
