@@ -44,9 +44,6 @@ var ErrNotQuiescent = errors.New("chain: mempool not empty")
 // executed transactions.
 var ErrNotFresh = errors.New("chain: restore target already executed transactions")
 
-// PendingTxs returns the number of transactions waiting in the mempool.
-func (c *Chain) PendingTxs() int { return len(c.mempool) }
-
 // Snapshot captures the chain's state at a quiescent point (empty mempool).
 // The returned value shares nothing with the chain and is safe to serialize.
 func (c *Chain) Snapshot() (State, error) {

@@ -23,10 +23,10 @@
 //     choice.
 //   - State transfer is never trusted: followers tail the owner's
 //     replication log verifying every batch against the owner's post-apply
-//     (seq, root, count) anchors (internal/repl), failover candidates prove
-//     against the surviving nodes' anchors that they are not behind before
-//     promoting, and migration flips ownership only once the target's
-//     anchors equal the fenced source's exactly.
+//     anchors (query.Anchor, checked by internal/repl), failover candidates
+//     prove against the surviving nodes' anchors that they are not behind
+//     before promoting, and migration flips ownership only once the
+//     target's anchors equal the fenced source's exactly.
 //
 // The ring (consistent hashing over the static member URLs) supplies only
 // defaults and the failover order — which node a new feed lands on, and who
@@ -469,17 +469,18 @@ func (n *Node) tryPromote(e Entry) bool {
 			continue // peer unreachable or not hosting: it cannot be ahead of a caught-up follower
 		}
 		for i := range la {
-			if ra[i].Seq > la[i].Seq {
+			switch ra[i].Anchor().Against(la[i].Anchor()) {
+			case query.Ahead:
 				behind = true
 				if ra[i].Seq > bestSeq {
 					bestSeq, bestPeer = ra[i].Seq, p
 				}
-			} else if ra[i].Seq == la[i].Seq && ra[i].Root != la[i].Root {
-				// Equal seq, different root: somebody forked. Refuse to
+			case query.Forked:
+				// Equal seq, different anchor: somebody forked. Refuse to
 				// promote — an operator must pick the true history.
 				n.mu.Lock()
-				n.conflicted[e.Feed] = fmt.Sprintf("%v: shard %d seq %d: local root %s, %s has %s",
-					ErrDiverged, i, la[i].Seq, la[i].Root, p, ra[i].Root)
+				n.conflicted[e.Feed] = fmt.Sprintf("%v: shard %d seq %d: local anchor %+v, %s has %+v",
+					ErrDiverged, i, la[i].Seq, la[i].Anchor(), p, ra[i].Anchor())
 				n.mu.Unlock()
 				return true
 			}
@@ -563,7 +564,7 @@ func (n *Node) resetDivergedShards(feed, leader string) {
 	}
 	rc := &repl.Client{Base: leader, HTTP: n.opts.HTTP}
 	for i := range la {
-		if la[i].Seq > ra[i].Seq || (la[i].Seq == ra[i].Seq && la[i].Root != ra[i].Root) {
+		if rel := la[i].Anchor().Against(ra[i].Anchor()); rel == query.Ahead || rel == query.Forked {
 			snap, err := rc.Snapshot(feed, i)
 			if err != nil {
 				continue

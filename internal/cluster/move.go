@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"time"
+
+	"grub/internal/query"
 )
 
 // MoveResult reports a completed live migration.
@@ -82,19 +84,13 @@ func (n *Node) Move(feed, target string) (MoveResult, error) {
 		}
 		ra, err := n.client.Anchors(target, feed)
 		if err == nil && len(ra) == len(la) {
-			matched, diverged := true, false
 			for i := range la {
-				if ra[i].Seq != la[i].Seq {
-					matched = false
-				} else if ra[i].Root != la[i].Root {
-					diverged = true
+				if ra[i].Anchor().Against(la[i].Anchor()) == query.Forked {
+					unfence()
+					return MoveResult{}, fmt.Errorf("cluster: move %q to %s: %w", feed, target, ErrDiverged)
 				}
 			}
-			if diverged {
-				unfence()
-				return MoveResult{}, fmt.Errorf("cluster: move %q to %s: %w", feed, target, ErrDiverged)
-			}
-			if matched {
+			if anchorsEqual(ra, la) {
 				la2, err := n.local.Anchors(feed)
 				if err == nil && anchorsEqual(la, la2) {
 					break // target caught up to a stable fence point

@@ -123,14 +123,14 @@ func (n *Node) HeartbeatLag() map[string]float64 {
 	return out
 }
 
-// anchorsEqual reports whether two anchor sets match exactly (seq, root and
-// count per shard).
+// anchorsEqual reports whether two anchor sets are the same anchor, shard
+// by shard.
 func anchorsEqual(a, b []query.RootInfo) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].Seq != b[i].Seq || a[i].Root != b[i].Root || a[i].Count != b[i].Count {
+		if a[i].Anchor().Against(b[i].Anchor()) != query.Same {
 			return false
 		}
 	}

@@ -84,12 +84,6 @@ func (s Schedule) Tx(payloadBytes int) Gas {
 	return s.TxBase + s.TxPerWord*Gas(Words(payloadBytes))
 }
 
-// TxPerByte reports the marginal calldata cost of one byte, used by policies
-// that reason about the per-byte cost ratio of Equation 1.
-func (s Schedule) TxPerByte() float64 {
-	return float64(s.TxPerWord) / WordSize
-}
-
 // StoreInsert returns the cost of inserting valueBytes bytes into fresh
 // storage slots.
 func (s Schedule) StoreInsert(valueBytes int) Gas {

@@ -122,11 +122,6 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 	return &CounterVec{f: r.register(name, help, kindCounter, labels)}
 }
 
-// NewCounter registers a label-less counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	return r.NewCounterVec(name, help).With()
-}
-
 // With returns the counter for the given label values, creating it on
 // first use.
 func (v *CounterVec) With(values ...string) *Counter {

@@ -206,16 +206,6 @@ func (lt *LoadTracker) snapshotAt(now int64) []FeedLoad {
 	return out
 }
 
-// Top returns at most n entries of Snapshot — the compact digest that
-// rides cluster heartbeats.
-func (lt *LoadTracker) Top(n int) []FeedLoad {
-	s := lt.Snapshot()
-	if n >= 0 && len(s) > n {
-		s = s[:n]
-	}
-	return s
-}
-
 // RankLoads sorts loads by ops/sec descending, breaking ties by gas
 // then feed ID, in place.
 func RankLoads(loads []FeedLoad) {

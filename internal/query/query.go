@@ -21,15 +21,16 @@
 // anchor each view captured at publish, so it neither pins nor waits.
 //
 // Every answer carries the evidence a light client needs to verify it
-// against the advertised (root, count) anchors — the gateway itself is
-// untrusted on this path, in the spirit of the verified-middlebox designs
-// (LightBox, Slick) the ROADMAP points at.
+// against the advertised per-shard Anchor (seq, height, root, count) — the
+// gateway itself is untrusted on this path, in the spirit of the
+// verified-middlebox designs (LightBox, Slick) the ROADMAP points at.
 //
 // Verification contract: a response is trustworthy relative to the per-shard
-// (Root, Count) pairs. In a full deployment those pairs are exactly what the
-// on-chain digest attests; here GET /feeds/{id}/roots advertises them, and
-// server.VerifyingClient pins them across requests (monotone Seq, stable
-// root per Seq), so a gateway that tampers with a record, truncates a proof
+// anchors. Proofs verify against an anchor's (Root, Count); in a full
+// deployment that pair is exactly what the on-chain digest attests. Here GET
+// /feeds/{id}/roots advertises the anchors, and server.VerifyingClient pins
+// them across requests (monotone Seq, one anchor per Seq, compared by
+// Anchor.Against), so a gateway that tampers with a record, truncates a proof
 // or serves a stale or forked view is rejected client-side.
 package query
 
@@ -74,11 +75,8 @@ func ShardOf(key string, n int) int {
 // captured at publish and may be read at any time.
 type View struct {
 	shard  int
-	seq    uint64
-	height uint64
+	anchor Anchor
 	set    *ads.Set
-	root   merkle.Hash
-	count  int
 	state  atomic.Uint32
 	// countLeaf is the digest's count commitment, the last step of every
 	// membership proof off this view.
@@ -101,8 +99,8 @@ const (
 func NewView(shard int, seq, height uint64, frozen *ads.Set) *View {
 	n := frozen.Len()
 	return &View{
-		shard: shard, seq: seq, height: height, set: frozen,
-		root: frozen.Root(), count: n, countLeaf: ads.CountLeaf(n),
+		shard: shard, set: frozen, countLeaf: ads.CountLeaf(n),
+		anchor: Anchor{Seq: seq, Height: height, Root: frozen.Root(), Count: n},
 	}
 }
 
@@ -117,17 +115,8 @@ func (v *View) pin() bool {
 	return v.state.CompareAndSwap(viewPublished, viewPinned) || v.state.Load() == viewPinned
 }
 
-// Root returns the view's authenticated digest.
-func (v *View) Root() merkle.Hash { return v.root }
-
-// Seq returns the view's publication sequence number.
-func (v *View) Seq() uint64 { return v.seq }
-
-// Height returns the shard chain height the view was published at.
-func (v *View) Height() uint64 { return v.height }
-
-// Len returns the number of records in the view.
-func (v *View) Len() int { return v.count }
+// Anchor returns the anchor the view captured at publish.
+func (v *View) Anchor() Anchor { return v.anchor }
 
 // FeedPath returns the gateway path of one feed's route: "/feeds/", the
 // feed ID escaped as a single path segment, then rest, the route's suffix
@@ -137,8 +126,52 @@ func FeedPath(id, rest string) string {
 	return "/feeds/" + url.PathEscape(id) + rest
 }
 
-// RootInfo advertises one shard's trust anchor: the digest, the record
-// count it covers, and the (seq, height) the view was published at.
+// Anchor is one shard's trust anchor: the publication sequence, the shard
+// chain's height, and the authenticated set's root and the record count it
+// covers. Proofs verify against (Root, Count); Seq orders the anchors of one
+// shard. The read answers, the replication log's entries and the shard image
+// embed it, in this field order, which is the read answers' JSON order.
+//
+// Anchor deliberately has no MarshalJSON and no String method: either would
+// be promoted onto every struct that embeds it.
+type Anchor struct {
+	Seq    uint64      `json:"seq"`
+	Height uint64      `json:"height"`
+	Root   merkle.Hash `json:"root"`
+	Count  int         `json:"count"`
+}
+
+// Relation is where one anchor of a shard stands against another: Same
+// (every field equal), Behind or Ahead (a lower or higher Seq, whatever the
+// other fields hold), or Forked (the same Seq and any other field different:
+// two histories).
+type Relation int8
+
+const (
+	Same Relation = iota
+	Behind
+	Ahead
+	Forked
+)
+
+// Against reports where a stands against b: Behind or Ahead by Seq alone,
+// and at the same Seq, Same when every field matches and Forked otherwise.
+// It is the one comparison of two anchors: every check of a shipped, stored,
+// served or pinned anchor goes through it.
+func (a Anchor) Against(b Anchor) Relation {
+	switch {
+	case a.Seq < b.Seq:
+		return Behind
+	case a.Seq > b.Seq:
+		return Ahead
+	case a == b:
+		return Same
+	}
+	return Forked
+}
+
+// RootInfo advertises one shard's trust anchor (GET /feeds/{id}/roots). Its
+// fields stay flat, in the anchor's order, so callers build it by name.
 type RootInfo struct {
 	Shard  int         `json:"shard"`
 	Seq    uint64      `json:"seq"`
@@ -147,17 +180,19 @@ type RootInfo struct {
 	Count  int         `json:"count"`
 }
 
+// Anchor returns the advertised anchor.
+func (ri RootInfo) Anchor() Anchor {
+	return Anchor{Seq: ri.Seq, Height: ri.Height, Root: ri.Root, Count: ri.Count}
+}
+
 // GetResult answers a point read: either a record with its membership proof
 // or an absence proof, plus the shard anchor it verifies against.
 type GetResult struct {
-	Key    string      `json:"key"`
-	Shard  int         `json:"shard"`
-	Shards int         `json:"shards"`
-	Seq    uint64      `json:"seq"`
-	Height uint64      `json:"height"`
-	Root   merkle.Hash `json:"root"`
-	Count  int         `json:"count"`
-	Found  bool        `json:"found"`
+	Key    string `json:"key"`
+	Shard  int    `json:"shard"`
+	Shards int    `json:"shards"`
+	Anchor
+	Found bool `json:"found"`
 	// Record and Proof are set when Found; Absence otherwise.
 	Record  *ads.Record       `json:"record,omitempty"`
 	Proof   *merkle.Proof     `json:"proof,omitempty"`
@@ -185,13 +220,10 @@ func (r *GetResult) ProofBytes() int {
 // anchor. The hash partition destroys global key order, so a range query
 // fans out to every shard and the client merges the verified slices.
 type RangeResult struct {
-	Shard  int          `json:"shard"`
-	Shards int          `json:"shards"`
-	Seq    uint64       `json:"seq"`
-	Height uint64       `json:"height"`
-	Root   merkle.Hash  `json:"root"`
-	Count  int          `json:"count"`
-	Range  *ads.NRRange `json:"range"`
+	Shard  int `json:"shard"`
+	Shards int `json:"shards"`
+	Anchor
+	Range *ads.NRRange `json:"range"`
 }
 
 // ProofBytes returns the size of the carried evidence.
@@ -216,10 +248,7 @@ func copyRecord(r ads.Record) ads.Record {
 // Get answers a point read from this view, which must be frozen or pinned
 // (Engine.ViewOf returns it pinned).
 func (v *View) Get(key string, shards int) (*GetResult, error) {
-	res := &GetResult{
-		Key: key, Shard: v.shard, Shards: shards,
-		Seq: v.seq, Height: v.height, Root: v.root, Count: v.count,
-	}
+	res := &GetResult{Key: key, Shard: v.shard, Shards: shards, Anchor: v.anchor}
 	var p merkle.Proof // on the stack: only a hit's copy escapes
 	if rec, ok := v.set.ProveKeyAt(key, v.countLeaf, &p); ok {
 		// Declared here so that a miss allocates no record and no proof.
@@ -242,11 +271,7 @@ func (v *View) RangeNR(lo, hi string, shards int) (*RangeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RangeResult{
-		Shard: v.shard, Shards: shards,
-		Seq: v.seq, Height: v.height, Root: v.root, Count: v.count,
-		Range: nr,
-	}, nil
+	return &RangeResult{Shard: v.shard, Shards: shards, Anchor: v.anchor, Range: nr}, nil
 }
 
 // Engine fans authenticated reads across per-shard views. Publish, Retract
@@ -398,7 +423,8 @@ func (e *Engine) Roots() ([]RootInfo, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = RootInfo{Shard: i, Seq: v.seq, Height: v.height, Root: v.root, Count: v.count}
+		a := v.anchor
+		out[i] = RootInfo{Shard: i, Seq: a.Seq, Height: a.Height, Root: a.Root, Count: a.Count}
 	}
 	return out, nil
 }

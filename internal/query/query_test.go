@@ -77,7 +77,7 @@ func TestEngineAbsenceVerifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := VerifyGet("k001", &GetResult{
-		Key: "k001", Root: res.Root, Count: res.Count, Absence: res.Absence,
+		Key: "k001", Anchor: Anchor{Root: res.Root, Count: res.Count}, Absence: res.Absence,
 	}); err == nil {
 		t.Fatal("absence proof for missing key accepted for present k001")
 	}
@@ -272,5 +272,36 @@ func TestGetResultJSONRoundTrip(t *testing.T) {
 		if err := VerifyGet(key, &back); err != nil {
 			t.Fatalf("round-tripped result for %q fails verification: %v", key, err)
 		}
+	}
+}
+
+// TestAnchorAgainst pins the one anchor comparison: Seq alone orders two
+// anchors, and at the same Seq any other field that differs is a fork.
+func TestAnchorAgainst(t *testing.T) {
+	pinned := Anchor{Seq: 7, Height: 30, Root: merkle.Hash{1, 2, 3}, Count: 12}
+	otherRoot := pinned.Root
+	otherRoot[31] ^= 0x01
+	for _, tc := range []struct {
+		name string
+		got  Anchor
+		want Relation
+	}{
+		{"same", pinned, Same},
+		{"behind", Anchor{Seq: 6, Height: 30, Root: pinned.Root, Count: 12}, Behind},
+		{"behind with every other field different", Anchor{Seq: 6, Height: 99, Root: otherRoot, Count: 1}, Behind},
+		{"ahead", Anchor{Seq: 8, Height: 31, Root: otherRoot, Count: 13}, Ahead},
+		{"ahead with every other field equal", Anchor{Seq: 8, Height: 30, Root: pinned.Root, Count: 12}, Ahead},
+		{"forked by root", Anchor{Seq: 7, Height: 30, Root: otherRoot, Count: 12}, Forked},
+		{"forked by count", Anchor{Seq: 7, Height: 30, Root: pinned.Root, Count: 13}, Forked},
+		{"forked by height", Anchor{Seq: 7, Height: 35, Root: pinned.Root, Count: 12}, Forked},
+	} {
+		if got := tc.got.Against(pinned); got != tc.want {
+			t.Errorf("%s: Against = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	// The relation reverses with the arguments.
+	ahead := Anchor{Seq: 8}
+	if pinned.Against(ahead) != Behind || ahead.Against(pinned) != Ahead {
+		t.Error("Against is not antisymmetric in Seq")
 	}
 }

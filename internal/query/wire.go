@@ -32,19 +32,20 @@ var errNilResult = errors.New("query: nil result has no binary encoding")
 
 // appendAnchor appends the (shard, shards, seq, height, root, count) prefix
 // both answers open with.
-func appendAnchor(b []byte, shard, shards int, seq, height uint64, root merkle.Hash, count int) []byte {
+func appendAnchor(b []byte, shard, shards int, a Anchor) []byte {
 	b = wire.AppendInt(b, shard)
 	b = wire.AppendInt(b, shards)
-	b = wire.AppendUint(b, seq)
-	b = wire.AppendUint(b, height)
-	b = append(b, root[:]...)
-	return wire.AppendInt(b, count)
+	b = wire.AppendUint(b, a.Seq)
+	b = wire.AppendUint(b, a.Height)
+	b = append(b, a.Root[:]...)
+	return wire.AppendInt(b, a.Count)
 }
 
-func decodeAnchor(r *wire.Reader, shard, shards *int, seq, height *uint64, root *merkle.Hash, count *int) {
-	*shard, *shards, *seq, *height = r.Int(), r.Int(), r.Uint(), r.Uint()
-	copy(root[:], r.Bytes(merkle.HashSize))
-	*count = r.Int()
+func decodeAnchor(r *wire.Reader) (shard, shards int, a Anchor) {
+	shard, shards, a.Seq, a.Height = r.Int(), r.Int(), r.Uint(), r.Uint()
+	copy(a.Root[:], r.Bytes(merkle.HashSize))
+	a.Count = r.Int()
+	return shard, shards, a
 }
 
 // AppendBinary appends anchor | key | flags | record? | proof? | absence?.
@@ -52,7 +53,7 @@ func (g *GetResult) AppendBinary(b []byte) ([]byte, error) {
 	if g == nil {
 		return nil, errNilResult
 	}
-	b = appendAnchor(b, g.Shard, g.Shards, g.Seq, g.Height, g.Root, g.Count)
+	b = appendAnchor(b, g.Shard, g.Shards, g.Anchor)
 	b = wire.AppendString(b, g.Key)
 	flags := len(b)
 	b = append(b, 0)
@@ -86,7 +87,7 @@ func (g *GetResult) AppendBinary(b []byte) ([]byte, error) {
 func DecodeGetResult(body []byte) (*GetResult, error) {
 	r := wire.NewReader(body)
 	g := new(GetResult)
-	decodeAnchor(r, &g.Shard, &g.Shards, &g.Seq, &g.Height, &g.Root, &g.Count)
+	g.Shard, g.Shards, g.Anchor = decodeAnchor(r)
 	g.Key = r.Str()
 	flags := r.Byte()
 	if flags&^flagsMask != 0 {
@@ -114,7 +115,7 @@ func AppendRangeResults(b []byte, slices []RangeResult) ([]byte, error) {
 	b = wire.AppendInt(b, len(slices))
 	for i := range slices {
 		s := &slices[i]
-		b = appendAnchor(b, s.Shard, s.Shards, s.Seq, s.Height, s.Root, s.Count)
+		b = appendAnchor(b, s.Shard, s.Shards, s.Anchor)
 		if s.Range == nil {
 			b = append(b, 0)
 			continue
@@ -141,7 +142,7 @@ func DecodeRangeResults(body []byte) ([]RangeResult, error) {
 	}
 	for i := range slices {
 		s := &slices[i]
-		decodeAnchor(r, &s.Shard, &s.Shards, &s.Seq, &s.Height, &s.Root, &s.Count)
+		s.Shard, s.Shards, s.Anchor = decodeAnchor(r)
 		switch present := r.Byte(); present {
 		case 0:
 		case 1:

@@ -227,7 +227,7 @@ func TestViewGetMatchesSetProofs(t *testing.T) {
 		set.Put(rec)
 	}
 	v := NewView(0, 1, 1, set.Clone())
-	if v.Root() != set.Root() {
+	if v.Anchor().Root != set.Root() {
 		t.Fatal("view root differs from the set's")
 	}
 	for rank, want := range set.Records() {

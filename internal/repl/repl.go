@@ -2,7 +2,7 @@
 // follower node ships a feed's per-shard replication log from a leader,
 // replays it deterministically through the same log-then-apply shard path the
 // leader used, and refuses any batch whose post-apply state disagrees with
-// the leader's advertised (seq, root, count) anchor.
+// the leader's advertised anchor (query.Anchor: seq, height, root, count).
 //
 // The trust model mirrors the authenticated read path (internal/query): a
 // follower needs no extra trust because every anchor it accepts is exactly
@@ -44,6 +44,7 @@ import (
 	"grub/internal/core"
 	"grub/internal/gas"
 	"grub/internal/merkle"
+	"grub/internal/query"
 )
 
 // Sentinel errors. DivergenceError wraps ErrDivergence so callers classify
@@ -64,14 +65,11 @@ var (
 // Entry is one applied op batch in a shard's replication log, together with
 // the post-apply anchor the leader's shard reached: the authenticated set's
 // root and record count (exactly what light clients verify proofs against)
-// plus the shard chain's height. Seq is the shard's batch sequence — the
+// plus the shard chain's height. Its Seq is the shard's batch sequence — the
 // same monotone sequence the query views publish.
 type Entry struct {
-	Seq    uint64      `json:"seq"`
-	Ops    []core.Op   `json:"ops"`
-	Root   merkle.Hash `json:"root"`
-	Count  int         `json:"count"`
-	Height uint64      `json:"height"`
+	query.Anchor
+	Ops []core.Op `json:"ops"`
 }
 
 // WireBytes approximates the entry's shipped payload size (keys, values and
@@ -98,19 +96,16 @@ type LogPage struct {
 }
 
 // Snapshot is a shard image: the complete feed state of one shard at Seq,
-// the (Root, Count, Height) anchor it must hash to, and the counters that
-// keep stats continuous. It is the one form a shard's state takes outside the
-// shard: a leader serves it to bootstrap a follower, and a persistent shard
-// stores it as its durable snapshot. Whoever installs one — a follower after
+// the anchor it must hash to, and the counters that keep stats continuous.
+// It is the one form a shard's state takes outside the shard: a leader
+// serves it to bootstrap a follower, and a persistent shard stores it as its
+// durable snapshot. Whoever installs one — a follower after
 // a fetch, a shard recovering its own store — restores the state and checks
 // it against the anchor first: catch-up and recovery are verified, not
 // trusted.
 type Snapshot struct {
-	Shard   int                `json:"shard"`
-	Seq     uint64             `json:"seq"`
-	Root    merkle.Hash        `json:"root"`
-	Count   int                `json:"count"`
-	Height  uint64             `json:"height"`
+	Shard int `json:"shard"`
+	query.Anchor
 	Feed    *core.FeedSnapshot `json:"feed"`
 	Ops     int                `json:"ops"`
 	BaseGas gas.Gas            `json:"baseGas"`
@@ -134,31 +129,35 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	return &s, nil
 }
 
-// DivergenceError reports an anchor check failure: the batch at Seq (or a
-// shard image) produced GotRoot/GotCount/GotHeight where the anchor says
-// WantRoot/WantCount/WantHeight. A replicated batch's anchor is checked on
-// root and count only, so its heights are zero. It unwraps to ErrDivergence.
+// DivergenceError reports an anchor check failure: the batch at Want.Seq (or
+// a shard image) produced the state Got where the anchor says Want. It
+// unwraps to ErrDivergence.
 type DivergenceError struct {
-	Shard      int
-	Seq        uint64
-	WantRoot   merkle.Hash
-	GotRoot    merkle.Hash
-	WantCount  int
-	GotCount   int
-	WantHeight uint64
-	GotHeight  uint64
+	Shard     int
+	Want, Got query.Anchor
 }
 
 func (e *DivergenceError) Error() string {
 	msg := fmt.Sprintf("repl: shard %d diverged at seq %d: applied root %s (%d records), leader anchor %s (%d records)",
-		e.Shard, e.Seq, e.GotRoot, e.GotCount, e.WantRoot, e.WantCount)
-	if e.GotHeight != e.WantHeight {
-		msg += fmt.Sprintf(", applied height %d, anchor height %d", e.GotHeight, e.WantHeight)
+		e.Shard, e.Want.Seq, e.Got.Root, e.Got.Count, e.Want.Root, e.Want.Count)
+	if e.Got.Height != e.Want.Height {
+		msg += fmt.Sprintf(", applied height %d, anchor height %d", e.Got.Height, e.Want.Height)
 	}
 	return msg
 }
 
 func (e *DivergenceError) Unwrap() error { return ErrDivergence }
+
+// CheckAnchor is the anchor check of a replicated batch and of an installed
+// image: got, the state the shard reached, must be the same anchor as want,
+// field for field. Otherwise it returns the *DivergenceError naming the
+// shard and want's seq.
+func CheckAnchor(shard int, want, got query.Anchor) error {
+	if got.Against(want) == query.Same {
+		return nil
+	}
+	return &DivergenceError{Shard: shard, Want: want, Got: got}
+}
 
 // Feed is the local engine a follower replicates one feed into;
 // shard.ShardedFeed implements it. Apply and Reset serialize through the

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"grub/internal/core"
+	"grub/internal/query"
 	"grub/internal/repl"
 	"grub/internal/server"
 	"grub/internal/wire"
@@ -122,7 +123,7 @@ func decodeAllocs(decode func()) uint64 {
 // TestLogPageHostileInput: a malformed page is refused with ErrMalformed,
 // and decoding it allocates nothing sized from a count it claims.
 func TestLogPageHostileInput(t *testing.T) {
-	entry := repl.Entry{Seq: 5, Ops: []core.Op{{Type: "write", Key: "a-key-of-twenty-bytes", Value: []byte("v")}}, Count: 1, Height: 2}
+	entry := repl.Entry{Anchor: query.Anchor{Seq: 5, Count: 1, Height: 2}, Ops: []core.Op{{Type: "write", Key: "a-key-of-twenty-bytes", Value: []byte("v")}}}
 	good := repl.AppendLogPage(nil, &repl.LogPage{Entries: []repl.Entry{entry}, FloorSeq: 4, LeaderSeq: 5})
 	rootAt := len(core.AppendOps(wire.AppendUint(wire.AppendInt(nil, 1), entry.Seq), entry.Ops))
 	snapFlag := slices.Clone(good)

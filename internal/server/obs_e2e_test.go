@@ -15,6 +15,7 @@ import (
 
 	"grub/internal/core"
 	"grub/internal/obs"
+	"grub/internal/query"
 	"grub/internal/repl"
 )
 
@@ -293,9 +294,8 @@ func TestHealthzDegradedOnHaltedShard(t *testing.T) {
 	// A forged anchor: the replay produces a real root, the entry claims
 	// an impossible one, so the shard must refuse and halt.
 	err = sf.Apply(0, repl.Entry{
-		Seq:   1,
-		Ops:   []core.Op{{Type: "write", Key: "x", Value: []byte("1")}},
-		Count: 999,
+		Anchor: query.Anchor{Seq: 1, Count: 999},
+		Ops:    []core.Op{{Type: "write", Key: "x", Value: []byte("1")}},
 	})
 	if err == nil {
 		t.Fatal("forged anchor accepted")

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"grub/internal/merkle"
 	"grub/internal/query"
 )
 
@@ -282,18 +281,22 @@ func testTamperedGatewayRejected(t *testing.T, enc string) {
 // TestAnchorPinsCount pins the anchor arithmetic directly: at one pinned
 // seq, a response reusing the genuine root with a different record count is
 // rejected even when the capacity (and thus every proof check) is
-// unchanged.
+// unchanged, and so is one with a different chain height.
 func TestAnchorPinsCount(t *testing.T) {
-	a := &feedAnchor{shards: 1, seen: []bool{true}, seq: []uint64{5}, root: make([]merkle.Hash, 1), count: []int{12}}
-	ok := observation{shard: 0, seq: 5, count: 12}
+	a := feedAnchor{{Seq: 5, Height: 20, Count: 12}}
+	ok := observation{shard: 0, anchor: query.Anchor{Seq: 5, Height: 20, Count: 12}}
 	if err := a.check(ok); err != nil {
 		t.Fatalf("honest observation rejected: %v", err)
 	}
-	lied := observation{shard: 0, seq: 5, count: 10} // CapacityFor(10)==CapacityFor(12)
+	lied := observation{shard: 0, anchor: query.Anchor{Seq: 5, Height: 20, Count: 10}} // CapacityFor(10)==CapacityFor(12)
 	if err := a.check(lied); !errors.Is(err, ErrVerification) {
 		t.Fatalf("shrunk count at pinned seq accepted: %v", err)
 	}
-	regressed := observation{shard: 0, seq: 4, count: 12}
+	raised := observation{shard: 0, anchor: query.Anchor{Seq: 5, Height: 25, Count: 12}}
+	if err := a.check(raised); !errors.Is(err, ErrVerification) {
+		t.Fatalf("different height at pinned seq accepted: %v", err)
+	}
+	regressed := observation{shard: 0, anchor: query.Anchor{Seq: 4, Height: 20, Count: 12}}
 	if err := a.check(regressed); !errors.Is(err, ErrVerification) {
 		t.Fatalf("regressed seq accepted: %v", err)
 	}

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -248,10 +249,11 @@ func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { retu
 
 // TestBinaryBodyByteFlips is the byte-level property of the binary wire: a
 // gateway (or anything on the path) that alters any single byte of a get or
-// range body gets a decode error, a verification failure, or — when the byte
-// carried nothing the proof or the pinned anchor binds (the chain height; a
-// publication seq moved forward, which only ever reads as "a newer view")
-// — an accepted answer whose every authenticated field is the honest one.
+// range body gets a decode error, a verification failure (a chain height
+// other than the pinned one at the pinned seq is a forked anchor), or — when
+// the byte carried nothing the proof or the pinned anchor binds (a
+// publication seq moved forward, which only ever reads as "a newer view") —
+// an accepted answer whose every authenticated field is the honest one.
 // Never a different accepted answer.
 func TestBinaryBodyByteFlips(t *testing.T) {
 	_, srv := readFeed(t, 4, 3000, HandlerConfig{})
@@ -275,10 +277,7 @@ func TestBinaryBodyByteFlips(t *testing.T) {
 	// Each mutated body meets a client pinned exactly where the honest one
 	// is: an accepted forward seq must not shield the next mutation.
 	repin := func() {
-		a := *pinned
-		a.seen, a.seq = append([]bool(nil), pinned.seen...), append([]uint64(nil), pinned.seq...)
-		a.root, a.count = append(a.root[:0:0], pinned.root...), append([]int(nil), pinned.count...)
-		vc.anchors["f"] = &a
+		vc.anchors["f"] = slices.Clone(pinned)
 	}
 	tally := map[string]int{}
 	sweep := func(name string, good []byte, read func() (any, error), same func(honest, got any) bool) {

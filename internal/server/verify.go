@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"grub/internal/merkle"
 	"grub/internal/query"
 )
 
@@ -17,9 +16,9 @@ var ErrVerification = errors.New("server: gateway response failed verification")
 
 // VerifyingClient is the light-client side of the authenticated read path:
 // a Client whose Get and Range re-verify every Merkle proof against the
-// advertised per-shard (root, count) anchors before returning, and which
-// pins those anchors across requests — the publication sequence must never
-// go backwards, and a given sequence must never show two roots. A gateway
+// advertised per-shard anchors before returning, and which pins those
+// anchors across requests — the publication sequence must never go
+// backwards, and a given sequence must never show two anchors. A gateway
 // that flips a record byte, truncates a proof, omits a range record or
 // replays a stale view is rejected with ErrVerification.
 //
@@ -30,38 +29,30 @@ type VerifyingClient struct {
 	*Client
 
 	mu      sync.Mutex
-	anchors map[string]*feedAnchor
+	anchors map[string]feedAnchor
 
 	verified   atomic.Int64
 	proofBytes atomic.Int64
 }
 
-// feedAnchor pins one feed's shard count and last-seen (seq, root, record
-// count) per shard. The record count is part of the trust anchor: proofs
-// verify against (root, count) pairs, so a gateway that reuses the genuine
-// root but lies about the count (to fake absence of a tail record, or to
-// truncate a range) must be caught here.
-type feedAnchor struct {
-	shards int
-	seen   []bool
-	seq    []uint64
-	root   []merkle.Hash
-	count  []int
-}
+// feedAnchor pins one feed's last-seen anchor per shard; its length is the
+// feed's shard count. Every field is pinned: proofs verify against (root,
+// count), so a gateway that reuses the genuine root but lies about the count
+// (to fake absence of a tail record, or to truncate a range) must be caught
+// here, and one seq has one chain height.
+type feedAnchor []query.Anchor
 
-// observation is one shard's (seq, root, count) claim from a response, plus
-// the proof bytes it carried.
+// observation is one shard's anchor claim from a response, plus the proof
+// bytes it carried.
 type observation struct {
 	shard      int
-	seq        uint64
-	root       merkle.Hash
-	count      int
+	anchor     query.Anchor
 	proofBytes int
 }
 
 // NewVerifyingClient returns a verifying client for a gateway at baseURL.
 func NewVerifyingClient(baseURL string) *VerifyingClient {
-	return &VerifyingClient{Client: NewClient(baseURL), anchors: make(map[string]*feedAnchor)}
+	return &VerifyingClient{Client: NewClient(baseURL), anchors: make(map[string]feedAnchor)}
 }
 
 // VerifiedStats reports how many responses passed verification and the
@@ -72,7 +63,7 @@ func (vc *VerifyingClient) VerifiedStats() (verified, proofBytes int64) {
 
 // anchor returns the feed's pinned anchor, bootstrapping it from the roots
 // endpoint on first use.
-func (vc *VerifyingClient) anchor(id string) (*feedAnchor, error) {
+func (vc *VerifyingClient) anchor(id string) (feedAnchor, error) {
 	vc.mu.Lock()
 	a := vc.anchors[id]
 	vc.mu.Unlock()
@@ -86,18 +77,12 @@ func (vc *VerifyingClient) anchor(id string) (*feedAnchor, error) {
 	if len(roots) == 0 {
 		return nil, fmt.Errorf("%w: empty roots", ErrVerification)
 	}
-	fresh := &feedAnchor{
-		shards: len(roots),
-		seen:   make([]bool, len(roots)),
-		seq:    make([]uint64, len(roots)),
-		root:   make([]merkle.Hash, len(roots)),
-		count:  make([]int, len(roots)),
-	}
+	fresh := make(feedAnchor, len(roots))
 	for i, ri := range roots {
 		if ri.Shard != i {
 			return nil, fmt.Errorf("%w: roots list shard %d at position %d", ErrVerification, ri.Shard, i)
 		}
-		fresh.seen[i], fresh.seq[i], fresh.root[i], fresh.count[i] = true, ri.Seq, ri.Root, ri.Count
+		fresh[i] = ri.Anchor()
 	}
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
@@ -109,23 +94,17 @@ func (vc *VerifyingClient) anchor(id string) (*feedAnchor, error) {
 
 // check verifies one shard observation against the pinned anchor without
 // moving it. The caller holds vc.mu.
-func (a *feedAnchor) check(o observation) error {
-	if o.shard < 0 || o.shard >= a.shards {
-		return fmt.Errorf("%w: shard %d out of range [0,%d)", ErrVerification, o.shard, a.shards)
+func (a feedAnchor) check(o observation) error {
+	if o.shard < 0 || o.shard >= len(a) {
+		return fmt.Errorf("%w: shard %d out of range [0,%d)", ErrVerification, o.shard, len(a))
 	}
-	if !a.seen[o.shard] {
-		return nil
-	}
-	if o.seq < a.seq[o.shard] {
-		return fmt.Errorf("%w: stale root (shard %d seq %d behind pinned %d)", ErrVerification, o.shard, o.seq, a.seq[o.shard])
-	}
-	if o.seq == a.seq[o.shard] {
-		if o.root != a.root[o.shard] {
-			return fmt.Errorf("%w: forked root at shard %d seq %d", ErrVerification, o.shard, o.seq)
-		}
-		if o.count != a.count[o.shard] {
-			return fmt.Errorf("%w: shard %d seq %d claims %d records, pinned %d", ErrVerification, o.shard, o.seq, o.count, a.count[o.shard])
-		}
+	got, pinned := o.anchor, a[o.shard]
+	switch got.Against(pinned) {
+	case query.Behind:
+		return fmt.Errorf("%w: stale root (shard %d seq %d behind pinned %d)", ErrVerification, o.shard, got.Seq, pinned.Seq)
+	case query.Forked:
+		return fmt.Errorf("%w: forked anchor at shard %d seq %d: root %s, %d records, height %d; pinned root %s, %d records, height %d",
+			ErrVerification, o.shard, got.Seq, got.Root, got.Count, got.Height, pinned.Root, pinned.Count, pinned.Height)
 	}
 	return nil
 }
@@ -133,7 +112,7 @@ func (a *feedAnchor) check(o observation) error {
 // acceptAll checks a set of shard observations against the anchor
 // atomically — all pass and the anchor advances, or none do — then credits
 // the verification counters.
-func (vc *VerifyingClient) acceptAll(a *feedAnchor, obs []observation) error {
+func (vc *VerifyingClient) acceptAll(a feedAnchor, obs []observation) error {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
 	for _, o := range obs {
@@ -142,9 +121,7 @@ func (vc *VerifyingClient) acceptAll(a *feedAnchor, obs []observation) error {
 		}
 	}
 	for _, o := range obs {
-		a.seen[o.shard], a.seq[o.shard], a.root[o.shard], a.count[o.shard] = true, o.seq, o.root, o.count
-	}
-	for _, o := range obs {
+		a[o.shard] = o.anchor
 		vc.verified.Add(1)
 		vc.proofBytes.Add(int64(o.proofBytes))
 	}
@@ -166,16 +143,16 @@ func (vc *VerifyingClient) Get(id, key string) (*query.GetResult, error) {
 	if res == nil {
 		return nil, fmt.Errorf("%w: empty result", ErrVerification)
 	}
-	if res.Shards != a.shards {
-		return nil, fmt.Errorf("%w: response claims %d shards, anchored %d", ErrVerification, res.Shards, a.shards)
+	if res.Shards != len(a) {
+		return nil, fmt.Errorf("%w: response claims %d shards, anchored %d", ErrVerification, res.Shards, len(a))
 	}
-	if want := query.ShardOf(key, a.shards); res.Shard != want {
+	if want := query.ShardOf(key, len(a)); res.Shard != want {
 		return nil, fmt.Errorf("%w: key %q answered by shard %d, routes to %d", ErrVerification, key, res.Shard, want)
 	}
 	if err := query.VerifyGet(key, res); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrVerification, err)
 	}
-	o := observation{shard: res.Shard, seq: res.Seq, root: res.Root, count: res.Count, proofBytes: res.ProofBytes()}
+	o := observation{shard: res.Shard, anchor: res.Anchor, proofBytes: res.ProofBytes()}
 	if err := vc.acceptAll(a, []observation{o}); err != nil {
 		return nil, err
 	}
@@ -195,8 +172,8 @@ func (vc *VerifyingClient) Range(id, lo, hi string) ([]query.RangeResult, error)
 	if err != nil {
 		return nil, err
 	}
-	if len(results) != a.shards {
-		return nil, fmt.Errorf("%w: %d shard slices, anchored %d shards", ErrVerification, len(results), a.shards)
+	if len(results) != len(a) {
+		return nil, fmt.Errorf("%w: %d shard slices, anchored %d shards", ErrVerification, len(results), len(a))
 	}
 	obs := make([]observation, len(results))
 	for i := range results {
@@ -204,13 +181,13 @@ func (vc *VerifyingClient) Range(id, lo, hi string) ([]query.RangeResult, error)
 		if r.Shard != i {
 			return nil, fmt.Errorf("%w: slice %d answers for shard %d", ErrVerification, i, r.Shard)
 		}
-		if r.Shards != a.shards {
-			return nil, fmt.Errorf("%w: slice claims %d shards, anchored %d", ErrVerification, r.Shards, a.shards)
+		if r.Shards != len(a) {
+			return nil, fmt.Errorf("%w: slice claims %d shards, anchored %d", ErrVerification, r.Shards, len(a))
 		}
 		if err := query.VerifyRange(lo, hi, r); err != nil {
 			return nil, fmt.Errorf("%w: shard %d: %v", ErrVerification, i, err)
 		}
-		obs[i] = observation{shard: i, seq: r.Seq, root: r.Root, count: r.Count, proofBytes: r.ProofBytes()}
+		obs[i] = observation{shard: i, anchor: r.Anchor, proofBytes: r.ProofBytes()}
 	}
 	// Anchor checks after all proofs pass, and atomically across shards:
 	// a rejected scan advances nothing and counts nothing.

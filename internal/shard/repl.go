@@ -9,7 +9,7 @@ import (
 
 // Replication hooks: with Options.Repl set, every shard keeps a bounded
 // in-memory replication log — each applied batch with its post-apply
-// (seq, root, count, height) anchor, the same anchor the query views
+// (seq, height, root, count) anchor, the same anchor the query views
 // advertise — and accepts three extra worker requests:
 //
 //   - Apply: replay one batch shipped from a leader through the normal

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,7 +102,7 @@ func assertSameRoots(t *testing.T, a, b *ShardedFeed) {
 		t.Fatalf("shard counts differ: %d vs %d", len(ra), len(rb))
 	}
 	for i := range ra {
-		if ra[i].Root != rb[i].Root || ra[i].Count != rb[i].Count || ra[i].Seq != rb[i].Seq {
+		if ra[i] != rb[i] {
 			t.Errorf("shard %d anchors differ: %+v vs %+v", i, ra[i], rb[i])
 		}
 	}
@@ -184,7 +186,7 @@ func testDivergenceHalts(t *testing.T, pinned bool) {
 		t.Fatalf("tampered batch: err = %v, want ErrDivergence", err)
 	}
 	var div *repl.DivergenceError
-	if !errors.As(err, &div) || div.Seq != tampered.Seq {
+	if !errors.As(err, &div) || div.Want.Seq != tampered.Seq {
 		t.Fatalf("divergence detail missing: %v", err)
 	}
 
@@ -222,8 +224,8 @@ func testDivergenceHalts(t *testing.T, pinned bool) {
 			want := preBatch[op.Key]
 			switch {
 			case err != nil:
-			case res.Seq != before.Seq || res.Root != before.Root:
-				err = fmt.Errorf("view advanced past divergence: seq %d root %s", res.Seq, res.Root)
+			case res.Anchor != before.Anchor():
+				err = fmt.Errorf("view advanced past divergence: anchor %+v", res.Anchor)
 			case res.Found != want.Found || res.Record.State != want.Record.State || !bytes.Equal(res.Record.Value, want.Record.Value):
 				err = fmt.Errorf("%q reads back found=%v %+v, pre-batch found=%v %+v", op.Key, res.Found, res.Record, want.Found, want.Record)
 			}
@@ -241,6 +243,92 @@ func testDivergenceHalts(t *testing.T, pinned bool) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("read of the pre-batch view blocked: it was retracted and never succeeded")
+	}
+}
+
+// TestReplicatedApplyRefusesForgedAnchor ships a genuine entry whose anchor
+// has one field changed: the root, the record count or the chain height.
+// Every field of the anchor is checked, so each row is refused with a
+// divergence that names the shard and the seq. The refusal leaves the
+// shard's cursor, the anchor of its published view and its replication log
+// as they were, and it halts the shard: every later Apply, the genuine entry
+// included, returns the same error.
+func TestReplicatedApplyRefusesForgedAnchor(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		forge func(*query.Anchor)
+	}{
+		{"root byte", func(a *query.Anchor) { a.Root[7] ^= 0x01 }},
+		{"count+1", func(a *query.Anchor) { a.Count++ }},
+		{"height+5", func(a *query.Anchor) { a.Height += 5 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const sh = 1
+			leader := newReplicating(t, 2, 8)
+			follower := newReplicating(t, 2, 8)
+			driveLeader(t, leader, 4)
+			ship(t, leader, follower)
+			cursor, err := follower.Seq(sh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveLeader(t, leader, 1)
+			page, err := leader.ReplPage(sh, cursor, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(page.Entries) != 1 {
+				t.Fatalf("expected 1 fresh entry on shard %d, got %d", sh, len(page.Entries))
+			}
+			genuine := page.Entries[0]
+			forged := genuine
+			tc.forge(&forged.Anchor)
+
+			rootsBefore, err := follower.Engine().Roots()
+			if err != nil {
+				t.Fatal(err)
+			}
+			logBefore, err := follower.ReplPage(sh, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			refused := follower.Apply(sh, forged)
+			var div *repl.DivergenceError
+			if !errors.Is(refused, repl.ErrDivergence) || !errors.As(refused, &div) {
+				t.Fatalf("forged %s accepted or misclassified: %v", tc.name, refused)
+			}
+			if div.Shard != sh || div.Want != forged.Anchor {
+				t.Errorf("divergence names shard %d, want %+v; forged shard %d, %+v", div.Shard, div.Want, sh, forged.Anchor)
+			}
+			if want := fmt.Sprintf("shard %d diverged at seq %d", sh, forged.Seq); !strings.Contains(refused.Error(), want) {
+				t.Errorf("error %q does not say %q", refused, want)
+			}
+
+			if seq, err := follower.Seq(sh); err != nil || seq != cursor {
+				t.Errorf("cursor after the refusal = %d (%v), want %d", seq, err, cursor)
+			}
+			rootsAfter, err := follower.Engine().Roots()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rootsAfter[sh] != rootsBefore[sh] {
+				t.Errorf("view anchor after the refusal %+v, want %+v", rootsAfter[sh], rootsBefore[sh])
+			}
+			logAfter, err := follower.ReplPage(sh, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(logAfter, logBefore) {
+				t.Errorf("replication log after the refusal %+v, want %+v", logAfter, logBefore)
+			}
+
+			for _, e := range []repl.Entry{genuine, forged} {
+				if again := follower.Apply(sh, e); again == nil || again.Error() != refused.Error() {
+					t.Errorf("apply after the halt: %v, want %v", again, refused)
+				}
+			}
+		})
 	}
 }
 
@@ -319,8 +407,8 @@ func TestDivergedShardNeverPersistsFork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if view.Root() != verified.Root() {
-		t.Fatalf("recovered root %s, want verified %s", view.Root(), verified.Root())
+	if view.Anchor() != verified.Anchor() {
+		t.Fatalf("recovered anchor %+v, want verified %+v", view.Anchor(), verified.Anchor())
 	}
 	if err := recovered.Apply(0, page.Entries[4]); err != nil {
 		t.Fatalf("genuine batch after recovery: %v", err)
@@ -428,7 +516,7 @@ func TestReplRetainFloor(t *testing.T) {
 func TestReplLogByteBound(t *testing.T) {
 	l := newReplLog(100)
 	entry := func(seq uint64) repl.Entry {
-		return repl.Entry{Seq: seq, Ops: []core.Op{{Type: "write", Key: "k", Value: make([]byte, 60)}}}
+		return repl.Entry{Anchor: query.Anchor{Seq: seq}, Ops: []core.Op{{Type: "write", Key: "k", Value: make([]byte, 60)}}}
 	}
 	first := entry(1)
 	perEntry := first.WireBytes()
@@ -457,7 +545,7 @@ func TestNonReplicatingFeed(t *testing.T) {
 	if _, err := sf.ReplPage(0, 0, 1); !errors.Is(err, repl.ErrNotReplicating) {
 		t.Errorf("ReplPage on non-replicating feed: %v", err)
 	}
-	if err := sf.Apply(0, repl.Entry{Seq: 1}); !errors.Is(err, repl.ErrNotReplicating) {
+	if err := sf.Apply(0, repl.Entry{Anchor: query.Anchor{Seq: 1}}); !errors.Is(err, repl.ErrNotReplicating) {
 		t.Errorf("Apply on non-replicating feed: %v", err)
 	}
 }
@@ -469,7 +557,7 @@ func TestNonReplicatingFeed(t *testing.T) {
 func TestReplLogBoundaryContiguity(t *testing.T) {
 	l := newReplLog(4)
 	for seq := uint64(1); seq <= 12; seq++ {
-		l.append(repl.Entry{Seq: seq})
+		l.append(repl.Entry{Anchor: query.Anchor{Seq: seq}})
 	}
 	floor := l.page(0, 0).FloorSeq
 	if floor != 8 {

@@ -34,7 +34,6 @@ import (
 
 	"grub/internal/core"
 	"grub/internal/gas"
-	"grub/internal/merkle"
 	"grub/internal/obs"
 	"grub/internal/query"
 	"grub/internal/repl"
@@ -253,8 +252,7 @@ func (st *shardState) applyBatch(ops []core.Op) ([]core.OpResult, repl.Entry) {
 		st.trace = append(st.trace, ops...)
 		st.traceRes = append(st.traceRes, results...)
 	}
-	root, count, height := st.anchor()
-	return results, repl.Entry{Seq: uint64(st.batches), Ops: ops, Root: root, Count: count, Height: height}
+	return results, repl.Entry{Anchor: anchorOf(st.feed, uint64(st.batches)), Ops: ops}
 }
 
 // stageClock stamps successive pipeline stages of one batch onto the
@@ -335,7 +333,7 @@ type worker struct {
 // publishView snapshots the shard's current state into a read view and
 // installs it: the current version of the feed's authenticated record set,
 // its root, the shard chain's height, and the batch count as the monotone
-// publication sequence. Every batch ends with anchor(), and install checks an
+// publication sequence. Every batch ends with anchorOf, and install checks an
 // image's anchor, both of which seal the set, so Capture here has nothing
 // left to hash: it is a root-pointer capture whose cost is independent of the
 // record count, and readers of the view find every node hashed. The set
@@ -367,12 +365,12 @@ func (w *worker) releaseView(st *shardState) (retracted bool) {
 	return false
 }
 
-// anchor reads the shard's current post-apply anchor. Root seals the set:
-// the hashing the batch's mutations deferred — each node on the union of
-// their root paths, once — runs here, on the worker, in the apply stage.
-func (st *shardState) anchor() (root merkle.Hash, count int, height uint64) {
-	set := st.feed.DO.Set()
-	return set.Root(), set.Len(), st.feed.Chain.Height()
+// anchorOf reads feed's anchor at seq. Root seals the set: the hashing the
+// batch's mutations deferred — each node on the union of their root paths,
+// once — runs here, on the worker, in the apply stage.
+func anchorOf(feed *core.Feed, seq uint64) query.Anchor {
+	set := feed.DO.Set()
+	return query.Anchor{Seq: seq, Height: feed.Chain.Height(), Root: set.Root(), Count: set.Len()}
 }
 
 // mailboxDepth buffers sub-batch sends so a scatter never stalls on one busy
@@ -477,10 +475,11 @@ func (w *worker) loop(st *shardState) {
 // client that saw its batch complete reads its own writes from the next view.
 //
 // A shipped batch must carry the shard's next seq, and its post-apply state
-// must match the leader's anchor. On a mismatch the batch is rolled back out
-// of the durable log (it must not replay into recovered state), the shard
-// halts permanently, and the pre-batch view keeps serving: the shard refuses
-// to fork rather than serve unverified state. (A crash between the log
+// must match the leader's anchor in every field (repl.CheckAnchor). On a
+// mismatch the batch is rolled back out of the durable log (it must not
+// replay into recovered state), the shard halts permanently, and the
+// pre-batch view keeps serving: the shard refuses to fork rather than serve
+// unverified state. (A crash between the log
 // append and the rollback can leave the refused batch durable; the next
 // shipped batch after recovery re-detects the divergence.) A view nobody
 // pinned is retracted and edited in place for either kind of batch; for a
@@ -516,12 +515,7 @@ func (w *worker) commit(st *shardState, ops []core.Op, want *repl.Entry, clk *st
 	results, entry := st.applyBatch(ops)
 	clk.mark(obs.StageApply, clk.stages.GetApply())
 	if want != nil {
-		if entry.Root != want.Root || entry.Count != want.Count {
-			div := &repl.DivergenceError{
-				Shard: w.idx, Seq: want.Seq,
-				WantRoot: want.Root, GotRoot: entry.Root,
-				WantCount: want.Count, GotCount: entry.Count,
-			}
+		if div := repl.CheckAnchor(w.idx, want.Anchor, entry.Anchor); div != nil {
 			st.diverged = div
 			if st.persist != nil {
 				if rerr := st.persist.rollbackBatch(want.Seq); rerr != nil {
@@ -537,7 +531,6 @@ func (w *worker) commit(st *shardState, ops []core.Op, want *repl.Entry, clk *st
 		if journaled {
 			set.Commit()
 		}
-		entry = *want
 	}
 	if st.persist != nil && st.persist.snapshotDue() {
 		if serr := st.snapshot(); serr != nil {
@@ -570,22 +563,17 @@ func (st *shardState) image() (*repl.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	root, count, height := st.anchor()
-	return &repl.Snapshot{
-		Shard: st.idx, Seq: uint64(st.batches),
-		Root: root, Count: count, Height: height,
-		Feed: fs, Ops: st.ops, BaseGas: st.base,
-	}, nil
+	anchor := anchorOf(st.feed, uint64(st.batches))
+	return &repl.Snapshot{Shard: st.idx, Anchor: anchor, Feed: fs, Ops: st.ops, BaseGas: st.base}, nil
 }
 
 // install makes img the shard's state, a leader's image on Reset and the
 // store's own on recovery alike. The feed it restores must hash to the
-// image's anchor (root, count and chain height) first: an image that does
-// not is refused with a *repl.DivergenceError, and one that does not restore
-// at all with the restore error; either way the shard stays as it was. On
-// success the counters continue from the image, the trace restarts (the
-// history before it is superseded) and the replication log restarts at
-// img.Seq.
+// image's anchor first (repl.CheckAnchor): an image that does not is refused
+// with a *repl.DivergenceError, and one that does not restore at all with
+// the restore error; either way the shard stays as it was. On success the
+// counters continue from the image, the trace restarts (the history before
+// it is superseded) and the replication log restarts at img.Seq.
 func (st *shardState) install(img *repl.Snapshot) error {
 	if img == nil || img.Feed == nil {
 		return fmt.Errorf("shard: shard %d: image without feed state", st.idx)
@@ -597,14 +585,8 @@ func (st *shardState) install(img *repl.Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("shard: restore image at seq %d: %w", img.Seq, err)
 	}
-	set := feed.DO.Set()
-	if root, count, height := set.Root(), set.Len(), feed.Chain.Height(); root != img.Root || count != img.Count || height != img.Height {
-		return &repl.DivergenceError{
-			Shard: st.idx, Seq: img.Seq,
-			WantRoot: img.Root, GotRoot: root,
-			WantCount: img.Count, GotCount: count,
-			WantHeight: img.Height, GotHeight: height,
-		}
+	if err := repl.CheckAnchor(st.idx, img.Anchor, anchorOf(feed, img.Seq)); err != nil {
+		return err
 	}
 	st.feed, st.ops, st.batches, st.base = feed, img.Ops, int(img.Seq), img.BaseGas
 	st.trace, st.traceRes = nil, nil

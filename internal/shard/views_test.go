@@ -133,15 +133,15 @@ func TestViewRetractionUnderReaders(t *testing.T) {
 // one too, since a retracted view was then never succeeded.
 func startReaders(e *query.Engine, shards, keys int, key func(int) string) (stop func() []error) {
 	var mu sync.Mutex
-	rootAt := make(map[[2]uint64]query.RootInfo) // (shard, seq) -> anchor
-	sameAnchor := func(shard int, seq uint64, a query.RootInfo) error {
+	anchorAt := make(map[[2]uint64]query.Anchor) // (shard, seq) -> anchor
+	sameAnchor := func(shard int, a query.Anchor) error {
 		mu.Lock()
 		defer mu.Unlock()
-		id := [2]uint64{uint64(shard), seq}
-		if b, ok := rootAt[id]; ok && (a.Root != b.Root || a.Count != b.Count) {
-			return fmt.Errorf("shard %d seq %d seen with two anchors: %v/%d and %v/%d", shard, seq, a.Root, a.Count, b.Root, b.Count)
+		id := [2]uint64{uint64(shard), a.Seq}
+		if b, ok := anchorAt[id]; ok && a.Against(b) != query.Same {
+			return fmt.Errorf("shard %d seq %d seen with two anchors: %+v and %+v", shard, a.Seq, a, b)
 		}
-		rootAt[id] = a
+		anchorAt[id] = a
 		return nil
 	}
 	// monotone tracks one reader's last seq per shard.
@@ -159,7 +159,7 @@ func startReaders(e *query.Engine, shards, keys int, key func(int) string) (stop
 		if err := monotone(last, res.Shard, res.Seq); err != nil {
 			return err
 		}
-		return sameAnchor(res.Shard, res.Seq, query.RootInfo{Root: res.Root, Count: res.Count})
+		return sameAnchor(res.Shard, res.Anchor)
 	}
 
 	done := make(chan struct{})
@@ -213,15 +213,15 @@ func startReaders(e *query.Engine, shards, keys int, key func(int) string) (stop
 				if err := checkGet(k, res, last); err != nil {
 					return err
 				}
-				if res.Root != v.Root() || res.Seq != v.Seq() {
-					return fmt.Errorf("pinned view seq %d answered from seq %d", v.Seq(), res.Seq)
+				if res.Anchor != v.Anchor() {
+					return fmt.Errorf("pinned view seq %d answered from seq %d", v.Anchor().Seq, res.Seq)
 				}
 				var val []byte
 				if res.Found {
 					val = res.Record.Value
 				}
 				if was, ok := first[k]; ok && !bytes.Equal(was, val) {
-					return fmt.Errorf("pinned view seq %d changed %q from %q to %q", v.Seq(), k, was, val)
+					return fmt.Errorf("pinned view seq %d changed %q from %q to %q", v.Anchor().Seq, k, was, val)
 				}
 				first[k] = val
 			}
@@ -237,7 +237,7 @@ func startReaders(e *query.Engine, shards, keys int, key func(int) string) (stop
 			if err := monotone(last, ri.Shard, ri.Seq); err != nil {
 				return err
 			}
-			if err := sameAnchor(ri.Shard, ri.Seq, query.RootInfo{Root: ri.Root, Count: ri.Count}); err != nil {
+			if err := sameAnchor(ri.Shard, ri.Anchor()); err != nil {
 				return err
 			}
 		}
