@@ -56,6 +56,10 @@ bench:
 #     no allocation sized from a count the body claims;
 #   - binary replication log encoding: arbitrary log pages likewise, and an
 #     accepted page re-encodes to the bytes it came from;
+#   - Go-to-Go stream frames: arbitrary bytes as a request or answer frame
+#     must decode or error without panicking or allocating from a length or
+#     count they claim (truncated, oversize, non-minimal), and a frame that
+#     decodes re-encodes to one that decodes the same;
 #   - shard image install: arbitrary bytes as a leader's bootstrap image
 #     must be refused, leaving the shard as it was, or install to exactly
 #     the seq, root, count and height they claim; never panic;
@@ -69,6 +73,7 @@ fuzz-smoke:
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz FuzzStoreOpen -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzReadWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzOpsWireDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzStreamFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/repl -run '^$$' -fuzz FuzzLogPageDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzImageInstall -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/merkle -run '^$$' -fuzz FuzzSum256 -fuzztime $(FUZZTIME)

@@ -184,21 +184,29 @@ func TestSlowHeadersDisconnected(t *testing.T) {
 	if m == nil {
 		t.Fatalf("pprof banner missing: %q", buf.String())
 	}
-	for _, a := range []string{addr, m[1]} {
-		conn, err := net.Dial("tcp", a)
+	for _, row := range []struct{ addr, send, answer string }{
+		{addr, "GET /healthz HT", ""},
+		{m[1], "GET /healthz HT", ""},
+		// An upgraded stream, stalled halfway through a frame's length.
+		{addr, "GET /healthz HTTP/1.1\r\nHost: grubd\r\nConnection: Upgrade\r\nUpgrade: grub-stream/1\r\n\r\n\x80", "HTTP/1.1 101 "},
+	} {
+		conn, err := net.Dial("tcp", row.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := conn.Write([]byte("GET /healthz HT")); err != nil {
+		if _, err := conn.Write([]byte(row.send)); err != nil {
 			t.Fatal(err)
 		}
 		// Well past the header timeout but far short of the default: only
 		// the server closing the connection ends this read in time.
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		_, err = io.ReadAll(conn)
+		got, err := io.ReadAll(conn)
 		conn.Close()
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			t.Errorf("%s: connection with a stalled request line still open after 5s", a)
+			t.Errorf("%s: connection with a stalled request %q still open after 5s", row.addr, row.send)
+		}
+		if !strings.HasPrefix(string(got), row.answer) {
+			t.Errorf("%s: answered %q, want it to begin %q", row.addr, got, row.answer)
 		}
 	}
 	close(stop)

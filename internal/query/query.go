@@ -170,6 +170,12 @@ func (a Anchor) Against(b Anchor) Relation {
 	return Forked
 }
 
+// SameSet reports whether a and b anchor the same authenticated set: the
+// Root and Count a proof verifies against. No proof binds Seq or Height.
+func (a Anchor) SameSet(b Anchor) bool {
+	return a.Root == b.Root && a.Count == b.Count
+}
+
 // RootInfo advertises one shard's trust anchor (GET /feeds/{id}/roots). Its
 // fields stay flat, in the anchor's order, so callers build it by name.
 type RootInfo struct {

@@ -305,3 +305,25 @@ func TestAnchorAgainst(t *testing.T) {
 		t.Error("Against is not antisymmetric in Seq")
 	}
 }
+
+// TestAnchorSameSet: two anchors hold the same set when the fields a proof
+// binds, Root and Count, match, whatever their Seq and Height.
+func TestAnchorSameSet(t *testing.T) {
+	a := Anchor{Seq: 7, Height: 30, Root: merkle.Hash{1, 2, 3}, Count: 12}
+	otherRoot := a.Root
+	otherRoot[31] ^= 0x01
+	for _, tc := range []struct {
+		name string
+		b    Anchor
+		want bool
+	}{
+		{"same", a, true},
+		{"seq and height differ", Anchor{Seq: 9, Height: 40, Root: a.Root, Count: 12}, true},
+		{"root differs", Anchor{Seq: 7, Height: 30, Root: otherRoot, Count: 12}, false},
+		{"count differs", Anchor{Seq: 7, Height: 30, Root: a.Root, Count: 13}, false},
+	} {
+		if got := a.SameSet(tc.b); got != tc.want || tc.b.SameSet(a) != tc.want {
+			t.Errorf("%s: SameSet = %v, want %v both ways", tc.name, got, tc.want)
+		}
+	}
+}

@@ -1,13 +1,19 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"cmp"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/url"
+	"sync"
 	"time"
 
 	"grub/internal/core"
@@ -42,12 +48,20 @@ var DefaultRetry = Retry{Attempts: 4, Base: 25 * time.Millisecond, Max: 400 * ti
 // reads in the binary encodings (OpsMediaType, ReadMediaType), everything
 // else in JSON. The zero HTTP client is usable; BaseURL is required
 // ("http://host:port", no trailing slash).
+//
+// Every request but Health goes over a Go-to-Go stream (docs/API.md) when
+// the gateway takes one: a caller with no idle stream to a gateway offers the
+// upgrade on its request, and keeps the stream for the next caller. HTTP's
+// Transport sends that request; HTTP's Timeout bounds every exchange.
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
 	// Retry bounds automatic retry of transient failures (zero = one
 	// attempt, no retry).
 	Retry Retry
+
+	mu   sync.Mutex
+	idle map[string][]*stream // by base URL
 }
 
 // NewClient returns a client for a gateway at baseURL.
@@ -119,24 +133,35 @@ func (c *Client) pooled(method, path string, payload []byte, mediaType string) (
 // header. A 421 (cluster node disclaiming ownership) carrying a Leader
 // header is transparently retried once against the named owner, so a client
 // pointed at any node still lands its writes; transport errors and 502/503
-// responses back off and retry when c.Retry allows.
+// responses back off and retry when c.Retry allows. A send goes over an idle
+// stream to its base when there is one, else over HTTP offering one; a
+// request the stream did not serve (GOAWAY, failed write, or a GET whose
+// connection failed before any answer came) goes again at once on a fresh
+// connection, without spending an attempt.
 func (c *Client) do(method, path string, payload []byte, contentType, accept string) (*http.Response, error) {
+	pairs := []string{"Accept", accept, "Content-Type", contentType}
+	if payload == nil {
+		pairs = pairs[:2]
+	}
+	if accept == "" {
+		pairs = pairs[2:]
+	}
 	send := func(base string) (*http.Response, error) {
-		var body io.Reader
-		if payload != nil {
-			body = bytes.NewReader(payload)
+		if s := c.takeStream(base); s != nil {
+			buf := bufPool.Get().(*[]byte)
+			*buf = appendRequest(append(*buf, 0, 0, 0, 0), method, path, payload, pairs...)
+			resp, err := s.exchange(*buf, method == http.MethodGet)
+			putBuf(buf)
+			if err == nil {
+				c.putStream(base, s)
+				return resp, nil
+			}
+			s.rwc.Close()
+			if !errors.Is(err, errNotServed) {
+				return nil, err
+			}
 		}
-		req, err := http.NewRequest(method, base+path, body)
-		if err != nil {
-			return nil, err
-		}
-		if payload != nil {
-			req.Header.Set("Content-Type", contentType)
-		}
-		if accept != "" {
-			req.Header.Set("Accept", accept)
-		}
-		return c.httpClient().Do(req)
+		return c.upgrade(base, method, path, payload, pairs)
 	}
 	attempts := c.Retry.Attempts
 	if attempts < 1 {
@@ -190,6 +215,139 @@ func (c *Client) do(method, path string, payload []byte, contentType, accept str
 		lastErr = err
 	}
 	return nil, lastErr
+}
+
+// upgrade sends a request over HTTP with the stream offered. The Transport's
+// RoundTrip sends it: http.Client.Do, with Timeout set, would hand a 101 over
+// with a read-only body and a timer that later closes the connection. The
+// request's context bounds the exchange instead, which is why any answer but
+// a 101 is read whole before upgrade returns it. A 101 and the answer frame
+// behind it open a stream for the pool.
+func (c *Client) upgrade(base, method, path string, payload []byte, pairs []string) (*http.Response, error) {
+	var body io.Reader
+	if payload != nil {
+		body = bytes.NewReader(payload)
+	}
+	hc, ctx := c.httpClient(), context.Background()
+	if hc.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, hc.Timeout)
+		defer cancel()
+	}
+	req, err := http.NewRequestWithContext(ctx, method, base+path, body)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < len(pairs); i += 2 {
+		req.Header.Set(pairs[i], pairs[i+1])
+	}
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", streamProto)
+	resp, err := cmp.Or[http.RoundTripper](hc.Transport, http.DefaultTransport).RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		resp.Body = io.NopCloser(bytes.NewReader(b))
+		return resp, err
+	}
+	rwc, ok := resp.Body.(io.ReadWriteCloser)
+	if !ok || resp.Header.Get("Upgrade") != streamProto {
+		resp.Body.Close()
+		return nil, fmt.Errorf("client: %s %s: 101 to Upgrade %q is not a writable %s stream", method, path, resp.Header.Get("Upgrade"), streamProto)
+	}
+	s := &stream{rwc: rwc, br: bufio.NewReader(rwc), timeout: hc.Timeout}
+	if s.timeout > 0 {
+		s.timer = time.AfterFunc(s.timeout, func() { rwc.Close() })
+	}
+	if resp, err = s.exchange(nil, false); err != nil {
+		rwc.Close()
+		return nil, err
+	}
+	c.putStream(base, s)
+	return resp, nil
+}
+
+// stream is the client end of one Go-to-Go stream, owned by one caller at a
+// time.
+type stream struct {
+	rwc     io.ReadWriteCloser
+	br      *bufio.Reader
+	timeout time.Duration
+	timer   *time.Timer // closes rwc when an exchange outlives timeout
+}
+
+// exchange writes frame (nil for the upgrading request, whose answer is on its
+// way) and reads the answer, whose body holds a pooled buffer of its own. An
+// error wrapping errNotServed means the gateway cannot have served the frame,
+// or, when the request is idempotent, that the connection failed before any
+// of its answer came.
+func (s *stream) exchange(frame []byte, idempotent bool) (*http.Response, error) {
+	if s.timer != nil {
+		s.timer.Reset(s.timeout)
+	}
+	var err error
+	if frame != nil {
+		_, err = s.rwc.Write(frame)
+	}
+	unanswered := err != nil
+	if err == nil {
+		_, err = s.br.Peek(1)
+		unanswered = err != nil && idempotent
+	}
+	var buf *[]byte
+	if err == nil {
+		buf, err = readFrame(s.br, math.MaxInt64)
+	}
+	switch {
+	case s.timer != nil && !s.timer.Stop() && err != nil:
+		return nil, fmt.Errorf("client: stream: no answer within %v: %v", s.timeout, err)
+	case unanswered:
+		return nil, fmt.Errorf("%w: %v", errNotServed, err)
+	case err != nil:
+		return nil, err
+	case len(*buf) == 0:
+		putBuf(buf)
+		return nil, errNotServed // GOAWAY
+	}
+	status, h, body, err := decodeAnswer(*buf)
+	if err != nil {
+		putBuf(buf)
+		return nil, err
+	}
+	return &http.Response{StatusCode: status, Header: h, ContentLength: int64(len(body)), Body: newFrameBody(body, buf)}, nil
+}
+
+func (c *Client) takeStream(base string) *stream {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ss := c.idle[base]
+	if len(ss) == 0 {
+		return nil
+	}
+	c.idle[base] = ss[:len(ss)-1]
+	return ss[len(ss)-1]
+}
+
+// putStream pools s for the next caller, up to the Transport's idle
+// connections per host.
+func (c *Client) putStream(base string, s *stream) {
+	limit := http.DefaultMaxIdleConnsPerHost
+	if t, ok := c.httpClient().Transport.(*http.Transport); ok && t.MaxIdleConnsPerHost > 0 {
+		limit = t.MaxIdleConnsPerHost
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.idle[base]) >= limit {
+		s.rwc.Close()
+		return
+	}
+	if c.idle == nil {
+		c.idle = make(map[string][]*stream)
+	}
+	c.idle[base] = append(c.idle[base], s)
 }
 
 // CreateFeed creates a feed on the gateway.

@@ -258,7 +258,8 @@ func NewHandler(g *Gateway) http.Handler {
 	return NewHandlerConfig(g, HandlerConfig{})
 }
 
-// NewHandlerConfig exposes a gateway over HTTP.
+// NewHandlerConfig exposes a gateway over HTTP, and over a Go-to-Go stream
+// (docs/API.md) to a client that offers one; both reach the same routes.
 func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 	maxBody := hc.MaxBodyBytes
 	if maxBody <= 0 {
@@ -764,5 +765,5 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 		writeJSON(w, http.StatusOK, res)
 	})
 
-	return mux
+	return &streamHandler{next: mux, g: g, maxBody: maxBody}
 }

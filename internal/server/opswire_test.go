@@ -28,8 +28,10 @@ import (
 	"grub/internal/workload/ycsb"
 )
 
-// opsWire serves a gateway and logs the media types of every ops request and
-// of its answer, as "request>answer".
+// opsWire serves a gateway's routes and logs the media types of every ops
+// request and of its answer, as "request>answer". It wraps the routes behind
+// the stream handler, so it sees every request a stream frame carries as well
+// as every HTTP request.
 type opsWire struct {
 	h http.Handler
 
@@ -59,8 +61,10 @@ func opsGateway(tb testing.TB, cfg FeedConfig) (*Gateway, *Client, *opsWire) {
 	tb.Helper()
 	g := NewGateway()
 	tb.Cleanup(g.Close)
-	ow := &opsWire{h: NewHandler(g)}
-	srv := httptest.NewServer(ow)
+	h := NewHandler(g).(*streamHandler)
+	ow := &opsWire{h: h.next}
+	h.next = ow
+	srv := httptest.NewServer(h)
 	tb.Cleanup(srv.Close)
 	if err := g.CreateFeed(cfg); err != nil {
 		tb.Fatal(err)

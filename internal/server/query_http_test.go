@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"grub/internal/merkle"
 	"grub/internal/query"
 )
 
@@ -341,5 +342,70 @@ func TestQueryRoutesErrors(t *testing.T) {
 	}
 	if len(roots) != 2 || roots[0].Count != 0 {
 		t.Errorf("roots = %+v, want 2 empty shards", roots)
+	}
+}
+
+// TestVerifyingClientForwardSeqKeepsPin: nothing in a proof binds an answer's
+// seq (or its height), so a gateway that raises them over the pinned root and
+// count has the answer accepted without moving the pin, and the next honest
+// answer still verifies.
+func TestVerifyingClientForwardSeqKeepsPin(t *testing.T) {
+	var bump atomic.Value // func(*query.Anchor)
+	bump.Store(func(*query.Anchor) {})
+	_, srv := readFeed(t, 4, 64, HandlerConfig{TamperQuery: func(resp any) {
+		if gr, ok := resp.(*GetResponse); ok {
+			bump.Swap(func(*query.Anchor) {}).(func(*query.Anchor))(&gr.Result.Anchor)
+		}
+	}})
+	vc := NewVerifyingClient(srv.URL)
+	const key = "user0000007"
+	if _, err := vc.Get("f", key); err != nil {
+		t.Fatal(err)
+	}
+	for name, forge := range map[string]func(*query.Anchor){
+		"seq + 5":              func(a *query.Anchor) { a.Seq += 5 },
+		"seq + 5, height + 1":  func(a *query.Anchor) { a.Seq += 5; a.Height++ },
+		"seq + 5, height + 40": func(a *query.Anchor) { a.Seq += 5; a.Height += 40 },
+	} {
+		bump.Store(forge)
+		res, err := vc.Get("f", key)
+		if err != nil {
+			t.Fatalf("%s: answer rejected: %v", name, err)
+		}
+		if !res.Found {
+			t.Fatalf("%s: key not found", name)
+		}
+		if _, err := vc.Get("f", key); err != nil {
+			t.Fatalf("honest get after %s: %v", name, err)
+		}
+	}
+}
+
+// TestVerifyingClientPinMovesOnlyToNewSet pins the price of keeping the pin
+// over a raised seq: once a shard's set returns to its pinned state (A, B, A),
+// the pin keeps A's older seq, so an answer of the B between is accepted and
+// re-pins; an answer behind B's seq is then stale again.
+func TestVerifyingClientPinMovesOnlyToNewSet(t *testing.T) {
+	vc := NewVerifyingClient("http://gateway.invalid")
+	setA := query.Anchor{Seq: 5, Height: 5, Root: merkle.Hash{0xa}, Count: 3}
+	setB := query.Anchor{Seq: 7, Height: 7, Root: merkle.Hash{0xb}, Count: 4}
+	at := func(a query.Anchor, seq uint64) query.Anchor { a.Seq, a.Height = seq, seq; return a }
+	pin := feedAnchor{setA}
+	for _, step := range []struct {
+		name     string
+		got, pin query.Anchor
+		stale    bool
+	}{
+		{"A again at seq 10", at(setA, 10), setA, false},
+		{"B from seq 7, behind the A at 10", setB, setB, false},
+		{"A at seq 6, behind B", at(setA, 6), setB, true},
+	} {
+		err := vc.acceptAll(pin, []observation{{shard: 0, anchor: step.got}})
+		if stale := errors.Is(err, ErrVerification); stale != step.stale {
+			t.Errorf("%s: err = %v, want stale %v", step.name, err, step.stale)
+		}
+		if pin[0] != step.pin {
+			t.Errorf("%s: pinned %+v, want %+v", step.name, pin[0], step.pin)
+		}
 	}
 }

@@ -252,6 +252,7 @@ type Gateway struct {
 	mu       sync.RWMutex
 	feeds    map[string]*feedEntry
 	closed   bool
+	streams  streamSet
 }
 
 // Metrics returns the gateway's metrics registry (GET /metrics renders it).
@@ -533,6 +534,8 @@ func (g *Gateway) Kill() {
 }
 
 func (g *Gateway) shutdown(stop func(*shard.ShardedFeed)) {
+	// Streams answer the frames they are serving while the feeds still run.
+	g.streams.drain()
 	g.createMu.Lock()
 	defer g.createMu.Unlock()
 	g.mu.Lock()

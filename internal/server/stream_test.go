@@ -1,0 +1,474 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"grub/internal/wire"
+)
+
+// streamGateway serves a fresh in-memory gateway holding feed "f" through srv
+// (an http.Server whose Handler it sets) on a loopback port. The client it
+// returns has a Transport of its own that counts the connections it dials.
+func streamGateway(tb testing.TB, srv *http.Server, hc HandlerConfig, cfg FeedConfig) (*Gateway, *Client, *atomic.Int64) {
+	tb.Helper()
+	g := NewGateway()
+	tb.Cleanup(g.Close)
+	if err := g.CreateFeed(cfg); err != nil {
+		tb.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv.Handler = NewHandlerConfig(g, hc)
+	go srv.Serve(ln)
+	tb.Cleanup(func() { srv.Close() })
+	c, dials := dialCounting("http://" + ln.Addr().String())
+	return g, c, dials
+}
+
+// dialCounting returns a client for baseURL whose Transport counts its dials.
+func dialCounting(baseURL string) (*Client, *atomic.Int64) {
+	dials := new(atomic.Int64)
+	var d net.Dialer
+	c := NewClient(baseURL)
+	c.HTTP = &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost: 16,
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			dials.Add(1)
+			return d.DialContext(ctx, network, addr)
+		},
+	}}
+	return c, dials
+}
+
+// waitFor polls cond for up to 3s.
+func waitFor(tb testing.TB, what string, cond func() bool) {
+	tb.Helper()
+	for deadline := time.Now().Add(3 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			tb.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+func writeBatch(keys ...string) []Op {
+	ops := make([]Op, len(keys))
+	for i, k := range keys {
+		ops[i] = Op{Type: "write", Key: k, Value: []byte("v-" + k)}
+	}
+	return ops
+}
+
+// TestStreamSharesOneConnection: a client's batches, verified reads and JSON
+// calls all cross one upgraded connection, one frame each.
+func TestStreamSharesOneConnection(t *testing.T) {
+	g, c, dials := streamGateway(t, &http.Server{}, HandlerConfig{}, FeedConfig{ID: "f", Shards: 2, EpochOps: 1})
+	calls := []func() error{
+		func() error { _, err := c.Do("f", writeBatch("a", "b", "c")); return err },
+		func() error {
+			res, err := c.Get("f", "a")
+			if err == nil && (!res.Found || string(res.Record.Value) != "v-a") {
+				err = fmt.Errorf("get a = %+v", res)
+			}
+			return err
+		},
+		func() error { _, err := c.Range("f", "a", "c"); return err },
+		func() error { _, err := c.Stats("f"); return err },
+		func() error { _, err := c.Feeds(); return err },
+		func() error { return c.CreateFeed(FeedConfig{ID: "g"}) },
+		func() error { _, err := c.Roots("f"); return err },
+	}
+	for i, call := range calls {
+		if err := call(); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("%d connections dialed, want 1", n)
+	}
+	if got := g.streams.frames.Value(); got != float64(len(calls)) {
+		t.Errorf("%v requests answered over the stream, want %d", got, len(calls))
+	}
+	if got := g.streams.opened.Value(); got != 1 {
+		t.Errorf("grub_streams_open = %v, want 1", got)
+	}
+}
+
+// TestStreamConcurrentCallers: callers sharing one client each get a stream
+// of their own, and every answer is the right one.
+func TestStreamConcurrentCallers(t *testing.T) {
+	const callers, rounds = 8, 40
+	g, c, dials := streamGateway(t, &http.Server{}, HandlerConfig{}, FeedConfig{ID: "f", Shards: 4, EpochOps: 1})
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for i := range callers {
+		// One verifier per caller, all on the one client: a pin shared
+		// across callers would race their reads against each other's writes.
+		vc := NewVerifyingClient(c.BaseURL)
+		vc.Client = c
+		if _, err := vc.Get("f", "none"); err != nil { // pins the anchors
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range rounds {
+				key := fmt.Sprintf("c%d-%02d", i, j)
+				res, err := c.Do("f", writeBatch(key))
+				if err == nil && (len(res) != 1 || res[0].Key != key || res[0].Err != "") {
+					err = fmt.Errorf("write %s = %+v", key, res)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				got, err := vc.Get("f", key)
+				if err == nil && (!got.Found || got.Key != key || string(got.Record.Value) != "v-"+key) {
+					err = fmt.Errorf("get %s = %+v", key, got)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := dials.Load(); n < 2 || n > callers {
+		t.Errorf("%d connections for %d concurrent callers, want 2..%d", n, callers, callers)
+	}
+	if got, want := g.streams.frames.Value(), float64(2*callers+2*callers*rounds); got != want {
+		t.Errorf("%v requests answered over streams, want all %v", got, want)
+	}
+}
+
+// TestStreamGatewayRestartGoaway: a gateway closed under an idle stream sends
+// GOAWAY, so a client with no retry budget sends its next batch again on a
+// fresh connection, to the gateway restarted at the same address, which
+// applies it exactly once.
+func TestStreamGatewayRestartGoaway(t *testing.T) {
+	cfg := FeedConfig{ID: "f", EpochOps: 1}
+	serve := func(ln net.Listener) (*Gateway, *http.Server) {
+		g := NewGateway()
+		if err := g.CreateFeed(cfg); err != nil {
+			t.Fatal(err)
+		}
+		srv := &http.Server{Handler: NewHandler(g)}
+		go srv.Serve(ln)
+		return g, srv
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1, srv1 := serve(ln)
+	c, dials := dialCounting("http://" + ln.Addr().String())
+	if _, err := c.Do("f", writeBatch("a")); err != nil {
+		t.Fatal(err)
+	}
+	if got := g1.streams.opened.Value(); got != 1 {
+		t.Fatalf("grub_streams_open = %v, want 1", got)
+	}
+	srv1.Close() // leaves the hijacked stream open
+	g1.Close()   // sends it GOAWAY
+	waitFor(t, "the stream to close", func() bool { return g1.streams.opened.Value() == 0 })
+
+	ln2, err := net.Listen("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, srv2 := serve(ln2)
+	defer func() { srv2.Close(); g2.Close() }()
+	if _, err := c.Do("f", writeBatch("b")); err != nil {
+		t.Fatalf("batch after the restart: %v", err)
+	}
+	st, err := g2.Stats("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Batches != 1 || st.Ops != 1 {
+		t.Errorf("restarted gateway applied %d batches (%d ops), want exactly 1", st.Batches, st.Ops)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Errorf("%d connections dialed, want 2", n)
+	}
+}
+
+// TestStreamCloseAnswersInFlightBatch: a gateway closed while a stream is
+// serving a batch answers it before its feeds stop, so the client gets that
+// batch's answer, and the batch is applied exactly once.
+func TestStreamCloseAnswersInFlightBatch(t *testing.T) {
+	dir := t.TempDir()
+	g, err := NewGatewayWithOptions(GatewayOptions{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if err := g.CreateFeed(FeedConfig{ID: "f", EpochOps: 1}); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(g).(*streamHandler)
+	var hold atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	next := h.next
+	h.next = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && hold.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+		next.ServeHTTP(w, r)
+	})
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	if _, err := c.Do("f", writeBatch("a")); err != nil {
+		t.Fatal(err)
+	}
+	hold.Store(true)
+	var res []OpResult
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		res, err = c.Do("f", writeBatch("b"))
+		done <- err
+	}()
+	<-entered
+	closed := make(chan struct{})
+	go func() { g.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a stream was serving a batch")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-done; err != nil || len(res) != 1 || res[0].Err != "" {
+		t.Fatalf("batch in flight across Close = %+v, %v; want its answer", res, err)
+	}
+	<-closed
+	g2, err := NewGatewayWithOptions(GatewayOptions{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g2.Close()
+	if st, err := g2.Stats("f"); err != nil || st.Ops != 2 {
+		t.Errorf("recovered %d ops (%v), want 2: each batch applied once", st.Ops, err)
+	}
+}
+
+// TestStreamGetAfterSilentDisconnect: when the gateway end of an idle stream
+// closes without GOAWAY (a crash, a dropped idle connection), a zero-Retry Get
+// goes again on a fresh connection, since no byte of its answer came. A batch
+// on such a stream is a transport error, never resent.
+func TestStreamGetAfterSilentDisconnect(t *testing.T) {
+	g, c, dials := streamGateway(t, &http.Server{}, HandlerConfig{}, FeedConfig{ID: "f", EpochOps: 1})
+	if _, err := c.Do("f", writeBatch("a")); err != nil {
+		t.Fatal(err)
+	}
+	cut := func() {
+		g.streams.mu.Lock()
+		for s := range g.streams.open {
+			s.conn.Close()
+		}
+		g.streams.mu.Unlock()
+		waitFor(t, "the stream to close", func() bool { return g.streams.opened.Value() == 0 })
+	}
+	cut()
+	if res, err := c.Get("f", "a"); err != nil || !res.Found {
+		t.Fatalf("get on a silently closed stream = %+v, %v; want the record", res, err)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Errorf("%d connections dialed, want 2", n)
+	}
+	cut()
+	if _, err := c.Do("f", writeBatch("b")); err == nil {
+		t.Error("batch on a silently closed stream succeeded: it was resent")
+	}
+	if st, _ := g.Stats("f"); st.Batches != 1 {
+		t.Errorf("%d batches applied, want 1", st.Batches)
+	}
+}
+
+// TestStreamIdleTimeoutGoaway: a stream idle past the server's IdleTimeout
+// ends with GOAWAY, and the client's next batch goes once over a fresh one.
+func TestStreamIdleTimeoutGoaway(t *testing.T) {
+	g, c, dials := streamGateway(t, &http.Server{IdleTimeout: 50 * time.Millisecond}, HandlerConfig{}, FeedConfig{ID: "f"})
+	if _, err := c.Do("f", writeBatch("a")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the idle stream to close", func() bool { return g.streams.opened.Value() == 0 })
+	if _, err := c.Do("f", writeBatch("b")); err != nil {
+		t.Fatalf("batch after the idle timeout: %v", err)
+	}
+	if st, _ := g.Stats("f"); st.Batches != 2 {
+		t.Errorf("%d batches applied, want 2", st.Batches)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Errorf("%d connections dialed, want 2", n)
+	}
+}
+
+// TestStreamTimeoutBoundsStalledAnswer: Client.HTTP.Timeout bounds each
+// exchange on a stream, not the stream's life: an idle stream outlives it,
+// a stalled answer does not.
+func TestStreamTimeoutBoundsStalledAnswer(t *testing.T) {
+	var stall atomic.Bool
+	hc := HandlerConfig{TamperQuery: func(any) {
+		if stall.Load() {
+			time.Sleep(2 * time.Second)
+		}
+	}}
+	_, c, dials := streamGateway(t, &http.Server{}, hc, FeedConfig{ID: "f", EpochOps: 1})
+	c.HTTP.Timeout = 200 * time.Millisecond
+	if _, err := c.Do("f", writeBatch("a")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(400 * time.Millisecond)
+	if _, err := c.Get("f", "a"); err != nil {
+		t.Fatalf("get on a stream idle past the timeout: %v", err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("%d connections dialed, want 1 stream for both calls", n)
+	}
+	stall.Store(true)
+	start := time.Now()
+	_, err := c.Get("f", "a")
+	if took := time.Since(start); err == nil || took > time.Second {
+		t.Fatalf("stalled get returned %v after %v, want an error within the 200ms timeout", err, took)
+	}
+	stall.Store(false)
+	if _, err := c.Get("f", "a"); err != nil {
+		t.Fatalf("get after the timeout: %v", err)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Errorf("%d connections dialed, want 2: the stalled stream is not reused", n)
+	}
+}
+
+// TestStreamOversizeFrame: a request frame past the body cap gets a 413, and
+// the stream then closes; the client's next batch goes over a fresh one.
+func TestStreamOversizeFrame(t *testing.T) {
+	g, c, dials := streamGateway(t, &http.Server{}, HandlerConfig{MaxBodyBytes: 4096}, FeedConfig{ID: "f"})
+	if _, err := c.Do("f", writeBatch("a")); err != nil {
+		t.Fatal(err)
+	}
+	big := []Op{{Type: "write", Key: "big", Value: make([]byte, 8<<10)}}
+	if _, err := c.Do("f", big); err == nil || !strings.Contains(err.Error(), "exceeds 4096 bytes") {
+		t.Fatalf("oversize batch: %v, want the 413's error", err)
+	}
+	waitFor(t, "the stream to close", func() bool { return g.streams.opened.Value() == 0 })
+	if _, err := c.Do("f", writeBatch("b")); err != nil {
+		t.Fatalf("batch after the 413: %v", err)
+	}
+	if st, _ := g.Stats("f"); st.Batches != 2 {
+		t.Errorf("%d batches applied, want 2", st.Batches)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Errorf("%d connections dialed, want 2", n)
+	}
+}
+
+// TestStreamFallsBackToHTTP: a handler wrapped in a ResponseWriter that cannot
+// hijack, and a server that ignores the offer, both answer over HTTP.
+func TestStreamFallsBackToHTTP(t *testing.T) {
+	g := NewGateway()
+	defer g.Close()
+	if err := g.CreateFeed(FeedConfig{ID: "f"}); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(g)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(struct{ http.ResponseWriter }{w}, r) // hides Hijack
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	for range 3 {
+		if _, err := c.Do("f", writeBatch("a")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := g.streams.frames.Value(); got != 0 {
+		t.Errorf("%v requests answered over streams, want 0", got)
+	}
+}
+
+// FuzzStreamFrame: arbitrary bytes as a stream frame, in either direction,
+// must decode or fail without panicking and without an allocation sized from
+// a length or count they claim; a frame that decodes re-encodes to one that
+// decodes the same.
+func FuzzStreamFrame(f *testing.F) {
+	room := func() []byte { return []byte{0, 0, 0, 0} }
+	withLen := func(p []byte) []byte { return append(binary.BigEndian.AppendUint32(nil, uint32(len(p))), p...) }
+	req := appendRequest(room(), "POST", "/feeds/f/ops", []byte{1, 2, 3}, "Content-Type", OpsMediaType, "Accept", OpsMediaType)
+	ans := append(appendAnswer(room(), 200, http.Header{"Content-Type": {ReadMediaType}, "Leader": {"http://a", "http://b"}}, 4), "body"...)
+	f.Add(req)
+	f.Add(ans)
+	f.Add(req[:len(req)-3])                                                           // truncated
+	f.Add(append(binary.BigEndian.AppendUint32(nil, 1<<31), 'G', 'E', 'T'))           // oversize length
+	f.Add(withLen(append(wire.AppendString(wire.AppendString(nil, "GET"), "/"), 90))) // header count past the bytes
+	f.Add(withLen([]byte{0x83, 0x00, 'G', 'E', 'T', 1, '/', 0}))                      // non-minimal string length
+	f.Add(withLen([]byte{0xc8, 0x81, 0x00, 0}))                                       // non-minimal status
+	f.Add(room())                                                                     // GOAWAY
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var buf *[]byte
+		var err error
+		if n := decodeAllocs(func() { buf, err = readFrame(bufio.NewReader(bytes.NewReader(data)), 1<<20) }); n > opsAllocLimit(data) {
+			t.Fatalf("reading a %d-byte frame allocated %d bytes", len(data), n)
+		}
+		if err != nil {
+			return
+		}
+		p := *buf
+		defer putBuf(buf)
+		var method, uri string
+		var h http.Header
+		var body []byte
+		if n := decodeAllocs(func() { method, uri, h, body, err = decodeRequest(p) }); n > opsAllocLimit(p) {
+			t.Fatalf("decoding a %d-byte request allocated %d bytes", len(p), n)
+		}
+		if err == nil {
+			var pairs []string
+			for k, vs := range h {
+				for _, v := range vs {
+					pairs = append(pairs, k, v)
+				}
+			}
+			m2, u2, h2, b2, err := decodeRequest(appendRequest(room(), method, uri, body, pairs...)[4:])
+			if err != nil || m2 != method || u2 != uri || !reflect.DeepEqual(h2, h) || !bytes.Equal(b2, body) {
+				t.Fatalf("request re-encodes to %q %q %v %q (%v), want %q %q %v %q", m2, u2, h2, b2, err, method, uri, h, body)
+			}
+		} else if !errors.Is(err, wire.ErrMalformed) {
+			t.Fatalf("request decode error %v is not ErrMalformed", err)
+		}
+		var status int
+		if n := decodeAllocs(func() { status, h, body, err = decodeAnswer(p) }); n > opsAllocLimit(p) {
+			t.Fatalf("decoding a %d-byte answer allocated %d bytes", len(p), n)
+		}
+		if err == nil {
+			s2, h2, b2, err := decodeAnswer(append(appendAnswer(room(), status, h, len(body)), body...)[4:])
+			if err != nil || s2 != status || !reflect.DeepEqual(h2, h) || !bytes.Equal(b2, body) {
+				t.Fatalf("answer re-encodes to %d %v %q (%v), want %d %v %q", s2, h2, b2, err, status, h, body)
+			}
+		} else if !errors.Is(err, wire.ErrMalformed) {
+			t.Fatalf("answer decode error %v is not ErrMalformed", err)
+		}
+	})
+}

@@ -39,7 +39,7 @@ type VerifyingClient struct {
 // feed's shard count. Every field is pinned: proofs verify against (root,
 // count), so a gateway that reuses the genuine root but lies about the count
 // (to fake absence of a tail record, or to truncate a range) must be caught
-// here, and one seq has one chain height.
+// here, and one seq has one chain height. A pin moves only to a new set.
 type feedAnchor []query.Anchor
 
 // observation is one shard's anchor claim from a response, plus the proof
@@ -121,7 +121,14 @@ func (vc *VerifyingClient) acceptAll(a feedAnchor, obs []observation) error {
 		}
 	}
 	for _, o := range obs {
-		a[o.shard] = o.anchor
+		// Only a new set moves the pin: a forward seq over the pinned set
+		// proves nothing, and pinning it would refuse every honest answer
+		// below it. The price: after a set returns to its pinned state
+		// (A, B, A), the pin keeps A's older seq, so an answer of the B
+		// between is still accepted (docs/API.md, roots).
+		if !o.anchor.SameSet(a[o.shard]) {
+			a[o.shard] = o.anchor
+		}
 		vc.verified.Add(1)
 		vc.proofBytes.Add(int64(o.proofBytes))
 	}
