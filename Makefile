@@ -59,7 +59,10 @@ bench:
 #   - Go-to-Go stream frames: arbitrary bytes as a request or answer frame
 #     must decode or error without panicking or allocating from a length or
 #     count they claim (truncated, oversize, non-minimal), and a frame that
-#     decodes re-encodes to one that decodes the same;
+#     decodes re-encodes to one that decodes the same (internal/stream); the
+#     same bytes sent on a gateway's stream get one answer per whole frame,
+#     400 for one that is not a request, 413 and GOAWAY past the body cap
+#     (internal/server);
 #   - shard image install: arbitrary bytes as a leader's bootstrap image
 #     must be refused, leaving the shard as it was, or install to exactly
 #     the seq, root, count and height they claim; never panic;
@@ -73,6 +76,7 @@ fuzz-smoke:
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz FuzzStoreOpen -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzReadWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzOpsWireDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stream -run '^$$' -fuzz FuzzStreamFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzStreamFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/repl -run '^$$' -fuzz FuzzLogPageDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzImageInstall -fuzztime $(FUZZTIME)

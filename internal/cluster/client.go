@@ -1,14 +1,13 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 
 	"grub/internal/obs"
 	"grub/internal/query"
+	"grub/internal/stream"
 )
 
 // Heartbeat is the POST /cluster/heartbeat request body: the sender's
@@ -37,70 +36,62 @@ type MoveRequest struct {
 	Target string `json:"target"`
 }
 
-// Client is a minimal HTTP client for the /cluster/* surface plus the
-// anchor endpoint promotion and migration verify against.
+// Client sends the /cluster/* calls, the anchor fetches promotion and
+// migration verify against, and forwarded writes to peers, over Go-to-Go
+// streams (package stream). HTTP configures them (nil: http.DefaultClient);
+// Close ends the streams the client holds.
 type Client struct {
 	HTTP *http.Client
+
+	streams stream.Pool
 }
 
-func (c *Client) httpc() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
+// Send sends one request to peer and returns its answer, whatever the
+// status; pairs alternate header keys and values.
+func (c *Client) Send(peer, method, uri string, body []byte, pairs ...string) (stream.Answer, error) {
+	return c.streams.Send(c.HTTP, peer, method, uri, body, pairs...)
 }
 
-func (c *Client) do(method, url string, in, out any) error {
-	var body io.Reader
+// Close ends the client's idle streams; a call after it still works, over
+// a stream of its own.
+func (c *Client) Close() { c.streams.Close() }
+
+// do performs one JSON call; in and out may be nil.
+func (c *Client) do(method, peer, path string, in, out any) error {
+	var body []byte
+	var pairs []string
 	if in != nil {
 		data, err := json.Marshal(in)
 		if err != nil {
 			return err
 		}
-		body = bytes.NewReader(data)
+		body, pairs = data, []string{"Content-Type", "application/json"}
 	}
-	req, err := http.NewRequest(method, url, body)
+	a, err := c.Send(peer, method, path, body, pairs...)
 	if err != nil {
 		return err
 	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.httpc().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		var eb struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
-			return fmt.Errorf("%s %s: %s (status %d)", method, url, eb.Error, resp.StatusCode)
-		}
-		return fmt.Errorf("%s %s: status %d", method, url, resp.StatusCode)
+	defer a.Close()
+	if a.Status/100 != 2 {
+		return fmt.Errorf("%s %s%s: %s", method, peer, path, a.ErrorText())
 	}
 	if out == nil {
 		return nil
 	}
-	return json.Unmarshal(data, out)
+	return json.Unmarshal(a.Body, out)
 }
 
 // Heartbeat exchanges heartbeats with a peer.
 func (c *Client) Heartbeat(peer string, hb Heartbeat) (HeartbeatReply, error) {
 	var reply HeartbeatReply
-	err := c.do(http.MethodPost, peer+"/cluster/heartbeat", hb, &reply)
+	err := c.do(http.MethodPost, peer, "/cluster/heartbeat", hb, &reply)
 	return reply, err
 }
 
 // Status fetches a peer's cluster status.
 func (c *Client) Status(peer string) (Status, error) {
 	var st Status
-	err := c.do(http.MethodGet, peer+"/cluster/status", nil, &st)
+	err := c.do(http.MethodGet, peer, "/cluster/status", nil, &st)
 	return st, err
 }
 
@@ -108,7 +99,7 @@ func (c *Client) Status(peer string) (Status, error) {
 // owner if it is not the owner itself).
 func (c *Client) Move(node, feed, target string) (MoveResult, error) {
 	var res MoveResult
-	err := c.do(http.MethodPost, node+"/cluster"+query.FeedPath(feed, "/move"), MoveRequest{Target: target}, &res)
+	err := c.do(http.MethodPost, node, "/cluster"+query.FeedPath(feed, "/move"), MoveRequest{Target: target}, &res)
 	return res, err
 }
 
@@ -118,7 +109,7 @@ func (c *Client) Anchors(peer, feed string) ([]query.RootInfo, error) {
 	var doc struct {
 		Shards []query.RootInfo `json:"shards"`
 	}
-	if err := c.do(http.MethodGet, peer+query.FeedPath(feed, "/roots"), nil, &doc); err != nil {
+	if err := c.do(http.MethodGet, peer, query.FeedPath(feed, "/roots"), nil, &doc); err != nil {
 		return nil, err
 	}
 	return doc.Shards, nil

@@ -128,8 +128,9 @@ type Options struct {
 	TailPoll time.Duration
 	// MoveTimeout bounds one live migration (default 30s).
 	MoveTimeout time.Duration
-	// HTTP overrides the transport for heartbeats, anchor fetches and
-	// tailers (default: 5s timeout).
+	// HTTP configures every hop to a peer (default: 5s timeout):
+	// heartbeats, anchor fetches, tailers and forwarded writes ride
+	// Go-to-Go streams (stream.Pool.Send); the metrics scrape is HTTP.
 	HTTP *http.Client
 	// LoadDigest, when non-nil, supplies this node's per-feed load
 	// digest (hottest feeds first); it piggybacks on every heartbeat so
@@ -275,9 +276,9 @@ func (n *Node) Placement(feed string) (Entry, bool) { return n.pm.Get(feed) }
 // CountForward credits one proxied write (the HTTP layer calls it).
 func (n *Node) CountForward() { n.forwards.Add(1) }
 
-// HTTPClient returns the node's HTTP client (the server layer reuses it
-// for forwarded writes).
-func (n *Node) HTTPClient() *http.Client { return n.opts.HTTP }
+// Client returns the node's peer client: the server layer forwards writes
+// through its streams and scrapes peers' metrics with its HTTP client.
+func (n *Node) Client() *Client { return n.client }
 
 // Start launches the heartbeat/reconcile loop and the peer followers.
 // Idempotent.
@@ -291,7 +292,8 @@ func (n *Node) Start() {
 	})
 }
 
-// Close stops the loop and every replication tail, and waits for them.
+// Close stops the loop and every replication tail, waits for them, and ends
+// the node's streams to its peers.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() { close(n.stop) })
 	n.wg.Wait()
@@ -301,6 +303,7 @@ func (n *Node) Close() {
 	for _, f := range n.followers {
 		f.Close()
 	}
+	n.client.Close()
 }
 
 func (n *Node) run() {
@@ -562,7 +565,7 @@ func (n *Node) resetDivergedShards(feed, leader string) {
 	if err != nil {
 		return
 	}
-	rc := &repl.Client{Base: leader, HTTP: n.opts.HTTP}
+	rc := n.followers[leader].Client()
 	for i := range la {
 		if rel := la[i].Anchor().Against(ra[i].Anchor()); rel == query.Ahead || rel == query.Forked {
 			snap, err := rc.Snapshot(feed, i)

@@ -3,17 +3,21 @@ package repl
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
+
+	"grub/internal/stream"
 )
 
-// Client fetches the replication surface of one leader gateway. The zero
-// HTTP client is usable; Base is required ("http://host:port", no trailing
-// slash).
+// Client fetches the replication surface of one leader gateway over Go-to-Go
+// streams (package stream). HTTP configures them (nil: http.DefaultClient);
+// Base is required ("http://host:port", no trailing slash). Close ends the
+// streams the client holds.
 type Client struct {
 	Base string
 	HTTP *http.Client
+
+	streams stream.Pool
 }
 
 // NewClient returns a replication client for the leader at base.
@@ -21,62 +25,24 @@ func NewClient(base string) *Client {
 	return &Client{Base: base, HTTP: http.DefaultClient}
 }
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
+// Close ends the client's idle streams; a fetch after it still works, over
+// a stream of its own.
+func (c *Client) Close() { c.streams.Close() }
 
-// fetch performs one GET against the leader, asking for accept when it is
-// not empty, and returns the response when it is a 200. A 404 maps to
+// get performs one GET against the leader, with the header pairs given, and
+// returns the answer when it is a 200; the caller closes it. A 404 maps to
 // ErrFeedGone so tailers can distinguish "feed deleted on leader" from
-// transport trouble. The caller closes the body with drainClose.
-func (c *Client) fetch(path, accept string) (*http.Response, error) {
-	req, err := http.NewRequest(http.MethodGet, c.Base+path, nil)
-	if err != nil {
-		return nil, err
+// transport trouble.
+func (c *Client) get(path string, pairs ...string) (stream.Answer, error) {
+	a, err := c.streams.Send(c.HTTP, c.Base, http.MethodGet, path, nil, pairs...)
+	if err != nil || a.Status == http.StatusOK {
+		return a, err
 	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
+	defer a.Close()
+	if a.Status == http.StatusNotFound {
+		return stream.Answer{}, fmt.Errorf("%w: GET %s", ErrFeedGone, path)
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode == http.StatusOK {
-		return resp, nil
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, fmt.Errorf("%w: GET %s", ErrFeedGone, path)
-	}
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-		return nil, fmt.Errorf("repl: GET %s: %s", path, e.Error)
-	}
-	return nil, fmt.Errorf("repl: GET %s: HTTP %d", path, resp.StatusCode)
-}
-
-// drainClose reads a body to EOF before closing it: json.Decoder stops at the
-// end of the value, ahead of a chunked body's terminating chunk, and net/http
-// discards a keep-alive connection whose body was closed short of EOF — the
-// next fetch would dial again.
-func drainClose(body io.ReadCloser) {
-	io.Copy(io.Discard, body)
-	body.Close()
-}
-
-// get performs one JSON GET against the leader.
-func (c *Client) get(path string, out any) error {
-	resp, err := c.fetch(path, "")
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp.Body)
-	return json.NewDecoder(resp.Body).Decode(out)
+	return stream.Answer{}, fmt.Errorf("repl: GET %s: %s", path, a.ErrorText())
 }
 
 // FeedInfo is one leader feed: its ID plus the config verbatim, opaque to
@@ -88,11 +54,16 @@ type FeedInfo struct {
 
 // Feeds lists the leader's hosted feeds with their configs.
 func (c *Client) Feeds() ([]FeedInfo, error) {
+	a, err := c.get("/repl/feeds")
+	if err != nil {
+		return nil, err
+	}
+	defer a.Close()
 	var out struct {
 		Feeds []json.RawMessage `json:"feeds"`
 	}
-	if err := c.get("/repl/feeds", &out); err != nil {
-		return nil, err
+	if err := json.Unmarshal(a.Body, &out); err != nil {
+		return nil, fmt.Errorf("repl: GET /repl/feeds: %w", err)
 	}
 	infos := make([]FeedInfo, 0, len(out.Feeds))
 	for _, raw := range out.Feeds {
@@ -114,34 +85,20 @@ func shardPath(id string, shard int, kind string) string {
 	return fmt.Sprintf("/repl/feeds/%s/shards/%d/%s", url.PathEscape(id), shard, kind)
 }
 
-// maxPresizedPage caps the body buffer Log allocates up front from a
-// page's Content-Length; a longer claim is read as it arrives.
-const maxPresizedPage = 16 << 20
-
 // Log fetches one page of a shard's replication log above the cursor, in
 // the binary log encoding; an answer in any other type is an error that
 // names both.
 func (c *Client) Log(id string, shard int, from uint64, max int) (*LogPage, error) {
 	path := fmt.Sprintf("%s?from=%d&max=%d", shardPath(id, shard, "log"), from, max)
-	resp, err := c.fetch(path, LogMediaType)
+	a, err := c.get(path, "Accept", LogMediaType)
 	if err != nil {
 		return nil, err
 	}
-	defer drainClose(resp.Body)
-	if ct := resp.Header.Get("Content-Type"); ct != LogMediaType {
+	defer a.Close()
+	if ct := a.Header.Get("Content-Type"); ct != LogMediaType {
 		return nil, fmt.Errorf("repl: GET %s: answer is %q, want %q", path, ct, LogMediaType)
 	}
-	var body []byte
-	if n := resp.ContentLength; n > 0 && n <= maxPresizedPage {
-		body = make([]byte, n)
-		_, err = io.ReadFull(resp.Body, body)
-	} else {
-		body, err = io.ReadAll(resp.Body)
-	}
-	if err != nil {
-		return nil, err
-	}
-	page, err := DecodeLogPage(body)
+	page, err := DecodeLogPage(a.Body)
 	if err != nil {
 		return nil, fmt.Errorf("repl: GET %s: %w", path, err)
 	}
@@ -152,16 +109,12 @@ func (c *Client) Log(id string, shard int, from uint64, max int) (*LogPage, erro
 // only decoded here; the shard checks its anchor when it installs it.
 func (c *Client) Snapshot(id string, shard int) (*Snapshot, error) {
 	path := shardPath(id, shard, "snapshot")
-	resp, err := c.fetch(path, "")
+	a, err := c.get(path)
 	if err != nil {
 		return nil, err
 	}
-	defer drainClose(resp.Body)
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := DecodeSnapshot(body)
+	defer a.Close()
+	snap, err := DecodeSnapshot(a.Body)
 	if err != nil {
 		return nil, fmt.Errorf("repl: GET %s: %w", path, err)
 	}

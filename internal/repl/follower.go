@@ -16,10 +16,11 @@ import (
 type Options struct {
 	// Leader is the leader gateway's base URL ("http://host:port").
 	Leader string
-	// HTTP overrides the transport. nil gets a client with a 10s timeout:
-	// replication fetches are small and quick, and an unbounded read on a
-	// blackholed leader connection would wedge the tailers — and with
-	// them Follower.Close and the daemon's graceful shutdown.
+	// HTTP configures the fetches, Go-to-Go streams to the leader
+	// (stream.Pool.Send). nil gets a client with a 10s timeout: replication
+	// fetches are small and quick, and an unbounded read on a blackholed
+	// leader connection would wedge the tailers — and with them
+	// Follower.Close and the daemon's graceful shutdown.
 	HTTP *http.Client
 	// Poll is the idle poll floor for log tailing (default 20ms). Pages
 	// with entries are drained back-to-back regardless.
@@ -223,11 +224,16 @@ func (f *Follower) Start() {
 	})
 }
 
-// Close stops every replication goroutine and waits for them to exit.
+// Close stops every replication goroutine, waits for them to exit and ends
+// the follower's streams to the leader.
 func (f *Follower) Close() {
 	f.closeOnce.Do(func() { close(f.stop) })
 	f.wg.Wait()
+	f.client.Close()
 }
+
+// Client returns the follower's client, whose streams other fetches share.
+func (f *Follower) Client() *Client { return f.client }
 
 // sleep waits d or until wake fires, returning false if the follower (or
 // the feed) stopped.

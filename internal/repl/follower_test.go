@@ -3,6 +3,7 @@ package repl_test
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"grub/internal/obs"
 	"grub/internal/query"
 	"grub/internal/repl"
 	"grub/internal/server"
@@ -272,7 +274,10 @@ func TestFollowerConfigMismatchFails(t *testing.T) {
 // leader (or path) shipping a corrupted batch. It tampers with a page in
 // either encoding and re-encodes it in the one it came in. It reads the arm
 // after the page is built, so a page that holds a batch written after arm
-// is always a candidate, even when its request arrived before arm.
+// is always a candidate, even when its request arrived before arm. A proxy
+// that rewrites bodies cannot pass a Go-to-Go stream through, so it takes the
+// stream offer off every request, and the follower's fetches all cross it
+// over HTTP.
 type tamperOnce struct {
 	next  http.Handler
 	mu    sync.Mutex
@@ -281,6 +286,7 @@ type tamperOnce struct {
 }
 
 func (tp *tamperOnce) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	r.Header.Del("Upgrade")
 	if !strings.HasSuffix(r.URL.Path, "/log") {
 		tp.next.ServeHTTP(w, r)
 		return
@@ -590,4 +596,52 @@ func TestFollowerFollowChurn(t *testing.T) {
 		writeBatches(t, leader, id, 2, 3)
 		waitSameRoots(t, id, leader, fg)
 	}
+}
+
+// streamsOpen scrapes the gateway at url for grub_streams_open.
+func streamsOpen(t *testing.T, url string) float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range fams {
+		if fam.Name == "grub_streams_open" && len(fam.Samples) == 1 {
+			return fam.Samples[0].Value
+		}
+	}
+	t.Fatal("no grub_streams_open on /metrics")
+	return 0
+}
+
+// TestFollowerCloseEndsStreams: a tailing follower fetches over streams to
+// its leader, and Close ends them: the leader's grub_streams_open returns
+// to 0.
+func TestFollowerCloseEndsStreams(t *testing.T) {
+	leader, url := startGateway(t, server.GatewayOptions{})
+	if err := leader.CreateFeed(server.FeedConfig{ID: "s", Shards: 2, EpochOps: 2}); err != nil {
+		t.Fatal(err)
+	}
+	writeBatches(t, leader, "s", 8, 0)
+	fg, _ := startGateway(t, server.GatewayOptions{})
+	f := repl.NewFollower(fastOpts(url), fg.ReplTarget())
+	f.Start()
+	defer f.Close()
+	if err := f.WaitConverged(waitTimeout); err != nil {
+		t.Fatal(err)
+	}
+	if n := streamsOpen(t, url); n < 1 {
+		t.Fatalf("%v streams open to the leader of a tailing follower, want >= 1", n)
+	}
+	f.Close()
+	waitFor(t, "the follower's streams to close", func() bool { return streamsOpen(t, url) == 0 })
 }

@@ -21,7 +21,8 @@
 //
 // The log route answers in the binary log encoding (LogMediaType,
 // AppendLogPage, DecodeLogPage) and only in it; the other two, and every
-// error answer, speak JSON.
+// error answer, speak JSON. Client fetches each as one frame on a Go-to-Go
+// stream to the leader (package stream), or over HTTP when it takes none.
 //
 // A Follower drives those endpoints against one leader URL and replicates
 // into a Target (implemented by server.Gateway): bootstrap from the newest

@@ -174,6 +174,58 @@ func TestLogPageDecodeAllocations(t *testing.T) {
 	}
 }
 
+// TestLogFetchAllocations pins what one 16-entry log page costs over a
+// Go-to-Go stream beyond decoding it (TestLogPageDecodeAllocations): the
+// client's exchange and the gateway's route, encoding and answer frame
+// together. It is 38; a net/http round trip per page cost 90.
+func TestLogFetchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	const entries, bound = 16, 41
+	g, err := server.NewGatewayWithOptions(server.GatewayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if err := g.CreateFeed(server.FeedConfig{ID: "f", EpochOps: 8}); err != nil {
+		t.Fatal(err)
+	}
+	d := ycsb.NewDriver(ycsb.WorkloadA, 1000, 32, 1)
+	for range entries {
+		if _, err := g.Do("f", core.FromWorkload(d.Generate(16))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(server.NewHandler(g))
+	defer srv.Close()
+	c := &repl.Client{Base: srv.URL, HTTP: &http.Client{Transport: &http.Transport{}}}
+	defer c.Close()
+	var page *repl.LogPage
+	fetch := func() {
+		if page, err = c.Log("f", 0, 0, entries); err != nil || len(page.Entries) != entries {
+			t.Fatalf("log page: %d entries, %v", len(page.Entries), err)
+		}
+	}
+	for range 20 { // warm the pools and the stream
+		fetch()
+	}
+	decode := 2
+	for _, e := range page.Entries {
+		decode += 1 + len(e.Ops)
+		for _, op := range e.Ops {
+			if len(op.Value) > 0 {
+				decode++
+			}
+		}
+	}
+	got := testing.AllocsPerRun(100, fetch) - float64(decode)
+	t.Logf("%.1f allocations per %d-entry page beyond its %d to decode", got, entries, decode)
+	if got > bound {
+		t.Errorf("%.1f allocations per %d-entry page beyond decoding, want at most %d", got, entries, bound)
+	}
+}
+
 // FuzzLogPageDecode: arbitrary bytes decoded as a log page never panic,
 // never allocate past pageAllocLimit, and whatever decodes re-encodes to the
 // bytes it came from.

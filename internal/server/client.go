@@ -1,24 +1,18 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
-	"cmp"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/url"
-	"sync"
 	"time"
 
 	"grub/internal/core"
 	"grub/internal/query"
 	"grub/internal/shard"
+	"grub/internal/stream"
 )
 
 // Retry bounds the client's automatic retry of transient failures:
@@ -49,10 +43,8 @@ var DefaultRetry = Retry{Attempts: 4, Base: 25 * time.Millisecond, Max: 400 * ti
 // else in JSON. The zero HTTP client is usable; BaseURL is required
 // ("http://host:port", no trailing slash).
 //
-// Every request but Health goes over a Go-to-Go stream (docs/API.md) when
-// the gateway takes one: a caller with no idle stream to a gateway offers the
-// upgrade on its request, and keeps the stream for the next caller. HTTP's
-// Transport sends that request; HTTP's Timeout bounds every exchange.
+// Every request goes over a Go-to-Go stream (docs/API.md) when the gateway
+// takes one (stream.Pool.Send, which HTTP configures).
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
@@ -60,20 +52,12 @@ type Client struct {
 	// attempt, no retry).
 	Retry Retry
 
-	mu   sync.Mutex
-	idle map[string][]*stream // by base URL
+	streams stream.Pool
 }
 
 // NewClient returns a client for a gateway at baseURL.
 func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: baseURL, HTTP: http.DefaultClient}
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
 }
 
 // call performs one JSON round-trip; out may be nil. Retry and leader
@@ -87,81 +71,34 @@ func (c *Client) call(method, path string, in, out any) error {
 		}
 		payload = b
 	}
-	resp, err := c.do(method, path, payload, "application/json", "")
+	a, err := c.do(method, path, payload, "application/json", "")
 	if err != nil {
 		return err
 	}
-	defer drainClose(resp.Body)
+	defer a.Close()
 	if out == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// drainClose reads a response body to EOF before closing it. A body closed
-// short of EOF — json.Decoder stops at the end of the value, ahead of a
-// chunked body's terminating chunk — makes net/http discard the keep-alive
-// connection, and the next request dials again.
-func drainClose(body io.ReadCloser) {
-	io.Copy(io.Discard, body)
-	body.Close()
-}
-
-// pooled performs one round trip whose answer must be in mediaType, the
-// type payload (when non-nil) is sent in too, and returns the whole answer
-// in a pooled buffer (the caller putBufs it). An answer in any other type is
-// an error that names both.
-func (c *Client) pooled(method, path string, payload []byte, mediaType string) (*[]byte, error) {
-	resp, err := c.do(method, path, payload, mediaType, mediaType)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if ct := resp.Header.Get("Content-Type"); ct != mediaType {
-		return nil, fmt.Errorf("client: %s %s: answer is %q, want %q", method, path, ct, mediaType)
-	}
-	body, err := readPooled(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("client: %s %s: read body: %w", method, path, err)
-	}
-	return body, nil
+	return json.Unmarshal(a.Body, out)
 }
 
 // do sends one request with bounded retry per c.Retry and returns the 2xx
-// response, body unread; every other outcome is an error. payload, when
-// non-nil, is the body, in contentType; accept, when non-empty, the Accept
-// header. A 421 (cluster node disclaiming ownership) carrying a Leader
+// answer; every other outcome is an error. payload, when non-nil, is the
+// body, in contentType; accept, when non-empty, the Accept header and the
+// one type the answer may be in (an answer in another is an error that
+// names both). A 421 (cluster node disclaiming ownership) carrying a Leader
 // header is transparently retried once against the named owner, so a client
 // pointed at any node still lands its writes; transport errors and 502/503
-// responses back off and retry when c.Retry allows. A send goes over an idle
-// stream to its base when there is one, else over HTTP offering one; a
-// request the stream did not serve (GOAWAY, failed write, or a GET whose
-// connection failed before any answer came) goes again at once on a fresh
-// connection, without spending an attempt.
-func (c *Client) do(method, path string, payload []byte, contentType, accept string) (*http.Response, error) {
+// responses back off and retry when c.Retry allows. A request the stream did
+// not serve goes again at once on a fresh connection, without spending an
+// attempt (stream.Pool.Send).
+func (c *Client) do(method, path string, payload []byte, contentType, accept string) (stream.Answer, error) {
 	pairs := []string{"Accept", accept, "Content-Type", contentType}
 	if payload == nil {
 		pairs = pairs[:2]
 	}
 	if accept == "" {
 		pairs = pairs[2:]
-	}
-	send := func(base string) (*http.Response, error) {
-		if s := c.takeStream(base); s != nil {
-			buf := bufPool.Get().(*[]byte)
-			*buf = appendRequest(append(*buf, 0, 0, 0, 0), method, path, payload, pairs...)
-			resp, err := s.exchange(*buf, method == http.MethodGet)
-			putBuf(buf)
-			if err == nil {
-				c.putStream(base, s)
-				return resp, nil
-			}
-			s.rwc.Close()
-			if !errors.Is(err, errNotServed) {
-				return nil, err
-			}
-		}
-		return c.upgrade(base, method, path, payload, pairs)
 	}
 	attempts := c.Retry.Attempts
 	if attempts < 1 {
@@ -185,169 +122,35 @@ func (c *Client) do(method, path string, payload []byte, contentType, accept str
 			// Full jitter: sleep a uniformly random slice of the delay.
 			time.Sleep(time.Duration(rand.Int64N(int64(d) + 1)))
 		}
-		resp, err := send(c.BaseURL)
-		if err == nil && resp.StatusCode == http.StatusMisdirectedRequest {
+		a, err := c.streams.Send(c.HTTP, c.BaseURL, method, path, payload, pairs...)
+		if err == nil && a.Status == http.StatusMisdirectedRequest {
 			// One hop only: if the named "leader" disagrees too, its own
 			// rejection comes back to the caller rather than chasing a
 			// redirect chain.
-			if leader := resp.Header.Get("Leader"); leader != "" && leader != c.BaseURL {
-				drainClose(resp.Body)
-				resp, err = send(leader)
+			if leader := a.Header.Get("Leader"); leader != "" && leader != c.BaseURL {
+				a.Close()
+				a, err = c.streams.Send(c.HTTP, leader, method, path, payload, pairs...)
 			}
 		}
 		if err != nil {
 			lastErr = err // transport error: transient, retry
 			continue
 		}
-		if resp.StatusCode < 300 {
-			return resp, nil
+		if a.Status < 300 {
+			if ct := a.Header.Get("Content-Type"); accept != "" && ct != accept {
+				a.Close()
+				return stream.Answer{}, fmt.Errorf("client: %s %s: answer is %q, want %q", method, path, ct, accept)
+			}
+			return a, nil
 		}
-		var e errorBody
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			err = fmt.Errorf("client: %s %s: %s", method, path, e.Error)
-		} else {
-			err = fmt.Errorf("client: %s %s: HTTP %d", method, path, resp.StatusCode)
-		}
-		drainClose(resp.Body)
-		if resp.StatusCode != http.StatusBadGateway && resp.StatusCode != http.StatusServiceUnavailable {
-			return nil, err
+		err = fmt.Errorf("client: %s %s: %s", method, path, a.ErrorText())
+		a.Close()
+		if a.Status != http.StatusBadGateway && a.Status != http.StatusServiceUnavailable {
+			return stream.Answer{}, err
 		}
 		lastErr = err
 	}
-	return nil, lastErr
-}
-
-// upgrade sends a request over HTTP with the stream offered. The Transport's
-// RoundTrip sends it: http.Client.Do, with Timeout set, would hand a 101 over
-// with a read-only body and a timer that later closes the connection. The
-// request's context bounds the exchange instead, which is why any answer but
-// a 101 is read whole before upgrade returns it. A 101 and the answer frame
-// behind it open a stream for the pool.
-func (c *Client) upgrade(base, method, path string, payload []byte, pairs []string) (*http.Response, error) {
-	var body io.Reader
-	if payload != nil {
-		body = bytes.NewReader(payload)
-	}
-	hc, ctx := c.httpClient(), context.Background()
-	if hc.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, hc.Timeout)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, method, base+path, body)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < len(pairs); i += 2 {
-		req.Header.Set(pairs[i], pairs[i+1])
-	}
-	req.Header.Set("Connection", "Upgrade")
-	req.Header.Set("Upgrade", streamProto)
-	resp, err := cmp.Or[http.RoundTripper](hc.Transport, http.DefaultTransport).RoundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusSwitchingProtocols {
-		b, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		resp.Body = io.NopCloser(bytes.NewReader(b))
-		return resp, err
-	}
-	rwc, ok := resp.Body.(io.ReadWriteCloser)
-	if !ok || resp.Header.Get("Upgrade") != streamProto {
-		resp.Body.Close()
-		return nil, fmt.Errorf("client: %s %s: 101 to Upgrade %q is not a writable %s stream", method, path, resp.Header.Get("Upgrade"), streamProto)
-	}
-	s := &stream{rwc: rwc, br: bufio.NewReader(rwc), timeout: hc.Timeout}
-	if s.timeout > 0 {
-		s.timer = time.AfterFunc(s.timeout, func() { rwc.Close() })
-	}
-	if resp, err = s.exchange(nil, false); err != nil {
-		rwc.Close()
-		return nil, err
-	}
-	c.putStream(base, s)
-	return resp, nil
-}
-
-// stream is the client end of one Go-to-Go stream, owned by one caller at a
-// time.
-type stream struct {
-	rwc     io.ReadWriteCloser
-	br      *bufio.Reader
-	timeout time.Duration
-	timer   *time.Timer // closes rwc when an exchange outlives timeout
-}
-
-// exchange writes frame (nil for the upgrading request, whose answer is on its
-// way) and reads the answer, whose body holds a pooled buffer of its own. An
-// error wrapping errNotServed means the gateway cannot have served the frame,
-// or, when the request is idempotent, that the connection failed before any
-// of its answer came.
-func (s *stream) exchange(frame []byte, idempotent bool) (*http.Response, error) {
-	if s.timer != nil {
-		s.timer.Reset(s.timeout)
-	}
-	var err error
-	if frame != nil {
-		_, err = s.rwc.Write(frame)
-	}
-	unanswered := err != nil
-	if err == nil {
-		_, err = s.br.Peek(1)
-		unanswered = err != nil && idempotent
-	}
-	var buf *[]byte
-	if err == nil {
-		buf, err = readFrame(s.br, math.MaxInt64)
-	}
-	switch {
-	case s.timer != nil && !s.timer.Stop() && err != nil:
-		return nil, fmt.Errorf("client: stream: no answer within %v: %v", s.timeout, err)
-	case unanswered:
-		return nil, fmt.Errorf("%w: %v", errNotServed, err)
-	case err != nil:
-		return nil, err
-	case len(*buf) == 0:
-		putBuf(buf)
-		return nil, errNotServed // GOAWAY
-	}
-	status, h, body, err := decodeAnswer(*buf)
-	if err != nil {
-		putBuf(buf)
-		return nil, err
-	}
-	return &http.Response{StatusCode: status, Header: h, ContentLength: int64(len(body)), Body: newFrameBody(body, buf)}, nil
-}
-
-func (c *Client) takeStream(base string) *stream {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ss := c.idle[base]
-	if len(ss) == 0 {
-		return nil
-	}
-	c.idle[base] = ss[:len(ss)-1]
-	return ss[len(ss)-1]
-}
-
-// putStream pools s for the next caller, up to the Transport's idle
-// connections per host.
-func (c *Client) putStream(base string, s *stream) {
-	limit := http.DefaultMaxIdleConnsPerHost
-	if t, ok := c.httpClient().Transport.(*http.Transport); ok && t.MaxIdleConnsPerHost > 0 {
-		limit = t.MaxIdleConnsPerHost
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.idle[base]) >= limit {
-		s.rwc.Close()
-		return
-	}
-	if c.idle == nil {
-		c.idle = make(map[string][]*stream)
-	}
-	c.idle[base] = append(c.idle[base], s)
+	return stream.Answer{}, lastErr
 }
 
 // CreateFeed creates a feed on the gateway.
@@ -370,18 +173,18 @@ func (c *Client) Feeds() ([]string, error) {
 // binary ops encoding (docs/API.md, "Binary ops encoding").
 func (c *Client) Do(id string, ops []Op) ([]OpResult, error) {
 	path := query.FeedPath(id, "/ops")
-	buf := bufPool.Get().(*[]byte)
+	buf := stream.GetBuf()
 	*buf = core.AppendOps(*buf, ops)
 	// The transport may still read a request body after the response is
 	// in, so the body is a copy the pool never sees again.
 	payload := bytes.Clone(*buf)
-	putBuf(buf)
-	body, err := c.pooled(http.MethodPost, path, payload, OpsMediaType)
+	stream.PutBuf(buf)
+	a, err := c.do(http.MethodPost, path, payload, OpsMediaType, OpsMediaType)
 	if err != nil {
 		return nil, err
 	}
-	defer putBuf(body)
-	results, err := decodeResults(*body, ops)
+	defer a.Close()
+	results, err := decodeResults(a.Body, ops)
 	if err != nil {
 		return nil, fmt.Errorf("client: POST %s: %w", path, err)
 	}
@@ -424,24 +227,24 @@ func (c *Client) Snapshot(id string) (shard.PersistStats, error) {
 // read encoding. The proof is NOT checked here — use VerifyingClient for
 // reads that must not trust the gateway, or query.VerifyGet directly.
 func (c *Client) Get(id, key string) (*query.GetResult, error) {
-	body, err := c.pooled(http.MethodGet, query.FeedPath(id, "/get?key=")+url.QueryEscape(key), nil, ReadMediaType)
+	a, err := c.do(http.MethodGet, query.FeedPath(id, "/get?key=")+url.QueryEscape(key), nil, "", ReadMediaType)
 	if err != nil {
 		return nil, err
 	}
-	defer putBuf(body)
-	return query.DecodeGetResult(*body)
+	defer a.Close()
+	return query.DecodeGetResult(a.Body)
 }
 
 // Range performs an authenticated key-range scan: one completeness-proven
 // slice of NR records per shard, fetched in the binary read encoding.
 // Proofs are not checked here (see VerifyingClient).
 func (c *Client) Range(id, lo, hi string) ([]query.RangeResult, error) {
-	body, err := c.pooled(http.MethodGet, query.FeedPath(id, "/range?lo=")+url.QueryEscape(lo)+"&hi="+url.QueryEscape(hi), nil, ReadMediaType)
+	a, err := c.do(http.MethodGet, query.FeedPath(id, "/range?lo=")+url.QueryEscape(lo)+"&hi="+url.QueryEscape(hi), nil, "", ReadMediaType)
 	if err != nil {
 		return nil, err
 	}
-	defer putBuf(body)
-	return query.DecodeRangeResults(*body)
+	defer a.Close()
+	return query.DecodeRangeResults(a.Body)
 }
 
 // Roots fetches the feed's per-shard trust anchors (root, record count,
@@ -460,16 +263,16 @@ func (c *Client) Roots(id string) ([]query.RootInfo, error) {
 // caller distinguishes "unreachable" (error) from "up but degraded"
 // (OK=false).
 func (c *Client) Health() (HealthResponse, error) {
-	resp, err := c.httpClient().Get(c.BaseURL + "/healthz")
+	a, err := c.streams.Send(c.HTTP, c.BaseURL, http.MethodGet, "/healthz", nil)
 	if err != nil {
 		return HealthResponse{}, err
 	}
-	defer drainClose(resp.Body)
+	defer a.Close()
 	var out HealthResponse
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		return HealthResponse{}, fmt.Errorf("client: GET /healthz: HTTP %d", resp.StatusCode)
+	if a.Status != http.StatusOK && a.Status != http.StatusServiceUnavailable {
+		return HealthResponse{}, fmt.Errorf("client: GET /healthz: HTTP %d", a.Status)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(a.Body, &out); err != nil {
 		return HealthResponse{}, fmt.Errorf("client: decode /healthz: %w", err)
 	}
 	return out, nil

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -47,38 +45,36 @@ func (l clusterLocal) CloseFeed(feed string) error { return l.g.CloseFeed(feed) 
 // so their fetch/verify latencies land in this node's /metrics.
 func (l clusterLocal) Pipeline() *obs.Pipeline { return l.g.Pipeline() }
 
-// forwardToOwner proxies a write-path request to the feed's owner, stamping
-// the sender's placement epoch and the hop marker (so a second routing
-// disagreement surfaces as 421 + Leader, never a proxy loop), and relays
-// the owner's response verbatim. The request's Content-Type and Accept go
-// along, so a batch crosses the hop in the form the client chose and its
-// answer comes back in the form the client asked for. body is the request body to resend (the
-// original may already be consumed). It returns the owner's status code
-// (0 when the owner was unreachable).
+// forwardToOwner proxies a write-path request to the feed's owner over the
+// node's streams (peers), stamping the sender's placement epoch and the hop
+// marker (so a second routing disagreement surfaces as 421 + Leader, never
+// a proxy loop), and relays the owner's response verbatim. The request's
+// Content-Type and Accept go along, so a batch crosses the hop in the form
+// the client chose and its answer comes back in the form the client asked
+// for. body is the request body to resend (the original may already be
+// consumed). It returns the owner's status code (0 when the owner was
+// unreachable). The hop is bounded by the node's cluster.Options.HTTP
+// Timeout, not by r's context: a client that goes away does not cut a batch
+// the owner may be applying.
 //
 // When tr is non-nil the hop is stitched into the trace: the owner
 // receives this trace's ID and a parent-span reference ("node:forward"),
 // and the per-stage spans it returns in X-Grub-Spans merge back into tr,
 // shifted onto this node's timeline — one trace ID, both nodes' spans.
-func forwardToOwner(w http.ResponseWriter, r *http.Request, body []byte, owner string, epoch uint64, httpc *http.Client, tr *obs.Trace) int {
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, owner+r.URL.RequestURI(), bytes.NewReader(body))
-	if err != nil {
-		writeJSON(w, http.StatusBadGateway, errorBody{Error: fmt.Sprintf("cluster: build forward request: %v", err), Leader: owner})
-		return 0
-	}
-	for _, h := range []string{"Content-Type", "Accept", obs.TraceHeader} {
+func forwardToOwner(w http.ResponseWriter, r *http.Request, body []byte, owner string, epoch uint64, peers *cluster.Client, tr *obs.Trace) int {
+	pairs := []string{cluster.EpochHeader, strconv.FormatUint(epoch, 10), cluster.ForwardedHeader, "1"}
+	for _, h := range []string{"Content-Type", "Accept"} {
 		if v := r.Header.Get(h); v != "" {
-			req.Header.Set(h, v)
+			pairs = append(pairs, h, v)
 		}
 	}
 	if tr != nil {
-		req.Header.Set(obs.TraceHeader, tr.ID())
-		req.Header.Set(obs.ParentSpanHeader, tr.Node()+":"+obs.StageForward)
+		pairs = append(pairs, obs.TraceHeader, tr.ID(), obs.ParentSpanHeader, tr.Node()+":"+obs.StageForward)
+	} else if v := r.Header.Get(obs.TraceHeader); v != "" {
+		pairs = append(pairs, obs.TraceHeader, v)
 	}
-	req.Header.Set(cluster.EpochHeader, strconv.FormatUint(epoch, 10))
-	req.Header.Set(cluster.ForwardedHeader, "1")
 	hopStart := time.Now()
-	resp, err := httpc.Do(req)
+	a, err := peers.Send(owner, r.Method, r.URL.RequestURI(), body, pairs...)
 	if err != nil {
 		// The owner may have just died; the client retries (bounded
 		// backoff) and by then failover has usually re-homed the feed.
@@ -87,18 +83,18 @@ func forwardToOwner(w http.ResponseWriter, r *http.Request, body []byte, owner s
 		writeJSON(w, http.StatusBadGateway, errorBody{Error: fmt.Sprintf("cluster: forward to owner %s failed: %v", owner, err), Leader: owner})
 		return 0
 	}
-	defer resp.Body.Close()
+	defer a.Close()
 	if tr != nil {
-		if spans, err := obs.DecodeSpans(resp.Header.Get(obs.SpanHeader)); err == nil {
+		if spans, err := obs.DecodeSpans(a.Header.Get(obs.SpanHeader)); err == nil {
 			tr.AddRemoteSpans(spans, hopStart.Sub(tr.Start()))
 		}
 	}
 	for _, h := range []string{"Content-Type", "Leader", "Retry-After", obs.TraceHeader} {
-		if v := resp.Header.Get(h); v != "" {
+		if v := a.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-	return resp.StatusCode
+	w.WriteHeader(a.Status)
+	w.Write(a.Body)
+	return a.Status
 }

@@ -1,9 +1,13 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,15 +16,54 @@ import (
 	"grub/internal/repl"
 )
 
-// listCounter is an http.RoundTripper that counts the GET /repl/feeds
-// requests (replication feed discovery) passing through it.
-type listCounter struct{ lists atomic.Int64 }
+// listCounter counts the GET /repl/feeds requests (replication feed
+// discovery) one node sends. Its Transport records every connection the node
+// dials, by both ends' addresses; the peers' routes, wrapped behind their
+// stream handlers, count the requests that arrive on one of those
+// connections while it is open, so a stream frame counts the same as an HTTP
+// request.
+type listCounter struct {
+	lists atomic.Int64
+	conns sync.Map // "local remote" of each open connection the node dialed
+}
 
-func (c *listCounter) RoundTrip(r *http.Request) (*http.Response, error) {
-	if r.Method == http.MethodGet && r.URL.Path == "/repl/feeds" {
-		c.lists.Add(1)
+func (c *listCounter) transport() *http.Transport {
+	var d net.Dialer
+	return &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		conn, err := d.DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		key := conn.LocalAddr().String() + " " + conn.RemoteAddr().String()
+		c.conns.Store(key, true)
+		return dialedConn{conn, func() { c.conns.Delete(key) }}, nil
+	}}
+}
+
+// dialedConn calls forget when it closes.
+type dialedConn struct {
+	net.Conn
+	forget func()
+}
+
+func (c dialedConn) Close() error {
+	c.forget()
+	return c.Conn.Close()
+}
+
+func (c *listCounter) wrap(i int, next http.Handler) http.Handler {
+	if i == 0 {
+		return next
 	}
-	return http.DefaultTransport.RoundTrip(r)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		local, _ := r.Context().Value(http.LocalAddrContextKey).(net.Addr)
+		if local != nil && r.Method == http.MethodGet && r.URL.Path == "/repl/feeds" {
+			if _, ok := c.conns.Load(r.RemoteAddr + " " + local.String()); ok {
+				c.lists.Add(1)
+			}
+		}
+		next.ServeHTTP(w, r)
+	})
 }
 
 // TestClusterTailListTraffic pins the cost of tailing non-owned feeds: a
@@ -35,11 +78,11 @@ func TestClusterTailListTraffic(t *testing.T) {
 	)
 	for _, feeds := range []int{4, 32} {
 		counter := &listCounter{}
-		nodes := startTestClusterOpts(t, peers+1, func(i int, o *cluster.Options) {
+		nodes := startTestClusterVia(t, peers+1, func(i int, o *cluster.Options) {
 			if i == 0 {
-				o.HTTP = &http.Client{Transport: counter, Timeout: 5 * time.Second}
+				o.HTTP = &http.Client{Transport: counter.transport(), Timeout: 5 * time.Second}
 			}
-		}, nil)
+		}, nil, counter.wrap)
 		c := NewClient(nodes[0].url)
 		c.Retry = Retry{Attempts: 8, Base: 10 * time.Millisecond, Max: 200 * time.Millisecond}
 		for f := 0; f < feeds; f++ {
@@ -65,12 +108,15 @@ func TestClusterTailListTraffic(t *testing.T) {
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
-		before := counter.lists.Load()
+		before, start := counter.lists.Load(), time.Now()
 		time.Sleep(refreshes * refresh)
-		lists := counter.lists.Load() - before
-		t.Logf("F=%d: node 0 issued %d GET /repl/feeds over %d refreshes (bound %d)", feeds, lists, refreshes, peers*(refreshes+1))
+		lists, window := counter.lists.Load()-before, time.Since(start)
+		t.Logf("F=%d: node 0 issued %d GET /repl/feeds in %v (bound %d)", feeds, lists, window, peers*(refreshes+1))
+		if lists < peers {
+			t.Errorf("F=%d: %d feed-list requests in %v, want >= %d (one discovery per peer): the counter misses them", feeds, lists, window, peers)
+		}
 		if lists > peers*(refreshes+1) {
-			t.Errorf("F=%d: %d feed-list requests over %d refreshes, want <= %d", feeds, lists, refreshes, peers*(refreshes+1))
+			t.Errorf("F=%d: %d feed-list requests over %d refreshes (window %v), want <= %d", feeds, lists, refreshes, window, peers*(refreshes+1))
 		}
 		for _, tn := range nodes {
 			tn.kill()
@@ -207,5 +253,114 @@ func TestClusterHaltResetOncePerEpoch(t *testing.T) {
 	waitResets(2)
 	if code, hr := health(); code != http.StatusOK {
 		t.Fatalf("/healthz after re-base = %d %+v", code, hr)
+	}
+}
+
+// TestClusterHopsRideStreams: 200 batches sent to a node that does not own
+// their feed cross the forward hop as stream frames, over connections the
+// node dials at most MaxIdleConnsPerHost times per peer, while the third
+// node tails the feed; each batch applies exactly once and every replica
+// converges to the owner's anchors.
+func TestClusterHopsRideStreams(t *testing.T) {
+	const (
+		idle    = 4
+		batches = 200
+	)
+	var dialsMu sync.Mutex
+	dials := map[string]int{}
+	var d net.Dialer
+	counting := &http.Client{Timeout: 5 * time.Second, Transport: &http.Transport{
+		MaxIdleConnsPerHost: idle,
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			dialsMu.Lock()
+			dials[addr]++
+			dialsMu.Unlock()
+			return d.DialContext(ctx, network, addr)
+		},
+	}}
+	const feed = "hops"
+	var nodes []*testClusterNode
+	for {
+		// The dial-counting node must not be the feed's owner: start
+		// clusters until the ring places the feed elsewhere.
+		nodes = startTestClusterOpts(t, 3, func(i int, o *cluster.Options) {
+			if i == 0 {
+				o.HTTP = counting
+			}
+		}, nil)
+		if nodes[0].node.PlaceFeed(feed) != nodes[0].url {
+			break
+		}
+		for _, tn := range nodes {
+			tn.kill()
+		}
+	}
+	c := NewClient(nodes[0].url)
+	c.Retry = Retry{Attempts: 8, Base: 10 * time.Millisecond, Max: 200 * time.Millisecond}
+	if err := c.CreateFeed(FeedConfig{ID: feed, Shards: 1, EpochOps: 4}); err != nil {
+		t.Fatal(err)
+	}
+	oi := ownerIndex(t, nodes, feed, 5*time.Second)
+	if oi == 0 {
+		t.Fatal("the dial-counting node owns the feed")
+	}
+	owner := nodes[oi]
+	frames := owner.g.streams.frames.Value()
+	for i := range batches {
+		if _, err := c.Do(feed, writeBatch(fmt.Sprintf("k%03d", i))); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	if got := owner.g.streams.frames.Value() - frames; got < batches {
+		t.Errorf("owner answered %v frames during %d forwarded batches, want >= %d", got, batches, batches)
+	}
+	if st, err := owner.g.Stats(feed); err != nil || st.Batches != batches || st.Ops != batches {
+		t.Errorf("owner applied %d batches of %d ops (%v), want %d of 1 each", st.Batches, st.Ops, err, batches)
+	}
+	waitAnchorsEqual(t, nodes, feed, 10*time.Second)
+	dialsMu.Lock()
+	defer dialsMu.Unlock()
+	for _, tn := range nodes[1:] {
+		if n := dials[strings.TrimPrefix(tn.url, "http://")]; n < 1 || n > idle {
+			t.Errorf("node 0 dialed %s %d times, want 1..%d", tn.url, n, idle)
+		}
+	}
+}
+
+// TestClusterForwardAfterSilentDisconnect: when the owner's end of the idle
+// streams a non-owner forwards over closes without GOAWAY (a crash, a
+// dropped connection), a forwarded batch that meets the dead stream is never
+// resent: a zero-Retry client gets the 502 and the batch is not applied (a
+// heartbeat that met the dead stream first lets the batch through), while a
+// client with a Retry budget lands it exactly once.
+func TestClusterForwardAfterSilentDisconnect(t *testing.T) {
+	const feed = "cut"
+	nodes := startTestCluster(t, 2)
+	retrying := NewClient(nodes[0].url)
+	retrying.Retry = Retry{Attempts: 8, Base: 10 * time.Millisecond, Max: 200 * time.Millisecond}
+	if err := retrying.CreateFeed(FeedConfig{ID: feed, Shards: 1, EpochOps: 1}); err != nil {
+		t.Fatal(err)
+	}
+	oi := ownerIndex(t, nodes, feed, 5*time.Second)
+	owner, entry := nodes[oi], nodes[1-oi].url
+	retrying.BaseURL = entry
+	landed := 0
+	for i := range 4 {
+		c := NewClient(entry)
+		if i%2 == 1 {
+			c = retrying
+		}
+		_, err := c.Do(feed, writeBatch(fmt.Sprintf("k%d", i)))
+		switch {
+		case err == nil:
+			landed++
+		case c == retrying || !strings.Contains(err.Error(), "forward to owner"):
+			t.Fatalf("batch %d (retrying %v): %v", i, c == retrying, err)
+		}
+		cutStreams(t, owner.g)
+	}
+	t.Logf("%d of 4 batches landed", landed)
+	if st, err := owner.g.Stats(feed); err != nil || int(st.Batches) != landed {
+		t.Errorf("owner applied %d batches (%v), want %d: each landed batch once, no other", st.Batches, err, landed)
 	}
 }

@@ -65,7 +65,7 @@ func clusterMetricsHandler(g *Gateway, node *cluster.Node, slow *slowLogger) htt
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				fams, err := scrapePeer(r.Context(), node.HTTPClient(), peer)
+				fams, err := scrapePeer(r.Context(), node.Client().HTTP, peer)
 				scrapes[i] = memberScrape{member: peer, fams: fams, ok: err == nil}
 			}(i, m.URL)
 		}

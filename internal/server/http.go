@@ -281,7 +281,7 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 			w.Header().Set(obs.TraceHeader, tr.ID())
 		}
 		start := time.Now()
-		forwardToOwner(w, r, body, owner, epoch, hc.Cluster.HTTPClient(), tr)
+		forwardToOwner(w, r, body, owner, epoch, hc.Cluster.Client(), tr)
 		dur := time.Since(start)
 		g.Pipeline().Feed(feed).GetForward().Observe(dur.Seconds())
 		tr.AddSpan(obs.StageForward, -1, start, dur)
@@ -314,7 +314,7 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 			if traceOps {
 				forwardOps(w, r, feed, body, rt.Owner, rt.Epoch)
 			} else {
-				forwardToOwner(w, r, body, rt.Owner, rt.Epoch, hc.Cluster.HTTPClient(), nil)
+				forwardToOwner(w, r, body, rt.Owner, rt.Epoch, hc.Cluster.Client(), nil)
 			}
 			return true
 		case cluster.RouteFenced, cluster.RouteUnavailable:
@@ -350,7 +350,7 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 			case owner != hc.Cluster.Self():
 				body, _ := json.Marshal(cfg)
 				hc.Cluster.CountForward()
-				if status := forwardToOwner(w, r, body, owner, 0, hc.Cluster.HTTPClient(), nil); status == http.StatusCreated {
+				if status := forwardToOwner(w, r, body, owner, 0, hc.Cluster.Client(), nil); status == http.StatusCreated {
 					// Record the owner now so a write that follows the
 					// create immediately routes there instead of missing
 					// locally until the next heartbeat.
@@ -747,7 +747,7 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 			}
 			body, _ := json.Marshal(req)
 			hc.Cluster.CountForward()
-			forwardToOwner(w, r, body, e.Owner, e.Epoch, hc.Cluster.HTTPClient(), nil)
+			forwardToOwner(w, r, body, e.Owner, e.Epoch, hc.Cluster.Client(), nil)
 			return
 		}
 		res, err := hc.Cluster.Move(feed, req.Target)

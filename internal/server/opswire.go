@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"grub/internal/core"
+	"grub/internal/stream"
 	"grub/internal/wire"
 )
 
@@ -85,7 +86,7 @@ func decodeBatch(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]Op, 
 		ok := decodeBody(w, r, maxBytes, &req)
 		return req.Ops, ok
 	}
-	body, err := readPooled(http.MaxBytesReader(w, r.Body, maxBytes))
+	body, err := stream.ReadPooled(http.MaxBytesReader(w, r.Body, maxBytes))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -96,7 +97,7 @@ func decodeBatch(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]Op, 
 		}
 		return nil, false
 	}
-	defer putBuf(body)
+	defer stream.PutBuf(body)
 	ops, err := core.DecodeOps(*body)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decode: %v", err)})
@@ -129,8 +130,8 @@ func writeResults(w http.ResponseWriter, r *http.Request, results []OpResult) {
 		writeJSON(w, http.StatusOK, BatchResponse{Results: results})
 		return
 	}
-	buf := bufPool.Get().(*[]byte)
-	defer putBuf(buf)
+	buf := stream.GetBuf()
+	defer stream.PutBuf(buf)
 	*buf = appendResults(*buf, results)
 	writeBinary(w, OpsMediaType, *buf)
 }

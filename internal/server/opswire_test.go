@@ -501,13 +501,14 @@ func writeStack(tb testing.TB, n int) (*Client, [][]Op) {
 }
 
 // TestClientDoAllocations pins what one 16-op YCSB-A batch allocates, client
-// and gateway together, over loopback HTTP into a durable feed. Both sides
-// speaking JSON cost 325; the binary ops encoding brings it to 256.
+// and gateway together, over a loopback Go-to-Go stream into a durable feed:
+// 92. The binary ops encoding over a net/http round trip cost 256, and both
+// sides speaking JSON 325.
 func TestClientDoAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("preloads a 10k-record durable feed")
 	}
-	const bound = 290
+	const bound = 103
 	c, batches := writeStack(t, 400)
 	for _, b := range batches[:100] { // warm the pools, the connection, the encoding
 		if _, err := c.Do("f", b); err != nil {

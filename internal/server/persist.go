@@ -13,6 +13,7 @@ import (
 
 	"grub/internal/obs"
 	"grub/internal/shard"
+	"grub/internal/stream"
 )
 
 // Gateway persistence: a data directory holds one store per feed (each a
@@ -59,7 +60,7 @@ func NewGatewayWithOptions(opts GatewayOptions) (*Gateway, error) {
 	g := &Gateway{opts: opts, feeds: make(map[string]*feedEntry), start: time.Now()}
 	g.reg = obs.NewRegistry()
 	g.pipeline = obs.NewPipeline(g.reg)
-	g.streams.opened = g.reg.NewGauge("grub_streams_open", "Go-to-Go streams open (connections upgraded to "+streamProto+").")
+	g.streams.opened = g.reg.NewGauge("grub_streams_open", "Go-to-Go streams open (connections upgraded to "+stream.Proto+").")
 	g.streams.frames = g.reg.NewCounterVec("grub_stream_frames_total", "Requests answered over Go-to-Go streams, the upgrading request included.").With()
 	g.load = obs.NewLoadTracker()
 	if !g.persistent() {

@@ -1,14 +1,13 @@
 package server
 
 import (
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 
 	"grub/internal/obs"
 	"grub/internal/query"
+	"grub/internal/stream"
 )
 
 // ReadMediaType names the binary read encoding (docs/API.md, "Binary read
@@ -28,41 +27,6 @@ func (g *GetResponse) appendRead(b []byte) ([]byte, error) { return g.Result.App
 
 func (rr *RangeResponse) appendRead(b []byte) ([]byte, error) {
 	return query.AppendRangeResults(b, rr.Results)
-}
-
-// bufPool recycles the buffers binary bodies are encoded into and read into,
-// on both sides of the wire. A buffer that grew past maxPooledBuf is dropped
-// rather than pinned by the pool.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
-
-const maxPooledBuf = 1 << 20
-
-func putBuf(b *[]byte) {
-	if cap(*b) <= maxPooledBuf {
-		*b = (*b)[:0]
-		bufPool.Put(b)
-	}
-}
-
-// readPooled reads r to EOF into a pooled buffer, which the caller putBufs.
-func readPooled(r io.Reader) (*[]byte, error) {
-	buf := bufPool.Get().(*[]byte)
-	b := *buf
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := r.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err != nil {
-			*buf = b
-			if err != io.EOF {
-				putBuf(buf)
-				return nil, err
-			}
-			return buf, nil
-		}
-	}
 }
 
 // writeBinary answers 200 with body in mediaType and an exact Content-Length.
@@ -111,8 +75,8 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 func (rt *readRoute) write(w http.ResponseWriter, r *http.Request, resp readResponse) {
 	enc, n := encJSON, 0
 	if strings.Contains(r.Header.Get("Accept"), ReadMediaType) {
-		buf := bufPool.Get().(*[]byte)
-		defer putBuf(buf)
+		buf := stream.GetBuf()
+		defer stream.PutBuf(buf)
 		b, err := resp.appendRead(*buf)
 		if err != nil {
 			writeErr(w, err)

@@ -404,15 +404,16 @@ func decodeGetBinary(body []byte) error { _, err := query.DecodeGetResult(body);
 func decodeJSON[T any](body []byte) error { var out T; return json.Unmarshal(body, &out) }
 
 // TestVerifiedReadAllocations pins what one verified read allocates, client
-// and gateway together, over loopback HTTP on a 4-shard feed of 10k records:
-// a get of an absent key and a range of 8 keys. Their proofs are pruned
-// trees, built, sent, decoded and verified as one preorder buffer each: 91
-// and 126 allocations, where a graph of tree nodes cost 252 and 545.
+// and gateway together, over a loopback Go-to-Go stream on a 4-shard feed of
+// 10k records: a get of an absent key and a range of 8 keys. Their proofs
+// are pruned trees, built, sent, decoded and verified as one preorder buffer
+// each: 40 and 74 allocations. A net/http round trip per read cost 91 and
+// 126, and a graph of tree nodes 252 and 545.
 func TestVerifiedReadAllocations(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("preloads a 10k-record feed; allocation counts do not hold under the race detector")
 	}
-	const getBound, rangeBound = 100, 140
+	const getBound, rangeBound = 46, 83
 	_, srv := readFeed(t, 4, 10000, HandlerConfig{})
 	vc := NewVerifyingClient(srv.URL)
 	vc.HTTP = &http.Client{Transport: &http.Transport{}}

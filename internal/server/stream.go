@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"cmp"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -17,20 +16,8 @@ import (
 	"time"
 
 	"grub/internal/obs"
-	"grub/internal/wire"
+	"grub/internal/stream"
 )
-
-// streamProto is the Upgrade token of the Go-to-Go stream (docs/API.md): a
-// connection that carries one length-framed request at a time, each answered
-// in order by the routes that serve HTTP. A frame is a 4-byte big-endian
-// length and that many bytes:
-//
-//	request  string method, string request-URI, int n, n × (string key, string value), body
-//	answer   int status, int n, n × (string key, string value), body
-//
-// The body is the rest of the frame. An empty frame is GOAWAY: the gateway
-// served no request after its last answer and will serve none.
-const streamProto = "grub-stream/1"
 
 const (
 	// goawayLinger bounds how long a gateway ending a stream waits for the
@@ -41,116 +28,16 @@ const (
 	streamDrain = 10 * time.Second
 )
 
-var (
-	// errNotServed: the gateway did not serve the request (its write failed,
-	// GOAWAY came in place of an answer, or, for a GET, no answer byte came
-	// before the connection failed), so it may go again on a fresh connection.
-	errNotServed     = errors.New("server: stream: request not served")
-	errFrameTooLarge = errors.New("server: stream: frame too large")
-)
+// frameBody is a frame's body as a Request body.
+type frameBody struct{ bytes.Reader }
 
-// readFrame reads one frame's payload into a pooled buffer the caller putBufs.
-// The buffer grows as bytes arrive, never to the length the frame claims.
-func readFrame(br *bufio.Reader, limit int64) (*[]byte, error) {
-	var l [4]byte
-	if _, err := io.ReadFull(br, l[:]); err != nil {
-		return nil, err
-	}
-	n := int64(binary.BigEndian.Uint32(l[:]))
-	if n > limit {
-		return nil, errFrameTooLarge
-	}
-	buf, err := readPooled(&io.LimitedReader{R: br, N: n})
-	if err == nil && int64(len(*buf)) < n {
-		putBuf(buf)
-		return nil, io.ErrUnexpectedEOF
-	}
-	return buf, err
-}
-
-// appendRequest appends a request frame to b, whose first 4 bytes it writes
-// the length into; pairs alternate header keys and values.
-func appendRequest(b []byte, method, uri string, body []byte, pairs ...string) []byte {
-	b = wire.AppendInt(wire.AppendString(wire.AppendString(b, method), uri), len(pairs)/2)
-	for _, s := range pairs {
-		b = wire.AppendString(b, s)
-	}
-	b = append(b, body...)
-	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
-	return b
-}
-
-// appendAnswer appends an answer frame's status and header to b, whose first
-// 4 bytes it writes the length into, counting bodyLen bytes of body to come.
-func appendAnswer(b []byte, status int, h http.Header, bodyLen int) []byte {
-	n := 0
-	for _, vs := range h {
-		n += len(vs)
-	}
-	b = wire.AppendInt(wire.AppendInt(b, status), n)
-	for k, vs := range h {
-		for _, v := range vs {
-			b = wire.AppendString(wire.AppendString(b, k), v)
-		}
-	}
-	binary.BigEndian.PutUint32(b, uint32(len(b)-4+bodyLen))
-	return b
-}
-
-// readHeader decodes header pairs, their count checked against the bytes left
-// (a pair takes two at least) before anything is sized from it.
-func readHeader(r *wire.Reader) http.Header {
-	n := r.Int()
-	if n > r.Len()/2 {
-		r.Fail("%d header pairs in %d bytes", n, r.Len())
-		return nil
-	}
-	h := make(http.Header, n)
-	for range n {
-		k := r.OwnStr()
-		h.Add(k, r.OwnStr())
-	}
-	return h
-}
-
-// decodeRequest decodes a request frame's payload; body aliases p.
-func decodeRequest(p []byte) (method, uri string, h http.Header, body []byte, err error) {
-	r := wire.Borrow(p)
-	method, uri = r.OwnStr(), r.OwnStr()
-	h = readHeader(r)
-	return method, uri, h, r.Rest(), r.Err()
-}
-
-// decodeAnswer decodes an answer frame's payload; body aliases p.
-func decodeAnswer(p []byte) (status int, h http.Header, body []byte, err error) {
-	r := wire.Borrow(p)
-	if status = r.Int(); status < 100 || status > 999 {
-		r.Fail("status %d", status)
-	}
-	h = readHeader(r)
-	return status, h, r.Rest(), r.Err()
-}
-
-// frameBody is a frame's body as a Request or Response body. On the client it
-// holds the pooled buffer the body lies in, which Close gives back.
-type frameBody struct {
-	bytes.Reader
-	buf *[]byte
-}
-
-func newFrameBody(body []byte, buf *[]byte) *frameBody {
-	fb := &frameBody{buf: buf}
+func newFrameBody(body []byte) *frameBody {
+	fb := new(frameBody)
 	fb.Reset(body)
 	return fb
 }
 
-func (b *frameBody) Close() error {
-	if b.buf != nil {
-		putBuf(b.buf)
-		b.buf = nil
-	}
-	return nil
-}
+func (*frameBody) Close() error { return nil }
 
 // streamSet is a gateway's open streams. http.Server's Close and Shutdown
 // never see a hijacked connection, so the gateway's Close and Kill end them
@@ -220,7 +107,7 @@ type streamHandler struct {
 
 func (h *streamHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ss := &h.g.streams
-	if r.Header.Get("Upgrade") != streamProto || !ss.begin() {
+	if r.Header.Get("Upgrade") != stream.Proto || !ss.begin() {
 		h.next.ServeHTTP(w, r) // a draining gateway's http.Server drains this
 		return
 	}
@@ -247,15 +134,15 @@ func (h *streamHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s := &serverStream{conn: conn, br: brw.Reader, bw: brw.Writer, srv: cmp.Or(srv, &http.Server{}), fw: frameWriter{header: make(http.Header)}}
 	ss.track(s, true)
 	defer ss.track(s, false)
-	s.bw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + streamProto + "\r\n\r\n")
+	s.bw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + stream.Proto + "\r\n\r\n")
 	base := (&http.Request{Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Host: r.Host, RemoteAddr: r.RemoteAddr}).WithContext(ctx)
 	req := r.WithContext(ctx)
-	req.Body = newFrameBody(body, nil)
+	req.Body = newFrameBody(body)
 	var in *[]byte // the pooled frame req's body lies in
 	for {
 		werr := h.answer(s, req, err)
 		if in != nil {
-			putBuf(in)
+			stream.PutBuf(in)
 		}
 		if werr != nil || err != nil || !s.wait(ss) {
 			if werr == nil && err != nil { // the unread frame leaves no next frame to find
@@ -263,7 +150,7 @@ func (h *streamHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-		if in, err = readFrame(s.br, h.maxBody); err != nil && err != errFrameTooLarge || !ss.begin() {
+		if in, err = stream.ReadFrame(s.br, h.maxBody); err != nil && err != stream.ErrFrameTooLarge || !ss.begin() {
 			if ss.closing.Load() { // drain cut the read short, or the frame is not served
 				s.goaway()
 			}
@@ -280,8 +167,8 @@ func (h *streamHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (h *streamHandler) answer(s *serverStream, req *http.Request, err error) error {
 	defer h.g.streams.serving.Done()
 	fw := &s.fw
-	fw.status, fw.body = 0, bufPool.Get().(*[]byte)
-	defer putBuf(fw.body)
+	fw.status, fw.body = 0, stream.GetBuf()
+	defer stream.PutBuf(fw.body)
 	clear(fw.header)
 	switch {
 	case err != nil:
@@ -292,9 +179,9 @@ func (h *streamHandler) answer(s *serverStream, req *http.Request, err error) er
 		h.next.ServeHTTP(fw, req)
 	}
 	h.g.streams.frames.Inc() // before the answer is out, so a client holding it sees the count
-	head := bufPool.Get().(*[]byte)
-	defer putBuf(head)
-	*head = appendAnswer(append(*head, 0, 0, 0, 0), cmp.Or(fw.status, http.StatusOK), fw.header, len(*fw.body))
+	head := stream.GetBuf()
+	defer stream.PutBuf(head)
+	*head = stream.AppendAnswer(*head, cmp.Or(fw.status, http.StatusOK), fw.header, len(*fw.body))
 	s.conn.SetWriteDeadline(after(s.srv.WriteTimeout))
 	s.bw.Write(*head)
 	s.bw.Write(*fw.body)
@@ -304,7 +191,7 @@ func (h *streamHandler) answer(s *serverStream, req *http.Request, err error) er
 // frameRequest builds the request a frame carries on base, nil when it does
 // not decode. Its body aliases p.
 func frameRequest(base *http.Request, p []byte) *http.Request {
-	method, uri, h, body, err := decodeRequest(p)
+	method, uri, h, body, err := stream.DecodeRequest(p)
 	if err != nil {
 		return nil
 	}
@@ -316,7 +203,7 @@ func frameRequest(base *http.Request, p []byte) *http.Request {
 	*r = *base
 	r.Method, r.URL, r.RequestURI, r.Header, r.ContentLength = method, u, uri, h, int64(len(body))
 	if r.Body = http.NoBody; len(body) > 0 {
-		r.Body = newFrameBody(body, nil)
+		r.Body = newFrameBody(body)
 	}
 	return r
 }
@@ -364,7 +251,7 @@ func (s *serverStream) wait(ss *streamSet) bool {
 // hangs up or goawayLinger passes.
 func (s *serverStream) goaway() {
 	s.conn.SetDeadline(time.Now().Add(goawayLinger))
-	s.bw.Write([]byte{0, 0, 0, 0})
+	s.bw.WriteString(stream.Goaway)
 	if s.bw.Flush() != nil {
 		return
 	}

@@ -2,21 +2,23 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
+	"io"
+	"maps"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"grub/internal/stream"
 	"grub/internal/wire"
 )
 
@@ -274,6 +276,29 @@ func TestStreamCloseAnswersInFlightBatch(t *testing.T) {
 	}
 }
 
+// cutStreams closes g's end of every stream it holds, without GOAWAY, waits
+// for them to end, and returns how many there were.
+func cutStreams(t *testing.T, g *Gateway) int {
+	t.Helper()
+	g.streams.mu.Lock()
+	cut := maps.Clone(g.streams.open)
+	g.streams.mu.Unlock()
+	for s := range cut {
+		s.conn.Close()
+	}
+	waitFor(t, "the streams to end", func() bool {
+		g.streams.mu.Lock()
+		defer g.streams.mu.Unlock()
+		for s := range cut {
+			if g.streams.open[s] {
+				return false
+			}
+		}
+		return true
+	})
+	return len(cut)
+}
+
 // TestStreamGetAfterSilentDisconnect: when the gateway end of an idle stream
 // closes without GOAWAY (a crash, a dropped idle connection), a zero-Retry Get
 // goes again on a fresh connection, since no byte of its answer came. A batch
@@ -283,14 +308,7 @@ func TestStreamGetAfterSilentDisconnect(t *testing.T) {
 	if _, err := c.Do("f", writeBatch("a")); err != nil {
 		t.Fatal(err)
 	}
-	cut := func() {
-		g.streams.mu.Lock()
-		for s := range g.streams.open {
-			s.conn.Close()
-		}
-		g.streams.mu.Unlock()
-		waitFor(t, "the stream to close", func() bool { return g.streams.opened.Value() == 0 })
-	}
+	cut := func() { cutStreams(t, g) }
 	cut()
 	if res, err := c.Get("f", "a"); err != nil || !res.Found {
 		t.Fatalf("get on a silently closed stream = %+v, %v; want the record", res, err)
@@ -410,65 +428,118 @@ func TestStreamFallsBackToHTTP(t *testing.T) {
 	}
 }
 
-// FuzzStreamFrame: arbitrary bytes as a stream frame, in either direction,
-// must decode or fail without panicking and without an allocation sized from
-// a length or count they claim; a frame that decodes re-encodes to one that
-// decodes the same.
+// FuzzStreamFrame: arbitrary bytes sent on a gateway's stream after the
+// upgrade are answered frame by frame, in order: every whole frame once (a
+// 400 when it does not decode to a request), a frame past the body cap with
+// a 413 and then GOAWAY. The stream ends when the client stops writing; the
+// gateway never hangs or panics. The frame codec itself is fuzzed in package
+// stream.
 func FuzzStreamFrame(f *testing.F) {
-	room := func() []byte { return []byte{0, 0, 0, 0} }
+	const maxBody = 4096
 	withLen := func(p []byte) []byte { return append(binary.BigEndian.AppendUint32(nil, uint32(len(p))), p...) }
-	req := appendRequest(room(), "POST", "/feeds/f/ops", []byte{1, 2, 3}, "Content-Type", OpsMediaType, "Accept", OpsMediaType)
-	ans := append(appendAnswer(room(), 200, http.Header{"Content-Type": {ReadMediaType}, "Leader": {"http://a", "http://b"}}, 4), "body"...)
+	req := stream.AppendRequest(nil, "POST", "/feeds/f/ops", []byte(`{"ops":[{"type":"write","key":"k","value":"dg=="}]}`), "Content-Type", "application/json")
+	stats := stream.AppendRequest(nil, "GET", "/feeds/f/stats", nil)
 	f.Add(req)
-	f.Add(ans)
-	f.Add(req[:len(req)-3])                                                           // truncated
-	f.Add(append(binary.BigEndian.AppendUint32(nil, 1<<31), 'G', 'E', 'T'))           // oversize length
-	f.Add(withLen(append(wire.AppendString(wire.AppendString(nil, "GET"), "/"), 90))) // header count past the bytes
-	f.Add(withLen([]byte{0x83, 0x00, 'G', 'E', 'T', 1, '/', 0}))                      // non-minimal string length
-	f.Add(withLen([]byte{0xc8, 0x81, 0x00, 0}))                                       // non-minimal status
-	f.Add(room())                                                                     // GOAWAY
+	f.Add(append(stream.AppendAnswer(nil, 200, http.Header{"Leader": {"http://a"}}, 4), "body"...)) // an answer as a request
+	f.Add(req[:len(req)-3])                                                                         // truncated
+	f.Add(append(binary.BigEndian.AppendUint32(nil, 1<<31), 'G', 'E', 'T'))                         // oversize length
+	f.Add(withLen(append(wire.AppendString(wire.AppendString(nil, "GET"), "/"), 90)))               // header count past the bytes
+	f.Add(withLen([]byte{0x83, 0x00, 'G', 'E', 'T', 1, '/', 0}))                                    // non-minimal string length
+	f.Add(append(stats, stats...))                                                                  // two requests back to back
+	f.Add([]byte(stream.Goaway))                                                                    // an empty request
+	g := NewGateway()
+	f.Cleanup(g.Close)
+	if err := g.CreateFeed(FeedConfig{ID: "f"}); err != nil {
+		f.Fatal(err)
+	}
+	h := NewHandlerConfig(g, HandlerConfig{MaxBodyBytes: maxBody})
+	var active, panics atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		active.Add(1)
+		defer func() {
+			if recover() != nil {
+				panics.Add(1)
+			}
+			active.Add(-1)
+		}()
+		h.ServeHTTP(w, r)
+	}))
+	f.Cleanup(srv.Close)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var buf *[]byte
-		var err error
-		if n := decodeAllocs(func() { buf, err = readFrame(bufio.NewReader(bytes.NewReader(data)), 1<<20) }); n > opsAllocLimit(data) {
-			t.Fatalf("reading a %d-byte frame allocated %d bytes", len(data), n)
+		// The answers data must get: 400 for a whole frame that is not a
+		// request, 0 for one that is (any status), then 413 for an oversize
+		// frame, after which nothing is read.
+		var want []int
+		for rest := data; len(rest) >= 4; {
+			n := int(binary.BigEndian.Uint32(rest))
+			if n > maxBody {
+				want = append(want, http.StatusRequestEntityTooLarge)
+				break
+			}
+			if len(rest) < 4+n {
+				break
+			}
+			_, uri, _, _, err := stream.DecodeRequest(rest[4 : 4+n])
+			if _, perr := url.ParseRequestURI(uri); err != nil || perr != nil {
+				want = append(want, http.StatusBadRequest)
+			} else {
+				want = append(want, 0)
+			}
+			rest = rest[4+n:]
 		}
+		conn, err := net.Dial("tcp", srv.Listener.Addr().String())
 		if err != nil {
-			return
+			t.Fatal(err)
 		}
-		p := *buf
-		defer putBuf(buf)
-		var method, uri string
-		var h http.Header
-		var body []byte
-		if n := decodeAllocs(func() { method, uri, h, body, err = decodeRequest(p) }); n > opsAllocLimit(p) {
-			t.Fatalf("decoding a %d-byte request allocated %d bytes", len(p), n)
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		fmt.Fprintf(conn, "GET /healthz HTTP/1.1\r\nHost: gw\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", stream.Proto)
+		br := bufio.NewReader(conn)
+		if resp, err := http.ReadResponse(br, nil); err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+			t.Fatalf("upgrade answered %v, %v", resp, err)
 		}
-		if err == nil {
-			var pairs []string
-			for k, vs := range h {
-				for _, v := range vs {
-					pairs = append(pairs, k, v)
+		conn.Write(data)
+		conn.(*net.TCPConn).CloseWrite()
+		var got []int
+		goaway := false
+		for {
+			p, err := stream.ReadFrame(br, math.MaxInt64)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("after %d answers: %v", len(got), err)
+			}
+			if goaway = len(*p) == 0; !goaway {
+				status, _, _, err := stream.DecodeAnswer(*p)
+				if err != nil {
+					t.Fatalf("answer %d does not decode: %v", len(got), err)
 				}
+				got = append(got, status)
 			}
-			m2, u2, h2, b2, err := decodeRequest(appendRequest(room(), method, uri, body, pairs...)[4:])
-			if err != nil || m2 != method || u2 != uri || !reflect.DeepEqual(h2, h) || !bytes.Equal(b2, body) {
-				t.Fatalf("request re-encodes to %q %q %v %q (%v), want %q %q %v %q", m2, u2, h2, b2, err, method, uri, h, body)
+			stream.PutBuf(p)
+			if goaway {
+				break
 			}
-		} else if !errors.Is(err, wire.ErrMalformed) {
-			t.Fatalf("request decode error %v is not ErrMalformed", err)
 		}
-		var status int
-		if n := decodeAllocs(func() { status, h, body, err = decodeAnswer(p) }); n > opsAllocLimit(p) {
-			t.Fatalf("decoding a %d-byte answer allocated %d bytes", len(p), n)
+		if len(got) == 0 || got[0] != http.StatusOK {
+			t.Fatalf("answers %v: want the upgrading request's 200 first", got)
 		}
-		if err == nil {
-			s2, h2, b2, err := decodeAnswer(append(appendAnswer(room(), status, h, len(body)), body...)[4:])
-			if err != nil || s2 != status || !reflect.DeepEqual(h2, h) || !bytes.Equal(b2, body) {
-				t.Fatalf("answer re-encodes to %d %v %q (%v), want %d %v %q", s2, h2, b2, err, status, h, body)
+		got = got[1:]
+		if len(got) != len(want) {
+			t.Fatalf("%d answers %v to %d frames, want %v", len(got), got, len(want), want)
+		}
+		for i, w := range want {
+			if w != 0 && got[i] != w {
+				t.Fatalf("answer %d is %d, want %d (all: %v)", i, got[i], w, got)
 			}
-		} else if !errors.Is(err, wire.ErrMalformed) {
-			t.Fatalf("answer decode error %v is not ErrMalformed", err)
+		}
+		if tooLarge := len(want) > 0 && want[len(want)-1] == http.StatusRequestEntityTooLarge; goaway != tooLarge {
+			t.Fatalf("GOAWAY %v after answers %v", goaway, got)
+		}
+		waitFor(t, "the stream's handler to return", func() bool { return active.Load() == 0 })
+		if panics.Load() > 0 {
+			t.Fatal("the gateway panicked serving a stream")
 		}
 	})
 }
