@@ -67,7 +67,10 @@ bench:
 #     must be refused, leaving the shard as it was, or install to exactly
 #     the seq, root, count and height they claim; never panic;
 #   - SHA-256 kernel: merkle.Sum256 must equal crypto/sha256 on arbitrary
-#     messages, on the SHA-NI kernel and on the fallback.
+#     messages, on the SHA-NI kernel and on the fallback;
+#   - metrics exposition: arbitrary text, as a peer's /metrics scrape may
+#     hold, must parse or be refused without panicking, and text that
+#     parses must write back to text that parses to the same families.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzSetOps -fuzztime $(FUZZTIME)
@@ -81,6 +84,7 @@ fuzz-smoke:
 	$(GO) test ./internal/repl -run '^$$' -fuzz FuzzLogPageDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzImageInstall -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/merkle -run '^$$' -fuzz FuzzSum256 -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParseExposition -fuzztime $(FUZZTIME)
 
 # Docs gate: relative markdown links in README.md and docs/ must resolve,
 # docs/API.md must document every route registered on the gateway mux, and

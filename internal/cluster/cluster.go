@@ -44,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -538,21 +539,29 @@ func (n *Node) ensureTail(feed, leader string, epoch uint64) {
 		// stays halted.
 		resetEpoch = epoch
 	}
+	var halted []int
 	if ok {
+		// The tail's per-shard states go with it: read them first.
+		for _, ss := range n.followers[ts.leader].FeedStatus(feed).Shards {
+			if ss.State == repl.StateHalted {
+				halted = append(halted, ss.Shard)
+			}
+		}
 		n.followers[ts.leader].Unfollow(feed)
 	}
-	n.resetDivergedShards(feed, leader)
+	n.resetDivergedShards(feed, leader, halted...)
 	n.mu.Lock()
 	n.tails[feed] = tailState{leader: leader, resetEpoch: resetEpoch}
 	n.mu.Unlock()
 	f.Follow(feed) // wakes the follower: no wait for its next refresh
 }
 
-// resetDivergedShards re-bases any local shard that is ahead of — or
-// diverged at equal seq from — the leader, by installing the leader's
-// verified bootstrap snapshot. Shards that are merely behind are left for
-// the tail to catch up normally.
-func (n *Node) resetDivergedShards(feed, leader string) {
+// resetDivergedShards re-bases, from the leader's verified image, every
+// local shard that is ahead of the leader, diverged from it at equal seq, or
+// named in halted (a shard whose tail refused the leader's history, which
+// may be forked behind it). Other shards behind the leader are left for the
+// tail to catch up normally.
+func (n *Node) resetDivergedShards(feed, leader string, halted ...int) {
 	la, err := n.local.Anchors(feed)
 	if err != nil {
 		return // feed not hosted locally yet: nothing stale to clear
@@ -567,7 +576,7 @@ func (n *Node) resetDivergedShards(feed, leader string) {
 	}
 	rc := n.followers[leader].Client()
 	for i := range la {
-		if rel := la[i].Anchor().Against(ra[i].Anchor()); rel == query.Ahead || rel == query.Forked {
+		if rel := la[i].Anchor().Against(ra[i].Anchor()); rel == query.Ahead || rel == query.Forked || slices.Contains(halted, i) {
 			snap, err := rc.Snapshot(feed, i)
 			if err != nil {
 				continue

@@ -10,6 +10,7 @@ import (
 
 	"grub/internal/cluster"
 	"grub/internal/obs"
+	"grub/internal/repl"
 	"grub/internal/server"
 )
 
@@ -64,6 +65,59 @@ func TestResetsReuseStreams(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("leader holds %v streams after the node closed, want 0", streamsOpen(t, srv.URL))
 		}
+	}
+}
+
+// TestEnsureTailRebasesForkBehindOwner: a replica forked at seq 3 while
+// the owner is at seq 6 is behind the owner, not ahead of it or forked at
+// equal seq, yet its tail halts on the owner's seq 4. Under a new epoch,
+// ensureTail re-bases the halted shard from the owner's verified image all
+// the same, and the tail resumes.
+func TestEnsureTailRebasesForkBehindOwner(t *testing.T) {
+	cfg := server.FeedConfig{ID: "f", EpochOps: 2}
+	owner, x := server.NewGateway(), server.NewGateway()
+	t.Cleanup(owner.Close)
+	t.Cleanup(x.Close)
+	for _, g := range []*server.Gateway{owner, x} {
+		if err := g.CreateFeed(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batches := func(g *server.Gateway, prefix string, n int) {
+		t.Helper()
+		for i := range n {
+			key := fmt.Sprintf("%s%d", prefix, i)
+			if _, err := g.Do(cfg.ID, []server.Op{{Type: "write", Key: key, Value: []byte("v-" + key)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	batches(owner, "owner", 6)
+	batches(x, "replica", 3)
+	srv := httptest.NewServer(server.NewHandler(owner))
+	t.Cleanup(srv.Close)
+	n, err := cluster.NewNode(cluster.Options{
+		Self: "http://x.invalid", Peers: []string{srv.URL}, Local: x.ClusterLocal(), TailPoll: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	n.StartFollowers()
+	waitTail := func(state string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); n.TailStatus(cfg.ID, srv.URL).State != state; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("tail = %+v, want %s", n.TailStatus(cfg.ID, srv.URL), state)
+			}
+		}
+	}
+	n.EnsureTail(cfg.ID, srv.URL, 1)
+	waitTail(repl.StateHalted)
+	n.EnsureTail(cfg.ID, srv.URL, 2)
+	waitTail(repl.StateTailing)
+	if got, want := roots(t, x), roots(t, owner); got != want {
+		t.Fatalf("replica's anchors %s after the new epoch, owner's %s", got, want)
 	}
 }
 

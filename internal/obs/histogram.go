@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sync/atomic"
 	"time"
@@ -159,29 +157,4 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 		return lo + (hi-lo)*frac
 	}
 	return s.Upper[len(s.Upper)-1]
-}
-
-// write renders the snapshot in Prometheus histogram convention:
-// cumulative _bucket series with an le label, then _sum and _count.
-// labels is either "" or a pre-rendered "{k=\"v\",...}" block.
-func (s HistSnapshot) write(w io.Writer, name, labels string) {
-	cum := uint64(0)
-	for i, c := range s.Counts {
-		cum += c
-		le := "+Inf"
-		if i < len(s.Upper) {
-			le = formatFloat(s.Upper[i])
-		}
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, mergeLE(labels, le), cum)
-	}
-	fmt.Fprintf(w, "%s_sum%s %g\n", name, labels, s.Sum)
-	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, s.Count)
-}
-
-// mergeLE splices an le label into a rendered label block.
-func mergeLE(labels, le string) string {
-	if labels == "" {
-		return `{le="` + le + `"}`
-	}
-	return labels[:len(labels)-1] + `,le="` + le + `"}`
 }

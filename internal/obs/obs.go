@@ -1,8 +1,14 @@
 // Package obs is the gateway's dependency-free telemetry layer: atomic
 // counters, gauges, fixed-bucket latency histograms with derivable
 // p50/p95/p99, and a lightweight span/trace abstraction whose IDs ride
-// context.Context and the X-Grub-Trace HTTP header. A Registry renders
-// everything in the Prometheus text exposition format.
+// context.Context and the X-Grub-Trace HTTP header.
+//
+// A metric family has one in-memory form, Family. The Registry returns its
+// families with each histogram expanded into _bucket/_sum/_count samples,
+// the gateway derives the rest from live state at scrape time, and
+// WriteFamilies renders them in the Prometheus text exposition format,
+// which ParseExposition reads back. Pipeline holds one histogram per
+// (feed, stage), picked by stage name.
 //
 // All metric handles are nil-safe: methods on a nil *Counter, *Gauge,
 // *Histogram, or *Trace are no-ops, so instrumented code paths never
@@ -11,14 +17,14 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
 
-// Registry holds metric families and renders them as Prometheus text.
+// Registry holds metric families; Families reads them.
 // The zero value is not usable; call NewRegistry.
 type Registry struct {
 	mu       sync.Mutex
@@ -40,8 +46,14 @@ type family struct {
 	labels []string // label names, in declaration order
 
 	mu     sync.Mutex
-	series map[string]interface{} // label-values key -> *Counter | *Gauge | *Histogram
-	order  []string               // insertion order of series keys
+	byKey  map[string]*series // label-values key -> series
+	series []*series          // in insertion order
+}
+
+// series is one labeled child of a family.
+type series struct {
+	labels []LabelPair
+	metric interface{} // *Counter | *Gauge | *Histogram
 }
 
 // NewRegistry returns an empty metrics registry.
@@ -66,7 +78,7 @@ func (r *Registry) register(name, help string, kind familyKind, labels []string)
 		help:   help,
 		kind:   kind,
 		labels: append([]string(nil), labels...),
-		series: make(map[string]interface{}),
+		byKey:  make(map[string]*series),
 	}
 	r.families[name] = f
 	return f
@@ -79,38 +91,22 @@ func (f *family) child(values []string, mk func() interface{}) interface{} {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %q expects %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := labelKey(f.labels, values)
+	var key []byte
+	for _, v := range values {
+		key = strconv.AppendQuote(key, v)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if c, ok := f.series[key]; ok {
-		return c
+	if s, ok := f.byKey[string(key)]; ok {
+		return s.metric
 	}
-	c := mk()
-	f.series[key] = c
-	f.order = append(f.order, key)
-	return c
-}
-
-func labelKey(names, values []string) string {
-	if len(names) == 0 {
-		return ""
+	s := &series{metric: mk()}
+	for i, v := range values {
+		s.labels = append(s.labels, LabelPair{Name: f.labels[i], Value: v})
 	}
-	parts := make([]string, len(names))
-	for i, n := range names {
-		parts[i] = n + "=\"" + EscapeLabel(values[i]) + "\""
-	}
-	return "{" + joinComma(parts) + "}"
-}
-
-func joinComma(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ","
-		}
-		out += p
-	}
-	return out
+	f.byKey[string(key)] = s
+	f.series = append(f.series, s)
+	return s.metric
 }
 
 // CounterVec is a family of monotonically increasing counters keyed by
@@ -238,65 +234,60 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return h.(*Histogram)
 }
 
-// WritePrometheus renders every registered family in the Prometheus
-// text exposition format (version 0.0.4), sorted by family name.
-func (r *Registry) WritePrometheus(w io.Writer) {
+// Families returns every registered family that has a series, sorted by
+// name, with its series in creation order and their labels in declaration
+// order. A histogram becomes cumulative _bucket samples, le last among
+// their labels, then _sum and _count. The label slices are the registry's
+// own: read them, do not write them.
+func (r *Registry) Families() []Family {
 	if r == nil {
-		return
+		return nil
 	}
 	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	fams := make([]*family, 0, len(names))
-	sort.Strings(names)
-	for _, n := range names {
-		fams = append(fams, r.families[n])
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
 	}
 	r.mu.Unlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
+	out := make([]Family, 0, len(fams))
 	for _, f := range fams {
-		f.write(w)
-	}
-}
-
-func (f *family) write(w io.Writer) {
-	f.mu.Lock()
-	keys := append([]string(nil), f.order...)
-	series := make([]interface{}, len(keys))
-	for i, k := range keys {
-		series[i] = f.series[k]
-	}
-	f.mu.Unlock()
-	if len(keys) == 0 {
-		return
-	}
-
-	typ := "counter"
-	switch f.kind {
-	case kindGauge:
-		typ = "gauge"
-	case kindHistogram:
-		typ = "histogram"
-	}
-	fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
-	fmt.Fprintf(w, "# TYPE %s %s\n", f.name, typ)
-	for i, key := range keys {
-		switch m := series[i].(type) {
-		case *Counter:
-			fmt.Fprintf(w, "%s%s %s\n", f.name, key, formatFloat(m.Value()))
-		case *Gauge:
-			fmt.Fprintf(w, "%s%s %s\n", f.name, key, formatFloat(m.Value()))
-		case *Histogram:
-			m.Snapshot().write(w, f.name, key)
+		if fam := f.snapshot(); len(fam.Samples) > 0 {
+			out = append(out, fam)
 		}
 	}
+	return out
 }
 
-func formatFloat(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%d", int64(v))
+var kindType = [...]string{kindCounter: "counter", kindGauge: "gauge", kindHistogram: "histogram"}
+
+// snapshot reads the family's series into a Family.
+func (f *family) snapshot() Family {
+	f.mu.Lock()
+	series := append([]*series(nil), f.series...)
+	f.mu.Unlock()
+	fam := Family{Name: f.name, Help: f.help, Type: kindType[f.kind]}
+	for _, s := range series {
+		switch m := s.metric.(type) {
+		case interface{ Value() float64 }: // *Counter, *Gauge
+			fam.Samples = append(fam.Samples, Sample{Name: f.name, Labels: s.labels, Value: m.Value()})
+		case *Histogram:
+			h := m.Snapshot()
+			cum := uint64(0)
+			for i, c := range h.Counts {
+				cum += c
+				le := "+Inf"
+				if i < len(h.Upper) {
+					le = formatFloat(h.Upper[i])
+				}
+				labels := append(s.labels[:len(s.labels):len(s.labels)], LabelPair{Name: "le", Value: le})
+				fam.Samples = append(fam.Samples, Sample{Name: f.name + "_bucket", Labels: labels, Value: float64(cum)})
+			}
+			fam.Samples = append(fam.Samples,
+				Sample{Name: f.name + "_sum", Labels: s.labels, Value: h.Sum},
+				Sample{Name: f.name + "_count", Labels: s.labels, Value: float64(h.Count)})
+		}
 	}
-	return fmt.Sprintf("%g", v)
+	return fam
 }

@@ -93,7 +93,7 @@ func TestRegistryExposition(t *testing.T) {
 	h.With("apply").Observe(5)
 
 	var b strings.Builder
-	reg.WritePrometheus(&b)
+	WriteFamilies(&b, reg.Families())
 	text := b.String()
 	samples, types := parseExposition(t, text)
 
@@ -152,17 +152,14 @@ func sortedFamilies(text string) bool {
 	return true
 }
 
-func TestWriteSeries(t *testing.T) {
+func TestWriteFamilies(t *testing.T) {
+	derived := Family{Name: "grub_derived", Help: "derived at scrape", Type: "counter"}
+	derived.Add(7, "feed", "a")
+	derived.Add(1)
 	var b strings.Builder
-	WriteSeries(&b, []Series{
+	WriteFamilies(&b, []Family{
 		{Name: "grub_skip_me", Help: "empty family", Type: "gauge"},
-		{
-			Name: "grub_derived", Help: "derived at scrape", Type: "counter",
-			Samples: []Sample{
-				{Labels: Labels("feed", "a"), Value: 7},
-				{Labels: "", Value: 1},
-			},
-		},
+		derived,
 	})
 	samples, types := parseExposition(t, b.String())
 	if _, ok := types["grub_skip_me"]; ok {
@@ -244,7 +241,7 @@ func TestNilSafety(t *testing.T) {
 	var g *Gauge
 	var h *Histogram
 	var tr *Trace
-	var fs *FeedStages
+	var fs FeedStages
 	var p *Pipeline
 	c.Inc()
 	c.Add(2)
@@ -259,14 +256,17 @@ func TestNilSafety(t *testing.T) {
 	if p.Feed("x") != nil {
 		t.Fatal("nil pipeline must yield nil stages")
 	}
-	if fs.GetApply() != nil || fs.Hist(StageApply) != nil {
+	if fs.Hist(StageApply) != nil {
 		t.Fatal("nil stages must yield nil histograms")
 	}
+	fs.Record(tr, StageApply, 0, time.Now(), time.Millisecond)
 	if h.Snapshot().Count != 0 || c.Value() != 0 || g.Value() != 0 {
 		t.Fatal("nil metrics must read zero")
 	}
 	var reg *Registry
-	reg.WritePrometheus(&strings.Builder{})
+	if reg.Families() != nil {
+		t.Fatal("nil registry must have no families")
+	}
 	if reg.NewCounterVec("x", "y").With("z") != nil {
 		t.Fatal("nil registry must yield nil counters")
 	}
@@ -310,18 +310,22 @@ func TestPipelineStages(t *testing.T) {
 	reg := NewRegistry()
 	p := NewPipeline(reg)
 	fs := p.Feed("orders")
-	if fs == nil || p.Feed("orders") != fs {
-		t.Fatal("Feed must cache per feed id")
+	if fs == nil {
+		t.Fatal("Feed must yield stages")
 	}
-	for _, stage := range Stages {
+	again := p.Feed("orders")
+	for i, stage := range Stages {
 		h := fs.Hist(stage)
 		if h == nil {
 			t.Fatalf("stage %q has no histogram", stage)
 		}
+		if again.Hist(stage) != h || fs[i] != h {
+			t.Fatalf("stage %q: Feed must cache per feed id, index-aligned with Stages", stage)
+		}
 		h.Observe(0.001)
 	}
 	var b strings.Builder
-	reg.WritePrometheus(&b)
+	WriteFamilies(&b, reg.Families())
 	samples, _ := parseExposition(t, b.String())
 	for _, stage := range Stages {
 		key := StageSecondsMetric + `_count{feed="orders",stage="` + stage + `"}`
@@ -331,5 +335,35 @@ func TestPipelineStages(t *testing.T) {
 	}
 	if fs.Hist("nope") != nil {
 		t.Fatal("unknown stage must be nil")
+	}
+}
+
+// TestStageRecord: Record observes the stage's histogram and adds its span
+// in one call, and picking a stage's histogram by name allocates nothing.
+func TestStageRecord(t *testing.T) {
+	fs := NewPipeline(NewRegistry()).Feed("orders")
+	tr := NewTrace("")
+	start := tr.Start().Add(time.Millisecond)
+	fs.Record(tr, StagePersist, 3, start, 2*time.Millisecond)
+	fs.Record(nil, StagePersist, 3, start, 2*time.Millisecond)
+	if n := fs.Hist(StagePersist).Count(); n != 2 {
+		t.Fatalf("persist histogram holds %d observations, want 2", n)
+	}
+	spans := tr.Spans()
+	if len(spans) != 1 || spans[0].Stage != StagePersist || spans[0].Shard != 3 ||
+		spans[0].StartUS != 1000 || spans[0].DurUS != 2000 {
+		t.Fatalf("spans = %+v", spans)
+	}
+	for _, stage := range Stages {
+		if fs.Hist(stage).Count() != 0 && stage != StagePersist {
+			t.Fatalf("stage %q observed a record meant for %q", stage, StagePersist)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		for _, stage := range Stages {
+			fs.Hist(stage)
+		}
+	}); a != 0 {
+		t.Fatalf("Hist allocates %v times per pass", a)
 	}
 }

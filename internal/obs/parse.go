@@ -2,34 +2,9 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 )
-
-// LabelPair is one parsed label.
-type LabelPair struct {
-	Name  string
-	Value string
-}
-
-// ParsedSample is one series line of an exposition: the full sample
-// name (histogram suffixes included), its labels in wire order, and
-// the value.
-type ParsedSample struct {
-	Name   string
-	Labels []LabelPair
-	Value  float64
-}
-
-// ParsedFamily is one metric family — a HELP/TYPE header pair plus the
-// samples attributed to it.
-type ParsedFamily struct {
-	Name    string
-	Help    string
-	Type    string
-	Samples []ParsedSample
-}
 
 // ParseExposition parses and validates Prometheus 0.0.4 text produced
 // by this package (and by anything else following the format): every
@@ -37,11 +12,13 @@ type ParsedFamily struct {
 // type must be counter/gauge/histogram, every sample must belong to a
 // declared family (histogram _bucket/_sum/_count suffixes resolve to
 // their base family), and no series may repeat. It is the inverse of
-// WritePrometheus/WriteSeries and the backbone of both the docscheck
-// live-exposition lint and the /cluster/metrics federation plane.
-func ParseExposition(text string) ([]ParsedFamily, error) {
-	var fams []ParsedFamily
-	byName := make(map[string]*ParsedFamily)
+// WriteFamilies: a family with no samples carries nothing and is dropped,
+// as WriteFamilies drops it, so any text it accepts writes back to text
+// that parses to the same families. It backs both the docscheck
+// live-exposition lint and the /cluster/metrics scrape of each peer.
+func ParseExposition(text string) ([]Family, error) {
+	var fams []Family
+	byName := make(map[string]int) // family name -> index in fams
 	seen := make(map[string]bool)
 	var lastHelp string
 	for ln, line := range strings.Split(text, "\n") {
@@ -61,8 +38,8 @@ func ParseExposition(text string) ([]ParsedFamily, error) {
 				return nil, fmt.Errorf("obs: line %d: family %q declared twice", lineNo, parts[0])
 			}
 			lastHelp = parts[0]
-			fams = append(fams, ParsedFamily{Name: parts[0], Help: parts[1]})
-			byName[parts[0]] = &fams[len(fams)-1]
+			byName[parts[0]] = len(fams)
+			fams = append(fams, Family{Name: parts[0], Help: parts[1]})
 			continue
 		}
 		if strings.HasPrefix(line, "# TYPE ") {
@@ -78,10 +55,11 @@ func ParseExposition(text string) ([]ParsedFamily, error) {
 			default:
 				return nil, fmt.Errorf("obs: line %d: unknown TYPE %q", lineNo, parts[1])
 			}
-			if byName[parts[0]].Type != "" {
+			f := &fams[byName[parts[0]]]
+			if f.Type != "" {
 				return nil, fmt.Errorf("obs: line %d: family %q typed twice", lineNo, parts[0])
 			}
-			byName[parts[0]].Type = parts[1]
+			f.Type = parts[1]
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
@@ -91,14 +69,14 @@ func ParseExposition(text string) ([]ParsedFamily, error) {
 		if err != nil {
 			return nil, fmt.Errorf("obs: line %d: %w", lineNo, err)
 		}
-		fam := byName[sample.Name]
-		if fam == nil {
+		idx, ok := byName[sample.Name]
+		if !ok {
 			base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(sample.Name, "_bucket"), "_sum"), "_count")
-			if f := byName[base]; f != nil && f.Type == "histogram" {
-				fam = f
+			if i, found := byName[base]; found && fams[i].Type == "histogram" {
+				idx, ok = i, true
 			}
 		}
-		if fam == nil || fam.Type == "" {
+		if !ok || fams[idx].Type == "" {
 			return nil, fmt.Errorf("obs: line %d: sample %q has no HELP/TYPE header", lineNo, sample.Name)
 		}
 		key := seriesKey(sample)
@@ -106,19 +84,23 @@ func ParseExposition(text string) ([]ParsedFamily, error) {
 			return nil, fmt.Errorf("obs: line %d: duplicate series %s", lineNo, key)
 		}
 		seen[key] = true
-		fam.Samples = append(fam.Samples, sample)
+		fams[idx].Samples = append(fams[idx].Samples, sample)
 	}
-	for i := range fams {
-		if fams[i].Type == "" {
-			return nil, fmt.Errorf("obs: family %q has HELP but no TYPE", fams[i].Name)
+	kept := fams[:0]
+	for _, f := range fams {
+		if f.Type == "" {
+			return nil, fmt.Errorf("obs: family %q has HELP but no TYPE", f.Name)
+		}
+		if len(f.Samples) > 0 {
+			kept = append(kept, f)
 		}
 	}
-	return fams, nil
+	return kept, nil
 }
 
 // seriesKey identifies a series (name + full label set) for duplicate
 // detection.
-func seriesKey(s ParsedSample) string {
+func seriesKey(s Sample) string {
 	var b strings.Builder
 	b.WriteString(s.Name)
 	for _, l := range s.Labels {
@@ -147,8 +129,8 @@ func validMetricName(name string) bool {
 
 // parseSampleLine parses `name{label="value",...} value` with the text
 // format's escape rules for label values.
-func parseSampleLine(line string) (ParsedSample, error) {
-	var s ParsedSample
+func parseSampleLine(line string) (Sample, error) {
+	var s Sample
 	i := 0
 	for i < len(line) && isNameChar(line[i], i) {
 		i++
@@ -235,40 +217,4 @@ func isNameChar(c byte, pos int) bool {
 		return pos > 0
 	}
 	return false
-}
-
-// WriteFamilies renders parsed families back to the text format,
-// prepending the extra labels (already-safe values are escaped again
-// on the way out) to every sample — the federation plane uses this to
-// stamp a node label onto a scraped peer registry.
-func WriteFamilies(w io.Writer, fams []ParsedFamily, extra ...LabelPair) {
-	for _, f := range fams {
-		if len(f.Samples) == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "# HELP %s %s\n", f.Name, f.Help)
-		fmt.Fprintf(w, "# TYPE %s %s\n", f.Name, f.Type)
-		for _, s := range f.Samples {
-			var b strings.Builder
-			b.WriteString(s.Name)
-			if len(extra)+len(s.Labels) > 0 {
-				b.WriteByte('{')
-				n := 0
-				for _, set := range [2][]LabelPair{extra, s.Labels} {
-					for _, l := range set {
-						if n > 0 {
-							b.WriteByte(',')
-						}
-						b.WriteString(l.Name)
-						b.WriteString(`="`)
-						b.WriteString(EscapeLabel(l.Value))
-						b.WriteString(`"`)
-						n++
-					}
-				}
-				b.WriteByte('}')
-			}
-			fmt.Fprintf(w, "%s %s\n", b.String(), formatFloat(s.Value))
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,12 +16,15 @@ func TestParseExpositionRoundTrip(t *testing.T) {
 	h.With("apply").Observe(5)
 
 	var b strings.Builder
-	reg.WritePrometheus(&b)
+	WriteFamilies(&b, reg.Families())
 	fams, err := ParseExposition(b.String())
 	if err != nil {
 		t.Fatalf("ParseExposition: %v\n%s", err, b.String())
 	}
-	byName := map[string]ParsedFamily{}
+	if !reflect.DeepEqual(fams, reg.Families()) {
+		t.Fatalf("parsed families differ from the registry's:\n got %+v\nwant %+v", fams, reg.Families())
+	}
+	byName := map[string]Family{}
 	for _, f := range fams {
 		byName[f.Name] = f
 	}
@@ -85,6 +89,12 @@ func TestParseExpositionRejectsMalformed(t *testing.T) {
 	}
 	if fams[0].Samples[0].Labels[0].Value != "a b, c" || fams[0].Samples[0].Value != 1.5e6 {
 		t.Fatalf("parsed = %+v", fams[0].Samples[0])
+	}
+	// A sample may follow a later family's header; it still lands in its
+	// own family.
+	fams, err = ParseExposition("# HELP grub_a a\n# TYPE grub_a gauge\n# HELP grub_b b\n# TYPE grub_b gauge\ngrub_a 1\ngrub_b 2\n")
+	if err != nil || len(fams) != 2 || len(fams[0].Samples) != 1 || fams[0].Samples[0].Value != 1 {
+		t.Fatalf("interleaved exposition parsed to %+v, %v", fams, err)
 	}
 }
 
@@ -216,4 +226,63 @@ func TestQuantileBucketEdges(t *testing.T) {
 	if got := h4.Snapshot().Quantile(0.5); got != 0 {
 		t.Errorf("no-finite-buckets Quantile = %v, want 0", got)
 	}
+}
+
+// FuzzParseExposition: arbitrary text, as a peer's /metrics scrape may
+// hold, parses or is refused without panicking, and text that parses
+// writes back through WriteFamilies to text that parses to the same
+// families.
+func FuzzParseExposition(f *testing.F) {
+	reg := NewRegistry()
+	reg.NewCounterVec("grub_p_ops_total", "ops", "feed").With(`we"ird\fe` + "\n" + `ed`).Add(3)
+	reg.NewGauge("grub_p_feeds", "feeds").Set(2.5)
+	reg.NewHistogramVec("grub_p_seconds", "latency", []float64{0.1, 1}, "feed", "stage").With("m", "apply").Observe(0.05)
+	var b strings.Builder
+	WriteFamilies(&b, reg.Families())
+	f.Add(b.String())
+	b.Reset()
+	WriteFamilies(&b, reg.Families(), LabelPair{Name: "node", Value: "http://n1"})
+	f.Add(b.String())
+	f.Add("# HELP grub_x a\n# TYPE grub_x gauge\ngrub_x{feed=\"a b, c\",node=\"x\"} 1.5e+06\n")
+	f.Add("# HELP grub_x a\n# TYPE grub_x gauge\ngrub_x NaN\ngrub_x{a=\"\"} -Inf\ngrub_x{b=\"1\",} -0\n")
+	f.Add("# HELP h a\n# TYPE h histogram\nh_sum 1\n# HELP h_sum b\n# TYPE h_sum gauge\nh_sum{a=\"1\"} 2\n")
+	f.Add("# HELP grub_x a\n# TYPE grub_x gauge\n")
+	f.Add("# HELP grub_x a\n# TYPE grub_x gauge\ngrub_x{feed=\"\\t\"} 1\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		fams, err := ParseExposition(text)
+		if err != nil {
+			return
+		}
+		var out strings.Builder
+		WriteFamilies(&out, fams)
+		again, err := ParseExposition(out.String())
+		if err != nil {
+			t.Fatalf("written text does not parse: %v\ntext:\n%s", err, out.String())
+		}
+		if !sameFamilies(fams, again) {
+			t.Fatalf("families changed across a write:\n got %+v\nwant %+v", again, fams)
+		}
+	})
+}
+
+// sameFamilies is reflect.DeepEqual on families, but with NaN equal to
+// NaN and -0 equal to 0 (WriteFamilies writes both zeros as "0").
+func sameFamilies(a, b []Family) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		fa, fb := a[i], b[i]
+		if fa.Name != fb.Name || fa.Help != fb.Help || fa.Type != fb.Type || len(fa.Samples) != len(fb.Samples) {
+			return false
+		}
+		for j, sa := range fa.Samples {
+			sb := fb.Samples[j]
+			if sa.Name != sb.Name || !reflect.DeepEqual(sa.Labels, sb.Labels) ||
+				sa.Value != sb.Value && !(sa.Value != sa.Value && sb.Value != sb.Value) {
+				return false
+			}
+		}
+	}
+	return true
 }

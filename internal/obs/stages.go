@@ -1,6 +1,9 @@
 package obs
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 // Pipeline stage names. Each applied write batch flows through
 // ingress → mailbox → persist → apply → repl_append → publish; the
@@ -42,13 +45,13 @@ var Stages = []string{
 const StageSecondsMetric = "grub_stage_seconds"
 
 // Pipeline owns the per-(feed, stage) latency histograms for one
-// process. Nil-safe: a nil Pipeline yields nil FeedStages, whose
-// histogram fields are nil and absorb observations as no-ops.
+// process. Nil-safe: a nil Pipeline yields nil FeedStages, which absorb
+// observations as no-ops.
 type Pipeline struct {
 	vec *HistogramVec
 
 	mu    sync.Mutex
-	feeds map[string]*FeedStages
+	feeds map[string]FeedStages
 }
 
 // NewPipeline registers the stage histogram family on reg.
@@ -57,172 +60,49 @@ func NewPipeline(reg *Registry) *Pipeline {
 		vec: reg.NewHistogramVec(StageSecondsMetric,
 			"Per-stage batch latency in seconds, labeled by feed and pipeline stage.",
 			nil, "feed", "stage"),
-		feeds: make(map[string]*FeedStages),
+		feeds: make(map[string]FeedStages),
 	}
 }
 
-// Feed returns the cached stage histogram set for a feed.
-func (p *Pipeline) Feed(id string) *FeedStages {
+// Feed returns the cached stage histograms of a feed.
+func (p *Pipeline) Feed(id string) FeedStages {
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if fs, ok := p.feeds[id]; ok {
-		return fs
+	fs, ok := p.feeds[id]
+	if !ok {
+		fs = make(FeedStages, len(Stages))
+		for i, stage := range Stages {
+			fs[i] = p.vec.With(id, stage)
+		}
+		p.feeds[id] = fs
 	}
-	fs := &FeedStages{
-		Ingress:        p.vec.With(id, StageIngress),
-		Forward:        p.vec.With(id, StageForward),
-		RemoteApply:    p.vec.With(id, StageRemoteApply),
-		Mailbox:        p.vec.With(id, StageMailbox),
-		Persist:        p.vec.With(id, StagePersist),
-		Apply:          p.vec.With(id, StageApply),
-		ReplAppend:     p.vec.With(id, StageReplAppend),
-		Publish:        p.vec.With(id, StagePublish),
-		ProofBuild:     p.vec.With(id, StageProofBuild),
-		FollowerFetch:  p.vec.With(id, StageFollowerFetch),
-		FollowerVerify: p.vec.With(id, StageFollowerVerify),
-		FollowerApply:  p.vec.With(id, StageFollowerApply),
-	}
-	p.feeds[id] = fs
 	return fs
 }
 
-// FeedStages holds one latency histogram per pipeline stage for a
-// single feed. Fields on a nil *FeedStages read as nil histograms.
-type FeedStages struct {
-	Ingress        *Histogram
-	Forward        *Histogram
-	RemoteApply    *Histogram
-	Mailbox        *Histogram
-	Persist        *Histogram
-	Apply          *Histogram
-	ReplAppend     *Histogram
-	Publish        *Histogram
-	ProofBuild     *Histogram
-	FollowerFetch  *Histogram
-	FollowerVerify *Histogram
-	FollowerApply  *Histogram
-}
+// FeedStages holds one feed's latency histograms, index-aligned with
+// Stages. Nil FeedStages yield nil histograms, which observe nothing.
+type FeedStages []*Histogram
 
-// Hist returns the histogram for a stage name (nil for unknown stages
-// or a nil receiver).
-func (fs *FeedStages) Hist(stage string) *Histogram {
+// Hist returns the histogram of a stage name (nil for an unknown stage or
+// nil FeedStages).
+func (fs FeedStages) Hist(stage string) *Histogram {
 	if fs == nil {
 		return nil
 	}
-	switch stage {
-	case StageIngress:
-		return fs.Ingress
-	case StageForward:
-		return fs.Forward
-	case StageRemoteApply:
-		return fs.RemoteApply
-	case StageMailbox:
-		return fs.Mailbox
-	case StagePersist:
-		return fs.Persist
-	case StageApply:
-		return fs.Apply
-	case StageReplAppend:
-		return fs.ReplAppend
-	case StagePublish:
-		return fs.Publish
-	case StageProofBuild:
-		return fs.ProofBuild
-	case StageFollowerFetch:
-		return fs.FollowerFetch
-	case StageFollowerVerify:
-		return fs.FollowerVerify
-	case StageFollowerApply:
-		return fs.FollowerApply
+	for i, s := range Stages {
+		if s == stage {
+			return fs[i]
+		}
 	}
 	return nil
 }
 
-// get* nil-safe field accessors used by instrumented code that holds a
-// possibly-nil *FeedStages.
-func (fs *FeedStages) GetIngress() *Histogram {
-	if fs == nil {
-		return nil
-	}
-	return fs.Ingress
-}
-
-func (fs *FeedStages) GetForward() *Histogram {
-	if fs == nil {
-		return nil
-	}
-	return fs.Forward
-}
-
-func (fs *FeedStages) GetRemoteApply() *Histogram {
-	if fs == nil {
-		return nil
-	}
-	return fs.RemoteApply
-}
-
-func (fs *FeedStages) GetMailbox() *Histogram {
-	if fs == nil {
-		return nil
-	}
-	return fs.Mailbox
-}
-
-func (fs *FeedStages) GetPersist() *Histogram {
-	if fs == nil {
-		return nil
-	}
-	return fs.Persist
-}
-
-func (fs *FeedStages) GetApply() *Histogram {
-	if fs == nil {
-		return nil
-	}
-	return fs.Apply
-}
-
-func (fs *FeedStages) GetReplAppend() *Histogram {
-	if fs == nil {
-		return nil
-	}
-	return fs.ReplAppend
-}
-
-func (fs *FeedStages) GetPublish() *Histogram {
-	if fs == nil {
-		return nil
-	}
-	return fs.Publish
-}
-
-func (fs *FeedStages) GetProofBuild() *Histogram {
-	if fs == nil {
-		return nil
-	}
-	return fs.ProofBuild
-}
-
-func (fs *FeedStages) GetFollowerFetch() *Histogram {
-	if fs == nil {
-		return nil
-	}
-	return fs.FollowerFetch
-}
-
-func (fs *FeedStages) GetFollowerVerify() *Histogram {
-	if fs == nil {
-		return nil
-	}
-	return fs.FollowerVerify
-}
-
-func (fs *FeedStages) GetFollowerApply() *Histogram {
-	if fs == nil {
-		return nil
-	}
-	return fs.FollowerApply
+// Record observes d on stage's histogram and adds the span [start,
+// start+d) on shard (-1 for gateway-level stages) to tr, which may be nil.
+func (fs FeedStages) Record(tr *Trace, stage string, shard int, start time.Time, d time.Duration) {
+	fs.Hist(stage).Observe(d.Seconds())
+	tr.AddSpan(stage, shard, start, d)
 }

@@ -113,9 +113,9 @@ type Follower struct {
 // feedRepl tracks one replicated feed.
 type feedRepl struct {
 	id     string
-	stop   chan struct{}   // closed when the feed leaves the leader
-	stages *obs.FeedStages // nil without Options.Pipeline
-	wg     sync.WaitGroup  // the feed's shard tailers
+	stop   chan struct{}  // closed when the feed leaves the leader
+	stages obs.FeedStages // nil without Options.Pipeline
+	wg     sync.WaitGroup // the feed's shard tailers
 
 	mu     sync.Mutex
 	state  string
@@ -421,7 +421,7 @@ func (f *Follower) tail(fr *feedRepl, lf Feed, t *shardTail) {
 			}
 			continue
 		}
-		fr.stages.GetFollowerFetch().ObserveSince(fetchStart)
+		fr.stages.Record(nil, obs.StageFollowerFetch, t.shard, fetchStart, time.Since(fetchStart))
 		t.observe(cursor, page.LeaderSeq)
 		if page.LeaderSeq < cursor {
 			// The local shard is ahead of the leader: wrong leader, local
@@ -475,7 +475,7 @@ func (f *Follower) tail(fr *feedRepl, lf Feed, t *shardTail) {
 				applyErr = err
 				break
 			}
-			fr.stages.GetFollowerVerify().ObserveSince(verifyStart)
+			fr.stages.Record(nil, obs.StageFollowerVerify, t.shard, verifyStart, time.Since(verifyStart))
 			cursor = e.Seq
 		}
 		t.observe(cursor, page.LeaderSeq)

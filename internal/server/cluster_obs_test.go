@@ -159,7 +159,7 @@ func getJSONDoc(httpc *http.Client, url string, v any) error {
 
 // famSampleValue finds the sample of family name carrying a node=<node>
 // label across the parsed exposition.
-func famSampleValue(fams []obs.ParsedFamily, name, node string) (float64, bool) {
+func famSampleValue(fams []obs.Family, name, node string) (float64, bool) {
 	for _, f := range fams {
 		if f.Name != name {
 			continue
@@ -297,7 +297,7 @@ func TestClusterLoadFederationE2E(t *testing.T) {
 	// Federation: any node's /cluster/metrics carries every live peer
 	// under a node label, in parseable exposition text.
 	fi := (oi + 1) % 3
-	scrape := func() []obs.ParsedFamily {
+	scrape := func() []obs.Family {
 		t.Helper()
 		resp, err := httpc.Get(nodes[fi].url + "/cluster/metrics")
 		if err != nil {

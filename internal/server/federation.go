@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -15,13 +14,13 @@ import (
 
 // Metrics federation: GET /cluster/metrics on any node answers one
 // Prometheus exposition covering the whole cluster. The answering node
-// renders its own registry in-process and scrapes every peer's /metrics
-// concurrently (bounded fan-in, per-peer timeout), parses each with the
-// obs exposition parser, and merges the families with a `node` label
-// distinguishing the sources. A peer that is down, slow or serving
-// malformed text contributes nothing but its grub_cluster_scrape_ok
-// marker — a dead node makes the scrape smaller, never hanging or
-// poisoning it.
+// takes its own families in-process (renderMetrics, no text in between)
+// and scrapes every peer's /metrics concurrently (bounded fan-in, per-peer
+// timeout), parses each with the obs exposition parser, and merges the
+// families with a `node` label distinguishing the sources. A peer that is
+// down, slow or serving malformed text contributes nothing but its
+// grub_cluster_scrape_ok marker — a dead node makes the scrape smaller,
+// never hanging or poisoning it.
 
 const (
 	// federationFanIn bounds concurrent peer scrapes.
@@ -36,7 +35,7 @@ const (
 // memberScrape is one member's contribution to the federated document.
 type memberScrape struct {
 	member string
-	fams   []obs.ParsedFamily
+	fams   []obs.Family
 	ok     bool
 }
 
@@ -54,10 +53,9 @@ func clusterMetricsHandler(g *Gateway, node *cluster.Node, slow *slowLogger) htt
 		var wg sync.WaitGroup
 		for i, m := range st.Members {
 			if m.Self {
-				// Self renders in-process: same text /metrics serves,
-				// no loopback HTTP round trip to get it.
-				fams, err := obs.ParseExposition(renderMetrics(g, node, slow))
-				scrapes[i] = memberScrape{member: m.URL, fams: fams, ok: err == nil}
+				// Self's families are the ones /metrics writes: no loopback
+				// HTTP round trip and no text to parse back.
+				scrapes[i] = memberScrape{member: m.URL, fams: renderMetrics(g, node, slow), ok: true}
 				continue
 			}
 			wg.Add(1)
@@ -71,18 +69,15 @@ func clusterMetricsHandler(g *Gateway, node *cluster.Node, slow *slowLogger) htt
 		}
 		wg.Wait()
 
-		var b strings.Builder
-		obs.WriteFamilies(&b, []obs.ParsedFamily{scrapeOKFamily(scrapes)})
-		obs.WriteFamilies(&b, mergeScrapes(scrapes))
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		w.Write([]byte(b.String()))
+		obs.WriteFamilies(w, append([]obs.Family{scrapeOKFamily(scrapes)}, mergeScrapes(scrapes)...))
 	}
 }
 
 // scrapePeer fetches and validates one peer's /metrics under the
 // federation timeout.
-func scrapePeer(ctx context.Context, httpc *http.Client, peer string) ([]obs.ParsedFamily, error) {
+func scrapePeer(ctx context.Context, httpc *http.Client, peer string) ([]obs.Family, error) {
 	ctx, cancel := context.WithTimeout(ctx, federationTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/metrics", nil)
@@ -106,8 +101,8 @@ func scrapePeer(ctx context.Context, httpc *http.Client, peer string) ([]obs.Par
 
 // scrapeOKFamily marks each member's scrape outcome, so a consumer can
 // tell "peer is idle" from "peer is unreachable/stale".
-func scrapeOKFamily(scrapes []memberScrape) obs.ParsedFamily {
-	fam := obs.ParsedFamily{
+func scrapeOKFamily(scrapes []memberScrape) obs.Family {
+	fam := obs.Family{
 		Name: "grub_cluster_scrape_ok",
 		Help: "Whether the member's registry was scraped for this federated exposition (0 = down or malformed; its series are absent).",
 		Type: "gauge",
@@ -117,23 +112,19 @@ func scrapeOKFamily(scrapes []memberScrape) obs.ParsedFamily {
 		if sc.ok {
 			v = 1
 		}
-		fam.Samples = append(fam.Samples, obs.ParsedSample{
-			Name:   fam.Name,
-			Labels: []obs.LabelPair{{Name: "node", Value: sc.member}},
-			Value:  v,
-		})
+		fam.Add(v, "node", sc.member)
 	}
 	return fam
 }
 
 // mergeScrapes folds the per-member families into one list: families
-// merge by name (first member's HELP/TYPE wins; a name that changes
-// type across members keeps only matching samples, so the output stays
-// a valid exposition), and every sample gains a node label naming its
-// source. Per-member sample order is preserved, so the merged document
+// merge by name (the first member with samples of one gives its HELP/TYPE
+// and its place; a name that changes type across members keeps only
+// matching samples, so the output stays a valid exposition), and every
+// sample gains a node label naming its source. Per-member sample order is preserved, so the merged document
 // parses cleanly — no duplicate series across nodes.
-func mergeScrapes(scrapes []memberScrape) []obs.ParsedFamily {
-	var out []obs.ParsedFamily
+func mergeScrapes(scrapes []memberScrape) []obs.Family {
+	var out []obs.Family
 	byName := make(map[string]int)
 	for _, sc := range scrapes {
 		if !sc.ok {
@@ -141,11 +132,14 @@ func mergeScrapes(scrapes []memberScrape) []obs.ParsedFamily {
 		}
 		nodeLabel := obs.LabelPair{Name: "node", Value: sc.member}
 		for _, f := range sc.fams {
+			if len(f.Samples) == 0 {
+				continue
+			}
 			idx, seen := byName[f.Name]
 			if !seen {
 				idx = len(out)
 				byName[f.Name] = idx
-				out = append(out, obs.ParsedFamily{Name: f.Name, Help: f.Help, Type: f.Type})
+				out = append(out, obs.Family{Name: f.Name, Help: f.Help, Type: f.Type})
 			} else if out[idx].Type != f.Type {
 				continue
 			}

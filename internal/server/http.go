@@ -283,8 +283,7 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 		start := time.Now()
 		forwardToOwner(w, r, body, owner, epoch, hc.Cluster.Client(), tr)
 		dur := time.Since(start)
-		g.Pipeline().Feed(feed).GetForward().Observe(dur.Seconds())
-		tr.AddSpan(obs.StageForward, -1, start, dur)
+		g.Pipeline().Feed(feed).Record(tr, obs.StageForward, -1, start, dur)
 		if slow != nil && tr != nil {
 			slow.maybeLog(tr, feed, batchLen(r, body), dur)
 		}
@@ -410,13 +409,11 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 		// Ingress covers the whole gateway round trip: scatter, every
 		// per-shard stage, gather. The same window on a forwarded batch
 		// is remote_apply — the owner-side half of the forward hop.
-		fs := g.Pipeline().Feed(id)
-		stage, hist := obs.StageIngress, fs.GetIngress()
+		stage := obs.StageIngress
 		if forwarded {
-			stage, hist = obs.StageRemoteApply, fs.GetRemoteApply()
+			stage = obs.StageRemoteApply
 		}
-		hist.Observe(dur.Seconds())
-		tr.AddSpan(stage, -1, start, dur)
+		g.Pipeline().Feed(id).Record(tr, stage, -1, start, dur)
 		if forwarded && tr != nil {
 			// Hand the full local breakdown back to the ingress node
 			// (bounded; EncodeSpans drops tail spans past 8KiB).

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 
 	"grub/internal/cluster"
 	"grub/internal/obs"
@@ -28,16 +27,52 @@ func metricsHandler(g *Gateway, node *cluster.Node, slow *slowLogger) http.Handl
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		w.Write([]byte(renderMetrics(g, node, slow)))
+		obs.WriteFamilies(w, renderMetrics(g, node, slow))
 	}
 }
 
-// renderMetrics builds the full exposition text. The federation plane
-// (GET /cluster/metrics) calls it directly for the answering node's own
-// registry, so self never round-trips through HTTP.
-func renderMetrics(g *Gateway, node *cluster.Node, slow *slowLogger) string {
+// renderMetrics returns every family the gateway exposes, in exposition
+// order (WriteFamilies skips those with no sample). The federation plane
+// (GET /cluster/metrics) takes them directly for the answering node, so
+// self never round-trips through HTTP or text.
+func renderMetrics(g *Gateway, node *cluster.Node, slow *slowLogger) []obs.Family {
 	ids := g.Feeds()
-	feedSeries := []obs.Series{
+	fams := []obs.Family{
+		gauge("grub_gateway_feeds", "Feeds hosted by this gateway.", float64(len(ids))),
+		gauge("grub_shards_halted", "Shards permanently halted on a detected divergence.", float64(len(g.Halted()))),
+		gauge("grub_build_info", "Build metadata; the value is always 1.", 1, "version", Version),
+		gauge("grub_uptime_seconds", "Seconds since this gateway started.", g.Uptime().Seconds()),
+		counter("grub_slowlog_dropped_total", "Slow-op records suppressed by the per-second emission cap.", float64(slow.Dropped())),
+	}
+	fams = append(fams, feedFamilies(g, ids)...)
+	fams = append(fams, loadFamilies(g)...)
+	if node != nil {
+		st := node.Status()
+		fams = append(fams, clusterFamilies(node, st)...)
+		fams = append(fams, tailFamilies(st)...)
+	}
+	// Registry-backed families (the grub_stage_seconds pipeline
+	// histograms, stream and read counters) come last, sorted by name.
+	return append(fams, g.Metrics().Families()...)
+}
+
+// gauge and counter build a family of one sample.
+func gauge(name, help string, v float64, pairs ...string) obs.Family {
+	f := obs.Family{Name: name, Help: help, Type: "gauge"}
+	f.Add(v, pairs...)
+	return f
+}
+
+func counter(name, help string, v float64) obs.Family {
+	f := obs.Family{Name: name, Help: help, Type: "counter"}
+	f.Add(v)
+	return f
+}
+
+// feedFamilies derives the per-feed counters and gauges from the same Stats
+// snapshot the JSON API serves.
+func feedFamilies(g *Gateway, ids []string) []obs.Family {
+	out := []obs.Family{
 		{Name: "grub_feed_ops_total", Help: "Executed ops per feed.", Type: "counter"},
 		{Name: "grub_feed_batches_total", Help: "Executed batches per feed.", Type: "counter"},
 		{Name: "grub_feed_gas_total", Help: "Cumulative feed-layer gas per feed.", Type: "counter"},
@@ -52,72 +87,30 @@ func renderMetrics(g *Gateway, node *cluster.Node, slow *slowLogger) string {
 		if err != nil {
 			continue // closed mid-scrape
 		}
-		label := obs.Labels("feed", id)
-		add := func(i int, v float64) {
-			feedSeries[i].Samples = append(feedSeries[i].Samples, obs.Sample{Labels: label, Value: v})
-		}
-		add(0, float64(st.Ops))
-		add(1, float64(st.Batches))
-		add(2, float64(st.Feed.FeedGas))
-		add(3, float64(st.Feed.Records))
-		add(4, float64(st.Feed.Delivered))
-		add(5, float64(st.Feed.Replicated))
+		vals := []float64{float64(st.Ops), float64(st.Batches), float64(st.Feed.FeedGas),
+			float64(st.Feed.Records), float64(st.Feed.Delivered), float64(st.Feed.Replicated)}
 		if st.Persist != nil {
-			add(6, float64(st.Persist.Snapshots))
-			add(7, float64(st.Persist.LoggedBatches))
+			vals = append(vals, float64(st.Persist.Snapshots), float64(st.Persist.LoggedBatches))
+		}
+		for i, v := range vals {
+			out[i].Add(v, "feed", id)
 		}
 	}
-	halted := len(g.Halted())
-
-	var b strings.Builder
-	obs.WriteSeries(&b, []obs.Series{
-		{
-			Name: "grub_gateway_feeds", Help: "Feeds hosted by this gateway.", Type: "gauge",
-			Samples: []obs.Sample{{Value: float64(len(ids))}},
-		},
-		{
-			Name: "grub_shards_halted", Help: "Shards permanently halted on a detected divergence.", Type: "gauge",
-			Samples: []obs.Sample{{Value: float64(halted)}},
-		},
-		{
-			Name: "grub_build_info", Help: "Build metadata; the value is always 1.", Type: "gauge",
-			Samples: []obs.Sample{{Labels: obs.Labels("version", Version), Value: 1}},
-		},
-		{
-			Name: "grub_uptime_seconds", Help: "Seconds since this gateway started.", Type: "gauge",
-			Samples: []obs.Sample{{Value: g.Uptime().Seconds()}},
-		},
-		{
-			Name: "grub_slowlog_dropped_total", Help: "Slow-op records suppressed by the per-second emission cap.", Type: "counter",
-			Samples: []obs.Sample{{Value: float64(slow.Dropped())}},
-		},
-	})
-	obs.WriteSeries(&b, feedSeries)
-	obs.WriteSeries(&b, loadSeries(g))
-	if node != nil {
-		st := node.Status()
-		obs.WriteSeries(&b, clusterSeries(node, st))
-		obs.WriteSeries(&b, tailSeries(st))
-	}
-	// Registry-backed families (the grub_stage_seconds pipeline
-	// histograms) render last; the registry sorts its own families.
-	g.Metrics().WritePrometheus(&b)
-	return b.String()
+	return out
 }
 
-// loadSeries renders the per-feed load tracker as gauges: the same
+// loadFamilies renders the per-feed load tracker as gauges: the same
 // sliding-window EWMAs GET /cluster/load ranks and heartbeats ship in
 // digest form. Idle feeds decay out of the snapshot, so the series set
 // shrinks back to nothing when traffic stops.
-func loadSeries(g *Gateway) []obs.Series {
-	out := []obs.Series{
+func loadFamilies(g *Gateway) []obs.Family {
+	out := []obs.Family{
 		{Name: "grub_feed_load_ops_per_sec", Help: "Recent per-feed op throughput (sliding-window EWMA).", Type: "gauge"},
 		{Name: "grub_feed_load_gas_per_sec", Help: "Recent per-feed gas burn rate (sliding-window EWMA).", Type: "gauge"},
 	}
 	for _, fl := range g.Load().Snapshot() {
-		label := obs.Labels("feed", fl.Feed)
-		out[0].Samples = append(out[0].Samples, obs.Sample{Labels: label, Value: fl.OpsPerSec})
-		out[1].Samples = append(out[1].Samples, obs.Sample{Labels: label, Value: fl.GasPerSec})
+		out[0].Add(fl.OpsPerSec, "feed", fl.Feed)
+		out[1].Add(fl.GasPerSec, "feed", fl.Feed)
 	}
 	return out
 }
@@ -129,7 +122,7 @@ var clusterRoleCode = map[string]int{
 	"follower": 0, "owner": 1, "owner-fenced": 2, "deleted": 3,
 }
 
-func clusterSeries(node *cluster.Node, st cluster.Status) []obs.Series {
+func clusterFamilies(node *cluster.Node, st cluster.Status) []obs.Family {
 	alive := 0
 	for _, m := range st.Members {
 		if m.Alive {
@@ -140,25 +133,18 @@ func clusterSeries(node *cluster.Node, st cluster.Status) []obs.Series {
 	if st.Quorum {
 		quorum = 1
 	}
-	out := []obs.Series{
-		{Name: "grub_cluster_members", Help: "Static cluster member count.", Type: "gauge",
-			Samples: []obs.Sample{{Value: float64(len(st.Members))}}},
-		{Name: "grub_cluster_members_alive", Help: "Members heard from within the failure window (including self).", Type: "gauge",
-			Samples: []obs.Sample{{Value: float64(alive)}}},
-		{Name: "grub_cluster_quorum", Help: "Whether this node sees a member majority (writes require it).", Type: "gauge",
-			Samples: []obs.Sample{{Value: quorum}}},
-		{Name: "grub_cluster_epoch", Help: "Highest placement fencing epoch known to this node (the ring epoch).", Type: "gauge",
-			Samples: []obs.Sample{{Value: float64(st.Epoch)}}},
-		{Name: "grub_cluster_forwards_total", Help: "Write-path requests this node proxied to a feed's owner.", Type: "counter",
-			Samples: []obs.Sample{{Value: float64(st.ForwardsTotal)}}},
-		{Name: "grub_cluster_failovers_total", Help: "Failover promotions this node performed.", Type: "counter",
-			Samples: []obs.Sample{{Value: float64(st.FailoversTotal)}}},
+	out := []obs.Family{
+		gauge("grub_cluster_members", "Static cluster member count.", float64(len(st.Members))),
+		gauge("grub_cluster_members_alive", "Members heard from within the failure window (including self).", float64(alive)),
+		gauge("grub_cluster_quorum", "Whether this node sees a member majority (writes require it).", quorum),
+		gauge("grub_cluster_epoch", "Highest placement fencing epoch known to this node (the ring epoch).", float64(st.Epoch)),
+		counter("grub_cluster_forwards_total", "Write-path requests this node proxied to a feed's owner.", float64(st.ForwardsTotal)),
+		counter("grub_cluster_failovers_total", "Failover promotions this node performed.", float64(st.FailoversTotal)),
 		{Name: "grub_cluster_role", Help: "This node's role per feed (0 follower, 1 owner, 2 owner-fenced, 3 deleted).", Type: "gauge"},
 		{Name: "grub_cluster_heartbeat_lag_seconds", Help: "Seconds since each peer was last heard from (-1 = never).", Type: "gauge"},
 	}
 	for _, fp := range st.Feeds {
-		out[6].Samples = append(out[6].Samples,
-			obs.Sample{Labels: obs.Labels("feed", fp.Feed), Value: float64(clusterRoleCode[fp.Role])})
+		out[6].Add(float64(clusterRoleCode[fp.Role]), "feed", fp.Feed)
 	}
 	lag := node.HeartbeatLag()
 	peers := make([]string, 0, len(lag))
@@ -167,16 +153,15 @@ func clusterSeries(node *cluster.Node, st cluster.Status) []obs.Series {
 	}
 	sort.Strings(peers)
 	for _, p := range peers {
-		out[7].Samples = append(out[7].Samples,
-			obs.Sample{Labels: obs.Labels("peer", p), Value: lag[p]})
+		out[7].Add(lag[p], "peer", p)
 	}
 	return out
 }
 
-// tailSeries renders the replication health of every feed this node tails
-// (every feed it does not own) from the cluster status.
-func tailSeries(st cluster.Status) []obs.Series {
-	out := []obs.Series{
+// tailFamilies renders the replication health of every feed this node
+// tails (every feed it does not own) from the cluster status.
+func tailFamilies(st cluster.Status) []obs.Family {
+	out := []obs.Family{
 		{Name: "grub_repl_seq", Help: "Applied batch sequence of a tailed feed, per shard.", Type: "gauge"},
 		{Name: "grub_repl_leader_seq", Help: "Owner's batch sequence as last observed, per feed shard.", Type: "gauge"},
 		{Name: "grub_repl_lag", Help: "Replication lag (owner seq - local seq) per feed shard.", Type: "gauge"},
@@ -187,11 +172,10 @@ func tailSeries(st cluster.Status) []obs.Series {
 			continue
 		}
 		for _, ss := range fp.Tail.Shards {
-			label := obs.Labels("feed", fp.Feed, "shard", strconv.Itoa(ss.Shard))
-			out[0].Samples = append(out[0].Samples, obs.Sample{Labels: label, Value: float64(ss.Seq)})
-			out[1].Samples = append(out[1].Samples, obs.Sample{Labels: label, Value: float64(ss.LeaderSeq)})
-			out[2].Samples = append(out[2].Samples, obs.Sample{Labels: label, Value: float64(ss.Lag)})
-			out[3].Samples = append(out[3].Samples, obs.Sample{Labels: label, Value: float64(repl.Severity(ss.State))})
+			shard := strconv.Itoa(ss.Shard)
+			for i, v := range []float64{float64(ss.Seq), float64(ss.LeaderSeq), float64(ss.Lag), float64(repl.Severity(ss.State))} {
+				out[i].Add(v, "feed", fp.Feed, "shard", shard)
+			}
 		}
 	}
 	return out

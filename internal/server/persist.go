@@ -169,9 +169,24 @@ func (g *Gateway) readManifest() (manifest, error) {
 	return m, nil
 }
 
-// writeManifest installs the given registry atomically. Callers hold
-// createMu, so manifest writes never interleave.
-func (g *Gateway) writeManifest(m manifest) error {
+// rewriteManifest rewrites the manifest without the feed id, then with
+// cfg added when cfg is non-nil, and installs it atomically (temp file,
+// then rename). Callers hold createMu, so manifest writes never interleave.
+func (g *Gateway) rewriteManifest(id string, cfg *FeedConfig) error {
+	m, err := g.readManifest()
+	if err != nil {
+		return err
+	}
+	kept := m.Feeds[:0]
+	for _, c := range m.Feeds {
+		if c.ID != id {
+			kept = append(kept, c)
+		}
+	}
+	if cfg != nil {
+		kept = append(kept, *cfg)
+	}
+	m.Feeds = kept
 	sort.Slice(m.Feeds, func(i, j int) bool { return m.Feeds[i].ID < m.Feeds[j].ID })
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -185,37 +200,4 @@ func (g *Gateway) writeManifest(m manifest) error {
 		return fmt.Errorf("server: install manifest: %w", err)
 	}
 	return nil
-}
-
-// writeManifestWith rewrites the manifest with cfg added (replacing any
-// entry with the same ID).
-func (g *Gateway) writeManifestWith(cfg FeedConfig) error {
-	m, err := g.readManifest()
-	if err != nil {
-		return err
-	}
-	kept := m.Feeds[:0]
-	for _, c := range m.Feeds {
-		if c.ID != cfg.ID {
-			kept = append(kept, c)
-		}
-	}
-	m.Feeds = append(kept, cfg)
-	return g.writeManifest(m)
-}
-
-// writeManifestWithout rewrites the manifest with the given feed removed.
-func (g *Gateway) writeManifestWithout(id string) error {
-	m, err := g.readManifest()
-	if err != nil {
-		return err
-	}
-	kept := m.Feeds[:0]
-	for _, c := range m.Feeds {
-		if c.ID != id {
-			kept = append(kept, c)
-		}
-	}
-	m.Feeds = kept
-	return g.writeManifest(m)
 }

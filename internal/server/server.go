@@ -177,7 +177,7 @@ func NewShardedFeed(cfg FeedConfig) (*shard.ShardedFeed, error) {
 // surface, not opt-ins — any gateway can lead followers. stages wires the
 // feed's pipeline-stage latency histograms (nil disables stage timing);
 // load wires the feed's ops/gas rate meter (nil disables load accounting).
-func newShardedFeed(cfg FeedConfig, persist *shard.PersistOptions, replRetain int, stages *obs.FeedStages, load *obs.RateMeter) (*shard.ShardedFeed, error) {
+func newShardedFeed(cfg FeedConfig, persist *shard.PersistOptions, replRetain int, stages obs.FeedStages, load *obs.RateMeter) (*shard.ShardedFeed, error) {
 	if _, _, err := feedParts(cfg); err != nil {
 		return nil, err // reject bad configs before touching disk
 	}
@@ -304,14 +304,14 @@ func (g *Gateway) CreateFeed(cfg FeedConfig) error {
 	if g.persistent() {
 		entry.dir = g.feedDir(cfg.ID)
 		persist = g.persistOptions(entry.dir)
-		if err := g.writeManifestWith(cfg); err != nil {
+		if err := g.rewriteManifest(cfg.ID, &cfg); err != nil {
 			return err
 		}
 	}
 	sf, err := newShardedFeed(cfg, persist, g.opts.ReplRetain, g.pipeline.Feed(cfg.ID), g.load.Meter(cfg.ID))
 	if err != nil {
 		if g.persistent() {
-			g.writeManifestWithout(cfg.ID) // roll the reservation back
+			g.rewriteManifest(cfg.ID, nil) // roll the reservation back
 		}
 		g.load.Forget(cfg.ID)
 		return err
@@ -508,7 +508,7 @@ func (g *Gateway) CloseFeed(id string) error {
 	g.load.Forget(id)
 	e.sf.Close()
 	if e.dir != "" {
-		if err := g.writeManifestWithout(id); err != nil {
+		if err := g.rewriteManifest(id, nil); err != nil {
 			return err
 		}
 		return shard.RemoveStore(e.dir)

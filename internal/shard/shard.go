@@ -94,7 +94,7 @@ type Options struct {
 	// publish) for every shard of this feed. The histograms are shared
 	// across shards — series are labeled by feed, with the shard index
 	// carried only on trace spans. Nil disables stage timing entirely.
-	Stages *obs.FeedStages
+	Stages obs.FeedStages
 	// Load, when non-nil, receives per-batch ops and gas counts from
 	// every shard worker (client batches and replicated applies alike)
 	// — the feed's share of the node's load accounting. Nil disables.
@@ -228,7 +228,7 @@ type shardState struct {
 	// Snapshot call.
 	persistErr error
 	// stages receives per-stage latency observations (nil disables).
-	stages *obs.FeedStages
+	stages obs.FeedStages
 	// load receives per-batch ops/gas counts (nil disables).
 	load *obs.RateMeter
 }
@@ -261,7 +261,7 @@ func (st *shardState) applyBatch(ops []core.Op) ([]core.OpResult, repl.Entry) {
 // there is somewhere to record to, so untimed feeds skip the clock
 // reads entirely.
 type stageClock struct {
-	stages *obs.FeedStages
+	stages obs.FeedStages
 	tr     *obs.Trace
 	shard  int
 	start  time.Time
@@ -281,23 +281,20 @@ func newStageClock(st *shardState, req request, shard int) stageClock {
 	c.start = time.Now()
 	c.last = c.start
 	if !req.enq.IsZero() {
-		d := c.start.Sub(req.enq)
-		c.stages.GetMailbox().Observe(d.Seconds())
-		c.tr.AddSpan(obs.StageMailbox, shard, req.enq, d)
+		c.stages.Record(c.tr, obs.StageMailbox, shard, req.enq, c.start.Sub(req.enq))
 	}
 	return c
 }
 
 // mark closes the current stage: the time since the previous mark (or
-// the clock's start) is recorded under stage on h and as a span.
-func (c *stageClock) mark(stage string, h *obs.Histogram) {
+// the clock's start) is recorded under stage, in its histogram and as a
+// span.
+func (c *stageClock) mark(stage string) {
 	if !c.on {
 		return
 	}
 	now := time.Now()
-	d := now.Sub(c.last)
-	h.Observe(d.Seconds())
-	c.tr.AddSpan(stage, c.shard, c.last, d)
+	c.stages.Record(c.tr, stage, c.shard, c.last, now.Sub(c.last))
 	c.last = now
 }
 
@@ -310,13 +307,11 @@ func (c *stageClock) skip() {
 }
 
 // total records the time since the clock started under stage.
-func (c *stageClock) total(stage string, h *obs.Histogram) {
+func (c *stageClock) total(stage string) {
 	if !c.on {
 		return
 	}
-	d := time.Since(c.start)
-	h.Observe(d.Seconds())
-	c.tr.AddSpan(stage, c.shard, c.start, d)
+	c.stages.Record(c.tr, stage, c.shard, c.start, time.Since(c.start))
 }
 
 // worker owns one shard's feed. Only its goroutine touches the feed;
@@ -503,7 +498,7 @@ func (w *worker) commit(st *shardState, ops []core.Op, want *repl.Entry, clk *st
 		if err := st.persist.appendBatch(ops); err != nil {
 			return nil, err
 		}
-		clk.mark(obs.StagePersist, clk.stages.GetPersist())
+		clk.mark(obs.StagePersist)
 	}
 	// From here to publishView nothing returns early.
 	set := st.feed.DO.Set()
@@ -513,7 +508,7 @@ func (w *worker) commit(st *shardState, ops []core.Op, want *repl.Entry, clk *st
 	}
 	seq, height := uint64(st.batches), st.feed.Chain.Height()
 	results, entry := st.applyBatch(ops)
-	clk.mark(obs.StageApply, clk.stages.GetApply())
+	clk.mark(obs.StageApply)
 	if want != nil {
 		if div := repl.CheckAnchor(w.idx, want.Anchor, entry.Anchor); div != nil {
 			st.diverged = div
@@ -540,12 +535,12 @@ func (w *worker) commit(st *shardState, ops []core.Op, want *repl.Entry, clk *st
 	}
 	if st.repl != nil {
 		st.repl.append(entry)
-		clk.mark(obs.StageReplAppend, clk.stages.GetReplAppend())
+		clk.mark(obs.StageReplAppend)
 	}
 	w.publishView(st)
-	clk.mark(obs.StagePublish, clk.stages.GetPublish())
+	clk.mark(obs.StagePublish)
 	if want != nil {
-		clk.total(obs.StageFollowerApply, clk.stages.GetFollowerApply())
+		clk.total(obs.StageFollowerApply)
 	}
 	return results, nil
 }
@@ -648,7 +643,7 @@ type ShardedFeed struct {
 	// after Close, like the engine views.
 	replLogs []*replLog
 	// stages mirrors Options.Stages (nil disables stage timing).
-	stages *obs.FeedStages
+	stages obs.FeedStages
 }
 
 // Engine returns the feed's snapshot-isolated query engine, or nil when the
@@ -677,7 +672,7 @@ func New(opts Options, build func(shard int) (*core.Feed, error)) (*ShardedFeed,
 	s := &ShardedFeed{workers: make([]*worker, n), replLogs: make([]*replLog, n), stages: opts.Stages}
 	if opts.Views {
 		s.engine = query.NewEngine(n)
-		s.engine.SetProofHistogram(opts.Stages.GetProofBuild())
+		s.engine.SetProofHistogram(opts.Stages.Hist(obs.StageProofBuild))
 	}
 	restore := opts.Restore
 	if restore == nil && opts.Persist != nil {
