@@ -56,13 +56,15 @@ bench:
 #     no allocation sized from a count the body claims;
 #   - binary replication log encoding: arbitrary log pages likewise, and an
 #     accepted page re-encodes to the bytes it came from;
-#   - Go-to-Go stream frames: arbitrary bytes as a request or answer frame
-#     must decode or error without panicking or allocating from a length or
-#     count they claim (truncated, oversize, non-minimal), and a frame that
-#     decodes re-encodes to one that decodes the same (internal/stream); the
-#     same bytes sent on a gateway's stream get one answer per whole frame,
-#     400 for one that is not a request, 413 and GOAWAY past the body cap
-#     (internal/server);
+#   - Go-to-Go stream frames: arbitrary bytes as a request frame of any
+#     route (route 0's header pairs, or a typed batch, get, range or log
+#     fetch's fixed fields) or as an answer frame must decode or error
+#     without panicking or allocating from a length or count they claim
+#     (truncated, oversize, non-minimal, unknown route or flag), and a frame
+#     that decodes re-encodes to one that decodes the same
+#     (internal/stream); the same bytes sent on a gateway's stream get one
+#     answer per whole frame, 400 for one that is not a request, 413 and
+#     GOAWAY past the body cap (internal/server);
 #   - shard image install: arbitrary bytes as a leader's bootstrap image
 #     must be refused, leaving the shard as it was, or install to exactly
 #     the seq, root, count and height they claim; never panic;

@@ -13,6 +13,7 @@ import (
 
 	"grub/internal/cluster"
 	"grub/internal/server"
+	"grub/internal/stream"
 )
 
 func TestServeRoundtrip(t *testing.T) {
@@ -188,7 +189,7 @@ func TestSlowHeadersDisconnected(t *testing.T) {
 		{addr, "GET /healthz HT", ""},
 		{m[1], "GET /healthz HT", ""},
 		// An upgraded stream, stalled halfway through a frame's length.
-		{addr, "GET /healthz HTTP/1.1\r\nHost: grubd\r\nConnection: Upgrade\r\nUpgrade: grub-stream/1\r\n\r\n\x80", "HTTP/1.1 101 "},
+		{addr, "GET /healthz HTTP/1.1\r\nHost: grubd\r\nConnection: Upgrade\r\nUpgrade: " + stream.Proto + "\r\n\r\n\x80", "HTTP/1.1 101 "},
 	} {
 		conn, err := net.Dial("tcp", row.addr)
 		if err != nil {

@@ -46,11 +46,13 @@ type Client struct {
 	streams stream.Pool
 }
 
-// Send sends one request to peer and returns its answer, whatever the
-// status; pairs alternate header keys and values.
-func (c *Client) Send(peer, method, uri string, body []byte, pairs ...string) (stream.Answer, error) {
-	return c.streams.Send(c.HTTP, peer, method, uri, body, pairs...)
+// Send sends req to peer and returns its answer, whatever the status.
+func (c *Client) Send(peer string, req *stream.Request) (stream.Answer, error) {
+	return c.streams.Send(c.HTTP, peer, req)
 }
+
+// Idle is the number of idle streams the client holds to peer.
+func (c *Client) Idle(peer string) int { return c.streams.Idle(peer) }
 
 // Close ends the client's idle streams; a call after it still works, over
 // a stream of its own.
@@ -58,16 +60,15 @@ func (c *Client) Close() { c.streams.Close() }
 
 // do performs one JSON call; in and out may be nil.
 func (c *Client) do(method, peer, path string, in, out any) error {
-	var body []byte
-	var pairs []string
+	req := stream.Request{Method: method, URI: path}
 	if in != nil {
 		data, err := json.Marshal(in)
 		if err != nil {
 			return err
 		}
-		body, pairs = data, []string{"Content-Type", "application/json"}
+		req.Body, req.Header = data, http.Header{"Content-Type": {stream.JSONMediaType}}
 	}
-	a, err := c.Send(peer, method, path, body, pairs...)
+	a, err := c.Send(peer, &req)
 	if err != nil {
 		return err
 	}

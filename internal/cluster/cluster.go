@@ -53,15 +53,16 @@ import (
 	"grub/internal/obs"
 	"grub/internal/query"
 	"grub/internal/repl"
+	"grub/internal/stream"
 )
 
 // Forwarding headers. Every proxied request carries the sender's placement
 // epoch for the feed (EpochHeader) and a hop marker (ForwardedHeader) so a
 // routing disagreement surfaces as one 421 with a Leader header instead of
-// a proxy loop.
+// a proxy loop. A typed stream frame carries both as fixed fields.
 const (
-	EpochHeader     = "X-Grub-Cluster-Epoch"
-	ForwardedHeader = "X-Grub-Cluster-Forwarded"
+	EpochHeader     = stream.EpochHeader
+	ForwardedHeader = stream.ForwardedHeader
 )
 
 // Sentinel errors surfaced on the /cluster/* admin surface.

@@ -29,20 +29,19 @@ func NewClient(base string) *Client {
 // a stream of its own.
 func (c *Client) Close() { c.streams.Close() }
 
-// get performs one GET against the leader, with the header pairs given, and
-// returns the answer when it is a 200; the caller closes it. A 404 maps to
-// ErrFeedGone so tailers can distinguish "feed deleted on leader" from
-// transport trouble.
-func (c *Client) get(path string, pairs ...string) (stream.Answer, error) {
-	a, err := c.streams.Send(c.HTTP, c.Base, http.MethodGet, path, nil, pairs...)
+// get sends one GET to the leader and returns the answer when it is a 200;
+// the caller closes it. A 404 maps to ErrFeedGone so tailers can distinguish
+// "feed deleted on leader" from transport trouble.
+func (c *Client) get(req *stream.Request) (stream.Answer, error) {
+	a, err := c.streams.Send(c.HTTP, c.Base, req)
 	if err != nil || a.Status == http.StatusOK {
 		return a, err
 	}
 	defer a.Close()
 	if a.Status == http.StatusNotFound {
-		return stream.Answer{}, fmt.Errorf("%w: GET %s", ErrFeedGone, path)
+		return stream.Answer{}, fmt.Errorf("%w: %s", ErrFeedGone, req.String())
 	}
-	return stream.Answer{}, fmt.Errorf("repl: GET %s: %s", path, a.ErrorText())
+	return stream.Answer{}, fmt.Errorf("repl: %s: %s", req.String(), a.ErrorText())
 }
 
 // FeedInfo is one leader feed: its ID plus the config verbatim, opaque to
@@ -54,7 +53,7 @@ type FeedInfo struct {
 
 // Feeds lists the leader's hosted feeds with their configs.
 func (c *Client) Feeds() ([]FeedInfo, error) {
-	a, err := c.get("/repl/feeds")
+	a, err := c.get(&stream.Request{Method: http.MethodGet, URI: "/repl/feeds"})
 	if err != nil {
 		return nil, err
 	}
@@ -81,26 +80,22 @@ func (c *Client) Feeds() ([]FeedInfo, error) {
 	return infos, nil
 }
 
-func shardPath(id string, shard int, kind string) string {
-	return fmt.Sprintf("/repl/feeds/%s/shards/%d/%s", url.PathEscape(id), shard, kind)
-}
-
 // Log fetches one page of a shard's replication log above the cursor, in
-// the binary log encoding; an answer in any other type is an error that
-// names both.
+// the binary log encoding, as a typed stream request; an answer in any other
+// type is an error that names both.
 func (c *Client) Log(id string, shard int, from uint64, max int) (*LogPage, error) {
-	path := fmt.Sprintf("%s?from=%d&max=%d", shardPath(id, shard, "log"), from, max)
-	a, err := c.get(path, "Accept", LogMediaType)
+	req := stream.Request{Route: stream.RouteLog, Feed: id, Shard: shard, From: from, Max: max}
+	a, err := c.get(&req)
 	if err != nil {
 		return nil, err
 	}
 	defer a.Close()
-	if ct := a.Header.Get("Content-Type"); ct != LogMediaType {
-		return nil, fmt.Errorf("repl: GET %s: answer is %q, want %q", path, ct, LogMediaType)
+	if a.ContentType != LogMediaType {
+		return nil, fmt.Errorf("repl: %s: answer is %q, want %q", req.String(), a.ContentType, LogMediaType)
 	}
 	page, err := DecodeLogPage(a.Body)
 	if err != nil {
-		return nil, fmt.Errorf("repl: GET %s: %w", path, err)
+		return nil, fmt.Errorf("repl: %s: %w", req.String(), err)
 	}
 	return page, nil
 }
@@ -108,15 +103,15 @@ func (c *Client) Log(id string, shard int, from uint64, max int) (*LogPage, erro
 // Snapshot fetches a consistent bootstrap image of one shard. The image is
 // only decoded here; the shard checks its anchor when it installs it.
 func (c *Client) Snapshot(id string, shard int) (*Snapshot, error) {
-	path := shardPath(id, shard, "snapshot")
-	a, err := c.get(path)
+	req := stream.Request{Method: http.MethodGet, URI: fmt.Sprintf("/repl/feeds/%s/shards/%d/snapshot", url.PathEscape(id), shard)}
+	a, err := c.get(&req)
 	if err != nil {
 		return nil, err
 	}
 	defer a.Close()
 	snap, err := DecodeSnapshot(a.Body)
 	if err != nil {
-		return nil, fmt.Errorf("repl: GET %s: %w", path, err)
+		return nil, fmt.Errorf("repl: %s: %w", req.String(), err)
 	}
 	return snap, nil
 }

@@ -3,13 +3,14 @@ package repl
 import (
 	"grub/internal/core"
 	"grub/internal/merkle"
+	"grub/internal/stream"
 	"grub/internal/wire"
 )
 
 // LogMediaType names the binary replication log encoding (docs/API.md,
 // "Binary replication log encoding"). GET /repl/feeds/{id}/shards/{shard}/log
-// answers in it when the Accept header names it, and in JSON otherwise.
-const LogMediaType = "application/x-grub-repl"
+// answers in it, with or without an Accept header.
+const LogMediaType = stream.LogMediaType
 
 // minEntryWire is an entry's smallest encoding, which bounds a decoded entry
 // count by the bytes left: seq, an empty batch, the root, count and height.

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"net/http"
-	"net/url"
 	"time"
 
 	"grub/internal/core"
@@ -63,15 +61,15 @@ func NewClient(baseURL string) *Client {
 // call performs one JSON round-trip; out may be nil. Retry and leader
 // redirects are do's.
 func (c *Client) call(method, path string, in, out any) error {
-	var payload []byte
+	req := stream.Request{Method: method, URI: path}
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
 			return fmt.Errorf("client: encode %s %s: %w", method, path, err)
 		}
-		payload = b
+		req.Body, req.Header = b, http.Header{"Content-Type": {stream.JSONMediaType}}
 	}
-	a, err := c.do(method, path, payload, "application/json", "")
+	a, err := c.do(&req)
 	if err != nil {
 		return err
 	}
@@ -82,24 +80,16 @@ func (c *Client) call(method, path string, in, out any) error {
 	return json.Unmarshal(a.Body, out)
 }
 
-// do sends one request with bounded retry per c.Retry and returns the 2xx
-// answer; every other outcome is an error. payload, when non-nil, is the
-// body, in contentType; accept, when non-empty, the Accept header and the
-// one type the answer may be in (an answer in another is an error that
-// names both). A 421 (cluster node disclaiming ownership) carrying a Leader
+// do sends req with bounded retry per c.Retry and returns the 2xx answer;
+// every other outcome is an error. A typed request's answer must be in its
+// route's binary encoding (an answer in another type is an error that names
+// both). A 421 (cluster node disclaiming ownership) carrying a Leader
 // header is transparently retried once against the named owner, so a client
 // pointed at any node still lands its writes; transport errors and 502/503
 // responses back off and retry when c.Retry allows. A request the stream did
 // not serve goes again at once on a fresh connection, without spending an
 // attempt (stream.Pool.Send).
-func (c *Client) do(method, path string, payload []byte, contentType, accept string) (stream.Answer, error) {
-	pairs := []string{"Accept", accept, "Content-Type", contentType}
-	if payload == nil {
-		pairs = pairs[:2]
-	}
-	if accept == "" {
-		pairs = pairs[2:]
-	}
+func (c *Client) do(req *stream.Request) (stream.Answer, error) {
 	attempts := c.Retry.Attempts
 	if attempts < 1 {
 		attempts = 1
@@ -122,14 +112,14 @@ func (c *Client) do(method, path string, payload []byte, contentType, accept str
 			// Full jitter: sleep a uniformly random slice of the delay.
 			time.Sleep(time.Duration(rand.Int64N(int64(d) + 1)))
 		}
-		a, err := c.streams.Send(c.HTTP, c.BaseURL, method, path, payload, pairs...)
+		a, err := c.streams.Send(c.HTTP, c.BaseURL, req)
 		if err == nil && a.Status == http.StatusMisdirectedRequest {
 			// One hop only: if the named "leader" disagrees too, its own
 			// rejection comes back to the caller rather than chasing a
 			// redirect chain.
-			if leader := a.Header.Get("Leader"); leader != "" && leader != c.BaseURL {
+			if leader := a.Leader; leader != "" && leader != c.BaseURL {
 				a.Close()
-				a, err = c.streams.Send(c.HTTP, leader, method, path, payload, pairs...)
+				a, err = c.streams.Send(c.HTTP, leader, req)
 			}
 		}
 		if err != nil {
@@ -137,13 +127,13 @@ func (c *Client) do(method, path string, payload []byte, contentType, accept str
 			continue
 		}
 		if a.Status < 300 {
-			if ct := a.Header.Get("Content-Type"); accept != "" && ct != accept {
+			if want := req.Route.Media(); want != "" && a.ContentType != want {
 				a.Close()
-				return stream.Answer{}, fmt.Errorf("client: %s %s: answer is %q, want %q", method, path, ct, accept)
+				return stream.Answer{}, fmt.Errorf("client: %s: answer is %q, want %q", req.String(), a.ContentType, want)
 			}
 			return a, nil
 		}
-		err = fmt.Errorf("client: %s %s: %s", method, path, a.ErrorText())
+		err = fmt.Errorf("client: %s: %s", req.String(), a.ErrorText())
 		a.Close()
 		if a.Status != http.StatusBadGateway && a.Status != http.StatusServiceUnavailable {
 			return stream.Answer{}, err
@@ -170,23 +160,21 @@ func (c *Client) Feeds() ([]string, error) {
 }
 
 // Do executes a batch of ops against one feed, sent and answered in the
-// binary ops encoding (docs/API.md, "Binary ops encoding").
+// binary ops encoding (docs/API.md, "Binary ops encoding") as a typed
+// stream request.
 func (c *Client) Do(id string, ops []Op) ([]OpResult, error) {
-	path := query.FeedPath(id, "/ops")
 	buf := stream.GetBuf()
+	defer stream.PutBuf(buf)
 	*buf = core.AppendOps(*buf, ops)
-	// The transport may still read a request body after the response is
-	// in, so the body is a copy the pool never sees again.
-	payload := bytes.Clone(*buf)
-	stream.PutBuf(buf)
-	a, err := c.do(http.MethodPost, path, payload, OpsMediaType, OpsMediaType)
+	req := stream.Request{Route: stream.RouteOps, Feed: id, Body: *buf}
+	a, err := c.do(&req)
 	if err != nil {
 		return nil, err
 	}
 	defer a.Close()
 	results, err := decodeResults(a.Body, ops)
 	if err != nil {
-		return nil, fmt.Errorf("client: POST %s: %w", path, err)
+		return nil, fmt.Errorf("client: %s: %w", req.String(), err)
 	}
 	return results, nil
 }
@@ -227,7 +215,7 @@ func (c *Client) Snapshot(id string) (shard.PersistStats, error) {
 // read encoding. The proof is NOT checked here — use VerifyingClient for
 // reads that must not trust the gateway, or query.VerifyGet directly.
 func (c *Client) Get(id, key string) (*query.GetResult, error) {
-	a, err := c.do(http.MethodGet, query.FeedPath(id, "/get?key=")+url.QueryEscape(key), nil, "", ReadMediaType)
+	a, err := c.do(&stream.Request{Route: stream.RouteGet, Feed: id, Key: key})
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +227,7 @@ func (c *Client) Get(id, key string) (*query.GetResult, error) {
 // slice of NR records per shard, fetched in the binary read encoding.
 // Proofs are not checked here (see VerifyingClient).
 func (c *Client) Range(id, lo, hi string) ([]query.RangeResult, error) {
-	a, err := c.do(http.MethodGet, query.FeedPath(id, "/range?lo=")+url.QueryEscape(lo)+"&hi="+url.QueryEscape(hi), nil, "", ReadMediaType)
+	a, err := c.do(&stream.Request{Route: stream.RouteRange, Feed: id, Lo: lo, Hi: hi})
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +251,7 @@ func (c *Client) Roots(id string) ([]query.RootInfo, error) {
 // caller distinguishes "unreachable" (error) from "up but degraded"
 // (OK=false).
 func (c *Client) Health() (HealthResponse, error) {
-	a, err := c.streams.Send(c.HTTP, c.BaseURL, http.MethodGet, "/healthz", nil)
+	a, err := c.streams.Send(c.HTTP, c.BaseURL, &stream.Request{Method: http.MethodGet, URI: "/healthz"})
 	if err != nil {
 		return HealthResponse{}, err
 	}

@@ -126,7 +126,8 @@ func TestClientRetryTransportError(t *testing.T) {
 // second 421 surfaces as the caller's error instead of a redirect chase.
 func TestClientFollows421Leader(t *testing.T) {
 	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeBinary(w, OpsMediaType, appendResults(nil, []OpResult{{Found: true}}))
+		w.Header().Set("Content-Type", OpsMediaType)
+		w.Write(appendResults(nil, []OpResult{{Found: true}}))
 	}))
 	defer owner.Close()
 	stale := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -1,21 +1,22 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"grub/internal/cluster"
 	"grub/internal/obs"
 	"grub/internal/query"
+	"grub/internal/stream"
 )
 
 // Cluster mode glue: a cluster.Node drives the gateway through the
 // cluster.Local adapter below, and the HTTP layer (http.go) consults the
 // node's RouteWrite decision on every write-path request — applying locally
 // when this node owns the feed, transparently proxying to the owner
-// otherwise (forwardToOwner), and answering 503/421 for fenced, quorumless
+// otherwise (api.forward), and answering 503/421 for fenced, quorumless
 // or misdirected requests.
 
 // ClusterLocal adapts the gateway into the cluster.Local a cluster.Node
@@ -45,56 +46,56 @@ func (l clusterLocal) CloseFeed(feed string) error { return l.g.CloseFeed(feed) 
 // so their fetch/verify latencies land in this node's /metrics.
 func (l clusterLocal) Pipeline() *obs.Pipeline { return l.g.Pipeline() }
 
-// forwardToOwner proxies a write-path request to the feed's owner over the
-// node's streams (peers), stamping the sender's placement epoch and the hop
-// marker (so a second routing disagreement surfaces as 421 + Leader, never
-// a proxy loop), and relays the owner's response verbatim. The request's
-// Content-Type and Accept go along, so a batch crosses the hop in the form
-// the client chose and its answer comes back in the form the client asked
-// for. body is the request body to resend (the original may already be
-// consumed). It returns the owner's status code (0 when the owner was
-// unreachable). The hop is bounded by the node's cluster.Options.HTTP
-// Timeout, not by r's context: a client that goes away does not cut a batch
-// the owner may be applying.
+// forward proxies a write-path call to the feed's owner over the node's
+// streams, stamping the sender's placement epoch and the Forwarded flag (so
+// a second routing disagreement surfaces as 421 + Leader, never a proxy
+// loop), and relays the owner's answer verbatim. A typed call goes as the
+// typed frame it came as; any other goes with its method, URI, Content-Type
+// and Accept. Either way the batch crosses the hop in the form the client
+// chose and its answer comes back in the form the client asked for. It
+// returns the owner's status code (0 when the owner was unreachable). The
+// hop is bounded by the node's cluster.Options.HTTP Timeout, not by the
+// call's context: a client that goes away does not cut a batch the owner
+// may be applying.
 //
 // When tr is non-nil the hop is stitched into the trace: the owner
 // receives this trace's ID and a parent-span reference ("node:forward"),
-// and the per-stage spans it returns in X-Grub-Spans merge back into tr,
-// shifted onto this node's timeline — one trace ID, both nodes' spans.
-func forwardToOwner(w http.ResponseWriter, r *http.Request, body []byte, owner string, epoch uint64, peers *cluster.Client, tr *obs.Trace) int {
-	pairs := []string{cluster.EpochHeader, strconv.FormatUint(epoch, 10), cluster.ForwardedHeader, "1"}
-	for _, h := range []string{"Content-Type", "Accept"} {
-		if v := r.Header.Get(h); v != "" {
-			pairs = append(pairs, h, v)
+// and the per-stage spans it returns merge back into tr, shifted onto this
+// node's timeline — one trace ID, both nodes' spans.
+func (a *api) forward(c *call, rep *reply, owner string, epoch uint64, tr *obs.Trace) int {
+	req := c.Request
+	req.Epoch, req.Flags, req.Parent = epoch, req.Flags|stream.Forwarded, ""
+	if tr != nil {
+		req.TraceID, req.Parent = tr.ID(), tr.Node()+":"+obs.StageForward
+	}
+	if req.Route == stream.RouteHTTP {
+		req.Method, req.URI, req.Header = c.r.Method, c.r.URL.RequestURI(), http.Header{}
+		for _, h := range []string{"Content-Type", "Accept"} {
+			if v := c.r.Header.Get(h); v != "" {
+				req.Header.Set(h, v)
+			}
 		}
 	}
-	if tr != nil {
-		pairs = append(pairs, obs.TraceHeader, tr.ID(), obs.ParentSpanHeader, tr.Node()+":"+obs.StageForward)
-	} else if v := r.Header.Get(obs.TraceHeader); v != "" {
-		pairs = append(pairs, obs.TraceHeader, v)
-	}
 	hopStart := time.Now()
-	a, err := peers.Send(owner, r.Method, r.URL.RequestURI(), body, pairs...)
+	ans, err := a.node.Client().Send(owner, &req)
 	if err != nil {
 		// The owner may have just died; the client retries (bounded
 		// backoff) and by then failover has usually re-homed the feed.
-		w.Header().Set("Leader", owner)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusBadGateway, errorBody{Error: fmt.Sprintf("cluster: forward to owner %s failed: %v", owner, err), Leader: owner})
+		rep.json(http.StatusBadGateway, errorBody{Error: fmt.Sprintf("cluster: forward to owner %s failed: %v", owner, err), Leader: owner})
+		rep.Leader, rep.RetryAfter = owner, 1
 		return 0
 	}
-	defer a.Close()
+	defer ans.Close()
 	if tr != nil {
-		if spans, err := obs.DecodeSpans(a.Header.Get(obs.SpanHeader)); err == nil {
+		if spans, err := obs.DecodeSpans(ans.Spans); err == nil {
 			tr.AddRemoteSpans(spans, hopStart.Sub(tr.Start()))
 		}
 	}
-	for _, h := range []string{"Content-Type", "Leader", "Retry-After", obs.TraceHeader} {
-		if v := a.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.WriteHeader(a.Status)
-	w.Write(a.Body)
-	return a.Status
+	rep.Status = ans.Status
+	rep.ContentType = cmp.Or(ans.ContentType, rep.ContentType)
+	rep.Leader = cmp.Or(ans.Leader, rep.Leader)
+	rep.RetryAfter = cmp.Or(ans.RetryAfter, rep.RetryAfter)
+	rep.TraceID = cmp.Or(ans.TraceID, rep.TraceID)
+	*rep.body = append((*rep.body)[:0], ans.Body...)
+	return ans.Status
 }

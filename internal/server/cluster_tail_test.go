@@ -257,10 +257,13 @@ func TestClusterHaltResetOncePerEpoch(t *testing.T) {
 }
 
 // TestClusterHopsRideStreams: 200 batches sent to a node that does not own
-// their feed cross the forward hop as stream frames, over connections the
-// node dials at most MaxIdleConnsPerHost times per peer, while the third
-// node tails the feed; each batch applies exactly once and every replica
-// converges to the owner's anchors.
+// their feed cross the forward hop as stream frames while the third node
+// tails the feed; each batch applies exactly once and every replica
+// converges to the owner's anchors. Forwards reuse streams: the node dials
+// each peer far fewer times than it forwards. The pool caps idle streams,
+// not streams in use, so overlapping forwards, tail polls, heartbeats and
+// status calls may dial a few more than the cap; once they are done, at most
+// the cap stay idle per peer.
 func TestClusterHopsRideStreams(t *testing.T) {
 	const (
 		idle    = 4
@@ -321,8 +324,13 @@ func TestClusterHopsRideStreams(t *testing.T) {
 	dialsMu.Lock()
 	defer dialsMu.Unlock()
 	for _, tn := range nodes[1:] {
-		if n := dials[strings.TrimPrefix(tn.url, "http://")]; n < 1 || n > idle {
-			t.Errorf("node 0 dialed %s %d times, want 1..%d", tn.url, n, idle)
+		n := dials[strings.TrimPrefix(tn.url, "http://")]
+		t.Logf("node 0 dialed %s %d times", tn.url, n)
+		if n < 1 || n > batches/10 {
+			t.Errorf("node 0 dialed %s %d times for %d forwarded batches, want 1..%d: forwards reuse streams", tn.url, n, batches, batches/10)
+		}
+		if got := nodes[0].node.Client().Idle(tn.url); got > idle {
+			t.Errorf("node 0 holds %d idle streams to %s, want at most %d", got, tn.url, idle)
 		}
 	}
 }

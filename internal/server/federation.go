@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"grub/internal/cluster"
 	"grub/internal/obs"
 )
 
@@ -39,40 +38,38 @@ type memberScrape struct {
 	ok     bool
 }
 
-// clusterMetricsHandler serves GET /cluster/metrics. Without a cluster
-// node it answers 503, like the rest of the /cluster/* surface.
-func clusterMetricsHandler(g *Gateway, node *cluster.Node, slow *slowLogger) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if node == nil {
-			clusterDisabled(w)
-			return
-		}
-		st := node.Status()
-		scrapes := make([]memberScrape, len(st.Members))
-		sem := make(chan struct{}, federationFanIn)
-		var wg sync.WaitGroup
-		for i, m := range st.Members {
-			if m.Self {
-				// Self's families are the ones /metrics writes: no loopback
-				// HTTP round trip and no text to parse back.
-				scrapes[i] = memberScrape{member: m.URL, fams: renderMetrics(g, node, slow), ok: true}
-				continue
-			}
-			wg.Add(1)
-			go func(i int, peer string) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				fams, err := scrapePeer(r.Context(), node.Client().HTTP, peer)
-				scrapes[i] = memberScrape{member: peer, fams: fams, ok: err == nil}
-			}(i, m.URL)
-		}
-		wg.Wait()
-
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		obs.WriteFamilies(w, append([]obs.Family{scrapeOKFamily(scrapes)}, mergeScrapes(scrapes)...))
+// clusterMetrics serves GET /cluster/metrics. Without a cluster node it
+// answers 503, like the rest of the /cluster/* surface.
+func (a *api) clusterMetrics(c *call, rep *reply) {
+	node := a.node
+	if node == nil {
+		rep.clusterDisabled()
+		return
 	}
+	st := node.Status()
+	scrapes := make([]memberScrape, len(st.Members))
+	sem := make(chan struct{}, federationFanIn)
+	var wg sync.WaitGroup
+	for i, m := range st.Members {
+		if m.Self {
+			// Self's families are the ones /metrics writes: no loopback
+			// HTTP round trip and no text to parse back.
+			scrapes[i] = memberScrape{member: m.URL, fams: renderMetrics(a.g, node, a.slow), ok: true}
+			continue
+		}
+		wg.Add(1)
+		go func(i int, peer string) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			fams, err := scrapePeer(c.ctx, node.Client().HTTP, peer)
+			scrapes[i] = memberScrape{member: peer, fams: fams, ok: err == nil}
+		}(i, m.URL)
+	}
+	wg.Wait()
+
+	rep.ContentType = expositionType
+	obs.WriteFamilies(rep, append([]obs.Family{scrapeOKFamily(scrapes)}, mergeScrapes(scrapes)...))
 }
 
 // scrapePeer fetches and validates one peer's /metrics under the

@@ -1,12 +1,17 @@
 package server
 
 import (
+	"bytes"
+	"cmp"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"grub/internal/cluster"
@@ -14,6 +19,7 @@ import (
 	"grub/internal/query"
 	"grub/internal/repl"
 	"grub/internal/shard"
+	"grub/internal/stream"
 )
 
 // DefaultMaxBodyBytes caps POST request bodies (8 MiB). Decoding an
@@ -183,40 +189,38 @@ type errorBody struct {
 	Leader string `json:"leader,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+// call is one request to a route: its fields as a typed stream frame carries
+// them, or as the HTTP adapter reads them from the request's path, query
+// and headers. r is the HTTP request (nil for a typed frame), for the routes
+// that read more of it.
+type call struct {
+	stream.Request
+	r   *http.Request
+	ctx context.Context
 }
 
-// misdirected answers a request that was already forwarded once and still
-// reached a node that is not the feed's owner: 421 with the owner in the
-// Leader header and body, never a second proxy hop.
-func misdirected(w http.ResponseWriter, msg, owner string) {
-	w.Header().Set("Leader", owner)
-	writeJSON(w, http.StatusMisdirectedRequest, errorBody{Error: msg, Leader: owner})
+func (c *call) forwarded() bool { return c.Flags&stream.Forwarded != 0 }
+
+// reply is a route's answer: the head every answer frame carries and a body
+// in a pooled buffer. Encoders write into it.
+type reply struct {
+	stream.Head
+	body *[]byte
 }
 
-// clusterDisabled answers a /cluster/* route on a gateway without a
-// cluster node.
-func clusterDisabled(w http.ResponseWriter) {
-	writeJSON(w, http.StatusServiceUnavailable,
-		errorBody{Error: "cluster: clustering disabled (start grubd with -join)"})
+func (rep *reply) Write(p []byte) (int, error) {
+	*rep.body = append(*rep.body, p...)
+	return len(p), nil
 }
 
-// writeLogPageBinary answers a log fetch in the binary log encoding
-// (repl.LogMediaType). The buffer is sized from the entries' WireBytes, which
-// bound their encoding, and is left to the collector once written: a pooled
-// buffer would keep a page's worth of bytes live per P.
-func writeLogPageBinary(w http.ResponseWriter, page repl.LogPage) {
-	n := 32
-	for i := range page.Entries {
-		n += page.Entries[i].WireBytes()
-	}
-	writeBinary(w, repl.LogMediaType, repl.AppendLogPage(make([]byte, 0, n), &page))
+// json answers status with v in JSON, in place of any body written so far.
+func (rep *reply) json(status int, v any) {
+	rep.Status, rep.ContentType = status, stream.JSONMediaType
+	*rep.body = (*rep.body)[:0]
+	json.NewEncoder(rep).Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, err error) {
+func (rep *reply) err(err error) {
 	status := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, ErrUnknownFeed):
@@ -231,26 +235,102 @@ func writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrClosed):
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, errorBody{Error: err.Error()})
+	rep.json(status, errorBody{Error: err.Error()})
 }
 
-// decodeBody decodes a JSON POST body under the configured size cap,
-// translating an overrun into 413 rather than a generic decode failure. It
-// reports whether decoding succeeded (the error response is already written
-// when it did not).
-func decodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", maxBytes)})
-			return false
-		}
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decode: %v", err)})
+// tooLarge answers a body past the cap.
+func (rep *reply) tooLarge(maxBytes int64) {
+	rep.json(http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", maxBytes)})
+}
+
+// misdirected answers a request that was already forwarded once and still
+// reached a node that is not the feed's owner: 421 with the owner in the
+// Leader header and body, never a second proxy hop.
+func (rep *reply) misdirected(msg, owner string) {
+	rep.json(http.StatusMisdirectedRequest, errorBody{Error: msg, Leader: owner})
+	rep.Leader = owner
+}
+
+// unavailable answers 503 with Retry-After, naming the owner when there is
+// one.
+func (rep *reply) unavailable(msg, owner string) {
+	rep.json(http.StatusServiceUnavailable, errorBody{Error: msg, Leader: owner})
+	rep.RetryAfter = 1
+}
+
+// clusterDisabled answers a /cluster/* route on a gateway without a
+// cluster node.
+func (rep *reply) clusterDisabled() {
+	rep.json(http.StatusServiceUnavailable,
+		errorBody{Error: "cluster: clustering disabled (start grubd with -join)"})
+}
+
+// decodeBody decodes a JSON body into v, answering 400 when it does not
+// decode. It reports whether it did.
+func decodeBody(c *call, rep *reply, v any) bool {
+	if err := json.NewDecoder(bytes.NewReader(c.Body)).Decode(v); err != nil {
+		rep.json(http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decode: %v", err)})
 		return false
 	}
 	return true
+}
+
+// shardIdx parses a shard path segment.
+func shardIdx(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("server: %w: bad shard %q", ErrBadConfig, s)
+	}
+	return n, nil
+}
+
+// api is the gateway's routes: the named handlers, the table that maps
+// patterns and typed stream routes to them, and what they share.
+type api struct {
+	g       *Gateway
+	node    *cluster.Node // nil outside cluster mode
+	tamper  func(any)     // HandlerConfig.TamperQuery
+	maxBody int64
+	slow    *slowLogger
+	get     *readRoute
+	ranges  *readRoute
+	routes  []route
+	typed   [stream.NumRoutes]*route // into routes
+}
+
+// route is one entry of the route table. A typed route is served both from
+// HTTP, through the mux, and straight from its stream frame.
+type route struct {
+	pattern string
+	typed   stream.Route
+	serve   func(*api, *call, *reply)
+}
+
+// routes is the route table, in registration order.
+var routes = []route{
+	{"POST /feeds", 0, (*api).createFeed},
+	{"GET /feeds", 0, (*api).listFeeds},
+	{"POST /feeds/{id}/ops", stream.RouteOps, (*api).ops},
+	{"GET /feeds/{id}/stats/latency", 0, (*api).latency},
+	{"GET /feeds/{id}/stats", 0, (*api).stats},
+	{"GET /feeds/{id}/shards", 0, (*api).shards},
+	{"POST /feeds/{id}/snapshot", 0, (*api).snapshot},
+	{"GET /info", 0, (*api).info},
+	{"GET /healthz", 0, (*api).health},
+	{"GET /metrics", 0, (*api).metrics},
+	{"GET /repl/feeds", 0, (*api).replFeeds},
+	{"GET /repl/feeds/{id}/shards/{shard}/log", stream.RouteLog, (*api).replLog},
+	{"GET /repl/feeds/{id}/shards/{shard}/snapshot", 0, (*api).replSnapshot},
+	{"GET /feeds/{id}/get", stream.RouteGet, (*api).getKey},
+	{"GET /feeds/{id}/range", stream.RouteRange, (*api).getRange},
+	{"GET /feeds/{id}/roots", 0, (*api).roots},
+	{"GET /feeds/{id}/trace", 0, (*api).trace},
+	{"DELETE /feeds/{id}", 0, (*api).closeFeed},
+	{"POST /cluster/heartbeat", 0, (*api).heartbeat},
+	{"GET /cluster/status", 0, (*api).clusterStatus},
+	{"GET /cluster/load", 0, (*api).clusterLoad},
+	{"GET /cluster/metrics", 0, (*api).clusterMetrics},
+	{"POST /cluster/feeds/{id}/move", 0, (*api).move},
 }
 
 // NewHandler exposes a gateway over HTTP with default limits.
@@ -259,508 +339,539 @@ func NewHandler(g *Gateway) http.Handler {
 }
 
 // NewHandlerConfig exposes a gateway over HTTP, and over a Go-to-Go stream
-// (docs/API.md) to a client that offers one; both reach the same routes.
+// (docs/API.md) to a client that offers one; both reach the same handlers.
 func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
-	maxBody := hc.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = DefaultMaxBodyBytes
+	a := &api{
+		g: g, node: hc.Cluster, tamper: hc.TamperQuery, maxBody: hc.MaxBodyBytes,
+		slow:   newSlowLogger(hc.SlowOp, hc.SlowOpWriter),
+		get:    newReadRoute(g.Metrics(), "get"),
+		ranges: newReadRoute(g.Metrics(), "range"),
+		routes: slices.Clone(routes),
 	}
-	slow := newSlowLogger(hc.SlowOp, hc.SlowOpWriter)
+	if a.maxBody <= 0 {
+		a.maxBody = DefaultMaxBodyBytes
+	}
 	mux := http.NewServeMux()
-
-	// forwardOps proxies a batch to the feed's owner with trace stitching:
-	// the proxy round trip becomes a `forward` span (and feeds the feed's
-	// forward-stage histogram), the owner's spans merge in from the
-	// X-Grub-Spans response header, and an over-threshold round trip lands
-	// in this node's slow log as a single cross-node breakdown.
-	forwardOps := func(w http.ResponseWriter, r *http.Request, feed string, body []byte, owner string, epoch uint64) {
-		var tr *obs.Trace
-		if traceID := r.Header.Get(obs.TraceHeader); traceID != "" || slow != nil {
-			tr = obs.NewTrace(traceID)
-			tr.SetNode(hc.Cluster.Self())
-			w.Header().Set(obs.TraceHeader, tr.ID())
+	for i := range a.routes {
+		rt := &a.routes[i]
+		if rt.typed != stream.RouteHTTP {
+			a.typed[rt.typed] = rt
 		}
-		start := time.Now()
-		forwardToOwner(w, r, body, owner, epoch, hc.Cluster.Client(), tr)
-		dur := time.Since(start)
-		g.Pipeline().Feed(feed).Record(tr, obs.StageForward, -1, start, dur)
-		if slow != nil && tr != nil {
-			slow.maybeLog(tr, feed, batchLen(r, body), dur)
+		mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { a.serveHTTP(rt, w, r) })
+	}
+	return &streamHandler{next: mux, api: a}
+}
+
+// serveHTTP serves r on rt: the call's fields come from r's path, query and
+// headers, its body is read under the cap, and the reply goes to w.
+func (a *api) serveHTTP(rt *route, w http.ResponseWriter, r *http.Request) {
+	rep := reply{body: stream.GetBuf()}
+	defer stream.PutBuf(rep.body)
+	if c, ok := a.httpCall(rt, w, r, &rep); ok {
+		rt.serve(a, c, &rep)
+	}
+	rep.SetHeader(w.Header())
+	w.Header().Set("Content-Length", strconv.Itoa(len(*rep.body)))
+	w.WriteHeader(cmp.Or(rep.Status, http.StatusOK))
+	w.Write(*rep.body)
+}
+
+// httpCall reads r into the call rt takes. When r does not make one it
+// answers rep and reports false.
+func (a *api) httpCall(rt *route, w http.ResponseWriter, r *http.Request, rep *reply) (*call, bool) {
+	h, q := r.Header, r.URL.Query()
+	c := &call{r: r, ctx: r.Context()}
+	c.Route, c.Feed = rt.typed, r.PathValue("id")
+	c.Epoch, _ = strconv.ParseUint(h.Get(stream.EpochHeader), 10, 64)
+	c.TraceID, c.Parent = h.Get(obs.TraceHeader), h.Get(obs.ParentSpanHeader)
+	if h.Get(stream.ForwardedHeader) != "" {
+		c.Flags |= stream.Forwarded
+	}
+	if media := rt.typed.Media(); media != "" && !strings.Contains(h.Get("Accept"), media) {
+		c.Flags |= stream.JSONAnswer
+	}
+	var err error
+	switch rt.typed {
+	case stream.RouteOps:
+		if h.Get("Content-Type") != OpsMediaType {
+			c.Flags |= stream.JSONBody
+		}
+	case stream.RouteGet:
+		c.Key = q.Get("key")
+	case stream.RouteRange:
+		if !q.Has("lo") || !q.Has("hi") {
+			err = fmt.Errorf("server: %w: query parameters lo and hi required", ErrBadConfig)
+		}
+		c.Lo, c.Hi = q.Get("lo"), q.Get("hi")
+	case stream.RouteLog:
+		c.Shard, err = shardIdx(r.PathValue("shard"))
+		if from := q.Get("from"); err == nil && from != "" {
+			if c.From, err = strconv.ParseUint(from, 10, 64); err != nil {
+				err = fmt.Errorf("server: %w: bad from %q", ErrBadConfig, from)
+			}
+		}
+		if m := q.Get("max"); err == nil && m != "" {
+			if c.Max, err = strconv.Atoi(m); err != nil || c.Max < 1 {
+				err = fmt.Errorf("server: %w: bad max %q", ErrBadConfig, m)
+			}
 		}
 	}
+	if err != nil {
+		rep.err(err)
+		return nil, false
+	}
+	if c.Body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, a.maxBody)); err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			rep.tooLarge(a.maxBody)
+		} else {
+			rep.json(http.StatusBadRequest, errorBody{Error: fmt.Sprintf("read body: %v", err)})
+		}
+		return nil, false
+	}
+	return c, true
+}
 
-	// clusterRoute applies the cluster routing decision for a write-path
-	// request on a feed. It reports true when the request was fully handled
-	// here — proxied to the owner, fenced (503), quorumless (503) or
-	// misdirected (421 + Leader); false means "apply locally". traceOps
-	// marks the batch write path, whose forwards are trace-stitched.
-	clusterRoute := func(w http.ResponseWriter, r *http.Request, feed string, traceOps bool) bool {
-		if hc.Cluster == nil {
-			return false
-		}
-		reqEpoch, _ := strconv.ParseUint(r.Header.Get(cluster.EpochHeader), 10, 64)
-		forwarded := r.Header.Get(cluster.ForwardedHeader) != ""
-		rt := hc.Cluster.RouteWrite(feed, reqEpoch, forwarded)
-		switch rt.Kind {
-		case cluster.RouteForward:
-			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-			if err != nil {
-				writeJSON(w, http.StatusRequestEntityTooLarge,
-					errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", maxBody)})
-				return true
-			}
-			hc.Cluster.CountForward()
-			if traceOps {
-				forwardOps(w, r, feed, body, rt.Owner, rt.Epoch)
-			} else {
-				forwardToOwner(w, r, body, rt.Owner, rt.Epoch, hc.Cluster.Client(), nil)
-			}
-			return true
-		case cluster.RouteFenced, cluster.RouteUnavailable:
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "cluster: " + rt.Reason, Leader: rt.Owner})
-			return true
-		case cluster.RouteMisdirected:
-			misdirected(w, fmt.Sprintf("cluster: feed %q is owned by %s", feed, rt.Owner), rt.Owner)
-			return true
-		}
+// clusterRoute applies the cluster routing decision for a write-path call.
+// It reports true when the call was fully answered here — proxied to the
+// owner, fenced (503), quorumless (503) or misdirected (421 + Leader);
+// false means "apply locally". traceOps marks the batch write path, whose
+// forwards are trace-stitched.
+func (a *api) clusterRoute(c *call, rep *reply, traceOps bool) bool {
+	if a.node == nil {
 		return false
 	}
+	rt := a.node.RouteWrite(c.Feed, c.Epoch, c.forwarded())
+	switch rt.Kind {
+	case cluster.RouteForward:
+		a.node.CountForward()
+		if traceOps {
+			a.forwardOps(c, rep, rt.Owner, rt.Epoch)
+		} else {
+			a.forward(c, rep, rt.Owner, rt.Epoch, nil)
+		}
+		return true
+	case cluster.RouteFenced, cluster.RouteUnavailable:
+		rep.unavailable("cluster: "+rt.Reason, rt.Owner)
+		return true
+	case cluster.RouteMisdirected:
+		rep.misdirected(fmt.Sprintf("cluster: feed %q is owned by %s", c.Feed, rt.Owner), rt.Owner)
+		return true
+	}
+	return false
+}
 
-	mux.HandleFunc("POST /feeds", func(w http.ResponseWriter, r *http.Request) {
-		var cfg FeedConfig
-		if !decodeBody(w, r, maxBody, &cfg) {
+// forwardOps proxies a batch to the feed's owner with trace stitching: the
+// proxy round trip becomes a `forward` span (and feeds the feed's
+// forward-stage histogram), the owner's spans merge in from its answer, and
+// an over-threshold round trip lands in this node's slow log as a single
+// cross-node breakdown.
+func (a *api) forwardOps(c *call, rep *reply, owner string, epoch uint64) {
+	var tr *obs.Trace
+	if c.TraceID != "" || a.slow != nil {
+		tr = obs.NewTrace(c.TraceID)
+		tr.SetNode(a.node.Self())
+		rep.TraceID = tr.ID()
+	}
+	start := time.Now()
+	a.forward(c, rep, owner, epoch, tr)
+	dur := time.Since(start)
+	a.g.Pipeline().Feed(c.Feed).Record(tr, obs.StageForward, -1, start, dur)
+	if a.slow != nil && tr != nil {
+		a.slow.maybeLog(tr, c.Feed, batchLen(c), dur)
+	}
+}
+
+func (a *api) createFeed(c *call, rep *reply) {
+	var cfg FeedConfig
+	if !decodeBody(c, rep, &cfg) {
+		return
+	}
+	if a.node != nil {
+		// New feeds are placed by consistent hashing over the alive
+		// members (existing placement wins for re-creates); only the
+		// placed owner creates, then claims the feed in the map.
+		owner := a.node.PlaceFeed(cfg.ID)
+		switch {
+		case owner == "":
+			rep.unavailable("cluster: no alive member to place feed on", "")
 			return
-		}
-		if hc.Cluster != nil {
-			// New feeds are placed by consistent hashing over the alive
-			// members (existing placement wins for re-creates); only the
-			// placed owner creates, then claims the feed in the map.
-			owner := hc.Cluster.PlaceFeed(cfg.ID)
-			switch {
-			case owner == "":
-				w.Header().Set("Retry-After", "1")
-				writeJSON(w, http.StatusServiceUnavailable,
-					errorBody{Error: "cluster: no alive member to place feed on"})
-				return
-			case owner != hc.Cluster.Self() && r.Header.Get(cluster.ForwardedHeader) != "":
-				misdirected(w, fmt.Sprintf("cluster: feed %q places on %s", cfg.ID, owner), owner)
-				return
-			case owner != hc.Cluster.Self():
-				body, _ := json.Marshal(cfg)
-				hc.Cluster.CountForward()
-				if status := forwardToOwner(w, r, body, owner, 0, hc.Cluster.Client(), nil); status == http.StatusCreated {
-					// Record the owner now so a write that follows the
-					// create immediately routes there instead of missing
-					// locally until the next heartbeat.
-					hc.Cluster.NoteOwner(cfg.ID, owner)
-				}
-				return
+		case owner != a.node.Self() && c.forwarded():
+			rep.misdirected(fmt.Sprintf("cluster: feed %q places on %s", cfg.ID, owner), owner)
+			return
+		case owner != a.node.Self():
+			a.node.CountForward()
+			if status := a.forward(c, rep, owner, 0, nil); status == http.StatusCreated {
+				// Record the owner now so a write that follows the
+				// create immediately routes there instead of missing
+				// locally until the next heartbeat.
+				a.node.NoteOwner(cfg.ID, owner)
 			}
-		}
-		if err := g.CreateFeed(cfg); err != nil {
-			writeErr(w, err)
 			return
 		}
-		if hc.Cluster != nil {
-			hc.Cluster.ClaimFeed(cfg.ID)
+	}
+	if err := a.g.CreateFeed(cfg); err != nil {
+		rep.err(err)
+		return
+	}
+	if a.node != nil {
+		a.node.ClaimFeed(cfg.ID)
+	}
+	rep.json(http.StatusCreated, map[string]string{"id": cfg.ID})
+}
+
+func (a *api) listFeeds(c *call, rep *reply) {
+	rep.json(http.StatusOK, map[string][]string{"feeds": a.g.Feeds()})
+}
+
+func (a *api) ops(c *call, rep *reply) {
+	if a.clusterRoute(c, rep, true) {
+		return
+	}
+	ops, err := decodeBatch(c)
+	if err != nil {
+		rep.json(http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decode: %v", err)})
+		return
+	}
+	// Trace the batch when the client asked for it (X-Grub-Trace) or
+	// slow-op logging needs the span breakdown; everything else runs with
+	// a nil trace and pays only nil checks. A forwarded batch carries the
+	// ingress node's trace ID and parent-span reference, so the spans
+	// recorded here stitch under that hop.
+	var tr *obs.Trace
+	if c.TraceID != "" || a.slow != nil {
+		tr = obs.NewTrace(c.TraceID)
+		if a.node != nil {
+			tr.SetNode(a.node.Self())
 		}
-		writeJSON(w, http.StatusCreated, map[string]string{"id": cfg.ID})
+		if c.Parent != "" {
+			tr.SetParent(c.Parent)
+		}
+		rep.TraceID = tr.ID()
+	}
+	ctx := obs.WithTrace(c.ctx, tr)
+	start := time.Now()
+	results, err := a.g.DoCtx(ctx, c.Feed, ops)
+	if err != nil {
+		rep.err(err)
+		return
+	}
+	dur := time.Since(start)
+	// Ingress covers the whole gateway round trip: scatter, every
+	// per-shard stage, gather. The same window on a forwarded batch is
+	// remote_apply — the owner-side half of the forward hop.
+	stage := obs.StageIngress
+	if c.forwarded() {
+		stage = obs.StageRemoteApply
+	}
+	a.g.Pipeline().Feed(c.Feed).Record(tr, stage, -1, start, dur)
+	if c.forwarded() && tr != nil {
+		// Hand the full local breakdown back to the ingress node
+		// (bounded; EncodeSpans drops tail spans past 8KiB).
+		rep.Spans = obs.EncodeSpans(tr.Spans())
+	}
+	a.slow.maybeLog(tr, c.Feed, len(ops), dur)
+	writeResults(c, rep, results)
+}
+
+func (a *api) latency(c *call, rep *reply) {
+	if _, err := a.g.Stats(c.Feed); err != nil {
+		rep.err(err) // 404 for unknown feeds, not empty histograms
+		return
+	}
+	fs := a.g.Pipeline().Feed(c.Feed)
+	resp := LatencyResponse{ID: c.Feed, Stages: map[string]StageLatency{}}
+	for _, stage := range obs.Stages {
+		s := fs.Hist(stage).Snapshot()
+		if s.Count == 0 {
+			continue
+		}
+		resp.Stages[stage] = StageLatency{
+			Count:  s.Count,
+			MeanMS: s.Mean() * 1000,
+			P50MS:  s.Quantile(0.50) * 1000,
+			P95MS:  s.Quantile(0.95) * 1000,
+			P99MS:  s.Quantile(0.99) * 1000,
+		}
+	}
+	rep.json(http.StatusOK, resp)
+}
+
+func (a *api) stats(c *call, rep *reply) {
+	st, err := a.g.Stats(c.Feed)
+	if err != nil {
+		rep.err(err)
+		return
+	}
+	rep.json(http.StatusOK, st)
+}
+
+func (a *api) shards(c *call, rep *reply) {
+	per, err := a.g.ShardStats(c.Feed)
+	if err != nil {
+		rep.err(err)
+		return
+	}
+	rep.json(http.StatusOK, ShardsResponse{ID: c.Feed, Shards: per})
+}
+
+func (a *api) snapshot(c *call, rep *reply) {
+	ps, err := a.g.Snapshot(c.Feed)
+	if err != nil {
+		rep.err(err)
+		return
+	}
+	rep.json(http.StatusOK, SnapshotResponse{ID: c.Feed, Persist: ps})
+}
+
+func (a *api) info(c *call, rep *reply) {
+	rep.json(http.StatusOK, InfoResponse{
+		Version:    Version,
+		Persistent: a.g.DataDir() != "",
+		DataDir:    a.g.DataDir(),
+		Feeds:      len(a.g.Feeds()),
 	})
+}
 
-	mux.HandleFunc("GET /feeds", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string][]string{"feeds": g.Feeds()})
-	})
-
-	mux.HandleFunc("POST /feeds/{id}/ops", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		if clusterRoute(w, r, id, true) {
-			return
+func (a *api) health(c *call, rep *reply) {
+	resp := HealthResponse{
+		OK:      true,
+		Feeds:   len(a.g.Feeds()),
+		Version: Version,
+	}
+	// Engine-side divergence halts (a replicated apply this gateway
+	// refused) and, in cluster mode, tail-side halts both degrade the
+	// probe: a halted shard serves a frozen view forever.
+	resp.Degraded = a.g.Halted()
+	if a.node != nil {
+		type shardKey struct {
+			feed  string
+			shard int
 		}
-		ops, ok := decodeBatch(w, r, maxBody)
-		if !ok {
-			return
+		seen := make(map[shardKey]bool, len(resp.Degraded))
+		for _, d := range resp.Degraded {
+			seen[shardKey{d.Feed, d.Shard}] = true
 		}
-		// Trace the batch when the client asked for it (X-Grub-Trace)
-		// or slow-op logging needs the span breakdown; everything else
-		// runs with a nil trace and pays only nil checks. A forwarded
-		// batch carries the ingress node's trace ID and parent-span
-		// reference, so the spans recorded here stitch under that hop.
-		forwarded := r.Header.Get(cluster.ForwardedHeader) != ""
-		var tr *obs.Trace
-		if traceID := r.Header.Get(obs.TraceHeader); traceID != "" || slow != nil {
-			tr = obs.NewTrace(traceID)
-			if hc.Cluster != nil {
-				tr.SetNode(hc.Cluster.Self())
-			}
-			if parent := r.Header.Get(obs.ParentSpanHeader); parent != "" {
-				tr.SetParent(parent)
-			}
-			w.Header().Set(obs.TraceHeader, tr.ID())
-		}
-		ctx := obs.WithTrace(r.Context(), tr)
-		start := time.Now()
-		results, err := g.DoCtx(ctx, id, ops)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		dur := time.Since(start)
-		// Ingress covers the whole gateway round trip: scatter, every
-		// per-shard stage, gather. The same window on a forwarded batch
-		// is remote_apply — the owner-side half of the forward hop.
-		stage := obs.StageIngress
-		if forwarded {
-			stage = obs.StageRemoteApply
-		}
-		g.Pipeline().Feed(id).Record(tr, stage, -1, start, dur)
-		if forwarded && tr != nil {
-			// Hand the full local breakdown back to the ingress node
-			// (bounded; EncodeSpans drops tail spans past 8KiB).
-			if enc := obs.EncodeSpans(tr.Spans()); enc != "" {
-				w.Header().Set(obs.SpanHeader, enc)
-			}
-		}
-		slow.maybeLog(tr, id, len(ops), dur)
-		writeResults(w, r, results)
-	})
-
-	mux.HandleFunc("GET /feeds/{id}/stats/latency", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		if _, err := g.Stats(id); err != nil {
-			writeErr(w, err) // 404 for unknown feeds, not empty histograms
-			return
-		}
-		fs := g.Pipeline().Feed(id)
-		resp := LatencyResponse{ID: id, Stages: map[string]StageLatency{}}
-		for _, stage := range obs.Stages {
-			s := fs.Hist(stage).Snapshot()
-			if s.Count == 0 {
+		cs := a.node.Status()
+		resp.Cluster = &cs
+		// Add each tail's halted shards the engine scan missed.
+		for _, fp := range cs.Feeds {
+			if fp.Tail == nil {
 				continue
 			}
-			resp.Stages[stage] = StageLatency{
-				Count:  s.Count,
-				MeanMS: s.Mean() * 1000,
-				P50MS:  s.Quantile(0.50) * 1000,
-				P95MS:  s.Quantile(0.95) * 1000,
-				P99MS:  s.Quantile(0.99) * 1000,
-			}
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-
-	mux.HandleFunc("GET /feeds/{id}/stats", func(w http.ResponseWriter, r *http.Request) {
-		st, err := g.Stats(r.PathValue("id"))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
-
-	mux.HandleFunc("GET /feeds/{id}/shards", func(w http.ResponseWriter, r *http.Request) {
-		per, err := g.ShardStats(r.PathValue("id"))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, ShardsResponse{ID: r.PathValue("id"), Shards: per})
-	})
-
-	mux.HandleFunc("POST /feeds/{id}/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		ps, err := g.Snapshot(r.PathValue("id"))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, SnapshotResponse{ID: r.PathValue("id"), Persist: ps})
-	})
-
-	mux.HandleFunc("GET /info", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, InfoResponse{
-			Version:    Version,
-			Persistent: g.DataDir() != "",
-			DataDir:    g.DataDir(),
-			Feeds:      len(g.Feeds()),
-		})
-	})
-
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		resp := HealthResponse{
-			OK:      true,
-			Feeds:   len(g.Feeds()),
-			Version: Version,
-		}
-		// Engine-side divergence halts (a replicated apply this gateway
-		// refused) and, in cluster mode, tail-side halts both degrade the
-		// probe: a halted shard serves a frozen view forever.
-		resp.Degraded = g.Halted()
-		if hc.Cluster != nil {
-			type shardKey struct {
-				feed  string
-				shard int
-			}
-			seen := make(map[shardKey]bool, len(resp.Degraded))
-			for _, d := range resp.Degraded {
-				seen[shardKey{d.Feed, d.Shard}] = true
-			}
-			cs := hc.Cluster.Status()
-			resp.Cluster = &cs
-			// Add each tail's halted shards the engine scan missed.
-			for _, fp := range cs.Feeds {
-				if fp.Tail == nil {
-					continue
-				}
-				for _, ss := range fp.Tail.Shards {
-					if k := (shardKey{fp.Feed, ss.Shard}); ss.State == repl.StateHalted && !seen[k] {
-						seen[k] = true
-						resp.Degraded = append(resp.Degraded,
-							ShardHealth{Feed: fp.Feed, Shard: ss.Shard, State: repl.StateHalted, Error: ss.Error})
-					}
+			for _, ss := range fp.Tail.Shards {
+				if k := (shardKey{fp.Feed, ss.Shard}); ss.State == repl.StateHalted && !seen[k] {
+					seen[k] = true
+					resp.Degraded = append(resp.Degraded,
+						ShardHealth{Feed: fp.Feed, Shard: ss.Shard, State: repl.StateHalted, Error: ss.Error})
 				}
 			}
 		}
-		status := http.StatusOK
-		if len(resp.Degraded) > 0 {
-			resp.OK = false
-			status = http.StatusServiceUnavailable
-		}
-		writeJSON(w, status, resp)
-	})
-
-	mux.HandleFunc("GET /metrics", metricsHandler(g, hc.Cluster, slow))
-
-	// Replication surface: every gateway ships its per-shard log (leader
-	// role needs no configuration). Tail health is in /cluster/status.
-	mux.HandleFunc("GET /repl/feeds", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, ReplFeedsResponse{Feeds: g.ReplConfigs()})
-	})
-
-	shardIdx := func(w http.ResponseWriter, r *http.Request) (int, bool) {
-		s, err := strconv.Atoi(r.PathValue("shard"))
-		if err != nil || s < 0 {
-			writeErr(w, fmt.Errorf("server: %w: bad shard %q", ErrBadConfig, r.PathValue("shard")))
-			return 0, false
-		}
-		return s, true
 	}
-
-	mux.HandleFunc("GET /repl/feeds/{id}/shards/{shard}/log", func(w http.ResponseWriter, r *http.Request) {
-		s, ok := shardIdx(w, r)
-		if !ok {
-			return
-		}
-		q := r.URL.Query()
-		from, err := strconv.ParseUint(q.Get("from"), 10, 64)
-		if q.Get("from") != "" && err != nil {
-			writeErr(w, fmt.Errorf("server: %w: bad from %q", ErrBadConfig, q.Get("from")))
-			return
-		}
-		max := maxLogBatches
-		if m := q.Get("max"); m != "" {
-			v, err := strconv.Atoi(m)
-			if err != nil || v < 1 {
-				writeErr(w, fmt.Errorf("server: %w: bad max %q", ErrBadConfig, m))
-				return
-			}
-			if v < max {
-				max = v
-			}
-		}
-		page, err := g.ReplLog(r.PathValue("id"), s, from, max)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeLogPageBinary(w, page)
-	})
-
-	mux.HandleFunc("GET /repl/feeds/{id}/shards/{shard}/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		s, ok := shardIdx(w, r)
-		if !ok {
-			return
-		}
-		snap, err := g.ReplSnapshot(r.PathValue("id"), s)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, snap)
-	})
-
-	// tamper lets the rejection tests model a compromised gateway; it is
-	// the identity in production. It runs on the response struct, before
-	// either encoder sees it.
-	tamper := func(resp any) {
-		if hc.TamperQuery != nil {
-			hc.TamperQuery(resp)
-		}
+	status := http.StatusOK
+	if len(resp.Degraded) > 0 {
+		resp.OK = false
+		status = http.StatusServiceUnavailable
 	}
-	getRoute, rangeRoute := newReadRoute(g.Metrics(), "get"), newReadRoute(g.Metrics(), "range")
+	rep.json(status, resp)
+}
 
-	mux.HandleFunc("GET /feeds/{id}/get", func(w http.ResponseWriter, r *http.Request) {
-		key := r.URL.Query().Get("key")
-		if key == "" {
-			writeErr(w, fmt.Errorf("server: %w: query parameter key required", ErrBadConfig))
-			return
-		}
-		e, err := g.Query(r.PathValue("id"))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		res, err := e.Get(key)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		resp := &GetResponse{ID: r.PathValue("id"), Result: res}
-		tamper(resp)
-		getRoute.write(w, r, resp)
-	})
+// Replication surface: every gateway ships its per-shard log (leader role
+// needs no configuration). Tail health is in /cluster/status.
+func (a *api) replFeeds(c *call, rep *reply) {
+	rep.json(http.StatusOK, ReplFeedsResponse{Feeds: a.g.ReplConfigs()})
+}
 
-	mux.HandleFunc("GET /feeds/{id}/range", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		lo, hi := q.Get("lo"), q.Get("hi")
-		if !q.Has("lo") || !q.Has("hi") {
-			writeErr(w, fmt.Errorf("server: %w: query parameters lo and hi required", ErrBadConfig))
-			return
-		}
-		e, err := g.Query(r.PathValue("id"))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		results, err := e.Range(lo, hi)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		resp := &RangeResponse{ID: r.PathValue("id"), Lo: lo, Hi: hi, Results: results}
-		tamper(resp)
-		rangeRoute.write(w, r, resp)
-	})
+// replLog answers a log fetch in the binary log encoding (repl.LogMediaType),
+// with or without an Accept header.
+func (a *api) replLog(c *call, rep *reply) {
+	max := maxLogBatches
+	if c.Max > 0 && c.Max < max {
+		max = c.Max
+	}
+	page, err := a.g.ReplLog(c.Feed, c.Shard, c.From, max)
+	if err != nil {
+		rep.err(err)
+		return
+	}
+	n := 32
+	for i := range page.Entries {
+		n += page.Entries[i].WireBytes()
+	}
+	rep.ContentType = repl.LogMediaType
+	*rep.body = repl.AppendLogPage(slices.Grow(*rep.body, n), &page)
+}
 
-	mux.HandleFunc("GET /feeds/{id}/roots", func(w http.ResponseWriter, r *http.Request) {
-		e, err := g.Query(r.PathValue("id"))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		roots, err := e.Roots()
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		resp := &RootsResponse{ID: r.PathValue("id"), Shards: roots}
-		tamper(resp)
-		writeJSON(w, http.StatusOK, resp)
-	})
+func (a *api) replSnapshot(c *call, rep *reply) {
+	s, err := shardIdx(c.r.PathValue("shard"))
+	if err != nil {
+		rep.err(err)
+		return
+	}
+	snap, err := a.g.ReplSnapshot(c.Feed, s)
+	if err != nil {
+		rep.err(err)
+		return
+	}
+	rep.json(http.StatusOK, snap)
+}
 
-	mux.HandleFunc("GET /feeds/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
-		ops, results, err := g.TraceResults(r.PathValue("id"))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, TraceResponse{Ops: ops, Results: results})
-	})
+// tamperWith lets the rejection tests model a compromised gateway; it is the
+// identity in production. It runs on the response struct, before either
+// encoder sees it.
+func (a *api) tamperWith(resp any) {
+	if a.tamper != nil {
+		a.tamper(resp)
+	}
+}
 
-	mux.HandleFunc("DELETE /feeds/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		if clusterRoute(w, r, id, false) {
-			return
-		}
-		if err := g.CloseFeed(id); err != nil {
-			writeErr(w, err)
-			return
-		}
-		if hc.Cluster != nil {
-			// Tombstone the placement entry so every other node stops
-			// tailing and drops its replica.
-			hc.Cluster.ReleaseFeed(id)
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"closed": id})
-	})
+func (a *api) getKey(c *call, rep *reply) {
+	if c.Key == "" {
+		rep.err(fmt.Errorf("server: %w: query parameter key required", ErrBadConfig))
+		return
+	}
+	e, err := a.g.Query(c.Feed)
+	if err != nil {
+		rep.err(err)
+		return
+	}
+	res, err := e.Get(c.Key)
+	if err != nil {
+		rep.err(err)
+		return
+	}
+	resp := &GetResponse{ID: c.Feed, Result: res}
+	a.tamperWith(resp)
+	a.get.write(c, rep, resp)
+}
 
-	// Cluster surface: heartbeat/placement exchange, the node's cluster
-	// view, and live feed migration.
-	mux.HandleFunc("POST /cluster/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		if hc.Cluster == nil {
-			clusterDisabled(w)
-			return
-		}
-		var hb cluster.Heartbeat
-		if !decodeBody(w, r, maxBody, &hb) {
-			return
-		}
-		writeJSON(w, http.StatusOK, hc.Cluster.HandleHeartbeat(hb))
-	})
+func (a *api) getRange(c *call, rep *reply) {
+	e, err := a.g.Query(c.Feed)
+	if err != nil {
+		rep.err(err)
+		return
+	}
+	results, err := e.Range(c.Lo, c.Hi)
+	if err != nil {
+		rep.err(err)
+		return
+	}
+	resp := &RangeResponse{ID: c.Feed, Lo: c.Lo, Hi: c.Hi, Results: results}
+	a.tamperWith(resp)
+	a.ranges.write(c, rep, resp)
+}
 
-	mux.HandleFunc("GET /cluster/status", func(w http.ResponseWriter, r *http.Request) {
-		if hc.Cluster == nil {
-			writeJSON(w, http.StatusOK, cluster.Status{Enabled: false})
-			return
-		}
-		writeJSON(w, http.StatusOK, hc.Cluster.Status())
-	})
+func (a *api) roots(c *call, rep *reply) {
+	e, err := a.g.Query(c.Feed)
+	if err != nil {
+		rep.err(err)
+		return
+	}
+	roots, err := e.Roots()
+	if err != nil {
+		rep.err(err)
+		return
+	}
+	resp := &RootsResponse{ID: c.Feed, Shards: roots}
+	a.tamperWith(resp)
+	rep.json(http.StatusOK, resp)
+}
 
-	mux.HandleFunc("GET /cluster/load", func(w http.ResponseWriter, r *http.Request) {
-		resp := LoadResponse{Feeds: []obs.FeedLoad{}}
-		if hc.Cluster == nil {
-			// Standalone gateways still do per-feed load accounting;
-			// the document just has no per-node breakdown.
-			resp.Feeds = g.Load().Snapshot()
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		resp.Node = hc.Cluster.Self()
-		resp.Nodes = hc.Cluster.Loads()
-		digests := make([][]obs.FeedLoad, 0, len(resp.Nodes))
-		for _, nl := range resp.Nodes {
-			digests = append(digests, nl.Loads)
-		}
-		resp.Feeds = obs.MergeLoads(digests...)
-		writeJSON(w, http.StatusOK, resp)
-	})
+func (a *api) trace(c *call, rep *reply) {
+	ops, results, err := a.g.TraceResults(c.Feed)
+	if err != nil {
+		rep.err(err)
+		return
+	}
+	rep.json(http.StatusOK, TraceResponse{Ops: ops, Results: results})
+}
 
-	mux.HandleFunc("GET /cluster/metrics", clusterMetricsHandler(g, hc.Cluster, slow))
+func (a *api) closeFeed(c *call, rep *reply) {
+	if a.clusterRoute(c, rep, false) {
+		return
+	}
+	if err := a.g.CloseFeed(c.Feed); err != nil {
+		rep.err(err)
+		return
+	}
+	if a.node != nil {
+		// Tombstone the placement entry so every other node stops
+		// tailing and drops its replica.
+		a.node.ReleaseFeed(c.Feed)
+	}
+	rep.json(http.StatusOK, map[string]string{"closed": c.Feed})
+}
 
-	mux.HandleFunc("POST /cluster/feeds/{id}/move", func(w http.ResponseWriter, r *http.Request) {
-		if hc.Cluster == nil {
-			clusterDisabled(w)
-			return
-		}
-		var req cluster.MoveRequest
-		if !decodeBody(w, r, maxBody, &req) {
-			return
-		}
-		feed := r.PathValue("id")
-		// Migration runs on the owner; any other node proxies one hop.
-		if e, ok := hc.Cluster.Placement(feed); ok && !e.Deleted && e.Owner != hc.Cluster.Self() {
-			if r.Header.Get(cluster.ForwardedHeader) != "" {
-				misdirected(w, fmt.Sprintf("cluster: feed %q is owned by %s", feed, e.Owner), e.Owner)
-				return
-			}
-			body, _ := json.Marshal(req)
-			hc.Cluster.CountForward()
-			forwardToOwner(w, r, body, e.Owner, e.Epoch, hc.Cluster.Client(), nil)
-			return
-		}
-		res, err := hc.Cluster.Move(feed, req.Target)
-		if err != nil {
-			status := http.StatusInternalServerError
-			switch {
-			case errors.Is(err, cluster.ErrUnknownMember):
-				status = http.StatusBadRequest
-			case errors.Is(err, cluster.ErrNotOwner), errors.Is(err, cluster.ErrBusy):
-				status = http.StatusConflict
-			}
-			writeJSON(w, status, errorBody{Error: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
-	})
+// Cluster surface: heartbeat/placement exchange, the node's cluster view,
+// and live feed migration.
+func (a *api) heartbeat(c *call, rep *reply) {
+	if a.node == nil {
+		rep.clusterDisabled()
+		return
+	}
+	var hb cluster.Heartbeat
+	if decodeBody(c, rep, &hb) {
+		rep.json(http.StatusOK, a.node.HandleHeartbeat(hb))
+	}
+}
 
-	return &streamHandler{next: mux, g: g, maxBody: maxBody}
+func (a *api) clusterStatus(c *call, rep *reply) {
+	if a.node == nil {
+		rep.json(http.StatusOK, cluster.Status{Enabled: false})
+		return
+	}
+	rep.json(http.StatusOK, a.node.Status())
+}
+
+func (a *api) clusterLoad(c *call, rep *reply) {
+	resp := LoadResponse{Feeds: []obs.FeedLoad{}}
+	if a.node == nil {
+		// Standalone gateways still do per-feed load accounting; the
+		// document just has no per-node breakdown.
+		resp.Feeds = a.g.Load().Snapshot()
+		rep.json(http.StatusOK, resp)
+		return
+	}
+	resp.Node = a.node.Self()
+	resp.Nodes = a.node.Loads()
+	digests := make([][]obs.FeedLoad, 0, len(resp.Nodes))
+	for _, nl := range resp.Nodes {
+		digests = append(digests, nl.Loads)
+	}
+	resp.Feeds = obs.MergeLoads(digests...)
+	rep.json(http.StatusOK, resp)
+}
+
+func (a *api) move(c *call, rep *reply) {
+	if a.node == nil {
+		rep.clusterDisabled()
+		return
+	}
+	var req cluster.MoveRequest
+	if !decodeBody(c, rep, &req) {
+		return
+	}
+	// Migration runs on the owner; any other node proxies one hop.
+	if e, ok := a.node.Placement(c.Feed); ok && !e.Deleted && e.Owner != a.node.Self() {
+		if c.forwarded() {
+			rep.misdirected(fmt.Sprintf("cluster: feed %q is owned by %s", c.Feed, e.Owner), e.Owner)
+			return
+		}
+		a.node.CountForward()
+		a.forward(c, rep, e.Owner, e.Epoch, nil)
+		return
+	}
+	res, err := a.node.Move(c.Feed, req.Target)
+	if err != nil {
+		status := http.StatusInternalServerError
+		switch {
+		case errors.Is(err, cluster.ErrUnknownMember):
+			status = http.StatusBadRequest
+		case errors.Is(err, cluster.ErrNotOwner), errors.Is(err, cluster.ErrBusy):
+			status = http.StatusConflict
+		}
+		rep.json(status, errorBody{Error: err.Error()})
+		return
+	}
+	rep.json(http.StatusOK, res)
 }

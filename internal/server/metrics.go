@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net/http"
 	"sort"
 	"strconv"
 
@@ -21,14 +20,13 @@ import (
 // grub_repl_lag = owner seq − local seq, per shard) come from the status
 // of each feed it tails.
 
-// metricsHandler renders the gateway's metrics; node and slow may be nil
-// (non-clustered mode and slow-op logging disabled respectively).
-func metricsHandler(g *Gateway, node *cluster.Node, slow *slowLogger) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		obs.WriteFamilies(w, renderMetrics(g, node, slow))
-	}
+// expositionType is the Content-Type of the text exposition.
+const expositionType = "text/plain; version=0.0.4; charset=utf-8"
+
+// metrics renders the gateway's metrics.
+func (a *api) metrics(c *call, rep *reply) {
+	rep.ContentType = expositionType
+	obs.WriteFamilies(rep, renderMetrics(a.g, a.node, a.slow))
 }
 
 // renderMetrics returns every family the gateway exposes, in exposition

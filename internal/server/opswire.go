@@ -1,12 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
-	"strings"
 
 	"grub/internal/core"
 	"grub/internal/stream"
@@ -18,7 +16,7 @@ import (
 // /feeds/{id}/ops decodes a request body in it when the Content-Type names
 // it, and answers in it when the Accept header names it; otherwise it speaks
 // JSON, the default and the debug form.
-const OpsMediaType = "application/x-grub-ops"
+const OpsMediaType = stream.OpsMediaType
 
 // Flag bits of a result.
 const (
@@ -74,64 +72,40 @@ func decodeResults(body []byte, ops []Op) ([]OpResult, error) {
 	return out, nil
 }
 
-// binaryBatch reports whether a request's body is a binary batch.
-func binaryBatch(r *http.Request) bool { return r.Header.Get("Content-Type") == OpsMediaType }
-
-// decodeBatch decodes a POST /feeds/{id}/ops body in the form its
-// Content-Type names, under the size cap (413 past it). Like decodeBody it
-// reports whether decoding succeeded; the error answer is written when not.
-func decodeBatch(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]Op, bool) {
-	if !binaryBatch(r) {
+// decodeBatch decodes a POST /feeds/{id}/ops body in the form the call
+// names.
+func decodeBatch(c *call) ([]Op, error) {
+	if c.Flags&stream.JSONBody != 0 {
 		var req BatchRequest
-		ok := decodeBody(w, r, maxBytes, &req)
-		return req.Ops, ok
+		err := json.NewDecoder(bytes.NewReader(c.Body)).Decode(&req)
+		return req.Ops, err
 	}
-	body, err := stream.ReadPooled(http.MaxBytesReader(w, r.Body, maxBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", maxBytes)})
-		} else {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("read body: %v", err)})
-		}
-		return nil, false
-	}
-	defer stream.PutBuf(body)
-	ops, err := core.DecodeOps(*body)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decode: %v", err)})
-		return nil, false
-	}
-	return ops, true
+	return core.DecodeOps(c.Body)
 }
 
-// batchLen is the op count of a request body already read, in either form
-// (0 when it does not decode). A binary body is not decoded: its leading
-// count is taken as it stands, capped at what the body could hold, since the
-// owner that executes the batch checks the rest.
-func batchLen(r *http.Request, body []byte) int {
-	if binaryBatch(r) {
-		n, k := binary.Uvarint(body)
+// batchLen is the op count of a batch's body, in either form (0 when it does
+// not decode). A binary body is not decoded: its leading count is taken as
+// it stands, capped at what the body could hold, since the owner that
+// executes the batch checks the rest.
+func batchLen(c *call) int {
+	if c.Flags&stream.JSONBody == 0 {
+		n, k := binary.Uvarint(c.Body)
 		if k <= 0 {
 			return 0
 		}
-		return int(min(n, uint64(len(body)/core.MinOpWire)))
+		return int(min(n, uint64(len(c.Body)/core.MinOpWire)))
 	}
 	var req BatchRequest
-	json.Unmarshal(body, &req)
+	json.Unmarshal(c.Body, &req)
 	return len(req.Ops)
 }
 
-// writeResults answers a batch in the form the request's Accept header asks
-// for.
-func writeResults(w http.ResponseWriter, r *http.Request, results []OpResult) {
-	if !strings.Contains(r.Header.Get("Accept"), OpsMediaType) {
-		writeJSON(w, http.StatusOK, BatchResponse{Results: results})
+// writeResults answers a batch in the form the call asks for.
+func writeResults(c *call, rep *reply, results []OpResult) {
+	if c.Flags&stream.JSONAnswer != 0 {
+		rep.json(http.StatusOK, BatchResponse{Results: results})
 		return
 	}
-	buf := stream.GetBuf()
-	defer stream.PutBuf(buf)
-	*buf = appendResults(*buf, results)
-	writeBinary(w, OpsMediaType, *buf)
+	rep.ContentType = OpsMediaType
+	*rep.body = appendResults(*rep.body, results)
 }

@@ -24,27 +24,28 @@ import (
 	"grub/internal/core"
 	"grub/internal/obs"
 	"grub/internal/shard"
+	"grub/internal/stream"
 	"grub/internal/wire"
 	"grub/internal/workload/ycsb"
 )
 
-// opsWire serves a gateway's routes and logs the media types of every ops
-// request and of its answer, as "request>answer". It wraps the routes behind
-// the stream handler, so it sees every request a stream frame carries as well
-// as every HTTP request.
+// opsWire logs the media types of every ops request a gateway serves and of
+// its answer, as "request>answer". It wraps the ops route's handler, so it
+// sees every batch a typed stream frame carries as well as every HTTP one.
 type opsWire struct {
-	h http.Handler
-
 	mu  sync.Mutex
 	log []string
 }
 
-func (o *opsWire) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	sent := r.Header.Get("Content-Type")
-	o.h.ServeHTTP(w, r)
-	if strings.HasSuffix(r.URL.Path, "/ops") {
+func (o *opsWire) wrap(serve func(*api, *call, *reply)) func(*api, *call, *reply) {
+	return func(a *api, c *call, rep *reply) {
+		sent := OpsMediaType
+		if c.Flags&stream.JSONBody != 0 {
+			sent = "application/json"
+		}
+		serve(a, c, rep)
 		o.mu.Lock()
-		o.log = append(o.log, sent+">"+w.Header().Get("Content-Type"))
+		o.log = append(o.log, sent+">"+rep.ContentType)
 		o.mu.Unlock()
 	}
 }
@@ -62,8 +63,8 @@ func opsGateway(tb testing.TB, cfg FeedConfig) (*Gateway, *Client, *opsWire) {
 	g := NewGateway()
 	tb.Cleanup(g.Close)
 	h := NewHandler(g).(*streamHandler)
-	ow := &opsWire{h: h.next}
-	h.next = ow
+	ow := &opsWire{}
+	wrapRoute(h, "POST /feeds/{id}/ops", ow.wrap)
 	srv := httptest.NewServer(h)
 	tb.Cleanup(srv.Close)
 	if err := g.CreateFeed(cfg); err != nil {
@@ -244,7 +245,8 @@ func TestClientRefusesOtherAnswerTypes(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		writeJSON(w, http.StatusOK, BatchResponse{})
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(BatchResponse{})
 	}))
 	defer srv.Close()
 	c := NewClient(srv.URL)
@@ -501,14 +503,14 @@ func writeStack(tb testing.TB, n int) (*Client, [][]Op) {
 }
 
 // TestClientDoAllocations pins what one 16-op YCSB-A batch allocates, client
-// and gateway together, over a loopback Go-to-Go stream into a durable feed:
-// 92. The binary ops encoding over a net/http round trip cost 256, and both
-// sides speaking JSON 325.
+// and gateway together, as a typed frame on a loopback Go-to-Go stream into a
+// durable feed: 59. Frames that emulated HTTP cost 92, the binary ops
+// encoding over a net/http round trip 256, and both sides speaking JSON 325.
 func TestClientDoAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("preloads a 10k-record durable feed")
 	}
-	const bound = 103
+	const bound = 65
 	c, batches := writeStack(t, 400)
 	for _, b := range batches[:100] { // warm the pools, the connection, the encoding
 		if _, err := c.Do("f", b); err != nil {

@@ -2,8 +2,6 @@ package server
 
 import (
 	"net/http"
-	"strconv"
-	"strings"
 
 	"grub/internal/obs"
 	"grub/internal/query"
@@ -14,7 +12,7 @@ import (
 // encoding"). GET /feeds/{id}/get and /range answer in it when the request's
 // Accept header names it and in JSON, the default and the debug form,
 // otherwise; the Content-Type says which.
-const ReadMediaType = "application/x-grub-read"
+const ReadMediaType = stream.ReadMediaType
 
 // readResponse is a read route's answer: JSON-encodable as a whole, and able
 // to append the part of itself that crosses the binary wire — the result,
@@ -27,14 +25,6 @@ func (g *GetResponse) appendRead(b []byte) ([]byte, error) { return g.Result.App
 
 func (rr *RangeResponse) appendRead(b []byte) ([]byte, error) {
 	return query.AppendRangeResults(b, rr.Results)
-}
-
-// writeBinary answers 200 with body in mediaType and an exact Content-Length.
-func writeBinary(w http.ResponseWriter, mediaType string, body []byte) {
-	w.Header().Set("Content-Type", mediaType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
 }
 
 // readRoute counts one read route's responses and body bytes per encoding.
@@ -59,37 +49,20 @@ func newReadRoute(reg *obs.Registry, route string) *readRoute {
 	return rt
 }
 
-// countingWriter counts the body bytes a JSON read response streams out.
-type countingWriter struct {
-	http.ResponseWriter
-	n int
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.ResponseWriter.Write(p)
-	cw.n += n
-	return n, err
-}
-
-// write answers one read in the encoding the request asked for.
-func (rt *readRoute) write(w http.ResponseWriter, r *http.Request, resp readResponse) {
-	enc, n := encJSON, 0
-	if strings.Contains(r.Header.Get("Accept"), ReadMediaType) {
-		buf := stream.GetBuf()
-		defer stream.PutBuf(buf)
-		b, err := resp.appendRead(*buf)
+// write answers one read in the encoding the call asks for.
+func (rt *readRoute) write(c *call, rep *reply, resp readResponse) {
+	enc := encBinary
+	if c.Flags&stream.JSONAnswer != 0 {
+		enc = encJSON
+		rep.json(http.StatusOK, resp)
+	} else {
+		b, err := resp.appendRead(*rep.body)
 		if err != nil {
-			writeErr(w, err)
+			rep.err(err)
 			return
 		}
-		*buf = b
-		writeBinary(w, ReadMediaType, b)
-		enc, n = encBinary, len(b)
-	} else {
-		cw := &countingWriter{ResponseWriter: w}
-		writeJSON(cw, http.StatusOK, resp)
-		n = cw.n
+		*rep.body, rep.ContentType = b, ReadMediaType
 	}
 	rt.responses[enc].Inc()
-	rt.bytes[enc].Add(float64(n))
+	rt.bytes[enc].Add(float64(len(*rep.body)))
 }

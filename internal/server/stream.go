@@ -6,7 +6,6 @@ import (
 	"cmp"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -27,17 +26,6 @@ const (
 	// of the frames its streams are serving, as grubd bounds its HTTP drain.
 	streamDrain = 10 * time.Second
 )
-
-// frameBody is a frame's body as a Request body.
-type frameBody struct{ bytes.Reader }
-
-func newFrameBody(body []byte) *frameBody {
-	fb := new(frameBody)
-	fb.Reset(body)
-	return fb
-}
-
-func (*frameBody) Close() error { return nil }
 
 // streamSet is a gateway's open streams. http.Server's Close and Shutdown
 // never see a hijacked connection, so the gateway's Close and Kill end them
@@ -97,16 +85,17 @@ func (ss *streamSet) drain() {
 	}
 }
 
-// streamHandler serves the gateway's routes (next) over HTTP, and over a
-// stream to a client that offers one.
+// streamHandler serves the gateway's routes over HTTP (next, the mux), and
+// over a stream to a client that offers one: a typed frame goes straight to
+// its route's handler, a route-0 frame and the upgrading request through
+// next.
 type streamHandler struct {
-	next    http.Handler
-	g       *Gateway
-	maxBody int64
+	next http.Handler
+	api  *api
 }
 
 func (h *streamHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	ss := &h.g.streams
+	ss := &h.api.g.streams
 	if r.Header.Get("Upgrade") != stream.Proto || !ss.begin() {
 		h.next.ServeHTTP(w, r) // a draining gateway's http.Server drains this
 		return
@@ -114,11 +103,11 @@ func (h *streamHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Request.Body is unusable once the connection is hijacked, so the body
 	// is read first. One past the cap, or a writer that cannot hijack, is
 	// served over HTTP as if no offer had been made.
-	body, err := io.ReadAll(io.LimitReader(r.Body, h.maxBody+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, h.api.maxBody+1))
 	r.Body = io.NopCloser(io.MultiReader(bytes.NewReader(body), r.Body))
 	var conn net.Conn
 	var brw *bufio.ReadWriter
-	if err == nil && int64(len(body)) <= h.maxBody {
+	if err == nil && int64(len(body)) <= h.api.maxBody {
 		conn, brw, err = http.NewResponseController(w).Hijack()
 	}
 	if conn == nil {
@@ -131,16 +120,16 @@ func (h *streamHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	srv, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
-	s := &serverStream{conn: conn, br: brw.Reader, bw: brw.Writer, srv: cmp.Or(srv, &http.Server{}), fw: frameWriter{header: make(http.Header)}}
+	s := &serverStream{conn: conn, br: brw.Reader, bw: brw.Writer, srv: cmp.Or(srv, &http.Server{}),
+		ctx: ctx, host: r.Host, remote: r.RemoteAddr, fw: frameWriter{header: make(http.Header)}}
 	ss.track(s, true)
 	defer ss.track(s, false)
 	s.bw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + stream.Proto + "\r\n\r\n")
-	base := (&http.Request{Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Host: r.Host, RemoteAddr: r.RemoteAddr}).WithContext(ctx)
 	req := r.WithContext(ctx)
-	req.Body = newFrameBody(body)
-	var in *[]byte // the pooled frame req's body lies in
+	req.Body = io.NopCloser(bytes.NewReader(body))
+	var in *[]byte // the frame to serve when req is nil
 	for {
-		werr := h.answer(s, req, err)
+		werr := h.answer(s, req, in, err)
 		if in != nil {
 			stream.PutBuf(in)
 		}
@@ -150,72 +139,89 @@ func (h *streamHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-		if in, err = stream.ReadFrame(s.br, h.maxBody); err != nil && err != stream.ErrFrameTooLarge || !ss.begin() {
+		if in, err = stream.ReadFrame(s.br, h.api.maxBody); err != nil && err != stream.ErrFrameTooLarge || !ss.begin() {
 			if ss.closing.Load() { // drain cut the read short, or the frame is not served
 				s.goaway()
 			}
 			return
 		}
-		if err == nil {
-			req = frameRequest(base, *in)
-		}
+		req = nil
 	}
 }
 
-// answer serves req (nil: the frame did not decode), or the oversize frame err
+// answer serves req, or else the frame in, or answers the oversize frame err
 // names, and writes the answer frame. The frame is then no longer in flight.
-func (h *streamHandler) answer(s *serverStream, req *http.Request, err error) error {
-	defer h.g.streams.serving.Done()
-	fw := &s.fw
-	fw.status, fw.body = 0, stream.GetBuf()
-	defer stream.PutBuf(fw.body)
-	clear(fw.header)
+func (h *streamHandler) answer(s *serverStream, req *http.Request, in *[]byte, err error) error {
+	defer h.api.g.streams.serving.Done()
+	rep := &s.rep
+	*rep = reply{body: stream.GetBuf()}
+	defer stream.PutBuf(rep.body)
 	switch {
 	case err != nil:
-		writeJSON(fw, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", h.maxBody)})
-	case req == nil:
-		writeJSON(fw, http.StatusBadRequest, errorBody{Error: "stream: malformed request frame"})
+		rep.tooLarge(h.api.maxBody)
+	case req != nil:
+		h.serveMux(s, req)
 	default:
-		h.next.ServeHTTP(fw, req)
+		h.serveFrame(s, *in)
 	}
-	h.g.streams.frames.Inc() // before the answer is out, so a client holding it sees the count
+	h.api.g.streams.frames.Inc() // before the answer is out, so a client holding it sees the count
+	rep.Status = cmp.Or(rep.Status, http.StatusOK)
 	head := stream.GetBuf()
 	defer stream.PutBuf(head)
-	*head = stream.AppendAnswer(*head, cmp.Or(fw.status, http.StatusOK), fw.header, len(*fw.body))
+	*head = stream.AppendAnswer(*head, &rep.Head, len(*rep.body))
 	s.conn.SetWriteDeadline(after(s.srv.WriteTimeout))
 	s.bw.Write(*head)
-	s.bw.Write(*fw.body)
+	s.bw.Write(*rep.body)
 	return s.bw.Flush()
 }
 
-// frameRequest builds the request a frame carries on base, nil when it does
-// not decode. Its body aliases p.
-func frameRequest(base *http.Request, p []byte) *http.Request {
-	method, uri, h, body, err := stream.DecodeRequest(p)
+// serveFrame serves the request frame p: a typed one on the stream's reused
+// call, a route-0 one through the mux.
+func (h *streamHandler) serveFrame(s *serverStream, p []byte) {
+	c := &s.call
+	err := stream.DecodeRequest(p, &c.Request)
+	if err == nil && c.Route != stream.RouteHTTP {
+		c.r, c.ctx = nil, s.ctx
+		h.api.typed[c.Route].serve(h.api, c, &s.rep)
+		return
+	}
+	var r *http.Request
+	if err == nil {
+		if _, err = url.ParseRequestURI(c.URI); err == nil {
+			r, err = http.NewRequestWithContext(s.ctx, c.Method, c.URI, bytes.NewReader(c.Body))
+		}
+	}
 	if err != nil {
-		return nil
+		s.rep.json(http.StatusBadRequest, errorBody{Error: "stream: malformed request frame"})
+		return
 	}
-	u, err := url.ParseRequestURI(uri)
-	if err != nil {
-		return nil
-	}
-	r := new(http.Request)
-	*r = *base
-	r.Method, r.URL, r.RequestURI, r.Header, r.ContentLength = method, u, uri, h, int64(len(body))
-	if r.Body = http.NoBody; len(body) > 0 {
-		r.Body = newFrameBody(body)
-	}
-	return r
+	r.Header, r.RequestURI, r.Host, r.RemoteAddr = c.Header, c.URI, s.host, s.remote
+	h.serveMux(s, r)
+}
+
+// serveMux serves an HTTP request through the mux, its answer caught by the
+// stream's frameWriter.
+func (h *streamHandler) serveMux(s *serverStream, r *http.Request) {
+	fw := &s.fw
+	clear(fw.header)
+	fw.status, fw.body = 0, s.rep.body
+	h.next.ServeHTTP(fw, r)
+	s.rep.Head = stream.HeadOf(fw.status, fw.header)
 }
 
 // serverStream is the gateway end of one stream, under the serving
-// http.Server's limits (srv).
+// http.Server's limits (srv). ctx, host and remote are the upgrading
+// request's; call is the typed frame being served, reused frame to frame.
 type serverStream struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	srv  *http.Server
-	fw   frameWriter
+	conn         net.Conn
+	br           *bufio.Reader
+	bw           *bufio.Writer
+	srv          *http.Server
+	ctx          context.Context
+	host, remote string
+	call         call
+	rep          reply
+	fw           frameWriter
 }
 
 // after is now plus the first positive limit of d (an http.Server limit, then
@@ -238,13 +244,17 @@ func (s *serverStream) wait(ss *streamSet) bool {
 	if !ss.closing.Load() {
 		_, err = s.br.Peek(1)
 	}
-	var ne net.Error
-	if ss.closing.Load() || errors.As(err, &ne) && ne.Timeout() {
+	if ss.closing.Load() || err != nil && timedOut(err) {
 		s.goaway()
 		return false
 	}
 	s.conn.SetReadDeadline(after(s.srv.ReadHeaderTimeout, s.srv.ReadTimeout))
 	return err == nil
+}
+
+func timedOut(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // goaway sends GOAWAY, then discards what the client still sends until it
@@ -261,8 +271,9 @@ func (s *serverStream) goaway() {
 	io.Copy(io.Discard, s.br)
 }
 
-// frameWriter is a stream request's http.ResponseWriter: it keeps the status,
-// header and body for the answer frame.
+// frameWriter is the http.ResponseWriter of a request a stream serves
+// through the mux: it keeps the status, header and body for the answer
+// frame.
 type frameWriter struct {
 	header http.Header
 	status int

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"grub/internal/core"
 	"grub/internal/stream"
 	"grub/internal/wire"
 )
@@ -41,6 +42,18 @@ func streamGateway(tb testing.TB, srv *http.Server, hc HandlerConfig, cfg FeedCo
 	tb.Cleanup(func() { srv.Close() })
 	c, dials := dialCounting("http://" + ln.Addr().String())
 	return g, c, dials
+}
+
+// wrapRoute wraps the handler h serves pattern with, for HTTP requests and
+// stream frames alike.
+func wrapRoute(h *streamHandler, pattern string, wrap func(func(*api, *call, *reply)) func(*api, *call, *reply)) {
+	for i := range h.api.routes {
+		if rt := &h.api.routes[i]; rt.pattern == pattern {
+			rt.serve = wrap(rt.serve)
+			return
+		}
+	}
+	panic("no route " + pattern)
 }
 
 // dialCounting returns a client for baseURL whose Transport counts its dials.
@@ -231,13 +244,14 @@ func TestStreamCloseAnswersInFlightBatch(t *testing.T) {
 	h := NewHandler(g).(*streamHandler)
 	var hold atomic.Bool
 	entered, release := make(chan struct{}), make(chan struct{})
-	next := h.next
-	h.next = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && hold.CompareAndSwap(true, false) {
-			close(entered)
-			<-release
+	wrapRoute(h, "POST /feeds/{id}/ops", func(serve func(*api, *call, *reply)) func(*api, *call, *reply) {
+		return func(a *api, c *call, rep *reply) {
+			if hold.CompareAndSwap(true, false) {
+				close(entered)
+				<-release
+			}
+			serve(a, c, rep)
 		}
-		next.ServeHTTP(w, r)
 	})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
@@ -428,6 +442,30 @@ func TestStreamFallsBackToHTTP(t *testing.T) {
 	}
 }
 
+// TestStreamOtherVersionServedOverHTTP: a client offering another version of
+// the stream, as a peer of another build does, is answered over HTTP and
+// its connection is never upgraded.
+func TestStreamOtherVersionServedOverHTTP(t *testing.T) {
+	g, c, _ := streamGateway(t, &http.Server{}, HandlerConfig{}, FeedConfig{ID: "f"})
+	req, err := http.NewRequest(http.MethodGet, c.BaseURL+"/feeds/f/stats", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", "grub-stream/1")
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+		t.Errorf("offer of grub-stream/1 answered %d %q, want 200 JSON over HTTP", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	if got := g.streams.frames.Value(); got != 0 {
+		t.Errorf("%v requests answered over streams, want 0", got)
+	}
+}
+
 // FuzzStreamFrame: arbitrary bytes sent on a gateway's stream after the
 // upgrade are answered frame by frame, in order: every whole frame once (a
 // 400 when it does not decode to a request), a frame past the body cap with
@@ -437,16 +475,22 @@ func TestStreamFallsBackToHTTP(t *testing.T) {
 func FuzzStreamFrame(f *testing.F) {
 	const maxBody = 4096
 	withLen := func(p []byte) []byte { return append(binary.BigEndian.AppendUint32(nil, uint32(len(p))), p...) }
-	req := stream.AppendRequest(nil, "POST", "/feeds/f/ops", []byte(`{"ops":[{"type":"write","key":"k","value":"dg=="}]}`), "Content-Type", "application/json")
-	stats := stream.AppendRequest(nil, "GET", "/feeds/f/stats", nil)
+	req := stream.AppendRequest(nil, &stream.Request{Method: "POST", URI: "/feeds/f/ops",
+		Body: []byte(`{"ops":[{"type":"write","key":"k","value":"dg=="}]}`), Header: http.Header{"Content-Type": {"application/json"}}})
+	stats := stream.AppendRequest(nil, &stream.Request{Method: "GET", URI: "/feeds/f/stats"})
 	f.Add(req)
-	f.Add(append(stream.AppendAnswer(nil, 200, http.Header{"Leader": {"http://a"}}, 4), "body"...)) // an answer as a request
-	f.Add(req[:len(req)-3])                                                                         // truncated
-	f.Add(append(binary.BigEndian.AppendUint32(nil, 1<<31), 'G', 'E', 'T'))                         // oversize length
-	f.Add(withLen(append(wire.AppendString(wire.AppendString(nil, "GET"), "/"), 90)))               // header count past the bytes
-	f.Add(withLen([]byte{0x83, 0x00, 'G', 'E', 'T', 1, '/', 0}))                                    // non-minimal string length
-	f.Add(append(stats, stats...))                                                                  // two requests back to back
-	f.Add([]byte(stream.Goaway))                                                                    // an empty request
+	f.Add(stream.AppendRequest(nil, &stream.Request{Route: stream.RouteOps, Feed: "f", Body: core.AppendOps(nil, writeBatch("k"))}))
+	f.Add(stream.AppendRequest(nil, &stream.Request{Route: stream.RouteOps, Feed: "f", Flags: stream.JSONBody | stream.JSONAnswer, TraceID: "t", Body: []byte(`{"ops":[]}`)}))
+	f.Add(stream.AppendRequest(nil, &stream.Request{Route: stream.RouteGet, Feed: "f", Key: "k", Flags: stream.JSONAnswer}))
+	f.Add(stream.AppendRequest(nil, &stream.Request{Route: stream.RouteRange, Feed: "f", Lo: "a", Hi: "z"}))
+	f.Add(stream.AppendRequest(nil, &stream.Request{Route: stream.RouteLog, Feed: "f", Max: 4}))
+	f.Add(append(stream.AppendAnswer(nil, &stream.Head{Status: 200, Leader: "http://a"}, 4), "body"...)) // an answer as a request
+	f.Add(req[:len(req)-3])                                                                              // truncated
+	f.Add(append(binary.BigEndian.AppendUint32(nil, 1<<31), 0, 'G', 'E', 'T'))                           // oversize length
+	f.Add(withLen(append(wire.AppendString(wire.AppendString([]byte{0}, "GET"), "/"), 90)))              // header count past the bytes
+	f.Add(withLen([]byte{0, 0x83, 0x00, 'G', 'E', 'T', 1, '/', 0}))                                      // non-minimal string length
+	f.Add(append(stats, stats...))                                                                       // two requests back to back
+	f.Add([]byte(stream.Goaway))                                                                         // an empty request
 	g := NewGateway()
 	f.Cleanup(g.Close)
 	if err := g.CreateFeed(FeedConfig{ID: "f"}); err != nil {
@@ -479,8 +523,12 @@ func FuzzStreamFrame(f *testing.F) {
 			if len(rest) < 4+n {
 				break
 			}
-			_, uri, _, _, err := stream.DecodeRequest(rest[4 : 4+n])
-			if _, perr := url.ParseRequestURI(uri); err != nil || perr != nil {
+			var r stream.Request
+			err := stream.DecodeRequest(rest[4:4+n], &r)
+			if err == nil && r.Route == stream.RouteHTTP {
+				_, err = url.ParseRequestURI(r.URI)
+			}
+			if err != nil {
 				want = append(want, http.StatusBadRequest)
 			} else {
 				want = append(want, 0)
@@ -511,11 +559,11 @@ func FuzzStreamFrame(f *testing.F) {
 				t.Fatalf("after %d answers: %v", len(got), err)
 			}
 			if goaway = len(*p) == 0; !goaway {
-				status, _, _, err := stream.DecodeAnswer(*p)
+				hd, _, err := stream.DecodeAnswer(*p)
 				if err != nil {
 					t.Fatalf("answer %d does not decode: %v", len(got), err)
 				}
-				got = append(got, status)
+				got = append(got, hd.Status)
 			}
 			stream.PutBuf(p)
 			if goaway {

@@ -26,10 +26,9 @@ const MaxAnswer = 256 << 20
 // Answer is a gateway's answer to one request. Body lies in a pooled buffer
 // that Close gives back.
 type Answer struct {
-	Status int
-	Header http.Header
-	Body   []byte
-	buf    *[]byte
+	Head
+	Body []byte
+	buf  *[]byte
 }
 
 // Close gives the body's buffer back; Body must not be used after.
@@ -60,22 +59,22 @@ type Pool struct {
 	closed bool
 }
 
-// Send sends one request to the gateway at base ("http://host:port") and
-// returns its answer, whatever the status; pairs alternate header keys and
-// values. It goes over an idle stream to base when there is one, else over
-// HTTP offering one. hc (nil: http.DefaultClient) configures the exchange:
+// Send sends req to the gateway at base ("http://host:port") and returns its
+// answer, whatever the status; it keeps nothing of req once it returns. It
+// goes over an idle stream to base when there is one, else over HTTP
+// offering one. hc (nil: http.DefaultClient) configures the exchange:
 // its Transport sends the upgrading request, its Timeout bounds each
 // exchange, and its Transport's MaxIdleConnsPerHost caps the idle streams.
 // A request the stream did not serve (errNotServed) goes again at once on a
 // fresh connection; no other is resent.
-func (p *Pool) Send(hc *http.Client, base, method, uri string, body []byte, pairs ...string) (Answer, error) {
+func (p *Pool) Send(hc *http.Client, base string, req *Request) (Answer, error) {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
 	if s := p.take(base); s != nil {
 		buf := GetBuf()
-		*buf = AppendRequest(*buf, method, uri, body, pairs...)
-		a, err := s.exchange(*buf, method == http.MethodGet)
+		*buf = AppendRequest(*buf, req)
+		a, err := s.exchange(*buf, req.idempotent())
 		PutBuf(buf)
 		if err == nil {
 			p.put(hc, base, s)
@@ -86,7 +85,7 @@ func (p *Pool) Send(hc *http.Client, base, method, uri string, body []byte, pair
 			return Answer{}, err
 		}
 	}
-	return p.upgrade(hc, base, method, uri, body, pairs)
+	return p.upgrade(hc, base, req)
 }
 
 // Close ends every idle stream, and every stream handed back after.
@@ -107,11 +106,12 @@ func (p *Pool) Close() {
 // with a read-only body and a timer that later closes the connection. The
 // request's context bounds the exchange instead, which is why any answer but
 // a 101 is read whole before upgrade returns it. A 101 and the answer frame
-// behind it open a stream for the pool.
-func (p *Pool) upgrade(hc *http.Client, base, method, uri string, body []byte, pairs []string) (Answer, error) {
+// behind it open a stream for the pool. The Transport may still read the
+// body after the answer is in, so it reads a copy.
+func (p *Pool) upgrade(hc *http.Client, base string, req *Request) (Answer, error) {
 	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+	if req.Body != nil {
+		rd = bytes.NewReader(bytes.Clone(req.Body))
 	}
 	ctx := context.Background()
 	if hc.Timeout > 0 {
@@ -119,35 +119,33 @@ func (p *Pool) upgrade(hc *http.Client, base, method, uri string, body []byte, p
 		ctx, cancel = context.WithTimeout(ctx, hc.Timeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, method, base+uri, rd)
+	hr, err := http.NewRequestWithContext(ctx, req.method(), base+req.uri(), rd)
 	if err != nil {
 		return Answer{}, err
 	}
-	for i := 0; i+1 < len(pairs); i += 2 {
-		req.Header.Set(pairs[i], pairs[i+1])
-	}
-	req.Header.Set("Connection", "Upgrade")
-	req.Header.Set("Upgrade", Proto)
-	resp, err := cmp.Or[http.RoundTripper](hc.Transport, http.DefaultTransport).RoundTrip(req)
+	req.headers(hr.Header.Add)
+	hr.Header.Set("Connection", "Upgrade")
+	hr.Header.Set("Upgrade", Proto)
+	resp, err := cmp.Or[http.RoundTripper](hc.Transport, http.DefaultTransport).RoundTrip(hr)
 	if err != nil {
 		return Answer{}, err
 	}
 	if resp.StatusCode != http.StatusSwitchingProtocols {
 		defer resp.Body.Close()
-		buf, err := ReadPooled(&io.LimitedReader{R: resp.Body, N: MaxAnswer + 1})
+		buf, err := ReadPooled(resp.Body, MaxAnswer+1)
 		if err != nil {
 			return Answer{}, err
 		}
 		if len(*buf) > MaxAnswer {
 			PutBuf(buf)
-			return Answer{}, fmt.Errorf("stream: %s %s: answer exceeds %d bytes", method, uri, MaxAnswer)
+			return Answer{}, fmt.Errorf("stream: %s: answer exceeds %d bytes", req.String(), MaxAnswer)
 		}
-		return Answer{Status: resp.StatusCode, Header: resp.Header, Body: *buf, buf: buf}, nil
+		return Answer{Head: HeadOf(resp.StatusCode, resp.Header), Body: *buf, buf: buf}, nil
 	}
 	rwc, ok := resp.Body.(io.ReadWriteCloser)
 	if !ok || resp.Header.Get("Upgrade") != Proto {
 		resp.Body.Close()
-		return Answer{}, fmt.Errorf("stream: %s %s: 101 to Upgrade %q is not a writable %s stream", method, uri, resp.Header.Get("Upgrade"), Proto)
+		return Answer{}, fmt.Errorf("stream: %s: 101 to Upgrade %q is not a writable %s stream", req.String(), resp.Header.Get("Upgrade"), Proto)
 	}
 	s := &conn{rwc: rwc, br: bufio.NewReader(rwc), timeout: hc.Timeout}
 	if s.timeout > 0 {
@@ -202,12 +200,12 @@ func (s *conn) exchange(frame []byte, idempotent bool) (Answer, error) {
 		PutBuf(buf)
 		return Answer{}, errNotServed // GOAWAY
 	}
-	status, h, body, err := DecodeAnswer(*buf)
+	hd, body, err := DecodeAnswer(*buf)
 	if err != nil {
 		PutBuf(buf)
 		return Answer{}, err
 	}
-	return Answer{Status: status, Header: h, Body: body, buf: buf}, nil
+	return Answer{Head: hd, Body: body, buf: buf}, nil
 }
 
 func (p *Pool) take(base string) *conn {
@@ -219,6 +217,13 @@ func (p *Pool) take(base string) *conn {
 	}
 	p.idle[base] = ss[:len(ss)-1]
 	return ss[len(ss)-1]
+}
+
+// Idle is the number of idle streams the pool holds to base.
+func (p *Pool) Idle(base string) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.idle[base])
 }
 
 // put pools s for the next caller, up to hc's idle connections per host.

@@ -31,10 +31,10 @@ func echoGateway(t *testing.T) (url string, open *atomic.Int64) {
 		defer open.Add(-1)
 		defer conn.Close()
 		brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + Proto + "\r\n\r\n")
-		method, uri := r.Method, r.URL.RequestURI()
+		line := r.Method + " " + r.URL.RequestURI()
 		for {
-			reply := method + " " + uri + " " + string(body)
-			brw.Write(AppendAnswer(nil, http.StatusOK, http.Header{"Content-Type": {"text/plain"}}, len(reply)))
+			reply := line + " " + string(body)
+			brw.Write(AppendAnswer(nil, &Head{Status: http.StatusOK, ContentType: "text/plain"}, len(reply)))
 			brw.WriteString(reply)
 			if brw.Flush() != nil {
 				return
@@ -43,11 +43,12 @@ func echoGateway(t *testing.T) (url string, open *atomic.Int64) {
 			if err != nil {
 				return
 			}
-			method, uri, _, body, err = DecodeRequest(*p)
-			if err != nil {
+			var req Request
+			if err := DecodeRequest(*p, &req); err != nil {
 				t.Error(err)
 				return
 			}
+			line, body = req.String(), req.Body
 		}
 	}))
 	t.Cleanup(srv.Close)
@@ -76,14 +77,14 @@ func TestStreamPoolSharesCapsAndCloses(t *testing.T) {
 		if body != "" {
 			b = []byte(body)
 		}
-		a, err := p.Send(hc, url, method, "/x?y=1", b, "Content-Type", "text/plain")
+		a, err := p.Send(hc, url, &Request{Method: method, URI: "/x?y=1", Header: http.Header{"Content-Type": {"text/plain"}}, Body: b})
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		defer a.Close()
-		if want := method + " /x?y=1 " + body; a.Status != http.StatusOK || string(a.Body) != want || a.Header.Get("Content-Type") != "text/plain" {
-			t.Errorf("answer %d %v %q, want 200 text/plain %q", a.Status, a.Header, a.Body, want)
+		if want := method + " /x?y=1 " + body; a.Status != http.StatusOK || string(a.Body) != want || a.ContentType != "text/plain" {
+			t.Errorf("answer %d %+v %q, want 200 text/plain %q", a.Status, a.Head, a.Body, want)
 		}
 	}
 	send("POST", "first")
@@ -122,15 +123,15 @@ func TestStreamPoolFallsBackToHTTP(t *testing.T) {
 	defer srv.Close()
 	var p Pool
 	defer p.Close()
-	a, err := p.Send(nil, srv.URL, http.MethodPost, "/feeds/f/ops", []byte("batch"))
+	a, err := p.Send(nil, srv.URL, &Request{Route: RouteOps, Feed: "f", Body: []byte("batch")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if a.Status != http.StatusServiceUnavailable || a.Header.Get("Retry-After") != "1" || a.ErrorText() != "fenced" {
-		t.Errorf("answer %d %v %q (%q), want 503, Retry-After and error fenced", a.Status, a.Header, a.Body, a.ErrorText())
+	if a.Status != http.StatusServiceUnavailable || a.RetryAfter != 1 || a.ErrorText() != "fenced" {
+		t.Errorf("answer %d %+v %q (%q), want 503, Retry-After and error fenced", a.Status, a.Head, a.Body, a.ErrorText())
 	}
-	if got := (&Answer{Status: http.StatusBadGateway, Body: []byte("not json")}).ErrorText(); got != "HTTP 502" {
+	if got := (&Answer{Head: Head{Status: http.StatusBadGateway}, Body: []byte("not json")}).ErrorText(); got != "HTTP 502" {
 		t.Errorf("error text of a body without an error field = %q, want HTTP 502", got)
 	}
 }
@@ -156,7 +157,7 @@ func TestStreamPoolCapsAnswers(t *testing.T) {
 	defer srv.Close()
 	var p Pool
 	defer p.Close()
-	if _, err := p.Send(&http.Client{Timeout: 2 * time.Second}, srv.URL, http.MethodGet, "/big", nil); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := p.Send(&http.Client{Timeout: 2 * time.Second}, srv.URL, &Request{Method: http.MethodGet, URI: "/big"}); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversize answer: %v, want ErrFrameTooLarge", err)
 	}
 	select {

@@ -28,22 +28,43 @@ func allocated(f func()) uint64 {
 // readings.
 func allocLimit(p []byte) uint64 { return uint64(64*len(p) + 64<<10) }
 
+// frames are a request frame of every route, each with every field set, and
+// an answer frame with every field of its head set.
+func frames() [][]byte {
+	const ops = "application/x-grub-ops"
+	typed := func(r Request) []byte {
+		r.Feed, r.Epoch, r.Flags, r.TraceID, r.Parent = "f", 7, Forwarded|JSONBody|JSONAnswer, "trace0123456789a", "n1:forward"
+		return AppendRequest(nil, &r)
+	}
+	return [][]byte{
+		AppendRequest(nil, &Request{Method: "POST", URI: "/feeds/f/snapshot", Body: []byte("{}"),
+			Header: http.Header{"Content-Type": {ops}, "Accept": {ops}}, Epoch: 3, Flags: Forwarded, TraceID: "t", Parent: "p"}),
+		typed(Request{Route: RouteOps, Body: []byte{1, 2, 3}}),
+		typed(Request{Route: RouteGet, Key: "k"}),
+		typed(Request{Route: RouteRange, Lo: "a", Hi: "z"}),
+		typed(Request{Route: RouteLog, Shard: 2, From: 300, Max: 16}),
+		append(AppendAnswer(nil, &Head{Status: 421, ContentType: ops, Leader: "http://a", RetryAfter: 1,
+			TraceID: "trace0123456789a", Spans: `[{"stage":"apply"}]`}, 4), "body"...),
+	}
+}
+
 // FuzzStreamFrame: arbitrary bytes as a stream frame, in either direction,
 // must decode or fail without panicking and without an allocation sized from
 // a length or count they claim; a frame that decodes re-encodes to one that
 // decodes the same.
 func FuzzStreamFrame(f *testing.F) {
 	withLen := func(p []byte) []byte { return append(binary.BigEndian.AppendUint32(nil, uint32(len(p))), p...) }
-	const ops = "application/x-grub-ops"
-	req := AppendRequest(nil, "POST", "/feeds/f/ops", []byte{1, 2, 3}, "Content-Type", ops, "Accept", ops)
-	ans := append(AppendAnswer(nil, 200, http.Header{"Content-Type": {ops}, "Leader": {"http://a", "http://b"}}, 4), "body"...)
-	f.Add(req)
-	f.Add(ans)
-	f.Add(req[:len(req)-3])                                                           // truncated
-	f.Add(append(binary.BigEndian.AppendUint32(nil, 1<<31), 'G', 'E', 'T'))           // oversize length
-	f.Add(withLen(append(wire.AppendString(wire.AppendString(nil, "GET"), "/"), 90))) // header count past the bytes
-	f.Add(withLen([]byte{0x83, 0x00, 'G', 'E', 'T', 1, '/', 0}))                      // non-minimal string length
-	f.Add(withLen([]byte{0xc8, 0x81, 0x00, 0}))                                       // non-minimal status
+	for _, p := range frames() {
+		f.Add(p)
+	}
+	req := frames()[1]
+	f.Add(req[:len(req)-3])                                                                 // truncated
+	f.Add(append(binary.BigEndian.AppendUint32(nil, 1<<31), 0, 'G', 'E', 'T'))              // oversize length
+	f.Add(withLen(append(wire.AppendString(wire.AppendString([]byte{0}, "GET"), "/"), 90))) // header count past the bytes
+	f.Add(withLen([]byte{0, 0x83, 0x00, 'G', 'E', 'T', 1, '/', 0}))                         // non-minimal string length
+	f.Add(withLen([]byte{0xc8, 0x81, 0x00, 0, 0, 0, 0, 0}))                                 // non-minimal status
+	f.Add(withLen([]byte{byte(NumRoutes), 1, 'f', 0, 0, 0, 0}))                             // unknown route
+	f.Add(withLen([]byte{byte(RouteOps), 1, 'f', 0, 0x80, 0, 0}))                           // unknown flag
 	f.Add([]byte(Goaway))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var buf *[]byte
@@ -56,34 +77,31 @@ func FuzzStreamFrame(f *testing.F) {
 		}
 		p := *buf
 		defer PutBuf(buf)
-		var method, uri string
-		var h http.Header
-		var body []byte
-		if n := allocated(func() { method, uri, h, body, err = DecodeRequest(p) }); n > allocLimit(p) {
+		var req Request
+		if n := allocated(func() { err = DecodeRequest(p, &req) }); n > allocLimit(p) {
 			t.Fatalf("decoding a %d-byte request allocated %d bytes", len(p), n)
 		}
 		if err == nil {
-			var pairs []string
-			for k, vs := range h {
-				for _, v := range vs {
-					pairs = append(pairs, k, v)
-				}
+			var again Request
+			if err := DecodeRequest(AppendRequest(nil, &req)[4:], &again); err != nil || !bytes.Equal(again.Body, req.Body) {
+				t.Fatalf("request re-encodes to one with body %q (%v), want %q", again.Body, err, req.Body)
 			}
-			m2, u2, h2, b2, err := DecodeRequest(AppendRequest(nil, method, uri, body, pairs...)[4:])
-			if err != nil || m2 != method || u2 != uri || !reflect.DeepEqual(h2, h) || !bytes.Equal(b2, body) {
-				t.Fatalf("request re-encodes to %q %q %v %q (%v), want %q %q %v %q", m2, u2, h2, b2, err, method, uri, h, body)
+			again.Body, req.Body = nil, nil
+			if !reflect.DeepEqual(again, req) {
+				t.Fatalf("request re-encodes to %+v, want %+v", again, req)
 			}
 		} else if !errors.Is(err, wire.ErrMalformed) {
 			t.Fatalf("request decode error %v is not ErrMalformed", err)
 		}
-		var status int
-		if n := allocated(func() { status, h, body, err = DecodeAnswer(p) }); n > allocLimit(p) {
+		var hd Head
+		var body []byte
+		if n := allocated(func() { hd, body, err = DecodeAnswer(p) }); n > allocLimit(p) {
 			t.Fatalf("decoding a %d-byte answer allocated %d bytes", len(p), n)
 		}
 		if err == nil {
-			s2, h2, b2, err := DecodeAnswer(append(AppendAnswer(nil, status, h, len(body)), body...)[4:])
-			if err != nil || s2 != status || !reflect.DeepEqual(h2, h) || !bytes.Equal(b2, body) {
-				t.Fatalf("answer re-encodes to %d %v %q (%v), want %d %v %q", s2, h2, b2, err, status, h, body)
+			h2, b2, err := DecodeAnswer(append(AppendAnswer(nil, &hd, len(body)), body...)[4:])
+			if err != nil || h2 != hd || !bytes.Equal(b2, body) {
+				t.Fatalf("answer re-encodes to %+v %q (%v), want %+v %q", h2, b2, err, hd, body)
 			}
 		} else if !errors.Is(err, wire.ErrMalformed) {
 			t.Fatalf("answer decode error %v is not ErrMalformed", err)
@@ -94,52 +112,107 @@ func FuzzStreamFrame(f *testing.F) {
 // TestAppendAfterBytes: a frame appended after other bytes leaves them as they
 // are and reads back whole from where it starts.
 func TestAppendAfterBytes(t *testing.T) {
-	b := AppendRequest([]byte("xyz"), "GET", "/feeds/f/stats", nil, "Accept", "a")
-	b = append(AppendAnswer(b, 201, http.Header{"Leader": {"http://a"}}, 2), "ok"...)
+	b := AppendRequest([]byte("xyz"), &Request{Method: "GET", URI: "/feeds/f/stats", Header: http.Header{"Accept": {"a"}}})
+	b = AppendRequest(b, &Request{Route: RouteGet, Feed: "f", Key: "k"})
+	b = append(AppendAnswer(b, &Head{Status: 201, Leader: "http://a"}, 2), "ok"...)
 	if string(b[:3]) != "xyz" {
 		t.Fatalf("prefix became %q", b[:3])
 	}
 	br := bufio.NewReader(bytes.NewReader(b[3:]))
+	var req Request
 	in, err := ReadFrame(br, 1<<20)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		err = DecodeRequest(*in, &req)
 	}
-	if m, u, h, body, err := DecodeRequest(*in); err != nil || m != "GET" || u != "/feeds/f/stats" || h.Get("Accept") != "a" || len(body) != 0 {
-		t.Fatalf("request read back as %q %q %v %q (%v)", m, u, h, body, err)
+	if err != nil || req.Method != "GET" || req.URI != "/feeds/f/stats" || req.Header.Get("Accept") != "a" || len(req.Body) != 0 {
+		t.Fatalf("request read back as %+v (%v)", req, err)
+	}
+	if in, err = ReadFrame(br, 1<<20); err == nil {
+		err = DecodeRequest(*in, &req)
+	}
+	if err != nil || req.Route != RouteGet || req.Feed != "f" || req.Key != "k" || len(req.Body) != 0 {
+		t.Fatalf("typed request read back as %+v (%v)", req, err)
 	}
 	if in, err = ReadFrame(br, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if s, h, body, err := DecodeAnswer(*in); err != nil || s != 201 || h.Get("Leader") != "http://a" || string(body) != "ok" {
-		t.Fatalf("answer read back as %d %v %q (%v)", s, h, body, err)
+	if hd, body, err := DecodeAnswer(*in); err != nil || hd.Status != 201 || hd.Leader != "http://a" || string(body) != "ok" {
+		t.Fatalf("answer read back as %+v %q (%v)", hd, body, err)
 	}
 }
 
-// BenchmarkFrameRoundTrip prices one exchange's framing, both directions: a
-// 16-op-sized request encoded, read and decoded, and its answer likewise.
-func BenchmarkFrameRoundTrip(b *testing.B) {
-	body := make([]byte, 600)
-	h := http.Header{"Content-Type": {"application/x-grub-ops"}}
-	var wb bytes.Buffer
+// TestTypedFrameAllocations pins that a typed get, request and answer, costs
+// no allocation to encode, read and decode on a stream that has served its
+// feed before, except the key string the gateway's handler keeps.
+func TestTypedFrameAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	out := GetBuf()
+	defer PutBuf(out)
+	var wb bytes.Reader
 	br := bufio.NewReader(&wb)
-	b.ReportAllocs()
-	for b.Loop() {
-		out := GetBuf()
-		*out = AppendRequest(*out, "POST", "/feeds/f/ops", body, "Content-Type", "application/x-grub-ops", "Accept", "application/x-grub-ops")
-		wb.Write(*out)
-		*out = append(AppendAnswer((*out)[:0], 200, h, len(body)), body...)
-		wb.Write(*out)
-		PutBuf(out)
+	proof := make([]byte, 600)
+	var req Request
+	exchange := func() {
+		*out = AppendRequest((*out)[:0], &Request{Route: RouteGet, Feed: "feed-7", Key: "user0001234"})
+		*out = append(AppendAnswer(*out, &Head{Status: http.StatusOK, ContentType: ReadMediaType}, len(proof)), proof...)
+		wb.Reset(*out)
+		br.Reset(&wb)
 		in, err := ReadFrame(br, 1<<20)
 		if err == nil {
-			_, _, _, _, err = DecodeRequest(*in)
+			err = DecodeRequest(*in, &req)
 			PutBuf(in)
 		}
 		if err == nil {
 			in, err = ReadFrame(br, 1<<20)
 		}
 		if err == nil {
-			_, _, _, err = DecodeAnswer(*in)
+			var hd Head
+			hd, _, err = DecodeAnswer(*in)
+			if hd.ContentType != ReadMediaType {
+				t.Fatalf("answer type %q", hd.ContentType)
+			}
+			PutBuf(in)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	exchange()
+	if req.Feed != "feed-7" || req.Key != "user0001234" {
+		t.Fatalf("request read back as %+v", req)
+	}
+	if n := testing.AllocsPerRun(100, exchange); n > 1 {
+		t.Errorf("%.1f allocations per typed get exchange, want at most 1 (the key)", n)
+	}
+}
+
+// BenchmarkFrameRoundTrip prices one exchange's framing, both directions: a
+// 16-op-sized typed batch encoded, read and decoded, and its answer likewise.
+func BenchmarkFrameRoundTrip(b *testing.B) {
+	body := make([]byte, 600)
+	var wb bytes.Buffer
+	br := bufio.NewReader(&wb)
+	var req Request
+	b.ReportAllocs()
+	for b.Loop() {
+		out := GetBuf()
+		*out = AppendRequest(*out, &Request{Route: RouteOps, Feed: "f", Body: body})
+		wb.Write(*out)
+		*out = append(AppendAnswer((*out)[:0], &Head{Status: 200, ContentType: OpsMediaType}, len(body)), body...)
+		wb.Write(*out)
+		PutBuf(out)
+		in, err := ReadFrame(br, 1<<20)
+		if err == nil {
+			err = DecodeRequest(*in, &req)
+			PutBuf(in)
+		}
+		if err == nil {
+			in, err = ReadFrame(br, 1<<20)
+		}
+		if err == nil {
+			_, _, err = DecodeAnswer(*in)
 			PutBuf(in)
 		}
 		if err != nil {

@@ -320,9 +320,10 @@ type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
-// routeRe matches the route strings registered on the gateway mux, e.g.
-// mux.HandleFunc("POST /feeds/{id}/ops", ...).
-var routeRe = regexp.MustCompile(`mux\.HandleFunc\("([A-Z]+ [^"]+)"`)
+// routeRe matches the pattern that opens an entry of the gateway's route
+// table, from which every route registers on the mux, e.g.
+// {"POST /feeds/{id}/ops", stream.RouteOps, (*api).ops},
+var routeRe = regexp.MustCompile(`(?m)^\s*\{"([A-Z]+ /[^"]*)",`)
 
 // routeHeadingRe matches an API.md route heading, e.g.
 // ### `POST /feeds/{id}/ops` — execute a batch.

@@ -72,7 +72,7 @@ func TestCatchesBrokenLink(t *testing.T) {
 	write("README.md", "[missing](docs/NOPE.md) and [bad anchor](docs/API.md#nope)")
 	write("docs/API.md", "# API\n\n`GET /feeds` only\n")
 	write("internal/server/http.go",
-		"package server\nfunc x() {\n\tmux.HandleFunc(\"GET /feeds\", nil)\n\tmux.HandleFunc(\"POST /feeds/{id}/ops\", nil)\n}\n")
+		"package server\nvar routes = []route{\n\t{\"GET /feeds\", 0, nil},\n\t{\"POST /feeds/{id}/ops\", stream.RouteOps, (*api).ops},\n}\n")
 
 	problems, err := run(root, nil)
 	if err != nil {
@@ -107,7 +107,7 @@ func TestCatchesUndocumentedMetric(t *testing.T) {
 	write("README.md", "")
 	write("docs/API.md", "# API\n\n`GET /feeds` and `grub_documented_total`.\n")
 	write("internal/server/http.go",
-		"package server\nfunc x() {\n\tmux.HandleFunc(\"GET /feeds\", nil)\n}\n")
+		"package server\nvar routes = []route{\n\t{\"GET /feeds\", 0, nil},\n}\n")
 	write("internal/server/metrics.go",
 		"package server\nconst a = \"grub_documented_total\"\nconst b = \"grub_missing_total\"\n")
 	write("internal/server/metrics_test.go",
@@ -148,7 +148,7 @@ func TestCatchesStaleGoRun(t *testing.T) {
 	write("docs/API.md", "# API\n\n`GET /feeds`; run `go run ./internal/lib`.\n")
 	write(".claude/skills/verify/SKILL.md", "`go run ./examples/<quickstart|gone>`\n")
 	write("internal/server/http.go",
-		"package server\nfunc x() {\n\tmux.HandleFunc(\"GET /feeds\", nil)\n}\n")
+		"package server\nvar routes = []route{\n\t{\"GET /feeds\", 0, nil},\n}\n")
 	write("cmd/grubd/main.go", "// Command grubd.\npackage main\n\nfunc main() {}\n")
 	write("internal/lib/lib.go", "package lib\n")
 	write("internal/lib/lib_test.go", "package main\n")
@@ -183,7 +183,7 @@ func TestCatchesStaleRouteHeading(t *testing.T) {
 		"README.md": "",
 		"docs/API.md": "# API\n\n### `GET /feeds` — list\n\n### `GET /feeds/{id}/legacy` — gone\n\n" +
 			"### `grubtop` — a tool, not a route\n",
-		"internal/server/http.go": "package server\nfunc x() {\n\tmux.HandleFunc(\"GET /feeds\", nil)\n}\n",
+		"internal/server/http.go": "package server\nvar routes = []route{\n\t{\"GET /feeds\", 0, nil},\n}\n",
 	})
 	problems, err := run(root, nil)
 	if err != nil {
@@ -192,6 +192,20 @@ func TestCatchesStaleRouteHeading(t *testing.T) {
 	joined := strings.Join(problems, "\n")
 	if len(problems) != 1 || !strings.Contains(joined, `route "GET /feeds/{id}/legacy", which internal/server/http.go does not register`) {
 		t.Errorf("got %d problems, want the stale GET /feeds/{id}/legacy heading only:\n%s", len(problems), joined)
+	}
+}
+
+// TestNoRoutesFound pins that a handler source with no route table entry
+// the guard can read fails the check instead of passing it vacuously.
+func TestNoRoutesFound(t *testing.T) {
+	root := t.TempDir()
+	writeTree(t, root, map[string]string{
+		"README.md":               "",
+		"docs/API.md":             "# API\n\n`GET /feeds`\n",
+		"internal/server/http.go": "package server\nfunc x() {\n\tmux.HandleFunc(\"GET /feeds\", nil)\n}\n",
+	})
+	if _, err := run(root, nil); err == nil || !strings.Contains(err.Error(), "no routes found") {
+		t.Errorf("run = %v, want the no-routes-found failure", err)
 	}
 }
 
@@ -208,7 +222,7 @@ func TestCatchesStaleMetricRow(t *testing.T) {
 			"| `grub_runtime_total` | built at run time |\n" +
 			"| `grub_gone_total` | removed |\n" +
 			"| meaning | `grub_prose_only` |\n",
-		"internal/server/http.go":     "package server\nfunc x() {\n\tmux.HandleFunc(\"GET /feeds\", nil)\n}\n",
+		"internal/server/http.go":     "package server\nvar routes = []route{\n\t{\"GET /feeds\", 0, nil},\n}\n",
 		"internal/server/metrics.go":  "package server\nconst a = \"grub_kept_total\"\n",
 		"internal/server/old_test.go": "package server\nconst b = \"grub_gone_total\"\n",
 	})
