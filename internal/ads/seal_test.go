@@ -355,13 +355,13 @@ func TestCloneIsOneAllocation(t *testing.T) {
 	}
 }
 
-// TestUnpublishedUpdateIsOneAllocation pins the ownership rule's payoff: with
-// no Clone outstanding, a value update plus the Root that anchors it edits
-// the sealed root path in place, so the value copy is the only allocation.
-// A Capture without EndGeneration does not change that.
+// TestUnpublishedUpdateAllocatesNothing pins the ownership rule's payoff:
+// with no Clone outstanding, a value update plus the Root that anchors it
+// edits the sealed root path in place and keeps the caller's value, so it
+// allocates nothing. A Capture without EndGeneration does not change that.
 // The first update after a Clone copies its path instead — the clone must
-// not see it — and the same key's next update is back to one allocation.
-func TestUnpublishedUpdateIsOneAllocation(t *testing.T) {
+// not see it — and the same key's next update is back to none.
+func TestUnpublishedUpdateAllocatesNothing(t *testing.T) {
 	const n = 10_000
 	s := NewSet()
 	keys := make([]string, n)
@@ -377,15 +377,15 @@ func TestUnpublishedUpdateIsOneAllocation(t *testing.T) {
 		s.Root()
 		i++
 	}
-	if allocs := testing.AllocsPerRun(100, update); allocs != 1 {
-		t.Fatalf("update + Root with no clone outstanding: %v allocations, want 1", allocs)
+	if allocs := testing.AllocsPerRun(100, update); allocs != 0 {
+		t.Fatalf("update + Root with no clone outstanding: %v allocations, want 0", allocs)
 	}
 	// A capture whose generation is never ended — a view the shard worker
-	// retracted because nobody pinned it — costs the update nothing: the set
+	// retracted because no read was in flight — costs the update nothing: the set
 	// edits the captured path in place, and the capture is abandoned.
 	var retracted *Set
-	if allocs := testing.AllocsPerRun(100, func() { retracted = s.Capture(); update() }); allocs != 2 {
-		t.Fatalf("Capture then update: %v allocations, want 2 (the capture's header, the value copy)", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { retracted = s.Capture(); update() }); allocs != 1 {
+		t.Fatalf("Capture then update: %v allocations, want 1 (the capture's header)", allocs)
 	}
 	if retracted.root != s.root {
 		t.Fatal("the update after a retracted capture copied the root it could edit in place")
@@ -406,8 +406,8 @@ func TestUnpublishedUpdateIsOneAllocation(t *testing.T) {
 	if err := c.check(); err != nil {
 		t.Fatalf("after updates that follow clones: %v", err)
 	}
-	if allocs := testing.AllocsPerRun(100, again); allocs != 1 {
-		t.Fatalf("the same key's later updates: %v allocations, want 1", allocs)
+	if allocs := testing.AllocsPerRun(100, again); allocs != 0 {
+		t.Fatalf("the same key's later updates: %v allocations, want 0", allocs)
 	}
 	if err := c.check(); err != nil {
 		t.Fatalf("after in-place updates: %v", err)

@@ -31,15 +31,17 @@ import (
 //     EndGeneration gives the stamp up (a fresh one is drawn at the next
 //     mutation), so every node a capture taken before it can reach is copied
 //     before the set writes it again. Copying therefore follows the versions
-//     someone reads, not the versions taken: the shard worker captures a view
-//     after every batch, but ends the generation only when a reader pinned
-//     the view (see package query); a view nobody pinned is retracted, and
-//     the next batch edits its nodes in place. Clone is Capture and
-//     EndGeneration together. A capture owns no node until it is itself
-//     mutated, so a frozen one (nobody mutates it, and its set ended the
-//     generation) does no writes in any method and is safe for any number of
-//     concurrent readers. Between ended generations a mutation allocates
-//     nothing but the value copy and, for a new key, its node.
+//     someone is reading, not the versions taken: the shard worker captures a
+//     view after every batch, but ends the generation only when a read of
+//     the view is in flight (see package query); a view no read is in is
+//     retracted, and the next batch edits its nodes in place. Clone is
+//     Capture and EndGeneration together. A capture owns no node until it is
+//     itself mutated, so a frozen one (nobody mutates it, and its set ended
+//     the generation) does no writes in any method and is safe for any
+//     number of concurrent readers. A set keeps the value bytes it is given
+//     and never writes them, and so must every holder of them, its caller
+//     included; so between ended generations a mutation allocates nothing
+//     but, for a new key, its node.
 //   - The journal rule. Journal opens an undo log for mutations that may yet
 //     be refused: while it is open, the first in-place edit of a node since
 //     the last seal saves the node's prior contents, and Rollback writes them
@@ -163,8 +165,9 @@ type node struct {
 	hash merkle.Hash
 }
 
-// record returns the node's record. Its value bytes are the set's own, never
-// written after they are stored: an update installs a fresh copy.
+// record returns the node's record. Its value bytes are the ones Put was
+// handed, shared with their other holders and never written: an update
+// installs the new value's bytes.
 func (n *node) record() Record { return Record{Key: n.key, State: n.state, Value: n.value} }
 
 func size(n *node) int {
@@ -254,7 +257,7 @@ func higher(a, b *node) bool {
 
 // insert puts rec into the subtree, replacing the value if (state, key)
 // already exists, and returns the subtree's new root — always an owned
-// (dirty) node. rec.Value must already be owned by the set.
+// (dirty) node. The node keeps rec.Value.
 func (s *Set) insert(n *node, rec Record) *node {
 	if n == nil {
 		return &node{key: rec.Key, value: rec.Value, state: rec.State, prio: prioOf(rec.State, rec.Key),
@@ -442,12 +445,14 @@ func (s *Set) Group(st State) iter.Seq[Record] {
 // exists with a different state it is relocated to its new group. It returns
 // the previous state and whether the key already existed.
 //
+// The set keeps rec.Value, not a copy: the caller hands the bytes over and
+// must never write them again (nor may anyone they were shared with).
+//
 // It inserts into the record's target group first: an update of a record
 // already in that group is then done in one descent. Only an insert that
 // created a node looks the key up in the other group, and deletes it there
 // if found (a relocation). The shape is canonical whatever the order.
 func (s *Set) Put(rec Record) (prev State, existed bool) {
-	rec.Value = append([]byte(nil), rec.Value...)
 	s.claim()
 	n := s.Len()
 	s.root = s.insert(s.root, rec)
@@ -551,10 +556,10 @@ func (s *Set) Clone() *Set {
 // receiver's next mutation therefore edits in place nodes the capture
 // reaches, and the capture stays what it was only if EndGeneration runs
 // before that mutation. The shard worker publishes its read views this way
-// and ends the generation only for a view a reader has pinned. On a sealed
-// set (the worker anchors every batch with Root before it publishes) Capture
-// is one allocation, whatever the record count. It panics while a journal
-// is open.
+// and ends the generation only for a view a read is in at the next batch.
+// On a sealed set (the worker anchors every batch with Root before it
+// publishes) Capture is one allocation, whatever the record count. It panics
+// while a journal is open.
 func (s *Set) Capture() *Set {
 	if s.j != nil && s.j.open {
 		panic("ads: Capture while a journal is open")

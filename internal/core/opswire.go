@@ -63,12 +63,13 @@ func DecodeOps(body []byte) ([]Op, error) {
 
 // ReadOps reads a batch from r. Every key and every value is an allocation
 // of its own, as encoding/json makes them, because the feed keeps ops past
-// the batch: its per-key maps hold keys for as long as they are live, and
-// each shard's replication log (and, when recording, its trace) holds its
-// sub-batch's ops. Those bound what they keep by the ops' own keys and
-// values, so an op aliasing the body would keep the whole body with it,
-// other shards' ops included. Nothing read aliases r's buffer, so r may be a
-// Borrow reader.
+// the batch: its per-key maps hold keys for as long as they are live, its
+// record set keeps each written value as decoded (ads.Set.Put takes the
+// bytes over, and nobody writes them again), and each shard's replication
+// log (and, when recording, its trace) holds its sub-batch's ops. Those
+// bound what they keep by the ops' own keys and values, so an op aliasing
+// the body would keep the whole body with it, other shards' ops included.
+// Nothing read aliases r's buffer, so r may be a Borrow reader.
 //
 // Only AppendOps's own output decodes: an opOther op naming a known type is
 // refused, so every batch has exactly one encoding.

@@ -32,8 +32,9 @@ type SPNode struct {
 
 	// Tamper, when non-nil, may rewrite a deliver before submission
 	// (security tests model a forging/replaying SP with it). It replaces
-	// fields rather than writing through them: the record's value bytes
-	// are the shared set's own.
+	// fields rather than writing through them: to forge a value it
+	// replaces Record.Value, never writes into it, because the shared set
+	// keeps those bytes, as the write that stored them handed them over.
 	Tamper func(*DeliverArgs)
 	// Drop, when non-nil, suppresses responses for chosen request IDs
 	// (models an omitting SP).

@@ -10,15 +10,16 @@
 // single-writer shard workers a message. Reads therefore scale with cores
 // while writes keep their per-shard determinism.
 //
-// Copy-on-write is paid only for the views someone reads. A reader pins a
-// view (one CompareAndSwap, and only a load once it is pinned) before it
-// reads any node, and the shard worker, before its next batch, retracts the
-// view if nobody did. A retracted view is never read, so the batch edits its
-// nodes in place; a pinned one makes the worker end the set's generation,
-// so the batch copies every node the view reaches before writing it. A
-// reader that finds a view retracted waits for the successor, which the
-// worker publishes when that one batch is applied. Roots reads only the
-// anchor each view captured at publish, so it neither pins nor waits.
+// Copy-on-write is paid only for the views someone is reading. A view counts
+// its reads in flight: a reader counts itself in (one CompareAndSwap) before
+// it reads any node and out (one add) once its answer is detached, and the
+// shard worker, before its next batch, retracts the view if no read is in
+// flight. A retracted view is never read again, so the batch edits its nodes
+// in place; a read in flight makes the worker end the set's generation, so
+// the batch copies every node the view reaches before writing it. A reader
+// that finds a view retracted waits for the successor, which the worker
+// publishes when that one batch is applied. Roots reads only the anchor each
+// view captured at publish, so it neither counts itself in nor waits.
 //
 // Every answer carries the evidence a light client needs to verify it
 // against the advertised per-shard Anchor (seq, height, root, count) — the
@@ -69,30 +70,20 @@ func ShardOf(key string, n int) int {
 // monotone per-shard sequence number. All methods are safe for concurrent
 // use.
 //
-// A view is published, then either pinned by its first reader or retracted
-// by its shard worker, never both (see Engine.ViewOf). Its tree nodes may be
-// read only once it is pinned; its anchor (seq, height, root, count) was
-// captured at publish and may be read at any time.
+// A view counts its reads in flight (see Engine.ViewOf and Release), and its
+// shard worker retracts it, for good, only while that count is zero. Its
+// tree nodes may be read only between ViewOf and Release; its anchor (seq,
+// height, root, count) was captured at publish and may be read at any time.
 type View struct {
 	shard  int
 	anchor Anchor
 	set    *ads.Set
-	state  atomic.Uint32
+	// readers counts the reads in flight; -1 once retracted.
+	readers atomic.Int32
 	// countLeaf is the digest's count commitment, the last step of every
 	// membership proof off this view.
 	countLeaf merkle.Hash
 }
-
-// View states. A view leaves viewPublished once, by one CompareAndSwap.
-const (
-	viewPublished uint32 = iota
-	// viewPinned: a reader may read the tree, so the shard worker ends the
-	// set's generation before its next batch and copies what it writes.
-	viewPinned
-	// viewRetracted: no reader ever will, so the next batch edits the
-	// view's nodes in place.
-	viewRetracted
-)
 
 // NewView wraps a record set version into a view. The set must not be
 // mutated afterwards unless Engine.Retract retracted the view first.
@@ -104,16 +95,23 @@ func NewView(shard int, seq, height uint64, frozen *ads.Set) *View {
 	}
 }
 
-// pin claims the view for reading, reporting false if it was retracted.
-func (v *View) pin() bool {
-	switch v.state.Load() {
-	case viewPinned:
-		return true // the common case under reads costs no write
-	case viewRetracted:
-		return false
+// acquire counts a read in, reporting false if the view was retracted.
+func (v *View) acquire() bool {
+	for {
+		n := v.readers.Load()
+		if n < 0 {
+			return false
+		}
+		if v.readers.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
-	return v.state.CompareAndSwap(viewPublished, viewPinned) || v.state.Load() == viewPinned
 }
+
+// Release counts out a read that Engine.ViewOf counted in, exactly once per
+// ViewOf. The caller must have detached what it keeps of the view: Get and
+// RangeNR answers are.
+func (v *View) Release() { v.readers.Add(-1) }
 
 // Anchor returns the anchor the view captured at publish.
 func (v *View) Anchor() Anchor { return v.anchor }
@@ -251,8 +249,8 @@ func copyRecord(r ads.Record) ads.Record {
 	return r
 }
 
-// Get answers a point read from this view, which must be frozen or pinned
-// (Engine.ViewOf returns it pinned).
+// Get answers a point read from this view, which must be frozen or held
+// between Engine.ViewOf and Release. The answer is detached from the view.
 func (v *View) Get(key string, shards int) (*GetResult, error) {
 	res := &GetResult{Key: key, Shard: v.shard, Shards: shards, Anchor: v.anchor}
 	var p merkle.Proof // on the stack: only a hit's copy escapes
@@ -271,7 +269,7 @@ func (v *View) Get(key string, shards int) (*GetResult, error) {
 }
 
 // RangeNR answers this view's slice of a key-range scan. Like Get, it reads
-// the tree, so the view must be frozen or pinned.
+// the tree, so the view must be frozen or held, and its answer is detached.
 func (v *View) RangeNR(lo, hi string, shards int) (*RangeResult, error) {
 	nr, err := v.set.ProveRangeNR(lo, hi)
 	if err != nil {
@@ -329,19 +327,19 @@ func (e *Engine) Publish(shard int, v *View) {
 	sv.next.Broadcast()
 }
 
-// Retract withdraws a shard's current view from readers if none has pinned
-// it, reporting whether it did. A true result means no reader has read, or
-// ever will read, the view's tree, so its set may be mutated in place; the
-// caller must then Publish the shard's next view, which is what the readers
-// that find the retracted view wait for. False (a reader pinned the view, or
-// there is none) leaves everything as it was.
+// Retract withdraws a shard's current view from readers if no read of it is
+// in flight, reporting whether it did. A true result means no reader is
+// reading, or ever will read again, the view's tree, so its set may be
+// mutated in place; the caller must then Publish the shard's next view,
+// which is what the readers that find the retracted view wait for. False (a
+// read is in flight, or there is no view) leaves everything as it was.
 func (e *Engine) Retract(shard int) bool {
 	v := e.shards[shard].view.Load()
-	return v != nil && v.state.CompareAndSwap(viewPublished, viewRetracted)
+	return v != nil && v.readers.CompareAndSwap(0, -1)
 }
 
-// current returns a shard's current view without pinning it: its anchor is
-// readable, its tree is not.
+// current returns a shard's current view without counting a read in: its
+// anchor is readable, its tree is not.
 func (e *Engine) current(shard int) (*View, error) {
 	if shard < 0 || shard >= len(e.shards) {
 		return nil, fmt.Errorf("query: shard %d out of range [0,%d)", shard, len(e.shards))
@@ -353,14 +351,15 @@ func (e *Engine) current(shard int) (*View, error) {
 	return v, nil
 }
 
-// ViewOf returns a shard's current view, pinned: its shard worker will copy,
-// never edit in place, every node of it. A reader that finds the current view
-// retracted waits for the shard's next Publish — one in-flight batch — and
-// pins that one instead.
+// ViewOf returns a shard's current view with a read counted in: until the
+// caller's Release, its shard worker copies, never edits in place, every
+// node of it. A reader that finds the current view retracted waits for the
+// shard's next Publish — one in-flight batch — and counts itself into that
+// one instead.
 func (e *Engine) ViewOf(shard int) (*View, error) {
 	for {
 		v, err := e.current(shard)
-		if err != nil || v.pin() {
+		if err != nil || v.acquire() {
 			return v, err
 		}
 		sv := &e.shards[shard]
@@ -379,6 +378,7 @@ func (e *Engine) Get(key string) (*GetResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer v.Release()
 	if e.proofHist != nil {
 		defer e.proofHist.ObserveSince(time.Now())
 	}
@@ -404,6 +404,7 @@ func (e *Engine) Range(lo, hi string) ([]RangeResult, error) {
 				return
 			}
 			r, err := v.RangeNR(lo, hi, len(e.shards))
+			v.Release()
 			if err != nil {
 				errs[i] = err
 				return
@@ -421,7 +422,7 @@ func (e *Engine) Range(lo, hi string) ([]RangeResult, error) {
 }
 
 // Roots gathers every shard's current trust anchor. It reads only what each
-// view captured at publish, so it pins nothing and never waits.
+// view captured at publish, so it counts no read in and never waits.
 func (e *Engine) Roots() ([]RootInfo, error) {
 	out := make([]RootInfo, len(e.shards))
 	for i := range e.shards {

@@ -504,13 +504,14 @@ func writeStack(tb testing.TB, n int) (*Client, [][]Op) {
 
 // TestClientDoAllocations pins what one 16-op YCSB-A batch allocates, client
 // and gateway together, as a typed frame on a loopback Go-to-Go stream into a
-// durable feed: 59. Frames that emulated HTTP cost 92, the binary ops
-// encoding over a net/http round trip 256, and both sides speaking JSON 325.
+// durable feed: 51. A record set that copied every written value cost 59,
+// frames that emulated HTTP 92, the binary ops encoding over a net/http
+// round trip 256, and both sides speaking JSON 325.
 func TestClientDoAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("preloads a 10k-record durable feed")
 	}
-	const bound = 65
+	const bound = 57
 	c, batches := writeStack(t, 400)
 	for _, b := range batches[:100] { // warm the pools, the connection, the encoding
 		if _, err := c.Do("f", b); err != nil {

@@ -131,7 +131,8 @@ func TestReplicatedApplyMirrorsLeader(t *testing.T) {
 // back its pre-batch value with a proof that verifies. It runs on both
 // paths a batch can take past the view: unread (the view is retracted, the
 // batch edits it in place under the set's journal and rolls back) and
-// pinned (the view stays published, the batch copies its nodes).
+// pinned (a read holds the view across the batch, so the view stays
+// published and the batch copies its nodes).
 func TestReplicatedApplyDivergenceHalts(t *testing.T) {
 	for _, pinned := range []bool{false, true} {
 		name := "unread"

@@ -65,8 +65,9 @@ type Options struct {
 	// view retracted waits for the one batch in flight on that shard.
 	// Publication is a root-pointer capture of the persistent record set,
 	// which the batch anchor has already sealed. A batch, client or
-	// replicated, copies the nodes it writes only if a reader pinned the
-	// view before it; a view nobody read is retracted and edited in place.
+	// replicated, copies the nodes it writes only if a read of the view is
+	// in flight when it starts; a view no read is in is retracted and
+	// edited in place, whether or not it was read before.
 	// A replicated batch edits a retracted view's nodes under an undo
 	// journal, so a batch refused for its anchor rolls back and the last
 	// verified view is published again.
@@ -343,9 +344,10 @@ func (w *worker) publishView(st *shardState) {
 }
 
 // releaseView makes the set safe to mutate under the current view. If no
-// reader pinned the view, retracting it means none ever will, and the batch
-// edits the view's nodes in place; otherwise the set ends its generation,
-// and the batch copies every node the view reaches before writing it. After
+// read of the view is in flight, retracting it means none will be again,
+// and the batch edits the view's nodes in place; otherwise the set ends its
+// generation, and the batch copies every node the view reaches before
+// writing it, so the reads in flight finish on the version they began. After
 // a retraction a view must be published before the worker waits for its
 // next request: readers that found the view retracted wait for its
 // successor. It reports whether it retracted the view.
@@ -476,11 +478,11 @@ func (w *worker) loop(st *shardState) {
 // pre-batch view keeps serving: the shard refuses to fork rather than serve
 // unverified state. (A crash between the log
 // append and the rollback can leave the refused batch durable; the next
-// shipped batch after recovery re-detects the divergence.) A view nobody
-// pinned is retracted and edited in place for either kind of batch; for a
+// shipped batch after recovery re-detects the divergence.) A view no read
+// is in is retracted and edited in place for either kind of batch; for a
 // shipped one the edit runs under the set's undo journal, so a refused batch
 // rolls the set back and publishes it again at the pre-batch seq, height,
-// root and count, which the readers waiting on the retracted view then pin.
+// root and count, which the readers waiting on the retracted view then read.
 func (w *worker) commit(st *shardState, ops []core.Op, want *repl.Entry, clk *stageClock) ([]core.OpResult, error) {
 	if want != nil && st.repl == nil {
 		return nil, ErrNotReplicating

@@ -37,14 +37,21 @@ func newViewFeed(t *testing.T, views bool, records, epochOps int) *ShardedFeed {
 }
 
 // TestUnreadViewsAreEditedInPlace pins what publication costs the write
-// path: with Views on and nobody reading, a batch after the first copies no
-// node of the published view, so it allocates what the same batch does with
-// Views off plus the view itself (its header and the capture's). Once a
-// reader pins each view, copy-on-write comes back: the batch copies the root
-// paths it writes.
+// path: with Views on and no read in flight, a batch after the first copies
+// no node of the published view, so it allocates what the same batch does
+// with Views off plus the view itself (its header and the capture's). That
+// holds for a view nobody read and for one whose reads were released before
+// the batch. While a read holds each view across the batch, copy-on-write
+// comes back: the batch copies the root paths it writes.
 func TestUnreadViewsAreEditedInPlace(t *testing.T) {
 	const records, writes = 10_000, 8
-	batchAllocs := func(views, pin bool) float64 {
+	type reads int
+	const (
+		none reads = iota
+		released
+		held
+	)
+	batchAllocs := func(views bool, r reads) float64 {
 		sf := newViewFeed(t, views, records, writes)
 		value := []byte("a 32-byte value, as in the paper")
 		batch := make([]core.Op, writes)
@@ -54,25 +61,91 @@ func TestUnreadViewsAreEditedInPlace(t *testing.T) {
 				batch[j] = core.Op{Type: "write", Key: fmt.Sprintf("key-%05d", next*7919%records), Value: value}
 				next++
 			}
-			if pin {
-				if _, err := sf.Engine().ViewOf(0); err != nil {
+			var v *query.View
+			if r != none {
+				var err error
+				if v, err = sf.Engine().ViewOf(0); err != nil {
 					t.Fatal(err)
+				}
+				if r == released {
+					v.Release()
 				}
 			}
 			if _, err := sf.Do(batch); err != nil {
 				t.Fatal(err)
 			}
+			if r == held {
+				v.Release()
+			}
 		})
 	}
-	off := batchAllocs(false, false)
-	unread := batchAllocs(true, false)
-	pinned := batchAllocs(true, true)
-	t.Logf("allocs per %d-write batch: views off %v, unread views %v, pinned views %v", writes, off, unread, pinned)
+	off := batchAllocs(false, none)
+	unread := batchAllocs(true, none)
+	readReleased := batchAllocs(true, released)
+	readHeld := batchAllocs(true, held)
+	t.Logf("allocs per %d-write batch: views off %v, unread views %v, read then released %v, read held across the batch %v", writes, off, unread, readReleased, readHeld)
 	if unread > off+3 {
 		t.Errorf("unread views cost %v allocations per batch over views off (%v), want at most 3: the batch copied nodes of a view nobody read", unread-off, off)
 	}
-	if pinned < off+5*writes {
-		t.Errorf("pinned views cost only %v allocations per batch over views off, want the written root paths copied", pinned-off)
+	if readReleased > off+3 {
+		t.Errorf("views read and released cost %v allocations per batch over views off (%v), want at most 3: the batch copied nodes of a view no read was in", readReleased-off, off)
+	}
+	if readHeld < off+5*writes {
+		t.Errorf("views held across the batch cost only %v allocations per batch over views off, want the written root paths copied", readHeld-off)
+	}
+}
+
+// TestViewRetractionWaitsForRelease: the worker copies the nodes of a view
+// that a read holds, so the held view keeps answering as published and
+// verifying against its anchor; once every read of the current view is
+// released, the next batch edits that view's nodes in place. The test sees
+// the in-place edit by reading the released view after the batch, which a
+// real reader must never do.
+func TestViewRetractionWaitsForRelease(t *testing.T) {
+	sf := newViewFeed(t, true, 64, 1)
+	e := sf.Engine()
+	const k = "key-00007"
+	write := func(v string) {
+		t.Helper()
+		if _, err := sf.Do([]core.Op{{Type: "write", Key: k, Value: []byte(v)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func(v *query.View) *query.GetResult {
+		t.Helper()
+		res, err := v.Get(k, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Found {
+			t.Fatalf("%q not found in view seq %d", k, res.Seq)
+		}
+		return res
+	}
+
+	held, err := e.ViewOf(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write("written while held")
+	if res := get(held); string(res.Record.Value) != "preloaded value" {
+		t.Fatalf("a held view changed under its read: %q = %q", k, res.Record.Value)
+	} else if err := query.VerifyGet(k, res); err != nil {
+		t.Fatalf("a held view no longer verifies against its anchor: %v", err)
+	}
+	held.Release()
+
+	released, err := e.ViewOf(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := get(released); string(res.Record.Value) != "written while held" {
+		t.Fatalf("acked write reads back as %q", res.Record.Value)
+	}
+	released.Release()
+	write("written after release")
+	if res := get(released); string(res.Record.Value) != "written after release" {
+		t.Fatalf("the batch after the release copied the released view's nodes: it still reads %q", res.Record.Value)
 	}
 }
 
@@ -124,9 +197,10 @@ func TestViewRetractionUnderReaders(t *testing.T) {
 
 // startReaders runs the readers of the view-retraction tests against e until
 // the returned stop is called: two call Get back to back (and so race the
-// worker's retraction of the view they load), two pin views and read them
-// across several batches, one polls Roots. Every answer must verify against
-// its own view's anchor, a pinned view must keep answering exactly as it
+// worker's retraction of the view they load), two hold views across several
+// batches and then release them, one fans Range scans over every shard, one
+// polls Roots. Every answer must verify against
+// its own view's anchor, a held view must keep answering exactly as it
 // first did, each reader must see every shard's seq rise monotonically, and
 // two observations of one (shard, seq) must carry one root. stop returns the
 // readers' errors; it reports a reader still blocked 10 s after the call as
@@ -193,13 +267,14 @@ func startReaders(e *query.Engine, shards, keys int, key func(int) string) (stop
 			return checkGet(k, res, last)
 		})
 	}
-	for r := 0; r < 2; r++ { // a pinned view read across the batches that follow it
+	for r := 0; r < 2; r++ { // a view held across the batches that follow it
 		reader(func(i int, last []uint64) error {
 			shard := (i + r) % shards
 			v, err := e.ViewOf(shard)
 			if err != nil {
 				return err
 			}
+			defer v.Release()
 			first := make(map[string][]byte)
 			for j := 0; j < 3*keys; j++ {
 				k := key(j)
@@ -214,21 +289,44 @@ func startReaders(e *query.Engine, shards, keys int, key func(int) string) (stop
 					return err
 				}
 				if res.Anchor != v.Anchor() {
-					return fmt.Errorf("pinned view seq %d answered from seq %d", v.Anchor().Seq, res.Seq)
+					return fmt.Errorf("held view seq %d answered from seq %d", v.Anchor().Seq, res.Seq)
 				}
 				var val []byte
 				if res.Found {
 					val = res.Record.Value
 				}
 				if was, ok := first[k]; ok && !bytes.Equal(was, val) {
-					return fmt.Errorf("pinned view seq %d changed %q from %q to %q", v.Anchor().Seq, k, was, val)
+					return fmt.Errorf("held view seq %d changed %q from %q to %q", v.Anchor().Seq, k, was, val)
 				}
 				first[k] = val
 			}
 			return nil
 		})
 	}
-	reader(func(_ int, last []uint64) error { // Roots never pins
+	reader(func(i int, last []uint64) error { // a Range fans out to every shard's view
+		lo, hi := key(i), key(i+keys/4)
+		if hi < lo {
+			lo, hi = hi, lo
+		}
+		rs, err := e.Range(lo, hi)
+		if err != nil {
+			return err
+		}
+		for j := range rs {
+			r := &rs[j]
+			if err := query.VerifyRange(lo, hi, r); err != nil {
+				return fmt.Errorf("range [%q, %q] shard %d at seq %d: %w", lo, hi, r.Shard, r.Seq, err)
+			}
+			if err := monotone(last, r.Shard, r.Seq); err != nil {
+				return err
+			}
+			if err := sameAnchor(r.Shard, r.Anchor); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	reader(func(_ int, last []uint64) error { // Roots never counts a read in
 		roots, err := e.Roots()
 		if err != nil {
 			return err
@@ -279,7 +377,8 @@ func newFollower(t *testing.T, views bool, epochOps int) *ShardedFeed {
 // follower: with Views on and nobody reading, a shipped entry edits the
 // retracted view's nodes in place under the set's undo journal, so it
 // allocates what the same entry does with Views off plus the view itself.
-// Once a reader pins each view, the entry copies the root paths it writes.
+// While a read holds each view across the entry, the entry copies the root
+// paths it writes.
 func TestReplicatedApplyAllocs(t *testing.T) {
 	const records, writes, runs = 10_000, 8, 50
 	leader, err := New(Options{Shards: 1, Repl: true},
@@ -313,33 +412,38 @@ func TestReplicatedApplyAllocs(t *testing.T) {
 		t.Fatalf("leader log holds %d entries, want %d", len(page.Entries), runs+2)
 	}
 
-	entryAllocs := func(views, pin bool) float64 {
+	entryAllocs := func(views, hold bool) float64 {
 		f := newFollower(t, views, writes)
 		if err := f.Apply(0, page.Entries[0]); err != nil {
 			t.Fatal(err)
 		}
 		next := 1
 		return testing.AllocsPerRun(runs, func() {
-			if pin {
-				if _, err := f.Engine().ViewOf(0); err != nil {
+			var v *query.View
+			if hold {
+				var err error
+				if v, err = f.Engine().ViewOf(0); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if err := f.Apply(0, page.Entries[next]); err != nil {
 				t.Fatal(err)
 			}
+			if hold {
+				v.Release()
+			}
 			next++
 		})
 	}
 	off := entryAllocs(false, false)
 	unread := entryAllocs(true, false)
-	pinned := entryAllocs(true, true)
-	t.Logf("allocs per shipped %d-write entry: views off %v, unread views %v, pinned views %v", writes, off, unread, pinned)
+	held := entryAllocs(true, true)
+	t.Logf("allocs per shipped %d-write entry: views off %v, unread views %v, views held across the entry %v", writes, off, unread, held)
 	if unread > off+3 {
 		t.Errorf("unread views cost %v allocations per entry over views off (%v), want at most 3: the entry copied nodes of a view nobody read", unread-off, off)
 	}
-	if pinned < off+5*writes {
-		t.Errorf("pinned views cost only %v allocations per entry over views off, want the written root paths copied", pinned-off)
+	if held < off+5*writes {
+		t.Errorf("views held across the entry cost only %v allocations per entry over views off, want the written root paths copied", held-off)
 	}
 }
 
