@@ -86,7 +86,7 @@ func NewDO(c *chain.Chain, manager chain.Address, addr chain.Address, p policy.P
 func (d *DO) Set() *ads.Set { return d.set }
 
 // StageWrite buffers one data update for the current epoch and feeds it to
-// the workload monitor.
+// the workload monitor. The record set keeps kv.Value's bytes (see KV).
 func (d *DO) StageWrite(kv KV) {
 	d.staged = append(d.staged, kv)
 	d.observe(policy.Write(kv.Key))

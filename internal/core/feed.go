@@ -157,7 +157,8 @@ func (f *Feed) NotFound() int { return f.notFound }
 // verification, events). Application-layer Gas lives on the DU contracts.
 func (f *Feed) FeedGas() gas.Gas { return f.Chain.GasOf(managerAddr) }
 
-// Write stages one data update (part of the next gPuts batch).
+// Write stages one data update (part of the next gPuts batch). The feed
+// keeps kv.Value's bytes (see KV).
 func (f *Feed) Write(kv KV) {
 	f.DO.StageWrite(kv)
 	f.tick()

@@ -12,7 +12,9 @@ import (
 // replays and the load drivers. It lives in core, below all of them, so the
 // serving layers can share one execution path without import cycles.
 
-// Op is one operation in a batch. Type is "read", "write" or "scan".
+// Op is one operation in a batch. Type is "read", "write" or "scan". A
+// write's Value is kept, not copied: the feed's record set stores those
+// bytes as handed over, so the caller must not write them after the batch.
 type Op struct {
 	Type    string `json:"type"`
 	Key     string `json:"key"`

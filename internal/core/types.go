@@ -6,7 +6,9 @@ import (
 	"grub/internal/merkle"
 )
 
-// KV is one key-value pair fed by the DO.
+// KV is one key-value pair fed by the DO. A write keeps Value's bytes: the
+// record set stores them as handed over, so the caller must not write them
+// afterwards.
 type KV struct {
 	Key   string
 	Value []byte

@@ -66,8 +66,8 @@ type Options struct {
 	// Publication is a root-pointer capture of the persistent record set,
 	// which the batch anchor has already sealed. A batch, client or
 	// replicated, copies the nodes it writes only if a read of the view is
-	// in flight when it starts; a view no read is in is retracted and
-	// edited in place, whether or not it was read before.
+	// in flight, or a reader waits, when it starts; a view no read is in is
+	// retracted and edited in place, whether or not it was read before.
 	// A replicated batch edits a retracted view's nodes under an undo
 	// journal, so a batch refused for its anchor rolls back and the last
 	// verified view is published again.
@@ -344,13 +344,14 @@ func (w *worker) publishView(st *shardState) {
 }
 
 // releaseView makes the set safe to mutate under the current view. If no
-// read of the view is in flight, retracting it means none will be again,
-// and the batch edits the view's nodes in place; otherwise the set ends its
-// generation, and the batch copies every node the view reaches before
-// writing it, so the reads in flight finish on the version they began. After
-// a retraction a view must be published before the worker waits for its
-// next request: readers that found the view retracted wait for its
-// successor. It reports whether it retracted the view.
+// read of the view is in flight and no reader waits for one, retracting it
+// means none will read it again, and the batch edits the view's nodes in
+// place; otherwise the set ends its generation, and the batch copies every
+// node the view reaches before writing it, so the reads in flight finish on
+// the version they began and a waiting reader can still read it. After a
+// retraction a view must be published before the worker waits for its next
+// request: readers that found the view retracted wait for its successor. It
+// reports whether it retracted the view.
 func (w *worker) releaseView(st *shardState) (retracted bool) {
 	if w.views == nil {
 		return false
@@ -775,7 +776,9 @@ func (s *ShardedFeed) recv(w *worker, resp chan response) (response, error) {
 
 // Do executes one batch: it splits the ops per shard by key hash, runs the
 // sub-batches concurrently, and merges the results back into the input
-// order. The error is non-nil only when the feed is closed.
+// order. The error is non-nil only when the feed is closed. The feed keeps
+// the writes' value bytes (see core.Op): the caller must not write them
+// afterwards.
 func (s *ShardedFeed) Do(ops []core.Op) ([]core.OpResult, error) {
 	return s.DoCtx(context.Background(), ops)
 }
