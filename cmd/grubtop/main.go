@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -25,6 +26,7 @@ import (
 	"grub/internal/cluster"
 	"grub/internal/repl"
 	"grub/internal/server"
+	"grub/internal/stream"
 )
 
 func main() {
@@ -62,8 +64,12 @@ func run(args []string, w io.Writer) error {
 	}
 }
 
-func getJSON(httpc *http.Client, url string, v any) error {
-	resp, err := httpc.Get(url)
+func getJSON(httpc *http.Client, node string, rt stream.Route, v any) error {
+	req, err := stream.NewHTTPRequest(context.Background(), node, &stream.Request{Route: rt})
+	if err != nil {
+		return err
+	}
+	resp, err := httpc.Do(req)
 	if err != nil {
 		return err
 	}
@@ -73,18 +79,18 @@ func getJSON(httpc *http.Client, url string, v any) error {
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+		return fmt.Errorf("GET %s: status %d", req.URL, resp.StatusCode)
 	}
 	return json.Unmarshal(data, v)
 }
 
 func renderFrame(w io.Writer, httpc *http.Client, node string, top int, clear bool) error {
 	var load server.LoadResponse
-	if err := getJSON(httpc, node+"/cluster/load", &load); err != nil {
+	if err := getJSON(httpc, node, stream.RouteClusterLoad, &load); err != nil {
 		return err
 	}
 	var st cluster.Status
-	if err := getJSON(httpc, node+"/cluster/status", &st); err != nil {
+	if err := getJSON(httpc, node, stream.RouteClusterStatus, &st); err != nil {
 		return err
 	}
 	if clear {

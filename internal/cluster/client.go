@@ -59,14 +59,13 @@ func (c *Client) Idle(peer string) int { return c.streams.Idle(peer) }
 func (c *Client) Close() { c.streams.Close() }
 
 // do performs one JSON call; in and out may be nil.
-func (c *Client) do(method, peer, path string, in, out any) error {
-	req := stream.Request{Method: method, URI: path}
+func (c *Client) do(peer string, req stream.Request, in, out any) error {
 	if in != nil {
 		data, err := json.Marshal(in)
 		if err != nil {
 			return err
 		}
-		req.Body, req.Header = data, http.Header{"Content-Type": {stream.JSONMediaType}}
+		req.Body = data
 	}
 	a, err := c.Send(peer, &req)
 	if err != nil {
@@ -74,7 +73,7 @@ func (c *Client) do(method, peer, path string, in, out any) error {
 	}
 	defer a.Close()
 	if a.Status/100 != 2 {
-		return fmt.Errorf("%s %s%s: %s", method, peer, path, a.ErrorText())
+		return fmt.Errorf("%s: %s: %s", peer, req.String(), a.ErrorText())
 	}
 	if out == nil {
 		return nil
@@ -85,14 +84,14 @@ func (c *Client) do(method, peer, path string, in, out any) error {
 // Heartbeat exchanges heartbeats with a peer.
 func (c *Client) Heartbeat(peer string, hb Heartbeat) (HeartbeatReply, error) {
 	var reply HeartbeatReply
-	err := c.do(http.MethodPost, peer, "/cluster/heartbeat", hb, &reply)
+	err := c.do(peer, stream.Request{Route: stream.RouteHeartbeat}, hb, &reply)
 	return reply, err
 }
 
 // Status fetches a peer's cluster status.
 func (c *Client) Status(peer string) (Status, error) {
 	var st Status
-	err := c.do(http.MethodGet, peer, "/cluster/status", nil, &st)
+	err := c.do(peer, stream.Request{Route: stream.RouteClusterStatus}, nil, &st)
 	return st, err
 }
 
@@ -100,7 +99,7 @@ func (c *Client) Status(peer string) (Status, error) {
 // owner if it is not the owner itself).
 func (c *Client) Move(node, feed, target string) (MoveResult, error) {
 	var res MoveResult
-	err := c.do(http.MethodPost, node, "/cluster"+query.FeedPath(feed, "/move"), MoveRequest{Target: target}, &res)
+	err := c.do(node, stream.Request{Route: stream.RouteMove, Feed: feed}, MoveRequest{Target: target}, &res)
 	return res, err
 }
 
@@ -110,7 +109,7 @@ func (c *Client) Anchors(peer, feed string) ([]query.RootInfo, error) {
 	var doc struct {
 		Shards []query.RootInfo `json:"shards"`
 	}
-	if err := c.do(http.MethodGet, peer, query.FeedPath(feed, "/roots"), nil, &doc); err != nil {
+	if err := c.do(peer, stream.Request{Route: stream.RouteRoots, Feed: feed}, nil, &doc); err != nil {
 		return nil, err
 	}
 	return doc.Shards, nil

@@ -59,7 +59,7 @@ import (
 // Forwarding headers. Every proxied request carries the sender's placement
 // epoch for the feed (EpochHeader) and a hop marker (ForwardedHeader) so a
 // routing disagreement surfaces as one 421 with a Leader header instead of
-// a proxy loop. A typed stream frame carries both as fixed fields.
+// a proxy loop. A stream frame carries both as fixed fields.
 const (
 	EpochHeader     = stream.EpochHeader
 	ForwardedHeader = stream.ForwardedHeader

@@ -52,7 +52,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,14 +124,6 @@ func (v *View) Release() { v.readers.Add(-1) }
 
 // Anchor returns the anchor the view captured at publish.
 func (v *View) Anchor() Anchor { return v.anchor }
-
-// FeedPath returns the gateway path of one feed's route: "/feeds/", the
-// feed ID escaped as a single path segment, then rest, the route's suffix
-// and query as given. A feed ID may hold any character; joined raw, a "/",
-// "?", "#" or "%" in it would reach another route or fail to parse.
-func FeedPath(id, rest string) string {
-	return "/feeds/" + url.PathEscape(id) + rest
-}
 
 // Anchor is one shard's trust anchor: the publication sequence, the shard
 // chain's height, and the authenticated set's root and the record count it

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
 
 	"grub/internal/stream"
 )
@@ -53,7 +52,8 @@ type FeedInfo struct {
 
 // Feeds lists the leader's hosted feeds with their configs.
 func (c *Client) Feeds() ([]FeedInfo, error) {
-	a, err := c.get(&stream.Request{Method: http.MethodGet, URI: "/repl/feeds"})
+	req := stream.Request{Route: stream.RouteReplFeeds}
+	a, err := c.get(&req)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func (c *Client) Feeds() ([]FeedInfo, error) {
 		Feeds []json.RawMessage `json:"feeds"`
 	}
 	if err := json.Unmarshal(a.Body, &out); err != nil {
-		return nil, fmt.Errorf("repl: GET /repl/feeds: %w", err)
+		return nil, fmt.Errorf("repl: %s: %w", req.String(), err)
 	}
 	infos := make([]FeedInfo, 0, len(out.Feeds))
 	for _, raw := range out.Feeds {
@@ -81,8 +81,8 @@ func (c *Client) Feeds() ([]FeedInfo, error) {
 }
 
 // Log fetches one page of a shard's replication log above the cursor, in
-// the binary log encoding, as a typed stream request; an answer in any other
-// type is an error that names both.
+// the binary log encoding; an answer in any other type is an error that
+// names both.
 func (c *Client) Log(id string, shard int, from uint64, max int) (*LogPage, error) {
 	req := stream.Request{Route: stream.RouteLog, Feed: id, Shard: shard, From: from, Max: max}
 	a, err := c.get(&req)
@@ -103,7 +103,7 @@ func (c *Client) Log(id string, shard int, from uint64, max int) (*LogPage, erro
 // Snapshot fetches a consistent bootstrap image of one shard. The image is
 // only decoded here; the shard checks its anchor when it installs it.
 func (c *Client) Snapshot(id string, shard int) (*Snapshot, error) {
-	req := stream.Request{Method: http.MethodGet, URI: fmt.Sprintf("/repl/feeds/%s/shards/%d/snapshot", url.PathEscape(id), shard)}
+	req := stream.Request{Route: stream.RouteReplSnapshot, Feed: id, Shard: shard}
 	a, err := c.get(&req)
 	if err != nil {
 		return nil, err

@@ -58,16 +58,16 @@ func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: baseURL, HTTP: http.DefaultClient}
 }
 
-// call performs one JSON round-trip; out may be nil. Retry and leader
-// redirects are do's.
-func (c *Client) call(method, path string, in, out any) error {
-	req := stream.Request{Method: method, URI: path}
+// call performs one JSON round trip on route rt of feed id ("" for a
+// gateway-wide route); out may be nil. Retry and leader redirects are do's.
+func (c *Client) call(rt stream.Route, id string, in, out any) error {
+	req := stream.Request{Route: rt, Feed: id}
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
-			return fmt.Errorf("client: encode %s %s: %w", method, path, err)
+			return fmt.Errorf("client: encode %s: %w", req.String(), err)
 		}
-		req.Body, req.Header = b, http.Header{"Content-Type": {stream.JSONMediaType}}
+		req.Body = b
 	}
 	a, err := c.do(&req)
 	if err != nil {
@@ -81,14 +81,14 @@ func (c *Client) call(method, path string, in, out any) error {
 }
 
 // do sends req with bounded retry per c.Retry and returns the 2xx answer;
-// every other outcome is an error. A typed request's answer must be in its
-// route's binary encoding (an answer in another type is an error that names
-// both). A 421 (cluster node disclaiming ownership) carrying a Leader
-// header is transparently retried once against the named owner, so a client
-// pointed at any node still lands its writes; transport errors and 502/503
-// responses back off and retry when c.Retry allows. A request the stream did
-// not serve goes again at once on a fresh connection, without spending an
-// attempt (stream.Pool.Send).
+// every other outcome is an error. A request on a route with a binary
+// encoding must be answered in it (an answer in another type is an error
+// that names both). A 421 (cluster node disclaiming ownership) carrying a
+// Leader header is transparently retried once against the named owner, so a
+// client pointed at any node still lands its writes; transport errors and
+// 502/503 responses back off and retry when c.Retry allows. A request the
+// stream did not serve goes again at once on a fresh connection, without
+// spending an attempt (stream.Pool.Send).
 func (c *Client) do(req *stream.Request) (stream.Answer, error) {
 	attempts := c.Retry.Attempts
 	if attempts < 1 {
@@ -145,7 +145,7 @@ func (c *Client) do(req *stream.Request) (stream.Answer, error) {
 
 // CreateFeed creates a feed on the gateway.
 func (c *Client) CreateFeed(cfg FeedConfig) error {
-	return c.call(http.MethodPost, "/feeds", cfg, nil)
+	return c.call(stream.RouteCreateFeed, "", cfg, nil)
 }
 
 // Feeds lists feed IDs.
@@ -153,15 +153,14 @@ func (c *Client) Feeds() ([]string, error) {
 	var out struct {
 		Feeds []string `json:"feeds"`
 	}
-	if err := c.call(http.MethodGet, "/feeds", nil, &out); err != nil {
+	if err := c.call(stream.RouteListFeeds, "", nil, &out); err != nil {
 		return nil, err
 	}
 	return out.Feeds, nil
 }
 
 // Do executes a batch of ops against one feed, sent and answered in the
-// binary ops encoding (docs/API.md, "Binary ops encoding") as a typed
-// stream request.
+// binary ops encoding (docs/API.md, "Binary ops encoding").
 func (c *Client) Do(id string, ops []Op) ([]OpResult, error) {
 	buf := stream.GetBuf()
 	defer stream.PutBuf(buf)
@@ -182,7 +181,7 @@ func (c *Client) Do(id string, ops []Op) ([]OpResult, error) {
 // Stats fetches one feed's counters.
 func (c *Client) Stats(id string) (Stats, error) {
 	var out Stats
-	if err := c.call(http.MethodGet, query.FeedPath(id, "/stats"), nil, &out); err != nil {
+	if err := c.call(stream.RouteStats, id, nil, &out); err != nil {
 		return Stats{}, err
 	}
 	return out, nil
@@ -194,7 +193,7 @@ func (c *Client) Stats(id string) (Stats, error) {
 // per shard: shard 0's sub-trace, then shard 1's, and so on.
 func (c *Client) TraceResults(id string) ([]Op, []OpResult, error) {
 	var out TraceResponse
-	if err := c.call(http.MethodGet, query.FeedPath(id, "/trace"), nil, &out); err != nil {
+	if err := c.call(stream.RouteTrace, id, nil, &out); err != nil {
 		return nil, nil, err
 	}
 	return out.Ops, out.Results, nil
@@ -204,7 +203,7 @@ func (c *Client) TraceResults(id string) ([]Op, []OpResult, error) {
 // durability counters (gateways started with a data directory only).
 func (c *Client) Snapshot(id string) (shard.PersistStats, error) {
 	var out SnapshotResponse
-	if err := c.call(http.MethodPost, query.FeedPath(id, "/snapshot"), nil, &out); err != nil {
+	if err := c.call(stream.RouteSnapshot, id, nil, &out); err != nil {
 		return shard.PersistStats{}, err
 	}
 	return out.Persist, nil
@@ -239,7 +238,7 @@ func (c *Client) Range(id, lo, hi string) ([]query.RangeResult, error) {
 // chain height, publication seq).
 func (c *Client) Roots(id string) ([]query.RootInfo, error) {
 	var out RootsResponse
-	if err := c.call(http.MethodGet, query.FeedPath(id, "/roots"), nil, &out); err != nil {
+	if err := c.call(stream.RouteRoots, id, nil, &out); err != nil {
 		return nil, err
 	}
 	return out.Shards, nil
@@ -251,17 +250,18 @@ func (c *Client) Roots(id string) ([]query.RootInfo, error) {
 // caller distinguishes "unreachable" (error) from "up but degraded"
 // (OK=false).
 func (c *Client) Health() (HealthResponse, error) {
-	a, err := c.streams.Send(c.HTTP, c.BaseURL, &stream.Request{Method: http.MethodGet, URI: "/healthz"})
+	req := stream.Request{Route: stream.RouteHealth}
+	a, err := c.streams.Send(c.HTTP, c.BaseURL, &req)
 	if err != nil {
 		return HealthResponse{}, err
 	}
 	defer a.Close()
 	var out HealthResponse
 	if a.Status != http.StatusOK && a.Status != http.StatusServiceUnavailable {
-		return HealthResponse{}, fmt.Errorf("client: GET /healthz: HTTP %d", a.Status)
+		return HealthResponse{}, fmt.Errorf("client: %s: HTTP %d", req.String(), a.Status)
 	}
 	if err := json.Unmarshal(a.Body, &out); err != nil {
-		return HealthResponse{}, fmt.Errorf("client: decode /healthz: %w", err)
+		return HealthResponse{}, fmt.Errorf("client: decode %s: %w", req.String(), err)
 	}
 	return out, nil
 }
@@ -270,7 +270,7 @@ func (c *Client) Health() (HealthResponse, error) {
 // histograms /metrics exposes, summarized in milliseconds).
 func (c *Client) Latency(id string) (LatencyResponse, error) {
 	var out LatencyResponse
-	if err := c.call(http.MethodGet, query.FeedPath(id, "/stats/latency"), nil, &out); err != nil {
+	if err := c.call(stream.RouteLatency, id, nil, &out); err != nil {
 		return LatencyResponse{}, err
 	}
 	return out, nil
@@ -280,7 +280,7 @@ func (c *Client) Latency(id string) (LatencyResponse, error) {
 // count).
 func (c *Client) Info() (InfoResponse, error) {
 	var out InfoResponse
-	if err := c.call(http.MethodGet, "/info", nil, &out); err != nil {
+	if err := c.call(stream.RouteInfo, "", nil, &out); err != nil {
 		return InfoResponse{}, err
 	}
 	return out, nil
@@ -289,7 +289,7 @@ func (c *Client) Info() (InfoResponse, error) {
 // ShardStats fetches the per-shard breakdown of one feed's counters.
 func (c *Client) ShardStats(id string) ([]shard.ShardStat, error) {
 	var out ShardsResponse
-	if err := c.call(http.MethodGet, query.FeedPath(id, "/shards"), nil, &out); err != nil {
+	if err := c.call(stream.RouteShards, id, nil, &out); err != nil {
 		return nil, err
 	}
 	return out.Shards, nil
@@ -297,5 +297,5 @@ func (c *Client) ShardStats(id string) ([]shard.ShardStat, error) {
 
 // CloseFeed closes a feed.
 func (c *Client) CloseFeed(id string) error {
-	return c.call(http.MethodDelete, query.FeedPath(id, ""), nil, nil)
+	return c.call(stream.RouteCloseFeed, id, nil, nil)
 }

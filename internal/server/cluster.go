@@ -49,10 +49,10 @@ func (l clusterLocal) Pipeline() *obs.Pipeline { return l.g.Pipeline() }
 // forward proxies a write-path call to the feed's owner over the node's
 // streams, stamping the sender's placement epoch and the Forwarded flag (so
 // a second routing disagreement surfaces as 421 + Leader, never a proxy
-// loop), and relays the owner's answer verbatim. A typed call goes as the
-// typed frame it came as; any other goes with its method, URI, Content-Type
-// and Accept. Either way the batch crosses the hop in the form the client
-// chose and its answer comes back in the form the client asked for. It
+// loop), and relays the owner's answer verbatim. The call goes as the frame
+// it came as, or would have come as over HTTP, so a batch crosses the hop in
+// the form the client chose and its answer comes back in the form the client
+// asked for. It
 // returns the owner's status code (0 when the owner was unreachable). The
 // hop is bounded by the node's cluster.Options.HTTP Timeout, not by the
 // call's context: a client that goes away does not cut a batch the owner
@@ -67,14 +67,6 @@ func (a *api) forward(c *call, rep *reply, owner string, epoch uint64, tr *obs.T
 	req.Epoch, req.Flags, req.Parent = epoch, req.Flags|stream.Forwarded, ""
 	if tr != nil {
 		req.TraceID, req.Parent = tr.ID(), tr.Node()+":"+obs.StageForward
-	}
-	if req.Route == stream.RouteHTTP {
-		req.Method, req.URI, req.Header = c.r.Method, c.r.URL.RequestURI(), http.Header{}
-		for _, h := range []string{"Content-Type", "Accept"} {
-			if v := c.r.Header.Get(h); v != "" {
-				req.Header.Set(h, v)
-			}
-		}
 	}
 	hopStart := time.Now()
 	ans, err := a.node.Client().Send(owner, &req)

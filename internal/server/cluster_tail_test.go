@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -14,17 +16,15 @@ import (
 
 	"grub/internal/cluster"
 	"grub/internal/repl"
+	"grub/internal/stream"
 )
 
-// listCounter counts the GET /repl/feeds requests (replication feed
-// discovery) one node sends. Its Transport records every connection the node
-// dials, by both ends' addresses; the peers' routes, wrapped behind their
-// stream handlers, count the requests that arrive on one of those
-// connections while it is open, so a stream frame counts the same as an HTTP
-// request.
+// listCounter counts the feed-list requests (GET /repl/feeds, replication
+// feed discovery) one node sends. Its Transport wraps every connection the
+// node dials in a dialedConn, which counts them as the node writes them, so
+// a stream frame counts the same as an HTTP request.
 type listCounter struct {
 	lists atomic.Int64
-	conns sync.Map // "local remote" of each open connection the node dialed
 }
 
 func (c *listCounter) transport() *http.Transport {
@@ -34,36 +34,24 @@ func (c *listCounter) transport() *http.Transport {
 		if err != nil {
 			return nil, err
 		}
-		key := conn.LocalAddr().String() + " " + conn.RemoteAddr().String()
-		c.conns.Store(key, true)
-		return dialedConn{conn, func() { c.conns.Delete(key) }}, nil
+		return dialedConn{conn, &c.lists}, nil
 	}}
 }
 
-// dialedConn calls forget when it closes.
+// dialedConn counts into lists each request frame it writes that names the
+// feed-list route, and each HTTP request for it, the upgrading one included.
+// A stream writes each frame, and net/http each request head, in one Write.
 type dialedConn struct {
 	net.Conn
-	forget func()
+	lists *atomic.Int64
 }
 
-func (c dialedConn) Close() error {
-	c.forget()
-	return c.Conn.Close()
-}
-
-func (c *listCounter) wrap(i int, next http.Handler) http.Handler {
-	if i == 0 {
-		return next
+func (c dialedConn) Write(p []byte) (int, error) {
+	frame := len(p) > 4 && int(binary.BigEndian.Uint32(p)) == len(p)-4 && stream.Route(p[4]) == stream.RouteReplFeeds
+	if frame || bytes.HasPrefix(p, []byte("GET /repl/feeds HTTP/")) {
+		c.lists.Add(1)
 	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		local, _ := r.Context().Value(http.LocalAddrContextKey).(net.Addr)
-		if local != nil && r.Method == http.MethodGet && r.URL.Path == "/repl/feeds" {
-			if _, ok := c.conns.Load(r.RemoteAddr + " " + local.String()); ok {
-				c.lists.Add(1)
-			}
-		}
-		next.ServeHTTP(w, r)
-	})
+	return c.Conn.Write(p)
 }
 
 // TestClusterTailListTraffic pins the cost of tailing non-owned feeds: a
@@ -78,11 +66,11 @@ func TestClusterTailListTraffic(t *testing.T) {
 	)
 	for _, feeds := range []int{4, 32} {
 		counter := &listCounter{}
-		nodes := startTestClusterVia(t, peers+1, func(i int, o *cluster.Options) {
+		nodes := startTestClusterOpts(t, peers+1, func(i int, o *cluster.Options) {
 			if i == 0 {
 				o.HTTP = &http.Client{Transport: counter.transport(), Timeout: 5 * time.Second}
 			}
-		}, nil, counter.wrap)
+		}, nil)
 		c := NewClient(nodes[0].url)
 		c.Retry = Retry{Attempts: 8, Base: 10 * time.Millisecond, Max: 200 * time.Millisecond}
 		for f := 0; f < feeds; f++ {

@@ -65,13 +65,6 @@ func startTestClusterCfg(t testing.TB, n int, mod func(i int, hc *HandlerConfig)
 // pre-filled) before the node is built.
 func startTestClusterOpts(t testing.TB, n int, modOpts func(i int, o *cluster.Options), mod func(i int, hc *HandlerConfig)) []*testClusterNode {
 	t.Helper()
-	return startTestClusterVia(t, n, modOpts, mod, nil)
-}
-
-// startTestClusterVia is startTestClusterOpts with a third hook, wrap, whose
-// non-nil results wrap each node's routes (serveTestNodeVia).
-func startTestClusterVia(t testing.TB, n int, modOpts func(i int, o *cluster.Options), mod func(i int, hc *HandlerConfig), wrap func(i int, h http.Handler) http.Handler) []*testClusterNode {
-	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
 	for i := range lns {
@@ -89,11 +82,7 @@ func startTestClusterVia(t testing.TB, n int, modOpts func(i int, o *cluster.Opt
 		if mod != nil {
 			mod(i, &hc)
 		}
-		var w func(http.Handler) http.Handler
-		if wrap != nil {
-			w = func(h http.Handler) http.Handler { return wrap(i, h) }
-		}
-		nodes[i] = serveTestNodeVia(t, lns[i], g, opts, hc, w)
+		nodes[i] = serveTestNode(t, lns[i], g, opts, hc)
 	}
 	return nodes
 }
@@ -142,24 +131,13 @@ func testNodeOptions(self string, peers []string, g *Gateway) cluster.Options {
 // ln under hc (Cluster filled in) and starts it. The node dies with the
 // test.
 func serveTestNode(t testing.TB, ln net.Listener, g *Gateway, opts cluster.Options, hc HandlerConfig) *testClusterNode {
-	return serveTestNodeVia(t, ln, g, opts, hc, nil)
-}
-
-// serveTestNodeVia is serveTestNode with the node's routes wrapped in wrap
-// (when non-nil) behind the stream handler, so the wrapper sees every
-// request, whether it came over HTTP or as a stream frame.
-func serveTestNodeVia(t testing.TB, ln net.Listener, g *Gateway, opts cluster.Options, hc HandlerConfig, wrap func(http.Handler) http.Handler) *testClusterNode {
 	t.Helper()
 	node, err := cluster.NewNode(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hc.Cluster = node
-	h := NewHandlerConfig(g, hc).(*streamHandler)
-	if wrap != nil {
-		h.next = wrap(h.next)
-	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: NewHandlerConfig(g, hc)}
 	go srv.Serve(ln)
 	node.Start()
 	tn := &testClusterNode{g: g, node: node, srv: srv, url: opts.Self}

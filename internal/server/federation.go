@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"grub/internal/obs"
+	"grub/internal/stream"
 )
 
 // Metrics federation: GET /cluster/metrics on any node answers one
@@ -77,7 +78,7 @@ func (a *api) clusterMetrics(c *call, rep *reply) {
 func scrapePeer(ctx context.Context, httpc *http.Client, peer string) ([]obs.Family, error) {
 	ctx, cancel := context.WithTimeout(ctx, federationTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/metrics", nil)
+	req, err := stream.NewHTTPRequest(ctx, peer, &stream.Request{Route: stream.RouteMetrics})
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +92,7 @@ func scrapePeer(ctx context.Context, httpc *http.Client, peer string) ([]obs.Fam
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("scrape %s/metrics: status %d", peer, resp.StatusCode)
+		return nil, fmt.Errorf("scrape %s%s: status %d", peer, req.URL.Path, resp.StatusCode)
 	}
 	return obs.ParseExposition(string(data))
 }

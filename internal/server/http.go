@@ -189,13 +189,11 @@ type errorBody struct {
 	Leader string `json:"leader,omitempty"`
 }
 
-// call is one request to a route: its fields as a typed stream frame carries
-// them, or as the HTTP adapter reads them from the request's path, query
-// and headers. r is the HTTP request (nil for a typed frame), for the routes
-// that read more of it.
+// call is one request to a route, its fields as a stream frame carries them
+// or as the HTTP adapter reads them from the request's path, query and
+// headers.
 type call struct {
 	stream.Request
-	r   *http.Request
 	ctx context.Context
 }
 
@@ -284,9 +282,11 @@ func shardIdx(s string) (int, error) {
 	return n, nil
 }
 
-// api is the gateway's routes: the named handlers, the table that maps
-// patterns and typed stream routes to them, and what they share.
+// api is the gateway's routes: the named handlers, indexed by stream route,
+// and what they share. Its mux registers every route of the stream package's
+// table.
 type api struct {
+	*http.ServeMux
 	g       *Gateway
 	node    *cluster.Node // nil outside cluster mode
 	tamper  func(any)     // HandlerConfig.TamperQuery
@@ -294,43 +294,34 @@ type api struct {
 	slow    *slowLogger
 	get     *readRoute
 	ranges  *readRoute
-	routes  []route
-	typed   [stream.NumRoutes]*route // into routes
+	serve   [stream.NumRoutes]func(*api, *call, *reply)
 }
 
-// route is one entry of the route table. A typed route is served both from
-// HTTP, through the mux, and straight from its stream frame.
-type route struct {
-	pattern string
-	typed   stream.Route
-	serve   func(*api, *call, *reply)
-}
-
-// routes is the route table, in registration order.
-var routes = []route{
-	{"POST /feeds", 0, (*api).createFeed},
-	{"GET /feeds", 0, (*api).listFeeds},
-	{"POST /feeds/{id}/ops", stream.RouteOps, (*api).ops},
-	{"GET /feeds/{id}/stats/latency", 0, (*api).latency},
-	{"GET /feeds/{id}/stats", 0, (*api).stats},
-	{"GET /feeds/{id}/shards", 0, (*api).shards},
-	{"POST /feeds/{id}/snapshot", 0, (*api).snapshot},
-	{"GET /info", 0, (*api).info},
-	{"GET /healthz", 0, (*api).health},
-	{"GET /metrics", 0, (*api).metrics},
-	{"GET /repl/feeds", 0, (*api).replFeeds},
-	{"GET /repl/feeds/{id}/shards/{shard}/log", stream.RouteLog, (*api).replLog},
-	{"GET /repl/feeds/{id}/shards/{shard}/snapshot", 0, (*api).replSnapshot},
-	{"GET /feeds/{id}/get", stream.RouteGet, (*api).getKey},
-	{"GET /feeds/{id}/range", stream.RouteRange, (*api).getRange},
-	{"GET /feeds/{id}/roots", 0, (*api).roots},
-	{"GET /feeds/{id}/trace", 0, (*api).trace},
-	{"DELETE /feeds/{id}", 0, (*api).closeFeed},
-	{"POST /cluster/heartbeat", 0, (*api).heartbeat},
-	{"GET /cluster/status", 0, (*api).clusterStatus},
-	{"GET /cluster/load", 0, (*api).clusterLoad},
-	{"GET /cluster/metrics", 0, (*api).clusterMetrics},
-	{"POST /cluster/feeds/{id}/move", 0, (*api).move},
+// handlers serves each route of the stream package's table.
+var handlers = [stream.NumRoutes]func(*api, *call, *reply){
+	stream.RouteOps:            (*api).ops,
+	stream.RouteGet:            (*api).getKey,
+	stream.RouteRange:          (*api).getRange,
+	stream.RouteLog:            (*api).replLog,
+	stream.RouteCreateFeed:     (*api).createFeed,
+	stream.RouteListFeeds:      (*api).listFeeds,
+	stream.RouteStats:          (*api).stats,
+	stream.RouteLatency:        (*api).latency,
+	stream.RouteShards:         (*api).shards,
+	stream.RouteSnapshot:       (*api).snapshot,
+	stream.RouteInfo:           (*api).info,
+	stream.RouteHealth:         (*api).health,
+	stream.RouteMetrics:        (*api).metrics,
+	stream.RouteReplFeeds:      (*api).replFeeds,
+	stream.RouteReplSnapshot:   (*api).replSnapshot,
+	stream.RouteRoots:          (*api).roots,
+	stream.RouteTrace:          (*api).trace,
+	stream.RouteCloseFeed:      (*api).closeFeed,
+	stream.RouteHeartbeat:      (*api).heartbeat,
+	stream.RouteClusterStatus:  (*api).clusterStatus,
+	stream.RouteClusterLoad:    (*api).clusterLoad,
+	stream.RouteClusterMetrics: (*api).clusterMetrics,
+	stream.RouteMove:           (*api).move,
 }
 
 // NewHandler exposes a gateway over HTTP with default limits.
@@ -342,33 +333,36 @@ func NewHandler(g *Gateway) http.Handler {
 // (docs/API.md) to a client that offers one; both reach the same handlers.
 func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 	a := &api{
-		g: g, node: hc.Cluster, tamper: hc.TamperQuery, maxBody: hc.MaxBodyBytes,
+		ServeMux: http.NewServeMux(),
+		g:        g, node: hc.Cluster, tamper: hc.TamperQuery, maxBody: hc.MaxBodyBytes,
 		slow:   newSlowLogger(hc.SlowOp, hc.SlowOpWriter),
 		get:    newReadRoute(g.Metrics(), "get"),
 		ranges: newReadRoute(g.Metrics(), "range"),
-		routes: slices.Clone(routes),
+		serve:  handlers,
 	}
 	if a.maxBody <= 0 {
 		a.maxBody = DefaultMaxBodyBytes
 	}
-	mux := http.NewServeMux()
-	for i := range a.routes {
-		rt := &a.routes[i]
-		if rt.typed != stream.RouteHTTP {
-			a.typed[rt.typed] = rt
-		}
-		mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { a.serveHTTP(rt, w, r) })
+	for rt := stream.Route(1); rt < stream.NumRoutes; rt++ {
+		a.HandleFunc(rt.Pattern(), func(w http.ResponseWriter, r *http.Request) { a.serveHTTP(rt, w, r) })
 	}
-	return &streamHandler{next: mux, api: a}
+	return a
 }
 
-// serveHTTP serves r on rt: the call's fields come from r's path, query and
-// headers, its body is read under the cap, and the reply goes to w.
-func (a *api) serveHTTP(rt *route, w http.ResponseWriter, r *http.Request) {
+// serveHTTP serves r on route rt: the call's fields come from r's path,
+// query and headers, and its body is read under the cap. The reply goes to
+// w, or, when r offers a stream the gateway takes, opens it as its first
+// answer frame (serveStream).
+func (a *api) serveHTTP(rt stream.Route, w http.ResponseWriter, r *http.Request) {
 	rep := reply{body: stream.GetBuf()}
 	defer stream.PutBuf(rep.body)
-	if c, ok := a.httpCall(rt, w, r, &rep); ok {
-		rt.serve(a, c, &rep)
+	c, ok := a.httpCall(rt, w, r, &rep)
+	upgrade := ok && r.Header.Get("Upgrade") == stream.Proto && a.g.streams.begin()
+	if ok {
+		a.serve[rt](a, c, &rep)
+	}
+	if upgrade && a.serveStream(w, r, &rep) {
+		return
 	}
 	rep.SetHeader(w.Header())
 	w.Header().Set("Content-Length", strconv.Itoa(len(*rep.body)))
@@ -376,22 +370,22 @@ func (a *api) serveHTTP(rt *route, w http.ResponseWriter, r *http.Request) {
 	w.Write(*rep.body)
 }
 
-// httpCall reads r into the call rt takes. When r does not make one it
+// httpCall reads r into a call on route rt. When r does not make one it
 // answers rep and reports false.
-func (a *api) httpCall(rt *route, w http.ResponseWriter, r *http.Request, rep *reply) (*call, bool) {
+func (a *api) httpCall(rt stream.Route, w http.ResponseWriter, r *http.Request, rep *reply) (*call, bool) {
 	h, q := r.Header, r.URL.Query()
-	c := &call{r: r, ctx: r.Context()}
-	c.Route, c.Feed = rt.typed, r.PathValue("id")
+	c := &call{ctx: r.Context()}
+	c.Route, c.Feed = rt, r.PathValue("id")
 	c.Epoch, _ = strconv.ParseUint(h.Get(stream.EpochHeader), 10, 64)
 	c.TraceID, c.Parent = h.Get(obs.TraceHeader), h.Get(obs.ParentSpanHeader)
 	if h.Get(stream.ForwardedHeader) != "" {
 		c.Flags |= stream.Forwarded
 	}
-	if media := rt.typed.Media(); media != "" && !strings.Contains(h.Get("Accept"), media) {
+	if media := rt.Media(); media != "" && !strings.Contains(h.Get("Accept"), media) {
 		c.Flags |= stream.JSONAnswer
 	}
 	var err error
-	switch rt.typed {
+	switch rt {
 	case stream.RouteOps:
 		if h.Get("Content-Type") != OpsMediaType {
 			c.Flags |= stream.JSONBody
@@ -403,6 +397,8 @@ func (a *api) httpCall(rt *route, w http.ResponseWriter, r *http.Request, rep *r
 			err = fmt.Errorf("server: %w: query parameters lo and hi required", ErrBadConfig)
 		}
 		c.Lo, c.Hi = q.Get("lo"), q.Get("hi")
+	case stream.RouteReplSnapshot:
+		c.Shard, err = shardIdx(r.PathValue("shard"))
 	case stream.RouteLog:
 		c.Shard, err = shardIdx(r.PathValue("shard"))
 		if from := q.Get("from"); err == nil && from != "" {
@@ -703,12 +699,7 @@ func (a *api) replLog(c *call, rep *reply) {
 }
 
 func (a *api) replSnapshot(c *call, rep *reply) {
-	s, err := shardIdx(c.r.PathValue("shard"))
-	if err != nil {
-		rep.err(err)
-		return
-	}
-	snap, err := a.g.ReplSnapshot(c.Feed, s)
+	snap, err := a.g.ReplSnapshot(c.Feed, c.Shard)
 	if err != nil {
 		rep.err(err)
 		return

@@ -62,9 +62,9 @@ func opsGateway(tb testing.TB, cfg FeedConfig) (*Gateway, *Client, *opsWire) {
 	tb.Helper()
 	g := NewGateway()
 	tb.Cleanup(g.Close)
-	h := NewHandler(g).(*streamHandler)
+	h := NewHandler(g).(*api)
 	ow := &opsWire{}
-	wrapRoute(h, "POST /feeds/{id}/ops", ow.wrap)
+	wrapRoute(h, stream.RouteOps, ow.wrap)
 	srv := httptest.NewServer(h)
 	tb.Cleanup(srv.Close)
 	if err := g.CreateFeed(cfg); err != nil {

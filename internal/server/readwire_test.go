@@ -21,6 +21,7 @@ import (
 
 	"grub/internal/obs"
 	"grub/internal/query"
+	"grub/internal/stream"
 	"grub/internal/wire"
 )
 
@@ -117,7 +118,7 @@ func TestClientReadsBothEncodings(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b GetResponse
-		body, _ := rawGet(t, srv.URL+query.FeedPath("f", "/get?key=")+url.QueryEscape(key), "")
+		body, _ := rawGet(t, srv.URL+"/feeds/f/get?key="+url.QueryEscape(key), "")
 		if err := json.Unmarshal(body, &b); err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +132,7 @@ func TestClientReadsBothEncodings(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b RangeResponse
-		body, _ := rawGet(t, srv.URL+query.FeedPath("f", "/range?lo=")+url.QueryEscape(w[0])+"&hi="+url.QueryEscape(w[1]), "")
+		body, _ := rawGet(t, srv.URL+"/feeds/f/range?lo="+url.QueryEscape(w[0])+"&hi="+url.QueryEscape(w[1]), "")
 		if err := json.Unmarshal(body, &b); err != nil {
 			t.Fatal(err)
 		}
@@ -222,10 +223,14 @@ func TestClientKeepsOneConnection(t *testing.T) {
 		if n := len(slices[0].Range.Records); n < 50 {
 			t.Fatalf("range answer too small to be chunked: %d records in shard 0", n)
 		}
-		// The same range as JSON, a multi-kilobyte answer through
-		// Client.call.
+		// The same range as JSON, a multi-kilobyte answer.
 		var js RangeResponse
-		if err := c.call(http.MethodGet, query.FeedPath("f", "/range?lo=")+lo+"&hi="+hi, nil, &js); err != nil {
+		a, err := c.streams.Send(c.HTTP, c.BaseURL, &stream.Request{Route: stream.RouteRange, Feed: "f", Lo: lo, Hi: hi, Flags: stream.JSONAnswer})
+		if err == nil {
+			err = json.Unmarshal(a.Body, &js)
+			a.Close()
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Get("f", fmt.Sprintf("user%07d", i)); err != nil {

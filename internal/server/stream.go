@@ -2,14 +2,11 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"cmp"
-	"context"
 	"errors"
 	"io"
 	"net"
 	"net/http"
-	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,143 +82,83 @@ func (ss *streamSet) drain() {
 	}
 }
 
-// streamHandler serves the gateway's routes over HTTP (next, the mux), and
-// over a stream to a client that offers one: a typed frame goes straight to
-// its route's handler, a route-0 frame and the upgrading request through
-// next.
-type streamHandler struct {
-	next http.Handler
-	api  *api
-}
-
-func (h *streamHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	ss := &h.api.g.streams
-	if r.Header.Get("Upgrade") != stream.Proto || !ss.begin() {
-		h.next.ServeHTTP(w, r) // a draining gateway's http.Server drains this
-		return
-	}
-	// Request.Body is unusable once the connection is hijacked, so the body
-	// is read first. One past the cap, or a writer that cannot hijack, is
-	// served over HTTP as if no offer had been made.
-	body, err := io.ReadAll(io.LimitReader(r.Body, h.api.maxBody+1))
-	r.Body = io.NopCloser(io.MultiReader(bytes.NewReader(body), r.Body))
-	var conn net.Conn
-	var brw *bufio.ReadWriter
-	if err == nil && int64(len(body)) <= h.api.maxBody {
-		conn, brw, err = http.NewResponseController(w).Hijack()
-	}
-	if conn == nil {
-		defer ss.serving.Done()
-		h.next.ServeHTTP(w, r)
-		return
+// serveStream takes over r's connection for the stream r offered: it
+// answers 101, sends rep, r's answer, as the first answer frame, and then
+// serves the stream's request frames, each straight to its route's handler,
+// until the stream ends. r is in flight (streamSet.begin) when it is called;
+// when the connection cannot be hijacked it reports false, r no longer in
+// flight, and the caller answers over HTTP.
+func (a *api) serveStream(w http.ResponseWriter, r *http.Request, rep *reply) bool {
+	ss := &a.g.streams
+	conn, brw, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		ss.serving.Done()
+		return false
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Time{})
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
 	srv, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
-	s := &serverStream{conn: conn, br: brw.Reader, bw: brw.Writer, srv: cmp.Or(srv, &http.Server{}),
-		ctx: ctx, host: r.Host, remote: r.RemoteAddr, fw: frameWriter{header: make(http.Header)}}
+	s := &serverStream{conn: conn, br: brw.Reader, bw: brw.Writer, srv: cmp.Or(srv, &http.Server{}), call: call{ctx: r.Context()}}
 	ss.track(s, true)
 	defer ss.track(s, false)
 	s.bw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + stream.Proto + "\r\n\r\n")
-	req := r.WithContext(ctx)
-	req.Body = io.NopCloser(bytes.NewReader(body))
-	var in *[]byte // the frame to serve when req is nil
-	for {
-		werr := h.answer(s, req, in, err)
-		if in != nil {
-			stream.PutBuf(in)
-		}
-		if werr != nil || err != nil || !s.wait(ss) {
-			if werr == nil && err != nil { // the unread frame leaves no next frame to find
-				s.goaway()
-			}
-			return
-		}
-		if in, err = stream.ReadFrame(s.br, h.api.maxBody); err != nil && err != stream.ErrFrameTooLarge || !ss.begin() {
+	werr := s.answer(ss, rep)
+	for werr == nil && s.wait(ss) {
+		in, err := stream.ReadFrame(s.br, a.maxBody)
+		if err != nil && err != stream.ErrFrameTooLarge || !ss.begin() {
 			if ss.closing.Load() { // drain cut the read short, or the frame is not served
 				s.goaway()
 			}
-			return
+			break
 		}
-		req = nil
+		rep := &s.rep
+		*rep = reply{body: stream.GetBuf()}
+		switch {
+		case err != nil:
+			rep.tooLarge(a.maxBody)
+		case stream.DecodeRequest(*in, &s.call.Request) != nil:
+			rep.json(http.StatusBadRequest, errorBody{Error: "stream: malformed request frame"})
+		default:
+			a.serve[s.call.Route](a, &s.call, rep)
+		}
+		werr = s.answer(ss, rep)
+		stream.PutBuf(rep.body)
+		if in != nil {
+			stream.PutBuf(in)
+		}
+		if err != nil { // the unread frame leaves no next frame to find
+			if werr == nil {
+				s.goaway()
+			}
+			break
+		}
 	}
+	return true
 }
 
-// answer serves req, or else the frame in, or answers the oversize frame err
-// names, and writes the answer frame. The frame is then no longer in flight.
-func (h *streamHandler) answer(s *serverStream, req *http.Request, in *[]byte, err error) error {
-	defer h.api.g.streams.serving.Done()
-	rep := &s.rep
-	*rep = reply{body: stream.GetBuf()}
-	defer stream.PutBuf(rep.body)
-	switch {
-	case err != nil:
-		rep.tooLarge(h.api.maxBody)
-	case req != nil:
-		h.serveMux(s, req)
-	default:
-		h.serveFrame(s, *in)
-	}
-	h.api.g.streams.frames.Inc() // before the answer is out, so a client holding it sees the count
+// answer writes rep as the stream's next answer frame; the request it answers
+// is then no longer in flight.
+func (s *serverStream) answer(ss *streamSet, rep *reply) error {
+	defer ss.serving.Done()
+	ss.frames.Inc() // before the answer is out, so a client holding it sees the count
 	rep.Status = cmp.Or(rep.Status, http.StatusOK)
-	head := stream.GetBuf()
-	defer stream.PutBuf(head)
-	*head = stream.AppendAnswer(*head, &rep.Head, len(*rep.body))
 	s.conn.SetWriteDeadline(after(s.srv.WriteTimeout))
-	s.bw.Write(*head)
+	s.bw.Write(stream.AppendAnswer(s.bw.AvailableBuffer(), &rep.Head, len(*rep.body)))
 	s.bw.Write(*rep.body)
 	return s.bw.Flush()
 }
 
-// serveFrame serves the request frame p: a typed one on the stream's reused
-// call, a route-0 one through the mux.
-func (h *streamHandler) serveFrame(s *serverStream, p []byte) {
-	c := &s.call
-	err := stream.DecodeRequest(p, &c.Request)
-	if err == nil && c.Route != stream.RouteHTTP {
-		c.r, c.ctx = nil, s.ctx
-		h.api.typed[c.Route].serve(h.api, c, &s.rep)
-		return
-	}
-	var r *http.Request
-	if err == nil {
-		if _, err = url.ParseRequestURI(c.URI); err == nil {
-			r, err = http.NewRequestWithContext(s.ctx, c.Method, c.URI, bytes.NewReader(c.Body))
-		}
-	}
-	if err != nil {
-		s.rep.json(http.StatusBadRequest, errorBody{Error: "stream: malformed request frame"})
-		return
-	}
-	r.Header, r.RequestURI, r.Host, r.RemoteAddr = c.Header, c.URI, s.host, s.remote
-	h.serveMux(s, r)
-}
-
-// serveMux serves an HTTP request through the mux, its answer caught by the
-// stream's frameWriter.
-func (h *streamHandler) serveMux(s *serverStream, r *http.Request) {
-	fw := &s.fw
-	clear(fw.header)
-	fw.status, fw.body = 0, s.rep.body
-	h.next.ServeHTTP(fw, r)
-	s.rep.Head = stream.HeadOf(fw.status, fw.header)
-}
-
 // serverStream is the gateway end of one stream, under the serving
-// http.Server's limits (srv). ctx, host and remote are the upgrading
-// request's; call is the typed frame being served, reused frame to frame.
+// http.Server's limits (srv). call is the frame being served and rep its
+// answer, both reused frame to frame; call's context is the upgrading
+// request's.
 type serverStream struct {
-	conn         net.Conn
-	br           *bufio.Reader
-	bw           *bufio.Writer
-	srv          *http.Server
-	ctx          context.Context
-	host, remote string
-	call         call
-	rep          reply
-	fw           frameWriter
+	conn net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	srv  *http.Server
+	call call
+	rep  reply
 }
 
 // after is now plus the first positive limit of d (an http.Server limit, then
@@ -269,27 +206,4 @@ func (s *serverStream) goaway() {
 		cw.CloseWrite()
 	}
 	io.Copy(io.Discard, s.br)
-}
-
-// frameWriter is the http.ResponseWriter of a request a stream serves
-// through the mux: it keeps the status, header and body for the answer
-// frame.
-type frameWriter struct {
-	header http.Header
-	status int
-	body   *[]byte
-}
-
-func (fw *frameWriter) Header() http.Header { return fw.header }
-
-func (fw *frameWriter) WriteHeader(code int) {
-	if fw.status == 0 {
-		fw.status = code
-	}
-}
-
-func (fw *frameWriter) Write(p []byte) (int, error) {
-	fw.WriteHeader(http.StatusOK)
-	*fw.body = append(*fw.body, p...)
-	return len(p), nil
 }

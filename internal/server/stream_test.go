@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -11,7 +12,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,7 +20,6 @@ import (
 
 	"grub/internal/core"
 	"grub/internal/stream"
-	"grub/internal/wire"
 )
 
 // streamGateway serves a fresh in-memory gateway holding feed "f" through srv
@@ -44,16 +43,10 @@ func streamGateway(tb testing.TB, srv *http.Server, hc HandlerConfig, cfg FeedCo
 	return g, c, dials
 }
 
-// wrapRoute wraps the handler h serves pattern with, for HTTP requests and
+// wrapRoute wraps the handler a serves route rt with, for HTTP requests and
 // stream frames alike.
-func wrapRoute(h *streamHandler, pattern string, wrap func(func(*api, *call, *reply)) func(*api, *call, *reply)) {
-	for i := range h.api.routes {
-		if rt := &h.api.routes[i]; rt.pattern == pattern {
-			rt.serve = wrap(rt.serve)
-			return
-		}
-	}
-	panic("no route " + pattern)
+func wrapRoute(a *api, rt stream.Route, wrap func(func(*api, *call, *reply)) func(*api, *call, *reply)) {
+	a.serve[rt] = wrap(a.serve[rt])
 }
 
 // dialCounting returns a client for baseURL whose Transport counts its dials.
@@ -241,10 +234,10 @@ func TestStreamCloseAnswersInFlightBatch(t *testing.T) {
 	if err := g.CreateFeed(FeedConfig{ID: "f", EpochOps: 1}); err != nil {
 		t.Fatal(err)
 	}
-	h := NewHandler(g).(*streamHandler)
+	h := NewHandler(g).(*api)
 	var hold atomic.Bool
 	entered, release := make(chan struct{}), make(chan struct{})
-	wrapRoute(h, "POST /feeds/{id}/ops", func(serve func(*api, *call, *reply)) func(*api, *call, *reply) {
+	wrapRoute(h, stream.RouteOps, func(serve func(*api, *call, *reply)) func(*api, *call, *reply) {
 		return func(a *api, c *call, rep *reply) {
 			if hold.CompareAndSwap(true, false) {
 				close(entered)
@@ -447,22 +440,95 @@ func TestStreamFallsBackToHTTP(t *testing.T) {
 // its connection is never upgraded.
 func TestStreamOtherVersionServedOverHTTP(t *testing.T) {
 	g, c, _ := streamGateway(t, &http.Server{}, HandlerConfig{}, FeedConfig{ID: "f"})
-	req, err := http.NewRequest(http.MethodGet, c.BaseURL+"/feeds/f/stats", nil)
+	for _, proto := range []string{"grub-stream/1", "grub-stream/2"} {
+		resp := offer(t, http.MethodGet, c.BaseURL+"/feeds/f/stats", proto, nil)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("offer of %s answered %d %q, want 200 JSON over HTTP", proto, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+	}
+	if got := g.streams.frames.Value(); got != 0 {
+		t.Errorf("%v requests answered over streams, want 0", got)
+	}
+}
+
+// offer sends one HTTP request offering the stream version proto and returns
+// the answer, its body read.
+func offer(t *testing.T, method, url, proto string, body []byte) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("Connection", "Upgrade")
-	req.Header.Set("Upgrade", "grub-stream/1")
+	req.Header.Set("Upgrade", proto)
 	resp, err := http.DefaultTransport.RoundTrip(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
-		t.Errorf("offer of grub-stream/1 answered %d %q, want 200 JSON over HTTP", resp.StatusCode, resp.Header.Get("Content-Type"))
+	return resp
+}
+
+// TestStreamOfferRefusedOverHTTP: an offer on a path no route matches is
+// answered 404 over HTTP, and one whose body is past the cap 413 over HTTP,
+// its connection never taken over; neither counts a stream frame.
+func TestStreamOfferRefusedOverHTTP(t *testing.T) {
+	g, c, _ := streamGateway(t, &http.Server{}, HandlerConfig{MaxBodyBytes: 4096}, FeedConfig{ID: "f"})
+	if resp := offer(t, http.MethodGet, c.BaseURL+"/feeds/f/nope", stream.Proto, nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("offer on an unmatched path answered %d, want 404 over HTTP", resp.StatusCode)
+	}
+	big := []Op{{Type: "write", Key: "big", Value: make([]byte, 8<<10)}}
+	if _, err := c.Do("f", big); err == nil || !strings.Contains(err.Error(), "exceeds 4096 bytes") {
+		t.Fatalf("oversize upgrading batch: %v, want the 413's error", err)
 	}
 	if got := g.streams.frames.Value(); got != 0 {
 		t.Errorf("%v requests answered over streams, want 0", got)
+	}
+	if _, err := c.Do("f", writeBatch("a")); err != nil || g.streams.frames.Value() != 1 {
+		t.Errorf("batch after the refusals: %v, %v frames; want it to open a stream", err, g.streams.frames.Value())
+	}
+}
+
+// TestRouteTableRegistersEveryRoute: every route of the stream package's
+// table has a handler, and its request, sent over HTTP, reaches the mux under
+// that route's pattern.
+func TestRouteTableRegistersEveryRoute(t *testing.T) {
+	g := NewGateway()
+	defer g.Close()
+	a := NewHandler(g).(*api)
+	for rt := stream.Route(1); rt < stream.NumRoutes; rt++ {
+		req := &stream.Request{Route: rt, Feed: "a/b c", Key: "k", Lo: "a", Hi: "z", Shard: 3, From: 9, Max: 2}
+		hr, err := stream.NewHTTPRequest(context.Background(), "http://gw", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, pattern := a.Handler(hr); pattern != rt.Pattern() || a.serve[rt] == nil {
+			t.Errorf("route %d (%s) reaches pattern %q, handler %v", rt, req, pattern, a.serve[rt] != nil)
+		}
+	}
+}
+
+// TestJSONRouteAllocations pins what a JSON route costs, client and gateway
+// together, on a stream that has served it before.
+func TestJSONRouteAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	const bound = 13
+	_, c, _ := streamGateway(t, &http.Server{}, HandlerConfig{}, FeedConfig{ID: "f"})
+	stats := func() {
+		if _, err := c.Stats("f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 20 {
+		stats()
+	}
+	allocs := testing.AllocsPerRun(200, stats)
+	t.Logf("%.1f allocations per Stats", allocs)
+	if allocs > bound {
+		t.Errorf("%.1f allocations per Stats, want at most %d", allocs, bound)
 	}
 }
 
@@ -475,20 +541,24 @@ func TestStreamOtherVersionServedOverHTTP(t *testing.T) {
 func FuzzStreamFrame(f *testing.F) {
 	const maxBody = 4096
 	withLen := func(p []byte) []byte { return append(binary.BigEndian.AppendUint32(nil, uint32(len(p))), p...) }
-	req := stream.AppendRequest(nil, &stream.Request{Method: "POST", URI: "/feeds/f/ops",
-		Body: []byte(`{"ops":[{"type":"write","key":"k","value":"dg=="}]}`), Header: http.Header{"Content-Type": {"application/json"}}})
-	stats := stream.AppendRequest(nil, &stream.Request{Method: "GET", URI: "/feeds/f/stats"})
+	req := stream.AppendRequest(nil, &stream.Request{Route: stream.RouteOps, Feed: "f", Flags: stream.JSONBody,
+		Body: []byte(`{"ops":[{"type":"write","key":"k","value":"dg=="}]}`)})
+	stats := stream.AppendRequest(nil, &stream.Request{Route: stream.RouteStats, Feed: "f"})
 	f.Add(req)
 	f.Add(stream.AppendRequest(nil, &stream.Request{Route: stream.RouteOps, Feed: "f", Body: core.AppendOps(nil, writeBatch("k"))}))
 	f.Add(stream.AppendRequest(nil, &stream.Request{Route: stream.RouteOps, Feed: "f", Flags: stream.JSONBody | stream.JSONAnswer, TraceID: "t", Body: []byte(`{"ops":[]}`)}))
 	f.Add(stream.AppendRequest(nil, &stream.Request{Route: stream.RouteGet, Feed: "f", Key: "k", Flags: stream.JSONAnswer}))
 	f.Add(stream.AppendRequest(nil, &stream.Request{Route: stream.RouteRange, Feed: "f", Lo: "a", Hi: "z"}))
 	f.Add(stream.AppendRequest(nil, &stream.Request{Route: stream.RouteLog, Feed: "f", Max: 4}))
+	f.Add(stream.AppendRequest(nil, &stream.Request{Route: stream.RouteCreateFeed, Body: []byte(`{"id":"g"}`)}))
+	f.Add(stream.AppendRequest(nil, &stream.Request{Route: stream.RouteReplSnapshot, Feed: "f", Shard: 0}))
+	f.Add(stream.AppendRequest(nil, &stream.Request{Route: stream.NumRoutes - 1, Feed: "f", Body: []byte(`{"target":"http://b"}`)}))
+	f.Add(withLen([]byte{0, 1, 'f', 0, 0, 0, 0}))                                                        // route 0
+	f.Add(withLen([]byte{byte(stream.NumRoutes), 1, 'f', 0, 0, 0, 0}))                                   // unknown route
 	f.Add(append(stream.AppendAnswer(nil, &stream.Head{Status: 200, Leader: "http://a"}, 4), "body"...)) // an answer as a request
 	f.Add(req[:len(req)-3])                                                                              // truncated
-	f.Add(append(binary.BigEndian.AppendUint32(nil, 1<<31), 0, 'G', 'E', 'T'))                           // oversize length
-	f.Add(withLen(append(wire.AppendString(wire.AppendString([]byte{0}, "GET"), "/"), 90)))              // header count past the bytes
-	f.Add(withLen([]byte{0, 0x83, 0x00, 'G', 'E', 'T', 1, '/', 0}))                                      // non-minimal string length
+	f.Add(append(binary.BigEndian.AppendUint32(nil, 1<<31), byte(stream.RouteStats), 1, 'f'))            // oversize length
+	f.Add(withLen([]byte{byte(stream.RouteStats), 0x81, 0x00, 'f', 0, 0, 0, 0}))                         // non-minimal string length
 	f.Add(append(stats, stats...))                                                                       // two requests back to back
 	f.Add([]byte(stream.Goaway))                                                                         // an empty request
 	g := NewGateway()
@@ -524,11 +594,7 @@ func FuzzStreamFrame(f *testing.F) {
 				break
 			}
 			var r stream.Request
-			err := stream.DecodeRequest(rest[4:4+n], &r)
-			if err == nil && r.Route == stream.RouteHTTP {
-				_, err = url.ParseRequestURI(r.URI)
-			}
-			if err != nil {
+			if stream.DecodeRequest(rest[4:4+n], &r) != nil {
 				want = append(want, http.StatusBadRequest)
 			} else {
 				want = append(want, 0)

@@ -101,29 +101,39 @@ func (p *Pool) Close() {
 	clear(p.idle)
 }
 
+// NewHTTPRequest is req as HTTP, to the gateway at base ("http://host:port"):
+// its route's method and request-URI, the headers that stand for its fields,
+// and a copy of its body, since a Transport may still read the body after the
+// answer is in.
+func NewHTTPRequest(ctx context.Context, base string, req *Request) (*http.Request, error) {
+	var rd io.Reader
+	if req.Body != nil {
+		rd = bytes.NewReader(bytes.Clone(req.Body))
+	}
+	hr, err := http.NewRequestWithContext(ctx, req.method(), base+req.uri(), rd)
+	if err == nil {
+		req.headers(hr.Header.Add)
+	}
+	return hr, err
+}
+
 // upgrade sends a request over HTTP with the stream offered. The Transport's
 // RoundTrip sends it: http.Client.Do, with Timeout set, would hand a 101 over
 // with a read-only body and a timer that later closes the connection. The
 // request's context bounds the exchange instead, which is why any answer but
 // a 101 is read whole before upgrade returns it. A 101 and the answer frame
-// behind it open a stream for the pool. The Transport may still read the
-// body after the answer is in, so it reads a copy.
+// behind it open a stream for the pool.
 func (p *Pool) upgrade(hc *http.Client, base string, req *Request) (Answer, error) {
-	var rd io.Reader
-	if req.Body != nil {
-		rd = bytes.NewReader(bytes.Clone(req.Body))
-	}
 	ctx := context.Background()
 	if hc.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, hc.Timeout)
 		defer cancel()
 	}
-	hr, err := http.NewRequestWithContext(ctx, req.method(), base+req.uri(), rd)
+	hr, err := NewHTTPRequest(ctx, base, req)
 	if err != nil {
 		return Answer{}, err
 	}
-	req.headers(hr.Header.Add)
 	hr.Header.Set("Connection", "Upgrade")
 	hr.Header.Set("Upgrade", Proto)
 	resp, err := cmp.Or[http.RoundTripper](hc.Transport, http.DefaultTransport).RoundTrip(hr)

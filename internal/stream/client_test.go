@@ -73,17 +73,17 @@ func TestStreamPoolSharesCapsAndCloses(t *testing.T) {
 	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 2}, Timeout: 5 * time.Second}
 	var p Pool
 	send := func(method, body string) {
-		var b []byte
-		if body != "" {
-			b = []byte(body)
+		req := Request{Route: RouteGet, Feed: "f", Key: "y=1"}
+		if method == http.MethodPost {
+			req = Request{Route: RouteCreateFeed, Body: []byte(body)}
 		}
-		a, err := p.Send(hc, url, &Request{Method: method, URI: "/x?y=1", Header: http.Header{"Content-Type": {"text/plain"}}, Body: b})
+		a, err := p.Send(hc, url, &req)
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		defer a.Close()
-		if want := method + " /x?y=1 " + body; a.Status != http.StatusOK || string(a.Body) != want || a.ContentType != "text/plain" {
+		if want := req.String() + " " + body; a.Status != http.StatusOK || string(a.Body) != want || a.ContentType != "text/plain" {
 			t.Errorf("answer %d %+v %q, want 200 text/plain %q", a.Status, a.Head, a.Body, want)
 		}
 	}
@@ -157,7 +157,7 @@ func TestStreamPoolCapsAnswers(t *testing.T) {
 	defer srv.Close()
 	var p Pool
 	defer p.Close()
-	if _, err := p.Send(&http.Client{Timeout: 2 * time.Second}, srv.URL, &Request{Method: http.MethodGet, URI: "/big"}); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := p.Send(&http.Client{Timeout: 2 * time.Second}, srv.URL, &Request{Route: RouteHealth}); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversize answer: %v, want ErrFrameTooLarge", err)
 	}
 	select {

@@ -1,21 +1,19 @@
 // Package stream is the Go-to-Go stream (docs/API.md, "Go-to-Go stream"):
 // an HTTP connection upgraded to carry one length-framed request at a time,
-// each answered in order. It alone knows the frame layout, and how a typed
-// request reads as HTTP. Pool is the client end every Go-to-Go hop sends
-// through; the gateway's end (server.streamHandler) uses the codec below. A
-// frame is a 4-byte big-endian length and that many bytes:
+// each answered in order. It holds the gateway's route table, the frame
+// layout, and how a request reads as HTTP. Pool is the client end every
+// Go-to-Go hop sends through; the gateway's end (server.api.serveStream) uses
+// the codec below. A frame is a 4-byte big-endian length and that many bytes:
 //
-//	request  byte route, then
-//	           route 0   string method, string request-URI, int n, n × (string key, string value)
-//	           typed     string feed, arguments, uint epoch, byte flags, string trace, string parent
-//	         then the body
+//	request  byte route, string feed, arguments, uint epoch, byte flags,
+//	         string trace, string parent, body
 //	answer   int status, string content-type, string leader, int retry-after,
 //	         string trace, string spans, body
 //
-// A typed route's arguments are: ops none; get string key; range string lo,
-// string hi; log int shard, uint from, int max. The body is the rest of the
-// frame. An empty frame is GOAWAY: the gateway served no request after its
-// last answer and will serve none.
+// A route's arguments are: get string key; range string lo, string hi; log
+// int shard, uint from, int max; repl snapshot int shard; every other route
+// none. The body is the rest of the frame. An empty frame is GOAWAY: the
+// gateway served no request after its last answer and will serve none.
 package stream
 
 import (
@@ -26,6 +24,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 
 	"grub/internal/obs"
@@ -35,7 +34,7 @@ import (
 // Proto is the Upgrade token a client offers and a gateway answers with. A
 // gateway that speaks another version ignores the offer and answers over
 // HTTP.
-const Proto = "grub-stream/2"
+const Proto = "grub-stream/3"
 
 // ErrFrameTooLarge: a frame claims more bytes than ReadFrame's limit.
 var ErrFrameTooLarge = errors.New("stream: frame too large")
@@ -43,19 +42,65 @@ var ErrFrameTooLarge = errors.New("stream: frame too large")
 // Goaway is the GOAWAY frame.
 const Goaway = "\x00\x00\x00\x00"
 
-// Route is a request frame's first byte. RouteHTTP carries any request as
-// HTTP has it; each other route is one of the gateway's hot routes, its
-// arguments in fixed fields.
+// Route is one of the gateway's routes, a request frame's first byte. No
+// route is 0.
 type Route byte
 
 const (
-	RouteHTTP  Route = iota // any route: method, request-URI, header pairs
-	RouteOps                // POST /feeds/{id}/ops
-	RouteGet                // GET /feeds/{id}/get
-	RouteRange              // GET /feeds/{id}/range
-	RouteLog                // GET /repl/feeds/{id}/shards/{shard}/log
+	RouteOps Route = 1 + iota
+	RouteGet
+	RouteRange
+	RouteLog
+	RouteCreateFeed
+	RouteListFeeds
+	RouteStats
+	RouteLatency
+	RouteShards
+	RouteSnapshot
+	RouteInfo
+	RouteHealth
+	RouteMetrics
+	RouteReplFeeds
+	RouteReplSnapshot
+	RouteRoots
+	RouteTrace
+	RouteCloseFeed
+	RouteHeartbeat
+	RouteClusterStatus
+	RouteClusterLoad
+	RouteClusterMetrics
+	RouteMove
 	NumRoutes
 )
+
+// routes is the gateway's route table: each route's "METHOD /path" pattern,
+// which the gateway's mux registers, and the binary encoding the route
+// answers in when asked to ("" for the routes that speak only JSON or text).
+var routes = [NumRoutes]struct{ pattern, media string }{
+	RouteOps:            {"POST /feeds/{id}/ops", OpsMediaType},
+	RouteGet:            {"GET /feeds/{id}/get", ReadMediaType},
+	RouteRange:          {"GET /feeds/{id}/range", ReadMediaType},
+	RouteLog:            {"GET /repl/feeds/{id}/shards/{shard}/log", LogMediaType},
+	RouteCreateFeed:     {"POST /feeds", ""},
+	RouteListFeeds:      {"GET /feeds", ""},
+	RouteStats:          {"GET /feeds/{id}/stats", ""},
+	RouteLatency:        {"GET /feeds/{id}/stats/latency", ""},
+	RouteShards:         {"GET /feeds/{id}/shards", ""},
+	RouteSnapshot:       {"POST /feeds/{id}/snapshot", ""},
+	RouteInfo:           {"GET /info", ""},
+	RouteHealth:         {"GET /healthz", ""},
+	RouteMetrics:        {"GET /metrics", ""},
+	RouteReplFeeds:      {"GET /repl/feeds", ""},
+	RouteReplSnapshot:   {"GET /repl/feeds/{id}/shards/{shard}/snapshot", ""},
+	RouteRoots:          {"GET /feeds/{id}/roots", ""},
+	RouteTrace:          {"GET /feeds/{id}/trace", ""},
+	RouteCloseFeed:      {"DELETE /feeds/{id}", ""},
+	RouteHeartbeat:      {"POST /cluster/heartbeat", ""},
+	RouteClusterStatus:  {"GET /cluster/status", ""},
+	RouteClusterLoad:    {"GET /cluster/load", ""},
+	RouteClusterMetrics: {"GET /cluster/metrics", ""},
+	RouteMove:           {"POST /cluster/feeds/{id}/move", ""},
+}
 
 // Flag bits of a request.
 const (
@@ -79,32 +124,23 @@ const (
 	ForwardedHeader = "X-Grub-Cluster-Forwarded"
 )
 
-var media = [NumRoutes]string{RouteOps: OpsMediaType, RouteGet: ReadMediaType, RouteRange: ReadMediaType, RouteLog: LogMediaType}
+// Pattern is rt's "METHOD /path" pattern.
+func (rt Route) Pattern() string { return routes[rt].pattern }
 
-// Media is the binary encoding a typed route's answer is in, and, for
-// RouteOps, its body ("" for RouteHTTP).
-func (rt Route) Media() string {
-	if rt >= NumRoutes {
-		return ""
-	}
-	return media[rt]
-}
+// Media is the binary encoding rt's answer is in and, for RouteOps, its body
+// ("" when it has none).
+func (rt Route) Media() string { return routes[rt].media }
 
-// Request is one request, in either layout.
+// Request is one request: its route, the route's feed and arguments, and
+// what every request carries.
 type Request struct {
-	Route Route
-	// RouteHTTP: the request line and every header but those the fields
-	// below stand for.
-	Method, URI string
-	Header      http.Header
-	// A typed route's feed and arguments.
-	Feed   string
-	Key    string // get
-	Lo, Hi string // range
-	Shard  int    // log
-	From   uint64 // log: the cursor
-	Max    int    // log: the page cap; 0 takes the gateway's
-	// Either layout: a RouteHTTP frame carries these as headers, as HTTP does.
+	Route   Route
+	Feed    string
+	Key     string // get
+	Lo, Hi  string // range
+	Shard   int    // log, repl snapshot
+	From    uint64 // log: the cursor
+	Max     int    // log: the page cap; 0 takes the gateway's
 	Epoch   uint64 // the sender's placement epoch for the feed
 	Flags   byte
 	TraceID string // obs.TraceHeader
@@ -114,31 +150,26 @@ type Request struct {
 
 // method is r's HTTP method.
 func (r *Request) method() string {
-	switch r.Route {
-	case RouteHTTP:
-		return r.Method
-	case RouteOps:
-		return http.MethodPost
-	}
-	return http.MethodGet
+	m, _, _ := strings.Cut(r.Route.Pattern(), " ")
+	return m
 }
 
-// uri is r's HTTP request-URI.
+// uri is r's HTTP request-URI: its route's path with the feed and shard
+// filled in, and the route's query.
 func (r *Request) uri() string {
-	p := "/feeds/" + url.PathEscape(r.Feed)
+	_, p, _ := strings.Cut(r.Route.Pattern(), " ")
+	p = strings.Replace(p, "{shard}", strconv.Itoa(r.Shard), 1)
+	p = strings.Replace(p, "{id}", url.PathEscape(r.Feed), 1)
 	switch r.Route {
-	case RouteHTTP:
-		return r.URI
-	case RouteOps:
-		return p + "/ops"
 	case RouteGet:
-		return p + "/get?key=" + url.QueryEscape(r.Key)
+		p += "?key=" + url.QueryEscape(r.Key)
 	case RouteRange:
-		return p + "/range?lo=" + url.QueryEscape(r.Lo) + "&hi=" + url.QueryEscape(r.Hi)
-	}
-	p = "/repl" + p + "/shards/" + strconv.Itoa(r.Shard) + "/log?from=" + strconv.FormatUint(r.From, 10)
-	if r.Max > 0 {
-		p += "&max=" + strconv.Itoa(r.Max)
+		p += "?lo=" + url.QueryEscape(r.Lo) + "&hi=" + url.QueryEscape(r.Hi)
+	case RouteLog:
+		p += "?from=" + strconv.FormatUint(r.From, 10)
+		if r.Max > 0 {
+			p += "&max=" + strconv.Itoa(r.Max)
+		}
 	}
 	return p
 }
@@ -150,15 +181,10 @@ func (r *Request) String() string { return r.method() + " " + r.uri() }
 // before any of its answer came.
 func (r *Request) idempotent() bool { return r.method() == http.MethodGet }
 
-// headers calls f with each header r has over HTTP, one pair per value: a
-// RouteHTTP request's Header, a typed route's Content-Type and Accept, and
-// the fields either layout sends as headers there.
+// headers calls f with each header that stands for r's fields over HTTP: a
+// binary route's Content-Type and Accept, the epoch, the Forwarded flag and
+// the trace.
 func (r *Request) headers(f func(k, v string)) {
-	for k, vs := range r.Header {
-		for _, v := range vs {
-			f(k, v)
-		}
-	}
 	if media := r.Route.Media(); media != "" {
 		if r.Route == RouteOps {
 			ct := media
@@ -288,26 +314,19 @@ func ReadFrame(br *bufio.Reader, limit int64) (*[]byte, error) {
 // AppendRequest appends r's request frame to b.
 func AppendRequest(b []byte, r *Request) []byte {
 	start := len(b)
-	b = append(b, 0, 0, 0, 0, byte(r.Route))
-	if r.Route == RouteHTTP {
-		b = wire.AppendString(wire.AppendString(b, r.Method), r.URI)
-		n := 0
-		r.headers(func(string, string) { n++ })
-		b = wire.AppendInt(b, n)
-		r.headers(func(k, v string) { b = wire.AppendString(wire.AppendString(b, k), v) })
-	} else {
-		b = wire.AppendString(b, r.Feed)
-		switch r.Route {
-		case RouteGet:
-			b = wire.AppendString(b, r.Key)
-		case RouteRange:
-			b = wire.AppendString(wire.AppendString(b, r.Lo), r.Hi)
-		case RouteLog:
-			b = wire.AppendInt(wire.AppendUint(wire.AppendInt(b, r.Shard), r.From), r.Max)
-		}
-		b = append(wire.AppendUint(b, r.Epoch), r.Flags)
-		b = wire.AppendString(wire.AppendString(b, r.TraceID), r.Parent)
+	b = wire.AppendString(append(b, 0, 0, 0, 0, byte(r.Route)), r.Feed)
+	switch r.Route {
+	case RouteGet:
+		b = wire.AppendString(b, r.Key)
+	case RouteRange:
+		b = wire.AppendString(wire.AppendString(b, r.Lo), r.Hi)
+	case RouteLog:
+		b = wire.AppendInt(wire.AppendUint(wire.AppendInt(b, r.Shard), r.From), r.Max)
+	case RouteReplSnapshot:
+		b = wire.AppendInt(b, r.Shard)
 	}
+	b = append(wire.AppendUint(b, r.Epoch), r.Flags)
+	b = wire.AppendString(wire.AppendString(b, r.TraceID), r.Parent)
 	b = append(b, r.Body...)
 	binary.BigEndian.PutUint32(b[start:], uint32(len(b)-start-4))
 	return b
@@ -336,51 +355,33 @@ func str(d *wire.Reader, known ...string) string {
 	return string(b)
 }
 
-// readHeader decodes header pairs, their count checked against the bytes left
-// (a pair takes two at least) before anything is sized from it.
-func readHeader(d *wire.Reader) http.Header {
-	n := d.Int()
-	if n > d.Len()/2 {
-		d.Fail("%d header pairs in %d bytes", n, d.Len())
-		return nil
-	}
-	h := make(http.Header, n)
-	for range n {
-		k := d.OwnStr()
-		h.Add(k, d.OwnStr())
-	}
-	return h
-}
-
 // DecodeRequest decodes a request frame's payload into r; r.Body aliases p.
-// A typed frame naming the feed r already holds keeps r's string for it, so
-// a stream serving one feed allocates none per frame.
+// A frame naming the feed r already holds keeps r's string for it, so a
+// stream serving one feed allocates none per frame.
 func DecodeRequest(p []byte, r *Request) error {
 	d := wire.Borrow(p)
 	feed := r.Feed
 	*r = Request{Route: Route(d.Byte())}
-	switch {
-	case r.Route == RouteHTTP:
-		r.Method, r.URI = d.OwnStr(), d.OwnStr()
-		r.Header = readHeader(d)
-	case r.Route < NumRoutes:
-		r.Feed = str(d, feed)
-		switch r.Route {
-		case RouteGet:
-			r.Key = d.OwnStr()
-		case RouteRange:
-			r.Lo, r.Hi = d.OwnStr(), d.OwnStr()
-		case RouteLog:
-			r.Shard, r.From, r.Max = d.Int(), d.Uint(), d.Int()
-		}
-		r.Epoch, r.Flags = d.Uint(), d.Byte()
-		if r.Flags&^(Forwarded|JSONBody|JSONAnswer) != 0 {
-			d.Fail("request flags %#x", r.Flags)
-		}
-		r.TraceID, r.Parent = d.OwnStr(), d.OwnStr()
-	default:
+	if r.Route == 0 || r.Route >= NumRoutes {
 		d.Fail("route %d", r.Route)
+		return d.Err()
 	}
+	r.Feed = str(d, feed)
+	switch r.Route {
+	case RouteGet:
+		r.Key = d.OwnStr()
+	case RouteRange:
+		r.Lo, r.Hi = d.OwnStr(), d.OwnStr()
+	case RouteLog:
+		r.Shard, r.From, r.Max = d.Int(), d.Uint(), d.Int()
+	case RouteReplSnapshot:
+		r.Shard = d.Int()
+	}
+	r.Epoch, r.Flags = d.Uint(), d.Byte()
+	if r.Flags&^(Forwarded|JSONBody|JSONAnswer) != 0 {
+		d.Fail("request flags %#x", r.Flags)
+	}
+	r.TraceID, r.Parent = d.OwnStr(), d.OwnStr()
 	r.Body = d.Rest()
 	return d.Err()
 }

@@ -28,8 +28,9 @@ func allocated(f func()) uint64 {
 // readings.
 func allocLimit(p []byte) uint64 { return uint64(64*len(p) + 64<<10) }
 
-// frames are a request frame of every route, each with every field set, and
-// an answer frame with every field of its head set.
+// frames are request frames of the hot routes, of a JSON-bodied route, of
+// the snapshot route with its shard and of the last route, each with every
+// field set, and an answer frame with every field of its head set.
 func frames() [][]byte {
 	const ops = "application/x-grub-ops"
 	typed := func(r Request) []byte {
@@ -37,12 +38,13 @@ func frames() [][]byte {
 		return AppendRequest(nil, &r)
 	}
 	return [][]byte{
-		AppendRequest(nil, &Request{Method: "POST", URI: "/feeds/f/snapshot", Body: []byte("{}"),
-			Header: http.Header{"Content-Type": {ops}, "Accept": {ops}}, Epoch: 3, Flags: Forwarded, TraceID: "t", Parent: "p"}),
 		typed(Request{Route: RouteOps, Body: []byte{1, 2, 3}}),
 		typed(Request{Route: RouteGet, Key: "k"}),
 		typed(Request{Route: RouteRange, Lo: "a", Hi: "z"}),
 		typed(Request{Route: RouteLog, Shard: 2, From: 300, Max: 16}),
+		typed(Request{Route: RouteCreateFeed, Body: []byte(`{"id":"g","shards":2}`)}),
+		typed(Request{Route: RouteReplSnapshot, Shard: 3}),
+		typed(Request{Route: NumRoutes - 1, Body: []byte(`{"target":"http://b"}`)}),
 		append(AppendAnswer(nil, &Head{Status: 421, ContentType: ops, Leader: "http://a", RetryAfter: 1,
 			TraceID: "trace0123456789a", Spans: `[{"stage":"apply"}]`}, 4), "body"...),
 	}
@@ -57,14 +59,15 @@ func FuzzStreamFrame(f *testing.F) {
 	for _, p := range frames() {
 		f.Add(p)
 	}
-	req := frames()[1]
-	f.Add(req[:len(req)-3])                                                                 // truncated
-	f.Add(append(binary.BigEndian.AppendUint32(nil, 1<<31), 0, 'G', 'E', 'T'))              // oversize length
-	f.Add(withLen(append(wire.AppendString(wire.AppendString([]byte{0}, "GET"), "/"), 90))) // header count past the bytes
-	f.Add(withLen([]byte{0, 0x83, 0x00, 'G', 'E', 'T', 1, '/', 0}))                         // non-minimal string length
-	f.Add(withLen([]byte{0xc8, 0x81, 0x00, 0, 0, 0, 0, 0}))                                 // non-minimal status
-	f.Add(withLen([]byte{byte(NumRoutes), 1, 'f', 0, 0, 0, 0}))                             // unknown route
-	f.Add(withLen([]byte{byte(RouteOps), 1, 'f', 0, 0x80, 0, 0}))                           // unknown flag
+	req := frames()[0]
+	f.Add(req[:len(req)-3])                                                            // truncated
+	f.Add(append(binary.BigEndian.AppendUint32(nil, 1<<31), byte(RouteStats), 1, 'f')) // oversize length
+	f.Add(withLen([]byte{byte(RouteStats), 0x81, 0x00, 'f', 0, 0, 0, 0}))              // non-minimal string length
+	f.Add(withLen([]byte{byte(RouteReplSnapshot), 1, 'f', 0x90, 0, 0, 0, 0}))          // shard past the bytes
+	f.Add(withLen([]byte{0xc8, 0x81, 0x00, 0, 0, 0, 0, 0}))                            // non-minimal status
+	f.Add(withLen([]byte{0, 1, 'f', 0, 0, 0, 0}))                                      // route 0
+	f.Add(withLen([]byte{byte(NumRoutes), 1, 'f', 0, 0, 0, 0}))                        // unknown route
+	f.Add(withLen([]byte{byte(RouteOps), 1, 'f', 0, 0x80, 0, 0}))                      // unknown flag
 	f.Add([]byte(Goaway))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var buf *[]byte
@@ -112,7 +115,7 @@ func FuzzStreamFrame(f *testing.F) {
 // TestAppendAfterBytes: a frame appended after other bytes leaves them as they
 // are and reads back whole from where it starts.
 func TestAppendAfterBytes(t *testing.T) {
-	b := AppendRequest([]byte("xyz"), &Request{Method: "GET", URI: "/feeds/f/stats", Header: http.Header{"Accept": {"a"}}})
+	b := AppendRequest([]byte("xyz"), &Request{Route: RouteStats, Feed: "f", TraceID: "t"})
 	b = AppendRequest(b, &Request{Route: RouteGet, Feed: "f", Key: "k"})
 	b = append(AppendAnswer(b, &Head{Status: 201, Leader: "http://a"}, 2), "ok"...)
 	if string(b[:3]) != "xyz" {
@@ -124,7 +127,7 @@ func TestAppendAfterBytes(t *testing.T) {
 	if err == nil {
 		err = DecodeRequest(*in, &req)
 	}
-	if err != nil || req.Method != "GET" || req.URI != "/feeds/f/stats" || req.Header.Get("Accept") != "a" || len(req.Body) != 0 {
+	if err != nil || req.Route != RouteStats || req.Feed != "f" || req.TraceID != "t" || len(req.Body) != 0 {
 		t.Fatalf("request read back as %+v (%v)", req, err)
 	}
 	if in, err = ReadFrame(br, 1<<20); err == nil {

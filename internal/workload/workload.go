@@ -6,8 +6,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"grub/internal/sim"
 )
 
@@ -111,21 +109,4 @@ func randomValue(r *sim.Rand, n int) []byte {
 		v[i] = byte(r.Uint64())
 	}
 	return v
-}
-
-// MultiKeyRatio interleaves Ratio-style rounds over nKeys keys, modelling a
-// feed of many assets with a shared read/write ratio.
-func MultiKeyRatio(nKeys, writes, reads, rounds, valueBytes int, seed uint64) []Op {
-	r := sim.NewRand(seed)
-	var trace []Op
-	for i := 0; i < rounds; i++ {
-		key := fmt.Sprintf("asset-%04d", r.Intn(nKeys))
-		for w := 0; w < writes; w++ {
-			trace = append(trace, Write(key, randomValue(r, valueBytes)))
-		}
-		for q := 0; q < reads; q++ {
-			trace = append(trace, Read(key))
-		}
-	}
-	return trace
 }

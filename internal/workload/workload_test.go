@@ -232,17 +232,6 @@ func TestSampleBurstsApportionment(t *testing.T) {
 	}
 }
 
-func TestMultiKeyRatio(t *testing.T) {
-	trace := MultiKeyRatio(16, 1, 2, 50, 32, 1)
-	st := Describe(trace)
-	if st.Writes != 50 || st.Reads != 100 {
-		t.Fatalf("writes=%d reads=%d", st.Writes, st.Reads)
-	}
-	if st.Keys < 2 || st.Keys > 16 {
-		t.Fatalf("keys = %d", st.Keys)
-	}
-}
-
 func TestDescribeCountsScans(t *testing.T) {
 	trace := []Op{Scan("a", 5), Read("b"), Write("c", nil)}
 	st := Describe(trace)

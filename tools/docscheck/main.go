@@ -3,10 +3,11 @@
 //  1. Link check: every relative markdown link in README.md and docs/*.md
 //     points at a file that exists (and, for #fragment links, at a heading
 //     that exists, using GitHub's anchor slugging).
-//  2. Route guard, both ways: every HTTP route registered in
-//     internal/server/http.go is documented — docs/API.md must mention each
-//     route string verbatim — and every API.md heading of the form
-//     ### `METHOD /path` names a route http.go still registers.
+//  2. Route guard, both ways: every route of the gateway's route table
+//     (internal/stream/frame.go, which the gateway's mux registers) is
+//     documented — docs/API.md must mention each route string verbatim —
+//     and every API.md heading of the form ### `METHOD /path` names a route
+//     the table still holds.
 //  3. Metrics lint, both ways: every metric name (a "grub_..." string
 //     literal in non-test Go source under internal/ and cmd/) is
 //     documented — a newly registered metric must land in docs/API.md
@@ -320,26 +321,28 @@ type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
-// routeRe matches the pattern that opens an entry of the gateway's route
-// table, from which every route registers on the mux, e.g.
-// {"POST /feeds/{id}/ops", stream.RouteOps, (*api).ops},
-var routeRe = regexp.MustCompile(`(?m)^\s*\{"([A-Z]+ /[^"]*)",`)
+// routeTable is the source file that holds the gateway's route table.
+var routeTable = filepath.Join("internal", "stream", "frame.go")
+
+// routeRe matches the pattern of an entry of the gateway's route table, from
+// which every route registers on the mux, e.g.
+// RouteOps: {"POST /feeds/{id}/ops", OpsMediaType},
+var routeRe = regexp.MustCompile(`(?m)^\s*Route\w+:\s*\{"([A-Z]+ /[^"]*)",`)
 
 // routeHeadingRe matches an API.md route heading, e.g.
 // ### `POST /feeds/{id}/ops` — execute a batch.
 var routeHeadingRe = regexp.MustCompile("(?m)^### `([A-Z]+ /[^`]*)`")
 
-// checkRoutes asserts docs/API.md mentions every route registered in
-// internal/server/http.go, and that every route heading in it names a
-// registered route.
+// checkRoutes asserts docs/API.md mentions every route of the route table,
+// and that every route heading in it names a route the table holds.
 func checkRoutes(root string) ([]string, error) {
-	src, err := os.ReadFile(filepath.Join(root, "internal", "server", "http.go"))
+	src, err := os.ReadFile(filepath.Join(root, routeTable))
 	if err != nil {
-		return nil, fmt.Errorf("read handler source: %w", err)
+		return nil, fmt.Errorf("read route table: %w", err)
 	}
 	matches := routeRe.FindAllStringSubmatch(string(src), -1)
 	if len(matches) == 0 {
-		return nil, fmt.Errorf("no routes found in internal/server/http.go — route regexp out of date?")
+		return nil, fmt.Errorf("no routes found in %s — route regexp out of date?", routeTable)
 	}
 	api, err := os.ReadFile(filepath.Join(root, "docs", "API.md"))
 	if err != nil {
@@ -357,7 +360,7 @@ func checkRoutes(root string) ([]string, error) {
 	}
 	for _, m := range routeHeadingRe.FindAllStringSubmatch(apiText, -1) {
 		if !registered[m[1]] {
-			problems = append(problems, fmt.Sprintf("docs/API.md: heading documents route %q, which internal/server/http.go does not register", m[1]))
+			problems = append(problems, fmt.Sprintf("docs/API.md: heading documents route %q, which the route table in %s does not hold", m[1], routeTable))
 		}
 	}
 	return problems, nil

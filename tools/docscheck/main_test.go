@@ -71,8 +71,8 @@ func TestCatchesBrokenLink(t *testing.T) {
 	}
 	write("README.md", "[missing](docs/NOPE.md) and [bad anchor](docs/API.md#nope)")
 	write("docs/API.md", "# API\n\n`GET /feeds` only\n")
-	write("internal/server/http.go",
-		"package server\nvar routes = []route{\n\t{\"GET /feeds\", 0, nil},\n\t{\"POST /feeds/{id}/ops\", stream.RouteOps, (*api).ops},\n}\n")
+	write("internal/stream/frame.go",
+		"package stream\nvar routes = [NumRoutes]struct{ pattern, media string }{\n\tRouteListFeeds: {\"GET /feeds\", \"\"},\n\tRouteOps: {\"POST /feeds/{id}/ops\", OpsMediaType},\n}\n")
 
 	problems, err := run(root, nil)
 	if err != nil {
@@ -106,8 +106,8 @@ func TestCatchesUndocumentedMetric(t *testing.T) {
 	}
 	write("README.md", "")
 	write("docs/API.md", "# API\n\n`GET /feeds` and `grub_documented_total`.\n")
-	write("internal/server/http.go",
-		"package server\nvar routes = []route{\n\t{\"GET /feeds\", 0, nil},\n}\n")
+	write("internal/stream/frame.go",
+		"package stream\nvar routes = [NumRoutes]struct{ pattern, media string }{\n\tRouteListFeeds: {\"GET /feeds\", \"\"},\n}\n")
 	write("internal/server/metrics.go",
 		"package server\nconst a = \"grub_documented_total\"\nconst b = \"grub_missing_total\"\n")
 	write("internal/server/metrics_test.go",
@@ -147,8 +147,8 @@ func TestCatchesStaleGoRun(t *testing.T) {
 	write("README.md", "```sh\ngo run ./cmd/grubd -addr :8080\ngo run ./cmd/tracegen -trace ycsb\n```\n")
 	write("docs/API.md", "# API\n\n`GET /feeds`; run `go run ./internal/lib`.\n")
 	write(".claude/skills/verify/SKILL.md", "`go run ./examples/<quickstart|gone>`\n")
-	write("internal/server/http.go",
-		"package server\nvar routes = []route{\n\t{\"GET /feeds\", 0, nil},\n}\n")
+	write("internal/stream/frame.go",
+		"package stream\nvar routes = [NumRoutes]struct{ pattern, media string }{\n\tRouteListFeeds: {\"GET /feeds\", \"\"},\n}\n")
 	write("cmd/grubd/main.go", "// Command grubd.\npackage main\n\nfunc main() {}\n")
 	write("internal/lib/lib.go", "package lib\n")
 	write("internal/lib/lib_test.go", "package main\n")
@@ -175,7 +175,7 @@ func TestCatchesStaleGoRun(t *testing.T) {
 }
 
 // TestCatchesStaleRouteHeading pins the route guard's second direction: an
-// API.md heading for a route http.go no longer registers is flagged, while
+// API.md heading for a route the route table no longer holds is flagged, while
 // headings of registered routes and headings that name no route are not.
 func TestCatchesStaleRouteHeading(t *testing.T) {
 	root := t.TempDir()
@@ -183,26 +183,26 @@ func TestCatchesStaleRouteHeading(t *testing.T) {
 		"README.md": "",
 		"docs/API.md": "# API\n\n### `GET /feeds` — list\n\n### `GET /feeds/{id}/legacy` — gone\n\n" +
 			"### `grubtop` — a tool, not a route\n",
-		"internal/server/http.go": "package server\nvar routes = []route{\n\t{\"GET /feeds\", 0, nil},\n}\n",
+		"internal/stream/frame.go": "package stream\nvar routes = [NumRoutes]struct{ pattern, media string }{\n\tRouteListFeeds: {\"GET /feeds\", \"\"},\n}\n",
 	})
 	problems, err := run(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	joined := strings.Join(problems, "\n")
-	if len(problems) != 1 || !strings.Contains(joined, `route "GET /feeds/{id}/legacy", which internal/server/http.go does not register`) {
+	if len(problems) != 1 || !strings.Contains(joined, `route "GET /feeds/{id}/legacy", which the route table in internal/stream/frame.go does not hold`) {
 		t.Errorf("got %d problems, want the stale GET /feeds/{id}/legacy heading only:\n%s", len(problems), joined)
 	}
 }
 
-// TestNoRoutesFound pins that a handler source with no route table entry
+// TestNoRoutesFound pins that a route table source with no entry
 // the guard can read fails the check instead of passing it vacuously.
 func TestNoRoutesFound(t *testing.T) {
 	root := t.TempDir()
 	writeTree(t, root, map[string]string{
-		"README.md":               "",
-		"docs/API.md":             "# API\n\n`GET /feeds`\n",
-		"internal/server/http.go": "package server\nfunc x() {\n\tmux.HandleFunc(\"GET /feeds\", nil)\n}\n",
+		"README.md":                "",
+		"docs/API.md":              "# API\n\n`GET /feeds`\n",
+		"internal/stream/frame.go": "package stream\nfunc x() {\n\tmux.HandleFunc(\"GET /feeds\", nil)\n}\n",
 	})
 	if _, err := run(root, nil); err == nil || !strings.Contains(err.Error(), "no routes found") {
 		t.Errorf("run = %v, want the no-routes-found failure", err)
@@ -222,7 +222,7 @@ func TestCatchesStaleMetricRow(t *testing.T) {
 			"| `grub_runtime_total` | built at run time |\n" +
 			"| `grub_gone_total` | removed |\n" +
 			"| meaning | `grub_prose_only` |\n",
-		"internal/server/http.go":     "package server\nvar routes = []route{\n\t{\"GET /feeds\", 0, nil},\n}\n",
+		"internal/stream/frame.go":    "package stream\nvar routes = [NumRoutes]struct{ pattern, media string }{\n\tRouteListFeeds: {\"GET /feeds\", \"\"},\n}\n",
 		"internal/server/metrics.go":  "package server\nconst a = \"grub_kept_total\"\n",
 		"internal/server/old_test.go": "package server\nconst b = \"grub_gone_total\"\n",
 	})
