@@ -57,8 +57,8 @@ bench:
 #   - binary replication log encoding: arbitrary log pages likewise, and an
 #     accepted page re-encodes to the bytes it came from;
 #   - Go-to-Go stream frames: arbitrary bytes as a request frame of any
-#     route (route 0's header pairs, or a typed batch, get, range or log
-#     fetch's fixed fields) or as an answer frame must decode or error
+#     route (its feed, the route's fixed arguments, epoch, flags, trace
+#     and body) or as an answer frame must decode or error
 #     without panicking or allocating from a length or count they claim
 #     (truncated, oversize, non-minimal, unknown route or flag), and a frame
 #     that decodes re-encodes to one that decodes the same

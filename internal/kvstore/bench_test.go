@@ -8,8 +8,7 @@ import (
 // BenchmarkCheckpoint times the checkpoint in the shard persister's
 // snapshot step. Off the clock, each op logs 512 2 KiB batches, then writes
 // a 256 KiB snapshot record over the last one and deletes the log in one
-// batch; on the clock it checkpoints: the image rewrite, the WAL reset and
-// the memtable rebuild.
+// batch; on the clock it checkpoints: the image rewrite and the WAL reset.
 func BenchmarkCheckpoint(b *testing.B) {
 	db, err := Open(b.TempDir(), Options{})
 	if err != nil {

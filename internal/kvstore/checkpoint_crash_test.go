@@ -48,7 +48,7 @@ func copyFile(t *testing.T, src, dst string) {
 // key order.
 func dumpDB(db *DB) []byte {
 	var b bytes.Buffer
-	for it := db.NewIterator(); it.Valid(); it.Next() {
+	for it := db.NewIteratorFrom(nil); it.Valid(); it.Next() {
 		fmt.Fprintf(&b, "%q=%q\n", it.Key(), it.Value())
 	}
 	return b.Bytes()

@@ -2,16 +2,18 @@
 // store with a LevelDB-style write path, where the GRuB paper's prototype
 // keeps the storage provider's records in Google LevelDB. Here the record
 // set is an in-memory treap and the store's one production caller is the
-// shard persister, which appends one log record per applied batch, scans
-// the log range, and keeps a single snapshot key. The package provides what
-// that takes, in two files:
+// shard persister, which appends one log record per applied batch, deletes
+// the last one on a rollback, scans the log range on open, and keeps a
+// single snapshot key. The package provides what that takes: a map of the
+// live keys, each to its newest value, kept durable in two files:
 //
-//   - wal.log, a CRC-framed write-ahead log in front of an in-memory
-//     skiplist memtable that holds the whole store, and
+//   - wal.log, a CRC-framed write-ahead log of every write batch, and
 //   - base, the checkpoint image: the live set in the same framing,
 //     written by Checkpoint, which then restarts wal.log empty.
 //
-// Iterators walk keys in order with tombstone suppression, each a stable
+// A write sets its key in the map and a delete removes it, so the map
+// holds no old versions and no tombstones. An iterator copies and sorts
+// the live keys from its start key on when it is made, so it is a stable
 // view of the store as of its creation. There are no table files, levels
 // or background work: the caller's live set is one snapshot record plus the
 // log since it (docs/ARCHITECTURE.md, "Storage engine", has the measured
@@ -20,8 +22,6 @@
 package kvstore
 
 import (
-	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 )
@@ -34,27 +34,10 @@ const (
 	kindDelete
 )
 
-// internalKey orders user keys ascending and, within a user key, sequence
-// numbers descending so the newest version is met first during iteration.
-type internalKey struct {
-	user []byte
-	seq  uint64
-	kind entryKind
-}
-
-// compareInternal orders internal keys: user key ascending, then seq
-// descending (newer first).
-func compareInternal(a, b internalKey) int {
-	if c := bytes.Compare(a.user, b.user); c != 0 {
-		return c
-	}
-	return cmp.Compare(b.seq, a.seq)
-}
-
 // appendEntry serializes one entry as:
 //
 //	varint(len key) | key | varint(seq) | kind (1B) | varint(len val) | val
-func appendEntry(dst []byte, key []byte, seq uint64, kind entryKind, val []byte) []byte {
+func appendEntry(dst []byte, key string, seq uint64, kind entryKind, val []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
 	dst = binary.AppendUvarint(dst, seq)

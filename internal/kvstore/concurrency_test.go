@@ -64,7 +64,7 @@ func TestConcurrentReadersWriters(t *testing.T) {
 }
 
 // TestIterateWhileWriting walks iterators while another goroutine writes
-// and checkpoints. Under -race it pins that an iterator reads the memtable
+// and checkpoints. Under -race it pins that an iterator copies the live set
 // only under the read lock; in any run, that each walk is a stable, ordered
 // view holding at least the keys written before it began.
 func TestIterateWhileWriting(t *testing.T) {
@@ -90,7 +90,7 @@ func TestIterateWhileWriting(t *testing.T) {
 	}()
 	for walks := 0; ; walks++ {
 		floor := int(written.Load())
-		it := db.NewIterator()
+		it := db.NewIteratorFrom(nil)
 		var prev []byte
 		seen := 0
 		for ; it.Valid(); it.Next() {
@@ -173,7 +173,7 @@ func TestBaseCorruptionDetected(t *testing.T) {
 		sealFrame(buf)
 		for _, e := range entries {
 			start := len(buf)
-			buf = appendEntry(openFrame(buf), []byte(e.key), e.seq, e.kind, []byte("v"))
+			buf = appendEntry(openFrame(buf), e.key, e.seq, e.kind, []byte("v"))
 			sealFrame(buf[start:])
 		}
 		return buf
@@ -233,29 +233,6 @@ func TestLargeValues(t *testing.T) {
 	v, err := db.Get([]byte("big"))
 	if err != nil || !bytes.Equal(v, big) {
 		t.Fatalf("large value corrupted: len=%d err=%v", len(v), err)
-	}
-}
-
-func TestBatchReset(t *testing.T) {
-	db := openTemp(t, Options{})
-	b := NewBatch()
-	b.Put([]byte("a"), []byte("1"))
-	if b.Len() != 1 {
-		t.Fatalf("Len = %d", b.Len())
-	}
-	b.Reset()
-	if b.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", b.Len())
-	}
-	b.Put([]byte("b"), []byte("2"))
-	if err := db.Write(b); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Get([]byte("a")); !errors.Is(err, ErrNotFound) {
-		t.Fatal("reset batch still wrote the dropped op")
-	}
-	if v, _ := db.Get([]byte("b")); string(v) != "2" {
-		t.Fatal("batch after reset lost the new op")
 	}
 }
 

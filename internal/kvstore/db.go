@@ -29,16 +29,23 @@ type Options struct {
 }
 
 // DB is a key-value store: a checkpoint image plus a write-ahead log in
-// front of a memtable that holds everything. It is safe for concurrent use.
+// front of a map of the live keys. It is safe for concurrent use.
 type DB struct {
 	mu     sync.RWMutex
 	dir    string
 	opts   Options
-	mem    *memtable
+	live   map[string]version
 	log    *os.File // wal.log, opened for appending
 	logBuf []byte   // the last written frame, reused
 	seq    uint64   // last assigned sequence number
 	closed bool
+}
+
+// version is a live key's newest value and the seq of the write that set
+// it. val is never changed after it is stored, so iterators share it.
+type version struct {
+	val []byte
+	seq uint64
 }
 
 // Open opens (creating if necessary) the store in dir: it loads the
@@ -52,8 +59,8 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := sweepDir(dir); err != nil {
 		return nil, err
 	}
-	db := &DB{dir: dir, opts: opts, mem: newMemtable()}
-	base, err := loadBase(filepath.Join(dir, baseName), db.mem)
+	db := &DB{dir: dir, opts: opts, live: map[string]version{}}
+	base, err := loadBase(filepath.Join(dir, baseName), db.live)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +73,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		case seq <= db.seq:
 			return fmt.Errorf("entry seq %d after seq %d", seq, db.seq)
 		}
-		db.mem.add(clone(key), seq, kind, clone(val))
+		db.set(string(key), seq, kind, clone(val))
 		db.seq = seq
 		return nil
 	})
@@ -121,8 +128,8 @@ func (db *DB) Delete(key []byte) error {
 	return db.Write(b)
 }
 
-// Write applies a batch atomically: the whole batch is one WAL record and is
-// visible at a single sequence point.
+// Write applies a batch atomically: the whole batch is one WAL record, and
+// readers see all of it or none.
 func (db *DB) Write(b *Batch) error {
 	if len(b.ops) == 0 {
 		return nil
@@ -149,10 +156,20 @@ func (db *DB) Write(b *Batch) error {
 	for _, op := range b.ops {
 		db.seq++
 		// The batch's copies are never written again (Put and Delete copy
-		// afresh), so the memtable keeps them.
-		db.mem.add(op.key, db.seq, op.kind, op.val)
+		// afresh), so the map keeps them.
+		db.set(op.key, db.seq, op.kind, op.val)
 	}
 	return nil
+}
+
+// set applies one entry to the live set: a value replaces the key's
+// version, a tombstone removes the key.
+func (db *DB) set(key string, seq uint64, kind entryKind, val []byte) {
+	if kind == kindDelete {
+		delete(db.live, key)
+	} else {
+		db.live[key] = version{val: val, seq: seq}
+	}
 }
 
 // Get returns the current value of key.
@@ -162,16 +179,15 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	if db.closed {
 		return nil, ErrClosed
 	}
-	n := db.mem.seek(key)
-	if n == nil || string(n.key.user) != string(key) || n.key.kind == kindDelete {
+	v, ok := db.live[string(key)]
+	if !ok {
 		return nil, ErrNotFound
 	}
-	return clone(n.val), nil
+	return clone(v.val), nil
 }
 
 // Checkpoint installs the store's live set as the new checkpoint image and
-// restarts the WAL empty, so a reopen replays no log. The memtable keeps
-// only the live versions: dead versions and tombstones go. The order is
+// restarts the WAL empty, so a reopen replays no log. The order is
 // crash-safe: a crash before the image's rename leaves the old image and
 // the full WAL; a crash after it replays nothing the image holds.
 func (db *DB) Checkpoint() error {
@@ -180,16 +196,9 @@ func (db *DB) Checkpoint() error {
 	if db.closed {
 		return ErrClosed
 	}
-	live := newMemtable()
-	for n := db.mem.first(); n != nil; _, n = visible(n, db.seq) {
-		if n.key.kind == kindValue { // n is its key's newest version
-			live.add(n.key.user, n.key.seq, kindValue, n.val)
-		}
-	}
-	if err := writeBase(db.dir, db.seq, live, db.opts.SyncWrites); err != nil {
+	if err := writeBase(db.dir, db.seq, db.live, db.opts.SyncWrites); err != nil {
 		return err
 	}
-	db.mem = live
 	if err := db.log.Truncate(0); err != nil {
 		return fmt.Errorf("kvstore: reset wal: %w", err)
 	}
@@ -224,7 +233,7 @@ type Batch struct {
 }
 
 type batchOp struct {
-	key  []byte
+	key  string
 	val  []byte
 	kind entryKind
 }
@@ -234,16 +243,10 @@ func NewBatch() *Batch { return &Batch{} }
 
 // Put records an insert/overwrite in the batch.
 func (b *Batch) Put(key, value []byte) {
-	b.ops = append(b.ops, batchOp{key: clone(key), val: clone(value), kind: kindValue})
+	b.ops = append(b.ops, batchOp{key: string(key), val: clone(value), kind: kindValue})
 }
 
 // Delete records a deletion in the batch.
 func (b *Batch) Delete(key []byte) {
-	b.ops = append(b.ops, batchOp{key: clone(key), kind: kindDelete})
+	b.ops = append(b.ops, batchOp{key: string(key), kind: kindDelete})
 }
-
-// Len returns the number of operations in the batch.
-func (b *Batch) Len() int { return len(b.ops) }
-
-// Reset empties the batch for reuse.
-func (b *Batch) Reset() { b.ops = b.ops[:0] }

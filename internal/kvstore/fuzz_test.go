@@ -151,7 +151,7 @@ func openAs(t *testing.T, name string, data []byte) (string, *DB, error) {
 
 func contents(db *DB) map[string]string {
 	out := map[string]string{}
-	for it := db.NewIterator(); it.Valid(); it.Next() {
+	for it := db.NewIteratorFrom(nil); it.Valid(); it.Next() {
 		out[string(it.Key())] = string(it.Value())
 	}
 	return out

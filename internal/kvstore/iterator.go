@@ -1,71 +1,59 @@
 package kvstore
 
-// Iterator walks live user keys in ascending order as of its creation:
-// versions written after it was made, and tombstones, are skipped. It reads
-// the memtable under the DB's read lock one step at a time, so writers may
-// run between steps; a Checkpoint swaps in a new memtable but leaves the
-// iterator's own, which is never changed again, in place. Key and Value
-// must not be modified; they stay valid after the iterator moves on.
+import (
+	"bytes"
+	"slices"
+)
+
+// Iterator walks live keys in ascending order as of its creation: it holds
+// its own sorted copy of the live set from its start key on, so writes and
+// checkpoints that land while it is walked stay hidden from it. Key and
+// Value must not be modified; they stay valid after the iterator moves on.
 type Iterator struct {
-	db       *DB
-	mem      *memtable
-	seq      uint64    // snapshot: the newest version visible
-	n        *skipNode // first node of the next user key to consider
-	key, val []byte
-	valid    bool
+	ents []entry // the entries not yet walked, the current one first
 }
 
-// NewIterator returns an iterator over all live keys as of the call: writes
-// that land while it is being walked stay invisible to it.
-func (db *DB) NewIterator() *Iterator { return db.NewIteratorFrom(nil) }
+type entry struct{ key, val []byte }
 
 // NewIteratorFrom returns an iterator positioned at the first live key >=
 // start, as of the call. Durability layers that keep sequenced logs
-// under ordered keys (the shard op log, replication catch-up) use it to tail
-// from a cursor without scanning the keyspace below it.
+// under ordered keys (the shard op log) use it to read from a cursor
+// without walking the keyspace below it.
 func (db *DB) NewIteratorFrom(start []byte) *Iterator {
 	db.mu.RLock()
-	defer db.mu.RUnlock()
-	it := &Iterator{db: db, mem: db.mem, seq: db.seq}
-	it.n = it.mem.seek(start)
-	it.advance()
+	it := &Iterator{ents: make([]entry, 0, len(db.live))}
+	for key, v := range db.live {
+		if key >= string(start) {
+			it.ents = append(it.ents, entry{key: []byte(key), val: v.val})
+		}
+	}
+	db.mu.RUnlock()
+	slices.SortFunc(it.ents, func(a, b entry) int { return bytes.Compare(a.key, b.key) })
 	return it
 }
 
-// advance moves to the first live key at or after it.n. The caller holds
-// the read lock.
-func (it *Iterator) advance() {
-	for it.n != nil {
-		var v *skipNode
-		v, it.n = visible(it.n, it.seq)
-		if v != nil && v.key.kind == kindValue {
-			it.key, it.val, it.valid = v.key.user, v.val, true
-			return
-		}
-	}
-	it.key, it.val, it.valid = nil, nil, false
-}
-
-// Seek repositions the iterator at the first live key >= user.
-func (it *Iterator) Seek(user []byte) {
-	it.db.mu.RLock()
-	defer it.db.mu.RUnlock()
-	it.n = it.mem.seek(user)
-	it.advance()
-}
-
-// Next advances to the next live user key.
+// Next advances to the next live key.
 func (it *Iterator) Next() {
-	it.db.mu.RLock()
-	defer it.db.mu.RUnlock()
-	it.advance()
+	if it.Valid() {
+		it.ents = it.ents[1:]
+	}
 }
 
 // Valid reports whether the iterator is positioned at a live entry.
-func (it *Iterator) Valid() bool { return it.valid }
+func (it *Iterator) Valid() bool { return len(it.ents) > 0 }
 
-// Key returns the current user key.
-func (it *Iterator) Key() []byte { return it.key }
+// Key returns the current key, or nil past the end.
+func (it *Iterator) Key() []byte {
+	if !it.Valid() {
+		return nil
+	}
+	return it.ents[0].key
+}
 
-// Value returns the current value.
-func (it *Iterator) Value() []byte { return it.val }
+// Value returns the current value, or nil past the end.
+func (it *Iterator) Value() []byte {
+	if !it.Valid() {
+		return nil
+	}
+	return it.ents[0].val
+}

@@ -21,15 +21,15 @@ func collect(it *Iterator) map[string]string {
 }
 
 // TestIteratorFromPastEverySource seeks beyond the last key of every
-// shape a store takes: memtable only, loaded from an image, and an image
-// with a WAL over it. The iterator must be exhausted, and a later Seek back
-// into range must find every key again.
+// shape a store takes: WAL only, loaded from an image, and an image with a
+// WAL over it. The iterator must be exhausted, and a later iterator from
+// back in range must find every key again.
 func TestIteratorFromPastEverySource(t *testing.T) {
 	shapes := []struct {
 		name  string
 		build func(t *testing.T, db *DB)
 	}{
-		{"memtable only", func(t *testing.T, db *DB) {
+		{"wal only", func(t *testing.T, db *DB) {
 			for i := 0; i < 8; i++ {
 				mustPut(t, db, fmt.Sprintf("k%02d", i), "m")
 			}
@@ -80,11 +80,10 @@ func TestIteratorFromPastEverySource(t *testing.T) {
 			if it.Valid() {
 				t.Fatalf("Next on exhausted iterator revived it, at %q", it.Key())
 			}
-			// Seeking back into range must see every key again.
-			it.Seek([]byte("k00"))
-			got := collect(it)
+			// An iterator from back in range must see every key again.
+			got := collect(db.NewIteratorFrom([]byte("k00")))
 			if len(got) < 8 {
-				t.Fatalf("re-seek after exhaustion lost keys: %v", got)
+				t.Fatalf("iterator from k00 after exhaustion lost keys: %v", got)
 			}
 		})
 	}
@@ -111,7 +110,7 @@ func TestIteratorOverReopenedBase(t *testing.T) {
 	}
 	defer db.Close()
 
-	got := collect(db.NewIterator())
+	got := collect(db.NewIteratorFrom(nil))
 	if len(got) != 10 || got["k00"] != "v0" || got["k09"] != "v9" {
 		t.Fatalf("full scan of the reopened image: %v", got)
 	}
@@ -142,7 +141,7 @@ func TestIteratorOverReopenedBase(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if it := db.NewIterator(); it.Valid() {
+	if it := db.NewIteratorFrom(nil); it.Valid() {
 		t.Fatalf("fully-tombstoned store yields %q", it.Key())
 	}
 }
@@ -198,10 +197,9 @@ func TestIteratorSeekDuplicateVersions(t *testing.T) {
 	}
 
 	// An iterator opened before a further overwrite keeps its view when it
-	// seeks afterwards.
-	at := db.NewIterator()
+	// is walked afterwards.
+	at := db.NewIteratorFrom([]byte("dup"))
 	mustPut(t, db, "dup", "v5")
-	at.Seek([]byte("dup"))
 	if !at.Valid() || string(at.Key()) != "dup" || string(at.Value()) != "v4" {
 		t.Fatalf("earlier iterator sees %q=%q, want dup=v4", at.Key(), at.Value())
 	}

@@ -62,8 +62,8 @@ func TestNewIteratorFrom(t *testing.T) {
 
 // TestSeekAfterSourceExhaustion pins a bug the replication catch-up path
 // exposed in an earlier merging iterator: after a checkpoint and a WAL
-// replay of exactly one live key, Seek to that key silently lost it. Seek
-// must find every key the store holds.
+// replay of exactly one live key, Seek to that key silently lost it. An
+// iterator from a key must find every key the store holds.
 func TestSeekAfterSourceExhaustion(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{})

@@ -44,7 +44,7 @@ func runModelCheck(t *testing.T, seed int64, background bool) {
 			cur := db
 			mu.Unlock()
 			var prev []byte
-			for it := cur.NewIterator(); it.Valid(); it.Next() {
+			for it := cur.NewIteratorFrom(nil); it.Valid(); it.Next() {
 				if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
 					t.Errorf("reader: iterator order violation: %q then %q", prev, it.Key())
 					return
@@ -94,7 +94,7 @@ func runModelCheck(t *testing.T, seed int64, background bool) {
 		t.Helper()
 		got := make(map[string]string)
 		var prev []byte
-		for it := db.NewIterator(); it.Valid(); it.Next() {
+		for it := db.NewIteratorFrom(nil); it.Valid(); it.Next() {
 			if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
 				t.Fatalf("step %d: iterator order violation: %q then %q", step, prev, it.Key())
 			}

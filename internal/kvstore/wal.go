@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // Both files on disk are sequences of CRC-checked frames:
@@ -110,18 +112,18 @@ func replayWAL(path string, apply entryFunc) (validLen, size int64, err error) {
 	return int64(len(data) - len(rest)), int64(len(data)), nil
 }
 
-// writeBase installs m's entries, which must all be live values, as the
-// checkpoint image at seq: written to base.tmp, then renamed over base.
+// writeBase installs the live set as the checkpoint image at seq, in
+// ascending key order: written to base.tmp, then renamed over base.
 // With syncFile set, the file is synced before the rename and the directory
 // after it, so the image is durable before the caller resets the WAL.
-func writeBase(dir string, seq uint64, m *memtable, syncFile bool) error {
+func writeBase(dir string, seq uint64, live map[string]version, syncFile bool) error {
 	buf := append(openFrame(nil), baseMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.count))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(live)))
 	sealFrame(buf)
-	for n := m.first(); n != nil; n = n.next[0] {
+	for _, key := range slices.Sorted(maps.Keys(live)) {
 		start := len(buf)
-		buf = appendEntry(openFrame(buf), n.key.user, n.key.seq, n.key.kind, n.val)
+		buf = appendEntry(openFrame(buf), key, live[key].seq, kindValue, live[key].val)
 		sealFrame(buf[start:])
 	}
 	tmp := filepath.Join(dir, baseTmpName)
@@ -154,11 +156,11 @@ func writeBase(dir string, seq uint64, m *memtable, syncFile bool) error {
 var errCorruptBase = errors.New("kvstore: corrupt base")
 
 // loadBase validates the checkpoint image at path and loads copies of its
-// entries into m, returning the image's seq (0 when there is none).
+// entries into live, returning the image's seq (0 when there is none).
 // Validation is strict: every frame intact, the header's magic and entry
 // count right, keys strictly ascending, only live values, and no entry
-// newer than the image. On an error the caller discards m.
-func loadBase(path string, m *memtable) (uint64, error) {
+// newer than the image. On an error the caller discards live.
+func loadBase(path string, live map[string]version) (uint64, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
@@ -183,7 +185,7 @@ func loadBase(path string, m *memtable) (uint64, error) {
 		case n > 0 && bytes.Compare(prev, key) >= 0:
 			return fmt.Errorf("key %q out of order", key)
 		}
-		m.add(clone(key), s, kindValue, clone(val))
+		live[string(key)] = version{val: clone(val), seq: s}
 		prev = key
 		n++
 		return nil

@@ -205,7 +205,7 @@ func TestSnapshotWALMergedView(t *testing.T) {
 	}
 	got := map[string]string{}
 	last := ""
-	for it := db2.NewIterator(); it.Valid(); it.Next() {
+	for it := db2.NewIteratorFrom(nil); it.Valid(); it.Next() {
 		k := string(it.Key())
 		if last != "" && k <= last {
 			t.Fatalf("iterator out of order: %q after %q", k, last)
@@ -267,7 +267,7 @@ func TestSnapshotWALTornTailMergedView(t *testing.T) {
 	}
 	defer db2.Close()
 	got := map[string]string{}
-	for it := db2.NewIterator(); it.Valid(); it.Next() {
+	for it := db2.NewIteratorFrom(nil); it.Valid(); it.Next() {
 		got[string(it.Key())] = string(it.Value())
 	}
 	want := map[string]string{"flushed": "f", "intact": "i"}

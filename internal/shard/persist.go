@@ -35,7 +35,9 @@ import (
 // image (if any) through the step a follower installs a leader's image with,
 // which checks the restored state against the image's anchor, so a store
 // whose image does not hash to its own anchor fails to open; it then replays
-// the log records above the image in sequence order.
+// the log records above the image in sequence order, and refuses a log with
+// a missing seq or a record whose seq is not its key's, naming the key and
+// the seq it expected.
 
 // PersistOptions configures per-shard durability.
 type PersistOptions struct {
@@ -108,7 +110,7 @@ type persister struct {
 	db            *kvstore.DB
 	snapshotEvery int
 
-	key, rec      []byte // the last appended batch's log key and record, reused
+	key, rec      []byte // log key and record buffers, reused by appends (key by recovery too)
 	nextSeq       uint64 // sequence the next logged batch gets
 	loggedBatches int    // log records since the last snapshot
 	snapshots     int
@@ -208,8 +210,9 @@ func (p *persister) stat() PersistStat {
 // recover loads the shard's durable state into st: the stored image, when
 // there is one, through install — refused, and the store with it, unless it
 // hashes to its own anchor — or else a fresh feed from build; then every log
-// record above it replays through the normal apply path. Ops, batches and
-// base gas continue from where the previous process stopped.
+// record above it replays through the normal apply path, and a store whose
+// log skips a seq is refused. Ops, batches and base gas continue from where
+// the previous process stopped.
 func (p *persister) recover(st *shardState, build func(int) (*core.Feed, error)) error {
 	raw, err := p.db.Get([]byte(snapKey))
 	switch {
@@ -242,9 +245,11 @@ func (p *persister) recover(st *shardState, build func(int) (*core.Feed, error))
 	// fixed-width hex key preserves numeric order). Every replayed batch
 	// re-anchors into the replication log, so a follower that was tailing
 	// this shard before the crash resumes without a bootstrap as long as
-	// its cursor is above the image.
-	from := p.nextSeq
-	for it := p.db.NewIteratorFrom(logKey(from)); it.Valid(); it.Next() {
+	// its cursor is above the image. The records must run without a gap
+	// from just above the image, each under its own seq's key: a missing
+	// batch would leave the shard a batch short while later ones still
+	// count it.
+	for it := p.db.NewIteratorFrom(logKey(p.nextSeq)); it.Valid(); it.Next() {
 		if !bytes.HasPrefix(it.Key(), []byte(logKeyPrefix)) {
 			break // past the log keyspace
 		}
@@ -252,8 +257,9 @@ func (p *persister) recover(st *shardState, build func(int) (*core.Feed, error))
 		if err != nil {
 			return fmt.Errorf("shard: corrupt log record %q: %w", it.Key(), err)
 		}
-		if seq < from {
-			continue
+		p.key = appendLogKey(p.key[:0], p.nextSeq)
+		if seq != p.nextSeq || !bytes.Equal(it.Key(), p.key) {
+			return fmt.Errorf("shard: log record %q holds seq %d, want %q with seq %d", it.Key(), seq, p.key, p.nextSeq)
 		}
 		if kind != kvstore.RecordOpsWire {
 			return fmt.Errorf("shard: log record %q has kind %d, not a batch (kind %d)", it.Key(), kind, kvstore.RecordOpsWire)
@@ -267,7 +273,7 @@ func (p *persister) recover(st *shardState, build func(int) (*core.Feed, error))
 		if st.repl != nil {
 			st.repl.append(entry)
 		}
-		p.nextSeq = max(p.nextSeq, seq+1)
+		p.nextSeq++
 	}
 	return nil
 }

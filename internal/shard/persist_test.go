@@ -425,3 +425,56 @@ func TestRecoverWithOptionsRestore(t *testing.T) {
 		t.Errorf("restored anchors diverge:\n got %+v\nwant %+v", got, want)
 	}
 }
+
+// TestRecoverRefusesLogGap: recovery replays only a log whose records run
+// on from the image without a gap, each under its own seq's key. A store
+// with a middle record deleted, or with a record whose header seq is not
+// its key's, fails New with an error naming the key and the seq expected,
+// rather than recover a batch short while its sequence counts the batch.
+func TestRecoverRefusesLogGap(t *testing.T) {
+	cases := []struct {
+		name   string
+		tamper func(db *kvstore.DB) error
+		key    []byte // the record the error must name
+	}{
+		{"deleted middle record", func(db *kvstore.DB) error {
+			return db.Delete(logKey(4))
+		}, logKey(5)},
+		{"header seq disagrees with its key", func(db *kvstore.DB) error {
+			raw, err := db.Get(logKey(4))
+			if err != nil {
+				return err
+			}
+			_, _, payload, err := kvstore.DecodeTypedRecord(raw)
+			if err != nil {
+				return err
+			}
+			return db.Put(logKey(4), kvstore.EncodeRecord(kvstore.RecordOpsWire, 5, payload))
+		}, logKey(4)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sf := newPersistent(t, dir, 1, 0, false)
+			drive(t, sf, persistBatches(10, 8, 7))
+			sf.Kill()
+			db, err := kvstore.Open(shardDir(dir, 0), kvstore.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.tamper(db); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, err = New(persistOptions(dir, 1, 0, false), buildTestFeed)
+			if err == nil {
+				t.Fatal("New replayed the tampered log")
+			}
+			if msg := err.Error(); !strings.Contains(msg, string(c.key)) || !strings.Contains(msg, "seq 4") {
+				t.Errorf("New = %q, want an error naming key %q and seq 4", msg, c.key)
+			}
+		})
+	}
+}
