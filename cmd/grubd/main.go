@@ -228,8 +228,7 @@ func serve(sc serveConfig, gopts server.GatewayOptions, w io.Writer, onReady fun
 		}
 		node, err = cluster.NewNode(cluster.Options{
 			Self: self, NodeID: sc.nodeID, Peers: peers, Observer: sc.follow != "",
-			Local: g.ClusterLocal(), StatePath: statePath,
-			LoadDigest: g.Load().Snapshot,
+			Local: g, StatePath: statePath,
 		})
 		if err != nil {
 			ln.Close()

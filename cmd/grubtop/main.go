@@ -1,6 +1,7 @@
 // Command grubtop is a terminal cluster-load viewer for grubd. It polls
-// one node's GET /cluster/load and GET /cluster/status — any node will
-// do, since heartbeats replicate every member's load digest — and renders
+// one node's GET /cluster/load and GET /cluster/status over a Go-to-Go
+// stream, through a cluster.Client as a peer would — any node will do,
+// since heartbeats replicate every member's load digest — and renders
 // the cluster's heat each frame: per-node throughput with digest
 // freshness, the hottest feeds (cluster-wide EWMA ops/sec and gas/sec,
 // with owner), heartbeat lag, and any halted shards. Pointed at a
@@ -13,7 +14,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -46,9 +46,10 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	httpc := &http.Client{Timeout: 5 * time.Second}
+	c := &cluster.Client{HTTP: &http.Client{Timeout: 5 * time.Second}}
+	defer c.Close()
 	for i := 0; ; i++ {
-		err := renderFrame(w, httpc, *node, *top, !*noClear)
+		err := renderFrame(w, c, *node, *top, !*noClear)
 		if err != nil {
 			if i == 0 {
 				return err // unreachable from the start: fail loudly
@@ -64,33 +65,21 @@ func run(args []string, w io.Writer) error {
 	}
 }
 
-func getJSON(httpc *http.Client, node string, rt stream.Route, v any) error {
-	req, err := stream.NewHTTPRequest(context.Background(), node, &stream.Request{Route: rt})
+func renderFrame(w io.Writer, c *cluster.Client, node string, top int, clear bool) error {
+	ans, err := c.Send(node, &stream.Request{Route: stream.RouteClusterLoad})
 	if err != nil {
 		return err
 	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return err
+	defer ans.Close()
+	if ans.Status != http.StatusOK {
+		return fmt.Errorf("%s: %s", stream.RouteClusterLoad.Pattern(), ans.ErrorText())
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %d", req.URL, resp.StatusCode)
-	}
-	return json.Unmarshal(data, v)
-}
-
-func renderFrame(w io.Writer, httpc *http.Client, node string, top int, clear bool) error {
 	var load server.LoadResponse
-	if err := getJSON(httpc, node, stream.RouteClusterLoad, &load); err != nil {
+	if err := json.Unmarshal(ans.Body, &load); err != nil {
 		return err
 	}
-	var st cluster.Status
-	if err := getJSON(httpc, node, stream.RouteClusterStatus, &st); err != nil {
+	st, err := c.Status(node)
+	if err != nil {
 		return err
 	}
 	if clear {

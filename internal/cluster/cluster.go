@@ -1,5 +1,5 @@
 // Package cluster turns N independent grubd gateways into a self-routing
-// cluster: feeds are placed across nodes by consistent hashing, every node
+// cluster: feeds are placed across nodes by rendezvous hashing, every node
 // accepts every request (non-owners transparently forward writes to the
 // owner and serve verified reads from their local replica), ownership moves
 // live via verified-snapshot migration, and a dead owner's feeds fail over
@@ -28,13 +28,16 @@
 //     before promoting, and migration flips ownership only once the
 //     target's anchors equal the fenced source's exactly.
 //
-// The ring (consistent hashing over the static member URLs) supplies only
-// defaults and the failover order — which node a new feed lands on, and who
-// is next in line when an owner dies. The placement map is authoritative.
+// Rendezvous hashing over the static member URLs supplies only defaults and
+// the failover order: every member has one score per feed, a new feed lands
+// on the highest-scoring member, and when a feed's owner dies the
+// highest-scoring survivor takes it over. The successor is chosen per feed,
+// so a dead owner's feeds spread over every survivor. The placement map is
+// authoritative.
 //
 // An observer (Options.Observer, grubd -follow) is a node that never owns:
 // it heartbeats the members and tails every feed like any non-owner, but
-// its own URL is not a member, so it is never on the ring, never a
+// its own URL is not a member, so it is never scored for placement, never a
 // failover successor and never counted for quorum. Since every read it
 // serves is checked against the owner's anchors, it needs no more trust
 // than a member does.
@@ -43,6 +46,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"slices"
 	"sort"
@@ -83,7 +87,7 @@ var (
 
 // Local is the cluster node's view of its co-located gateway: the engine
 // feeds replicate into plus the handful of read-only hooks placement and
-// promotion need. server.Gateway adapts itself to it (Gateway.ClusterLocal).
+// promotion need. *server.Gateway implements it.
 type Local interface {
 	repl.Target
 	// Feeds lists the locally hosted feed IDs.
@@ -96,12 +100,15 @@ type Local interface {
 	// Pipeline receives the peer followers' follower_fetch and
 	// follower_verify latencies (nil: not observed).
 	Pipeline() *obs.Pipeline
+	// Load is the gateway's per-feed load tracker; the hottest feeds of its
+	// snapshot piggyback on every heartbeat (nil: no digest).
+	Load() *obs.LoadTracker
 }
 
 // Options configures a Node.
 type Options struct {
 	// Self is this node's advertised base URL ("http://host:port") — its
-	// identity on the ring and in the placement map.
+	// identity in placement and in the placement map.
 	Self string
 	// NodeID is a display name (default: Self).
 	NodeID string
@@ -111,8 +118,8 @@ type Options struct {
 	// rule and the failover order deterministic.
 	Peers []string
 	// Observer makes this node one that never owns (grubd -follow):
-	// Self is left out of the member set, so the node is never on the
-	// ring, never a failover successor and never counted for quorum. It
+	// Self is left out of the member set, so the node never owns a feed,
+	// is never a failover successor and is never counted for quorum. It
 	// tails every feed from its owner and forwards every write. Peers
 	// names the members it observes; members need not list it.
 	Observer bool
@@ -131,13 +138,9 @@ type Options struct {
 	// MoveTimeout bounds one live migration (default 30s).
 	MoveTimeout time.Duration
 	// HTTP configures every hop to a peer (default: 5s timeout):
-	// heartbeats, anchor fetches, tailers and forwarded writes ride
-	// Go-to-Go streams (stream.Pool.Send); the metrics scrape is HTTP.
+	// heartbeats, anchor fetches, tailers, forwarded writes and the
+	// federated metrics scrape ride Go-to-Go streams (stream.Pool.Send).
 	HTTP *http.Client
-	// LoadDigest, when non-nil, supplies this node's per-feed load
-	// digest (hottest feeds first); it piggybacks on every heartbeat so
-	// each member holds a cluster-wide hot-feed view.
-	LoadDigest func() []obs.FeedLoad
 }
 
 func (o Options) withDefaults() Options {
@@ -181,7 +184,6 @@ type tailState struct {
 type Node struct {
 	opts    Options
 	members []string // sorted; includes Self unless Observer
-	ring    *Ring
 	pm      *Map
 	local   Local
 	client  *Client
@@ -245,7 +247,6 @@ func NewNode(opts Options) (*Node, error) {
 	return &Node{
 		opts:       opts,
 		members:    members,
-		ring:       NewRing(members),
 		pm:         pm,
 		local:      opts.Local,
 		client:     &Client{HTTP: opts.HTTP},
@@ -268,8 +269,7 @@ func (n *Node) ID() string { return n.opts.NodeID }
 // this node is an observer).
 func (n *Node) Members() []string { return append([]string(nil), n.members...) }
 
-// Epoch returns the highest placement epoch this node knows (the "ring
-// epoch").
+// Epoch returns the highest placement epoch this node knows.
 func (n *Node) Epoch() uint64 { return n.pm.Epoch() }
 
 // Placement returns a feed's placement entry.
@@ -419,9 +419,9 @@ func (n *Node) reconcile() {
 		known[e.Feed] = true
 	}
 	// Recovered-but-unplaced feeds (all nodes restarted, empty maps): the
-	// ring-default owner — one deterministic member — claims each.
+	// default owner — one deterministic member — claims each.
 	for _, id := range n.local.Feeds() {
-		if !known[id] && n.ring.Owner(id, nil) == n.opts.Self {
+		if !known[id] && n.place(id, "", nil) == n.opts.Self {
 			n.pm.Merge(Entry{Feed: id, Owner: n.opts.Self, Epoch: 1})
 		}
 	}
@@ -438,11 +438,11 @@ func (n *Node) reconcile() {
 }
 
 // followOrPromote handles a feed someone else owns: normally ensure a tail
-// against the owner; when the owner is dead and we are its ring successor,
+// against the owner; when the owner is dead and we are the feed's successor,
 // run the promotion state machine instead.
 func (n *Node) followOrPromote(e Entry) {
 	if !n.alive(e.Owner) && n.hasQuorum() {
-		if succ := n.ring.Successor(e.Owner, n.alive); succ == n.opts.Self {
+		if succ := n.place(e.Feed, e.Owner, n.alive); succ == n.opts.Self {
 			if n.tryPromote(e) {
 				return
 			}
@@ -611,14 +611,52 @@ func (n *Node) dropFeed(feed string) {
 }
 
 // PlaceFeed returns the URL that should host a new feed: the current
-// placement owner if one exists (and is not tombstoned), else the ring
-// default over alive members. "" means nobody qualifies (no quorum view at
+// placement owner if one exists (and is not tombstoned), else the default
+// owner among alive members. "" means nobody qualifies (no quorum view at
 // all — callers surface 503).
 func (n *Node) PlaceFeed(feed string) string {
 	if e, ok := n.pm.Get(feed); ok && !e.Deleted {
 		return e.Owner
 	}
-	return n.ring.Owner(feed, n.alive)
+	return n.place(feed, "", n.alive)
+}
+
+// place is rendezvous hashing over the members: of those ok accepts (nil
+// accepts all), other than skip, the one with the highest score for feed,
+// ties going to the smaller URL; "" when none qualifies. With skip "" it is
+// a feed's default owner; with skip its dead owner, the feed's failover
+// successor. Every node computes the same answer from the same member set.
+func (n *Node) place(feed, skip string, ok func(member string) bool) string {
+	best, bestScore := "", uint64(0)
+	for _, m := range n.members { // sorted, so a tie keeps the smaller URL
+		if m == skip || ok != nil && !ok(m) {
+			continue
+		}
+		if s := score(feed, m); best == "" || s > bestScore {
+			best, bestScore = m, s
+		}
+	}
+	return best
+}
+
+// score is member's rendezvous weight for feed: FNV-1a over both strings,
+// then the splitmix64 finalizer. FNV-1a alone diffuses the last bytes through
+// only one multiply, so members whose URLs differ only at the tail
+// ("node-1", "node-2") would score feeds in correlated order; the
+// finalizer's shift-xor-multiply rounds spread every input bit across all
+// 64.
+func score(feed, member string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(feed))
+	h.Write([]byte{0}) // ("ab", "c") and ("a", "bc") hash apart
+	h.Write([]byte(member))
+	x := h.Sum64()
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // ClaimFeed records this node as a feed's owner (after creating it

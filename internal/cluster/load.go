@@ -29,13 +29,10 @@ type nodeLoadState struct {
 	at    time.Time
 }
 
-// loadDigest snapshots this node's own digest via the Options hook,
-// truncated to the heartbeat cap.
+// loadDigest snapshots this node's own digest from the gateway's load
+// tracker, truncated to the heartbeat cap.
 func (n *Node) loadDigest() []obs.FeedLoad {
-	if n.opts.LoadDigest == nil {
-		return nil
-	}
-	d := n.opts.LoadDigest()
+	d := n.local.Load().Snapshot()
 	if len(d) > maxLoadDigest {
 		d = d[:maxLoadDigest]
 	}

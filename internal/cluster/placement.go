@@ -101,7 +101,7 @@ func (m *Map) Entries() []Entry {
 	return out
 }
 
-// Epoch returns the highest entry epoch — the "ring epoch" surfaced on
+// Epoch returns the highest entry epoch — the placement epoch surfaced on
 // /cluster/status and /metrics (any ownership change anywhere bumps it).
 func (m *Map) Epoch() uint64 {
 	m.mu.Lock()

@@ -33,7 +33,7 @@ func TestResetsReuseStreams(t *testing.T) {
 	srv := httptest.NewServer(server.NewHandler(leader))
 	t.Cleanup(srv.Close)
 	n, err := cluster.NewNode(cluster.Options{
-		Self: "http://x.invalid", Peers: []string{srv.URL}, Local: x.ClusterLocal(),
+		Self: "http://x.invalid", Peers: []string{srv.URL}, Local: x,
 		HTTP: &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: idle}, Timeout: 5 * time.Second},
 	})
 	if err != nil {
@@ -97,7 +97,7 @@ func TestEnsureTailRebasesForkBehindOwner(t *testing.T) {
 	srv := httptest.NewServer(server.NewHandler(owner))
 	t.Cleanup(srv.Close)
 	n, err := cluster.NewNode(cluster.Options{
-		Self: "http://x.invalid", Peers: []string{srv.URL}, Local: x.ClusterLocal(), TailPoll: 5 * time.Millisecond,
+		Self: "http://x.invalid", Peers: []string{srv.URL}, Local: x, TailPoll: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,6 +21,7 @@ func (stubLocal) Feeds() []string                          { return nil }
 func (stubLocal) Anchors(string) ([]query.RootInfo, error) { return nil, errors.New("stub") }
 func (stubLocal) CloseFeed(string) error                   { return nil }
 func (stubLocal) Pipeline() *obs.Pipeline                  { return nil }
+func (stubLocal) Load() *obs.LoadTracker                   { return nil }
 
 func routeTestNode(t *testing.T, self string, peers ...string) *Node {
 	t.Helper()
@@ -94,7 +95,7 @@ func TestRouteWriteSelfFencing(t *testing.T) {
 }
 
 // TestObserverNeverOwns: an observer is left out of the member set, so no
-// routing decision applies a write on it and no ring walk names it, while
+// routing decision applies a write on it and no placement names it, while
 // its own view of the members still forwards writes to their owners.
 func TestObserverNeverOwns(t *testing.T) {
 	members := []string{"http://a", "http://b", "http://c"}
@@ -128,13 +129,14 @@ func TestObserverNeverOwns(t *testing.T) {
 		t.Fatalf("forwarded write on observer: %+v", rt)
 	}
 
-	// Neither the observer's ring nor a member's ever names it: a dead
-	// owner's successor is always a member, and new feeds place on members.
+	// Neither the observer's placement nor a member's ever names it: a
+	// dead owner's successor is always a member, and new feeds place on
+	// members.
 	alive := func(string) bool { return true }
 	member := routeTestNode(t, "http://a", "http://b", "http://c")
-	for _, ring := range []*Ring{obsv.ring, member.ring} {
+	for _, n := range []*Node{obsv, member} {
 		for _, dead := range append(members, "http://o") {
-			if succ := ring.Successor(dead, alive); succ == "http://o" || succ == "" {
+			if succ := n.place("f", dead, alive); succ == "http://o" || succ == "" {
 				t.Fatalf("successor of %s = %q", dead, succ)
 			}
 		}
@@ -205,7 +207,7 @@ func TestPlaceAndClaimFeed(t *testing.T) {
 	if !ok || e.Owner != "http://a" || e.Epoch != 1 {
 		t.Fatalf("claimed entry = %+v ok=%v", e, ok)
 	}
-	// Existing placement wins over the ring for re-creates.
+	// Existing placement wins over the default owner for re-creates.
 	if got := n.PlaceFeed("some-feed"); got != "http://a" {
 		t.Fatalf("PlaceFeed after claim = %q", got)
 	}

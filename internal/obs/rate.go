@@ -20,24 +20,20 @@ const rateAlpha = 0.5
 
 // LoadSample is a point-in-time per-second load estimate.
 type LoadSample struct {
-	OpsPerSec   float64
-	GasPerSec   float64
-	BytesPerSec float64
-	ErrsPerSec  float64
+	OpsPerSec float64
+	GasPerSec float64
 }
 
 // rateBucket accumulates one wall-clock second of raw counts. sec is
 // the unix second the bucket currently represents; a slot whose sec
 // does not match the second it should hold is stale and reads as zero.
 type rateBucket struct {
-	sec   int64
-	ops   float64
-	gas   float64
-	bytes float64
-	errs  float64
+	sec int64
+	ops float64
+	gas float64
 }
 
-// RateMeter estimates per-second ops/gas/bytes/error rates over a
+// RateMeter estimates per-second op and gas rates over a
 // sliding window of one-second buckets, summarized by an exponentially
 // weighted moving average over the completed seconds. All methods are
 // safe for concurrent use and nil-safe, so unmetered paths pay only a
@@ -52,16 +48,15 @@ func NewRateMeter() *RateMeter {
 	return &RateMeter{}
 }
 
-// Add records a completed unit of work: ops applied, gas charged,
-// payload bytes handled, and errors returned.
-func (m *RateMeter) Add(ops int, gas, bytes float64, errs int) {
+// Add records a completed unit of work: ops applied and gas charged.
+func (m *RateMeter) Add(ops int, gas float64) {
 	if m == nil {
 		return
 	}
-	m.addAt(time.Now().Unix(), float64(ops), gas, bytes, float64(errs))
+	m.addAt(time.Now().Unix(), float64(ops), gas)
 }
 
-func (m *RateMeter) addAt(sec int64, ops, gas, bytes, errs float64) {
+func (m *RateMeter) addAt(sec int64, ops, gas float64) {
 	m.mu.Lock()
 	b := &m.slot[int(sec%rateWindow+rateWindow)%rateWindow]
 	if b.sec != sec {
@@ -69,8 +64,6 @@ func (m *RateMeter) addAt(sec int64, ops, gas, bytes, errs float64) {
 	}
 	b.ops += ops
 	b.gas += gas
-	b.bytes += bytes
-	b.errs += errs
 	m.mu.Unlock()
 }
 
@@ -97,8 +90,6 @@ func (m *RateMeter) rateAt(now int64) LoadSample {
 		if b.sec == sec {
 			s.OpsPerSec += w * b.ops
 			s.GasPerSec += w * b.gas
-			s.BytesPerSec += w * b.bytes
-			s.ErrsPerSec += w * b.errs
 		}
 		wsum += w
 		w *= 1 - rateAlpha
@@ -107,25 +98,21 @@ func (m *RateMeter) rateAt(now int64) LoadSample {
 		inv := 1 / wsum
 		s.OpsPerSec *= inv
 		s.GasPerSec *= inv
-		s.BytesPerSec *= inv
-		s.ErrsPerSec *= inv
 	}
 	return s
 }
 
 // zero reports whether the sample carries no signal at all.
 func (s LoadSample) zero() bool {
-	return s.OpsPerSec == 0 && s.GasPerSec == 0 && s.BytesPerSec == 0 && s.ErrsPerSec == 0
+	return s.OpsPerSec == 0 && s.GasPerSec == 0
 }
 
 // FeedLoad is one feed's load estimate, the unit of the ranked
 // /cluster/load report and of the heartbeat load digests.
 type FeedLoad struct {
-	Feed        string  `json:"feed"`
-	OpsPerSec   float64 `json:"opsPerSec"`
-	GasPerSec   float64 `json:"gasPerSec"`
-	BytesPerSec float64 `json:"bytesPerSec"`
-	ErrsPerSec  float64 `json:"errsPerSec"`
+	Feed      string  `json:"feed"`
+	OpsPerSec float64 `json:"opsPerSec"`
+	GasPerSec float64 `json:"gasPerSec"`
 }
 
 // LoadTracker owns one RateMeter per feed. Nil-safe: a nil tracker
@@ -194,13 +181,7 @@ func (lt *LoadTracker) snapshotAt(now int64) []FeedLoad {
 		if r.zero() {
 			continue
 		}
-		out = append(out, FeedLoad{
-			Feed:        e.feed,
-			OpsPerSec:   r.OpsPerSec,
-			GasPerSec:   r.GasPerSec,
-			BytesPerSec: r.BytesPerSec,
-			ErrsPerSec:  r.ErrsPerSec,
-		})
+		out = append(out, FeedLoad{Feed: e.feed, OpsPerSec: r.OpsPerSec, GasPerSec: r.GasPerSec})
 	}
 	RankLoads(out)
 	return out
@@ -229,8 +210,7 @@ func MergeLoads(digests ...[]FeedLoad) []FeedLoad {
 	order := make([]string, 0)
 	for _, d := range digests {
 		for _, l := range d {
-			if l.Feed == "" || math.IsNaN(l.OpsPerSec) || math.IsNaN(l.GasPerSec) ||
-				math.IsNaN(l.BytesPerSec) || math.IsNaN(l.ErrsPerSec) {
+			if l.Feed == "" || math.IsNaN(l.OpsPerSec) || math.IsNaN(l.GasPerSec) {
 				continue
 			}
 			e, ok := byFeed[l.Feed]
@@ -241,8 +221,6 @@ func MergeLoads(digests ...[]FeedLoad) []FeedLoad {
 			}
 			e.OpsPerSec += l.OpsPerSec
 			e.GasPerSec += l.GasPerSec
-			e.BytesPerSec += l.BytesPerSec
-			e.ErrsPerSec += l.ErrsPerSec
 		}
 	}
 	out := make([]FeedLoad, 0, len(order))

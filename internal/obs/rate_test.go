@@ -9,17 +9,14 @@ import (
 
 func TestRateMeterSteadyRate(t *testing.T) {
 	m := NewRateMeter()
-	// 3 complete seconds at 100 ops/s, 500 gas/s, 2000 B/s, 1 err/s.
+	// 3 complete seconds at 100 ops/s and 500 gas/s.
 	for sec := int64(100); sec < 103; sec++ {
 		for i := 0; i < 10; i++ {
-			m.addAt(sec, 10, 50, 200, 0)
+			m.addAt(sec, 10, 50)
 		}
-		m.addAt(sec, 0, 0, 0, 1)
 	}
 	r := m.rateAt(103)
-	for name, got := range map[string]float64{
-		"ops": r.OpsPerSec, "gas": r.GasPerSec / 5, "bytes": r.BytesPerSec / 20, "errs": r.ErrsPerSec * 100,
-	} {
+	for name, got := range map[string]float64{"ops": r.OpsPerSec, "gas": r.GasPerSec / 5} {
 		// Only 3 of the window's 7 completed seconds carry data; the
 		// EWMA weights the recent ones, so a steady rate reads within
 		// ~15% of true even before the window fills.
@@ -31,7 +28,7 @@ func TestRateMeterSteadyRate(t *testing.T) {
 
 func TestRateMeterDecay(t *testing.T) {
 	m := NewRateMeter()
-	m.addAt(200, 1000, 0, 0, 0)
+	m.addAt(200, 1000, 0)
 	burst := m.rateAt(201).OpsPerSec
 	if burst < 400 {
 		t.Fatalf("fresh burst rate = %v, want >= 400", burst)
@@ -47,7 +44,7 @@ func TestRateMeterDecay(t *testing.T) {
 
 func TestRateMeterNilSafe(t *testing.T) {
 	var m *RateMeter
-	m.Add(1, 2, 3, 4)
+	m.Add(1, 2)
 	if r := m.Rate(); !r.zero() {
 		t.Fatalf("nil meter rate = %+v", r)
 	}
@@ -64,9 +61,9 @@ func TestRateMeterNilSafe(t *testing.T) {
 func TestLoadTrackerRanking(t *testing.T) {
 	lt := NewLoadTracker()
 	now := int64(300)
-	lt.Meter("cold").addAt(now-1, 1, 1, 1, 0)
-	lt.Meter("hot").addAt(now-1, 500, 10, 10, 0)
-	lt.Meter("warm").addAt(now-1, 50, 5, 5, 0)
+	lt.Meter("cold").addAt(now-1, 1, 1)
+	lt.Meter("hot").addAt(now-1, 500, 10)
+	lt.Meter("warm").addAt(now-1, 50, 5)
 	lt.Meter("idle") // metered but no traffic
 	snap := lt.snapshotAt(now)
 	if len(snap) != 3 || snap[0].Feed != "hot" || snap[1].Feed != "warm" {
@@ -83,13 +80,13 @@ func TestLoadTrackerRanking(t *testing.T) {
 
 func TestMergeLoads(t *testing.T) {
 	a := []FeedLoad{{Feed: "f1", OpsPerSec: 10, GasPerSec: 1}, {Feed: "f2", OpsPerSec: 90}}
-	b := []FeedLoad{{Feed: "f1", OpsPerSec: 85, BytesPerSec: 7}, {Feed: "", OpsPerSec: 1}}
+	b := []FeedLoad{{Feed: "f1", OpsPerSec: 85, GasPerSec: 2}, {Feed: "", OpsPerSec: 1}}
 	c := []FeedLoad{{Feed: "f3", OpsPerSec: math.NaN()}}
 	got := MergeLoads(a, b, c)
 	if len(got) != 2 {
 		t.Fatalf("merged = %+v, want 2 feeds", got)
 	}
-	if got[0].Feed != "f1" || got[0].OpsPerSec != 95 || got[0].BytesPerSec != 7 || got[0].GasPerSec != 1 {
+	if got[0].Feed != "f1" || got[0].OpsPerSec != 95 || got[0].GasPerSec != 3 {
 		t.Errorf("f1 merge = %+v", got[0])
 	}
 	if got[1].Feed != "f2" || got[1].OpsPerSec != 90 {
@@ -119,7 +116,7 @@ func BenchmarkRateMeterAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % benchFeeds
-		meters[k].Add(1+k%7, float64(3*(1+k%7)), 64, 0)
+		meters[k].Add(1+k%7, float64(3*(1+k%7)))
 	}
 }
 
@@ -132,7 +129,7 @@ func BenchmarkLoadTrackerSnapshot(b *testing.B) {
 	lt, meters := benchTracker()
 	now := int64(1000)
 	for k, m := range meters {
-		m.addAt(now-1, float64(1+k%7), float64(3*(1+k%7)), 64, 0)
+		m.addAt(now-1, float64(1+k%7), float64(3*(1+k%7)))
 	}
 	if n := len(lt.snapshotAt(now)); n != benchFeeds {
 		b.Fatalf("snapshot has %d feeds, want %d", n, benchFeeds)

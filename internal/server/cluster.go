@@ -12,39 +12,25 @@ import (
 	"grub/internal/stream"
 )
 
-// Cluster mode glue: a cluster.Node drives the gateway through the
-// cluster.Local adapter below, and the HTTP layer (http.go) consults the
+// Cluster mode glue: a cluster.Node drives the gateway as its cluster.Local
+// (*Gateway implements it), and the HTTP layer (http.go) consults the
 // node's RouteWrite decision on every write-path request — applying locally
 // when this node owns the feed, transparently proxying to the owner
 // otherwise (api.forward), and answering 503/421 for fenced, quorumless
 // or misdirected requests.
 
-// ClusterLocal adapts the gateway into the cluster.Local a cluster.Node
-// drives: the repl.Target cluster tails replicate into, plus the read-only
-// hooks feed placement and anchor-verified promotion need and the stage
-// histograms the tails observe into.
-func (g *Gateway) ClusterLocal() cluster.Local { return clusterLocal{replTarget{g}} }
-
-type clusterLocal struct{ replTarget }
-
-func (l clusterLocal) Feeds() []string { return l.g.Feeds() }
+var _ cluster.Local = (*Gateway)(nil)
 
 // Anchors returns the same per-shard trust anchors GET /feeds/{id}/roots
 // serves — the document promotion candidates and migration compare across
 // nodes.
-func (l clusterLocal) Anchors(feed string) ([]query.RootInfo, error) {
-	e, err := l.g.Query(feed)
+func (g *Gateway) Anchors(feed string) ([]query.RootInfo, error) {
+	e, err := g.Query(feed)
 	if err != nil {
 		return nil, err
 	}
 	return e.Roots()
 }
-
-func (l clusterLocal) CloseFeed(feed string) error { return l.g.CloseFeed(feed) }
-
-// Pipeline hands the node's peer followers the gateway's stage histograms,
-// so their fetch/verify latencies land in this node's /metrics.
-func (l clusterLocal) Pipeline() *obs.Pipeline { return l.g.Pipeline() }
 
 // forward proxies a write-path call to the feed's owner over the node's
 // streams, stamping the sender's placement epoch and the Forwarded flag (so

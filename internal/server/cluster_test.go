@@ -117,13 +117,13 @@ func listenLocal(t testing.TB) net.Listener {
 const testFailAfter = 120 * time.Millisecond
 
 // testNodeOptions is the cluster.Options every test node starts from:
-// fast test cadences and g's adapters. Self is filtered out of peers.
+// fast test cadences and g as the node's Local. Self is filtered out of
+// peers.
 func testNodeOptions(self string, peers []string, g *Gateway) cluster.Options {
 	return cluster.Options{
-		Self: self, Peers: peers, Local: g.ClusterLocal(),
+		Self: self, Peers: peers, Local: g,
 		Heartbeat: 15 * time.Millisecond, FailAfter: testFailAfter,
 		TailPoll: 3 * time.Millisecond, MoveTimeout: 30 * time.Second,
-		LoadDigest: g.Load().Snapshot,
 	}
 }
 

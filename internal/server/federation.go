@@ -1,13 +1,11 @@
 package server
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
-	"time"
 
+	"grub/internal/cluster"
 	"grub/internal/obs"
 	"grub/internal/stream"
 )
@@ -15,22 +13,17 @@ import (
 // Metrics federation: GET /cluster/metrics on any node answers one
 // Prometheus exposition covering the whole cluster. The answering node
 // takes its own families in-process (renderMetrics, no text in between)
-// and scrapes every peer's /metrics concurrently (bounded fan-in, per-peer
-// timeout), parses each with the obs exposition parser, and merges the
-// families with a `node` label distinguishing the sources. A peer that is
+// and scrapes every peer's /metrics concurrently over the node's streams
+// (bounded fan-in; each hop bounded by the node's peer timeout and
+// stream.MaxAnswer, like every other hop), parses each with the obs
+// exposition parser, and merges the families with a `node` label
+// distinguishing the sources. A peer that is
 // down, slow or serving malformed text contributes nothing but its
 // grub_cluster_scrape_ok marker — a dead node makes the scrape smaller,
 // never hanging or poisoning it.
 
-const (
-	// federationFanIn bounds concurrent peer scrapes.
-	federationFanIn = 4
-	// federationTimeout bounds each peer scrape; past it the peer is
-	// marked failed (grub_cluster_scrape_ok 0) and skipped.
-	federationTimeout = 2 * time.Second
-	// federationMaxBody caps one peer's exposition payload.
-	federationMaxBody = 16 << 20
-)
+// federationFanIn bounds concurrent peer scrapes.
+const federationFanIn = 4
 
 // memberScrape is one member's contribution to the federated document.
 type memberScrape struct {
@@ -54,7 +47,7 @@ func (a *api) clusterMetrics(c *call, rep *reply) {
 	for i, m := range st.Members {
 		if m.Self {
 			// Self's families are the ones /metrics writes: no loopback
-			// HTTP round trip and no text to parse back.
+			// round trip and no text to parse back.
 			scrapes[i] = memberScrape{member: m.URL, fams: renderMetrics(a.g, node, a.slow), ok: true}
 			continue
 		}
@@ -63,7 +56,7 @@ func (a *api) clusterMetrics(c *call, rep *reply) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			fams, err := scrapePeer(c.ctx, node.Client().HTTP, peer)
+			fams, err := scrapePeer(node.Client(), peer)
 			scrapes[i] = memberScrape{member: peer, fams: fams, ok: err == nil}
 		}(i, m.URL)
 	}
@@ -73,28 +66,19 @@ func (a *api) clusterMetrics(c *call, rep *reply) {
 	obs.WriteFamilies(rep, append([]obs.Family{scrapeOKFamily(scrapes)}, mergeScrapes(scrapes)...))
 }
 
-// scrapePeer fetches and validates one peer's /metrics under the
-// federation timeout.
-func scrapePeer(ctx context.Context, httpc *http.Client, peer string) ([]obs.Family, error) {
-	ctx, cancel := context.WithTimeout(ctx, federationTimeout)
-	defer cancel()
-	req, err := stream.NewHTTPRequest(ctx, peer, &stream.Request{Route: stream.RouteMetrics})
+// scrapePeer fetches and parses one peer's /metrics. A peer that fails,
+// answers another status or serves malformed text is marked failed
+// (grub_cluster_scrape_ok 0) and skipped.
+func scrapePeer(c *cluster.Client, peer string) ([]obs.Family, error) {
+	ans, err := c.Send(peer, &stream.Request{Route: stream.RouteMetrics})
 	if err != nil {
 		return nil, err
 	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return nil, err
+	defer ans.Close()
+	if ans.Status != http.StatusOK {
+		return nil, fmt.Errorf("scrape %s: %s", peer, ans.ErrorText())
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, federationMaxBody))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("scrape %s%s: status %d", peer, req.URL.Path, resp.StatusCode)
-	}
-	return obs.ParseExposition(string(data))
+	return obs.ParseExposition(string(ans.Body))
 }
 
 // scrapeOKFamily marks each member's scrape outcome, so a consumer can

@@ -135,7 +135,7 @@ func clusterFamilies(node *cluster.Node, st cluster.Status) []obs.Family {
 		gauge("grub_cluster_members", "Static cluster member count.", float64(len(st.Members))),
 		gauge("grub_cluster_members_alive", "Members heard from within the failure window (including self).", float64(alive)),
 		gauge("grub_cluster_quorum", "Whether this node sees a member majority (writes require it).", quorum),
-		gauge("grub_cluster_epoch", "Highest placement fencing epoch known to this node (the ring epoch).", float64(st.Epoch)),
+		gauge("grub_cluster_epoch", "Highest placement fencing epoch known to this node.", float64(st.Epoch)),
 		counter("grub_cluster_forwards_total", "Write-path requests this node proxied to a feed's owner.", float64(st.ForwardsTotal)),
 		counter("grub_cluster_failovers_total", "Failover promotions this node performed.", float64(st.FailoversTotal)),
 		{Name: "grub_cluster_role", Help: "This node's role per feed (0 follower, 1 owner, 2 owner-fenced, 3 deleted).", Type: "gauge"},

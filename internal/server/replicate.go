@@ -12,8 +12,8 @@ import (
 
 // Replication: every gateway serves the log-shipping surface (it can lead
 // followers without any configuration), and any gateway can replicate into
-// itself via ReplTarget + repl.Follower (a cluster node's peer followers
-// drive it through ClusterLocal, which embeds the same adapter). The
+// itself: *Gateway is the repl.Target a repl.Follower (and a cluster
+// node's peer followers) replicates into. The
 // per-shard mechanics — the anchored in-memory log, the verified apply and
 // the bootstrap reset — live in internal/shard; the protocol and the tailer
 // live in internal/repl. This file adapts the gateway between them.
@@ -71,18 +71,16 @@ func wrapShardErr(id string, err error) error {
 	return fmt.Errorf("%w: %v", ErrBadConfig, err)
 }
 
-// ReplTarget adapts the gateway into the repl.Target a Follower replicates
+// ReplTarget returns the gateway as the repl.Target a Follower replicates
 // into.
-func (g *Gateway) ReplTarget() repl.Target { return replTarget{g} }
-
-type replTarget struct{ g *Gateway }
+func (g *Gateway) ReplTarget() repl.Target { return g }
 
 // EnsureFeed creates the feed the leader's config describes, or adopts a
 // local feed (typically recovered from the follower's own data directory)
 // when its config matches exactly. A config mismatch is an error: silently
 // replicating a leader's log into a differently-configured engine could
 // only end in a divergence halt later.
-func (t replTarget) EnsureFeed(id string, raw json.RawMessage) error {
+func (g *Gateway) EnsureFeed(id string, raw json.RawMessage) error {
 	var cfg FeedConfig
 	if err := json.Unmarshal(raw, &cfg); err != nil {
 		return fmt.Errorf("server: decode leader feed config: %w", err)
@@ -90,27 +88,27 @@ func (t replTarget) EnsureFeed(id string, raw json.RawMessage) error {
 	if cfg.ID != id {
 		return fmt.Errorf("server: %w: leader config names feed %q, expected %q", ErrBadConfig, cfg.ID, id)
 	}
-	if existing, ok := t.g.configOf(id); ok {
+	if existing, ok := g.configOf(id); ok {
 		if existing != cfg {
 			return fmt.Errorf("server: %w: feed %q exists locally with a different config (%+v vs leader %+v)",
 				ErrBadConfig, id, existing, cfg)
 		}
 		return nil
 	}
-	err := t.g.CreateFeed(cfg)
+	err := g.CreateFeed(cfg)
 	if err == nil {
 		return nil
 	}
 	// Lost a race with another creator: accept if the configs agree.
-	if existing, ok := t.g.configOf(id); ok && existing == cfg {
+	if existing, ok := g.configOf(id); ok && existing == cfg {
 		return nil
 	}
 	return err
 }
 
 // Feed resolves a hosted feed's replication interface.
-func (t replTarget) Feed(id string) (repl.Feed, error) {
-	return t.g.lookup(id)
+func (g *Gateway) Feed(id string) (repl.Feed, error) {
+	return g.lookup(id)
 }
 
 // configOf returns a hosted feed's config.

@@ -261,7 +261,7 @@ func (g *Gateway) Metrics() *obs.Registry { return g.reg }
 // Pipeline returns the gateway's per-feed stage-latency histograms. A
 // follower replicating into this gateway should observe its fetch/verify
 // stages here (a cluster node's peer followers get it through
-// ClusterLocal) so one scrape covers the whole node.
+// cluster.Local) so one scrape covers the whole node.
 func (g *Gateway) Pipeline() *obs.Pipeline { return g.pipeline }
 
 // Load returns the gateway's per-feed load tracker (ops/gas throughput

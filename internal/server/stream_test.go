@@ -492,20 +492,29 @@ func TestStreamOfferRefusedOverHTTP(t *testing.T) {
 
 // TestRouteTableRegistersEveryRoute: every route of the stream package's
 // table has a handler, and its request, sent over HTTP, reaches the mux under
-// that route's pattern.
+// that route's pattern. The server behind the pool answers each request with
+// the pattern the mux matches it to, over plain HTTP, so no stream opens.
 func TestRouteTableRegistersEveryRoute(t *testing.T) {
 	g := NewGateway()
 	defer g.Close()
 	a := NewHandler(g).(*api)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, pattern := a.Handler(r)
+		io.WriteString(w, pattern)
+	}))
+	defer srv.Close()
+	var p stream.Pool
+	defer p.Close()
 	for rt := stream.Route(1); rt < stream.NumRoutes; rt++ {
 		req := &stream.Request{Route: rt, Feed: "a/b c", Key: "k", Lo: "a", Hi: "z", Shard: 3, From: 9, Max: 2}
-		hr, err := stream.NewHTTPRequest(context.Background(), "http://gw", req)
+		ans, err := p.Send(srv.Client(), srv.URL, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, pattern := a.Handler(hr); pattern != rt.Pattern() || a.serve[rt] == nil {
+		if pattern := string(ans.Body); pattern != rt.Pattern() || a.serve[rt] == nil {
 			t.Errorf("route %d (%s) reaches pattern %q, handler %v", rt, req, pattern, a.serve[rt] != nil)
 		}
+		ans.Close()
 	}
 }
 

@@ -245,7 +245,7 @@ func (st *shardState) applyBatch(ops []core.Op) ([]core.OpResult, repl.Entry) {
 	gasBefore := st.feed.FeedGas()
 	results := core.ApplyOps(st.feed, ops)
 	if st.load != nil {
-		st.load.Add(len(ops), float64(st.feed.FeedGas()-gasBefore), 0, 0)
+		st.load.Add(len(ops), float64(st.feed.FeedGas()-gasBefore))
 	}
 	st.ops += len(ops)
 	st.batches++

@@ -101,11 +101,11 @@ func (p *Pool) Close() {
 	clear(p.idle)
 }
 
-// NewHTTPRequest is req as HTTP, to the gateway at base ("http://host:port"):
+// newHTTPRequest is req as HTTP, to the gateway at base ("http://host:port"):
 // its route's method and request-URI, the headers that stand for its fields,
 // and a copy of its body, since a Transport may still read the body after the
 // answer is in.
-func NewHTTPRequest(ctx context.Context, base string, req *Request) (*http.Request, error) {
+func newHTTPRequest(ctx context.Context, base string, req *Request) (*http.Request, error) {
 	var rd io.Reader
 	if req.Body != nil {
 		rd = bytes.NewReader(bytes.Clone(req.Body))
@@ -130,7 +130,7 @@ func (p *Pool) upgrade(hc *http.Client, base string, req *Request) (Answer, erro
 		ctx, cancel = context.WithTimeout(ctx, hc.Timeout)
 		defer cancel()
 	}
-	hr, err := NewHTTPRequest(ctx, base, req)
+	hr, err := newHTTPRequest(ctx, base, req)
 	if err != nil {
 		return Answer{}, err
 	}
