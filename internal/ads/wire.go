@@ -119,12 +119,7 @@ func DecodeNRRange(r *wire.Reader) *NRRange {
 		pt ProofTree
 	}{nr: NRRange{Count: r.Int()}}
 	nr := &out.nr
-	n := r.Int()
-	if n > r.Len()/minRecordWire {
-		r.Fail("%d records in %d bytes", n, r.Len())
-		return nil
-	}
-	if n > 0 {
+	if n := r.Count(minRecordWire); n > 0 {
 		nr.Records = make([]Record, n)
 	}
 	for i := range nr.Records {

@@ -98,7 +98,7 @@ type Chain struct {
 
 	handlers map[Address]map[string]Handler
 	// storage holds each contract's slots. A slot's bytes are never handed
-	// out (Load and Snapshot copy), so Store overwrites them in place.
+	// out (Load and AppendState copy), so Store overwrites them in place.
 	storage map[Address]map[string][]byte
 
 	mempool []*Tx
@@ -403,13 +403,6 @@ func (x *Ctx) DeleteSlot(slot string) {
 		x.charge(x.chain.schedule.StoreClear(len(v)))
 		delete(st, slot)
 	}
-}
-
-// HasSlot reports (and charges for) a storage existence check.
-func (x *Ctx) HasSlot(slot string) bool {
-	_, ok := x.chain.storage[x.contract][slot]
-	x.charge(x.chain.schedule.Load(gas.WordSize))
-	return ok
 }
 
 // ChargeHash meters a hash computation over n bytes (proof verification on

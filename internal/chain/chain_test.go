@@ -6,6 +6,7 @@ import (
 
 	"grub/internal/gas"
 	"grub/internal/sim"
+	"grub/internal/wire"
 )
 
 func newTestChain() *Chain {
@@ -202,13 +203,13 @@ func TestStreamsAreConsumed(t *testing.T) {
 
 	// Snapshot with an untaken event in the stream: streams are not state.
 	emit(c, "k3")
-	st, err := c.Snapshot()
+	st, err := c.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := newTestChain()
 	emitter(r)
-	if err := r.Restore(st); err != nil {
+	if err := r.ReadState(wire.Borrow(st)); err != nil {
 		t.Fatal(err)
 	}
 	if evs, calls := r.TakeEvents(), r.TakeCalls(); len(evs) != 0 || len(calls) != 0 {
@@ -354,7 +355,7 @@ func newCounterChain() *Chain {
 		return ctx.Call("lib", "peek", nil)
 	})
 	c.Register("lib", "peek", func(ctx *Ctx, args any) (any, error) {
-		ctx.HasSlot("x")
+		ctx.LoadInto("x", nil)
 		return nil, nil
 	})
 	return c

@@ -44,7 +44,7 @@ func AppendOps(b []byte, ops []Op) []byte {
 			b = wire.AppendString(append(b, opOther), op.Type)
 		}
 		b = wire.AppendString(b, op.Key)
-		b = append(wire.AppendInt(b, len(op.Value)), op.Value...)
+		b = wire.AppendBytes(b, op.Value)
 		b = wire.AppendInt(b, max(op.ScanLen, 0))
 	}
 	return b
@@ -74,12 +74,7 @@ func DecodeOps(body []byte) ([]Op, error) {
 // Only AppendOps's own output decodes: an opOther op naming a known type is
 // refused, so every batch has exactly one encoding.
 func ReadOps(r *wire.Reader) []Op {
-	n := r.Int()
-	if n > r.Len()/MinOpWire {
-		r.Fail("%d ops in %d bytes", n, r.Len())
-		return nil
-	}
-	ops := make([]Op, n)
+	ops := make([]Op, r.Count(MinOpWire))
 	for i := range ops {
 		op := &ops[i]
 		switch code := r.Byte(); code {

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"grub/internal/ads"
 	"grub/internal/chain"
 	"grub/internal/merkle"
 	"grub/internal/policy"
+	"grub/internal/wire"
 )
 
 // ErrFeedBusy is returned by Snapshot when the feed is mid-transaction:
@@ -15,40 +19,16 @@ import (
 // the mempool, no unanswered request events).
 var ErrFeedBusy = errors.New("core: feed not quiescent")
 
-// FeedSnapshot is the complete serializable state of a Feed at a quiescent
-// point. Restoring it onto a feed built from the same configuration yields a
+// FeedSnapshot is the complete state of a Feed at a quiescent point, in its
+// one binary encoding (docs/API.md, "Binary shard image encoding"): the
+// chain's state, the record set in (state, key) order, the policy state,
+// the DO's epoch state, the digest flag and the counters, every map in key
+// order. Restoring it onto a feed built from the same configuration yields a
 // feed that is behaviorally identical to the original: same record set and
 // digest, same replication decisions going forward, same cumulative Gas,
 // chain height and delivered counters.
-//
-// The chain's event log and call trace are not captured (see chain.State):
-// the feed consumes both as it goes and holds no position into either.
 type FeedSnapshot struct {
-	Chain chain.State `json:"chain"`
-
-	// Records is the feed's authenticated record set (DO and SP share it).
-	Records []ads.Record `json:"records,omitempty"`
-	// Policy is the decision maker's serialized state (policy.Snapshotter);
-	// nil for stateless policies.
-	Policy []byte `json:"policy,omitempty"`
-
-	// DO epoch-in-progress state.
-	Staged       []KV                 `json:"staged,omitempty"`
-	PendingState map[string]ads.State `json:"pendingState,omitempty"`
-	// LRUTick and LastTouch are the replica-budget LRU clock; empty for a
-	// feed without a budget (Options.MaxReplicas == 0), which ignores them
-	// when a snapshot written before that rule carries them.
-	LRUTick   uint64            `json:"lruTick,omitempty"`
-	LastTouch map[string]uint64 `json:"lastTouch,omitempty"`
-	// LastDigest is the digest most recently sent on-chain (nil before the
-	// first update or for NoADS feeds).
-	LastDigest []byte `json:"lastDigest,omitempty"`
-
-	// Feed-level counters and DU-side application state.
-	Delivered  int               `json:"delivered"`
-	NotFound   int               `json:"notFound"`
-	OpsInEpoch int               `json:"opsInEpoch,omitempty"`
-	LastValue  map[string][]byte `json:"lastValue,omitempty"`
+	Enc []byte
 }
 
 // PendingRequests returns the number of request events the watchdog has seen
@@ -62,53 +42,46 @@ func (f *Feed) Snapshot() (*FeedSnapshot, error) {
 	if n := f.SP.PendingRequests(); n != 0 {
 		return nil, fmt.Errorf("%w: %d unanswered requests", ErrFeedBusy, n)
 	}
-	cs, err := f.Chain.Snapshot()
+	b, err := f.Chain.AppendState(nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFeedBusy, err)
 	}
-	snap := &FeedSnapshot{
-		Chain:      cs,
-		Records:    f.DO.set.Records(),
-		LRUTick:    f.DO.lruTick,
-		Delivered:  f.delivered,
-		NotFound:   f.notFound,
-		OpsInEpoch: f.opsInEpoch,
+	do := f.DO
+	b = wire.AppendInt(b, do.set.Len())
+	for _, st := range [...]ads.State{ads.NR, ads.R} {
+		for rec := range do.set.Group(st) {
+			b = wire.AppendBytes(wire.AppendString(append(b, byte(st)), rec.Key), rec.Value)
+		}
 	}
-	if sn, ok := f.DO.policy.(policy.Snapshotter); ok {
-		ps, err := sn.SnapshotState()
-		if err != nil {
+	var ps []byte
+	if sn, ok := do.policy.(policy.Snapshotter); ok {
+		if ps, err = sn.SnapshotState(); err != nil {
 			return nil, fmt.Errorf("core: snapshot policy: %w", err)
 		}
-		snap.Policy = ps
 	}
-	if len(f.DO.staged) > 0 {
-		snap.Staged = make([]KV, len(f.DO.staged))
-		for i, kv := range f.DO.staged {
-			snap.Staged[i] = KV{Key: kv.Key, Value: append([]byte(nil), kv.Value...)}
-		}
+	b = wire.AppendInt(wire.AppendBytes(b, ps), len(do.staged))
+	for _, kv := range do.staged {
+		b = wire.AppendBytes(wire.AppendString(b, kv.Key), kv.Value)
 	}
-	if len(f.DO.pendingState) > 0 {
-		snap.PendingState = make(map[string]ads.State, len(f.DO.pendingState))
-		for k, st := range f.DO.pendingState {
-			snap.PendingState[k] = st
-		}
+	b = wire.AppendInt(b, len(do.pendingState))
+	for _, k := range slices.Sorted(maps.Keys(do.pendingState)) {
+		b = append(wire.AppendString(b, k), byte(do.pendingState[k]))
 	}
-	if len(f.DO.lastTouch) > 0 {
-		snap.LastTouch = make(map[string]uint64, len(f.DO.lastTouch))
-		for k, t := range f.DO.lastTouch {
-			snap.LastTouch[k] = t
-		}
+	b = wire.AppendInt(wire.AppendUint(b, do.lruTick), len(do.lastTouch))
+	for _, k := range slices.Sorted(maps.Keys(do.lastTouch)) {
+		b = wire.AppendUint(wire.AppendString(b, k), do.lastTouch[k])
 	}
-	if f.DO.signed {
-		snap.LastDigest = append([]byte(nil), f.DO.lastDigest[:]...)
+	if do.signed {
+		b = append(append(b, 1), do.lastDigest[:]...)
+	} else {
+		b = append(b, 0)
 	}
-	if len(f.LastValue) > 0 {
-		snap.LastValue = make(map[string][]byte, len(f.LastValue))
-		for k, v := range f.LastValue {
-			snap.LastValue[k] = append([]byte(nil), v...)
-		}
+	b = wire.AppendInt(wire.AppendInt(wire.AppendInt(b, f.delivered), f.notFound), f.opsInEpoch)
+	b = wire.AppendInt(b, len(f.LastValue))
+	for _, k := range slices.Sorted(maps.Keys(f.LastValue)) {
+		b = wire.AppendBytes(wire.AppendString(b, k), f.LastValue[k])
 	}
-	return snap, nil
+	return &FeedSnapshot{Enc: b}, nil
 }
 
 // RestoreFeed wires a feed exactly like NewFeed — same contracts on the
@@ -116,9 +89,11 @@ func (f *Feed) Snapshot() (*FeedSnapshot, error) {
 // snapshot's state instead of running genesis. The chain must be newly
 // constructed with the same params and gas schedule the original used, and p
 // must be a policy constructed with the same parameters; snap supplies all
-// accumulated state.
+// accumulated state. snap is untrusted bytes: a malformed one is an error,
+// and the feed keeps no byte of it.
 func RestoreFeed(c *chain.Chain, p policy.Policy, opts Options, snap *FeedSnapshot) (*Feed, error) {
-	if err := c.Restore(snap.Chain); err != nil {
+	r := wire.Borrow(snap.Enc)
+	if err := c.ReadState(r); err != nil {
 		return nil, fmt.Errorf("core: restore chain: %w", err)
 	}
 	f := wireFeed(c, p, opts)
@@ -126,45 +101,59 @@ func RestoreFeed(c *chain.Chain, p policy.Policy, opts Options, snap *FeedSnapsh
 
 	// Insertion order is irrelevant — the set orders by (state, key) — so
 	// the digest matches the original's bit for bit.
-	for _, rec := range snap.Records {
-		do.set.Put(rec)
+	for n := r.Count(3); n > 0; n-- {
+		st := readState(r)
+		key := r.OwnStr()
+		do.set.Put(ads.Record{Key: key, State: st, Value: bytes.Clone(r.Bytes(r.Int()))})
 	}
-	if snap.Policy != nil {
+	if ps := r.Bytes(r.Int()); len(ps) > 0 {
 		sn, ok := p.(policy.Snapshotter)
 		if !ok {
 			return nil, fmt.Errorf("core: snapshot has policy state but %s cannot restore it", p.Name())
 		}
-		if err := sn.RestoreState(snap.Policy); err != nil {
+		if err := sn.RestoreState(ps); err != nil {
 			return nil, err
 		}
 	}
-	if len(snap.Staged) > 0 {
-		do.staged = make([]KV, len(snap.Staged))
-		for i, kv := range snap.Staged {
-			do.staged[i] = KV{Key: kv.Key, Value: append([]byte(nil), kv.Value...)}
-		}
+	for n := r.Count(2); n > 0; n-- {
+		key := r.OwnStr()
+		do.staged = append(do.staged, KV{Key: key, Value: bytes.Clone(r.Bytes(r.Int()))})
 	}
-	for k, st := range snap.PendingState {
-		do.pendingState[k] = st
+	for n := r.Count(2); n > 0; n-- {
+		key := r.OwnStr()
+		do.pendingState[key] = readState(r)
 	}
-	if do.maxReplicas > 0 {
-		do.lruTick = snap.LRUTick
-		for k, t := range snap.LastTouch {
-			do.lastTouch[k] = t
-		}
+	do.lruTick = r.Uint()
+	for n := r.Count(2); n > 0; n-- {
+		key := r.OwnStr()
+		do.lastTouch[key] = r.Uint()
 	}
-	if snap.LastDigest != nil {
-		if len(snap.LastDigest) != merkle.HashSize {
-			return nil, fmt.Errorf("core: restore: bad digest length %d", len(snap.LastDigest))
-		}
-		copy(do.lastDigest[:], snap.LastDigest)
+	switch signed := r.Byte(); signed {
+	case 0:
+	case 1:
+		copy(do.lastDigest[:], r.Bytes(merkle.HashSize))
 		do.signed = true
+	default:
+		r.Fail("digest flag %d", signed)
 	}
-	f.delivered = snap.Delivered
-	f.notFound = snap.NotFound
-	f.opsInEpoch = snap.OpsInEpoch
-	for k, v := range snap.LastValue {
-		f.LastValue[k] = append([]byte(nil), v...)
+	f.delivered, f.notFound, f.opsInEpoch = r.Int(), r.Int(), r.Int()
+	for n := r.Count(2); n > 0; n-- {
+		key := r.OwnStr()
+		f.LastValue[key] = bytes.Clone(r.Bytes(r.Int()))
+	}
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("core: restore: %w", err)
 	}
 	return f, nil
+}
+
+// readState reads a replication state byte, which must be NR or R; any
+// other fails r and reads as NR.
+func readState(r *wire.Reader) ads.State {
+	st := ads.State(r.Byte())
+	if st > ads.R {
+		r.Fail("state byte %d", st)
+		return ads.NR
+	}
+	return st
 }

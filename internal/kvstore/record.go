@@ -14,32 +14,29 @@ import (
 //
 // The codec is deliberately independent of what the payload means.
 
-// RecordKind tags a typed record value. Kinds 1 and 2 stay unassigned:
-// stores written by earlier builds may hold them (an op batch as JSON, and a
-// feed snapshot without an anchor), and shard recovery refuses such a record,
-// naming its kind, rather than read it as something else.
+// RecordKind tags a typed record value. Kinds 1, 2 and 4 stay unassigned:
+// stores written by earlier builds may hold them (an op batch as JSON, a
+// feed snapshot without an anchor, and a shard image as JSON), and shard
+// recovery refuses such a record, naming its kind, rather than read it as
+// something else.
 type RecordKind uint8
 
 const (
 	// RecordOpsWire is an applied op batch in a feed's durable log, in the
 	// binary ops encoding (core.AppendOps).
 	RecordOpsWire RecordKind = 3
-	// RecordImage is a shard image (repl.Snapshot, JSON): the feed state,
-	// its counters and the anchor it must hash to. It supersedes every log
-	// record with seq at or below its own.
-	RecordImage RecordKind = 4
+	// RecordImage is a shard image in the binary image encoding
+	// (repl.AppendSnapshot): the feed state, its counters and the anchor it
+	// must hash to. It supersedes every log record with seq at or below its
+	// own.
+	RecordImage RecordKind = 5
 )
 
 // recordHeaderLen is the encoded size of the kind tag and sequence number.
 const recordHeaderLen = 9
 
-// EncodeRecord frames payload as a typed record value.
-func EncodeRecord(kind RecordKind, seq uint64, payload []byte) []byte {
-	return append(AppendRecordHeader(make([]byte, 0, recordHeaderLen+len(payload)), kind, seq), payload...)
-}
-
-// AppendRecordHeader appends a typed record's kind tag and sequence number,
-// for a caller that appends the payload behind them in a buffer of its own.
+// AppendRecordHeader appends a typed record's kind tag and sequence number;
+// the caller appends the payload behind them.
 func AppendRecordHeader(b []byte, kind RecordKind, seq uint64) []byte {
 	return binary.BigEndian.AppendUint64(append(b, byte(kind)), seq)
 }

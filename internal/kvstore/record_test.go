@@ -16,7 +16,7 @@ func TestTypedRecordRoundtrip(t *testing.T) {
 		{RecordOpsWire, 7, []byte{1, 0, 1, 'k', 0, 0}},
 		{19, 0, nil},
 	} {
-		enc := EncodeRecord(tc.kind, tc.seq, tc.payload)
+		enc := append(AppendRecordHeader(nil, tc.kind, tc.seq), tc.payload...)
 		kind, seq, payload, err := DecodeTypedRecord(enc)
 		if err != nil {
 			t.Fatalf("decode %v: %v", tc, err)

@@ -268,11 +268,7 @@ func (p *Proof) AppendBinary(b []byte) ([]byte, error) {
 // encoding.
 func DecodeProof(r *wire.Reader) *Proof {
 	p := &Proof{Index: r.Int(), LeafCount: r.Int()}
-	n := r.Int()
-	if n > r.Len()/HashSize {
-		r.Fail("path of %d nodes in %d bytes", n, r.Len())
-		return nil
-	}
+	n := r.Count(HashSize)
 	dirs := r.Bytes((n + 7) / 8)
 	hashes := r.Bytes(n * HashSize)
 	if r.Err() != nil {

@@ -132,12 +132,8 @@ func AppendRangeResults(b []byte, slices []RangeResult) ([]byte, error) {
 // as soon as it returns.
 func DecodeRangeResults(body []byte) ([]RangeResult, error) {
 	r := wire.NewReader(body)
-	n := r.Int()
-	if n > r.Len()/minSliceWire {
-		r.Fail("%d slices in %d bytes", n, r.Len())
-	}
 	var slices []RangeResult
-	if r.Err() == nil && n > 0 {
+	if n := r.Count(minSliceWire); n > 0 {
 		slices = make([]RangeResult, n)
 	}
 	for i := range slices {

@@ -100,8 +100,10 @@ func (c *Client) Log(id string, shard int, from uint64, max int) (*LogPage, erro
 	return page, nil
 }
 
-// Snapshot fetches a consistent bootstrap image of one shard. The image is
-// only decoded here; the shard checks its anchor when it installs it.
+// Snapshot fetches a consistent bootstrap image of one shard, in the binary
+// image encoding; an answer in any other type is an error that names both.
+// The image is only decoded here; the shard checks its anchor when it
+// installs it.
 func (c *Client) Snapshot(id string, shard int) (*Snapshot, error) {
 	req := stream.Request{Route: stream.RouteReplSnapshot, Feed: id, Shard: shard}
 	a, err := c.get(&req)
@@ -109,6 +111,9 @@ func (c *Client) Snapshot(id string, shard int) (*Snapshot, error) {
 		return nil, err
 	}
 	defer a.Close()
+	if a.ContentType != ImageMediaType {
+		return nil, fmt.Errorf("repl: %s: answer is %q, want %q", req.String(), a.ContentType, ImageMediaType)
+	}
 	snap, err := DecodeSnapshot(a.Body)
 	if err != nil {
 		return nil, fmt.Errorf("repl: %s: %w", req.String(), err)

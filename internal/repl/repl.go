@@ -20,9 +20,11 @@
 //	GET /repl/feeds/{id}/shards/{shard}/snapshot     consistent state snapshot
 //
 // The log route answers in the binary log encoding (LogMediaType,
-// AppendLogPage, DecodeLogPage) and only in it; the other two, and every
-// error answer, speak JSON. Client fetches each as one frame on a Go-to-Go
-// stream to the leader (package stream), or over HTTP when it takes none.
+// AppendLogPage, DecodeLogPage) and the snapshot route in the binary image
+// encoding (ImageMediaType, AppendSnapshot, DecodeSnapshot), each only in
+// it; the feeds route, and every error answer, speak JSON. Client fetches
+// each as one frame on a Go-to-Go stream to the leader (package stream), or
+// over HTTP when it takes none.
 //
 // A Follower drives those endpoints against one leader URL and replicates
 // into a Target (implemented by server.Gateway): bootstrap from the newest
@@ -100,34 +102,23 @@ type LogPage struct {
 // the anchor it must hash to, and the counters that keep stats continuous.
 // It is the one form a shard's state takes outside the shard: a leader
 // serves it to bootstrap a follower, and a persistent shard stores it as its
-// durable snapshot. Whoever installs one — a follower after
-// a fetch, a shard recovering its own store — restores the state and checks
-// it against the anchor first: catch-up and recovery are verified, not
-// trusted.
+// durable snapshot, both in its binary encoding (AppendSnapshot). Whoever
+// installs one — a follower after a fetch, a shard recovering its own store
+// — restores the state and checks it against the anchor first. The anchor
+// covers seq, height, root and count only: the record set is verified, but
+// the rest of the feed state (staged epoch writes, chain storage and Gas
+// ledgers, policy state, the data user's last values and the counters) is
+// taken on the image's word.
 type Snapshot struct {
-	Shard int `json:"shard"`
+	Shard int
 	query.Anchor
-	Feed    *core.FeedSnapshot `json:"feed"`
-	Ops     int                `json:"ops"`
-	BaseGas gas.Gas            `json:"baseGas"`
+	Feed    *core.FeedSnapshot
+	Ops     int
+	BaseGas gas.Gas
 	// Snapshots counts the durable snapshots the shard's store has taken,
 	// this one included: set only on the image a store keeps, so its count
-	// survives a restart; zero, and absent, on the wire.
-	Snapshots int `json:"snapshots,omitempty"`
-}
-
-// DecodeSnapshot parses a shard image in its JSON encoding, the body of the
-// snapshot route and the payload of a shard store's snapshot record. It
-// checks the form only; the anchor is checked where the image is installed.
-func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("repl: decode snapshot: %w", err)
-	}
-	if s.Feed == nil {
-		return nil, errors.New("repl: snapshot without feed state")
-	}
-	return &s, nil
+	// survives a restart; zero on the wire.
+	Snapshots int
 }
 
 // DivergenceError reports an anchor check failure: the batch at Want.Seq (or

@@ -1,7 +1,10 @@
 package repl
 
 import (
+	"bytes"
+
 	"grub/internal/core"
+	"grub/internal/gas"
 	"grub/internal/merkle"
 	"grub/internal/stream"
 	"grub/internal/wire"
@@ -11,6 +14,11 @@ import (
 // "Binary replication log encoding"). GET /repl/feeds/{id}/shards/{shard}/log
 // answers in it, with or without an Accept header.
 const LogMediaType = stream.LogMediaType
+
+// ImageMediaType names the binary shard image encoding (docs/API.md, "Binary
+// shard image encoding"). GET /repl/feeds/{id}/shards/{shard}/snapshot
+// answers in it, with or without an Accept header.
+const ImageMediaType = stream.ImageMediaType
 
 // minEntryWire is an entry's smallest encoding, which bounds a decoded entry
 // count by the bytes left: seq, an empty batch, the root, count and height.
@@ -40,12 +48,7 @@ func AppendLogPage(b []byte, p *LogPage) []byte {
 func DecodeLogPage(body []byte) (*LogPage, error) {
 	r := wire.Borrow(body)
 	p := new(LogPage)
-	n := r.Int()
-	if n > r.Len()/minEntryWire {
-		r.Fail("%d entries in %d bytes", n, r.Len())
-		return nil, r.Err()
-	}
-	if n > 0 {
+	if n := r.Count(minEntryWire); n > 0 {
 		p.Entries = make([]Entry, n)
 	}
 	for i := range p.Entries {
@@ -68,4 +71,32 @@ func DecodeLogPage(body []byte) (*LogPage, error) {
 		return nil, err
 	}
 	return p, nil
+}
+
+// AppendSnapshot appends s in the binary image encoding: shard, seq, the
+// 32-byte root, count, height, ops, base Gas and snapshots, then the feed's
+// state (core.FeedSnapshot) to the end. The snapshot route answers these
+// bytes and a shard store keeps them as its snapshot record.
+func AppendSnapshot(b []byte, s *Snapshot) []byte {
+	b = wire.AppendUint(wire.AppendInt(b, s.Shard), s.Seq)
+	b = wire.AppendUint(wire.AppendInt(append(b, s.Root[:]...), s.Count), s.Height)
+	b = wire.AppendInt(wire.AppendUint(wire.AppendInt(b, s.Ops), uint64(s.BaseGas)), s.Snapshots)
+	return append(b, s.Feed.Enc...)
+}
+
+// DecodeSnapshot decodes an image from an untrusted body. It checks the
+// frame only: the feed state is decoded, and the anchor checked, where the
+// image is installed. Nothing aliases body.
+func DecodeSnapshot(body []byte) (*Snapshot, error) {
+	r := wire.Borrow(body)
+	s := &Snapshot{Shard: r.Int()}
+	s.Seq = r.Uint()
+	copy(s.Root[:], r.Bytes(merkle.HashSize))
+	s.Count, s.Height = r.Int(), r.Uint()
+	s.Ops, s.BaseGas, s.Snapshots = r.Int(), gas.Gas(r.Uint()), r.Int()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	s.Feed = &core.FeedSnapshot{Enc: bytes.Clone(r.Rest())}
+	return s, nil
 }

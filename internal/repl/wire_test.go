@@ -105,6 +105,86 @@ func TestLogRouteSpeaksBinaryOnly(t *testing.T) {
 	}
 }
 
+// TestSnapshotRouteSpeaksBinaryOnly: the snapshot route answers the binary
+// image encoding whether or not the request names it, those bytes are the
+// image's AppendSnapshot, and Client.Snapshot refuses an answer in any other
+// type, naming both, without asking again.
+func TestSnapshotRouteSpeaksBinaryOnly(t *testing.T) {
+	leader, err := server.NewGatewayWithOptions(server.GatewayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(leader.Close)
+	srv := httptest.NewServer(server.NewHandler(leader))
+	t.Cleanup(srv.Close)
+	if err := leader.CreateFeed(server.FeedConfig{ID: "f", Shards: 2, EpochOps: 8}); err != nil {
+		t.Fatal(err)
+	}
+	writeBatches(t, leader, "f", 20, 0)
+	want, err := leader.ReplSnapshot("f", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(srv.URL + "/repl/feeds/f/shards/1/snapshot") // no Accept, as curl sends
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != repl.ImageMediaType {
+		t.Fatalf("snapshot fetch without Accept answered %q, want %q", ct, repl.ImageMediaType)
+	}
+	if !bytes.Equal(body, repl.AppendSnapshot(nil, want)) {
+		t.Errorf("the route answered %d bytes that are not the image's encoding", len(body))
+	}
+	if got, err := repl.NewClient(srv.URL).Snapshot("f", 1); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("Snapshot = %+v (%v), want %+v", got, err, want)
+	}
+
+	var fetches atomic.Int64
+	jsonLeader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fetches.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"shard":1,"seq":0,"feed":{}}`)
+	}))
+	t.Cleanup(jsonLeader.Close)
+	_, err = repl.NewClient(jsonLeader.URL).Snapshot("f", 1)
+	if err == nil || !strings.Contains(err.Error(), `"application/json"`) || !strings.Contains(err.Error(), repl.ImageMediaType) {
+		t.Errorf("Snapshot of a JSON answer = %v, want an error naming both types", err)
+	}
+	if n := fetches.Load(); n != 1 {
+		t.Errorf("Snapshot fetched %d times, want 1", n)
+	}
+}
+
+// TestSnapshotFrameHostileInput: a frame cut short is refused with
+// ErrMalformed, and nothing the decoded image holds aliases the body.
+func TestSnapshotFrameHostileInput(t *testing.T) {
+	img := &repl.Snapshot{Shard: 1, Anchor: query.Anchor{Seq: 9, Count: 2, Height: 3}, Ops: 40, BaseGas: 7,
+		Feed: &core.FeedSnapshot{Enc: []byte("feed state")}}
+	body := repl.AppendSnapshot(nil, img)
+	frame := len(body) - len(img.Feed.Enc)
+	for _, n := range []int{0, 1, frame - 1} {
+		if _, err := repl.DecodeSnapshot(body[:n]); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("a %d-byte body decodes with %v, want ErrMalformed", n, err)
+		}
+	}
+	got, err := repl.DecodeSnapshot(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range body {
+		body[i] = 0xff
+	}
+	if !reflect.DeepEqual(got, img) {
+		t.Fatalf("decoded %+v, want %+v", got, img)
+	}
+}
+
 // pageAllocLimit bounds what decoding a body may allocate: the LogPage, an
 // 80-byte Entry per 36 body bytes and a 64-byte Op per 4 at worst, and the
 // keys and values; the constant absorbs the runtime's own allocations

@@ -698,13 +698,16 @@ func (a *api) replLog(c *call, rep *reply) {
 	*rep.body = repl.AppendLogPage(slices.Grow(*rep.body, n), &page)
 }
 
+// replSnapshot answers a shard image in the binary image encoding
+// (repl.ImageMediaType), with or without an Accept header.
 func (a *api) replSnapshot(c *call, rep *reply) {
 	snap, err := a.g.ReplSnapshot(c.Feed, c.Shard)
 	if err != nil {
 		rep.err(err)
 		return
 	}
-	rep.json(http.StatusOK, snap)
+	rep.ContentType = repl.ImageMediaType
+	*rep.body = repl.AppendSnapshot(*rep.body, snap)
 }
 
 // tamperWith lets the rejection tests model a compromised gateway; it is the

@@ -244,7 +244,7 @@ func TestGatewayRecoverErrorClosesEverything(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := db.Put([]byte(fmt.Sprintf("log/%016x", 1)), kvstore.EncodeRecord(kvstore.RecordOpsWire, 1, []byte("{not ops"))); err != nil {
+		if err := db.Put([]byte(fmt.Sprintf("log/%016x", 1)), append(kvstore.AppendRecordHeader(nil, kvstore.RecordOpsWire, 1), "{not ops"...)); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.Close(); err != nil {

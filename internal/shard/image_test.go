@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"grub/internal/core"
 	"grub/internal/kvstore"
 	"grub/internal/repl"
+	"grub/internal/wire"
 )
 
 // storedImage reads and decodes the image a shard's store holds.
@@ -44,7 +46,7 @@ func putSnapshotRecord(t *testing.T, dir string, shard int, kind kvstore.RecordK
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte(snapKey), kvstore.EncodeRecord(kind, seq, payload)); err != nil {
+	if err := db.Put([]byte(snapKey), append(kvstore.AppendRecordHeader(nil, kind, seq), payload...)); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -79,10 +81,8 @@ func TestPersistStoresTheServedImage(t *testing.T) {
 		t.Errorf("stored image counts %d snapshots, the store reports %d", stored.Snapshots, ps.Snapshots)
 	}
 	stored.Snapshots = 0
-	a, _ := json.Marshal(served)
-	b, _ := json.Marshal(stored)
-	if string(a) != string(b) {
-		t.Fatalf("stored image differs from the served one:\nserved %s\nstored %s", a, b)
+	if a, b := repl.AppendSnapshot(nil, served), repl.AppendSnapshot(nil, stored); !bytes.Equal(a, b) {
+		t.Fatalf("stored image (%d bytes) differs from the served one (%d bytes)", len(b), len(a))
 	}
 
 	reopened, err := New(opts, buildTestFeed)
@@ -109,18 +109,25 @@ func TestRecoverRefusesTamperedImage(t *testing.T) {
 	drive(t, sf, persistBatches(10, 8, 3))
 	sf.Close() // final snapshot on every shard
 
+	// The image's feed state with one record value altered: restore it,
+	// alter the record and snapshot the feed again under the same frame.
 	img := storedImage(t, dir, 1)
-	recs := img.Feed.Records
-	if len(recs) == 0 || len(recs[0].Value) == 0 {
-		t.Fatalf("shard 1 image holds no record value to alter: %d records", len(recs))
-	}
-	recs[0].Value = append([]byte(nil), recs[0].Value...)
-	recs[0].Value[0] ^= 0x01
-	payload, err := json.Marshal(img)
+	feed, err := restoreTestFeed(persistEpochOps)(1, img.Feed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	putSnapshotRecord(t, dir, 1, kvstore.RecordImage, img.Seq, payload)
+	recs := feed.DO.Set().Records()
+	if len(recs) == 0 || len(recs[0].Value) == 0 {
+		t.Fatalf("shard 1 image holds no record value to alter: %d records", len(recs))
+	}
+	rec := recs[0]
+	rec.Value = bytes.Clone(rec.Value)
+	rec.Value[0] ^= 0x01
+	feed.DO.Set().Put(rec)
+	if img.Feed, err = feed.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	putSnapshotRecord(t, dir, 1, kvstore.RecordImage, img.Seq, repl.AppendSnapshot(nil, img))
 
 	_, err = New(viewOptions(dir, 2), buildTestFeed)
 	if !errors.Is(err, repl.ErrDivergence) {
@@ -131,30 +138,37 @@ func TestRecoverRefusesTamperedImage(t *testing.T) {
 	}
 }
 
-// TestRecoverRefusesUnanchoredSnapshot: a store whose snapshot record has
-// the kind earlier builds wrote (2, a feed snapshot with counters but no
-// anchor) fails New with an error naming the kind, rather than restore
-// state nothing can check.
+// TestRecoverRefusesUnanchoredSnapshot: a store whose snapshot record has a
+// kind earlier builds wrote — 2, a feed snapshot with counters but no
+// anchor, or 4, a JSON image — fails New with an error naming the record
+// and the kind, rather than restore state it cannot read as an image.
 func TestRecoverRefusesUnanchoredSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	sf := newPersistent(t, dir, 1, 0, false)
 	drive(t, sf, persistBatches(4, 8, 9))
 	sf.Close()
 	img := storedImage(t, dir, 0)
-	legacy, err := json.Marshal(map[string]any{
-		"feed": img.Feed, "ops": img.Ops, "batches": img.Seq, "baseGas": img.BaseGas, "snapshots": 1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	feed := map[string]any{
+		"chain":   map[string]any{"now": 0, "height": img.Height, "totalGas": 0, "txCount": 0},
+		"records": []map[string]any{{"key": "k", "state": 0, "value": "dg=="}},
 	}
-	putSnapshotRecord(t, dir, 0, 2, img.Seq, legacy)
-
-	_, err = New(persistOptions(dir, 1, 0, false), buildTestFeed)
-	if err == nil {
-		t.Fatal("New restored a kind-2 snapshot record")
-	}
-	if msg := err.Error(); !strings.Contains(msg, "kind 2") || !strings.Contains(msg, snapKey) {
-		t.Errorf("New = %q, want an error naming record %q and kind 2", msg, snapKey)
+	for kind, legacy := range map[kvstore.RecordKind]map[string]any{
+		2: {"feed": feed, "ops": img.Ops, "batches": img.Seq, "baseGas": img.BaseGas, "snapshots": 1},
+		4: {"shard": 0, "seq": img.Seq, "root": img.Root, "count": img.Count, "height": img.Height,
+			"feed": feed, "ops": img.Ops, "baseGas": img.BaseGas, "snapshots": 1},
+	} {
+		payload, err := json.Marshal(legacy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		putSnapshotRecord(t, dir, 0, kind, img.Seq, payload)
+		_, err = New(persistOptions(dir, 1, 0, false), buildTestFeed)
+		if err == nil {
+			t.Fatalf("New restored a kind-%d snapshot record", kind)
+		}
+		if msg, want := err.Error(), fmt.Sprintf("kind %d", kind); !strings.Contains(msg, want) || !strings.Contains(msg, snapKey) {
+			t.Errorf("New = %q, want an error naming record %q and %s", msg, snapKey, want)
+		}
 	}
 }
 
@@ -236,18 +250,40 @@ func FuzzImageInstall(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	genuine, err := json.Marshal(img)
-	if err != nil {
-		f.Fatal(err)
-	}
+	genuine := repl.AppendSnapshot(nil, img)
 	f.Add(genuine)
 	lie := *img
 	lie.Count++
-	liar, _ := json.Marshal(&lie)
-	f.Add(liar)
-	f.Add([]byte(`{"seq":3,"feed":{}}`))
-	f.Add([]byte(`{"feed":{"chain":{"height":1}}}`))
-	f.Add([]byte(`{"feed":{"records":[{"key":"k","state":7}]}}`))
+	f.Add(repl.AppendSnapshot(nil, &lie))
+
+	// Offsets into the genuine image: the feed state starts with the
+	// chain's, whose Gas ledger count follows four integers; the record
+	// count and the first record's state byte follow the chain state.
+	restored, err := restoreTestFeed(persistEpochOps)(0, img.Feed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cs, err := restored.Chain.AppendState(nil)
+	if err != nil || !bytes.HasPrefix(img.Feed.Enc, cs) {
+		f.Fatalf("the restored chain's state is not the image's (err %v)", err)
+	}
+	feedAt := len(genuine) - len(img.Feed.Enc)
+	r := wire.Borrow(cs)
+	r.Uint()
+	r.Uint()
+	r.Uint()
+	r.Int()
+	ledgerAt, recordsAt := feedAt+len(cs)-r.Len(), feedAt+len(cs)
+	stateAt := recordsAt + len(wire.AppendInt(nil, img.Count))
+	if genuine[ledgerAt] >= 0x80 || genuine[stateAt] != 0 {
+		f.Fatalf("ledger count %#x, first state byte %d: the offsets are off", genuine[ledgerAt], genuine[stateAt])
+	}
+	f.Add(genuine[:len(genuine)-len(img.Feed.Enc)/2]) // cut halfway through the feed state
+	badState := bytes.Clone(genuine)
+	badState[stateAt] = 7
+	f.Add(badState)
+	bigMap := wire.AppendInt(bytes.Clone(genuine[:ledgerAt]), len(genuine)) // more ledger entries than bytes
+	f.Add(append(bigMap, genuine[ledgerAt+1:]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := repl.DecodeSnapshot(data)

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -17,16 +16,18 @@ import (
 // directory. Applied op batches are appended to a durable log (one typed
 // RecordOpsWire value per batch, keyed by sequence number, riding the
 // engine's write-ahead log), and snapshots compact the log: a RecordImage
-// value holding the shard's image — the same repl.Snapshot, anchor and all,
-// that the replication snapshot route serves — supersedes every log record.
+// value holding the shard's image — the same bytes (repl.AppendSnapshot),
+// anchor and all, that the replication snapshot route serves, but for the
+// store's own snapshot count — supersedes every log record.
 //
 // A log record's payload is the batch in the binary ops encoding
 // (core.AppendOps), the same bytes a binary POST /feeds/{id}/ops body and a
 // replication log page carry. It is the only kind of log record: recovery
 // refuses a store whose log holds any other, naming the record and its kind,
 // rather than skip a batch the shard's sequence counts. The snapshot record
-// is refused the same way unless it is an image: kind 2, the unanchored
-// snapshot of earlier builds, included.
+// is refused the same way unless it is a binary image: kind 2, the
+// unanchored snapshot of earlier builds, and kind 4, their JSON image,
+// included.
 //
 // The discipline is log-then-apply: a batch is durable before it executes,
 // so after a crash the recovered state is exactly "a fresh feed replaying
@@ -156,16 +157,12 @@ func (p *persister) appendBatch(ops []core.Op) error {
 func (p *persister) snapshot(img *repl.Snapshot) error {
 	stored := *img
 	stored.Snapshots = p.snapshots + 1
-	payload, err := json.Marshal(&stored)
-	if err != nil {
-		return fmt.Errorf("shard: encode image: %w", err)
-	}
 	// One batch — one WAL record — installs the image and drops the log
 	// records it supersedes, so no crash leaves one without the other. The
 	// checkpoint after it writes the store's live set (the image record) as
 	// its checkpoint image, drops the tombstones and restarts its WAL empty.
 	b := kvstore.NewBatch()
-	b.Put([]byte(snapKey), kvstore.EncodeRecord(kvstore.RecordImage, img.Seq, payload))
+	b.Put([]byte(snapKey), repl.AppendSnapshot(kvstore.AppendRecordHeader(nil, kvstore.RecordImage, img.Seq), &stored))
 	for it := p.db.NewIteratorFrom([]byte(logKeyPrefix)); it.Valid() && bytes.HasPrefix(it.Key(), []byte(logKeyPrefix)); it.Next() {
 		b.Delete(it.Key())
 	}

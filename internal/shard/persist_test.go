@@ -384,7 +384,7 @@ func TestRecoverRefusesUnknownRecordKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put(logKey(3), kvstore.EncodeRecord(7, 3, []byte("not a batch"))); err != nil {
+	if err := db.Put(logKey(3), append(kvstore.AppendRecordHeader(nil, 7, 3), "not a batch"...)); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -449,7 +449,7 @@ func TestRecoverRefusesLogGap(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			return db.Put(logKey(4), kvstore.EncodeRecord(kvstore.RecordOpsWire, 5, payload))
+			return db.Put(logKey(4), append(kvstore.AppendRecordHeader(nil, kvstore.RecordOpsWire, 5), payload...))
 		}, logKey(4)},
 	}
 	for _, c := range cases {

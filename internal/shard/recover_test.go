@@ -124,7 +124,7 @@ func corruptFirstLogRecord(t *testing.T, dir string, shard int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put(logKey(1), kvstore.EncodeRecord(kvstore.RecordOpsWire, 1, []byte("{not ops"))); err != nil {
+	if err := db.Put(logKey(1), append(kvstore.AppendRecordHeader(nil, kvstore.RecordOpsWire, 1), "{not ops"...)); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {

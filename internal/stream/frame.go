@@ -91,7 +91,7 @@ var routes = [NumRoutes]struct{ pattern, media string }{
 	RouteHealth:         {"GET /healthz", ""},
 	RouteMetrics:        {"GET /metrics", ""},
 	RouteReplFeeds:      {"GET /repl/feeds", ""},
-	RouteReplSnapshot:   {"GET /repl/feeds/{id}/shards/{shard}/snapshot", ""},
+	RouteReplSnapshot:   {"GET /repl/feeds/{id}/shards/{shard}/snapshot", ImageMediaType},
 	RouteRoots:          {"GET /feeds/{id}/roots", ""},
 	RouteTrace:          {"GET /feeds/{id}/trace", ""},
 	RouteCloseFeed:      {"DELETE /feeds/{id}", ""},
@@ -111,10 +111,11 @@ const (
 
 // The media types of the bodies the routes speak.
 const (
-	JSONMediaType = "application/json"
-	OpsMediaType  = "application/x-grub-ops"
-	ReadMediaType = "application/x-grub-read"
-	LogMediaType  = "application/x-grub-repl"
+	JSONMediaType  = "application/json"
+	OpsMediaType   = "application/x-grub-ops"
+	ReadMediaType  = "application/x-grub-read"
+	LogMediaType   = "application/x-grub-repl"
+	ImageMediaType = "application/x-grub-image"
 )
 
 // The headers that carry a request's placement epoch and Forwarded flag over
@@ -193,7 +194,7 @@ func (r *Request) headers(f func(k, v string)) {
 			}
 			f("Content-Type", ct)
 		}
-		if r.Route == RouteLog || r.Flags&JSONAnswer == 0 {
+		if r.Route == RouteLog || r.Route == RouteReplSnapshot || r.Flags&JSONAnswer == 0 {
 			f("Accept", media)
 		}
 	}
@@ -393,7 +394,7 @@ func DecodeAnswer(p []byte) (hd Head, body []byte, err error) {
 	if hd.Status = d.Int(); hd.Status < 100 || hd.Status > 999 {
 		d.Fail("status %d", hd.Status)
 	}
-	hd.ContentType = str(d, JSONMediaType, OpsMediaType, ReadMediaType, LogMediaType)
+	hd.ContentType = str(d, JSONMediaType, OpsMediaType, ReadMediaType, LogMediaType, ImageMediaType)
 	hd.Leader, hd.RetryAfter = d.OwnStr(), d.Int()
 	hd.TraceID, hd.Spans = d.OwnStr(), d.OwnStr()
 	return hd, d.Rest(), d.Err()

@@ -1,11 +1,13 @@
 // Package wire holds the byte-level primitives of the gateway's binary
 // encodings (layouts in docs/API.md): the read encoding, media type
-// application/x-grub-read, the ops encoding, application/x-grub-ops, and the
-// replication log encoding, application/x-grub-repl. Primitives are uvarint
-// lengths and integers, length-prefixed strings and raw fixed-size fields.
+// application/x-grub-read, the ops encoding, application/x-grub-ops, the
+// replication log encoding, application/x-grub-repl, and the shard image
+// encoding, application/x-grub-image. Primitives are uvarint lengths and
+// integers, length-prefixed strings and bytes, and raw fixed-size fields.
 // The proof types in merkle, ads and query, the op batches in core, the
-// results in server and the log pages in repl append themselves with the
-// Append functions and decode themselves from a Reader.
+// results in server, the log pages and images in repl and the feed and
+// chain states in core and chain append themselves with the Append
+// functions and decode themselves from a Reader.
 package wire
 
 import (
@@ -32,12 +34,18 @@ func AppendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
+// AppendBytes appends v behind its uvarint length; r.Bytes(r.Int()) reads
+// it back.
+func AppendBytes(b, v []byte) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(v))), v...)
+}
+
 // Reader decodes one body. The body comes from a party the caller does not
 // trust, so every read is checked against the bytes that remain and nothing
 // is sized from a decoded length without that check. Errors are sticky: after
 // the first failure every read returns a zero value and Err reports the
 // failure, so decoders read field after field and check once — but a loop
-// bounded by a decoded count must bound that count with Len first.
+// bounded by a decoded count must read that count with Count.
 //
 // NewReader copies the body, as the bytes Bytes results alias; the first Str
 // copies it once more, as the string Str results alias. Decoding a proof tree
@@ -146,6 +154,18 @@ func (r *Reader) Int() int {
 		return 0
 	}
 	return int(v)
+}
+
+// Count reads a uvarint count of items that take at least min bytes each,
+// and fails, returning 0, when the bytes left cannot hold that many: a loop
+// bounded by it runs at most once per min unread bytes.
+func (r *Reader) Count(min int) int {
+	n := r.Int()
+	if n > r.Len()/min {
+		r.Fail("%d items of at least %d bytes in %d bytes", n, min, r.Len())
+		return 0
+	}
+	return n
 }
 
 // Str reads a uvarint length and that many bytes as a string aliasing the

@@ -53,6 +53,7 @@ func TestReaderRejects(t *testing.T) {
 		"trailing bytes":      func(r *Reader) { r.Byte() },
 		"explicit":            func(r *Reader) { r.Fail("nope") },
 		"byte on empty body":  func(r *Reader) { r.Bytes(8); r.Byte() },
+		"count past end":      func(r *Reader) { r.Count(2) },
 	}
 	bodies := map[string][]byte{
 		"truncated uvarint":   {0x80, 0x80},
@@ -63,6 +64,7 @@ func TestReaderRejects(t *testing.T) {
 		"trailing bytes":      {1, 2},
 		"explicit":            nil,
 		"byte on empty body":  {1, 2, 3, 4, 5, 6, 7, 8},
+		"count past end":      {3, 1, 2, 3, 4, 5},
 	}
 	for name, read := range cases {
 		r := NewReader(bodies[name])
@@ -75,8 +77,20 @@ func TestReaderRejects(t *testing.T) {
 			t.Errorf("%s: reads after a failure returned data", name)
 		}
 	}
+	// Count takes as many items as the bytes left can hold, and reads 0
+	// after refusing more.
+	r := NewReader(AppendBytes(AppendInt(nil, 2), []byte("ab")))
+	if n := r.Count(1); n != 2 || r.Err() != nil {
+		t.Errorf("Count(1) = %d (%v), want 2", n, r.Err())
+	}
+	if v := r.Bytes(r.Int()); string(v) != "ab" || r.Finish() != nil {
+		t.Errorf("AppendBytes read back %q (%v)", v, r.Finish())
+	}
+	if n := NewReader([]byte{3, 0, 0, 0, 0, 0}).Count(2); n != 0 {
+		t.Errorf("refused Count = %d, want 0", n)
+	}
 	// A negative int is written as a value no reader accepts.
-	r := NewReader(AppendInt(nil, -1))
+	r = NewReader(AppendInt(nil, -1))
 	if r.Int(); r.Err() == nil {
 		t.Error("negative int accepted")
 	}
