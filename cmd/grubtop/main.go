@@ -1,11 +1,12 @@
 // Command grubtop is a terminal cluster-load viewer for grubd. It polls
 // one node's GET /cluster/load and GET /cluster/status over a Go-to-Go
 // stream, through a cluster.Client as a peer would — any node will do,
-// since heartbeats replicate every member's load digest — and renders
-// the cluster's heat each frame: per-node throughput with digest
-// freshness, the hottest feeds (cluster-wide EWMA ops/sec and gas/sec,
-// with owner), heartbeat lag, and any halted shards. Pointed at a
-// standalone gateway it degrades to a single-node feed-load view.
+// since each /cluster/load reads every member's load gauges — and renders
+// the cluster's heat each frame: per-node throughput, with whether the
+// member answered (live) or not (unreachable), the hottest feeds
+// (cluster-wide EWMA ops/sec and gas/sec, with owner), member liveness,
+// and any halted shards. Pointed at a standalone gateway it degrades to a
+// single-node feed-load view.
 //
 // Usage:
 //
@@ -102,22 +103,19 @@ func renderFrame(w io.Writer, c *cluster.Client, node string, top int, clear boo
 	if len(load.Nodes) > 0 {
 		fmt.Fprintln(w)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "NODE\tALIVE\tDIGEST\tFEEDS\tOPS/S\tGAS/S")
+		fmt.Fprintln(tw, "NODE\tALIVE\tSCRAPE\tFEEDS\tOPS/S\tGAS/S")
 		for _, nl := range load.Nodes {
 			ops, gas := 0.0, 0.0
 			for _, fl := range nl.Loads {
 				ops += fl.OpsPerSec
 				gas += fl.GasPerSec
 			}
-			age := "live"
-			switch {
-			case nl.AgeMS < 0:
-				age = "never"
-			case !nl.Self:
-				age = fmt.Sprintf("%dms", nl.AgeMS)
+			read := "live"
+			if nl.AgeMS < 0 {
+				read = "unreachable"
 			}
 			fmt.Fprintf(tw, "%s\t%v\t%s\t%d\t%.1f\t%.1f\n",
-				nl.Node, nl.Alive, age, len(nl.Loads), ops, gas)
+				nl.Node, nl.Alive, read, len(nl.Loads), ops, gas)
 		}
 		tw.Flush()
 	}

@@ -311,9 +311,11 @@ type Ctx struct {
 	caller   Address
 	meter    *gas.Meter
 	// ledger is the contract's attribution entry, looked up at the first
-	// charge; depth is the call-stack depth the context occupies.
+	// charge; depth is the call-stack depth the context occupies. A view
+	// frame's ledger is a throwaway, so a View attributes Gas to nobody.
 	ledger *gas.Gas
 	depth  int
+	view   bool
 }
 
 // Contract returns the currently executing contract's address.
@@ -339,7 +341,11 @@ func (x *Ctx) GasUsed() gas.Gas { return x.meter.Used() }
 func (x *Ctx) charge(g gas.Gas) {
 	x.meter.Charge(g)
 	if x.ledger == nil {
-		x.ledger = x.chain.ledger(x.contract)
+		if x.view {
+			x.ledger = new(gas.Gas)
+		} else {
+			x.ledger = x.chain.ledger(x.contract)
+		}
 	}
 	*x.ledger += g
 }
@@ -430,6 +436,7 @@ func (x *Ctx) Emit(name string, data any, sizeBytes int) {
 func (x *Ctx) Call(to Address, method string, args any) (any, error) {
 	x.charge(x.chain.schedule.CallBase)
 	sub := x.chain.frame(x.depth+1, to, x.origin, x.contract, x.meter)
+	sub.view = x.view
 	return sub.dispatch(to, method, args)
 }
 
@@ -463,10 +470,11 @@ func (c *Chain) TakeCalls() []CallRecord {
 }
 
 // View executes a read-only internal call outside any transaction, with gas
-// charged to a throwaway meter. It is used by tests and examples to inspect
-// contract state without paying (or recording) gas.
+// charged to a throwaway meter and every frame's attribution, nested calls
+// included, to a throwaway ledger. It is used by tests and examples to
+// inspect contract state without paying (or recording) gas.
 func (c *Chain) View(to Address, method string, args any) (any, error) {
-	ctx := &Ctx{chain: c, contract: to, origin: "viewer", caller: "viewer", meter: &gas.Meter{}}
+	ctx := &Ctx{chain: c, contract: to, origin: "viewer", caller: "viewer", meter: &gas.Meter{}, view: true}
 	return ctx.dispatch(to, method, args)
 }
 

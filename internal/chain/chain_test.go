@@ -295,15 +295,28 @@ func TestView(t *testing.T) {
 		v, _ := ctx.Load("x")
 		return string(v), nil
 	})
+	c.Register("outer", "get", func(ctx *Ctx, args any) (any, error) {
+		return ctx.Call("ctr", "get", nil)
+	})
 	c.Submit(&Tx{To: "ctr", Method: "put"})
 	c.MineBlock()
-	before := c.TotalGas()
-	got, err := c.View("ctr", "get", nil)
-	if err != nil || got != "v" {
-		t.Fatalf("View = %v, %v", got, err)
+	before, ctrBefore := c.TotalGas(), c.GasOf("ctr")
+	for _, to := range []Address{"ctr", "outer"} {
+		got, err := c.View(to, "get", nil)
+		if err != nil || got != "v" {
+			t.Fatalf("View(%s) = %v, %v", to, got, err)
+		}
 	}
 	if c.TotalGas() != before {
 		t.Fatal("View charged gas to the chain totals")
+	}
+	// Neither the viewed contract nor its callee is charged: every frame
+	// of a view, nested calls included, charges a throwaway ledger.
+	if g := c.GasOf("ctr"); g != ctrBefore {
+		t.Errorf("GasOf(ctr) = %d after views, want %d", g, ctrBefore)
+	}
+	if g := c.GasOf("outer"); g != 0 {
+		t.Errorf("GasOf(outer) = %d after a view, want 0", g)
 	}
 }
 

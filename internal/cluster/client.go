@@ -5,29 +5,25 @@ import (
 	"fmt"
 	"net/http"
 
-	"grub/internal/obs"
 	"grub/internal/query"
 	"grub/internal/stream"
 )
 
 // Heartbeat is the POST /cluster/heartbeat request body: the sender's
-// identity plus its full placement map and a compact per-feed load digest.
-// Heartbeats double as the placement- and load-replication channel — both
-// sides merge the other's entries and remember the other's digest.
+// identity plus its full placement map. Heartbeats double as the
+// placement-replication channel — both sides merge the other's entries.
 type Heartbeat struct {
-	From    string         `json:"from"`
-	NodeID  string         `json:"nodeId,omitempty"`
-	Entries []Entry        `json:"entries"`
-	Load    []obs.FeedLoad `json:"load,omitempty"`
+	From    string  `json:"from"`
+	NodeID  string  `json:"nodeId,omitempty"`
+	Entries []Entry `json:"entries"`
 }
 
-// HeartbeatReply is the heartbeat response: the receiver's identity, its
-// (post-merge) placement map and its own load digest.
+// HeartbeatReply is the heartbeat response: the receiver's identity and
+// its (post-merge) placement map.
 type HeartbeatReply struct {
-	NodeID  string         `json:"nodeId,omitempty"`
-	Self    string         `json:"self"`
-	Entries []Entry        `json:"entries"`
-	Load    []obs.FeedLoad `json:"load,omitempty"`
+	NodeID  string  `json:"nodeId,omitempty"`
+	Self    string  `json:"self"`
+	Entries []Entry `json:"entries"`
 }
 
 // MoveRequest is the POST /cluster/feeds/{id}/move request body.

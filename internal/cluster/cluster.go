@@ -100,9 +100,6 @@ type Local interface {
 	// Pipeline receives the peer followers' follower_fetch and
 	// follower_verify latencies (nil: not observed).
 	Pipeline() *obs.Pipeline
-	// Load is the gateway's per-feed load tracker; the hottest feeds of its
-	// snapshot piggyback on every heartbeat (nil: no digest).
-	Load() *obs.LoadTracker
 }
 
 // Options configures a Node.
@@ -201,8 +198,7 @@ type Node struct {
 	mu         sync.Mutex
 	lastSeen   map[string]time.Time
 	tails      map[string]tailState
-	conflicted map[string]string        // feed -> reason promotion is refused
-	peerLoads  map[string]nodeLoadState // peer -> last piggybacked load digest
+	conflicted map[string]string // feed -> reason promotion is refused
 }
 
 // NewNode builds an unstarted cluster node.
@@ -255,7 +251,6 @@ func NewNode(opts Options) (*Node, error) {
 		followers:  followers,
 		tails:      make(map[string]tailState),
 		conflicted: make(map[string]string),
-		peerLoads:  make(map[string]nodeLoadState),
 	}, nil
 }
 
@@ -371,7 +366,7 @@ func (n *Node) hasQuorum() bool {
 // heartbeatOnce exchanges heartbeats (and placement maps) with every peer
 // in parallel.
 func (n *Node) heartbeatOnce() {
-	hb := Heartbeat{From: n.opts.Self, NodeID: n.opts.NodeID, Entries: n.pm.Entries(), Load: n.loadDigest()}
+	hb := Heartbeat{From: n.opts.Self, NodeID: n.opts.NodeID, Entries: n.pm.Entries()}
 	var wg sync.WaitGroup
 	for _, p := range n.peers() {
 		wg.Add(1)
@@ -383,7 +378,6 @@ func (n *Node) heartbeatOnce() {
 			}
 			n.markAlive(p)
 			n.pm.MergeAll(reply.Entries)
-			n.storePeerLoad(p, reply.Load)
 		}(p)
 	}
 	wg.Wait()
@@ -392,7 +386,7 @@ func (n *Node) heartbeatOnce() {
 // pushEntries sends specific entries to one peer immediately (migration
 // flips and promotions should not wait out a heartbeat tick).
 func (n *Node) pushEntries(peer string, entries []Entry) {
-	if _, err := n.client.Heartbeat(peer, Heartbeat{From: n.opts.Self, NodeID: n.opts.NodeID, Entries: entries, Load: n.loadDigest()}); err == nil {
+	if _, err := n.client.Heartbeat(peer, Heartbeat{From: n.opts.Self, NodeID: n.opts.NodeID, Entries: entries}); err == nil {
 		n.markAlive(peer)
 	}
 }
@@ -403,10 +397,9 @@ func (n *Node) pushEntries(peer string, entries []Entry) {
 func (n *Node) HandleHeartbeat(hb Heartbeat) HeartbeatReply {
 	if hb.From != "" && hb.From != n.opts.Self {
 		n.markAlive(hb.From)
-		n.storePeerLoad(hb.From, hb.Load)
 	}
 	n.pm.MergeAll(hb.Entries)
-	return HeartbeatReply{NodeID: n.opts.NodeID, Self: n.opts.Self, Entries: n.pm.Entries(), Load: n.loadDigest()}
+	return HeartbeatReply{NodeID: n.opts.NodeID, Self: n.opts.Self, Entries: n.pm.Entries()}
 }
 
 // reconcile drives the node's obligations from the placement map: claim

@@ -21,7 +21,6 @@ func (stubLocal) Feeds() []string                          { return nil }
 func (stubLocal) Anchors(string) ([]query.RootInfo, error) { return nil, errors.New("stub") }
 func (stubLocal) CloseFeed(string) error                   { return nil }
 func (stubLocal) Pipeline() *obs.Pipeline                  { return nil }
-func (stubLocal) Load() *obs.LoadTracker                   { return nil }
 
 func routeTestNode(t *testing.T, self string, peers ...string) *Node {
 	t.Helper()

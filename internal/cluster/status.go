@@ -103,26 +103,6 @@ func (n *Node) Status() Status {
 	return st
 }
 
-// HeartbeatLag returns seconds since each peer was last heard from (-1 =
-// never) — the /metrics heartbeat-lag gauge.
-func (n *Node) HeartbeatLag() map[string]float64 {
-	out := make(map[string]float64, len(n.members))
-	now := time.Now()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, m := range n.members {
-		if m == n.opts.Self {
-			continue
-		}
-		if last, ok := n.lastSeen[m]; ok {
-			out[m] = now.Sub(last).Seconds()
-		} else {
-			out[m] = -1
-		}
-	}
-	return out
-}
-
 // anchorsEqual reports whether two anchor sets are the same anchor, shard
 // by shard.
 func anchorsEqual(a, b []query.RootInfo) bool {

@@ -74,6 +74,10 @@ type Feed struct {
 	// LastValue records the most recent callback payload per key
 	// (DU-side application state, held in memory).
 	LastValue map[string][]byte
+	// imageLen is the length of the feed's last image, taken or restored:
+	// the next Snapshot starts its buffer there, so an image about the
+	// size of the last one is one allocation.
+	imageLen int
 }
 
 // NewFeed wires a feed with the given decision policy onto c.

@@ -42,7 +42,7 @@ func (f *Feed) Snapshot() (*FeedSnapshot, error) {
 	if n := f.SP.PendingRequests(); n != 0 {
 		return nil, fmt.Errorf("%w: %d unanswered requests", ErrFeedBusy, n)
 	}
-	b, err := f.Chain.AppendState(nil)
+	b, err := f.Chain.AppendState(make([]byte, 0, f.imageLen))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFeedBusy, err)
 	}
@@ -81,6 +81,7 @@ func (f *Feed) Snapshot() (*FeedSnapshot, error) {
 	for _, k := range slices.Sorted(maps.Keys(f.LastValue)) {
 		b = wire.AppendBytes(wire.AppendString(b, k), f.LastValue[k])
 	}
+	f.imageLen = len(b)
 	return &FeedSnapshot{Enc: b}, nil
 }
 
@@ -144,6 +145,7 @@ func RestoreFeed(c *chain.Chain, p policy.Policy, opts Options, snap *FeedSnapsh
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
+	f.imageLen = len(snap.Enc)
 	return f, nil
 }
 

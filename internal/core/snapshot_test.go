@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -246,5 +247,42 @@ func TestWriteDemotionAcrossSnapshot(t *testing.T) {
 			t.Fatalf("%s: feed Gas %d, the never-snapshotted feed's %d", name, f.FeedGas(), ref.FeedGas())
 		}
 		requireFeedsEqual(t, name, ref, f)
+	}
+}
+
+// TestSnapshotAllocatesOnceFromSecondImage: a feed's second image, and a
+// restored feed's first, start their buffer at the last image's length, so
+// a snapshot of an unchanged feed allocates under twice its image's bytes
+// (one buffer plus the sorted key slices), not the doublings of growing
+// a buffer from nothing.
+func TestSnapshotAllocatesOnceFromSecondImage(t *testing.T) {
+	keys := roundTripKeys()
+	f := newTestFeed(policy.NewMemoryless(2), Options{EpochOps: 1 << 30})
+	for _, k := range keys {
+		f.DO.StageWrite(KV{Key: k, Value: make([]byte, 32)})
+	}
+	f.FlushEpoch()
+	first, err := f.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RestoreFeed(fastChain(), policy.NewMemoryless(2), f.opts, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		feed *Feed
+	}{{"second", f}, {"restored", r}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		snap, err := tc.feed.Snapshot()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, limit := after.TotalAlloc-before.TotalAlloc, 2*uint64(len(snap.Enc)); got >= limit {
+			t.Errorf("%s snapshot allocated %d bytes for a %d-byte image (want < %d)", tc.name, got, len(snap.Enc), limit)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -248,6 +249,7 @@ func FuzzParseExposition(f *testing.F) {
 	f.Add("# HELP h a\n# TYPE h histogram\nh_sum 1\n# HELP h_sum b\n# TYPE h_sum gauge\nh_sum{a=\"1\"} 2\n")
 	f.Add("# HELP grub_x a\n# TYPE grub_x gauge\n")
 	f.Add("# HELP grub_x a\n# TYPE grub_x gauge\ngrub_x{feed=\"\\t\"} 1\n")
+	f.Add("# HELP grub_feed_load_ops_per_sec a\n# TYPE grub_feed_load_ops_per_sec gauge\ngrub_feed_load_ops_per_sec 1\ngrub_feed_load_ops_per_sec{feed=\"h\"} 2\ngrub_feed_load_ops_per_sec{feed=\"n\"} NaN\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		fams, err := ParseExposition(text)
 		if err != nil {
@@ -262,8 +264,20 @@ func FuzzParseExposition(f *testing.F) {
 		if !sameFamilies(fams, again) {
 			t.Fatalf("families changed across a write:\n got %+v\nwant %+v", again, fams)
 		}
+		// GET /cluster/load reads a peer's accepted exposition as loads.
+		loads := ReadLoads(fams)
+		for i, l := range loads {
+			if l.Feed == "" || !finite(l.OpsPerSec) || !finite(l.GasPerSec) {
+				t.Fatalf("read an unusable load %+v", l)
+			}
+			if i > 0 && loads[i-1].OpsPerSec < l.OpsPerSec {
+				t.Fatalf("loads not ranked: %+v", loads)
+			}
+		}
 	})
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // sameFamilies is reflect.DeepEqual on families, but with NaN equal to
 // NaN and -0 equal to 0 (WriteFamilies writes both zeros as "0").

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -108,7 +109,7 @@ func (s LoadSample) zero() bool {
 }
 
 // FeedLoad is one feed's load estimate, the unit of the ranked
-// /cluster/load report and of the heartbeat load digests.
+// /cluster/load report and of the grub_feed_load_* gauges it is read from.
 type FeedLoad struct {
 	Feed      string  `json:"feed"`
 	OpsPerSec float64 `json:"opsPerSec"`
@@ -201,31 +202,61 @@ func RankLoads(loads []FeedLoad) {
 	})
 }
 
-// MergeLoads folds several nodes' digests for the same feed set into
-// one ranked list, summing rates per feed (a feed served by one owner
-// plus follower tails reports the union of their work). NaNs are
-// dropped defensively — a digest crosses the wire as JSON.
-func MergeLoads(digests ...[]FeedLoad) []FeedLoad {
+// The per-feed load gauges: how /metrics carries a LoadTracker's snapshot,
+// and what GET /cluster/load reads every member's load back from.
+const (
+	loadOpsGauge = "grub_feed_load_ops_per_sec"
+	loadGasGauge = "grub_feed_load_gas_per_sec"
+)
+
+// LoadFamilies renders loads as the per-feed load gauges, one sample of
+// each per feed. A feed idle long enough to leave the tracker's snapshot
+// has no series, so the set shrinks back to nothing when traffic stops.
+func LoadFamilies(loads []FeedLoad) []Family {
+	out := []Family{
+		{Name: loadOpsGauge, Help: "Recent per-feed op throughput (sliding-window EWMA).", Type: "gauge"},
+		{Name: loadGasGauge, Help: "Recent per-feed gas burn rate (sliding-window EWMA).", Type: "gauge"},
+	}
+	for _, fl := range loads {
+		out[0].Add(fl.OpsPerSec, "feed", fl.Feed)
+		out[1].Add(fl.GasPerSec, "feed", fl.Feed)
+	}
+	return out
+}
+
+// ReadLoads reads the per-feed load gauges back out of members' families
+// into one ranked list, summing rates per feed across members (a feed
+// served by one owner plus follower tails reports the union of their
+// work). The families may come from other processes, so a sample without a
+// non-empty feed label or with a non-finite value is skipped.
+func ReadLoads(members ...[]Family) []FeedLoad {
 	byFeed := make(map[string]*FeedLoad)
-	order := make([]string, 0)
-	for _, d := range digests {
-		for _, l := range d {
-			if l.Feed == "" || math.IsNaN(l.OpsPerSec) || math.IsNaN(l.GasPerSec) {
+	for _, fams := range members {
+		for _, f := range fams {
+			if f.Name != loadOpsGauge && f.Name != loadGasGauge {
 				continue
 			}
-			e, ok := byFeed[l.Feed]
-			if !ok {
-				e = &FeedLoad{Feed: l.Feed}
-				byFeed[l.Feed] = e
-				order = append(order, l.Feed)
+			for _, s := range f.Samples {
+				i := slices.IndexFunc(s.Labels, func(lp LabelPair) bool { return lp.Name == "feed" })
+				if i < 0 || s.Labels[i].Value == "" || math.IsNaN(s.Value) || math.IsInf(s.Value, 0) {
+					continue
+				}
+				fl, ok := byFeed[s.Labels[i].Value]
+				if !ok {
+					fl = &FeedLoad{Feed: s.Labels[i].Value}
+					byFeed[fl.Feed] = fl
+				}
+				if f.Name == loadOpsGauge {
+					fl.OpsPerSec += s.Value
+				} else {
+					fl.GasPerSec += s.Value
+				}
 			}
-			e.OpsPerSec += l.OpsPerSec
-			e.GasPerSec += l.GasPerSec
 		}
 	}
-	out := make([]FeedLoad, 0, len(order))
-	for _, feed := range order {
-		out = append(out, *byFeed[feed])
+	out := make([]FeedLoad, 0, len(byFeed))
+	for _, fl := range byFeed {
+		out = append(out, *fl)
 	}
 	RankLoads(out)
 	return out

@@ -1,9 +1,10 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -78,19 +79,66 @@ func TestLoadTrackerRanking(t *testing.T) {
 	}
 }
 
+// TestMergeLoads: several members' load gauges read as one ranked list,
+// summed per feed.
 func TestMergeLoads(t *testing.T) {
-	a := []FeedLoad{{Feed: "f1", OpsPerSec: 10, GasPerSec: 1}, {Feed: "f2", OpsPerSec: 90}}
-	b := []FeedLoad{{Feed: "f1", OpsPerSec: 85, GasPerSec: 2}, {Feed: "", OpsPerSec: 1}}
-	c := []FeedLoad{{Feed: "f3", OpsPerSec: math.NaN()}}
-	got := MergeLoads(a, b, c)
-	if len(got) != 2 {
-		t.Fatalf("merged = %+v, want 2 feeds", got)
+	a := LoadFamilies([]FeedLoad{{Feed: "f1", OpsPerSec: 10, GasPerSec: 1}, {Feed: "f2", OpsPerSec: 90}})
+	b := LoadFamilies([]FeedLoad{{Feed: "f1", OpsPerSec: 85, GasPerSec: 2}, {Feed: "", OpsPerSec: 1}})
+	c := LoadFamilies([]FeedLoad{{Feed: "f3", OpsPerSec: math.NaN()}})
+	got := ReadLoads(a, b, c)
+	want := []FeedLoad{{Feed: "f1", OpsPerSec: 95, GasPerSec: 3}, {Feed: "f2", OpsPerSec: 90}, {Feed: "f3"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged = %+v, want %+v", got, want)
 	}
-	if got[0].Feed != "f1" || got[0].OpsPerSec != 95 || got[0].GasPerSec != 3 {
-		t.Errorf("f1 merge = %+v", got[0])
+}
+
+// TestLoadGaugesRoundTrip: the load gauges a member writes read back, over
+// the exposition text, as the loads it rendered.
+func TestLoadGaugesRoundTrip(t *testing.T) {
+	loads := []FeedLoad{{Feed: "hot", OpsPerSec: 812.5, GasPerSec: 2437.25}, {Feed: `we"ird`, OpsPerSec: 3}, {Feed: "gas-only", GasPerSec: 7}}
+	var text strings.Builder
+	WriteFamilies(&text, LoadFamilies(loads))
+	fams, err := ParseExposition(text.String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got[1].Feed != "f2" || got[1].OpsPerSec != 90 {
-		t.Errorf("f2 merge = %+v", got[1])
+	RankLoads(loads)
+	if got := ReadLoads(fams); !reflect.DeepEqual(got, loads) {
+		t.Fatalf("read back %+v, want %+v", got, loads)
+	}
+	if got := ReadLoads(nil); len(got) != 0 {
+		t.Fatalf("no families read as %+v", got)
+	}
+}
+
+// TestReadLoadsSkipsBadSamples: a sample without a feed label, with an
+// empty one, or with a non-finite value is skipped, not indexed or summed;
+// other families and the other labels of a sample are ignored.
+func TestReadLoadsSkipsBadSamples(t *testing.T) {
+	text := `# HELP grub_feed_load_ops_per_sec a
+# TYPE grub_feed_load_ops_per_sec gauge
+grub_feed_load_ops_per_sec 5
+grub_feed_load_ops_per_sec{feed=""} 6
+grub_feed_load_ops_per_sec{node="n",feed="ok"} 10
+grub_feed_load_ops_per_sec{feed="nan"} NaN
+grub_feed_load_ops_per_sec{feed="inf"} +Inf
+grub_feed_load_ops_per_sec{shard="0"} 7
+# HELP grub_feed_load_gas_per_sec b
+# TYPE grub_feed_load_gas_per_sec gauge
+grub_feed_load_gas_per_sec{feed="ok"} 30
+grub_feed_load_gas_per_sec{feed="nan"} 1
+grub_feed_load_gas_per_sec{feed="inf"} -Inf
+# HELP grub_feed_ops_total c
+# TYPE grub_feed_ops_total counter
+grub_feed_ops_total{feed="other"} 99
+`
+	fams, err := ParseExposition(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []FeedLoad{{Feed: "ok", OpsPerSec: 10, GasPerSec: 30}, {Feed: "nan", GasPerSec: 1}}
+	if got := ReadLoads(fams); !reflect.DeepEqual(got, want) {
+		t.Fatalf("read %+v, want %+v", got, want)
 	}
 }
 
@@ -120,12 +168,11 @@ func BenchmarkRateMeterAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadTrackerSnapshot times what every cluster heartbeat pays to
-// build its load digest at 1k feeds: rank every feed's rate and keep the
-// hottest 64 (the cluster's per-heartbeat cap). It reports the digest's
-// JSON size as digest_bytes.
+// BenchmarkLoadTrackerSnapshot times what every /metrics scrape (and so
+// every member's row of a GET /cluster/load) pays to render the load
+// gauges at 1k feeds: rank every feed's rate and build the two gauge
+// families. It reports the gauges' exposition size as gauge_bytes.
 func BenchmarkLoadTrackerSnapshot(b *testing.B) {
-	const digestCap = 64
 	lt, meters := benchTracker()
 	now := int64(1000)
 	for k, m := range meters {
@@ -134,22 +181,17 @@ func BenchmarkLoadTrackerSnapshot(b *testing.B) {
 	if n := len(lt.snapshotAt(now)); n != benchFeeds {
 		b.Fatalf("snapshot has %d feeds, want %d", n, benchFeeds)
 	}
-	var digest []FeedLoad
+	var fams []Family
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		digest = lt.snapshotAt(now)
-		if len(digest) > digestCap {
-			digest = digest[:digestCap]
-		}
+		fams = LoadFamilies(lt.snapshotAt(now))
 	}
 	b.StopTimer()
-	if len(digest) != digestCap {
-		b.Fatalf("digest has %d feeds, want %d", len(digest), digestCap)
+	var text strings.Builder
+	WriteFamilies(&text, fams)
+	if n := len(ReadLoads(fams)); n != benchFeeds {
+		b.Fatalf("gauges read back %d feeds, want %d", n, benchFeeds)
 	}
-	wire, err := json.Marshal(digest)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(len(wire)), "digest_bytes")
+	b.ReportMetric(float64(text.Len()), "gauge_bytes")
 }

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"slices"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"grub/internal/cluster"
 	"grub/internal/obs"
 )
 
@@ -341,5 +344,122 @@ func TestClusterLoadFederationE2E(t *testing.T) {
 	}
 	if v, ok := famSampleValue(fams, "grub_cluster_scrape_ok", nodes[fi].url); !ok || v != 1 {
 		t.Errorf("scrape_ok for live %s = %v,%v, want 1", nodes[fi].url, v, ok)
+	}
+}
+
+// TestClusterLoadDropsDeadMember: a member that metered a feed (a
+// follower's tail-applies count) and then dies reads, once past the
+// failure window, as a row with alive false, ageMs -1 and no loads, and
+// the cluster-wide ranking carries none of its last rate.
+func TestClusterLoadDropsDeadMember(t *testing.T) {
+	nodes := startTestCluster(t, 3)
+	c := NewClient(nodes[0].url)
+	c.Retry = Retry{Attempts: 4, Base: 5 * time.Millisecond, Max: 50 * time.Millisecond}
+	if err := c.CreateFeed(FeedConfig{ID: "hot", Shards: 2, EpochOps: 4}); err != nil {
+		t.Fatal(err)
+	}
+	oi := ownerIndex(t, nodes, "hot", 5*time.Second)
+	ki := (oi + 1) % 3 // a follower of hot: it meters its tail-applies
+
+	// The meters count completed seconds only: write until the follower's
+	// tracker reports the feed.
+	owner := NewClient(nodes[oi].url)
+	metered := func() bool {
+		for _, fl := range nodes[ki].g.Load().Snapshot() {
+			if fl.Feed == "hot" && fl.OpsPerSec > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for i, deadline := 0, time.Now().Add(5*time.Second); !metered(); i++ {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never metered the feed")
+		}
+		if _, err := owner.Do("hot", []Op{{Type: "write", Key: fmt.Sprintf("k%05d", i), Value: []byte("v")}}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// A few heartbeats pass with the rate metered, so a load view that
+	// kept a member's last report would still hold it after the kill.
+	time.Sleep(testFailAfter / 2)
+	nodes[ki].kill()
+
+	httpc := &http.Client{Timeout: 5 * time.Second}
+	var doc LoadResponse
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		doc = LoadResponse{}
+		if err := getJSONDoc(httpc, nodes[oi].url+"/cluster/load", &doc); err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(doc.Nodes, func(nl NodeLoad) bool { return nl.Node == nodes[ki].url })
+		if i < 0 {
+			t.Fatalf("no row for member %s: %+v", nodes[ki].url, doc.Nodes)
+		}
+		if !doc.Nodes[i].Alive {
+			if nl := doc.Nodes[i]; nl.AgeMS != -1 || len(nl.Loads) != 0 {
+				t.Fatalf("dead member's row = %+v, want ageMs -1 and no loads", nl)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("member %s still alive past the failure window: %+v", nodes[ki].url, doc.Nodes)
+		}
+		time.Sleep(testFailAfter / 4)
+	}
+	var live float64
+	for _, nl := range doc.Nodes {
+		if nl.AgeMS < 0 && len(nl.Loads) != 0 {
+			t.Errorf("unread row %s carries loads %+v", nl.Node, nl.Loads)
+		}
+		for _, fl := range nl.Loads {
+			if fl.Feed == "hot" {
+				live += fl.OpsPerSec
+			}
+		}
+	}
+	var ranked float64
+	for _, fl := range doc.Feeds {
+		if fl.Feed == "hot" {
+			ranked = fl.OpsPerSec
+		}
+	}
+	if ranked != live {
+		t.Errorf("feeds ranks hot at %v ops/s, but the rows read sum to %v", ranked, live)
+	}
+}
+
+// TestClusterHeartbeatBodies pins the heartbeat bodies to the ones
+// docs/API.md documents: {from, nodeId, entries} in, {self, nodeId,
+// entries} back, placement and nothing else.
+func TestClusterHeartbeatBodies(t *testing.T) {
+	nodes := startTestCluster(t, 1)
+	keys := func(data []byte) []string {
+		t.Helper()
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		return slices.Sorted(maps.Keys(m))
+	}
+	req, err := json.Marshal(cluster.Heartbeat{From: "http://peer", NodeID: "peer"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := keys(req), []string{"entries", "from", "nodeId"}; !slices.Equal(got, want) {
+		t.Errorf("heartbeat request keys = %q, want %q", got, want)
+	}
+	resp, err := http.Post(nodes[0].url+"/cluster/heartbeat", "application/json", bytes.NewReader(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("heartbeat: status %d, err %v: %s", resp.StatusCode, err, body)
+	}
+	if got, want := keys(body), []string{"entries", "nodeId", "self"}; !slices.Equal(got, want) {
+		t.Errorf("heartbeat reply keys = %q, want %q", got, want)
 	}
 }

@@ -10,45 +10,41 @@ import (
 	"grub/internal/stream"
 )
 
-// Metrics federation: GET /cluster/metrics on any node answers one
-// Prometheus exposition covering the whole cluster. The answering node
+// Metrics federation: GET /cluster/metrics and GET /cluster/load on any
+// node answer for the whole cluster from one fan-out. The answering node
 // takes its own families in-process (renderMetrics, no text in between)
 // and scrapes every peer's /metrics concurrently over the node's streams
 // (bounded fan-in; each hop bounded by the node's peer timeout and
-// stream.MaxAnswer, like every other hop), parses each with the obs
-// exposition parser, and merges the families with a `node` label
-// distinguishing the sources. A peer that is
-// down, slow or serving malformed text contributes nothing but its
-// grub_cluster_scrape_ok marker — a dead node makes the scrape smaller,
-// never hanging or poisoning it.
+// stream.MaxAnswer, like every other hop), parsing each with the obs
+// exposition parser. /cluster/metrics merges the families with a `node`
+// label distinguishing the sources; /cluster/load reads each member's
+// grub_feed_load_* gauges back into per-feed loads. A peer that is down,
+// slow or serving malformed text contributes nothing but its
+// grub_cluster_scrape_ok marker (or its `ageMs: -1` row) — a dead node
+// makes either view smaller, never hanging or poisoning it.
 
 // federationFanIn bounds concurrent peer scrapes.
 const federationFanIn = 4
 
-// memberScrape is one member's contribution to the federated document.
+// memberScrape is one member's contribution to a cluster view.
 type memberScrape struct {
 	member string
 	fams   []obs.Family
 	ok     bool
 }
 
-// clusterMetrics serves GET /cluster/metrics. Without a cluster node it
-// answers 503, like the rest of the /cluster/* surface.
-func (a *api) clusterMetrics(c *call, rep *reply) {
-	node := a.node
-	if node == nil {
-		rep.clusterDisabled()
-		return
-	}
-	st := node.Status()
-	scrapes := make([]memberScrape, len(st.Members))
+// scrapeMembers takes every member's metric families, in members' order:
+// self's in-process, each peer's over the node's streams. It is the one
+// fan-out behind both cluster views.
+func (a *api) scrapeMembers(members []cluster.MemberStatus) []memberScrape {
+	scrapes := make([]memberScrape, len(members))
 	sem := make(chan struct{}, federationFanIn)
 	var wg sync.WaitGroup
-	for i, m := range st.Members {
+	for i, m := range members {
 		if m.Self {
 			// Self's families are the ones /metrics writes: no loopback
 			// round trip and no text to parse back.
-			scrapes[i] = memberScrape{member: m.URL, fams: renderMetrics(a.g, node, a.slow), ok: true}
+			scrapes[i] = memberScrape{member: m.URL, fams: renderMetrics(a.g, a.node, a.slow), ok: true}
 			continue
 		}
 		wg.Add(1)
@@ -56,14 +52,49 @@ func (a *api) clusterMetrics(c *call, rep *reply) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			fams, err := scrapePeer(node.Client(), peer)
+			fams, err := scrapePeer(a.node.Client(), peer)
 			scrapes[i] = memberScrape{member: peer, fams: fams, ok: err == nil}
 		}(i, m.URL)
 	}
 	wg.Wait()
+	return scrapes
+}
 
+// clusterMetrics serves GET /cluster/metrics. Without a cluster node it
+// answers 503, like the rest of the /cluster/* surface.
+func (a *api) clusterMetrics(c *call, rep *reply) {
+	if a.node == nil {
+		rep.clusterDisabled()
+		return
+	}
+	scrapes := a.scrapeMembers(a.node.Status().Members)
 	rep.ContentType = expositionType
 	obs.WriteFamilies(rep, append([]obs.Family{scrapeOKFamily(scrapes)}, mergeScrapes(scrapes)...))
+}
+
+// clusterLoad serves GET /cluster/load: one row per member, its loads read
+// from that member's load gauges, and feeds merged from the rows that were
+// read. A standalone gateway answers its own tracker's snapshot and no
+// rows.
+func (a *api) clusterLoad(c *call, rep *reply) {
+	if a.node == nil {
+		rep.json(http.StatusOK, LoadResponse{Feeds: a.g.Load().Snapshot()})
+		return
+	}
+	st := a.node.Status()
+	resp := LoadResponse{Node: st.Self}
+	var read [][]obs.Family
+	for i, sc := range a.scrapeMembers(st.Members) {
+		m := st.Members[i]
+		nl := NodeLoad{Node: m.URL, Self: m.Self, Alive: m.Alive, AgeMS: -1}
+		if sc.ok {
+			nl.AgeMS, nl.Loads = 0, obs.ReadLoads(sc.fams)
+			read = append(read, sc.fams)
+		}
+		resp.Nodes = append(resp.Nodes, nl)
+	}
+	resp.Feeds = obs.ReadLoads(read...)
+	rep.json(http.StatusOK, resp)
 }
 
 // scrapePeer fetches and parses one peer's /metrics. A peer that fails,

@@ -138,14 +138,25 @@ type LatencyResponse struct {
 }
 
 // LoadResponse is the body of GET /cluster/load: every feed's recent
-// throughput, ranked hottest-first. Feeds is the cluster-wide merge (per
-// feed, summed over the per-node digests); Nodes is the per-node
-// breakdown with digest freshness. On a non-clustered gateway Feeds is
-// the local tracker's snapshot and Nodes is empty.
+// throughput, ranked hottest-first. Nodes is one row per member, read from
+// that member's grub_feed_load_* gauges; Feeds is the cluster-wide merge
+// (per feed, summed over the rows that were read). On a non-clustered
+// gateway Feeds is the local tracker's snapshot and Nodes is empty.
 type LoadResponse struct {
-	Node  string             `json:"node,omitempty"`
-	Nodes []cluster.NodeLoad `json:"nodes,omitempty"`
-	Feeds []obs.FeedLoad     `json:"feeds"`
+	Node  string         `json:"node,omitempty"`
+	Nodes []NodeLoad     `json:"nodes,omitempty"`
+	Feeds []obs.FeedLoad `json:"feeds"`
+}
+
+// NodeLoad is one member's row of the GET /cluster/load document.
+type NodeLoad struct {
+	Node string `json:"node"`
+	Self bool   `json:"self,omitempty"`
+	// AgeMS is 0 when the member's load gauges were read for this answer
+	// and -1 when the member did not answer (its Loads are then empty).
+	AgeMS int64          `json:"ageMs"`
+	Alive bool           `json:"alive"`
+	Loads []obs.FeedLoad `json:"loads,omitempty"`
 }
 
 // ReplFeedsResponse is the body of GET /repl/feeds: every hosted feed's
@@ -815,25 +826,6 @@ func (a *api) clusterStatus(c *call, rep *reply) {
 		return
 	}
 	rep.json(http.StatusOK, a.node.Status())
-}
-
-func (a *api) clusterLoad(c *call, rep *reply) {
-	resp := LoadResponse{Feeds: []obs.FeedLoad{}}
-	if a.node == nil {
-		// Standalone gateways still do per-feed load accounting; the
-		// document just has no per-node breakdown.
-		resp.Feeds = a.g.Load().Snapshot()
-		rep.json(http.StatusOK, resp)
-		return
-	}
-	resp.Node = a.node.Self()
-	resp.Nodes = a.node.Loads()
-	digests := make([][]obs.FeedLoad, 0, len(resp.Nodes))
-	for _, nl := range resp.Nodes {
-		digests = append(digests, nl.Loads)
-	}
-	resp.Feeds = obs.MergeLoads(digests...)
-	rep.json(http.StatusOK, resp)
 }
 
 func (a *api) move(c *call, rep *reply) {

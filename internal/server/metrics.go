@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sort"
 	"strconv"
 
 	"grub/internal/cluster"
@@ -43,10 +42,10 @@ func renderMetrics(g *Gateway, node *cluster.Node, slow *slowLogger) []obs.Famil
 		counter("grub_slowlog_dropped_total", "Slow-op records suppressed by the per-second emission cap.", float64(slow.Dropped())),
 	}
 	fams = append(fams, feedFamilies(g, ids)...)
-	fams = append(fams, loadFamilies(g)...)
+	fams = append(fams, obs.LoadFamilies(g.Load().Snapshot())...)
 	if node != nil {
 		st := node.Status()
-		fams = append(fams, clusterFamilies(node, st)...)
+		fams = append(fams, clusterFamilies(st)...)
 		fams = append(fams, tailFamilies(st)...)
 	}
 	// Registry-backed families (the grub_stage_seconds pipeline
@@ -97,22 +96,6 @@ func feedFamilies(g *Gateway, ids []string) []obs.Family {
 	return out
 }
 
-// loadFamilies renders the per-feed load tracker as gauges: the same
-// sliding-window EWMAs GET /cluster/load ranks and heartbeats ship in
-// digest form. Idle feeds decay out of the snapshot, so the series set
-// shrinks back to nothing when traffic stops.
-func loadFamilies(g *Gateway) []obs.Family {
-	out := []obs.Family{
-		{Name: "grub_feed_load_ops_per_sec", Help: "Recent per-feed op throughput (sliding-window EWMA).", Type: "gauge"},
-		{Name: "grub_feed_load_gas_per_sec", Help: "Recent per-feed gas burn rate (sliding-window EWMA).", Type: "gauge"},
-	}
-	for _, fl := range g.Load().Snapshot() {
-		out[0].Add(fl.OpsPerSec, "feed", fl.Feed)
-		out[1].Add(fl.GasPerSec, "feed", fl.Feed)
-	}
-	return out
-}
-
 // clusterRoleCode maps this node's role in a feed to a numeric gauge so
 // dashboards can plot ownership moves (0 follower, 1 owner, 2 owner mid-
 // migration fence, 3 deleted).
@@ -120,7 +103,7 @@ var clusterRoleCode = map[string]int{
 	"follower": 0, "owner": 1, "owner-fenced": 2, "deleted": 3,
 }
 
-func clusterFamilies(node *cluster.Node, st cluster.Status) []obs.Family {
+func clusterFamilies(st cluster.Status) []obs.Family {
 	alive := 0
 	for _, m := range st.Members {
 		if m.Alive {
@@ -144,14 +127,15 @@ func clusterFamilies(node *cluster.Node, st cluster.Status) []obs.Family {
 	for _, fp := range st.Feeds {
 		out[6].Add(float64(clusterRoleCode[fp.Role]), "feed", fp.Feed)
 	}
-	lag := node.HeartbeatLag()
-	peers := make([]string, 0, len(lag))
-	for p := range lag {
-		peers = append(peers, p)
-	}
-	sort.Strings(peers)
-	for _, p := range peers {
-		out[7].Add(lag[p], "peer", p)
+	for _, m := range st.Members {
+		if m.Self {
+			continue
+		}
+		lag := -1.0
+		if m.LastSeenMS >= 0 {
+			lag = float64(m.LastSeenMS) / 1000
+		}
+		out[7].Add(lag, "peer", m.URL)
 	}
 	return out
 }

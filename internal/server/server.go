@@ -265,9 +265,9 @@ func (g *Gateway) Metrics() *obs.Registry { return g.reg }
 func (g *Gateway) Pipeline() *obs.Pipeline { return g.pipeline }
 
 // Load returns the gateway's per-feed load tracker (ops/gas throughput
-// EWMAs). GET /cluster/load ranks its snapshot, the cluster node ships a
-// truncated digest of it on heartbeats, and /metrics renders it as the
-// grub_feed_load_* gauges.
+// EWMAs). /metrics renders its snapshot as the grub_feed_load_* gauges,
+// which GET /cluster/load reads back from every member; a standalone
+// gateway's /cluster/load ranks the snapshot itself.
 func (g *Gateway) Load() *obs.LoadTracker { return g.load }
 
 // Uptime reports how long this gateway has been up (grub_uptime_seconds).
