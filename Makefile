@@ -51,7 +51,9 @@ bench:
 #     Open or open to exactly what they encode, and as wal.log must open to
 #     their intact prefix; neither may panic;
 #   - binary read encoding: arbitrary get/range bodies must decode or error
-#     without panicking, deep recursion or outsized allocation;
+#     without panicking, deep recursion or outsized allocation, and an
+#     accepted answer aliases nothing of its body: with the body overwritten
+#     it re-encodes to the bytes it came from;
 #   - binary ops encoding: arbitrary batch and result bodies likewise, with
 #     no allocation sized from a count the body claims;
 #   - binary replication log encoding: arbitrary log pages likewise, and an

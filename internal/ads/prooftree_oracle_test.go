@@ -319,7 +319,7 @@ func decodeOracleTree(r *wire.Reader, depth int) *oracleTree {
 			return nil
 		}
 		rec := new(Record)
-		decodeRecordWire(r, rec)
+		decodeRecordWire(r, rec, r.Str)
 		if r.Err() != nil {
 			return nil
 		}
@@ -348,7 +348,7 @@ func decodeOracleRange(r *wire.Reader) *oracleRange {
 		nr.Records = make([]Record, n)
 	}
 	for i := range nr.Records {
-		decodeRecordWire(r, &nr.Records[i])
+		decodeRecordWire(r, &nr.Records[i], r.Str)
 	}
 	nr.Proof = decodeOracleTree(r, 0)
 	return nr

@@ -1,6 +1,7 @@
 package ads
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -40,15 +41,18 @@ func (r Record) appendWire(b []byte) []byte {
 	return r.appendEncoding(wire.AppendInt(b, n))
 }
 
-// DecodeRecordBinary reads a record written by AppendBinary.
-func DecodeRecordBinary(r *wire.Reader) *Record {
-	rec := new(Record)
-	decodeRecordWire(r, rec)
-	return rec
+// DecodeRecordBinary reads a record written by AppendBinary into rec, which
+// then keeps nothing of r's body, so a decoder over a borrowed body may use
+// it: its value is a copy, and so is its key, unless the key is known, whose
+// string rec then shares.
+func DecodeRecordBinary(r *wire.Reader, rec *Record, known string) {
+	decodeRecordWire(r, rec, func() string { return r.OwnStrOr(known) })
+	rec.Value = bytes.Clone(rec.Value)
 }
 
-// decodeRecordWire reads a record into rec. The state byte must be NR or R.
-func decodeRecordWire(r *wire.Reader, rec *Record) {
+// decodeRecordWire reads a record into rec, its key with key and its value
+// aliasing r's body. The state byte must be NR or R.
+func decodeRecordWire(r *wire.Reader, rec *Record, key func() string) {
 	n := r.Int()
 	if n > r.Len() {
 		r.Fail("record of %d bytes, %d remain", n, r.Len())
@@ -60,12 +64,12 @@ func decodeRecordWire(r *wire.Reader, rec *Record) {
 		r.Fail("state byte %d", st)
 		return
 	}
-	key := r.Str()
+	k := key()
 	if r.Err() != nil || r.Len() < end {
 		r.Fail("record key overruns its %d bytes", n)
 		return
 	}
-	*rec = Record{Key: key, State: State(st), Value: r.Bytes(r.Len() - end)}
+	*rec = Record{Key: k, State: State(st), Value: r.Bytes(r.Len() - end)}
 }
 
 // AppendBinary appends the tree's preorder encoding, which is all a
@@ -92,13 +96,16 @@ func (p *AbsenceProof) AppendBinary(b []byte) ([]byte, error) {
 }
 
 // DecodeAbsenceProof reads an absence proof written by AppendBinary: one
-// allocation, the proof and its tree together.
+// allocation, the proof and its tree together, and a copy of the tree's
+// bytes, so that it keeps nothing of r's body.
 func DecodeAbsenceProof(r *wire.Reader) *AbsenceProof {
 	out := &struct {
 		ap AbsenceProof
 		pt ProofTree
 	}{ap: AbsenceProof{Count: r.Int()}}
-	out.ap.Paths = decodeProofTree(r, &out.pt)
+	if out.ap.Paths = decodeProofTree(r, &out.pt); out.ap.Paths != nil {
+		out.pt.enc = bytes.Clone(out.pt.enc)
+	}
 	return &out.ap
 }
 
@@ -123,7 +130,7 @@ func DecodeNRRange(r *wire.Reader) *NRRange {
 		nr.Records = make([]Record, n)
 	}
 	for i := range nr.Records {
-		decodeRecordWire(r, &nr.Records[i])
+		decodeRecordWire(r, &nr.Records[i], r.Str)
 	}
 	nr.Proof = decodeProofTree(r, &out.pt)
 	return nr

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"grub/internal/ads"
@@ -682,5 +683,27 @@ func TestFeedGasAttributionExcludesApp(t *testing.T) {
 	// The DU read tx base (21000) must be on the app side.
 	if app < 21000 {
 		t.Fatalf("app gas = %d, read tx base missing", app)
+	}
+}
+
+// TestRunOpsMatchesApplyOps: a replay that builds no results leaves the feed
+// exactly where ApplyOps does, batch by batch: digest, Gas, delivered and
+// missed reads, the delivered values and the stats.
+func TestRunOpsMatchesApplyOps(t *testing.T) {
+	applied := newTestFeed(policy.NewMemoryless(2), Options{EpochOps: 8})
+	run := newTestFeed(policy.NewMemoryless(2), Options{EpochOps: 8})
+	ops := FromWorkload(mixedTrace(1500, 21))
+	for lo := 0; lo < len(ops); lo += 50 {
+		batch := ops[lo:min(lo+50, len(ops))]
+		ApplyOps(applied, batch)
+		RunOps(run, batch)
+		if applied.DO.Set().Root() != run.DO.Set().Root() || applied.FeedGas() != run.FeedGas() ||
+			applied.Delivered() != run.Delivered() || applied.NotFound() != run.NotFound() ||
+			!reflect.DeepEqual(applied.LastValue, run.LastValue) || !reflect.DeepEqual(applied.Stats(), run.Stats()) {
+			t.Fatalf("batch at op %d: RunOps leaves the feed elsewhere than ApplyOps", lo)
+		}
+	}
+	if applied.Delivered() == 0 || applied.Stats().Replicated == 0 {
+		t.Fatalf("trace too tame: delivered %d, replicated %d", applied.Delivered(), applied.Stats().Replicated)
 	}
 }

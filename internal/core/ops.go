@@ -39,15 +39,25 @@ type OpResult struct {
 func ApplyOps(f *Feed, ops []Op) []OpResult {
 	out := make([]OpResult, len(ops))
 	for i, op := range ops {
-		out[i] = applyOp(f, op)
+		out[i] = applyOp(f, op, true)
 	}
 	return out
 }
 
+// RunOps executes a batch as ApplyOps does, to the same state and Gas, and
+// builds no results: for a replay whose results no one reads, such as a
+// recovery's log replay or a follower's shipped batches.
+func RunOps(f *Feed, ops []Op) {
+	for _, op := range ops {
+		applyOp(f, op, false)
+	}
+}
+
 // applyOp decodes one wire op into the workload vocabulary (the inverse of
 // FromWorkload), runs it through Feed.step, and reads the outcome off the
-// feed's DU-side state.
-func applyOp(f *Feed, op Op) OpResult {
+// feed's DU-side state; a found read's value is copied only when value is
+// set.
+func applyOp(f *Feed, op Op, value bool) OpResult {
 	res := OpResult{Key: op.Key}
 	var w workload.Op
 	switch op.Type {
@@ -70,7 +80,9 @@ func applyOp(f *Feed, op Op) OpResult {
 		res.Found = true
 	} else if f.delivered > before {
 		res.Found = true
-		res.Value = append([]byte(nil), f.LastValue[op.Key]...)
+		if value {
+			res.Value = append([]byte(nil), f.LastValue[op.Key]...)
+		}
 	}
 	return res
 }

@@ -46,7 +46,7 @@ func TestRecycledMatchesOwned(t *testing.T) {
 			own := newTestFeed(tc.policy(), tc.opts)
 			ownDelivers(own)
 			for i, op := range FromWorkload(tc.trace) {
-				a, b := applyOp(rec, op), applyOp(own, op)
+				a, b := applyOp(rec, op, true), applyOp(own, op, true)
 				if !reflect.DeepEqual(a, b) {
 					t.Fatalf("op %d (%+v): recycled %+v, owned %+v", i, op, a, b)
 				}

@@ -263,20 +263,21 @@ func (p *Proof) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeProof reads a proof written by AppendBinary; failures are recorded on
-// r. Padding bits past the last path node must be zero, so a proof has one
-// encoding.
-func DecodeProof(r *wire.Reader) *Proof {
-	p := &Proof{Index: r.Int(), LeafCount: r.Int()}
+// DecodeProof reads a proof written by AppendBinary into p, its path copied
+// out of r's body into an allocation of its own; failures are recorded on r,
+// and p is then not to be used. Padding bits past the last path node must be
+// zero, so a proof has one encoding.
+func DecodeProof(r *wire.Reader, p *Proof) {
+	*p = Proof{Index: r.Int(), LeafCount: r.Int()}
 	n := r.Count(HashSize)
 	dirs := r.Bytes((n + 7) / 8)
 	hashes := r.Bytes(n * HashSize)
 	if r.Err() != nil {
-		return nil
+		return
 	}
 	if n%8 != 0 && dirs[n/8]>>(n%8) != 0 {
 		r.Fail("direction padding bits set")
-		return nil
+		return
 	}
 	if n > 0 {
 		p.Path = make([]ProofNode, n)
@@ -285,5 +286,4 @@ func DecodeProof(r *wire.Reader) *Proof {
 		p.Path[i].Left = dirs[i/8]>>(i%8)&1 == 1
 		copy(p.Path[i].Hash[:], hashes[i*HashSize:])
 	}
-	return p
 }

@@ -189,28 +189,6 @@ func BenchmarkHashInner(b *testing.B) {
 	benchSink = l
 }
 
-// BenchmarkHashJSON encodes and decodes one membership proof's worth of
-// hashes (the ~36 path nodes of a 50k-record set) the way the gateway's
-// verified-read responses carry them.
-func BenchmarkHashJSON(b *testing.B) {
-	p := Proof{Index: 1, LeafCount: 50_000, Path: make([]ProofNode, 36)}
-	for i := range p.Path {
-		p.Path[i] = ProofNode{Left: i%3 == 0, Hash: HashLeaf(leafData(i))}
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		data, err := json.Marshal(&p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var back Proof
-		if err := json.Unmarshal(data, &back); err != nil {
-			b.Fatal(err)
-		}
-		benchSink = back.Path[35].Hash
-	}
-}
-
 var benchSink Hash
 
 // TestHashJSONRoundTrip pins the hex wire representation of hashes: a quoted

@@ -22,7 +22,8 @@ func TestProofBinaryRoundTrip(t *testing.T) {
 			t.Errorf("%d-node proof is %d bytes on the wire, accounted as %d", n, len(b)-6, p.Size())
 		}
 		r := wire.NewReader(b[len("prefix"):])
-		got := DecodeProof(r)
+		got := new(Proof)
+		DecodeProof(r, got)
 		if err := r.Finish(); err != nil {
 			t.Fatalf("%d nodes: %v", n, err)
 		}
@@ -42,9 +43,32 @@ func TestDecodeProofRejects(t *testing.T) {
 		"direction missing": {1, 4, 3},
 	} {
 		r := wire.NewReader(body)
-		DecodeProof(r)
+		DecodeProof(r, new(Proof))
 		if err := r.Finish(); !errors.Is(err, wire.ErrMalformed) {
 			t.Errorf("%s: %v, want ErrMalformed", name, err)
 		}
 	}
+}
+
+// BenchmarkProofBinary encodes and decodes one membership proof (the 36
+// path nodes of a 50k-record set) the way a verified get's answer carries
+// it: appended into a reused buffer, then decoded in place from it, which
+// allocates the path and nothing else.
+func BenchmarkProofBinary(b *testing.B) {
+	p := Proof{Index: 1, LeafCount: 50_000, Path: make([]ProofNode, 36)}
+	for i := range p.Path {
+		p.Path[i] = ProofNode{Left: i%3 == 0, Hash: HashLeaf(leafData(i))}
+	}
+	var buf []byte
+	var back Proof
+	b.ReportAllocs()
+	for range b.N { // not b.Loop, which keeps wire.Borrow from inlining
+		buf, _ = p.AppendBinary(buf[:0])
+		r := wire.Borrow(buf)
+		DecodeProof(r, &back)
+		if err := r.Finish(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchSink = back.Path[35].Hash
 }

@@ -13,11 +13,13 @@
 //
 // Copy-on-write is paid only for the views someone is reading. A view counts
 // its reads in flight: a reader counts itself in (one atomic add) before it
-// reads any node and out (another) once its answer is detached, and the
-// shard worker, before its next batch, retracts the view if no read is in
-// flight. A retracted view is never read again, so the batch edits its nodes
-// in place; a read in flight makes the worker end the set's generation, so
-// the batch copies every node the view reaches before writing it. A reader
+// reads any node and out (another) once its answer holds nothing of the tree
+// (a get's answer may still share the record's value bytes, which the set
+// never writes), and the shard worker, before its next batch, retracts the
+// view if no read is in flight. A retracted view is never read again, so the
+// batch edits its nodes in place; a read in flight makes the worker end the
+// set's generation, so the batch copies every node the view reaches before
+// writing it. A reader
 // that finds a view retracted waits for the successor, which the worker
 // publishes when that one batch is applied; while a reader waits, the worker
 // retracts no view, so back-to-back batches cannot starve it. Roots reads
@@ -118,8 +120,9 @@ const retracted = math.MinInt32 / 2
 func (v *View) acquire() bool { return v.readers.Add(1) > 0 }
 
 // Release counts out a read that Engine.ViewOf counted in, exactly once per
-// ViewOf. The caller must have detached what it keeps of the view: Get and
-// RangeNR answers are.
+// ViewOf. The caller must have copied what it keeps of the tree: Get and
+// RangeNR answers have, and a get answered into storage keeps only the
+// value bytes, which the set never writes.
 func (v *View) Release() { v.readers.Add(-1) }
 
 // Anchor returns the anchor the view captured at publish.
@@ -239,26 +242,42 @@ func (r *RangeResult) ProofBytes() int {
 	return r.Range.Size()
 }
 
-// copyRecord detaches a record from the view's backing memory. Results
-// cross the engine boundary into arbitrary consumers; without the copy, a
-// consumer mutating a result would corrupt the persistent tree's shared
-// immutable nodes — and through them every other live view. (The absence
-// and range proofs already carry detached copies, by the ads package's
-// contract.)
-func copyRecord(r ads.Record) ads.Record {
-	r.Value = append([]byte(nil), r.Value...)
-	return r
+// GetStorage holds one point read's answer: the result, and the record and
+// proof a found result points to. A gateway route proves every get it serves
+// into the same storage (Engine.GetInto), reusing the path's capacity;
+// Engine.Get's answer, and a decoded one, is one such allocation.
+type GetStorage struct {
+	res   GetResult
+	rec   ads.Record
+	proof merkle.Proof
+}
+
+// ownValue gives a found result its own copy of the value, which it shared
+// with the set. Without the copy, a consumer writing the value would write
+// bytes the set keeps, and through them every view that holds the record.
+func ownValue(r *GetResult, err error) (*GetResult, error) {
+	if r != nil && r.Record != nil {
+		r.Record.Value = append([]byte(nil), r.Record.Value...)
+	}
+	return r, err
 }
 
 // Get answers a point read from this view, which must be frozen or held
 // between Engine.ViewOf and Release. The answer is detached from the view.
 func (v *View) Get(key string, shards int) (*GetResult, error) {
-	res := &GetResult{Key: key, Shard: v.shard, Shards: shards, Anchor: v.anchor}
-	var p merkle.Proof // on the stack: only a hit's copy escapes
-	if rec, ok := v.set.ProveKeyAt(key, v.countLeaf, &p); ok {
-		// Declared here so that a miss allocates no record and no proof.
-		own, proof := copyRecord(rec), p
-		res.Found, res.Record, res.Proof = true, &own, &proof
+	return ownValue(v.getInto(key, shards, new(GetStorage)))
+}
+
+// getInto answers a point read into st. It copies the record header and the
+// proof's hashes out of the tree, so that once the view is released the
+// answer shares only the record's value bytes with the set, which never
+// writes them (the ads.Set ownership rule).
+func (v *View) getInto(key string, shards int, st *GetStorage) (*GetResult, error) {
+	res := &st.res
+	*res = GetResult{Key: key, Shard: v.shard, Shards: shards, Anchor: v.anchor}
+	if rec, ok := v.set.ProveKeyAt(key, v.countLeaf, &st.proof); ok {
+		st.rec = rec
+		res.Found, res.Record, res.Proof = true, &st.rec, &st.proof
 		return res, nil
 	}
 	ap, err := v.set.ProveAbsent(key)
@@ -386,8 +405,16 @@ func (e *Engine) ViewOf(shard int) (*View, error) {
 }
 
 // Get answers a point read (membership or proven absence) from the key's
-// home shard.
+// home shard. The answer is detached from the view.
 func (e *Engine) Get(key string) (*GetResult, error) {
+	return ownValue(e.GetInto(key, new(GetStorage)))
+}
+
+// GetInto is Get into st: the answer is st's, valid until the next GetInto
+// into st, and a found record's value is the set's own bytes, which no one
+// may write. It reads the tree only while the view is held, so the answer
+// stays right after any later batch.
+func (e *Engine) GetInto(key string, st *GetStorage) (*GetResult, error) {
 	v, err := e.ViewOf(ShardOf(key, len(e.shards)))
 	if err != nil {
 		return nil, err
@@ -396,7 +423,7 @@ func (e *Engine) Get(key string) (*GetResult, error) {
 	if e.proofHist != nil {
 		defer e.proofHist.ObserveSince(time.Now())
 	}
-	return v.Get(key, len(e.shards))
+	return v.getInto(key, len(e.shards), st)
 }
 
 // Range fans a key-range scan across every shard concurrently and gathers

@@ -303,6 +303,55 @@ func TestViewRetractionAfterGetAndRange(t *testing.T) {
 	}
 }
 
+// TestGetIntoAnswerOutlivesItsView: a get proved into reused storage is
+// encoded after its view is released, while the shard's next batch
+// retracts that view and rewrites the same key in place. The answer shares
+// only the record's value bytes with the set, which the batch replaces but
+// never writes, so it encodes the pre-batch value and verifies against the
+// pre-batch anchor. Under -race, a byte the answer reads that the batch
+// writes is reported.
+func TestGetIntoAnswerOutlivesItsView(t *testing.T) {
+	s := ads.NewSet()
+	for i := range 16 {
+		s.Put(ads.Record{Key: fmt.Sprintf("k%02d", i), State: ads.NR, Value: []byte(fmt.Sprintf("v0-%d", i))})
+	}
+	e := NewEngine(1)
+	e.Publish(0, NewView(0, 1, 1, s.Capture()))
+	var st GetStorage
+	for round := 1; round <= 64; round++ {
+		key := fmt.Sprintf("k%02d", round%16)
+		res, err := e.GetInto(key, &st)
+		if err != nil || !res.Found {
+			t.Fatalf("round %d: GetInto(%q): found %v, %v", round, key, res != nil && res.Found, err)
+		}
+		want, before := string(res.Record.Value), res.Anchor
+		batch := make(chan bool)
+		go func() { // the shard worker's next batch, edited in place
+			inPlace := e.Retract(0)
+			s.Put(ads.Record{Key: key, State: ads.NR, Value: []byte(fmt.Sprintf("v%d", round))})
+			e.Publish(0, NewView(0, uint64(round)+1, uint64(round)+1, s.Capture()))
+			batch <- inPlace
+		}()
+		body, err := res.AppendBinary(nil)
+		if !<-batch {
+			t.Fatalf("round %d: the released view was not retracted", round)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeGetResult(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got.Record.Value) != want || got.Anchor != before {
+			t.Fatalf("round %d: answer encoded %q at seq %d, want the pre-batch %q at seq %d", round, got.Record.Value, got.Seq, want, before.Seq)
+		}
+		if err := VerifyGet(key, got); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+}
+
 func TestEngineNoView(t *testing.T) {
 	e := NewEngine(2)
 	if _, err := e.Get("k"); !errors.Is(err, ErrNoView) {

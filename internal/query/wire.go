@@ -82,23 +82,33 @@ func (g *GetResult) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeGetResult decodes a whole binary get body. body may be reused as
-// soon as it returns.
-func DecodeGetResult(body []byte) (*GetResult, error) {
-	r := wire.NewReader(body)
-	g := new(GetResult)
+// DecodeGetResult decodes a whole binary get body into an answer that keeps
+// nothing of body, which may be reused as soon as it returns.
+func DecodeGetResult(body []byte) (*GetResult, error) { return DecodeGetAnswer(body, "") }
+
+// DecodeGetAnswer is DecodeGetResult for the answer to a read of key: where
+// the answer's key, or its record's, equals key, it is key's own string.
+// It reads body in place and makes one allocation for the result, its
+// record and its proof, then copies out the value and the path, or an
+// absence proof's tree.
+func DecodeGetAnswer(body []byte, key string) (*GetResult, error) {
+	r := wire.Borrow(body)
+	st := new(GetStorage)
+	g := &st.res
 	g.Shard, g.Shards, g.Anchor = decodeAnchor(r)
-	g.Key = r.Str()
+	g.Key = r.OwnStrOr(key)
 	flags := r.Byte()
 	if flags&^flagsMask != 0 {
 		r.Fail("get flags %#x", flags)
 	}
 	g.Found = flags&flagFound != 0
 	if flags&flagRecord != 0 {
-		g.Record = ads.DecodeRecordBinary(r)
+		ads.DecodeRecordBinary(r, &st.rec, key)
+		g.Record = &st.rec
 	}
 	if flags&flagProof != 0 {
-		g.Proof = merkle.DecodeProof(r)
+		merkle.DecodeProof(r, &st.proof)
+		g.Proof = &st.proof
 	}
 	if flags&flagAbsence != 0 {
 		g.Absence = ads.DecodeAbsenceProof(r)

@@ -255,7 +255,10 @@ func TestViewGetMatchesSetProofs(t *testing.T) {
 // never panic or recurse past the proof-depth cap (a stack overflow is a
 // crash the fuzzer reports), must not allocate more than a small multiple of
 // the input — a few bytes cannot claim a large slice — and whatever they
-// accept must survive its own re-encoding.
+// accept must survive its own re-encoding. A decoded answer must alias
+// nothing of its body, as the client hands the pooled body back as soon as
+// it has decoded: once the body's buffer is overwritten, the answer still
+// re-encodes to the original bytes.
 //
 // Wired into `make fuzz-smoke`.
 func FuzzReadWireDecode(f *testing.F) {
@@ -284,12 +287,14 @@ func FuzzReadWireDecode(f *testing.F) {
 	}
 	f.Add(bytes.Repeat([]byte{2, 3, 0, 1, 'k'}, 700)) // a 700-deep chain of expanded nodes
 	f.Fuzz(func(t *testing.T, body []byte) {
+		buf := bytes.Clone(body) // the pooled buffer a client decodes from
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		g, gerr := DecodeGetResult(body)
-		rs, rerr := DecodeRangeResults(body)
+		g, gerr := DecodeGetResult(buf)
+		rs, rerr := DecodeRangeResults(buf)
 		runtime.ReadMemStats(&after)
-		// Each decoder's two private copies of the body (bytes and string),
+		// The range decoder's two private copies of the body (bytes and
+		// string) and the get decoder's copies of the fields it keeps,
 		// plus, at worst, a 48-byte ads.Record per 3 input bytes (the
 		// shortest record encoding); a proof tree stays in the byte copy and
 		// costs nothing per node. The constant absorbs the runtime's own
@@ -297,10 +302,16 @@ func FuzzReadWireDecode(f *testing.F) {
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(24*len(body)+64<<10); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(body), got, limit)
 		}
+		for i := range buf {
+			buf[i] = ^buf[i]
+		}
 		if gerr == nil {
 			again, err := g.AppendBinary(nil)
 			if err != nil {
 				t.Fatalf("accepted get does not re-encode: %v", err)
+			}
+			if !bytes.Equal(again, body) {
+				t.Fatal("accepted get re-encodes to other bytes once its body is overwritten")
 			}
 			if g2, err := DecodeGetResult(again); err != nil || !reflect.DeepEqual(g, g2) {
 				t.Fatalf("accepted get changes across a re-encoding (%v)", err)
@@ -310,6 +321,9 @@ func FuzzReadWireDecode(f *testing.F) {
 			again, err := AppendRangeResults(nil, rs)
 			if err != nil {
 				t.Fatalf("accepted range does not re-encode: %v", err)
+			}
+			if !bytes.Equal(again, body) {
+				t.Fatal("accepted range re-encodes to other bytes once its body is overwritten")
 			}
 			if rs2, err := DecodeRangeResults(again); err != nil || !reflect.DeepEqual(rs, rs2) {
 				t.Fatalf("accepted range changes across a re-encoding (%v)", err)

@@ -219,7 +219,7 @@ func (c *Client) Get(id, key string) (*query.GetResult, error) {
 		return nil, err
 	}
 	defer a.Close()
-	return query.DecodeGetResult(a.Body)
+	return query.DecodeGetAnswer(a.Body, key)
 }
 
 // Range performs an authenticated key-range scan: one completeness-proven
@@ -242,28 +242,6 @@ func (c *Client) Roots(id string) ([]query.RootInfo, error) {
 		return nil, err
 	}
 	return out.Shards, nil
-}
-
-// Health probes the gateway's liveness endpoint. A degraded gateway
-// answers 503 but still returns a decodable body (OK=false, the halted
-// shards in Degraded), so Health decodes it instead of failing: the
-// caller distinguishes "unreachable" (error) from "up but degraded"
-// (OK=false).
-func (c *Client) Health() (HealthResponse, error) {
-	req := stream.Request{Route: stream.RouteHealth}
-	a, err := c.streams.Send(c.HTTP, c.BaseURL, &req)
-	if err != nil {
-		return HealthResponse{}, err
-	}
-	defer a.Close()
-	var out HealthResponse
-	if a.Status != http.StatusOK && a.Status != http.StatusServiceUnavailable {
-		return HealthResponse{}, fmt.Errorf("client: %s: HTTP %d", req.String(), a.Status)
-	}
-	if err := json.Unmarshal(a.Body, &out); err != nil {
-		return HealthResponse{}, fmt.Errorf("client: decode %s: %w", req.String(), err)
-	}
-	return out, nil
 }
 
 // Latency fetches one feed's per-stage latency percentiles (the same

@@ -1,12 +1,15 @@
 package server
 
 import (
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 )
 
 // TestHealthz pins the load-balancer liveness probe: 200, ok, live feed
-// count and the build version.
+// count and the build version, read as a load balancer reads them, with a
+// plain HTTP GET.
 func TestHealthz(t *testing.T) {
 	g := NewGateway()
 	defer g.Close()
@@ -14,12 +17,9 @@ func TestHealthz(t *testing.T) {
 	defer srv.Close()
 	c := NewClient(srv.URL)
 
-	h, err := c.Health()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.OK || h.Feeds != 0 || h.Version != Version {
-		t.Errorf("healthz = %+v, want ok with 0 feeds, version %q", h, Version)
+	h, status := getHealth(t, srv.URL)
+	if status != http.StatusOK || !h.OK || h.Feeds != 0 || h.Version != Version {
+		t.Errorf("healthz = HTTP %d %+v, want 200 ok with 0 feeds, version %q", status, h, Version)
 	}
 
 	if err := c.CreateFeed(FeedConfig{ID: "a"}); err != nil {
@@ -28,22 +28,25 @@ func TestHealthz(t *testing.T) {
 	if err := c.CreateFeed(FeedConfig{ID: "b", Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
-	h, err = c.Health()
-	if err != nil {
-		t.Fatal(err)
+	if h, status = getHealth(t, srv.URL); status != http.StatusOK || h.Feeds != 2 {
+		t.Errorf("healthz = HTTP %d with %d feeds, want 200 with 2", status, h.Feeds)
 	}
-	if h.Feeds != 2 {
-		t.Errorf("healthz feeds = %d, want 2", h.Feeds)
-	}
+}
 
-	resp, err := srv.Client().Get(srv.URL + "/healthz")
+// getHealth probes baseURL's /healthz with a plain HTTP GET and decodes the
+// body, which a degraded gateway's 503 carries too.
+func getHealth(t *testing.T, baseURL string) (HealthResponse, int) {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Errorf("GET /healthz = %d, want 200", resp.StatusCode)
+	defer resp.Body.Close()
+	var h HealthResponse
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatalf("GET /healthz: HTTP %d, %v", resp.StatusCode, err)
 	}
+	return h, resp.StatusCode
 }
 
 // TestInfoVersion pins the version surfaced through GET /info.

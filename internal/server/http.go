@@ -202,10 +202,19 @@ type errorBody struct {
 
 // call is one request to a route, its fields as a stream frame carries them
 // or as the HTTP adapter reads them from the request's path, query and
-// headers.
+// headers. A stream reuses its call frame to frame, and with it the storage
+// the get route answers into.
 type call struct {
 	stream.Request
 	ctx context.Context
+	get getAnswer
+}
+
+// getAnswer is the get route's answer storage: the response and the result
+// it carries, proved in place.
+type getAnswer struct {
+	resp GetResponse
+	res  query.GetStorage
 }
 
 func (c *call) forwarded() bool { return c.Flags&stream.Forwarded != 0 }
@@ -740,12 +749,18 @@ func (a *api) getKey(c *call, rep *reply) {
 		rep.err(err)
 		return
 	}
-	res, err := e.Get(c.Key)
+	resp := &c.get.resp
+	if a.tamper != nil { // a hook may write or keep what it is handed
+		resp = new(GetResponse)
+		resp.Result, err = e.Get(c.Key)
+	} else {
+		resp.Result, err = e.GetInto(c.Key, &c.get.res)
+	}
 	if err != nil {
 		rep.err(err)
 		return
 	}
-	resp := &GetResponse{ID: c.Feed, Result: res}
+	resp.ID = c.Feed
 	a.tamperWith(resp)
 	a.get.write(c, rep, resp)
 }

@@ -110,8 +110,8 @@ func TestFollowerModeWritesRejected(t *testing.T) {
 	}
 	waitAnchorsEqual(t, []*testClusterNode{leader, observer}, "w", 10*time.Second)
 	verifiedValue(t, observer.url, "w", "a", "1")
-	if _, err := NewClient(observer.url).Health(); err != nil {
-		t.Fatalf("observer healthz: %v", err)
+	if h, status := getHealth(t, observer.url); status != http.StatusOK || !h.OK {
+		t.Fatalf("observer healthz = HTTP %d %+v", status, h)
 	}
 }
 

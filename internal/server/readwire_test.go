@@ -410,45 +410,70 @@ func decodeJSON[T any](body []byte) error { var out T; return json.Unmarshal(bod
 
 // TestVerifiedReadAllocations pins what one verified read allocates, client
 // and gateway together, over a loopback Go-to-Go stream on a 4-shard feed of
-// 10k records: a get of an absent key and a range of 8 keys. Their proofs
+// 10k records, with every key built before the count: a get of a present
+// key, a get of an absent key and a range of 8 keys. A present get proves
+// into its stream's storage, shares the set's value bytes until the answer
+// is encoded, and decodes in place into one allocation plus copies of the
+// value and the path: 4 allocations, where a detached answer and a decoder
+// that copied the whole body cost 13. An absent get's and a range's proofs
 // are pruned trees, built, sent, decoded and verified as one preorder buffer
-// each, and each read crosses as a typed frame: 11 and 45 allocations.
-// Frames that emulated HTTP (a header map, a Request and a mux match per
-// read) cost 40 and 74, a net/http round trip per read 91 and 126, and a
-// graph of tree nodes 252 and 545.
+// each: 6 and 42 allocations (9 and 42 with the whole-body copy). Counted
+// with their keys formatted inside the count, frames that emulated HTTP (a
+// header map, a Request and a mux match per read) cost 40 and 74 for the
+// absent get and the range, a net/http round trip per read 91 and 126, and
+// a graph of tree nodes 252 and 545.
 func TestVerifiedReadAllocations(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("preloads a 10k-record feed; allocation counts do not hold under the race detector")
 	}
-	const getBound, rangeBound = 13, 50
+	const presentBound, absentBound, rangeBound = 4, 6, 42
 	_, srv := readFeed(t, 4, 10000, HandlerConfig{})
 	vc := NewVerifyingClient(srv.URL)
 	vc.HTTP = &http.Client{Transport: &http.Transport{}}
 	t.Cleanup(vc.HTTP.CloseIdleConnections)
-	get := func(i int) {
-		res, err := vc.Get("f", fmt.Sprintf("user%07dx", i*37%10000))
-		if err != nil || res.Found {
-			t.Fatalf("absent get %d: found %v, %v", i, res != nil && res.Found, err)
+	const n = 260 // 50 warm-up reads, then AllocsPerRun's one plus 200
+	present, absent, lo, hi := make([]string, n), make([]string, n), make([]string, n), make([]string, n)
+	for i := range n {
+		present[i] = fmt.Sprintf("user%07d", i*37%10000)
+		absent[i] = present[i] + "x"
+		first := i * 37 % 9990
+		lo[i], hi[i] = fmt.Sprintf("user%07d", first), fmt.Sprintf("user%07d", first+7)
+	}
+	get := func(i int, found bool) {
+		key := absent[i]
+		if found {
+			key = present[i]
+		}
+		res, err := vc.Get("f", key)
+		if err != nil || res.Found != found {
+			t.Fatalf("get %q: found %v, %v", key, res != nil && res.Found, err)
 		}
 	}
 	scan := func(i int) {
-		lo := i * 37 % 9990
-		if _, err := vc.Range("f", fmt.Sprintf("user%07d", lo), fmt.Sprintf("user%07d", lo+7)); err != nil {
+		if _, err := vc.Range("f", lo[i], hi[i]); err != nil {
 			t.Fatalf("range %d: %v", i, err)
 		}
 	}
 	for i := range 50 { // warm the pools, the connection, the anchors
-		get(i)
+		get(i, true)
+		get(i, false)
 		scan(i)
 	}
-	i := 50
-	getAllocs := testing.AllocsPerRun(200, func() { get(i); i++ })
-	rangeAllocs := testing.AllocsPerRun(200, func() { scan(i); i++ })
-	t.Logf("%.1f allocations per absent get, %.1f per 8-key range", getAllocs, rangeAllocs)
-	if getAllocs > getBound {
-		t.Errorf("%.1f allocations per absent get, want at most %d", getAllocs, getBound)
+	count := func(read func(int)) float64 {
+		i := 50
+		return testing.AllocsPerRun(200, func() { read(i); i++ })
 	}
-	if rangeAllocs > rangeBound {
-		t.Errorf("%.1f allocations per 8-key range, want at most %d", rangeAllocs, rangeBound)
+	presentAllocs := count(func(i int) { get(i, true) })
+	absentAllocs := count(func(i int) { get(i, false) })
+	rangeAllocs := count(scan)
+	t.Logf("%.1f allocations per present get, %.1f per absent get, %.1f per 8-key range", presentAllocs, absentAllocs, rangeAllocs)
+	for _, c := range []struct {
+		read   string
+		allocs float64
+		bound  int
+	}{{"present get", presentAllocs, presentBound}, {"absent get", absentAllocs, absentBound}, {"8-key range", rangeAllocs, rangeBound}} {
+		if c.allocs > float64(c.bound) {
+			t.Errorf("%.1f allocations per %s, want at most %d", c.allocs, c.read, c.bound)
+		}
 	}
 }

@@ -265,7 +265,7 @@ func (p *persister) recover(st *shardState, build func(int) (*core.Feed, error))
 		if err != nil {
 			return fmt.Errorf("shard: decode log record %q: %w", it.Key(), err)
 		}
-		_, entry := st.applyBatch(ops)
+		_, entry := st.applyBatch(ops, false)
 		p.loggedBatches++
 		if st.repl != nil {
 			st.repl.append(entry)

@@ -238,12 +238,19 @@ type shardState struct {
 // client, a replication leader or the shard's own durable log on recovery:
 // run the ops, meter the work (op count and the gas the batch charged),
 // advance the lifetime counters, keep the trace when recording, and anchor
-// the post-apply state. It returns the per-op results and the batch's
-// replication entry; what surrounds the apply (WAL append, anchor check,
-// replication-log append, view publication, stage timing) is the caller's.
-func (st *shardState) applyBatch(ops []core.Op) ([]core.OpResult, repl.Entry) {
+// the post-apply state. It returns the batch's replication entry and, when
+// the caller asks for them or the trace keeps them, the per-op results: a
+// replay (recovery, a shipped batch) reads none. What surrounds the apply
+// (WAL append, anchor check, replication-log append, view publication,
+// stage timing) is the caller's.
+func (st *shardState) applyBatch(ops []core.Op, wantResults bool) ([]core.OpResult, repl.Entry) {
 	gasBefore := st.feed.FeedGas()
-	results := core.ApplyOps(st.feed, ops)
+	var results []core.OpResult
+	if wantResults || st.record {
+		results = core.ApplyOps(st.feed, ops)
+	} else {
+		core.RunOps(st.feed, ops)
+	}
 	if st.load != nil {
 		st.load.Add(len(ops), float64(st.feed.FeedGas()-gasBefore))
 	}
@@ -510,7 +517,7 @@ func (w *worker) commit(st *shardState, ops []core.Op, want *repl.Entry, clk *st
 		set.Journal()
 	}
 	seq, height := uint64(st.batches), st.feed.Chain.Height()
-	results, entry := st.applyBatch(ops)
+	results, entry := st.applyBatch(ops, want == nil)
 	clk.mark(obs.StageApply)
 	if want != nil {
 		if div := repl.CheckAnchor(w.idx, want.Anchor, entry.Anchor); div != nil {

@@ -55,8 +55,12 @@ func AppendBytes(b, v []byte) []byte {
 // way out for a string that will outlive the rest of the body.
 //
 // A decoder that keeps nothing aliasing the body — every string read with
-// OwnStr, every Bytes result copied — has no use for the copy: Borrow reads
-// the body in place instead.
+// OwnStr or OwnStrOr, every Bytes result copied — has no use for the copy:
+// Borrow reads the body in place instead. Which one is cheaper follows from
+// what the decoded value keeps. NewReader suits an answer made of many small
+// fields, a proof tree or a range of records, whose one copy serves them all;
+// Borrow suits one that keeps a few fields, a point read's key, value and
+// path, whose own copies cost less than the whole body twice over.
 //
 // A uvarint must be minimal, as AppendUint writes it, so a body that decodes
 // has one encoding only.
@@ -73,8 +77,10 @@ func NewReader(body []byte) *Reader {
 }
 
 // Borrow returns a reader over body itself, for a decoder that copies out
-// every field it keeps. Bytes, Str and Rest results alias body, and body
-// must not change while the reader is in use.
+// every field it keeps. Bytes and Rest results alias body, and body must not
+// change while the reader is in use; Str still copies the whole body into
+// the string its results alias, so such a decoder reads strings with OwnStr
+// or OwnStrOr.
 func Borrow(body []byte) *Reader { return &Reader{buf: body} }
 
 // Len returns the number of unread bytes (0 after a failure).
@@ -183,12 +189,20 @@ func (r *Reader) Str() string {
 
 // OwnStr reads a string as Str does, but into an allocation of its own, so
 // holding it keeps nothing else of the body reachable.
-func (r *Reader) OwnStr() string {
+func (r *Reader) OwnStr() string { return r.OwnStrOr("") }
+
+// OwnStrOr reads a string as OwnStr does, but returns known itself, and
+// allocates nothing, when the bytes spell it: for a decoder that expects
+// one string, such as the key a read asked for.
+func (r *Reader) OwnStrOr(known string) string {
 	at, ok := r.take(r.Uint())
 	if !ok {
 		return ""
 	}
-	return string(r.buf[at:r.off])
+	if b := r.buf[at:r.off]; string(b) != known {
+		return string(b)
+	}
+	return known
 }
 
 // Rest returns the unread bytes without consuming them (nil after a

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"unsafe"
 )
 
 func TestReaderRoundTrip(t *testing.T) {
@@ -104,7 +105,8 @@ var (
 
 // TestReaderCopies: a reader copies the body once, and once more on the first
 // Str, for every Str; an OwnStr result is a copy of its own and pins nothing.
-// A Borrow reader makes no copy of the body.
+// A Borrow reader makes no copy of the body, and OwnStrOr copies only a
+// string that is not the one it knows.
 func TestReaderCopies(t *testing.T) {
 	body := AppendString(AppendString(AppendString(nil, "key"), "other"), "value")
 	allocs := map[string]float64{
@@ -113,7 +115,8 @@ func TestReaderCopies(t *testing.T) {
 		"two OwnStrs": testing.AllocsPerRun(100, func() { r := NewReader(body); sinkStr = r.OwnStr(); sinkStr = r.OwnStr() }),
 	}
 	allocs["borrowed OwnStrs"] = testing.AllocsPerRun(100, func() { r := Borrow(body); sinkStr = r.OwnStr(); sinkStr = r.OwnStr() })
-	for name, want := range map[string]float64{"bytes only": 1, "two Strs": 2, "two OwnStrs": 3, "borrowed OwnStrs": 2} {
+	allocs["borrowed OwnStrOrs"] = testing.AllocsPerRun(100, func() { r := Borrow(body); sinkStr = r.OwnStrOr("key"); sinkStr = r.OwnStrOr("key") })
+	for name, want := range map[string]float64{"bytes only": 1, "two Strs": 2, "two OwnStrs": 3, "borrowed OwnStrs": 2, "borrowed OwnStrOrs": 1} {
 		if allocs[name] != want {
 			t.Errorf("%s: %v allocations, want %v", name, allocs[name], want)
 		}
@@ -122,5 +125,13 @@ func TestReaderCopies(t *testing.T) {
 	own, shared := r.OwnStr(), r.Str()
 	if own != "key" || shared != "other" || r.Str() != "value" || r.Finish() != nil {
 		t.Fatalf("decoded %q %q", own, shared)
+	}
+	known := "key"
+	r = Borrow(body)
+	if got := r.OwnStrOr(known); got != known || unsafe.StringData(got) != unsafe.StringData(known) {
+		t.Errorf("OwnStrOr(%q) = %q, not the known string", known, got)
+	}
+	if got := r.OwnStrOr(known); got != "other" {
+		t.Errorf("OwnStrOr(%q) = %q, want %q", known, got, "other")
 	}
 }
