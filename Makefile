@@ -75,20 +75,26 @@ bench:
 #   - metrics exposition: arbitrary text, as a peer's /metrics scrape may
 #     hold, must parse or be refused without panicking, and text that
 #     parses must write back to text that parses to the same families.
+#
+# Every target caps minimization at 1 s. go test minimizes each new
+# interesting input (and a failing one) for up to 60 s by default, so a
+# 20 s run that finds an input early spends the rest of its budget on it at
+# 0 execs/s. A failure is still reported and saved, less minimized.
 FUZZTIME ?= 20s
+FUZZFLAGS = -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 fuzz-smoke:
-	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzSetOps -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzProofTreeVerify -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzVerifyMember -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/kvstore -run '^$$' -fuzz FuzzStoreOpen -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/query -run '^$$' -fuzz FuzzReadWireDecode -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/server -run '^$$' -fuzz FuzzOpsWireDecode -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/stream -run '^$$' -fuzz FuzzStreamFrame -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/server -run '^$$' -fuzz FuzzStreamFrame -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/repl -run '^$$' -fuzz FuzzLogPageDecode -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzImageInstall -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/merkle -run '^$$' -fuzz FuzzSum256 -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParseExposition -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzSetOps $(FUZZFLAGS)
+	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzProofTreeVerify $(FUZZFLAGS)
+	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzVerifyMember $(FUZZFLAGS)
+	$(GO) test ./internal/kvstore -run '^$$' -fuzz FuzzStoreOpen $(FUZZFLAGS)
+	$(GO) test ./internal/query -run '^$$' -fuzz FuzzReadWireDecode $(FUZZFLAGS)
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzOpsWireDecode $(FUZZFLAGS)
+	$(GO) test ./internal/stream -run '^$$' -fuzz FuzzStreamFrame $(FUZZFLAGS)
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzStreamFrame $(FUZZFLAGS)
+	$(GO) test ./internal/repl -run '^$$' -fuzz FuzzLogPageDecode $(FUZZFLAGS)
+	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzImageInstall $(FUZZFLAGS)
+	$(GO) test ./internal/merkle -run '^$$' -fuzz FuzzSum256 $(FUZZFLAGS)
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParseExposition $(FUZZFLAGS)
 
 # Docs gate: relative markdown links in README.md and docs/ must resolve,
 # docs/API.md must document every route registered on the gateway mux, and

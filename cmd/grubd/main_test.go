@@ -188,8 +188,8 @@ func TestSlowHeadersDisconnected(t *testing.T) {
 	for _, row := range []struct{ addr, send, answer string }{
 		{addr, "GET /healthz HT", ""},
 		{m[1], "GET /healthz HT", ""},
-		// An upgraded stream, stalled halfway through a frame's length.
-		{addr, "GET /healthz HTTP/1.1\r\nHost: grubd\r\nConnection: Upgrade\r\nUpgrade: " + stream.Proto + "\r\n\r\n\x80", "HTTP/1.1 101 "},
+		// A stream opened, then stalled halfway through a frame's length.
+		{addr, "GET " + stream.Path + " HTTP/1.1\r\nHost: grubd\r\nConnection: Upgrade\r\nUpgrade: " + stream.Proto + "\r\n\r\n\x80", "HTTP/1.1 101 "},
 	} {
 		conn, err := net.Dial("tcp", row.addr)
 		if err != nil {

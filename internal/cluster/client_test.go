@@ -3,29 +3,31 @@ package cluster
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"grub/internal/query"
+	"grub/internal/stream"
+	"grub/internal/stream/streamtest"
 )
 
-// TestClientEscapesFeedIDs: Anchors and Move name the feed as one path
-// segment, whatever characters its ID holds, so the routes the gateway
-// registers see the ID it was created with.
+// TestClientEscapesFeedIDs: Anchors and Move name the feed in their frame as
+// it is, whatever characters its ID holds. server.TestClientEscapesFeedIDs
+// sends the same IDs from every client to a real gateway.
 func TestClientEscapesFeedIDs(t *testing.T) {
 	var got string
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /feeds/{id}/roots", func(w http.ResponseWriter, r *http.Request) {
-		got = r.PathValue("id")
-		json.NewEncoder(w).Encode(map[string][]query.RootInfo{"shards": {{Count: 1}}})
+	srv := streamtest.NewServer(t, func(req *stream.Request) (stream.Head, []byte) {
+		got = req.Feed
+		var body []byte
+		switch req.Route {
+		case stream.RouteRoots:
+			body, _ = json.Marshal(map[string][]query.RootInfo{"shards": {{Count: 1}}})
+		case stream.RouteMove:
+			body, _ = json.Marshal(MoveResult{})
+		}
+		return stream.Head{Status: http.StatusOK, ContentType: stream.JSONMediaType}, body
 	})
-	mux.HandleFunc("POST /cluster/feeds/{id}/move", func(w http.ResponseWriter, r *http.Request) {
-		got = r.PathValue("id")
-		json.NewEncoder(w).Encode(MoveResult{})
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
 	var c Client
+	defer c.Close()
 	for _, id := range []string{"a/b", "a?b", "a#b", "a%b", "a b"} {
 		got = ""
 		if roots, err := c.Anchors(srv.URL, id); err != nil || len(roots) != 1 || got != id {

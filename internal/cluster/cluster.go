@@ -57,16 +57,6 @@ import (
 	"grub/internal/obs"
 	"grub/internal/query"
 	"grub/internal/repl"
-	"grub/internal/stream"
-)
-
-// Forwarding headers. Every proxied request carries the sender's placement
-// epoch for the feed (EpochHeader) and a hop marker (ForwardedHeader) so a
-// routing disagreement surfaces as one 421 with a Leader header instead of
-// a proxy loop. A stream frame carries both as fixed fields.
-const (
-	EpochHeader     = stream.EpochHeader
-	ForwardedHeader = stream.ForwardedHeader
 )
 
 // Sentinel errors surfaced on the /cluster/* admin surface.

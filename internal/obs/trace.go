@@ -15,17 +15,8 @@ import (
 // stamps it on every span the batch produces.
 const TraceHeader = "X-Grub-Trace"
 
-// ParentSpanHeader carries the parent span reference ("node:stage") on
-// a forwarded request, so the receiving node can parent its spans under
-// the hop that produced them and the stitched trace renders as a tree.
-const ParentSpanHeader = "X-Grub-Parent-Span"
-
-// SpanHeader carries a JSON-encoded []SpanRecord on a forwarded
-// response, letting the ingress node merge the owner's spans into its
-// own trace. The payload is size-bounded by EncodeSpans.
-const SpanHeader = "X-Grub-Spans"
-
-// maxSpanWire bounds the encoded span payload riding a response header.
+// maxSpanWire bounds the encoded span payload a forwarded batch's answer
+// frame carries back (stream.Head.Spans).
 const maxSpanWire = 8 << 10
 
 // NewTraceID returns a fresh 16-hex-char random trace ID.
@@ -192,10 +183,10 @@ func TraceFrom(ctx context.Context) *Trace {
 	return t
 }
 
-// EncodeSpans renders spans as a single-line JSON array suitable for an
-// HTTP header value. The payload is bounded: spans are dropped from the
-// tail until the encoding fits in 8KiB, so a pathological batch cannot
-// inflate response headers. Returns "" for no spans.
+// EncodeSpans renders spans as a single-line JSON array, the spans field
+// of a forwarded batch's answer frame. The payload is bounded: spans are
+// dropped from the tail until the encoding fits in 8KiB, so a pathological
+// batch cannot inflate the answer. Returns "" for no spans.
 func EncodeSpans(spans []SpanRecord) string {
 	for len(spans) > 0 {
 		b, err := json.Marshal(spans)

@@ -222,12 +222,11 @@ func TestReplicatedGatewayEndToEnd(t *testing.T) {
 	// byte must be caught by the anchor check; the shard halts and the
 	// node keeps serving its last verified (here: empty) state — never
 	// the fork.
-	tp := &tamperOnce{next: front}
+	tp := &tamperOnce{upstream: leaderURL}
 	tp.arm()
-	tsrv := httptest.NewServer(tp)
-	t.Cleanup(tsrv.Close)
+	tamperURL := tp.serve(t)
 	fg3, _ := startGateway(t, server.GatewayOptions{})
-	f3 := repl.NewFollower(fastOpts(tsrv.URL), fg3.ReplTarget())
+	f3 := repl.NewFollower(fastOpts(tamperURL), fg3.ReplTarget())
 	f3.Start()
 	t.Cleanup(f3.Close)
 

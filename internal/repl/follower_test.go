@@ -1,7 +1,7 @@
 package repl_test
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,6 +15,8 @@ import (
 	"grub/internal/query"
 	"grub/internal/repl"
 	"grub/internal/server"
+	"grub/internal/stream"
+	"grub/internal/stream/streamtest"
 )
 
 const waitTimeout = 30 * time.Second
@@ -269,73 +271,56 @@ func TestFollowerConfigMismatchFails(t *testing.T) {
 	}
 }
 
-// tamperOnce wraps a leader handler and flips one byte inside the first
+// tamperOnce is a fake leader that forwards every request frame to the
+// leader at upstream, through a Pool, and flips one byte inside the first
 // write op of the first log entry it serves after arming — a compromised
-// leader (or path) shipping a corrupted batch. It tampers with a page in
-// either encoding and re-encodes it in the one it came in. It reads the arm
-// after the page is built, so a page that holds a batch written after arm
-// is always a candidate, even when its request arrived before arm. A proxy
-// that rewrites bodies cannot pass a Go-to-Go stream through, so it takes the
-// stream offer off every request, and the follower's fetches all cross it
-// over HTTP.
+// leader (or path) shipping a corrupted batch. It reads the arm after the
+// page is built, so a page that holds a batch written after arm is always a
+// candidate, even when its request arrived before arm.
 type tamperOnce struct {
-	next  http.Handler
-	mu    sync.Mutex
-	armed bool
-	done  bool
+	upstream string
+	pool     stream.Pool
+	mu       sync.Mutex
+	armed    bool
+	done     bool
 }
 
-func (tp *tamperOnce) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r.Header.Del("Upgrade")
-	if !strings.HasSuffix(r.URL.Path, "/log") {
-		tp.next.ServeHTTP(w, r)
-		return
+// serve starts the fake leader and returns its URL.
+func (tp *tamperOnce) serve(t *testing.T) string {
+	t.Cleanup(tp.pool.Close)
+	return streamtest.NewServer(t, tp.answer).URL
+}
+
+func (tp *tamperOnce) answer(req *stream.Request) (stream.Head, []byte) {
+	ans, err := tp.pool.Send(nil, tp.upstream, req)
+	if err != nil {
+		return stream.Head{}, nil // hang up, as a path to a dead leader does
 	}
-	rec := httptest.NewRecorder()
-	tp.next.ServeHTTP(rec, r)
+	defer ans.Close()
+	body := bytes.Clone(ans.Body)
 	tp.mu.Lock()
 	active := tp.armed && !tp.done
 	tp.mu.Unlock()
-	ct := rec.Header().Get("Content-Type")
-	page, err := decodePage(ct, rec.Body.Bytes())
-	if active && rec.Code == http.StatusOK && err == nil && len(page.Entries) > 0 {
-	flip:
-		for ei := range page.Entries {
-			for oi := range page.Entries[ei].Ops {
-				if page.Entries[ei].Ops[oi].Type == "write" && len(page.Entries[ei].Ops[oi].Value) > 0 {
-					page.Entries[ei].Ops[oi].Value[0] ^= 0x01 // the flipped byte
-					tp.mu.Lock()
-					tp.done = true
-					tp.mu.Unlock()
-					break flip
-				}
+	if req.Route != stream.RouteLog || ans.Status != http.StatusOK || !active {
+		return ans.Head, body
+	}
+	page, err := repl.DecodeLogPage(body)
+	if err != nil {
+		return ans.Head, body
+	}
+flip:
+	for ei := range page.Entries {
+		for oi := range page.Entries[ei].Ops {
+			if page.Entries[ei].Ops[oi].Type == "write" && len(page.Entries[ei].Ops[oi].Value) > 0 {
+				page.Entries[ei].Ops[oi].Value[0] ^= 0x01 // the flipped byte
+				tp.mu.Lock()
+				tp.done = true
+				tp.mu.Unlock()
+				break flip
 			}
 		}
-		body, _ := json.Marshal(page)
-		if ct == repl.LogMediaType {
-			body = repl.AppendLogPage(nil, page)
-		}
-		w.Header().Set("Content-Type", ct)
-		w.WriteHeader(http.StatusOK)
-		w.Write(body)
-		return
 	}
-	for k, vs := range rec.Header() {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	w.WriteHeader(rec.Code)
-	w.Write(rec.Body.Bytes())
-}
-
-// decodePage decodes a log page in the encoding its Content-Type names.
-func decodePage(contentType string, body []byte) (*repl.LogPage, error) {
-	if contentType == repl.LogMediaType {
-		return repl.DecodeLogPage(body)
-	}
-	var page repl.LogPage
-	return &page, json.Unmarshal(body, &page)
+	return ans.Head, repl.AppendLogPage(nil, page)
 }
 
 func (tp *tamperOnce) arm() {
@@ -353,9 +338,10 @@ func TestFollowerTamperedBatchHaltsShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(leaderGW.Close)
-	tp := &tamperOnce{next: server.NewHandler(leaderGW)}
-	srv := httptest.NewServer(tp)
-	t.Cleanup(srv.Close)
+	leader := httptest.NewServer(server.NewHandler(leaderGW))
+	t.Cleanup(leader.Close)
+	tp := &tamperOnce{upstream: leader.URL}
+	tamperURL := tp.serve(t)
 
 	if err := leaderGW.CreateFeed(server.FeedConfig{ID: "t", Shards: 1, EpochOps: 8}); err != nil {
 		t.Fatal(err)
@@ -363,7 +349,7 @@ func TestFollowerTamperedBatchHaltsShard(t *testing.T) {
 	writeBatches(t, leaderGW, "t", 5, 0)
 
 	fg, _ := startGateway(t, server.GatewayOptions{})
-	f := repl.NewFollower(fastOpts(srv.URL), fg.ReplTarget())
+	f := repl.NewFollower(fastOpts(tamperURL), fg.ReplTarget())
 	f.Start()
 	t.Cleanup(f.Close)
 	if err := f.WaitConverged(waitTimeout); err != nil {

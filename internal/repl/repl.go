@@ -23,8 +23,7 @@
 // AppendLogPage, DecodeLogPage) and the snapshot route in the binary image
 // encoding (ImageMediaType, AppendSnapshot, DecodeSnapshot), each only in
 // it; the feeds route, and every error answer, speak JSON. Client fetches
-// each as one frame on a Go-to-Go stream to the leader (package stream), or
-// over HTTP when it takes none.
+// each as one frame on a Go-to-Go stream to the leader (package stream).
 //
 // A Follower drives those endpoints against one leader URL and replicates
 // into a Target (implemented by server.Gateway): bootstrap from the newest

@@ -18,6 +18,8 @@ import (
 	"grub/internal/query"
 	"grub/internal/repl"
 	"grub/internal/server"
+	"grub/internal/stream"
+	"grub/internal/stream/streamtest"
 	"grub/internal/wire"
 	"grub/internal/workload/ycsb"
 )
@@ -90,12 +92,10 @@ func TestLogRouteSpeaksBinaryOnly(t *testing.T) {
 	}
 
 	var fetches atomic.Int64
-	jsonLeader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	jsonLeader := streamtest.NewServer(t, func(*stream.Request) (stream.Head, []byte) {
 		fetches.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		io.WriteString(w, `{"entries":[],"floorSeq":0,"leaderSeq":0}`)
-	}))
-	t.Cleanup(jsonLeader.Close)
+		return stream.Head{Status: http.StatusOK, ContentType: "application/json"}, []byte(`{"entries":[],"floorSeq":0,"leaderSeq":0}`)
+	})
 	_, err = repl.NewClient(jsonLeader.URL).Log("f", 1, 0, 64)
 	if err == nil || !strings.Contains(err.Error(), `"application/json"`) || !strings.Contains(err.Error(), repl.LogMediaType) {
 		t.Errorf("Log of a JSON answer = %v, want an error naming both types", err)
@@ -146,12 +146,10 @@ func TestSnapshotRouteSpeaksBinaryOnly(t *testing.T) {
 	}
 
 	var fetches atomic.Int64
-	jsonLeader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	jsonLeader := streamtest.NewServer(t, func(*stream.Request) (stream.Head, []byte) {
 		fetches.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		io.WriteString(w, `{"shard":1,"seq":0,"feed":{}}`)
-	}))
-	t.Cleanup(jsonLeader.Close)
+		return stream.Head{Status: http.StatusOK, ContentType: "application/json"}, []byte(`{"shard":1,"seq":0,"feed":{}}`)
+	})
 	_, err = repl.NewClient(jsonLeader.URL).Snapshot("f", 1)
 	if err == nil || !strings.Contains(err.Error(), `"application/json"`) || !strings.Contains(err.Error(), repl.ImageMediaType) {
 		t.Errorf("Snapshot of a JSON answer = %v, want an error naming both types", err)

@@ -36,13 +36,11 @@ type Retry struct {
 // failover window (~4 tries over roughly half a second worst case).
 var DefaultRetry = Retry{Attempts: 4, Base: 25 * time.Millisecond, Max: 400 * time.Millisecond}
 
-// Client talks to a gateway over its HTTP API: op batches and authenticated
+// Client talks to a gateway over Go-to-Go streams (docs/API.md;
+// stream.Pool.Send, which HTTP configures): op batches and authenticated
 // reads in the binary encodings (OpsMediaType, ReadMediaType), everything
 // else in JSON. The zero HTTP client is usable; BaseURL is required
 // ("http://host:port", no trailing slash).
-//
-// Every request goes over a Go-to-Go stream (docs/API.md) when the gateway
-// takes one (stream.Pool.Send, which HTTP configures).
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
@@ -85,10 +83,11 @@ func (c *Client) call(rt stream.Route, id string, in, out any) error {
 // encoding must be answered in it (an answer in another type is an error
 // that names both). A 421 (cluster node disclaiming ownership) carrying a
 // Leader header is transparently retried once against the named owner, so a
-// client pointed at any node still lands its writes; transport errors and
-// 502/503 responses back off and retry when c.Retry allows. A request the
-// stream did not serve goes again at once on a fresh connection, without
-// spending an attempt (stream.Pool.Send).
+// client pointed at any node still lands its writes; transport errors (a
+// gateway that refuses the stream among them) and 502/503 responses back off
+// and retry when c.Retry allows. A request the stream did not serve goes
+// again at once on a fresh connection, without spending an attempt
+// (stream.Pool.Send).
 func (c *Client) do(req *stream.Request) (stream.Answer, error) {
 	attempts := c.Retry.Attempts
 	if attempts < 1 {

@@ -3,15 +3,23 @@ package server
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"grub/internal/stream"
+	"grub/internal/stream/streamtest"
 )
 
 func fastRetry(attempts int) Retry {
 	return Retry{Attempts: attempts, Base: time.Millisecond, Max: 5 * time.Millisecond}
+}
+
+// jsonAnswer is a fake gateway's JSON answer: status and v encoded.
+func jsonAnswer(status int, v any) (stream.Head, []byte) {
+	body, _ := json.Marshal(v)
+	return stream.Head{Status: status, ContentType: stream.JSONMediaType}, body
 }
 
 // TestClientRetry503 rides out transient 503s: the client must back off and
@@ -19,18 +27,12 @@ func fastRetry(attempts int) Retry {
 // ever seeing the failures.
 func TestClientRetry503(t *testing.T) {
 	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := streamtest.NewServer(t, func(*stream.Request) (stream.Head, []byte) {
 		if calls.Add(1) <= 2 {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(errorBody{Error: "migration fence"})
-			return
+			return jsonAnswer(http.StatusServiceUnavailable, errorBody{Error: "migration fence"})
 		}
-		json.NewEncoder(w).Encode(struct {
-			Feeds []string `json:"feeds"`
-		}{Feeds: []string{"f"}})
-	}))
-	defer srv.Close()
-
+		return jsonAnswer(http.StatusOK, map[string][]string{"feeds": {"f"}})
+	})
 	c := NewClient(srv.URL)
 	c.Retry = fastRetry(4)
 	feeds, err := c.Feeds()
@@ -49,13 +51,10 @@ func TestClientRetry503(t *testing.T) {
 // Attempts tries and surfaces the server's last error text.
 func TestClientRetryExhausted(t *testing.T) {
 	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := streamtest.NewServer(t, func(*stream.Request) (stream.Head, []byte) {
 		calls.Add(1)
-		w.WriteHeader(http.StatusBadGateway)
-		json.NewEncoder(w).Encode(errorBody{Error: "owner unreachable"})
-	}))
-	defer srv.Close()
-
+		return jsonAnswer(http.StatusBadGateway, errorBody{Error: "owner unreachable"})
+	})
 	c := NewClient(srv.URL)
 	c.Retry = fastRetry(3)
 	_, err := c.Feeds()
@@ -74,12 +73,10 @@ func TestClientRetryExhausted(t *testing.T) {
 // single-attempt behavior.
 func TestClientNoRetryByDefault(t *testing.T) {
 	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := streamtest.NewServer(t, func(*stream.Request) (stream.Head, []byte) {
 		calls.Add(1)
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-
+		return stream.Head{Status: http.StatusServiceUnavailable}, nil
+	})
 	if _, err := NewClient(srv.URL).Feeds(); err == nil {
 		t.Fatal("want error")
 	}
@@ -92,25 +89,12 @@ func TestClientNoRetryByDefault(t *testing.T) {
 // dying, listener restarting) is transient too.
 func TestClientRetryTransportError(t *testing.T) {
 	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := streamtest.NewServer(t, func(*stream.Request) (stream.Head, []byte) {
 		if calls.Add(1) <= 2 {
-			hj, ok := w.(http.Hijacker)
-			if !ok {
-				t.Fatal("recorder not hijackable")
-			}
-			conn, _, err := hj.Hijack()
-			if err != nil {
-				t.Fatalf("hijack: %v", err)
-			}
-			conn.Close() // client sees an abrupt EOF
-			return
+			return stream.Head{}, nil // the client sees an abrupt EOF
 		}
-		json.NewEncoder(w).Encode(struct {
-			Feeds []string `json:"feeds"`
-		}{})
-	}))
-	defer srv.Close()
-
+		return jsonAnswer(http.StatusOK, map[string][]string{"feeds": {}})
+	})
 	c := NewClient(srv.URL)
 	c.Retry = fastRetry(5)
 	if _, err := c.Feeds(); err != nil {
@@ -125,18 +109,14 @@ func TestClientRetryTransportError(t *testing.T) {
 // 421 + Leader sends the client to the named owner — but only one hop; a
 // second 421 surfaces as the caller's error instead of a redirect chase.
 func TestClientFollows421Leader(t *testing.T) {
-	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", OpsMediaType)
-		w.Write(appendResults(nil, []OpResult{{Found: true}}))
-	}))
-	defer owner.Close()
-	stale := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Leader", owner.URL)
-		w.WriteHeader(http.StatusMisdirectedRequest)
-		json.NewEncoder(w).Encode(errorBody{Error: "not the owner", Leader: owner.URL})
-	}))
-	defer stale.Close()
-
+	owner := streamtest.NewServer(t, func(*stream.Request) (stream.Head, []byte) {
+		return stream.Head{Status: http.StatusOK, ContentType: OpsMediaType}, appendResults(nil, []OpResult{{Found: true}})
+	})
+	stale := streamtest.NewServer(t, func(*stream.Request) (stream.Head, []byte) {
+		hd, body := jsonAnswer(http.StatusMisdirectedRequest, errorBody{Error: "not the owner", Leader: owner.URL})
+		hd.Leader = owner.URL
+		return hd, body
+	})
 	res, err := NewClient(stale.URL).Do("f", []Op{{Type: "write", Key: "k", Value: []byte("v")}})
 	if err != nil {
 		t.Fatalf("client did not follow Leader: %v", err)
@@ -146,19 +126,17 @@ func TestClientFollows421Leader(t *testing.T) {
 	}
 
 	// Two nodes pointing 421 at each other must not loop.
-	var a, b *httptest.Server
-	bounce := func(other func() string) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Leader", other())
-			w.WriteHeader(http.StatusMisdirectedRequest)
-			json.NewEncoder(w).Encode(errorBody{Error: "not the owner"})
+	var a, b string
+	bounce := func(other *string) func(*stream.Request) (stream.Head, []byte) {
+		return func(*stream.Request) (stream.Head, []byte) {
+			hd, body := jsonAnswer(http.StatusMisdirectedRequest, errorBody{Error: "not the owner"})
+			hd.Leader = *other
+			return hd, body
 		}
 	}
-	a = httptest.NewServer(bounce(func() string { return b.URL }))
-	defer a.Close()
-	b = httptest.NewServer(bounce(func() string { return a.URL }))
-	defer b.Close()
-	if _, err := NewClient(a.URL).Do("f", nil); err == nil {
+	a = streamtest.NewServer(t, bounce(&b)).URL
+	b = streamtest.NewServer(t, bounce(&a)).URL
+	if _, err := NewClient(a).Do("f", nil); err == nil {
 		t.Fatal("mutual 421s must surface an error, not loop")
 	}
 }

@@ -36,13 +36,12 @@ func (g *Gateway) Anchors(feed string) ([]query.RootInfo, error) {
 // streams, stamping the sender's placement epoch and the Forwarded flag (so
 // a second routing disagreement surfaces as 421 + Leader, never a proxy
 // loop), and relays the owner's answer verbatim. The call goes as the frame
-// it came as, or would have come as over HTTP, so a batch crosses the hop in
-// the form the client chose and its answer comes back in the form the client
-// asked for. It
-// returns the owner's status code (0 when the owner was unreachable). The
-// hop is bounded by the node's cluster.Options.HTTP Timeout, not by the
-// call's context: a client that goes away does not cut a batch the owner
-// may be applying.
+// it came as, or as the frame its HTTP request reads as, so a batch crosses
+// the hop in the form the client chose and its answer comes back in the form
+// the client asked for. It returns the owner's status code (0 when the owner
+// was unreachable or refused the stream). The hop is bounded by the node's
+// cluster.Options.HTTP Timeout, not by the call's context: a client that goes
+// away does not cut a batch the owner may be applying.
 //
 // When tr is non-nil the hop is stitched into the trace: the owner
 // receives this trace's ID and a parent-span reference ("node:forward"),

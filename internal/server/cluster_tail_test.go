@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -21,8 +20,7 @@ import (
 
 // listCounter counts the feed-list requests (GET /repl/feeds, replication
 // feed discovery) one node sends. Its Transport wraps every connection the
-// node dials in a dialedConn, which counts them as the node writes them, so
-// a stream frame counts the same as an HTTP request.
+// node dials in a dialedConn, which counts them as the node writes them.
 type listCounter struct {
 	lists atomic.Int64
 }
@@ -39,16 +37,14 @@ func (c *listCounter) transport() *http.Transport {
 }
 
 // dialedConn counts into lists each request frame it writes that names the
-// feed-list route, and each HTTP request for it, the upgrading one included.
-// A stream writes each frame, and net/http each request head, in one Write.
+// feed-list route. A stream writes each frame in one Write.
 type dialedConn struct {
 	net.Conn
 	lists *atomic.Int64
 }
 
 func (c dialedConn) Write(p []byte) (int, error) {
-	frame := len(p) > 4 && int(binary.BigEndian.Uint32(p)) == len(p)-4 && stream.Route(p[4]) == stream.RouteReplFeeds
-	if frame || bytes.HasPrefix(p, []byte("GET /repl/feeds HTTP/")) {
+	if len(p) > 4 && int(binary.BigEndian.Uint32(p)) == len(p)-4 && stream.Route(p[4]) == stream.RouteReplFeeds {
 		c.lists.Add(1)
 	}
 	return c.Conn.Write(p)
@@ -358,5 +354,78 @@ func TestClusterForwardAfterSilentDisconnect(t *testing.T) {
 	t.Logf("%d of 4 batches landed", landed)
 	if st, err := owner.g.Stats(feed); err != nil || int(st.Batches) != landed {
 		t.Errorf("owner applied %d batches (%v), want %d: each landed batch once, no other", st.Batches, err, landed)
+	}
+}
+
+// TestClusterPeersSendOnlyStreamOffers: no hop between Go processes sends a
+// route-shaped HTTP request. Every HTTP request a 3-node cluster's members
+// receive, through heartbeats, a tail, forwarded writes, the federated
+// /cluster/metrics and /cluster/load scrapes and server.Client's calls, is
+// GET /stream offering the stream; every request after it is a frame.
+func TestClusterPeersSendOnlyStreamOffers(t *testing.T) {
+	const feed = "frames"
+	var mu sync.Mutex
+	var requests []string
+	nodes := make([]*testClusterNode, 3)
+	urls := make([]string, len(nodes))
+	lns := make([]net.Listener, len(nodes))
+	for i := range nodes {
+		lns[i] = listenLocal(t)
+		urls[i] = "http://" + lns[i].Addr().String()
+	}
+	for i, ln := range lns {
+		g := NewGateway()
+		node, err := cluster.NewNode(testNodeOptions(urls[i], urls, g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := NewHandlerConfig(g, HandlerConfig{Cluster: node})
+		srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			requests = append(requests, r.Method+" "+r.URL.RequestURI()+" Upgrade: "+r.Header.Get("Upgrade"))
+			mu.Unlock()
+			h.ServeHTTP(w, r)
+		})}
+		go srv.Serve(ln)
+		node.Start()
+		nodes[i] = &testClusterNode{g: g, node: node, srv: srv, url: urls[i]}
+		t.Cleanup(nodes[i].kill)
+	}
+	c := NewClient(nodes[0].url)
+	c.Retry = Retry{Attempts: 8, Base: 10 * time.Millisecond, Max: 200 * time.Millisecond}
+	if err := c.CreateFeed(FeedConfig{ID: feed, Shards: 2, EpochOps: 1}); err != nil {
+		t.Fatal(err)
+	}
+	oi := ownerIndex(t, nodes, feed, 5*time.Second)
+	c.BaseURL = nodes[(oi+1)%len(nodes)].url // a non-owner: every batch is forwarded
+	for i := range 10 {
+		if _, err := c.Do(feed, writeBatch(fmt.Sprintf("k%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitAnchorsEqual(t, nodes, feed, 10*time.Second) // the tails caught up
+	if res, err := c.Get(feed, "k3"); err != nil || !res.Found {
+		t.Fatalf("get on a tailing node = %+v, %v", res, err)
+	}
+	var peer stream.Pool
+	defer peer.Close()
+	for _, rt := range []stream.Route{stream.RouteClusterMetrics, stream.RouteClusterLoad} {
+		ans, err := peer.Send(nil, nodes[0].url, &stream.Request{Route: rt})
+		if err != nil || ans.Status != http.StatusOK {
+			t.Fatalf("%s: %d, %v", rt.Pattern(), ans.Status, err)
+		}
+		ans.Close()
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := "GET " + stream.Path + " Upgrade: " + stream.Proto
+	t.Logf("%d streams opened", len(requests))
+	for _, r := range requests {
+		if r != want {
+			t.Errorf("a member received %q, want only %q", r, want)
+		}
+	}
+	if len(requests) < len(nodes) {
+		t.Errorf("%d requests received, want at least one stream per member", len(requests))
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"grub/internal/cluster"
 	"grub/internal/query"
+	"grub/internal/stream"
 )
 
 // testClusterNode is one member of an in-process gateway cluster: its own
@@ -565,20 +566,19 @@ func TestClusterMigration(t *testing.T) {
 	// The old owner redirects post-fence writes to the new owner: a
 	// request marked as already-forwarded must answer 421 + Leader rather
 	// than proxying again.
-	req, _ := http.NewRequest(http.MethodPost, nodes[oi].url+"/feeds/mig/ops",
-		bytes.NewReader([]byte(`{"ops":[{"type":"write","key":"post-fence","value":"eA=="}]}`)))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(cluster.ForwardedHeader, "1")
-	resp, err := http.DefaultClient.Do(req)
+	var peer stream.Pool
+	defer peer.Close()
+	ans, err := peer.Send(nil, nodes[oi].url, &stream.Request{Route: stream.RouteOps, Feed: "mig",
+		Flags: stream.Forwarded | stream.JSONBody, Body: []byte(`{"ops":[{"type":"write","key":"post-fence","value":"eA=="}]}`)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMisdirectedRequest {
-		t.Fatalf("post-fence write to old owner = HTTP %d, want 421", resp.StatusCode)
+	ans.Close()
+	if ans.Status != http.StatusMisdirectedRequest {
+		t.Fatalf("post-fence write to old owner = HTTP %d, want 421", ans.Status)
 	}
-	if got := resp.Header.Get("Leader"); got != nodes[ti].url {
-		t.Fatalf("post-fence redirect Leader = %q, want %q", got, nodes[ti].url)
+	if ans.Leader != nodes[ti].url {
+		t.Fatalf("post-fence redirect Leader = %q, want %q", ans.Leader, nodes[ti].url)
 	}
 
 	// Seal the last partial epochs so every acked write is visible to the

@@ -349,8 +349,8 @@ func NewHandler(g *Gateway) http.Handler {
 	return NewHandlerConfig(g, HandlerConfig{})
 }
 
-// NewHandlerConfig exposes a gateway over HTTP, and over a Go-to-Go stream
-// (docs/API.md) to a client that offers one; both reach the same handlers.
+// NewHandlerConfig exposes a gateway over HTTP, and over Go-to-Go streams
+// (docs/API.md) opened at stream.Path; both reach the same handlers.
 func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 	a := &api{
 		ServeMux: http.NewServeMux(),
@@ -366,26 +366,33 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 	for rt := stream.Route(1); rt < stream.NumRoutes; rt++ {
 		a.HandleFunc(rt.Pattern(), func(w http.ResponseWriter, r *http.Request) { a.serveHTTP(rt, w, r) })
 	}
+	a.HandleFunc(http.MethodGet+" "+stream.Path, a.openStream)
 	return a
 }
 
 // serveHTTP serves r on route rt: the call's fields come from r's path,
-// query and headers, and its body is read under the cap. The reply goes to
-// w, or, when r offers a stream the gateway takes, opens it as its first
-// answer frame (serveStream).
+// query and headers, and its body is read under the cap.
 func (a *api) serveHTTP(rt stream.Route, w http.ResponseWriter, r *http.Request) {
 	rep := reply{body: stream.GetBuf()}
 	defer stream.PutBuf(rep.body)
-	c, ok := a.httpCall(rt, w, r, &rep)
-	upgrade := ok && r.Header.Get("Upgrade") == stream.Proto && a.g.streams.begin()
-	if ok {
+	if c, ok := a.httpCall(rt, w, r, &rep); ok {
 		a.serve[rt](a, c, &rep)
 	}
-	if upgrade && a.serveStream(w, r, &rep) {
-		return
+	rep.writeHTTP(w)
+}
+
+// writeHTTP sends rep as an HTTP answer, its head's fields as headers.
+func (rep *reply) writeHTTP(w http.ResponseWriter) {
+	retryAfter := ""
+	if rep.RetryAfter > 0 {
+		retryAfter = strconv.Itoa(rep.RetryAfter)
 	}
-	rep.SetHeader(w.Header())
-	w.Header().Set("Content-Length", strconv.Itoa(len(*rep.body)))
+	for _, kv := range [...][2]string{{"Content-Type", rep.ContentType}, {"Leader", rep.Leader},
+		{"Retry-After", retryAfter}, {obs.TraceHeader, rep.TraceID}, {"Content-Length", strconv.Itoa(len(*rep.body))}} {
+		if kv[1] != "" {
+			w.Header().Set(kv[0], kv[1])
+		}
+	}
 	w.WriteHeader(cmp.Or(rep.Status, http.StatusOK))
 	w.Write(*rep.body)
 }
@@ -395,12 +402,7 @@ func (a *api) serveHTTP(rt stream.Route, w http.ResponseWriter, r *http.Request)
 func (a *api) httpCall(rt stream.Route, w http.ResponseWriter, r *http.Request, rep *reply) (*call, bool) {
 	h, q := r.Header, r.URL.Query()
 	c := &call{ctx: r.Context()}
-	c.Route, c.Feed = rt, r.PathValue("id")
-	c.Epoch, _ = strconv.ParseUint(h.Get(stream.EpochHeader), 10, 64)
-	c.TraceID, c.Parent = h.Get(obs.TraceHeader), h.Get(obs.ParentSpanHeader)
-	if h.Get(stream.ForwardedHeader) != "" {
-		c.Flags |= stream.Forwarded
-	}
+	c.Route, c.Feed, c.TraceID = rt, r.PathValue("id"), h.Get(obs.TraceHeader)
 	if media := rt.Media(); media != "" && !strings.Contains(h.Get("Accept"), media) {
 		c.Flags |= stream.JSONAnswer
 	}

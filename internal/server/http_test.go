@@ -9,8 +9,11 @@ import (
 	"sync"
 	"testing"
 
+	"grub/internal/cluster"
 	"grub/internal/core"
+	"grub/internal/repl"
 	"grub/internal/shard"
+	"grub/internal/stream"
 	"grub/internal/workload/ycsb"
 )
 
@@ -311,28 +314,48 @@ func TestErrStatusNotFooledByFeedID(t *testing.T) {
 }
 
 // TestClientEscapesFeedIDs round-trips feed IDs holding the characters a
-// URL path gives meaning to through every client call that names a feed:
-// each must reach that feed's route, not another route or a parse error.
+// URL path gives meaning to through every client call that names a feed, of
+// server.Client, cluster.Client and repl.Client, to a real gateway: each
+// frame must reach that feed's route, not another feed or a parse error.
 func TestClientEscapesFeedIDs(t *testing.T) {
 	g := NewGateway()
 	defer g.Close()
-	srv := httptest.NewServer(NewHandler(g))
+	h := NewHandler(g).(*api)
+	var reached sync.Map // route → the feed its last frame named
+	for rt := stream.Route(1); rt < stream.NumRoutes; rt++ {
+		wrapRoute(h, rt, func(serve func(*api, *call, *reply)) func(*api, *call, *reply) {
+			return func(a *api, c *call, rep *reply) {
+				reached.Store(rt, c.Feed)
+				serve(a, c, rep)
+			}
+		})
+	}
+	srv := httptest.NewServer(h)
 	defer srv.Close()
 	c := NewClient(srv.URL)
+	var cc cluster.Client
+	defer cc.Close()
+	rc := repl.NewClient(srv.URL)
+	defer rc.Close()
 	for _, id := range []string{"a/b", "a?b", "a#b", "a%b", "a%2Fb", "a b"} {
+		reach := func(call string, rt stream.Route, err error) {
+			t.Helper()
+			if got, _ := reached.LoadAndDelete(rt); err != nil || got != id {
+				t.Fatalf("%s(%q) reached feed %q: %v", call, id, got, err)
+			}
+		}
 		if err := c.CreateFeed(FeedConfig{ID: id, Shards: 2, EpochOps: 1}); err != nil {
 			t.Fatalf("CreateFeed(%q): %v", id, err)
 		}
-		if _, err := c.Do(id, []Op{{Type: "write", Key: "k1", Value: []byte("v1")}, {Type: "write", Key: "k2", Value: []byte("v2")}}); err != nil {
-			t.Fatalf("Do(%q): %v", id, err)
-		}
-		if res, err := c.Get(id, "k1"); err != nil || !res.Found || string(res.Record.Value) != "v1" {
-			t.Fatalf("Get(%q): %+v, %v", id, res, err)
+		_, err := c.Do(id, []Op{{Type: "write", Key: "k1", Value: []byte("v1")}, {Type: "write", Key: "k2", Value: []byte("v2")}})
+		reach("Do", stream.RouteOps, err)
+		res, err := c.Get(id, "k1")
+		reach("Get", stream.RouteGet, err)
+		if !res.Found || string(res.Record.Value) != "v1" {
+			t.Fatalf("Get(%q): %+v", id, res)
 		}
 		slices, err := c.Range(id, "k", "l")
-		if err != nil {
-			t.Fatalf("Range(%q): %v", id, err)
-		}
+		reach("Range", stream.RouteRange, err)
 		n := 0
 		for _, s := range slices {
 			n += len(s.Range.Records)
@@ -340,15 +363,31 @@ func TestClientEscapesFeedIDs(t *testing.T) {
 		if n != 2 {
 			t.Fatalf("Range(%q): %d records, want 2", id, n)
 		}
-		if roots, err := c.Roots(id); err != nil || len(roots) != 2 {
-			t.Fatalf("Roots(%q): %d shards, %v", id, len(roots), err)
+		roots, err := c.Roots(id)
+		reach("Roots", stream.RouteRoots, err)
+		anchors, err := cc.Anchors(srv.URL, id)
+		reach("Anchors", stream.RouteRoots, err)
+		if len(roots) != 2 || len(anchors) != 2 {
+			t.Fatalf("Roots(%q), Anchors(%q): %d and %d shards, want 2", id, id, len(roots), len(anchors))
 		}
-		if st, err := c.Stats(id); err != nil || st.Ops != 2 {
-			t.Fatalf("Stats(%q): %d ops, %v", id, st.Ops, err)
+		st, err := c.Stats(id)
+		reach("Stats", stream.RouteStats, err)
+		if st.Ops != 2 {
+			t.Fatalf("Stats(%q): %d ops, want 2", id, st.Ops)
 		}
-		if err := c.CloseFeed(id); err != nil {
-			t.Fatalf("CloseFeed(%q): %v", id, err)
+		_, err = rc.Log(id, 1, 0, 8)
+		reach("Log", stream.RouteLog, err)
+		_, err = rc.Snapshot(id, 1)
+		reach("Snapshot", stream.RouteReplSnapshot, err)
+		// A gateway outside a cluster refuses the move, after the frame
+		// reached the feed's move route.
+		_, err = cc.Move(srv.URL, id, "http://target")
+		if err == nil || !strings.Contains(err.Error(), "clustering disabled") {
+			t.Fatalf("Move(%q): %v, want the refusal of a gateway outside a cluster", id, err)
 		}
+		reach("Move", stream.RouteMove, nil)
+		err = c.CloseFeed(id)
+		reach("CloseFeed", stream.RouteCloseFeed, err)
 		if _, err := c.Stats(id); err == nil {
 			t.Fatalf("Stats(%q) after CloseFeed succeeded", id)
 		}

@@ -25,6 +25,7 @@ import (
 	"grub/internal/obs"
 	"grub/internal/shard"
 	"grub/internal/stream"
+	"grub/internal/stream/streamtest"
 	"grub/internal/wire"
 	"grub/internal/workload/ycsb"
 )
@@ -243,12 +244,10 @@ func TestClientSpeaksBinaryOps(t *testing.T) {
 // the type expected, and the request is not sent again in another form.
 func TestClientRefusesOtherAnswerTypes(t *testing.T) {
 	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := streamtest.NewServer(t, func(*stream.Request) (stream.Head, []byte) {
 		calls.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(BatchResponse{})
-	}))
-	defer srv.Close()
+		return jsonAnswer(http.StatusOK, BatchResponse{})
+	})
 	c := NewClient(srv.URL)
 	for _, tc := range []struct {
 		name, want string

@@ -60,8 +60,8 @@ func NewGatewayWithOptions(opts GatewayOptions) (*Gateway, error) {
 	g := &Gateway{opts: opts, feeds: make(map[string]*feedEntry), start: time.Now()}
 	g.reg = obs.NewRegistry()
 	g.pipeline = obs.NewPipeline(g.reg)
-	g.streams.opened = g.reg.NewGauge("grub_streams_open", "Go-to-Go streams open (connections upgraded to "+stream.Proto+").")
-	g.streams.frames = g.reg.NewCounterVec("grub_stream_frames_total", "Requests answered over Go-to-Go streams, the upgrading request included.").With()
+	g.streams.opened = g.reg.NewGauge("grub_streams_open", "Go-to-Go streams open ("+stream.Proto+" connections opened at "+stream.Path+").")
+	g.streams.frames = g.reg.NewCounterVec("grub_stream_frames_total", "Requests answered over Go-to-Go streams.").With()
 	g.load = obs.NewLoadTracker()
 	if !g.persistent() {
 		return g, nil

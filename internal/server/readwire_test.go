@@ -22,6 +22,7 @@ import (
 	"grub/internal/obs"
 	"grub/internal/query"
 	"grub/internal/stream"
+	"grub/internal/stream/streamtest"
 	"grub/internal/wire"
 )
 
@@ -247,11 +248,6 @@ func TestClientKeepsOneConnection(t *testing.T) {
 	}
 }
 
-// roundTripFunc serves a Client from a function, no network.
-type roundTripFunc func(*http.Request) (*http.Response, error)
-
-func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
-
 // TestBinaryBodyByteFlips is the byte-level property of the binary wire: a
 // gateway (or anything on the path) that alters any single byte of a get or
 // range body gets a decode error, a verification failure (a chain height
@@ -271,14 +267,10 @@ func TestBinaryBodyByteFlips(t *testing.T) {
 	pinned := honest.anchors["f"]
 
 	var body []byte
-	vc := NewVerifyingClient("http://gateway.invalid")
-	vc.Client.HTTP = &http.Client{Transport: roundTripFunc(func(*http.Request) (*http.Response, error) {
-		return &http.Response{
-			StatusCode: http.StatusOK,
-			Header:     http.Header{"Content-Type": {ReadMediaType}},
-			Body:       io.NopCloser(bytes.NewReader(body)),
-		}, nil
-	})}
+	flipped := streamtest.NewServer(t, func(*stream.Request) (stream.Head, []byte) {
+		return stream.Head{Status: http.StatusOK, ContentType: ReadMediaType}, body
+	})
+	vc := NewVerifyingClient(flipped.URL)
 	// Each mutated body meets a client pinned exactly where the honest one
 	// is: an accepted forward seq must not shield the next mutation.
 	repin := func() {

@@ -82,19 +82,33 @@ func (ss *streamSet) drain() {
 	}
 }
 
-// serveStream takes over r's connection for the stream r offered: it
-// answers 101, sends rep, r's answer, as the first answer frame, and then
-// serves the stream's request frames, each straight to its route's handler,
-// until the stream ends. r is in flight (streamSet.begin) when it is called;
-// when the connection cannot be hijacked it reports false, r no longer in
-// flight, and the caller answers over HTTP.
-func (a *api) serveStream(w http.ResponseWriter, r *http.Request, rep *reply) bool {
-	ss := &a.g.streams
-	conn, brw, err := http.NewResponseController(w).Hijack()
-	if err != nil {
-		ss.serving.Done()
-		return false
+// openStream takes over r's connection for the stream r offers at
+// stream.Path (serveStream). It refuses over HTTP an offer of another
+// version (426), to a draining gateway (503) or on a connection that cannot
+// be taken over (500).
+func (a *api) openStream(w http.ResponseWriter, r *http.Request) {
+	rep := reply{body: new([]byte)} // not pooled: it would be held for the stream's life
+	switch {
+	case r.Header.Get("Upgrade") != stream.Proto:
+		w.Header().Set("Upgrade", stream.Proto)
+		rep.json(http.StatusUpgradeRequired, errorBody{Error: "stream: offer Upgrade: " + stream.Proto})
+	case a.g.streams.closing.Load():
+		rep.unavailable("stream: gateway closing", "")
+	default:
+		conn, brw, err := http.NewResponseController(w).Hijack()
+		if err == nil {
+			a.serveStream(conn, brw, r)
+			return
+		}
+		rep.json(http.StatusInternalServerError, errorBody{Error: "stream: " + err.Error()})
 	}
+	rep.writeHTTP(w)
+}
+
+// serveStream answers 101 on conn and serves the stream's request frames,
+// each straight to its route's handler, until the stream ends.
+func (a *api) serveStream(conn net.Conn, brw *bufio.ReadWriter, r *http.Request) {
+	ss := &a.g.streams
 	defer conn.Close()
 	conn.SetDeadline(time.Time{})
 	srv, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
@@ -102,7 +116,7 @@ func (a *api) serveStream(w http.ResponseWriter, r *http.Request, rep *reply) bo
 	ss.track(s, true)
 	defer ss.track(s, false)
 	s.bw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + stream.Proto + "\r\n\r\n")
-	werr := s.answer(ss, rep)
+	werr := s.bw.Flush()
 	for werr == nil && s.wait(ss) {
 		in, err := stream.ReadFrame(s.br, a.maxBody)
 		if err != nil && err != stream.ErrFrameTooLarge || !ss.begin() {
@@ -133,7 +147,6 @@ func (a *api) serveStream(w http.ResponseWriter, r *http.Request, rep *reply) bo
 			break
 		}
 	}
-	return true
 }
 
 // answer writes rep as the stream's next answer frame; the request it answers
@@ -150,7 +163,7 @@ func (s *serverStream) answer(ss *streamSet, rep *reply) error {
 
 // serverStream is the gateway end of one stream, under the serving
 // http.Server's limits (srv). call is the frame being served and rep its
-// answer, both reused frame to frame; call's context is the upgrading
+// answer, both reused frame to frame; call's context is the opening
 // request's.
 type serverStream struct {
 	conn net.Conn

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -83,7 +82,7 @@ func writeBatch(keys ...string) []Op {
 }
 
 // TestStreamSharesOneConnection: a client's batches, verified reads and JSON
-// calls all cross one upgraded connection, one frame each.
+// calls all cross one stream, one frame each.
 func TestStreamSharesOneConnection(t *testing.T) {
 	g, c, dials := streamGateway(t, &http.Server{}, HandlerConfig{}, FeedConfig{ID: "f", Shards: 2, EpochOps: 1})
 	calls := []func() error{
@@ -412,38 +411,56 @@ func TestStreamOversizeFrame(t *testing.T) {
 }
 
 // TestStreamFallsBackToHTTP: a handler wrapped in a ResponseWriter that cannot
-// hijack, and a server that ignores the offer, both answer over HTTP.
+// hijack falls back to an HTTP answer: it refuses the offer with 500, counts
+// no frame, and the client's error names the gateway and the status.
 func TestStreamFallsBackToHTTP(t *testing.T) {
-	g := NewGateway()
-	defer g.Close()
-	if err := g.CreateFeed(FeedConfig{ID: "f"}); err != nil {
-		t.Fatal(err)
-	}
+	g, _, _ := streamGateway(t, &http.Server{}, HandlerConfig{}, FeedConfig{ID: "f"})
 	h := NewHandler(g)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	hidden := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		h.ServeHTTP(struct{ http.ResponseWriter }{w}, r) // hides Hijack
 	}))
-	defer srv.Close()
-	c := NewClient(srv.URL)
-	for range 3 {
-		if _, err := c.Do("f", writeBatch("a")); err != nil {
-			t.Fatal(err)
-		}
-	}
+	defer hidden.Close()
+	refusedOffer(t, NewClient(hidden.URL), "500")
 	if got := g.streams.frames.Value(); got != 0 {
 		t.Errorf("%v requests answered over streams, want 0", got)
 	}
 }
 
-// TestStreamOtherVersionServedOverHTTP: a client offering another version of
-// the stream, as a peer of another build does, is answered over HTTP and
-// its connection is never upgraded.
+// TestStreamOtherVersionServedOverHTTP: an offer at GET /stream of another
+// version, as a peer of another build sends, or with no Upgrade header at
+// all, is answered over HTTP with 426 naming the version the gateway takes;
+// an offer carried on a route's own request, as a grub-stream/3 client
+// sends, is served over plain HTTP. No connection is taken over and no frame
+// is counted.
 func TestStreamOtherVersionServedOverHTTP(t *testing.T) {
 	g, c, _ := streamGateway(t, &http.Server{}, HandlerConfig{}, FeedConfig{ID: "f"})
-	for _, proto := range []string{"grub-stream/1", "grub-stream/2"} {
-		resp := offer(t, http.MethodGet, c.BaseURL+"/feeds/f/stats", proto, nil)
+	offer := func(path, proto string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, c.BaseURL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if proto != "" {
+			req.Header.Set("Connection", "Upgrade")
+			req.Header.Set("Upgrade", proto)
+		}
+		resp, err := http.DefaultTransport.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	for _, proto := range []string{"", "grub-stream/1", "grub-stream/3"} {
+		resp := offer(stream.Path, proto)
+		if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != stream.Proto {
+			t.Errorf("offer of %q answered %d with Upgrade %q, want 426 with %s", proto, resp.StatusCode, resp.Header.Get("Upgrade"), stream.Proto)
+		}
+	}
+	for _, proto := range []string{"grub-stream/3", stream.Proto} {
+		resp := offer("/feeds/f/stats", proto)
 		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
-			t.Errorf("offer of %s answered %d %q, want 200 JSON over HTTP", proto, resp.StatusCode, resp.Header.Get("Content-Type"))
+			t.Errorf("stats route offering %s answered %d %q, want 200 application/json", proto, resp.StatusCode, resp.Header.Get("Content-Type"))
 		}
 	}
 	if got := g.streams.frames.Value(); got != 0 {
@@ -451,70 +468,50 @@ func TestStreamOtherVersionServedOverHTTP(t *testing.T) {
 	}
 }
 
-// offer sends one HTTP request offering the stream version proto and returns
-// the answer, its body read.
-func offer(t *testing.T, method, url, proto string, body []byte) *http.Response {
-	t.Helper()
-	req, err := http.NewRequest(method, url, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Connection", "Upgrade")
-	req.Header.Set("Upgrade", proto)
-	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp
-}
-
-// TestStreamOfferRefusedOverHTTP: an offer on a path no route matches is
-// answered 404 over HTTP, and one whose body is past the cap 413 over HTTP,
-// its connection never taken over; neither counts a stream frame.
+// TestStreamOfferRefusedOverHTTP: an offer to a draining gateway is refused
+// 503 over plain HTTP and counts no frame, and a client refused so gets an
+// error that names the gateway and the status. The other refusals are
+// TestStreamOtherVersionServedOverHTTP (426) and TestStreamFallsBackToHTTP
+// (500); a frame past the body cap gets its 413 as a frame:
+// TestStreamOversizeFrame.
 func TestStreamOfferRefusedOverHTTP(t *testing.T) {
-	g, c, _ := streamGateway(t, &http.Server{}, HandlerConfig{MaxBodyBytes: 4096}, FeedConfig{ID: "f"})
-	if resp := offer(t, http.MethodGet, c.BaseURL+"/feeds/f/nope", stream.Proto, nil); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("offer on an unmatched path answered %d, want 404 over HTTP", resp.StatusCode)
-	}
-	big := []Op{{Type: "write", Key: "big", Value: make([]byte, 8<<10)}}
-	if _, err := c.Do("f", big); err == nil || !strings.Contains(err.Error(), "exceeds 4096 bytes") {
-		t.Fatalf("oversize upgrading batch: %v, want the 413's error", err)
-	}
+	g, c, _ := streamGateway(t, &http.Server{}, HandlerConfig{}, FeedConfig{ID: "f"})
+	g.Close() // drains
+	refusedOffer(t, c, "503")
 	if got := g.streams.frames.Value(); got != 0 {
 		t.Errorf("%v requests answered over streams, want 0", got)
 	}
-	if _, err := c.Do("f", writeBatch("a")); err != nil || g.streams.frames.Value() != 1 {
-		t.Errorf("batch after the refusals: %v, %v frames; want it to open a stream", err, g.streams.frames.Value())
+}
+
+// refusedOffer checks that a request from c fails with an error naming c's
+// gateway and the refusal's status.
+func refusedOffer(t *testing.T, c *Client, status string) {
+	t.Helper()
+	if _, err := c.Stats("f"); err == nil || !strings.Contains(err.Error(), c.BaseURL) || !strings.Contains(err.Error(), status) {
+		t.Errorf("Stats through a refused offer: %v, want an error naming %s and %s", err, c.BaseURL, status)
 	}
 }
 
 // TestRouteTableRegistersEveryRoute: every route of the stream package's
-// table has a handler, and its request, sent over HTTP, reaches the mux under
-// that route's pattern. The server behind the pool answers each request with
-// the pattern the mux matches it to, over plain HTTP, so no stream opens.
+// table has a handler, and a plain HTTP request for it reaches the mux under
+// that route's pattern; GET /stream is the one other route the mux holds.
 func TestRouteTableRegistersEveryRoute(t *testing.T) {
 	g := NewGateway()
 	defer g.Close()
 	a := NewHandler(g).(*api)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, pattern := a.Handler(r)
-		io.WriteString(w, pattern)
-	}))
-	defer srv.Close()
-	var p stream.Pool
-	defer p.Close()
+	reaches := func(pattern string) string {
+		method, path, _ := strings.Cut(pattern, " ")
+		path = strings.NewReplacer("{id}", "a%2Fb%20c", "{shard}", "3").Replace(path)
+		_, got := a.Handler(httptest.NewRequest(method, path, nil))
+		return got
+	}
 	for rt := stream.Route(1); rt < stream.NumRoutes; rt++ {
-		req := &stream.Request{Route: rt, Feed: "a/b c", Key: "k", Lo: "a", Hi: "z", Shard: 3, From: 9, Max: 2}
-		ans, err := p.Send(srv.Client(), srv.URL, req)
-		if err != nil {
-			t.Fatal(err)
+		if got := reaches(rt.Pattern()); got != rt.Pattern() || a.serve[rt] == nil {
+			t.Errorf("route %d (%s) reaches pattern %q, handler %v", rt, rt.Pattern(), got, a.serve[rt] != nil)
 		}
-		if pattern := string(ans.Body); pattern != rt.Pattern() || a.serve[rt] == nil {
-			t.Errorf("route %d (%s) reaches pattern %q, handler %v", rt, req, pattern, a.serve[rt] != nil)
-		}
-		ans.Close()
+	}
+	if open := http.MethodGet + " " + stream.Path; reaches(open) != open {
+		t.Errorf("%s is not registered", open)
 	}
 }
 
@@ -541,8 +538,8 @@ func TestJSONRouteAllocations(t *testing.T) {
 	}
 }
 
-// FuzzStreamFrame: arbitrary bytes sent on a gateway's stream after the
-// upgrade are answered frame by frame, in order: every whole frame once (a
+// FuzzStreamFrame: arbitrary bytes sent on a gateway's stream once it opens
+// are answered frame by frame, in order: every whole frame once (a
 // 400 when it does not decode to a request), a frame past the body cap with
 // a 413 and then GOAWAY. The stream ends when the client stops writing; the
 // gateway never hangs or panics. The frame codec itself is fuzzed in package
@@ -616,10 +613,10 @@ func FuzzStreamFrame(f *testing.F) {
 		}
 		defer conn.Close()
 		conn.SetDeadline(time.Now().Add(10 * time.Second))
-		fmt.Fprintf(conn, "GET /healthz HTTP/1.1\r\nHost: gw\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", stream.Proto)
+		fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: gw\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", stream.Path, stream.Proto)
 		br := bufio.NewReader(conn)
 		if resp, err := http.ReadResponse(br, nil); err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
-			t.Fatalf("upgrade answered %v, %v", resp, err)
+			t.Fatalf("offer answered %v, %v", resp, err)
 		}
 		conn.Write(data)
 		conn.(*net.TCPConn).CloseWrite()
@@ -645,10 +642,6 @@ func FuzzStreamFrame(f *testing.F) {
 				break
 			}
 		}
-		if len(got) == 0 || got[0] != http.StatusOK {
-			t.Fatalf("answers %v: want the upgrading request's 200 first", got)
-		}
-		got = got[1:]
 		if len(got) != len(want) {
 			t.Fatalf("%d answers %v to %d frames, want %v", len(got), got, len(want), want)
 		}

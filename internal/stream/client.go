@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bufio"
-	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -61,31 +60,41 @@ type Pool struct {
 
 // Send sends req to the gateway at base ("http://host:port") and returns its
 // answer, whatever the status; it keeps nothing of req once it returns. It
-// goes over an idle stream to base when there is one, else over HTTP
-// offering one. hc (nil: http.DefaultClient) configures the exchange:
-// its Transport sends the upgrading request, its Timeout bounds each
-// exchange, and its Transport's MaxIdleConnsPerHost caps the idle streams.
-// A request the stream did not serve (errNotServed) goes again at once on a
-// fresh connection; no other is resent.
+// goes over an idle stream to base when there is one, else over a stream it
+// opens. hc (nil: http.DefaultClient) configures the exchange: its Transport
+// opens streams, its Timeout bounds each exchange, and its Transport's
+// MaxIdleConnsPerHost caps the idle streams. A request the stream did not
+// serve (errNotServed) goes again at once on a fresh stream; no other is
+// resent.
 func (p *Pool) Send(hc *http.Client, base string, req *Request) (Answer, error) {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
+	buf := GetBuf()
+	defer PutBuf(buf)
+	*buf = AppendRequest(*buf, req)
 	if s := p.take(base); s != nil {
-		buf := GetBuf()
-		*buf = AppendRequest(*buf, req)
-		a, err := s.exchange(*buf, req.idempotent())
-		PutBuf(buf)
-		if err == nil {
-			p.put(hc, base, s)
-			return a, nil
-		}
-		s.rwc.Close()
-		if !errors.Is(err, errNotServed) {
-			return Answer{}, err
+		if a, err := p.roundTrip(hc, base, s, *buf, req.idempotent()); !errors.Is(err, errNotServed) {
+			return a, err
 		}
 	}
-	return p.upgrade(hc, base, req)
+	s, err := open(hc, base)
+	if err != nil {
+		return Answer{}, err
+	}
+	return p.roundTrip(hc, base, s, *buf, req.idempotent())
+}
+
+// roundTrip sends frame on s and reads its answer. s goes back to the pool
+// when the exchange succeeds, and is closed when it fails.
+func (p *Pool) roundTrip(hc *http.Client, base string, s *conn, frame []byte, idempotent bool) (Answer, error) {
+	a, err := s.exchange(frame, idempotent)
+	if err != nil {
+		s.rwc.Close()
+		return Answer{}, err
+	}
+	p.put(hc, base, s)
+	return a, nil
 }
 
 // Close ends every idle stream, and every stream handed back after.
@@ -101,73 +110,37 @@ func (p *Pool) Close() {
 	clear(p.idle)
 }
 
-// newHTTPRequest is req as HTTP, to the gateway at base ("http://host:port"):
-// its route's method and request-URI, the headers that stand for its fields,
-// and a copy of its body, since a Transport may still read the body after the
-// answer is in.
-func newHTTPRequest(ctx context.Context, base string, req *Request) (*http.Request, error) {
-	var rd io.Reader
-	if req.Body != nil {
-		rd = bytes.NewReader(bytes.Clone(req.Body))
-	}
-	hr, err := http.NewRequestWithContext(ctx, req.method(), base+req.uri(), rd)
-	if err == nil {
-		req.headers(hr.Header.Add)
-	}
-	return hr, err
-}
-
-// upgrade sends a request over HTTP with the stream offered. The Transport's
-// RoundTrip sends it: http.Client.Do, with Timeout set, would hand a 101 over
-// with a read-only body and a timer that later closes the connection. The
-// request's context bounds the exchange instead, which is why any answer but
-// a 101 is read whole before upgrade returns it. A 101 and the answer frame
-// behind it open a stream for the pool.
-func (p *Pool) upgrade(hc *http.Client, base string, req *Request) (Answer, error) {
+// open opens a stream to the gateway at base with a GET of Path offering
+// Proto, sent by the Transport's RoundTrip under a context: http.Client.Do,
+// with Timeout set, would hand a 101 over read-only, on a timer that later
+// closes it. Any answer but a 101 with Proto is an error naming base.
+func open(hc *http.Client, base string) (*conn, error) {
 	ctx := context.Background()
 	if hc.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, hc.Timeout)
 		defer cancel()
 	}
-	hr, err := newHTTPRequest(ctx, base, req)
+	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, base+Path, nil)
 	if err != nil {
-		return Answer{}, err
+		return nil, err
 	}
 	hr.Header.Set("Connection", "Upgrade")
 	hr.Header.Set("Upgrade", Proto)
 	resp, err := cmp.Or[http.RoundTripper](hc.Transport, http.DefaultTransport).RoundTrip(hr)
 	if err != nil {
-		return Answer{}, err
-	}
-	if resp.StatusCode != http.StatusSwitchingProtocols {
-		defer resp.Body.Close()
-		buf, err := ReadPooled(resp.Body, MaxAnswer+1)
-		if err != nil {
-			return Answer{}, err
-		}
-		if len(*buf) > MaxAnswer {
-			PutBuf(buf)
-			return Answer{}, fmt.Errorf("stream: %s: answer exceeds %d bytes", req.String(), MaxAnswer)
-		}
-		return Answer{Head: HeadOf(resp.StatusCode, resp.Header), Body: *buf, buf: buf}, nil
+		return nil, err
 	}
 	rwc, ok := resp.Body.(io.ReadWriteCloser)
-	if !ok || resp.Header.Get("Upgrade") != Proto {
+	if resp.StatusCode != http.StatusSwitchingProtocols || !ok || resp.Header.Get("Upgrade") != Proto {
 		resp.Body.Close()
-		return Answer{}, fmt.Errorf("stream: %s: 101 to Upgrade %q is not a writable %s stream", req.String(), resp.Header.Get("Upgrade"), Proto)
+		return nil, fmt.Errorf("stream: %s refused a %s stream: HTTP %s", base, Proto, resp.Status)
 	}
 	s := &conn{rwc: rwc, br: bufio.NewReader(rwc), timeout: hc.Timeout}
 	if s.timeout > 0 {
 		s.timer = time.AfterFunc(s.timeout, func() { rwc.Close() })
 	}
-	a, err := s.exchange(nil, false)
-	if err != nil {
-		rwc.Close()
-		return Answer{}, err
-	}
-	p.put(hc, base, s)
-	return a, nil
+	return s, nil
 }
 
 // conn is the client end of one stream, owned by one caller at a time.
@@ -178,18 +151,14 @@ type conn struct {
 	timer   *time.Timer // closes rwc when an exchange outlives timeout
 }
 
-// exchange writes frame (nil for the upgrading request, whose answer is on its
-// way) and reads the answer. An error wrapping errNotServed means the gateway
-// cannot have served the frame, or, when the request is idempotent, that the
-// connection failed before any of its answer came.
+// exchange writes frame and reads the answer. An error wrapping errNotServed
+// means the gateway cannot have served the frame, or, when the request is
+// idempotent, that the connection failed before any of its answer came.
 func (s *conn) exchange(frame []byte, idempotent bool) (Answer, error) {
 	if s.timer != nil {
 		s.timer.Reset(s.timeout)
 	}
-	var err error
-	if frame != nil {
-		_, err = s.rwc.Write(frame)
-	}
+	_, err := s.rwc.Write(frame)
 	unanswered := err != nil
 	if err == nil {
 		_, err = s.br.Peek(1)

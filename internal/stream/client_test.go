@@ -1,4 +1,4 @@
-package stream
+package stream_test
 
 import (
 	"encoding/binary"
@@ -6,50 +6,27 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"grub/internal/stream"
+	"grub/internal/stream/streamtest"
 )
 
-// echoGateway serves streams that answer every request, the upgrading one
-// included, with 200 and "method uri body"; open counts the streams it holds.
+// echoGateway serves streams that answer every request with 200 and
+// "route feed body"; open counts the streams it holds.
 func echoGateway(t *testing.T) (url string, open *atomic.Int64) {
 	open = new(atomic.Int64)
+	h := streamtest.Handler(func(req *stream.Request) (stream.Head, []byte) {
+		return stream.Head{Status: http.StatusOK, ContentType: "text/plain"}, []byte(req.String() + " " + string(req.Body))
+	})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(r.Body)
-		if err != nil || r.Header.Get("Upgrade") != Proto {
-			http.Error(w, `{"error":"no stream offered"}`, http.StatusBadRequest)
-			return
-		}
-		conn, brw, err := http.NewResponseController(w).Hijack()
-		if err != nil {
-			t.Error(err)
-			return
-		}
 		open.Add(1)
 		defer open.Add(-1)
-		defer conn.Close()
-		brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + Proto + "\r\n\r\n")
-		line := r.Method + " " + r.URL.RequestURI()
-		for {
-			reply := line + " " + string(body)
-			brw.Write(AppendAnswer(nil, &Head{Status: http.StatusOK, ContentType: "text/plain"}, len(reply)))
-			brw.WriteString(reply)
-			if brw.Flush() != nil {
-				return
-			}
-			p, err := ReadFrame(brw.Reader, 1<<20)
-			if err != nil {
-				return
-			}
-			var req Request
-			if err := DecodeRequest(*p, &req); err != nil {
-				t.Error(err)
-				return
-			}
-			line, body = req.String(), req.Body
-		}
+		h.ServeHTTP(w, r)
 	}))
 	t.Cleanup(srv.Close)
 	return srv.URL, open
@@ -71,11 +48,11 @@ func waitOpen(t *testing.T, open *atomic.Int64, want int64) {
 func TestStreamPoolSharesCapsAndCloses(t *testing.T) {
 	url, open := echoGateway(t)
 	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 2}, Timeout: 5 * time.Second}
-	var p Pool
+	var p stream.Pool
 	send := func(method, body string) {
-		req := Request{Route: RouteGet, Feed: "f", Key: "y=1"}
+		req := stream.Request{Route: stream.RouteGet, Feed: "f", Key: "y=1"}
 		if method == http.MethodPost {
-			req = Request{Route: RouteCreateFeed, Body: []byte(body)}
+			req = stream.Request{Route: stream.RouteCreateFeed, Body: []byte(body)}
 		}
 		a, err := p.Send(hc, url, &req)
 		if err != nil {
@@ -113,30 +90,28 @@ func TestStreamPoolSharesCapsAndCloses(t *testing.T) {
 	waitOpen(t, open, 0)
 }
 
-// TestStreamPoolFallsBackToHTTP: a server that ignores the offer answers over
-// HTTP, and its error answer reads as its JSON error message.
-func TestStreamPoolFallsBackToHTTP(t *testing.T) {
+// TestStreamPoolRefusedOffer: a server that does not open the stream refuses
+// the send, with an error naming it and its status, and an error answer reads
+// as its JSON error message, or its status when it has none.
+func TestStreamPoolRefusedOffer(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "1")
 		http.Error(w, `{"error":"fenced"}`, http.StatusServiceUnavailable)
 	}))
 	defer srv.Close()
-	var p Pool
+	var p stream.Pool
 	defer p.Close()
-	a, err := p.Send(nil, srv.URL, &Request{Route: RouteOps, Feed: "f", Body: []byte("batch")})
-	if err != nil {
-		t.Fatal(err)
+	_, err := p.Send(nil, srv.URL, &stream.Request{Route: stream.RouteOps, Feed: "f", Body: []byte("batch")})
+	if err == nil || !strings.Contains(err.Error(), srv.URL) || !strings.Contains(err.Error(), "503") {
+		t.Errorf("send to a server that answers 503 over HTTP: %v, want an error naming %s and 503", err, srv.URL)
 	}
-	defer a.Close()
-	if a.Status != http.StatusServiceUnavailable || a.RetryAfter != 1 || a.ErrorText() != "fenced" {
-		t.Errorf("answer %d %+v %q (%q), want 503, Retry-After and error fenced", a.Status, a.Head, a.Body, a.ErrorText())
-	}
-	if got := (&Answer{Head: Head{Status: http.StatusBadGateway}, Body: []byte("not json")}).ErrorText(); got != "HTTP 502" {
-		t.Errorf("error text of a body without an error field = %q, want HTTP 502", got)
+	for body, want := range map[string]string{`{"error":"fenced"}`: "fenced", "not json": "HTTP 502"} {
+		if got := (&stream.Answer{Head: stream.Head{Status: http.StatusBadGateway}, Body: []byte(body)}).ErrorText(); got != want {
+			t.Errorf("error text of %q = %q, want %q", body, got, want)
+		}
 	}
 }
 
-// TestStreamPoolCapsAnswers: an answer frame that claims more than MaxAnswer
+// TestStreamPoolCapsAnswers: an answer frame that claims more than stream.MaxAnswer
 // bytes is an error before any of its body is read, and ends the stream.
 func TestStreamPoolCapsAnswers(t *testing.T) {
 	ended := make(chan struct{})
@@ -147,18 +122,18 @@ func TestStreamPoolCapsAnswers(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + Proto + "\r\n\r\n")
-		brw.Write(binary.BigEndian.AppendUint32(nil, MaxAnswer+1))
+		brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + stream.Proto + "\r\n\r\n")
+		brw.Write(binary.BigEndian.AppendUint32(nil, stream.MaxAnswer+1))
 		brw.WriteString("more to come")
 		brw.Flush()
 		io.Copy(io.Discard, brw) // until the client hangs up
 		close(ended)
 	}))
 	defer srv.Close()
-	var p Pool
+	var p stream.Pool
 	defer p.Close()
-	if _, err := p.Send(&http.Client{Timeout: 2 * time.Second}, srv.URL, &Request{Route: RouteHealth}); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversize answer: %v, want ErrFrameTooLarge", err)
+	if _, err := p.Send(&http.Client{Timeout: 2 * time.Second}, srv.URL, &stream.Request{Route: stream.RouteHealth}); !errors.Is(err, stream.ErrFrameTooLarge) {
+		t.Fatalf("oversize answer: %v, want stream.ErrFrameTooLarge", err)
 	}
 	select {
 	case <-ended:

@@ -1,9 +1,9 @@
-// Package stream is the Go-to-Go stream (docs/API.md, "Go-to-Go stream"):
-// an HTTP connection upgraded to carry one length-framed request at a time,
-// each answered in order. It holds the gateway's route table, the frame
-// layout, and how a request reads as HTTP. Pool is the client end every
-// Go-to-Go hop sends through; the gateway's end (server.api.serveStream) uses
-// the codec below. A frame is a 4-byte big-endian length and that many bytes:
+// Package stream is the Go-to-Go stream (docs/API.md, "Go-to-Go stream"): a
+// connection opened with GET /stream that carries one length-framed request
+// at a time, each answered in order. It holds the gateway's route table and
+// the frame layout. Pool is the client end every Go-to-Go hop sends through;
+// the gateway's end (server.api.openStream) uses the codec below. A frame is
+// a 4-byte big-endian length and that many bytes:
 //
 //	request  byte route, string feed, arguments, uint epoch, byte flags,
 //	         string trace, string parent, body
@@ -21,20 +21,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
 
-	"grub/internal/obs"
 	"grub/internal/wire"
 )
 
-// Proto is the Upgrade token a client offers and a gateway answers with. A
-// gateway that speaks another version ignores the offer and answers over
-// HTTP.
-const Proto = "grub-stream/3"
+// Proto is the Upgrade token a client offers at Path and a gateway answers
+// with. A gateway refuses an offer of another version with 426.
+const Proto = "grub-stream/4"
+
+// Path is where a client opens a stream: a GET with no body, offering Proto.
+const Path = "/stream"
 
 // ErrFrameTooLarge: a frame claims more bytes than ReadFrame's limit.
 var ErrFrameTooLarge = errors.New("stream: frame too large")
@@ -118,13 +117,6 @@ const (
 	ImageMediaType = "application/x-grub-image"
 )
 
-// The headers that carry a request's placement epoch and Forwarded flag over
-// HTTP.
-const (
-	EpochHeader     = "X-Grub-Cluster-Epoch"
-	ForwardedHeader = "X-Grub-Cluster-Forwarded"
-)
-
 // Pattern is rt's "METHOD /path" pattern.
 func (rt Route) Pattern() string { return routes[rt].pattern }
 
@@ -145,105 +137,30 @@ type Request struct {
 	Epoch   uint64 // the sender's placement epoch for the feed
 	Flags   byte
 	TraceID string // obs.TraceHeader
-	Parent  string // obs.ParentSpanHeader
+	Parent  string // the span a forwarded batch's spans hang under ("node:stage")
 	Body    []byte
 }
 
-// method is r's HTTP method.
-func (r *Request) method() string {
-	m, _, _ := strings.Cut(r.Route.Pattern(), " ")
-	return m
-}
-
-// uri is r's HTTP request-URI: its route's path with the feed and shard
-// filled in, and the route's query.
-func (r *Request) uri() string {
-	_, p, _ := strings.Cut(r.Route.Pattern(), " ")
-	p = strings.Replace(p, "{shard}", strconv.Itoa(r.Shard), 1)
-	p = strings.Replace(p, "{id}", url.PathEscape(r.Feed), 1)
-	switch r.Route {
-	case RouteGet:
-		p += "?key=" + url.QueryEscape(r.Key)
-	case RouteRange:
-		p += "?lo=" + url.QueryEscape(r.Lo) + "&hi=" + url.QueryEscape(r.Hi)
-	case RouteLog:
-		p += "?from=" + strconv.FormatUint(r.From, 10)
-		if r.Max > 0 {
-			p += "&max=" + strconv.Itoa(r.Max)
-		}
+// String names r's route and feed, as error messages do.
+func (r *Request) String() string {
+	if r.Feed == "" {
+		return r.Route.Pattern()
 	}
-	return p
+	return r.Route.Pattern() + " feed " + strconv.Quote(r.Feed)
 }
-
-// String is r's HTTP method and request-URI, as error messages name it.
-func (r *Request) String() string { return r.method() + " " + r.uri() }
 
 // idempotent reports whether r may go again after its connection failed
 // before any of its answer came.
-func (r *Request) idempotent() bool { return r.method() == http.MethodGet }
+func (r *Request) idempotent() bool { return strings.HasPrefix(r.Route.Pattern(), "GET ") }
 
-// headers calls f with each header that stands for r's fields over HTTP: a
-// binary route's Content-Type and Accept, the epoch, the Forwarded flag and
-// the trace.
-func (r *Request) headers(f func(k, v string)) {
-	if media := r.Route.Media(); media != "" {
-		if r.Route == RouteOps {
-			ct := media
-			if r.Flags&JSONBody != 0 {
-				ct = JSONMediaType
-			}
-			f("Content-Type", ct)
-		}
-		if r.Route == RouteLog || r.Route == RouteReplSnapshot || r.Flags&JSONAnswer == 0 {
-			f("Accept", media)
-		}
-	}
-	if r.Epoch != 0 {
-		f(EpochHeader, strconv.FormatUint(r.Epoch, 10))
-	}
-	if r.Flags&Forwarded != 0 {
-		f(ForwardedHeader, "1")
-	}
-	if r.TraceID != "" {
-		f(obs.TraceHeader, r.TraceID)
-	}
-	if r.Parent != "" {
-		f(obs.ParentSpanHeader, r.Parent)
-	}
-}
-
-// Head is an answer's status and the fields every answer frame carries,
-// which HTTP sends as headers.
+// Head is an answer's status and the fields every answer frame carries.
 type Head struct {
 	Status      int
 	ContentType string
 	Leader      string // the node that accepts the feed's writes (421, 502, 503)
 	RetryAfter  int    // seconds; 0: none
 	TraceID     string // obs.TraceHeader
-	Spans       string // obs.SpanHeader: a forwarded batch's spans
-}
-
-// HeadOf reads a head from an HTTP answer's status and header.
-func HeadOf(status int, h http.Header) Head {
-	ra, _ := strconv.Atoi(h.Get("Retry-After"))
-	return Head{Status: status, ContentType: h.Get("Content-Type"), Leader: h.Get("Leader"),
-		RetryAfter: ra, TraceID: h.Get(obs.TraceHeader), Spans: h.Get(obs.SpanHeader)}
-}
-
-// SetHeader sets the headers that stand for hd's fields on h.
-func (hd *Head) SetHeader(h http.Header) {
-	set := func(k, v string) {
-		if v != "" {
-			h.Set(k, v)
-		}
-	}
-	set("Content-Type", hd.ContentType)
-	set("Leader", hd.Leader)
-	if hd.RetryAfter > 0 {
-		h.Set("Retry-After", strconv.Itoa(hd.RetryAfter))
-	}
-	set(obs.TraceHeader, hd.TraceID)
-	set(obs.SpanHeader, hd.Spans)
+	Spans       string // a forwarded batch's spans (obs.EncodeSpans)
 }
 
 // bufPool recycles the buffers binary bodies and frames are encoded into and
@@ -264,30 +181,6 @@ func PutBuf(b *[]byte) {
 	}
 }
 
-// ReadPooled reads r, to EOF or to limit bytes, into a pooled buffer the
-// caller PutBufs. The buffer grows as bytes arrive, never to limit.
-func ReadPooled(r io.Reader, limit int) (*[]byte, error) {
-	buf := GetBuf()
-	b := *buf
-	for len(b) < limit {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := r.Read(b[len(b):min(cap(b), limit)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			*buf = b
-			PutBuf(buf)
-			return nil, err
-		}
-	}
-	*buf = b
-	return buf, nil
-}
-
 // ReadFrame reads one frame's payload into a pooled buffer the caller
 // PutBufs. The buffer grows as bytes arrive, never to the length the frame
 // claims.
@@ -304,12 +197,25 @@ func ReadFrame(br *bufio.Reader, limit int64) (*[]byte, error) {
 	if int64(n) > limit {
 		return nil, ErrFrameTooLarge
 	}
-	buf, err := ReadPooled(br, n)
-	if err == nil && len(*buf) < n {
-		PutBuf(buf)
-		return nil, io.ErrUnexpectedEOF
+	buf := GetBuf()
+	b := *buf
+	for len(b) < n && err == nil {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		var m int
+		m, err = br.Read(b[len(b):min(cap(b), n)])
+		b = b[:len(b)+m]
 	}
-	return buf, err
+	*buf = b
+	if len(b) < n {
+		PutBuf(buf)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return buf, nil
 }
 
 // AppendRequest appends r's request frame to b.
