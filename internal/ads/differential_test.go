@@ -192,6 +192,10 @@ func TestDifferentialAgainstLegacy(t *testing.T) {
 					t.Fatalf("VerifyRecord(%q): %v", rec.Key, err)
 				}
 			}
+			// One storage serves every ProveAbsentInto, which must prove
+			// exactly what ProveAbsent does.
+			var into AbsenceProof
+			var tree ProofTree
 			for i := 0; i < 20; i++ {
 				k := fmt.Sprintf("gone-%03d", r.Intn(1000))
 				ap, err := s.ProveAbsent(k)
@@ -200,6 +204,13 @@ func TestDifferentialAgainstLegacy(t *testing.T) {
 				}
 				if err := VerifyAbsentAt(root, count, k, ap); err != nil {
 					t.Fatalf("VerifyAbsentAt(%q): %v", k, err)
+				}
+				if err := s.ProveAbsentInto(k, &into, &tree); err != nil {
+					t.Fatalf("ProveAbsentInto(%q): %v", k, err)
+				}
+				want, _ := ap.AppendBinary(nil)
+				if got, _ := into.AppendBinary(nil); !bytes.Equal(got, want) {
+					t.Fatalf("ProveAbsentInto(%q) proves %x, ProveAbsent %x", k, got, want)
 				}
 			}
 			for i := 0; i < 20; i++ {

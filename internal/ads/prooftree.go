@@ -292,19 +292,41 @@ func (p *AbsenceProof) Size() int {
 // ProveAbsent builds an absence proof for key in one descent. The proof
 // shares no memory with the set and is safe to hand to arbitrary consumers.
 func (s *Set) ProveAbsent(key string) (*AbsenceProof, error) {
-	if s.find(key) != nil {
-		return nil, fmt.Errorf("ads: key %q is present", key)
-	}
-	seal(s.root)
 	sc := scratchPool.Get().(*proofScratch)
-	sc.b = pruneSearch(sc.b, s.root, key, bothGroups)
+	defer putScratch(sc)
+	var err error
+	if sc.b, err = s.appendAbsent(sc.b, key); err != nil {
+		return nil, err
+	}
 	out := &struct {
 		ap AbsenceProof
 		pt ProofTree
 	}{ap: AbsenceProof{Count: s.Len()}}
 	out.ap.Paths = treeOf(&out.pt, bytes.Clone(sc.b))
-	putScratch(sc)
 	return &out.ap, nil
+}
+
+// ProveAbsentInto is ProveAbsent into storage the caller keeps: ap's tree is
+// pt, whose encoding is written over pt's own, reusing its capacity. The
+// proof shares no memory with the set; it is valid until the next proof
+// into pt.
+func (s *Set) ProveAbsentInto(key string, ap *AbsenceProof, pt *ProofTree) error {
+	enc, err := s.appendAbsent(pt.enc[:0], key)
+	if err != nil {
+		return err
+	}
+	pt.enc = enc
+	*ap = AbsenceProof{Count: s.Len(), Paths: treeOf(pt, enc)}
+	return nil
+}
+
+// appendAbsent appends the pruned tree of key's absence proof to b.
+func (s *Set) appendAbsent(b []byte, key string) ([]byte, error) {
+	if s.find(key) != nil {
+		return b, fmt.Errorf("ads: key %q is present", key)
+	}
+	seal(s.root)
+	return pruneSearch(b, s.root, key, bothGroups), nil
 }
 
 // absent hashes the subtree at the cursor and, for every group st in paths,

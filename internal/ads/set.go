@@ -57,8 +57,9 @@ import (
 //
 // A Set that is being mutated has a single owner: sealing writes node
 // hashes, so Root, Capture, Clone and the Prove methods are not reads on it.
-// Capture and Clone are O(1) beyond that seal — one allocation holding the
-// root pointer — and any number of historical views share structure.
+// Capture and Clone are O(1) beyond that seal — a capture is a Set value
+// holding the root pointer, a clone one allocation holding it — and any
+// number of historical views share structure.
 //
 // The tree is a treap over the (state, key) order with priorities derived
 // from a hash of (state, key). Priorities are a deterministic function of the
@@ -548,24 +549,25 @@ func (s *Set) CountLeaf() merkle.Hash {
 func (s *Set) Clone() *Set {
 	c := s.Capture()
 	s.EndGeneration()
-	return c
+	return &c
 }
 
-// Capture seals the set and returns its current version, sharing every node
-// with the receiver, without giving up the receiver's generation. The
-// receiver's next mutation therefore edits in place nodes the capture
-// reaches, and the capture stays what it was only if EndGeneration runs
-// before that mutation. The shard worker publishes its read views this way
-// and ends the generation only for a view a read is in at the next batch.
-// On a sealed set (the worker anchors every batch with Root before it
-// publishes) Capture is one allocation, whatever the record count. It panics
-// while a journal is open.
-func (s *Set) Capture() *Set {
+// Capture seals the set and returns its current version by value, sharing
+// every node with the receiver, without giving up the receiver's
+// generation. The receiver's next mutation therefore edits in place nodes
+// the capture reaches, and the capture stays what it was only if
+// EndGeneration runs before that mutation. The shard worker publishes its
+// read views this way, each view holding its capture (query.NewView), and
+// ends the generation only for a view a read is in at the next batch. On a
+// sealed set (the worker anchors every batch with Root before it publishes)
+// Capture allocates nothing, whatever the record count. It panics while a
+// journal is open.
+func (s *Set) Capture() Set {
 	if s.j != nil && s.j.open {
 		panic("ads: Capture while a journal is open")
 	}
 	seal(s.root)
-	return &Set{root: s.root}
+	return Set{root: s.root}
 }
 
 // EndGeneration gives up the set's generation, so that its next mutation

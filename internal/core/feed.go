@@ -72,7 +72,10 @@ type Feed struct {
 	// read failed) keeps its arguments until the next take.
 	getArgs []GetArgs
 	// LastValue records the most recent callback payload per key
-	// (DU-side application state, held in memory).
+	// (DU-side application state, held in memory). Its values are bytes no
+	// one writes: a chain storage copy (Ctx.Load), the record set's value
+	// bytes, or a restored image's clone. Read results share them
+	// (OpResult.Value), so they are read-only.
 	LastValue map[string][]byte
 	// imageLen is the length of the feed's last image, taken or restored:
 	// the next Snapshot starts its buffer there, so an image about the

@@ -23,7 +23,9 @@ type Op struct {
 }
 
 // OpResult reports one executed operation. Found is meaningful for reads: it
-// distinguishes a delivered value from a proven absence.
+// distinguishes a delivered value from a proven absence. A found read's
+// Value is the feed's own delivered bytes (Feed.LastValue), shared, not
+// copied: it is read-only, for the feed and for every holder of the result.
 type OpResult struct {
 	Key   string `json:"key"`
 	Found bool   `json:"found,omitempty"`
@@ -55,8 +57,8 @@ func RunOps(f *Feed, ops []Op) {
 
 // applyOp decodes one wire op into the workload vocabulary (the inverse of
 // FromWorkload), runs it through Feed.step, and reads the outcome off the
-// feed's DU-side state; a found read's value is copied only when value is
-// set.
+// feed's DU-side state; a found read's value is read, and shared, only when
+// value is set.
 func applyOp(f *Feed, op Op, value bool) OpResult {
 	res := OpResult{Key: op.Key}
 	var w workload.Op
@@ -81,7 +83,7 @@ func applyOp(f *Feed, op Op, value bool) OpResult {
 	} else if f.delivered > before {
 		res.Found = true
 		if value {
-			res.Value = append([]byte(nil), f.LastValue[op.Key]...)
+			res.Value = f.LastValue[op.Key]
 		}
 	}
 	return res

@@ -92,7 +92,7 @@ func ShardOf(key string, n int) int {
 type View struct {
 	shard  int
 	anchor Anchor
-	set    *ads.Set
+	set    ads.Set
 	// readers counts the reads in flight, and holds retracted once the
 	// view is retracted.
 	readers atomic.Int32
@@ -101,13 +101,15 @@ type View struct {
 	countLeaf merkle.Hash
 }
 
-// NewView wraps a record set version into a view. The set must not be
-// mutated afterwards unless Engine.Retract retracted the view first.
-func NewView(shard int, seq, height uint64, frozen *ads.Set) *View {
-	n := frozen.Len()
+// NewView wraps a record set version (ads.Set.Capture, or a frozen clone's
+// value) into a view, which holds it by value: publishing a view is one
+// allocation. The set the version came from must not be mutated afterwards
+// unless Engine.Retract retracted the view first.
+func NewView(shard int, seq, height uint64, version ads.Set) *View {
+	n := version.Len()
 	return &View{
-		shard: shard, set: frozen, countLeaf: ads.CountLeaf(n),
-		anchor: Anchor{Seq: seq, Height: height, Root: frozen.Root(), Count: n},
+		shard: shard, set: version, countLeaf: ads.CountLeaf(n),
+		anchor: Anchor{Seq: seq, Height: height, Root: version.Root(), Count: n},
 	}
 }
 
@@ -243,13 +245,16 @@ func (r *RangeResult) ProofBytes() int {
 }
 
 // GetStorage holds one point read's answer: the result, and the record and
-// proof a found result points to. A gateway route proves every get it serves
-// into the same storage (Engine.GetInto), reusing the path's capacity;
-// Engine.Get's answer, and a decoded one, is one such allocation.
+// proof a found result points to, or the absence proof and its tree. A
+// gateway route proves every get it serves into the same storage
+// (Engine.GetInto), reusing the path's and the tree's capacity; Engine.Get's
+// answer, and a decoded one, is one such allocation.
 type GetStorage struct {
-	res   GetResult
-	rec   ads.Record
-	proof merkle.Proof
+	res     GetResult
+	rec     ads.Record
+	proof   merkle.Proof
+	absence ads.AbsenceProof
+	tree    ads.ProofTree
 }
 
 // ownValue gives a found result its own copy of the value, which it shared
@@ -280,22 +285,21 @@ func (v *View) getInto(key string, shards int, st *GetStorage) (*GetResult, erro
 		res.Found, res.Record, res.Proof = true, &st.rec, &st.proof
 		return res, nil
 	}
-	ap, err := v.set.ProveAbsent(key)
-	if err != nil {
+	if err := v.set.ProveAbsentInto(key, &st.absence, &st.tree); err != nil {
 		return nil, err
 	}
-	res.Absence = ap
+	res.Absence = &st.absence
 	return res, nil
 }
 
 // RangeNR answers this view's slice of a key-range scan. Like Get, it reads
 // the tree, so the view must be frozen or held, and its answer is detached.
-func (v *View) RangeNR(lo, hi string, shards int) (*RangeResult, error) {
+func (v *View) RangeNR(lo, hi string, shards int) (RangeResult, error) {
 	nr, err := v.set.ProveRangeNR(lo, hi)
 	if err != nil {
-		return nil, err
+		return RangeResult{}, err
 	}
-	return &RangeResult{Shard: v.shard, Shards: shards, Anchor: v.anchor, Range: nr}, nil
+	return RangeResult{Shard: v.shard, Shards: shards, Anchor: v.anchor, Range: nr}, nil
 }
 
 // Engine fans authenticated reads across per-shard views. Publish, Retract
@@ -426,35 +430,24 @@ func (e *Engine) GetInto(key string, st *GetStorage) (*GetResult, error) {
 	return v.getInto(key, len(e.shards), st)
 }
 
-// Range fans a key-range scan across every shard concurrently and gathers
-// one completeness-proven slice per shard, in shard order.
+// Range gathers a key-range scan shard by shard, on the calling goroutine:
+// one completeness-proven slice per shard, in shard order. It holds one view
+// at a time, each only while its slice is proved. The proof work is the sum
+// over the shards: measured against a goroutine per shard on 2 cores, 8-key
+// windows took a quarter of the time and 1000-key windows the same; wider
+// machines are unmeasured.
 func (e *Engine) Range(lo, hi string) ([]RangeResult, error) {
 	if e.proofHist != nil {
 		defer e.proofHist.ObserveSince(time.Now())
 	}
 	out := make([]RangeResult, len(e.shards))
-	errs := make([]error, len(e.shards))
-	var wg sync.WaitGroup
-	for i := range e.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, err := e.ViewOf(i)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			r, err := v.RangeNR(lo, hi, len(e.shards))
-			v.Release()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			out[i] = *r
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	for i := range out {
+		v, err := e.ViewOf(i)
+		if err != nil {
+			return nil, err
+		}
+		out[i], err = v.RangeNR(lo, hi, len(e.shards))
+		v.Release()
 		if err != nil {
 			return nil, err
 		}

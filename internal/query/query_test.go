@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -31,7 +32,7 @@ func buildEngine(t *testing.T, shards, n int) (*Engine, map[string]ads.Record) {
 	}
 	e := NewEngine(shards)
 	for i, s := range sets {
-		e.Publish(i, NewView(i, 1, uint64(10+i), s.Clone()))
+		e.Publish(i, NewView(i, 1, uint64(10+i), *s.Clone()))
 	}
 	return e, recs
 }
@@ -157,16 +158,16 @@ func TestVerifyRangeRejectsOmission(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s.Put(ads.Record{Key: fmt.Sprintf("k%d", i), State: ads.NR, Value: []byte("v")})
 	}
-	v := NewView(0, 1, 1, s.Clone())
+	v := NewView(0, 1, 1, *s.Clone())
 	full, err := v.RangeNR("k2", "k5", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyRange("k2", "k5", full); err != nil {
+	if err := VerifyRange("k2", "k5", &full); err != nil {
 		t.Fatalf("honest range rejected: %v", err)
 	}
 	// Omission 1: drop a middle record from the honest answer.
-	tampered := *full
+	tampered := full
 	cut := *tampered.Range
 	cut.Records = append(append([]ads.Record{}, cut.Records[:1]...), cut.Records[2:]...)
 	tampered.Range = &cut
@@ -181,7 +182,7 @@ func TestVerifyRangeRejectsOmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyRange("k2", "k5", narrow); err == nil {
+	if err := VerifyRange("k2", "k5", &narrow); err == nil {
 		t.Fatal("narrowed answer accepted for wider window")
 	}
 }
@@ -254,7 +255,7 @@ func TestRetractedViewWaitsForSuccessor(t *testing.T) {
 // writer applying batches back to back cannot starve the reader.
 func TestViewRetractionSparesAWaitingReader(t *testing.T) {
 	e := NewEngine(1)
-	e.Publish(0, NewView(0, 0, 0, ads.NewSet()))
+	e.Publish(0, NewView(0, 0, 0, *ads.NewSet()))
 	if !e.Retract(0) {
 		t.Fatal("an unread view was not retracted")
 	}
@@ -269,7 +270,7 @@ func TestViewRetractionSparesAWaitingReader(t *testing.T) {
 	for e.shards[0].waiting.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	next := NewView(0, 1, 1, ads.NewSet())
+	next := NewView(0, 1, 1, *ads.NewSet())
 	e.Publish(0, next)
 	if e.Retract(0) {
 		t.Fatal("the view a reader waits for was retracted")
@@ -349,6 +350,42 @@ func TestGetIntoAnswerOutlivesItsView(t *testing.T) {
 		if err := VerifyGet(key, got); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+	}
+}
+
+// TestGetIntoAllocations: a get proved into warm storage allocates nothing,
+// present or absent, because the path and the absence proof's tree reuse
+// the storage's capacity. Every answer verifies although the storage served
+// other gets, present and absent, just before it.
+func TestGetIntoAllocations(t *testing.T) {
+	e, recs := buildEngine(t, 4, 200)
+	keys := make([]string, 0, 2*len(recs))
+	for k := range recs {
+		keys = append(keys, k, k+"x")
+	}
+	slices.Sort(keys)
+	var st GetStorage
+	for _, k := range keys {
+		res, err := e.GetInto(k, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := recs[k]; res.Found != ok {
+			t.Fatalf("GetInto(%q): found %v, want %v", k, res.Found, ok)
+		}
+		if err := VerifyGet(k, res); err != nil {
+			t.Fatalf("GetInto(%q): %v", k, err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(keys), func() {
+		if _, err := e.GetInto(keys[i%len(keys)], &st); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per get into warm storage, want 0", allocs)
 	}
 }
 

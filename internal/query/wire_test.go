@@ -46,7 +46,7 @@ func wireEngine(seed uint64, shards, n int) (*Engine, []ads.Record) {
 	}
 	e := NewEngine(shards)
 	for i, s := range sets {
-		e.Publish(i, NewView(i, seed, 100+uint64(i), s.Clone()))
+		e.Publish(i, NewView(i, seed, 100+uint64(i), *s.Clone()))
 	}
 	return e, recs
 }
@@ -226,7 +226,7 @@ func TestViewGetMatchesSetProofs(t *testing.T) {
 	for _, rec := range recs {
 		set.Put(rec)
 	}
-	v := NewView(0, 1, 1, set.Clone())
+	v := NewView(0, 1, 1, *set.Clone())
 	if v.Anchor().Root != set.Root() {
 		t.Fatal("view root differs from the set's")
 	}

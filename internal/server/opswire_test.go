@@ -503,14 +503,20 @@ func writeStack(tb testing.TB, n int) (*Client, [][]Op) {
 
 // TestClientDoAllocations pins what one 16-op YCSB-A batch allocates, client
 // and gateway together, as a typed frame on a loopback Go-to-Go stream into a
-// durable feed: 51. A record set that copied every written value cost 59,
-// frames that emulated HTTP 92, the binary ops encoding over a net/http
-// round trip 256, and both sides speaking JSON 325.
+// durable feed: 39. Read results that copied their values, per-shard reply
+// channels and two-allocation view publishes cost 50, a record set that
+// copied every written value 59, frames that emulated HTTP 92, the binary
+// ops encoding over a net/http round trip 256, and both sides speaking JSON
+// 325. Under the race detector sync.Pool drops entries at random, so the
+// bound there stays 57.
 func TestClientDoAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("preloads a 10k-record durable feed")
 	}
-	const bound = 57
+	bound := 39
+	if raceEnabled {
+		bound = 57
+	}
 	c, batches := writeStack(t, 400)
 	for _, b := range batches[:100] { // warm the pools, the connection, the encoding
 		if _, err := c.Do("f", b); err != nil {
@@ -525,7 +531,7 @@ func TestClientDoAllocations(t *testing.T) {
 		i++
 	})
 	t.Logf("%.1f allocations per 16-op batch", allocs)
-	if allocs > bound {
+	if allocs > float64(bound) {
 		t.Errorf("%.1f allocations per 16-op batch, want at most %d", allocs, bound)
 	}
 }

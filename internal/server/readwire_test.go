@@ -409,7 +409,10 @@ func decodeJSON[T any](body []byte) error { var out T; return json.Unmarshal(bod
 // value and the path: 4 allocations, where a detached answer and a decoder
 // that copied the whole body cost 13. An absent get's and a range's proofs
 // are pruned trees, built, sent, decoded and verified as one preorder buffer
-// each: 6 and 42 allocations (9 and 42 with the whole-body copy). Counted
+// each: 4 and 28 allocations. The absent get proves its tree into the
+// stream's storage too, and the range is gathered shard by shard on the
+// calling goroutine; a fresh absence proof per get and a goroutine per
+// shard cost 6 and 42 (9 and 42 with the whole-body copy). Counted
 // with their keys formatted inside the count, frames that emulated HTTP (a
 // header map, a Request and a mux match per read) cost 40 and 74 for the
 // absent get and the range, a net/http round trip per read 91 and 126, and
@@ -418,7 +421,7 @@ func TestVerifiedReadAllocations(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("preloads a 10k-record feed; allocation counts do not hold under the race detector")
 	}
-	const presentBound, absentBound, rangeBound = 4, 6, 42
+	const presentBound, absentBound, rangeBound = 4, 4, 28
 	_, srv := readFeed(t, 4, 10000, HandlerConfig{})
 	vc := NewVerifyingClient(srv.URL)
 	vc.HTTP = &http.Client{Transport: &http.Transport{}}

@@ -172,13 +172,7 @@ func (s *ShardedFeed) replRequest(shard int, req request) (response, error) {
 	if _, err := s.replLogOf(shard); err != nil {
 		return response{}, err
 	}
-	w := s.workers[shard]
-	resp := make(chan response, 1)
-	req.resp = resp
-	if err := s.send(w, req); err != nil {
-		return response{}, err
-	}
-	return s.recv(w, resp)
+	return s.roundTrip(s.workers[shard], req)
 }
 
 // Apply replays one shipped batch on a shard through the normal

@@ -176,7 +176,9 @@ type request struct {
 	ops   []core.Op
 	entry *repl.Entry    // reqOps from a replication leader
 	snap  *repl.Snapshot // reqReplReset
-	resp  chan response
+	// resp receives the answer. A round trip to several shards sends
+	// them all one channel, and each answer names its shard.
+	resp chan response
 	// tr carries the batch's trace (nil for untraced requests); enq is
 	// the mailbox-enqueue instant, stamped only when the feed times
 	// stages or the batch is traced, and yields the mailbox-wait span.
@@ -185,6 +187,7 @@ type request struct {
 }
 
 type response struct {
+	shard    int
 	results  []core.OpResult
 	stat     ShardStat
 	trace    []core.Op
@@ -339,7 +342,8 @@ type worker struct {
 // publication sequence. Every batch ends with anchorOf, and install checks an
 // image's anchor, both of which seal the set, so Capture here has nothing
 // left to hash: it is a root-pointer capture whose cost is independent of the
-// record count, and readers of the view find every node hashed. The set
+// record count, and readers of the view find every node hashed. The view
+// holds the version by value, so a publish is one allocation. The set
 // keeps its generation; releaseView decides, at the next batch, whether the
 // view's nodes must be copied.
 func (w *worker) publishView(st *shardState) {
@@ -385,91 +389,96 @@ const mailboxDepth = 64
 func (w *worker) loop(st *shardState) {
 	defer close(w.done)
 	for req := range w.mail {
-		switch req.kind {
-		case reqStop:
-			err := st.persistErr
-			if st.persist != nil {
-				// Drain-then-flush: a final snapshot makes the next
-				// open replay-free; the WAL already holds everything,
-				// so a failure here costs recovery time, not data. A
-				// diverged shard must NOT snapshot: its in-memory state
-				// holds the refused fork, while its durable log was
-				// rolled back to the verified prefix — recovery from
-				// the log is exactly the state we want back.
-				if st.diverged == nil {
-					if serr := st.snapshot(); err == nil {
-						err = serr
-					}
-				}
-				if cerr := st.persist.db.Close(); err == nil {
-					err = cerr
-				}
-			}
-			req.resp <- response{err: err}
+		r := w.serve(st, req)
+		r.shard = w.idx
+		req.resp <- r
+		if req.kind == reqStop || req.kind == reqKill {
 			return
-		case reqKill:
-			if st.persist != nil {
-				// Simulated crash: no snapshot, no flush. Close only
-				// releases file handles; recovery must come from the
-				// engine's WAL exactly as after a process death.
-				st.persist.db.Close()
-			}
-			req.resp <- response{}
-			return
-		case reqStats:
-			stat := ShardStat{Shard: w.idx, Ops: st.ops, Batches: st.batches, Feed: st.feed.Stats(), BaseGas: st.base}
-			if st.ops > 0 {
-				stat.GasPerOp = float64(stat.Feed.FeedGas-st.base) / float64(st.ops)
-			}
-			if st.persist != nil {
-				ps := st.persist.stat()
-				if st.persistErr != nil {
-					ps.LastError = st.persistErr.Error()
-				}
-				stat.Persist = &ps
-			}
-			if st.diverged != nil {
-				stat.Diverged = st.diverged.Error()
-			}
-			req.resp <- response{stat: stat}
-		case reqReplSnap:
-			img, err := st.image()
-			req.resp <- response{snap: img, err: err}
-		case reqReplReset:
-			req.resp <- response{err: w.reset(st, req.snap)}
-		case reqSnapshot:
-			if st.persist == nil {
-				req.resp <- response{err: ErrNotPersistent}
-				continue
-			}
-			if st.diverged != nil {
-				// Snapshotting would durably adopt the refused fork.
-				req.resp <- response{err: st.diverged}
-				continue
-			}
-			err := st.persistErr
-			st.persistErr = nil
-			if serr := st.snapshot(); err == nil {
-				err = serr
-			}
-			var stat ShardStat
-			if err == nil {
-				ps := st.persist.stat()
-				stat = ShardStat{Shard: w.idx, Persist: &ps}
-			}
-			req.resp <- response{stat: stat, err: err}
-		case reqTrace:
-			tr := make([]core.Op, len(st.trace))
-			copy(tr, st.trace)
-			rs := make([]core.OpResult, len(st.traceRes))
-			copy(rs, st.traceRes)
-			req.resp <- response{trace: tr, traceRes: rs}
-		default:
-			clk := newStageClock(st, req, w.idx)
-			results, err := w.commit(st, req.ops, req.entry, &clk)
-			req.resp <- response{results: results, err: err}
 		}
 	}
+}
+
+// serve answers one request. After reqStop or reqKill the worker exits.
+func (w *worker) serve(st *shardState, req request) response {
+	switch req.kind {
+	case reqStop:
+		err := st.persistErr
+		if st.persist != nil {
+			// Drain-then-flush: a final snapshot makes the next
+			// open replay-free; the WAL already holds everything,
+			// so a failure here costs recovery time, not data. A
+			// diverged shard must NOT snapshot: its in-memory state
+			// holds the refused fork, while its durable log was
+			// rolled back to the verified prefix — recovery from
+			// the log is exactly the state we want back.
+			if st.diverged == nil {
+				if serr := st.snapshot(); err == nil {
+					err = serr
+				}
+			}
+			if cerr := st.persist.db.Close(); err == nil {
+				err = cerr
+			}
+		}
+		return response{err: err}
+	case reqKill:
+		if st.persist != nil {
+			// Simulated crash: no snapshot, no flush. Close only
+			// releases file handles; recovery must come from the
+			// engine's WAL exactly as after a process death.
+			st.persist.db.Close()
+		}
+		return response{}
+	case reqStats:
+		stat := ShardStat{Shard: w.idx, Ops: st.ops, Batches: st.batches, Feed: st.feed.Stats(), BaseGas: st.base}
+		if st.ops > 0 {
+			stat.GasPerOp = float64(stat.Feed.FeedGas-st.base) / float64(st.ops)
+		}
+		if st.persist != nil {
+			ps := st.persist.stat()
+			if st.persistErr != nil {
+				ps.LastError = st.persistErr.Error()
+			}
+			stat.Persist = &ps
+		}
+		if st.diverged != nil {
+			stat.Diverged = st.diverged.Error()
+		}
+		return response{stat: stat}
+	case reqReplSnap:
+		img, err := st.image()
+		return response{snap: img, err: err}
+	case reqReplReset:
+		return response{err: w.reset(st, req.snap)}
+	case reqSnapshot:
+		if st.persist == nil {
+			return response{err: ErrNotPersistent}
+		}
+		if st.diverged != nil {
+			// Snapshotting would durably adopt the refused fork.
+			return response{err: st.diverged}
+		}
+		err := st.persistErr
+		st.persistErr = nil
+		if serr := st.snapshot(); err == nil {
+			err = serr
+		}
+		var stat ShardStat
+		if err == nil {
+			ps := st.persist.stat()
+			stat = ShardStat{Shard: w.idx, Persist: &ps}
+		}
+		return response{stat: stat, err: err}
+	case reqTrace:
+		tr := make([]core.Op, len(st.trace))
+		copy(tr, st.trace)
+		rs := make([]core.OpResult, len(st.traceRes))
+		copy(rs, st.traceRes)
+		return response{trace: tr, traceRes: rs}
+	}
+	clk := newStageClock(st, req, w.idx)
+	results, err := w.commit(st, req.ops, req.entry, &clk)
+	return response{results: results, err: err}
 }
 
 // commit is the one write step of a shard, for a client batch (want nil)
@@ -654,6 +663,10 @@ type ShardedFeed struct {
 	replLogs []*replLog
 	// stages mirrors Options.Stages (nil disables stage timing).
 	stages obs.FeedStages
+	// replies pools reply channels (chan response), each with room for
+	// one answer per shard, so no worker ever blocks on its send. A
+	// channel goes back only once every answer sent on it was received.
+	replies sync.Pool
 }
 
 // Engine returns the feed's snapshot-isolated query engine, or nil when the
@@ -771,21 +784,61 @@ func (s *ShardedFeed) send(w *worker, req request) error {
 	}
 }
 
-// recv waits for one response from a previously sent request.
-func (s *ShardedFeed) recv(w *worker, resp chan response) (response, error) {
+// replyChan takes a reply channel from the feed's pool.
+func (s *ShardedFeed) replyChan() chan response {
+	if c, ok := s.replies.Get().(chan response); ok {
+		return c
+	}
+	return make(chan response, len(s.workers))
+}
+
+// roundTrip sends req to w on a reply channel from the feed's pool and
+// waits for the answer. The channel goes back to the pool once the answer
+// is in.
+func (s *ShardedFeed) roundTrip(w *worker, req request) (response, error) {
+	req.resp = s.replyChan()
+	if err := s.send(w, req); err != nil {
+		return response{}, err
+	}
+	r, err := await(req.resp, w)
+	if err == nil {
+		s.replies.Put(req.resp)
+	}
+	return r, err
+}
+
+// await receives the next answer on resp, the reply channel of a round trip
+// that still owes one from w, among others. A worker answers before it
+// exits, so once w has exited its answer is already on resp or never comes,
+// and await returns ErrClosed. Answers may then still arrive on resp, so
+// the caller must not pool it.
+func await(resp chan response, w *worker) (response, error) {
 	select {
 	case r := <-resp:
 		return r, nil
 	case <-w.done:
-		return response{}, ErrClosed
+		select {
+		case r := <-resp:
+			return r, nil
+		default:
+			return response{}, ErrClosed
+		}
 	}
 }
 
 // Do executes one batch: it splits the ops per shard by key hash, runs the
 // sub-batches concurrently, and merges the results back into the input
-// order. The error is non-nil only when the feed is closed. The feed keeps
+// order. The error is non-nil when the feed is closed or a shard refuses its
+// sub-batch (a halted shard's divergence, a failed log append). The feed keeps
 // the writes' value bytes (see core.Op): the caller must not write them
 // afterwards.
+//
+// The scatter counts each shard's ops in one pass, then copies them into one
+// exact-size sub-batch per shard, and records in one arena where each sub-batch
+// op came from, for the gather. The sub-batches never share a backing array:
+// a shard's replication log keeps its sub-batch, and a shared array would pin
+// every other shard's values with it. All sub-batches answer on one pooled
+// reply channel.
 func (s *ShardedFeed) Do(ops []core.Op) ([]core.OpResult, error) {
 	return s.DoCtx(context.Background(), ops)
 }
@@ -805,75 +858,106 @@ func (s *ShardedFeed) DoCtx(ctx context.Context, ops []core.Op) ([]core.OpResult
 	n := len(s.workers)
 	s.batches.Add(1)
 	if n == 1 {
-		w := s.workers[0]
-		resp := make(chan response, 1)
-		if err := s.send(w, request{kind: reqOps, ops: ops, resp: resp, tr: tr, enq: enq}); err != nil {
-			return nil, err
-		}
-		r, err := s.recv(w, resp)
+		r, err := s.roundTrip(s.workers[0], request{kind: reqOps, ops: ops, tr: tr, enq: enq})
 		if err != nil {
 			return nil, err
 		}
 		return r.results, r.err
 	}
 
-	// Scatter: split per shard, preserving each key's relative order.
-	subOps := make([][]core.Op, n)
-	subPos := make([][]int, n)
+	// Scatter. The arena holds each shard's first index into pos
+	// (start[n] = len(ops)), each shard's fill cursor into pos, the shards
+	// that owe an answer, each op's shard, and pos: the caller's position of
+	// every sub-batch op, shard by shard, each key in its relative order.
+	arena := make([]int, 3*n+1+2*len(ops))
+	start, next, owed := arena[:n+1], arena[n+1:2*n+1], arena[2*n+1:3*n+1]
+	home, pos := arena[3*n+1:3*n+1+len(ops)], arena[3*n+1+len(ops):]
 	for i, op := range ops {
 		sh := ShardOf(op.Key, n)
-		subOps[sh] = append(subOps[sh], op)
-		subPos[sh] = append(subPos[sh], i)
+		home[i] = sh
+		start[sh+1]++
 	}
-	resps := make([]chan response, n)
-	for sh := 0; sh < n; sh++ {
-		if len(subOps[sh]) == 0 {
+	for sh := range n {
+		start[sh+1] += start[sh]
+		next[sh] = start[sh]
+	}
+	for i, sh := range home {
+		pos[next[sh]] = i
+		next[sh]++
+	}
+	resp := s.replyChan()
+	pending := 0
+	for sh := range n {
+		at := pos[start[sh]:start[sh+1]]
+		if len(at) == 0 {
 			continue
 		}
-		resps[sh] = make(chan response, 1)
-		if err := s.send(s.workers[sh], request{kind: reqOps, ops: subOps[sh], resp: resps[sh], tr: tr, enq: enq}); err != nil {
+		sub := make([]core.Op, len(at))
+		for j, i := range at {
+			sub[j] = ops[i]
+		}
+		if err := s.send(s.workers[sh], request{kind: reqOps, ops: sub, resp: resp, tr: tr, enq: enq}); err != nil {
 			return nil, err
 		}
+		owed[sh] = 1
+		pending++
 	}
 
 	// Gather: merge per-shard results back into the caller's order.
 	out := make([]core.OpResult, len(ops))
-	for sh := 0; sh < n; sh++ {
-		if resps[sh] == nil {
-			continue
-		}
-		r, err := s.recv(s.workers[sh], resps[sh])
+	for ; pending > 0; pending-- {
+		r, err := s.gather(resp, owed)
 		if err != nil {
 			return nil, err
 		}
 		if r.err != nil {
 			return nil, r.err
 		}
-		for j, pos := range subPos[sh] {
-			out[pos] = r.results[j]
+		for j, i := range pos[start[r.shard]:start[r.shard+1]] {
+			out[i] = r.results[j]
 		}
 	}
+	s.replies.Put(resp)
 	return out, nil
 }
 
-// broadcast sends one request kind to every shard and gathers the responses
+// gather receives the next answer of a scatter whose requests all answer on
+// resp, where owed[sh] is 1 while shard sh still owes its answer, and clears
+// the answering shard's mark. It waits on the lowest shard that still owes
+// one, so a worker that exited without answering ends the gather with
+// ErrClosed, and the caller must then drop resp.
+func (s *ShardedFeed) gather(resp chan response, owed []int) (response, error) {
+	lo := 0
+	for owed[lo] == 0 {
+		lo++
+	}
+	r, err := await(resp, s.workers[lo])
+	if err == nil {
+		owed[r.shard] = 0
+	}
+	return r, err
+}
+
+// broadcast sends one request kind to every shard and returns the responses
 // in shard order.
 func (s *ShardedFeed) broadcast(kind reqKind) ([]response, error) {
-	resps := make([]chan response, len(s.workers))
+	resp := s.replyChan()
+	owed := make([]int, len(s.workers))
 	for i, w := range s.workers {
-		resps[i] = make(chan response, 1)
-		if err := s.send(w, request{kind: kind, resp: resps[i]}); err != nil {
+		if err := s.send(w, request{kind: kind, resp: resp}); err != nil {
 			return nil, err
 		}
+		owed[i] = 1
 	}
 	out := make([]response, len(s.workers))
-	for i, w := range s.workers {
-		r, err := s.recv(w, resps[i])
+	for range s.workers {
+		r, err := s.gather(resp, owed)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = r
+		out[r.shard] = r
 	}
+	s.replies.Put(resp)
 	return out, nil
 }
 

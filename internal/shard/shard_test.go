@@ -354,3 +354,45 @@ func splitTrace(t *testing.T, merged []core.Op, shards int) [][]core.Op {
 	}
 	return out
 }
+
+// TestScatterAllocs pins what an 8-op batch costs on a 4-shard in-memory
+// feed, scatter, shard work and gather together. The batch reaches all four
+// shards. The scatter makes one arena and one exact-size sub-batch per
+// shard, each shard one result slice, the gather one merged slice, and every
+// sub-batch answers on one pooled reply channel: 10 allocations. The other 8
+// are the shards' own work. The batch reads and rewrites the same keys every
+// run, so that work is the same each time.
+func TestScatterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	const bound = 18
+	sf := newSharded(t, 4, 8, false)
+	batch := make([]core.Op, 8)
+	hit := make(map[int]bool)
+	for i := range batch {
+		key := fmt.Sprintf("k%d", i)
+		hit[ShardOf(key, 4)] = true
+		batch[i] = core.Op{Type: "read", Key: key}
+		if i%2 == 1 {
+			batch[i] = core.Op{Type: "write", Key: key, Value: []byte("v")}
+		}
+	}
+	for range 20 { // reach the steady state: every key written and read
+		if _, err := sf.Do(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := sf.Do(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(hit) != 4 {
+		t.Fatalf("the batch reaches %d shards, want 4", len(hit))
+	}
+	t.Logf("%.1f allocations per 8-op batch", allocs)
+	if allocs > bound {
+		t.Errorf("%.1f allocations per 8-op batch, want at most %d", allocs, bound)
+	}
+}
